@@ -212,8 +212,9 @@ pub fn attention_chunked_bwd_with_positions(
             // Accumulate dq_i into the global buffer: each (i, j) tile adds
             // one KV chunk's contribution to query chunk i.
             let base = i * step * h * d;
-            for (off, &g) in dq_i.data().iter().enumerate() {
-                dq.data_mut()[base + off] += g;
+            let dq_rows = &mut dq.data_mut()[base..base + step * h * d];
+            for (acc, &g) in dq_rows.iter_mut().zip(dq_i.data()) {
+                *acc += g;
             }
         }
         // dk_j / dv_j are now FINAL (no later outer iteration touches them).

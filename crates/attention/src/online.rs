@@ -13,10 +13,179 @@
 //! `D = rowsum(dO ⊙ O)` ([`rowwise_dot`]), accumulating into `dq`, `dk`,
 //! `dv`. FPDT's nested KV-outer/Q-inner loop (paper Figure 7) is a
 //! particular iteration order over these tiles.
+//!
+//! Both kernels are blocked matrix–matrix code over fixed-size score
+//! blocks. A parallel item owns [`BW`] consecutive rows of one operand
+//! (query rows in the forward and the `dq` pass, key rows in the `dk`/`dv`
+//! pass), packs that *resident* operand transposed once per head, and
+//! streams the other operand past it [`BD`] rows at a time. Each step forms
+//! a `[BD, BW]` score block — streamed row × resident column — with
+//! [`mk::gemm_panel`] reading the `[s, h, d]` layout in place, runs the
+//! block softmax ([`mk::softmax_fold`] / [`mk::softmax_bwd`]) and feeds the
+//! result back through `gemm_panel` as a transposed A operand. The causal
+//! mask is decided per block from the position ranges: fully visible
+//! blocks take no mask branch, fully masked blocks are skipped, only
+//! straddling blocks test per element.
+//!
+//! Determinism: the `BW`-row partition is fixed, every output element has
+//! one owner item, and each element accumulates in ascending (head,
+//! streamed block, row) order — bitwise identical at any thread count and
+//! on either microkernel backend.
 
 use crate::{check_qkv, shd, Result, Tensor, TensorError};
+use fpdt_tensor::mk::{self, Panel};
 use fpdt_tensor::par;
 use std::sync::Arc;
+
+/// Rows of the resident operand per parallel item, and the width of a
+/// score block. A multiple of 32 keeps every block op on full vectors.
+const BW: usize = 32;
+/// Rows of the streamed operand per score block.
+const BD: usize = 64;
+
+/// How much of a score block the causal mask lets through.
+#[derive(Clone, Copy, PartialEq)]
+enum Visibility {
+    Full,
+    Partial,
+    Masked,
+}
+
+/// `(min, max)` of a non-empty position range.
+fn span(pos: &[usize]) -> (usize, usize) {
+    pos.iter()
+        .fold((usize::MAX, 0), |(lo, hi), &p| (lo.min(p), hi.max(p)))
+}
+
+/// Position span of every `BD`-row streamed block.
+fn stream_spans(pos: &[usize]) -> Vec<(usize, usize)> {
+    pos.chunks(BD).map(span).collect()
+}
+
+/// Query `a` sees key `b` iff `kv_pos[b] <= q_pos[a]`; lifted to spans.
+fn visibility(q: (usize, usize), kv: (usize, usize)) -> Visibility {
+    if kv.1 <= q.0 {
+        Visibility::Full
+    } else if kv.0 > q.1 {
+        Visibility::Masked
+    } else {
+        Visibility::Partial
+    }
+}
+
+/// One head of an interleaved `[s, h, d]` buffer: row `r` is
+/// `data[r * stride + off ..][..d]`.
+#[derive(Clone, Copy)]
+struct Head<'a> {
+    data: &'a [f32],
+    stride: usize,
+    off: usize,
+    d: usize,
+}
+
+impl<'a> Head<'a> {
+    fn of(data: &'a [f32], heads: usize, head: usize, d: usize) -> Self {
+        Head {
+            data,
+            stride: heads * d,
+            off: head * d,
+            d,
+        }
+    }
+}
+
+/// Packs `rows` consecutive rows of `src` starting at `r0`, times `scale`,
+/// transposed into `dst: [d, BW]`. Columns past `rows` keep the zeros the
+/// scratch buffer starts with.
+fn pack_t(dst: &mut [f32], src: Head<'_>, r0: usize, rows: usize, scale: f32) {
+    for r in 0..rows {
+        let row = &src.data[(r0 + r) * src.stride + src.off..][..src.d];
+        for (i, &x) in row.iter().enumerate() {
+            dst[i * BW + r] = x * scale;
+        }
+    }
+}
+
+/// Copies one head's per-row statistic, `src[(r0 + i) * h + head]`, into
+/// `dst[i]`.
+fn gather_head(dst: &mut [f32], src: &[f32], r0: usize, h: usize, head: usize) {
+    for (i, x) in dst.iter_mut().enumerate() {
+        *x = src[(r0 + i) * h + head];
+    }
+}
+
+/// Writes `-inf` over the masked scores of a straddling block
+/// `s: [row_pos.len(), BW]`; `masked(row_pos, col_pos)` is the causal test
+/// in the block's orientation.
+fn mask_block(
+    s: &mut [f32],
+    row_pos: &[usize],
+    col_pos: &[usize],
+    masked: impl Fn(usize, usize) -> bool,
+) {
+    for (s_row, &rp) in s.chunks_mut(BW).zip(row_pos) {
+        for (x, &cp) in s_row.iter_mut().zip(col_pos) {
+            if masked(rp, cp) {
+                *x = f32::NEG_INFINITY;
+            }
+        }
+    }
+}
+
+/// The `[bd, BW]` score block of `bd = c.len() / BW` streamed rows of
+/// `src` (from row `r0`) against a packed transposed resident operand
+/// `bt: [d, BW]`.
+fn score_block(c: &mut [f32], src: Head<'_>, r0: usize, bt: &[f32]) {
+    c.fill(0.0);
+    mk::gemm_panel(
+        &Panel {
+            a: src.data,
+            a_off: r0 * src.stride + src.off,
+            a_stride: src.stride,
+            a_lstride: 1,
+            bp: bt,
+            b_stride: BW,
+            b_col0: 0,
+            kc: src.d,
+            nc: BW,
+            rows: c.len() / BW,
+            c_stride: BW,
+            c_col0: 0,
+        },
+        c,
+    );
+}
+
+/// `c[r, c_off..][..d] += Σ_l block[l, r] · src[r0 + l]` for the first
+/// `rows` columns `r` of a `[bd, BW]` block: the block enters as a
+/// transposed A operand, `src` rows are read in place.
+fn fold_block(
+    c: &mut [f32],
+    c_stride: usize,
+    c_off: usize,
+    rows: usize,
+    block: &[f32],
+    src: Head<'_>,
+    r0: usize,
+) {
+    mk::gemm_panel(
+        &Panel {
+            a: block,
+            a_off: 0,
+            a_stride: 1,
+            a_lstride: BW,
+            bp: src.data,
+            b_stride: src.stride,
+            b_col0: r0 * src.stride + src.off,
+            kc: block.len() / BW,
+            nc: src.d,
+            rows,
+            c_stride,
+            c_col0: c_off,
+        },
+        c,
+    );
+}
 
 /// Log-sum-exp side output of the forward pass: one `f32` per
 /// `(query row, head)`, flattened row-major `[sq * h]`.
@@ -128,60 +297,57 @@ impl OnlineAttention {
         let scale = self.scale;
         let q_pos = &self.q_pos;
         let hd = h * d;
-        let hkvd = hkv * d;
         let sq = self.q_pos.len();
         let work = sq.saturating_mul(sk).saturating_mul(hd);
-        // Parallel over (query row, head) items: each item owns a disjoint
-        // `d`-slice of acc and one scalar of m/l, and its accumulation is
-        // sequential over the KV block — bitwise identical at any thread
-        // count.
+        let kv_spans = stream_spans(kv_pos);
+        // One item per `BW` query rows: it owns those rows of acc/m/l for
+        // every head and sweeps the KV block in ascending order.
         par::run_rows3(
             &mut self.acc,
-            d,
+            BW * hd,
             &mut self.m,
-            1,
+            BW * h,
             &mut self.l,
-            1,
+            BW * h,
             work,
-            |item, acc_h, m_i, l_i| {
-                let (a, head) = (item / h, item % h);
-                let kvh = head / ratio;
-                let q_row = &qd[a * hd + head * d..a * hd + head * d + d];
-                par::with_scratch(sk, |scores| {
-                    let mut blk_max = f32::NEG_INFINITY;
-                    let mut any = false;
-                    for b in 0..sk {
-                        if kv_pos[b] <= q_pos[a] {
-                            let k_row = &kd[b * hkvd + kvh * d..b * hkvd + kvh * d + d];
-                            scores[b] = par::dot(q_row, k_row) * scale;
-                            blk_max = blk_max.max(scores[b]);
-                            any = true;
-                        } else {
-                            scores[b] = f32::NEG_INFINITY;
+            |blk, acc_b, m_b, l_b| {
+                let a0 = blk * BW;
+                let br = m_b.len() / h;
+                let qp = &q_pos[a0..a0 + br];
+                let q_span = span(qp);
+                par::with_scratch(d * BW + BD * BW + 3 * BW, |buf| {
+                    let (qt, buf) = buf.split_at_mut(d * BW);
+                    let (s_buf, buf) = buf.split_at_mut(BD * BW);
+                    let (m_loc, buf) = buf.split_at_mut(BW);
+                    let (l_loc, corr) = buf.split_at_mut(BW);
+                    for head in 0..h {
+                        let kh = Head::of(kd, hkv, head / ratio, d);
+                        let vh = Head::of(vd, hkv, head / ratio, d);
+                        // The softmax scale rides on the packed queries.
+                        pack_t(qt, Head::of(qd, h, head, d), a0, br, scale);
+                        gather_head(&mut m_loc[..br], m_b, 0, h, head);
+                        gather_head(&mut l_loc[..br], l_b, 0, h, head);
+                        for (jb, &kv_span) in kv_spans.iter().enumerate() {
+                            let vis = visibility(q_span, kv_span);
+                            if vis == Visibility::Masked {
+                                continue;
+                            }
+                            let b0 = jb * BD;
+                            let bc = BD.min(sk - b0);
+                            let s = &mut s_buf[..bc * BW];
+                            score_block(s, kh, b0, qt);
+                            if vis == Visibility::Partial {
+                                mask_block(s, &kv_pos[b0..b0 + bc], qp, |kp, qp| kp > qp);
+                            }
+                            mk::softmax_fold(s, BW, m_loc, l_loc, corr);
+                            mk::scale_rows(acc_b, hd, head * d, d, &corr[..br]);
+                            fold_block(acc_b, hd, head * d, br, s, vh, b0);
+                        }
+                        for a in 0..br {
+                            m_b[a * h + head] = m_loc[a];
+                            l_b[a * h + head] = l_loc[a];
                         }
                     }
-                    if !any {
-                        return;
-                    }
-                    let m_new = m_i[0].max(blk_max);
-                    let correction = if m_i[0].is_finite() {
-                        (m_i[0] - m_new).exp()
-                    } else {
-                        0.0
-                    };
-                    par::scale(acc_h, correction);
-                    let mut block_l = 0.0f32;
-                    for b in 0..sk {
-                        if !scores[b].is_finite() {
-                            continue;
-                        }
-                        let p = (scores[b] - m_new).exp();
-                        block_l += p;
-                        let v_row = &vd[b * hkvd + kvh * d..b * hkvd + kvh * d + d];
-                        par::axpy(acc_h, p, v_row);
-                    }
-                    l_i[0] = l_i[0] * correction + block_l;
-                    m_i[0] = m_new;
                 });
             },
         );
@@ -295,59 +461,104 @@ pub fn attention_block_bwd(
     let dod = dout.data();
 
     let work = sq.saturating_mul(sk).saturating_mul(hd);
+    let scratch = 2 * d * BW + 2 * BD * BW + 2 * BW.max(BD);
 
-    // Pass 1: dq — parallel over (query row, head) items; each item owns a
-    // disjoint `d`-slice of dq and sweeps the KV block sequentially.
-    par::run_rows(dq.data_mut(), d, work, |item, dq_h| {
-        let (a, head) = (item / h, item % h);
-        let kvh = head / ratio;
-        let l = lse[a * h + head];
-        if !l.is_finite() {
-            return;
-        }
-        let q_row = &qd[a * hd + head * d..a * hd + head * d + d];
-        let do_row = &dod[a * hd + head * d..a * hd + head * d + d];
-        let dsum_a = dsum[a * h + head];
-        for b in 0..sk {
-            if kv_pos[b] > q_pos[a] {
-                continue;
+    // Pass 1: dq — one item per `BW` query rows, resident Qᵀ/dOᵀ, KV
+    // streamed ascending. Score blocks are [kv row, query column].
+    let kv_spans = stream_spans(kv_pos);
+    par::run_rows(dq.data_mut(), BW * hd, work, |blk, dq_b| {
+        let a0 = blk * BW;
+        let br = dq_b.len() / hd;
+        let qp = &q_pos[a0..a0 + br];
+        let q_span = span(qp);
+        par::with_scratch(scratch, |buf| {
+            let (qt, buf) = buf.split_at_mut(d * BW);
+            let (dot, buf) = buf.split_at_mut(d * BW);
+            let (s_buf, buf) = buf.split_at_mut(BD * BW);
+            let (dp_buf, buf) = buf.split_at_mut(BD * BW);
+            let (lse_loc, dsum_loc) = buf.split_at_mut(BW.max(BD));
+            for head in 0..h {
+                let kh = Head::of(kd, hkv, head / ratio, d);
+                let vh = Head::of(vd, hkv, head / ratio, d);
+                pack_t(qt, Head::of(qd, h, head, d), a0, br, scale);
+                pack_t(dot, Head::of(dod, h, head, d), a0, br, 1.0);
+                gather_head(&mut lse_loc[..br], lse, a0, h, head);
+                gather_head(&mut dsum_loc[..br], dsum, a0, h, head);
+                for (jb, &kv_span) in kv_spans.iter().enumerate() {
+                    let vis = visibility(q_span, kv_span);
+                    if vis == Visibility::Masked {
+                        continue;
+                    }
+                    let b0 = jb * BD;
+                    let bc = BD.min(sk - b0);
+                    let s = &mut s_buf[..bc * BW];
+                    let dp = &mut dp_buf[..bc * BW];
+                    score_block(s, kh, b0, qt);
+                    score_block(dp, vh, b0, dot);
+                    if vis == Visibility::Partial {
+                        mask_block(s, &kv_pos[b0..b0 + bc], qp, |kp, qp| kp > qp);
+                    }
+                    mk::softmax_bwd(s, dp, BW, lse_loc, dsum_loc, scale, false);
+                    fold_block(dq_b, hd, head * d, br, dp, kh, b0);
+                }
             }
-            let k_row = &kd[b * hkvd + kvh * d..b * hkvd + kvh * d + d];
-            let v_row = &vd[b * hkvd + kvh * d..b * hkvd + kvh * d + d];
-            let p = (par::dot(q_row, k_row) * scale - l).exp();
-            let dp = par::dot(do_row, v_row);
-            let ds = p * (dp - dsum_a) * scale;
-            par::axpy(dq_h, ds, k_row);
-        }
+        });
     });
 
-    // Pass 2: dk/dv — parallel over (key row, KV head) items. Each item
-    // owns a disjoint `d`-slice of dk and dv and accumulates over its
-    // `ratio` query heads (ascending), then query rows (ascending) — the
-    // same per-destination order as the row-level loop it replaces.
-    par::run_rows2(dk.data_mut(), d, dv.data_mut(), d, work, |item, dk_h, dv_h| {
-        let (b, kvh) = (item / hkv, item % hkv);
-        let k_row = &kd[b * hkvd + kvh * d..b * hkvd + kvh * d + d];
-        let v_row = &vd[b * hkvd + kvh * d..b * hkvd + kvh * d + d];
-        for head in kvh * ratio..(kvh + 1) * ratio {
-            for a in 0..sq {
-                if kv_pos[b] > q_pos[a] {
-                    continue;
+    // Pass 2: dk/dv — one item per `BW` key rows, resident Kᵀ/Vᵀ, the
+    // group's query heads (ascending) and query rows (ascending) streamed
+    // past. Score blocks are [query row, key column]; P and dS are
+    // recomputed rather than shared with pass 1 so that every gradient
+    // element keeps a single owner.
+    let q_spans = stream_spans(q_pos);
+    par::run_rows2(
+        dk.data_mut(),
+        BW * hkvd,
+        dv.data_mut(),
+        BW * hkvd,
+        work,
+        |blk, dk_b, dv_b| {
+            let b0 = blk * BW;
+            let bk = dk_b.len() / hkvd;
+            let kp = &kv_pos[b0..b0 + bk];
+            let kv_span = span(kp);
+            par::with_scratch(scratch, |buf| {
+                let (kt, buf) = buf.split_at_mut(d * BW);
+                let (vt, buf) = buf.split_at_mut(d * BW);
+                let (s_buf, buf) = buf.split_at_mut(BD * BW);
+                let (dp_buf, buf) = buf.split_at_mut(BD * BW);
+                let (lse_loc, dsum_loc) = buf.split_at_mut(BW.max(BD));
+                for kvh in 0..hkv {
+                    pack_t(kt, Head::of(kd, hkv, kvh, d), b0, bk, scale);
+                    pack_t(vt, Head::of(vd, hkv, kvh, d), b0, bk, 1.0);
+                    for head in kvh * ratio..(kvh + 1) * ratio {
+                        let qh = Head::of(qd, h, head, d);
+                        let doh = Head::of(dod, h, head, d);
+                        for (ib, &q_span) in q_spans.iter().enumerate() {
+                            let vis = visibility(q_span, kv_span);
+                            if vis == Visibility::Masked {
+                                continue;
+                            }
+                            let a0 = ib * BD;
+                            let bq = BD.min(sq - a0);
+                            gather_head(&mut lse_loc[..bq], lse, a0, h, head);
+                            gather_head(&mut dsum_loc[..bq], dsum, a0, h, head);
+                            let s = &mut s_buf[..bq * BW];
+                            let dp = &mut dp_buf[..bq * BW];
+                            score_block(s, qh, a0, kt);
+                            score_block(dp, doh, a0, vt);
+                            if vis == Visibility::Partial {
+                                mask_block(s, &q_pos[a0..a0 + bq], kp, |qp, kp| kp > qp);
+                            }
+                            mk::softmax_bwd(s, dp, BW, lse_loc, dsum_loc, scale, true);
+                            fold_block(dv_b, hkvd, kvh * d, bk, s, doh, a0);
+                            fold_block(dk_b, hkvd, kvh * d, bk, dp, qh, a0);
+                        }
+                    }
                 }
-                let l = lse[a * h + head];
-                if !l.is_finite() {
-                    continue;
-                }
-                let q_row = &qd[a * hd + head * d..a * hd + head * d + d];
-                let do_row = &dod[a * hd + head * d..a * hd + head * d + d];
-                let p = (par::dot(q_row, k_row) * scale - l).exp();
-                let dp = par::dot(do_row, v_row);
-                let ds = p * (dp - dsum[a * h + head]) * scale;
-                par::axpy(dk_h, ds, q_row);
-                par::axpy(dv_h, p, do_row);
-            }
-        }
-    });
+            });
+        },
+    );
     Ok(())
 }
 
@@ -500,6 +711,126 @@ mod tests {
         assert!(dq.allclose(&rdq, 1e-3, 1e-4), "dq mismatch");
         assert!(dk.allclose(&rdk, 1e-3, 1e-4), "dk mismatch");
         assert!(dv.allclose(&rdv, 1e-3, 1e-4), "dv mismatch");
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `(acc, m, l)` of query row `a`, as bits.
+    fn row_state(st: &OnlineAttention, a: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let (h, hd) = (st.h, st.h * st.d);
+        (
+            bits(&st.acc[a * hd..(a + 1) * hd]),
+            bits(&st.m[a * h..(a + 1) * h]),
+            bits(&st.l[a * h..(a + 1) * h]),
+        )
+    }
+
+    #[test]
+    fn row_without_visible_key_stays_empty_in_a_straddling_block() {
+        // Keys at 2..6: queries at 0 and 1 see nothing while queries at 2
+        // and 3 do, so the block is neither skipped nor fully visible.
+        let (q, k, v) = rand_qkv(10, 4, 2, 8);
+        let mut st = OnlineAttention::new(&q, &[0, 1, 2, 3], None).unwrap();
+        st.update(&k, &v, &[2, 3, 4, 5]).unwrap();
+        for a in 0..2 {
+            let (acc, m, l) = row_state(&st, a);
+            assert!(acc.iter().all(|&b| b == 0), "row {a}: acc stays +0.0");
+            assert_eq!(m, bits(&[f32::NEG_INFINITY; 2]), "row {a}: m stays -inf");
+            assert_eq!(l, vec![0; 2], "row {a}: l stays +0.0");
+        }
+        let all = [&st.acc[..], &st.m, &st.l].concat();
+        assert!(all.iter().all(|x| !x.is_nan()), "no (-inf) - (-inf) NaN");
+        assert!(
+            st.l[2 * 2..].iter().all(|&l| l > 0.0),
+            "rows 2, 3 did attend"
+        );
+        let (o, lse) = st.finalize();
+        assert_eq!(o.narrow(0, 0, 2).unwrap().max_abs(), 0.0);
+        assert!(lse[..4].iter().all(|&x| x == f32::NEG_INFINITY));
+        assert!(lse[4..].iter().all(|x| x.is_finite()));
+    }
+
+    #[test]
+    fn masked_block_leaves_earlier_state_bit_for_bit() {
+        let (q, k, v) = rand_qkv(11, 4, 2, 8);
+        let q_pos = [10, 11, 12, 13];
+        let mut st = OnlineAttention::new(&q, &q_pos, None).unwrap();
+        st.update(&k, &v, &[0, 1, 2, 3]).unwrap();
+        let before: Vec<_> = (0..4).map(|a| row_state(&st, a)).collect();
+
+        // A straddling block: rows at 10 and 11 see none of its keys.
+        let (_, k2, v2) = rand_qkv(12, 4, 2, 8);
+        st.update(&k2, &v2, &[12, 13, 14, 15]).unwrap();
+        assert_eq!(row_state(&st, 0), before[0]);
+        assert_eq!(row_state(&st, 1), before[1]);
+        assert_ne!(row_state(&st, 2), before[2], "row at 12 folded key 12 in");
+
+        // A block entirely in the future is skipped without touching anything.
+        let mid: Vec<_> = (0..4).map(|a| row_state(&st, a)).collect();
+        st.update(&k2, &v2, &[20, 21, 22, 23]).unwrap();
+        assert_eq!((0..4).map(|a| row_state(&st, a)).collect::<Vec<_>>(), mid);
+    }
+
+    #[test]
+    fn masked_keys_contribute_exactly_nothing() {
+        // Whatever sits in the masked K/V rows — here values large enough
+        // that any leaked probability would show — the result is the same
+        // bits as with ordinary values there.
+        let (q, k, v) = rand_qkv(13, 6, 1, 8);
+        let q_pos = [0, 1, 2, 3, 4, 5];
+        let run = |k: &Tensor, v: &Tensor| {
+            let mut st = OnlineAttention::new(&q, &q_pos, None).unwrap();
+            st.update(k, v, &[0, 1, 2, 7, 8, 9]).unwrap();
+            let (o, lse) = st.finalize();
+            (bits(o.data()), bits(&lse))
+        };
+        let (mut k_big, mut v_big) = (k.clone(), v.clone());
+        k_big.data_mut()[3 * 8..].fill(1e18);
+        v_big.data_mut()[3 * 8..].fill(-1e30);
+        assert_eq!(run(&k, &v), run(&k_big, &v_big));
+    }
+
+    #[test]
+    fn rows_with_neg_inf_lse_contribute_nothing_backward() {
+        // Queries at 0 and 1 precede every key: lse = -inf, output zero.
+        let (q, k, v) = rand_qkv(14, 4, 2, 8);
+        let mut rng = init::seeded_rng(15);
+        let dout = init::randn(&mut rng, &[4, 2, 8], 1.0);
+        let (q_pos, kv_pos) = ([0, 1, 2, 3], [2, 3, 4, 5]);
+        let scale = crate::default_scale(8);
+        let mut st = OnlineAttention::new(&q, &q_pos, None).unwrap();
+        st.update(&k, &v, &kv_pos).unwrap();
+        let (o, lse) = st.finalize();
+        let dsum = rowwise_dot(&o, &dout).unwrap();
+        let run = |q: &Tensor, dout: &Tensor| {
+            let mut dq = Tensor::zeros(q.shape());
+            let mut dk = Tensor::zeros(k.shape());
+            let mut dv = Tensor::zeros(v.shape());
+            attention_block_bwd(
+                q, &k, &v, dout, &lse, &dsum, &q_pos, &kv_pos, scale, &mut dq, &mut dk, &mut dv,
+            )
+            .unwrap();
+            (dq, dk, dv)
+        };
+        let (dq, dk, dv) = run(&q, &dout);
+        assert_eq!(
+            dq.narrow(0, 0, 2).unwrap().max_abs(),
+            0.0,
+            "no gradient into unseen rows"
+        );
+        assert!(dq.narrow(0, 2, 2).unwrap().max_abs() > 0.0);
+        for g in [&dq, &dk, &dv] {
+            assert!(g.data().iter().all(|x| x.is_finite()));
+        }
+        // dk/dv do not depend on what the unseen rows hold.
+        let (mut q2, mut dout2) = (q.clone(), dout.clone());
+        q2.data_mut()[..2 * 2 * 8].fill(3.0);
+        dout2.data_mut()[..2 * 2 * 8].fill(-5.0);
+        let (_, dk2, dv2) = run(&q2, &dout2);
+        assert_eq!(bits(dk.data()), bits(dk2.data()));
+        assert_eq!(bits(dv.data()), bits(dv2.data()));
     }
 
     #[test]

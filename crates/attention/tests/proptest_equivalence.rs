@@ -1,6 +1,10 @@
 //! Property-based equivalence tests: the online-softmax and FPDT chunked
 //! kernels must agree with the materializing reference implementation for
-//! arbitrary shapes, chunk counts and block arrival orders.
+//! arbitrary shapes, chunk counts and block arrival orders — including
+//! tiles that land on and past the blocked kernel's block edges
+//! (`block_edges`).
+
+mod common;
 
 use fpdt_attention::{chunked, online::OnlineAttention, reference};
 use fpdt_tensor::{init, Tensor};
@@ -198,6 +202,88 @@ mod gqa_props {
             prop_assert!(g.dq.allclose(&rdq, 5e-3, 5e-4));
             prop_assert!(g.dk.allclose(&rdk, 5e-3, 5e-4));
             prop_assert!(g.dv.allclose(&rdv, 5e-3, 5e-4));
+        }
+    }
+}
+
+mod block_edges {
+    use super::common::{self, Kind, TileCase, DIMS, KINDS, LENS, RATIOS};
+    use super::*;
+
+    /// Forward and backward of one tile against the reference kernel and
+    /// its gradient; the forward both in one piece and with the KV block
+    /// arriving in three.
+    fn check_against_reference(c: &TileCase, seed: u64) -> Result<(), String> {
+        let t = common::build(c, seed);
+        let want =
+            reference::attention_with_positions(&t.q, &t.k, &t.v, &t.q_pos, &t.kv_pos, t.scale)
+                .unwrap();
+        let (o, lse) = common::online_forward(&t, 1);
+        if !o.allclose(&want, 1e-4, 1e-5) {
+            return Err(format!("forward diverged for {c:?}"));
+        }
+        if !common::online_forward(&t, 3).0.allclose(&want, 1e-4, 1e-5) {
+            return Err(format!("three-piece forward diverged for {c:?}"));
+        }
+        // A row has a finite lse exactly when it sees at least one key.
+        for (a, &qp) in t.q_pos.iter().enumerate() {
+            let sees = t.kv_pos.iter().any(|&kp| kp <= qp);
+            let h = c.hkv * c.ratio;
+            if lse[a * h..(a + 1) * h]
+                .iter()
+                .any(|l| l.is_finite() != sees)
+            {
+                return Err(format!("lse finiteness wrong at row {a} for {c:?}"));
+            }
+        }
+        let (dq, dk, dv) = common::online_backward(&t, &o, &lse);
+        let (rdq, rdk, rdv) = reference::attention_bwd_with_positions(
+            &t.q, &t.k, &t.v, &t.dout, &t.q_pos, &t.kv_pos, t.scale,
+        )
+        .unwrap();
+        for (name, got, want) in [("dq", &dq, &rdq), ("dk", &dk, &rdk), ("dv", &dv, &rdv)] {
+            if !got.allclose(want, 1e-3, 1e-4) {
+                return Err(format!("{name} diverged for {c:?}"));
+            }
+        }
+        if c.kind == Kind::Masked && [&o, &dq, &dk, &dv].iter().any(|g| g.max_abs() != 0.0) {
+            return Err(format!("masked tile produced non-zero values for {c:?}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn curated_tiles_match_reference() {
+        for (i, c) in common::curated().iter().enumerate() {
+            check_against_reference(c, 100 + i as u64).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn any_block_edge_tile_matches_reference(
+            sq in 0usize..LENS.len(),
+            sk in 0usize..LENS.len(),
+            d in 0usize..DIMS.len(),
+            ratio in 0usize..RATIOS.len(),
+            hkv in 1usize..3,
+            kind in 0usize..KINDS.len(),
+            shuffled in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let c = TileCase {
+                sq: LENS[sq],
+                sk: LENS[sk],
+                hkv,
+                ratio: RATIOS[ratio],
+                d: DIMS[d],
+                kind: KINDS[kind],
+                shuffled: shuffled == 1,
+            };
+            let verdict = check_against_reference(&c, seed);
+            prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
         }
     }
 }

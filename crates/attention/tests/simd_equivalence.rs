@@ -4,9 +4,12 @@
 //! arrival, at 1, 2, and 8 kernel threads.
 //!
 //! The online-softmax update, finalize, and blockwise backward all reduce
-//! through `fpdt_tensor::mk` primitives whose scalar and AVX2 paths share
-//! one generic kernel with a fixed reduction tree — so the backend must
-//! never change a single bit of the attention output or gradients.
+//! through `fpdt_tensor::mk` primitives (panel gemms, the polynomial
+//! `exp`, the block softmax) whose scalar and AVX2 paths share one generic
+//! kernel with a fixed reduction tree — so the backend must never change a
+//! single bit of the attention output or gradients.
+
+mod common;
 
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_attention::{default_scale, reference};
@@ -162,4 +165,15 @@ fn reference_attention_backend_invariant() {
             .data()
             .to_vec()
     });
+}
+
+/// Tiles on and past every block edge (full 8-lane panels, full and
+/// partial row blocks, `sq != sk`, GQA, shuffled positions, all three
+/// causal relations): forward and backward, every backend, 1/2/8 threads.
+#[test]
+fn block_edge_tiles_backend_invariant() {
+    for (i, c) in common::curated().iter().enumerate() {
+        let t = common::build(c, 200 + i as u64);
+        assert_backend_invariant(&format!("{c:?}"), || common::online_all(&t));
+    }
 }

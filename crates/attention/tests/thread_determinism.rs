@@ -2,9 +2,12 @@
 //! budgets (1, 2, and 8 threads), including GQA head grouping and the
 //! chunked online-softmax state.
 //!
-//! Items in these kernels are `(query row, head)` / `(key row, KV head)`
-//! pairs owning disjoint output slices; each item accumulates over the KV
-//! block sequentially, so the thread count cannot change the numbers.
+//! Items in these kernels are fixed 32-row blocks of query rows (forward,
+//! `dq`) or key rows (`dk`/`dv`) owning disjoint output slices; each item
+//! accumulates over the other operand in ascending order, so the thread
+//! count cannot change the numbers.
+
+mod common;
 
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_attention::{default_scale, reference};
@@ -128,4 +131,14 @@ fn reference_attention_is_thread_invariant() {
             .data()
             .to_vec()
     });
+}
+
+/// Tiles on and past every block edge — several items per call, partial
+/// last items, `sq != sk`, GQA, shuffled positions — forward and backward.
+#[test]
+fn block_edge_tiles_are_thread_invariant() {
+    for (i, c) in common::curated().iter().enumerate() {
+        let t = common::build(c, 300 + i as u64);
+        assert_thread_invariant(&format!("{c:?}"), || common::online_all(&t));
+    }
 }

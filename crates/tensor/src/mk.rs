@@ -118,7 +118,20 @@ trait V8: Copy {
     unsafe fn fma(self, a: Self, b: Self) -> Self;
     unsafe fn mul(self, o: Self) -> Self;
     unsafe fn add(self, o: Self) -> Self;
+    unsafe fn sub(self, o: Self) -> Self;
     unsafe fn div(self, o: Self) -> Self;
+    /// `MAXPS` semantics, not `f32::max`: `self` where `self > o`, else
+    /// `o` (so a NaN in either operand yields `o`).
+    unsafe fn max(self, o: Self) -> Self;
+    /// `MINPS` semantics: `self` where `self < o`, else `o`.
+    unsafe fn min(self, o: Self) -> Self;
+    /// Round to the nearest integer, ties to even.
+    unsafe fn round(self) -> Self;
+    /// `2^n` for lanes holding an integer `n` in `[-126, 127]`, built from
+    /// the exponent bits `(n + 127) << 23`.
+    unsafe fn exp2i(self) -> Self;
+    /// `self` where `x >= t` (ordered: false on NaN), `+0.0` elsewhere.
+    unsafe fn and_ge(self, x: Self, t: Self) -> Self;
     /// Horizontal sum with the fixed tree
     /// `((x0+x4)+(x2+x6)) + ((x1+x5)+(x3+x7))` — the lane pairing the
     /// AVX2 `extractf128`/`movehl`/`shuffle` sequence produces.
@@ -184,6 +197,62 @@ impl V8 for Sc {
         Sc(v)
     }
     #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        let mut v = [0.0f32; 8];
+        for (i, lane) in v.iter_mut().enumerate() {
+            *lane = self.0[i] - o.0[i];
+        }
+        Sc(v)
+    }
+    #[inline(always)]
+    unsafe fn max(self, o: Self) -> Self {
+        let mut v = [0.0f32; 8];
+        for (i, lane) in v.iter_mut().enumerate() {
+            *lane = if self.0[i] > o.0[i] {
+                self.0[i]
+            } else {
+                o.0[i]
+            };
+        }
+        Sc(v)
+    }
+    #[inline(always)]
+    unsafe fn min(self, o: Self) -> Self {
+        let mut v = [0.0f32; 8];
+        for (i, lane) in v.iter_mut().enumerate() {
+            *lane = if self.0[i] < o.0[i] {
+                self.0[i]
+            } else {
+                o.0[i]
+            };
+        }
+        Sc(v)
+    }
+    #[inline(always)]
+    unsafe fn round(self) -> Self {
+        let mut v = [0.0f32; 8];
+        for (i, lane) in v.iter_mut().enumerate() {
+            *lane = self.0[i].round_ties_even();
+        }
+        Sc(v)
+    }
+    #[inline(always)]
+    unsafe fn exp2i(self) -> Self {
+        let mut v = [0.0f32; 8];
+        for (i, lane) in v.iter_mut().enumerate() {
+            *lane = f32::from_bits(((self.0[i] as i32 + 127) as u32) << 23);
+        }
+        Sc(v)
+    }
+    #[inline(always)]
+    unsafe fn and_ge(self, x: Self, t: Self) -> Self {
+        let mut v = [0.0f32; 8];
+        for (i, lane) in v.iter_mut().enumerate() {
+            *lane = if x.0[i] >= t.0[i] { self.0[i] } else { 0.0 };
+        }
+        Sc(v)
+    }
+    #[inline(always)]
     unsafe fn reduce(self) -> f32 {
         let x = self.0;
         // lo + hi halves, then the movehl pairing, then the final shuffle.
@@ -233,6 +302,34 @@ mod avx {
         #[inline(always)]
         unsafe fn div(self, o: Self) -> Self {
             Vx(_mm256_div_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Vx(_mm256_sub_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            Vx(_mm256_max_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn min(self, o: Self) -> Self {
+            Vx(_mm256_min_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn round(self) -> Self {
+            Vx(_mm256_round_ps::<
+                { _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC },
+            >(self.0))
+        }
+        #[inline(always)]
+        unsafe fn exp2i(self) -> Self {
+            let n = _mm256_cvtps_epi32(self.0);
+            let bits = _mm256_slli_epi32::<23>(_mm256_add_epi32(n, _mm256_set1_epi32(127)));
+            Vx(_mm256_castsi256_ps(bits))
+        }
+        #[inline(always)]
+        unsafe fn and_ge(self, x: Self, t: Self) -> Self {
+            Vx(_mm256_and_ps(self.0, _mm256_cmp_ps::<_CMP_GE_OQ>(x.0, t.0)))
         }
         #[inline(always)]
         unsafe fn reduce(self) -> f32 {
@@ -295,19 +392,197 @@ unsafe fn axpy_g<V: V8>(dst: &mut [f32], s: f32, src: &[f32]) {
     }
 }
 
+/// `c[r * stride + col0 ..][..width] *= factors[r]` for every row `r` of
+/// `factors` — the online-softmax rescale of a row-block's accumulator.
 #[inline(always)]
-unsafe fn scale_g<V: V8>(dst: &mut [f32], s: f32) {
-    let n = dst.len();
-    let dp = dst.as_mut_ptr();
-    let sv = V::splat(s);
+unsafe fn scale_rows_g<V: V8>(
+    c: &mut [f32],
+    stride: usize,
+    col0: usize,
+    width: usize,
+    factors: &[f32],
+) {
+    let cp = c.as_mut_ptr();
+    for (r, &f) in factors.iter().enumerate() {
+        let row = cp.add(r * stride + col0);
+        let fv = V::splat(f);
+        let mut i = 0;
+        while i + 8 <= width {
+            V::loadu(row.add(i) as *const f32)
+                .mul(fv)
+                .storeu(row.add(i));
+            i += 8;
+        }
+        while i < width {
+            *row.add(i) *= f;
+            i += 1;
+        }
+    }
+}
+
+/// Arguments below this flush to exactly `0.0`: at `-87.3` the result is
+/// still a normal f32 (`n = -126`, reduced argument positive), so no lane
+/// ever carries a denormal.
+pub const EXP_LO: f32 = -87.3;
+/// Arguments above this saturate at `exp(88.0)` (finite; `n = 127`).
+pub const EXP_HI: f32 = 88.0;
+
+/// Lane-wise `exp`: Cody–Waite range reduction `x = n·ln2 + r` with a
+/// two-term `ln2`, the degree-6 Cephes `expf` polynomial on
+/// `r ∈ [-ln2/2, ln2/2]` in Horner/FMA form, and an exponent-bit scale by
+/// `2^n`. Only `V8` lane operations, so both backends agree bitwise.
+#[inline(always)]
+unsafe fn exp_v<V: V8>(x: V) -> V {
+    let xc = x.max(V::splat(EXP_LO)).min(V::splat(EXP_HI));
+    let n = xc.mul(V::splat(std::f32::consts::LOG2_E)).round();
+    // ln2 = 355/512 - 2.1219444e-4: the high part has 9 significant bits,
+    // so n * hi is exact for |n| <= 127.
+    let r = xc
+        .fma(n, V::splat(-355.0 / 512.0))
+        .fma(n, V::splat(2.121_944_4e-4));
+    let mut p = V::splat(1.987_569_1e-4);
+    p = V::splat(1.398_199_9e-3).fma(p, r);
+    p = V::splat(8.333_452e-3).fma(p, r);
+    p = V::splat(4.166_579_6e-2).fma(p, r);
+    p = V::splat(1.666_666_5e-1).fma(p, r);
+    p = V::splat(0.5).fma(p, r);
+    let y = r.fma(p, r.mul(r)).add(V::splat(1.0));
+    y.mul(n.exp2i()).and_ge(x, V::splat(EXP_LO))
+}
+
+#[inline(always)]
+unsafe fn exp_g<V: V8>(x: &mut [f32]) {
+    let n = x.len();
+    let xp = x.as_mut_ptr();
     let mut i = 0;
     while i + 8 <= n {
-        V::loadu(dp.add(i) as *const f32).mul(sv).storeu(dp.add(i));
+        exp_v(V::loadu(xp.add(i) as *const f32)).storeu(xp.add(i));
         i += 8;
     }
-    while i < n {
-        *dp.add(i) *= s;
-        i += 1;
+    if i < n {
+        // The tail runs through the same lanes on a padded copy.
+        let mut tail = [0.0f32; 8];
+        tail[..n - i].copy_from_slice(&x[i..]);
+        exp_v(V::loadu(tail.as_ptr())).storeu(tail.as_mut_ptr());
+        x[i..].copy_from_slice(&tail[..n - i]);
+    }
+}
+
+/// One `NV * 8`-column strip of [`softmax_fold_g`].
+#[inline(always)]
+unsafe fn fold_strip<V: V8, const NV: usize>(
+    sp: *mut f32,
+    w: usize,
+    rows: usize,
+    c0: usize,
+    m: *mut f32,
+    l: *mut f32,
+    corr: *mut f32,
+) {
+    let mut mb = [V::splat(f32::NEG_INFINITY); NV];
+    for r in 0..rows {
+        for (vi, v) in mb.iter_mut().enumerate() {
+            *v = v.max(V::loadu(sp.add(r * w + c0 + vi * 8) as *const f32));
+        }
+    }
+    let mut m_safe = [V::zero(); NV];
+    for vi in 0..NV {
+        let at = c0 + vi * 8;
+        let m_old = V::loadu(m.add(at) as *const f32);
+        let m_new = m_old.max(mb[vi]);
+        // A column that has seen no key yet keeps m = -inf; subtracting 0
+        // instead keeps every exponent argument well-defined (-inf, not
+        // -inf - -inf).
+        m_safe[vi] = m_new.and_ge(m_new, V::splat(f32::MIN));
+        exp_v(m_old.sub(m_safe[vi])).storeu(corr.add(at));
+        m_new.storeu(m.add(at));
+    }
+    let mut lb = [V::zero(); NV];
+    for r in 0..rows {
+        for (vi, v) in lb.iter_mut().enumerate() {
+            let at = sp.add(r * w + c0 + vi * 8);
+            let p = exp_v(V::loadu(at as *const f32).sub(m_safe[vi]));
+            p.storeu(at);
+            *v = v.add(p);
+        }
+    }
+    for (vi, v) in lb.iter().enumerate() {
+        let at = c0 + vi * 8;
+        let cv = V::loadu(corr.add(at) as *const f32);
+        v.fma(V::loadu(l.add(at) as *const f32), cv)
+            .storeu(l.add(at));
+    }
+}
+
+/// Online-softmax fold of one score block `s: [rows, w]` (row-major, one
+/// *column* per query) into the running per-column `(m, l)`: on return
+/// `s` holds `exp(s - m_new)`, `corr` the factor `exp(m_old - m_new)` the
+/// caller rescales its accumulator by, `l = l * corr + colsum(s)` (rows
+/// summed ascending) and `m = m_new`. Masked scores are `-inf` on entry
+/// and exactly `0.0` on exit.
+#[inline(always)]
+unsafe fn softmax_fold_g<V: V8>(
+    s: &mut [f32],
+    w: usize,
+    m: &mut [f32],
+    l: &mut [f32],
+    corr: &mut [f32],
+) {
+    let rows = s.len() / w;
+    let (sp, mp, lp, cp) = (
+        s.as_mut_ptr(),
+        m.as_mut_ptr(),
+        l.as_mut_ptr(),
+        corr.as_mut_ptr(),
+    );
+    let mut c = 0;
+    while c + 32 <= w {
+        fold_strip::<V, 4>(sp, w, rows, c, mp, lp, cp);
+        c += 32;
+    }
+    while c + 8 <= w {
+        fold_strip::<V, 1>(sp, w, rows, c, mp, lp, cp);
+        c += 8;
+    }
+}
+
+/// Backward softmax of one block: with `s` the raw scores and `dp` the
+/// `dO·Vᵀ` products (both `[rows, w]`), overwrites `s` with
+/// `p = exp(s - lse)` and `dp` with `ds = p * (dp - dsum) * scale`. The
+/// per-query statistics `lse`/`dsum` index rows when `row_stats`, columns
+/// otherwise. Queries with `lse = -inf` (attended to nothing) get `p = 0`.
+#[inline(always)]
+unsafe fn softmax_bwd_g<V: V8>(
+    s: &mut [f32],
+    dp: &mut [f32],
+    w: usize,
+    lse: &[f32],
+    dsum: &[f32],
+    scale: f32,
+    row_stats: bool,
+) {
+    let rows = s.len() / w;
+    let (sp, dpp) = (s.as_mut_ptr(), dp.as_mut_ptr());
+    let sv = V::splat(scale);
+    for r in 0..rows {
+        let mut c = 0;
+        while c + 8 <= w {
+            let (lv, dv) = if row_stats {
+                (V::splat(lse[r]), V::splat(dsum[r]))
+            } else {
+                (
+                    V::loadu(lse.as_ptr().add(c)),
+                    V::loadu(dsum.as_ptr().add(c)),
+                )
+            };
+            let at = r * w + c;
+            let p =
+                exp_v(V::loadu(sp.add(at) as *const f32).sub(lv)).and_ge(lv, V::splat(f32::MIN));
+            let ds = p.mul(V::loadu(dpp.add(at) as *const f32).sub(dv)).mul(sv);
+            p.storeu(sp.add(at));
+            ds.storeu(dpp.add(at));
+            c += 8;
+        }
     }
 }
 
@@ -330,7 +605,9 @@ unsafe fn dscale_g<V: V8>(dst: &mut [f32], d: f32) {
 /// One register-blocked gemm panel job: the geometry of a
 /// `C_block += A_rows · B_panel` accumulation over a `kc`-deep panel.
 ///
-/// * row `r` of the block reads `a[a_off + r * a_stride ..][..kc]`,
+/// * element `(r, l)` of the block's A operand is
+///   `a[a_off + r * a_stride + l * a_lstride]` (`a_lstride = 1` for
+///   row-major A rows; `a_stride = 1` reads a transposed operand in place),
 /// * depth `l` of the panel reads `bp[l * b_stride + b_col0 ..][..nc]`,
 /// * row `r` of the destination writes
 ///   `c[r * c_stride + c_col0 ..][..nc]` (the slice handed to
@@ -347,6 +624,8 @@ pub struct Panel<'a> {
     pub a_off: usize,
     /// Stride between consecutive A rows.
     pub a_stride: usize,
+    /// Stride between consecutive depth (`l`) elements of one A row.
+    pub a_lstride: usize,
     /// B panel (packed scratch or a view of the original matrix).
     pub bp: &'a [f32],
     /// Stride between consecutive depth rows of the panel.
@@ -370,8 +649,10 @@ impl Panel<'_> {
         if self.rows == 0 || self.nc == 0 {
             return;
         }
-        assert!(self.a_off + (self.rows - 1) * self.a_stride + self.kc <= self.a.len());
         if self.kc > 0 {
+            let last =
+                self.a_off + (self.rows - 1) * self.a_stride + (self.kc - 1) * self.a_lstride;
+            assert!(last < self.a.len());
             assert!((self.kc - 1) * self.b_stride + self.b_col0 + self.nc <= self.bp.len());
         }
         assert!((self.rows - 1) * self.c_stride + self.c_col0 + self.nc <= c_len);
@@ -404,7 +685,7 @@ unsafe fn tile_g<V: V8, const MR: usize, const NV: usize>(
             *v = V::loadu(brow.add(vi * 8));
         }
         for (ri, row) in acc.iter_mut().enumerate() {
-            let av = V::splat(*ap.add(p.a_off + (r0 + ri) * p.a_stride + l));
+            let av = V::splat(*ap.add(p.a_off + (r0 + ri) * p.a_stride + l * p.a_lstride));
             for (vi, v) in row.iter_mut().enumerate() {
                 *v = v.fma(av, bv[vi]);
             }
@@ -428,7 +709,7 @@ unsafe fn tail_cols(p: &Panel<'_>, c: *mut f32, r0: usize, mr: usize, j0: usize)
         for j in j0..p.nc {
             let mut s = *c.add(c_base + j);
             for l in 0..p.kc {
-                s = (*p.a.as_ptr().add(a_base + l))
+                s = (*p.a.as_ptr().add(a_base + l * p.a_lstride))
                     .mul_add(*p.bp.as_ptr().add(l * p.b_stride + p.b_col0 + j), s);
             }
             *c.add(c_base + j) = s;
@@ -551,7 +832,14 @@ macro_rules! instantiate {
 
 instantiate!(dot_scalar, dot_avx2, dot_g, (a: &[f32], b: &[f32]) -> f32);
 instantiate!(axpy_scalar, axpy_avx2, axpy_g, (dst: &mut [f32], s: f32, src: &[f32]) -> ());
-instantiate!(scale_scalar, scale_avx2, scale_g, (dst: &mut [f32], s: f32) -> ());
+instantiate!(scale_rows_scalar, scale_rows_avx2, scale_rows_g,
+    (c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) -> ());
+instantiate!(exp_scalar, exp_avx2, exp_g, (x: &mut [f32]) -> ());
+instantiate!(softmax_fold_scalar, softmax_fold_avx2, softmax_fold_g,
+    (s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) -> ());
+instantiate!(softmax_bwd_scalar, softmax_bwd_avx2, softmax_bwd_g,
+    (s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32,
+     row_stats: bool) -> ());
 instantiate!(dscale_scalar, dscale_avx2, dscale_g, (dst: &mut [f32], d: f32) -> ());
 instantiate!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_g,
     (p: &Panel<'_>, c: &mut [f32]) -> ());
@@ -605,15 +893,118 @@ pub fn axpy(dst: &mut [f32], s: f32, src: &[f32]) {
     axpy_on(backend(), dst, s, src)
 }
 
-/// `dst[i] *= s` on an explicit backend.
-pub fn scale_on(be: Backend, dst: &mut [f32], s: f32) {
-    dispatch!(be, scale_scalar, scale_avx2, (dst, s))
+/// `c[r * stride + col0 ..][..width] *= factors[r]` for each row `r` of
+/// `factors` (the online-softmax accumulator rescale) on an explicit
+/// backend.
+pub fn scale_rows_on(
+    be: Backend,
+    c: &mut [f32],
+    stride: usize,
+    col0: usize,
+    width: usize,
+    factors: &[f32],
+) {
+    if !factors.is_empty() {
+        assert!((factors.len() - 1) * stride + col0 + width <= c.len());
+    }
+    dispatch!(
+        be,
+        scale_rows_scalar,
+        scale_rows_avx2,
+        (c, stride, col0, width, factors)
+    )
 }
 
-/// `dst[i] *= s` (the online-softmax rescale).
+/// Row-block rescale on the dispatched backend.
 #[inline]
-pub fn scale(dst: &mut [f32], s: f32) {
-    scale_on(backend(), dst, s)
+pub fn scale_rows(c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) {
+    scale_rows_on(backend(), c, stride, col0, width, factors)
+}
+
+/// In-place lane-wise polynomial `exp` on an explicit backend: within
+/// 2 ulp of the exact value on `[EXP_LO, 0]`, `exp(0) == 1.0`, exactly
+/// `0.0` below [`EXP_LO`] (and for NaN), saturating at `exp(EXP_HI)`.
+pub fn exp_on(be: Backend, x: &mut [f32]) {
+    dispatch!(be, exp_scalar, exp_avx2, (x))
+}
+
+/// In-place lane-wise `exp` on the dispatched backend.
+#[inline]
+pub fn exp(x: &mut [f32]) {
+    exp_on(backend(), x)
+}
+
+/// Online-softmax fold of one score block `s: [rows, w]` (one *column*
+/// per query, `w` a multiple of 8) into the running per-column `(m, l)`
+/// on an explicit backend. On return `s` holds `exp(s - m_new)`, `corr`
+/// holds `exp(m_old - m_new)` (the factor to rescale the accumulator
+/// by), `l = l * corr + colsum(s)` with rows summed ascending, and
+/// `m = m_new`. Scores masked with `-inf` come back exactly `0.0`; a
+/// column still at `m = -inf` stays `(m, l, corr) = (-inf, 0, 0)`.
+pub fn softmax_fold_on(
+    be: Backend,
+    s: &mut [f32],
+    w: usize,
+    m: &mut [f32],
+    l: &mut [f32],
+    corr: &mut [f32],
+) {
+    assert!(w > 0 && w.is_multiple_of(8) && s.len().is_multiple_of(w));
+    assert!(m.len() >= w && l.len() >= w && corr.len() >= w);
+    dispatch!(
+        be,
+        softmax_fold_scalar,
+        softmax_fold_avx2,
+        (s, w, m, l, corr)
+    )
+}
+
+/// Online-softmax block fold on the dispatched backend.
+#[inline]
+pub fn softmax_fold(s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) {
+    softmax_fold_on(backend(), s, w, m, l, corr)
+}
+
+/// Backward softmax of one block on an explicit backend: `s` (raw
+/// scores) becomes `p = exp(s - lse)` and `dp` (`dO·Vᵀ`) becomes
+/// `ds = p * (dp - dsum) * scale`, both `[rows, w]` with `w` a multiple of
+/// 8. `lse`/`dsum` hold one entry per row when `row_stats`, one per
+/// column otherwise; a query with `lse = -inf` gets `p = ds = 0`.
+#[allow(clippy::too_many_arguments)]
+pub fn softmax_bwd_on(
+    be: Backend,
+    s: &mut [f32],
+    dp: &mut [f32],
+    w: usize,
+    lse: &[f32],
+    dsum: &[f32],
+    scale: f32,
+    row_stats: bool,
+) {
+    assert!(w > 0 && w.is_multiple_of(8) && s.len().is_multiple_of(w));
+    assert_eq!(s.len(), dp.len());
+    let stats = if row_stats { s.len() / w } else { w };
+    assert!(lse.len() >= stats && dsum.len() >= stats);
+    dispatch!(
+        be,
+        softmax_bwd_scalar,
+        softmax_bwd_avx2,
+        (s, dp, w, lse, dsum, scale, row_stats)
+    )
+}
+
+/// Backward softmax block on the dispatched backend.
+#[inline]
+pub fn softmax_bwd(
+    s: &mut [f32],
+    dp: &mut [f32],
+    w: usize,
+    lse: &[f32],
+    dsum: &[f32],
+    scale: f32,
+    row_stats: bool,
+) {
+    softmax_bwd_on(backend(), s, dp, w, lse, dsum, scale, row_stats)
 }
 
 /// `dst[i] /= d` on an explicit backend.
@@ -724,9 +1115,6 @@ mod tests {
                 );
                 let mut s1 = a.clone();
                 let mut s2 = a.clone();
-                scale_on(Backend::Scalar, &mut s1, 0.3);
-                scale_on(Backend::Avx2, &mut s2, 0.3);
-                assert_eq!(s1, s2, "scale length {n}");
                 dscale_on(Backend::Scalar, &mut s1, 0.7);
                 dscale_on(Backend::Avx2, &mut s2, 0.7);
                 assert_eq!(s1, s2, "dscale length {n}");
@@ -764,6 +1152,7 @@ mod tests {
                 a: &a,
                 a_off: 0,
                 a_stride: kc,
+                a_lstride: 1,
                 bp: &bp,
                 b_stride: nc,
                 b_col0: 0,

@@ -62,6 +62,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
                             a,
                             a_off: i0 * k + pc,
                             a_stride: k,
+                            a_lstride: 1,
                             bp,
                             b_stride: nc,
                             b_col0: 0,
@@ -135,6 +136,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
                         a: ap,
                         a_off: 0,
                         a_stride: kc,
+                        a_lstride: 1,
                         bp: &b[pc * n..(pc + kc) * n],
                         b_stride: n,
                         b_col0: 0,

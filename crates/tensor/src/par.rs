@@ -177,13 +177,6 @@ pub fn axpy(dst: &mut [f32], s: f32, src: &[f32]) {
     crate::mk::axpy(dst, s, src)
 }
 
-/// `dst[i] *= s` (the online-softmax accumulator rescale), dispatched to
-/// [`crate::mk`].
-#[inline]
-pub fn scale(dst: &mut [f32], s: f32) {
-    crate::mk::scale(dst, s)
-}
-
 /// `dst[i] /= d` (the online-softmax finalize divide — a true IEEE
 /// division in both backends), dispatched to [`crate::mk`].
 #[inline]

@@ -71,57 +71,299 @@ fn randv(seed: u64, n: usize) -> Vec<f32> {
     init::randn(&mut rng, &[n.max(1)], 1.0).data()[..n].to_vec()
 }
 
+/// Error of `got` against `exp(x)` evaluated in f64, in units of the f32
+/// spacing at the exact value.
+fn ulp_err(x: f32, got: f32) -> f64 {
+    let exact = f64::from(x).exp();
+    let e = exact as f32;
+    let ulp = f64::from(f32::from_bits(e.to_bits() + 1)) - f64::from(e);
+    (f64::from(got) - exact).abs() / ulp
+}
+
+fn exp_of(be: Backend, x: &[f32]) -> Vec<f32> {
+    let mut y = x.to_vec();
+    mk::exp_on(be, &mut y);
+    y
+}
+
+#[test]
+fn exp_is_within_two_ulp_on_the_softmax_range() {
+    // Dense sweep of [EXP_LO, 0] ...
+    let steps = 400_000;
+    let mut xs: Vec<f32> = (0..=steps)
+        .map(|i| mk::EXP_LO * (i as f32 / steps as f32))
+        .collect();
+    // ... plus the range-reduction breakpoints x = (n + 1/2) ln 2, where
+    // the reduced argument is largest and flips sign, a few f32 either side.
+    for n in -126..0 {
+        let b = ((f64::from(n) + 0.5) * std::f64::consts::LN_2) as f32;
+        for step in -3i32..=3 {
+            xs.push(f32::from_bits((b.to_bits() as i32 + step) as u32));
+        }
+    }
+    xs.retain(|x| (mk::EXP_LO..=0.0).contains(x));
+    for be in backends() {
+        let ys = exp_of(be, &xs);
+        let worst = xs
+            .iter()
+            .zip(&ys)
+            .map(|(&x, &y)| ulp_err(x, y))
+            .fold(0.0f64, f64::max);
+        assert!(worst <= 2.0, "{be:?}: worst error {worst} ulp");
+    }
+}
+
+#[test]
+fn exp_edge_values_are_exact() {
+    let below = f32::from_bits(mk::EXP_LO.to_bits() + 1); // next f32 below EXP_LO
+    let x = [
+        0.0,
+        -0.0,
+        mk::EXP_LO,
+        below,
+        -100.0,
+        -1e30,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        mk::EXP_HI,
+        1e30,
+        f32::INFINITY,
+        -1.0,
+        1.0,
+    ];
+    for be in backends() {
+        let y = exp_of(be, &x); // 13 values: one vector plus a padded tail
+        assert_eq!(y[0].to_bits(), 1.0f32.to_bits(), "{be:?}: exp(0)");
+        assert_eq!(y[1].to_bits(), 1.0f32.to_bits(), "{be:?}: exp(-0)");
+        assert!(
+            y[2] >= f32::MIN_POSITIVE,
+            "{be:?}: exp(EXP_LO) = {} is normal",
+            y[2]
+        );
+        for (i, v) in y.iter().enumerate().take(8).skip(3) {
+            assert_eq!(
+                v.to_bits(),
+                0,
+                "{be:?}: x[{i}] = {} must flush to +0.0",
+                x[i]
+            );
+        }
+        assert!(y[8].is_finite() && y[8] > 1e38, "{be:?}: exp(EXP_HI)");
+        assert_eq!(
+            y[9].to_bits(),
+            y[8].to_bits(),
+            "{be:?}: saturates above EXP_HI"
+        );
+        assert_eq!(y[10].to_bits(), y[8].to_bits(), "{be:?}: saturates at +inf");
+        assert!(ulp_err(-1.0, y[11]) <= 2.0 && ulp_err(1.0, y[12]) <= 2.0);
+    }
+}
+
+#[test]
+fn softmax_fold_keeps_unseen_and_masked_columns_exact() {
+    let w = 8;
+    // column 0: fresh, fully masked; column 1: has history, fully masked;
+    // column 2: fresh, visible; the rest: history and visible.
+    let mut s = vec![0.5f32; 3 * w];
+    for r in 0..3 {
+        s[r * w] = f32::NEG_INFINITY;
+        s[r * w + 1] = f32::NEG_INFINITY;
+    }
+    let mut m = vec![0.25f32; w];
+    let mut l = vec![1.5f32; w];
+    m[0] = f32::NEG_INFINITY;
+    l[0] = 0.0;
+    m[2] = f32::NEG_INFINITY;
+    l[2] = 0.0;
+    for be in backends() {
+        let (mut s, mut m, mut l) = (s.clone(), m.clone(), l.clone());
+        let mut corr = vec![f32::NAN; w];
+        mk::softmax_fold_on(be, &mut s, w, &mut m, &mut l, &mut corr);
+        assert_eq!(
+            (m[0], l[0].to_bits(), corr[0].to_bits()),
+            (f32::NEG_INFINITY, 0, 0)
+        );
+        assert_eq!(
+            (m[1], l[1], corr[1]),
+            (0.25, 1.5, 1.0),
+            "{be:?}: masked block is a no-op"
+        );
+        assert_eq!((m[2], l[2], corr[2].to_bits()), (0.5, 3.0, 0));
+        assert_eq!((m[3], corr[3]), (0.5, (-0.25f32).exp()));
+        for r in 0..3 {
+            assert_eq!(s[r * w].to_bits(), 0, "{be:?}: masked p is +0.0");
+            assert_eq!(s[r * w + 1].to_bits(), 0);
+            assert_eq!(s[r * w + 2], 1.0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `dot`/`axpy`/`scale`/`dscale` hit the 8-lane body plus a scalar
-    /// tail; lengths below 8 are tail-only. All must match bitwise.
+    /// `dot`/`axpy`/`dscale` hit the 8-lane body plus a scalar tail;
+    /// lengths below 8 are tail-only. All must match bitwise.
     #[test]
     fn vector_primitives_match_scalar_bitwise(len in 0usize..70, seed in 0u64..1_000) {
         let a = randv(seed, len);
         let b = randv(seed.wrapping_add(1), len);
         let s = 0.37f32 + (seed % 7) as f32;
-        let reference = {
-            let be = Backend::Scalar;
+        let run = |be: Backend| {
             let mut ax = a.clone();
             mk::axpy_on(be, &mut ax, s, &b);
-            let mut sc = a.clone();
-            mk::scale_on(be, &mut sc, s);
             let mut ds = a.clone();
             mk::dscale_on(be, &mut ds, s);
-            (mk::dot_on(be, &a, &b).to_bits(), bits(&ax), bits(&sc), bits(&ds))
+            (mk::dot_on(be, &a, &b).to_bits(), bits(&ax), bits(&ds))
         };
+        let reference = run(Backend::Scalar);
         for be in backends() {
-            let mut ax = a.clone();
-            mk::axpy_on(be, &mut ax, s, &b);
-            let mut sc = a.clone();
-            mk::scale_on(be, &mut sc, s);
-            let mut ds = a.clone();
-            mk::dscale_on(be, &mut ds, s);
-            let got = (mk::dot_on(be, &a, &b).to_bits(), bits(&ax), bits(&sc), bits(&ds));
-            prop_assert_eq!(&reference, &got, "backend {:?} diverged at len {}", be, len);
+            prop_assert_eq!(&reference, &run(be), "backend {:?} diverged at len {}", be, len);
+        }
+    }
+
+    /// The accumulator rescale: a strided column window of every row times
+    /// that row's factor, untouched outside the window.
+    #[test]
+    fn scale_rows_matches_scalar_bitwise(
+        rows in 0usize..6,
+        width in 0usize..20,
+        col0 in 0usize..5,
+        pad in 0usize..5,
+        seed in 0u64..1_000,
+    ) {
+        let stride = col0 + width + pad;
+        let c0 = randv(seed, rows * stride);
+        let factors = randv(seed.wrapping_add(1), rows);
+        let run = |be: Backend| {
+            let mut c = c0.clone();
+            mk::scale_rows_on(be, &mut c, stride, col0, width, &factors);
+            c
+        };
+        let reference = run(Backend::Scalar);
+        for (i, (&got, &was)) in reference.iter().zip(&c0).enumerate() {
+            let (r, col) = (i / stride.max(1), i % stride.max(1));
+            let want = if (col0..col0 + width).contains(&col) { was * factors[r] } else { was };
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "element {}", i);
+        }
+        for be in backends() {
+            prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
+        }
+    }
+
+    /// `exp` over any length (vector body plus padded tail), arguments
+    /// spanning the flush threshold, the working range and the saturation
+    /// clamp.
+    #[test]
+    fn exp_matches_scalar_bitwise(len in 0usize..41, seed in 0u64..1_000, spread in 1.0f32..120.0) {
+        let x: Vec<f32> = randv(seed, len).iter().map(|v| v * spread).collect();
+        let run = |be: Backend| {
+            let mut y = x.clone();
+            mk::exp_on(be, &mut y);
+            y
+        };
+        let reference = run(Backend::Scalar);
+        for (&xi, &yi) in x.iter().zip(&reference) {
+            prop_assert!(ulp_err(xi, yi) <= 2.0 || !(mk::EXP_LO..=0.0).contains(&xi), "exp({xi}) = {yi}");
+            prop_assert!(yi == 0.0 || yi >= f32::MIN_POSITIVE, "exp({xi}) = {yi} is subnormal");
+        }
+        for be in backends() {
+            prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
+        }
+    }
+
+    /// The online-softmax block fold: every block height, both strip widths
+    /// (32-column and 8-column), masked (`-inf`) scores and columns that
+    /// have seen nothing yet.
+    #[test]
+    fn softmax_fold_matches_scalar_bitwise(
+        rows in 1usize..9,
+        w8 in 1usize..7,
+        seed in 0u64..1_000,
+    ) {
+        let w = w8 * 8;
+        let mut s0 = randv(seed, rows * w);
+        // every third score masked; column 1 masked entirely
+        for (i, v) in s0.iter_mut().enumerate() {
+            if i % 3 == 0 || i % w == 1 {
+                *v = f32::NEG_INFINITY;
+            }
+        }
+        let mut m0 = randv(seed.wrapping_add(1), w);
+        let l0: Vec<f32> = randv(seed.wrapping_add(2), w).iter().map(|v| v.abs()).collect();
+        m0[1] = f32::NEG_INFINITY; // fresh column meeting a fully masked block
+        m0[2] = f32::NEG_INFINITY; // fresh column meeting visible scores
+        let run = |be: Backend| {
+            let (mut s, mut m, mut l) = (s0.clone(), m0.clone(), l0.clone());
+            let mut corr = vec![7.0f32; w];
+            mk::softmax_fold_on(be, &mut s, w, &mut m, &mut l, &mut corr);
+            [s, m, l, corr].concat()
+        };
+        let reference = run(Backend::Scalar);
+        prop_assert!(reference.iter().all(|v| !v.is_nan()), "NaN out of the fold");
+        for be in backends() {
+            prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
+        }
+    }
+
+    /// The backward block softmax in both statistic orientations,
+    /// including a query whose `lse` is `-inf`.
+    #[test]
+    fn softmax_bwd_matches_scalar_bitwise(
+        rows in 1usize..9,
+        w8 in 1usize..5,
+        row_stats in 0usize..2,
+        seed in 0u64..1_000,
+    ) {
+        let (w, row_stats) = (w8 * 8, row_stats == 1);
+        let mut s0 = randv(seed, rows * w);
+        s0[0] = f32::NEG_INFINITY;
+        let dp0 = randv(seed.wrapping_add(1), rows * w);
+        let stats = if row_stats { rows } else { w };
+        let mut lse = randv(seed.wrapping_add(2), stats);
+        lse[stats - 1] = f32::NEG_INFINITY;
+        let dsum = randv(seed.wrapping_add(3), stats);
+        let run = |be: Backend| {
+            let (mut s, mut dp) = (s0.clone(), dp0.clone());
+            mk::softmax_bwd_on(be, &mut s, &mut dp, w, &lse, &dsum, 0.25, row_stats);
+            [s, dp].concat()
+        };
+        let reference = run(Backend::Scalar);
+        prop_assert!(reference.iter().all(|v| v.is_finite()), "non-finite p/ds");
+        for (i, (&p, &ds)) in reference[..rows * w].iter().zip(&reference[rows * w..]).enumerate() {
+            let at = if row_stats { i / w } else { i % w };
+            let want_p = if lse[at].is_finite() { (s0[i] - lse[at]).exp() } else { 0.0 };
+            prop_assert!((p - want_p).abs() <= 1e-6 * want_p.max(1.0), "p[{}] = {} vs {}", i, p, want_p);
+            prop_assert_eq!(ds.to_bits(), (p * (dp0[i] - dsum[at]) * 0.25).to_bits(), "ds[{}]", i);
+        }
+        for be in backends() {
+            prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
         }
     }
 
     /// A raw panel with irregular geometry: rows spanning 4-row tiles plus
     /// a remainder, columns spanning 16-wide and 8-wide vector tiles plus
-    /// a scalar tail, including `kc == 0` (pure C pass-through).
+    /// a scalar tail, including `kc == 0` (pure C pass-through), with the A
+    /// operand row-major or read transposed in place.
     #[test]
     fn gemm_panel_matches_scalar_bitwise(
         rows in 1usize..10,
         kc in 0usize..20,
         nc in 1usize..40,
+        a_transposed in 0usize..2,
         seed in 0u64..1_000,
     ) {
         let a = randv(seed, rows * kc.max(1));
         let bp = randv(seed.wrapping_add(1), kc.max(1) * nc);
         let c0 = randv(seed.wrapping_add(2), rows * nc);
+        // A stored [rows, kc] or, transposed in place, [kc, rows].
+        let (a_stride, a_lstride) = if a_transposed == 1 { (1, rows) } else { (kc, 1) };
         let run = |be: Backend| {
             let mut c = c0.clone();
             let p = Panel {
                 a: &a,
                 a_off: 0,
-                a_stride: kc,
+                a_stride,
+                a_lstride,
                 bp: &bp,
                 b_stride: nc,
                 b_col0: 0,
