@@ -38,7 +38,6 @@ struct Row {
     prefetch: bool,
     comm_async: bool,
     payload_bf16: bool,
-    balanced: bool,
     threads: usize,
     predicted_step_us: f64,
     measured_step_us: f64,
@@ -135,7 +134,6 @@ fn main() {
         prefetch: true,
         comm_async: true,
         payload_bf16: false,
-        balanced: true,
         threads,
     };
     // Warm the process (allocator pools, caches, helper threads) before
@@ -216,19 +214,13 @@ fn main() {
     // that cell's drift; re-baseline the cell's predictions by it before
     // grading model error. Serial rows then score ~0 by construction —
     // the gate's real subject is the async rows, i.e. exactly the stream
-    // predictions the tuner ranks configurations with. The anchor keeps
-    // the config's own tile schedule: serial work is schedule-invariant
-    // (bitwise, per balance_determinism), so the balanced serial run is
-    // an equally valid drift clock — and anchoring balanced rows on the
-    // sequential serial run would misread cross-run noise between two
-    // serial medians as model error.
+    // predictions the tuner ranks configurations with.
     let drift_for = |config: &CandidateConfig| -> f64 {
         evaluated
             .iter()
             .find(|ev| {
                 !ev.config.prefetch
                     && !ev.config.comm_async
-                    && ev.config.balanced == config.balanced
                     && ev.config.chunks == config.chunks
                     && ev.config.payload_bf16 == config.payload_bf16
                     && ev.config.threads == config.threads
@@ -248,7 +240,6 @@ fn main() {
             prefetch: ev.config.prefetch,
             comm_async: ev.config.comm_async,
             payload_bf16: ev.config.payload_bf16,
-            balanced: ev.config.balanced,
             threads: ev.config.threads,
             predicted_step_us,
             measured_step_us,
@@ -276,7 +267,6 @@ fn main() {
                     && r.prefetch == config.prefetch
                     && r.comm_async == config.comm_async
                     && r.payload_bf16 == config.payload_bf16
-                    && r.balanced == config.balanced
                     && r.threads == config.threads
             })
             .cloned()
@@ -285,7 +275,6 @@ fn main() {
                 prefetch: config.prefetch,
                 comm_async: config.comm_async,
                 payload_bf16: config.payload_bf16,
-                balanced: config.balanced,
                 threads: config.threads,
                 predicted_step_us: 0.0,
                 measured_step_us: measured_us(config),
@@ -305,17 +294,16 @@ fn main() {
             if reused { "reused" } else { "fitted" }
         );
         println!(
-            "{:<8}{:<10}{:<8}{:<7}{:<6}{:>14}{:>14}{:>9}{:>12}",
-            "chunks", "prefetch", "comm", "bf16", "bal", "predicted us", "measured us", "err", "tokens/s"
+            "{:<8}{:<10}{:<8}{:<7}{:>14}{:>14}{:>9}{:>12}",
+            "chunks", "prefetch", "comm", "bf16", "predicted us", "measured us", "err", "tokens/s"
         );
         for r in &rows {
             println!(
-                "{:<8}{:<10}{:<8}{:<7}{:<6}{:>14.0}{:>14.0}{:>8.1}%{:>12.0}",
+                "{:<8}{:<10}{:<8}{:<7}{:>14.0}{:>14.0}{:>8.1}%{:>12.0}",
                 r.chunks,
                 r.prefetch,
                 r.comm_async,
                 r.payload_bf16,
-                r.balanced,
                 r.predicted_step_us,
                 r.measured_step_us,
                 r.rel_err * 100.0,
@@ -323,13 +311,12 @@ fn main() {
             );
         }
         println!(
-            "tuned: {} chunks, prefetch {}, comm {}, bf16 {}, balanced {} — {:.0} tokens/s vs \
+            "tuned: {} chunks, prefetch {}, comm {}, bf16 {} — {:.0} tokens/s vs \
              default {:.0} ({:+.1}%)",
             tuned_row.chunks,
             tuned_row.prefetch,
             tuned_row.comm_async,
             tuned_row.payload_bf16,
-            tuned_row.balanced,
             tuned_row.tokens_per_s,
             default_row.tokens_per_s,
             (speedup - 1.0) * 100.0
@@ -342,11 +329,10 @@ fn main() {
     let env_body = format!(
         "# generated by `cargo run -p fpdt-bench --bin autotune` — the tuned configuration\n\
          export FPDT_PREFETCH={}\nexport FPDT_COMM_ASYNC={}\nexport FPDT_BF16={}\n\
-         export FPDT_BALANCE={}\nexport FPDT_THREADS={}\n",
+         export FPDT_THREADS={}\n",
         flag(tuned_row.prefetch),
         flag(tuned_row.comm_async),
         flag(tuned_row.payload_bf16),
-        flag(tuned_row.balanced),
         tuned_row.threads
     );
     let env_path = dir.join("autotune_env.sh");
@@ -393,14 +379,13 @@ fn main() {
             .expect("rows nonempty");
         eprintln!(
             "RUNTIME_AUTOTUNE_FAIL: predicted-vs-measured error {:.1}% exceeds 25% \
-             (chunks {}, prefetch {}, comm {}, bf16 {}, balanced {}: predicted {:.0} us, \
+             (chunks {}, prefetch {}, comm {}, bf16 {}: predicted {:.0} us, \
              measured {:.0} us)",
             max_rel_err * 100.0,
             worst.chunks,
             worst.prefetch,
             worst.comm_async,
             worst.payload_bf16,
-            worst.balanced,
             worst.predicted_step_us,
             worst.measured_step_us
         );

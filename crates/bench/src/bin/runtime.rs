@@ -46,7 +46,6 @@ struct Row {
     prefetch: bool,
     comm_async: bool,
     payload_bf16: bool,
-    balanced: bool,
     wall_ms: f64,
     tokens_per_s: f64,
     overlap_fraction: f64,
@@ -58,8 +57,7 @@ struct Row {
     /// Coefficient of variation of per-slot backward wall time
     /// (`slot.bwd` spans folded by slot position): 0 = perfectly even.
     slot_skew: f64,
-    /// Fraction of backward slot time spent in the last slot; the
-    /// sequential triangle concentrates work there.
+    /// Fraction of backward slot time spent in the last slot.
     slot_tail: f64,
     bytes_h2d: u64,
     bytes_d2h: u64,
@@ -108,16 +106,11 @@ fn main() {
     let sim_gbps = fpdt_trace::wire::link_gbps();
     // Large enough that attention kernels run for hundreds of µs —
     // otherwise the sub-µs simulated transfers fall into scheduling gaps
-    // between kernels and no overlap is measurable at all; 512 tokens
-    // over 4 chunks is where the sequential triangle's stalls are a
-    // visible slice of the step on the simulated link.
+    // between kernels and no overlap is measurable at all.
     let (seq, steps) = if quick { (512, 2) } else { (512, 3) };
     let chunks = 4usize;
-    // Each leg is trained `reps` times and scored by its median wall
-    // time: single ~100 ms runs swing several percent under OS noise,
-    // more than the schedule effects being gated on. The two schedule
-    // legs additionally run back-to-back in pairs so slow machine drift
-    // cancels out of their throughput ratio.
+    // Each leg is trained `reps` times and scored by its fastest run:
+    // single ~100 ms runs swing several percent under OS noise.
     let reps = 3usize;
 
     // Both streams need a helper-thread budget to go asynchronous; a
@@ -127,7 +120,7 @@ fn main() {
     let prev_threads = pool::set_threads(pool::current_threads().max(4));
     let threads = pool::current_threads();
 
-    let run_once = |prefetch: bool, comm_async: bool, payload_bf16: bool, balanced: bool| {
+    let run_once = |prefetch: bool, comm_async: bool, payload_bf16: bool| {
         let cfg = TrainConfig {
             model: ModelConfig::tiny(2, 64, 4, 50),
             world: 1,
@@ -137,14 +130,12 @@ fn main() {
                 chunks,
                 offload: true,
             },
-            // Pin every knob explicitly so an ambient `FPDT_BF16` (or
-            // `FPDT_BALANCE`) cannot leak into the f32 legs and break
-            // their digest equality.
+            // Pin every knob explicitly so an ambient `FPDT_BF16` cannot
+            // leak into the f32 legs and break their digest equality.
             runtime: RuntimeOptions::from_env()
                 .with_prefetch(prefetch)
                 .with_comm_async(comm_async)
-                .with_payload_bf16(payload_bf16)
-                .with_balanced(balanced),
+                .with_payload_bf16(payload_bf16),
             ..TrainConfig::default()
         };
         let rec = Recorder::new();
@@ -155,9 +146,7 @@ fn main() {
         if std::env::var("FPDT_DUMP_TRACE").is_ok() {
             std::fs::create_dir_all("target/experiments").expect("trace dir");
             std::fs::write(
-                format!(
-                    "target/experiments/runtime_trace_prefetch_{prefetch}_comm_{comm_async}_bal_{balanced}.json"
-                ),
+                format!("target/experiments/runtime_trace_prefetch_{prefetch}_comm_{comm_async}.json"),
                 rec.chrome_trace_json(),
             )
             .expect("write trace");
@@ -178,7 +167,6 @@ fn main() {
             prefetch,
             comm_async,
             payload_bf16,
-            balanced,
             wall_ms: wall * 1e3,
             tokens_per_s: (seq * steps) as f64 / wall,
             overlap_fraction: cross_thread_overlap_fraction(&records, COPY, COMPUTE),
@@ -207,52 +195,31 @@ fn main() {
             .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
             .expect("at least one rep")
     };
-    let run = |prefetch: bool, comm_async: bool, payload_bf16: bool, balanced: bool| {
+    let run = |prefetch: bool, comm_async: bool, payload_bf16: bool| {
         best(
             (0..reps)
-                .map(|_| run_once(prefetch, comm_async, payload_bf16, balanced))
+                .map(|_| run_once(prefetch, comm_async, payload_bf16))
                 .collect(),
         )
     };
 
     // Warm the allocator, thread pool, and page cache before anything is
     // timed: the very first training run is reliably the slowest.
-    let _ = run_once(true, true, false, true);
+    let _ = run_once(true, true, false);
 
-    // The two schedule legs interleave, each pair back-to-back, so both
-    // schedules sample the same load windows before best-of picks each
-    // leg's cleanest run. If the balanced best still trails after the
-    // initial pairs — which on a shared host usually means every one of
-    // its windows caught a load burst — keep sampling pairs up to a hard
-    // cap: a *real* schedule regression is systematic and loses every
-    // pair, while a burst washes out as soon as one window is clean.
-    let mut bal_runs: Vec<Row> = Vec::with_capacity(reps);
-    let mut seq_runs: Vec<Row> = Vec::with_capacity(reps);
+    // Fully overlapped, comm stream alone disabled, fully serial — all in
+    // f32 — plus the paper configuration: both streams with bf16 wire
+    // payloads (half the offload/all-to-all bytes, compute still f32).
+    let on = run(true, true, false);
+    let comm_off = run(true, false, false);
+    // The bf16-vs-serial pair backing RUNTIME_BF16_WIN interleaves, each
+    // pair back-to-back, so both legs sample the same load windows before
+    // best-of picks each leg's cleanest run. If the bf16 best still
+    // trails after the initial pairs — which on a shared host usually
+    // means every one of its windows caught a load burst — keep sampling
+    // pairs up to a hard cap: a *real* regression is systematic and loses
+    // every pair, while a burst washes out as soon as one window is clean.
     let max_pairs = 8usize;
-    while bal_runs.len() < reps
-        || (bal_runs.len() < max_pairs && {
-            let b = bal_runs.iter().map(|r| r.tokens_per_s).fold(0.0, f64::max);
-            let s = seq_runs.iter().map(|r| r.tokens_per_s).fold(0.0, f64::max);
-            b < s
-        })
-    {
-        bal_runs.push(run_once(true, true, false, true));
-        seq_runs.push(run_once(true, true, false, false));
-    }
-
-    // Fully overlapped, the same dual streams on the sequential tile
-    // schedule, comm stream alone disabled, fully serial — all in f32 —
-    // plus the paper configuration: both streams with bf16 wire payloads
-    // (half the offload/all-to-all bytes, compute still f32).
-    let seq_count = seq_runs.len();
-    let on = best(bal_runs);
-    let seq_sched = best(seq_runs);
-    let balance_speedup = on.tokens_per_s / seq_sched.tokens_per_s;
-    let comm_off = run(true, false, false, true);
-    // The bf16-vs-serial pair backing RUNTIME_BF16_WIN gets the same
-    // interleaved adaptive sampling as the schedule pair, for the same
-    // reason: its margin is structural but a load burst across one leg's
-    // windows can invert a single best-of comparison.
     let mut off_runs: Vec<Row> = Vec::with_capacity(reps);
     let mut bf16_runs: Vec<Row> = Vec::with_capacity(reps);
     while off_runs.len() < reps
@@ -262,23 +229,22 @@ fn main() {
             b <= s
         })
     {
-        off_runs.push(run_once(false, false, false, false));
-        bf16_runs.push(run_once(true, true, true, true));
+        off_runs.push(run_once(false, false, false));
+        bf16_runs.push(run_once(true, true, true));
     }
     let off = best(off_runs);
     let bf16 = best(bf16_runs);
     pool::set_threads(prev_threads);
 
-    // The four f32 legs must agree bitwise — the balanced schedule
-    // re-times tiles but never re-associates a float; the bf16 leg rounds
+    // The three f32 legs must agree bitwise — the streams re-time
+    // transfers but never re-associate a float; the bf16 leg rounds
     // payloads and only has to halve the wire traffic exactly.
-    let identical = on.loss_digest == off.loss_digest
-        && on.loss_digest == comm_off.loss_digest
-        && on.loss_digest == seq_sched.loss_digest;
+    let identical =
+        on.loss_digest == off.loss_digest && on.loss_digest == comm_off.loss_digest;
     assert!(
         identical,
-        "schedule/stream trajectories diverged: {:#x} / {:#x} / {:#x} / {:#x}",
-        on.loss_digest, seq_sched.loss_digest, comm_off.loss_digest, off.loss_digest
+        "stream trajectories diverged: {:#x} / {:#x} / {:#x}",
+        on.loss_digest, comm_off.loss_digest, off.loss_digest
     );
     assert_eq!(
         bf16.bytes_a2a * 2,
@@ -290,29 +256,22 @@ fn main() {
         "bf16 offload traffic must shrink (KV chunks move as bf16)"
     );
 
-    let rows = vec![
-        on.clone(),
-        seq_sched.clone(),
-        comm_off.clone(),
-        off.clone(),
-        bf16.clone(),
-    ];
+    let rows = vec![on.clone(), comm_off.clone(), off.clone(), bf16.clone()];
     if !quiet {
         println!(
             "runtime throughput: seq {seq}, {steps} steps, {chunks} chunks, {threads} threads, \
              {sim_gbps} GB/s simulated link"
         );
         println!(
-            "{:<10}{:<8}{:<7}{:<6}{:>10}{:>12}{:>10}{:>12}{:>11}{:>11}",
-            "prefetch", "comm", "bf16", "bal", "wall ms", "tokens/s", "overlap", "comm ovl", "slot skew", "slot tail"
+            "{:<10}{:<8}{:<7}{:>10}{:>12}{:>10}{:>12}{:>11}{:>11}",
+            "prefetch", "comm", "bf16", "wall ms", "tokens/s", "overlap", "comm ovl", "slot skew", "slot tail"
         );
         for r in &rows {
             println!(
-                "{:<10}{:<8}{:<7}{:<6}{:>10.1}{:>12.0}{:>10.3}{:>12.3}{:>11.3}{:>11.3}",
+                "{:<10}{:<8}{:<7}{:>10.1}{:>12.0}{:>10.3}{:>12.3}{:>11.3}{:>11.3}",
                 r.prefetch,
                 r.comm_async,
                 r.payload_bf16,
-                r.balanced,
                 r.wall_ms,
                 r.tokens_per_s,
                 r.overlap_fraction,
@@ -325,10 +284,6 @@ fn main() {
         println!("tokens/s delta (both streams on vs off, f32): {delta:+.1}%");
         let bf_delta = 100.0 * (bf16.tokens_per_s / off.tokens_per_s - 1.0);
         println!("tokens/s delta (bf16 streams on vs f32 streams off): {bf_delta:+.1}%");
-        let bal_delta = 100.0 * (balance_speedup - 1.0);
-        println!(
-            "tokens/s delta (balanced vs sequential schedule, best of {seq_count} pairs): {bal_delta:+.1}%"
-        );
         println!("losses bitwise identical (f32 legs): {identical}");
     }
 
@@ -412,42 +367,5 @@ fn main() {
     println!(
         "RUNTIME_BF16_WIN_OK {:.0} > {:.0} tokens/s",
         bf16.tokens_per_s, off.tokens_per_s
-    );
-
-    // The balanced tile schedule must pay for itself: with both streams
-    // on and the triangle's slots equalized, the backward slot skew must
-    // actually flatten (the deterministic, structural signal — a no-op
-    // knob fails here every time), and the best-of throughput ratio may
-    // not fall below a 10% noise floor. The floor exists because the
-    // structural win at this scale (a few percent of stall time) sits
-    // inside a shared CI host's wall-clock noise; a real scheduling
-    // regression — e.g. flooding the FIFO copy stream with the whole
-    // triangle's KV fetches before the first tile's grabs — measured
-    // ~-18% and is exactly what this catches.
-    if balance_speedup < 0.90 {
-        eprintln!(
-            "RUNTIME_BALANCE_FAIL: balanced schedule ran {:.1}% slower than \
-             sequential (best of {} pairs, {:.0} vs {:.0} tokens/s)",
-            100.0 * (1.0 - balance_speedup),
-            seq_count,
-            on.tokens_per_s,
-            seq_sched.tokens_per_s
-        );
-        std::process::exit(1);
-    }
-    if on.slot_skew > seq_sched.slot_skew {
-        eprintln!(
-            "RUNTIME_BALANCE_FAIL: balanced slot skew {:.3} exceeds \
-             sequential {:.3}",
-            on.slot_skew, seq_sched.slot_skew
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "RUNTIME_BALANCE_OK {:+.1}% tokens/s (best of {} pairs), bwd slot skew {:.3} -> {:.3}",
-        100.0 * (balance_speedup - 1.0),
-        seq_count,
-        seq_sched.slot_skew,
-        on.slot_skew
     );
 }

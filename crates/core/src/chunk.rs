@@ -10,6 +10,7 @@
 //! (the shuffle happens in the loader, labels included).
 
 use fpdt_tensor::TensorError;
+use std::collections::VecDeque;
 
 /// A validated chunking of a global sequence across ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,9 +139,71 @@ impl ChunkPlan {
     }
 }
 
+/// The runtime's backward tile order: the causal tile triangle
+/// `{(i, j) : j <= i < u}` (query chunk `i`, KV chunk `j`) cut into `u`
+/// near-equal pipeline slots (sizes differ by at most one tile). The
+/// executor walks it and the planner prices it — this is the one
+/// description of the order.
+///
+/// Tiles are queued column-major — KV chunk `j`'s column `(j..u, j)`
+/// opens at slot `j`, diagonal first — and each slot `s` takes
+/// `ceil(remaining / (u - s))` tiles from the queue front. Because
+/// columns are appended in order and the queue is FIFO, the flattened
+/// schedule preserves both accumulation orders the kernels rely on: for
+/// fixed `i` tiles run in ascending `j`, for fixed `j` in ascending `i`.
+pub fn tile_slots(u: usize) -> Vec<Vec<(usize, usize)>> {
+    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
+    let mut slots: Vec<Vec<(usize, usize)>> = Vec::with_capacity(u);
+    let mut remaining = u * (u + 1) / 2;
+    for s in 0..u {
+        for i in s..u {
+            queue.push_back((i, s));
+        }
+        let quota = if s + 1 == u {
+            queue.len()
+        } else {
+            remaining.div_ceil(u - s).min(queue.len())
+        };
+        let slot: Vec<(usize, usize)> = queue.drain(..quota).collect();
+        remaining -= slot.len();
+        slots.push(slot);
+    }
+    slots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tile_slots_cover_the_triangle_in_accumulation_order() {
+        for u in 1..=8usize {
+            let slots = tile_slots(u);
+            assert_eq!(slots.len(), u, "one slot per chunk (u={u})");
+            let sizes: Vec<usize> = slots.iter().map(Vec::len).collect();
+            let min = sizes.iter().copied().min().unwrap();
+            let max = sizes.iter().copied().max().unwrap();
+            assert!(
+                min >= 1 && max - min <= 1,
+                "near-equal slot sizes (u={u}): {sizes:?}"
+            );
+            let flat: Vec<(usize, usize)> = slots.into_iter().flatten().collect();
+            assert_eq!(flat.len(), u * (u + 1) / 2, "every tile scheduled (u={u})");
+            let mut seen = std::collections::HashSet::new();
+            // Row i must sweep KV ascending from 0; column j must sweep
+            // queries ascending from its diagonal j.
+            let mut next_j = vec![0usize; u];
+            let mut next_i: Vec<usize> = (0..u).collect();
+            for (i, j) in flat {
+                assert!(j <= i && i < u, "causal tile ({i},{j})");
+                assert!(seen.insert((i, j)), "tile ({i},{j}) duplicated");
+                assert_eq!(j, next_j[i], "row {i} sweeps KV in ascending order");
+                assert_eq!(i, next_i[j], "column {j} sweeps queries in ascending order");
+                next_j[i] += 1;
+                next_i[j] += 1;
+            }
+        }
+    }
 
     #[test]
     fn construction_validates() {

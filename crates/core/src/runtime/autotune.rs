@@ -18,9 +18,10 @@
 //!    model uses, so fitted and paper-calibrated constants share one
 //!    pricing path. [`fpdt_sim::hw::ClusterSpec`]
 //! 3. **Search** ([`search`]): describe one training step of every
-//!    candidate configuration as a [`StepPlan`] — per-chunk copy, comm
-//!    and kernel ops with double-buffer dependencies, streams gated per
-//!    candidate — and let the calibrated discrete-event engine price it.
+//!    candidate configuration as a [`StepPlan`] — per-stage copy, comm
+//!    and kernel ops sized by the runtime's own tile schedule
+//!    ([`tile_slots`]), streams gated per candidate — and let the
+//!    calibrated discrete-event engine price it.
 //!    The predicted-fastest candidate becomes the tuned
 //!    [`RuntimeOptions`].
 //!
@@ -32,6 +33,7 @@
 //!
 //! [`ClusterSpec`]: fpdt_sim::hw::ClusterSpec
 
+use crate::chunk::tile_slots;
 use crate::runtime::dist::{train_traced, Mode, TrainConfig};
 use crate::runtime::options::RuntimeOptions;
 use fpdt_model::config::ModelConfig;
@@ -132,13 +134,6 @@ pub struct CellProfile {
     /// anchor does not transfer to a 4-chunk pipeline. The bf16 cell
     /// shares its chunk count's f32 anchor.
     pub overlap_efficiency: f64,
-    /// The same anchor measured with the balanced tile schedule on.
-    /// Anchored separately because the balanced runtime's equal slots
-    /// and eager posting typically deliver a larger fraction of the
-    /// ideal saving — pricing balanced candidates with the sequential
-    /// anchor systematically overestimates their step time and makes
-    /// the tuner mis-rank the schedule knob.
-    pub balanced_overlap_efficiency: f64,
 }
 
 /// A fitted cost model plus the per-cell workload profiles it was fitted
@@ -179,8 +174,6 @@ pub struct CandidateConfig {
     pub prefetch: bool,
     /// Asynchronous comm stream on/off.
     pub comm_async: bool,
-    /// Causal load-balanced tile schedule on/off.
-    pub balanced: bool,
     /// bf16 wire payloads on/off.
     pub payload_bf16: bool,
     /// Kernel-pool thread budget.
@@ -195,7 +188,6 @@ impl CandidateConfig {
             .with_offload(true)
             .with_prefetch(self.prefetch)
             .with_comm_async(self.comm_async)
-            .with_balanced(self.balanced)
             .with_payload_bf16(self.payload_bf16)
             .with_threads(self.threads)
     }
@@ -248,7 +240,6 @@ fn probe_run(
     bf16: bool,
     prefetch: bool,
     comm_async: bool,
-    balanced: bool,
 ) -> (f64, Recorder) {
     let cfg = TrainConfig {
         model: workload.model.clone(),
@@ -261,14 +252,9 @@ fn probe_run(
             chunks,
             offload: true,
         },
-        // Serial probes pin balanced off (with both streams off the
-        // schedules carry identical additive costs, so the sequential
-        // one is the canonical decomposition); the dual-stream anchor
-        // probes run each schedule for real.
         runtime: RuntimeOptions::from_env()
             .with_prefetch(prefetch)
             .with_comm_async(comm_async)
-            .with_balanced(balanced)
             .with_payload_bf16(bf16),
         ..TrainConfig::default()
     };
@@ -289,10 +275,10 @@ fn probe_run(
 /// One short training run per `(chunk candidate × bf16 setting)` cell
 /// with both streams off, so step time decomposes additively into copy,
 /// comm, attention, and residual ("lump") time. Rates are fitted over
-/// the f32 cells' combined span clouds; two extra *dual-stream* probes
-/// per chunk candidate (one per tile schedule) anchor the per-cell
-/// overlap efficiencies; thread candidates are priced with a matmul
-/// microprobe instead of extra training runs.
+/// the f32 cells' combined span clouds; one extra *dual-stream* probe
+/// per chunk candidate anchors the per-cell overlap efficiency; thread
+/// candidates are priced with a matmul microprobe instead of extra
+/// training runs.
 ///
 /// # Panics
 ///
@@ -312,7 +298,7 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     };
     for &chunks in &workload.chunk_candidates {
         for &bf16 in bf16_settings {
-            let (wall_us, rec) = probe_run(workload, steps, chunks, bf16, false, false, false);
+            let (wall_us, rec) = probe_run(workload, steps, chunks, bf16, false, false);
             let records = rec.records();
             let per_step = 1.0 / steps as f64;
             let copy = fpdt_trace::fit::aggregate(&records, COPY_PREFIXES);
@@ -337,7 +323,6 @@ pub fn calibrate(workload: &Workload) -> Calibration {
                 attn_us,
                 lump_us: (step_us - copy_us - comm_us - attn_us).max(0.0),
                 overlap_efficiency: 1.0,
-                balanced_overlap_efficiency: 1.0,
             });
             if !bf16 {
                 copy_samples.extend(samples_for(&records, COPY_PREFIXES));
@@ -406,57 +391,40 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     }
 
     // Overlap anchors: one dual-stream f32 probe PER chunk candidate
-    // AND PER tile schedule measures how much of the engine's ideal
-    // saving the real streams deliver at that stage granularity (a
-    // 2-chunk pipeline's hand-off losses say nothing about a 4-chunk
-    // one's, and the balanced schedule's equal slots deliver a
-    // different fraction than the sequential ramp). Serial predictions
-    // are unaffected (zero ideal saving); each async prediction
-    // interpolates by its own cell's matching-schedule factor; the
-    // bf16 cell shares its chunk count's f32 anchors.
+    // measures how much of the engine's ideal saving the real streams
+    // deliver at that stage granularity (a 2-chunk pipeline's hand-off
+    // losses say nothing about a 4-chunk one's). Serial predictions are
+    // unaffected (zero ideal saving); each async prediction interpolates
+    // by its own cell's factor; the bf16 cell shares its chunk count's
+    // f32 anchor.
     for &anchor_chunks in &workload.chunk_candidates {
         let anchor_cell = cells
             .iter()
             .find(|c| c.chunks == anchor_chunks && !c.payload_bf16)
             .cloned();
         let Some(cell) = anchor_cell else { continue };
-        let serial_pred = plan_for(&constants, &cell, false, false, false, 1.0)
-            .makespan(&constants)
-            .expect("serial anchor plan prices")
-            * 1e6;
+        let price = |prefetch: bool, comm_async: bool| {
+            plan_for(&constants, &cell, prefetch, comm_async, 1.0)
+                .makespan(&constants)
+                .expect("anchor plan prices")
+                * 1e6
+        };
+        let ideal_saving = price(false, false) - price(true, true);
+        if ideal_saving <= 1.0 {
+            continue;
+        }
         // The efficiency is a *difference* of two wall times — the one
         // statistic with no tolerance for cross-epoch drift — so pair
-        // the dual probes with a FRESH serial probe adjacent in time
+        // the dual probe with a FRESH serial probe adjacent in time
         // instead of the cell profile measured an epoch earlier: a
         // host-load shift between the epochs would masquerade as
         // overlap (in)efficiency.
-        let (serial_wall_us, _) =
-            probe_run(workload, steps, anchor_chunks, false, false, false, false);
-        let serial_step_us = serial_wall_us / steps as f64;
-        for balanced in [false, true] {
-            let dual_pred = plan_for(&constants, &cell, true, true, balanced, 1.0)
-                .makespan(&constants)
-                .expect("dual anchor plan prices")
-                * 1e6;
-            let ideal_saving = serial_pred - dual_pred;
-            if ideal_saving > 1.0 {
-                let (dual_wall_us, _) =
-                    probe_run(workload, steps, anchor_chunks, false, true, true, balanced);
-                let actual_saving = (serial_step_us - dual_wall_us / steps as f64).max(0.0);
-                let efficiency = (actual_saving / ideal_saving).clamp(0.0, 1.0);
-                for c in cells.iter_mut().filter(|c| c.chunks == anchor_chunks) {
-                    if balanced {
-                        // Floored at the sequential anchor: equal slots
-                        // + eager posting cannot deliver *less* overlap
-                        // than the sequential ramp (the runtime bench
-                        // gates that), so a lower reading is a host-load
-                        // burst landing on this probe, not a signal.
-                        c.balanced_overlap_efficiency = efficiency.max(c.overlap_efficiency);
-                    } else {
-                        c.overlap_efficiency = efficiency;
-                    }
-                }
-            }
+        let (serial_wall_us, _) = probe_run(workload, steps, anchor_chunks, false, false, false);
+        let (dual_wall_us, _) = probe_run(workload, steps, anchor_chunks, false, true, true);
+        let actual_saving = ((serial_wall_us - dual_wall_us) / steps as f64).max(0.0);
+        let efficiency = (actual_saving / ideal_saving).clamp(0.0, 1.0);
+        for c in cells.iter_mut().filter(|c| c.chunks == anchor_chunks) {
+            c.overlap_efficiency = efficiency;
         }
     }
     let overlap_efficiency =
@@ -498,60 +466,42 @@ fn matmul_probe_us(threads: usize) -> f64 {
 }
 
 /// Builds the step plan of one candidate from its measured cell profile:
-/// `2 × chunks` pipeline stages — forward chunks then Figure-7 backward
-/// columns — each with a copy op, a comm op, and a kernel + residual
+/// `2 × chunks` pipeline stages — forward chunks then backward tile
+/// slots — each with a copy op, a comm op, and a kernel + residual
 /// compute pair that waits on its stage's transfers.
 ///
-/// Per-stage transfer and kernel sizes follow the causal triangle rather
-/// than a flat mean: forward chunk `i` keep-fetches a *growing* KV
-/// prefix (weight `5 + 2i` pool ops) and computes `i + 1` tiles, while
-/// backward column `j` drains a *shrinking* sweep (weight
-/// `6 + 6(u - j)`, kernels `2.5 (u - j)` tiles). The weights are
-/// normalized against the measured per-step totals, so the serial plan
-/// still reproduces the probe exactly — only the per-stage distribution
-/// (what double buffering can or cannot hide at each slot) changes.
+/// Per-stage transfer and kernel sizes follow the schedule rather than a
+/// flat mean: forward chunk `i` keep-fetches a *growing* KV prefix
+/// (weight `5 + 2i` pool ops) and computes `i + 1` tiles, while backward
+/// slot `s` carries the `len` tiles [`tile_slots`] deals it — the order
+/// the executor walks — at `6 + 6·len` pool ops and `2.5·len` tiles of
+/// kernel work. The weights are normalized against the measured per-step
+/// totals, so the serial plan still reproduces the probe exactly — only
+/// the per-stage distribution (what the streams can or cannot hide at
+/// each slot) changes.
 ///
-/// With `balanced` the backward stages flatten to their mean — the
-/// quota-spilled tile schedule's near-equal slots — and the lookahead
-/// dependency disappears: the balanced runtime posts every gather and
-/// take-fetch up-front instead of one stage ahead.
+/// No stage's transfers wait on an earlier kernel: the runtime posts
+/// every gather up-front and staggers take-fetches ahead of compute, so
+/// the only dependencies are each stage's kernel on its own transfers.
 pub fn plan_for(
     constants: &CostConstants,
     cell: &CellProfile,
     prefetch: bool,
     comm_async: bool,
-    balanced: bool,
     compute_scale: f64,
 ) -> StepPlan {
     let c = constants;
     let u = cell.chunks.max(1);
-    let stages = 2 * u;
-    let inv = 1.0 / stages as f64;
+    let inv = 1.0 / (2 * u) as f64;
 
-    // Triangular per-stage weights (forward rising, backward falling).
-    let mut copy_w: Vec<f64> = Vec::with_capacity(stages);
-    let mut attn_w: Vec<f64> = Vec::with_capacity(stages);
-    for i in 0..u {
-        copy_w.push((5 + 2 * i) as f64);
-        attn_w.push((i + 1) as f64);
-    }
-    for j in 0..u {
-        copy_w.push((6 + 6 * (u - j)) as f64);
-        attn_w.push(2.5 * (u - j) as f64);
-    }
-    if balanced {
-        // The balanced schedule equalizes the backward slots (the forward
-        // triangle stays arrival-constrained by each chunk's own QKV, so
-        // its compute distribution cannot move).
-        let flatten = |w: &mut [f64]| {
-            let mean = w.iter().sum::<f64>() / w.len() as f64;
-            w.iter_mut().for_each(|x| *x = mean);
-        };
-        flatten(&mut copy_w[u..]);
-        flatten(&mut attn_w[u..]);
-    }
-    let copy_w_sum: f64 = copy_w.iter().sum();
-    let attn_w_sum: f64 = attn_w.iter().sum();
+    // Per-stage `(copy, attention)` weights.
+    let fwd = (0..u).map(|i| ((5 + 2 * i) as f64, (i + 1) as f64));
+    let bwd = tile_slots(u)
+        .into_iter()
+        .map(|slot| ((6 + 6 * slot.len()) as f64, 2.5 * slot.len() as f64));
+    let weights: Vec<(f64, f64)> = fwd.chain(bwd).collect();
+    let copy_w_sum: f64 = weights.iter().map(|w| w.0).sum();
+    let attn_w_sum: f64 = weights.iter().map(|w| w.1).sum();
 
     // Measured stream time re-expressed as engine bytes at the fitted
     // rates, so the priced serial plan reproduces the probe exactly and
@@ -562,26 +512,14 @@ pub fn plan_for(
     let lump_per_stage = cell.lump_us * inv * 1e-6 * compute_scale;
 
     let mut plan = StepPlan::new(prefetch, comm_async);
-    let mut attn_ids: Vec<usize> = Vec::new();
-    for stage in 0..stages {
-        // Double-buffer lookahead of one: the sequential runtime posts
-        // stage `i`'s transfers while stage `i-1` computes, never all at
-        // t=0, so a stage's transfers wait on the kernel two stages back.
-        // This bounds predicted overlap at what Figure-13 double
-        // buffering can actually deliver. The balanced schedule's eager
-        // posting removes the constraint entirely.
-        let buffer_dep: Vec<usize> = if balanced || stage < 2 {
-            Vec::new()
-        } else {
-            vec![attn_ids[stage - 2]]
-        };
-        let copy_bytes = (copy_bytes_total * copy_w[stage] / copy_w_sum) as u64;
+    for (copy_w, attn_w) in weights {
+        let copy_bytes = (copy_bytes_total * copy_w / copy_w_sum) as u64;
         let mut deps = Vec::new();
         if copy_bytes > 0 {
             deps.push(plan.push(
                 "offload",
                 PlannedWork::Copy { bytes: copy_bytes },
-                &buffer_dep,
+                &[],
             ));
         }
         if comm_bytes_per_stage > 0 {
@@ -590,17 +528,16 @@ pub fn plan_for(
                 PlannedWork::Comm {
                     bytes: comm_bytes_per_stage,
                 },
-                &buffer_dep,
+                &[],
             ));
         }
         let attn = plan.push(
             "attn",
             PlannedWork::Kernel {
-                flops: attn_flops_total * attn_w[stage] / attn_w_sum,
+                flops: attn_flops_total * attn_w / attn_w_sum,
             },
             &deps,
         );
-        attn_ids.push(attn);
         plan.push(
             "lump",
             PlannedWork::Fixed {
@@ -631,13 +568,12 @@ pub fn predict_step_us(calibration: &Calibration, config: &CandidateConfig) -> f
         .find(|(t, _)| *t == config.threads)
         .map(|(_, s)| *s)
         .expect("candidate thread budget was microprobed");
-    let price = |prefetch: bool, comm_async: bool, balanced: bool| {
+    let price = |prefetch: bool, comm_async: bool| {
         plan_for(
             &calibration.constants,
             cell,
             prefetch,
             comm_async,
-            balanced,
             compute_scale,
         )
         .makespan(&calibration.constants)
@@ -645,19 +581,10 @@ pub fn predict_step_us(calibration: &Calibration, config: &CandidateConfig) -> f
         * 1e6
     };
     // The engine's saving over fully-serial is *ideal* overlap; scale it
-    // by the cell's anchor-measured efficiency for the candidate's own
-    // tile schedule before claiming it. The serial baseline is
-    // schedule-invariant (the balanced topology moves work between
-    // stages, never changes the total), so it is always priced
-    // sequential.
-    let serial = price(false, false, false);
-    let gated = price(config.prefetch, config.comm_async, config.balanced);
-    let efficiency = if config.balanced {
-        cell.balanced_overlap_efficiency
-    } else {
-        cell.overlap_efficiency
-    };
-    serial - efficiency * (serial - gated)
+    // by the cell's anchor-measured efficiency before claiming it.
+    let serial = price(false, false);
+    let gated = price(config.prefetch, config.comm_async);
+    serial - cell.overlap_efficiency * (serial - gated)
 }
 
 /// Prices every point of the workload's candidate grid and returns them
@@ -676,23 +603,20 @@ pub fn search(calibration: &Calibration, workload: &Workload) -> (Vec<Evaluated>
     let mut evaluated = Vec::new();
     for &chunks in &workload.chunk_candidates {
         for &payload_bf16 in bf16_settings {
-            for balanced in [false, true] {
-                for prefetch in [false, true] {
-                    for comm_async in [false, true] {
-                        for &threads in &thread_candidates {
-                            let config = CandidateConfig {
-                                chunks,
-                                prefetch,
-                                comm_async,
-                                balanced,
-                                payload_bf16,
-                                threads,
-                            };
-                            evaluated.push(Evaluated {
-                                config,
-                                predicted_step_us: predict_step_us(calibration, &config),
-                            });
-                        }
+            for prefetch in [false, true] {
+                for comm_async in [false, true] {
+                    for &threads in &thread_candidates {
+                        let config = CandidateConfig {
+                            chunks,
+                            prefetch,
+                            comm_async,
+                            payload_bf16,
+                            threads,
+                        };
+                        evaluated.push(Evaluated {
+                            config,
+                            predicted_step_us: predict_step_us(calibration, &config),
+                        });
                     }
                 }
             }
@@ -759,20 +683,6 @@ impl Calibration {
                             "cell overlap_efficiency must be within [0, 1]".to_string()
                         );
                     }
-                    // Pre-balanced calibration files lack the second
-                    // anchor; fall back to the sequential one.
-                    let balanced_overlap_efficiency =
-                        match get(cell, "balanced_overlap_efficiency") {
-                            Ok(v) => {
-                                let x = num(v, "balanced_overlap_efficiency")?;
-                                if !(0.0..=1.0).contains(&x) {
-                                    return Err("cell balanced_overlap_efficiency must be within [0, 1]"
-                                        .to_string());
-                                }
-                                x
-                            }
-                            Err(_) => overlap_efficiency,
-                        };
                     Ok(CellProfile {
                         chunks: num(get(cell, "chunks")?, "chunks")? as usize,
                         payload_bf16: matches!(get(cell, "payload_bf16")?, Value::Bool(true)),
@@ -786,7 +696,6 @@ impl Calibration {
                         attn_us: num(get(cell, "attn_us")?, "attn_us")?,
                         lump_us: num(get(cell, "lump_us")?, "lump_us")?,
                         overlap_efficiency,
-                        balanced_overlap_efficiency,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
@@ -873,7 +782,6 @@ mod tests {
                     attn_us: 2000.0,
                     lump_us: 500.0,
                     overlap_efficiency: 1.0,
-                    balanced_overlap_efficiency: 1.0,
                 },
                 CellProfile {
                     chunks: 4,
@@ -888,7 +796,6 @@ mod tests {
                     attn_us: 2000.0,
                     lump_us: 500.0,
                     overlap_efficiency: 1.0,
-                    balanced_overlap_efficiency: 1.0,
                 },
             ],
         }
@@ -901,7 +808,6 @@ mod tests {
             chunks: 4,
             prefetch: false,
             comm_async: false,
-            balanced: false,
             payload_bf16: false,
             threads: 4,
         };
@@ -928,8 +834,8 @@ mod tests {
         workload.chunk_candidates = vec![4];
         workload.allow_bf16 = true;
         let (evaluated, best) = search(&cal, &workload);
-        // 4 chunks × 2 bf16 × 2 balanced × 2 × 2 streams × 2 threads.
-        assert_eq!(evaluated.len(), 32);
+        // 4 chunks × 2 bf16 × 2 × 2 streams × 2 threads.
+        assert_eq!(evaluated.len(), 16);
         assert!(best.config.prefetch && best.config.comm_async);
         assert!(best.config.payload_bf16);
         assert_eq!(best.config.threads, 4, "slower 1-thread rate rejected");
@@ -947,52 +853,11 @@ mod tests {
             chunks: 4,
             prefetch: false,
             comm_async: false,
-            balanced: false,
             payload_bf16: false,
             threads: 4,
         };
         let slow = CandidateConfig { threads: 1, ..base };
         assert!(predict_step_us(&cal, &slow) > predict_step_us(&cal, &base));
-    }
-
-    #[test]
-    fn balanced_schedule_prices_no_slower_and_preserves_serial_totals() {
-        let cal = synthetic_calibration();
-        let seq_dual = CandidateConfig {
-            chunks: 4,
-            prefetch: true,
-            comm_async: true,
-            balanced: false,
-            payload_bf16: false,
-            threads: 4,
-        };
-        let bal_dual = CandidateConfig {
-            balanced: true,
-            ..seq_dual
-        };
-        let t_seq = predict_step_us(&cal, &seq_dual);
-        let t_bal = predict_step_us(&cal, &bal_dual);
-        assert!(
-            t_bal <= t_seq,
-            "equal slots + eager posting must not price slower: {t_bal} vs {t_seq}"
-        );
-        // With both streams off the topologies carry identical total
-        // work, so the predictions collapse to the same serial sum.
-        let seq_off = CandidateConfig {
-            prefetch: false,
-            comm_async: false,
-            ..seq_dual
-        };
-        let bal_off = CandidateConfig {
-            balanced: true,
-            ..seq_off
-        };
-        let off_seq = predict_step_us(&cal, &seq_off);
-        let off_bal = predict_step_us(&cal, &bal_off);
-        assert!(
-            (off_seq - off_bal).abs() < 1.0,
-            "serial totals are schedule-invariant: {off_seq} vs {off_bal}"
-        );
     }
 
     #[test]
@@ -1004,7 +869,6 @@ mod tests {
         assert_eq!(back.thread_rates, cal.thread_rates);
         assert!((back.overlap_efficiency - cal.overlap_efficiency).abs() < 1e-12);
         assert!((back.cells[0].overlap_efficiency - 1.0).abs() < 1e-12);
-        assert!((back.cells[0].balanced_overlap_efficiency - 1.0).abs() < 1e-12);
         assert!(back.cells[1].payload_bf16);
         assert!((back.cells[0].step_us - cal.cells[0].step_us).abs() < 1e-9);
         assert!(Calibration::from_json("{}").is_err());
@@ -1022,11 +886,7 @@ mod tests {
         let eff = outcome.calibration.overlap_efficiency;
         assert!((0.0..=1.0).contains(&eff), "efficiency {eff} out of range");
         assert_eq!(outcome.calibration.cells.len(), 1);
-        assert_eq!(
-            outcome.evaluated.len(),
-            8,
-            "1 chunk × 2 balanced × 2×2 streams"
-        );
+        assert_eq!(outcome.evaluated.len(), 4, "1 chunk × 2×2 streams");
         assert!(outcome
             .evaluated
             .iter()

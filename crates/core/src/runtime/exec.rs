@@ -8,19 +8,20 @@
 //! * [`LocalAttention`] — single device, chunked online attention.
 //! * [`DistAttention`] — the distributed path: per-chunk Ulysses
 //!   all-to-all (heads scatter / sequence gather), streaming online
-//!   attention over cached KV chunks, host offload, and the Figure-7
-//!   KV-outer/Q-inner backward. With `chunks == 1` this *is* DeepSpeed
-//!   Ulysses; with `chunks > 1` it is FPDT.
+//!   attention over cached KV chunks, host offload, and a backward that
+//!   walks the causal tile triangle in [`tile_slots`] order. With
+//!   `chunks == 1` this *is* DeepSpeed Ulysses; with `chunks > 1` it is
+//!   FPDT.
 
 use super::options::RuntimeOptions;
-use crate::chunk::ChunkPlan;
+use crate::chunk::{tile_slots, ChunkPlan};
 use crate::offload::{BufKind, ChunkKey, FetchHandle, OffloadEngine, PoolStats};
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_attention::{chunked, default_scale};
 use fpdt_comm::{AllToAllLayout, CommEngine, Communicator, Pending};
 use fpdt_tensor::Tensor;
 use fpdt_trace::{Recorder, Span};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Executor result type (tensor and communication errors both occur).
@@ -134,16 +135,6 @@ impl AttentionExec for LocalAttention {
     }
 }
 
-/// Whether the offload copy stream is enabled by default: `FPDT_PREFETCH`
-/// set to `0`/`false`/`off` disables it; anything else (including unset)
-/// enables it. Results are bitwise identical either way — the knob only
-/// moves transfer cost off the critical path.
-pub fn prefetch_default() -> bool {
-    // Shares RuntimeOptions' flag syntax and env entry point — this module
-    // never reads `std::env` itself (`env-outside-options`).
-    super::options::env_flag("FPDT_PREFETCH", true)
-}
-
 /// A posted all-to-all whose payload has not been needed yet. Posted ops
 /// carry the comm layer's typed error so transient faults stay
 /// distinguishable (and replayable) until the handle resolves.
@@ -152,24 +143,24 @@ type PendingQkv = Pending<fpdt_comm::Result<(Tensor, Tensor, Tensor)>>;
 
 /// Distributed chunked attention: Ulysses all-to-all per chunk posted on
 /// an asynchronous communication stream, streaming online attention, host
-/// offload behind an asynchronous double-buffered copy stream, Figure-7
+/// offload behind an asynchronous double-buffered copy stream, tiled
 /// backward.
 ///
-/// The comm schedule mirrors the offload schedule: chunk `i+1`'s
-/// all-to-all is posted (one fused QKV op per chunk) before chunk `i`'s
-/// online-softmax update runs, and output/gradient chunks travel home as
-/// [`Pending`] handles resolved only when the caller concatenates. With
+/// The comm schedule runs ahead of compute like the offload schedule:
+/// every chunk's all-to-all is posted (one fused QKV op per chunk) before
+/// the first online-softmax update runs, and output/gradient chunks
+/// travel home as [`Pending`] handles resolved only when the caller
+/// concatenates. With
 /// `comm_async` off every post executes inline at the same program point,
 /// so the wire order — and therefore every statistic — is identical.
 ///
-/// With `balanced` on (`FPDT_BALANCE`, the default) the causal tile
-/// triangle is re-cut so every pipeline slot carries near-equal work:
-/// the forward posts all fused QKV ops up-front and carries each chunk's
-/// first KV fetch into the previous chunk's slot, and the backward walks
-/// [`balanced_slots`] instead of the row-by-row Figure-7 nest. Every
-/// per-index accumulation order — and every pool/comm operation count —
-/// is preserved, so results and statistics stay bitwise identical to the
-/// sequential schedule.
+/// The causal tile triangle is cut so every pipeline slot carries
+/// near-equal work: the forward posts all fused QKV ops up-front and
+/// carries each chunk's first KV fetch into the previous chunk's slot,
+/// and the backward walks [`tile_slots`] rather than the paper's
+/// column-per-slot Figure-7 nest (same tiles, same per-index
+/// accumulation order, same pool/comm operation counts — see DESIGN.md
+/// "Tile schedule" for why only this cut is kept).
 pub struct DistAttention {
     comm: Arc<Communicator>,
     plan: ChunkPlan,
@@ -400,43 +391,50 @@ impl DistAttention {
         }))
     }
 
-    /// The causal load-balanced backward (`FPDT_BALANCE`): the Figure-7
-    /// tile triangle re-cut into `u` near-equal slots while every
-    /// accumulator keeps its sequential update order.
+    /// The backward tile interpreter: runs the causal tile triangle
+    /// `{(i, j) : j <= i < u}` in the order `slots` gives, one `slot.bwd`
+    /// span per slot. [`AttentionExec::backward`] passes
+    /// [`tile_slots`]; the `tile_order_determinism` suite passes other
+    /// orders.
     ///
-    /// Three moves equalize the slots without touching numerics:
+    /// `slots` must hold every tile once, row `i` in ascending `j` and
+    /// column `j` in ascending `i`. Then `dq_i` accumulates in ascending
+    /// `j` and `dk_j`/`dv_j` in ascending `i` whatever the interleaving,
+    /// so gradients are bitwise identical across orders; every pool/comm
+    /// operation runs exactly once with the same key, so [`PoolStats`]
+    /// transfer counters and the comm counters are identical too.
     ///
-    /// * the per-chunk `dO` gathers and row-dot staging — a fully exposed
-    ///   serial drain in the sequential schedule — fuse into each query
-    ///   chunk's first tile, hidden behind other chunks' tiles;
-    /// * every KV chunk's take-fetch is issued up-front on the copy
-    ///   stream (the keys are distinct, so no chunk is ever fetched
-    ///   twice while in flight);
-    /// * tiles walk the triangle column-major — KV chunk `j`'s column in
-    ///   ascending query order — with [`balanced_slots`] spilling the
-    ///   long early columns into the short late slots.
+    /// Row and column state is staged lazily, keyed on the tile itself:
     ///
-    /// `dq_i` still accumulates its tiles in ascending `j` and
-    /// `dk_j`/`dv_j` theirs in ascending `i` — the same floating-point
-    /// order as the sequential nest, hence bitwise-identical gradients.
-    /// Every pool/comm operation runs exactly once with the same key, so
-    /// [`PoolStats`] and the comm counters are identical too.
-    fn backward_balanced(
+    /// * `(i, 0)` opens query chunk `i` — it resolves the `dO` gather
+    ///   (all posted up-front) and stages the row-dot, hidden behind
+    ///   other chunks' tiles;
+    /// * `(j, j)` opens KV column `j` — it lands the chunk pair, whose
+    ///   take-fetch slot `j - 1` put on the copy stream one slot ahead
+    ///   (an order that opens the column earlier fetches it on demand)
+    ///   — and `(u - 1, j)` closes it.
+    ///
+    /// # Errors
+    ///
+    /// Shape or communication failures, a missing forward for `layer`,
+    /// or a tile that runs before the tile that opens its row or column.
+    pub fn backward_tiles(
         &mut self,
         layer: usize,
         dout: &Tensor,
+        slots: &[Vec<(usize, usize)>],
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
         let u = self.plan.chunks;
         let c_loc = self.plan.chunk_local_len();
         let scale = default_scale(dout.shape()[2]);
 
         // Post every dO gather before any tile computes: most rows open
-        // in slot 0 (the balanced schedule front-loads first-column
-        // tiles) and the comm stream drains behind the whole triangle.
-        // KV take-fetches stay staggered — column `s+1`'s pair goes on
-        // the copy stream at the start of slot `s`, one slot before the
-        // column can open — so the per-tile host-pool grabs never queue
-        // behind the entire triangle's KV bytes on the FIFO stream.
+        // in slot 0 (`tile_slots` front-loads first-column tiles) and the
+        // comm stream drains behind the whole triangle. KV take-fetches
+        // stay staggered — column `s+1`'s pair goes on the copy stream at
+        // the start of slot `s`, one slot before `tile_slots` opens the
+        // column — so the per-tile host-pool grabs never queue behind the
+        // entire triangle's KV bytes on the FIFO stream.
         let mut dout_pending: Vec<Option<PendingTensor>> = Vec::with_capacity(u);
         for i in 0..u {
             let range = self.plan.local_chunk_range(i);
@@ -459,16 +457,17 @@ impl DistAttention {
         let mut dk_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
         let mut dv_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
 
-        for (s, slot) in balanced_slots(u).into_iter().enumerate() {
+        for (s, slot) in slots.iter().enumerate() {
             let _slot = self.span("slot.bwd", 0);
-            if s + 1 < u && cols[s + 1].is_none() && kv_pending[s + 1].is_none() {
-                kv_pending[s + 1] = Some(self.fetch_kv(layer, s + 1, true)?);
+            // Only a cold column is fetched: not in flight, and its
+            // diagonal — the tile that opens it, and ships `dq` — not run.
+            let ahead = s + 1;
+            if ahead < u && kv_pending[ahead].is_none() && dq_handles[ahead].is_none() {
+                kv_pending[ahead] = Some(self.fetch_kv(layer, ahead, true)?);
             }
-            for (i, j) in slot {
+            for &(i, j) in slot {
                 if j == 0 {
-                    // First tile of query chunk i: stage its row inputs —
-                    // the sequential schedule's stage-1 body, verbatim,
-                    // now lazily fused into the tile sweep.
+                    // First tile of query chunk i: stage its row inputs.
                     let pending = dout_pending[i].take().ok_or("chunk i's dO was not posted")?;
                     let doh = Arc::new(pending.wait()?);
                     let oi = self.keep(ChunkKey::new(layer, BufKind::O, i))?;
@@ -485,10 +484,13 @@ impl DistAttention {
                     );
                     self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(zeros));
                 }
-                if cols[j].is_none() {
-                    // First tile of KV column j (its diagonal): land the
-                    // chunk and zero its gradient accumulators.
-                    let (kh, vh) = kv_pending[j].take().ok_or("KV chunk j was not prefetched")?;
+                if i == j {
+                    // First tile of KV column j: land the chunk and zero
+                    // its gradient accumulators.
+                    let (kh, vh) = match kv_pending[j].take() {
+                        Some(pair) => pair,
+                        None => self.fetch_kv(layer, j, true)?,
+                    };
                     let (kj, vj) = (kh.wait(), vh.wait());
                     let dk = Tensor::zeros(kj.shape());
                     let dv = Tensor::zeros(vj.shape());
@@ -500,13 +502,15 @@ impl DistAttention {
                         dv,
                     });
                 }
-                // The tile body is the sequential inner loop's, unchanged:
-                // chunk i's saved state is consumed on its diagonal tile.
+                // The diagonal is row i's last tile: chunk i's saved state
+                // is consumed there, otherwise read-and-kept.
                 let consume = i == j;
                 let qi = self.grab(ChunkKey::new(layer, BufKind::Q, i), consume)?;
                 let doh = self.grab(ChunkKey::new(layer, BufKind::DOut, i), consume)?;
                 let lse = self.grab(ChunkKey::new(layer, BufKind::Lse, i), consume)?;
                 let dsum = self.grab(ChunkKey::new(layer, BufKind::Dsum, i), consume)?;
+                // The O cache was only needed for dsum; freeing it is not a
+                // transfer, so it must not run through the fetch path.
                 if consume {
                     self.discard_one(ChunkKey::new(layer, BufKind::O, i));
                 }
@@ -533,7 +537,7 @@ impl DistAttention {
                 )?;
                 drop(tile);
                 if consume {
-                    // The diagonal is row i's last tile: dq_i is final.
+                    // dq_i is final: ship it home.
                     dq_handles[i] = Some(self.post_inv(Arc::new(dq_i))?);
                 } else {
                     self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(dq_i));
@@ -583,38 +587,6 @@ fn unshare(t: Arc<Tensor>) -> Tensor {
     Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone())
 }
 
-/// Cuts the causal tile triangle `{(i, j) : j <= i < u}` into `u`
-/// near-equal pipeline slots (sizes differ by at most one tile).
-///
-/// Tiles are queued column-major — KV chunk `j`'s column `(j..u, j)`
-/// opens at slot `j`, diagonal first — and each slot `s` takes
-/// `ceil(remaining / (u - s))` tiles from the queue front. Because
-/// columns are appended in order and the queue is FIFO, the flattened
-/// schedule preserves both accumulation orders the kernels rely on: for
-/// fixed `i` tiles run in ascending `j`, for fixed `j` in ascending `i`.
-/// Query chunk `i`'s first tile is always `(i, 0)` and column `j` always
-/// opens with its diagonal `(j, j)` — exactly what the executor's lazy
-/// row/column staging keys on.
-fn balanced_slots(u: usize) -> Vec<Vec<(usize, usize)>> {
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut slots: Vec<Vec<(usize, usize)>> = Vec::with_capacity(u);
-    let mut remaining = u * (u + 1) / 2;
-    for s in 0..u {
-        for i in s..u {
-            queue.push_back((i, s));
-        }
-        let quota = if s + 1 == u {
-            queue.len()
-        } else {
-            remaining.div_ceil(u - s).min(queue.len())
-        };
-        let slot: Vec<(usize, usize)> = queue.drain(..quota).collect();
-        remaining -= slot.len();
-        slots.push(slot);
-    }
-    slots
-}
-
 impl AttentionExec for DistAttention {
     fn forward(
         &mut self,
@@ -627,37 +599,24 @@ impl AttentionExec for DistAttention {
         let u = self.plan.chunks;
         let c_loc = self.plan.chunk_local_len();
         debug_assert_eq!(pos, self.plan.local_positions(self.comm.rank()).as_slice());
-        // Chunk 0's QKV all-to-all goes on the wire before any compute;
-        // inside the loop chunk i+1's is posted before chunk i's updates
-        // run, so the stream hides each transfer behind the previous
-        // chunk's online softmax. The balanced schedule posts every fused
-        // QKV up-front instead: the early slots are short (few KV tiles),
-        // so a one-chunk lookahead cannot hide the wire time there, but
-        // queue depth u can. Either way the FIFO order of fused QKV ops
-        // is ascending in i and the per-chunk online-softmax update order
-        // never changes, so results are bitwise identical. Output chunks
-        // travel home the same way in both modes: the inverse all-to-all
-        // is posted as soon as a chunk finalizes and only resolved at the
-        // final concat.
-        let mut o_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-        let mut qkv_queue: VecDeque<PendingQkv> = VecDeque::with_capacity(u);
-        let posted_ahead = if self.opts.balanced { u } else { 1.min(u) };
-        for i in 0..posted_ahead {
-            let range = self.plan.local_chunk_range(i);
-            qkv_queue.push_back(self.post_qkv(q, k, v, range.start, c_loc)?);
-        }
-        // Cross-chunk KV carry (balanced only): chunk i+1's first KV fetch
-        // is issued while chunk i is still computing, so no slot opens on
-        // an exposed transfer. Same fetch keys and counts as the
-        // sequential schedule — the copies just start one slot earlier.
-        let mut carry: Option<(FetchHandle, FetchHandle)> = None;
+        // Every fused QKV all-to-all is posted up-front: the early slots
+        // are short (few KV tiles), so a one-chunk lookahead cannot hide
+        // the wire time there, but queue depth u can. The FIFO order of
+        // fused QKV ops is ascending in i. Output chunks travel home the
+        // same way: the inverse all-to-all is posted as soon as a chunk
+        // finalizes and only resolved at the final concat.
+        let mut qkv_posted: Vec<PendingQkv> = Vec::with_capacity(u);
         for i in 0..u {
+            let range = self.plan.local_chunk_range(i);
+            qkv_posted.push(self.post_qkv(q, k, v, range.start, c_loc)?);
+        }
+        let mut o_handles: Vec<PendingTensor> = Vec::with_capacity(u);
+        // Cross-chunk KV carry: chunk i+1's first KV fetch is issued while
+        // chunk i is still computing, so no slot opens on an exposed
+        // transfer.
+        let mut carry: Option<(FetchHandle, FetchHandle)> = None;
+        for (i, cur) in qkv_posted.into_iter().enumerate() {
             let _slot = self.span("slot.fwd", 0);
-            let cur = qkv_queue.pop_front().ok_or("chunk i's QKV was not posted")?;
-            if !self.opts.balanced && i + 1 < u {
-                let range = self.plan.local_chunk_range(i + 1);
-                qkv_queue.push_back(self.post_qkv(q, k, v, range.start, c_loc)?);
-            }
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
             let (qh, kh, vh) = cur.wait()?;
@@ -669,14 +628,7 @@ impl AttentionExec for DistAttention {
             // double-buffered: chunk j+1's transfer is issued before chunk
             // j's update runs, so the copy stream hides it behind compute
             // (paper Figure 13).
-            let mut next = if i > 0 {
-                match carry.take() {
-                    Some(h) => Some(h),
-                    None => Some(self.fetch_kv(layer, 0, false)?),
-                }
-            } else {
-                None
-            };
+            let mut next = carry.take();
             for j in 0..i {
                 let cur = next.take().ok_or("KV chunk j was not prefetched")?;
                 next = if j + 1 < i {
@@ -685,11 +637,11 @@ impl AttentionExec for DistAttention {
                     None
                 };
                 let (kj, vj) = (cur.0.wait(), cur.1.wait());
-                // Balanced carry for chunk i+1, issued on the last inner
-                // tile only after `cur` resolved: when i == 1 this tile's
+                // The carry for chunk i+1, issued on the last inner tile
+                // only after `cur` resolved: when i == 1 this tile's
                 // handles ARE chunk 0's K/V keys, and the pool treats a
                 // second in-flight fetch of a key as a schedule bug.
-                if self.opts.balanced && j + 1 == i && i + 1 < u {
+                if j + 1 == i && i + 1 < u {
                     carry = Some(self.fetch_kv(layer, 0, false)?);
                 }
                 let _u = self.span("kernel.attn.update", kj.data().len());
@@ -719,7 +671,7 @@ impl AttentionExec for DistAttention {
             // Chunk 0 has no inner tiles to hang the carry on; its K/V
             // puts just above make chunk 0's cache fetchable, so the carry
             // for chunk 1 is issued here.
-            if self.opts.balanced && i == 0 && u > 1 {
+            if i == 0 && u > 1 {
                 carry = Some(self.fetch_kv(layer, 0, false)?);
             }
             // Gather heads back: the output chunk returns to local layout.
@@ -734,121 +686,7 @@ impl AttentionExec for DistAttention {
     }
 
     fn backward(&mut self, layer: usize, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        if self.opts.balanced {
-            return self.backward_balanced(layer, dout);
-        }
-        let u = self.plan.chunks;
-        let c_loc = self.plan.chunk_local_len();
-        let scale = default_scale(dout.shape()[2]);
-
-        // Stage: gather dO per chunk, compute the D row-dots, zero the dq
-        // accumulators. Chunk i+1's gather is posted before chunk i's
-        // row-dot runs — the same double-buffer shape as the forward.
-        let mut next_dout = Some(self.post_fwd(dout.narrow(0, self.plan.local_chunk_range(0).start, c_loc)?)?);
-        for i in 0..u {
-            let cur = next_dout.take().ok_or("chunk i's dO was not posted")?;
-            if i + 1 < u {
-                let range = self.plan.local_chunk_range(i + 1);
-                next_dout = Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?);
-            }
-            let doh = Arc::new(cur.wait()?);
-            let oi = self.keep(ChunkKey::new(layer, BufKind::O, i))?;
-            let dsum = {
-                let _s = self.span("kernel.attn.rowwise_dot", oi.data().len());
-                rowwise_dot(&oi, &doh)?
-            };
-            let n = dsum.len();
-            let zeros = Tensor::zeros(doh.shape());
-            self.put(ChunkKey::new(layer, BufKind::DOut, i), doh);
-            self.put(
-                ChunkKey::new(layer, BufKind::Dsum, i),
-                Arc::new(Tensor::from_vec(dsum, &[n])?),
-            );
-            self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(zeros));
-        }
-
-        // Gradient chunks leave on the stream the moment they are final
-        // and are only resolved for the concatenation at the very end, so
-        // every inverse all-to-all overlaps the remaining tile sweeps.
-        let mut dq_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-        let mut dk_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-        let mut dv_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-
-        // Figure 7: outer loop on KV chunks, inner on query chunks. Each
-        // KV chunk is fetched exactly once per outer iteration, and chunk
-        // j+1's transfer is issued before chunk j's inner sweep so the
-        // whole sweep hides it.
-        let mut next_kv = Some(self.fetch_kv(layer, 0, true)?);
-        for j in 0..u {
-            let _slot = self.span("slot.bwd", 0);
-            let cur = next_kv.take().ok_or("KV chunk j was not prefetched")?;
-            next_kv = if j + 1 < u {
-                Some(self.fetch_kv(layer, j + 1, true)?)
-            } else {
-                None
-            };
-            let (kj, vj) = (cur.0.wait(), cur.1.wait());
-            let gpos_j = self.plan.gathered_positions(j);
-            let mut dk_j = Tensor::zeros(kj.shape());
-            let mut dv_j = Tensor::zeros(vj.shape());
-            for i in j..u {
-                // Last use of chunk i's saved state is the diagonal tile
-                // (i == j): consume it then, otherwise read-and-keep.
-                let consume = i == j;
-                let qi = self.grab(ChunkKey::new(layer, BufKind::Q, i), consume)?;
-                let doh = self.grab(ChunkKey::new(layer, BufKind::DOut, i), consume)?;
-                let lse = self.grab(ChunkKey::new(layer, BufKind::Lse, i), consume)?;
-                let dsum = self.grab(ChunkKey::new(layer, BufKind::Dsum, i), consume)?;
-                // The O cache was only needed for dsum; freeing it is not a
-                // transfer, so it must not run through the fetch path.
-                if consume {
-                    self.discard_one(ChunkKey::new(layer, BufKind::O, i));
-                }
-                let mut dq_i = unshare(self.take(ChunkKey::new(layer, BufKind::DQ, i))?);
-                {
-                    // Scoped so the compute span closes before the DQ
-                    // re-put below — transfers must not nest inside
-                    // compute spans or the overlap metric counts a
-                    // serial runtime as overlapped.
-                    let _tile = self.span("attn.bwd.tile", qi.data().len());
-                    attention_block_bwd(
-                        &qi,
-                        &kj,
-                        &vj,
-                        &doh,
-                        lse.data(),
-                        dsum.data(),
-                        &self.plan.gathered_positions(i),
-                        &gpos_j,
-                        scale,
-                        &mut dq_i,
-                        &mut dk_j,
-                        &mut dv_j,
-                    )?;
-                }
-                if consume {
-                    // dq_j is final after its first inner iteration: ship it
-                    // home with the same all-to-all as dk_j/dv_j below.
-                    dq_handles.push(self.post_inv(Arc::new(dq_i))?);
-                } else {
-                    self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(dq_i));
-                }
-            }
-            // dK_j/dV_j are final once the inner sweep ends (no later outer
-            // iteration touches chunk j): all-to-all back to local layout.
-            dk_handles.push(self.post_inv(Arc::new(dk_j))?);
-            dv_handles.push(self.post_inv(Arc::new(dv_j))?);
-        }
-
-        let cat = |handles: Vec<PendingTensor>| -> ExecResult<Tensor> {
-            let parts = handles
-                .into_iter()
-                .map(Pending::wait)
-                .collect::<fpdt_comm::Result<Vec<Tensor>>>()?;
-            let refs: Vec<&Tensor> = parts.iter().collect();
-            Ok(Tensor::concat(&refs, 0)?)
-        };
-        Ok((cat(dq_handles)?, cat(dk_handles)?, cat(dv_handles)?))
+        self.backward_tiles(layer, dout, &tile_slots(self.plan.chunks))
     }
 
     fn discard(&mut self, layer: usize) {
@@ -1141,7 +979,7 @@ mod tests {
 
     #[test]
     fn backward_frees_all_cached_chunks() {
-        // After backward, the host pool must be empty — the Figure-7 nest
+        // After backward, the host pool must be empty — the tile walk
         // consumes every cached chunk exactly once.
         let (s, h, d) = (16, 2, 4);
         let (q, k, v) = rand_qkv(9, s, h, d);
@@ -1164,44 +1002,52 @@ mod tests {
     }
 
     #[test]
-    fn backward_fetches_each_kv_chunk_exactly_once_per_outer_iteration() {
-        // Transfer-count audit of the Figure-7 schedule for u chunks:
+    fn schedule_audit_transfer_and_post_counts() {
+        // Transfer- and post-count audit of the schedule for u chunks:
         //   forward : each chunk i keep-fetches K and V for j < i
-        //             -> 2 * u(u-1)/2 = u(u-1) fetches
-        //   backward: u O keeps (staging) + 2u KV takes (each KV chunk
-        //             exactly ONCE per outer iteration — the property under
-        //             test) + 5 per tile (Q, DOut, Lse, Dsum, DQ) over
-        //             u(u+1)/2 tiles.
+        //             -> 2 * u(u-1)/2 = u(u-1) fetches; one fused QKV +
+        //             one O post per chunk -> 2u posts
+        //   backward: u O keeps (row staging) + 2u KV takes (each KV chunk
+        //             exactly ONCE per column) + 5 per tile (Q, DOut, Lse,
+        //             Dsum, DQ) over u(u+1)/2 tiles; u dO + u dq + u dk +
+        //             u dv posts -> 6u cumulative.
         // The dead-O drop on the diagonal is a discard, NOT a fetch — if it
-        // leaked into the fetch path the backward count would gain +u.
-        let u = 4usize;
-        let (s, h, d) = (16, 2, 4);
-        let (q, k, v) = rand_qkv(11, s, h, d);
-        let dout = Tensor::ones(&[s / 2, h, d]);
-        let counts = run_group(2, |comm| {
-            let plan = ChunkPlan::new(s, 2, u).unwrap();
-            let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| {
-                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0).unwrap()
-            };
-            let mut ex = DistAttention::new(Arc::new(comm), plan, true);
-            ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                .unwrap();
-            let after_fwd = ex.host_stats();
-            ex.backward(0, &dout).unwrap();
-            (after_fwd, ex.host_stats())
-        });
-        let tiles = u * (u + 1) / 2;
-        for (after_fwd, after_bwd) in counts {
-            assert_eq!(after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches");
-            assert_eq!(
-                after_bwd.fetches - after_fwd.fetches,
-                (u + 2 * u + 5 * tiles) as u64,
-                "backward fetches (KV exactly once per outer iteration)"
-            );
-            assert!(after_bwd.bytes_fetched > 0 && after_bwd.bytes_offloaded > 0);
+        // leaked into the fetch path the backward count would gain +u. Any
+        // drift in the posts means the double buffering degenerated (0
+        // extra posts) or an op stopped being fused (3u instead of u).
+        for u in [1usize, 2, 4, 5] {
+            let (s, h, d) = (4 * u, 2, 4);
+            let (q, k, v) = rand_qkv(11, s, h, d);
+            let dout = Tensor::ones(&[s / 2, h, d]);
+            let counts = run_group(2, |comm| {
+                let plan = ChunkPlan::new(s, 2, u).unwrap();
+                let pos = plan.local_positions(comm.rank());
+                let shard = |t: &Tensor| {
+                    let parts: Vec<Tensor> =
+                        pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
+                    let refs: Vec<&Tensor> = parts.iter().collect();
+                    Tensor::concat(&refs, 0).unwrap()
+                };
+                let mut ex = DistAttention::new(Arc::new(comm), plan, true);
+                ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+                    .unwrap();
+                let fwd = (ex.host_stats(), ex.comm_posted());
+                ex.backward(0, &dout).unwrap();
+                (fwd, ex.host_stats(), ex.comm_posted(), ex.host.is_empty())
+            });
+            let tiles = u * (u + 1) / 2;
+            for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
+                assert_eq!(after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches, u={u}");
+                assert_eq!(posted_fwd, (2 * u) as u64, "QKV + O post per chunk, u={u}");
+                assert_eq!(
+                    after_bwd.fetches - after_fwd.fetches,
+                    (3 * u + 5 * tiles) as u64,
+                    "backward fetches (KV exactly once per column), u={u}"
+                );
+                assert_eq!(posted_bwd, (6 * u) as u64, "dO + dq + dk + dv posts, u={u}");
+                assert!(after_bwd.bytes_fetched > 0 && after_bwd.bytes_offloaded > 0);
+                assert!(empty, "every cached chunk consumed, u={u}");
+            }
         }
     }
 
@@ -1259,129 +1105,6 @@ mod tests {
             assert_eq!(af.recvs, ab.recvs);
             assert_eq!(ab.bytes_sent * 2, af.bytes_sent, "bytes_a2a halve exactly");
             assert_eq!(ab.bytes_recv * 2, af.bytes_recv);
-        }
-    }
-
-    #[test]
-    fn balanced_slots_cover_the_triangle_in_accumulation_order() {
-        for u in 1..=8usize {
-            let slots = balanced_slots(u);
-            assert_eq!(slots.len(), u, "one slot per chunk (u={u})");
-            let sizes: Vec<usize> = slots.iter().map(Vec::len).collect();
-            let min = sizes.iter().copied().min().unwrap();
-            let max = sizes.iter().copied().max().unwrap();
-            assert!(
-                min >= 1 && max - min <= 1,
-                "near-equal slot sizes (u={u}): {sizes:?}"
-            );
-            let flat: Vec<(usize, usize)> = slots.into_iter().flatten().collect();
-            assert_eq!(flat.len(), u * (u + 1) / 2, "every tile scheduled (u={u})");
-            let mut seen = std::collections::HashSet::new();
-            // Row i must sweep KV ascending from 0; column j must sweep
-            // queries ascending from its diagonal j.
-            let mut next_j = vec![0usize; u];
-            let mut next_i: Vec<usize> = (0..u).collect();
-            for (i, j) in flat {
-                assert!(j <= i && i < u, "causal tile ({i},{j})");
-                assert!(seen.insert((i, j)), "tile ({i},{j}) duplicated");
-                assert_eq!(j, next_j[i], "row {i} sweeps KV in ascending order");
-                assert_eq!(i, next_i[j], "column {j} sweeps queries in ascending order");
-                next_j[i] += 1;
-                next_i[j] += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_and_sequential_schedules_are_bitwise_identical() {
-        // FPDT_BALANCE re-cuts the tile triangle but never reorders any
-        // accumulator's updates or adds/removes a transfer: outputs,
-        // gradients, and pool statistics must match bit for bit.
-        let (s, h, d) = (16, 2, 4);
-        let (q, k, v) = rand_qkv(31, s, h, d);
-        let mut rng = init::seeded_rng(32);
-        let dout = init::randn(&mut rng, &[s / 2, h, d], 1.0);
-        let run = |balanced: bool| {
-            run_group(2, |comm| {
-                let plan = ChunkPlan::new(s, 2, 4).unwrap();
-                let pos = plan.local_positions(comm.rank());
-                let shard = |t: &Tensor| {
-                    let parts: Vec<Tensor> =
-                        pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                    let refs: Vec<&Tensor> = parts.iter().collect();
-                    Tensor::concat(&refs, 0).unwrap()
-                };
-                let opts = RuntimeOptions::from_env()
-                    .with_offload(true)
-                    .with_balanced(balanced);
-                let mut ex = DistAttention::with_opts(Arc::new(comm), plan, opts);
-                let o = ex
-                    .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                    .unwrap();
-                let (dq, dk, dv) = ex.backward(0, &dout).unwrap();
-                (o, dq, dk, dv, ex.host_stats())
-            })
-        };
-        let bal = run(true);
-        let seq = run(false);
-        for ((o1, dq1, dk1, dv1, st1), (o2, dq2, dk2, dv2, st2)) in bal.into_iter().zip(seq) {
-            assert_eq!(o1.data(), o2.data(), "outputs bitwise");
-            assert_eq!(dq1.data(), dq2.data(), "dq bitwise");
-            assert_eq!(dk1.data(), dk2.data(), "dk bitwise");
-            assert_eq!(dv1.data(), dv2.data(), "dv bitwise");
-            // Transfer counts and bytes are identical; peak residency is
-            // the one legitimately schedule-dependent statistic, and lazy
-            // row staging means the balanced peak never exceeds the
-            // sequential stage-1 drain's.
-            assert_eq!(st1.offloads, st2.offloads, "offload count");
-            assert_eq!(st1.fetches, st2.fetches, "fetch count");
-            assert_eq!(st1.bytes, st2.bytes, "resident bytes after drain");
-            assert_eq!(st1.bytes_offloaded, st2.bytes_offloaded, "offload bytes");
-            assert_eq!(st1.bytes_fetched, st2.bytes_fetched, "fetch bytes");
-            assert!(st1.peak_bytes <= st2.peak_bytes, "balanced peak residency");
-        }
-    }
-
-    #[test]
-    fn balanced_schedule_keeps_transfer_and_post_counts() {
-        // The balanced schedule reorders work, never adds any: the exact
-        // fetch formulas audited for the sequential Figure-7 nest must
-        // hold, and the comm stream still sees one fused QKV + one output
-        // post per chunk forward (2u) and u dO + 3u gradient posts in the
-        // backward (6u cumulative).
-        let u = 4usize;
-        let (s, h, d) = (16, 2, 4);
-        let (q, k, v) = rand_qkv(33, s, h, d);
-        let dout = Tensor::ones(&[s / 2, h, d]);
-        let counts = run_group(2, |comm| {
-            let plan = ChunkPlan::new(s, 2, u).unwrap();
-            let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| {
-                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0).unwrap()
-            };
-            let opts = RuntimeOptions::from_env()
-                .with_offload(true)
-                .with_balanced(true);
-            let mut ex = DistAttention::with_opts(Arc::new(comm), plan, opts);
-            ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                .unwrap();
-            let fwd = (ex.host_stats(), ex.comm_posted());
-            ex.backward(0, &dout).unwrap();
-            (fwd, ex.host_stats(), ex.comm_posted(), ex.host.is_empty())
-        });
-        let tiles = u * (u + 1) / 2;
-        for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
-            assert_eq!(after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches");
-            assert_eq!(posted_fwd, (2 * u) as u64, "one fused QKV + one O post per chunk");
-            assert_eq!(
-                after_bwd.fetches - after_fwd.fetches,
-                (u + 2 * u + 5 * tiles) as u64,
-                "backward fetches (KV exactly once per column)"
-            );
-            assert_eq!(posted_bwd, (6 * u) as u64, "u dO + u dq + u dk + u dv posts");
-            assert!(empty, "every cached chunk consumed");
         }
     }
 

@@ -24,7 +24,6 @@
 //! |----------------------|----------------------------------------------|---------|
 //! | `FPDT_PREFETCH`      | offload copy stream (`0`/`false`/`off` = no) | on      |
 //! | `FPDT_COMM_ASYNC`    | all-to-all comm stream (same syntax)         | on      |
-//! | `FPDT_BALANCE`       | causal load-balanced tile schedule (same)    | on      |
 //! | `FPDT_BF16`          | bf16 offload/all-to-all payloads (same)      | off     |
 //! | `FPDT_THREADS`       | kernel pool thread budget                    | num CPUs|
 //! | `FPDT_PAR_THRESHOLD` | min elements before kernels split            | 4096    |
@@ -40,7 +39,7 @@
 /// exactly the same spellings. This module stays the one place *runtime*
 /// knobs are interpreted; `fpdt-lint`'s `env-outside-options` rule pins
 /// raw reads to the documented entry points.
-pub(crate) fn env_flag(name: &str, default: bool) -> bool {
+fn env_flag(name: &str, default: bool) -> bool {
     fpdt_tensor::env::flag(name, default)
 }
 
@@ -89,13 +88,6 @@ pub struct RuntimeOptions {
     /// stream, so chunk `i+1`'s wire time hides behind chunk `i`'s
     /// compute. `FPDT_COMM_ASYNC`.
     pub comm_async: bool,
-    /// Causal load-balanced tile schedule (`FPDT_BALANCE`): the executor
-    /// decomposes each chunk's attention into `(q_chunk, kv_chunk)` tiles
-    /// and equalizes per-slot work — eager fused-QKV posts, cross-chunk
-    /// KV prefetch, and a quota-spilled Figure-7 backward. Every
-    /// accumulation order is preserved, so results, `PoolStats`, and
-    /// `CommStats` are bitwise identical to the sequential schedule.
-    pub balanced: bool,
     /// Move HostPool-offloaded KV chunks and all-to-all payloads as bf16
     /// (half the wire bytes; compute stays f32). `FPDT_BF16`. The one
     /// knob that affects numerics — see the module docs.
@@ -130,7 +122,6 @@ impl RuntimeOptions {
             offload: false,
             prefetch: env_flag("FPDT_PREFETCH", true),
             comm_async: env_flag("FPDT_COMM_ASYNC", true),
-            balanced: env_flag("FPDT_BALANCE", true),
             payload_bf16: env_flag("FPDT_BF16", false),
             threads: env_usize("FPDT_THREADS"),
             par_threshold: env_usize("FPDT_PAR_THRESHOLD"),
@@ -157,13 +148,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn with_comm_async(mut self, comm_async: bool) -> Self {
         self.comm_async = comm_async;
-        self
-    }
-
-    /// Sets the causal load-balanced tile schedule on or off.
-    #[must_use]
-    pub fn with_balanced(mut self, balanced: bool) -> Self {
-        self.balanced = balanced;
         self
     }
 
@@ -246,14 +230,12 @@ mod tests {
             .with_offload(true)
             .with_prefetch(false)
             .with_comm_async(false)
-            .with_balanced(false)
             .with_payload_bf16(true)
             .with_threads(3)
             .with_par_threshold(1)
             .with_comm_retries(2)
             .with_fault_inject(1);
         assert!(opts.offload && !opts.prefetch && !opts.comm_async);
-        assert!(!opts.balanced);
         assert!(opts.payload_bf16);
         assert_eq!(opts.threads, Some(3));
         assert_eq!(opts.par_threshold, Some(1));

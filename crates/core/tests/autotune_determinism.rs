@@ -184,17 +184,7 @@ fn tuned_training_loop_reproduces_the_default_loss_trajectory_bitwise() {
     let b: Vec<u32> = tuned_report.losses.iter().map(|x| x.to_bits()).collect();
     assert_eq!(a, b, "loss trajectories differ between default and tuned");
     assert_eq!(default_report.comm, tuned_report.comm, "comm stats differ");
-    // Transfer counts and bytes must match exactly; peak residency is the
-    // one legitimately schedule-dependent pool statistic — the tuner may
-    // flip FPDT_BALANCE relative to the ambient default, and the balanced
-    // tile schedule stages gradients lazily, lowering the high-water mark
-    // without adding or removing a single transfer.
-    let (d, t) = (default_report.host, tuned_report.host);
-    assert_eq!(
-        (d.offloads, d.fetches, d.bytes, d.bytes_offloaded, d.bytes_fetched),
-        (t.offloads, t.fetches, t.bytes, t.bytes_offloaded, t.bytes_fetched),
-        "host transfer stats differ"
-    );
+    assert_eq!(default_report.host, tuned_report.host, "host-pool stats differ");
 }
 
 #[test]

@@ -6,19 +6,18 @@
 //! receives or how the traffic is counted. This suite proves it end to
 //! end: a 2-layer / 4-chunk distributed model produces bitwise identical
 //! losses, gradients, AND [`fpdt_comm::CommStats`] snapshots with the
-//! stream on, off, and on under different kernel-pool thread budgets —
-//! and the executor posts exactly one fused QKV op per chunk.
+//! stream on, off, and on under different kernel-pool thread budgets.
+//! (The per-chunk post counts are audited in
+//! `exec.rs::schedule_audit_transfer_and_post_counts`.)
 
 use fpdt_comm::{run_group, CommStats};
 use fpdt_core::chunk::ChunkPlan;
 use fpdt_core::runtime::data::Corpus;
-use fpdt_core::runtime::exec::{AttentionExec, DistAttention};
+use fpdt_core::runtime::exec::DistAttention;
 use fpdt_core::runtime::gpt::GptModel;
 use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
 use fpdt_model::config::ModelConfig;
-use fpdt_tensor::init;
 use fpdt_tensor::par;
-use fpdt_tensor::Tensor;
 use rayon::pool;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -171,54 +170,4 @@ fn training_reports_identical_losses_and_comm_traffic_either_way() {
         on.comm.op("all_to_all").expect("a2a traffic").bytes_sent > 0,
         "comm counters must actually move"
     );
-}
-
-#[test]
-fn executor_posts_exactly_one_fused_qkv_op_per_chunk() {
-    // Schedule audit, under BOTH tile schedules: the forward posts u
-    // fused QKV ops + u inverse O ops; the backward adds u dO gathers +
-    // u dq + u dk + u dv inverse ops. The balanced schedule may move
-    // posts across slots (all fused QKV ops go on the wire up-front),
-    // but the per-chunk count and the FIFO's ascending-chunk alignment
-    // must hold: any drift here means the double buffering degenerated
-    // (0 extra posts) or an op stopped being fused (3u instead of u).
-    let u = 4usize;
-    let (s, h, d) = (16usize, 2usize, 4usize);
-    let mut rng = init::seeded_rng(21);
-    let q = init::randn(&mut rng, &[s, h, d], 1.0);
-    let k = init::randn(&mut rng, &[s, h, d], 1.0);
-    let v = init::randn(&mut rng, &[s, h, d], 1.0);
-    let dout = init::randn(&mut rng, &[s / 2, h, d], 1.0);
-    for balanced in [false, true] {
-        let counts = run_group(2, |comm| {
-            let plan = ChunkPlan::new(s, 2, u).unwrap();
-            let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| {
-                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0).unwrap()
-            };
-            let opts = RuntimeOptions::from_env()
-                .with_offload(true)
-                .with_balanced(balanced);
-            let mut ex = DistAttention::with_opts(Arc::new(comm), plan, opts);
-            ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                .unwrap();
-            let after_fwd = ex.comm_posted();
-            ex.backward(0, &dout).unwrap();
-            (after_fwd, ex.comm_posted())
-        });
-        for (after_fwd, after_bwd) in counts {
-            assert_eq!(
-                after_fwd,
-                2 * u as u64,
-                "forward posts (QKV + O per chunk), balanced={balanced}"
-            );
-            assert_eq!(
-                after_bwd,
-                6 * u as u64,
-                "backward adds dO + dq + dk + dv per chunk, balanced={balanced}"
-            );
-        }
-    }
 }

@@ -8,14 +8,19 @@
 //!
 //! Any change to task emission order, dependency structure, stream
 //! routing, the cost model, or the processor-sharing engine shows up as a
-//! digest mismatch. To bless an intentional change:
+//! digest mismatch. The *runtime's* backward tile order —
+//! `fpdt_core::chunk::tile_slots(u)`, which the executor walks and the
+//! autotune planner prices — is pinned verbatim next to it in
+//! `tests/golden/tile_slots.txt`, one line per `u`. To bless an
+//! intentional change:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test -p fpdt-core --test golden_schedule
 //! ```
 //!
-//! and commit the rewritten golden file with a note on what moved.
+//! and commit the rewritten golden files with a note on what moved.
 
+use fpdt_core::chunk::tile_slots;
 use fpdt_core::pipeline::{simulate_block, NestOrder, PipelineOpts, PipelineReport};
 use fpdt_model::config::ModelConfig;
 use fpdt_sim::hw::ClusterSpec;
@@ -87,8 +92,32 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/schedules.txt")
+/// Compares `body` against `tests/golden/<file>` line by line, or
+/// rewrites the file when `GOLDEN_REGEN` is set.
+fn check_golden(file: &str, body: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, body).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with GOLDEN_REGEN=1 to create it",
+            path.display()
+        )
+    });
+    if body != want {
+        for (got, exp) in body.lines().zip(want.lines()) {
+            if got != exp {
+                eprintln!("golden mismatch:\n  expected {exp}\n  actual   {got}");
+            }
+        }
+        panic!("diverged from tests/golden/{file}; if intentional, regenerate with GOLDEN_REGEN=1");
+    }
 }
 
 #[test]
@@ -102,27 +131,24 @@ fn schedules_match_golden_digests() {
             rep.sim.makespan
         ));
     }
-    let body = lines.join("\n") + "\n";
-    let path = golden_path();
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &body).unwrap();
-        eprintln!("regenerated {}", path.display());
-        return;
+    check_golden("schedules.txt", &(lines.join("\n") + "\n"));
+}
+
+#[test]
+fn runtime_tile_order_matches_golden() {
+    // One line per chunk count: `u: slot | slot | ...`, tiles as `i,j`.
+    let mut body = String::new();
+    for u in 1..=16usize {
+        let slots: Vec<String> = tile_slots(u)
+            .iter()
+            .map(|slot| {
+                let tiles: Vec<String> = slot.iter().map(|(i, j)| format!("{i},{j}")).collect();
+                tiles.join(" ")
+            })
+            .collect();
+        writeln!(body, "{u}: {}", slots.join(" | ")).unwrap();
     }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden file {} ({e}); run with GOLDEN_REGEN=1 to create it", path.display()));
-    if body != want {
-        for (got, exp) in body.lines().zip(want.lines()) {
-            if got != exp {
-                eprintln!("golden mismatch:\n  expected {exp}\n  actual   {got}");
-            }
-        }
-        panic!(
-            "simulated schedules diverged from tests/golden/schedules.txt; \
-             if intentional, regenerate with GOLDEN_REGEN=1"
-        );
-    }
+    check_golden("tile_slots.txt", &body);
 }
 
 #[test]

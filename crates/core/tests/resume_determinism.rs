@@ -7,7 +7,7 @@
 //!   round trip through disk shards — continues **bitwise identically**:
 //!   same loss bits, same gradient bits, same communication and host-pool
 //!   counters as the uninterrupted run, across kernel-thread budgets and
-//!   the bf16/balanced runtime knobs;
+//!   the bf16 payload knob;
 //! * resizing the thread-device world re-shards flat state exactly;
 //! * injected transient collective faults are replayed invisibly inside
 //!   the retry budget, and roll the session back to the last step
@@ -137,22 +137,13 @@ fn resume_is_bitwise_identical_across_thread_budgets() {
 }
 
 #[test]
-fn resume_is_bitwise_identical_under_bf16_and_balance_knobs() {
+fn resume_is_bitwise_identical_under_the_bf16_knob() {
     let _cfg = ForcedParallel::new(4);
     for payload_bf16 in [false, true] {
-        for balanced in [false, true] {
-            let rt = RuntimeOptions::from_env()
-                .with_payload_bf16(payload_bf16)
-                .with_balanced(balanced);
-            let cfg = base_cfg(rt);
-            let whole = uninterrupted(&cfg);
-            let split = resumed(&cfg, 2, &format!("bf{payload_bf16}-bal{balanced}"));
-            assert_reports_bitwise_equal(
-                &whole,
-                &split,
-                &format!("bf16={payload_bf16} balanced={balanced}"),
-            );
-        }
+        let cfg = base_cfg(RuntimeOptions::from_env().with_payload_bf16(payload_bf16));
+        let whole = uninterrupted(&cfg);
+        let split = resumed(&cfg, 2, &format!("bf{payload_bf16}"));
+        assert_reports_bitwise_equal(&whole, &split, &format!("bf16={payload_bf16}"));
     }
 }
 
