@@ -116,9 +116,6 @@ fn main() {
     let (seq, steps) = if quick { (256, 2) } else { (256, 3) };
     let model = ModelConfig::tiny(2, 64, 4, 50);
 
-    // Streams need helper-thread headroom to go asynchronous; same
-    // budget as the runtime bench so numbers are comparable.
-    let prev_threads = pool::set_threads(pool::current_threads().max(4));
     let threads = pool::current_threads();
 
     let mut workload = Workload {
@@ -197,7 +194,6 @@ fn main() {
         .zip(&samples)
         .map(|(c, s)| (*c, s.iter().copied().fold(f64::INFINITY, f64::min)))
         .collect();
-    pool::set_threads(prev_threads);
     let measured_us = |config: &CandidateConfig| -> f64 {
         measured
             .iter()

@@ -1,131 +1,34 @@
 //! Asynchronous communication stream: one simulated NIC link per rank.
 //!
-//! A [`CommEngine`] owns a dedicated worker thread that executes posted
-//! collectives strictly in FIFO order — the model of a single NIC queue,
-//! symmetric to the offload runtime's single-PCIe-link copy stream. The
-//! executor posts chunk `i+1`'s QKV all-to-all before chunk `i`'s
-//! online-softmax update runs and resolves the returned [`Pending`]
-//! handle at the point the gathered tensor is first needed, so the wire
-//! time hides behind compute (the second half of paper Figure 13's
-//! overlap story; Ulysses comm is the dominant non-compute cost the
-//! paper's §2.2 analysis identifies).
+//! A [`CommEngine`] posts collectives on a [`Stream`] whose dedicated
+//! worker (`fpdt-comm-r{rank}`) executes them strictly in FIFO order —
+//! the model of a single NIC queue, symmetric to the offload runtime's
+//! copy streams. The executor posts chunk `i+1`'s QKV all-to-all before
+//! chunk `i`'s online-softmax update runs and resolves the returned
+//! [`Pending`] handle at the point the gathered tensor is first needed,
+//! so the wire time hides behind compute (the second half of paper
+//! Figure 13's overlap story; Ulysses comm is the dominant non-compute
+//! cost the paper's §2.2 analysis identifies).
 //!
-//! Design invariants:
+//! Design invariants, on top of the stream's own (FIFO, dedicated
+//! worker, panic safety — see [`Stream`]):
 //!
-//! * **FIFO = program order.** Jobs run on one worker in post order, which
-//!   equals the rank thread's program order, which is SPMD-identical on
-//!   every rank. Collectives therefore hit the wire in exactly the order
-//!   the synchronous runtime would issue them: tag matching, byte
-//!   accounting, and [`CommStats`](crate::CommStats) snapshots are
-//!   identical with the stream on or off.
+//! * **FIFO = program order.** Post order equals the rank thread's
+//!   program order, which is SPMD-identical on every rank. Collectives
+//!   therefore hit the wire in exactly the order the synchronous runtime
+//!   would issue them: tag matching, byte accounting, and
+//!   [`CommStats`](crate::CommStats) snapshots are identical with the
+//!   stream on or off.
 //! * **One thread on the wire.** While handles are outstanding, only the
 //!   worker touches the communicator's channels; the executor resolves
 //!   every handle before issuing its own rank-thread collectives. Two
 //!   threads draining one tagged channel would interleave payloads.
-//! * **Dedicated worker, not the kernel pool.** A posted collective
-//!   *blocks* on peer ranks. Parked on a shared kernel-pool worker it
-//!   could starve the very rank it is waiting for (all pool slots held by
-//!   blocked receives = deadlock); on a per-rank worker every rank's
-//!   op `k` progresses together.
-//! * **Panic safety.** A panicking job is caught on the worker, carried
-//!   through the handle, and re-raised at [`Pending::wait`]; the worker
-//!   survives to drain the remaining queue, so no rank hangs on a
-//!   half-dead stream.
 
 use crate::group::Communicator;
+use crate::stream::{Pending, Stream};
 use fpdt_trace::Recorder;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
-
-type Job = Box<dyn FnOnce(&Communicator) + Send>;
-
-#[derive(Debug)]
-struct Slot<T> {
-    value: Mutex<Option<std::thread::Result<T>>>,
-    cv: Condvar,
-}
-
-/// Handle to a posted collective; resolves when the payload is needed.
-///
-/// Dropping a handle without waiting discards the result (the op still
-/// runs — FIFO ordering on the stream is unaffected). If the job
-/// panicked, [`Pending::wait`] re-raises the panic on the caller.
-#[derive(Debug)]
-pub struct Pending<T> {
-    slot: Arc<Slot<T>>,
-    recorder: Option<Recorder>,
-    bytes: u64,
-}
-
-impl<T> Pending<T> {
-    /// An already-resolved handle (the synchronous path, and cached or
-    /// device-resident data in callers that mix sync and async sources).
-    pub fn ready(value: T) -> Self {
-        Pending {
-            slot: Arc::new(Slot {
-                value: Mutex::new(Some(Ok(value))),
-                cv: Condvar::new(),
-            }),
-            recorder: None,
-            bytes: 0,
-        }
-    }
-
-    /// Whether the result is available without blocking.
-    pub fn is_ready(&self) -> bool {
-        // A poisoned slot means a waiter died mid-wait; the stored result
-        // (if any) is still valid, so recover the guard instead of
-        // cascading the panic onto this thread.
-        self.slot
-            .value
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
-    }
-
-    /// Blocks until the posted collective completes and returns its
-    /// result. Blocked time is recorded as a `comm.wait` span — an
-    /// already-resolved handle records nothing, so a fully hidden stream
-    /// shows zero wait.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the job's panic, if it panicked on the stream.
-    pub fn wait(self) -> T {
-        // Lock poisoning (a sibling waiter dying with the guard held)
-        // must not take this rank down with it: recover the guard — the
-        // slot's contents are a plain `Option` and stay coherent.
-        let mut value = self.slot.value.lock().unwrap_or_else(|e| e.into_inner());
-        let mut blocked: Option<(Recorder, f64, Instant)> = None;
-        loop {
-            if let Some(out) = value.take() {
-                if let Some((rec, start_us, t0)) = blocked {
-                    let dur_us = t0.elapsed().as_secs_f64() * 1e6;
-                    rec.record("comm.wait", start_us, dur_us, Some(self.bytes));
-                }
-                return match out {
-                    Ok(v) => v,
-                    Err(panic) => resume_unwind(panic),
-                };
-            }
-            if blocked.is_none() {
-                blocked = self
-                    .recorder
-                    .as_ref()
-                    .map(|r| (r.clone(), r.now_us(), Instant::now()));
-            }
-            value = self
-                .slot
-                .cv
-                .wait(value)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
+use std::sync::Arc;
 
 /// The per-rank asynchronous communication stream.
 ///
@@ -136,8 +39,7 @@ impl<T> Pending<T> {
 #[derive(Debug)]
 pub struct CommEngine {
     comm: Arc<Communicator>,
-    sender: Option<Sender<Job>>,
-    worker: Option<JoinHandle<()>>,
+    stream: Stream,
     recorder: Option<Recorder>,
     posted: AtomicU64,
     retries: usize,
@@ -147,36 +49,14 @@ impl CommEngine {
     /// Creates the stream for one rank; `r#async` selects worker-thread
     /// execution (the knob behind `RuntimeOptions::comm_async`).
     pub fn new(comm: Arc<Communicator>, r#async: bool) -> Self {
-        let (sender, worker) = if r#async {
-            let (tx, rx) = channel::<Job>();
-            let wire = Arc::clone(&comm);
-            let spawned = std::thread::Builder::new()
-                .name(format!("fpdt-comm-r{}", comm.rank()))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job(&wire);
-                    }
-                });
-            match spawned {
-                Ok(handle) => (Some(tx), Some(handle)),
-                Err(e) => {
-                    // Thread exhaustion degrades the stream to the inline
-                    // path — slower, never wrong (same FIFO program order).
-                    eprintln!(
-                        "warning: comm stream worker for rank {} failed to spawn ({e}); \
-                         running collectives inline",
-                        comm.rank()
-                    );
-                    (None, None)
-                }
-            }
+        let stream = if r#async {
+            Stream::spawn(format!("fpdt-comm-r{}", comm.rank()))
         } else {
-            (None, None)
+            Stream::inline()
         };
         CommEngine {
             comm,
-            sender,
-            worker,
+            stream,
             recorder: None,
             posted: AtomicU64::new(0),
             retries: 0,
@@ -201,7 +81,7 @@ impl CommEngine {
 
     /// Whether ops run on the worker thread (false = inline).
     pub fn is_async(&self) -> bool {
-        self.sender.is_some()
+        self.stream.is_async()
     }
 
     /// The communicator this stream drives.
@@ -230,45 +110,21 @@ impl CommEngine {
             .recorder
             .as_ref()
             .map(|r| r.span("comm.post").bytes(bytes));
-        let slot = Arc::new(Slot {
-            value: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        let done = Arc::clone(&slot);
+        let comm = Arc::clone(&self.comm);
         let rec = self.recorder.clone();
-        let run = move |comm: &Communicator| {
-            let inflight = rec.map(|r| r.span("comm.inflight").bytes(bytes));
-            let out = catch_unwind(AssertUnwindSafe(|| op(comm)));
-            // Simulated NIC occupancy (`FPDT_SIM_GBPS`, default off):
-            // holds the wire for time proportional to the payload bytes,
-            // inside the inflight span, on whichever thread executes —
-            // serial when sync, hidden behind compute when async.
-            fpdt_trace::wire::simulate(bytes);
-            drop(inflight);
-            // The lock can only be poisoned by a waiter dying mid-wait, in
-            // which case nobody is left to read the slot — storing anyway
-            // keeps the worker alive for the rest of the queue.
-            let mut value = done.value.lock().unwrap_or_else(|e| e.into_inner());
-            *value = Some(out);
-            done.cv.notify_all();
-        };
-        match &self.sender {
-            // A send only fails when the worker has exited (receiver
-            // dropped); the job comes back in the error, so fail over to
-            // the caller thread — later posts take the same path, which
-            // preserves FIFO program order.
-            Some(tx) => {
-                if let Err(returned) = tx.send(Box::new(run)) {
-                    (returned.0)(&self.comm);
-                }
-            }
-            None => run(&self.comm),
-        }
-        Pending {
-            slot,
-            recorder: self.recorder.clone(),
-            bytes,
-        }
+        self.stream
+            .post(move || {
+                let _inflight = rec.map(|r| r.span("comm.inflight").bytes(bytes));
+                let out = op(&comm);
+                // Simulated NIC occupancy (`FPDT_SIM_GBPS`, default off):
+                // holds the wire for time proportional to the payload
+                // bytes, inside the inflight span, on whichever thread
+                // executes — serial when sync, hidden behind compute when
+                // async.
+                fpdt_trace::wire::simulate(bytes);
+                out
+            })
+            .traced(self.recorder.as_ref(), "comm.wait", bytes)
     }
 
     /// Posts a *replayable* collective: on a
@@ -303,55 +159,29 @@ impl CommEngine {
     }
 }
 
-impl Drop for CommEngine {
-    /// Closes the queue and joins the worker; any still-queued ops run
-    /// first, so in-flight handles stay resolvable after the engine dies.
-    fn drop(&mut self) {
-        self.sender.take();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CommGroup;
+
+    // FIFO order, panic carry, handle drop and queue-survives-drop are the
+    // stream's own tests (`crate::stream`); these cover what the engine
+    // adds: the communicator, the post counter and replay.
 
     fn solo_comm() -> Arc<Communicator> {
         Arc::new(CommGroup::new(1).communicators().pop().expect("rank 0"))
     }
 
     #[test]
-    fn handles_resolve_in_any_order_but_execute_fifo() {
-        let engine = CommEngine::new(solo_comm(), true);
-        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<Pending<usize>> = (0..10)
-            .map(|i| {
-                let log = Arc::clone(&log);
-                engine.post(0, move |_| {
-                    log.lock().unwrap().push(i);
-                    i
-                })
-            })
-            .collect();
-        assert_eq!(engine.posted(), 10);
-        // Resolve newest-first: execution order must still be post order.
-        for (i, h) in handles.into_iter().enumerate().rev() {
-            assert_eq!(h.wait(), i);
-        }
-        assert_eq!(*log.lock().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn posted_ops_really_use_the_wire() {
         let engine = CommEngine::new(solo_comm(), true);
+        assert!(engine.is_async());
         let h = engine.post(4, |comm| {
             comm.all_to_all(vec![vec![42.0]]).map(|mut r| r.remove(0))
         });
         assert_eq!(h.wait().unwrap(), vec![42.0]);
         assert_eq!(engine.comm().stats().op("all_to_all").unwrap().sends, 1);
+        assert_eq!(engine.posted(), 1);
     }
 
     #[test]
@@ -365,32 +195,14 @@ mod tests {
     }
 
     #[test]
-    fn panicking_op_reraises_at_wait_and_stream_survives() {
-        let engine = CommEngine::new(solo_comm(), true);
-        let bad: Pending<()> = engine.post(0, |_| panic!("injected"));
-        let good = engine.post(0, |_| 7usize);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| bad.wait()));
-        assert!(err.is_err(), "panic carried through the handle");
-        // FIFO continues past the corpse.
-        assert_eq!(good.wait(), 7);
-    }
-
-    #[test]
-    fn dropping_a_handle_does_not_stall_the_stream() {
-        let engine = CommEngine::new(solo_comm(), true);
-        drop(engine.post(0, |_| 1usize));
-        assert_eq!(engine.post(0, |_| 2usize).wait(), 2);
-    }
-
-    #[test]
-    fn queued_ops_survive_engine_drop() {
-        let comm = solo_comm();
-        let handle;
-        {
-            let engine = CommEngine::new(Arc::clone(&comm), true);
-            handle = engine.post(0, |_| 11usize);
-        } // drop closes the queue and joins the worker
-        assert_eq!(handle.wait(), 11);
+    fn posts_record_post_inflight_and_blocked_wait_spans() {
+        let mut engine = CommEngine::new(solo_comm(), false);
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
+        engine.post(16, |_| ()).wait();
+        assert_eq!(rec.count("comm.post"), 1);
+        assert_eq!(rec.total_bytes("comm.inflight"), 16);
+        assert_eq!(rec.count("comm.wait"), 0, "an inline post never blocks");
     }
 
     #[test]
@@ -423,12 +235,5 @@ mod tests {
             h.wait(),
             Err(crate::CommError::Transient { op: "all_to_all" })
         ));
-    }
-
-    #[test]
-    fn ready_handle_requires_no_engine() {
-        let h = Pending::ready(3.5f32);
-        assert!(h.is_ready());
-        assert_eq!(h.wait(), 3.5);
     }
 }

@@ -43,12 +43,14 @@ mod engine;
 mod error;
 mod group;
 mod stats;
+mod stream;
 
 pub use collectives::AllToAllLayout;
-pub use engine::{CommEngine, Pending};
+pub use engine::CommEngine;
 pub use error::CommError;
 pub use group::{run_group, CommGroup, Communicator};
 pub use stats::{CommStats, OpStats};
+pub use stream::{Pending, Stream};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CommError>;

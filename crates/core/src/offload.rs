@@ -1,5 +1,5 @@
 //! The host-memory pool: where FPDT parks idle sequence chunks — plus the
-//! asynchronous copy stream that hides its traffic behind compute.
+//! asynchronous copy streams that hide its traffic behind compute.
 //!
 //! In the paper this is pinned CPU DRAM reached over PCIe; in the real
 //! runtime it is a keyed store owned by each simulated GPU's thread. The
@@ -13,10 +13,13 @@
 //! Chunks are stored as [`Arc<Tensor>`], so [`HostPool::fetch_keep`] hands
 //! back the *same* buffer the pool holds — no data copy, ever. What a real
 //! system pays for is the PCIe transfer, which [`OffloadEngine`] models as
-//! a bandwidth-bound read pass over the chunk ("the copy"). Synchronous
-//! transfers run that pass on the rank's thread; with prefetch enabled it
-//! runs on a kernel-pool worker, chained FIFO like a CUDA copy stream, so
-//! the transfer overlaps whatever the rank computes next.
+//! a bandwidth-bound read pass over the chunk ("the copy"). With prefetch
+//! enabled that pass runs on the engine's own copy-stream workers
+//! ([`fpdt_comm::Stream`], one FIFO per PCIe direction, like a pair of
+//! CUDA copy streams), so the transfer overlaps whatever the rank
+//! computes next — at any kernel thread budget: the workers are not
+//! borrowed from the kernel pool. With prefetch disabled it runs on the
+//! rank's thread, at the same program point.
 //!
 //! ## Determinism
 //!
@@ -27,11 +30,13 @@
 //! fetched one regardless of when the copy runs, so prefetch on/off (and
 //! any `FPDT_THREADS`) cannot change results *by construction*.
 
+use fpdt_comm::{Pending, Stream};
 use fpdt_tensor::bf16::Bf16Tensor;
-use fpdt_tensor::{par, Tensor};
+use fpdt_tensor::Tensor;
 use fpdt_trace::Recorder;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// What kind of buffer a pooled chunk holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,11 +194,9 @@ impl HostChunk {
         }
     }
 
-    /// The simulated PCIe transfer: a read pass over the chunk's *stored*
-    /// representation plus (when `FPDT_SIM_GBPS` is set) link occupancy
-    /// proportional to the wire bytes, so a bf16 chunk streams half the
-    /// bytes — and takes half the wall-clock — of its f32 twin.
-    fn touch(&self) {
+    /// The bandwidth-bound half of a simulated transfer: a read pass over
+    /// the chunk's *stored* representation.
+    fn read_pass(&self) {
         match self {
             HostChunk::F32(t) => {
                 let mut acc = 0.0f32;
@@ -210,7 +213,27 @@ impl HostChunk {
                 std::hint::black_box(acc);
             }
         }
-        fpdt_trace::wire::simulate(self.wire_bytes());
+    }
+}
+
+/// The simulated PCIe transfer of a run of chunks — one DMA: a read pass
+/// over each, then (when `FPDT_SIM_GBPS` is set) the link held *once* for
+/// the run's wire bytes, so a bf16 chunk streams half the bytes — and
+/// takes half the wall-clock — of its f32 twin, and a batch pays the OS
+/// timer's wake-up slack once instead of per chunk. Every transfer still
+/// records its own `label` span: its byte share of the run's wall time.
+fn transfer(rec: Option<&Recorder>, label: &'static str, run: &[HostChunk]) {
+    let started = rec.map(|r| (r, r.now_us(), Instant::now()));
+    run.iter().for_each(HostChunk::read_pass);
+    let total: u64 = run.iter().map(HostChunk::wire_bytes).sum();
+    fpdt_trace::wire::simulate(total);
+    if let Some((rec, mut at_us, t0)) = started {
+        let us_per_byte = t0.elapsed().as_secs_f64() * 1e6 / total.max(1) as f64;
+        for chunk in run {
+            let dur_us = us_per_byte * chunk.wire_bytes() as f64;
+            rec.record(label, at_us, dur_us, Some(chunk.wire_bytes()));
+            at_us += dur_us;
+        }
     }
 }
 
@@ -383,120 +406,100 @@ impl HostPool {
     }
 }
 
-/// Completion state of one asynchronous copy.
-#[derive(Debug, Default)]
-struct TaskDone {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl TaskDone {
-    fn signal(&self) {
-        *self.done.lock().expect("copy task state") = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut d = self.done.lock().expect("copy task state");
-        while !*d {
-            d = self.cv.wait(d).expect("copy task state");
-        }
-    }
-}
-
-/// Signals a [`TaskDone`] when dropped — even if the copy payload panics
-/// on the worker, so a [`FetchHandle::wait`] never hangs.
-struct SignalOnDrop(Arc<TaskDone>);
-
-impl Drop for SignalOnDrop {
-    fn drop(&mut self) {
-        self.0.signal();
-    }
-}
-
-/// An in-flight host-to-device copy issued by [`OffloadEngine::prefetch`].
-///
-/// The chunk's *data* is already available (it is the pool's shared
-/// buffer); [`FetchHandle::wait`] blocks until the modeled transfer has
-/// finished streaming, recording the blocked time as an `offload.wait`
-/// span. Dropping the handle waits too, so the copy stream stays ordered
-/// even on error paths.
+/// Marks chunks as being prefetched, from issue until the handle drops.
 #[derive(Debug)]
-pub struct FetchHandle {
-    data: Arc<Tensor>,
-    done: Option<Arc<TaskDone>>,
-    key: ChunkKey,
-    pending: Option<Arc<Mutex<HashSet<ChunkKey>>>>,
-    recorder: Option<Recorder>,
-    bytes: u64,
+struct InFlight {
+    keys: Vec<ChunkKey>,
+    set: Arc<Mutex<HashSet<ChunkKey>>>,
 }
 
-impl FetchHandle {
-    /// A handle whose transfer already completed (device-resident chunks,
-    /// or a copy that ran inline under a single-thread budget).
-    pub fn ready(data: Arc<Tensor>) -> Self {
-        FetchHandle {
-            data,
-            done: None,
-            key: ChunkKey::new(0, BufKind::Ctx, 0),
-            pending: None,
-            recorder: None,
-            bytes: 0,
-        }
-    }
-
-    /// Blocks until the chunk has finished streaming in, then returns the
-    /// shared buffer.
-    pub fn wait(self) -> Arc<Tensor> {
-        let data = Arc::clone(&self.data);
-        drop(self); // the Drop impl performs the actual wait
-        data
-    }
-}
-
-impl Drop for FetchHandle {
+impl Drop for InFlight {
     fn drop(&mut self) {
-        if let Some(done) = self.done.take() {
-            match &self.recorder {
-                Some(r) => {
-                    let start = r.now_us();
-                    done.wait();
-                    r.record("offload.wait", start, r.now_us() - start, Some(self.bytes));
-                }
-                None => done.wait(),
-            }
-        }
-        if let Some(pending) = &self.pending {
-            pending.lock().expect("pending prefetch set").remove(&self.key);
+        let mut set = self.set.lock().unwrap_or_else(|e| e.into_inner());
+        for key in &self.keys {
+            set.remove(key);
         }
     }
 }
 
-/// A [`HostPool`] fronted by an asynchronous copy stream.
+/// An in-flight host-to-device copy issued by [`OffloadEngine::prefetch`]
+/// (one chunk) or [`OffloadEngine::prefetch_batch`] (`D` = a `Vec` of
+/// chunks that travelled as one stream job).
+///
+/// The *data* is already available (it is the pool's shared buffer);
+/// [`FetchHandle::wait`] blocks until the modeled transfer has finished
+/// streaming, recording blocked time — and only blocked time — as an
+/// `offload.wait` span. Dropping the handle does not wait: the stream is
+/// FIFO, so later transfers stay ordered behind this one regardless.
+#[derive(Debug)]
+pub struct FetchHandle<D = Arc<Tensor>> {
+    data: D,
+    done: Pending<()>,
+    _inflight: InFlight,
+}
+
+impl<D> FetchHandle<D> {
+    /// Blocks until the transfer has finished streaming in, then returns
+    /// the shared buffer(s).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the transfer job.
+    pub fn wait(self) -> D {
+        self.done.wait();
+        self.data
+    }
+}
+
+/// A [`HostPool`] fronted by asynchronous copy streams.
 ///
 /// Bookkeeping (residency, counters) stays synchronous on the owning
-/// rank's thread; the costed transfer pass runs on the shared kernel pool
-/// when `prefetch` is enabled *and* the `device_scope` budget leaves a
-/// helper thread (`fpdt_tensor::par::spawn_task`), inline otherwise.
-/// Transfers chain FIFO per engine — one copy in flight at a time, like a
-/// CUDA copy stream on one PCIe link.
-#[derive(Default)]
+/// rank's thread, at issue time. With `prefetch` enabled the costed
+/// transfer pass runs on two dedicated [`Stream`] workers, one FIFO per
+/// PCIe direction (the link is full duplex, and so is the paper's
+/// layout): device-to-host puts on `fpdt-d2h-r{rank}`, host-to-device
+/// fetches on `fpdt-h2d-r{rank}`. A fetch of a chunk whose put is still
+/// queued waits for that put on the worker, never on the rank. With
+/// `prefetch` disabled no worker exists and every transfer runs inline at
+/// its issue point — the one synchronous mode.
 pub struct OffloadEngine {
     pool: HostPool,
-    prefetch: bool,
-    last: Option<Arc<TaskDone>>,
-    pending: Arc<Mutex<HashSet<ChunkKey>>>,
+    d2h: Stream,
+    h2d: Stream,
+    /// Completion of every put a later fetch may have to wait for.
+    queued_puts: HashMap<ChunkKey, Pending<()>>,
+    inflight: Arc<Mutex<HashSet<ChunkKey>>>,
     recorder: Option<Recorder>,
 }
 
 impl OffloadEngine {
-    /// An engine over an empty pool; `prefetch` enables the async stream.
+    /// An engine over an empty pool; `prefetch` enables the async streams
+    /// (workers named `fpdt-d2h` / `fpdt-h2d`).
     pub fn new(prefetch: bool) -> Self {
+        Self::build(prefetch, "")
+    }
+
+    /// [`OffloadEngine::new`] for one rank of a group: the workers are
+    /// named `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`, next to the comm
+    /// stream's `fpdt-comm-r{rank}` in a trace.
+    pub fn for_rank(prefetch: bool, rank: usize) -> Self {
+        Self::build(prefetch, &format!("-r{rank}"))
+    }
+
+    fn build(prefetch: bool, suffix: &str) -> Self {
+        let stream = |dir: &str| {
+            if prefetch {
+                Stream::spawn(format!("fpdt-{dir}{suffix}"))
+            } else {
+                Stream::inline()
+            }
+        };
         OffloadEngine {
             pool: HostPool::new(),
-            prefetch,
-            last: None,
-            pending: Arc::default(),
+            d2h: stream("d2h"),
+            h2d: stream("h2d"),
+            queued_puts: HashMap::new(),
+            inflight: Arc::default(),
             recorder: None,
         }
     }
@@ -508,16 +511,17 @@ impl OffloadEngine {
         self.pool.set_payload_bf16(on);
     }
 
-    /// Attaches a span recorder: every transfer records `offload.put` /
-    /// `offload.fetch` / `offload.prefetch` spans with actual byte counts,
-    /// and waits record `offload.wait`.
+    /// Attaches a span recorder: every transfer records an `offload.put`
+    /// or `offload.prefetch` span (`offload.fetch` when it runs inline)
+    /// with actual byte counts on the thread that executes it, and
+    /// blocked waits record `offload.wait`.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = Some(recorder);
     }
 
-    /// Whether the asynchronous copy stream is enabled.
+    /// Whether the asynchronous copy streams are enabled.
     pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch
+        self.h2d.is_async()
     }
 
     /// Transfer and residency counters (deterministic: bookkeeping happens
@@ -537,51 +541,32 @@ impl OffloadEngine {
     }
 
     /// Offloads a shared chunk (device-to-host). The residency update is
-    /// immediate; the costed copy pass streams asynchronously when the
-    /// engine prefetches.
+    /// immediate; the costed copy pass goes on the D2H stream.
     ///
     /// # Panics
     ///
     /// Same double-offload condition as [`HostPool::offload`].
     pub fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) {
         let chunk = self.pool.offload_shared(key, t);
-        let bytes = chunk.wire_bytes();
-        if self.prefetch {
-            let rec = self.recorder.clone();
-            self.submit(move || {
-                let _s = rec.as_ref().map(|r| r.span("offload.put").bytes(bytes));
-                chunk.touch();
-            });
-        } else {
-            let _s = self
-                .recorder
-                .as_ref()
-                .map(|r| r.span("offload.put").bytes(bytes));
-            chunk.touch();
+        let rec = self.recorder.clone();
+        let done = self.d2h.post(move || transfer(rec.as_ref(), "offload.put", &[chunk]));
+        if self.d2h.is_async() {
+            self.queued_puts.insert(key, done);
         }
     }
 
-    /// Synchronous host-to-device transfer: `consume` evicts the chunk,
-    /// otherwise the host copy stays resident. `None` when not resident.
+    /// Synchronous host-to-device transfer ([`OffloadEngine::prefetch`]
+    /// waited on at once): `consume` evicts the chunk, otherwise the host
+    /// copy stays resident. `None` when not resident.
     pub fn fetch(&mut self, key: &ChunkKey, consume: bool) -> Option<Arc<Tensor>> {
-        let chunk = if consume {
-            self.pool.fetch_chunk(key)
-        } else {
-            self.pool.fetch_keep_chunk(key)
-        }?;
-        let _s = self
-            .recorder
-            .as_ref()
-            .map(|r| r.span("offload.fetch").bytes(chunk.wire_bytes()));
-        chunk.touch();
-        Some(chunk.widen())
+        self.prefetch(key, consume).map(FetchHandle::wait)
     }
 
     /// Issues an asynchronous host-to-device transfer and returns a
     /// [`FetchHandle`] to wait on — the double-buffer primitive. Counters
     /// update now (so statistics are identical to the synchronous path);
-    /// the copy pass runs on the stream. With prefetch disabled this
-    /// degrades to [`OffloadEngine::fetch`] behind a ready handle.
+    /// the copy pass runs on the H2D stream, after the chunk's own put if
+    /// that is still queued. `None` when `key` is not resident.
     ///
     /// # Panics
     ///
@@ -589,94 +574,87 @@ impl OffloadEngine {
     /// waited for — double-buffering the same chunk twice is a scheduler
     /// bug, mirroring the pool's double-offload panic.
     pub fn prefetch(&mut self, key: &ChunkKey, consume: bool) -> Option<FetchHandle> {
-        if !self.prefetch {
-            return self.fetch(key, consume).map(FetchHandle::ready);
-        }
-        assert!(
-            self.pending
-                .lock()
-                .expect("pending prefetch set")
-                .insert(*key),
-            "chunk {key:?} prefetched twice without a wait"
-        );
-        let chunk = if consume {
-            self.pool.fetch_chunk(key)
-        } else {
-            self.pool.fetch_keep_chunk(key)
-        };
-        let Some(chunk) = chunk else {
-            self.pending.lock().expect("pending prefetch set").remove(key);
+        let FetchHandle { mut data, done, _inflight } = self.prefetch_batch(&[(*key, consume)])?;
+        let data = data.pop().expect("one chunk per request");
+        Some(FetchHandle { data, done, _inflight })
+    }
+
+    /// [`OffloadEngine::prefetch`] for several `(key, consume)` requests
+    /// that travel as **one** stream job: the rank pays one hand-off and
+    /// one wait for the lot, while counters and transfer spans stay per
+    /// chunk, in request order. `None` — and no side effect — when any
+    /// key is not resident.
+    ///
+    /// # Panics
+    ///
+    /// Same in-flight condition as [`OffloadEngine::prefetch`].
+    pub fn prefetch_batch(&mut self, reqs: &[(ChunkKey, bool)]) -> Option<FetchHandle<Vec<Arc<Tensor>>>> {
+        if !reqs.iter().all(|(key, _)| self.pool.contains(key)) {
             return None;
-        };
-        let bytes = chunk.wire_bytes();
+        }
+        // Each transfer with the completion of its chunk's put, if that is
+        // still queued: the worker waits for it right before the chunk's
+        // own pass, so the chunks ahead of it in the batch stream meanwhile.
+        let mut transfers = Vec::with_capacity(reqs.len());
+        for (key, consume) in reqs {
+            let fresh = self.inflight.lock().unwrap_or_else(|e| e.into_inner()).insert(*key);
+            assert!(fresh, "chunk {key:?} prefetched twice without a wait");
+            let chunk = if *consume {
+                self.pool.fetch_chunk(key)
+            } else {
+                self.pool.fetch_keep_chunk(key)
+            };
+            // Later fetches of `key` queue behind this one on the FIFO, so
+            // its put only has to be awaited once.
+            let put = self.queued_puts.remove(key).filter(|put| !put.is_ready());
+            transfers.push((chunk.expect("residency checked above"), put));
+        }
+        // Widen on the issuing rank's thread (deterministic program
+        // order); the stream only runs the costed pass over the wire repr.
+        let data = transfers.iter().map(|(chunk, _)| chunk.widen()).collect();
+        let bytes = transfers.iter().map(|(chunk, _)| chunk.wire_bytes()).sum();
         let rec = self.recorder.clone();
-        // Widen on the issuing rank's thread (deterministic program order);
-        // the stream only runs the costed pass over the wire repr.
-        let data = chunk.widen();
-        let done = self.submit(move || {
-            let _s = rec.as_ref().map(|r| r.span("offload.prefetch").bytes(bytes));
-            chunk.touch();
+        let label = if self.h2d.is_async() { "offload.prefetch" } else { "offload.fetch" };
+        let done = self.h2d.post(move || {
+            let mut run = Vec::with_capacity(transfers.len());
+            for (chunk, put) in transfers {
+                if let Some(put) = put.filter(|put| !put.is_ready()) {
+                    transfer(rec.as_ref(), label, &run);
+                    run.clear();
+                    put.wait();
+                }
+                run.push(chunk);
+            }
+            transfer(rec.as_ref(), label, &run);
         });
         Some(FetchHandle {
             data,
-            done,
-            key: *key,
-            pending: Some(Arc::clone(&self.pending)),
-            recorder: self.recorder.clone(),
-            bytes,
+            done: done.traced(self.recorder.as_ref(), "offload.wait", bytes),
+            _inflight: InFlight {
+                keys: reqs.iter().map(|(key, _)| *key).collect(),
+                set: Arc::clone(&self.inflight),
+            },
         })
     }
 
     /// Drops a resident chunk without a transfer. Returns whether it was
     /// present.
     pub fn discard(&mut self, key: &ChunkKey) -> bool {
+        self.queued_puts.remove(key);
         self.pool.discard(key)
     }
 
-    /// Blocks until every queued copy has completed (the stream is idle).
+    /// Blocks until every queued copy has completed (both streams idle).
     pub fn drain(&mut self) {
-        if let Some(d) = self.last.take() {
-            d.wait();
-        }
-    }
-
-    /// Submits one copy pass to the stream: it first waits for the
-    /// previous pass (FIFO, one transfer in flight — a single PCIe link),
-    /// then runs `f`. Returns the completion state when the pass went
-    /// async, `None` when it ran inline (single-thread budget).
-    fn submit(&mut self, f: impl FnOnce() + Send + 'static) -> Option<Arc<TaskDone>> {
-        let prev = self.last.take();
-        let done = Arc::new(TaskDone::default());
-        let signal = Arc::clone(&done);
-        let task = move || {
-            let _signal = SignalOnDrop(signal);
-            if let Some(p) = prev {
-                p.wait();
-            }
-            f();
-        };
-        if par::spawn_task(Box::new(task)) {
-            self.last = Some(Arc::clone(&done));
-            Some(done)
-        } else {
-            None
-        }
-    }
-}
-
-impl Drop for OffloadEngine {
-    fn drop(&mut self) {
-        // Workers only read Arc-shared data, so dropping early is safe;
-        // draining just keeps span timelines from outliving their run.
-        self.drain();
+        self.queued_puts.clear();
+        self.d2h.post(|| ()).wait();
+        self.h2d.post(|| ()).wait();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::pool as thread_pool;
-    use std::sync::MutexGuard;
 
     #[test]
     fn offload_fetch_round_trip() {
@@ -803,35 +781,9 @@ mod tests {
     }
 
     // ---- engine tests ----
-    //
-    // Engine tests that force the async path mutate the global thread
-    // budget; serialize them so restores don't race each other.
-    static THREADS_LOCK: Mutex<()> = Mutex::new(());
-
-    struct ForcedThreads<'a> {
-        _guard: MutexGuard<'a, ()>,
-        prev: usize,
-    }
-
-    impl ForcedThreads<'_> {
-        fn new(n: usize) -> Self {
-            let guard = THREADS_LOCK.lock().unwrap();
-            ForcedThreads {
-                _guard: guard,
-                prev: thread_pool::set_threads(n),
-            }
-        }
-    }
-
-    impl Drop for ForcedThreads<'_> {
-        fn drop(&mut self) {
-            thread_pool::set_threads(self.prev);
-        }
-    }
 
     #[test]
     fn prefetch_wait_returns_the_pooled_buffer() {
-        let _t = ForcedThreads::new(8);
         let mut eng = OffloadEngine::new(true);
         let key = ChunkKey::new(0, BufKind::K, 0);
         let t = Arc::new(Tensor::arange(64));
@@ -845,6 +797,77 @@ mod tests {
         assert!(eng.is_empty());
         assert_eq!(eng.stats().fetches, 2);
         eng.drain();
+    }
+
+    #[test]
+    fn transfers_run_on_the_copy_workers_at_any_thread_budget() {
+        // The streams own their workers and never consult the kernel
+        // pool: a transfer leaves the caller's thread at any budget (CI
+        // runs this suite under `FPDT_THREADS=1`, where the pool-borrowed
+        // stream ran everything inline), and put -> prefetch of one key
+        // stays ordered although the two directions ride different FIFOs.
+        let rec = Recorder::new();
+        let mut eng = OffloadEngine::new(true);
+        assert!(eng.prefetch_enabled());
+        eng.set_recorder(rec.clone());
+        rec.event("caller");
+        let key = ChunkKey::new(0, BufKind::V, 0);
+        for _ in 0..16 {
+            eng.put(key, Arc::new(Tensor::ones(&[4096])));
+            eng.prefetch(&key, true).expect("just put").wait();
+        }
+        let spans = rec.records();
+        let caller = spans.iter().find(|s| s.label == "caller").expect("marker").tid;
+        let on = |label: &str| -> Vec<&fpdt_trace::SpanRecord> {
+            spans.iter().filter(|s| s.label == label).collect()
+        };
+        let (puts, fetches) = (on("offload.put"), on("offload.prefetch"));
+        assert_eq!((puts.len(), fetches.len()), (16, 16));
+        assert!(puts.iter().chain(&fetches).all(|s| s.tid != caller), "off the caller's thread");
+        assert_ne!(puts[0].tid, fetches[0].tid, "one worker per direction");
+        for (put, fetch) in puts.iter().zip(&fetches) {
+            assert!(
+                fetch.start_us >= put.start_us + put.dur_us,
+                "a fetch waits for its chunk's queued put"
+            );
+        }
+    }
+
+    #[test]
+    fn sync_engine_spawns_no_worker_and_runs_transfers_inline() {
+        let rec = Recorder::new();
+        let mut eng = OffloadEngine::new(false);
+        assert!(!eng.prefetch_enabled());
+        eng.set_recorder(rec.clone());
+        let key = ChunkKey::new(0, BufKind::Q, 0);
+        eng.put(key, Arc::new(Tensor::ones(&[8])));
+        eng.fetch(&key, true).expect("resident");
+        let tids: HashSet<u64> = rec.records().iter().map(|s| s.tid).collect();
+        assert_eq!(tids.len(), 1, "every span on the calling thread");
+        assert_eq!(rec.count("offload.fetch"), 1);
+        assert_eq!(rec.count("offload.wait"), 0, "an inline transfer is never waited for");
+    }
+
+    #[test]
+    fn batch_is_one_wait_with_per_chunk_counters_and_spans() {
+        let rec = Recorder::new();
+        let mut eng = OffloadEngine::new(true);
+        eng.set_recorder(rec.clone());
+        let keys: Vec<ChunkKey> = (0..3).map(|i| ChunkKey::new(0, BufKind::K, i)).collect();
+        for (i, key) in keys.iter().enumerate() {
+            eng.put(*key, Arc::new(Tensor::ones(&[8 * (i + 1)])));
+        }
+        let missing = ChunkKey::new(9, BufKind::K, 0);
+        assert!(eng.prefetch_batch(&[(keys[0], true), (missing, true)]).is_none());
+        assert_eq!(eng.stats().fetches, 0, "a failed batch has no side effect");
+        let reqs: Vec<(ChunkKey, bool)> = keys.iter().map(|k| (*k, true)).collect();
+        let got = eng.prefetch_batch(&reqs).expect("all resident").wait();
+        assert_eq!(got.iter().map(|t| t.numel()).collect::<Vec<_>>(), vec![8, 16, 24]);
+        assert_eq!(eng.stats().fetches, 3);
+        assert_eq!(eng.stats().bytes_fetched, 4 * 48);
+        assert_eq!(rec.count("offload.prefetch"), 3, "one span per transfer");
+        assert_eq!(rec.total_bytes("offload.prefetch"), 4 * 48);
+        assert!(rec.count("offload.wait") <= 1, "at most one wait for the lot");
     }
 
     #[test]
@@ -869,64 +892,47 @@ mod tests {
         assert_eq!(h.wait().numel(), 4);
     }
 
+    /// Four KV puts then four consuming fetches; bf16 halves the bytes.
+    fn kv_round_trip(prefetch: bool, bf16: bool) -> PoolStats {
+        let mut eng = OffloadEngine::new(prefetch);
+        eng.set_payload_bf16(bf16);
+        for i in 0..4usize {
+            eng.put(ChunkKey::new(0, BufKind::K, i), Arc::new(Tensor::ones(&[16])));
+        }
+        for i in 0..4usize {
+            let key = ChunkKey::new(0, BufKind::K, i);
+            if prefetch {
+                eng.prefetch(&key, true).expect("resident").wait();
+            } else {
+                eng.fetch(&key, true).expect("resident");
+            }
+        }
+        eng.drain();
+        eng.stats()
+    }
+
     #[test]
     fn sync_and_async_paths_keep_identical_stats() {
-        let run = |prefetch: bool| {
-            let _t = ForcedThreads::new(8);
-            let mut eng = OffloadEngine::new(prefetch);
-            for i in 0..4usize {
-                eng.put(ChunkKey::new(0, BufKind::K, i), Arc::new(Tensor::ones(&[16])));
-            }
-            for i in 0..4usize {
-                let key = ChunkKey::new(0, BufKind::K, i);
-                if prefetch {
-                    eng.prefetch(&key, true).expect("resident").wait();
-                } else {
-                    eng.fetch(&key, true).expect("resident");
-                }
-            }
-            eng.drain();
-            eng.stats()
-        };
-        assert_eq!(run(false), run(true));
+        assert_eq!(kv_round_trip(false, false), kv_round_trip(true, false));
     }
 
     #[test]
     fn bf16_engine_sync_async_stats_match() {
         // bf16 transfers keep the sync/async stats-parity guarantee, and
         // the engine's modeled pass streams the stored (half-size) repr.
-        let run = |prefetch: bool| {
-            let _t = ForcedThreads::new(8);
-            let mut eng = OffloadEngine::new(prefetch);
-            eng.set_payload_bf16(true);
-            for i in 0..4usize {
-                eng.put(ChunkKey::new(0, BufKind::K, i), Arc::new(Tensor::ones(&[16])));
-            }
-            for i in 0..4usize {
-                let key = ChunkKey::new(0, BufKind::K, i);
-                if prefetch {
-                    eng.prefetch(&key, true).expect("resident").wait();
-                } else {
-                    eng.fetch(&key, true).expect("resident");
-                }
-            }
-            eng.drain();
-            eng.stats()
-        };
-        let stats = run(false);
-        assert_eq!(stats, run(true));
+        let stats = kv_round_trip(false, true);
+        assert_eq!(stats, kv_round_trip(true, true));
         assert_eq!(stats.bytes_offloaded, 4 * 16 * 2, "bf16 wire bytes");
         assert_eq!(stats.bytes_fetched, 4 * 16 * 2);
     }
 
     #[test]
-    fn handle_drop_without_wait_still_synchronizes() {
-        let _t = ForcedThreads::new(8);
+    fn handle_drop_without_wait_clears_the_in_flight_mark() {
         let mut eng = OffloadEngine::new(true);
         let key = ChunkKey::new(2, BufKind::DQ, 0);
         eng.put(key, Arc::new(Tensor::zeros(&[32])));
         drop(eng.prefetch(&key, false));
-        // pending cleared -> a fresh prefetch of the same key is legal
+        // in-flight mark cleared -> a fresh prefetch of the same key is legal
         let h = eng.prefetch(&key, true).expect("resident");
         assert_eq!(h.wait().numel(), 32);
         eng.drain();

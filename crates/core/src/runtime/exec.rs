@@ -141,6 +141,32 @@ impl AttentionExec for LocalAttention {
 type PendingTensor = Pending<fpdt_comm::Result<Tensor>>;
 type PendingQkv = Pending<fpdt_comm::Result<(Tensor, Tensor, Tensor)>>;
 
+/// Cached chunks on their way to compute: in flight on the copy stream
+/// (one job for the lot) or, with offload off, already device-resident.
+enum Staged {
+    Host(FetchHandle<Vec<Arc<Tensor>>>),
+    Device(Vec<Arc<Tensor>>),
+}
+
+impl Staged {
+    /// The chunks, in request order, once their transfer has landed.
+    fn wait<const N: usize>(self) -> ExecResult<[Arc<Tensor>; N]> {
+        let chunks = match self {
+            Staged::Host(handle) => handle.wait(),
+            Staged::Device(chunks) => chunks,
+        };
+        <[Arc<Tensor>; N]>::try_from(chunks).map_err(|c| format!("staged {} chunks, not {N}", c.len()).into())
+    }
+}
+
+/// What opening a query row of the backward consumes, staged ahead of the
+/// tile that opens it: the posted `dO` gather (all rows, up-front) and the
+/// cached `O` chunk (one row ahead on the copy stream).
+struct RowInputs {
+    dout: Vec<Option<PendingTensor>>,
+    o: Vec<Option<Staged>>,
+}
+
 /// Distributed chunked attention: Ulysses all-to-all per chunk posted on
 /// an asynchronous communication stream, streaming online attention, host
 /// offload behind an asynchronous double-buffered copy stream, tiled
@@ -185,7 +211,7 @@ impl DistAttention {
     /// Creates the executor for one rank with explicit options — the one
     /// options surface is [`RuntimeOptions`].
     pub fn with_opts(comm: Arc<Communicator>, plan: ChunkPlan, opts: RuntimeOptions) -> Self {
-        let mut host = OffloadEngine::new(opts.offload && opts.prefetch);
+        let mut host = OffloadEngine::for_rank(opts.offload && opts.prefetch, comm.rank());
         host.set_payload_bf16(opts.payload_bf16);
         let mut engine = CommEngine::new(Arc::clone(&comm), opts.comm_async);
         engine.set_retries(opts.comm_retries);
@@ -247,51 +273,33 @@ impl DistAttention {
         }
     }
 
-    /// Synchronous fetch: `consume` evicts the cached chunk, otherwise it
-    /// stays resident (all paths are zero-copy — the `Arc` is shared).
-    fn grab(&mut self, key: ChunkKey, consume: bool) -> ExecResult<Arc<Tensor>> {
-        let t = if self.opts.offload {
-            self.host.fetch(&key, consume)
-        } else if consume {
-            self.device.remove(&key)
-        } else {
-            self.device.get(&key).map(Arc::clone)
-        };
-        t.ok_or_else(|| format!("missing cached chunk {key:?}").into())
-    }
-
-    fn take(&mut self, key: ChunkKey) -> ExecResult<Arc<Tensor>> {
-        self.grab(key, true)
-    }
-
-    fn keep(&mut self, key: ChunkKey) -> ExecResult<Arc<Tensor>> {
-        self.grab(key, false)
-    }
-
-    /// Asynchronous fetch: issues the transfer on the copy stream and
-    /// returns a handle to wait on. Device-resident chunks (offload off)
-    /// and engines without prefetch yield already-completed handles.
-    fn grab_handle(&mut self, key: ChunkKey, consume: bool) -> ExecResult<FetchHandle> {
-        let h = if self.opts.offload {
-            self.host.prefetch(&key, consume)
-        } else if consume {
-            self.device.remove(&key).map(FetchHandle::ready)
-        } else {
-            self.device.get(&key).map(Arc::clone).map(FetchHandle::ready)
-        };
-        h.ok_or_else(|| format!("missing cached chunk {key:?}").into())
+    /// Issues the fetch of several cached chunks as one copy-stream job
+    /// (`consume` evicts a chunk, otherwise it stays cached; every path is
+    /// zero-copy — the `Arc` is shared). With offload off the chunks are
+    /// device-resident and the result is ready at once.
+    fn stage(&mut self, reqs: &[(ChunkKey, bool)]) -> ExecResult<Staged> {
+        if self.opts.offload {
+            let handle = self.host.prefetch_batch(reqs);
+            return Ok(Staged::Host(handle.ok_or_else(|| format!("missing cached chunk in {reqs:?}"))?));
+        }
+        let mut chunks = Vec::with_capacity(reqs.len());
+        for (key, consume) in reqs {
+            let t = if *consume {
+                self.device.remove(key)
+            } else {
+                self.device.get(key).map(Arc::clone)
+            };
+            chunks.push(t.ok_or_else(|| format!("missing cached chunk {key:?}"))?);
+        }
+        Ok(Staged::Device(chunks))
     }
 
     /// Issues the double-buffer prefetch for KV chunk `j` of `layer`.
-    fn fetch_kv(
-        &mut self,
-        layer: usize,
-        j: usize,
-        consume: bool,
-    ) -> ExecResult<(FetchHandle, FetchHandle)> {
-        let k = self.grab_handle(ChunkKey::new(layer, BufKind::K, j), consume)?;
-        let v = self.grab_handle(ChunkKey::new(layer, BufKind::V, j), consume)?;
-        Ok((k, v))
+    fn fetch_kv(&mut self, layer: usize, j: usize, consume: bool) -> ExecResult<Staged> {
+        self.stage(&[
+            (ChunkKey::new(layer, BufKind::K, j), consume),
+            (ChunkKey::new(layer, BufKind::V, j), consume),
+        ])
     }
 
     /// Drops a dead cached chunk without a transfer (freeing memory is not
@@ -391,6 +399,55 @@ impl DistAttention {
         }))
     }
 
+    /// Issues the fetch of backward tile `(i, j)`'s row operands —
+    /// `[Q, dO, lse, dsum, dQ]` of query chunk `i`, one copy-stream job —
+    /// after opening the row if `(i, 0)` is its first tile: that resolves
+    /// chunk `i`'s `dO` gather and caches `dO`, the row-dot and a zero
+    /// `dQ`. The diagonal is the row's last tile and consumes the cache;
+    /// `dQ` is always taken (the tile re-puts its update).
+    fn stage_tile(
+        &mut self,
+        layer: usize,
+        (i, j): (usize, usize),
+        rows: &mut RowInputs,
+    ) -> ExecResult<Staged> {
+        if j == 0 {
+            let o_key = |i| [(ChunkKey::new(layer, BufKind::O, i), false)];
+            let o_staged = match rows.o[i].take() {
+                Some(staged) => staged,
+                None => self.stage(&o_key(i))?,
+            };
+            // Rows open in ascending order (column 0 runs in ascending
+            // `i`), so the next row's O chunk goes on the stream now.
+            if i + 1 < rows.o.len() {
+                rows.o[i + 1] = Some(self.stage(&o_key(i + 1))?);
+            }
+            let pending = rows.dout[i].take().ok_or("chunk i's dO was not posted")?;
+            let doh = Arc::new(pending.wait()?);
+            let [oi] = o_staged.wait()?;
+            let dsum = {
+                let _s = self.span("kernel.attn.rowwise_dot", oi.data().len());
+                rowwise_dot(&oi, &doh)?
+            };
+            let n = dsum.len();
+            let zeros = Tensor::zeros(doh.shape());
+            self.put(ChunkKey::new(layer, BufKind::DOut, i), doh);
+            self.put(
+                ChunkKey::new(layer, BufKind::Dsum, i),
+                Arc::new(Tensor::from_vec(dsum, &[n])?),
+            );
+            self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(zeros));
+        }
+        let consume = i == j;
+        self.stage(&[
+            (ChunkKey::new(layer, BufKind::Q, i), consume),
+            (ChunkKey::new(layer, BufKind::DOut, i), consume),
+            (ChunkKey::new(layer, BufKind::Lse, i), consume),
+            (ChunkKey::new(layer, BufKind::Dsum, i), consume),
+            (ChunkKey::new(layer, BufKind::DQ, i), true),
+        ])
+    }
+
     /// The backward tile interpreter: runs the causal tile triangle
     /// `{(i, j) : j <= i < u}` in the order `slots` gives, one `slot.bwd`
     /// span per slot. [`AttentionExec::backward`] passes
@@ -408,7 +465,9 @@ impl DistAttention {
     ///
     /// * `(i, 0)` opens query chunk `i` — it resolves the `dO` gather
     ///   (all posted up-front) and stages the row-dot, hidden behind
-    ///   other chunks' tiles;
+    ///   other chunks' tiles ([`DistAttention::stage_tile`], which also
+    ///   puts every tile's row operands on the copy stream, one tile
+    ///   ahead of its kernel);
     /// * `(j, j)` opens KV column `j` — it lands the chunk pair, whose
     ///   take-fetch slot `j - 1` put on the copy stream one slot ahead
     ///   (an order that opens the column earlier fetches it on demand)
@@ -435,12 +494,15 @@ impl DistAttention {
         // the start of slot `s`, one slot before `tile_slots` opens the
         // column — so the per-tile host-pool grabs never queue behind the
         // entire triangle's KV bytes on the FIFO stream.
-        let mut dout_pending: Vec<Option<PendingTensor>> = Vec::with_capacity(u);
+        let mut rows = RowInputs {
+            dout: Vec::with_capacity(u),
+            o: (0..u).map(|_| None).collect(),
+        };
         for i in 0..u {
             let range = self.plan.local_chunk_range(i);
-            dout_pending.push(Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?));
+            rows.dout.push(Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?));
         }
-        let mut kv_pending: Vec<Option<(FetchHandle, FetchHandle)>> = (0..u).map(|_| None).collect();
+        let mut kv_pending: Vec<Option<Staged>> = (0..u).map(|_| None).collect();
         kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
 
         // One KV column's live state: the resident chunk pair and its
@@ -457,6 +519,13 @@ impl DistAttention {
         let mut dk_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
         let mut dv_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
 
+        // Row operands ride the copy stream one tile ahead: the next
+        // tile's are issued before this tile's kernel runs, so their
+        // transfer hides behind it. Only a next tile in the *same* row
+        // waits its turn — it reads the dQ this tile is about to write.
+        let mut upcoming = slots.iter().flatten().copied().skip(1);
+        let mut ahead_operands: Option<Staged> = None;
+
         for (s, slot) in slots.iter().enumerate() {
             let _slot = self.span("slot.bwd", 0);
             // Only a cold column is fetched: not in flight, and its
@@ -466,32 +535,18 @@ impl DistAttention {
                 kv_pending[ahead] = Some(self.fetch_kv(layer, ahead, true)?);
             }
             for &(i, j) in slot {
-                if j == 0 {
-                    // First tile of query chunk i: stage its row inputs.
-                    let pending = dout_pending[i].take().ok_or("chunk i's dO was not posted")?;
-                    let doh = Arc::new(pending.wait()?);
-                    let oi = self.keep(ChunkKey::new(layer, BufKind::O, i))?;
-                    let dsum = {
-                        let _s = self.span("kernel.attn.rowwise_dot", oi.data().len());
-                        rowwise_dot(&oi, &doh)?
-                    };
-                    let n = dsum.len();
-                    let zeros = Tensor::zeros(doh.shape());
-                    self.put(ChunkKey::new(layer, BufKind::DOut, i), doh);
-                    self.put(
-                        ChunkKey::new(layer, BufKind::Dsum, i),
-                        Arc::new(Tensor::from_vec(dsum, &[n])?),
-                    );
-                    self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(zeros));
-                }
+                let operands = match ahead_operands.take() {
+                    Some(staged) => staged,
+                    None => self.stage_tile(layer, (i, j), &mut rows)?,
+                };
                 if i == j {
                     // First tile of KV column j: land the chunk and zero
                     // its gradient accumulators.
-                    let (kh, vh) = match kv_pending[j].take() {
+                    let staged = match kv_pending[j].take() {
                         Some(pair) => pair,
                         None => self.fetch_kv(layer, j, true)?,
                     };
-                    let (kj, vj) = (kh.wait(), vh.wait());
+                    let [kj, vj] = staged.wait()?;
                     let dk = Tensor::zeros(kj.shape());
                     let dv = Tensor::zeros(vj.shape());
                     cols[j] = Some(Col {
@@ -502,19 +557,19 @@ impl DistAttention {
                         dv,
                     });
                 }
+                if let Some(next) = upcoming.next().filter(|next| next.0 != i) {
+                    ahead_operands = Some(self.stage_tile(layer, next, &mut rows)?);
+                }
+                let [qi, doh, lse, dsum, dq_i] = operands.wait()?;
                 // The diagonal is row i's last tile: chunk i's saved state
-                // is consumed there, otherwise read-and-kept.
-                let consume = i == j;
-                let qi = self.grab(ChunkKey::new(layer, BufKind::Q, i), consume)?;
-                let doh = self.grab(ChunkKey::new(layer, BufKind::DOut, i), consume)?;
-                let lse = self.grab(ChunkKey::new(layer, BufKind::Lse, i), consume)?;
-                let dsum = self.grab(ChunkKey::new(layer, BufKind::Dsum, i), consume)?;
-                // The O cache was only needed for dsum; freeing it is not a
-                // transfer, so it must not run through the fetch path.
-                if consume {
+                // was consumed there, and the O cache — only needed for
+                // dsum — is freed. That is not a transfer, so it must not
+                // run through the fetch path.
+                let last_in_row = i == j;
+                if last_in_row {
                     self.discard_one(ChunkKey::new(layer, BufKind::O, i));
                 }
-                let mut dq_i = unshare(self.take(ChunkKey::new(layer, BufKind::DQ, i))?);
+                let mut dq_i = unshare(dq_i);
                 let gpos_i = self.plan.gathered_positions(i);
                 // Closed before the DQ re-put / gradient posts below —
                 // transfers must not nest inside compute spans or the
@@ -536,7 +591,7 @@ impl DistAttention {
                     &mut col.dv,
                 )?;
                 drop(tile);
-                if consume {
+                if last_in_row {
                     // dq_i is final: ship it home.
                     dq_handles[i] = Some(self.post_inv(Arc::new(dq_i))?);
                 } else {
@@ -614,7 +669,7 @@ impl AttentionExec for DistAttention {
         // Cross-chunk KV carry: chunk i+1's first KV fetch is issued while
         // chunk i is still computing, so no slot opens on an exposed
         // transfer.
-        let mut carry: Option<(FetchHandle, FetchHandle)> = None;
+        let mut carry: Option<Staged> = None;
         for (i, cur) in qkv_posted.into_iter().enumerate() {
             let _slot = self.span("slot.fwd", 0);
             // Project chunk through the all-to-all: full heads/local seq ->
@@ -636,7 +691,7 @@ impl AttentionExec for DistAttention {
                 } else {
                     None
                 };
-                let (kj, vj) = (cur.0.wait(), cur.1.wait());
+                let [kj, vj] = cur.wait()?;
                 // The carry for chunk i+1, issued on the last inner tile
                 // only after `cur` resolved: when i == 1 this tile's
                 // handles ARE chunk 0's K/V keys, and the pool treats a
@@ -659,9 +714,11 @@ impl AttentionExec for DistAttention {
             let oi = Arc::new(oi);
             // Cache everything backward needs (Arc-shared: the O chunk put
             // here is the same buffer the all-to-all below reads).
-            self.put(ChunkKey::new(layer, BufKind::Q, i), qh);
+            // K and V go down first: the next chunk fetches them straight
+            // back, and a fetch waits for its chunk's put.
             self.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
             self.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
+            self.put(ChunkKey::new(layer, BufKind::Q, i), qh);
             self.put(ChunkKey::new(layer, BufKind::O, i), Arc::clone(&oi));
             let lse_len = oi.shape()[0] * oi.shape()[1];
             self.put(
@@ -999,6 +1056,21 @@ mod tests {
             ex.host.is_empty()
         });
         assert!(empty.iter().all(|&e| e));
+    }
+
+    #[test]
+    fn copy_workers_exist_only_when_offload_and_prefetch_are_both_on() {
+        // `offload = false` (the Ulysses baseline) and `prefetch = false`
+        // (the one synchronous mode) must not cost a rank any thread.
+        let workers = run_group(1, |comm| {
+            let comm = Arc::new(comm);
+            [(true, true), (true, false), (false, true)].map(|(offload, prefetch)| {
+                let opts = RuntimeOptions::default().with_offload(offload).with_prefetch(prefetch);
+                let plan = ChunkPlan::new(8, 1, 2).unwrap();
+                DistAttention::with_opts(Arc::clone(&comm), plan, opts).host.prefetch_enabled()
+            })
+        });
+        assert_eq!(workers, [[true, false, false]]);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "raw-thread-spawn",
-        what: "threads only via par::pool / CommEngine / OffloadEngine, not std::thread directly",
+        what: "threads only via fpdt_comm::Stream / run_group, not std::thread directly",
     },
     RuleInfo {
         name: "dropped-span-guard",
@@ -113,10 +113,10 @@ const MAP_EMISSION_SCOPE: &[&str] = &[
 /// The clock-free zone: compute kernels.
 const WALLCLOCK_SCOPE: &[&str] = &["crates/tensor/src/"];
 
-/// Files allowed to call `std::thread` directly: the two engines that own
-/// worker threads (the pool itself lives in the vendored `rayon`, outside
-/// the scan).
-const THREAD_ALLOWLIST: &[&str] = &["crates/comm/src/engine.rs", "crates/comm/src/group.rs"];
+/// Files allowed to call `std::thread` directly: the stream type that
+/// owns every stream worker and the group that owns the rank threads (the
+/// kernel pool lives in the vendored `rayon`, outside the scan).
+const THREAD_ALLOWLIST: &[&str] = &["crates/comm/src/stream.rs", "crates/comm/src/group.rs"];
 
 /// The checkpoint persistence surface: everywhere a `CkptError` (or the
 /// fs call underneath one) is born. A discarded Result here turns a
@@ -384,7 +384,7 @@ fn wallclock_in_kernel(path: &str, lines: &[String], toks: &[Token], out: &mut V
 }
 
 /// `thread :: spawn` / `thread :: scope` / `thread :: Builder` outside
-/// the two engines that own worker threads.
+/// the two files that own threads.
 fn raw_thread_spawn(path: &str, lines: &[String], toks: &[Token], out: &mut Vec<Finding>) {
     if in_scope(path, THREAD_ALLOWLIST) {
         return;
@@ -402,8 +402,9 @@ fn raw_thread_spawn(path: &str, lines: &[String], toks: &[Token], out: &mut Vec<
                 path,
                 lines,
                 &toks[i],
-                "raw std::thread use outside the owning engines; go through par::pool, \
-                 CommEngine, or OffloadEngine so thread budgets and panic policy stay centralized"
+                "raw std::thread use outside fpdt_comm::stream / run_group; post the work on a \
+                 Stream (or run it as kernel-pool items) so worker lifetime and panic policy \
+                 stay centralized"
                     .to_string(),
             ));
         }

@@ -169,14 +169,17 @@ fn raw_thread_spawn_fires() {
 }
 
 #[test]
-fn thread_use_in_owning_engines_is_allowed() {
+fn thread_use_in_the_stream_and_the_group_is_allowed() {
     let src = r#"
         pub fn go() {
             std::thread::spawn(|| {});
         }
     "#;
-    assert!(rules_fired("crates/comm/src/engine.rs", src).is_empty());
+    assert!(rules_fired("crates/comm/src/stream.rs", src).is_empty());
     assert!(rules_fired("crates/comm/src/group.rs", src).is_empty());
+    // The engines are thin users of the stream: they own no thread.
+    assert_eq!(rules_fired("crates/comm/src/engine.rs", src), ["raw-thread-spawn"]);
+    assert_eq!(rules_fired("crates/core/src/offload.rs", src), ["raw-thread-spawn"]);
 }
 
 // --- dropped-span-guard ---

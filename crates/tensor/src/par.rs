@@ -50,23 +50,6 @@ pub fn parallel_worthwhile(items: usize, work: usize) -> bool {
     items >= 2 && work >= par_threshold()
 }
 
-/// Runs `f` asynchronously on the kernel pool when the per-device thread
-/// budget (`rayon::pool::per_call_threads`) leaves room for a helper,
-/// inline on the caller otherwise. Returns `true` when the task went
-/// async — the caller must then synchronize through its own completion
-/// state (the pool offers no join handle). The offload copy stream rides
-/// on this, so transfers respect the same `device_scope` budgets as the
-/// kernels.
-pub fn spawn_task(f: Box<dyn FnOnce() + Send + 'static>) -> bool {
-    if rayon::pool::per_call_threads() > 1 {
-        rayon::pool::spawn(f);
-        true
-    } else {
-        f();
-        false
-    }
-}
-
 /// Dispatches `body(i, row)` over fixed `row_len` rows of `data` —
 /// parallel when [`parallel_worthwhile`] says the `work` estimate covers
 /// the fan-out cost, sequential otherwise. Both paths visit the same
@@ -196,19 +179,6 @@ mod tests {
         assert!(!parallel_worthwhile(2, 122));
         assert!(!parallel_worthwhile(1, usize::MAX));
         set_par_threshold(prev);
-    }
-
-    #[test]
-    fn spawn_task_runs_exactly_once_inline_or_async() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _went_async = spawn_task(Box::new(move || {
-            tx.send(42u32).expect("receiver alive");
-        }));
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(10)),
-            Ok(42)
-        );
-        assert!(rx.try_recv().is_err(), "task ran exactly once");
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub mod wire;
 pub use chrome::sim_chrome_trace;
 pub use fit::{fit_linear, samples_for, CategorySummary, LinearFit};
 pub use metrics::ScheduleMetrics;
-pub use span::{cross_thread_overlap_fraction, overlap_fraction, Recorder, Span, SpanRecord};
+pub use span::{hidden_fraction, overlap_fraction, Recorder, Span, SpanRecord};

@@ -40,7 +40,8 @@ struct Inner {
     // tid = position in first-record order. A map keyed by `ThreadId`
     // would iterate in hash order somewhere eventually; a Vec has exactly
     // one order, and `ThreadId` has no `Ord` to offer a BTreeMap anyway.
-    threads: Mutex<Vec<ThreadId>>,
+    // The thread's name, if it has one, labels its Chrome-trace track.
+    threads: Mutex<Vec<(ThreadId, Option<String>)>>,
 }
 
 /// A shared, thread-safe span sink. Cloning is cheap and clones record
@@ -110,7 +111,9 @@ impl Recorder {
     }
 
     /// Renders the recorded spans as a Chrome-trace JSON document
-    /// (pid 1 = "fpdt-runtime", one tid per recording thread).
+    /// (pid 1 = "fpdt-runtime", one tid per recording thread; a named
+    /// thread — the stream workers `fpdt-comm-r0`, `fpdt-h2d-r0`, ... —
+    /// keeps its name as the track title, unnamed ones show `rank{tid}`).
     pub fn chrome_trace_json(&self) -> String {
         let spans = self.records();
         let mut events: Vec<String> = vec![
@@ -121,12 +124,19 @@ impl Recorder {
         let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
         tids.sort_unstable();
         tids.dedup();
+        let threads = self.inner.threads.lock().expect("thread table");
         for tid in tids {
+            let name = match threads.get(tid as usize) {
+                Some((_, Some(name))) => name.clone(),
+                _ => format!("rank{tid}"),
+            };
             events.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"rank{tid}\"}}}}"
+                 \"args\":{{\"name\":{}}}}}",
+                esc(&name)
             ));
         }
+        drop(threads);
         for s in &spans {
             let args = match s.bytes {
                 Some(b) => format!("{{\"bytes\":{b}}}"),
@@ -179,12 +189,12 @@ impl Recorder {
     }
 
     fn tid(&self) -> u64 {
-        let me = std::thread::current().id();
+        let me = std::thread::current();
         let mut threads = self.inner.threads.lock().expect("thread table");
-        match threads.iter().position(|t| *t == me) {
+        match threads.iter().position(|(t, _)| *t == me.id()) {
             Some(i) => i as u64,
             None => {
-                threads.push(me);
+                threads.push((me.id(), me.name().map(str::to_string)));
                 (threads.len() - 1) as u64
             }
         }
@@ -286,59 +296,48 @@ pub fn overlap_fraction(
     intersection(&copy, &compute) / copy_busy
 }
 
-/// [`overlap_fraction`] restricted to *cross-thread* concurrency: a copy
-/// span only counts as overlapped while a compute span from a **different
-/// thread** is running.
+/// Share of a stream's busy time that no rank waited for:
+/// `1 - exposed / busy` (`0.0` when the stream recorded no busy time).
 ///
-/// This is the right metric for streams with an inline fallback. When an
-/// asynchronous stream is disabled, its work runs synchronously on the
-/// consumer's own thread — often nested inside an enclosing phase span —
-/// and the thread-blind [`overlap_fraction`] would score that nesting as
-/// perfect overlap. Excluding the span's own thread makes inline work
-/// score exactly 0 (one thread cannot overlap itself), matching the CUDA
-/// meaning: work on the compute stream hides nothing.
-pub fn cross_thread_overlap_fraction(
+/// *Busy* is the union of the `busy_prefixes` spans per thread, summed
+/// over threads. *Exposed* is what the rank threads themselves — the
+/// threads that record `block.*` spans — spend inside `exposed_prefixes`
+/// spans: a transfer run inline, or a wait for one the stream did not
+/// finish in time. Concurrency with compute on *another* thread would
+/// not do as a measure: with two ranks in one trace the other rank is
+/// always computing, and every stream would score 1.0. (The same
+/// definition as the repo benchmark's `offload.overlap_fraction` /
+/// `comm.overlap_fraction`.)
+pub fn hidden_fraction(
     records: &[SpanRecord],
-    copy_prefixes: &[&str],
-    compute_prefixes: &[&str],
+    busy_prefixes: &[&str],
+    exposed_prefixes: &[&str],
 ) -> f64 {
-    let copy_spans: Vec<&SpanRecord> = records
+    let matching = |prefixes: &[&str], on_ranks: Option<&[u64]>| -> f64 {
+        let spans = records
+            .iter()
+            .filter(|s| prefixes.iter().any(|p| s.label.starts_with(p)))
+            .filter(|s| on_ranks.is_none_or(|tids| tids.contains(&s.tid)));
+        let mut per_thread: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
+        for s in spans {
+            per_thread.entry(s.tid).or_default().push((s.start_us, s.start_us + s.dur_us));
+        }
+        per_thread
+            .into_values()
+            .flat_map(merge_intervals)
+            .map(|(start, end)| end - start)
+            .sum()
+    };
+    let rank_tids: Vec<u64> = records
         .iter()
-        .filter(|s| copy_prefixes.iter().any(|p| s.label.starts_with(p)))
+        .filter(|s| s.label.starts_with("block."))
+        .map(|s| s.tid)
         .collect();
-    let copy_busy: f64 = copy_spans.iter().map(|s| s.dur_us).sum();
-    if copy_busy <= 0.0 {
+    let busy = matching(busy_prefixes, None);
+    if busy <= 0.0 {
         return 0.0;
     }
-    // Per copy-side thread: that thread's merged copy intervals against
-    // the union of every *other* thread's compute intervals.
-    let mut copy_tids: Vec<u64> = copy_spans.iter().map(|s| s.tid).collect();
-    copy_tids.sort_unstable();
-    copy_tids.dedup();
-    let mut overlap = 0.0f64;
-    for tid in copy_tids {
-        let copy = merge_intervals(
-            copy_spans
-                .iter()
-                .filter(|s| s.tid == tid)
-                .map(|s| (s.start_us, s.start_us + s.dur_us))
-                .collect(),
-        );
-        let compute = merge_intervals(
-            records
-                .iter()
-                .filter(|s| {
-                    s.tid != tid && compute_prefixes.iter().any(|p| s.label.starts_with(p))
-                })
-                .map(|s| (s.start_us, s.start_us + s.dur_us))
-                .collect(),
-        );
-        overlap += intersection(&copy, &compute);
-    }
-    // busy sums raw durations while overlap comes from interval endpoint
-    // arithmetic; clamp the epsilon disagreement so a fully hidden
-    // stream reports exactly 1.0.
-    (overlap / copy_busy).min(1.0)
+    (1.0 - matching(exposed_prefixes, Some(&rank_tids)) / busy).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -420,6 +419,23 @@ mod tests {
     }
 
     #[test]
+    fn named_threads_title_their_chrome_trace_track() {
+        let rec = Recorder::new();
+        rec.record("block.fwd", 0.0, 1.0, None);
+        let worker = rec.clone();
+        std::thread::Builder::new()
+            .name("fpdt-h2d-r0".to_string())
+            .spawn(move || worker.record("offload.prefetch", 1.0, 1.0, None))
+            .expect("spawn")
+            .join()
+            .expect("worker records");
+        let trace = rec.chrome_trace_json();
+        // The test harness names this thread after the test.
+        assert!(trace.contains("\"tid\":1,\"args\":{\"name\":\"fpdt-h2d-r0\"}"));
+        assert!(!trace.contains("\"name\":\"rank1\""));
+    }
+
+    #[test]
     fn totals_by_prefix() {
         let rec = Recorder::new();
         rec.record("offload.put", 0.0, 10.0, None);
@@ -478,51 +494,30 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_overlap_ignores_same_thread_nesting() {
-        // Inline fallback shape: the wire span is nested inside the
-        // consumer's own phase span. Thread-blind overlap scores 1.0;
-        // the cross-thread metric must score exactly 0.
+    fn hidden_fraction_counts_what_the_rank_thread_itself_spends() {
+        let busy = &["offload.put", "offload.prefetch", "offload.fetch"];
+        // Inline: the transfers run on the rank thread, nested in its
+        // phase span. Thread-blind overlap scores 1.0; nothing is hidden.
         let inline = vec![
             rec_on(0, "block.fwd", 0.0, 100.0),
-            rec_on(0, "comm.inflight", 10.0, 20.0),
+            rec_on(0, "offload.fetch", 10.0, 20.0),
         ];
-        assert!((overlap_fraction(&inline, &["comm.inflight"], &["block."]) - 1.0).abs() < 1e-9);
-        assert_eq!(
-            cross_thread_overlap_fraction(&inline, &["comm.inflight"], &["block."]),
-            0.0
-        );
-
-        // Same timeline but the wire span rides a worker thread: fully
-        // hidden behind the other thread's compute.
+        assert!((overlap_fraction(&inline, &["offload."], &["block."]) - 1.0).abs() < 1e-9);
+        assert_eq!(hidden_fraction(&inline, busy, &["offload."]), 0.0);
+        // On a worker, with the rank blocked for the last quarter of it.
         let streamed = vec![
             rec_on(0, "block.fwd", 0.0, 100.0),
-            rec_on(1, "comm.inflight", 10.0, 20.0),
+            rec_on(2, "offload.prefetch", 10.0, 20.0),
+            rec_on(0, "offload.wait", 25.0, 5.0),
         ];
-        assert!(
-            (cross_thread_overlap_fraction(&streamed, &["comm.inflight"], &["block."]) - 1.0)
-                .abs()
-                < 1e-9
-        );
-        assert_eq!(
-            cross_thread_overlap_fraction(&[], &["comm.inflight"], &["block."]),
-            0.0
-        );
-    }
-
-    #[test]
-    fn cross_thread_overlap_is_per_thread_and_partial() {
-        // Worker-thread wire span [0,10) against compute [5,15) on the
-        // consumer thread -> half hidden; a second inline span on the
-        // consumer thread [20,30) adds busy time but no overlap, so the
-        // total fraction is 5/20.
-        let r = vec![
-            rec_on(0, "attn.fwd.chunk", 5.0, 10.0),
-            rec_on(1, "comm.inflight", 0.0, 10.0),
-            rec_on(0, "comm.inflight", 20.0, 10.0),
-        ];
-        assert!(
-            (cross_thread_overlap_fraction(&r, &["comm.inflight"], &["attn."]) - 0.25).abs()
-                < 1e-9
-        );
+        assert!((hidden_fraction(&streamed, busy, &["offload."]) - 0.75).abs() < 1e-9);
+        // A second rank computing all along changes nothing: exposure is
+        // per rank thread, and a wait on a non-rank thread (a fetch job
+        // waiting for its chunk's put) is not exposure.
+        let mut two_ranks = streamed.clone();
+        two_ranks.push(rec_on(1, "block.fwd", 0.0, 100.0));
+        two_ranks.push(rec_on(3, "offload.wait", 0.0, 50.0));
+        assert!((hidden_fraction(&two_ranks, busy, &["offload."]) - 0.75).abs() < 1e-9);
+        assert_eq!(hidden_fraction(&[], busy, &["offload."]), 0.0);
     }
 }
