@@ -25,6 +25,14 @@
 //! `KERNELS_ATTN_ROOFLINE_OK` line is printed when the fully-visible tile
 //! reaches at least half of matmul forward and backward — the gate
 //! `scripts/ci.sh` greps for.
+//!
+//! The dense half's per-token kernels are timed at the same runtime shapes
+//! (`gelu`, `gelu_bwd`, `silu` on `[1024, 256]`, the table `rope` on
+//! `[1024, 2, 32]`; their rows carry ns per element) next to the MLP gemms
+//! they sit between (`mlp_gemm`: fc1 + fc2, forward + backward, at
+//! `[1024,64]x[64,256]`). `KERNELS_ACT_OK` is printed when single-thread
+//! `gelu` + `gelu_bwd` cost at most that same run's `mlp_gemm` — an
+//! activation must not outweigh the matmuls around it.
 
 use fpdt_attention::flops::{
     attention_bwd_flops, attention_fwd_flops, attention_tile_bwd_flops, attention_tile_fwd_flops,
@@ -44,6 +52,8 @@ struct Row {
     threads: usize,
     wall_ms: f64,
     gflops: f64,
+    /// Wall nanoseconds per output element (elementwise rows; else null).
+    ns_per_element: Option<f64>,
 }
 
 #[derive(Serialize)]
@@ -104,16 +114,18 @@ fn tile_benches(
         Bench {
             name: fwd_name,
             flops: attention_tile_fwd_flops(lu, lu, hu, du) / flops_div,
+            kernel_only: false,
             run: Box::new(move || {
                 let mut st = OnlineAttention::new(&q, &q_pos, None).expect("shapes fixed");
                 st.update(&k, &v, &kv_pos).expect("shapes fixed");
                 let (o, lse) = st.finalize();
-                digest(&[o.data(), &lse])
+                vec![o.into_vec(), lse]
             }),
         },
         Bench {
             name: bwd_name,
             flops: attention_tile_bwd_flops(lu, lu, hu, du) / flops_div,
+            kernel_only: false,
             run: Box::new(move || {
                 let mut dq = Tensor::zeros(&shape);
                 let mut dk = Tensor::zeros(&shape);
@@ -123,7 +135,7 @@ fn tile_benches(
                     &mut dv,
                 )
                 .expect("shapes fixed");
-                digest(&[dq.data(), dk.data(), dv.data()])
+                outputs([dq, dk, dv])
             }),
         },
     ]
@@ -136,27 +148,38 @@ const MIN_SAMPLE_SECS: f64 = 0.02;
 
 /// Runs `f` at least `reps` times and for at least [`MIN_SAMPLE_SECS`],
 /// and returns the best wall-clock seconds (least noise on a shared host)
-/// along with the last digest for the bitwise equivalence check.
-fn time_best(reps: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
+/// along with the digest of the last outputs for the bitwise equivalence
+/// check. With `kernel_only` the clock stops before the digest.
+fn time_best(reps: usize, kernel_only: bool, mut f: impl FnMut() -> Outputs) -> (f64, u64) {
     let mut best = f64::INFINITY;
-    let mut digest = 0u64;
+    let mut last = 0u64;
     let started = Instant::now();
     let mut done = 0;
     while done < reps || started.elapsed().as_secs_f64() < MIN_SAMPLE_SECS {
         let t0 = Instant::now();
-        digest = f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        let out = f();
+        let kernel = t0.elapsed();
+        last = digest(&out);
+        let wall = if kernel_only { kernel } else { t0.elapsed() };
+        best = best.min(wall.as_secs_f64());
         done += 1;
     }
-    (best, digest)
+    (best, last)
 }
 
-/// FNV-1a over the raw bits of a float slice: equal digests ⇔ bitwise
+/// What one kernel call produced, flattened for [`digest`].
+type Outputs = Vec<Vec<f32>>;
+
+fn outputs<const N: usize>(tensors: [Tensor; N]) -> Outputs {
+    tensors.into_iter().map(Tensor::into_vec).collect()
+}
+
+/// FNV-1a over the raw bits of the outputs: equal digests ⇔ bitwise
 /// equal outputs.
-fn digest(parts: &[&[f32]]) -> u64 {
+fn digest(parts: &[Vec<f32>]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for p in parts {
-        for v in *p {
+        for v in p {
             for b in v.to_bits().to_le_bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x100_0000_01b3);
@@ -169,7 +192,78 @@ fn digest(parts: &[&[f32]]) -> u64 {
 struct Bench {
     name: &'static str,
     flops: u64,
-    run: Box<dyn FnMut() -> u64>,
+    /// Time the kernel alone. The byte-serial digest of a `[1024, 256]`
+    /// output costs several times a lane-wise activation, so the dense
+    /// rows set this; the older rows keep the digest on the clock, which
+    /// is how the roofline gate's `--quick` margins were taken (digesting
+    /// a 128x128 product costs more than computing it).
+    kernel_only: bool,
+    run: Box<dyn FnMut() -> Outputs>,
+}
+
+/// Elementwise rows report ns per element; their `flops` field holds the
+/// element count.
+const ELEMENTWISE: [&str; 4] = ["gelu", "gelu_bwd", "silu", "rope"];
+
+/// The dense half's per-token kernels and the MLP gemms around them, at
+/// the repo benchmark's `fpdt_long` shapes (1024 local tokens, hidden 64,
+/// FFN 256, 2 heads of 32).
+fn dense_benches(seed: u64) -> Vec<Bench> {
+    let (tokens, hidden, ffn) = (1024usize, 64usize, 256usize);
+    let mut rng = init::seeded_rng(seed);
+    let a = init::randn(&mut rng, &[tokens, ffn], 1.0);
+    let da = init::randn(&mut rng, &[tokens, ffn], 1.0);
+    let (a2, a3) = (a.clone(), a.clone());
+    let q = init::randn(&mut rng, &[tokens, 2, 32], 1.0);
+    // a rank's shuffled global positions: stride-2 blocks of 128
+    let pos: Vec<usize> = (0..tokens).map(|t| t + (t / 128 + 1) * 128).collect();
+    let table = ops::RopeTable::new(&pos, 32, 10_000.0).expect("even head dim");
+    let x = init::randn(&mut rng, &[tokens, hidden], 1.0);
+    let w1 = init::randn(&mut rng, &[hidden, ffn], 0.1);
+    let w2 = init::randn(&mut rng, &[ffn, hidden], 0.1);
+    let dy = init::randn(&mut rng, &[tokens, hidden], 1.0);
+    let elems = (tokens * ffn) as u64;
+    let (t, h, f) = (tokens as u64, hidden as u64, ffn as u64);
+    vec![
+        Bench {
+            name: "gelu",
+            flops: elems,
+            kernel_only: true,
+            run: Box::new(move || outputs([ops::gelu(&a)])),
+        },
+        Bench {
+            name: "gelu_bwd",
+            flops: elems,
+            kernel_only: true,
+            run: Box::new(move || outputs([ops::gelu_bwd(&a2, &da).expect("shapes fixed")])),
+        },
+        Bench {
+            name: "silu",
+            flops: elems,
+            kernel_only: true,
+            run: Box::new(move || outputs([ops::silu(&a3)])),
+        },
+        Bench {
+            name: "rope",
+            flops: q.numel() as u64,
+            kernel_only: true,
+            run: Box::new(move || outputs([table.apply(&q).expect("shapes fixed")])),
+        },
+        Bench {
+            name: "mlp_gemm",
+            // fc1 and fc2, forward (2 flops per multiply-add) and both
+            // backward products (4)
+            flops: 2 * 6 * t * h * f,
+            kernel_only: true,
+            run: Box::new(move || {
+                let a = ops::matmul(&x, &w1).expect("shapes fixed");
+                let y = ops::matmul(&a, &w2).expect("shapes fixed");
+                let (dg, dw2) = ops::matmul_bwd(&a, &w2, &dy).expect("shapes fixed");
+                let (dx, dw1) = ops::matmul_bwd(&x, &w1, &dg).expect("shapes fixed");
+                outputs([y, dw2, dx, dw1])
+            }),
+        },
+    ]
 }
 
 fn benches(quick: bool) -> Vec<Bench> {
@@ -207,32 +301,36 @@ fn benches(quick: bool) -> Vec<Bench> {
         Bench {
             name: "matmul",
             flops: 2 * nu * nu * nu,
+            kernel_only: false,
             run: Box::new(move || {
                 let c = ops::matmul(&a, &b).expect("shapes fixed");
-                digest(&[c.data()])
+                outputs([c])
             }),
         },
         Bench {
             name: "matmul_bwd",
             flops: 4 * nu * nu * nu,
+            kernel_only: false,
             run: Box::new(move || {
                 let (da, db) = ops::matmul_bwd(&a2, &b2, &dc2).expect("shapes fixed");
-                digest(&[da.data(), db.data()])
+                outputs([da, db])
             }),
         },
         Bench {
             name: "attention_fwd",
             flops: attention_fwd_flops(su, hu, du),
+            kernel_only: false,
             run: Box::new(move || {
                 let mut st = OnlineAttention::new(&q, &pos, None).expect("shapes fixed");
                 st.update(&k, &v, &pos).expect("shapes fixed");
                 let (o, lse) = st.finalize();
-                digest(&[o.data(), &lse])
+                vec![o.into_vec(), lse]
             }),
         },
         Bench {
             name: "attention_bwd",
             flops: attention_bwd_flops(su, hu, du),
+            kernel_only: false,
             run: Box::new(move || {
                 let mut st = OnlineAttention::new(&q2, &pos2, None).expect("shapes fixed");
                 st.update(&k2, &v2, &pos2).expect("shapes fixed");
@@ -246,40 +344,44 @@ fn benches(quick: bool) -> Vec<Bench> {
                     &mut dv,
                 )
                 .expect("shapes fixed");
-                digest(&[dq.data(), dk.data(), dv.data()])
+                outputs([dq, dk, dv])
             }),
         },
         Bench {
             name: "layernorm_bwd",
             flops: 11 * (rows as u64) * (dim as u64),
+            kernel_only: false,
             run: Box::new(move || {
                 let (_, ctx) = ops::layernorm(&x, &gamma, &beta, 1e-5).expect("shapes fixed");
                 let (dx, dg, db) =
                     ops::layernorm_bwd(&x, &gamma, &ctx, &dy).expect("shapes fixed");
-                digest(&[dx.data(), dg.data(), db.data()])
+                outputs([dx, dg, db])
             }),
         },
         Bench {
             name: "cross_entropy",
             flops: 5 * (rows as u64) * (vocab as u64),
+            kernel_only: false,
             run: Box::new(move || {
                 let out =
                     ops::cross_entropy(&logits, &targets, usize::MAX).expect("shapes fixed");
-                digest(&[out.dlogits.data(), &[out.loss_sum]])
+                vec![out.dlogits.into_vec(), vec![out.loss_sum]]
             }),
         },
         Bench {
             name: "softmax_rows",
             flops: 5 * (rows as u64) * (dim as u64),
+            kernel_only: false,
             run: Box::new(move || {
                 let y = ops::softmax_rows(&x2);
                 let dx = ops::softmax_rows_bwd(&y, &dy2).expect("shapes fixed");
-                digest(&[y.data(), dx.data()])
+                outputs([y, dx])
             }),
         },
     ];
     out.extend(tile_benches(43, "attn_tile_fwd", "attn_tile_bwd", 256, 1));
     out.extend(tile_benches(44, "attn_diag_fwd", "attn_diag_bwd", 0, 2));
+    out.extend(dense_benches(45));
     out
 }
 
@@ -318,16 +420,22 @@ fn main() {
             let prev_be = mk::set_backend(Some(be));
             for &t in &configs {
                 let prev = pool::set_threads(t);
-                let (wall, dg) = time_best(reps, &mut bench.run);
+                let (wall, dg) = time_best(reps, bench.kernel_only, &mut bench.run);
                 pool::set_threads(prev);
                 walls.push((bname, t, wall));
                 digests.push(dg);
+                let elementwise = ELEMENTWISE.contains(&bench.name);
                 rows.push(Row {
                     kernel: bench.name.to_string(),
                     backend: bname.to_string(),
                     threads: t,
                     wall_ms: wall * 1e3,
-                    gflops: bench.flops as f64 / wall / 1e9,
+                    gflops: if elementwise {
+                        0.0
+                    } else {
+                        bench.flops as f64 / wall / 1e9
+                    },
+                    ns_per_element: elementwise.then(|| wall * 1e9 / bench.flops as f64),
                 });
             }
             mk::set_backend(prev_be);
@@ -379,9 +487,13 @@ fn main() {
             "kernel", "backend", "threads", "wall ms", "GFLOP/s"
         );
         for r in &rows {
+            let rate = match r.ns_per_element {
+                Some(ns) => format!("{ns:.2} ns/el"),
+                None => format!("{:.2}", r.gflops),
+            };
             println!(
-                "{:<16}{:>9}{:>9}{:>12.3}{:>12.2}",
-                r.kernel, r.backend, r.threads, r.wall_ms, r.gflops
+                "{:<16}{:>9}{:>9}{:>12.3}{:>12}",
+                r.kernel, r.backend, r.threads, r.wall_ms, rate
             );
         }
         for (name, s) in &speedups {
@@ -441,5 +553,18 @@ fn main() {
         println!(
             "KERNELS_ATTN_ROOFLINE_{verdict} fwd {fwd:.2} bwd {bwd:.2} of matmul (gate {ROOFLINE_GATE:.2})"
         );
+        // Same run, same thread, so host speed cancels: the GELU pair of
+        // one MLP layer against the four gemm calls of that layer.
+        let wall_ms = |kernel: &str| {
+            report
+                .rows
+                .iter()
+                .find(|r| r.kernel == kernel && r.backend == dispatch && r.threads == 1)
+                .expect("dense rows timed above")
+                .wall_ms
+        };
+        let (act, gemm) = (wall_ms("gelu") + wall_ms("gelu_bwd"), wall_ms("mlp_gemm"));
+        let verdict = if act <= gemm { "OK" } else { "FAIL" };
+        println!("KERNELS_ACT_{verdict} gelu+gelu_bwd {act:.3} ms vs mlp gemm {gemm:.3} ms");
     }
 }

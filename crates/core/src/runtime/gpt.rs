@@ -11,14 +11,37 @@
 use crate::runtime::exec::{AttentionExec, ExecResult};
 use fpdt_model::config::{Family, ModelConfig};
 use fpdt_tensor::nn::{AdamW, Embedding, LayerNorm, Linear, RmsNorm};
-use fpdt_tensor::ops::{self, LayerNormCtx, RmsNormCtx};
+use fpdt_tensor::ops::{self, LayerNormCtx, RmsNormCtx, RopeTable};
 use fpdt_tensor::{init, Tensor};
 use fpdt_trace::Recorder;
+use rand::rngs::SmallRng;
 
 /// Target id that contributes neither loss nor gradient.
 pub const IGNORE_INDEX: usize = usize::MAX;
 const ROPE_BASE: f32 = 10_000.0;
 const NORM_EPS: f32 = 1e-5;
+
+/// Runs `f` under a `label` span when a recorder is attached. The dense
+/// half's labels (`dense.*`, `head.loss`, `embed`, and `opt.*` /
+/// `grads.*` / `sync.*` / `segment.*` in `dist.rs`), one per block-level
+/// operation, stay clear of the prefixes the executor, its streams and the
+/// benchmark's reducers own (`block.`, `slot.`, `attn.`, `a2a.`,
+/// `kernel.`, `comm.`, `offload.`, `allreduce.`).
+pub(crate) fn spanned<T>(rec: Option<&Recorder>, label: &str, f: impl FnOnce() -> T) -> T {
+    let _s = rec.map(|r| r.span(label));
+    f()
+}
+
+/// Where a new layer's weights come from: the seeded initialiser, or
+/// (`None`) zeros that [`GptModel::from_params`] overwrites.
+type Init = Option<SmallRng>;
+
+fn linear(i: usize, o: usize, bias: bool, init: &mut Init) -> Linear {
+    match init {
+        Some(rng) => Linear::new(i, o, bias, rng),
+        None => Linear::zeros(i, o, bias),
+    }
+}
 
 /// Family-dispatched normalization layer.
 #[derive(Debug, Clone)]
@@ -102,17 +125,17 @@ struct MlpCtx {
 }
 
 impl Mlp {
-    fn new(cfg: &ModelConfig, rng: &mut rand::rngs::SmallRng) -> Self {
+    fn new(cfg: &ModelConfig, init: &mut Init) -> Self {
         let (h, f) = (cfg.hidden, cfg.ffn_hidden);
         match cfg.family {
             Family::Gpt => Mlp::Gelu {
-                fc1: Linear::new(h, f, true, rng),
-                fc2: Linear::new(f, h, true, rng),
+                fc1: linear(h, f, true, init),
+                fc2: linear(f, h, true, init),
             },
             Family::Llama => Mlp::SwiGlu {
-                gate: Linear::new(h, f, false, rng),
-                up: Linear::new(h, f, false, rng),
-                down: Linear::new(f, h, false, rng),
+                gate: linear(h, f, false, init),
+                up: linear(h, f, false, init),
+                down: linear(f, h, false, init),
             },
         }
     }
@@ -204,6 +227,15 @@ pub struct Block {
     kv_heads: usize,
 }
 
+/// What every block of one forward/backward pass shares: the RoPE table
+/// of the pass's positions, the MLP chunk count (2x the attention chunks
+/// per paper §5.4) and the span sink.
+struct Pass<'a> {
+    rope: &'a RopeTable,
+    mlp_chunks: usize,
+    rec: Option<&'a Recorder>,
+}
+
 /// Saved activations for one block's backward pass.
 pub struct BlockCtx {
     x: Tensor,
@@ -217,66 +249,67 @@ pub struct BlockCtx {
 }
 
 impl Block {
-    fn new(cfg: &ModelConfig, rng: &mut rand::rngs::SmallRng) -> Self {
+    fn new(cfg: &ModelConfig, init: &mut Init) -> Self {
         let h = cfg.hidden;
         let dh = cfg.head_dim();
         let bias = matches!(cfg.family, Family::Gpt);
         Block {
             norm1: Norm::new(cfg.family, h),
-            q_proj: Linear::new(h, cfg.heads * dh, bias, rng),
-            kv_proj: Linear::new(h, 2 * cfg.kv_heads * dh, bias, rng),
-            out_proj: Linear::new(cfg.heads * dh, h, bias, rng),
+            q_proj: linear(h, cfg.heads * dh, bias, init),
+            kv_proj: linear(h, 2 * cfg.kv_heads * dh, bias, init),
+            out_proj: linear(cfg.heads * dh, h, bias, init),
             norm2: Norm::new(cfg.family, h),
-            mlp: Mlp::new(cfg, rng),
+            mlp: Mlp::new(cfg, init),
             heads: cfg.heads,
             kv_heads: cfg.kv_heads,
         }
     }
 
-    /// Forward for `x: [s, hidden]` with global positions `pos`;
-    /// `mlp_chunks` is the MLP chunk count (2x the attention chunks per
-    /// paper §5.4).
+    /// Forward for `x: [s, hidden]` at the global positions the pass's
+    /// RoPE table was built for.
     fn forward(
         &self,
         layer: usize,
         x: &Tensor,
-        pos: &[usize],
         exec: &mut dyn AttentionExec,
-        mlp_chunks: usize,
+        pass: &Pass<'_>,
     ) -> ExecResult<(Tensor, BlockCtx)> {
+        let Pass {
+            rope,
+            mlp_chunks,
+            rec,
+        } = *pass;
         let s = x.shape()[0];
         let h = x.shape()[1];
         let dh = h / self.heads;
-        let (n1, n1_ctx) = self.norm1.forward(x)?;
-        let q = ops::rope(
-            &self.q_proj.forward(&n1)?.reshape(&[s, self.heads, dh])?,
-            pos,
-            ROPE_BASE,
-        )?;
-        let kv = self.kv_proj.forward(&n1)?;
-        let kvd = self.kv_heads * dh;
-        let k = ops::rope(
-            &kv.narrow(1, 0, kvd)?.reshape(&[s, self.kv_heads, dh])?,
-            pos,
-            ROPE_BASE,
-        )?;
-        let v = kv.narrow(1, kvd, kvd)?.reshape(&[s, self.kv_heads, dh])?;
-        let o = exec.forward(layer, &q, &k, &v, pos)?;
-        let o_merged = o.reshape(&[s, h])?;
-        let p = self.out_proj.forward(&o_merged)?;
-        let x1 = x.add(&p)?;
-        let (n2, n2_ctx) = self.norm2.forward(&x1)?;
+        let (n1, n1_ctx) = spanned(rec, "dense.norm", || self.norm1.forward(x))?;
+        let (q, k, v) = spanned(rec, "dense.qkv", || -> ExecResult<_> {
+            let q = rope.apply(&self.q_proj.forward(&n1)?.reshape(&[s, self.heads, dh])?)?;
+            let kv = self.kv_proj.forward(&n1)?;
+            let kvd = self.kv_heads * dh;
+            let k = rope.apply(&kv.narrow(1, 0, kvd)?.reshape(&[s, self.kv_heads, dh])?)?;
+            let v = kv.narrow(1, kvd, kvd)?.reshape(&[s, self.kv_heads, dh])?;
+            Ok((q, k, v))
+        })?;
+        let o = exec.forward(layer, &q, &k, &v, rope.positions())?;
+        let (o_merged, x1) = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
+            let o_merged = o.reshape(&[s, h])?;
+            let x1 = x.add(&self.out_proj.forward(&o_merged)?)?;
+            Ok((o_merged, x1))
+        })?;
+        let (n2, n2_ctx) = spanned(rec, "dense.norm", || self.norm2.forward(&x1))?;
         // Chunked MLP: token-wise, so chunking is exact.
-        let mut mlp_ctxs = Vec::new();
-        let mut m_parts = Vec::new();
-        for r in chunk_ranges(s, mlp_chunks) {
-            let n2c = n2.narrow(0, r.start, r.len())?;
-            let (mo, ctx) = self.mlp.forward(&n2c)?;
-            m_parts.push(mo);
-            mlp_ctxs.push(ctx);
-        }
-        let mo = concat0(&m_parts)?;
-        let x2 = x1.add(&mo)?;
+        let (x2, mlp_ctxs) = spanned(rec, "dense.mlp.fwd", || -> ExecResult<_> {
+            let mut mlp_ctxs = Vec::new();
+            let mut m_parts = Vec::new();
+            for r in chunk_ranges(s, mlp_chunks) {
+                let n2c = n2.narrow(0, r.start, r.len())?;
+                let (mo, ctx) = self.mlp.forward(&n2c)?;
+                m_parts.push(mo);
+                mlp_ctxs.push(ctx);
+            }
+            Ok((x1.add(&concat0(&m_parts)?)?, mlp_ctxs))
+        })?;
         Ok((
             x2,
             BlockCtx {
@@ -299,41 +332,57 @@ impl Block {
         layer: usize,
         ctx: &BlockCtx,
         dx2: &Tensor,
-        pos: &[usize],
         exec: &mut dyn AttentionExec,
-        mlp_chunks: usize,
+        pass: &Pass<'_>,
     ) -> ExecResult<Tensor> {
+        let Pass {
+            rope,
+            mlp_chunks,
+            rec,
+        } = *pass;
         let s = dx2.shape()[0];
         let h = dx2.shape()[1];
         let dh = h / self.heads;
         // MLP backward, chunked.
-        let mut dn2_parts = Vec::new();
-        for (ci, r) in chunk_ranges(s, mlp_chunks).into_iter().enumerate() {
-            let dmo = dx2.narrow(0, r.start, r.len())?;
-            let n2c = ctx.n2.narrow(0, r.start, r.len())?;
-            dn2_parts.push(self.mlp.backward(&n2c, &ctx.mlp[ci], &dmo)?);
-        }
-        let dn2 = concat0(&dn2_parts)?;
-        let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2)?;
-        dx1.add_assign(dx2)?; // residual
+        let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
+            let mut dn2_parts = Vec::new();
+            for (ci, r) in chunk_ranges(s, mlp_chunks).into_iter().enumerate() {
+                let dmo = dx2.narrow(0, r.start, r.len())?;
+                let n2c = ctx.n2.narrow(0, r.start, r.len())?;
+                dn2_parts.push(self.mlp.backward(&n2c, &ctx.mlp[ci], &dmo)?);
+            }
+            concat0(&dn2_parts)
+        })?;
+        let dx1 = spanned(rec, "dense.norm", || -> ExecResult<_> {
+            let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2)?;
+            dx1.add_assign(dx2)?; // residual
+            Ok(dx1)
+        })?;
 
         // Attention backward.
-        let do_merged = self.out_proj.backward(&ctx.o_merged, &dx1)?;
-        let do_heads = do_merged.reshape(&[s, self.heads, dh])?;
+        let do_heads = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
+            let do_merged = self.out_proj.backward(&ctx.o_merged, &dx1)?;
+            Ok(do_merged.reshape(&[s, self.heads, dh])?)
+        })?;
         let (dq, dk, dv) = exec.backward(layer, &do_heads)?;
-        let dq = ops::rope_bwd(&dq, pos, ROPE_BASE)?;
-        let dk = ops::rope_bwd(&dk, pos, ROPE_BASE)?;
-        let kvd = self.kv_heads * dh;
-        let dkv = Tensor::concat(&[&dk.reshape(&[s, kvd])?, &dv.reshape(&[s, kvd])?], 1)?;
-        let mut dn1 = self.kv_proj.backward(&ctx.n1, &dkv)?;
-        dn1.add_assign(
-            &self
-                .q_proj
-                .backward(&ctx.n1, &dq.reshape(&[s, self.heads * dh])?)?,
-        )?;
-        let mut dx = self.norm1.backward(&ctx.x, &ctx.n1_ctx, &dn1)?;
-        dx.add_assign(&dx1)?; // residual
-        Ok(dx)
+        let dn1 = spanned(rec, "dense.qkv", || -> ExecResult<_> {
+            let dq = rope.apply_bwd(&dq)?;
+            let dk = rope.apply_bwd(&dk)?;
+            let kvd = self.kv_heads * dh;
+            let dkv = Tensor::concat(&[&dk.reshape(&[s, kvd])?, &dv.reshape(&[s, kvd])?], 1)?;
+            let mut dn1 = self.kv_proj.backward(&ctx.n1, &dkv)?;
+            dn1.add_assign(
+                &self
+                    .q_proj
+                    .backward(&ctx.n1, &dq.reshape(&[s, self.heads * dh])?)?,
+            )?;
+            Ok(dn1)
+        })?;
+        spanned(rec, "dense.norm", || {
+            let mut dx = self.norm1.backward(&ctx.x, &ctx.n1_ctx, &dn1)?;
+            dx.add_assign(&dx1)?; // residual
+            Ok(dx)
+        })
     }
 
     fn zero_grad(&mut self) {
@@ -401,27 +450,88 @@ pub struct GptModel {
     norm_f: Norm,
     head: Linear,
     recorder: Option<Recorder>,
+    /// RoPE angles of the last positions seen. A rank's positions never
+    /// change, so after the first step this is a lookup.
+    rope: Option<RopeTable>,
 }
 
 impl GptModel {
     /// Builds a model with reproducible initialization: two ranks created
     /// with the same `(cfg, seed)` hold identical parameters.
     pub fn new(cfg: &ModelConfig, seed: u64) -> Self {
-        let mut rng = init::seeded_rng(seed);
-        let blocks = (0..cfg.layers).map(|_| Block::new(cfg, &mut rng)).collect();
+        Self::build(cfg, Some(init::seeded_rng(seed)))
+    }
+
+    /// Shapes a model around an existing flat parameter vector
+    /// ([`GptModel::collect_params`] order) without running the
+    /// initialiser: what a `Trainer` segment rebuilds its replicas with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat` does not match the architecture's parameter count.
+    pub fn from_params(cfg: &ModelConfig, flat: &[f32]) -> Self {
+        let mut model = Self::build(cfg, None);
+        model.set_params(flat);
+        model
+    }
+
+    fn build(cfg: &ModelConfig, mut init: Init) -> Self {
+        let blocks = (0..cfg.layers)
+            .map(|_| Block::new(cfg, &mut init))
+            .collect();
         GptModel {
             cfg: cfg.clone(),
-            emb: Embedding::new(cfg.vocab, cfg.hidden, &mut rng),
+            emb: match &mut init {
+                Some(rng) => Embedding::new(cfg.vocab, cfg.hidden, rng),
+                None => Embedding::zeros(cfg.vocab, cfg.hidden),
+            },
             blocks,
             norm_f: Norm::new(cfg.family, cfg.hidden),
-            head: Linear::new(cfg.hidden, cfg.vocab, false, &mut rng),
+            head: linear(cfg.hidden, cfg.vocab, false, &mut init),
             recorder: None,
+            rope: None,
         }
+    }
+
+    /// The RoPE table for `pos`: the cached one while the positions
+    /// compare equal, a fresh one otherwise. Taken out of `self` for the
+    /// pass (the blocks borrow `self` mutably) and stored back at its end.
+    fn rope_for(&mut self, pos: &[usize]) -> ExecResult<RopeTable> {
+        match self.rope.take() {
+            Some(table) if table.positions() == pos => Ok(table),
+            _ => Ok(RopeTable::new(pos, self.cfg.head_dim(), ROPE_BASE)?),
+        }
+    }
+
+    /// The chunked loss head (paper §5.4) over the final hidden state:
+    /// summed loss, contributing tokens, and `d loss / d xf`.
+    fn loss_head(
+        &mut self,
+        xf: &Tensor,
+        targets: &[usize],
+        loss_chunks: usize,
+    ) -> ExecResult<(LossStats, Tensor)> {
+        let mut stats = LossStats {
+            loss_sum: 0.0,
+            tokens: 0,
+        };
+        let mut dxf_parts = Vec::new();
+        for r in chunk_ranges(targets.len(), loss_chunks) {
+            let xc = xf.narrow(0, r.start, r.len())?;
+            let logits = self.head.forward(&xc)?;
+            let out = ops::cross_entropy(&logits, &targets[r.clone()], IGNORE_INDEX)?;
+            stats.loss_sum += out.loss_sum;
+            stats.tokens += out.tokens;
+            dxf_parts.push(self.head.backward(&xc, &out.dlogits)?);
+        }
+        Ok((stats, concat0(&dxf_parts)?))
     }
 
     /// Attaches a span recorder: each block's forward and backward record
     /// `block.fwd` / `block.bwd` compute spans, which the runtime bench
-    /// intersects with the offload copy spans to measure overlap.
+    /// intersects with the offload copy spans to measure overlap, and the
+    /// dense operations inside and around them record `dense.*`,
+    /// `head.loss` and `embed`, one span per block-level operation.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = Some(recorder);
@@ -464,42 +574,38 @@ impl GptModel {
             .into());
         }
         let rec = self.recorder.clone();
+        let rec = rec.as_ref();
+        let rope = self.rope_for(pos)?;
+        let pass = Pass {
+            rope: &rope,
+            mlp_chunks,
+            rec,
+        };
         // ---- forward ----
-        let mut x = self.emb.forward(tokens)?;
+        let mut x = spanned(rec, "embed", || self.emb.forward(tokens))?;
         let mut ctxs = Vec::with_capacity(self.blocks.len());
         for (layer, block) in self.blocks.iter().enumerate() {
-            let _s = rec.as_ref().map(|r| r.span("block.fwd"));
-            let (nx, ctx) = block.forward(layer, &x, pos, exec, mlp_chunks)?;
+            let _s = rec.map(|r| r.span("block.fwd"));
+            let (nx, ctx) = block.forward(layer, &x, exec, &pass)?;
             ctxs.push(ctx);
             x = nx;
         }
-        let (xf, nf_ctx) = self.norm_f.forward(&x)?;
-
-        // ---- chunked loss head (paper §5.4) ----
-        let mut loss_sum = 0.0f32;
-        let mut n_tokens = 0usize;
-        let mut dxf_parts = Vec::new();
-        for r in chunk_ranges(s, loss_chunks) {
-            let xc = xf.narrow(0, r.start, r.len())?;
-            let logits = self.head.forward(&xc)?;
-            let out = ops::cross_entropy(&logits, &targets[r.clone()], IGNORE_INDEX)?;
-            loss_sum += out.loss_sum;
-            n_tokens += out.tokens;
-            dxf_parts.push(self.head.backward(&xc, &out.dlogits)?);
-        }
-        let dxf = concat0(&dxf_parts)?;
+        let (xf, nf_ctx) = spanned(rec, "dense.norm", || self.norm_f.forward(&x))?;
+        let (stats, dxf) = spanned(rec, "head.loss", || {
+            self.loss_head(&xf, targets, loss_chunks)
+        })?;
 
         // ---- backward ----
-        let mut dx = self.norm_f.backward(&x, &nf_ctx, &dxf)?;
+        let mut dx = spanned(rec, "dense.norm", || {
+            self.norm_f.backward(&x, &nf_ctx, &dxf)
+        })?;
         for (layer, block) in self.blocks.iter_mut().enumerate().rev() {
-            let _s = rec.as_ref().map(|r| r.span("block.bwd"));
-            dx = block.backward(layer, &ctxs[layer], &dx, pos, exec, mlp_chunks)?;
+            let _s = rec.map(|r| r.span("block.bwd"));
+            dx = block.backward(layer, &ctxs[layer], &dx, exec, &pass)?;
         }
-        self.emb.backward(tokens, &dx)?;
-        Ok(LossStats {
-            loss_sum,
-            tokens: n_tokens,
-        })
+        spanned(rec, "embed", || self.emb.backward(tokens, &dx))?;
+        self.rope = Some(rope);
+        Ok(stats)
     }
 
     /// Like [`GptModel::forward_backward`] but with **activation
@@ -527,54 +633,50 @@ impl GptModel {
             return Err("tokens/targets/pos length mismatch".into());
         }
         let rec = self.recorder.clone();
+        let rec = rec.as_ref();
+        let rope = self.rope_for(pos)?;
+        let pass = Pass {
+            rope: &rope,
+            mlp_chunks,
+            rec,
+        };
         // ---- forward, saving only block inputs ----
-        let mut x = self.emb.forward(tokens)?;
+        let mut x = spanned(rec, "embed", || self.emb.forward(tokens))?;
         let mut checkpoints: Vec<Tensor> = Vec::with_capacity(self.blocks.len());
         for (layer, block) in self.blocks.iter().enumerate() {
             checkpoints.push(x.clone());
-            let _s = rec.as_ref().map(|r| r.span("block.fwd"));
-            let (nx, ctx) = block.forward(layer, &x, pos, exec, mlp_chunks)?;
+            let _s = rec.map(|r| r.span("block.fwd"));
+            let (nx, ctx) = block.forward(layer, &x, exec, &pass)?;
             drop(ctx); // checkpointing: keep nothing but the input
             exec.discard(layer);
             x = nx;
         }
-        let (xf, nf_ctx) = self.norm_f.forward(&x)?;
-
-        // ---- chunked loss head ----
-        let mut loss_sum = 0.0f32;
-        let mut n_tokens = 0usize;
-        let mut dxf_parts = Vec::new();
-        for r in chunk_ranges(s, loss_chunks) {
-            let xc = xf.narrow(0, r.start, r.len())?;
-            let logits = self.head.forward(&xc)?;
-            let out = ops::cross_entropy(&logits, &targets[r.clone()], IGNORE_INDEX)?;
-            loss_sum += out.loss_sum;
-            n_tokens += out.tokens;
-            dxf_parts.push(self.head.backward(&xc, &out.dlogits)?);
-        }
-        let dxf = concat0(&dxf_parts)?;
+        let (xf, nf_ctx) = spanned(rec, "dense.norm", || self.norm_f.forward(&x))?;
+        let (stats, dxf) = spanned(rec, "head.loss", || {
+            self.loss_head(&xf, targets, loss_chunks)
+        })?;
 
         // ---- backward with per-block recomputation ----
-        let mut dx = self.norm_f.backward(&x, &nf_ctx, &dxf)?;
+        let mut dx = spanned(rec, "dense.norm", || {
+            self.norm_f.backward(&x, &nf_ctx, &dxf)
+        })?;
         for layer in (0..self.blocks.len()).rev() {
             let x_in = &checkpoints[layer];
             // Recompute this block's forward to rebuild the context and
             // the executor's cached chunks (in the real system this is
             // where chunks stream back out to host memory again).
             let ctx = {
-                let _s = rec.as_ref().map(|r| r.span("block.fwd"));
+                let _s = rec.map(|r| r.span("block.fwd"));
                 let block = &self.blocks[layer];
-                let (_, ctx) = block.forward(layer, x_in, pos, exec, mlp_chunks)?;
+                let (_, ctx) = block.forward(layer, x_in, exec, &pass)?;
                 ctx
             };
-            let _s = rec.as_ref().map(|r| r.span("block.bwd"));
-            dx = self.blocks[layer].backward(layer, &ctx, &dx, pos, exec, mlp_chunks)?;
+            let _s = rec.map(|r| r.span("block.bwd"));
+            dx = self.blocks[layer].backward(layer, &ctx, &dx, exec, &pass)?;
         }
-        self.emb.backward(tokens, &dx)?;
-        Ok(LossStats {
-            loss_sum,
-            tokens: n_tokens,
-        })
+        spanned(rec, "embed", || self.emb.backward(tokens, &dx))?;
+        self.rope = Some(rope);
+        Ok(stats)
     }
 
     /// Clears all gradient accumulators.
@@ -701,9 +803,15 @@ impl GptModel {
     ) -> ExecResult<usize> {
         let s = prompt.len();
         let pos: Vec<usize> = (0..s).collect();
+        let rope = RopeTable::new(&pos, self.cfg.head_dim(), ROPE_BASE)?;
+        let pass = Pass {
+            rope: &rope,
+            mlp_chunks: 1,
+            rec: None,
+        };
         let mut x = self.emb.forward(prompt)?;
         for (layer, block) in self.blocks.iter().enumerate() {
-            let (nx, _) = block.forward(layer, &x, &pos, exec, 1)?;
+            let (nx, _) = block.forward(layer, &x, exec, &pass)?;
             exec.discard(layer); // forward-only inference keeps no state
             x = nx;
         }
@@ -878,6 +986,70 @@ mod tests {
                     cfg.name
                 );
             }
+        }
+    }
+
+    /// The per-call rotation [`RopeTable`] replaced: `powf` and `sin_cos`
+    /// for every (token, head, pair), the sign folded into the angle.
+    fn rope_per_call(x: &Tensor, positions: &[usize], sign: f32) -> Tensor {
+        let (h, d) = (x.shape()[1], x.shape()[2]);
+        let mut out = x.clone();
+        for (t, &pos) in positions.iter().enumerate() {
+            for head in 0..h {
+                let row = &mut out.data_mut()[(t * h + head) * d..][..d];
+                for i in 0..d / 2 {
+                    let inv_freq = ROPE_BASE.powf(-2.0 * i as f32 / d as f32);
+                    let (sin, cos) = (sign * pos as f32 * inv_freq).sin_cos();
+                    let (a, b) = (row[2 * i], row[2 * i + 1]);
+                    row[2 * i] = a * cos - b * sin;
+                    row[2 * i + 1] = a * sin + b * cos;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rope_table_matches_the_per_call_formula_on_shuffled_positions() {
+        // FPDT's rank-ordinal shuffle: rank 1 of 2 with 4 chunks holds
+        // positions 8..16, 24..32, ... — not an arithmetic progression.
+        let plan = crate::chunk::ChunkPlan::new(64, 2, 4).unwrap();
+        let pos = plan.local_positions(1);
+        let table = RopeTable::new(&pos, 8, ROPE_BASE).unwrap();
+        let mut rng = init::seeded_rng(3);
+        // q has 4 heads, k (GQA) 2; dq/dk arrive with the same shapes
+        for heads in [4usize, 2] {
+            let x = init::randn(&mut rng, &[pos.len(), heads, 8], 1.0);
+            let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(table.apply(&x).unwrap()),
+                bits(rope_per_call(&x, &pos, 1.0)),
+                "forward, {heads} heads"
+            );
+            assert_eq!(
+                bits(table.apply_bwd(&x).unwrap()),
+                bits(rope_per_call(&x, &pos, -1.0)),
+                "backward, {heads} heads"
+            );
+        }
+    }
+
+    #[test]
+    fn from_params_is_the_seeded_model_without_the_initialiser() {
+        for cfg in [tiny(), tiny_llama()] {
+            let mut seeded = GptModel::new(&cfg, 13);
+            let mut shaped = GptModel::from_params(&cfg, &seeded.collect_params());
+            assert_eq!(shaped.collect_params(), seeded.collect_params());
+            let (x, y) = Corpus::new(cfg.vocab, 0.1, 2).sample(32);
+            let pos: Vec<usize> = (0..32).collect();
+            let run = |model: &mut GptModel| {
+                let mut exec = LocalAttention::new(2);
+                let stats = model
+                    .forward_backward(&mut exec, &x, &y, &pos, 2, 2)
+                    .unwrap();
+                (stats.loss_sum.to_bits(), model.collect_grads())
+            };
+            assert_eq!(run(&mut seeded), run(&mut shaped), "{}", cfg.name);
         }
     }
 

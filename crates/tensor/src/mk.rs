@@ -450,21 +450,140 @@ unsafe fn exp_v<V: V8>(x: V) -> V {
     y.mul(n.exp2i()).and_ge(x, V::splat(EXP_LO))
 }
 
+/// A lane-wise function of one vector (`F1`) or two (`F2`), named by a
+/// type so the `map` loops below monomorphize per function *and* per
+/// backend with everything inlined into the `target_feature` wrapper (a
+/// closure would compile as a function of its own, without the feature).
+trait F1 {
+    unsafe fn f<V: V8>(x: V) -> V;
+}
+trait F2 {
+    unsafe fn f<V: V8>(a: V, b: V) -> V;
+}
+
+/// `x[i] = F(x[i])` through the lanes. The tail runs through the same
+/// lanes on a padded copy, so an element's bits never depend on where in
+/// the slice it sits — any partition of a buffer gives the same result.
 #[inline(always)]
-unsafe fn exp_g<V: V8>(x: &mut [f32]) {
+unsafe fn map_g<V: V8, F: F1>(x: &mut [f32]) {
     let n = x.len();
     let xp = x.as_mut_ptr();
     let mut i = 0;
     while i + 8 <= n {
-        exp_v(V::loadu(xp.add(i) as *const f32)).storeu(xp.add(i));
+        F::f(V::loadu(xp.add(i) as *const f32)).storeu(xp.add(i));
         i += 8;
     }
     if i < n {
-        // The tail runs through the same lanes on a padded copy.
         let mut tail = [0.0f32; 8];
         tail[..n - i].copy_from_slice(&x[i..]);
-        exp_v(V::loadu(tail.as_ptr())).storeu(tail.as_mut_ptr());
+        F::f(V::loadu(tail.as_ptr())).storeu(tail.as_mut_ptr());
         x[i..].copy_from_slice(&tail[..n - i]);
+    }
+}
+
+/// `out[i] = F(a[i], b[i])` through the lanes, tail padded as in
+/// [`map_g`]. The slices have equal length (checked by the `_on` entry
+/// points).
+#[inline(always)]
+unsafe fn map2_g<V: V8, F: F2>(a: &[f32], b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    let mut i = 0;
+    while i + 8 <= n {
+        F::f(V::loadu(ap.add(i)), V::loadu(bp.add(i))).storeu(op.add(i));
+        i += 8;
+    }
+    if i < n {
+        let (mut ta, mut tb) = ([0.0f32; 8], [0.0f32; 8]);
+        ta[..n - i].copy_from_slice(&a[i..]);
+        tb[..n - i].copy_from_slice(&b[i..]);
+        F::f(V::loadu(ta.as_ptr()), V::loadu(tb.as_ptr())).storeu(ta.as_mut_ptr());
+        out[i..].copy_from_slice(&ta[..n - i]);
+    }
+}
+
+struct Exp;
+impl F1 for Exp {
+    #[inline(always)]
+    unsafe fn f<V: V8>(x: V) -> V {
+        exp_v(x)
+    }
+}
+
+/// `2·sqrt(2/π)`: with `0.5·(1 + tanh u) = σ(2u)` the tanh-form GELU is
+/// `x·σ(z)`, `z = GELU_K·(x + GELU_C·x³)`.
+const GELU_K: f32 = 2.0 * 0.797_884_6;
+const GELU_C: f32 = 0.044_715;
+
+/// `exp(-z)` and `1 + exp(-z)`, the denominator of the logistic `σ(z)`:
+/// exactly `1.0` once `z > -EXP_LO` (σ saturates at 1) and at most
+/// `1 + exp(EXP_HI)`, finite, however negative `z` is (σ bottoms out near
+/// `6e-39`, never 0/0). A NaN `z` gives `1.0`; the caller's own `x` factor
+/// carries the NaN.
+#[inline(always)]
+unsafe fn logistic_den_v<V: V8>(z: V) -> (V, V) {
+    let e = exp_v(V::zero().sub(z));
+    (e, V::splat(1.0).add(e))
+}
+
+/// `x·σ(z)` as one divide: the forward of both activations.
+#[inline(always)]
+unsafe fn x_sigmoid_v<V: V8>(x: V, z: V) -> V {
+    x.div(logistic_den_v(z).1)
+}
+
+/// `σ + x_dz·σ(1−σ)`, the derivative of `x·σ(z(x))` given `x_dz = x·z'`.
+/// `1−σ = e·σ` comes from the exponential already in hand rather than
+/// from a subtraction, which cancels where σ is within an ulp of 1.
+#[inline(always)]
+unsafe fn x_sigmoid_grad_v<V: V8>(x_dz: V, z: V) -> V {
+    let (e, den) = logistic_den_v(z);
+    let s = V::splat(1.0).div(den);
+    s.fma(x_dz, e.mul(s).mul(s))
+}
+
+/// The GELU argument `z = K·x·(1 + C·x²)` and `x²`.
+#[inline(always)]
+unsafe fn gelu_arg_v<V: V8>(x: V) -> (V, V) {
+    let t = x.mul(x);
+    let z = V::splat(GELU_K)
+        .mul(x)
+        .mul(V::splat(1.0).fma(V::splat(GELU_C), t));
+    (z, t)
+}
+
+struct Gelu;
+impl F1 for Gelu {
+    #[inline(always)]
+    unsafe fn f<V: V8>(x: V) -> V {
+        x_sigmoid_v(x, gelu_arg_v(x).0)
+    }
+}
+
+struct GeluBwd;
+impl F2 for GeluBwd {
+    #[inline(always)]
+    unsafe fn f<V: V8>(x: V, dy: V) -> V {
+        let (z, t) = gelu_arg_v(x);
+        // z' = K·(1 + 3C·x²)
+        let dz = V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t);
+        x_sigmoid_grad_v(x.mul(dz), z).mul(dy)
+    }
+}
+
+struct Silu;
+impl F1 for Silu {
+    #[inline(always)]
+    unsafe fn f<V: V8>(x: V) -> V {
+        x_sigmoid_v(x, x)
+    }
+}
+
+struct SiluBwd;
+impl F2 for SiluBwd {
+    #[inline(always)]
+    unsafe fn f<V: V8>(x: V, dy: V) -> V {
+        x_sigmoid_grad_v(x, x).mul(dy)
     }
 }
 
@@ -818,14 +937,16 @@ unsafe fn dot_rows_g<V: V8>(
 // ---------------------------------------------------------------------------
 
 macro_rules! instantiate {
-    ($scalar:ident, $avx2:ident, $generic:ident, ($($arg:ident: $ty:ty),*) -> $ret:ty) => {
+    // `generic<F>` instantiates a `map` loop over the lane function `F`.
+    ($scalar:ident, $avx2:ident, $generic:ident $(<$f:ty>)?,
+     ($($arg:ident: $ty:ty),*) -> $ret:ty) => {
         fn $scalar($($arg: $ty),*) -> $ret {
-            unsafe { $generic::<Sc>($($arg),*) }
+            unsafe { $generic::<Sc $(, $f)?>($($arg),*) }
         }
         #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
         #[target_feature(enable = "avx2,fma")]
         unsafe fn $avx2($($arg: $ty),*) -> $ret {
-            $generic::<avx::Vx>($($arg),*)
+            $generic::<avx::Vx $(, $f)?>($($arg),*)
         }
     };
 }
@@ -834,7 +955,13 @@ instantiate!(dot_scalar, dot_avx2, dot_g, (a: &[f32], b: &[f32]) -> f32);
 instantiate!(axpy_scalar, axpy_avx2, axpy_g, (dst: &mut [f32], s: f32, src: &[f32]) -> ());
 instantiate!(scale_rows_scalar, scale_rows_avx2, scale_rows_g,
     (c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) -> ());
-instantiate!(exp_scalar, exp_avx2, exp_g, (x: &mut [f32]) -> ());
+instantiate!(exp_scalar, exp_avx2, map_g<Exp>, (x: &mut [f32]) -> ());
+instantiate!(gelu_scalar, gelu_avx2, map_g<Gelu>, (x: &mut [f32]) -> ());
+instantiate!(gelu_bwd_scalar, gelu_bwd_avx2, map2_g<GeluBwd>,
+    (x: &[f32], dy: &[f32], dx: &mut [f32]) -> ());
+instantiate!(silu_scalar, silu_avx2, map_g<Silu>, (x: &mut [f32]) -> ());
+instantiate!(silu_bwd_scalar, silu_bwd_avx2, map2_g<SiluBwd>,
+    (x: &[f32], dy: &[f32], dx: &mut [f32]) -> ());
 instantiate!(softmax_fold_scalar, softmax_fold_avx2, softmax_fold_g,
     (s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) -> ());
 instantiate!(softmax_bwd_scalar, softmax_bwd_avx2, softmax_bwd_g,
@@ -932,6 +1059,68 @@ pub fn exp_on(be: Backend, x: &mut [f32]) {
 #[inline]
 pub fn exp(x: &mut [f32]) {
     exp_on(backend(), x)
+}
+
+/// In-place tanh-approximation GELU on an explicit backend, evaluated as
+/// `x·σ(z)` with `z = 2·sqrt(2/π)·(x + 0.044715·x³)` — the same function
+/// as `0.5·x·(1 + tanh(z/2))` without the `1 + tanh` cancellation on the
+/// negative side: relative error at most `5e-7·(1 + |z|)` (the rounding of
+/// `z` itself) down to where the result underflows. `gelu(0) == 0`, NaN
+/// propagates, no finite input gives NaN or infinity.
+pub fn gelu_on(be: Backend, x: &mut [f32]) {
+    dispatch!(be, gelu_scalar, gelu_avx2, (x))
+}
+
+/// In-place GELU on the dispatched backend.
+#[inline]
+pub fn gelu(x: &mut [f32]) {
+    gelu_on(backend(), x)
+}
+
+/// `dx[i] = gelu'(x[i])·dy[i]` on an explicit backend, with
+/// `gelu' = σ + x·z'·σ(1−σ)`; absolute error of the factor below `2e-6`.
+/// Finite for every `|x| < 1e19` (beyond that `x²` overflows).
+///
+/// # Panics
+///
+/// Panics unless the three slices have the same length.
+pub fn gelu_bwd_on(be: Backend, x: &[f32], dy: &[f32], dx: &mut [f32]) {
+    assert!(x.len() == dx.len() && dy.len() == dx.len());
+    dispatch!(be, gelu_bwd_scalar, gelu_bwd_avx2, (x, dy, dx))
+}
+
+/// GELU backward on the dispatched backend.
+#[inline]
+pub fn gelu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
+    gelu_bwd_on(backend(), x, dy, dx)
+}
+
+/// In-place SiLU `x·σ(x)` on an explicit backend (same kernel family and
+/// edge behaviour as [`gelu_on`]).
+pub fn silu_on(be: Backend, x: &mut [f32]) {
+    dispatch!(be, silu_scalar, silu_avx2, (x))
+}
+
+/// In-place SiLU on the dispatched backend.
+#[inline]
+pub fn silu(x: &mut [f32]) {
+    silu_on(backend(), x)
+}
+
+/// `dx[i] = (σ + x·σ(1−σ))·dy[i]` at `x[i]` on an explicit backend.
+///
+/// # Panics
+///
+/// Panics unless the three slices have the same length.
+pub fn silu_bwd_on(be: Backend, x: &[f32], dy: &[f32], dx: &mut [f32]) {
+    assert!(x.len() == dx.len() && dy.len() == dx.len());
+    dispatch!(be, silu_bwd_scalar, silu_bwd_avx2, (x, dy, dx))
+}
+
+/// SiLU backward on the dispatched backend.
+#[inline]
+pub fn silu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
+    silu_bwd_on(backend(), x, dy, dx)
 }
 
 /// Online-softmax fold of one score block `s: [rows, w]` (one *column*

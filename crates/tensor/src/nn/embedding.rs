@@ -23,6 +23,15 @@ impl Embedding {
         }
     }
 
+    /// Creates an all-zero table of the same shape, for a caller that is
+    /// about to overwrite the parameters.
+    pub fn zeros(vocab: usize, dim: usize) -> Self {
+        Embedding {
+            weight: Tensor::zeros(&[vocab, dim]),
+            dweight: Tensor::zeros(&[vocab, dim]),
+        }
+    }
+
     /// Vocabulary size.
     pub fn vocab(&self) -> usize {
         self.weight.shape()[0]

@@ -43,6 +43,17 @@ impl Linear {
         }
     }
 
+    /// Creates a layer of the same shape with every entry zero, for a
+    /// caller that is about to overwrite the parameters.
+    pub fn zeros(in_features: usize, out_features: usize, bias: bool) -> Self {
+        Linear {
+            weight: Tensor::zeros(&[in_features, out_features]),
+            bias: bias.then(|| Tensor::zeros(&[out_features])),
+            dweight: Tensor::zeros(&[in_features, out_features]),
+            dbias: bias.then(|| Tensor::zeros(&[out_features])),
+        }
+    }
+
     /// Input feature count.
     pub fn in_features(&self) -> usize {
         self.weight.shape()[0]

@@ -1,9 +1,10 @@
 //! Elementwise activations and bias broadcasting with gradients.
+//!
+//! GELU and SiLU run on the lane kernels of [`crate::mk`] (one polynomial
+//! `exp` and one divide per element, scalar ≡ AVX2 bitwise); this module
+//! only checks shapes and splits the buffer across the pool.
 
-use crate::{par, Result, Tensor, TensorError};
-
-const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-const GELU_COEFF: f32 = 0.044_715;
+use crate::{mk, par, Result, Tensor, TensorError};
 
 /// Block size for splitting flat elementwise kernels across the pool; the
 /// math is purely per-element so any partition gives identical bits.
@@ -14,16 +15,38 @@ const ELEM_BLOCK: usize = 4096;
 /// column rows are always accumulated in ascending order.
 const COL_BLOCK: usize = 64;
 
-/// GELU activation (tanh approximation, as used by GPT-2/3 and Llama's
-/// reference implementations of `gelu_new`).
-pub fn gelu(x: &Tensor) -> Tensor {
+fn activation(x: &Tensor, kernel: fn(&mut [f32])) -> Tensor {
     let mut out = x.clone();
-    par::run_rows(out.data_mut(), ELEM_BLOCK, x.numel(), |_, blk| {
-        for v in blk.iter_mut() {
-            *v = 0.5 * *v * (1.0 + (SQRT_2_OVER_PI * (*v + GELU_COEFF * *v * *v * *v)).tanh());
-        }
-    });
+    par::run_rows(out.data_mut(), ELEM_BLOCK, x.numel(), |_, blk| kernel(blk));
     out
+}
+
+fn activation_bwd(
+    op: &'static str,
+    x: &Tensor,
+    dy: &Tensor,
+    kernel: fn(&[f32], &[f32], &mut [f32]),
+) -> Result<Tensor> {
+    if x.shape() != dy.shape() {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: x.shape().to_vec(),
+            rhs: dy.shape().to_vec(),
+        });
+    }
+    let mut out = Tensor::zeros(x.shape());
+    let (xs, dys) = (x.data(), dy.data());
+    par::run_rows(out.data_mut(), ELEM_BLOCK, x.numel(), |blk_i, blk| {
+        let at = blk_i * ELEM_BLOCK..blk_i * ELEM_BLOCK + blk.len();
+        kernel(&xs[at.clone()], &dys[at], blk);
+    });
+    Ok(out)
+}
+
+/// GELU activation (tanh approximation, as used by GPT-2/3 and Llama's
+/// reference implementations of `gelu_new`), evaluated as `x·σ(2u)`.
+pub fn gelu(x: &Tensor) -> Tensor {
+    activation(x, mk::gelu)
 }
 
 /// Gradient of [`gelu`]: returns `dx` given the forward input and `dy`.
@@ -32,39 +55,12 @@ pub fn gelu(x: &Tensor) -> Tensor {
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `x` and `dy` differ in shape.
 pub fn gelu_bwd(x: &Tensor, dy: &Tensor) -> Result<Tensor> {
-    if x.shape() != dy.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "gelu_bwd",
-            lhs: x.shape().to_vec(),
-            rhs: dy.shape().to_vec(),
-        });
-    }
-    let mut out = Tensor::zeros(x.shape());
-    let xs = x.data();
-    let dys = dy.data();
-    par::run_rows(out.data_mut(), ELEM_BLOCK, x.numel(), |blk_i, blk| {
-        let off = blk_i * ELEM_BLOCK;
-        for (j, o) in blk.iter_mut().enumerate() {
-            let (v, g) = (xs[off + j], dys[off + j]);
-            let u = SQRT_2_OVER_PI * (v + GELU_COEFF * v * v * v);
-            let t = u.tanh();
-            let du = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * v * v);
-            let d = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du;
-            *o = d * g;
-        }
-    });
-    Ok(out)
+    activation_bwd("gelu_bwd", x, dy, mk::gelu_bwd)
 }
 
 /// SiLU/swish activation `x * sigmoid(x)` (Llama MLP gate).
 pub fn silu(x: &Tensor) -> Tensor {
-    let mut out = x.clone();
-    par::run_rows(out.data_mut(), ELEM_BLOCK, x.numel(), |_, blk| {
-        for v in blk.iter_mut() {
-            *v /= 1.0 + (-*v).exp();
-        }
-    });
-    out
+    activation(x, mk::silu)
 }
 
 /// Gradient of [`silu`].
@@ -73,25 +69,7 @@ pub fn silu(x: &Tensor) -> Tensor {
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `x` and `dy` differ in shape.
 pub fn silu_bwd(x: &Tensor, dy: &Tensor) -> Result<Tensor> {
-    if x.shape() != dy.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "silu_bwd",
-            lhs: x.shape().to_vec(),
-            rhs: dy.shape().to_vec(),
-        });
-    }
-    let mut out = Tensor::zeros(x.shape());
-    let xs = x.data();
-    let dys = dy.data();
-    par::run_rows(out.data_mut(), ELEM_BLOCK, x.numel(), |blk_i, blk| {
-        let off = blk_i * ELEM_BLOCK;
-        for (j, o) in blk.iter_mut().enumerate() {
-            let (v, g) = (xs[off + j], dys[off + j]);
-            let s = 1.0 / (1.0 + (-v).exp());
-            *o = g * (s + v * s * (1.0 - s));
-        }
-    });
-    Ok(out)
+    activation_bwd("silu_bwd", x, dy, mk::silu_bwd)
 }
 
 /// Adds a rank-1 bias across the last axis of `x`.

@@ -1,13 +1,128 @@
 //! Rotary position embeddings (RoPE).
 //!
 //! FPDT processes the sequence in chunks, so RoPE must be applied with
-//! *global* token positions rather than chunk-local offsets — [`rope`]
-//! therefore takes an explicit position per row. The backward pass is a
-//! rotation by the negative angle (rotations are orthogonal).
+//! *global* token positions rather than chunk-local offsets — a
+//! [`RopeTable`] is therefore built from an explicit position per row. The
+//! angles depend on nothing else, so a caller that rotates several
+//! tensors at the same positions (q and k of every layer, then their
+//! gradients) builds the table once. The backward pass is a rotation by
+//! the negative angle (rotations are orthogonal).
 
-use crate::{Result, Tensor, TensorError};
+use crate::{par, Result, Tensor, TensorError};
 
-fn rotate(x: &Tensor, positions: &[usize], base: f32, sign: f32) -> Result<Tensor> {
+/// Tokens per pool item of [`RopeTable::apply`]; the rotation is purely
+/// per-element, so any partition gives identical bits.
+const TOKEN_BLOCK: usize = 64;
+
+/// `sin`/`cos` of `pos · base^(-2i/d)` for every row position and feature
+/// pair: two `[seq, d/2]` tables, the only place RoPE evaluates a
+/// transcendental.
+#[derive(Debug, Clone)]
+pub struct RopeTable {
+    positions: Vec<usize>,
+    half: usize,
+    sin: Vec<f32>,
+    cos: Vec<f32>,
+}
+
+impl RopeTable {
+    /// Tabulates the rotation angles of `positions` for heads of
+    /// `head_dim` features.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidSlice`] when `head_dim` is odd.
+    pub fn new(positions: &[usize], head_dim: usize, base: f32) -> Result<Self> {
+        if !head_dim.is_multiple_of(2) {
+            return Err(TensorError::InvalidSlice {
+                what: format!("rope head dim {head_dim} must be even"),
+            });
+        }
+        let half = head_dim / 2;
+        // inverse frequencies: base^(-2i/d)
+        let inv_freq: Vec<f32> = (0..half)
+            .map(|i| base.powf(-2.0 * i as f32 / head_dim as f32))
+            .collect();
+        let mut sin = Vec::with_capacity(positions.len() * half);
+        let mut cos = Vec::with_capacity(positions.len() * half);
+        for &pos in positions {
+            for &f in &inv_freq {
+                let (s, c) = (pos as f32 * f).sin_cos();
+                sin.push(s);
+                cos.push(c);
+            }
+        }
+        Ok(RopeTable {
+            positions: positions.to_vec(),
+            half,
+            sin,
+            cos,
+        })
+    }
+
+    /// The row positions the table was built for.
+    pub fn positions(&self) -> &[usize] {
+        &self.positions
+    }
+
+    /// Rotates a `[seq, heads, head_dim]` tensor: each consecutive pair of
+    /// features of row `t` turns by `positions[t] * base^(-2i/d)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rank/shape error unless `x` is rank 3 with the table's
+    /// row count and head dim.
+    pub fn apply(&self, x: &Tensor) -> Result<Tensor> {
+        self.rotate(x, 1.0)
+    }
+
+    /// Backward pass of [`RopeTable::apply`]: rotates the upstream
+    /// gradient by the negative angles (the Jacobian of a rotation is its
+    /// transpose).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RopeTable::apply`].
+    pub fn apply_bwd(&self, dy: &Tensor) -> Result<Tensor> {
+        self.rotate(dy, -1.0)
+    }
+
+    fn rotate(&self, x: &Tensor, sign: f32) -> Result<Tensor> {
+        check_rank(x)?;
+        let (s, h, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        if s != self.positions.len() || d != 2 * self.half {
+            return Err(TensorError::ShapeMismatch {
+                op: "rope",
+                lhs: x.shape().to_vec(),
+                rhs: vec![self.positions.len(), 2 * self.half],
+            });
+        }
+        let half = self.half;
+        let mut out = x.clone();
+        par::run_rows(
+            out.data_mut(),
+            TOKEN_BLOCK * h * d,
+            x.numel(),
+            |blk, rows| {
+                for (t, token) in rows.chunks_mut(h * d).enumerate() {
+                    let at = (blk * TOKEN_BLOCK + t) * half;
+                    let (sin, cos) = (&self.sin[at..at + half], &self.cos[at..at + half]);
+                    for head in token.chunks_mut(d) {
+                        for (i, pair) in head.chunks_exact_mut(2).enumerate() {
+                            let (a, b) = (pair[0], pair[1]);
+                            let sn = sign * sin[i];
+                            pair[0] = a * cos[i] - b * sn;
+                            pair[1] = a * sn + b * cos[i];
+                        }
+                    }
+                }
+            },
+        );
+        Ok(out)
+    }
+}
+
+fn check_rank(x: &Tensor) -> Result<()> {
     if x.ndim() != 3 {
         return Err(TensorError::RankMismatch {
             op: "rope",
@@ -15,43 +130,24 @@ fn rotate(x: &Tensor, positions: &[usize], base: f32, sign: f32) -> Result<Tenso
             actual: x.ndim(),
         });
     }
-    let (s, h, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    if positions.len() != s {
+    Ok(())
+}
+
+fn table_for(x: &Tensor, positions: &[usize], base: f32) -> Result<RopeTable> {
+    check_rank(x)?;
+    if positions.len() != x.shape()[0] {
         return Err(TensorError::ShapeMismatch {
             op: "rope",
             lhs: x.shape().to_vec(),
             rhs: vec![positions.len()],
         });
     }
-    if d % 2 != 0 {
-        return Err(TensorError::InvalidSlice {
-            what: format!("rope head dim {d} must be even"),
-        });
-    }
-    let half = d / 2;
-    // inverse frequencies: base^(-2i/d)
-    let inv_freq: Vec<f32> = (0..half)
-        .map(|i| base.powf(-2.0 * i as f32 / d as f32))
-        .collect();
-    let mut out = x.clone();
-    for (t, &pos) in positions.iter().enumerate() {
-        for head in 0..h {
-            let off = (t * h + head) * d;
-            let row = &mut out.data_mut()[off..off + d];
-            for i in 0..half {
-                let theta = sign * pos as f32 * inv_freq[i];
-                let (sin, cos) = theta.sin_cos();
-                let (a, b) = (row[2 * i], row[2 * i + 1]);
-                row[2 * i] = a * cos - b * sin;
-                row[2 * i + 1] = a * sin + b * cos;
-            }
-        }
-    }
-    Ok(out)
+    RopeTable::new(positions, x.shape()[2], base)
 }
 
 /// Applies rotary position embedding to a `[seq, heads, head_dim]` tensor,
-/// rotating each consecutive pair of features by `pos * base^(-2i/d)`.
+/// rotating each consecutive pair of features by `pos * base^(-2i/d)`: a
+/// one-shot [`RopeTable`].
 ///
 /// `positions[t]` is the *global* position of row `t`; FPDT chunks pass
 /// their shuffled global positions here.
@@ -61,17 +157,17 @@ fn rotate(x: &Tensor, positions: &[usize], base: f32, sign: f32) -> Result<Tenso
 /// Returns a rank/shape error unless `x` is rank 3 with an even head dim
 /// and `positions.len() == seq`.
 pub fn rope(x: &Tensor, positions: &[usize], base: f32) -> Result<Tensor> {
-    rotate(x, positions, base, 1.0)
+    table_for(x, positions, base)?.apply(x)
 }
 
 /// Backward pass of [`rope`]: rotates the upstream gradient by the negative
-/// angles (the Jacobian of a rotation is its transpose).
+/// angles.
 ///
 /// # Errors
 ///
 /// Same conditions as [`rope`].
 pub fn rope_bwd(dy: &Tensor, positions: &[usize], base: f32) -> Result<Tensor> {
-    rotate(dy, positions, base, -1.0)
+    table_for(dy, positions, base)?.apply_bwd(dy)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! the rows of `logits` and invoke [`cross_entropy`] per chunk, summing the
 //! returned token counts and losses.
 
-use crate::{par, Result, Tensor, TensorError};
+use crate::{mk, par, Result, Tensor, TensorError};
 
 /// Row-wise softmax over the last axis. Rows are independent, so the
 /// kernel fans out over them (bitwise deterministic at any thread count).
@@ -123,14 +123,20 @@ pub fn cross_entropy(
             }
             let row = &xs[r * v..(r + 1) * v];
             let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            let mut sum = 0.0f32;
-            for &x in row {
-                sum += (x - m).exp();
+            // One lane-wise exp per logit, in the gradient row itself:
+            // softmax = exp(x - m) / sum, summed in ascending order.
+            for (d, &x) in drow.iter_mut().zip(row) {
+                *d = x - m;
             }
-            let log_z = m + sum.ln();
-            loss[0] = log_z - row[t];
-            for (i, &x) in row.iter().enumerate() {
-                drow[i] = (x - log_z).exp();
+            mk::exp(drow);
+            let mut sum = 0.0f32;
+            for &e in drow.iter() {
+                sum += e;
+            }
+            loss[0] = m + sum.ln() - row[t];
+            let inv = 1.0 / sum;
+            for d in drow.iter_mut() {
+                *d *= inv;
             }
             drow[t] -= 1.0;
         },

@@ -159,6 +159,132 @@ fn exp_edge_values_are_exact() {
     }
 }
 
+/// The four activation kernels on one backend: `(gelu, gelu', silu,
+/// silu')` at `x`, the derivatives taken against `dy = 1`.
+fn activations_of(be: Backend, x: &[f32]) -> [Vec<f32>; 4] {
+    let ones = vec![1.0f32; x.len()];
+    let (mut g, mut s) = (x.to_vec(), x.to_vec());
+    let (mut dg, mut ds) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
+    mk::gelu_on(be, &mut g);
+    mk::gelu_bwd_on(be, x, &ones, &mut dg);
+    mk::silu_on(be, &mut s);
+    mk::silu_bwd_on(be, x, &ones, &mut ds);
+    [g, dg, s, ds]
+}
+
+/// f64 evaluation of the same formulas: `(z, gelu, gelu')` with
+/// `z = 2·sqrt(2/π)·(x + 0.044715·x³)`, and `(silu, silu')`.
+fn activations_exact(x: f64) -> ((f64, f64, f64), (f64, f64)) {
+    let sigma = |z: f64| 1.0 / (1.0 + (-z).exp());
+    let k = 2.0 * (2.0 / std::f64::consts::PI).sqrt();
+    let z = k * (x + 0.044715 * x * x * x);
+    let dz = k * (1.0 + 3.0 * 0.044715 * x * x);
+    let (sz, sx) = (sigma(z), sigma(x));
+    (
+        (z, x * sz, sz + x * dz * sz * (1.0 - sz)),
+        (x * sx, sx + x * sx * (1.0 - sx)),
+    )
+}
+
+#[test]
+fn activations_match_scalar_bitwise_on_awkward_lengths() {
+    // Empty, tail-only, one vector, vector + tail, and both sides of the
+    // ops-level ELEM_BLOCK = 4096 split.
+    for len in [0usize, 1, 7, 8, 9, 4095, 4097] {
+        let x: Vec<f32> = randv(len as u64, len).iter().map(|v| v * 3.0).collect();
+        let dy = randv(len as u64 + 1, len);
+        let run = |be: Backend| {
+            let mut out = activations_of(be, &x).concat();
+            let mut dx = vec![0.0f32; len];
+            mk::gelu_bwd_on(be, &x, &dy, &mut dx);
+            out.extend_from_slice(&dx);
+            mk::silu_bwd_on(be, &x, &dy, &mut dx);
+            out.extend_from_slice(&dx);
+            bits(&out)
+        };
+        let reference = run(Backend::Scalar);
+        for be in backends() {
+            assert_eq!(reference, run(be), "{be:?} diverged at length {len}");
+        }
+    }
+}
+
+#[test]
+fn activations_track_the_f64_formulas_on_a_dense_sweep() {
+    let steps = 480_000;
+    let xs: Vec<f32> = (0..=steps)
+        .map(|i| -12.0 + 24.0 * (i as f32 / steps as f32))
+        .collect();
+    for be in backends() {
+        let [g, dg, s, ds] = activations_of(be, &xs);
+        for (i, &x) in xs.iter().enumerate() {
+            let ((z, gelu, dgelu), (silu, dsilu)) = activations_exact(f64::from(x));
+            // SiLU's exponent argument is x itself: a flat relative bound.
+            let err = (f64::from(s[i]) - silu).abs();
+            assert!(
+                err <= 1e-6 * silu.abs() + 1e-30,
+                "{be:?}: silu({x}) = {} vs {silu}",
+                s[i]
+            );
+            // GELU's is z ~ x³, rounded in f32 before the exponential; on
+            // the negative side the result is ~e^z, so its relative error
+            // is the *absolute* error of z. The bound scales with |z|: the
+            // σ form loses no more than that rounding, where `1 + tanh`
+            // cancels (tens of percent at x = -5; this bound allows 9e-6).
+            let err = (f64::from(g[i]) - gelu).abs();
+            assert!(
+                err <= 5e-7 * (1.0 + z.abs()) * gelu.abs() + 1e-30,
+                "{be:?}: gelu({x}) = {} vs {gelu}",
+                g[i]
+            );
+            for (got, want, what) in [(dg[i], dgelu, "gelu'"), (ds[i], dsilu, "silu'")] {
+                assert!(
+                    (f64::from(got) - want).abs() <= 2e-6,
+                    "{be:?}: {what}({x}) = {got} vs {want}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn activation_edge_values() {
+    let tiny = f32::from_bits(1); // smallest denormal
+    let x = [
+        0.0,
+        -0.0,
+        1e4,
+        -1e4,
+        88.0,
+        -88.0,
+        tiny,
+        -tiny,
+        f32::MIN_POSITIVE,
+        87.3,
+        -87.3,
+        1e-20,
+        -1e-20,
+        f32::NAN,
+    ];
+    for be in backends() {
+        let [g, dg, s, ds] = activations_of(be, &x);
+        assert_eq!((g[0], s[0]), (0.0, 0.0), "{be:?}: f(0) == 0");
+        assert_eq!((g[1], s[1]), (0.0, 0.0), "{be:?}: f(-0) == 0");
+        assert_eq!((dg[0], ds[0]), (0.5, 0.5), "{be:?}: f'(0) == 1/2");
+        // saturated: the identity on the right, ~0 on the left
+        assert_eq!((g[2], dg[2]), (1e4, 1.0), "{be:?}: gelu(1e4)");
+        assert_eq!((s[2], ds[2]), (1e4, 1.0), "{be:?}: silu(1e4)");
+        assert!(g[3].abs() < 1e-30 && s[3].abs() < 1e-30 && dg[3].abs() < 1e-20);
+        let finite = x.len() - 1;
+        for out in [&g, &dg, &s, &ds] {
+            for (i, v) in out[..finite].iter().enumerate() {
+                assert!(v.is_finite(), "{be:?}: f({}) = {v}", x[i]);
+            }
+            assert!(out[finite].is_nan(), "{be:?}: NaN must propagate");
+        }
+    }
+}
+
 #[test]
 fn softmax_fold_keeps_unseen_and_masked_columns_exact() {
     let w = 8;

@@ -175,6 +175,22 @@ fn elementwise_kernels_are_thread_invariant() {
 }
 
 #[test]
+fn rope_table_is_thread_invariant() {
+    let mut rng = init::seeded_rng(12);
+    // 150 tokens straddle the table rotation's 64-token pool items.
+    let x = init::randn(&mut rng, &[150, 3, 10], 1.0);
+    let pos: Vec<usize> = (0..150).map(|t| (t * 37) % 4096).collect();
+    let table = ops::RopeTable::new(&pos, 10, 10_000.0).unwrap();
+    assert_thread_invariant("rope", || table.apply(&x).unwrap().data().to_vec());
+    assert_thread_invariant("rope_bwd", || table.apply_bwd(&x).unwrap().data().to_vec());
+    // and the one-shot wrappers are the same rotation
+    assert_eq!(
+        bits(ops::rope(&x, &pos, 10_000.0).unwrap().data()),
+        bits(table.apply(&x).unwrap().data())
+    );
+}
+
+#[test]
 fn parallel_path_actually_differs_from_gated_path_in_schedule_only() {
     // Sanity: with the default threshold a tiny matmul stays sequential;
     // forcing threshold 1 must not change its bits either.

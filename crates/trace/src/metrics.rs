@@ -2,6 +2,7 @@
 //! event log. All quantities are computed from task intervals alone, so
 //! they work identically on simulator output and on hand-built logs.
 
+use crate::span::SpanRecord;
 use fpdt_sim::engine::{SimReport, TaskKind, TaskRecord};
 
 /// Busy time of one stream relative to the makespan.
@@ -316,6 +317,41 @@ pub fn slot_balance(durations: &[f64]) -> SlotBalance {
     }
 }
 
+/// Share of `window` (`(start, end)` in recorder microseconds) that a rank
+/// thread spends inside the union of the spans whose label starts with one
+/// of `prefixes` — how much of a step the named categories account for.
+/// Rank threads are the ones that record a `block.*` span in the window
+/// (the convention of [`crate::hidden_fraction`]); spans are clipped to
+/// the window and the least-covered rank is reported. `0.0` when the
+/// window is empty or no rank thread recorded in it.
+pub fn coverage(records: &[SpanRecord], window: (f64, f64), prefixes: &[&str]) -> f64 {
+    let (w0, w1) = window;
+    let inside = |s: &&SpanRecord| s.start_us < w1 && s.start_us + s.dur_us > w0;
+    let mut ranks: Vec<u64> = records
+        .iter()
+        .filter(inside)
+        .filter(|s| s.label.starts_with("block."))
+        .map(|s| s.tid)
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    if ranks.is_empty() || w1 <= w0 {
+        return 0.0;
+    }
+    ranks
+        .iter()
+        .map(|&tid| {
+            let named = records
+                .iter()
+                .filter(inside)
+                .filter(|s| s.tid == tid && prefixes.iter().any(|p| s.label.starts_with(p)))
+                .map(|s| (s.start_us.max(w0), (s.start_us + s.dur_us).min(w1)))
+                .collect();
+            measure(&union(named)) / (w1 - w0)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Intersection of two disjoint, sorted interval sets.
 pub fn intersect(a: &[(f64, f64)], b: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let mut out = Vec::new();
@@ -348,6 +384,35 @@ mod tests {
         let v = union(vec![(2.5, 4.0)]);
         assert_eq!(intersect(&u, &v), vec![(2.5, 3.0)]);
         assert!(intersect(&u, &[]).is_empty());
+    }
+
+    #[test]
+    fn coverage_is_the_least_covered_rank_threads_share_of_the_window() {
+        let span = |label: &str, tid: u64, start_us: f64, dur_us: f64| SpanRecord {
+            label: label.to_string(),
+            tid,
+            start_us,
+            dur_us,
+            bytes: None,
+        };
+        let recs = vec![
+            // rank 0: 70 of the 100 us window named (nested spans once)
+            span("block.fwd", 0, 100.0, 50.0),
+            span("dense.norm", 0, 100.0, 40.0),
+            span("dense.norm", 0, 110.0, 10.0),
+            span("head.loss", 0, 170.0, 60.0), // clipped at 200
+            // rank 1: 80 named
+            span("block.fwd", 1, 100.0, 80.0),
+            span("dense.qkv", 1, 90.0, 90.0), // clipped at 100
+            // a stream worker: records no block.*, so not a rank
+            span("dense.norm", 7, 100.0, 1.0),
+        ];
+        let named = ["dense.", "head."];
+        assert!((coverage(&recs, (100.0, 200.0), &named) - 0.7).abs() < 1e-12);
+        // the container alone does not count unless asked for
+        assert!((coverage(&recs, (100.0, 200.0), &["block."]) - 0.5).abs() < 1e-12);
+        assert_eq!(coverage(&recs, (300.0, 400.0), &named), 0.0);
+        assert_eq!(coverage(&recs, (200.0, 200.0), &named), 0.0);
     }
 
     #[test]

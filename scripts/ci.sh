@@ -62,6 +62,14 @@ if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     echo "FAIL: attention tile under half of same-run matmul throughput on an AVX2 host" >&2
     exit 1
 fi
+# Likewise the MLP's activation pair must not outweigh its own gemms:
+# single-thread gelu + gelu_bwd at [1024,256] against fc1 + fc2 forward and
+# backward at [1024,64]x[64,256] of the same run.
+if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
+    && ! grep -q '^KERNELS_ACT_OK ' <<<"$out"; then
+    echo "FAIL: gelu + gelu_bwd cost more than the MLP gemms they sit between" >&2
+    exit 1
+fi
 
 stage "kernels --features scalar-only smoke (portable fallback builds)"
 out=$(cargo run -q --release -p fpdt-bench --features scalar-only --bin kernels -- --json --quick)
