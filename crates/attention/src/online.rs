@@ -16,8 +16,8 @@
 //!
 //! Both kernels are blocked matrix–matrix code over fixed-size score
 //! blocks. A parallel item owns [`BW`] consecutive rows of one operand
-//! (query rows in the forward and the `dq` pass, key rows in the `dk`/`dv`
-//! pass), packs that *resident* operand transposed once per head, and
+//! (query rows in the forward, key rows in the backward's `dk`/`dv`
+//! phase), packs that *resident* operand transposed once per head, and
 //! streams the other operand past it [`BD`] rows at a time. Each step forms
 //! a `[BD, BW]` score block — streamed row × resident column — with
 //! [`mk::gemm_panel`] reading the `[s, h, d]` layout in place, runs the
@@ -27,14 +27,21 @@
 //! blocks take no mask branch, fully masked blocks are skipped, only
 //! straddling blocks test per element.
 //!
-//! Determinism: the `BW`-row partition is fixed, every output element has
-//! one owner item, and each element accumulates in ascending (head,
-//! streamed block, row) order — bitwise identical at any thread count and
-//! on either microkernel backend.
+//! The backward is one sweep: it walks the tile in macro-tiles of at most
+//! [`MQ`] x [`MK`] rows, and in each forms every visible score block once
+//! (phase A, which owns `dk`/`dv` and keeps `dS`), then reads the kept `dS`
+//! back as a plain gemm operand for `dq` (phase B, one item per [`BW`]
+//! query rows). Five gemm-shaped products and one `exp` per score.
+//!
+//! Determinism: the `BW`-row partitions are fixed by the shape, every
+//! output element has one owner item in each phase, and each element
+//! accumulates in one shape-determined order — bitwise identical at any
+//! thread count and on either microkernel backend.
 
 use crate::{check_qkv, shd, Result, Tensor, TensorError};
 use fpdt_tensor::mk::{self, Panel};
 use fpdt_tensor::par;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows of the resident operand per parallel item, and the width of a
@@ -42,6 +49,31 @@ use std::sync::Arc;
 const BW: usize = 32;
 /// Rows of the streamed operand per score block.
 const BD: usize = 64;
+/// Query rows of a backward macro-tile (a whole number of `BD` blocks).
+const MQ: usize = 256;
+/// Key rows of a backward macro-tile (a whole number of `BW` blocks).
+const MK: usize = 256;
+
+/// Floats of `dS` [`attention_block_bwd`] keeps between the two phases of
+/// one macro-tile, laid out `[kv block][head][query row][BW]`:
+/// `MQ · MK · h`, 256 KiB per local head, the same request for a 256x256
+/// FPDT tile and a 2048x2048 Ulysses tile.
+///
+/// The size must not follow `sq`/`sk`. The buffer lives in
+/// `par::with_scratch`'s thread-local pool on rank threads that every
+/// `run_steps` call re-spawns, so each glibc arena ends up keeping one:
+/// sized by `sk` (2 MiB on the Ulysses tile) the repo benchmark's
+/// `ulysses_long` read `peak_rss_mb` 55.3 / 56.4 / 59.0 against the
+/// two-pass kernel's 45.7 / 43.5 / 49.1 (+23%; the benchmark's bound is
+/// 15%), and 49.0 / 49.3 / 47.8 with the fixed macro-tile in the same
+/// session (medians over ten benchmark pairs: 48.7 against 48.1).
+fn retained_len(h: usize) -> usize {
+    MQ * MK * h
+}
+
+// A `BD`-row query block never crosses a strip, nor a `BW`-row key block a
+// KV macro-block.
+const _: () = assert!(MQ.is_multiple_of(BD) && MK.is_multiple_of(BW));
 
 /// How much of a score block the causal mask lets through.
 #[derive(Clone, Copy, PartialEq)]
@@ -404,6 +436,120 @@ pub fn rowwise_dot(o: &Tensor, dout: &Tensor) -> Result<Vec<f32>> {
     Ok(out)
 }
 
+/// The read-only operands of one [`attention_block_bwd`] call, shared by
+/// every item of both phases of every macro-tile.
+struct BwdTile<'a> {
+    q: &'a [f32],
+    k: &'a [f32],
+    v: &'a [f32],
+    dout: &'a [f32],
+    lse: &'a [f32],
+    dsum: &'a [f32],
+    q_pos: &'a [usize],
+    kv_pos: &'a [usize],
+    /// Position span of every `BD`-row query block.
+    q_spans: Vec<(usize, usize)>,
+    /// Position span of every `BW`-row key block.
+    kv_spans: Vec<(usize, usize)>,
+    scale: f32,
+    h: usize,
+    hkv: usize,
+    d: usize,
+}
+
+impl BwdTile<'_> {
+    /// Phase A item: `dk`/`dv` of the `BW` key rows from `b0` against the
+    /// query strip `strip` — resident `Kᵀ·scale`/`Vᵀ`, the group's query
+    /// heads (ascending) and the strip's `BD`-row query blocks (ascending)
+    /// streamed past. Score blocks are `[query row, key column]`; `dP`, then
+    /// `dS`, is formed in place in `ds_b: [head][strip row][BW]`, the
+    /// item's slice of the retained buffer.
+    fn dkdv_item(
+        &self,
+        strip: Range<usize>,
+        b0: usize,
+        dk_b: &mut [f32],
+        dv_b: &mut [f32],
+        ds_b: &mut [f32],
+    ) {
+        let (h, hkv, d) = (self.h, self.hkv, self.d);
+        let (ratio, hkvd) = (h / hkv, hkv * d);
+        let bk = dk_b.len() / hkvd;
+        let kp = &self.kv_pos[b0..b0 + bk];
+        let kv_span = self.kv_spans[b0 / BW];
+        par::with_scratch(2 * d * BW + BD * BW + 2 * BD, |buf| {
+            let (kt, buf) = buf.split_at_mut(d * BW);
+            let (vt, buf) = buf.split_at_mut(d * BW);
+            let (s_buf, buf) = buf.split_at_mut(BD * BW);
+            let (lse_loc, dsum_loc) = buf.split_at_mut(BD);
+            for kvh in 0..hkv {
+                pack_t(kt, Head::of(self.k, hkv, kvh, d), b0, bk, self.scale);
+                pack_t(vt, Head::of(self.v, hkv, kvh, d), b0, bk, 1.0);
+                for head in kvh * ratio..(kvh + 1) * ratio {
+                    let qh = Head::of(self.q, h, head, d);
+                    let doh = Head::of(self.dout, h, head, d);
+                    for a0 in strip.clone().step_by(BD) {
+                        let vis = visibility(self.q_spans[a0 / BD], kv_span);
+                        if vis == Visibility::Masked {
+                            continue;
+                        }
+                        let bq = BD.min(strip.end - a0);
+                        gather_head(&mut lse_loc[..bq], self.lse, a0, h, head);
+                        gather_head(&mut dsum_loc[..bq], self.dsum, a0, h, head);
+                        let s = &mut s_buf[..bq * BW];
+                        let ds = &mut ds_b[(head * MQ + a0 - strip.start) * BW..][..bq * BW];
+                        score_block(s, qh, a0, kt);
+                        score_block(ds, doh, a0, vt);
+                        if vis == Visibility::Partial {
+                            mask_block(s, &self.q_pos[a0..a0 + bq], kp, |qp, kp| kp > qp);
+                        }
+                        mk::softmax_bwd(s, ds, BW, lse_loc, dsum_loc, self.scale);
+                        fold_block(dv_b, hkvd, kvh * d, bk, s, doh, a0);
+                        fold_block(dk_b, hkvd, kvh * d, bk, ds, qh, a0);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Phase B item: `dq` of the `BW` query rows from `a0` against the KV
+    /// macro-block `cols`, reading each retained `dS` block back as a
+    /// row-major A operand with `K` in place as the B panel, key blocks
+    /// ascending. Skips exactly the blocks phase A skipped — the same test
+    /// on the same spans — so a slice that was never written is never read.
+    fn dq_item(&self, a0: usize, cols: Range<usize>, ds: &[f32], dq_b: &mut [f32]) {
+        let (h, d) = (self.h, self.d);
+        let (hd, hkvd) = (h * d, self.hkv * d);
+        let q_span = self.q_spans[a0 / BD];
+        for head in 0..h {
+            for b0 in cols.clone().step_by(BW) {
+                if visibility(q_span, self.kv_spans[b0 / BW]) == Visibility::Masked {
+                    continue;
+                }
+                let blk = (b0 - cols.start) / BW;
+                mk::gemm_panel(
+                    &Panel {
+                        a: ds,
+                        // strips start at multiples of MQ
+                        a_off: ((blk * h + head) * MQ + a0 % MQ) * BW,
+                        a_stride: BW,
+                        a_lstride: 1,
+                        bp: self.k,
+                        b_stride: hkvd,
+                        b_col0: b0 * hkvd + head / (h / self.hkv) * d,
+                        kc: BW.min(cols.end - b0),
+                        nc: d,
+                        rows: dq_b.len() / hd,
+                        c_stride: hd,
+                        c_col0: head * d,
+                    },
+                    dq_b,
+                );
+            }
+        }
+    }
+}
+
 /// Accumulates one `(Q-block, KV-block)` tile of the attention gradient.
 ///
 /// Inputs are the forward operands of the tile plus the query block's saved
@@ -415,9 +561,16 @@ pub fn rowwise_dot(o: &Tensor, dout: &Tensor) -> Result<Vec<f32>> {
 /// reference gradient; FPDT's Figure-7 schedule iterates KV-outer/Q-inner
 /// so `dk`/`dv` finalize per outer step and `dq` per inner sweep.
 ///
+/// The tile is walked as macro-tiles of at most `MQ` x `MK` rows (query
+/// strip outer, KV block inner, both ascending; a macro-tile wholly in the
+/// queries' future is skipped), each in two single-owner phases that share
+/// one bounded `dS` buffer (`MQ · MK` floats per head, whatever the tile's
+/// shape), so every visible score is multiplied out and exponentiated once.
+///
 /// # Errors
 ///
-/// Returns a shape error when any operand disagrees with the tile shape.
+/// Returns a shape error when any operand disagrees with the tile shape;
+/// a gradient buffer is reported against the operand it must match.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_block_bwd(
     q: &Tensor,
@@ -434,16 +587,14 @@ pub fn attention_block_bwd(
     dv: &mut Tensor,
 ) -> Result<()> {
     let (sq, sk, h, hkv, d) = check_qkv(q, k, v, "attention_block_bwd")?;
-    if dout.shape() != q.shape()
-        || dq.shape() != q.shape()
-        || dk.shape() != k.shape()
-        || dv.shape() != v.shape()
-    {
-        return Err(TensorError::ShapeMismatch {
-            op: "attention_block_bwd",
-            lhs: q.shape().to_vec(),
-            rhs: dout.shape().to_vec(),
-        });
+    for (lhs, rhs) in [(q, dout), (&*dq, q), (&*dk, k), (&*dv, v)] {
+        if lhs.shape() != rhs.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op: "attention_block_bwd",
+                lhs: lhs.shape().to_vec(),
+                rhs: rhs.shape().to_vec(),
+            });
+        }
     }
     if lse.len() != sq * h || dsum.len() != sq * h || q_pos.len() != sq || kv_pos.len() != sk {
         return Err(TensorError::ShapeMismatch {
@@ -452,113 +603,52 @@ pub fn attention_block_bwd(
             rhs: vec![lse.len(), q_pos.len(), kv_pos.len()],
         });
     }
-    let ratio = h / hkv;
-    let hd = h * d;
-    let hkvd = hkv * d;
-    let qd = q.data();
-    let kd = k.data();
-    let vd = v.data();
-    let dod = dout.data();
-
-    let work = sq.saturating_mul(sk).saturating_mul(hd);
-    let scratch = 2 * d * BW + 2 * BD * BW + 2 * BW.max(BD);
-
-    // Pass 1: dq — one item per `BW` query rows, resident Qᵀ/dOᵀ, KV
-    // streamed ascending. Score blocks are [kv row, query column].
-    let kv_spans = stream_spans(kv_pos);
-    par::run_rows(dq.data_mut(), BW * hd, work, |blk, dq_b| {
-        let a0 = blk * BW;
-        let br = dq_b.len() / hd;
-        let qp = &q_pos[a0..a0 + br];
-        let q_span = span(qp);
-        par::with_scratch(scratch, |buf| {
-            let (qt, buf) = buf.split_at_mut(d * BW);
-            let (dot, buf) = buf.split_at_mut(d * BW);
-            let (s_buf, buf) = buf.split_at_mut(BD * BW);
-            let (dp_buf, buf) = buf.split_at_mut(BD * BW);
-            let (lse_loc, dsum_loc) = buf.split_at_mut(BW.max(BD));
-            for head in 0..h {
-                let kh = Head::of(kd, hkv, head / ratio, d);
-                let vh = Head::of(vd, hkv, head / ratio, d);
-                pack_t(qt, Head::of(qd, h, head, d), a0, br, scale);
-                pack_t(dot, Head::of(dod, h, head, d), a0, br, 1.0);
-                gather_head(&mut lse_loc[..br], lse, a0, h, head);
-                gather_head(&mut dsum_loc[..br], dsum, a0, h, head);
-                for (jb, &kv_span) in kv_spans.iter().enumerate() {
-                    let vis = visibility(q_span, kv_span);
-                    if vis == Visibility::Masked {
-                        continue;
-                    }
-                    let b0 = jb * BD;
-                    let bc = BD.min(sk - b0);
-                    let s = &mut s_buf[..bc * BW];
-                    let dp = &mut dp_buf[..bc * BW];
-                    score_block(s, kh, b0, qt);
-                    score_block(dp, vh, b0, dot);
-                    if vis == Visibility::Partial {
-                        mask_block(s, &kv_pos[b0..b0 + bc], qp, |kp, qp| kp > qp);
-                    }
-                    mk::softmax_bwd(s, dp, BW, lse_loc, dsum_loc, scale, false);
-                    fold_block(dq_b, hd, head * d, br, dp, kh, b0);
+    let t = BwdTile {
+        q: q.data(),
+        k: k.data(),
+        v: v.data(),
+        dout: dout.data(),
+        lse,
+        dsum,
+        q_pos,
+        kv_pos,
+        q_spans: stream_spans(q_pos),
+        kv_spans: kv_pos.chunks(BW).map(span).collect(),
+        scale,
+        h,
+        hkv,
+        d,
+    };
+    let (hd, hkvd) = (h * d, hkv * d);
+    let (dq, dk, dv) = (dq.data_mut(), dk.data_mut(), dv.data_mut());
+    par::with_scratch(retained_len(h), |ds| {
+        for q0 in (0..sq).step_by(MQ) {
+            let q1 = sq.min(q0 + MQ);
+            let strip_span = span(&q_pos[q0..q1]);
+            for k0 in (0..sk).step_by(MK) {
+                let k1 = sk.min(k0 + MK);
+                if visibility(strip_span, span(&kv_pos[k0..k1])) == Visibility::Masked {
+                    continue;
                 }
+                let work = (q1 - q0).saturating_mul(k1 - k0).saturating_mul(hd);
+                // Phase A owns dk/dv rows and writes its slice of `ds`;
+                // phase B owns dq rows and only reads `ds`.
+                par::run_rows3(
+                    &mut dk[k0 * hkvd..k1 * hkvd],
+                    BW * hkvd,
+                    &mut dv[k0 * hkvd..k1 * hkvd],
+                    BW * hkvd,
+                    ds,
+                    h * MQ * BW,
+                    work,
+                    |blk, dk_b, dv_b, ds_b| t.dkdv_item(q0..q1, k0 + blk * BW, dk_b, dv_b, ds_b),
+                );
+                par::run_rows(&mut dq[q0 * hd..q1 * hd], BW * hd, work, |blk, dq_b| {
+                    t.dq_item(q0 + blk * BW, k0..k1, ds, dq_b)
+                });
             }
-        });
+        }
     });
-
-    // Pass 2: dk/dv — one item per `BW` key rows, resident Kᵀ/Vᵀ, the
-    // group's query heads (ascending) and query rows (ascending) streamed
-    // past. Score blocks are [query row, key column]; P and dS are
-    // recomputed rather than shared with pass 1 so that every gradient
-    // element keeps a single owner.
-    let q_spans = stream_spans(q_pos);
-    par::run_rows2(
-        dk.data_mut(),
-        BW * hkvd,
-        dv.data_mut(),
-        BW * hkvd,
-        work,
-        |blk, dk_b, dv_b| {
-            let b0 = blk * BW;
-            let bk = dk_b.len() / hkvd;
-            let kp = &kv_pos[b0..b0 + bk];
-            let kv_span = span(kp);
-            par::with_scratch(scratch, |buf| {
-                let (kt, buf) = buf.split_at_mut(d * BW);
-                let (vt, buf) = buf.split_at_mut(d * BW);
-                let (s_buf, buf) = buf.split_at_mut(BD * BW);
-                let (dp_buf, buf) = buf.split_at_mut(BD * BW);
-                let (lse_loc, dsum_loc) = buf.split_at_mut(BW.max(BD));
-                for kvh in 0..hkv {
-                    pack_t(kt, Head::of(kd, hkv, kvh, d), b0, bk, scale);
-                    pack_t(vt, Head::of(vd, hkv, kvh, d), b0, bk, 1.0);
-                    for head in kvh * ratio..(kvh + 1) * ratio {
-                        let qh = Head::of(qd, h, head, d);
-                        let doh = Head::of(dod, h, head, d);
-                        for (ib, &q_span) in q_spans.iter().enumerate() {
-                            let vis = visibility(q_span, kv_span);
-                            if vis == Visibility::Masked {
-                                continue;
-                            }
-                            let a0 = ib * BD;
-                            let bq = BD.min(sq - a0);
-                            gather_head(&mut lse_loc[..bq], lse, a0, h, head);
-                            gather_head(&mut dsum_loc[..bq], dsum, a0, h, head);
-                            let s = &mut s_buf[..bq * BW];
-                            let dp = &mut dp_buf[..bq * BW];
-                            score_block(s, qh, a0, kt);
-                            score_block(dp, doh, a0, vt);
-                            if vis == Visibility::Partial {
-                                mask_block(s, &q_pos[a0..a0 + bq], kp, |qp, kp| kp > qp);
-                            }
-                            mk::softmax_bwd(s, dp, BW, lse_loc, dsum_loc, scale, true);
-                            fold_block(dv_b, hkvd, kvh * d, bk, s, doh, a0);
-                            fold_block(dk_b, hkvd, kvh * d, bk, dp, qh, a0);
-                        }
-                    }
-                }
-            });
-        },
-    );
     Ok(())
 }
 
@@ -792,45 +882,113 @@ mod tests {
         assert_eq!(run(&k, &v), run(&k_big, &v_big));
     }
 
+    /// `attention_block_bwd` into gradients that start at `fill`.
+    #[allow(clippy::too_many_arguments)]
+    fn bwd_from(
+        fill: f32,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        dout: &Tensor,
+        lse: &[f32],
+        dsum: &[f32],
+        q_pos: &[usize],
+        kv_pos: &[usize],
+    ) -> [Tensor; 3] {
+        let mut dq = Tensor::full(q.shape(), fill);
+        let mut dk = Tensor::full(k.shape(), fill);
+        let mut dv = Tensor::full(v.shape(), fill);
+        let scale = crate::default_scale(q.shape()[2]);
+        attention_block_bwd(
+            q, k, v, dout, lse, dsum, q_pos, kv_pos, scale, &mut dq, &mut dk, &mut dv,
+        )
+        .unwrap();
+        [dq, dk, dv]
+    }
+
     #[test]
-    fn rows_with_neg_inf_lse_contribute_nothing_backward() {
-        // Queries at 0 and 1 precede every key: lse = -inf, output zero.
-        let (q, k, v) = rand_qkv(14, 4, 2, 8);
-        let mut rng = init::seeded_rng(15);
-        let dout = init::randn(&mut rng, &[4, 2, 8], 1.0);
-        let (q_pos, kv_pos) = ([0, 1, 2, 3], [2, 3, 4, 5]);
-        let scale = crate::default_scale(8);
-        let mut st = OnlineAttention::new(&q, &q_pos, None).unwrap();
-        st.update(&k, &v, &kv_pos).unwrap();
+    fn retained_ds_is_bounded_by_the_head_count_alone() {
+        for h in [1, 2, 8] {
+            assert!(retained_len(h) <= 256 * 256 * h);
+        }
+    }
+
+    #[test]
+    fn keys_in_the_future_leave_every_gradient_bit_for_bit() {
+        // 2 query strips x 3 KV macro-blocks, every one of them skipped.
+        let (sq, sk, h, d) = (300, 520, 2, 8);
+        let mut rng = init::seeded_rng(16);
+        let q = init::randn(&mut rng, &[sq, h, d], 1.0);
+        let k = init::randn(&mut rng, &[sk, h, d], 1.0);
+        let v = init::randn(&mut rng, &[sk, h, d], 1.0);
+        let dout = init::randn(&mut rng, &[sq, h, d], 1.0);
+        let q_pos: Vec<usize> = (0..sq).collect();
+        let kv_pos: Vec<usize> = (sq..sq + sk).collect();
+        // Finite statistics: a score that was formed would move something.
+        let lse = vec![0.0; sq * h];
+        let dsum = vec![1.0; sq * h];
+        for g in bwd_from(0.375, &q, &k, &v, &dout, &lse, &dsum, &q_pos, &kv_pos) {
+            assert!(g.data().iter().all(|x| x.to_bits() == 0.375f32.to_bits()));
+        }
+    }
+
+    /// Queries that precede every key have `lse = -inf` and zero output:
+    /// they get no gradient, and `dk`/`dv` do not depend on what they hold.
+    fn check_unseen_rows(seed: u64, h: usize, d: usize, q_pos: &[usize], kv_pos: &[usize]) {
+        let (sq, sk) = (q_pos.len(), kv_pos.len());
+        let mut rng = init::seeded_rng(seed);
+        let q = init::randn(&mut rng, &[sq, h, d], 1.0);
+        let k = init::randn(&mut rng, &[sk, h, d], 1.0);
+        let v = init::randn(&mut rng, &[sk, h, d], 1.0);
+        let dout = init::randn(&mut rng, &[sq, h, d], 1.0);
+        let first_key = *kv_pos.iter().min().unwrap();
+        let unseen: Vec<usize> = (0..sq).filter(|&a| q_pos[a] < first_key).collect();
+        let mut st = OnlineAttention::new(&q, q_pos, None).unwrap();
+        st.update(&k, &v, kv_pos).unwrap();
         let (o, lse) = st.finalize();
         let dsum = rowwise_dot(&o, &dout).unwrap();
-        let run = |q: &Tensor, dout: &Tensor| {
-            let mut dq = Tensor::zeros(q.shape());
-            let mut dk = Tensor::zeros(k.shape());
-            let mut dv = Tensor::zeros(v.shape());
-            attention_block_bwd(
-                q, &k, &v, dout, &lse, &dsum, &q_pos, &kv_pos, scale, &mut dq, &mut dk, &mut dv,
-            )
-            .unwrap();
-            (dq, dk, dv)
-        };
-        let (dq, dk, dv) = run(&q, &dout);
-        assert_eq!(
-            dq.narrow(0, 0, 2).unwrap().max_abs(),
-            0.0,
-            "no gradient into unseen rows"
-        );
-        assert!(dq.narrow(0, 2, 2).unwrap().max_abs() > 0.0);
+        for &a in &unseen {
+            assert!(lse[a * h..(a + 1) * h]
+                .iter()
+                .all(|&x| x == f32::NEG_INFINITY));
+        }
+        let [dq, dk, dv] = bwd_from(0.0, &q, &k, &v, &dout, &lse, &dsum, q_pos, kv_pos);
+        for &a in &unseen {
+            assert_eq!(
+                dq.narrow(0, a, 1).unwrap().max_abs(),
+                0.0,
+                "no gradient into unseen row {a}"
+            );
+        }
+        assert!(dq.max_abs() > 0.0);
         for g in [&dq, &dk, &dv] {
             assert!(g.data().iter().all(|x| x.is_finite()));
         }
-        // dk/dv do not depend on what the unseen rows hold.
         let (mut q2, mut dout2) = (q.clone(), dout.clone());
-        q2.data_mut()[..2 * 2 * 8].fill(3.0);
-        dout2.data_mut()[..2 * 2 * 8].fill(-5.0);
-        let (_, dk2, dv2) = run(&q2, &dout2);
+        for &a in &unseen {
+            q2.data_mut()[a * h * d..(a + 1) * h * d].fill(3.0);
+            dout2.data_mut()[a * h * d..(a + 1) * h * d].fill(-5.0);
+        }
+        let [_, dk2, dv2] = bwd_from(0.0, &q2, &k, &v, &dout2, &lse, &dsum, q_pos, kv_pos);
         assert_eq!(bits(dk.data()), bits(dk2.data()));
         assert_eq!(bits(dv.data()), bits(dv2.data()));
+    }
+
+    #[test]
+    fn rows_with_neg_inf_lse_contribute_nothing_backward() {
+        // Queries at 0 and 1 precede every key.
+        check_unseen_rows(14, 2, 8, &[0, 1, 2, 3], &[2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn neg_inf_lse_rows_in_two_strips_contribute_nothing() {
+        // Keys at 4..; the queries at positions 0..4 see none of them and
+        // sit in both 256-row query strips (rows 1, 2 and 270, 299).
+        let mut q_pos: Vec<usize> = (4..304).collect();
+        for (p, row) in [1, 2, 270, 299].into_iter().enumerate() {
+            q_pos[row] = p;
+        }
+        check_unseen_rows(17, 2, 8, &q_pos, &(4..294).collect::<Vec<_>>());
     }
 
     #[test]
@@ -851,5 +1009,36 @@ mod tests {
         let k = Tensor::zeros(&[4, 2, 8]);
         assert!(st.update(&k, &k, &[0, 1]).is_err());
         assert!(st.update(&Tensor::zeros(&[4, 1, 8]), &k, &[0; 4]).is_err());
+    }
+
+    #[test]
+    fn backward_shape_errors_name_the_offending_pair() {
+        let (q, k) = (Tensor::zeros(&[4, 2, 8]), Tensor::zeros(&[6, 1, 8]));
+        let bad = Tensor::zeros(&[5, 2, 8]);
+        let (stats, q_pos, kv_pos) = ([0.0; 8], [0; 4], [0; 6]);
+        // which of (dout, dq, dk, dv) is wrong -> the (lhs, rhs) reported
+        for (wrong, lhs, rhs) in [
+            (0, q.shape(), bad.shape()),
+            (1, bad.shape(), q.shape()),
+            (2, bad.shape(), k.shape()),
+            (3, bad.shape(), k.shape()),
+        ] {
+            let mut ops = [q.clone(), q.clone(), k.clone(), k.clone()];
+            ops[wrong] = bad.clone();
+            let [dout, mut dq, mut dk, mut dv] = ops;
+            let err = attention_block_bwd(
+                &q, &k, &k, &dout, &stats, &stats, &q_pos, &kv_pos, 1.0, &mut dq, &mut dk, &mut dv,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                TensorError::ShapeMismatch {
+                    op: "attention_block_bwd",
+                    lhs: lhs.to_vec(),
+                    rhs: rhs.to_vec(),
+                },
+                "operand {wrong}"
+            );
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! Tile generator shared by the attention suites: shapes that land on and
 //! around the kernel's block edges (`BW = 32` resident rows, `BD = 64`
-//! streamed rows, 8-lane vectors), unequal `sq != sk`, GQA head grouping,
-//! and the three causal relations a `(q_chunk, kv_chunk)` tile can have.
+//! streamed rows, 8-lane vectors, the backward's 256x256 macro-tile),
+//! unequal `sq != sk`, GQA head grouping, and the three causal relations a
+//! `(q_chunk, kv_chunk)` tile can have.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -80,6 +81,18 @@ pub fn curated() -> Vec<TileCase> {
         case(33, 65, 1, 4, 64, Kind::Masked, false),
         case(257, 31, 2, 1, 4, Kind::Visible, true),
         case(1, 257, 1, 2, 64, Kind::Diagonal, true),
+        // Past one 256x256 backward macro-tile in one or both dimensions,
+        // ragged remainders. Shuffled diagonals give every query block a
+        // span that straddles several KV blocks, so the `dq` phase must
+        // skip exactly what the `dk`/`dv` phase skipped.
+        case(513, 300, 1, 2, 32, Kind::Diagonal, false),
+        case(513, 300, 1, 1, 20, Kind::Diagonal, true),
+        case(300, 771, 2, 1, 20, Kind::Visible, false),
+        case(300, 771, 1, 4, 32, Kind::Diagonal, true),
+        case(64, 1025, 1, 2, 64, Kind::Diagonal, false),
+        case(64, 1025, 1, 1, 32, Kind::Masked, true),
+        case(600, 600, 1, 2, 64, Kind::Diagonal, true),
+        case(600, 600, 2, 2, 32, Kind::Visible, true),
     ]
 }
 

@@ -23,8 +23,9 @@
 //! attention row's single-thread GFLOP/s over the same run's single-thread
 //! matmul GFLOP/s lands in `roofline`; with AVX2 present a
 //! `KERNELS_ATTN_ROOFLINE_OK` line is printed when the fully-visible tile
-//! reaches at least half of matmul forward and backward — the gate
-//! `scripts/ci.sh` greps for.
+//! reaches [`ROOFLINE_GATE`] of matmul forward and backward *and* its
+//! backward costs at most [`BWD_FWD_GATE`] forwards of wall time — the
+//! gate `scripts/ci.sh` greps for.
 //!
 //! The dense half's per-token kernels are timed at the same runtime shapes
 //! (`gelu`, `gelu_bwd`, `silu` on `[1024, 256]`, the table `rope` on
@@ -74,8 +75,14 @@ struct Report {
 }
 
 /// Share of same-run matmul throughput the fully-visible attention tile
-/// must reach, forward and backward (ROADMAP target: 0.6).
-const ROOFLINE_GATE: f64 = 0.5;
+/// must reach, forward and backward (the ROADMAP target).
+const ROOFLINE_GATE: f64 = 0.6;
+
+/// Most single-thread forwards of wall time the fully-visible tile's
+/// backward may cost. It is counted at 2.5 (five gemm-shaped products to
+/// two), which is also what `autotune::plan_for` weighs a backward tile at;
+/// same run, same thread, so host speed cancels.
+const BWD_FWD_GATE: f64 = 2.8;
 
 /// One FPDT attention tile at the repo benchmark's runtime shape: forward
 /// `update` and `attention_block_bwd` benches with every query at
@@ -535,7 +542,8 @@ fn main() {
     assert!(has_rows, "rows array present");
     println!("BENCH_JSON_OK {}", path.display());
     // CI gate: on AVX2 hosts the fully-visible runtime-shape tile must
-    // reach ROOFLINE_GATE of the same run's matmul, forward and backward.
+    // reach ROOFLINE_GATE of the same run's matmul, forward and backward,
+    // with the backward inside BWD_FWD_GATE forwards.
     if mk::avx2_available() {
         let share = |kernel: &str| {
             roofline
@@ -544,25 +552,26 @@ fn main() {
                 .expect("tile rows timed above")
                 .1
         };
-        let (fwd, bwd) = (share("attn_tile_fwd"), share("attn_tile_bwd"));
-        let verdict = if fwd.min(bwd) >= ROOFLINE_GATE {
-            "OK"
-        } else {
-            "FAIL"
-        };
-        println!(
-            "KERNELS_ATTN_ROOFLINE_{verdict} fwd {fwd:.2} bwd {bwd:.2} of matmul (gate {ROOFLINE_GATE:.2})"
-        );
-        // Same run, same thread, so host speed cancels: the GELU pair of
-        // one MLP layer against the four gemm calls of that layer.
         let wall_ms = |kernel: &str| {
             report
                 .rows
                 .iter()
                 .find(|r| r.kernel == kernel && r.backend == dispatch && r.threads == 1)
-                .expect("dense rows timed above")
+                .expect("tile and dense rows timed above")
                 .wall_ms
         };
+        let (fwd, bwd) = (share("attn_tile_fwd"), share("attn_tile_bwd"));
+        let ratio = wall_ms("attn_tile_bwd") / wall_ms("attn_tile_fwd");
+        let verdict = if fwd.min(bwd) >= ROOFLINE_GATE && ratio <= BWD_FWD_GATE {
+            "OK"
+        } else {
+            "FAIL"
+        };
+        println!(
+            "KERNELS_ATTN_ROOFLINE_{verdict} fwd {fwd:.2} bwd {bwd:.2} of matmul (gate {ROOFLINE_GATE:.2}), bwd/fwd wall {ratio:.2} (gate {BWD_FWD_GATE:.1})"
+        );
+        // Same run, same thread, so host speed cancels: the GELU pair of
+        // one MLP layer against the four gemm calls of that layer.
         let (act, gemm) = (wall_ms("gelu") + wall_ms("gelu_bwd"), wall_ms("mlp_gemm"));
         let verdict = if act <= gemm { "OK" } else { "FAIL" };
         println!("KERNELS_ACT_{verdict} gelu+gelu_bwd {act:.3} ms vs mlp gemm {gemm:.3} ms");

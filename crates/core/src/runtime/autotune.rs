@@ -475,7 +475,9 @@ fn matmul_probe_us(threads: usize) -> f64 {
 /// (weight `5 + 2i` pool ops) and computes `i + 1` tiles, while backward
 /// slot `s` carries the `len` tiles [`tile_slots`] deals it — the order
 /// the executor walks — at `6 + 6·len` pool ops and `2.5·len` tiles of
-/// kernel work. The weights are normalized against the measured per-step
+/// kernel work (the counted five products to two; the kernels bench
+/// measures 2.4 backward/forward tile wall, 3.1 before the single-sweep
+/// backward). The weights are normalized against the measured per-step
 /// totals, so the serial plan still reproduces the probe exactly — only
 /// the per-stage distribution (what the streams can or cannot hide at
 /// each slot) changes.

@@ -667,9 +667,9 @@ unsafe fn softmax_fold_g<V: V8>(
 
 /// Backward softmax of one block: with `s` the raw scores and `dp` the
 /// `dO·Vᵀ` products (both `[rows, w]`), overwrites `s` with
-/// `p = exp(s - lse)` and `dp` with `ds = p * (dp - dsum) * scale`. The
-/// per-query statistics `lse`/`dsum` index rows when `row_stats`, columns
-/// otherwise. Queries with `lse = -inf` (attended to nothing) get `p = 0`.
+/// `p = exp(s - lse)` and `dp` with `ds = p * (dp - dsum) * scale`, with
+/// one `lse`/`dsum` entry per row (query). Queries with `lse = -inf`
+/// (attended to nothing) get `p = 0`.
 #[inline(always)]
 unsafe fn softmax_bwd_g<V: V8>(
     s: &mut [f32],
@@ -678,22 +678,14 @@ unsafe fn softmax_bwd_g<V: V8>(
     lse: &[f32],
     dsum: &[f32],
     scale: f32,
-    row_stats: bool,
 ) {
     let rows = s.len() / w;
     let (sp, dpp) = (s.as_mut_ptr(), dp.as_mut_ptr());
     let sv = V::splat(scale);
     for r in 0..rows {
+        let (lv, dv) = (V::splat(lse[r]), V::splat(dsum[r]));
         let mut c = 0;
         while c + 8 <= w {
-            let (lv, dv) = if row_stats {
-                (V::splat(lse[r]), V::splat(dsum[r]))
-            } else {
-                (
-                    V::loadu(lse.as_ptr().add(c)),
-                    V::loadu(dsum.as_ptr().add(c)),
-                )
-            };
             let at = r * w + c;
             let p =
                 exp_v(V::loadu(sp.add(at) as *const f32).sub(lv)).and_ge(lv, V::splat(f32::MIN));
@@ -965,8 +957,7 @@ instantiate!(silu_bwd_scalar, silu_bwd_avx2, map2_g<SiluBwd>,
 instantiate!(softmax_fold_scalar, softmax_fold_avx2, softmax_fold_g,
     (s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) -> ());
 instantiate!(softmax_bwd_scalar, softmax_bwd_avx2, softmax_bwd_g,
-    (s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32,
-     row_stats: bool) -> ());
+    (s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32) -> ());
 instantiate!(dscale_scalar, dscale_avx2, dscale_g, (dst: &mut [f32], d: f32) -> ());
 instantiate!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_g,
     (p: &Panel<'_>, c: &mut [f32]) -> ());
@@ -1157,9 +1148,8 @@ pub fn softmax_fold(s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr:
 /// Backward softmax of one block on an explicit backend: `s` (raw
 /// scores) becomes `p = exp(s - lse)` and `dp` (`dO·Vᵀ`) becomes
 /// `ds = p * (dp - dsum) * scale`, both `[rows, w]` with `w` a multiple of
-/// 8. `lse`/`dsum` hold one entry per row when `row_stats`, one per
-/// column otherwise; a query with `lse = -inf` gets `p = ds = 0`.
-#[allow(clippy::too_many_arguments)]
+/// 8. `lse`/`dsum` hold one entry per row (query); a query with
+/// `lse = -inf` gets `p = ds = 0`.
 pub fn softmax_bwd_on(
     be: Backend,
     s: &mut [f32],
@@ -1168,32 +1158,23 @@ pub fn softmax_bwd_on(
     lse: &[f32],
     dsum: &[f32],
     scale: f32,
-    row_stats: bool,
 ) {
     assert!(w > 0 && w.is_multiple_of(8) && s.len().is_multiple_of(w));
     assert_eq!(s.len(), dp.len());
-    let stats = if row_stats { s.len() / w } else { w };
-    assert!(lse.len() >= stats && dsum.len() >= stats);
+    let rows = s.len() / w;
+    assert!(lse.len() >= rows && dsum.len() >= rows);
     dispatch!(
         be,
         softmax_bwd_scalar,
         softmax_bwd_avx2,
-        (s, dp, w, lse, dsum, scale, row_stats)
+        (s, dp, w, lse, dsum, scale)
     )
 }
 
 /// Backward softmax block on the dispatched backend.
 #[inline]
-pub fn softmax_bwd(
-    s: &mut [f32],
-    dp: &mut [f32],
-    w: usize,
-    lse: &[f32],
-    dsum: &[f32],
-    scale: f32,
-    row_stats: bool,
-) {
-    softmax_bwd_on(backend(), s, dp, w, lse, dsum, scale, row_stats)
+pub fn softmax_bwd(s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32) {
+    softmax_bwd_on(backend(), s, dp, w, lse, dsum, scale)
 }
 
 /// `dst[i] /= d` on an explicit backend.

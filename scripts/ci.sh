@@ -56,10 +56,11 @@ if ! grep -q '^BENCH_JSON_OK .*BENCH_kernels\.json$' <<<"$out"; then
     exit 1
 fi
 # On AVX2 hosts the fully-visible runtime-shape attention tile must reach
-# half of the same run's single-thread matmul GFLOP/s, forward and backward.
+# 0.6 of the same run's single-thread matmul GFLOP/s, forward and backward,
+# and its backward must cost at most 2.8 forwards of wall time (2.5 counted).
 if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     && ! grep -q '^KERNELS_ATTN_ROOFLINE_OK ' <<<"$out"; then
-    echo "FAIL: attention tile under half of same-run matmul throughput on an AVX2 host" >&2
+    echo "FAIL: attention tile under 0.6 of same-run matmul throughput, or its backward over 2.8 forwards, on an AVX2 host" >&2
     exit 1
 fi
 # Likewise the MLP's activation pair must not outweigh its own gemms:
