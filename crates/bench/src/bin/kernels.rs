@@ -34,13 +34,21 @@
 //! `[1024,64]x[64,256]`). `KERNELS_ACT_OK` is printed when single-thread
 //! `gelu` + `gelu_bwd` cost at most that same run's `mlp_gemm` — an
 //! activation must not outweigh the matmuls around it.
+//!
+//! The optimizer's kernel is timed where the wide benchmark model runs it
+//! (`adamw`: one `mk::adamw` step over `2^21` parameters, ns per parameter;
+//! its state is restored off the clock before every call).
+//! `KERNELS_OPT_OK` is printed when a parameter's step costs at most
+//! [`OPT_GATE`] `gelu` elements of the same run: both are lane-wise
+//! kernels of a few divides each, so the ratio holds on any host, and a
+//! scalar loop in AdamW's place sits five times over it.
 
 use fpdt_attention::flops::{
     attention_bwd_flops, attention_fwd_flops, attention_tile_bwd_flops, attention_tile_fwd_flops,
 };
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_bench::json_mode;
-use fpdt_tensor::mk::{self, Backend};
+use fpdt_tensor::mk::{self, AdamwStep, Backend};
 use fpdt_tensor::{init, ops, Tensor};
 use rayon::pool;
 use serde::Serialize;
@@ -83,6 +91,12 @@ const ROOFLINE_GATE: f64 = 0.6;
 /// two), which is also what `autotune::plan_for` weighs a backward tile at;
 /// same run, same thread, so host speed cancels.
 const BWD_FWD_GATE: f64 = 2.8;
+
+/// Most single-thread `gelu` elements one AdamW parameter step may cost.
+/// Ten `--quick` runs on the development host measured 1.28-1.48 (1.09-1.36
+/// ns against 0.83-0.92); the scalar loop this kernel replaced ran 4.5-5.0
+/// ns per parameter, a ratio over 5.
+const OPT_GATE: f64 = 2.0;
 
 /// One FPDT attention tile at the repo benchmark's runtime shape: forward
 /// `update` and `attention_block_bwd` benches with every query at
@@ -157,14 +171,15 @@ const MIN_SAMPLE_SECS: f64 = 0.02;
 /// and returns the best wall-clock seconds (least noise on a shared host)
 /// along with the digest of the last outputs for the bitwise equivalence
 /// check. With `kernel_only` the clock stops before the digest.
-fn time_best(reps: usize, kernel_only: bool, mut f: impl FnMut() -> Outputs) -> (f64, u64) {
+fn time_best(reps: usize, kernel_only: bool, f: &mut dyn Kernel) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut last = 0u64;
     let started = Instant::now();
     let mut done = 0;
     while done < reps || started.elapsed().as_secs_f64() < MIN_SAMPLE_SECS {
+        f.reset();
         let t0 = Instant::now();
-        let out = f();
+        let out = f.run();
         let kernel = t0.elapsed();
         last = digest(&out);
         let wall = if kernel_only { kernel } else { t0.elapsed() };
@@ -196,6 +211,72 @@ fn digest(parts: &[Vec<f32>]) -> u64 {
     h
 }
 
+/// A timed kernel call. Closures are kernels with nothing to restore.
+trait Kernel {
+    /// Restores whatever `run` updates in place, off the clock.
+    fn reset(&mut self) {}
+    fn run(&mut self) -> Outputs;
+}
+
+impl<F: FnMut() -> Outputs> Kernel for F {
+    fn run(&mut self) -> Outputs {
+        self()
+    }
+}
+
+/// `mk::adamw` over `2^21` parameters (the wide benchmark model holds
+/// 2.1M): step 3 of a run, from the same parameters and moments every call.
+struct AdamwKernel {
+    /// Pristine `[p, m, v]` and the working copies the kernel updates.
+    init: [Vec<f32>; 3],
+    work: [Vec<f32>; 3],
+    grad: Vec<f32>,
+    step: AdamwStep,
+}
+
+impl AdamwKernel {
+    const PARAMS: usize = 1 << 21;
+
+    fn new(seed: u64) -> Self {
+        let mut rng = init::seeded_rng(seed);
+        let mut randv = |std: f32| init::randn(&mut rng, &[Self::PARAMS], std).into_vec();
+        let init = [
+            randv(0.02),
+            randv(0.01),
+            randv(0.01).iter().map(|x| x * x).collect(),
+        ];
+        let (beta1, beta2) = (0.9f32, 0.95f32);
+        AdamwKernel {
+            work: init.clone(),
+            init,
+            grad: randv(30.0),
+            step: AdamwStep {
+                lr: 3e-3,
+                beta1,
+                beta2,
+                eps: 1e-8,
+                weight_decay: 0.0,
+                bc1: 1.0 - beta1.powi(3),
+                bc2: 1.0 - beta2.powi(3),
+                grad_scale: 1.0 / 256.0,
+            },
+        }
+    }
+}
+
+impl Kernel for AdamwKernel {
+    fn reset(&mut self) {
+        self.work.clone_from(&self.init);
+    }
+
+    fn run(&mut self) -> Outputs {
+        let [p, m, v] = &mut self.work;
+        mk::adamw(p, m, v, &self.grad, &self.step);
+        // the updated state itself, not a copy of it: `reset` refills it
+        self.work.iter_mut().map(std::mem::take).collect()
+    }
+}
+
 struct Bench {
     name: &'static str,
     flops: u64,
@@ -205,12 +286,12 @@ struct Bench {
     /// is how the roofline gate's `--quick` margins were taken (digesting
     /// a 128x128 product costs more than computing it).
     kernel_only: bool,
-    run: Box<dyn FnMut() -> Outputs>,
+    run: Box<dyn Kernel>,
 }
 
 /// Elementwise rows report ns per element; their `flops` field holds the
 /// element count.
-const ELEMENTWISE: [&str; 4] = ["gelu", "gelu_bwd", "silu", "rope"];
+const ELEMENTWISE: [&str; 5] = ["gelu", "gelu_bwd", "silu", "rope", "adamw"];
 
 /// The dense half's per-token kernels and the MLP gemms around them, at
 /// the repo benchmark's `fpdt_long` shapes (1024 local tokens, hidden 64,
@@ -389,6 +470,12 @@ fn benches(quick: bool) -> Vec<Bench> {
     out.extend(tile_benches(43, "attn_tile_fwd", "attn_tile_bwd", 256, 1));
     out.extend(tile_benches(44, "attn_diag_fwd", "attn_diag_bwd", 0, 2));
     out.extend(dense_benches(45));
+    out.push(Bench {
+        name: "adamw",
+        flops: AdamwKernel::PARAMS as u64,
+        kernel_only: true,
+        run: Box::new(AdamwKernel::new(46)),
+    });
     out
 }
 
@@ -418,7 +505,7 @@ fn main() {
     let mut simd_speedups: Vec<(String, f64)> = Vec::new();
     for mut bench in benches(quick) {
         // Warm up once (fills scratch buffers, faults pages).
-        (bench.run)();
+        bench.run.run();
         // (backend, threads, wall) across the full grid; every cell must
         // digest identically.
         let mut walls: Vec<(&str, usize, f64)> = Vec::new();
@@ -427,7 +514,7 @@ fn main() {
             let prev_be = mk::set_backend(Some(be));
             for &t in &configs {
                 let prev = pool::set_threads(t);
-                let (wall, dg) = time_best(reps, bench.kernel_only, &mut bench.run);
+                let (wall, dg) = time_best(reps, bench.kernel_only, &mut *bench.run);
                 pool::set_threads(prev);
                 walls.push((bname, t, wall));
                 digests.push(dg);
@@ -575,5 +662,21 @@ fn main() {
         let (act, gemm) = (wall_ms("gelu") + wall_ms("gelu_bwd"), wall_ms("mlp_gemm"));
         let verdict = if act <= gemm { "OK" } else { "FAIL" };
         println!("KERNELS_ACT_{verdict} gelu+gelu_bwd {act:.3} ms vs mlp gemm {gemm:.3} ms");
+        // One parameter's AdamW step against one GELU element, both
+        // lane-wise and single-threaded in this run.
+        let ns_per_element = |kernel: &str| {
+            report
+                .rows
+                .iter()
+                .find(|r| r.kernel == kernel && r.backend == dispatch && r.threads == 1)
+                .and_then(|r| r.ns_per_element)
+                .expect("elementwise rows timed above")
+        };
+        let (opt, gelu) = (ns_per_element("adamw"), ns_per_element("gelu"));
+        let verdict = if opt <= OPT_GATE * gelu { "OK" } else { "FAIL" };
+        println!(
+            "KERNELS_OPT_{verdict} adamw {opt:.2} ns/param = {:.2} gelu elements at {gelu:.2} ns (gate {OPT_GATE:.1})",
+            opt / gelu
+        );
     }
 }

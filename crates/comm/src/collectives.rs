@@ -132,21 +132,36 @@ impl Communicator {
     /// Returns [`CommError::LengthMismatch`] when contributions disagree in
     /// length.
     pub fn all_reduce(&self, data: &[f32]) -> Result<Vec<f32>> {
+        let mut acc = data.to_vec();
+        self.all_reduce_in_place(&mut acc)?;
+        Ok(acc)
+    }
+
+    /// [`Communicator::all_reduce`] that overwrites `data` with the sum:
+    /// zero, then every rank's contribution added in ascending rank order.
+    /// `data` is untouched when the call fails, so a failed attempt can be
+    /// replayed on the same buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CommError::LengthMismatch`] when contributions disagree in
+    /// length.
+    pub fn all_reduce_in_place(&self, data: &mut [f32]) -> Result<()> {
         let gathered = self.all_gather(data)?;
-        let mut acc = vec![0.0f32; data.len()];
+        if let Some(piece) = gathered.iter().find(|p| p.len() != data.len()) {
+            return Err(CommError::LengthMismatch {
+                op: "all_reduce",
+                expected: data.len(),
+                actual: piece.len(),
+            });
+        }
+        data.fill(0.0);
         for piece in gathered {
-            if piece.len() != acc.len() {
-                return Err(CommError::LengthMismatch {
-                    op: "all_reduce",
-                    expected: acc.len(),
-                    actual: piece.len(),
-                });
-            }
-            for (a, b) in acc.iter_mut().zip(piece) {
+            for (a, b) in data.iter_mut().zip(piece) {
                 *a += b;
             }
         }
-        Ok(acc)
+        Ok(())
     }
 
     /// Broadcast from `root`: `data` is read on the root only; every rank
@@ -718,10 +733,9 @@ impl Communicator {
     /// Returns [`CommError::LengthMismatch`] when contributions disagree
     /// in length, and propagates disconnections.
     pub fn all_reduce_chunked(&self, data: &[f32], bucket: usize) -> Result<Vec<f32>> {
-        let bucket = bucket.max(1);
-        let mut out = Vec::with_capacity(data.len());
-        for piece in data.chunks(bucket) {
-            out.extend(self.all_reduce(piece)?);
+        let mut out = data.to_vec();
+        for piece in out.chunks_mut(bucket.max(1)) {
+            self.all_reduce_in_place(piece)?;
         }
         Ok(out)
     }
@@ -743,6 +757,28 @@ mod chunked_reduce_tests {
         });
         for (whole, chunked) in out {
             assert_eq!(whole, chunked, "bitwise identical");
+        }
+    }
+
+    #[test]
+    fn in_place_all_reduce_is_all_reduce_and_replays_after_a_fault() {
+        let out = run_group(3, |comm| {
+            // a -0.0 everywhere: summed from +0.0 it comes back +0.0
+            let data: Vec<f32> = (0..11)
+                .map(|i| (comm.rank() * 7 * i.min(1) + i) as f32 * -0.3)
+                .collect();
+            let want = comm.all_reduce(&data).unwrap();
+            let mut buf = data.clone();
+            comm.inject_fault("all_gather", 1);
+            assert!(comm.all_reduce_in_place(&mut buf).is_err());
+            assert_eq!(buf, data, "a failed attempt leaves the buffer alone");
+            comm.all_reduce_in_place(&mut buf).unwrap();
+            (want, buf)
+        });
+        for (want, got) in out {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&got));
+            assert_eq!(got[0].to_bits(), 0.0f32.to_bits());
         }
     }
 

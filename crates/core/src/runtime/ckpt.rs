@@ -407,42 +407,42 @@ impl Checkpointable for GptModel {
     }
 }
 
-/// Optimizer moments: the shared step under `"opt.step"`, the sorted
-/// parameter ids under `"opt.ids"`, and per-id first/second moments under
-/// `"opt.m.{id:08}"` / `"opt.v.{id:08}"`.
+/// Optimizer moments in the flat layout: the shared step under
+/// `"opt.step"`, the owned range's first flat-order position under
+/// `"opt.lo"`, and the first/second moments over that range under
+/// `"opt.m"` / `"opt.v"`.
 impl Checkpointable for AdamW {
     fn state_dict(&mut self) -> StateDict {
-        let (step, entries) = self.export_state();
+        let (lo, m, v) = self.moments();
         let mut d = StateDict::new();
-        d.insert("opt.step", StateValue::U64(vec![step]));
-        d.insert(
-            "opt.ids",
-            StateValue::U64(entries.iter().map(|(id, _, _)| *id).collect()),
-        );
-        for (id, m, v) in entries {
-            d.insert(format!("opt.m.{id:08}"), StateValue::F32(m));
-            d.insert(format!("opt.v.{id:08}"), StateValue::F32(v));
-        }
+        d.insert("opt.step", StateValue::U64(vec![self.steps()]));
+        d.insert("opt.lo", StateValue::U64(vec![lo as u64]));
+        d.insert("opt.m", StateValue::F32(m.to_vec()));
+        d.insert("opt.v", StateValue::F32(v.to_vec()));
         d
     }
 
     fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
         let step = dict.u64_scalar("opt.step")?;
-        let ids = dict.u64s("opt.ids")?.to_vec();
-        let mut entries = Vec::with_capacity(ids.len());
-        for id in ids {
-            let m = dict.f32s(&format!("opt.m.{id:08}"))?.to_vec();
-            let v = dict.f32s(&format!("opt.v.{id:08}"))?.to_vec();
-            if m.len() != v.len() {
-                return Err(CkptError::Corrupt(format!(
-                    "opt moments for id {id} disagree: {} vs {}",
-                    m.len(),
-                    v.len()
-                )));
-            }
-            entries.push((id, m, v));
+        let lo = dict.u64_scalar("opt.lo")?;
+        let (m, v) = (dict.f32s("opt.m")?, dict.f32s("opt.v")?);
+        if m.len() != v.len() {
+            return Err(CkptError::Corrupt(format!(
+                "opt.m and opt.v disagree: {} vs {} values",
+                m.len(),
+                v.len()
+            )));
         }
-        self.import_state(step, entries);
+        let lo = usize::try_from(lo)
+            .ok()
+            .filter(|lo| lo.checked_add(m.len()).is_some())
+            .ok_or_else(|| {
+                CkptError::Corrupt(format!(
+                    "opt range {lo}+{} does not fit the flat order",
+                    m.len()
+                ))
+            })?;
+        self.import_state(step, lo, m.to_vec(), v.to_vec());
         Ok(())
     }
 }
@@ -724,26 +724,54 @@ mod tests {
     #[test]
     fn optimizer_state_round_trips_bitwise() {
         let mut opt = AdamW::new(AdamWConfig::default());
+        // two tensors of one flat order, the range starting past zero
         let mut p0 = vec![1.0f32; 8];
         let mut p1 = vec![-0.5f32; 3];
         for _ in 0..4 {
             opt.begin_step();
-            opt.update(0, &mut p0, &[0.1; 8]);
-            opt.update(1, &mut p1, &[-0.2; 3]);
+            opt.update(5, &mut p0, &[0.1; 8]);
+            opt.update(13, &mut p1, &[-0.2; 3]);
         }
         let dict = opt.state_dict();
+        assert_eq!(dict.u64_scalar("opt.lo").unwrap(), 5);
+        assert_eq!(dict.f32s("opt.m").unwrap().len(), 11);
         let mut fresh = AdamW::new(AdamWConfig::default());
         fresh.load_state_dict(&dict).unwrap();
         // both optimizers now produce identical updates
-        let (mut qa, mut qb) = (p0.clone(), p0.clone());
+        let (mut qa, mut qb) = (p1.clone(), p1.clone());
         opt.begin_step();
-        opt.update(0, &mut qa, &[0.05; 8]);
+        opt.update(13, &mut qa, &[0.05; 3]);
         fresh.begin_step();
-        fresh.update(0, &mut qb, &[0.05; 8]);
+        fresh.update(13, &mut qb, &[0.05; 3]);
         assert_eq!(
             qa.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             qb.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn optimizer_state_rejects_unequal_moments_and_a_range_that_does_not_fit() {
+        let mut opt = AdamW::new(AdamWConfig::default());
+        opt.begin_step();
+        opt.update(0, &mut [0.5; 4], &[0.1; 4]);
+        let good = opt.state_dict();
+        let doctored = |key: &str, value: StateValue| {
+            let mut d = good.clone();
+            d.insert(key, value);
+            d
+        };
+        for bad in [
+            doctored("opt.v", StateValue::F32(vec![0.0; 3])),
+            doctored("opt.lo", StateValue::U64(vec![u64::MAX - 1])),
+            doctored("opt.lo", StateValue::U64(vec![1, 2])),
+        ] {
+            let mut fresh = AdamW::new(AdamWConfig::default());
+            assert!(matches!(
+                fresh.load_state_dict(&bad),
+                Err(CkptError::Corrupt(_))
+            ));
+            assert_eq!(fresh.state_bytes(), 0, "receiver left unchanged");
+        }
     }
 
     #[test]

@@ -181,30 +181,47 @@ impl TrainConfig {
         }
     }
 
-    /// Panics on a geometry the mode cannot run (the same contract the
-    /// original `train` entry point had).
-    fn validate(&self) {
-        if matches!(self.mode, Mode::Single) {
-            return;
-        }
-        let world = self.world;
-        if !matches!(self.mode, Mode::Ring) {
-            // Ring keeps full heads; Ulysses/FPDT scatter them.
-            assert!(
-                self.model.heads.is_multiple_of(world),
-                "heads must divide across ranks"
-            );
-            assert!(
-                self.model.kv_heads.is_multiple_of(world),
-                "kv heads must divide across ranks (Ulysses head scattering)"
-            );
-        }
-        assert!(
-            self.seq.is_multiple_of(world * self.mode.chunks()),
+    /// Checks that the mode can run this geometry. [`Trainer::new`] and
+    /// [`Trainer::resize`] panic with the error's message (the contract the
+    /// original `train` entry point had); [`Trainer::resume`] reports it as
+    /// a corrupt checkpoint.
+    fn validate(&self) -> Result<(), GeometryError> {
+        let (heads, kv_heads, seq) = (self.model.heads, self.model.kv_heads, self.seq);
+        let (world, chunks) = match self.mode {
+            Mode::Single => (1, 1),
+            _ => (self.world, self.mode.chunks()),
+        };
+        // Ring keeps full heads; Ulysses/FPDT scatter them.
+        let scatter = !matches!(self.mode, Mode::Single | Mode::Ring);
+        let problem = if [heads, kv_heads, seq, world, chunks].contains(&0) {
+            "heads, kv heads, sequence, world and chunks must be positive"
+        } else if scatter && !heads.is_multiple_of(world) {
+            "heads must divide across ranks"
+        } else if scatter && !kv_heads.is_multiple_of(world) {
+            "kv heads must divide across ranks (Ulysses head scattering)"
+        } else if !world.checked_mul(chunks).is_some_and(|n| seq.is_multiple_of(n)) {
             "sequence must divide into world x chunks segments"
-        );
+        } else {
+            return Ok(());
+        };
+        Err(GeometryError(format!(
+            "{problem}: {heads} heads, {kv_heads} kv heads, sequence {seq}, world {world}, \
+             {chunks} chunks"
+        )))
     }
 }
+
+/// Why a [`TrainConfig`]'s geometry cannot run in its mode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GeometryError(String);
+
+impl fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for GeometryError {}
 
 /// Result of a training run.
 #[derive(Debug, Clone)]
@@ -280,15 +297,17 @@ fn exec_error(e: Box<dyn std::error::Error + Send + Sync>) -> TrainError {
 // Segment machinery
 // ---------------------------------------------------------------------------
 
-/// Host-side state handed to a segment: everything a rank needs to rebuild
-/// its replica exactly where the previous segment stopped.
-struct SegmentIn {
+/// Host-side state lent to a segment: everything a rank needs to rebuild
+/// its replica exactly where the previous segment stopped. The vectors stay
+/// the [`Trainer`]'s; a rank copies its parameters and the moment range it
+/// owns, once.
+struct SegmentIn<'a> {
     /// Flat parameters ([`GptModel::for_each_param`] order).
-    params: Vec<f32>,
+    params: &'a [f32],
     /// Flat first moments, same order and length as `params`.
-    m: Vec<f32>,
+    m: &'a [f32],
     /// Flat second moments.
-    v: Vec<f32>,
+    v: &'a [f32],
     /// Optimizer step counter (bias correction).
     opt_step: u64,
     /// Data-stream RNG words.
@@ -299,9 +318,13 @@ struct SegmentIn {
     steps: usize,
 }
 
-/// One rank's segment result. All replicated fields (params, losses, rng)
-/// are identical across ranks by construction; moment vectors are this
-/// rank's ZeRO slice (or the full vector when dense).
+/// One rank's segment result. The small replicated fields (losses, rng,
+/// step counters) are identical across ranks by construction. The
+/// parameter-sized ones are moved out of the replica, and only where the
+/// [`Trainer`] keeps them: `params` and `grads` on rank 0 (`grads` empty
+/// unless the segment's last window completed — a rolled-back window has
+/// none), `m` / `v` on rank 0 when dense and on every rank, as its slice,
+/// under ZeRO-1.
 struct RankOut {
     steps: usize,
     losses: Vec<f32>,
@@ -315,6 +338,13 @@ struct RankOut {
     host: PoolStats,
     comm: CommStats,
     err: Option<TrainError>,
+}
+
+/// Rank `rank`'s contiguous share of a flat vector of `n` elements split
+/// over `world` ranks: the ZeRO-1 moment slice and the checkpoint shard.
+/// The same integer division everywhere, so shares concatenate exactly.
+fn shard_range(rank: usize, world: usize, n: usize) -> (usize, usize) {
+    (rank * n / world, (rank + 1) * n / world)
 }
 
 /// A collective with transient-fault replay: wraps
@@ -350,6 +380,10 @@ struct RankCtx<'a> {
 /// host-side state, run whole accumulation windows, and on a failed window
 /// roll back to the last step boundary (rewind the data RNG, zero the
 /// gradients) instead of committing partial state.
+///
+/// `sync_and_step` turns the replica's local gradient buffer into the
+/// window's reduced one, in place, applies the optimizer step and returns
+/// the global `(loss_sum, tokens)`.
 fn run_rank_segment(
     cfg: &TrainConfig,
     ctx: &RankCtx<'_>,
@@ -361,13 +395,13 @@ fn run_rank_segment(
         &mut AdamW,
         f32,
         usize,
-    ) -> Result<(f32, usize, Vec<f32>), TrainError>,
+    ) -> Result<(f32, usize), TrainError>,
 ) -> RankOut {
     let RankCtx { rank, world, plan } = *ctx;
     let n = seg.params.len();
     let zero = cfg.zero_shard && world > 1;
     let (mut model, mut opt, mut corpus) = spanned(recorder, "segment.build", || {
-        let mut model = GptModel::from_params(&cfg.model, &seg.params);
+        let mut model = GptModel::from_params(&cfg.model, seg.params);
         if let Some(rec) = recorder {
             model = model.with_recorder(rec.clone());
         }
@@ -375,32 +409,10 @@ fn run_rank_segment(
             lr: cfg.lr,
             ..Default::default()
         });
-        if zero {
-            // ZeRO-1: this rank owns one contiguous slice of the flat
-            // moment vectors, stored under the single parameter id 0.
-            let (lo, hi) = (rank * n / world, (rank + 1) * n / world);
-            opt.import_state(
-                seg.opt_step,
-                vec![(0, seg.m[lo..hi].to_vec(), seg.v[lo..hi].to_vec())],
-            );
-        } else {
-            // Dense: per-tensor moments keyed by visit order, sliced out
-            // of the flat vectors by each tensor's length.
-            let mut entries = Vec::new();
-            let mut off = 0usize;
-            let mut id = 0u64;
-            model.for_each_param(|p, _| {
-                let len = p.numel();
-                entries.push((
-                    id,
-                    seg.m[off..off + len].to_vec(),
-                    seg.v[off..off + len].to_vec(),
-                ));
-                off += len;
-                id += 1;
-            });
-            opt.import_state(seg.opt_step, entries);
-        }
+        // Dense: every replica steps every parameter. ZeRO-1: this rank
+        // owns one contiguous slice of the flat moment vectors.
+        let (lo, hi) = if zero { shard_range(rank, world, n) } else { (0, n) };
+        opt.import_state(seg.opt_step, lo, seg.m[lo..hi].to_vec(), seg.v[lo..hi].to_vec());
         let mut corpus = Corpus::new(cfg.model.vocab, 0.05, cfg.seed ^ 0x5eed);
         corpus.set_rng_state(seg.rng);
         (model, opt, corpus)
@@ -410,52 +422,11 @@ fn run_rank_segment(
     let loss_chunks = (cfg.model.vocab / cfg.model.hidden * 2).max(1);
     let accum = cfg.grad_accum.max(1);
     let mut losses = Vec::with_capacity(seg.steps / accum);
-    let mut grads = Vec::new();
     let mut done = 0usize;
     let mut err = None;
-    'windows: for w in 0..seg.steps / accum {
+    for w in 0..seg.steps / accum {
         let rng_snap = corpus.rng_state();
         spanned(recorder, "grads.zero", || model.zero_grad());
-        let mut window_loss = 0.0f32;
-        let mut window_tokens = 0usize;
-        for _micro in 0..accum {
-            let (gx, gy) = corpus.sample(cfg.seq);
-            let (tokens, targets, pos) = match plan {
-                Some(p) => (
-                    p.shard(rank, &gx),
-                    p.shard(rank, &gy),
-                    p.local_positions(rank),
-                ),
-                None => (gx, gy, (0..cfg.seq).collect()),
-            };
-            let fb = if cfg.activation_checkpoint {
-                model.forward_backward_checkpointed(
-                    exec,
-                    &tokens,
-                    &targets,
-                    &pos,
-                    mlp_chunks,
-                    loss_chunks,
-                )
-            } else {
-                model.forward_backward(exec, &tokens, &targets, &pos, mlp_chunks, loss_chunks)
-            };
-            match fb {
-                Ok(stats) => {
-                    window_loss += stats.loss_sum;
-                    window_tokens += stats.tokens;
-                }
-                Err(e) => {
-                    err = Some(exec_error(e));
-                    corpus.set_rng_state(rng_snap);
-                    model.zero_grad();
-                    if let Some(rec) = recorder {
-                        rec.event("recover.rollback");
-                    }
-                    break 'windows;
-                }
-            }
-        }
         // linear warmup on the *global* optimizer-step counter, so resumed
         // segments continue the schedule exactly
         if cfg.warmup_steps > 0 {
@@ -463,10 +434,40 @@ fn run_rank_segment(
             let frac = (opt_step_no as f32 / cfg.warmup_steps as f32).min(1.0);
             opt.set_lr(cfg.lr * frac);
         }
-        match sync_and_step(&mut model, &mut opt, window_loss, window_tokens) {
-            Ok((loss_sum, total_tokens, g)) => {
+        let mut window = || {
+            let mut window_loss = 0.0f32;
+            let mut window_tokens = 0usize;
+            for _micro in 0..accum {
+                let (gx, gy) = corpus.sample(cfg.seq);
+                let (tokens, targets, pos) = match plan {
+                    Some(p) => (
+                        p.shard(rank, &gx),
+                        p.shard(rank, &gy),
+                        p.local_positions(rank),
+                    ),
+                    None => (gx, gy, (0..cfg.seq).collect()),
+                };
+                let fb = if cfg.activation_checkpoint {
+                    model.forward_backward_checkpointed(
+                        exec,
+                        &tokens,
+                        &targets,
+                        &pos,
+                        mlp_chunks,
+                        loss_chunks,
+                    )
+                } else {
+                    model.forward_backward(exec, &tokens, &targets, &pos, mlp_chunks, loss_chunks)
+                };
+                let stats = fb.map_err(exec_error)?;
+                window_loss += stats.loss_sum;
+                window_tokens += stats.tokens;
+            }
+            sync_and_step(&mut model, &mut opt, window_loss, window_tokens)
+        };
+        match window() {
+            Ok((loss_sum, total_tokens)) => {
                 losses.push(loss_sum / total_tokens as f32);
-                grads = g;
                 done += accum;
             }
             Err(e) => {
@@ -476,26 +477,22 @@ fn run_rank_segment(
                 if let Some(rec) = recorder {
                     rec.event("recover.rollback");
                 }
-                break 'windows;
+                break;
             }
         }
     }
 
     let _export = recorder.map(|r| r.span("segment.export"));
-    let params = model.collect_params();
-    let opt_bytes = opt.state_bytes();
-    let (opt_step, entries) = opt.export_state();
-    let (m, v) = if zero {
-        let (_, m, v) = entries.into_iter().next().expect("imported at entry");
-        (m, v)
+    let (opt_step, opt_bytes) = (opt.steps(), opt.state_bytes());
+    let (m, v) = if zero || rank == 0 {
+        opt.into_moments()
     } else {
-        let mut m = Vec::with_capacity(n);
-        let mut v = Vec::with_capacity(n);
-        for (_, em, ev) in entries {
-            m.extend_from_slice(&em);
-            v.extend_from_slice(&ev);
-        }
-        (m, v)
+        Default::default()
+    };
+    let (params, grads) = match rank {
+        0 if err.is_none() => (model.collect_params(), model.into_grads()),
+        0 => (model.collect_params(), Vec::new()),
+        _ => Default::default(),
     };
     RankOut {
         steps: done,
@@ -530,12 +527,10 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                 recorder,
                 seg,
                 |model, opt, ls, tok| {
-                    let flat = spanned(recorder, "grads.collect", || model.collect_grads());
-                    spanned(recorder, "grads.set", || {
-                        model.set_grads(&flat, 1.0 / tok as f32)
+                    spanned(recorder, "opt.adamw", || {
+                        model.optimizer_step(opt, 1.0 / tok as f32)
                     });
-                    spanned(recorder, "opt.adamw", || model.optimizer_step(opt));
-                    Ok((ls, tok, flat))
+                    Ok((ls, tok))
                 },
             )]
         }
@@ -568,10 +563,11 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                     dist_exec.as_mut().expect("just set")
                 };
                 let sync = |model: &mut GptModel, opt: &mut AdamW, ls: f32, tok: usize| {
-                    // deterministic rank-order reductions; gradients go
-                    // through the chunked reducer (future-work fix: the
-                    // staging transient is capped at two buckets instead
-                    // of a flat copy of every gradient)
+                    // Deterministic rank-order reductions. Gradients reduce
+                    // in place in the replica's flat buffer, one bucket at
+                    // a time (the staging transient is one bucket per
+                    // rank, the paper's future-work fix); a replayed bucket
+                    // starts from the untouched local values.
                     const REDUCE_BUCKET: usize = 1 << 16;
                     // the window's first collective: a rank that arrives
                     // early waits here for the slowest one
@@ -580,26 +576,26 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                             c.all_reduce(&[ls, tok as f32])
                         })
                     })?;
-                    let flat = spanned(recorder, "grads.collect", || model.collect_grads());
-                    let reduce_span = recorder
-                        .map(|r| r.span("allreduce.grads").bytes((flat.len() * 4) as u64));
-                    let reduced = retrying_traced(&comm, retries, recorder, |c| {
-                        c.all_reduce_chunked(&flat, REDUCE_BUCKET)
-                    })?;
+                    let n = model.param_count();
+                    let reduce_span =
+                        recorder.map(|r| r.span("allreduce.grads").bytes((n * 4) as u64));
+                    for bucket in model.grads_mut().chunks_mut(REDUCE_BUCKET) {
+                        retrying_traced(&comm, retries, recorder, |c| {
+                            c.all_reduce_in_place(bucket)
+                        })?;
+                    }
                     drop(reduce_span);
                     let scale = 1.0 / scalars[1];
                     if cfg.zero_shard {
-                        // ZeRO-1: this rank owns a contiguous slice of
-                        // the flat parameter vector; update it with its
-                        // own optimizer shard, then all-gather.
+                        // ZeRO-1: this rank steps its own slice of the flat
+                        // parameter vector with its optimizer shard, then
+                        // all-gathers everyone's.
                         let mut params = model.collect_params();
-                        let n = params.len();
-                        let (lo, hi) = (rank * n / world, (rank + 1) * n / world);
-                        let gshard: Vec<f32> =
-                            reduced[lo..hi].iter().map(|g| g * scale).collect();
+                        let (lo, hi) = shard_range(rank, world, n);
                         spanned(recorder, "opt.adamw", || {
                             opt.begin_step();
-                            opt.update(0, &mut params[lo..hi], &gshard);
+                            let grads = &model.grads()[lo..hi];
+                            opt.update_scaled(lo, &mut params[lo..hi], grads, scale);
                         });
                         let shards = retrying_traced(&comm, retries, recorder, |c| {
                             c.all_gather(&params[lo..hi])
@@ -607,10 +603,9 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                         let full: Vec<f32> = shards.into_iter().flatten().collect();
                         model.set_params(&full);
                     } else {
-                        spanned(recorder, "grads.set", || model.set_grads(&reduced, scale));
-                        spanned(recorder, "opt.adamw", || model.optimizer_step(opt));
+                        spanned(recorder, "opt.adamw", || model.optimizer_step(opt, scale));
                     }
-                    Ok((scalars[0], scalars[1] as usize, reduced))
+                    Ok((scalars[0], scalars[1] as usize))
                 };
                 let ctx = RankCtx {
                     rank,
@@ -669,7 +664,7 @@ impl Trainer {
     /// sequence not divisible by `world * chunks`) — the same contract
     /// [`train`] always had.
     pub fn new(cfg: TrainConfig) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut model = GptModel::new(&cfg.model, cfg.seed);
         let params = model.collect_params();
         let n = params.len();
@@ -727,7 +722,7 @@ impl Trainer {
     pub fn resize(&mut self, world: usize) {
         let mut cfg = self.cfg.clone();
         cfg.world = world;
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         self.cfg = cfg;
     }
 
@@ -756,35 +751,31 @@ impl Trainer {
             return Ok(());
         }
         let seg = SegmentIn {
-            params: self.params.clone(),
-            m: self.opt_m.clone(),
-            v: self.opt_v.clone(),
+            params: &self.params,
+            m: &self.opt_m,
+            v: &self.opt_v,
             opt_step: self.opt_step,
             rng: self.rng,
             base_step: self.step,
             steps: n,
         };
         let mut outs = run_segment(&self.cfg, self.recorder.as_ref(), &seg);
-        let world = outs.len();
-        let zero = self.cfg.zero_shard && world > 1;
-        let (m, v) = if zero {
+        if self.cfg.zero_shard && outs.len() > 1 {
             // reassemble the flat moment vectors from every rank's slice
             // (slice bounds are the same integer division the next
             // segment will use, so concatenation is exact at any world)
-            let mut m = Vec::with_capacity(self.params.len());
-            let mut v = Vec::with_capacity(self.params.len());
+            self.opt_m.clear();
+            self.opt_v.clear();
             for o in &outs {
-                m.extend_from_slice(&o.m);
-                v.extend_from_slice(&o.v);
+                self.opt_m.extend_from_slice(&o.m);
+                self.opt_v.extend_from_slice(&o.v);
             }
-            (m, v)
         } else {
-            (std::mem::take(&mut outs[0].m), std::mem::take(&mut outs[0].v))
-        };
+            self.opt_m = std::mem::take(&mut outs[0].m);
+            self.opt_v = std::mem::take(&mut outs[0].v);
+        }
         let r0 = outs.swap_remove(0);
         self.params = r0.params;
-        self.opt_m = m;
-        self.opt_v = v;
         self.opt_step = r0.opt_step;
         self.opt_state_bytes = r0.opt_bytes;
         self.rng = r0.rng;
@@ -915,7 +906,7 @@ impl Trainer {
         let world = self.cfg.world.max(1);
         let n = self.params.len();
         for rank in 0..world {
-            let (lo, hi) = (rank * n / world, (rank + 1) * n / world);
+            let (lo, hi) = shard_range(rank, world, n);
             let mut d = self.meta_dict();
             d.insert("meta.rank", StateValue::U64(vec![rank as u64]));
             d.insert(
@@ -1015,7 +1006,9 @@ impl Trainer {
             mode: Mode::parse(meta.str("cfg.mode")?)?,
             runtime: RuntimeOptions::from_env(),
         };
-        cfg.validate();
+        cfg.validate().map_err(|e| {
+            CkptError::Corrupt(format!("checkpointed geometry cannot run: {e}"))
+        })?;
 
         let mut params = Vec::new();
         let mut m = Vec::new();
@@ -1037,18 +1030,19 @@ impl Trainer {
             m.extend_from_slice(shard.f32s("opt.m.shard")?);
             v.extend_from_slice(shard.f32s("opt.v.shard")?);
         }
-        let expected = GptModel::new(&cfg.model, cfg.seed).param_count();
-        if params.len() != expected {
+        let expected = GptModel::param_count_of(&cfg.model);
+        if Some(params.len()) != expected {
             return Err(CkptError::Corrupt(format!(
-                "shards hold {} parameters, architecture expects {expected}",
+                "shards hold {} parameters, architecture expects {expected:?}",
                 params.len()
             )));
         }
-        if m.len() != expected || v.len() != expected {
+        if m.len() != params.len() || v.len() != params.len() {
             return Err(CkptError::Corrupt(format!(
-                "moment vectors ({}, {}) do not match {expected} parameters",
+                "moment vectors ({}, {}) do not match {} parameters",
                 m.len(),
-                v.len()
+                v.len(),
+                params.len()
             )));
         }
 
@@ -1313,13 +1307,17 @@ mod tests {
             "embed",
             "opt.adamw",
             "grads.zero",
-            "grads.collect",
-            "grads.set",
+            "allreduce.grads",
             "sync.loss",
             "segment.build",
             "segment.export",
         ] {
             assert!(rec.count(label) > 0, "no {label} span");
+        }
+        // The gradients reduce in place and the optimizer reads them where
+        // they lie: no pass that only moves them.
+        for label in ["grads.collect", "grads.set"] {
+            assert_eq!(rec.count(label), 0, "{label} is back");
         }
         // Named leaf categories (not the `block.*` containers) account for
         // a rank thread's life, first span to last: a ratio inside one
@@ -1377,26 +1375,129 @@ mod tests {
 
     #[test]
     fn replicas_shaped_from_params_reproduce_train_across_segments() {
-        // Every `run_steps` call rebuilds its replicas with
-        // `GptModel::from_params` from the host-side flat vector; three
-        // segments must retrace one uninterrupted `train` bit for bit.
+        // Every `run_steps` call rebuilds its replicas from the vectors the
+        // `Trainer` lends it and hands back only what the `Trainer` keeps;
+        // three segments must retrace one uninterrupted `train` bit for
+        // bit, dense and with the moments sharded.
+        for zero_shard in [false, true] {
+            let cfg = TrainConfig {
+                steps: 6,
+                zero_shard,
+                mode: Mode::Fpdt {
+                    chunks: 2,
+                    offload: true,
+                },
+                ..TrainConfig::small(Mode::Single)
+            };
+            let whole = train(&cfg);
+            let mut trainer = Trainer::new(cfg.clone());
+            for _ in 0..3 {
+                trainer.run_steps(2).expect("healthy segment");
+            }
+            let split = trainer.report();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&split.losses), bits(&whole.losses), "zero {zero_shard}");
+            assert_eq!(bits(&split.grads), bits(&whole.grads), "zero {zero_shard}");
+            assert_eq!(split.opt_state_bytes, whole.opt_state_bytes);
+            assert_eq!(split.grads.len(), trainer.params.len());
+        }
+    }
+
+    #[test]
+    fn ranks_own_exactly_their_integer_division_range() {
+        // Ring has no head constraint, so three ranks can split a
+        // parameter count three does not divide.
+        let base = TrainConfig {
+            model: ModelConfig::tiny(1, 32, 4, 50),
+            world: 3,
+            seq: 36,
+            steps: 2,
+            mode: Mode::Ring,
+            ..TrainConfig::small(Mode::Single)
+        };
+        for zero_shard in [false, true] {
+            let cfg = TrainConfig {
+                zero_shard,
+                ..base.clone()
+            };
+            let trainer = Trainer::new(cfg.clone());
+            let n = trainer.params.len();
+            assert_ne!(n % 3, 0, "pick a count the world does not divide");
+            let seg = SegmentIn {
+                params: &trainer.params,
+                m: &trainer.opt_m,
+                v: &trainer.opt_v,
+                opt_step: 0,
+                rng: trainer.rng,
+                base_step: 0,
+                steps: 2,
+            };
+            let outs = run_segment(&cfg, None, &seg);
+            assert_eq!(outs.len(), 3);
+            for (rank, out) in outs.iter().enumerate() {
+                assert!(out.err.is_none());
+                let own = match (zero_shard, rank) {
+                    (true, _) => rank * n / 3..(rank + 1) * n / 3,
+                    (false, 0) => 0..n,
+                    // dense replicas other than rank 0 hand nothing back
+                    (false, _) => 0..0,
+                };
+                assert_eq!(out.m.len(), own.len(), "rank {rank}, zero {zero_shard}");
+                assert_eq!(out.v.len(), own.len());
+                let held = if zero_shard { own.len() } else { n };
+                assert_eq!(out.opt_bytes, held * 8, "two f32 moments per owned element");
+                // only rank 0's parameters and gradients come back
+                let kept = if rank == 0 { n } else { 0 };
+                assert_eq!((out.params.len(), out.grads.len()), (kept, kept));
+            }
+            if zero_shard {
+                assert_eq!(outs.iter().map(|o| o.m.len()).sum::<usize>(), n);
+            }
+        }
+    }
+
+    #[test]
+    fn resume_with_a_doctored_geometry_is_corrupt_not_a_panic() {
         let cfg = TrainConfig {
-            steps: 6,
+            steps: 2,
             mode: Mode::Fpdt {
                 chunks: 2,
-                offload: true,
+                offload: false,
             },
             ..TrainConfig::small(Mode::Single)
         };
-        let whole = train(&cfg);
-        let mut trainer = Trainer::new(cfg.clone());
-        for _ in 0..3 {
-            trainer.run_steps(2).expect("healthy segment");
+        let dir = std::env::temp_dir().join(format!("fpdt-doctored-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut trainer = Trainer::new(cfg);
+        trainer.run_steps(2).expect("healthy segment");
+        trainer.checkpoint(&dir).expect("checkpoint");
+        assert!(Trainer::resume(&dir).is_ok());
+        let paths = ckpt::shard_paths(&dir).expect("two shards");
+        let pristine: Vec<StateDict> = paths.iter().map(|p| ckpt::read_shard(p).unwrap()).collect();
+        // rewrites field `at` of one replicated entry in every shard
+        let doctor = |key: &str, at: usize, value: u64| {
+            for (rank, shard) in pristine.iter().enumerate() {
+                let mut values = shard.u64s(key).unwrap().to_vec();
+                values[at] = value;
+                let mut d = shard.clone();
+                d.insert(key, StateValue::U64(values));
+                ckpt::write_shard(&dir, rank, pristine.len(), &d).unwrap();
+            }
+            Trainer::resume(&dir).unwrap_err()
+        };
+        // cfg.train = [world, seq, ..]; cfg.model.dims = [layers, hidden,
+        // heads, kv_heads, ffn, vocab]
+        for (key, at, value) in [
+            ("cfg.train", 1, 62),      // seq no longer divides world x chunks
+            ("cfg.train", 1, 0),       // no sequence at all
+            ("cfg.model.dims", 2, 3),  // heads do not scatter over 2 ranks
+            ("cfg.model.dims", 2, 0),  // no heads: head_dim would divide by zero
+            ("cfg.model.dims", 5, 51), // runs, but is not what the vectors fit
+        ] {
+            let err = doctor(key, at, value);
+            assert!(matches!(err, CkptError::Corrupt(_)), "{key}[{at}]: {err}");
         }
-        let split = trainer.report();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&split.losses), bits(&whole.losses));
-        assert_eq!(bits(&split.grads), bits(&whole.grads));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::runtime::exec::{AttentionExec, ExecResult};
 use fpdt_model::config::{Family, ModelConfig};
-use fpdt_tensor::nn::{AdamW, Embedding, LayerNorm, Linear, RmsNorm};
+use fpdt_tensor::nn::{split_grad, AdamW, Embedding, LayerNorm, Linear, RmsNorm};
 use fpdt_tensor::ops::{self, LayerNormCtx, RmsNormCtx, RopeTable};
 use fpdt_tensor::{init, Tensor};
 use fpdt_trace::Recorder;
@@ -40,6 +40,14 @@ fn linear(i: usize, o: usize, bias: bool, init: &mut Init) -> Linear {
     match init {
         Some(rng) => Linear::new(i, o, bias, rng),
         None => Linear::zeros(i, o, bias),
+    }
+}
+
+/// A linear layer's parameters in flat order: weight, then bias.
+fn visit_linear(l: &mut Linear, f: &mut impl FnMut(&mut Tensor)) {
+    f(&mut l.weight);
+    if let Some(b) = l.bias.as_mut() {
+        f(b);
     }
 }
 
@@ -76,28 +84,34 @@ impl Norm {
         })
     }
 
-    fn backward(&mut self, x: &Tensor, ctx: &NormCtx, dy: &Tensor) -> ExecResult<Tensor> {
+    fn backward(
+        &self,
+        x: &Tensor,
+        ctx: &NormCtx,
+        dy: &Tensor,
+        grad: &mut [f32],
+    ) -> ExecResult<Tensor> {
         Ok(match (self, ctx) {
-            (Norm::Layer(n), NormCtx::Layer(c)) => n.backward(x, c, dy)?,
-            (Norm::Rms(n), NormCtx::Rms(c)) => n.backward(x, c, dy)?,
+            (Norm::Layer(n), NormCtx::Layer(c)) => n.backward(x, c, dy, grad)?,
+            (Norm::Rms(n), NormCtx::Rms(c)) => n.backward(x, c, dy, grad)?,
             _ => return Err("norm context family mismatch".into()),
         })
     }
 
-    fn zero_grad(&mut self) {
+    fn param_count(&self) -> usize {
         match self {
-            Norm::Layer(n) => n.zero_grad(),
-            Norm::Rms(n) => n.zero_grad(),
+            Norm::Layer(n) => n.param_count(),
+            Norm::Rms(n) => n.param_count(),
         }
     }
 
-    fn for_each_param(&mut self, f: &mut impl FnMut(&mut Tensor, &mut Tensor)) {
+    fn for_each_param(&mut self, f: &mut impl FnMut(&mut Tensor)) {
         match self {
             Norm::Layer(n) => {
-                f(&mut n.gamma, &mut n.dgamma);
-                f(&mut n.beta, &mut n.dbeta);
+                f(&mut n.gamma);
+                f(&mut n.beta);
             }
-            Norm::Rms(n) => f(&mut n.gamma, &mut n.dgamma),
+            Norm::Rms(n) => f(&mut n.gamma),
         }
     }
 }
@@ -158,57 +172,55 @@ impl Mlp {
         })
     }
 
-    fn backward(&mut self, x: &Tensor, ctx: &MlpCtx, dy: &Tensor) -> ExecResult<Tensor> {
+    fn backward(
+        &self,
+        x: &Tensor,
+        ctx: &MlpCtx,
+        dy: &Tensor,
+        grad: &mut [f32],
+    ) -> ExecResult<Tensor> {
         Ok(match self {
             Mlp::Gelu { fc1, fc2 } => {
-                let dg = fc2.backward(&ctx.g, dy)?;
+                let [g1, g2] = split_grad(grad, [fc1.param_count(), fc2.param_count()])?;
+                let dg = fc2.backward(&ctx.g, dy, g2)?;
                 let da = ops::gelu_bwd(&ctx.a, &dg)?;
-                fc1.backward(x, &da)?
+                fc1.backward(x, &da, g1)?
             }
             Mlp::SwiGlu { gate, up, down } => {
-                let dm = down.backward(&ctx.g, dy)?;
+                let lens = [gate.param_count(), up.param_count(), down.param_count()];
+                let [g_gate, g_up, g_down] = split_grad(grad, lens)?;
+                let dm = down.backward(&ctx.g, dy, g_down)?;
                 let u = ctx.u.as_ref().expect("SwiGLU saved `up` output");
                 let s = ops::silu(&ctx.a);
                 let du = dm.mul(&s)?;
                 let ds = dm.mul(u)?;
                 let da = ops::silu_bwd(&ctx.a, &ds)?;
-                let mut dx = gate.backward(x, &da)?;
-                dx.add_assign(&up.backward(x, &du)?)?;
+                let mut dx = gate.backward(x, &da, g_gate)?;
+                dx.add_assign(&up.backward(x, &du, g_up)?)?;
                 dx
             }
         })
     }
 
-    fn zero_grad(&mut self) {
+    fn param_count(&self) -> usize {
         match self {
-            Mlp::Gelu { fc1, fc2 } => {
-                fc1.zero_grad();
-                fc2.zero_grad();
-            }
+            Mlp::Gelu { fc1, fc2 } => fc1.param_count() + fc2.param_count(),
             Mlp::SwiGlu { gate, up, down } => {
-                gate.zero_grad();
-                up.zero_grad();
-                down.zero_grad();
+                gate.param_count() + up.param_count() + down.param_count()
             }
         }
     }
 
-    fn for_each_param(&mut self, f: &mut impl FnMut(&mut Tensor, &mut Tensor)) {
-        let visit = |l: &mut Linear, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)| {
-            f(&mut l.weight, &mut l.dweight);
-            if let (Some(b), Some(db)) = (l.bias.as_mut(), l.dbias.as_mut()) {
-                f(b, db);
-            }
-        };
+    fn for_each_param(&mut self, f: &mut impl FnMut(&mut Tensor)) {
         match self {
             Mlp::Gelu { fc1, fc2 } => {
-                visit(fc1, f);
-                visit(fc2, f);
+                visit_linear(fc1, f);
+                visit_linear(fc2, f);
             }
             Mlp::SwiGlu { gate, up, down } => {
-                visit(gate, f);
-                visit(up, f);
-                visit(down, f);
+                visit_linear(gate, f);
+                visit_linear(up, f);
+                visit_linear(down, f);
             }
         }
     }
@@ -325,21 +337,23 @@ impl Block {
         ))
     }
 
-    /// Backward for the block; accumulates parameter gradients and
-    /// returns `dx`.
+    /// Backward for the block; adds its parameter gradients into `grad`
+    /// (the block's stretch of the flat buffer) and returns `dx`.
     fn backward(
-        &mut self,
+        &self,
         layer: usize,
         ctx: &BlockCtx,
         dx2: &Tensor,
         exec: &mut dyn AttentionExec,
         pass: &Pass<'_>,
+        grad: &mut [f32],
     ) -> ExecResult<Tensor> {
         let Pass {
             rope,
             mlp_chunks,
             rec,
         } = *pass;
+        let [g_norm1, g_q, g_kv, g_out, g_norm2, g_mlp] = split_grad(grad, self.param_lens())?;
         let s = dx2.shape()[0];
         let h = dx2.shape()[1];
         let dh = h / self.heads;
@@ -349,19 +363,19 @@ impl Block {
             for (ci, r) in chunk_ranges(s, mlp_chunks).into_iter().enumerate() {
                 let dmo = dx2.narrow(0, r.start, r.len())?;
                 let n2c = ctx.n2.narrow(0, r.start, r.len())?;
-                dn2_parts.push(self.mlp.backward(&n2c, &ctx.mlp[ci], &dmo)?);
+                dn2_parts.push(self.mlp.backward(&n2c, &ctx.mlp[ci], &dmo, g_mlp)?);
             }
             concat0(&dn2_parts)
         })?;
         let dx1 = spanned(rec, "dense.norm", || -> ExecResult<_> {
-            let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2)?;
+            let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2, g_norm2)?;
             dx1.add_assign(dx2)?; // residual
             Ok(dx1)
         })?;
 
         // Attention backward.
         let do_heads = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
-            let do_merged = self.out_proj.backward(&ctx.o_merged, &dx1)?;
+            let do_merged = self.out_proj.backward(&ctx.o_merged, &dx1, g_out)?;
             Ok(do_merged.reshape(&[s, self.heads, dh])?)
         })?;
         let (dq, dk, dv) = exec.backward(layer, &do_heads)?;
@@ -370,41 +384,39 @@ impl Block {
             let dk = rope.apply_bwd(&dk)?;
             let kvd = self.kv_heads * dh;
             let dkv = Tensor::concat(&[&dk.reshape(&[s, kvd])?, &dv.reshape(&[s, kvd])?], 1)?;
-            let mut dn1 = self.kv_proj.backward(&ctx.n1, &dkv)?;
-            dn1.add_assign(
-                &self
-                    .q_proj
-                    .backward(&ctx.n1, &dq.reshape(&[s, self.heads * dh])?)?,
-            )?;
+            let mut dn1 = self.kv_proj.backward(&ctx.n1, &dkv, g_kv)?;
+            dn1.add_assign(&self.q_proj.backward(
+                &ctx.n1,
+                &dq.reshape(&[s, self.heads * dh])?,
+                g_q,
+            )?)?;
             Ok(dn1)
         })?;
         spanned(rec, "dense.norm", || {
-            let mut dx = self.norm1.backward(&ctx.x, &ctx.n1_ctx, &dn1)?;
+            let mut dx = self.norm1.backward(&ctx.x, &ctx.n1_ctx, &dn1, g_norm1)?;
             dx.add_assign(&dx1)?; // residual
             Ok(dx)
         })
     }
 
-    fn zero_grad(&mut self) {
-        self.norm1.zero_grad();
-        self.q_proj.zero_grad();
-        self.kv_proj.zero_grad();
-        self.out_proj.zero_grad();
-        self.norm2.zero_grad();
-        self.mlp.zero_grad();
+    /// Parameter counts of the sub-layers, in [`Block::for_each_param`]
+    /// order.
+    fn param_lens(&self) -> [usize; 6] {
+        [
+            self.norm1.param_count(),
+            self.q_proj.param_count(),
+            self.kv_proj.param_count(),
+            self.out_proj.param_count(),
+            self.norm2.param_count(),
+            self.mlp.param_count(),
+        ]
     }
 
-    fn for_each_param(&mut self, f: &mut impl FnMut(&mut Tensor, &mut Tensor)) {
-        let visit = |l: &mut Linear, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)| {
-            f(&mut l.weight, &mut l.dweight);
-            if let (Some(b), Some(db)) = (l.bias.as_mut(), l.dbias.as_mut()) {
-                f(b, db);
-            }
-        };
+    fn for_each_param(&mut self, f: &mut impl FnMut(&mut Tensor)) {
         self.norm1.for_each_param(f);
-        visit(&mut self.q_proj, f);
-        visit(&mut self.kv_proj, f);
-        visit(&mut self.out_proj, f);
+        visit_linear(&mut self.q_proj, f);
+        visit_linear(&mut self.kv_proj, f);
+        visit_linear(&mut self.out_proj, f);
         self.norm2.for_each_param(f);
         self.mlp.for_each_param(f);
     }
@@ -449,6 +461,9 @@ pub struct GptModel {
     blocks: Vec<Block>,
     norm_f: Norm,
     head: Linear,
+    /// Every parameter's gradient, flat, in [`GptModel::for_each_param`]
+    /// order: the layers' `backward` calls add into slices of it.
+    grads: Vec<f32>,
     recorder: Option<Recorder>,
     /// RoPE angles of the last positions seen. A rank's positions never
     /// change, so after the first step this is a lookup.
@@ -476,10 +491,10 @@ impl GptModel {
     }
 
     fn build(cfg: &ModelConfig, mut init: Init) -> Self {
-        let blocks = (0..cfg.layers)
+        let blocks: Vec<Block> = (0..cfg.layers)
             .map(|_| Block::new(cfg, &mut init))
             .collect();
-        GptModel {
+        let mut model = GptModel {
             cfg: cfg.clone(),
             emb: match &mut init {
                 Some(rng) => Embedding::new(cfg.vocab, cfg.hidden, rng),
@@ -488,9 +503,26 @@ impl GptModel {
             blocks,
             norm_f: Norm::new(cfg.family, cfg.hidden),
             head: linear(cfg.hidden, cfg.vocab, false, &mut init),
+            grads: Vec::new(),
             recorder: None,
             rope: None,
-        }
+        };
+        model.grads = vec![0.0; model.grad_lens().iter().sum()];
+        model
+    }
+
+    /// Lengths of the flat buffer's four stretches: embedding, all blocks,
+    /// final norm, head.
+    fn grad_lens(&self) -> [usize; 4] {
+        [
+            self.emb.param_count(),
+            self.blocks
+                .iter()
+                .map(|b| b.param_lens().iter().sum::<usize>())
+                .sum(),
+            self.norm_f.param_count(),
+            self.head.param_count(),
+        ]
     }
 
     /// The RoPE table for `pos`: the cached one while the positions
@@ -506,7 +538,8 @@ impl GptModel {
     /// The chunked loss head (paper §5.4) over the final hidden state:
     /// summed loss, contributing tokens, and `d loss / d xf`.
     fn loss_head(
-        &mut self,
+        head: &Linear,
+        g_head: &mut [f32],
         xf: &Tensor,
         targets: &[usize],
         loss_chunks: usize,
@@ -518,11 +551,11 @@ impl GptModel {
         let mut dxf_parts = Vec::new();
         for r in chunk_ranges(targets.len(), loss_chunks) {
             let xc = xf.narrow(0, r.start, r.len())?;
-            let logits = self.head.forward(&xc)?;
+            let logits = head.forward(&xc)?;
             let out = ops::cross_entropy(&logits, &targets[r.clone()], IGNORE_INDEX)?;
             stats.loss_sum += out.loss_sum;
             stats.tokens += out.tokens;
-            dxf_parts.push(self.head.backward(&xc, &out.dlogits)?);
+            dxf_parts.push(head.backward(&xc, &out.dlogits, g_head)?);
         }
         Ok((stats, concat0(&dxf_parts)?))
     }
@@ -543,9 +576,9 @@ impl GptModel {
         &self.cfg
     }
 
-    /// Runs forward and backward over a local token shard, accumulating
-    /// parameter gradients of the **summed** loss (scale by
-    /// `1/total_tokens` before the optimizer step — after any gradient
+    /// Runs forward and backward over a local token shard, adding the
+    /// parameter gradients of the **summed** loss into the gradient buffer
+    /// (the optimizer step scales by `1/total_tokens`, after any gradient
     /// all-reduce).
     ///
     /// `pos[t]` is the global position of local token `t` (both RoPE and
@@ -564,48 +597,7 @@ impl GptModel {
         mlp_chunks: usize,
         loss_chunks: usize,
     ) -> ExecResult<LossStats> {
-        let s = tokens.len();
-        if targets.len() != s || pos.len() != s {
-            return Err(format!(
-                "tokens/targets/pos length mismatch: {s}/{}/{}",
-                targets.len(),
-                pos.len()
-            )
-            .into());
-        }
-        let rec = self.recorder.clone();
-        let rec = rec.as_ref();
-        let rope = self.rope_for(pos)?;
-        let pass = Pass {
-            rope: &rope,
-            mlp_chunks,
-            rec,
-        };
-        // ---- forward ----
-        let mut x = spanned(rec, "embed", || self.emb.forward(tokens))?;
-        let mut ctxs = Vec::with_capacity(self.blocks.len());
-        for (layer, block) in self.blocks.iter().enumerate() {
-            let _s = rec.map(|r| r.span("block.fwd"));
-            let (nx, ctx) = block.forward(layer, &x, exec, &pass)?;
-            ctxs.push(ctx);
-            x = nx;
-        }
-        let (xf, nf_ctx) = spanned(rec, "dense.norm", || self.norm_f.forward(&x))?;
-        let (stats, dxf) = spanned(rec, "head.loss", || {
-            self.loss_head(&xf, targets, loss_chunks)
-        })?;
-
-        // ---- backward ----
-        let mut dx = spanned(rec, "dense.norm", || {
-            self.norm_f.backward(&x, &nf_ctx, &dxf)
-        })?;
-        for (layer, block) in self.blocks.iter_mut().enumerate().rev() {
-            let _s = rec.map(|r| r.span("block.bwd"));
-            dx = block.backward(layer, &ctxs[layer], &dx, exec, &pass)?;
-        }
-        spanned(rec, "embed", || self.emb.backward(tokens, &dx))?;
-        self.rope = Some(rope);
-        Ok(stats)
+        self.pass(exec, tokens, targets, pos, (mlp_chunks, loss_chunks), false)
     }
 
     /// Like [`GptModel::forward_backward`] but with **activation
@@ -628,9 +620,30 @@ impl GptModel {
         mlp_chunks: usize,
         loss_chunks: usize,
     ) -> ExecResult<LossStats> {
+        self.pass(exec, tokens, targets, pos, (mlp_chunks, loss_chunks), true)
+    }
+
+    /// One forward and backward. With `checkpointed` the forward keeps only
+    /// each block's input; the backward re-runs the block's forward from it
+    /// (in the real system this is where chunks stream back out to host
+    /// memory again).
+    fn pass(
+        &mut self,
+        exec: &mut dyn AttentionExec,
+        tokens: &[usize],
+        targets: &[usize],
+        pos: &[usize],
+        (mlp_chunks, loss_chunks): (usize, usize),
+        checkpointed: bool,
+    ) -> ExecResult<LossStats> {
         let s = tokens.len();
         if targets.len() != s || pos.len() != s {
-            return Err("tokens/targets/pos length mismatch".into());
+            return Err(format!(
+                "tokens/targets/pos length mismatch: {s}/{}/{}",
+                targets.len(),
+                pos.len()
+            )
+            .into());
         }
         let rec = self.recorder.clone();
         let rec = rec.as_ref();
@@ -640,77 +653,95 @@ impl GptModel {
             mlp_chunks,
             rec,
         };
-        // ---- forward, saving only block inputs ----
+        let lens = self.grad_lens();
+        let [g_emb, g_blocks, g_norm_f, g_head] = split_grad(&mut self.grads, lens)?;
+        let g_blocks = g_blocks.chunks_mut((lens[1] / self.blocks.len().max(1)).max(1));
+        // ---- forward ----
         let mut x = spanned(rec, "embed", || self.emb.forward(tokens))?;
-        let mut checkpoints: Vec<Tensor> = Vec::with_capacity(self.blocks.len());
+        // per block: `Ok(context)`, or `Err(input)` to recompute it from
+        let mut saved = Vec::with_capacity(self.blocks.len());
         for (layer, block) in self.blocks.iter().enumerate() {
-            checkpoints.push(x.clone());
             let _s = rec.map(|r| r.span("block.fwd"));
             let (nx, ctx) = block.forward(layer, &x, exec, &pass)?;
-            drop(ctx); // checkpointing: keep nothing but the input
-            exec.discard(layer);
-            x = nx;
+            let x_in = std::mem::replace(&mut x, nx);
+            saved.push(if checkpointed {
+                exec.discard(layer);
+                Err(x_in)
+            } else {
+                Ok(ctx)
+            });
         }
         let (xf, nf_ctx) = spanned(rec, "dense.norm", || self.norm_f.forward(&x))?;
         let (stats, dxf) = spanned(rec, "head.loss", || {
-            self.loss_head(&xf, targets, loss_chunks)
+            Self::loss_head(&self.head, g_head, &xf, targets, loss_chunks)
         })?;
 
-        // ---- backward with per-block recomputation ----
+        // ---- backward ----
         let mut dx = spanned(rec, "dense.norm", || {
-            self.norm_f.backward(&x, &nf_ctx, &dxf)
+            self.norm_f.backward(&x, &nf_ctx, &dxf, g_norm_f)
         })?;
-        for layer in (0..self.blocks.len()).rev() {
-            let x_in = &checkpoints[layer];
-            // Recompute this block's forward to rebuild the context and
-            // the executor's cached chunks (in the real system this is
-            // where chunks stream back out to host memory again).
-            let ctx = {
-                let _s = rec.map(|r| r.span("block.fwd"));
-                let block = &self.blocks[layer];
-                let (_, ctx) = block.forward(layer, x_in, exec, &pass)?;
-                ctx
+        for ((layer, block), grad) in self.blocks.iter().enumerate().zip(g_blocks).rev() {
+            let ctx = match saved.pop().expect("one entry per block") {
+                Ok(ctx) => ctx,
+                Err(x_in) => {
+                    let _s = rec.map(|r| r.span("block.fwd"));
+                    block.forward(layer, &x_in, exec, &pass)?.1
+                }
             };
             let _s = rec.map(|r| r.span("block.bwd"));
-            dx = self.blocks[layer].backward(layer, &ctx, &dx, exec, &pass)?;
+            dx = block.backward(layer, &ctx, &dx, exec, &pass, grad)?;
         }
-        spanned(rec, "embed", || self.emb.backward(tokens, &dx))?;
+        spanned(rec, "embed", || self.emb.backward(tokens, &dx, g_emb))?;
         self.rope = Some(rope);
         Ok(stats)
     }
 
-    /// Clears all gradient accumulators.
+    /// Clears the gradient buffer.
     pub fn zero_grad(&mut self) {
-        self.emb.zero_grad();
-        for b in &mut self.blocks {
-            b.zero_grad();
-        }
-        self.norm_f.zero_grad();
-        self.head.zero_grad();
+        self.grads.fill(0.0);
     }
 
-    /// Visits every `(param, grad)` pair in a fixed order.
-    pub fn for_each_param(&mut self, mut f: impl FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.emb.weight, &mut self.emb.dweight);
+    /// Visits every parameter tensor in a fixed order — the *flat order*
+    /// of [`GptModel::collect_params`], the gradient buffer, the optimizer
+    /// moments and the checkpoint shards.
+    pub fn for_each_param(&mut self, mut f: impl FnMut(&mut Tensor)) {
+        f(&mut self.emb.weight);
         for b in &mut self.blocks {
             b.for_each_param(&mut f);
         }
         self.norm_f.for_each_param(&mut f);
-        f(&mut self.head.weight, &mut self.head.dweight);
+        f(&mut self.head.weight);
     }
 
-    /// Flattens all gradients (fixed order) for an all-reduce.
-    pub fn collect_grads(&mut self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.for_each_param(|_, g| out.extend_from_slice(g.data()));
-        out
+    /// The gradient buffer: every parameter's gradient of the summed loss
+    /// since the last [`GptModel::zero_grad`], in flat order.
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
     }
 
-    /// Flattens all parameters (fixed order) — used by the ZeRO-1 sharded
-    /// optimizer path and by tests that copy weights between replicas.
+    /// The gradient buffer, writable: the gradient all-reduce sums into it
+    /// in place.
+    pub fn grads_mut(&mut self) -> &mut [f32] {
+        &mut self.grads
+    }
+
+    /// Gives up the gradient buffer without copying it.
+    pub fn into_grads(self) -> Vec<f32> {
+        self.grads
+    }
+
+    /// A copy of the gradient buffer (tests and examples; the training
+    /// step reads [`GptModel::grads`] in place).
+    pub fn collect_grads(&self) -> Vec<f32> {
+        self.grads.clone()
+    }
+
+    /// Flattens all parameters (flat order) — used by segment export,
+    /// checkpoints, the ZeRO-1 sharded optimizer path and tests that copy
+    /// weights between replicas.
     pub fn collect_params(&mut self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.for_each_param(|p, _| out.extend_from_slice(p.data()));
+        let mut out = Vec::with_capacity(self.param_count());
+        self.for_each_param(|p| out.extend_from_slice(p.data()));
         out
     }
 
@@ -721,46 +752,38 @@ impl GptModel {
     ///
     /// Panics if `flat` does not match the parameter count.
     pub fn set_params(&mut self, flat: &[f32]) {
+        assert_eq!(flat.len(), self.param_count(), "parameter length mismatch");
         let mut off = 0usize;
-        self.for_each_param(|p, _| {
+        self.for_each_param(|p| {
             let n = p.numel();
             p.data_mut().copy_from_slice(&flat[off..off + n]);
             off += n;
         });
-        assert_eq!(off, flat.len(), "parameter length mismatch");
     }
 
-    /// Writes back (reduced) gradients, scaled by `scale`.
+    /// Overwrites the gradient buffer with `flat * scale` (tests and
+    /// examples that reduce gradients by hand).
     ///
     /// # Panics
     ///
     /// Panics if `flat` does not match the parameter count.
     pub fn set_grads(&mut self, flat: &[f32], scale: f32) {
-        let mut off = 0usize;
-        self.for_each_param(|_, g| {
-            let n = g.numel();
-            g.data_mut().copy_from_slice(&flat[off..off + n]);
-            g.scale_in_place(scale);
-            off += n;
-        });
-        assert_eq!(off, flat.len(), "gradient length mismatch");
+        assert_eq!(flat.len(), self.grads.len(), "gradient length mismatch");
+        for (g, &x) in self.grads.iter_mut().zip(flat) {
+            *g = x * scale;
+        }
     }
 
     /// Scales all local gradients (single-device normalization path).
     pub fn scale_grads(&mut self, scale: f32) {
-        self.for_each_param(|_, g| g.scale_in_place(scale));
+        for g in &mut self.grads {
+            *g *= scale;
+        }
     }
 
     /// Global L2 norm of all gradients.
-    pub fn grad_norm(&mut self) -> f32 {
-        let mut sq = 0.0f64;
-        self.for_each_param(|_, g| {
-            sq += g
-                .data()
-                .iter()
-                .map(|&x| (x as f64) * (x as f64))
-                .sum::<f64>();
-        });
+    pub fn grad_norm(&self) -> f32 {
+        let sq: f64 = self.grads.iter().map(|&x| (x as f64) * (x as f64)).sum();
         sq.sqrt() as f32
     }
 
@@ -774,21 +797,58 @@ impl GptModel {
         norm
     }
 
-    /// Applies one AdamW update to every parameter.
-    pub fn optimizer_step(&mut self, opt: &mut AdamW) {
+    /// Applies one AdamW update to every parameter, reading each gradient
+    /// as `g * grad_scale` (the `1/tokens` normalization of the summed
+    /// loss) straight out of the buffer, which is left as it was.
+    pub fn optimizer_step(&mut self, opt: &mut AdamW, grad_scale: f32) {
         opt.begin_step();
-        let mut id = 0u64;
-        self.for_each_param(|p, g| {
-            opt.update(id, p.data_mut(), g.data());
-            id += 1;
+        let grads = std::mem::take(&mut self.grads);
+        let mut off = 0usize;
+        self.for_each_param(|p| {
+            let n = p.numel();
+            opt.update_scaled(off, p.data_mut(), &grads[off..off + n], grad_scale);
+            off += n;
         });
+        self.grads = grads;
     }
 
     /// Total scalar parameter count.
-    pub fn param_count(&mut self) -> usize {
-        let mut n = 0;
-        self.for_each_param(|p, _| n += p.numel());
-        n
+    pub fn param_count(&self) -> usize {
+        self.grads.len()
+    }
+
+    /// The parameter count a model built from `cfg` would have, from the
+    /// shapes alone — nothing is allocated, so a configuration read from a
+    /// file can be checked against the vectors that came with it. `None`
+    /// when `heads` is zero or the count overflows.
+    pub fn param_count_of(cfg: &ModelConfig) -> Option<usize> {
+        let gpt = matches!(cfg.family, Family::Gpt);
+        // the block's projections carry a bias exactly when the family is GPT
+        let linear = |i: usize, o: usize| i.checked_mul(o)?.checked_add(if gpt { o } else { 0 });
+        let (h, f) = (cfg.hidden, cfg.ffn_hidden);
+        let dh = h.checked_div(cfg.heads)?;
+        let q_dim = cfg.heads.checked_mul(dh)?;
+        let kv_dim = cfg.kv_heads.checked_mul(dh)?.checked_mul(2)?;
+        let norm = h.checked_mul(if gpt { 2 } else { 1 });
+        // fc1, or gate and up
+        let mlp_in = linear(h, f)?.checked_mul(if gpt { 1 } else { 2 });
+        let block = [
+            norm,
+            linear(h, q_dim),
+            linear(h, kv_dim),
+            linear(q_dim, h),
+            norm,
+            mlp_in,
+            linear(f, h),
+        ]
+        .iter()
+        .try_fold(0usize, |acc, part| acc.checked_add((*part)?))?;
+        // embedding table and head, neither biased
+        let tables = cfg.vocab.checked_mul(h)?.checked_mul(2)?;
+        block
+            .checked_mul(cfg.layers)?
+            .checked_add(norm?)?
+            .checked_add(tables)
     }
 
     /// Greedy next-token prediction for a prompt (used by examples).
@@ -885,8 +945,7 @@ mod tests {
                     .forward_backward(&mut exec, &x, &y, &pos, 2, 2)
                     .unwrap();
                 let loss = stats.loss_sum / stats.tokens as f32;
-                model.scale_grads(1.0 / stats.tokens as f32);
-                model.optimizer_step(&mut opt);
+                model.optimizer_step(&mut opt, 1.0 / stats.tokens as f32);
                 if step == 0 {
                     first = loss;
                 }
@@ -931,62 +990,85 @@ mod tests {
     }
 
     #[test]
-    fn gradients_match_finite_difference_spot_check() {
+    fn flat_buffer_holds_each_tensors_gradient_at_its_for_each_param_offset() {
+        // Walk the parameters in `for_each_param` order; in each tensor's
+        // stretch of the flat buffer take the largest entry and check it
+        // against a central difference on the parameter element at the
+        // same position. A stretch laid out anywhere else would pair it
+        // with some other parameter's derivative.
         for cfg in [
             ModelConfig::tiny(1, 16, 2, 20),
             ModelConfig::tiny_llama(1, 16, 2, 1, 20),
         ] {
             let (x, y) = Corpus::new(cfg.vocab, 0.2, 4).sample(8);
             let pos: Vec<usize> = (0..8).collect();
-            let loss_of = |model: &mut GptModel| {
-                let mut exec = LocalAttention::new(1);
-                let mut m2 = GptModel::new(&cfg, 11);
-                let mut flat = Vec::new();
-                model.for_each_param(|p, _| flat.extend_from_slice(p.data()));
-                let mut off = 0;
-                m2.for_each_param(|p, _| {
-                    let n = p.numel();
-                    p.data_mut().copy_from_slice(&flat[off..off + n]);
-                    off += n;
-                });
-                m2.forward_backward(&mut exec, &x, &y, &pos, 1, 1)
-                    .unwrap()
-                    .loss_sum
-            };
             let mut model = GptModel::new(&cfg, 11);
             let mut exec = LocalAttention::new(1);
-            model.zero_grad();
             model
                 .forward_backward(&mut exec, &x, &y, &pos, 1, 1)
                 .unwrap();
             let grads = model.collect_grads();
-            let n = grads.len();
+            let base = model.collect_params();
+            assert_eq!(grads.len(), base.len());
+            let mut lens = Vec::new();
+            model.for_each_param(|p| lens.push(p.numel()));
+            assert_eq!(lens.iter().sum::<usize>(), grads.len());
+            let loss_at = |params: &[f32]| {
+                GptModel::from_params(&cfg, params)
+                    .forward_backward(&mut LocalAttention::new(1), &x, &y, &pos, 1, 1)
+                    .unwrap()
+                    .loss_sum
+            };
             let eps = 3e-2f32;
-            for &probe in &[0usize, n / 3, n / 2, n - 1] {
-                let bump = |delta: f32, model: &mut GptModel| {
-                    let mut off = 0;
-                    model.for_each_param(|p, _| {
-                        let len = p.numel();
-                        if probe >= off && probe < off + len {
-                            p.data_mut()[probe - off] += delta;
-                        }
-                        off += len;
-                    });
-                };
-                bump(eps, &mut model);
-                let fp = loss_of(&mut model);
-                bump(-2.0 * eps, &mut model);
-                let fm = loss_of(&mut model);
-                bump(eps, &mut model); // restore
+            let mut off = 0;
+            for len in lens {
+                let probe = (off..off + len)
+                    .max_by(|&a, &b| grads[a].abs().total_cmp(&grads[b].abs()))
+                    .expect("no empty tensors");
+                let mut bumped = base.clone();
+                bumped[probe] = base[probe] + eps;
+                let fp = loss_at(&bumped);
+                bumped[probe] = base[probe] - eps;
+                let fm = loss_at(&bumped);
                 let fd = (fp - fm) / (2.0 * eps);
                 let got = grads[probe];
                 assert!(
                     (fd - got).abs() < 0.05 + 0.15 * fd.abs().max(got.abs()),
-                    "{} param {probe}: fd {fd} vs analytic {got}",
+                    "{} tensor at {off}, element {probe}: fd {fd} vs analytic {got}",
                     cfg.name
                 );
+                off += len;
             }
         }
+    }
+
+    #[test]
+    fn backward_accumulates_until_zero_grad_and_helpers_copy() {
+        let cfg = tiny_llama();
+        let (x, y) = Corpus::new(cfg.vocab, 0.1, 6).sample(16);
+        let pos: Vec<usize> = (0..16).collect();
+        let mut model = GptModel::new(&cfg, 2);
+        let mut exec = LocalAttention::new(2);
+        let mut run = |model: &mut GptModel| {
+            model
+                .forward_backward(&mut exec, &x, &y, &pos, 2, 2)
+                .unwrap();
+        };
+        run(&mut model);
+        let once = model.collect_grads();
+        assert_eq!(model.param_count(), once.len());
+        run(&mut model);
+        for (twice, g) in model.grads().iter().zip(&once) {
+            assert!(
+                (twice - 2.0 * g).abs() <= 1e-5 * (1.0 + g.abs()),
+                "{twice} vs 2 x {g}"
+            );
+        }
+        model.set_grads(&once, 0.5);
+        let halves: Vec<f32> = once.iter().map(|g| g * 0.5).collect();
+        assert_eq!(model.grads(), &halves[..]);
+        model.zero_grad();
+        assert!(model.grads().iter().all(|g| *g == 0.0));
     }
 
     /// The per-call rotation [`RopeTable`] replaced: `powf` and `sin_cos`
@@ -1057,15 +1139,34 @@ mod tests {
     fn param_count_matches_config_accounting() {
         // GPT: config ties embeddings, runtime unties -> +vocab*hidden.
         let cfg = tiny();
-        let mut model = GptModel::new(&cfg, 0);
+        let model = GptModel::new(&cfg, 0);
         assert_eq!(
             model.param_count() as u64,
             cfg.param_count() + (cfg.vocab * cfg.hidden) as u64
         );
         // Llama: config is already untied -> exact match.
         let cfg = tiny_llama();
-        let mut model = GptModel::new(&cfg, 0);
+        let model = GptModel::new(&cfg, 0);
         assert_eq!(model.param_count() as u64, cfg.param_count());
+    }
+
+    #[test]
+    fn param_count_of_is_the_built_models_count_and_never_panics() {
+        // hidden not a multiple of heads: the projections narrow to
+        // heads * (hidden / heads)
+        let mut ragged = ModelConfig::tiny_llama(1, 20, 3, 1, 12);
+        ragged.ffn_hidden = 7;
+        for cfg in [tiny(), tiny_llama(), ragged] {
+            let mut model = GptModel::new(&cfg, 0);
+            assert_eq!(GptModel::param_count_of(&cfg), Some(model.param_count()));
+            assert_eq!(model.collect_params().len(), model.param_count());
+        }
+        let mut no_heads = tiny();
+        no_heads.heads = 0;
+        assert_eq!(GptModel::param_count_of(&no_heads), None);
+        let mut huge = tiny();
+        huge.vocab = usize::MAX / 2;
+        assert_eq!(GptModel::param_count_of(&huge), None);
     }
 
     #[test]
@@ -1239,8 +1340,7 @@ mod ckpt_tests {
             let s = model
                 .forward_backward(&mut exec, &x, &y, &pos, 1, 1)
                 .unwrap();
-            model.scale_grads(1.0 / s.tokens as f32);
-            model.optimizer_step(&mut opt);
+            model.optimizer_step(&mut opt, 1.0 / s.tokens as f32);
         }
         let mut buf = Vec::new();
         model.save_checkpoint(&mut buf).unwrap();
@@ -1294,8 +1394,7 @@ mod ckpt_tests {
             let s = model
                 .forward_backward(&mut exec, &x, &y, &pos, 1, 1)
                 .unwrap();
-            model.scale_grads(1.0 / s.tokens as f32);
-            model.optimizer_step(&mut opt);
+            model.optimizer_step(&mut opt, 1.0 / s.tokens as f32);
         }
         let mut eval_corpus = Corpus::new(cfg.vocab, 0.05, 777);
         let after = model.evaluate(&mut exec, &mut eval_corpus, 32, 3).unwrap();

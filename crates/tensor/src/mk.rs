@@ -120,6 +120,8 @@ trait V8: Copy {
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn sub(self, o: Self) -> Self;
     unsafe fn div(self, o: Self) -> Self;
+    /// Correctly rounded square root per lane.
+    unsafe fn sqrt(self) -> Self;
     /// `MAXPS` semantics, not `f32::max`: `self` where `self > o`, else
     /// `o` (so a NaN in either operand yields `o`).
     unsafe fn max(self, o: Self) -> Self;
@@ -195,6 +197,10 @@ impl V8 for Sc {
             *lane = self.0[i] / o.0[i];
         }
         Sc(v)
+    }
+    #[inline(always)]
+    unsafe fn sqrt(self) -> Self {
+        Sc(self.0.map(f32::sqrt))
     }
     #[inline(always)]
     unsafe fn sub(self, o: Self) -> Self {
@@ -302,6 +308,10 @@ mod avx {
         #[inline(always)]
         unsafe fn div(self, o: Self) -> Self {
             Vx(_mm256_div_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sqrt(self) -> Self {
+            Vx(_mm256_sqrt_ps(self.0))
         }
         #[inline(always)]
         unsafe fn sub(self, o: Self) -> Self {
@@ -713,6 +723,67 @@ unsafe fn dscale_g<V: V8>(dst: &mut [f32], d: f32) {
     }
 }
 
+/// The scalars of one AdamW step, shared by every element it updates.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AdamwStep {
+    /// Learning rate.
+    pub lr: f32,
+    /// First-moment decay.
+    pub beta1: f32,
+    /// Second-moment decay.
+    pub beta2: f32,
+    /// Denominator fuzz.
+    pub eps: f32,
+    /// Decoupled weight decay.
+    pub weight_decay: f32,
+    /// First-moment bias correction `1 - beta1^t`.
+    pub bc1: f32,
+    /// Second-moment bias correction `1 - beta2^t`.
+    pub bc2: f32,
+    /// The kernel reads each gradient as `g * grad_scale` (the `1/tokens`
+    /// normalization, applied in register).
+    pub grad_scale: f32,
+}
+
+/// One AdamW step over four equal-length slices. Multiplies, adds, true
+/// divisions and a true square root only — no `fma`, no reciprocal — in
+/// the order the scalar tail spells out, so an element's bits depend
+/// neither on the backend nor on where in the slice it sits.
+#[inline(always)]
+unsafe fn adamw_g<V: V8>(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) {
+    let n = p.len();
+    let (pp, mp, vp, gp) = (p.as_mut_ptr(), m.as_mut_ptr(), v.as_mut_ptr(), g.as_ptr());
+    let (omb1, omb2) = (1.0 - c.beta1, 1.0 - c.beta2);
+    let mut i = 0;
+    while i + 8 <= n {
+        let gi = V::loadu(gp.add(i)).mul(V::splat(c.grad_scale));
+        let mi = V::splat(c.beta1)
+            .mul(V::loadu(mp.add(i) as *const f32))
+            .add(V::splat(omb1).mul(gi));
+        let vi = V::splat(c.beta2)
+            .mul(V::loadu(vp.add(i) as *const f32))
+            .add(V::splat(omb2).mul(gi).mul(gi));
+        mi.storeu(mp.add(i));
+        vi.storeu(vp.add(i));
+        let x = V::loadu(pp.add(i) as *const f32);
+        let den = vi.div(V::splat(c.bc2)).sqrt().add(V::splat(c.eps));
+        let step = mi
+            .div(V::splat(c.bc1))
+            .div(den)
+            .add(V::splat(c.weight_decay).mul(x));
+        x.sub(V::splat(c.lr).mul(step)).storeu(pp.add(i));
+        i += 8;
+    }
+    while i < n {
+        let gi = g[i] * c.grad_scale;
+        m[i] = c.beta1 * m[i] + omb1 * gi;
+        v[i] = c.beta2 * v[i] + omb2 * gi * gi;
+        let den = (v[i] / c.bc2).sqrt() + c.eps;
+        p[i] -= c.lr * (m[i] / c.bc1 / den + c.weight_decay * p[i]);
+        i += 1;
+    }
+}
+
 /// One register-blocked gemm panel job: the geometry of a
 /// `C_block += A_rows · B_panel` accumulation over a `kc`-deep panel.
 ///
@@ -959,6 +1030,8 @@ instantiate!(softmax_fold_scalar, softmax_fold_avx2, softmax_fold_g,
 instantiate!(softmax_bwd_scalar, softmax_bwd_avx2, softmax_bwd_g,
     (s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32) -> ());
 instantiate!(dscale_scalar, dscale_avx2, dscale_g, (dst: &mut [f32], d: f32) -> ());
+instantiate!(adamw_scalar, adamw_avx2, adamw_g,
+    (p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) -> ());
 instantiate!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_g,
     (p: &Panel<'_>, c: &mut [f32]) -> ());
 instantiate!(dot_rows_scalar, dot_rows_avx2, dot_rows_g,
@@ -1187,6 +1260,32 @@ pub fn dscale_on(be: Backend, dst: &mut [f32], d: f32) {
 #[inline]
 pub fn dscale(dst: &mut [f32], d: f32) {
     dscale_on(backend(), dst, d)
+}
+
+/// One AdamW step on an explicit backend, every slice updated in place:
+/// with `g' = g·grad_scale`, `m = β1·m + (1−β1)·g'`,
+/// `v = β2·v + (1−β2)·g'·g'`, and
+/// `p -= lr·((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay·p)`.
+///
+/// # Panics
+///
+/// Panics unless the four slices have the same length.
+pub fn adamw_on(
+    be: Backend,
+    p: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &[f32],
+    c: &AdamwStep,
+) {
+    assert!(m.len() == p.len() && v.len() == p.len() && g.len() == p.len());
+    dispatch!(be, adamw_scalar, adamw_avx2, (p, m, v, g, c))
+}
+
+/// One AdamW step on the dispatched backend.
+#[inline]
+pub fn adamw(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) {
+    adamw_on(backend(), p, m, v, g, c)
 }
 
 /// Register-blocked panel accumulation (`C_block += A_rows · B_panel`,

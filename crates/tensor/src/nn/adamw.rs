@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use crate::mk::{self, AdamwStep};
 
 /// Hyper-parameters for [`AdamW`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,12 +29,15 @@ impl Default for AdamWConfig {
 
 /// Decoupled-weight-decay Adam operating on raw parameter slices.
 ///
-/// The optimizer keys its `(m, v)` moments by an integer *parameter id* the
-/// caller assigns. This makes ZeRO-style sharding trivial: a rank that owns
-/// only elements `lo..hi` of a flat parameter registers the id once and
-/// passes just its shard — the optimizer never sees (or allocates state
-/// for) the rest, which is exactly the paper's "optimizer states are
-/// partitioned" memory saving, realized for real in the runtime.
+/// The optimizer holds one flat `(m, v)` moment pair over a contiguous
+/// range `lo..lo + len` of the caller's *flat parameter order*, and every
+/// [`AdamW::update`] names the position of its slice in that order. A dense
+/// replica owns `0..n`; a ZeRO-1 rank owns `rank*n/world..(rank+1)*n/world`
+/// and never sees (or allocates state for) the rest, which is exactly the
+/// paper's "optimizer states are partitioned" memory saving, realized for
+/// real in the runtime. A fresh optimizer owns nothing: its range starts at
+/// the first offset it is asked to update and grows, zero-filled, as
+/// contiguous updates extend it.
 ///
 /// # Example
 ///
@@ -54,19 +57,21 @@ impl Default for AdamWConfig {
 pub struct AdamW {
     cfg: AdamWConfig,
     step: u64,
-    moments: HashMap<u64, (Vec<f32>, Vec<f32>)>,
+    /// Flat-order position of `m[0]` / `v[0]`.
+    lo: usize,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
-/// One exported moment pair: `(param id, m, v)`.
-pub type MomentEntry = (u64, Vec<f32>, Vec<f32>);
-
 impl AdamW {
-    /// Creates an optimizer with the given hyper-parameters.
+    /// Creates an optimizer with the given hyper-parameters and no state.
     pub fn new(cfg: AdamWConfig) -> Self {
         AdamW {
             cfg,
             step: 0,
-            moments: HashMap::new(),
+            lo: 0,
+            m: Vec::new(),
+            v: Vec::new(),
         }
     }
 
@@ -87,79 +92,92 @@ impl AdamW {
 
     /// Bytes of optimizer state currently held (f32 moments).
     pub fn state_bytes(&self) -> usize {
-        self.moments
-            .values()
-            .map(|(m, v)| (m.len() + v.len()) * 4)
-            .sum()
+        (self.m.len() + self.v.len()) * 4
     }
 
     /// Advances the shared step counter. Call once per training step,
-    /// before the per-parameter [`AdamW::update`] calls.
+    /// before the [`AdamW::update`] calls.
     pub fn begin_step(&mut self) {
         self.step += 1;
     }
 
-    /// Applies one AdamW update to `param` given `grad`, using the moment
-    /// buffers registered under `param_id`.
+    /// Applies one AdamW update to `param` given `grad`, where `param[0]`
+    /// sits at `offset` in the flat parameter order.
     ///
     /// # Panics
     ///
-    /// Panics if `param` and `grad` lengths differ, or if `param_id` was
-    /// previously used with a different length (both indicate caller bugs,
-    /// not recoverable conditions).
-    pub fn update(&mut self, param_id: u64, param: &mut [f32], grad: &[f32]) {
+    /// Panics if `param` and `grad` lengths differ, if [`AdamW::begin_step`]
+    /// was never called, or if `offset` lies before the owned range or
+    /// leaves a gap after it (all caller bugs, not recoverable conditions).
+    pub fn update(&mut self, offset: usize, param: &mut [f32], grad: &[f32]) {
+        self.update_scaled(offset, param, grad, 1.0);
+    }
+
+    /// [`AdamW::update`] (same panics) reading each gradient as
+    /// `grad[i] * grad_scale`: bit for bit what scaling the gradients first
+    /// would give, without the extra pass over them.
+    pub fn update_scaled(
+        &mut self,
+        offset: usize,
+        param: &mut [f32],
+        grad: &[f32],
+        grad_scale: f32,
+    ) {
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
         assert!(self.step > 0, "call begin_step before update");
-        let (m, v) = self
-            .moments
-            .entry(param_id)
-            .or_insert_with(|| (vec![0.0; param.len()], vec![0.0; param.len()]));
-        assert_eq!(
-            m.len(),
-            param.len(),
-            "param {param_id} re-registered with new length"
+        if self.m.is_empty() {
+            self.lo = offset;
+        }
+        let start = offset.wrapping_sub(self.lo);
+        assert!(
+            offset >= self.lo && start <= self.m.len(),
+            "update at {offset} is not contiguous with the {} moments owned from {}",
+            self.m.len(),
+            self.lo
         );
-        let AdamWConfig {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-        } = self.cfg;
-        let bc1 = 1.0 - beta1.powi(self.step as i32);
-        let bc2 = 1.0 - beta2.powi(self.step as i32);
-        for i in 0..param.len() {
-            m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
-            v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            param[i] -= lr * (mhat / (vhat.sqrt() + eps) + weight_decay * param[i]);
+        let end = start + param.len();
+        if self.m.len() < end {
+            self.m.resize(end, 0.0);
+            self.v.resize(end, 0.0);
         }
+        let (c, t) = (self.cfg, self.step as i32);
+        let step = AdamwStep {
+            lr: c.lr,
+            beta1: c.beta1,
+            beta2: c.beta2,
+            eps: c.eps,
+            weight_decay: c.weight_decay,
+            bc1: 1.0 - c.beta1.powi(t),
+            bc2: 1.0 - c.beta2.powi(t),
+            grad_scale,
+        };
+        let (m, v) = (&mut self.m[start..end], &mut self.v[start..end]);
+        mk::adamw(param, m, v, grad, &step);
     }
 
-    /// Exports the full optimizer state — the step counter plus every
-    /// registered `(id, m, v)` moment pair, sorted by id so the layout is
-    /// deterministic regardless of `HashMap` iteration order.
-    pub fn export_state(&self) -> (u64, Vec<MomentEntry>) {
-        let mut entries: Vec<_> = self
-            .moments
-            .iter()
-            .map(|(&id, (m, v))| (id, m.clone(), v.clone()))
-            .collect();
-        entries.sort_by_key(|e| e.0);
-        (self.step, entries)
+    /// The owned range's first flat-order position and its moments.
+    pub fn moments(&self) -> (usize, &[f32], &[f32]) {
+        (self.lo, &self.m, &self.v)
     }
 
-    /// Replaces the optimizer state with one captured by
-    /// [`AdamW::export_state`]. Hyper-parameters are untouched — they come
-    /// from the training config, not the checkpoint.
-    pub fn import_state(&mut self, step: u64, entries: Vec<MomentEntry>) {
+    /// Gives up the moments without copying them.
+    pub fn into_moments(self) -> (Vec<f32>, Vec<f32>) {
+        (self.m, self.v)
+    }
+
+    /// Replaces the optimizer state: `step` updates taken, moments `m` /
+    /// `v` over the flat range starting at `lo`. Hyper-parameters are
+    /// untouched — they come from the training config, not the checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` and `v` differ in length.
+    pub fn import_state(&mut self, step: u64, lo: usize, m: Vec<f32>, v: Vec<f32>) {
+        assert_eq!(m.len(), v.len(), "moment vectors differ in length");
         self.step = step;
-        self.moments.clear();
-        for (id, m, v) in entries {
-            assert_eq!(m.len(), v.len(), "moment buffers for {id} differ in length");
-            self.moments.insert(id, (m, v));
-        }
+        self.lo = lo;
+        self.m = m;
+        self.v = v;
     }
 }
 
@@ -225,7 +243,7 @@ mod tests {
             lo.begin_step();
             lo.update(0, &mut w_shard[..2], &gs[..2]);
             hi.begin_step();
-            hi.update(0, &mut w_shard[2..], &gs[2..]);
+            hi.update(2, &mut w_shard[2..], &gs[2..]);
         }
         for (a, b) in w_full.iter().zip(&w_shard) {
             assert!((a - b).abs() < 1e-6);
@@ -258,11 +276,10 @@ mod tests {
             opt.begin_step();
             opt.update(3, &mut w, &g);
         }
-        let (step, entries) = opt.export_state();
-        assert_eq!(step, 7);
-        assert_eq!(entries.len(), 1);
+        let (lo, m, v) = opt.moments();
+        assert_eq!((opt.steps(), lo, m.len()), (7, 3, 3));
         let mut resumed = AdamW::new(cfg);
-        resumed.import_state(step, entries);
+        resumed.import_state(opt.steps(), lo, m.to_vec(), v.to_vec());
         let mut w2 = w.clone();
         for _ in 0..7 {
             let g: Vec<f32> = w.iter().map(|&x| x * 0.3 - 0.1).collect();
@@ -274,19 +291,41 @@ mod tests {
         }
         assert_eq!(w, w2, "resumed trajectory must match bitwise");
         assert_eq!(opt.steps(), resumed.steps());
+        assert_eq!(opt.into_moments(), resumed.into_moments());
     }
 
     #[test]
-    fn export_orders_ids() {
+    fn per_tensor_updates_share_one_flat_moment_pair() {
+        // Updating a flat vector tensor by tensor, each call naming its
+        // offset, is the one-call update of the whole vector.
+        let cfg = AdamWConfig {
+            weight_decay: 0.1,
+            ..Default::default()
+        };
+        let g: Vec<f32> = (0..21).map(|i| (i as f32 * 0.7).sin()).collect();
+        let mut whole = AdamW::new(cfg);
+        let mut parts = AdamW::new(cfg);
+        let mut w1 = vec![0.5f32; 21];
+        let mut w2 = w1.clone();
+        for _ in 0..3 {
+            whole.begin_step();
+            whole.update_scaled(0, &mut w1, &g, 0.25);
+            parts.begin_step();
+            for r in [0..9, 9..10, 10..21] {
+                parts.update_scaled(r.start, &mut w2[r.clone()], &g[r], 0.25);
+            }
+        }
+        assert_eq!(w1, w2);
+        assert_eq!(whole.moments(), parts.moments());
+    }
+
+    #[test]
+    #[should_panic(expected = "not contiguous")]
+    fn update_past_a_gap_panics() {
         let mut opt = AdamW::new(AdamWConfig::default());
         opt.begin_step();
-        for id in [9u64, 2, 5, 0] {
-            let mut w = vec![0.0f32; 2];
-            opt.update(id, &mut w, &[1.0; 2]);
-        }
-        let (_, entries) = opt.export_state();
-        let ids: Vec<u64> = entries.iter().map(|e| e.0).collect();
-        assert_eq!(ids, vec![0, 2, 5, 9]);
+        opt.update(4, &mut [0.0; 2], &[0.0; 2]);
+        opt.update(7, &mut [0.0; 2], &[0.0; 2]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
+use super::accumulate;
 use crate::{init, Result, Tensor, TensorError};
 use rand::rngs::SmallRng;
 
-/// A token embedding table `[vocab, dim]` with gradient accumulation.
+/// A token embedding table `[vocab, dim]`.
 ///
 /// Also provides the tied output projection used by the reproduction's GPT
 /// (logits = hidden @ tableᵀ), so the final vocabulary GEMM — the §5.4
@@ -10,8 +11,6 @@ use rand::rngs::SmallRng;
 pub struct Embedding {
     /// Embedding table `[vocab, dim]`.
     pub weight: Tensor,
-    /// Accumulated gradient of the table.
-    pub dweight: Tensor,
 }
 
 impl Embedding {
@@ -19,7 +18,6 @@ impl Embedding {
     pub fn new(vocab: usize, dim: usize, rng: &mut SmallRng) -> Self {
         Embedding {
             weight: init::randn(rng, &[vocab, dim], 0.02),
-            dweight: Tensor::zeros(&[vocab, dim]),
         }
     }
 
@@ -28,7 +26,6 @@ impl Embedding {
     pub fn zeros(vocab: usize, dim: usize) -> Self {
         Embedding {
             weight: Tensor::zeros(&[vocab, dim]),
-            dweight: Tensor::zeros(&[vocab, dim]),
         }
     }
 
@@ -66,14 +63,22 @@ impl Embedding {
         Tensor::from_vec(out, &[ids.len(), d])
     }
 
-    /// Scatter-adds `dy` rows into the table gradient.
+    /// Scatter-adds `dy` rows into `grad`, the table's gradient
+    /// (`vocab * dim` floats, row-major like the table).
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when `dy` is not
-    /// `[ids.len(), dim]`.
-    pub fn backward(&mut self, ids: &[usize], dy: &Tensor) -> Result<()> {
+    /// `[ids.len(), dim]` and [`TensorError::LengthMismatch`] when `grad`
+    /// is not the table's size.
+    pub fn backward(&self, ids: &[usize], dy: &Tensor, grad: &mut [f32]) -> Result<()> {
         let d = self.dim();
+        if grad.len() != self.param_count() {
+            return Err(TensorError::LengthMismatch {
+                expected: self.param_count(),
+                actual: grad.len(),
+            });
+        }
         if dy.shape() != [ids.len(), d] {
             return Err(TensorError::ShapeMismatch {
                 op: "embedding_bwd",
@@ -83,17 +88,9 @@ impl Embedding {
         }
         for (row, &id) in ids.iter().enumerate() {
             let src = &dy.data()[row * d..(row + 1) * d];
-            let dst = &mut self.dweight.data_mut()[id * d..(id + 1) * d];
-            for (o, &g) in dst.iter_mut().zip(src) {
-                *o += g;
-            }
+            accumulate(&mut grad[id * d..(id + 1) * d], src);
         }
         Ok(())
-    }
-
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.dweight.zero_();
     }
 }
 
@@ -121,20 +118,24 @@ mod tests {
     #[test]
     fn backward_scatter_adds_duplicates() {
         let mut rng = init::seeded_rng(62);
-        let mut emb = Embedding::new(4, 2, &mut rng);
+        let emb = Embedding::new(4, 2, &mut rng);
         let dy = Tensor::ones(&[3, 2]);
-        emb.backward(&[1, 1, 3], &dy).unwrap();
-        assert_eq!(&emb.dweight.data()[2..4], &[2.0, 2.0]); // id 1 twice
-        assert_eq!(&emb.dweight.data()[6..8], &[1.0, 1.0]); // id 3 once
-        assert_eq!(&emb.dweight.data()[0..2], &[0.0, 0.0]);
-        emb.zero_grad();
-        assert_eq!(emb.dweight.max_abs(), 0.0);
+        let mut grad = vec![0.0f32; 8];
+        emb.backward(&[1, 1, 3], &dy, &mut grad).unwrap();
+        assert_eq!(&grad[2..4], &[2.0, 2.0]); // id 1 twice
+        assert_eq!(&grad[6..8], &[1.0, 1.0]); // id 3 once
+        assert_eq!(&grad[0..2], &[0.0, 0.0]);
     }
 
     #[test]
     fn backward_shape_checked() {
         let mut rng = init::seeded_rng(63);
-        let mut emb = Embedding::new(4, 2, &mut rng);
-        assert!(emb.backward(&[0], &Tensor::zeros(&[2, 2])).is_err());
+        let emb = Embedding::new(4, 2, &mut rng);
+        assert!(emb
+            .backward(&[0], &Tensor::zeros(&[2, 2]), &mut [0.0; 8])
+            .is_err());
+        assert!(emb
+            .backward(&[0], &Tensor::zeros(&[1, 2]), &mut [0.0; 7])
+            .is_err());
     }
 }

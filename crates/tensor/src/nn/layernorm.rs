@@ -1,17 +1,14 @@
+use super::{accumulate, split_grad};
 use crate::ops::{self, LayerNormCtx};
 use crate::{Result, Tensor};
 
-/// A layer-norm layer owning its `gamma`/`beta` parameters and gradients.
+/// A layer-norm layer owning its `gamma`/`beta` parameters.
 #[derive(Debug, Clone)]
 pub struct LayerNorm {
     /// Scale parameter `[dim]`.
     pub gamma: Tensor,
     /// Shift parameter `[dim]`.
     pub beta: Tensor,
-    /// Accumulated gradient of `gamma`.
-    pub dgamma: Tensor,
-    /// Accumulated gradient of `beta`.
-    pub dbeta: Tensor,
     eps: f32,
 }
 
@@ -22,8 +19,6 @@ impl LayerNorm {
         LayerNorm {
             gamma: Tensor::ones(&[dim]),
             beta: Tensor::zeros(&[dim]),
-            dgamma: Tensor::zeros(&[dim]),
-            dbeta: Tensor::zeros(&[dim]),
             eps,
         }
     }
@@ -48,22 +43,25 @@ impl LayerNorm {
         ops::layernorm(x, &self.gamma, &self.beta, self.eps)
     }
 
-    /// Accumulates parameter gradients and returns `dx`.
+    /// Adds the parameter gradients into `grad` (`[gamma | beta]`) and
+    /// returns `dx`.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from [`ops::layernorm_bwd`].
-    pub fn backward(&mut self, x: &Tensor, ctx: &LayerNormCtx, dy: &Tensor) -> Result<Tensor> {
+    /// Propagates shape errors from [`ops::layernorm_bwd`]; a `grad` of the
+    /// wrong length is a [`crate::TensorError::LengthMismatch`].
+    pub fn backward(
+        &self,
+        x: &Tensor,
+        ctx: &LayerNormCtx,
+        dy: &Tensor,
+        grad: &mut [f32],
+    ) -> Result<Tensor> {
+        let [gg, gb] = split_grad(grad, [self.dim(), self.dim()])?;
         let (dx, dg, db) = ops::layernorm_bwd(x, &self.gamma, ctx, dy)?;
-        self.dgamma.add_assign(&dg)?;
-        self.dbeta.add_assign(&db)?;
+        accumulate(gg, dg.data());
+        accumulate(gb, db.data());
         Ok(dx)
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dgamma.zero_();
-        self.dbeta.zero_();
     }
 }
 
@@ -75,17 +73,17 @@ mod tests {
     #[test]
     fn forward_backward_round_trip() {
         let mut rng = init::seeded_rng(70);
-        let mut ln = LayerNorm::new(8, 1e-5);
+        let ln = LayerNorm::new(8, 1e-5);
         let x = init::randn(&mut rng, &[4, 8], 2.0);
         let (y, ctx) = ln.forward(&x).unwrap();
         assert_eq!(y.shape(), x.shape());
         let dy = Tensor::ones(&[4, 8]);
-        let dx = ln.backward(&x, &ctx, &dy).unwrap();
+        let mut grad = vec![0.0f32; ln.param_count()];
+        let dx = ln.backward(&x, &ctx, &dy, &mut grad).unwrap();
         assert_eq!(dx.shape(), x.shape());
-        // dbeta is the column-sum of dy
-        assert!(ln.dbeta.allclose(&Tensor::full(&[8], 4.0), 1e-5, 1e-6));
-        ln.zero_grad();
-        assert_eq!(ln.dgamma.max_abs(), 0.0);
+        // dbeta, the second half, is the column-sum of dy
+        assert!(grad[8..].iter().all(|b| (b - 4.0).abs() < 1e-5));
+        assert!(ln.backward(&x, &ctx, &dy, &mut grad[1..]).is_err());
     }
 
     #[test]
@@ -93,18 +91,20 @@ mod tests {
         let mut rng = init::seeded_rng(71);
         let x = init::randn(&mut rng, &[4, 8], 1.0);
         let dy = init::randn(&mut rng, &[4, 8], 1.0);
-        let mut whole = LayerNorm::new(8, 1e-5);
-        let mut chunked = LayerNorm::new(8, 1e-5);
-        let (_, ctx) = whole.forward(&x).unwrap();
-        whole.backward(&x, &ctx, &dy).unwrap();
+        let ln = LayerNorm::new(8, 1e-5);
+        let mut whole = vec![0.0f32; 16];
+        let mut chunked = whole.clone();
+        let (_, ctx) = ln.forward(&x).unwrap();
+        ln.backward(&x, &ctx, &dy, &mut whole).unwrap();
         for c in 0..2 {
             let xc = x.narrow(0, c * 2, 2).unwrap();
             let dyc = dy.narrow(0, c * 2, 2).unwrap();
-            let (_, ctxc) = chunked.forward(&xc).unwrap();
-            chunked.backward(&xc, &ctxc, &dyc).unwrap();
+            let (_, ctxc) = ln.forward(&xc).unwrap();
+            ln.backward(&xc, &ctxc, &dyc, &mut chunked).unwrap();
         }
-        assert!(chunked.dgamma.allclose(&whole.dgamma, 1e-4, 1e-5));
-        assert!(chunked.dbeta.allclose(&whole.dbeta, 1e-4, 1e-5));
+        for (c, w) in chunked.iter().zip(&whole) {
+            assert!((c - w).abs() <= 1e-5 + 1e-4 * w.abs(), "{c} vs {w}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
+use super::{accumulate, split_grad};
 use crate::{init, ops, Result, Tensor};
 use rand::rngs::SmallRng;
 
 /// A dense layer `y = x @ W + b` with `W: [in_features, out_features]`.
 ///
-/// Gradients accumulate into `dweight`/`dbias` across calls to
-/// [`Linear::backward`], which is exactly what FPDT's chunked backward needs:
+/// [`Linear::backward`] accumulates into the caller's gradient slice
+/// (`[weight | bias]`), which is exactly what FPDT's chunked backward needs:
 /// each sequence chunk contributes a partial weight gradient.
 ///
 /// # Example
@@ -26,10 +27,6 @@ pub struct Linear {
     pub weight: Tensor,
     /// Optional bias `[out_features]`.
     pub bias: Option<Tensor>,
-    /// Accumulated weight gradient.
-    pub dweight: Tensor,
-    /// Accumulated bias gradient.
-    pub dbias: Option<Tensor>,
 }
 
 impl Linear {
@@ -38,8 +35,6 @@ impl Linear {
         Linear {
             weight: init::xavier(rng, in_features, out_features),
             bias: bias.then(|| Tensor::zeros(&[out_features])),
-            dweight: Tensor::zeros(&[in_features, out_features]),
-            dbias: bias.then(|| Tensor::zeros(&[out_features])),
         }
     }
 
@@ -49,8 +44,6 @@ impl Linear {
         Linear {
             weight: Tensor::zeros(&[in_features, out_features]),
             bias: bias.then(|| Tensor::zeros(&[out_features])),
-            dweight: Tensor::zeros(&[in_features, out_features]),
-            dbias: bias.then(|| Tensor::zeros(&[out_features])),
         }
     }
 
@@ -82,31 +75,25 @@ impl Linear {
         }
     }
 
-    /// Accumulates parameter gradients and returns `dx`.
+    /// Adds the parameter gradients into `grad` (`[weight | bias]`,
+    /// [`Linear::param_count`] floats) and returns `dx`.
     ///
     /// `x` must be the same activation passed to the matching
     /// [`Linear::forward`] call (FPDT re-materializes it per chunk).
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying matmul.
-    pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Result<Tensor> {
+    /// Propagates shape errors from the underlying matmul; a `grad` of the
+    /// wrong length is a [`crate::TensorError::LengthMismatch`].
+    pub fn backward(&self, x: &Tensor, dy: &Tensor, grad: &mut [f32]) -> Result<Tensor> {
+        let bias_len = self.bias.as_ref().map_or(0, Tensor::numel);
+        let [gw, gb] = split_grad(grad, [self.weight.numel(), bias_len])?;
         let (dx, dw) = ops::matmul_bwd(x, &self.weight, dy)?;
-        self.dweight.add_assign(&dw)?;
-        let out = self.out_features();
-        if let Some(db) = &mut self.dbias {
-            let grad = ops::add_bias_bwd(dy, out);
-            db.add_assign(&grad)?;
+        accumulate(gw, dw.data());
+        if self.bias.is_some() {
+            accumulate(gb, ops::add_bias_bwd(dy, bias_len).data());
         }
         Ok(dx)
-    }
-
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dweight.zero_();
-        if let Some(db) = &mut self.dbias {
-            db.zero_();
-        }
     }
 }
 
@@ -132,34 +119,40 @@ mod tests {
         let x = init::randn(&mut rng, &[4, 3], 1.0);
         let dy = init::randn(&mut rng, &[4, 2], 1.0);
 
-        let mut whole = Linear::new(3, 2, true, &mut rng);
+        let layer = Linear::new(3, 2, true, &mut rng);
+        let mut whole = vec![0.0f32; layer.param_count()];
         let mut chunked = whole.clone();
 
-        whole.backward(&x, &dy).unwrap();
+        layer.backward(&x, &dy, &mut whole).unwrap();
         for c in 0..2 {
             let xc = x.narrow(0, c * 2, 2).unwrap();
             let dyc = dy.narrow(0, c * 2, 2).unwrap();
-            chunked.backward(&xc, &dyc).unwrap();
+            layer.backward(&xc, &dyc, &mut chunked).unwrap();
         }
-        assert!(chunked.dweight.allclose(&whole.dweight, 1e-5, 1e-6));
-        assert!(chunked.dbias.as_ref().unwrap().allclose(
-            whole.dbias.as_ref().unwrap(),
-            1e-5,
-            1e-6
-        ));
+        assert!(
+            whole.iter().all(|g| *g != 0.0),
+            "weight and bias both filled"
+        );
+        for (c, w) in chunked.iter().zip(&whole) {
+            assert!((c - w).abs() <= 1e-6 + 1e-5 * w.abs(), "{c} vs {w}");
+        }
     }
 
     #[test]
-    fn zero_grad_resets() {
+    fn backward_rejects_a_slice_of_the_wrong_length() {
         let mut rng = init::seeded_rng(52);
-        let mut layer = Linear::new(3, 2, true, &mut rng);
         let x = Tensor::ones(&[2, 3]);
         let dy = Tensor::ones(&[2, 2]);
-        layer.backward(&x, &dy).unwrap();
-        assert!(layer.dweight.max_abs() > 0.0);
-        layer.zero_grad();
-        assert_eq!(layer.dweight.max_abs(), 0.0);
-        assert_eq!(layer.dbias.as_ref().unwrap().max_abs(), 0.0);
+        for bias in [true, false] {
+            let layer = Linear::new(3, 2, bias, &mut rng);
+            let n = layer.param_count();
+            for len in [n - 1, n + 1] {
+                assert!(matches!(
+                    layer.backward(&x, &dy, &mut vec![0.0; len]),
+                    Err(crate::TensorError::LengthMismatch { .. })
+                ));
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
+use super::{accumulate, split_grad};
 use crate::ops::{self, RmsNormCtx};
 use crate::{Result, Tensor};
 
 /// An RMS-norm layer (Llama-style: scale only, no shift) owning its
-/// `gamma` parameter and gradient.
+/// `gamma` parameter.
 #[derive(Debug, Clone)]
 pub struct RmsNorm {
     /// Scale parameter `[dim]`.
     pub gamma: Tensor,
-    /// Accumulated gradient of `gamma`.
-    pub dgamma: Tensor,
     eps: f32,
 }
 
@@ -17,7 +16,6 @@ impl RmsNorm {
     pub fn new(dim: usize, eps: f32) -> Self {
         RmsNorm {
             gamma: Tensor::ones(&[dim]),
-            dgamma: Tensor::zeros(&[dim]),
             eps,
         }
     }
@@ -42,20 +40,23 @@ impl RmsNorm {
         ops::rmsnorm(x, &self.gamma, self.eps)
     }
 
-    /// Accumulates the parameter gradient and returns `dx`.
+    /// Adds the `gamma` gradient into `grad` and returns `dx`.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from [`ops::rmsnorm_bwd`].
-    pub fn backward(&mut self, x: &Tensor, ctx: &RmsNormCtx, dy: &Tensor) -> Result<Tensor> {
+    /// Propagates shape errors from [`ops::rmsnorm_bwd`]; a `grad` of the
+    /// wrong length is a [`crate::TensorError::LengthMismatch`].
+    pub fn backward(
+        &self,
+        x: &Tensor,
+        ctx: &RmsNormCtx,
+        dy: &Tensor,
+        grad: &mut [f32],
+    ) -> Result<Tensor> {
+        let [gg] = split_grad(grad, [self.dim()])?;
         let (dx, dg) = ops::rmsnorm_bwd(x, &self.gamma, ctx, dy)?;
-        self.dgamma.add_assign(&dg)?;
+        accumulate(gg, dg.data());
         Ok(dx)
-    }
-
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&mut self) {
-        self.dgamma.zero_();
     }
 }
 
@@ -67,17 +68,17 @@ mod tests {
     #[test]
     fn forward_backward_round_trip() {
         let mut rng = init::seeded_rng(80);
-        let mut rn = RmsNorm::new(8, 1e-6);
+        let rn = RmsNorm::new(8, 1e-6);
         let x = init::randn(&mut rng, &[4, 8], 2.0);
         let (y, ctx) = rn.forward(&x).unwrap();
         assert_eq!(y.shape(), x.shape());
         let dy = init::randn(&mut rng, &[4, 8], 1.0);
-        let dx = rn.backward(&x, &ctx, &dy).unwrap();
-        assert_eq!(dx.shape(), x.shape());
-        assert!(rn.dgamma.max_abs() > 0.0);
-        rn.zero_grad();
-        assert_eq!(rn.dgamma.max_abs(), 0.0);
         assert_eq!(rn.param_count(), 8);
+        let mut grad = vec![0.0f32; 8];
+        let dx = rn.backward(&x, &ctx, &dy, &mut grad).unwrap();
+        assert_eq!(dx.shape(), x.shape());
+        assert!(grad.iter().any(|g| *g != 0.0));
+        assert!(rn.backward(&x, &ctx, &dy, &mut grad[..7]).is_err());
     }
 
     #[test]
@@ -85,16 +86,19 @@ mod tests {
         let mut rng = init::seeded_rng(81);
         let x = init::randn(&mut rng, &[4, 8], 1.0);
         let dy = init::randn(&mut rng, &[4, 8], 1.0);
-        let mut whole = RmsNorm::new(8, 1e-6);
-        let mut chunked = RmsNorm::new(8, 1e-6);
-        let (_, ctx) = whole.forward(&x).unwrap();
-        whole.backward(&x, &ctx, &dy).unwrap();
+        let rn = RmsNorm::new(8, 1e-6);
+        let mut whole = vec![0.0f32; 8];
+        let mut chunked = whole.clone();
+        let (_, ctx) = rn.forward(&x).unwrap();
+        rn.backward(&x, &ctx, &dy, &mut whole).unwrap();
         for c in 0..2 {
             let xc = x.narrow(0, c * 2, 2).unwrap();
             let dyc = dy.narrow(0, c * 2, 2).unwrap();
-            let (_, ctxc) = chunked.forward(&xc).unwrap();
-            chunked.backward(&xc, &ctxc, &dyc).unwrap();
+            let (_, ctxc) = rn.forward(&xc).unwrap();
+            rn.backward(&xc, &ctxc, &dyc, &mut chunked).unwrap();
         }
-        assert!(chunked.dgamma.allclose(&whole.dgamma, 1e-4, 1e-5));
+        for (c, w) in chunked.iter().zip(&whole) {
+            assert!((c - w).abs() <= 1e-5 + 1e-4 * w.abs(), "{c} vs {w}");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! On hardware without AVX2 the SIMD legs are skipped; the scalar legs
 //! still exercise the dispatch plumbing.
 
-use fpdt_tensor::mk::{self, Backend, Panel};
+use fpdt_tensor::mk::{self, AdamwStep, Backend, Panel};
 use fpdt_tensor::{init, ops, par};
 use proptest::prelude::*;
 use rayon::pool;
@@ -282,6 +282,112 @@ fn activation_edge_values() {
             }
             assert!(out[finite].is_nan(), "{be:?}: NaN must propagate");
         }
+    }
+}
+
+/// The scalar AdamW loop `mk::adamw` replaced, kept verbatim as the
+/// reference: gradients scaled in a pass of their own, then three divides
+/// and a square root per element.
+fn adamw_reference(p: &mut [f32], m: &mut [f32], v: &mut [f32], grad: &[f32], c: &AdamwStep) {
+    let grad: Vec<f32> = grad.iter().map(|g| g * c.grad_scale).collect();
+    let (lr, beta1, beta2, eps, weight_decay) = (c.lr, c.beta1, c.beta2, c.eps, c.weight_decay);
+    let (bc1, bc2) = (c.bc1, c.bc2);
+    for i in 0..p.len() {
+        m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
+        v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
+        let mhat = m[i] / bc1;
+        let vhat = v[i] / bc2;
+        p[i] -= lr * (mhat / (vhat.sqrt() + eps) + weight_decay * p[i]);
+    }
+}
+
+/// Step `t`'s scalars at the runtime's hyper-parameters, with a weight
+/// decay and a gradient scale that are not the identity.
+fn adamw_step(t: i32) -> AdamwStep {
+    let (beta1, beta2) = (0.9f32, 0.95f32);
+    AdamwStep {
+        lr: 3e-3,
+        beta1,
+        beta2,
+        eps: 1e-8,
+        weight_decay: 0.1,
+        bc1: 1.0 - beta1.powi(t),
+        bc2: 1.0 - beta2.powi(t),
+        grad_scale: 1.0 / 257.0,
+    }
+}
+
+#[test]
+fn adamw_matches_scalar_and_the_loop_it_replaced_bitwise() {
+    for len in [0usize, 1, 7, 8, 9, 4095, 4097] {
+        let p0: Vec<f32> = randv(len as u64 + 10, len)
+            .iter()
+            .map(|x| x * 0.02)
+            .collect();
+        // summed-loss gradients are large; sprinkle exact zeros (unseen
+        // embedding rows), denormals and a negative zero among them
+        let mut g = randv(len as u64 + 11, len);
+        for (i, x) in g.iter_mut().enumerate() {
+            *x = match i % 5 {
+                0 => 0.0,
+                1 => f32::from_bits(1 + i as u32), // denormal
+                2 => -0.0,
+                _ => *x * 40.0,
+            };
+        }
+        // `None` runs the reference loop
+        let run = |be: Option<Backend>| {
+            let (mut p, mut m, mut v) = (p0.clone(), vec![0.0f32; len], vec![0.0f32; len]);
+            let mut trail = Vec::new();
+            for t in 1..=5 {
+                let c = adamw_step(t);
+                match be {
+                    Some(be) => mk::adamw_on(be, &mut p, &mut m, &mut v, &g, &c),
+                    None => adamw_reference(&mut p, &mut m, &mut v, &g, &c),
+                }
+                trail.extend([bits(&p), bits(&m), bits(&v)]);
+            }
+            trail
+        };
+        let reference = run(None);
+        if len > 2 {
+            assert_ne!(
+                reference[0],
+                bits(&p0),
+                "a step that moves nothing is vacuous"
+            );
+        }
+        for be in backends() {
+            assert_eq!(reference, run(Some(be)), "{be:?} diverged at length {len}");
+        }
+    }
+}
+
+#[test]
+fn adamw_is_independent_of_how_the_vector_is_cut() {
+    // The runtime steps a flat vector tensor by tensor: an element's bits
+    // must not depend on where its slice starts relative to the lanes.
+    let n = 100;
+    let (p0, g) = (randv(20, n), randv(21, n));
+    let c = adamw_step(3);
+    for be in backends() {
+        let (mut p, mut m, mut v) = (p0.clone(), vec![0.5f32; n], vec![0.25f32; n]);
+        mk::adamw_on(be, &mut p, &mut m, &mut v, &g, &c);
+        let (mut pc, mut mc, mut vc) = (p0.clone(), vec![0.5f32; n], vec![0.25f32; n]);
+        for r in [0..3, 3..20, 20..21, 21..100] {
+            mk::adamw_on(
+                be,
+                &mut pc[r.clone()],
+                &mut mc[r.clone()],
+                &mut vc[r.clone()],
+                &g[r],
+                &c,
+            );
+        }
+        assert_eq!(
+            (bits(&p), bits(&m), bits(&v)),
+            (bits(&pc), bits(&mc), bits(&vc))
+        );
     }
 }
 

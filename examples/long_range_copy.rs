@@ -38,8 +38,7 @@ fn main() {
             .forward_backward(&mut exec, &x, &y, &pos, 2, 1)
             .unwrap();
         final_loss = s.loss_sum / s.tokens as f32;
-        model.scale_grads(1.0 / s.tokens as f32);
-        model.optimizer_step(&mut opt);
+        model.optimizer_step(&mut opt, 1.0 / s.tokens as f32);
         if step % 50 == 0 {
             println!("step {step:>3}  copy loss {final_loss:.4}");
         }

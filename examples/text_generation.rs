@@ -22,10 +22,10 @@ fn main() {
     });
     let mut corpus = Corpus::new(cfg.vocab, 0.02, 3);
 
-    println!("training tiny GPT ({} params) on the Markov corpus...", {
-        let mut m2 = GptModel::new(&cfg, 3);
-        m2.param_count()
-    });
+    println!(
+        "training tiny GPT ({} params) on the Markov corpus...",
+        model.param_count()
+    );
     for step in 0..60 {
         let (x, y) = corpus.sample(256);
         let pos: Vec<usize> = (0..256).collect();
@@ -33,8 +33,7 @@ fn main() {
         let stats = model
             .forward_backward(&mut exec, &x, &y, &pos, 8, 4)
             .unwrap();
-        model.scale_grads(1.0 / stats.tokens as f32);
-        model.optimizer_step(&mut opt);
+        model.optimizer_step(&mut opt, 1.0 / stats.tokens as f32);
         if step % 15 == 0 {
             println!(
                 "  step {step:>3}  loss {:.4}",

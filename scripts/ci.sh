@@ -71,6 +71,13 @@ if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     echo "FAIL: gelu + gelu_bwd cost more than the MLP gemms they sit between" >&2
     exit 1
 fi
+# And one parameter's AdamW step must stay a lane-wise kernel: at most two
+# gelu elements of the same run (1.3-1.5 measured; a scalar loop costs 5).
+if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
+    && ! grep -q '^KERNELS_OPT_OK ' <<<"$out"; then
+    echo "FAIL: an AdamW parameter step costs more than two gelu elements" >&2
+    exit 1
+fi
 
 stage "kernels --features scalar-only smoke (portable fallback builds)"
 out=$(cargo run -q --release -p fpdt-bench --features scalar-only --bin kernels -- --json --quick)

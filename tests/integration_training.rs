@@ -196,8 +196,7 @@ fn long_range_copy_task_crosses_chunk_boundaries() {
                 .forward_backward(&mut exec, &x, &y, &pos, 2, 1)
                 .unwrap();
             last = s.loss_sum / s.tokens as f32;
-            model.scale_grads(1.0 / s.tokens as f32);
-            model.optimizer_step(&mut opt);
+            model.optimizer_step(&mut opt, 1.0 / s.tokens as f32);
         }
         last
     };
@@ -237,7 +236,7 @@ fn long_range_copy_task_crosses_chunk_boundaries() {
                 let flat = model.collect_grads();
                 let reduced = comm.all_reduce(&flat).unwrap();
                 model.set_grads(&reduced, 1.0 / scalars[1]);
-                model.optimizer_step(&mut opt);
+                model.optimizer_step(&mut opt, 1.0);
                 last = scalars[0] / scalars[1];
             }
             last
