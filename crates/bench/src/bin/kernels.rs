@@ -35,6 +35,17 @@
 //! `gelu` + `gelu_bwd` cost at most that same run's `mlp_gemm` — an
 //! activation must not outweigh the matmuls around it.
 //!
+//! The projections are timed at the chunk sizes the wide benchmark model
+//! calls them with (`linear_chunk`: `Linear::forward` + `backward` into a
+//! retained gradient slice at `[32,256]x[256,1024]`, an MLP chunk's fc1,
+//! and `[16,256]x[256,1024]`, a loss-head chunk), where a kernel spends as
+//! long moving the 1 MB weight as multiplying by it unless the weight is
+//! read in place. `KERNELS_DENSE_OK` is printed when single-thread
+//! `matmul_bwd` reaches [`DENSE_GATE`] of the same run's `matmul` GFLOP/s
+//! (a probe of alternating calls at 512 cubed, see `dense_pair`):
+//! the backward's two products go through the same microkernel as the
+//! forward's one, so neither may run at half its rate.
+//!
 //! The optimizer's kernel is timed where the wide benchmark model runs it
 //! (`adamw`: one `mk::adamw` step over `2^21` parameters, ns per parameter;
 //! its state is restored off the clock before every call).
@@ -49,9 +60,11 @@ use fpdt_attention::flops::{
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_bench::json_mode;
 use fpdt_tensor::mk::{self, AdamwStep, Backend};
+use fpdt_tensor::nn::Linear;
 use fpdt_tensor::{init, ops, Tensor};
 use rayon::pool;
 use serde::Serialize;
+use std::hint::black_box;
 use std::time::Instant;
 
 #[derive(Serialize, Clone)]
@@ -97,6 +110,13 @@ const BWD_FWD_GATE: f64 = 2.8;
 /// ns against 0.83-0.92); the scalar loop this kernel replaced ran 4.5-5.0
 /// ns per parameter, a ratio over 5.
 const OPT_GATE: f64 = 2.0;
+
+/// Share of the same run's single-thread `matmul` GFLOP/s that
+/// `matmul_bwd` must reach. Through a `gemm_nt` of per-row dot sweeps it
+/// read 0.62-0.67 on the development host (ten runs of the same probe on
+/// the parent commit); with every product on `gemm_panel`, twenty
+/// `--quick` runs read 0.85-0.97.
+const DENSE_GATE: f64 = 0.75;
 
 /// One FPDT attention tile at the repo benchmark's runtime shape: forward
 /// `update` and `attention_block_bwd` benches with every query at
@@ -189,6 +209,40 @@ fn time_best(reps: usize, kernel_only: bool, f: &mut dyn Kernel) -> (f64, u64) {
     (best, last)
 }
 
+/// Single-thread `matmul` GFLOP/s and the share of it that `matmul_bwd`
+/// reaches, the kernels alone, over twelve back-to-back pairs of calls:
+/// the rate is the best call, the share the median of the per-pair
+/// ratios. A neighbour's burst on a shared host slows both halves of a
+/// pair or one pair of twelve, which two rows timed one after the other
+/// do not give. Always `[512, 512]` operands (15 ms a pair): at the
+/// `--quick` rows' 128 the transposed blocks are a fifth of the backward
+/// and the share sits on the gate.
+fn dense_pair() -> (f64, f64) {
+    let n = 512usize;
+    let mut rng = init::seeded_rng(48);
+    let [a, b, dc] = [(); 3].map(|()| init::randn(&mut rng, &[n, n], 1.0));
+    let prev = pool::set_threads(1);
+    let mut fwd = f64::INFINITY;
+    let mut shares: Vec<f64> = (0..12)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(ops::matmul(&a, &b).expect("shapes fixed"));
+            let f = t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
+            black_box(ops::matmul_bwd(&a, &b, &dc).expect("shapes fixed"));
+            fwd = fwd.min(f);
+            // two products in the backward to the forward's one
+            2.0 * f / t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    pool::set_threads(prev);
+    shares.sort_by(f64::total_cmp);
+    (
+        2.0 * (n as f64).powi(3) / fwd / 1e9,
+        (shares[5] + shares[6]) / 2.0,
+    )
+}
+
 /// What one kernel call produced, flattened for [`digest`].
 type Outputs = Vec<Vec<f32>>;
 
@@ -274,6 +328,58 @@ impl Kernel for AdamwKernel {
         mk::adamw(p, m, v, &self.grad, &self.step);
         // the updated state itself, not a copy of it: `reset` refills it
         self.work.iter_mut().map(std::mem::take).collect()
+    }
+}
+
+/// The wide benchmark model's two chunk-sized projections: an MLP chunk
+/// through fc1 (32 rows) and a loss-head chunk (16 rows), both
+/// `[., 256] x [256, 1024]` with bias, forward and backward, the backward
+/// adding into a gradient slice that lives across calls as the runtime's
+/// flat buffer does.
+struct LinearChunks {
+    layer: Linear,
+    /// `(x, dy)` per chunk size.
+    chunks: [(Tensor, Tensor); 2],
+    grad: Vec<f32>,
+}
+
+impl LinearChunks {
+    fn new(seed: u64) -> Self {
+        let (hidden, out) = (256usize, 1024usize);
+        let mut rng = init::seeded_rng(seed);
+        let layer = Linear::new(hidden, out, true, &mut rng);
+        let chunks = [32usize, 16].map(|rows| {
+            (
+                init::randn(&mut rng, &[rows, hidden], 1.0),
+                init::randn(&mut rng, &[rows, out], 1.0),
+            )
+        });
+        LinearChunks {
+            grad: vec![0.0; layer.param_count()],
+            layer,
+            chunks,
+        }
+    }
+}
+
+impl Kernel for LinearChunks {
+    fn reset(&mut self) {
+        self.grad.fill(0.0);
+    }
+
+    fn run(&mut self) -> Outputs {
+        let mut out = Outputs::new();
+        for (x, dy) in &self.chunks {
+            let y = self.layer.forward(x).expect("shapes fixed");
+            let dx = self
+                .layer
+                .backward(x, dy, &mut self.grad)
+                .expect("shapes fixed");
+            out.extend(outputs([y, dx]));
+        }
+        // 1 MB of gradient: digest what the two calls left in its first row
+        out.push(self.grad[..1024].to_vec());
+        out
     }
 }
 
@@ -471,6 +577,13 @@ fn benches(quick: bool) -> Vec<Bench> {
     out.extend(tile_benches(44, "attn_diag_fwd", "attn_diag_bwd", 0, 2));
     out.extend(dense_benches(45));
     out.push(Bench {
+        name: "linear_chunk",
+        // forward and both backward products of each chunk
+        flops: 2 * 3 * 256 * 1024 * (32 + 16),
+        kernel_only: true,
+        run: Box::new(LinearChunks::new(47)),
+    });
+    out.push(Bench {
         name: "adamw",
         flops: AdamwKernel::PARAMS as u64,
         kernel_only: true,
@@ -639,14 +752,14 @@ fn main() {
                 .expect("tile rows timed above")
                 .1
         };
-        let wall_ms = |kernel: &str| {
+        let row = |kernel: &str| {
             report
                 .rows
                 .iter()
                 .find(|r| r.kernel == kernel && r.backend == dispatch && r.threads == 1)
-                .expect("tile and dense rows timed above")
-                .wall_ms
+                .expect("every gated row is timed above")
         };
+        let wall_ms = |kernel: &str| row(kernel).wall_ms;
         let (fwd, bwd) = (share("attn_tile_fwd"), share("attn_tile_bwd"));
         let ratio = wall_ms("attn_tile_bwd") / wall_ms("attn_tile_fwd");
         let verdict = if fwd.min(bwd) >= ROOFLINE_GATE && ratio <= BWD_FWD_GATE {
@@ -665,13 +778,18 @@ fn main() {
         // One parameter's AdamW step against one GELU element, both
         // lane-wise and single-threaded in this run.
         let ns_per_element = |kernel: &str| {
-            report
-                .rows
-                .iter()
-                .find(|r| r.kernel == kernel && r.backend == dispatch && r.threads == 1)
-                .and_then(|r| r.ns_per_element)
-                .expect("elementwise rows timed above")
+            row(kernel)
+                .ns_per_element
+                .expect("elementwise rows carry ns per element")
         };
+        // The backward's two products against the forward's one: all
+        // three are `gemm_panel` sweeps.
+        let (fwd, share) = dense_pair();
+        let verdict = if share >= DENSE_GATE { "OK" } else { "FAIL" };
+        println!(
+            "KERNELS_DENSE_{verdict} matmul_bwd at {share:.2} of matmul {fwd:.1} GFLOP/s (gate {DENSE_GATE:.2}), linear_chunk {:.3} ms",
+            wall_ms("linear_chunk")
+        );
         let (opt, gelu) = (ns_per_element("adamw"), ns_per_element("gelu"));
         let verdict = if opt <= OPT_GATE * gelu { "OK" } else { "FAIL" };
         println!(

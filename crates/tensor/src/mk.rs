@@ -795,9 +795,10 @@ unsafe fn adamw_g<V: V8>(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32],
 ///   `c[r * c_stride + c_col0 ..][..nc]` (the slice handed to
 ///   [`gemm_panel`]).
 ///
-/// Both `gemm` (packed B scratch) and `gemm_tn` (strided rows of the
-/// original B) describe their inner loops with this one struct, so a
-/// single microkernel serves every layout.
+/// `gemm` and `gemm_tn` (strided rows of the original B) and `gemm_nt`
+/// (the original B as the A operand, a transposed block of activations as
+/// the panel) describe their inner loops with this one struct, so a single
+/// microkernel serves every layout.
 #[derive(Clone, Copy)]
 pub struct Panel<'a> {
     /// Source matrix providing the block's A rows.
@@ -808,7 +809,7 @@ pub struct Panel<'a> {
     pub a_stride: usize,
     /// Stride between consecutive depth (`l`) elements of one A row.
     pub a_lstride: usize,
-    /// B panel (packed scratch or a view of the original matrix).
+    /// B panel (a view of the original matrix or per-task scratch).
     pub bp: &'a [f32],
     /// Stride between consecutive depth rows of the panel.
     pub b_stride: usize,
@@ -931,68 +932,6 @@ unsafe fn gemm_panel_g<V: V8>(p: &Panel<'_>, c: &mut [f32]) {
     }
 }
 
-/// `c_row[j] += a_row · b_row_j` for `nc` consecutive rows of a strided B
-/// (the `gemm_nt` inner product sweep), four B rows per register block so
-/// each `a_row` load is shared.
-#[inline(always)]
-unsafe fn dot_rows_g<V: V8>(
-    c_row: &mut [f32],
-    a_row: &[f32],
-    b: &[f32],
-    b_row0: usize,
-    b_stride: usize,
-    b_off: usize,
-    kc: usize,
-) {
-    let nc = c_row.len();
-    let ap = a_row.as_ptr();
-    let bp = b.as_ptr();
-    let mut j = 0;
-    while j + 4 <= nc {
-        let base = [
-            (b_row0 + j) * b_stride + b_off,
-            (b_row0 + j + 1) * b_stride + b_off,
-            (b_row0 + j + 2) * b_stride + b_off,
-            (b_row0 + j + 3) * b_stride + b_off,
-        ];
-        let mut acc = [V::zero(); 4];
-        let mut l = 0;
-        while l + 8 <= kc {
-            let av = V::loadu(ap.add(l));
-            for (t, a) in acc.iter_mut().enumerate() {
-                *a = a.fma(av, V::loadu(bp.add(base[t] + l)));
-            }
-            l += 8;
-        }
-        for (t, a) in acc.iter().enumerate() {
-            let mut s = a.reduce();
-            let mut ll = l;
-            while ll < kc {
-                s = (*ap.add(ll)).mul_add(*bp.add(base[t] + ll), s);
-                ll += 1;
-            }
-            c_row[j + t] += s;
-        }
-        j += 4;
-    }
-    while j < nc {
-        let base = (b_row0 + j) * b_stride + b_off;
-        let mut acc = V::zero();
-        let mut l = 0;
-        while l + 8 <= kc {
-            acc = acc.fma(V::loadu(ap.add(l)), V::loadu(bp.add(base + l)));
-            l += 8;
-        }
-        let mut s = acc.reduce();
-        while l < kc {
-            s = (*ap.add(l)).mul_add(*bp.add(base + l), s);
-            l += 1;
-        }
-        c_row[j] += s;
-        j += 1;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Backend instantiations. The AVX2 wrappers carry
 // `#[target_feature(enable = "avx2,fma")]` so the whole inlined generic
@@ -1034,9 +973,6 @@ instantiate!(adamw_scalar, adamw_avx2, adamw_g,
     (p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) -> ());
 instantiate!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_g,
     (p: &Panel<'_>, c: &mut [f32]) -> ());
-instantiate!(dot_rows_scalar, dot_rows_avx2, dot_rows_g,
-    (c_row: &mut [f32], a_row: &[f32], b: &[f32], b_row0: usize, b_stride: usize,
-     b_off: usize, kc: usize) -> ());
 
 macro_rules! dispatch {
     ($be:expr, $scalar:ident, $avx2:ident, ($($arg:expr),*)) => {{
@@ -1301,46 +1237,6 @@ pub fn gemm_panel(p: &Panel<'_>, c: &mut [f32]) {
     gemm_panel_on(backend(), p, c)
 }
 
-/// `c_row[j] += a_row · b_row_j` over `c_row.len()` strided B rows on an
-/// explicit backend: B row `j` is `b[(b_row0+j)*b_stride + b_off ..][..kc]`.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_rows_on(
-    be: Backend,
-    c_row: &mut [f32],
-    a_row: &[f32],
-    b: &[f32],
-    b_row0: usize,
-    b_stride: usize,
-    b_off: usize,
-    kc: usize,
-) {
-    assert!(kc <= a_row.len());
-    if !c_row.is_empty() && kc > 0 {
-        assert!((b_row0 + c_row.len() - 1) * b_stride + b_off + kc <= b.len());
-    }
-    dispatch!(
-        be,
-        dot_rows_scalar,
-        dot_rows_avx2,
-        (c_row, a_row, b, b_row0, b_stride, b_off, kc)
-    )
-}
-
-/// `c_row[j] += a_row · b_row_j` on the dispatched backend (the `gemm_nt`
-/// inner sweep).
-#[inline]
-pub fn dot_rows(
-    c_row: &mut [f32],
-    a_row: &[f32],
-    b: &[f32],
-    b_row0: usize,
-    b_stride: usize,
-    b_off: usize,
-    kc: usize,
-) {
-    dot_rows_on(backend(), c_row, a_row, b, b_row0, b_stride, b_off, kc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1434,22 +1330,6 @@ mod tests {
             gemm_panel_on(be, &p, &mut c);
             for (g, w) in c.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-4, "{be:?}: {g} vs {w}");
-            }
-        });
-    }
-
-    #[test]
-    fn dot_rows_matches_per_row_dots() {
-        let (nc, kc, stride) = (11usize, 19usize, 23usize);
-        let a: Vec<f32> = (0..kc).map(|i| (i as f32 * 0.21).sin()).collect();
-        let b: Vec<f32> = (0..(nc + 2) * stride).map(|i| (i as f32 * 0.13).cos()).collect();
-        both(|be| {
-            let mut c = vec![0.25f32; nc];
-            dot_rows_on(be, &mut c, &a, &b, 2, stride, 3, kc);
-            for (j, got) in c.iter().enumerate() {
-                let row = &b[(2 + j) * stride + 3..(2 + j) * stride + 3 + kc];
-                let want: f32 = 0.25 + a.iter().zip(row).map(|(&x, &y)| x * y).sum::<f32>();
-                assert!((got - want).abs() < 1e-4, "{be:?} j={j}");
             }
         });
     }

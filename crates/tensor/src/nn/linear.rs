@@ -1,4 +1,4 @@
-use super::{accumulate, split_grad};
+use super::split_grad;
 use crate::{init, ops, Result, Tensor};
 use rand::rngs::SmallRng;
 
@@ -88,11 +88,9 @@ impl Linear {
     pub fn backward(&self, x: &Tensor, dy: &Tensor, grad: &mut [f32]) -> Result<Tensor> {
         let bias_len = self.bias.as_ref().map_or(0, Tensor::numel);
         let [gw, gb] = split_grad(grad, [self.weight.numel(), bias_len])?;
-        let (dx, dw) = ops::matmul_bwd(x, &self.weight, dy)?;
-        accumulate(gw, dw.data());
-        if self.bias.is_some() {
-            accumulate(gb, ops::add_bias_bwd(dy, bias_len).data());
-        }
+        let mut dx = Tensor::zeros(x.shape());
+        ops::matmul_bwd_into(x, &self.weight, dy, dx.data_mut(), gw)?;
+        ops::add_bias_bwd_into(dy, gb);
         Ok(dx)
     }
 }
@@ -135,6 +133,25 @@ mod tests {
         );
         for (c, w) in chunked.iter().zip(&whole) {
             assert!((c - w).abs() <= 1e-6 + 1e-5 * w.abs(), "{c} vs {w}");
+        }
+    }
+
+    #[test]
+    fn backward_adds_into_a_prefilled_slice() {
+        let mut rng = init::seeded_rng(54);
+        let x = init::randn(&mut rng, &[5, 3], 1.0);
+        let dy = init::randn(&mut rng, &[5, 2], 1.0);
+        for bias in [true, false] {
+            let layer = Linear::new(3, 2, bias, &mut rng);
+            let mut fresh = vec![0.0f32; layer.param_count()];
+            layer.backward(&x, &dy, &mut fresh).unwrap();
+            assert!(fresh.iter().all(|g| *g != 0.0));
+            let prefill: Vec<f32> = (0..fresh.len()).map(|i| 10.0 + i as f32).collect();
+            let mut grad = prefill.clone();
+            layer.backward(&x, &dy, &mut grad).unwrap();
+            for ((g, p), f) in grad.iter().zip(&prefill).zip(&fresh) {
+                assert!((g - (p + f)).abs() <= 1e-5, "{g} vs {p} + {f}");
+            }
         }
     }
 

@@ -99,16 +99,24 @@ pub fn add_bias(x: &Tensor, bias: &Tensor) -> Result<Tensor> {
 
 /// Gradient of [`add_bias`] with respect to the bias: sums `dy` over all
 /// leading axes. (`dx` is just `dy` and needs no helper.)
+pub fn add_bias_bwd(dy: &Tensor, d: usize) -> Tensor {
+    let mut db = Tensor::zeros(&[d]);
+    add_bias_bwd_into(dy, db.data_mut());
+    db
+}
+
+/// [`add_bias_bwd`] added into `db_acc` (one float per column of `dy`):
+/// how a layer sums the bias gradient where it lives.
 ///
 /// Parallel over *column* blocks; within a column the rows are reduced in
 /// ascending order, so the sums match the sequential kernel bit for bit.
-pub fn add_bias_bwd(dy: &Tensor, d: usize) -> Tensor {
-    let mut db = Tensor::zeros(&[d]);
+pub fn add_bias_bwd_into(dy: &Tensor, db_acc: &mut [f32]) {
+    let d = db_acc.len();
     if d == 0 {
-        return db;
+        return;
     }
     let dys = dy.data();
-    par::run_rows(db.data_mut(), COL_BLOCK, dys.len(), |cb, dbs| {
+    par::run_rows(db_acc, COL_BLOCK, dys.len(), |cb, dbs| {
         let c0 = cb * COL_BLOCK;
         for row in dys.chunks(d) {
             // `axpy` truncates to the overlap, which also covers a ragged
@@ -116,7 +124,6 @@ pub fn add_bias_bwd(dy: &Tensor, d: usize) -> Tensor {
             par::axpy(dbs, 1.0, &row[c0.min(row.len())..]);
         }
     });
-    db
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@ mod norm;
 mod rope;
 mod softmax;
 
-pub use elementwise::{add_bias, add_bias_bwd, gelu, gelu_bwd, silu, silu_bwd};
-pub use matmul::{gemm, gemm_nt, gemm_tn, matmul, matmul_bwd};
+pub use elementwise::{add_bias, add_bias_bwd, add_bias_bwd_into, gelu, gelu_bwd, silu, silu_bwd};
+pub use matmul::{gemm, gemm_nt, gemm_tn, matmul, matmul_bwd, matmul_bwd_into};
 pub use norm::{layernorm, layernorm_bwd, rmsnorm, rmsnorm_bwd, LayerNormCtx, RmsNormCtx};
 pub use rope::{rope, rope_bwd, RopeTable};
 pub use softmax::{cross_entropy, softmax_rows, softmax_rows_bwd, CrossEntropyOutput};

@@ -612,33 +612,9 @@ proptest! {
         }
     }
 
-    /// The strided row-dot kernel behind `gemm_nt`: every `b` row offset
-    /// and stride combination must reduce through the same fixed tree.
-    #[test]
-    fn dot_rows_matches_scalar_bitwise(
-        n in 1usize..12,
-        k in 1usize..40,
-        kc in 1usize..20,
-        seed in 0u64..1_000,
-    ) {
-        let kc = kc.min(k);
-        let pc = (k - kc) / 2; // panel offset inside the depth dimension
-        let a_row = randv(seed, k);
-        let b = randv(seed.wrapping_add(1), n * k);
-        let run = |be: Backend| {
-            let mut c_row = randv(seed.wrapping_add(2), n);
-            mk::dot_rows_on(be, &mut c_row, &a_row[pc..], &b, 0, k, pc, kc);
-            bits(&c_row)
-        };
-        let reference = run(Backend::Scalar);
-        for be in backends() {
-            prop_assert_eq!(&reference, &run(be), "backend {:?} diverged", be);
-        }
-    }
-
     /// The full gemm family through `ops`, with the process-wide backend
-    /// forced: blocked panels, packing, and remainder tiles all compose to
-    /// the same bits, at 1, 2, and 8 kernel threads alike.
+    /// forced: blocked panels, transposed blocks, and remainder tiles all
+    /// compose to the same bits, at 1, 2, and 8 kernel threads alike.
     #[test]
     fn gemm_family_matches_scalar_bitwise_at_any_thread_count(
         m in 1usize..24,
@@ -670,6 +646,56 @@ proptest! {
                     be,
                     threads
                 );
+            }
+        }
+    }
+}
+
+/// `gemm_nt` computes `Cᵀ = B · Aᵀ` through transposed scratch: over row
+/// blocks of 1..65 rows (ragged against `MC = 32` and the 8-lane padding),
+/// depths straddling the `KC = 256` panel and widths around the vector
+/// tiles, it must *add* the product into a non-zero `c`, agree with an f64
+/// naive product, and give the same bits on both backends at 1, 2 and 8
+/// threads.
+#[test]
+fn gemm_nt_accumulates_and_matches_scalar_bitwise_over_awkward_extents() {
+    for m in [1usize, 3, 31, 32, 33, 65] {
+        for k in [1usize, 255, 256, 257, 513] {
+            for n in [1usize, 7, 8, 9, 17, 40] {
+                let seed = (m * 1_000_000 + k * 1_000 + n) as u64;
+                let a = randv(seed, m * k);
+                let b = randv(seed + 1, n * k);
+                let c0 = randv(seed + 2, m * n);
+                let run = |be: Backend, threads: usize| {
+                    let _cfg = ForcedKernels::new(be, threads);
+                    let mut c = c0.clone();
+                    ops::gemm_nt(m, k, n, &a, &b, &mut c);
+                    c
+                };
+                let reference = run(Backend::Scalar, 1);
+                for (idx, &got) in reference.iter().enumerate() {
+                    let (i, j) = (idx / n, idx % n);
+                    let dot: f64 = (0..k)
+                        .map(|l| f64::from(a[i * k + l]) * f64::from(b[j * k + l]))
+                        .sum();
+                    let want = f64::from(c0[idx]) + dot;
+                    let mag: f64 = (0..k)
+                        .map(|l| f64::from(a[i * k + l] * b[j * k + l]).abs())
+                        .sum();
+                    assert!(
+                        (f64::from(got) - want).abs() <= 1e-5 * (1.0 + mag),
+                        "{m}x{k}x{n} c[{i},{j}] = {got} vs {want}"
+                    );
+                }
+                for be in backends() {
+                    for threads in [1usize, 2, 8] {
+                        assert_eq!(
+                            bits(&reference),
+                            bits(&run(be, threads)),
+                            "{m}x{k}x{n}: backend {be:?} at {threads} threads diverged"
+                        );
+                    }
+                }
             }
         }
     }

@@ -78,6 +78,14 @@ if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     echo "FAIL: an AdamW parameter step costs more than two gelu elements" >&2
     exit 1
 fi
+# And the projections' backward must run at gemm speed: single-thread
+# matmul_bwd at 0.75 or more of the same run's matmul GFLOP/s (0.85-0.97
+# measured at 512 cubed; a gemm_nt of per-row dot sweeps sat at 0.62-0.67).
+if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
+    && ! grep -q '^KERNELS_DENSE_OK ' <<<"$out"; then
+    echo "FAIL: matmul_bwd under 0.75 of the same run's matmul GFLOP/s" >&2
+    exit 1
+fi
 
 stage "kernels --features scalar-only smoke (portable fallback builds)"
 out=$(cargo run -q --release -p fpdt-bench --features scalar-only --bin kernels -- --json --quick)
