@@ -1,33 +1,26 @@
-//! Trace-calibrated autotuner bench — and the planner's CLI entry point.
+//! Measured autotuner bench — and the planner's CLI entry point.
 //!
-//! Closes the planner↔runtime loop end to end: probe the real runtime
-//! ([`fpdt_core::runtime::autotune::calibrate`]), fit the simulator's
-//! cost constants from the recorded spans, search the knob grid (chunk
-//! count × prefetch × comm stream × bf16 payloads) with the calibrated
-//! simulator, then *measure every candidate for real* and grade the
-//! loop on two axes:
+//! Probes the real runtime ([`fpdt_core::runtime::autotune::calibrate`]:
+//! every `(chunks, bf16)` cell trained as it will run, fastest of 3),
+//! picks the fastest candidate ([`fpdt_core::runtime::autotune::search`]),
+//! then *measures every candidate again* in interleaved rounds and grades
+//! the pick: the tuned configuration must measure at least 0.97× the
+//! default configuration's tokens/s. That gate is the one
+//! `RUNTIME_AUTOTUNE_OK` line CI greps for.
 //!
-//! * **model fidelity** — predicted vs measured step time must agree to
-//!   25% relative error for every configuration evaluated, not just the
-//!   winner;
-//! * **tuning quality** — the predicted-fastest configuration must be at
-//!   least as fast as the default configuration in measured tokens/s.
-//!
-//! Both gates fold into one `RUNTIME_AUTOTUNE_OK` line that CI greps
-//! for. Artifacts under `target/experiments/`: `calibration.json` (the
-//! fitted cost model — reusable via `--calibration PATH`),
-//! `BENCH_autotune.json` (per-config predicted/measured rows), and
-//! `autotune_env.sh` (the tuned configuration as `FPDT_*` exports, so CI
-//! can rerun the test suite under it).
+//! Artifacts under `target/experiments/`: `calibration.json` (the probe
+//! table — reusable via `--calibration PATH`), `BENCH_autotune.json`
+//! (per-config probed/measured rows), and `autotune_env.sh` (the tuned
+//! configuration as `FPDT_*` exports, so CI can rerun the test suite
+//! under it).
 //!
 //! Pass `--json` to suppress the table; `--quick` shrinks the grid for
 //! CI smoke tests.
 
 use fpdt_bench::json_mode;
 use fpdt_core::runtime::autotune::{calibrate, search, Calibration, CandidateConfig, Workload};
-use fpdt_core::runtime::dist::{train_traced, Mode, TrainConfig};
+use fpdt_core::runtime::dist::{train, Mode, TrainConfig};
 use fpdt_model::config::ModelConfig;
-use fpdt_trace::Recorder;
 use rayon::pool;
 use serde::Serialize;
 use std::time::Instant;
@@ -35,13 +28,10 @@ use std::time::Instant;
 #[derive(Serialize, Clone)]
 struct Row {
     chunks: usize,
-    prefetch: bool,
-    comm_async: bool,
     payload_bf16: bool,
     threads: usize,
-    predicted_step_us: f64,
+    probed_step_us: f64,
     measured_step_us: f64,
-    rel_err: f64,
     tokens_per_s: f64,
 }
 
@@ -53,21 +43,14 @@ struct Report {
     threads: usize,
     sim_gbps: f64,
     calibration_reused: bool,
-    /// Host-speed drift between the probe epoch and the measurement
-    /// rounds (median measured/predicted ratio over the serial configs);
-    /// predictions in `rows` are re-baselined by it.
-    drift: f64,
     rows: Vec<Row>,
     tuned: Row,
     default: Row,
-    max_rel_err: f64,
     speedup: f64,
 }
 
-/// One instrumented training run of a candidate, returning the per-step
-/// wall time in µs. The run carries a [`Recorder`] exactly like the
-/// calibration probes, so instrumentation overhead lands on both sides
-/// of the predicted-vs-measured comparison instead of skewing it.
+/// One training run of a candidate, returning the per-step wall time in
+/// µs.
 fn run_once(config: &CandidateConfig, model: &ModelConfig, seq: usize, steps: usize) -> f64 {
     let cfg = TrainConfig {
         model: model.clone(),
@@ -78,23 +61,17 @@ fn run_once(config: &CandidateConfig, model: &ModelConfig, seq: usize, steps: us
             chunks: config.chunks,
             offload: true,
         },
-        // `options()` pins every knob explicitly, so ambient FPDT_* can
-        // never leak into a measurement leg.
+        // `options()` pins the payload explicitly, so an ambient
+        // FPDT_BF16 can never leak into a measurement leg.
         runtime: config.options(),
         ..TrainConfig::default()
     };
     let prev = pool::set_threads(config.threads);
-    let rec = Recorder::new();
     let t0 = Instant::now();
-    train_traced(&cfg, Some(&rec));
+    train(&cfg);
     let us = t0.elapsed().as_secs_f64() * 1e6 / steps as f64;
     pool::set_threads(prev);
     us
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 fn main() {
@@ -128,24 +105,19 @@ fn main() {
 
     let default_config = CandidateConfig {
         chunks: 4,
-        prefetch: true,
-        comm_async: true,
         payload_bf16: false,
         threads,
     };
-    // Warm the process (allocator pools, caches, helper threads) before
-    // the probe: calibration and measurement must both see steady state,
-    // or cold-start cost lands only on the fitted model.
+    // Warm the process (allocator pools, caches, stream workers) before
+    // the probe: probe and measurement must both see steady state.
     run_once(&default_config, &model, seq, 1);
 
     let dir = std::path::PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     let (calibration, reused) = match &calibration_path {
         Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("read {path}: {e}"));
-            let cal = Calibration::from_json(&text)
-                .unwrap_or_else(|e| panic!("parse {path}: {e}"));
+            let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+            let cal = Calibration::from_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
             // The search may only visit cells the loaded probe covered.
             workload.chunk_candidates = {
                 let mut cs: Vec<usize> = cal.cells.iter().map(|c| c.chunks).collect();
@@ -170,149 +142,81 @@ fn main() {
     let (evaluated, best) = search(&calibration, &workload);
 
     // Measure every evaluated configuration (the grid contains the
-    // default) in INTERLEAVED rounds: config order within a round is the
-    // grid order, and the final number is the per-config MINIMUM across
-    // rounds. Back-to-back per-config batches would let host-load bursts
-    // and thermal drift land on whichever configs happened to run last;
-    // interleaving spreads every burst across all of them, and the
-    // minimum discards bursts entirely — neighbor load on a shared host
-    // is strictly additive, so the fastest of five runs is the best
-    // estimate of the unloaded step time the model actually predicts
-    // (a median still carries whatever load the middle run saw).
+    // default) in INTERLEAVED rounds, scoring each by its minimum: a
+    // host-load burst spreads across all configs instead of landing on
+    // whichever ran last, and the minimum discards it entirely —
+    // neighbor load on a shared host is strictly additive.
     let mut configs: Vec<CandidateConfig> = evaluated.iter().map(|e| e.config).collect();
     if !configs.contains(&default_config) {
         configs.push(default_config);
     }
-    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
+    let mut measured = vec![f64::INFINITY; configs.len()];
     for _round in 0..5 {
-        for (i, config) in configs.iter().enumerate() {
-            samples[i].push(run_once(config, &model, seq, steps));
+        for (config, best_us) in configs.iter().zip(&mut measured) {
+            *best_us = best_us.min(run_once(config, &model, seq, steps));
         }
     }
-    let measured: Vec<(CandidateConfig, f64)> = configs
-        .iter()
-        .zip(&samples)
-        .map(|(c, s)| (*c, s.iter().copied().fold(f64::INFINITY, f64::min)))
-        .collect();
-    let measured_us = |config: &CandidateConfig| -> f64 {
-        measured
-            .iter()
-            .find(|(c, _)| c == config)
-            .expect("config was measured")
-            .1
-    };
-
-    // The probe ran seconds before the measurement rounds, and on a
-    // shared host the machine's effective speed drifts — globally between
-    // the two epochs, and per probe run when a load burst lands inside
-    // one cell's probe. Each cell's serial configuration is byte-for-byte
-    // the configuration the probe ran, so its measured/predicted ratio IS
-    // that cell's drift; re-baseline the cell's predictions by it before
-    // grading model error. Serial rows then score ~0 by construction —
-    // the gate's real subject is the async rows, i.e. exactly the stream
-    // predictions the tuner ranks configurations with.
-    let drift_for = |config: &CandidateConfig| -> f64 {
-        evaluated
-            .iter()
-            .find(|ev| {
-                !ev.config.prefetch
-                    && !ev.config.comm_async
-                    && ev.config.chunks == config.chunks
-                    && ev.config.payload_bf16 == config.payload_bf16
-                    && ev.config.threads == config.threads
-            })
-            .map(|ev| measured_us(&ev.config) / ev.predicted_step_us)
-            .unwrap_or(1.0)
-    };
-    let mut drifts: Vec<f64> = evaluated.iter().map(|ev| drift_for(&ev.config)).collect();
-    let drift = median(&mut drifts);
-
-    let mut rows = Vec::new();
-    for ev in &evaluated {
-        let measured_step_us = measured_us(&ev.config);
-        let predicted_step_us = ev.predicted_step_us * drift_for(&ev.config);
-        rows.push(Row {
-            chunks: ev.config.chunks,
-            prefetch: ev.config.prefetch,
-            comm_async: ev.config.comm_async,
-            payload_bf16: ev.config.payload_bf16,
-            threads: ev.config.threads,
-            predicted_step_us,
-            measured_step_us,
-            rel_err: (predicted_step_us - measured_step_us).abs() / measured_step_us,
-            tokens_per_s: seq as f64 / (measured_step_us * 1e-6),
-        });
-    }
-
-    // Adoption policy: switching configuration is only worth real-world
-    // variance when the model predicts a material win — under 5%
-    // predicted gain over the default, keep the default.
-    let default_pred = evaluated
-        .iter()
-        .find(|ev| ev.config == default_config)
-        .map(|ev| ev.predicted_step_us);
-    let tuned_config = match default_pred {
-        Some(pred) if best.predicted_step_us >= pred * 0.95 => default_config,
-        _ => best.config,
-    };
 
     let row_for = |config: &CandidateConfig| {
-        rows.iter()
-            .find(|r| {
-                r.chunks == config.chunks
-                    && r.prefetch == config.prefetch
-                    && r.comm_async == config.comm_async
-                    && r.payload_bf16 == config.payload_bf16
-                    && r.threads == config.threads
-            })
-            .cloned()
-            .unwrap_or(Row {
-                chunks: config.chunks,
-                prefetch: config.prefetch,
-                comm_async: config.comm_async,
-                payload_bf16: config.payload_bf16,
-                threads: config.threads,
-                predicted_step_us: 0.0,
-                measured_step_us: measured_us(config),
-                rel_err: 0.0,
-                tokens_per_s: seq as f64 / (measured_us(config) * 1e-6),
-            })
+        let at = configs
+            .iter()
+            .position(|c| c == config)
+            .expect("config was measured");
+        Row {
+            chunks: config.chunks,
+            payload_bf16: config.payload_bf16,
+            threads: config.threads,
+            probed_step_us: evaluated
+                .iter()
+                .find(|ev| ev.config == *config)
+                .map_or(0.0, |ev| ev.step_us),
+            measured_step_us: measured[at],
+            tokens_per_s: seq as f64 / (measured[at] * 1e-6),
+        }
+    };
+    let rows: Vec<Row> = evaluated.iter().map(|ev| row_for(&ev.config)).collect();
+
+    // Adoption policy: switching configuration is only worth real-world
+    // variance when the probe shows a material win — under 5% over the
+    // default, keep the default.
+    let default_probed = evaluated
+        .iter()
+        .find(|ev| ev.config == default_config)
+        .map(|ev| ev.step_us);
+    let tuned_config = match default_probed {
+        Some(probed) if best.step_us >= probed * 0.95 => default_config,
+        _ => best.config,
     };
     let tuned_row = row_for(&tuned_config);
     let default_row = row_for(&default_config);
-    let max_rel_err = rows.iter().map(|r| r.rel_err).fold(0.0f64, f64::max);
     let speedup = tuned_row.tokens_per_s / default_row.tokens_per_s;
 
     if !quiet {
         println!(
             "autotune: seq {seq}, {steps} steps, {threads} threads, {sim_gbps} GB/s simulated \
              link, calibration {}",
-            if reused { "reused" } else { "fitted" }
+            if reused { "reused" } else { "probed" }
         );
         println!(
-            "{:<8}{:<10}{:<8}{:<7}{:>14}{:>14}{:>9}{:>12}",
-            "chunks", "prefetch", "comm", "bf16", "predicted us", "measured us", "err", "tokens/s"
+            "{:<8}{:<7}{:<9}{:>11}{:>13}{:>12}",
+            "chunks", "bf16", "threads", "probed us", "measured us", "tokens/s"
         );
         for r in &rows {
             println!(
-                "{:<8}{:<10}{:<8}{:<7}{:>14.0}{:>14.0}{:>8.1}%{:>12.0}",
+                "{:<8}{:<7}{:<9}{:>11.0}{:>13.0}{:>12.0}",
                 r.chunks,
-                r.prefetch,
-                r.comm_async,
                 r.payload_bf16,
-                r.predicted_step_us,
+                r.threads,
+                r.probed_step_us,
                 r.measured_step_us,
-                r.rel_err * 100.0,
                 r.tokens_per_s
             );
         }
         println!(
-            "tuned: {} chunks, prefetch {}, comm {}, bf16 {} — {:.0} tokens/s vs \
-             default {:.0} ({:+.1}%)",
+            "tuned: {} chunks, bf16 {}, {} threads — {:.0} tokens/s vs default {:.0} ({:+.1}%)",
             tuned_row.chunks,
-            tuned_row.prefetch,
-            tuned_row.comm_async,
             tuned_row.payload_bf16,
+            tuned_row.threads,
             tuned_row.tokens_per_s,
             default_row.tokens_per_s,
             (speedup - 1.0) * 100.0
@@ -321,14 +225,10 @@ fn main() {
 
     // The tuned configuration as sourceable exports, so CI can replay a
     // tier-1 test pass under exactly what the tuner picked.
-    let flag = |b: bool| if b { "1" } else { "0" };
     let env_body = format!(
         "# generated by `cargo run -p fpdt-bench --bin autotune` — the tuned configuration\n\
-         export FPDT_PREFETCH={}\nexport FPDT_COMM_ASYNC={}\nexport FPDT_BF16={}\n\
-         export FPDT_THREADS={}\n",
-        flag(tuned_row.prefetch),
-        flag(tuned_row.comm_async),
-        flag(tuned_row.payload_bf16),
+         export FPDT_BF16={}\nexport FPDT_THREADS={}\n",
+        u8::from(tuned_row.payload_bf16),
         tuned_row.threads
     );
     let env_path = dir.join("autotune_env.sh");
@@ -341,11 +241,9 @@ fn main() {
         threads,
         sim_gbps,
         calibration_reused: reused,
-        drift,
-        rows: rows.clone(),
+        rows,
         tuned: tuned_row.clone(),
         default: default_row.clone(),
-        max_rel_err,
         speedup,
     };
     let path = dir.join("BENCH_autotune.json");
@@ -364,60 +262,30 @@ fn main() {
     assert!(has_rows, "rows array present");
     println!("BENCH_JSON_OK {}", path.display());
 
-    // Gate 1: the calibrated model must stay honest on EVERY evaluated
-    // configuration — a planner that is only right about the winner
-    // cannot be trusted to rank the losers.
-    let fidelity_ok = max_rel_err <= 0.25;
-    if !fidelity_ok {
-        let worst = rows
-            .iter()
-            .max_by(|a, b| a.rel_err.total_cmp(&b.rel_err))
-            .expect("rows nonempty");
-        eprintln!(
-            "RUNTIME_AUTOTUNE_FAIL: predicted-vs-measured error {:.1}% exceeds 25% \
-             (chunks {}, prefetch {}, comm {}, bf16 {}: predicted {:.0} us, \
-             measured {:.0} us)",
-            max_rel_err * 100.0,
-            worst.chunks,
-            worst.prefetch,
-            worst.comm_async,
-            worst.payload_bf16,
-            worst.predicted_step_us,
-            worst.measured_step_us
-        );
-    }
-    // Gate 2: tuning must never lose to the default configuration. A
+    // The gate: tuning must never lose to the default configuration. A
     // measured dead heat is not a loss: minima of 5 interleaved runs on
     // a shared host still carry a few percent of jitter, so only a
     // deficit beyond that noise floor (3%) is a real regression.
     let quality_ok = tuned_row.tokens_per_s >= default_row.tokens_per_s * 0.97;
-    if !quality_ok {
+    if reused {
+        // A loaded probe table was measured in another machine epoch, so
+        // grade advisorily; CI's `RUNTIME_AUTOTUNE_OK` grep only ever runs
+        // the fresh-probe path.
+        println!(
+            "RUNTIME_AUTOTUNE_REUSED tuned {:.0} vs default {:.0} tokens/s \
+             (stale calibration: gate advisory, re-probe to grade)",
+            tuned_row.tokens_per_s, default_row.tokens_per_s
+        );
+    } else if quality_ok {
+        println!(
+            "RUNTIME_AUTOTUNE_OK tuned {:.0} >= 0.97 x default {:.0} tokens/s",
+            tuned_row.tokens_per_s, default_row.tokens_per_s
+        );
+    } else {
         eprintln!(
             "RUNTIME_AUTOTUNE_FAIL: tuned config {:.0} tokens/s lost to default {:.0} tokens/s",
             tuned_row.tokens_per_s, default_row.tokens_per_s
         );
-    }
-    if reused {
-        // A loaded calibration was fitted in another machine epoch, and
-        // its overlap-efficiency anchor cannot be re-based the way the
-        // per-cell serial drift can — so grade advisorily. CI's
-        // `RUNTIME_AUTOTUNE_OK` grep only ever runs the fresh-fit path;
-        // re-run without `--calibration` for a gradeable fit.
-        println!(
-            "RUNTIME_AUTOTUNE_REUSED tuned {:.0} vs default {:.0} tokens/s, max err {:.1}% \
-             (stale calibration: gates advisory, re-fit to grade)",
-            tuned_row.tokens_per_s,
-            default_row.tokens_per_s,
-            max_rel_err * 100.0
-        );
-    } else if fidelity_ok && quality_ok {
-        println!(
-            "RUNTIME_AUTOTUNE_OK tuned {:.0} >= default {:.0} tokens/s, max err {:.1}% <= 25%",
-            tuned_row.tokens_per_s,
-            default_row.tokens_per_s,
-            max_rel_err * 100.0
-        );
-    } else {
         std::process::exit(1);
     }
 }

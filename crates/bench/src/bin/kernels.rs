@@ -101,8 +101,7 @@ const ROOFLINE_GATE: f64 = 0.6;
 
 /// Most single-thread forwards of wall time the fully-visible tile's
 /// backward may cost. It is counted at 2.5 (five gemm-shaped products to
-/// two), which is also what `autotune::plan_for` weighs a backward tile at;
-/// same run, same thread, so host speed cancels.
+/// two); same run, same thread, so host speed cancels.
 const BWD_FWD_GATE: f64 = 2.8;
 
 /// Most single-thread `gelu` elements one AdamW parameter step may cost.

@@ -1,23 +1,22 @@
 //! Runtime-throughput benchmark for the overlapped runtime: trains the
-//! real FPDT runtime with the asynchronous copy stream and the
-//! asynchronous communication stream toggled, and measures tokens/s, the
+//! real FPDT runtime (offload on; comm and copy streams always on) with
+//! f32 and with bf16 wire payloads, and measures tokens/s, the
 //! compute/copy overlap fraction (paper Figure 13, on wall-clock spans
 //! rather than the simulator), the compute/comm overlap fraction, and the
-//! wait-time breakdowns — asserting on every run that all configurations
-//! produce bitwise-identical losses.
+//! wait-time breakdowns — asserting that every repetition of a leg
+//! produces bitwise-identical losses and that bf16 halves the all-to-all
+//! bytes exactly.
 //!
 //! Overlap is scored on the rank thread's own time
 //! ([`fpdt_trace::hidden_fraction`], the repo benchmark's definition):
-//! with a stream off every transfer (or collective) runs inline on the
-//! rank's thread and nothing is hidden (exactly 0); with it on the work
-//! rides the stream's own worker and only the rank's blocked waits count
-//! against it. The kernel thread budget is left as the caller set it —
-//! the streams do not borrow from it.
+//! the work rides the stream's own worker and only the rank's blocked
+//! waits count against it. The kernel thread budget is left as the
+//! caller set it — the streams do not borrow from it.
 //!
 //! Pass `--json` to suppress the table and emit only
 //! `target/experiments/BENCH_runtime.json`; `--quick` shrinks the run for
 //! CI smoke tests. Set `FPDT_DUMP_TRACE=1` to also write per-run Chrome
-//! traces (`runtime_trace_prefetch_{p}_comm_{c}.json`) for Perfetto.
+//! traces (`runtime_trace_bf16_{b}.json`) for Perfetto.
 
 use fpdt_bench::json_mode;
 use fpdt_core::runtime::dist::{train_traced, Mode, TrainConfig};
@@ -30,11 +29,11 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// Copy-stream span labels (both directions).
-const COPY: &[&str] = &["offload.prefetch", "offload.put", "offload.fetch"];
+const COPY: &[&str] = &["offload.prefetch", "offload.put"];
 /// Comm-stream wire occupancy.
 const COMM: &[&str] = &["comm.inflight"];
-/// What a rank thread spends on the copy streams: transfers run inline
-/// plus blocked `offload.wait`s.
+/// What a rank thread spends on the copy streams: blocked
+/// `offload.wait`s.
 const COPY_EXPOSED: &[&str] = &["offload."];
 /// Likewise for the comm stream (`comm.post` is the hand-off, not wire
 /// time).
@@ -42,8 +41,6 @@ const COMM_EXPOSED: &[&str] = &["comm.inflight", "comm.wait"];
 
 #[derive(Serialize, Clone)]
 struct Row {
-    prefetch: bool,
-    comm_async: bool,
     payload_bf16: bool,
     wall_ms: f64,
     tokens_per_s: f64,
@@ -75,7 +72,6 @@ struct Report {
     /// were timed against.
     sim_gbps: f64,
     rows: Vec<Row>,
-    losses_bitwise_identical: bool,
 }
 
 /// FNV-1a over the raw bits of the loss curve: equal digests ⇔ bitwise
@@ -114,7 +110,7 @@ fn main() {
 
     let threads = pool::current_threads();
 
-    let run_once = |prefetch: bool, comm_async: bool, payload_bf16: bool| {
+    let run_once = |payload_bf16: bool| {
         let cfg = TrainConfig {
             model: ModelConfig::tiny(2, 64, 4, 50),
             world: 1,
@@ -124,12 +120,9 @@ fn main() {
                 chunks,
                 offload: true,
             },
-            // Pin every knob explicitly so an ambient `FPDT_BF16` cannot
-            // leak into the f32 legs and break their digest equality.
-            runtime: RuntimeOptions::from_env()
-                .with_prefetch(prefetch)
-                .with_comm_async(comm_async)
-                .with_payload_bf16(payload_bf16),
+            // Pin the payload explicitly so an ambient `FPDT_BF16` cannot
+            // leak into the f32 leg.
+            runtime: RuntimeOptions::from_env().with_payload_bf16(payload_bf16),
             ..TrainConfig::default()
         };
         let rec = Recorder::new();
@@ -140,7 +133,7 @@ fn main() {
         if std::env::var("FPDT_DUMP_TRACE").is_ok() {
             std::fs::create_dir_all("target/experiments").expect("trace dir");
             std::fs::write(
-                format!("target/experiments/runtime_trace_prefetch_{prefetch}_comm_{comm_async}.json"),
+                format!("target/experiments/runtime_trace_bf16_{payload_bf16}.json"),
                 rec.chrome_trace_json(),
             )
             .expect("write trace");
@@ -158,22 +151,18 @@ fn main() {
         }
         let slots = slot_balance(&slot_us);
         Row {
-            prefetch,
-            comm_async,
             payload_bf16,
             wall_ms: wall * 1e3,
             tokens_per_s: (seq * steps) as f64 / wall,
             overlap_fraction: hidden_fraction(&records, COPY, COPY_EXPOSED),
             comm_overlap_fraction: hidden_fraction(&records, COMM, COMM_EXPOSED),
-            copy_busy_us: rec.total_us("offload.prefetch")
-                + rec.total_us("offload.put")
-                + rec.total_us("offload.fetch"),
+            copy_busy_us: rec.total_us("offload.prefetch") + rec.total_us("offload.put"),
             wait_us: rec.total_us("offload.wait"),
             comm_busy_us: rec.total_us("comm.inflight"),
             comm_wait_us: rec.total_us("comm.wait"),
             slot_skew: slots.skew,
             slot_tail: slots.tail_fraction,
-            bytes_h2d: rec.total_bytes("offload.prefetch") + rec.total_bytes("offload.fetch"),
+            bytes_h2d: rec.total_bytes("offload.prefetch"),
             bytes_d2h: rec.total_bytes("offload.put"),
             bytes_a2a: rec.total_bytes("comm.post"),
             loss_digest: digest(&report.losses),
@@ -182,88 +171,51 @@ fn main() {
 
     // Best-of-N: background load bursts on a shared host only ever slow
     // a run down, so the minimum wall time is the robust estimate of
-    // what each configuration actually costs.
-    let best = |tries: Vec<Row>| {
+    // what each leg actually costs. Every repetition must reproduce the
+    // same loss bits — the streams re-time work, never re-associate it.
+    let run = |payload_bf16: bool| {
+        let tries: Vec<Row> = (0..reps).map(|_| run_once(payload_bf16)).collect();
+        assert!(
+            tries.iter().all(|r| r.loss_digest == tries[0].loss_digest),
+            "repeated runs diverged (bf16 {payload_bf16})"
+        );
         tries
             .into_iter()
             .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
             .expect("at least one rep")
     };
-    let run = |prefetch: bool, comm_async: bool, payload_bf16: bool| {
-        best(
-            (0..reps)
-                .map(|_| run_once(prefetch, comm_async, payload_bf16))
-                .collect(),
-        )
-    };
 
     // Warm the allocator, stream workers, and page cache before anything is
     // timed: the very first training run is reliably the slowest.
-    let _ = run_once(true, true, false);
+    let _ = run_once(false);
 
-    // Fully overlapped, comm stream alone disabled, fully serial — all in
-    // f32 — plus the paper configuration: both streams with bf16 wire
-    // payloads (half the offload/all-to-all bytes, compute still f32).
-    let on = run(true, true, false);
-    let comm_off = run(true, false, false);
-    // The bf16-vs-serial pair backing RUNTIME_BF16_WIN interleaves, each
-    // pair back-to-back, so both legs sample the same load windows before
-    // best-of picks each leg's cleanest run. If the bf16 best still
-    // trails after the initial pairs — which on a shared host usually
-    // means every one of its windows caught a load burst — keep sampling
-    // pairs up to a hard cap: a *real* regression is systematic and loses
-    // every pair, while a burst washes out as soon as one window is clean.
-    let max_pairs = 8usize;
-    let mut off_runs: Vec<Row> = Vec::with_capacity(reps);
-    let mut bf16_runs: Vec<Row> = Vec::with_capacity(reps);
-    while off_runs.len() < reps
-        || (off_runs.len() < max_pairs && {
-            let b = bf16_runs.iter().map(|r| r.tokens_per_s).fold(0.0, f64::max);
-            let s = off_runs.iter().map(|r| r.tokens_per_s).fold(0.0, f64::max);
-            b <= s
-        })
-    {
-        off_runs.push(run_once(false, false, false));
-        bf16_runs.push(run_once(true, true, true));
-    }
-    let off = best(off_runs);
-    let bf16 = best(bf16_runs);
-
-    // The three f32 legs must agree bitwise — the streams re-time
-    // transfers but never re-associate a float; the bf16 leg rounds
-    // payloads and only has to halve the wire traffic exactly.
-    let identical =
-        on.loss_digest == off.loss_digest && on.loss_digest == comm_off.loss_digest;
-    assert!(
-        identical,
-        "stream trajectories diverged: {:#x} / {:#x} / {:#x}",
-        on.loss_digest, comm_off.loss_digest, off.loss_digest
-    );
+    // f32 and the paper configuration's bf16 wire payloads (half the
+    // offload/all-to-all bytes, compute still f32).
+    let f32_leg = run(false);
+    let bf16 = run(true);
     assert_eq!(
         bf16.bytes_a2a * 2,
-        on.bytes_a2a,
+        f32_leg.bytes_a2a,
         "bf16 all-to-all traffic must be exactly half the f32 leg"
     );
     assert!(
-        bf16.bytes_h2d < on.bytes_h2d && bf16.bytes_d2h < on.bytes_d2h,
+        bf16.bytes_h2d < f32_leg.bytes_h2d && bf16.bytes_d2h < f32_leg.bytes_d2h,
         "bf16 offload traffic must shrink (KV chunks move as bf16)"
     );
 
-    let rows = vec![on.clone(), comm_off.clone(), off.clone(), bf16.clone()];
+    let rows = vec![f32_leg.clone(), bf16.clone()];
     if !quiet {
         println!(
             "runtime throughput: seq {seq}, {steps} steps, {chunks} chunks, {threads} threads, \
              {sim_gbps} GB/s simulated link"
         );
         println!(
-            "{:<10}{:<8}{:<7}{:>10}{:>12}{:>10}{:>12}{:>11}{:>11}",
-            "prefetch", "comm", "bf16", "wall ms", "tokens/s", "overlap", "comm ovl", "slot skew", "slot tail"
+            "{:<7}{:>10}{:>12}{:>10}{:>12}{:>11}{:>11}",
+            "bf16", "wall ms", "tokens/s", "overlap", "comm ovl", "slot skew", "slot tail"
         );
         for r in &rows {
             println!(
-                "{:<10}{:<8}{:<7}{:>10.1}{:>12.0}{:>10.3}{:>12.3}{:>11.3}{:>11.3}",
-                r.prefetch,
-                r.comm_async,
+                "{:<7}{:>10.1}{:>12.0}{:>10.3}{:>12.3}{:>11.3}{:>11.3}",
                 r.payload_bf16,
                 r.wall_ms,
                 r.tokens_per_s,
@@ -273,11 +225,6 @@ fn main() {
                 r.slot_tail
             );
         }
-        let delta = 100.0 * (on.tokens_per_s / off.tokens_per_s - 1.0);
-        println!("tokens/s delta (both streams on vs off, f32): {delta:+.1}%");
-        let bf_delta = 100.0 * (bf16.tokens_per_s / off.tokens_per_s - 1.0);
-        println!("tokens/s delta (bf16 streams on vs f32 streams off): {bf_delta:+.1}%");
-        println!("losses bitwise identical (f32 legs): {identical}");
     }
 
     let report = Report {
@@ -288,7 +235,6 @@ fn main() {
         threads,
         sim_gbps,
         rows,
-        losses_bitwise_identical: identical,
     };
     let dir = std::path::PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
@@ -308,57 +254,21 @@ fn main() {
     assert!(has_rows, "rows array present");
     println!("BENCH_JSON_OK {}", path.display());
 
-    if on.overlap_fraction <= 0.0 {
-        eprintln!(
-            "RUNTIME_OVERLAP_FAIL: prefetch-enabled run measured zero \
-             compute/copy overlap"
-        );
-        std::process::exit(1);
+    // Both streams must hide a strictly positive share of their busy time
+    // from the rank thread, with f32 and with bf16 payloads.
+    for (leg, gate, r) in [
+        ("", "RUNTIME_", &f32_leg),
+        ("bf16 ", "RUNTIME_BF16_", &bf16),
+    ] {
+        for (what, name, fraction) in [
+            ("copy", "OVERLAP", r.overlap_fraction),
+            ("comm", "COMM_OVERLAP", r.comm_overlap_fraction),
+        ] {
+            if fraction <= 0.0 {
+                eprintln!("{gate}{name}_FAIL: {leg}run measured zero compute/{what} overlap");
+                std::process::exit(1);
+            }
+            println!("{gate}{name}_OK {fraction:.4}");
+        }
     }
-    println!("RUNTIME_OVERLAP_OK {:.4}", on.overlap_fraction);
-
-    if on.comm_overlap_fraction <= 0.0 {
-        eprintln!(
-            "RUNTIME_COMM_OVERLAP_FAIL: comm-stream-enabled run measured \
-             zero compute/comm overlap"
-        );
-        std::process::exit(1);
-    }
-    println!("RUNTIME_COMM_OVERLAP_OK {:.4}", on.comm_overlap_fraction);
-
-    // The overlap machinery must keep working when payloads move as bf16.
-    if bf16.overlap_fraction <= 0.0 {
-        eprintln!(
-            "RUNTIME_BF16_OVERLAP_FAIL: bf16 run measured zero compute/copy \
-             overlap"
-        );
-        std::process::exit(1);
-    }
-    println!("RUNTIME_BF16_OVERLAP_OK {:.4}", bf16.overlap_fraction);
-    if bf16.comm_overlap_fraction <= 0.0 {
-        eprintln!(
-            "RUNTIME_BF16_COMM_OVERLAP_FAIL: bf16 run measured zero \
-             compute/comm overlap"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "RUNTIME_BF16_COMM_OVERLAP_OK {:.4}",
-        bf16.comm_overlap_fraction
-    );
-
-    // ROADMAP item #1: a configuration where the overlapped runtime beats
-    // streams-off in tokens/s. Halving the wire bytes is what tips it.
-    if bf16.tokens_per_s <= off.tokens_per_s {
-        eprintln!(
-            "RUNTIME_BF16_WIN_FAIL: bf16 streams-on {:.0} tokens/s did not \
-             beat f32 streams-off {:.0} tokens/s",
-            bf16.tokens_per_s, off.tokens_per_s
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "RUNTIME_BF16_WIN_OK {:.0} > {:.0} tokens/s",
-        bf16.tokens_per_s, off.tokens_per_s
-    );
 }

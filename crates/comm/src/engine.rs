@@ -15,10 +15,10 @@
 //!
 //! * **FIFO = program order.** Post order equals the rank thread's
 //!   program order, which is SPMD-identical on every rank. Collectives
-//!   therefore hit the wire in exactly the order the synchronous runtime
-//!   would issue them: tag matching, byte accounting, and
-//!   [`CommStats`](crate::CommStats) snapshots are identical with the
-//!   stream on or off.
+//!   therefore hit the wire in exactly the order the rank issued them:
+//!   tag matching, byte accounting, and
+//!   [`CommStats`](crate::CommStats) snapshots are independent of when
+//!   the worker gets to each op.
 //! * **One thread on the wire.** While handles are outstanding, only the
 //!   worker touches the communicator's channels; the executor resolves
 //!   every handle before issuing its own rank-thread collectives. Two
@@ -30,12 +30,10 @@ use fpdt_trace::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The per-rank asynchronous communication stream.
-///
-/// Built synchronous (`CommEngine::new(comm, false)`) it executes each
-/// posted op inline on the caller — bitwise identical results, handles
-/// resolve immediately. Built asynchronous, ops run FIFO on the worker
-/// thread while the rank thread computes.
+/// The per-rank asynchronous communication stream: ops run FIFO on the
+/// `fpdt-comm-r{rank}` worker while the rank thread computes. There is no
+/// synchronous mode; only a failed thread spawn degrades the stream to
+/// running each op inline on the caller (same order, same results).
 #[derive(Debug)]
 pub struct CommEngine {
     comm: Arc<Communicator>,
@@ -46,14 +44,9 @@ pub struct CommEngine {
 }
 
 impl CommEngine {
-    /// Creates the stream for one rank; `r#async` selects worker-thread
-    /// execution (the knob behind `RuntimeOptions::comm_async`).
-    pub fn new(comm: Arc<Communicator>, r#async: bool) -> Self {
-        let stream = if r#async {
-            Stream::spawn(format!("fpdt-comm-r{}", comm.rank()))
-        } else {
-            Stream::inline()
-        };
+    /// Creates the stream for one rank, with its worker.
+    pub fn new(comm: Arc<Communicator>) -> Self {
+        let stream = Stream::spawn(format!("fpdt-comm-r{}", comm.rank()));
         CommEngine {
             comm,
             stream,
@@ -79,26 +72,20 @@ impl CommEngine {
         self.recorder = Some(recorder);
     }
 
-    /// Whether ops run on the worker thread (false = inline).
-    pub fn is_async(&self) -> bool {
-        self.stream.is_async()
-    }
-
     /// The communicator this stream drives.
     pub fn comm(&self) -> &Arc<Communicator> {
         &self.comm
     }
 
-    /// Number of ops posted over the engine's lifetime (sync or async) —
-    /// the schedule audit counter ("exactly one QKV post per chunk").
+    /// Number of ops posted over the engine's lifetime — the schedule
+    /// audit counter ("exactly one QKV post per chunk").
     pub fn posted(&self) -> u64 {
         self.posted.load(Ordering::Relaxed)
     }
 
     /// Posts one collective to the stream: the single generic payload
-    /// entrypoint. `op` receives the communicator on whichever thread
-    /// executes (worker when async, caller when sync) and its result
-    /// travels back through the returned handle. `bytes` sizes the
+    /// entrypoint. `op` receives the communicator on the worker and its
+    /// result travels back through the returned handle. `bytes` sizes the
     /// `comm.{post,inflight,wait}` spans.
     pub fn post<T, F>(&self, bytes: u64, op: F) -> Pending<T>
     where
@@ -118,9 +105,8 @@ impl CommEngine {
                 let out = op(&comm);
                 // Simulated NIC occupancy (`FPDT_SIM_GBPS`, default off):
                 // holds the wire for time proportional to the payload
-                // bytes, inside the inflight span, on whichever thread
-                // executes — serial when sync, hidden behind compute when
-                // async.
+                // bytes, inside the inflight span, on the worker — hidden
+                // behind whatever the rank computes meanwhile.
                 fpdt_trace::wire::simulate(bytes);
                 out
             })
@@ -174,8 +160,7 @@ mod tests {
 
     #[test]
     fn posted_ops_really_use_the_wire() {
-        let engine = CommEngine::new(solo_comm(), true);
-        assert!(engine.is_async());
+        let engine = CommEngine::new(solo_comm());
         let h = engine.post(4, |comm| {
             comm.all_to_all(vec![vec![42.0]]).map(|mut r| r.remove(0))
         });
@@ -185,31 +170,21 @@ mod tests {
     }
 
     #[test]
-    fn sync_engine_runs_inline_and_counts_posts() {
-        let engine = CommEngine::new(solo_comm(), false);
-        assert!(!engine.is_async());
-        let h = engine.post(0, |comm| comm.rank());
-        assert!(h.is_ready(), "sync post resolves before returning");
-        assert_eq!(h.wait(), 0);
-        assert_eq!(engine.posted(), 1);
-    }
-
-    #[test]
-    fn posts_record_post_inflight_and_blocked_wait_spans() {
-        let mut engine = CommEngine::new(solo_comm(), false);
+    fn posts_record_post_and_inflight_spans() {
+        let mut engine = CommEngine::new(solo_comm());
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
         engine.post(16, |_| ()).wait();
         assert_eq!(rec.count("comm.post"), 1);
         assert_eq!(rec.total_bytes("comm.inflight"), 16);
-        assert_eq!(rec.count("comm.wait"), 0, "an inline post never blocks");
+        assert!(rec.count("comm.wait") <= 1, "at most the one blocked wait");
     }
 
     #[test]
     fn replayed_post_retries_transient_faults() {
         let comm = solo_comm();
         comm.inject_fault("all_to_all", 2);
-        let mut engine = CommEngine::new(Arc::clone(&comm), true);
+        let mut engine = CommEngine::new(Arc::clone(&comm));
         engine.set_retries(2);
         let h = engine.post_replayed(4, |comm| {
             comm.all_to_all(vec![vec![9.0]]).map(|mut r| r.remove(0))
@@ -226,7 +201,7 @@ mod tests {
     fn replayed_post_surfaces_exhausted_budget() {
         let comm = solo_comm();
         comm.inject_fault("all_to_all", 3);
-        let mut engine = CommEngine::new(Arc::clone(&comm), false);
+        let mut engine = CommEngine::new(Arc::clone(&comm));
         engine.set_retries(1);
         let h = engine.post_replayed(4, |comm| {
             comm.all_to_all(vec![vec![1.0]]).map(|mut r| r.remove(0))

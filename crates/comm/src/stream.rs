@@ -110,8 +110,10 @@ static PARKED: Mutex<Vec<(String, Sender<Job>)>> = Mutex::new(Vec::new());
 
 /// A FIFO job queue: drained by a dedicated worker thread
 /// ([`Stream::spawn`]) or executed on the posting thread
-/// ([`Stream::inline`] — the synchronous mode; same program order, every
-/// handle resolved before `post` returns).
+/// ([`Stream::inline`]; same program order, every handle resolved before
+/// `post` returns). The inline form is not a runtime mode: it is the
+/// spawn-failure fallback and the worker-less stream of an engine that
+/// never moves a byte (the offload-off executor's copy streams).
 #[derive(Debug)]
 pub struct Stream {
     /// The worker's thread name and the sending half of its queue.

@@ -13,22 +13,20 @@
 //! Chunks are stored as [`Arc<Tensor>`], so [`HostPool::fetch_keep`] hands
 //! back the *same* buffer the pool holds — no data copy, ever. What a real
 //! system pays for is the PCIe transfer, which [`OffloadEngine`] models as
-//! a bandwidth-bound read pass over the chunk ("the copy"). With prefetch
-//! enabled that pass runs on the engine's own copy-stream workers
-//! ([`fpdt_comm::Stream`], one FIFO per PCIe direction, like a pair of
-//! CUDA copy streams), so the transfer overlaps whatever the rank
-//! computes next — at any kernel thread budget: the workers are not
-//! borrowed from the kernel pool. With prefetch disabled it runs on the
-//! rank's thread, at the same program point.
+//! a bandwidth-bound read pass over the chunk ("the copy"). That pass runs
+//! on the engine's own copy-stream workers ([`fpdt_comm::Stream`], one
+//! FIFO per PCIe direction, like a pair of CUDA copy streams), so the
+//! transfer overlaps whatever the rank computes next — at any kernel
+//! thread budget: the workers are not borrowed from the kernel pool.
 //!
 //! ## Determinism
 //!
 //! All pool *bookkeeping* (map inserts/removals, counters) happens
 //! synchronously on the owning rank's thread at issue time, in program
 //! order — only the costed read pass moves off-thread. Since the data is
-//! `Arc`-shared, a prefetched chunk is bit-identical to a synchronously
-//! fetched one regardless of when the copy runs, so prefetch on/off (and
-//! any `FPDT_THREADS`) cannot change results *by construction*.
+//! `Arc`-shared, a prefetched chunk is bit-identical to the pooled one
+//! regardless of when the copy runs, so copy timing (and any
+//! `FPDT_THREADS`) cannot change results *by construction*.
 
 use fpdt_comm::{Pending, Stream};
 use fpdt_tensor::bf16::Bf16Tensor;
@@ -454,14 +452,14 @@ impl<D> FetchHandle<D> {
 /// A [`HostPool`] fronted by asynchronous copy streams.
 ///
 /// Bookkeeping (residency, counters) stays synchronous on the owning
-/// rank's thread, at issue time. With `prefetch` enabled the costed
-/// transfer pass runs on two dedicated [`Stream`] workers, one FIFO per
-/// PCIe direction (the link is full duplex, and so is the paper's
-/// layout): device-to-host puts on `fpdt-d2h-r{rank}`, host-to-device
-/// fetches on `fpdt-h2d-r{rank}`. A fetch of a chunk whose put is still
-/// queued waits for that put on the worker, never on the rank. With
-/// `prefetch` disabled no worker exists and every transfer runs inline at
-/// its issue point — the one synchronous mode.
+/// rank's thread, at issue time. The costed transfer pass runs on two
+/// dedicated [`Stream`] workers, one FIFO per PCIe direction (the link is
+/// full duplex, and so is the paper's layout): device-to-host puts on
+/// `fpdt-d2h-r{rank}`, host-to-device fetches on `fpdt-h2d-r{rank}`. A
+/// fetch of a chunk whose put is still queued waits for that put on the
+/// worker, never on the rank. An engine built without workers runs every
+/// transfer inline at its issue point; the executor builds one only when
+/// it does not offload, i.e. never transfers at all.
 pub struct OffloadEngine {
     pool: HostPool,
     d2h: Stream,
@@ -473,22 +471,22 @@ pub struct OffloadEngine {
 }
 
 impl OffloadEngine {
-    /// An engine over an empty pool; `prefetch` enables the async streams
-    /// (workers named `fpdt-d2h` / `fpdt-h2d`).
-    pub fn new(prefetch: bool) -> Self {
-        Self::build(prefetch, "")
+    /// An engine over an empty pool; `streams` spawns the copy workers
+    /// (named `fpdt-d2h` / `fpdt-h2d`). Without them transfers run inline.
+    pub fn new(streams: bool) -> Self {
+        Self::build(streams, "")
     }
 
     /// [`OffloadEngine::new`] for one rank of a group: the workers are
     /// named `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`, next to the comm
     /// stream's `fpdt-comm-r{rank}` in a trace.
-    pub fn for_rank(prefetch: bool, rank: usize) -> Self {
-        Self::build(prefetch, &format!("-r{rank}"))
+    pub fn for_rank(streams: bool, rank: usize) -> Self {
+        Self::build(streams, &format!("-r{rank}"))
     }
 
-    fn build(prefetch: bool, suffix: &str) -> Self {
+    fn build(streams: bool, suffix: &str) -> Self {
         let stream = |dir: &str| {
-            if prefetch {
+            if streams {
                 Stream::spawn(format!("fpdt-{dir}{suffix}"))
             } else {
                 Stream::inline()
@@ -519,7 +517,7 @@ impl OffloadEngine {
         self.recorder = Some(recorder);
     }
 
-    /// Whether the asynchronous copy streams are enabled.
+    /// Whether the copy streams have their workers.
     pub fn prefetch_enabled(&self) -> bool {
         self.h2d.is_async()
     }
@@ -555,16 +553,9 @@ impl OffloadEngine {
         }
     }
 
-    /// Synchronous host-to-device transfer ([`OffloadEngine::prefetch`]
-    /// waited on at once): `consume` evicts the chunk, otherwise the host
-    /// copy stays resident. `None` when not resident.
-    pub fn fetch(&mut self, key: &ChunkKey, consume: bool) -> Option<Arc<Tensor>> {
-        self.prefetch(key, consume).map(FetchHandle::wait)
-    }
-
     /// Issues an asynchronous host-to-device transfer and returns a
     /// [`FetchHandle`] to wait on — the double-buffer primitive. Counters
-    /// update now (so statistics are identical to the synchronous path);
+    /// update now (so statistics do not depend on copy timing);
     /// the copy pass runs on the H2D stream, after the chunk's own put if
     /// that is still queued. `None` when `key` is not resident.
     ///
@@ -841,7 +832,7 @@ mod tests {
         eng.set_recorder(rec.clone());
         let key = ChunkKey::new(0, BufKind::Q, 0);
         eng.put(key, Arc::new(Tensor::ones(&[8])));
-        eng.fetch(&key, true).expect("resident");
+        eng.prefetch(&key, true).expect("resident").wait();
         let tids: HashSet<u64> = rec.records().iter().map(|s| s.tid).collect();
         assert_eq!(tids.len(), 1, "every span on the calling thread");
         assert_eq!(rec.count("offload.fetch"), 1);
@@ -893,19 +884,15 @@ mod tests {
     }
 
     /// Four KV puts then four consuming fetches; bf16 halves the bytes.
-    fn kv_round_trip(prefetch: bool, bf16: bool) -> PoolStats {
-        let mut eng = OffloadEngine::new(prefetch);
+    fn kv_round_trip(streams: bool, bf16: bool) -> PoolStats {
+        let mut eng = OffloadEngine::new(streams);
         eng.set_payload_bf16(bf16);
         for i in 0..4usize {
             eng.put(ChunkKey::new(0, BufKind::K, i), Arc::new(Tensor::ones(&[16])));
         }
         for i in 0..4usize {
             let key = ChunkKey::new(0, BufKind::K, i);
-            if prefetch {
-                eng.prefetch(&key, true).expect("resident").wait();
-            } else {
-                eng.fetch(&key, true).expect("resident");
-            }
+            eng.prefetch(&key, true).expect("resident").wait();
         }
         eng.drain();
         eng.stats()

@@ -148,11 +148,11 @@ pub struct TrainConfig {
     /// (0 = constant LR). Applied identically in every mode, so the
     /// equivalence claims are schedule-independent.
     pub warmup_steps: usize,
-    /// Runtime knobs (offload copy stream, asynchronous comm stream,
-    /// kernel threads, comm retry budget, fault injection), defaulting
-    /// from the `FPDT_*` environment via [`RuntimeOptions::from_env`]. The
-    /// `offload` field is overridden by [`Mode::Fpdt`]'s flag. Every
-    /// setting is bitwise-invisible.
+    /// Runtime knobs (bf16 payloads, kernel threads, comm retry budget,
+    /// fault injection), defaulting from the `FPDT_*` environment via
+    /// [`RuntimeOptions::from_env`]. Host offload is [`Mode::Fpdt`]'s own
+    /// flag, and the comm and copy streams are always on. Every setting
+    /// but `payload_bf16` is bitwise-invisible.
     pub runtime: RuntimeOptions,
 }
 
@@ -554,8 +554,8 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                     ring_exec = RingAttentionExec::new(&comm, cfg.seq);
                     &mut ring_exec
                 } else {
-                    let opts = cfg.runtime.with_offload(offload);
-                    let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, opts);
+                    let mut ex =
+                        DistAttention::with_opts(Arc::clone(&comm), plan, offload, cfg.runtime);
                     if let Some(rec) = recorder {
                         ex = ex.with_recorder(rec.clone());
                     }

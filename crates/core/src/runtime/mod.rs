@@ -12,13 +12,15 @@
 //! * [`dist`] — the multi-threaded trainer that reproduces paper
 //!   Figure 14: baseline and FPDT loss curves coincide.
 //! * [`options`] — [`RuntimeOptions`], the single builder behind every
-//!   runtime knob (offload, prefetch, comm stream, kernel threads).
+//!   runtime knob (bf16 payloads, kernel threads, comm retries, fault
+//!   injection). The comm and copy streams are not knobs: they are
+//!   always on.
 //! * [`ckpt`] — sharded, versioned checkpoint state: the
 //!   [`Checkpointable`](ckpt::Checkpointable) trait plus per-rank shard
 //!   files behind the resumable [`dist::Trainer`].
-//! * [`autotune`] — trace-calibrated autotuning: probe a short run,
-//!   fit the simulator's cost constants from its spans, and search the
-//!   knob space for the predicted-fastest configuration.
+//! * [`autotune`] — measured autotuning: probe a short run of every
+//!   `(chunks, bf16)` cell exactly as it will run, scale by a thread
+//!   microprobe, and pick the fastest configuration.
 
 pub mod autotune;
 pub mod ckpt;

@@ -1,18 +1,20 @@
 //! The single front door for every runtime knob.
 //!
 //! Before this module, tuning was scattered: the executor carried its own
-//! `offload`/`prefetch` pair, `TrainConfig` had its own optional override,
-//! the kernel pool read `FPDT_THREADS`, the tensor ops read
-//! `FPDT_PAR_THRESHOLD`, and the offload stream read `FPDT_PREFETCH` —
-//! each with its own parsing. [`RuntimeOptions`] collapses them into one
-//! builder with one documented [`RuntimeOptions::from_env`], so "what is
-//! this run actually configured to do?" has a single answer. (The legacy
-//! `ExecOpts` pair and its `From` shims are gone; the builder is the one
-//! options surface.)
+//! options pair, `TrainConfig` had its own optional override, the kernel
+//! pool read `FPDT_THREADS` and the tensor ops read `FPDT_PAR_THRESHOLD`
+//! — each with its own parsing. [`RuntimeOptions`] collapses them into
+//! one builder with one documented [`RuntimeOptions::from_env`], so "what
+//! is this run actually configured to do?" has a single answer.
+//!
+//! There is no stream knob: the executor always runs its all-to-alls on
+//! the comm stream and, when offloading, its host-pool transfers on the
+//! two copy streams (paper §4, Figure 7). Whether to offload at all is
+//! part of the strategy ([`Mode::Fpdt`](super::Mode::Fpdt)), not an option.
 //!
 //! Every knob except `payload_bf16` is a *pure system* toggle: losses,
 //! gradients, and communication statistics are bitwise identical across
-//! all settings — the flags only move work between threads and streams.
+//! all settings — the flags only move work between threads.
 //! `payload_bf16` is the one numerics-affecting knob: offloaded KV and
 //! all-to-all payloads round through bf16 (half the wire bytes; compute
 //! stays f32), so results match the f32 run only to bf16 tolerance while
@@ -22,9 +24,7 @@
 //!
 //! | Variable             | Effect                                       | Default |
 //! |----------------------|----------------------------------------------|---------|
-//! | `FPDT_PREFETCH`      | offload copy stream (`0`/`false`/`off` = no) | on      |
-//! | `FPDT_COMM_ASYNC`    | all-to-all comm stream (same syntax)         | on      |
-//! | `FPDT_BF16`          | bf16 offload/all-to-all payloads (same)      | off     |
+//! | `FPDT_BF16`          | bf16 payloads (`0`/`false`/`off` = no)       | off     |
 //! | `FPDT_THREADS`       | kernel pool thread budget                    | num CPUs|
 //! | `FPDT_PAR_THRESHOLD` | min elements before kernels split            | 4096    |
 //! | `FPDT_COMM_RETRIES`  | replay budget for transient collective faults| 0       |
@@ -72,22 +72,12 @@ pub fn env_ckpt_dir() -> Option<std::path::PathBuf> {
 /// use fpdt_core::runtime::RuntimeOptions;
 ///
 /// let opts = RuntimeOptions::from_env()
-///     .with_offload(true)
-///     .with_comm_async(false);
-/// assert!(opts.offload && !opts.comm_async);
+///     .with_payload_bf16(true)
+///     .with_threads(1);
+/// assert!(opts.payload_bf16 && opts.threads == Some(1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// Cache attention chunks in the host pool ("CPU DRAM") instead of a
-    /// device-side map. Observable only through transfer statistics.
-    pub offload: bool,
-    /// Double-buffer host transfers on the asynchronous copy stream
-    /// (paper Figure 13). Only meaningful with `offload`.
-    pub prefetch: bool,
-    /// Post per-chunk all-to-alls on the asynchronous communication
-    /// stream, so chunk `i+1`'s wire time hides behind chunk `i`'s
-    /// compute. `FPDT_COMM_ASYNC`.
-    pub comm_async: bool,
     /// Move HostPool-offloaded KV chunks and all-to-all payloads as bf16
     /// (half the wire bytes; compute stays f32). `FPDT_BF16`. The one
     /// knob that affects numerics — see the module docs.
@@ -119,36 +109,12 @@ impl RuntimeOptions {
     /// pool alone" rather than "reset to default".
     pub fn from_env() -> Self {
         RuntimeOptions {
-            offload: false,
-            prefetch: env_flag("FPDT_PREFETCH", true),
-            comm_async: env_flag("FPDT_COMM_ASYNC", true),
             payload_bf16: env_flag("FPDT_BF16", false),
             threads: env_usize("FPDT_THREADS"),
             par_threshold: env_usize("FPDT_PAR_THRESHOLD"),
             comm_retries: env_budget("FPDT_COMM_RETRIES").unwrap_or(0),
             fault_inject: env_budget("FPDT_FAULT_INJECT").unwrap_or(0),
         }
-    }
-
-    /// Sets host offload on or off.
-    #[must_use]
-    pub fn with_offload(mut self, offload: bool) -> Self {
-        self.offload = offload;
-        self
-    }
-
-    /// Sets the offload copy stream on or off.
-    #[must_use]
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
-        self
-    }
-
-    /// Sets the asynchronous communication stream on or off.
-    #[must_use]
-    pub fn with_comm_async(mut self, comm_async: bool) -> Self {
-        self.comm_async = comm_async;
-        self
     }
 
     /// Sets bf16 offload/all-to-all payloads on or off.
@@ -187,9 +153,8 @@ impl RuntimeOptions {
         self
     }
 
-    /// Probes, fits, and searches the runtime knob space for `workload`
-    /// (see [`crate::runtime::autotune`]), returning the
-    /// predicted-fastest options. The chunk count the search picked
+    /// Probes and searches the runtime knob space for `workload` (see
+    /// [`crate::runtime::autotune`]), returning the fastest options. The chunk count the search picked
     /// travels separately (it lives in `Mode::Fpdt`, not here) — use
     /// [`crate::runtime::autotune::autotune`] directly when you need the
     /// full [`crate::runtime::AutotuneOutcome`].
@@ -227,15 +192,11 @@ mod tests {
     #[test]
     fn builder_chains_every_knob() {
         let opts = RuntimeOptions::from_env()
-            .with_offload(true)
-            .with_prefetch(false)
-            .with_comm_async(false)
             .with_payload_bf16(true)
             .with_threads(3)
             .with_par_threshold(1)
             .with_comm_retries(2)
             .with_fault_inject(1);
-        assert!(opts.offload && !opts.prefetch && !opts.comm_async);
         assert!(opts.payload_bf16);
         assert_eq!(opts.threads, Some(3));
         assert_eq!(opts.par_threshold, Some(1));

@@ -1,8 +1,8 @@
 //! Autotuning must never change what a run computes — only when.
 //!
-//! The autotuner's search space is almost entirely *schedule*: prefetch
-//! stream, comm stream, and thread budget move work between threads and
-//! streams without touching a single float. The two knobs that CAN move
+//! The autotuner's search space is almost entirely *schedule*: the
+//! thread budget moves work between threads without touching a single
+//! float. The two knobs that CAN move
 //! numerics are fenced off: `payload_bf16` joins the grid only when the
 //! workload opts in (and it is pinned off here), and chunk count changes
 //! float association (Figure-14 tolerance, not bitwise) so the bitwise
@@ -12,49 +12,14 @@
 //! threads; with chunk count free, losses must still agree to the same
 //! 2e-3 tolerance `figure14_convergence` uses across chunk counts.
 
-use fpdt_comm::{run_group, CommStats};
-use fpdt_core::chunk::ChunkPlan;
+mod common;
+
+use common::{fixture_model, grad_run, ForcedParallel};
+use fpdt_comm::CommStats;
 use fpdt_core::runtime::autotune::{autotune, Workload};
-use fpdt_core::runtime::data::Corpus;
-use fpdt_core::runtime::exec::DistAttention;
-use fpdt_core::runtime::gpt::GptModel;
 use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
-use fpdt_model::config::ModelConfig;
-use fpdt_tensor::par;
-use rayon::pool;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-struct ForcedParallel<'a> {
-    _guard: MutexGuard<'a, ()>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedParallel<'_> {
-    fn new(threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap();
-        ForcedParallel {
-            _guard: guard,
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedParallel<'_> {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
-    }
-}
 
 const CHUNKS: usize = 4;
-
-fn fixture_model() -> ModelConfig {
-    ModelConfig::tiny(2, 32, 4, 50)
-}
 
 /// The bitwise-leg workload: chunk candidates pinned to the default
 /// count, bf16 off — every knob the search may flip is pure schedule.
@@ -66,33 +31,6 @@ fn pinned_workload() -> Workload {
         allow_bf16: false,
         ..Workload::new(fixture_model(), 64)
     }
-}
-
-/// One full forward/backward under `opts`; returns every rank's
-/// (loss_sum, flat gradients, comm stats). Same fixture as
-/// `comm_determinism.rs::grad_run`.
-fn grad_run(seed: u64, opts: RuntimeOptions) -> Vec<(f32, Vec<f32>, CommStats)> {
-    let model_cfg = fixture_model();
-    let seq = 64usize;
-    run_group(2, |comm| {
-        let comm = Arc::new(comm);
-        let plan = ChunkPlan::new(seq, 2, CHUNKS).expect("valid plan");
-        let rank = comm.rank();
-        let mut corpus = Corpus::new(model_cfg.vocab, 0.05, seed ^ 0x5eed);
-        let (gx, gy) = corpus.sample(seq);
-        let (tokens, targets, pos) = (
-            plan.shard(rank, &gx),
-            plan.shard(rank, &gy),
-            plan.local_positions(rank),
-        );
-        let mut model = GptModel::new(&model_cfg, seed);
-        let mut exec = DistAttention::with_opts(Arc::clone(&comm), plan, opts.with_offload(true));
-        model.zero_grad();
-        let stats = model
-            .forward_backward(&mut exec, &tokens, &targets, &pos, 2 * CHUNKS, 2)
-            .expect("forward/backward succeeds");
-        (stats.loss_sum, model.collect_grads(), comm.stats())
-    })
 }
 
 fn assert_bitwise_equal(
@@ -128,13 +66,11 @@ fn tuned_config_is_bitwise_identical_to_default_at_every_thread_budget() {
     assert_eq!(tuned.config.chunks, CHUNKS, "chunk candidates were pinned");
 
     let tuned_opts = tuned.config.options();
-    let default_opts = RuntimeOptions::from_env()
-        .with_offload(true)
-        .with_payload_bf16(false);
+    let default_opts = RuntimeOptions::from_env().with_payload_bf16(false);
     for threads in [1usize, 2, 8] {
         let base = {
             let _cfg = ForcedParallel::new(threads);
-            grad_run(42, default_opts)
+            grad_run(42, CHUNKS, true, default_opts)
         };
         assert!(
             base.iter().any(|(_, g, _)| g.iter().any(|&x| x != 0.0)),
@@ -142,7 +78,7 @@ fn tuned_config_is_bitwise_identical_to_default_at_every_thread_budget() {
         );
         let got = {
             let _cfg = ForcedParallel::new(threads);
-            grad_run(42, tuned_opts)
+            grad_run(42, CHUNKS, true, tuned_opts)
         };
         assert_bitwise_equal(&base, &got, &format!("tuned vs default, {threads} threads"));
     }
@@ -169,9 +105,7 @@ fn tuned_training_loop_reproduces_the_default_loss_trajectory_bitwise() {
         let _cfg = ForcedParallel::new(4);
         let tuned_opts = autotune(&workload).best.config.options();
         let default_report = train(&TrainConfig {
-            runtime: RuntimeOptions::from_env()
-                .with_offload(true)
-                .with_payload_bf16(false),
+            runtime: RuntimeOptions::from_env().with_payload_bf16(false),
             ..base_cfg.clone()
         });
         let tuned_report = train(&TrainConfig {
@@ -216,9 +150,7 @@ fn free_chunk_count_stays_within_figure14_tolerance() {
             "picked chunk count must come from the candidate list"
         );
         let default_report = train(&TrainConfig {
-            runtime: RuntimeOptions::from_env()
-                .with_offload(true)
-                .with_payload_bf16(false),
+            runtime: RuntimeOptions::from_env().with_payload_bf16(false),
             ..base_cfg.clone()
         });
         let tuned_report = train(&TrainConfig {

@@ -6,44 +6,16 @@
 //! same seed and demand *bitwise* identical results — losses and raw
 //! gradients, not just "close".
 
-use fpdt_core::chunk::ChunkPlan;
-use fpdt_core::runtime::data::Corpus;
-use fpdt_core::runtime::exec::DistAttention;
-use fpdt_core::runtime::gpt::GptModel;
-use fpdt_core::runtime::{train, Mode, TrainConfig};
-use fpdt_comm::run_group;
-use fpdt_model::config::ModelConfig;
+mod common;
 
-/// One full forward/backward of the distributed model; returns every
-/// rank's (loss_sum, flat gradient vector).
-fn grad_run(seed: u64, world: usize, chunks: usize, offload: bool) -> Vec<(f32, Vec<f32>)> {
-    let model_cfg = ModelConfig::tiny(2, 32, 4, 50);
-    let seq = 64usize;
-    run_group(world, |comm| {
-        let plan = ChunkPlan::new(seq, world, chunks).expect("valid plan");
-        let rank = comm.rank();
-        let mut corpus = Corpus::new(model_cfg.vocab, 0.05, seed ^ 0x5eed);
-        let (gx, gy) = corpus.sample(seq);
-        let (tokens, targets, pos) = (
-            plan.shard(rank, &gx),
-            plan.shard(rank, &gy),
-            plan.local_positions(rank),
-        );
-        let mut model = GptModel::new(&model_cfg, seed);
-        let mut exec = DistAttention::new(std::sync::Arc::new(comm), plan, offload);
-        model.zero_grad();
-        let stats = model
-            .forward_backward(&mut exec, &tokens, &targets, &pos, 2 * chunks, 2)
-            .expect("forward/backward succeeds");
-        (stats.loss_sum, model.collect_grads())
-    })
-}
+use common::grad_run;
+use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
 
 #[test]
 fn seeded_runs_are_bitwise_identical_losses_and_gradients() {
-    let a = grad_run(42, 2, 2, true);
-    let b = grad_run(42, 2, 2, true);
-    for (rank, ((la, ga), (lb, gb))) in a.iter().zip(&b).enumerate() {
+    let a = grad_run(42, 2, true, RuntimeOptions::from_env());
+    let b = grad_run(42, 2, true, RuntimeOptions::from_env());
+    for (rank, ((la, ga, _), (lb, gb, _))) in a.iter().zip(&b).enumerate() {
         assert!(
             la.to_bits() == lb.to_bits(),
             "rank {rank} loss differs bitwise: {la} vs {lb}"
@@ -62,8 +34,8 @@ fn seeded_runs_are_bitwise_identical_losses_and_gradients() {
 fn different_seeds_actually_diverge() {
     // Guard against the test above passing vacuously (e.g. all-zero
     // gradients): a different seed must change the numbers.
-    let a = grad_run(42, 2, 2, true);
-    let b = grad_run(43, 2, 2, true);
+    let a = grad_run(42, 2, true, RuntimeOptions::from_env());
+    let b = grad_run(43, 2, true, RuntimeOptions::from_env());
     assert!(a[0].0.to_bits() != b[0].0.to_bits(), "seed had no effect");
 }
 

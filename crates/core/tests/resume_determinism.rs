@@ -15,39 +15,13 @@
 //! * corrupted, truncated, or missing shards surface as typed
 //!   [`CkptError`]s, never as panics or silently wrong state.
 
+mod common;
+
+use common::ForcedParallel;
 use fpdt_core::runtime::ckpt::CkptError;
 use fpdt_core::runtime::dist::{Mode, TrainConfig, TrainError, TrainReport, Trainer};
 use fpdt_core::runtime::options::RuntimeOptions;
-use fpdt_tensor::par;
-use rayon::pool;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
-
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-struct ForcedParallel<'a> {
-    _guard: MutexGuard<'a, ()>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedParallel<'_> {
-    fn new(threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        ForcedParallel {
-            _guard: guard,
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedParallel<'_> {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
-    }
-}
 
 fn base_cfg(runtime: RuntimeOptions) -> TrainConfig {
     TrainConfig {

@@ -12,41 +12,16 @@
 //! sweep — and compares each against the production walk, at 1, 2, and
 //! 8 kernel-pool threads.
 
+mod common;
+
+use common::ForcedParallel;
 use fpdt_comm::{run_group, CommStats};
 use fpdt_core::chunk::{tile_slots, ChunkPlan};
 use fpdt_core::offload::PoolStats;
 use fpdt_core::runtime::exec::{AttentionExec, DistAttention};
-use fpdt_core::runtime::RuntimeOptions;
-use fpdt_tensor::{init, par, Tensor};
+use fpdt_tensor::{init, Tensor};
 use proptest::TestRng;
-use rayon::pool;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-struct ForcedParallel<'a> {
-    _guard: MutexGuard<'a, ()>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedParallel<'_> {
-    fn new(threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap();
-        ForcedParallel {
-            _guard: guard,
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedParallel<'_> {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
-    }
-}
+use std::sync::Arc;
 
 type Slots = Vec<Vec<(usize, usize)>>;
 
@@ -148,8 +123,7 @@ fn run(u: usize, order: Option<&Slots>) -> Vec<Observed> {
             let refs: Vec<&Tensor> = parts.iter().collect();
             Tensor::concat(&refs, 0).unwrap()
         };
-        let opts = RuntimeOptions::from_env().with_offload(true);
-        let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, opts);
+        let mut ex = DistAttention::new(Arc::clone(&comm), plan, true);
         ex.forward(0, &rows(&q), &rows(&k), &rows(&v), &pos)
             .unwrap();
         let (dq, dk, dv) = match order {

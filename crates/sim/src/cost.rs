@@ -7,20 +7,10 @@
 //! hard-coded — they emerge from FLOPs vs bytes arithmetic.
 
 use crate::hw::ClusterSpec;
-use serde::Serialize;
-use serde_json::Value;
 
 /// The scalar rate/overhead constants every closed-form estimate reads,
-/// decoupled from the topology they were derived from.
-///
-/// Two producers share this one struct (and therefore one code path
-/// through [`CostModel`]): [`CostConstants::from_cluster`] derives the
-/// paper-calibrated testbed values from a [`ClusterSpec`], and the
-/// trace-fitting layer in `fpdt-trace`/`fpdt-core` fills the same fields
-/// from measured runtime spans. [`CostConstants::to_json`] /
-/// [`CostConstants::from_json`] round-trip the struct through the
-/// `calibration.json` artifact so a fitted model is reusable across runs.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// derived from a [`ClusterSpec`] by [`CostConstants::from_cluster`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostConstants {
     /// Effective GEMM throughput, FLOP/s.
     pub gemm_flops: f64,
@@ -28,11 +18,9 @@ pub struct CostConstants {
     pub attention_flops: f64,
     /// Fixed launch/scheduling overhead per kernel, seconds.
     pub kernel_overhead: f64,
-    /// Intra-node peer (NVLink) bandwidth, bytes/s. Trace fitting maps the
-    /// measured communication-stream rate here.
+    /// Intra-node peer (NVLink) bandwidth, bytes/s.
     pub nvlink_bw: f64,
-    /// Host↔device (PCIe) bandwidth, bytes/s. Trace fitting maps the
-    /// measured offload copy-stream rate here.
+    /// Host↔device (PCIe) bandwidth, bytes/s.
     pub pcie_bw: f64,
     /// Inter-node (InfiniBand) bandwidth per GPU, bytes/s.
     pub ib_bw: f64,
@@ -41,9 +29,7 @@ pub struct CostConstants {
 }
 
 impl CostConstants {
-    /// The paper-calibrated constants of a cluster specification — exactly
-    /// the numbers [`CostModel::new`] used before constants became
-    /// pluggable, so schedules built from a spec are unchanged.
+    /// The paper-calibrated constants of a cluster specification.
     pub fn from_cluster(cluster: &ClusterSpec) -> Self {
         let node = &cluster.node;
         CostConstants {
@@ -56,77 +42,10 @@ impl CostConstants {
             link_latency: node.link_latency,
         }
     }
-
-    /// Serializes the constants as pretty JSON (the `calibration.json`
-    /// payload).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("constants serialize")
-    }
-
-    /// Parses constants back from [`CostConstants::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax error, missing field, or
-    /// non-finite/non-positive rate.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        Self::from_value(&value)
-    }
-
-    /// Extracts constants from an already-parsed JSON object (used by
-    /// consumers embedding them in a larger document).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CostConstants::from_json`].
-    pub fn from_value(value: &Value) -> Result<Self, String> {
-        let field = |name: &str| -> Result<f64, String> {
-            let Value::Object(entries) = value else {
-                return Err("cost constants must be a JSON object".to_string());
-            };
-            let v = entries
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{name}`"))?;
-            let x = match v {
-                Value::Float(x) => *x,
-                Value::UInt(u) => *u as f64,
-                Value::Int(i) => *i as f64,
-                _ => return Err(format!("field `{name}` is not a number")),
-            };
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!("field `{name}` must be finite and >= 0"));
-            }
-            Ok(x)
-        };
-        let c = CostConstants {
-            gemm_flops: field("gemm_flops")?,
-            attention_flops: field("attention_flops")?,
-            kernel_overhead: field("kernel_overhead")?,
-            nvlink_bw: field("nvlink_bw")?,
-            pcie_bw: field("pcie_bw")?,
-            ib_bw: field("ib_bw")?,
-            link_latency: field("link_latency")?,
-        };
-        for (name, rate) in [
-            ("gemm_flops", c.gemm_flops),
-            ("attention_flops", c.attention_flops),
-            ("nvlink_bw", c.nvlink_bw),
-            ("pcie_bw", c.pcie_bw),
-            ("ib_bw", c.ib_bw),
-        ] {
-            if rate <= 0.0 {
-                return Err(format!("rate `{name}` must be > 0"));
-            }
-        }
-        Ok(c)
-    }
 }
 
 /// Analytic cost model over a cluster: topology from the [`ClusterSpec`],
-/// rates and overheads from a pluggable [`CostConstants`].
+/// rates and overheads from its [`CostConstants`].
 #[derive(Debug, Clone)]
 pub struct CostModel {
     cluster: ClusterSpec,
@@ -141,20 +60,9 @@ impl CostModel {
         CostModel { cluster, constants }
     }
 
-    /// Wraps a cluster specification with externally supplied (e.g.
-    /// trace-fitted) constants.
-    pub fn with_constants(cluster: ClusterSpec, constants: CostConstants) -> Self {
-        CostModel { cluster, constants }
-    }
-
     /// The wrapped cluster.
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster
-    }
-
-    /// The constants every estimate reads.
-    pub fn constants(&self) -> &CostConstants {
-        &self.constants
     }
 
     /// Duration of a GEMM-shaped kernel of `flops` floating-point ops.
@@ -351,50 +259,6 @@ mod tests {
         let rel =
             (m.h2d_time(large, 4) - m.h2d_via_scatter_time(large, 4)).abs() / m.h2d_time(large, 4);
         assert!(rel < 0.1, "negligible at large sizes: {rel}");
-    }
-
-    #[test]
-    fn constants_json_round_trip() {
-        let c = CostConstants::from_cluster(&ClusterSpec::a100_80g(2, 4));
-        let back = CostConstants::from_json(&c.to_json()).expect("round trip");
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn from_json_rejects_bad_documents() {
-        assert!(CostConstants::from_json("not json").is_err());
-        assert!(CostConstants::from_json("{}").is_err(), "missing fields");
-        let c = CostConstants::from_cluster(&ClusterSpec::a100_80g(1, 4));
-        let zeroed = c.to_json().replace(
-            &format!("\"pcie_bw\": {:?}", c.pcie_bw),
-            "\"pcie_bw\": 0.0",
-        );
-        assert!(CostConstants::from_json(&zeroed).is_err(), "zero rate");
-    }
-
-    #[test]
-    fn with_constants_is_the_same_code_path() {
-        // Paper-calibrated and externally fitted constants must flow
-        // through identical arithmetic: wrapping a spec's own derived
-        // constants reproduces CostModel::new exactly.
-        let spec = ClusterSpec::a100_80g(2, 4);
-        let derived = CostModel::new(spec.clone());
-        let explicit =
-            CostModel::with_constants(spec.clone(), CostConstants::from_cluster(&spec));
-        for bytes in [1u64 << 16, 1 << 24, 1 << 30] {
-            assert_eq!(derived.h2d_time(bytes, 4), explicit.h2d_time(bytes, 4));
-            assert_eq!(
-                derived.all_to_all_time(bytes, 8),
-                explicit.all_to_all_time(bytes, 8)
-            );
-        }
-        assert_eq!(derived.gemm_time(1e12), explicit.gemm_time(1e12));
-
-        // And a doubled copy rate must feed straight into the estimate.
-        let mut fast = CostConstants::from_cluster(&spec);
-        fast.pcie_bw *= 2.0;
-        let tuned = CostModel::with_constants(spec, fast);
-        assert!(tuned.h2d_time(1 << 30, 1) < derived.h2d_time(1 << 30, 1));
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod engine;
 mod error;
 pub mod hw;
 pub mod memory;
-pub mod query;
 
 pub use error::SimError;
 

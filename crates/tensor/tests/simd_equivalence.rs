@@ -23,19 +23,25 @@ use std::sync::{Mutex, MutexGuard};
 /// override, thread budget, parallel threshold).
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
+/// Takes [`CONFIG_LOCK`], tolerating poison: a failed test must fail
+/// alone, not take every later test in this file down with it.
+fn config_lock() -> MutexGuard<'static, ()> {
+    CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Forces a kernel backend (and optionally a thread budget with the
 /// parallel threshold dropped to 1) for the guard's lifetime, restoring
 /// the previous configuration on drop.
-struct ForcedKernels<'a> {
-    _guard: MutexGuard<'a, ()>,
+struct ForcedKernels {
+    _guard: MutexGuard<'static, ()>,
     prev_backend: Option<Backend>,
     prev_threshold: usize,
     prev_threads: usize,
 }
 
-impl ForcedKernels<'_> {
+impl ForcedKernels {
     fn new(backend: Backend, threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap();
+        let guard = config_lock();
         ForcedKernels {
             _guard: guard,
             prev_backend: mk::set_backend(Some(backend)),
@@ -45,7 +51,7 @@ impl ForcedKernels<'_> {
     }
 }
 
-impl Drop for ForcedKernels<'_> {
+impl Drop for ForcedKernels {
     fn drop(&mut self) {
         pool::set_threads(self.prev_threads);
         par::set_par_threshold(self.prev_threshold);
@@ -743,15 +749,27 @@ fn matmul_and_backward_match_scalar_bitwise() {
 /// consistently with what dispatch actually uses.
 #[test]
 fn backend_override_round_trips() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
-    let prev = mk::set_backend(Some(Backend::Scalar));
+    /// Puts the previous override back even when an assertion fails.
+    struct Restore(Option<Backend>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            mk::set_backend(self.0);
+        }
+    }
+    let _guard = config_lock();
+    let _restore = Restore(mk::set_backend(Some(Backend::Scalar)));
     assert_eq!(mk::backend(), Backend::Scalar);
     if mk::avx2_available() {
         mk::set_backend(Some(Backend::Avx2));
         assert_eq!(mk::backend(), Backend::Avx2);
     }
     mk::set_backend(None);
-    // Auto mode picks AVX2 exactly when the CPU supports it.
-    assert_eq!(mk::backend() == Backend::Avx2, mk::avx2_available());
-    mk::set_backend(prev);
+    // Auto mode picks AVX2 exactly when the CPU supports it and
+    // `FPDT_SIMD` does not force the scalar fallback.
+    let simd_allowed =
+        fpdt_tensor::env::flag_with_off_values("FPDT_SIMD", true, &["0", "off", "false", "scalar"]);
+    assert_eq!(
+        mk::backend() == Backend::Avx2,
+        simd_allowed && mk::avx2_available()
+    );
 }

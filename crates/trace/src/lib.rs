@@ -18,22 +18,17 @@
 //! * [`wire`] — opt-in simulated-interconnect occupancy
 //!   (`FPDT_SIM_GBPS`) so the real runtime's transfers take wall-clock
 //!   time proportional to their wire bytes.
-//! * [`fit`] — span → cost-constant fitting: per-category aggregation
-//!   and least-squares `overhead + bytes/rate` fits over recorded spans,
-//!   feeding the autotuner's calibrated simulator.
 //!
 //! [`fpdt_sim::engine`]: fpdt_sim::engine
 
 #![deny(missing_docs)]
 
 pub mod chrome;
-pub mod fit;
 mod json;
 pub mod metrics;
 pub mod span;
 pub mod wire;
 
 pub use chrome::sim_chrome_trace;
-pub use fit::{fit_linear, samples_for, CategorySummary, LinearFit};
 pub use metrics::ScheduleMetrics;
 pub use span::{hidden_fraction, overlap_fraction, Recorder, Span, SpanRecord};

@@ -96,46 +96,31 @@ if ! grep -q '^BENCH_JSON_OK .*BENCH_kernels\.json$' <<<"$out"; then
     echo "FAIL: scalar-only kernels build did not validate BENCH_kernels.json" >&2
     exit 1
 fi
+# The runtime switch to the fallback: the SIMD equivalence suite must
+# also hold when `FPDT_SIMD=0` makes auto-dispatch pick scalar.
+FPDT_SIMD=0 cargo test -q -p fpdt-tensor --test simd_equivalence
 
-stage "runtime --json --quick smoke (overlap + bf16 win must be measurable)"
+stage "runtime --json --quick smoke (copy and comm overlap must be measurable)"
 # One kernel thread per rank, and the bench does not resize the pool: the
 # regime the repo benchmark runs (FPDT_THREADS=2 over 2 ranks), where a
 # copy stream borrowed from the kernel pool ran every transfer inline.
 out=$(FPDT_THREADS=1 cargo run -q --release -p fpdt-bench --bin runtime -- --json --quick)
 echo "$out"
-# The runtime bench asserts bitwise-identical losses with the copy stream
-# on and off, validates BENCH_runtime.json, and exits nonzero when the
-# prefetch-enabled run hides none of its copy time from the rank thread
-# (1 - exposed/busy, the benchmark's offload.overlap_fraction).
+# The runtime bench asserts that repeated runs give bitwise-identical
+# losses and that bf16 halves the all-to-all bytes exactly, validates
+# BENCH_runtime.json, and exits nonzero when a run hides none of a
+# stream's busy time from the rank thread (1 - exposed/busy, the
+# benchmark's offload/comm overlap_fraction) — f32 and bf16 alike.
 if ! grep -q '^BENCH_JSON_OK .*BENCH_runtime\.json$' <<<"$out"; then
     echo "FAIL: runtime --json did not validate BENCH_runtime.json" >&2
     exit 1
 fi
-if ! grep -q '^RUNTIME_OVERLAP_OK ' <<<"$out"; then
-    echo "FAIL: prefetch-enabled run measured no compute/copy overlap" >&2
-    exit 1
-fi
-# Same gate for the communication stream: the comm-enabled run must hide
-# a strictly positive fraction of its wire time behind compute.
-if ! grep -q '^RUNTIME_COMM_OVERLAP_OK ' <<<"$out"; then
-    echo "FAIL: comm-stream-enabled run measured no compute/comm overlap" >&2
-    exit 1
-fi
-# Both overlap signals must survive bf16 payloads...
-if ! grep -q '^RUNTIME_BF16_OVERLAP_OK ' <<<"$out"; then
-    echo "FAIL: bf16 run measured no compute/copy overlap" >&2
-    exit 1
-fi
-if ! grep -q '^RUNTIME_BF16_COMM_OVERLAP_OK ' <<<"$out"; then
-    echo "FAIL: bf16 run measured no compute/comm overlap" >&2
-    exit 1
-fi
-# ...and the headline: prefetch + comm_async + bf16 payloads must beat
-# the fully serial f32 configuration in tokens/s (ROADMAP item #1).
-if ! grep -q '^RUNTIME_BF16_WIN_OK ' <<<"$out"; then
-    echo "FAIL: bf16 dual-stream run did not beat f32 streams-off tokens/s" >&2
-    exit 1
-fi
+for gate in RUNTIME_OVERLAP RUNTIME_COMM_OVERLAP RUNTIME_BF16_OVERLAP RUNTIME_BF16_COMM_OVERLAP; do
+    if ! grep -q "^${gate}_OK " <<<"$out"; then
+        echo "FAIL: ${gate}: a stream hid none of its busy time behind compute" >&2
+        exit 1
+    fi
+done
 
 stage "resume --json --quick (checkpoint/restore and fault recovery must be bitwise)"
 out=$(cargo run -q --release -p fpdt-bench --bin resume -- --json --quick)
@@ -149,30 +134,16 @@ if ! grep -q '^RUNTIME_RESUME_OK ' <<<"$out"; then
     exit 1
 fi
 
-stage "autotune --json --quick (calibrated planner must rank configs honestly)"
-# The autotune bench fits the simulator's cost constants from a real
-# probe run, searches the knob grid, then measures every candidate and
-# grades the loop: predicted-vs-measured error <= 25% on EVERY config,
-# and the tuned config at least as fast as the default (within the
-# measurement noise floor). Wall-clock fidelity grading on a 1-core
-# shared host is genuinely noisy — a sustained neighbor-load shift
-# between the probe epoch and one config's measurement rounds can push
-# a single config past the error gate — so the gate gets three fully
-# independent attempts (fresh probes, anchors, and measurements each):
-# a real model regression fails all three, a load burst does not repeat.
-autotune_ok=""
-for attempt in 1 2 3; do
-    out=$(cargo run -q --release -p fpdt-bench --bin autotune -- --json --quick) || true
-    echo "$out"
-    if grep -q '^BENCH_JSON_OK .*BENCH_autotune\.json$' <<<"$out" \
-        && grep -q '^RUNTIME_AUTOTUNE_OK ' <<<"$out"; then
-        autotune_ok=1
-        break
-    fi
-    echo "[autotune attempt $attempt failed its gates; retrying]"
-done
-if [ -z "$autotune_ok" ]; then
-    echo "FAIL: autotune gates did not pass on 3 independent attempts" >&2
+stage "autotune --json --quick (the tuned pick must not lose to the default)"
+# The autotune bench probes every (chunks, bf16) cell by training it as it
+# will run, picks the fastest, then measures every candidate again in
+# interleaved rounds: the tuned config must reach 0.97x the default's
+# tokens/s (the measurement noise floor).
+out=$(cargo run -q --release -p fpdt-bench --bin autotune -- --json --quick) || true
+echo "$out"
+if ! grep -q '^BENCH_JSON_OK .*BENCH_autotune\.json$' <<<"$out" \
+    || ! grep -q '^RUNTIME_AUTOTUNE_OK ' <<<"$out"; then
+    echo "FAIL: autotune did not validate BENCH_autotune.json or its tuned pick lost to the default" >&2
     exit 1
 fi
 
@@ -190,17 +161,6 @@ stage "cargo test -q --workspace under FPDT_THREADS=1"
 # The whole suite must also pass with the kernel pool pinned to a single
 # thread (the sequential fast path) — same numbers, same results.
 FPDT_THREADS=1 cargo test -q --workspace
-
-stage "cargo test -q --workspace under FPDT_BF16=0 FPDT_PREFETCH=0"
-# And with the async copy stream globally disabled: prefetch is a latency
-# optimisation, never a semantic one. (bf16 pinned off so the leg tests
-# exactly one knob.)
-FPDT_BF16=0 FPDT_PREFETCH=0 cargo test -q --workspace
-
-stage "cargo test -q --workspace under FPDT_BF16=0 FPDT_COMM_ASYNC=0"
-# And with the async communication stream globally disabled: posting
-# all-to-alls early is likewise a pure latency optimisation.
-FPDT_BF16=0 FPDT_COMM_ASYNC=0 cargo test -q --workspace
 
 stage "cargo test -q --workspace under FPDT_BF16=1"
 # And with bf16 wire payloads on everywhere: the one numerics-affecting
