@@ -14,39 +14,16 @@ mod common;
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_attention::{default_scale, reference};
 use fpdt_tensor::mk::{self, Backend};
-use fpdt_tensor::{init, par, Tensor};
+use fpdt_tensor::{init, KernelCtx, Tensor};
 use proptest::prelude::*;
-use rayon::pool;
-use std::sync::{Mutex, MutexGuard};
 
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-/// Forces a kernel backend and thread budget (threshold dropped to 1 so
-/// every op actually splits), restoring the previous settings on drop.
-struct ForcedKernels<'a> {
-    _guard: MutexGuard<'a, ()>,
-    prev_backend: Option<Backend>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedKernels<'_> {
-    fn new(backend: Backend, threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap();
-        ForcedKernels {
-            _guard: guard,
-            prev_backend: mk::set_backend(Some(backend)),
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedKernels<'_> {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
-        mk::set_backend(self.prev_backend);
+/// A kernel context with `backend` forced and `threads` threads at a
+/// parallel-split threshold of 1 (every op actually splits).
+fn forced(backend: Backend, threads: usize) -> KernelCtx {
+    KernelCtx {
+        threads,
+        par_threshold: 1,
+        backend,
     }
 }
 
@@ -65,20 +42,14 @@ fn backends() -> Vec<Backend> {
 /// Runs `f` under every (backend, threads) combination and asserts the
 /// flattened output is bitwise identical to scalar at 1 thread.
 fn assert_backend_invariant(name: &str, f: impl Fn() -> Vec<f32>) {
-    let reference = {
-        let _cfg = ForcedKernels::new(Backend::Scalar, 1);
-        f()
-    };
+    let reference = forced(Backend::Scalar, 1).enter(&f);
     assert!(
         reference.iter().any(|&v| v != 0.0),
         "{name}: all-zero output would make the comparison vacuous"
     );
     for be in backends() {
         for threads in [1usize, 2, 8] {
-            let got = {
-                let _cfg = ForcedKernels::new(be, threads);
-                f()
-            };
+            let got = forced(be, threads).enter(&f);
             assert_eq!(
                 bits(&reference),
                 bits(&got),

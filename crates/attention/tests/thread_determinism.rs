@@ -11,33 +11,15 @@ mod common;
 
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_attention::{default_scale, reference};
-use fpdt_tensor::{init, par, Tensor};
-use rayon::pool;
-use std::sync::{Mutex, MutexGuard};
+use fpdt_tensor::{init, KernelCtx, Tensor};
 
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-struct ForcedParallel<'a> {
-    _guard: MutexGuard<'a, ()>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedParallel<'_> {
-    fn new(threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap();
-        ForcedParallel {
-            _guard: guard,
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedParallel<'_> {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
+/// The calling thread's kernel context at `threads` threads with the
+/// parallel-split threshold at 1 (every kernel takes the pool path).
+fn forced(threads: usize) -> KernelCtx {
+    KernelCtx {
+        threads,
+        par_threshold: 1,
+        ..KernelCtx::current()
     }
 }
 
@@ -46,19 +28,13 @@ fn bits(t: &[f32]) -> Vec<u32> {
 }
 
 fn assert_thread_invariant(name: &str, f: impl Fn() -> Vec<f32>) {
-    let reference = {
-        let _cfg = ForcedParallel::new(1);
-        f()
-    };
+    let reference = forced(1).enter(&f);
     assert!(
         reference.iter().any(|&v| v != 0.0),
         "{name}: all-zero output would make the comparison vacuous"
     );
     for threads in [2usize, 8] {
-        let got = {
-            let _cfg = ForcedParallel::new(threads);
-            f()
-        };
+        let got = forced(threads).enter(&f);
         assert_eq!(
             bits(&reference),
             bits(&got),

@@ -61,17 +61,14 @@ fn run_once(config: &CandidateConfig, model: &ModelConfig, seq: usize, steps: us
             chunks: config.chunks,
             offload: true,
         },
-        // `options()` pins the payload explicitly, so an ambient
-        // FPDT_BF16 can never leak into a measurement leg.
+        // `options()` pins the payload and the thread budget explicitly,
+        // so an ambient FPDT_BF16 can never leak into a measurement leg.
         runtime: config.options(),
         ..TrainConfig::default()
     };
-    let prev = pool::set_threads(config.threads);
     let t0 = Instant::now();
     train(&cfg);
-    let us = t0.elapsed().as_secs_f64() * 1e6 / steps as f64;
-    pool::set_threads(prev);
-    us
+    t0.elapsed().as_secs_f64() * 1e6 / steps as f64
 }
 
 fn main() {

@@ -61,7 +61,7 @@ use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_bench::json_mode;
 use fpdt_tensor::mk::{self, AdamwStep, Backend};
 use fpdt_tensor::nn::Linear;
-use fpdt_tensor::{init, ops, Tensor};
+use fpdt_tensor::{init, ops, KernelCtx, Tensor};
 use rayon::pool;
 use serde::Serialize;
 use std::hint::black_box;
@@ -220,21 +220,25 @@ fn dense_pair() -> (f64, f64) {
     let n = 512usize;
     let mut rng = init::seeded_rng(48);
     let [a, b, dc] = [(); 3].map(|()| init::randn(&mut rng, &[n, n], 1.0));
-    let prev = pool::set_threads(1);
+    let one_thread = KernelCtx {
+        threads: 1,
+        ..KernelCtx::current()
+    };
     let mut fwd = f64::INFINITY;
-    let mut shares: Vec<f64> = (0..12)
-        .map(|_| {
-            let t0 = Instant::now();
-            black_box(ops::matmul(&a, &b).expect("shapes fixed"));
-            let f = t0.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            black_box(ops::matmul_bwd(&a, &b, &dc).expect("shapes fixed"));
-            fwd = fwd.min(f);
-            // two products in the backward to the forward's one
-            2.0 * f / t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    pool::set_threads(prev);
+    let mut shares: Vec<f64> = one_thread.enter(|| {
+        (0..12)
+            .map(|_| {
+                let t0 = Instant::now();
+                black_box(ops::matmul(&a, &b).expect("shapes fixed"));
+                let f = t0.elapsed().as_secs_f64();
+                let t0 = Instant::now();
+                black_box(ops::matmul_bwd(&a, &b, &dc).expect("shapes fixed"));
+                fwd = fwd.min(f);
+                // two products in the backward to the forward's one
+                2.0 * f / t0.elapsed().as_secs_f64()
+            })
+            .collect()
+    });
     shares.sort_by(f64::total_cmp);
     (
         2.0 * (n as f64).powi(3) / fwd / 1e9,
@@ -595,7 +599,7 @@ fn main() {
     let quiet = json_mode();
     let quick = std::env::args().any(|a| a == "--quick");
     let reps = if quick { 2 } else { 5 };
-    let budget = pool::current_threads();
+    let budget = KernelCtx::current().threads;
     // On a single-core host the second config still runs real pool workers
     // (the pool spawns past the hardware count), so the bitwise
     // equivalence assertion below is always exercised — only the reported
@@ -623,11 +627,13 @@ fn main() {
         let mut walls: Vec<(&str, usize, f64)> = Vec::new();
         let mut digests: Vec<u64> = Vec::new();
         for &(bname, be) in &backends {
-            let prev_be = mk::set_backend(Some(be));
             for &t in &configs {
-                let prev = pool::set_threads(t);
-                let (wall, dg) = time_best(reps, bench.kernel_only, &mut *bench.run);
-                pool::set_threads(prev);
+                let ctx = KernelCtx {
+                    threads: t,
+                    backend: be,
+                    ..KernelCtx::current()
+                };
+                let (wall, dg) = ctx.enter(|| time_best(reps, bench.kernel_only, &mut *bench.run));
                 walls.push((bname, t, wall));
                 digests.push(dg);
                 let elementwise = ELEMENTWISE.contains(&bench.name);
@@ -644,7 +650,6 @@ fn main() {
                     ns_per_element: elementwise.then(|| wall * 1e9 / bench.flops as f64),
                 });
             }
-            mk::set_backend(prev_be);
         }
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),

@@ -83,7 +83,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(dir);
     let t1 = Instant::now();
     let mut first = Trainer::new(cfg.clone());
-    first.run_steps(split_at).expect("first segment");
+    first.run_steps(split_at).expect("first call");
     let t_ckpt = Instant::now();
     first.checkpoint(dir).expect("checkpoint");
     let checkpoint_ms = t_ckpt.elapsed().as_secs_f64() * 1e3;
@@ -92,7 +92,7 @@ fn main() {
     let mut second = Trainer::resume(dir).expect("resume");
     let restore_ms = t_restore.elapsed().as_secs_f64() * 1e3;
     second.set_runtime(rt);
-    second.run_steps(steps - split_at).expect("second segment");
+    second.run_steps(steps - split_at).expect("second call");
     let resumed = second.report();
     let resumed_ms = t1.elapsed().as_secs_f64() * 1e3;
 
@@ -103,7 +103,7 @@ fn main() {
         .sum();
     let bitwise_resume = equivalent(&whole, &resumed);
 
-    // Recovery leg: two transient faults per segment, replayed inside a
+    // Recovery leg: two transient faults per call, replayed inside a
     // budget of four — must be invisible in every deterministic counter.
     let mut faulted = Trainer::new(TrainConfig {
         runtime: rt.with_fault_inject(2).with_comm_retries(4),

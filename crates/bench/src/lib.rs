@@ -18,8 +18,8 @@
 //!
 //! Run them with `cargo run --release -p fpdt-bench --bin <name>`. Each
 //! prints the paper-style table and writes machine-readable rows to
-//! `target/experiments/<name>.json`. Criterion microbenchmarks live under
-//! `benches/`.
+//! `target/experiments/<name>.json`. The `kernels`, `runtime`, `resume`
+//! and `autotune` binaries are the CI gates on the real runtime.
 
 use serde::Serialize;
 use std::fs;

@@ -3,8 +3,10 @@
 use crate::stats::{CommStats, Direction, StatsCell};
 use crate::{CommError, Result};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use fpdt_tensor::KernelCtx;
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Wire representation of one payload: full-precision f32 or bf16-rounded
@@ -263,10 +265,10 @@ impl Communicator {
 /// Spawns `world` scoped threads, hands each its [`Communicator`], and
 /// collects the per-rank return values in rank order.
 ///
-/// While the group runs, the kernel thread budget is split across the
-/// `world` device threads (`rayon::pool::device_scope`) so simulated GPUs
+/// Each rank runs under the caller's [`KernelCtx`] with its thread budget
+/// split across the `world` ranks ([`KernelCtx::split`]), so simulated GPUs
 /// don't oversubscribe the host: each rank's kernels fan out to at most
-/// `budget / world` extra threads.
+/// `budget / world` threads.
 ///
 /// Closure panics propagate (the whole call panics), mirroring how a rank
 /// failure aborts a distributed job.
@@ -278,11 +280,11 @@ where
     let mut group = CommGroup::new(world);
     let comms = group.communicators();
     let f = &f;
-    let _kernel_budget = rayon::pool::device_scope(world);
+    let ctx = KernelCtx::current().split(world);
     std::thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
-            .map(|comm| s.spawn(move || f(comm)))
+            .map(|comm| s.spawn(move || ctx.enter(|| f(comm))))
             .collect();
         handles
             .into_iter()
@@ -292,6 +294,26 @@ where
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
+}
+
+/// Spawns a long-lived rank thread, `fpdt-rank-r{rank}`, that runs
+/// `f(comm)` under `ctx` split across the group's ranks (the budget rule of
+/// [`run_group`]). The caller owns the handle: joining it returns `f`'s
+/// value or the rank's panic. This is how a trainer keeps one worker per
+/// simulated GPU alive between training calls.
+///
+/// # Errors
+///
+/// The OS refused the thread.
+pub fn spawn_rank<T, F>(comm: Communicator, ctx: KernelCtx, f: F) -> std::io::Result<JoinHandle<T>>
+where
+    T: Send + 'static,
+    F: FnOnce(Communicator) -> T + Send + 'static,
+{
+    let ctx = ctx.split(comm.world);
+    std::thread::Builder::new()
+        .name(format!("fpdt-rank-r{}", comm.rank))
+        .spawn(move || ctx.enter(|| f(comm)))
 }
 
 #[cfg(test)]
@@ -405,6 +427,30 @@ mod tests {
             assert!(matches!(err, Err(CommError::RankOutOfRange { .. })));
             assert_eq!(calls, 1, "fatal errors must not be replayed");
         });
+    }
+
+    #[test]
+    fn ranks_split_the_callers_kernel_context() {
+        let ctx = KernelCtx {
+            threads: 8,
+            par_threshold: 3,
+            ..KernelCtx::current()
+        };
+        let seen = ctx.enter(|| run_group(4, |_| KernelCtx::current()));
+        assert!(seen.iter().all(|&c| c == ctx.split(4)), "{seen:?}");
+        let comm = CommGroup::new(2).communicators().swap_remove(1);
+        let rank = spawn_rank(comm, ctx, |comm| {
+            (
+                comm.rank(),
+                KernelCtx::current(),
+                std::thread::current().name().map(str::to_string),
+            )
+        });
+        let (rank, seen, name) = rank.expect("spawned").join().expect("no panic");
+        assert_eq!(
+            (rank, seen, name.as_deref()),
+            (1, ctx.split(2), Some("fpdt-rank-r1"))
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   vs `6·N·d` transient the chunked design shrinks.
 //!
 //! The main entry points are [`CommGroup::new`] +
-//! [`CommGroup::communicators`] (manual thread management) and [`run_group`]
-//! (scoped-thread convenience).
+//! [`CommGroup::communicators`] with [`spawn_rank`] (long-lived rank
+//! threads) and [`run_group`] (scoped-thread convenience).
 //!
 //! ## Example
 //!
@@ -48,7 +48,7 @@ mod stream;
 pub use collectives::AllToAllLayout;
 pub use engine::CommEngine;
 pub use error::CommError;
-pub use group::{run_group, CommGroup, Communicator};
+pub use group::{run_group, spawn_rank, CommGroup, Communicator};
 pub use stats::{CommStats, OpStats};
 pub use stream::{Pending, Stream};
 

@@ -17,9 +17,10 @@
 //!   through the handle and re-raised at [`Pending::wait`]; the worker
 //!   survives to drain the rest of the queue, so no rank hangs on a
 //!   half-dead stream.
-//! * **Workers outlive streams.** Dropping a stream drains its queue and
-//!   parks the worker for the next stream of the same name (see
-//!   `PARKED`).
+//! * **A worker lives as long as its stream.** Dropping a stream drains
+//!   its queue, then the worker exits and is joined. Streams live as long
+//!   as the engines that own them, and those as long as their rank
+//!   session, so no thread is spawned per training call.
 //!
 //! [`CommEngine`]: crate::CommEngine
 
@@ -27,6 +28,7 @@ use fpdt_trace::Recorder;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send>;
@@ -99,15 +101,6 @@ impl<T> Pending<T> {
     }
 }
 
-/// Idle workers, by thread name. A worker outlives the stream that
-/// spawned it and serves the next stream of the same name: the runtime
-/// rebuilds its engines on every `run_steps` segment, and a thread that
-/// exits hands its malloc arena to whichever thread starts next — with
-/// short-lived workers the rank threads' working set ends up retained
-/// once per worker arena (measured: +10 MiB peak RSS at two extra
-/// workers per rank). Parked workers keep their arenas to themselves.
-static PARKED: Mutex<Vec<(String, Sender<Job>)>> = Mutex::new(Vec::new());
-
 /// A FIFO job queue: drained by a dedicated worker thread
 /// ([`Stream::spawn`]) or executed on the posting thread
 /// ([`Stream::inline`]; same program order, every handle resolved before
@@ -116,8 +109,8 @@ static PARKED: Mutex<Vec<(String, Sender<Job>)>> = Mutex::new(Vec::new());
 /// never moves a byte (the offload-off executor's copy streams).
 #[derive(Debug)]
 pub struct Stream {
-    /// The worker's thread name and the sending half of its queue.
-    worker: Option<(String, Sender<Job>)>,
+    /// The sending half of the worker's queue, and the worker.
+    worker: Option<(Sender<Job>, JoinHandle<()>)>,
 }
 
 impl Stream {
@@ -126,30 +119,22 @@ impl Stream {
         Stream { worker: None }
     }
 
-    /// A stream drained by a worker thread called `name` — a parked one
-    /// if a stream of that name was dropped before, else a new thread.
-    /// Thread exhaustion degrades to [`Stream::inline`] with a warning —
-    /// slower, never wrong (same FIFO program order).
+    /// A stream drained by a new worker thread called `name`. Thread
+    /// exhaustion degrades to [`Stream::inline`] with a warning — slower,
+    /// never wrong (same FIFO program order).
     pub fn spawn(name: String) -> Self {
-        let mut parked = PARKED.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(at) = parked.iter().position(|(parked_name, _)| *parked_name == name) {
-            return Stream {
-                worker: Some(parked.swap_remove(at)),
-            };
-        }
-        drop(parked);
         let (tx, rx) = channel::<Job>();
-        // Detached on purpose: the worker parks on its queue between
-        // streams and dies with the process. It cannot panic — every job
-        // reaches it wrapped in `catch_unwind` by `post`.
+        // The worker cannot panic — every job reaches it wrapped in
+        // `catch_unwind` by `post` — and it exits once the stream drops
+        // the sending half and the queue is empty.
         let spawned = std::thread::Builder::new().name(name.clone()).spawn(move || {
             while let Ok(job) = rx.recv() {
                 job();
             }
         });
         match spawned {
-            Ok(_detached) => Stream {
-                worker: Some((name, tx)),
+            Ok(handle) => Stream {
+                worker: Some((tx, handle)),
             },
             Err(e) => {
                 eprintln!("warning: stream worker {name} failed to spawn ({e}); running its jobs inline");
@@ -194,7 +179,7 @@ impl Stream {
             // dropped); the job comes back in the error, so fail over to
             // the caller thread — later posts take the same path, which
             // preserves FIFO program order.
-            Some((_, tx)) => {
+            Some((tx, _)) => {
                 if let Err(returned) = tx.send(Box::new(run)) {
                     (returned.0)();
                 }
@@ -206,12 +191,14 @@ impl Stream {
 }
 
 impl Drop for Stream {
-    /// Waits until every queued job has run — outstanding handles stay
-    /// resolvable after the stream dies — then parks the worker.
+    /// Closes the queue and joins the worker once it has run every queued
+    /// job — outstanding handles stay resolvable after the stream dies.
     fn drop(&mut self) {
-        self.post(|| ()).wait();
-        if let Some(worker) = self.worker.take() {
-            PARKED.lock().unwrap_or_else(|e| e.into_inner()).push(worker);
+        if let Some((tx, worker)) = self.worker.take() {
+            drop(tx);
+            // The worker never panics (see `spawn`); there is nothing to
+            // re-raise.
+            let _ = worker.join();
         }
     }
 }
@@ -283,21 +270,29 @@ mod tests {
         {
             let stream = Stream::spawn("test-queued".to_string());
             handle = stream.post(|| 11usize);
-        } // drop drains the queue before it parks the worker
+        } // drop drains the queue before it joins the worker
         assert_eq!(handle.wait(), 11);
     }
 
     #[test]
-    fn a_dropped_streams_worker_serves_the_next_stream_of_its_name() {
-        let worker_of = |s: &Stream| s.post(|| std::thread::current().id()).wait();
-        let first = Stream::spawn("test-parked".to_string());
-        let worker = worker_of(&first);
-        // A concurrent stream of the same name gets a worker of its own.
-        let second = Stream::spawn("test-parked".to_string());
-        assert_ne!(worker_of(&second), worker);
-        drop(first);
-        let third = Stream::spawn("test-parked".to_string());
-        assert_eq!(worker_of(&third), worker, "the parked worker is reused");
+    fn dropping_a_stream_drains_it_and_ends_its_worker() {
+        /// Reports its thread's exit: thread-locals drop as the thread ends.
+        struct OnExit(Sender<()>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        thread_local! {
+            static EXIT: std::cell::RefCell<Option<OnExit>> = const { std::cell::RefCell::new(None) };
+        }
+        let stream = Stream::spawn("test-exit".to_string());
+        let (exited, rx) = channel::<()>();
+        drop(stream.post(move || EXIT.with(|e| *e.borrow_mut() = Some(OnExit(exited)))));
+        let slow = stream.post(|| std::thread::sleep(std::time::Duration::from_millis(20)));
+        drop(stream);
+        assert!(slow.is_ready(), "drop waited for the queue");
+        assert_eq!(rx.try_recv(), Ok(()), "the worker thread is gone");
     }
 
     #[test]

@@ -140,9 +140,9 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Folds a later segment's counters into this snapshot: cumulative
-    /// counters add, residency takes the later segment's value, and the
-    /// high-water mark takes the max. Accumulating per-segment snapshots
+    /// Folds a later run's counters into this snapshot: cumulative
+    /// counters add, residency takes the later run's value, and the
+    /// high-water mark takes the max. Accumulating per-run snapshots
     /// this way makes a resumed run's pool statistics equal an
     /// uninterrupted run's.
     pub fn merge(&mut self, later: &PoolStats) {
@@ -793,20 +793,26 @@ mod tests {
     #[test]
     fn transfers_run_on_the_copy_workers_at_any_thread_budget() {
         // The streams own their workers and never consult the kernel
-        // pool: a transfer leaves the caller's thread at any budget (CI
-        // runs this suite under `FPDT_THREADS=1`, where the pool-borrowed
-        // stream ran everything inline), and put -> prefetch of one key
-        // stays ordered although the two directions ride different FIFOs.
+        // pool: a transfer leaves the caller's thread even at a budget of
+        // one (where a pool-borrowed stream ran everything inline), and
+        // put -> prefetch of one key stays ordered although the two
+        // directions ride different FIFOs.
         let rec = Recorder::new();
-        let mut eng = OffloadEngine::new(true);
-        assert!(eng.prefetch_enabled());
-        eng.set_recorder(rec.clone());
-        rec.event("caller");
-        let key = ChunkKey::new(0, BufKind::V, 0);
-        for _ in 0..16 {
-            eng.put(key, Arc::new(Tensor::ones(&[4096])));
-            eng.prefetch(&key, true).expect("just put").wait();
-        }
+        let one_thread = fpdt_tensor::KernelCtx {
+            threads: 1,
+            ..fpdt_tensor::KernelCtx::current()
+        };
+        one_thread.enter(|| {
+            let mut eng = OffloadEngine::new(true);
+            assert!(eng.prefetch_enabled());
+            eng.set_recorder(rec.clone());
+            rec.event("caller");
+            let key = ChunkKey::new(0, BufKind::V, 0);
+            for _ in 0..16 {
+                eng.put(key, Arc::new(Tensor::ones(&[4096])));
+                eng.prefetch(&key, true).expect("just put").wait();
+            }
+        });
         let spans = rec.records();
         let caller = spans.iter().find(|s| s.label == "caller").expect("marker").tid;
         let on = |label: &str| -> Vec<&fpdt_trace::SpanRecord> {

@@ -246,10 +246,9 @@ pub fn calibrate(workload: &Workload) -> Calibration {
     }
 }
 
-/// Wall-clock µs of a few pool-parallel matmuls at `threads` threads
-/// (pool restored afterwards).
+/// Wall-clock µs of a few pool-parallel matmuls at a budget of `threads`
+/// threads.
 fn matmul_probe_us(threads: usize) -> f64 {
-    let prev = rayon::pool::set_threads(threads);
     let n = 96usize;
     let a = fpdt_tensor::Tensor::from_vec(
         (0..n * n).map(|i| (i % 17) as f32 * 0.25 - 2.0).collect(),
@@ -261,12 +260,17 @@ fn matmul_probe_us(threads: usize) -> f64 {
         &[n, n],
     )
     .expect("probe matrix");
+    let ctx = fpdt_tensor::KernelCtx {
+        threads,
+        ..fpdt_tensor::KernelCtx::current()
+    };
     let t0 = Instant::now();
-    for _ in 0..8 {
-        std::hint::black_box(fpdt_tensor::ops::matmul(&a, &b).expect("probe matmul"));
-    }
+    ctx.enter(|| {
+        for _ in 0..8 {
+            std::hint::black_box(fpdt_tensor::ops::matmul(&a, &b).expect("probe matmul"));
+        }
+    });
     let us = t0.elapsed().as_secs_f64() * 1e6;
-    rayon::pool::set_threads(prev);
     us.max(1.0)
 }
 

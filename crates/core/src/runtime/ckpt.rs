@@ -339,7 +339,9 @@ struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.pos + n > self.bytes.len() {
+        // `pos <= len` always holds; `pos + n` could overflow on a
+        // corrupted length field.
+        if n > self.bytes.len() - self.pos {
             return Err(CkptError::Corrupt(format!(
                 "truncated: need {n} bytes at offset {}, have {}",
                 self.pos,

@@ -11,28 +11,38 @@
 //!
 //! ## The resumable Trainer
 //!
-//! [`Trainer`] runs training as a sequence of **segments**: `run_steps(n)`
-//! executes `n` micro-steps (whole gradient-accumulation windows) on a
-//! fresh thread-device world and commits the resulting state — flat
-//! parameters, flat optimizer moments, the data-RNG words, losses, and
-//! accumulated traffic counters — back to the host between segments.
-//! Because the durable state lives host-side in a world-independent
-//! layout, three properties fall out:
+//! [`Trainer`] keeps one long-lived **rank session** per rank, the
+//! paper's one worker per GPU with its own compute, H2D and D2H streams
+//! (§4, Figure 7). A session is a thread that owns its communicator, its
+//! executor with the comm and copy streams, its replica, its optimizer
+//! shard, its data stream and its kernel context ([`KernelCtx`]); the
+//! Trainer drives it over a command channel (run `n` steps, export the
+//! state) and closing the channel ends it. Sessions spawn on the first
+//! `run_steps` from the Trainer's flat, world-independent host state —
+//! parameters, optimizer moments, the data-RNG words — and the Trainer
+//! holds either live sessions or that flat state, never both.
+//! [`Trainer::checkpoint`] and [`Trainer::report`] copy state out of live
+//! sessions without stopping them. Three properties rest on the flat
+//! layout:
 //!
-//! * **Bitwise resume.** Segment boundaries are exact: running
+//! * **Bitwise resume.** Call boundaries are exact: running
 //!   `run_steps(k)` + `checkpoint` + [`Trainer::resume`] + the remaining
 //!   steps produces the identical losses, gradients, and traffic counters
 //!   as one uninterrupted run (the resume determinism suite asserts it).
-//! * **Elastic worlds.** [`Trainer::resize`] just changes the geometry of
-//!   the *next* segment; parameters and moments re-shard automatically
+//! * **Elastic worlds.** [`Trainer::resize`] takes the state back to the
+//!   flat layout and shuts the sessions down; the next `run_steps` spawns
+//!   the new geometry, and parameters and moments re-shard automatically
 //!   because they are stored flat. After the resize point the trajectory
 //!   matches a fresh run at the final geometry.
 //! * **Rollback, not poison.** A collective that fails mid-step (after
 //!   the [`RuntimeOptions::comm_retries`] replay budget is exhausted)
-//!   aborts the segment at the last completed optimizer window: the data
-//!   RNG rewinds, gradients are zeroed, and the host pool dies with the
-//!   segment's executor. `run_steps` returns a typed [`TrainError`]; the
-//!   caller may simply call it again.
+//!   aborts the call at the last completed optimizer window: the data RNG
+//!   rewinds, gradients are zeroed, the Trainer takes that state back to
+//!   the flat layout and shuts the sessions down (their host pools die
+//!   with them). `run_steps` returns a typed [`TrainError`]; the caller
+//!   may simply call it again. A rank that *panics* takes its share of the
+//!   state with it: the panic resumes out of `run_steps` after the other
+//!   sessions are shut down, and the Trainer is spent.
 
 use crate::chunk::ChunkPlan;
 use crate::offload::PoolStats;
@@ -41,13 +51,18 @@ use crate::runtime::data::Corpus;
 use crate::runtime::exec::{AttentionExec, DistAttention, LocalAttention, RingAttentionExec};
 use crate::runtime::gpt::{spanned, GptModel};
 use crate::runtime::options::RuntimeOptions;
-use fpdt_comm::{run_group, CommStats, Communicator};
+use fpdt_comm::{spawn_rank, CommGroup, CommStats, Communicator};
 use fpdt_model::config::{Family, ModelConfig};
 use fpdt_tensor::nn::{AdamW, AdamWConfig};
+use fpdt_tensor::KernelCtx;
 use fpdt_trace::Recorder;
+use std::any::Any;
 use std::fmt;
+use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Which training mode to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,11 +253,12 @@ pub struct TrainReport {
     pub comm: fpdt_comm::CommStats,
     /// The last optimizer window's reduced (unscaled) gradients — what the
     /// resume determinism suite compares bit for bit across interrupted
-    /// and uninterrupted runs.
+    /// and uninterrupted runs. Empty after a failed `run_steps` until a
+    /// window completes.
     pub grads: Vec<f32>,
 }
 
-/// Typed failure of a training segment.
+/// Typed failure of a `run_steps` call.
 #[derive(Debug)]
 pub enum TrainError {
     /// A collective failed beyond the retry budget (or fatally).
@@ -293,53 +309,6 @@ fn exec_error(e: Box<dyn std::error::Error + Send + Sync>) -> TrainError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Segment machinery
-// ---------------------------------------------------------------------------
-
-/// Host-side state lent to a segment: everything a rank needs to rebuild
-/// its replica exactly where the previous segment stopped. The vectors stay
-/// the [`Trainer`]'s; a rank copies its parameters and the moment range it
-/// owns, once.
-struct SegmentIn<'a> {
-    /// Flat parameters ([`GptModel::for_each_param`] order).
-    params: &'a [f32],
-    /// Flat first moments, same order and length as `params`.
-    m: &'a [f32],
-    /// Flat second moments.
-    v: &'a [f32],
-    /// Optimizer step counter (bias correction).
-    opt_step: u64,
-    /// Data-stream RNG words.
-    rng: [u64; 4],
-    /// Micro-steps completed before this segment (drives warmup).
-    base_step: usize,
-    /// Micro-steps to run (a multiple of `grad_accum`).
-    steps: usize,
-}
-
-/// One rank's segment result. The small replicated fields (losses, rng,
-/// step counters) are identical across ranks by construction. The
-/// parameter-sized ones are moved out of the replica, and only where the
-/// [`Trainer`] keeps them: `params` and `grads` on rank 0 (`grads` empty
-/// unless the segment's last window completed — a rolled-back window has
-/// none), `m` / `v` on rank 0 when dense and on every rank, as its slice,
-/// under ZeRO-1.
-struct RankOut {
-    steps: usize,
-    losses: Vec<f32>,
-    params: Vec<f32>,
-    m: Vec<f32>,
-    v: Vec<f32>,
-    opt_step: u64,
-    opt_bytes: usize,
-    rng: [u64; 4],
-    grads: Vec<f32>,
-    host: PoolStats,
-    comm: CommStats,
-    err: Option<TrainError>,
-}
-
 /// Rank `rank`'s contiguous share of a flat vector of `n` elements split
 /// over `world` ranks: the ZeRO-1 moment slice and the checkpoint shard.
 /// The same integer division everywhere, so shares concatenate exactly.
@@ -368,40 +337,199 @@ fn retrying_traced<T>(
     .map_err(TrainError::Comm)
 }
 
-/// One rank's place in the segment geometry: its index, the rank count,
-/// and the sequence shard plan (None when the whole sequence is local).
-struct RankCtx<'a> {
-    rank: usize,
-    world: usize,
-    plan: Option<&'a ChunkPlan>,
+// ---------------------------------------------------------------------------
+// Rank sessions
+// ---------------------------------------------------------------------------
+
+/// The flat, world-independent training state: what a checkpoint holds,
+/// what rank sessions spawn from, and what they export. A single rank's
+/// export holds only its share: `params` and `grads` on rank 0, `m` / `v`
+/// on rank 0 when dense and on every rank, as its slice, under ZeRO-1.
+#[derive(Debug, Default)]
+struct Flat {
+    /// Parameters in [`GptModel::for_each_param`] order.
+    params: Vec<f32>,
+    /// First moments, same order and length as `params`.
+    m: Vec<f32>,
+    /// Second moments.
+    v: Vec<f32>,
+    /// Optimizer step counter (bias correction).
+    opt_step: u64,
+    /// Data-stream RNG words.
+    rng: [u64; 4],
+    /// The last completed window's reduced gradients; empty when the
+    /// sessions completed none since they spawned.
+    grads: Vec<f32>,
 }
 
-/// Runs one rank's share of a segment: rebuild the replica from the
-/// host-side state, run whole accumulation windows, and on a failed window
-/// roll back to the last step boundary (rewind the data RNG, zero the
-/// gradients) instead of committing partial state.
-///
-/// `sync_and_step` turns the replica's local gradient buffer into the
-/// window's reduced one, in place, applies the optimizer step and returns
-/// the global `(loss_sum, tokens)`.
-fn run_rank_segment(
+/// What one `Run` reports. The replicated fields (steps, losses) are
+/// identical across ranks by construction.
+struct RunOut {
+    /// Micro-steps completed (a failed window completes none).
+    steps: usize,
+    losses: Vec<f32>,
+    opt_bytes: usize,
+    /// Host-pool and wire counters since the session spawned.
+    host: PoolStats,
+    comm: CommStats,
+    err: Option<TrainError>,
+}
+
+/// A request to a rank session, with the channel its answer goes back on.
+enum Command {
+    /// Run this many micro-steps (whole accumulation windows).
+    Run(usize, Sender<RunOut>),
+    /// Copy out the rank's share of the flat state.
+    Export(Sender<Flat>),
+    /// Copy out the last completed window's gradients (rank 0; empty
+    /// elsewhere).
+    Grads(Sender<Vec<f32>>),
+    /// Run a closure on the rank thread.
+    #[cfg(test)]
+    Call(Box<dyn FnOnce() + Send>),
+}
+
+/// The Trainer's end of one rank session.
+#[derive(Debug)]
+struct Session {
+    commands: Sender<Command>,
+    thread: JoinHandle<()>,
+}
+
+/// Live rank sessions, with rank 0's counters since they spawned.
+#[derive(Debug)]
+struct Live {
+    sessions: Vec<Session>,
+    host: PoolStats,
+    comm: CommStats,
+}
+
+/// Sends one command to each session and waits for every answer, in rank
+/// order. `None` when a session is gone — its rank panicked.
+fn ask<T>(sessions: &[Session], command: impl Fn(Sender<T>) -> Command) -> Option<Vec<T>> {
+    let answers: Vec<Option<Receiver<T>>> = sessions
+        .iter()
+        .map(|s| {
+            let (tx, rx) = channel();
+            s.commands.send(command(tx)).ok().map(|()| rx)
+        })
+        .collect();
+    answers.into_iter().map(|rx| rx?.recv().ok()).collect()
+}
+
+/// Closes every session's queue, then joins them all; returns the first
+/// rank panic.
+fn shut_down(sessions: Vec<Session>) -> Option<Box<dyn Any + Send>> {
+    let threads: Vec<JoinHandle<()>> = sessions.into_iter().map(|s| s.thread).collect();
+    threads
+        .into_iter()
+        .fold(None, |first, t| first.or(t.join().err()))
+}
+
+/// Spawns one session per rank of `cfg`'s geometry, each building its
+/// rank from `flat`. Kernels run under `cfg.runtime`'s context over the
+/// calling thread's, split across the ranks.
+fn spawn(cfg: &TrainConfig, recorder: Option<&Recorder>, flat: Flat, step: usize) -> Vec<Session> {
+    let world = match cfg.mode {
+        Mode::Single => 1,
+        _ => cfg.world,
+    };
+    let ctx = cfg.runtime.kernel_ctx(KernelCtx::current());
+    let flat = Arc::new(flat);
+    CommGroup::new(world)
+        .communicators()
+        .into_iter()
+        .map(|comm| {
+            let (commands, queue) = channel();
+            let (cfg, recorder, flat) = (cfg.clone(), recorder.cloned(), Arc::clone(&flat));
+            let thread = spawn_rank(comm, ctx, move |comm| {
+                serve(&cfg, recorder.as_ref(), comm, flat, step, &queue);
+            })
+            .unwrap_or_else(|e| panic!("cannot spawn a rank session: {e}"));
+            Session { commands, thread }
+        })
+        .collect()
+}
+
+/// The body of a session thread: the executor and its streams, the rank
+/// built from `flat`, then commands until the Trainer closes the queue.
+fn serve(
     cfg: &TrainConfig,
-    ctx: &RankCtx<'_>,
-    exec: &mut dyn AttentionExec,
     recorder: Option<&Recorder>,
-    seg: &SegmentIn,
-    mut sync_and_step: impl FnMut(
-        &mut GptModel,
-        &mut AdamW,
-        f32,
-        usize,
-    ) -> Result<(f32, usize), TrainError>,
-) -> RankOut {
-    let RankCtx { rank, world, plan } = *ctx;
-    let n = seg.params.len();
-    let zero = cfg.zero_shard && world > 1;
-    let (mut model, mut opt, mut corpus) = spanned(recorder, "segment.build", || {
-        let mut model = GptModel::from_params(&cfg.model, seg.params);
+    comm: Communicator,
+    flat: Arc<Flat>,
+    step: usize,
+    queue: &Receiver<Command>,
+) {
+    let comm = Arc::new(comm);
+    let plan =
+        ChunkPlan::new(cfg.seq, comm.world(), cfg.mode.chunks()).expect("validated by Trainer");
+    let mut exec: Box<dyn AttentionExec + '_> = match cfg.mode {
+        Mode::Single => Box::new(LocalAttention::new(1)),
+        Mode::Ring => Box::new(RingAttentionExec::new(&comm, cfg.seq)),
+        Mode::Ulysses | Mode::Fpdt { .. } => {
+            let ex =
+                DistAttention::with_opts(Arc::clone(&comm), plan, cfg.mode.offload(), cfg.runtime);
+            Box::new(match recorder {
+                Some(rec) => ex.with_recorder(rec.clone()),
+                None => ex,
+            })
+        }
+    };
+    let mut rank = spanned(recorder, "segment.build", || {
+        Rank::new(cfg, recorder, &comm, plan, &flat, step)
+    });
+    // the flat state is freed once every rank has built from it
+    drop(flat);
+    while let Ok(command) = queue.recv() {
+        // An answer nobody waits for any more is dropped.
+        match command {
+            Command::Run(steps, answer) => {
+                let out = rank.run(&mut *exec, steps);
+                let _ = answer.send(out);
+            }
+            Command::Export(answer) => {
+                let _ = answer.send(rank.export());
+            }
+            Command::Grads(answer) => {
+                let _ = answer.send(rank.export_grads());
+            }
+            #[cfg(test)]
+            Command::Call(f) => f(),
+        }
+    }
+}
+
+/// Everything a rank session trains with besides its executor.
+struct Rank<'a> {
+    cfg: &'a TrainConfig,
+    recorder: Option<&'a Recorder>,
+    comm: &'a Communicator,
+    /// The sequence shard plan; `None` for [`Mode::Single`], whose one
+    /// rank holds the whole sequence and runs no collectives.
+    plan: Option<ChunkPlan>,
+    model: GptModel,
+    opt: AdamW,
+    corpus: Corpus,
+    /// Micro-steps completed (drives warmup).
+    step: usize,
+    /// Whether the replica's gradient buffer holds the last completed
+    /// window's reduced gradients.
+    has_grads: bool,
+}
+
+impl<'a> Rank<'a> {
+    /// The replica, its optimizer shard and the data stream, exactly where
+    /// `flat` left them.
+    fn new(
+        cfg: &'a TrainConfig,
+        recorder: Option<&'a Recorder>,
+        comm: &'a Communicator,
+        plan: ChunkPlan,
+        flat: &Flat,
+        step: usize,
+    ) -> Self {
+        let mut model = GptModel::from_params(&cfg.model, &flat.params);
         if let Some(rec) = recorder {
             model = model.with_recorder(rec.clone());
         }
@@ -411,246 +539,267 @@ fn run_rank_segment(
         });
         // Dense: every replica steps every parameter. ZeRO-1: this rank
         // owns one contiguous slice of the flat moment vectors.
-        let (lo, hi) = if zero { shard_range(rank, world, n) } else { (0, n) };
-        opt.import_state(seg.opt_step, lo, seg.m[lo..hi].to_vec(), seg.v[lo..hi].to_vec());
-        let mut corpus = Corpus::new(cfg.model.vocab, 0.05, cfg.seed ^ 0x5eed);
-        corpus.set_rng_state(seg.rng);
-        (model, opt, corpus)
-    });
-
-    let mlp_chunks = 2 * cfg.mode.chunks();
-    let loss_chunks = (cfg.model.vocab / cfg.model.hidden * 2).max(1);
-    let accum = cfg.grad_accum.max(1);
-    let mut losses = Vec::with_capacity(seg.steps / accum);
-    let mut done = 0usize;
-    let mut err = None;
-    for w in 0..seg.steps / accum {
-        let rng_snap = corpus.rng_state();
-        spanned(recorder, "grads.zero", || model.zero_grad());
-        // linear warmup on the *global* optimizer-step counter, so resumed
-        // segments continue the schedule exactly
-        if cfg.warmup_steps > 0 {
-            let opt_step_no = (seg.base_step + (w + 1) * accum) / accum;
-            let frac = (opt_step_no as f32 / cfg.warmup_steps as f32).min(1.0);
-            opt.set_lr(cfg.lr * frac);
-        }
-        let mut window = || {
-            let mut window_loss = 0.0f32;
-            let mut window_tokens = 0usize;
-            for _micro in 0..accum {
-                let (gx, gy) = corpus.sample(cfg.seq);
-                let (tokens, targets, pos) = match plan {
-                    Some(p) => (
-                        p.shard(rank, &gx),
-                        p.shard(rank, &gy),
-                        p.local_positions(rank),
-                    ),
-                    None => (gx, gy, (0..cfg.seq).collect()),
-                };
-                let fb = if cfg.activation_checkpoint {
-                    model.forward_backward_checkpointed(
-                        exec,
-                        &tokens,
-                        &targets,
-                        &pos,
-                        mlp_chunks,
-                        loss_chunks,
-                    )
-                } else {
-                    model.forward_backward(exec, &tokens, &targets, &pos, mlp_chunks, loss_chunks)
-                };
-                let stats = fb.map_err(exec_error)?;
-                window_loss += stats.loss_sum;
-                window_tokens += stats.tokens;
-            }
-            sync_and_step(&mut model, &mut opt, window_loss, window_tokens)
+        let (lo, hi) = match cfg.zero_shard {
+            true => shard_range(comm.rank(), comm.world(), flat.params.len()),
+            false => (0, flat.params.len()),
         };
-        match window() {
-            Ok((loss_sum, total_tokens)) => {
-                losses.push(loss_sum / total_tokens as f32);
-                done += accum;
-            }
-            Err(e) => {
-                err = Some(e);
-                corpus.set_rng_state(rng_snap);
-                model.zero_grad();
-                if let Some(rec) = recorder {
-                    rec.event("recover.rollback");
-                }
-                break;
-            }
+        opt.import_state(
+            flat.opt_step,
+            lo,
+            flat.m[lo..hi].to_vec(),
+            flat.v[lo..hi].to_vec(),
+        );
+        let mut corpus = Corpus::new(cfg.model.vocab, 0.05, cfg.seed ^ 0x5eed);
+        corpus.set_rng_state(flat.rng);
+        Rank {
+            cfg,
+            recorder,
+            comm,
+            plan: (cfg.mode != Mode::Single).then_some(plan),
+            model,
+            opt,
+            corpus,
+            step,
+            has_grads: false,
         }
     }
 
-    let _export = recorder.map(|r| r.span("segment.export"));
-    let (opt_step, opt_bytes) = (opt.steps(), opt.state_bytes());
-    let (m, v) = if zero || rank == 0 {
-        opt.into_moments()
-    } else {
-        Default::default()
-    };
-    let (params, grads) = match rank {
-        0 if err.is_none() => (model.collect_params(), model.into_grads()),
-        0 => (model.collect_params(), Vec::new()),
-        _ => Default::default(),
-    };
-    RankOut {
-        steps: done,
-        losses,
-        params,
-        m,
-        v,
-        opt_step,
-        opt_bytes,
-        rng: corpus.rng_state(),
-        grads,
-        host: PoolStats::default(),
-        comm: CommStats::default(),
-        err,
+    /// Runs `steps` micro-steps as whole accumulation windows; on a failed
+    /// window rolls back to the last step boundary (rewind the data RNG,
+    /// zero the gradients) instead of committing partial state.
+    fn run(&mut self, exec: &mut dyn AttentionExec, steps: usize) -> RunOut {
+        let cfg = self.cfg;
+        // SPMD-symmetric fault injection, armed per call: every rank arms
+        // the same faults, so failures (and recoveries) stay collective.
+        if cfg.runtime.fault_inject > 0 && self.plan.is_some() {
+            self.comm
+                .inject_fault("all_gather", cfg.runtime.fault_inject);
+        }
+        let mlp_chunks = 2 * cfg.mode.chunks();
+        let loss_chunks = (cfg.model.vocab / cfg.model.hidden * 2).max(1);
+        let accum = cfg.grad_accum.max(1);
+        let mut losses = Vec::with_capacity(steps / accum);
+        let mut err = None;
+        for _ in 0..steps / accum {
+            let rng_snap = self.corpus.rng_state();
+            spanned(self.recorder, "grads.zero", || self.model.zero_grad());
+            self.has_grads = false;
+            // linear warmup on the *global* optimizer-step counter, so
+            // every call continues the schedule exactly
+            if cfg.warmup_steps > 0 {
+                let opt_step_no = (self.step + accum) / accum;
+                let frac = (opt_step_no as f32 / cfg.warmup_steps as f32).min(1.0);
+                self.opt.set_lr(cfg.lr * frac);
+            }
+            match self.window(exec, mlp_chunks, loss_chunks) {
+                Ok((loss_sum, total_tokens)) => {
+                    losses.push(loss_sum / total_tokens as f32);
+                    self.step += accum;
+                    self.has_grads = true;
+                }
+                Err(e) => {
+                    err = Some(e);
+                    self.corpus.set_rng_state(rng_snap);
+                    self.model.zero_grad();
+                    if let Some(rec) = self.recorder {
+                        rec.event("recover.rollback");
+                    }
+                    break;
+                }
+            }
+        }
+        RunOut {
+            steps: losses.len() * accum,
+            losses,
+            opt_bytes: self.opt.state_bytes(),
+            host: exec.host_stats(),
+            comm: self.comm.stats(),
+            err,
+        }
+    }
+
+    /// One accumulation window: forward/backward per micro-step, then the
+    /// gradient sync and the optimizer step. Returns the global
+    /// `(loss_sum, tokens)`.
+    fn window(
+        &mut self,
+        exec: &mut dyn AttentionExec,
+        mlp_chunks: usize,
+        loss_chunks: usize,
+    ) -> Result<(f32, usize), TrainError> {
+        let cfg = self.cfg;
+        let rank = self.comm.rank();
+        let (mut loss_sum, mut tokens) = (0.0f32, 0usize);
+        for _micro in 0..cfg.grad_accum.max(1) {
+            let (gx, gy) = self.corpus.sample(cfg.seq);
+            let (x, y, pos) = match &self.plan {
+                Some(p) => (
+                    p.shard(rank, &gx),
+                    p.shard(rank, &gy),
+                    p.local_positions(rank),
+                ),
+                None => (gx, gy, (0..cfg.seq).collect()),
+            };
+            let fb = if cfg.activation_checkpoint {
+                self.model.forward_backward_checkpointed(
+                    exec,
+                    &x,
+                    &y,
+                    &pos,
+                    mlp_chunks,
+                    loss_chunks,
+                )
+            } else {
+                self.model
+                    .forward_backward(exec, &x, &y, &pos, mlp_chunks, loss_chunks)
+            };
+            let stats = fb.map_err(exec_error)?;
+            loss_sum += stats.loss_sum;
+            tokens += stats.tokens;
+        }
+        if self.plan.is_none() {
+            spanned(self.recorder, "opt.adamw", || {
+                self.model
+                    .optimizer_step(&mut self.opt, 1.0 / tokens as f32)
+            });
+            return Ok((loss_sum, tokens));
+        }
+        self.sync_and_step(loss_sum, tokens)
+    }
+
+    /// Turns the replica's local gradient buffer into the window's reduced
+    /// one, in place, applies the optimizer step and returns the global
+    /// `(loss_sum, tokens)`. Reductions run in deterministic rank order.
+    fn sync_and_step(&mut self, loss_sum: f32, tokens: usize) -> Result<(f32, usize), TrainError> {
+        // Gradients reduce in place in the replica's flat buffer, one
+        // bucket at a time (the staging transient is one bucket per rank,
+        // the paper's future-work fix); a replayed bucket starts from the
+        // untouched local values.
+        const REDUCE_BUCKET: usize = 1 << 16;
+        let (comm, recorder) = (self.comm, self.recorder);
+        let retries = self.cfg.runtime.comm_retries;
+        // the window's first collective: a rank that arrives early waits
+        // here for the slowest one
+        let scalars = spanned(recorder, "sync.loss", || {
+            retrying_traced(comm, retries, recorder, |c| {
+                c.all_reduce(&[loss_sum, tokens as f32])
+            })
+        })?;
+        let n = self.model.param_count();
+        let reduce_span = recorder.map(|r| r.span("allreduce.grads").bytes((n * 4) as u64));
+        for bucket in self.model.grads_mut().chunks_mut(REDUCE_BUCKET) {
+            retrying_traced(comm, retries, recorder, |c| c.all_reduce_in_place(bucket))?;
+        }
+        drop(reduce_span);
+        let scale = 1.0 / scalars[1];
+        if self.cfg.zero_shard {
+            // ZeRO-1: this rank steps its own slice of the flat parameter
+            // vector with its optimizer shard, then all-gathers everyone's.
+            let mut params = self.model.collect_params();
+            let (lo, hi) = shard_range(comm.rank(), comm.world(), n);
+            spanned(recorder, "opt.adamw", || {
+                self.opt.begin_step();
+                let grads = &self.model.grads()[lo..hi];
+                self.opt
+                    .update_scaled(lo, &mut params[lo..hi], grads, scale);
+            });
+            let shards =
+                retrying_traced(comm, retries, recorder, |c| c.all_gather(&params[lo..hi]))?;
+            let full: Vec<f32> = shards.into_iter().flatten().collect();
+            self.model.set_params(&full);
+        } else {
+            spanned(recorder, "opt.adamw", || {
+                self.model.optimizer_step(&mut self.opt, scale)
+            });
+        }
+        Ok((scalars[0], scalars[1] as usize))
+    }
+
+    /// This rank's share of the flat state (see [`Flat`]).
+    fn export(&mut self) -> Flat {
+        let _span = self.recorder.map(|r| r.span("segment.export"));
+        let first = self.comm.rank() == 0;
+        let (_, m, v) = self.opt.moments();
+        let (m, v) = match first || self.cfg.zero_shard {
+            true => (m.to_vec(), v.to_vec()),
+            false => Default::default(),
+        };
+        Flat {
+            params: if first {
+                self.model.collect_params()
+            } else {
+                Vec::new()
+            },
+            m,
+            v,
+            opt_step: self.opt.steps(),
+            rng: self.corpus.rng_state(),
+            grads: self.export_grads(),
+        }
+    }
+
+    fn export_grads(&self) -> Vec<f32> {
+        match self.comm.rank() == 0 && self.has_grads {
+            true => self.model.grads().to_vec(),
+            false => Vec::new(),
+        }
     }
 }
 
-/// Runs one segment at the configured geometry, returning every rank's
-/// result in rank order.
-fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) -> Vec<RankOut> {
-    match cfg.mode {
-        Mode::Single => {
-            let mut exec = LocalAttention::new(1);
-            vec![run_rank_segment(
-                cfg,
-                &RankCtx {
-                    rank: 0,
-                    world: 1,
-                    plan: None,
-                },
-                &mut exec,
-                recorder,
-                seg,
-                |model, opt, ls, tok| {
-                    spanned(recorder, "opt.adamw", || {
-                        model.optimizer_step(opt, 1.0 / tok as f32)
-                    });
-                    Ok((ls, tok))
-                },
-            )]
-        }
-        Mode::Ulysses | Mode::Ring | Mode::Fpdt { .. } => {
-            let world = cfg.world;
-            let chunks = cfg.mode.chunks();
-            let offload = cfg.mode.offload();
-            let retries = cfg.runtime.comm_retries;
-            run_group(world, |comm| {
-                let comm = Arc::new(comm);
-                let plan = ChunkPlan::new(cfg.seq, world, chunks).expect("validated by Trainer");
-                // SPMD-symmetric fault injection: every rank arms the same
-                // faults, so failures (and recoveries) stay collective.
-                if cfg.runtime.fault_inject > 0 {
-                    comm.inject_fault("all_gather", cfg.runtime.fault_inject);
-                }
-                let rank = comm.rank();
-                let mut dist_exec: Option<DistAttention> = None;
-                let mut ring_exec;
-                let exec: &mut dyn AttentionExec = if matches!(cfg.mode, Mode::Ring) {
-                    ring_exec = RingAttentionExec::new(&comm, cfg.seq);
-                    &mut ring_exec
-                } else {
-                    let mut ex =
-                        DistAttention::with_opts(Arc::clone(&comm), plan, offload, cfg.runtime);
-                    if let Some(rec) = recorder {
-                        ex = ex.with_recorder(rec.clone());
-                    }
-                    dist_exec = Some(ex);
-                    dist_exec.as_mut().expect("just set")
-                };
-                let sync = |model: &mut GptModel, opt: &mut AdamW, ls: f32, tok: usize| {
-                    // Deterministic rank-order reductions. Gradients reduce
-                    // in place in the replica's flat buffer, one bucket at
-                    // a time (the staging transient is one bucket per
-                    // rank, the paper's future-work fix); a replayed bucket
-                    // starts from the untouched local values.
-                    const REDUCE_BUCKET: usize = 1 << 16;
-                    // the window's first collective: a rank that arrives
-                    // early waits here for the slowest one
-                    let scalars = spanned(recorder, "sync.loss", || {
-                        retrying_traced(&comm, retries, recorder, |c| {
-                            c.all_reduce(&[ls, tok as f32])
-                        })
-                    })?;
-                    let n = model.param_count();
-                    let reduce_span =
-                        recorder.map(|r| r.span("allreduce.grads").bytes((n * 4) as u64));
-                    for bucket in model.grads_mut().chunks_mut(REDUCE_BUCKET) {
-                        retrying_traced(&comm, retries, recorder, |c| {
-                            c.all_reduce_in_place(bucket)
-                        })?;
-                    }
-                    drop(reduce_span);
-                    let scale = 1.0 / scalars[1];
-                    if cfg.zero_shard {
-                        // ZeRO-1: this rank steps its own slice of the flat
-                        // parameter vector with its optimizer shard, then
-                        // all-gathers everyone's.
-                        let mut params = model.collect_params();
-                        let (lo, hi) = shard_range(rank, world, n);
-                        spanned(recorder, "opt.adamw", || {
-                            opt.begin_step();
-                            let grads = &model.grads()[lo..hi];
-                            opt.update_scaled(lo, &mut params[lo..hi], grads, scale);
-                        });
-                        let shards = retrying_traced(&comm, retries, recorder, |c| {
-                            c.all_gather(&params[lo..hi])
-                        })?;
-                        let full: Vec<f32> = shards.into_iter().flatten().collect();
-                        model.set_params(&full);
-                    } else {
-                        spanned(recorder, "opt.adamw", || model.optimizer_step(opt, scale));
-                    }
-                    Ok((scalars[0], scalars[1] as usize))
-                };
-                let ctx = RankCtx {
-                    rank,
-                    world,
-                    plan: Some(&plan),
-                };
-                let mut out = run_rank_segment(cfg, &ctx, exec, recorder, seg, sync);
-                out.host = match cfg.mode {
-                    Mode::Ring => PoolStats::default(),
-                    _ => dist_exec
-                        .as_ref()
-                        .map(|e| e.host_stats())
-                        .unwrap_or_default(),
-                };
-                out.comm = comm.stats();
-                out
-            })
+/// Why a Trainer has no state left.
+const LOST: &str = "a rank session panicked and its share of the training state is gone; \
+                    resume from a checkpoint";
+
+/// The flat state, assembled from every session's share; `None` when a
+/// rank is gone.
+fn export(cfg: &TrainConfig, live: &Live) -> Option<Flat> {
+    let mut shares = ask(&live.sessions, Command::Export)?.into_iter();
+    let mut flat = shares.next()?;
+    if cfg.zero_shard {
+        // Rank order concatenates the ZeRO-1 slices exactly: their bounds
+        // are the integer division every spawn uses.
+        for share in shares {
+            flat.m.extend(share.m);
+            flat.v.extend(share.v);
         }
     }
+    Some(flat)
 }
 
 // ---------------------------------------------------------------------------
 // The Trainer
 // ---------------------------------------------------------------------------
 
+/// Where the [`Trainer`]'s state lives right now.
+#[derive(Debug)]
+enum State {
+    /// Flat in host memory: before the first `run_steps`, after a resume,
+    /// and after anything that shut the sessions down.
+    Host(Flat),
+    /// In the rank sessions.
+    Live(Live),
+    /// A rank panicked and took its share of the state with it.
+    Lost,
+}
+
 /// A resumable, fault-tolerant training session (see the module docs).
 ///
-/// Durable state is held host-side between segments in a world-independent
-/// flat layout; `run_steps` executes whole accumulation windows on a fresh
-/// thread-device world and commits the results. [`Trainer::checkpoint`]
-/// cuts per-rank shards from that host state (no collective involved);
-/// [`Trainer::resume`] rebuilds a `Trainer` from a shard directory.
+/// The first `run_steps` spawns one rank session per rank from the flat
+/// host state; later calls reuse them. [`Trainer::checkpoint`] cuts
+/// per-rank shards from the flat state (exported from live sessions
+/// without stopping them, no collective involved); [`Trainer::resume`]
+/// rebuilds a `Trainer` from a shard directory. Dropping the Trainer shuts
+/// its sessions down and joins every thread they own.
 #[derive(Debug)]
 pub struct Trainer {
     cfg: TrainConfig,
     recorder: Option<Recorder>,
-    params: Vec<f32>,
-    opt_m: Vec<f32>,
-    opt_v: Vec<f32>,
-    opt_step: u64,
+    state: State,
     opt_state_bytes: usize,
-    rng: [u64; 4],
     step: usize,
     losses: Vec<f32>,
-    grads: Vec<f32>,
+    /// Rank 0's counters of every session shut down so far (and, after a
+    /// resume, of the run that wrote the checkpoint).
     host: PoolStats,
     comm: CommStats,
 }
@@ -672,24 +821,27 @@ impl Trainer {
         Trainer {
             cfg,
             recorder: None,
-            params,
-            opt_m: vec![0.0; n],
-            opt_v: vec![0.0; n],
-            opt_step: 0,
+            state: State::Host(Flat {
+                params,
+                m: vec![0.0; n],
+                v: vec![0.0; n],
+                rng,
+                ..Flat::default()
+            }),
             opt_state_bytes: 0,
-            rng,
             step: 0,
             losses: Vec::new(),
-            grads: Vec::new(),
             host: PoolStats::default(),
             comm: CommStats::default(),
         }
     }
 
     /// Attaches a span recorder (same instrumentation as [`train_traced`],
-    /// plus `recover.retry` / `recover.rollback` events).
+    /// plus `recover.retry` / `recover.rollback` events). Sessions record
+    /// to the recorder they spawned with, so live ones are shut down.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.retire();
         self.recorder = Some(recorder);
         self
     }
@@ -704,16 +856,18 @@ impl Trainer {
         &self.cfg
     }
 
-    /// Replaces the runtime knobs for subsequent segments (retry budgets,
-    /// fault injection, payload precision — all bitwise-invisible except
-    /// where documented).
+    /// Replaces the runtime knobs (retry budgets, fault injection, payload
+    /// precision, kernel settings — all bitwise-invisible except where
+    /// documented). Live sessions run under the knobs they spawned with:
+    /// they are shut down, and the next `run_steps` spawns new ones.
     pub fn set_runtime(&mut self, runtime: RuntimeOptions) {
+        self.retire();
         self.cfg.runtime = runtime;
     }
 
-    /// Elastically resizes the thread-device world for subsequent
-    /// segments. Parameters and moments are stored flat and re-shard
-    /// automatically; only the geometry of the next segment changes.
+    /// Elastically resizes the thread-device world. Live sessions are shut
+    /// down; parameters and moments are stored flat and re-shard when the
+    /// next `run_steps` spawns sessions at the new geometry.
     ///
     /// # Panics
     ///
@@ -723,13 +877,17 @@ impl Trainer {
         let mut cfg = self.cfg.clone();
         cfg.world = world;
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+        self.retire();
         self.cfg = cfg;
     }
 
-    /// Runs `n` micro-steps (whole accumulation windows) and commits the
-    /// resulting state. On a collective failure past the retry budget the
-    /// session rolls back to the last completed optimizer window and the
-    /// error is returned — call `run_steps` again to retry the remainder.
+    /// Runs `n` micro-steps (whole accumulation windows) on the rank
+    /// sessions, spawning them first when none are live. On a collective
+    /// failure past the retry budget the sessions roll back to the last
+    /// completed optimizer window, the Trainer takes that state back to
+    /// the flat host layout, shuts them down, and returns the error — call
+    /// `run_steps` again to retry the remainder. The gradients of a
+    /// rolled-back call are not reported.
     ///
     /// # Errors
     ///
@@ -738,9 +896,11 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics when `n` is not a multiple of `grad_accum` — segments must
+    /// Panics when `n` is not a multiple of `grad_accum` — calls must
     /// align to optimizer windows or rollback boundaries would be
-    /// ambiguous.
+    /// ambiguous. A rank's panic resumes here; the other sessions are shut
+    /// down first, and the Trainer is left without state (later calls
+    /// panic at once).
     pub fn run_steps(&mut self, n: usize) -> Result<(), TrainError> {
         let accum = self.cfg.grad_accum.max(1);
         assert!(
@@ -750,63 +910,102 @@ impl Trainer {
         if n == 0 {
             return Ok(());
         }
-        let seg = SegmentIn {
-            params: &self.params,
-            m: &self.opt_m,
-            v: &self.opt_v,
-            opt_step: self.opt_step,
-            rng: self.rng,
-            base_step: self.step,
-            steps: n,
+        let Some(outs) = ask(&self.live().sessions, |answer| Command::Run(n, answer)) else {
+            self.lose()
         };
-        let mut outs = run_segment(&self.cfg, self.recorder.as_ref(), &seg);
-        if self.cfg.zero_shard && outs.len() > 1 {
-            // reassemble the flat moment vectors from every rank's slice
-            // (slice bounds are the same integer division the next
-            // segment will use, so concatenation is exact at any world)
-            self.opt_m.clear();
-            self.opt_v.clear();
-            for o in &outs {
-                self.opt_m.extend_from_slice(&o.m);
-                self.opt_v.extend_from_slice(&o.v);
-            }
-        } else {
-            self.opt_m = std::mem::take(&mut outs[0].m);
-            self.opt_v = std::mem::take(&mut outs[0].v);
-        }
-        let r0 = outs.swap_remove(0);
-        self.params = r0.params;
-        self.opt_step = r0.opt_step;
-        self.opt_state_bytes = r0.opt_bytes;
-        self.rng = r0.rng;
+        let mut outs = outs.into_iter();
+        let mut r0 = outs.next().expect("every group has a rank 0");
+        let err = r0.err.take().or_else(|| outs.find_map(|o| o.err));
         self.step += r0.steps;
         self.losses.extend(r0.losses);
-        if !r0.grads.is_empty() {
-            self.grads = r0.grads;
+        self.opt_state_bytes = r0.opt_bytes;
+        if let State::Live(live) = &mut self.state {
+            (live.host, live.comm) = (r0.host, r0.comm);
         }
-        self.host.merge(&r0.host);
-        self.comm.merge(&r0.comm);
-        match r0.err {
-            Some(e) => Err(e),
+        match err {
+            Some(e) => {
+                self.retire();
+                Err(e)
+            }
             None => Ok(()),
         }
     }
 
+    /// The live sessions, spawned from the flat state if there are none.
+    fn live(&mut self) -> &mut Live {
+        self.state = match std::mem::replace(&mut self.state, State::Lost) {
+            State::Host(flat) => State::Live(Live {
+                sessions: spawn(&self.cfg, self.recorder.as_ref(), flat, self.step),
+                host: PoolStats::default(),
+                comm: CommStats::default(),
+            }),
+            kept => kept,
+        };
+        match &mut self.state {
+            State::Live(live) => live,
+            _ => panic!("{LOST}"),
+        }
+    }
+
+    /// Moves the state out of live sessions into the flat host layout and
+    /// shuts them down. A no-op without live sessions.
+    fn retire(&mut self) {
+        let State::Live(live) = &self.state else {
+            return;
+        };
+        let Some(flat) = export(&self.cfg, live) else {
+            self.lose()
+        };
+        if let State::Live(live) = std::mem::replace(&mut self.state, State::Host(flat)) {
+            self.host.merge(&live.host);
+            self.comm.merge(&live.comm);
+            shut_down(live.sessions);
+        }
+    }
+
+    /// A rank died: shuts the other sessions down and re-raises its panic.
+    fn lose(&mut self) -> ! {
+        let panic = match std::mem::replace(&mut self.state, State::Lost) {
+            State::Live(live) => shut_down(live.sessions),
+            _ => None,
+        };
+        resume_unwind(panic.unwrap_or_else(|| Box::new(LOST)))
+    }
+
+    /// Rank 0's counters over every session so far.
+    fn totals(&self) -> (PoolStats, CommStats) {
+        let (mut host, mut comm) = (self.host, self.comm.clone());
+        if let State::Live(live) = &self.state {
+            host.merge(&live.host);
+            comm.merge(&live.comm);
+        }
+        (host, comm)
+    }
+
     /// The accumulated report — identical to what [`train`] returns for an
-    /// uninterrupted run of the same steps.
+    /// uninterrupted run of the same steps. Live sessions keep running.
     pub fn report(&self) -> TrainReport {
+        let grads = match &self.state {
+            State::Host(flat) => flat.grads.clone(),
+            State::Live(live) => ask(&live.sessions[..1], Command::Grads)
+                .and_then(|mut grads| grads.pop())
+                .unwrap_or_else(|| panic!("{LOST}")),
+            State::Lost => Vec::new(),
+        };
+        let (host, comm) = self.totals();
         TrainReport {
             losses: self.losses.clone(),
-            host: self.host,
+            host,
             opt_state_bytes: self.opt_state_bytes,
-            comm: self.comm.clone(),
-            grads: self.grads.clone(),
+            comm,
+            grads,
         }
     }
 
     /// Replicated (world-independent) metadata every shard carries.
-    fn meta_dict(&self) -> StateDict {
+    fn meta_dict(&self, flat: &Flat) -> StateDict {
         let cfg = &self.cfg;
+        let (host, comm) = self.totals();
         let mut d = StateDict::new();
         d.insert("cfg.model.name", StateValue::Str(cfg.model.name.clone()));
         d.insert(
@@ -846,30 +1045,29 @@ impl Trainer {
         d.insert("cfg.lr", StateValue::F32(vec![cfg.lr]));
         d.insert("cfg.mode", StateValue::Str(cfg.mode.as_str()));
         d.insert("trainer.step", StateValue::U64(vec![self.step as u64]));
-        d.insert("opt.step", StateValue::U64(vec![self.opt_step]));
+        d.insert("opt.step", StateValue::U64(vec![flat.opt_step]));
         d.insert(
             "opt.state_bytes",
             StateValue::U64(vec![self.opt_state_bytes as u64]),
         );
-        d.insert("rng.state", StateValue::U64(self.rng.to_vec()));
+        d.insert("rng.state", StateValue::U64(flat.rng.to_vec()));
         d.insert("trainer.losses", StateValue::F32(self.losses.clone()));
-        d.insert("trainer.grads", StateValue::F32(self.grads.clone()));
+        d.insert("trainer.grads", StateValue::F32(flat.grads.clone()));
         d.insert(
             "stats.pool",
             StateValue::U64(vec![
-                self.host.offloads,
-                self.host.fetches,
-                self.host.bytes,
-                self.host.peak_bytes,
-                self.host.bytes_offloaded,
-                self.host.bytes_fetched,
+                host.offloads,
+                host.fetches,
+                host.bytes,
+                host.peak_bytes,
+                host.bytes_offloaded,
+                host.bytes_fetched,
             ]),
         );
         d.insert(
             "stats.comm.ops",
             StateValue::Str(
-                self.comm
-                    .ops
+                comm.ops
                     .iter()
                     .map(|(n, _)| n.as_str())
                     .collect::<Vec<_>>()
@@ -879,8 +1077,7 @@ impl Trainer {
         d.insert(
             "stats.comm.counts",
             StateValue::U64(
-                self.comm
-                    .ops
+                comm.ops
                     .iter()
                     .flat_map(|(_, s)| [s.sends, s.recvs, s.bytes_sent, s.bytes_recv])
                     .collect(),
@@ -888,7 +1085,7 @@ impl Trainer {
         );
         d.insert(
             "stats.comm.recovery",
-            StateValue::U64(vec![self.comm.faults, self.comm.retries]),
+            StateValue::U64(vec![comm.faults, comm.retries]),
         );
         d
     }
@@ -896,25 +1093,38 @@ impl Trainer {
     /// Writes a sharded checkpoint: one `shard-{rank}-of-{world}.fpdt`
     /// per configured rank, each holding the replicated metadata plus that
     /// rank's contiguous slice of the flat parameters and moments. Cut
-    /// from host state at a segment boundary, so no collective (and no
-    /// live world) is involved.
+    /// from the flat state between calls — copied out of live sessions,
+    /// which keep running — so no collective is involved.
     ///
     /// # Errors
     ///
-    /// Typed [`CkptError`]s for any filesystem failure.
+    /// Typed [`CkptError`]s for any filesystem failure;
+    /// [`CkptError::Missing`] when a rank panicked and took its state with
+    /// it.
     pub fn checkpoint(&self, dir: &Path) -> Result<(), CkptError> {
+        let exported;
+        let flat = match &self.state {
+            State::Host(flat) => flat,
+            State::Live(live) => {
+                exported = export(&self.cfg, live);
+                exported
+                    .as_ref()
+                    .ok_or_else(|| CkptError::Missing(LOST.into()))?
+            }
+            State::Lost => return Err(CkptError::Missing(LOST.into())),
+        };
         let world = self.cfg.world.max(1);
-        let n = self.params.len();
+        let n = flat.params.len();
         for rank in 0..world {
             let (lo, hi) = shard_range(rank, world, n);
-            let mut d = self.meta_dict();
+            let mut d = self.meta_dict(flat);
             d.insert("meta.rank", StateValue::U64(vec![rank as u64]));
             d.insert(
                 "model.params.shard",
-                StateValue::F32(self.params[lo..hi].to_vec()),
+                StateValue::F32(flat.params[lo..hi].to_vec()),
             );
-            d.insert("opt.m.shard", StateValue::F32(self.opt_m[lo..hi].to_vec()));
-            d.insert("opt.v.shard", StateValue::F32(self.opt_v[lo..hi].to_vec()));
+            d.insert("opt.m.shard", StateValue::F32(flat.m[lo..hi].to_vec()));
+            d.insert("opt.v.shard", StateValue::F32(flat.v[lo..hi].to_vec()));
             ckpt::write_shard(dir, rank, world, &d)?;
         }
         Ok(())
@@ -1111,26 +1321,38 @@ impl Trainer {
 
         Ok(Trainer {
             step: meta.u64_scalar("trainer.step")? as usize,
-            opt_step: meta.u64_scalar("opt.step")?,
             opt_state_bytes: meta.u64_scalar("opt.state_bytes")? as usize,
             losses: meta.f32s("trainer.losses")?.to_vec(),
-            grads: meta.f32s("trainer.grads")?.to_vec(),
+            state: State::Host(Flat {
+                params,
+                m,
+                v,
+                opt_step: meta.u64_scalar("opt.step")?,
+                rng,
+                grads: meta.f32s("trainer.grads")?.to_vec(),
+            }),
             cfg,
             recorder: None,
-            params,
-            opt_m: m,
-            opt_v: v,
-            rng,
             host,
             comm,
         })
     }
 }
 
+impl Drop for Trainer {
+    /// Shuts the rank sessions down and joins their threads — and, as each
+    /// session drops its engines, every stream worker with them.
+    fn drop(&mut self) {
+        if let State::Live(live) = std::mem::replace(&mut self.state, State::Lost) {
+            shut_down(live.sessions);
+        }
+    }
+}
+
 /// Runs a training experiment, returning the per-step mean losses.
 ///
 /// A thin wrapper over [`Trainer`]: `Trainer::new(cfg)` + one
-/// `run_steps` segment covering every whole accumulation window in
+/// `run_steps` call covering every whole accumulation window in
 /// `cfg.steps`.
 ///
 /// # Panics
@@ -1176,6 +1398,7 @@ fn small_f32(mode: Mode) -> TrainConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn close(a: &[f32], b: &[f32], tol: f32) -> bool {
         a.len() == b.len()
@@ -1310,7 +1533,6 @@ mod tests {
             "allreduce.grads",
             "sync.loss",
             "segment.build",
-            "segment.export",
         ] {
             assert!(rec.count(label) > 0, "no {label} span");
         }
@@ -1373,12 +1595,22 @@ mod tests {
         assert!(r.comm.total_bytes_sent() > 0);
     }
 
+    /// The live sessions of a Trainer that has run.
+    fn sessions(trainer: &Trainer) -> &[Session] {
+        match &trainer.state {
+            State::Live(live) => &live.sessions,
+            _ => panic!("no live sessions"),
+        }
+    }
+
     #[test]
-    fn replicas_shaped_from_params_reproduce_train_across_segments() {
-        // Every `run_steps` call rebuilds its replicas from the vectors the
-        // `Trainer` lends it and hands back only what the `Trainer` keeps;
-        // three segments must retrace one uninterrupted `train` bit for
-        // bit, dense and with the moments sharded.
+    fn calls_on_live_and_respawned_sessions_reproduce_train() {
+        // Three `run_steps` calls must retrace one uninterrupted `train`
+        // bit for bit, dense and with the moments sharded: on the same
+        // live sessions, which build their ranks once and keep running
+        // through a checkpoint's export, and with the sessions shut down
+        // after every call so that each call spawns new ones.
+        let dir = std::env::temp_dir().join(format!("fpdt-live-export-{}", std::process::id()));
         for zero_shard in [false, true] {
             let cfg = TrainConfig {
                 steps: 6,
@@ -1390,17 +1622,117 @@ mod tests {
                 ..TrainConfig::small(Mode::Single)
             };
             let whole = train(&cfg);
-            let mut trainer = Trainer::new(cfg.clone());
-            for _ in 0..3 {
-                trainer.run_steps(2).expect("healthy segment");
+            for respawn in [false, true] {
+                let rec = Recorder::new();
+                let mut trainer = Trainer::new(cfg.clone()).with_recorder(rec.clone());
+                for call in 0..3 {
+                    trainer.run_steps(2).expect("healthy call");
+                    if respawn {
+                        trainer.set_runtime(cfg.runtime);
+                    }
+                    if call == 1 {
+                        trainer.checkpoint(&dir).expect("checkpoint");
+                    }
+                }
+                let split = trainer.report();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let what = format!("zero {zero_shard}, respawn {respawn}");
+                // one build and one export per rank and spawn, plus the
+                // checkpoint's export of the live sessions
+                let (builds, exports) = if respawn { (6, 6) } else { (2, 2) };
+                assert_eq!(rec.count("segment.build"), builds, "{what}");
+                assert_eq!(rec.count("segment.export"), exports, "{what}");
+                assert_eq!(bits(&split.losses), bits(&whole.losses), "{what}");
+                assert_eq!(bits(&split.grads), bits(&whole.grads), "{what}");
+                assert_eq!(split.comm, whole.comm, "{what}");
+                assert_eq!(split.host, whole.host, "{what}");
+                assert_eq!(split.opt_state_bytes, whole.opt_state_bytes);
+                assert_eq!(
+                    Some(split.grads.len()),
+                    GptModel::param_count_of(&cfg.model)
+                );
             }
-            let split = trainer.report();
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&split.losses), bits(&whole.losses), "zero {zero_shard}");
-            assert_eq!(bits(&split.grads), bits(&whole.grads), "zero {zero_shard}");
-            assert_eq!(split.opt_state_bytes, whole.opt_state_bytes);
-            assert_eq!(split.grads.len(), trainer.params.len());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn runtime_kernel_knobs_reach_the_rank_threads() {
+        // `RuntimeOptions::threads` and `par_threshold` are the sessions'
+        // kernel context: the run's budget split across its ranks and the
+        // threshold as given, whatever the calling thread's own settings;
+        // unset, the calling thread's context is split instead.
+        let caller = KernelCtx {
+            threads: 8,
+            par_threshold: 1 << 20,
+            ..KernelCtx::current()
+        };
+        let unset = RuntimeOptions {
+            threads: None,
+            par_threshold: None,
+            ..RuntimeOptions::from_env()
+        };
+        for (runtime, threads, par_threshold) in [
+            (unset, 4, 1 << 20),
+            (unset.with_threads(1).with_par_threshold(7), 1, 7),
+            (unset.with_threads(6).with_par_threshold(3), 3, 3),
+        ] {
+            let mut trainer = Trainer::new(TrainConfig {
+                steps: 1,
+                runtime,
+                mode: Mode::Fpdt {
+                    chunks: 2,
+                    offload: false,
+                },
+                ..TrainConfig::small(Mode::Single)
+            });
+            caller.enter(|| trainer.run_steps(1)).expect("healthy call");
+            let seen = ask(sessions(&trainer), |answer| {
+                Command::Call(Box::new(move || {
+                    let _ = answer.send(KernelCtx::current());
+                }))
+            })
+            .expect("sessions alive");
+            let want = KernelCtx {
+                threads,
+                par_threshold,
+                ..caller
+            };
+            assert_eq!(seen, [want, want], "{runtime:?}");
+        }
+    }
+
+    #[test]
+    fn a_rank_panic_propagates_and_leaves_no_session_to_hang_on() {
+        let cfg = TrainConfig {
+            steps: 2,
+            mode: Mode::Fpdt {
+                chunks: 2,
+                offload: true,
+            },
+            ..TrainConfig::small(Mode::Single)
+        };
+        let mut trainer = Trainer::new(cfg);
+        trainer.run_steps(1).expect("healthy call");
+        // Rank 1 dies the way a bug in its own code would take it down.
+        let dead = Command::Call(Box::new(|| panic!("rank 1 is gone")));
+        assert!(sessions(&trainer)[1].commands.send(dead).is_ok());
+        let call = |t: &mut Trainer| catch_unwind(AssertUnwindSafe(|| t.run_steps(1)));
+        let panic = call(&mut trainer).expect_err("the rank's panic resumes out of run_steps");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"rank 1 is gone"));
+        assert!(matches!(trainer.state, State::Lost));
+        // Nothing is left to wait on: the next call fails at once.
+        let again = call(&mut trainer).expect_err("no state left to train");
+        assert_eq!(
+            again.downcast_ref::<String>().map(String::as_str),
+            Some(LOST)
+        );
+        assert!(trainer.report().grads.is_empty());
+        let dir = std::env::temp_dir().join(format!("fpdt-lost-{}", std::process::id()));
+        assert!(matches!(
+            trainer.checkpoint(&dir),
+            Err(CkptError::Missing(_))
+        ));
     }
 
     #[test]
@@ -1420,38 +1752,31 @@ mod tests {
                 zero_shard,
                 ..base.clone()
             };
-            let trainer = Trainer::new(cfg.clone());
-            let n = trainer.params.len();
+            let n = GptModel::param_count_of(&cfg.model).expect("small model");
             assert_ne!(n % 3, 0, "pick a count the world does not divide");
-            let seg = SegmentIn {
-                params: &trainer.params,
-                m: &trainer.opt_m,
-                v: &trainer.opt_v,
-                opt_step: 0,
-                rng: trainer.rng,
-                base_step: 0,
-                steps: 2,
-            };
-            let outs = run_segment(&cfg, None, &seg);
-            assert_eq!(outs.len(), 3);
-            for (rank, out) in outs.iter().enumerate() {
-                assert!(out.err.is_none());
+            let mut trainer = Trainer::new(cfg.clone());
+            trainer.run_steps(2).expect("healthy call");
+            let runs = ask(sessions(&trainer), |answer| Command::Run(2, answer)).expect("alive");
+            let shares = ask(sessions(&trainer), Command::Export).expect("alive");
+            assert_eq!(shares.len(), 3);
+            for (rank, (run, share)) in runs.iter().zip(&shares).enumerate() {
+                assert!(run.err.is_none());
                 let own = match (zero_shard, rank) {
                     (true, _) => rank * n / 3..(rank + 1) * n / 3,
                     (false, 0) => 0..n,
                     // dense replicas other than rank 0 hand nothing back
                     (false, _) => 0..0,
                 };
-                assert_eq!(out.m.len(), own.len(), "rank {rank}, zero {zero_shard}");
-                assert_eq!(out.v.len(), own.len());
+                assert_eq!(share.m.len(), own.len(), "rank {rank}, zero {zero_shard}");
+                assert_eq!(share.v.len(), own.len());
                 let held = if zero_shard { own.len() } else { n };
-                assert_eq!(out.opt_bytes, held * 8, "two f32 moments per owned element");
+                assert_eq!(run.opt_bytes, held * 8, "two f32 moments per owned element");
                 // only rank 0's parameters and gradients come back
                 let kept = if rank == 0 { n } else { 0 };
-                assert_eq!((out.params.len(), out.grads.len()), (kept, kept));
+                assert_eq!((share.params.len(), share.grads.len()), (kept, kept));
             }
             if zero_shard {
-                assert_eq!(outs.iter().map(|o| o.m.len()).sum::<usize>(), n);
+                assert_eq!(shares.iter().map(|o| o.m.len()).sum::<usize>(), n);
             }
         }
     }
@@ -1469,7 +1794,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fpdt-doctored-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut trainer = Trainer::new(cfg);
-        trainer.run_steps(2).expect("healthy segment");
+        trainer.run_steps(2).expect("healthy call");
         trainer.checkpoint(&dir).expect("checkpoint");
         assert!(Trainer::resume(&dir).is_ok());
         let paths = ckpt::shard_paths(&dir).expect("two shards");

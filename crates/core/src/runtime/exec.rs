@@ -57,6 +57,12 @@ pub trait AttentionExec {
     /// what activation checkpointing does after the first forward (the
     /// recompute pass will rebuild it). A no-op when nothing is saved.
     fn discard(&mut self, layer: usize);
+
+    /// Host-pool transfer statistics since the executor was built (zero
+    /// for executors without a host pool).
+    fn host_stats(&self) -> PoolStats {
+        PoolStats::default()
+    }
 }
 
 struct LocalSaved {
@@ -247,11 +253,6 @@ impl DistAttention {
         self.engine.set_recorder(recorder.clone());
         self.recorder = Some(recorder);
         self
-    }
-
-    /// Host-pool transfer statistics (zero when `offload` is off).
-    pub fn host_stats(&self) -> PoolStats {
-        self.host.stats()
     }
 
     /// Ops posted on the communication stream so far — the audit counter
@@ -653,6 +654,11 @@ fn unshare(t: Arc<Tensor>) -> Tensor {
 }
 
 impl AttentionExec for DistAttention {
+    /// Zero when `offload` is off.
+    fn host_stats(&self) -> PoolStats {
+        self.host.stats()
+    }
+
     fn forward(
         &mut self,
         layer: usize,

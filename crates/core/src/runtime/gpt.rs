@@ -479,7 +479,8 @@ impl GptModel {
 
     /// Shapes a model around an existing flat parameter vector
     /// ([`GptModel::collect_params`] order) without running the
-    /// initialiser: what a `Trainer` segment rebuilds its replicas with.
+    /// initialiser: what a `Trainer`'s rank sessions build their replicas
+    /// with.
     ///
     /// # Panics
     ///
@@ -725,18 +726,13 @@ impl GptModel {
         &mut self.grads
     }
 
-    /// Gives up the gradient buffer without copying it.
-    pub fn into_grads(self) -> Vec<f32> {
-        self.grads
-    }
-
     /// A copy of the gradient buffer (tests and examples; the training
     /// step reads [`GptModel::grads`] in place).
     pub fn collect_grads(&self) -> Vec<f32> {
         self.grads.clone()
     }
 
-    /// Flattens all parameters (flat order) — used by segment export,
+    /// Flattens all parameters (flat order) — used by session export,
     /// checkpoints, the ZeRO-1 sharded optimizer path and tests that copy
     /// weights between replicas.
     pub fn collect_params(&mut self) -> Vec<f32> {

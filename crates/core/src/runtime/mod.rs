@@ -9,8 +9,9 @@
 //!   (per-chunk all-to-all + streaming attention + host offload +
 //!   Figure-7 nested backward).
 //! * [`exec`] — those attention executors.
-//! * [`dist`] — the multi-threaded trainer that reproduces paper
-//!   Figure 14: baseline and FPDT loss curves coincide.
+//! * [`dist`] — the multi-threaded trainer, one long-lived session per
+//!   rank, that reproduces paper Figure 14: baseline and FPDT loss curves
+//!   coincide.
 //! * [`options`] — [`RuntimeOptions`], the single builder behind every
 //!   runtime knob (bf16 payloads, kernel threads, comm retries, fault
 //!   injection). The comm and copy streams are not knobs: they are

@@ -12,6 +12,13 @@
 //! two copy streams (paper §4, Figure 7). Whether to offload at all is
 //! part of the strategy ([`Mode::Fpdt`](super::Mode::Fpdt)), not an option.
 //!
+//! `threads` and `par_threshold` are the two kernel settings of the rank
+//! sessions' [`KernelCtx`]: a session starts from the context of the
+//! thread that first calls `Trainer::run_steps`, these two override it,
+//! and the thread budget is then split across the ranks
+//! ([`RuntimeOptions::kernel_ctx`], [`KernelCtx::split`]). Nothing here
+//! writes a process-wide setting.
+//!
 //! Every knob except `payload_bf16` is a *pure system* toggle: losses,
 //! gradients, and communication statistics are bitwise identical across
 //! all settings — the flags only move work between threads.
@@ -25,11 +32,13 @@
 //! | Variable             | Effect                                       | Default |
 //! |----------------------|----------------------------------------------|---------|
 //! | `FPDT_BF16`          | bf16 payloads (`0`/`false`/`off` = no)       | off     |
-//! | `FPDT_THREADS`       | kernel pool thread budget                    | num CPUs|
-//! | `FPDT_PAR_THRESHOLD` | min elements before kernels split            | 4096    |
+//! | `FPDT_THREADS`       | kernel thread budget of the training run     | num CPUs|
+//! | `FPDT_PAR_THRESHOLD` | min work before a kernel splits              | 65536   |
 //! | `FPDT_COMM_RETRIES`  | replay budget for transient collective faults| 0       |
-//! | `FPDT_FAULT_INJECT`  | transient faults armed per training segment  | 0       |
+//! | `FPDT_FAULT_INJECT`  | transient faults armed per `run_steps` call  | 0       |
 //! | `FPDT_CKPT_DIR`      | default checkpoint directory (string)        | unset   |
+
+use fpdt_tensor::KernelCtx;
 
 /// Parses the shared flag syntax: unset means `default`; `0`, `false`,
 /// or `off` disable; any other value enables.
@@ -82,18 +91,20 @@ pub struct RuntimeOptions {
     /// (half the wire bytes; compute stays f32). `FPDT_BF16`. The one
     /// knob that affects numerics — see the module docs.
     pub payload_bf16: bool,
-    /// Kernel pool thread budget override (`None` = leave the pool at its
-    /// `FPDT_THREADS`-derived setting).
+    /// Kernel thread budget of the whole run, split across its ranks
+    /// (`None` = the budget of the thread that starts the run, by default
+    /// `FPDT_THREADS`).
     pub threads: Option<usize>,
-    /// Parallel-split threshold override (`None` = leave the tensor ops
-    /// at their `FPDT_PAR_THRESHOLD`-derived setting).
+    /// Parallel-split threshold of the rank threads' kernels (`None` = the
+    /// threshold of the thread that starts the run, by default
+    /// `FPDT_PAR_THRESHOLD`).
     pub par_threshold: Option<usize>,
     /// Replay budget for transient collective faults (`FPDT_COMM_RETRIES`,
     /// default 0 = fail fast): how many extra attempts each collective
     /// gets before the step aborts and rolls back. Recovery re-runs the
     /// identical collective, so results are bitwise unchanged by retries.
     pub comm_retries: usize,
-    /// Transient faults armed per training segment (`FPDT_FAULT_INJECT`,
+    /// Transient faults armed per `Trainer::run_steps` call (`FPDT_FAULT_INJECT`,
     /// default 0) — the fault-injection harness the recovery CI leg
     /// drives. Each armed fault fails one grad-reduction collective
     /// attempt before any bytes move; with `comm_retries` at least this
@@ -104,9 +115,9 @@ pub struct RuntimeOptions {
 impl RuntimeOptions {
     /// Reads every `FPDT_*` knob — the one documented parse point (see
     /// the module table). `threads`/`par_threshold` are `Some` only when
-    /// their variable is set: the kernel layers already initialize
-    /// themselves from the same variables, so `None` means "leave the
-    /// pool alone" rather than "reset to default".
+    /// their variable is set: a thread's default kernel context already
+    /// comes from the same variables, so `None` means "keep the caller's
+    /// context" rather than "reset to default".
     pub fn from_env() -> Self {
         RuntimeOptions {
             payload_bf16: env_flag("FPDT_BF16", false),
@@ -124,7 +135,7 @@ impl RuntimeOptions {
         self
     }
 
-    /// Overrides the kernel pool thread budget.
+    /// Overrides the run's kernel thread budget.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -145,7 +156,7 @@ impl RuntimeOptions {
         self
     }
 
-    /// Arms `fault_inject` transient faults per training segment (the
+    /// Arms `fault_inject` transient faults per `run_steps` call (the
     /// fault-injection harness; 0 disables).
     #[must_use]
     pub fn with_fault_inject(mut self, fault_inject: usize) -> Self {
@@ -162,20 +173,15 @@ impl RuntimeOptions {
         super::autotune::autotune(workload).best.config.options()
     }
 
-    /// Pushes `threads`/`par_threshold` overrides into the process-wide
-    /// kernel settings, returning the previous `(threads, par_threshold)`
-    /// so callers can restore them. `None` fields leave the current
-    /// setting untouched (but its previous value is still reported).
-    pub fn apply_kernel_globals(&self) -> (usize, usize) {
-        let prev_threads = match self.threads {
-            Some(n) => rayon::pool::set_threads(n),
-            None => rayon::pool::current_threads(),
-        };
-        let prev_threshold = match self.par_threshold {
-            Some(n) => fpdt_tensor::par::set_par_threshold(n),
-            None => fpdt_tensor::par::par_threshold(),
-        };
-        (prev_threads, prev_threshold)
+    /// `base` with this run's `threads` and `par_threshold` overrides —
+    /// the context a run started from a thread at `base` computes under,
+    /// before the budget is split across its ranks.
+    pub fn kernel_ctx(&self, base: KernelCtx) -> KernelCtx {
+        KernelCtx {
+            threads: self.threads.unwrap_or(base.threads),
+            par_threshold: self.par_threshold.unwrap_or(base.par_threshold),
+            ..base
+        }
     }
 }
 
@@ -283,14 +289,22 @@ mod tests {
     }
 
     #[test]
-    fn kernel_globals_apply_and_restore() {
-        let (t0, p0) = RuntimeOptions::from_env().apply_kernel_globals();
-        let (t1, p1) = RuntimeOptions::from_env()
-            .with_threads(t0)
-            .with_par_threshold(p0)
-            .apply_kernel_globals();
-        // Identity round trip: applying the previous values reports them
-        // back unchanged.
-        assert_eq!((t0, p0), (t1, p1));
+    fn kernel_overrides_replace_only_their_fields() {
+        let base = KernelCtx::current();
+        let none = RuntimeOptions {
+            threads: None,
+            par_threshold: None,
+            ..RuntimeOptions::from_env()
+        };
+        assert_eq!(
+            none.kernel_ctx(base),
+            base,
+            "no override keeps the caller's context"
+        );
+        let both = none.with_threads(3).with_par_threshold(9).kernel_ctx(base);
+        assert_eq!(
+            (both.threads, both.par_threshold, both.backend),
+            (3, 9, base.backend)
+        );
     }
 }

@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{fixture_model, grad_run, ForcedParallel};
+use common::{fixture_model, forced, forced_ctx, grad_run};
 use fpdt_comm::CommStats;
 use fpdt_core::runtime::autotune::{autotune, Workload};
 use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
@@ -52,13 +52,9 @@ fn assert_bitwise_equal(
 
 #[test]
 fn tuned_config_is_bitwise_identical_to_default_at_every_thread_budget() {
-    // Tune once (the probe trains and microprobes under the config lock,
-    // since it moves the process-wide thread pool).
+    // Tune once, from a thread at a budget of 2.
     let workload = pinned_workload();
-    let tuned = {
-        let _cfg = ForcedParallel::new(2);
-        autotune(&workload).best
-    };
+    let tuned = forced_ctx(2).enter(|| autotune(&workload).best);
     assert!(
         !tuned.config.payload_bf16,
         "bf16 must stay out of the grid unless the workload opts in"
@@ -68,18 +64,12 @@ fn tuned_config_is_bitwise_identical_to_default_at_every_thread_budget() {
     let tuned_opts = tuned.config.options();
     let default_opts = RuntimeOptions::from_env().with_payload_bf16(false);
     for threads in [1usize, 2, 8] {
-        let base = {
-            let _cfg = ForcedParallel::new(threads);
-            grad_run(42, CHUNKS, true, default_opts)
-        };
+        let base = grad_run(42, CHUNKS, true, forced(default_opts, threads));
         assert!(
             base.iter().any(|(_, g, _)| g.iter().any(|&x| x != 0.0)),
             "all-zero gradients would make the comparison vacuous"
         );
-        let got = {
-            let _cfg = ForcedParallel::new(threads);
-            grad_run(42, CHUNKS, true, tuned_opts)
-        };
+        let got = grad_run(42, CHUNKS, true, forced(tuned_opts, threads));
         assert_bitwise_equal(&base, &got, &format!("tuned vs default, {threads} threads"));
     }
 }
@@ -101,8 +91,7 @@ fn tuned_training_loop_reproduces_the_default_loss_trajectory_bitwise() {
         },
         ..TrainConfig::default()
     };
-    let (default_report, tuned_report) = {
-        let _cfg = ForcedParallel::new(4);
+    let (default_report, tuned_report) = forced_ctx(4).enter(|| {
         let tuned_opts = autotune(&workload).best.config.options();
         let default_report = train(&TrainConfig {
             runtime: RuntimeOptions::from_env().with_payload_bf16(false),
@@ -113,7 +102,7 @@ fn tuned_training_loop_reproduces_the_default_loss_trajectory_bitwise() {
             ..base_cfg.clone()
         });
         (default_report, tuned_report)
-    };
+    });
     let a: Vec<u32> = default_report.losses.iter().map(|x| x.to_bits()).collect();
     let b: Vec<u32> = tuned_report.losses.iter().map(|x| x.to_bits()).collect();
     assert_eq!(a, b, "loss trajectories differ between default and tuned");
@@ -142,8 +131,7 @@ fn free_chunk_count_stays_within_figure14_tolerance() {
         },
         ..TrainConfig::default()
     };
-    let (default_report, tuned_report) = {
-        let _cfg = ForcedParallel::new(4);
+    let (default_report, tuned_report) = forced_ctx(4).enter(|| {
         let best = autotune(&workload).best;
         assert!(
             workload.chunk_candidates.contains(&best.config.chunks),
@@ -162,7 +150,7 @@ fn free_chunk_count_stays_within_figure14_tolerance() {
             ..base_cfg.clone()
         });
         (default_report, tuned_report)
-    };
+    });
     for (step, (a, b)) in default_report
         .losses
         .iter()

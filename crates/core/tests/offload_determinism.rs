@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{fixture_model, grad_run, ForcedParallel};
+use common::{fixture_model, forced, grad_run};
 use fpdt_comm::CommStats;
 use fpdt_core::offload::PoolStats;
 use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
@@ -44,10 +44,7 @@ fn opts() -> RuntimeOptions {
 #[test]
 fn offload_thread_budget_and_chunk_cross_product_is_bitwise_identical() {
     for chunks in [2usize, 4] {
-        let reference = {
-            let _cfg = ForcedParallel::new(1);
-            bits(grad_run(42, chunks, false, opts()))
-        };
+        let reference = bits(grad_run(42, chunks, false, forced(opts(), 1)));
         assert!(
             reference.iter().all(|(_, g, _)| g.iter().any(|&b| b != 0)),
             "all-zero gradients would make the comparison vacuous"
@@ -60,10 +57,7 @@ fn offload_thread_budget_and_chunk_cross_product_is_bitwise_identical() {
         );
         for offload in [false, true] {
             for threads in [1usize, 2, 8] {
-                let got = {
-                    let _cfg = ForcedParallel::new(threads);
-                    bits(grad_run(42, chunks, offload, opts()))
-                };
+                let got = bits(grad_run(42, chunks, offload, forced(opts(), threads)));
                 assert!(
                     reference == got,
                     "{chunks} chunks, offload {offload}, {threads} threads differ from \
@@ -85,14 +79,11 @@ fn training_reports_identical_losses_and_comm_traffic_with_and_without_offload()
             seq: 64,
             steps: 3,
             mode: Mode::Fpdt { chunks: 4, offload },
-            runtime: opts(),
+            runtime: forced(opts(), 4),
             ..TrainConfig::default()
         })
     };
-    let (on, off) = {
-        let _cfg = ForcedParallel::new(4);
-        (run(true), run(false))
-    };
+    let (on, off) = (run(true), run(false));
     let on_bits: Vec<u32> = on.losses.iter().map(|x| x.to_bits()).collect();
     let off_bits: Vec<u32> = off.losses.iter().map(|x| x.to_bits()).collect();
     assert_eq!(on_bits, off_bits, "loss trajectories differ");

@@ -13,14 +13,16 @@
 //!   the retry budget, and roll the session back to the last step
 //!   boundary when the budget is exhausted;
 //! * corrupted, truncated, or missing shards surface as typed
-//!   [`CkptError`]s, never as panics or silently wrong state.
+//!   [`CkptError`]s, never as panics or silently wrong state — a shard cut
+//!   at any byte or with any length field near `u64::MAX` included.
 
 mod common;
 
-use common::ForcedParallel;
+use common::forced;
 use fpdt_core::runtime::ckpt::CkptError;
 use fpdt_core::runtime::dist::{Mode, TrainConfig, TrainError, TrainReport, Trainer};
 use fpdt_core::runtime::options::RuntimeOptions;
+use fpdt_model::config::ModelConfig;
 use std::path::PathBuf;
 
 fn base_cfg(runtime: RuntimeOptions) -> TrainConfig {
@@ -90,11 +92,7 @@ fn assert_reports_bitwise_equal(a: &TrainReport, b: &TrainReport, what: &str) {
 #[test]
 fn resume_is_bitwise_identical_across_thread_budgets() {
     let rt = RuntimeOptions::from_env().with_payload_bf16(false);
-    let cfg = base_cfg(rt);
-    let reference = {
-        let _cfg = ForcedParallel::new(1);
-        uninterrupted(&cfg)
-    };
+    let reference = uninterrupted(&base_cfg(forced(rt, 1)));
     assert!(
         reference.losses.last().unwrap() < &reference.losses[0],
         "run must actually learn: {:?}",
@@ -102,19 +100,22 @@ fn resume_is_bitwise_identical_across_thread_budgets() {
     );
     assert!(reference.host.fetches > 0, "offload mode must fetch");
     for threads in [1usize, 2, 8] {
-        let run = {
-            let _cfg = ForcedParallel::new(threads);
-            resumed(&cfg, 3, &format!("threads{threads}"))
-        };
+        let run = resumed(
+            &base_cfg(forced(rt, threads)),
+            3,
+            &format!("threads{threads}"),
+        );
         assert_reports_bitwise_equal(&reference, &run, &format!("{threads} threads"));
     }
 }
 
 #[test]
 fn resume_is_bitwise_identical_under_the_bf16_knob() {
-    let _cfg = ForcedParallel::new(4);
     for payload_bf16 in [false, true] {
-        let cfg = base_cfg(RuntimeOptions::from_env().with_payload_bf16(payload_bf16));
+        let cfg = base_cfg(forced(
+            RuntimeOptions::from_env().with_payload_bf16(payload_bf16),
+            4,
+        ));
         let whole = uninterrupted(&cfg);
         let split = resumed(&cfg, 2, &format!("bf{payload_bf16}"));
         assert_reports_bitwise_equal(&whole, &split, &format!("bf16={payload_bf16}"));
@@ -123,11 +124,13 @@ fn resume_is_bitwise_identical_under_the_bf16_knob() {
 
 #[test]
 fn resume_reassembles_zero1_moment_shards_exactly() {
-    let _cfg = ForcedParallel::new(4);
     let cfg = TrainConfig {
         world: 4,
         zero_shard: true,
-        ..base_cfg(RuntimeOptions::from_env().with_payload_bf16(false))
+        ..base_cfg(forced(
+            RuntimeOptions::from_env().with_payload_bf16(false),
+            4,
+        ))
     };
     let whole = uninterrupted(&cfg);
     let split = resumed(&cfg, 3, "zero1");
@@ -136,8 +139,7 @@ fn resume_reassembles_zero1_moment_shards_exactly() {
 
 #[test]
 fn elastic_resize_matches_final_geometry_and_commutes_with_checkpoint() {
-    let _cfg = ForcedParallel::new(4);
-    let rt = RuntimeOptions::from_env().with_payload_bf16(false);
+    let rt = forced(RuntimeOptions::from_env().with_payload_bf16(false), 4);
     let cfg = TrainConfig {
         world: 4,
         ..base_cfg(rt)
@@ -178,14 +180,9 @@ fn elastic_resize_matches_final_geometry_and_commutes_with_checkpoint() {
 
 #[test]
 fn injected_faults_inside_retry_budget_are_invisible() {
-    let _cfg = ForcedParallel::new(4);
-    let clean = uninterrupted(&base_cfg(
-        RuntimeOptions::from_env().with_payload_bf16(false),
-    ));
-    let faulted_rt = RuntimeOptions::from_env()
-        .with_payload_bf16(false)
-        .with_fault_inject(2)
-        .with_comm_retries(4);
+    let rt = forced(RuntimeOptions::from_env().with_payload_bf16(false), 4);
+    let clean = uninterrupted(&base_cfg(rt));
+    let faulted_rt = rt.with_fault_inject(2).with_comm_retries(4);
     let faulted = uninterrupted(&TrainConfig {
         runtime: faulted_rt,
         ..base_cfg(faulted_rt)
@@ -200,8 +197,7 @@ fn injected_faults_inside_retry_budget_are_invisible() {
 
 #[test]
 fn exhausted_retry_budget_rolls_back_to_the_step_boundary() {
-    let _cfg = ForcedParallel::new(4);
-    let rt = RuntimeOptions::from_env().with_payload_bf16(false);
+    let rt = forced(RuntimeOptions::from_env().with_payload_bf16(false), 4);
     let clean = uninterrupted(&base_cfg(rt));
 
     let base = base_cfg(rt);
@@ -231,8 +227,10 @@ fn exhausted_retry_budget_rolls_back_to_the_step_boundary() {
 
 #[test]
 fn corrupted_and_missing_shards_surface_typed_errors() {
-    let _cfg = ForcedParallel::new(2);
-    let cfg = base_cfg(RuntimeOptions::from_env().with_payload_bf16(false));
+    let cfg = base_cfg(forced(
+        RuntimeOptions::from_env().with_payload_bf16(false),
+        2,
+    ));
     let dir = fresh_dir("corrupt");
     let mut t = Trainer::new(cfg);
     t.run_steps(2).expect("segment");
@@ -271,5 +269,69 @@ fn corrupted_and_missing_shards_surface_typed_errors() {
         Trainer::resume(&dir).unwrap_err(),
         CkptError::Missing(_)
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Offsets of every length field of a shard: the entry count, then each
+/// entry's key length and value length.
+fn length_fields(bytes: &[u8]) -> Vec<usize> {
+    let word = |at: usize| {
+        let raw: [u8; 8] = bytes[at..at + 8].try_into().expect("eight bytes");
+        u64::from_le_bytes(raw) as usize
+    };
+    let mut fields = vec![8];
+    let mut at = 16;
+    for _ in 0..word(8) {
+        fields.push(at);
+        at += 8 + word(at);
+        // one tag byte: 0 = f32s, 1 = u64s, 2 = a string
+        let elem = [4, 8, 1][usize::from(bytes[at])];
+        fields.push(at + 1);
+        at += 9 + word(at + 1) * elem;
+    }
+    assert_eq!(at, bytes.len(), "the walk covers the whole shard");
+    fields
+}
+
+#[test]
+fn every_truncation_and_overflowing_length_is_a_typed_error() {
+    let cfg = TrainConfig {
+        model: ModelConfig::tiny(1, 8, 2, 8),
+        seq: 16,
+        steps: 2,
+        mode: Mode::Fpdt {
+            chunks: 2,
+            offload: false,
+        },
+        ..base_cfg(RuntimeOptions::from_env())
+    };
+    let dir = fresh_dir("fuzz");
+    let mut t = Trainer::new(cfg);
+    t.run_steps(2).expect("segment");
+    t.checkpoint(&dir).expect("checkpoint");
+    let shard = fpdt_core::runtime::ckpt::shard_paths(&dir).expect("valid set")[0].clone();
+    let pristine = std::fs::read(&shard).unwrap();
+    let resume_fails = |bytes: &[u8], what: &str| {
+        std::fs::write(&shard, bytes).unwrap();
+        match Trainer::resume(&dir) {
+            Err(CkptError::Corrupt(_) | CkptError::Version(_)) => {}
+            Err(other) => panic!("{what}: untyped for a damaged shard: {other}"),
+            Ok(_) => panic!("{what}: a damaged shard resumed"),
+        }
+    };
+    for cut in 0..pristine.len() {
+        resume_fails(&pristine[..cut], &format!("cut at {cut}"));
+    }
+    let fields = length_fields(&pristine);
+    assert!(fields.len() > 20, "a real shard has many entries");
+    for at in fields {
+        for k in 0..4u64 {
+            let mut bytes = pristine.clone();
+            bytes[at..at + 8].copy_from_slice(&(u64::MAX - k).to_le_bytes());
+            resume_fails(&bytes, &format!("length at {at} = u64::MAX - {k}"));
+        }
+    }
+    std::fs::write(&shard, &pristine).unwrap();
+    assert!(Trainer::resume(&dir).is_ok(), "the pristine shard still resumes");
     let _ = std::fs::remove_dir_all(&dir);
 }

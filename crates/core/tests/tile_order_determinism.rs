@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::ForcedParallel;
+use common::forced_ctx;
 use fpdt_comm::{run_group, CommStats};
 use fpdt_core::chunk::{tile_slots, ChunkPlan};
 use fpdt_core::offload::PoolStats;
@@ -164,10 +164,7 @@ fn every_tile_order_matches_the_production_walk_bitwise() {
             assert_valid_order(u, slots);
         }
 
-        let reference = {
-            let _cfg = ForcedParallel::new(1);
-            run(u, None)
-        };
+        let reference = forced_ctx(1).enter(|| run(u, None));
         assert!(
             reference
                 .iter()
@@ -182,10 +179,7 @@ fn every_tile_order_matches_the_production_walk_bitwise() {
         );
         for threads in [1usize, 2, 8] {
             for (name, slots) in &orders {
-                let got = {
-                    let _cfg = ForcedParallel::new(threads);
-                    run(u, Some(slots))
-                };
+                let got = forced_ctx(threads).enter(|| run(u, Some(slots)));
                 assert_eq!(
                     reference, got,
                     "u={u}, {threads} threads, order {name}: {slots:?}"

@@ -17,6 +17,8 @@
 //!   [`nn::AdamW`] optimizer with optional parameter sharding, mirroring how
 //!   ZeRO partitions optimizer state.
 //! * [`init`] — reproducible random initialization.
+//! * [`KernelCtx`] — the per-thread kernel settings (thread budget,
+//!   parallel-split threshold, SIMD backend) every kernel consults.
 //!
 //! Everything computes in `f32`. The paper's byte accounting assumes bf16
 //! activations; the *analytic* crates (`fpdt-model`, `fpdt-sim`) account in
@@ -38,9 +40,10 @@
 
 #![deny(missing_docs)]
 
-mod error;
 pub mod bf16;
+mod ctx;
 pub mod env;
+mod error;
 pub mod init;
 pub mod mk;
 pub mod nn;
@@ -48,6 +51,7 @@ pub mod ops;
 pub mod par;
 mod tensor;
 
+pub use ctx::KernelCtx;
 pub use error::TensorError;
 pub use tensor::Tensor;
 

@@ -12,13 +12,11 @@
 //! like `vfmadd`, so the two backends are **bitwise identical** by
 //! construction — the property the kernel-equivalence suite locks down.
 //!
-//! Dispatch order:
-//!
-//! 1. a process-wide override installed with [`set_backend`] (tests and
-//!    benches force one path with this),
-//! 2. the `FPDT_SIMD` environment variable (`0`/`off`/`scalar` forces the
-//!    fallback; anything else means auto),
-//! 3. CPU detection (`avx2` + `fma`), cached after the first query.
+//! Dispatch reads the calling thread's [`KernelCtx`](crate::KernelCtx)
+//! backend (tests and benches force one path by entering a context). Its
+//! process default comes from the `FPDT_SIMD` environment variable
+//! (`0`/`off`/`scalar` forces the fallback; anything else means auto) and
+//! CPU detection (`avx2` + `fma`), cached after the first query.
 //!
 //! Compiling with the `scalar-only` cargo feature removes the AVX2 path
 //! entirely (fallback-parity builds); [`avx2_available`] then reports
@@ -27,9 +25,6 @@
 //! Because the backends are bitwise identical, the choice is a pure
 //! performance knob: it can never change a loss, a gradient, or a golden
 //! digest.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Which microkernel instantiation executes the vectorizable inner loops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +39,7 @@ pub enum Backend {
 pub fn avx2_available() -> bool {
     #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
     {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
+        static AVAIL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *AVAIL.get_or_init(|| {
             std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
         })
@@ -55,53 +50,13 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// 0 = no override (env/CPU dispatch), 1 = forced scalar, 2 = forced AVX2.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None`, clears) a process-wide backend override and
-/// returns the previous override. Equivalence tests and the kernels bench
-/// pin each path with this; a forced [`Backend::Avx2`] silently degrades
-/// to scalar when [`avx2_available`] is `false`.
-pub fn set_backend(b: Option<Backend>) -> Option<Backend> {
-    let code = match b {
-        None => 0,
-        Some(Backend::Scalar) => 1,
-        Some(Backend::Avx2) => 2,
-    };
-    match OVERRIDE.swap(code, Ordering::Relaxed) {
-        1 => Some(Backend::Scalar),
-        2 => Some(Backend::Avx2),
-        _ => None,
-    }
-}
-
-fn default_backend() -> Backend {
-    static DEFAULT: OnceLock<Backend> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        // `FPDT_SIMD` accepts `scalar` on top of the shared off spellings;
-        // the read itself goes through the crate's one env entry point.
-        let enabled =
-            crate::env::flag_with_off_values("FPDT_SIMD", true, &["0", "off", "false", "scalar"]);
-        if enabled && avx2_available() {
-            Backend::Avx2
-        } else {
-            Backend::Scalar
-        }
-    })
-}
-
-/// The backend the dispatched kernels will use right now.
+/// The backend the dispatched kernels use on this thread: the calling
+/// thread's [`KernelCtx`](crate::KernelCtx) backend, scalar where the CPU
+/// lacks AVX2/FMA.
 pub fn backend() -> Backend {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => Backend::Scalar,
-        2 => {
-            if avx2_available() {
-                Backend::Avx2
-            } else {
-                Backend::Scalar
-            }
-        }
-        _ => default_backend(),
+    match crate::ctx::local().1 {
+        Backend::Avx2 if !avx2_available() => Backend::Scalar,
+        be => be,
     }
 }
 
@@ -1285,13 +1240,6 @@ mod tests {
                 assert_eq!(s1, s2, "dscale length {n}");
             }
         }
-    }
-
-    #[test]
-    fn override_round_trips_and_wins() {
-        let prev = set_backend(Some(Backend::Scalar));
-        assert_eq!(backend(), Backend::Scalar);
-        assert_eq!(set_backend(prev), Some(Backend::Scalar));
     }
 
     #[test]

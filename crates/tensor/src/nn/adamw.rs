@@ -160,11 +160,6 @@ impl AdamW {
         (self.lo, &self.m, &self.v)
     }
 
-    /// Gives up the moments without copying them.
-    pub fn into_moments(self) -> (Vec<f32>, Vec<f32>) {
-        (self.m, self.v)
-    }
-
     /// Replaces the optimizer state: `step` updates taken, moments `m` /
     /// `v` over the flat range starting at `lo`. Hyper-parameters are
     /// untouched — they come from the training config, not the checkpoint.
@@ -291,7 +286,7 @@ mod tests {
         }
         assert_eq!(w, w2, "resumed trajectory must match bitwise");
         assert_eq!(opt.steps(), resumed.steps());
-        assert_eq!(opt.into_moments(), resumed.into_moments());
+        assert_eq!(opt.moments(), resumed.moments());
     }
 
     #[test]

@@ -5,43 +5,30 @@
 //!
 //! The actual thread pool lives in the vendored `rayon` crate
 //! (`rayon::pool`); this module decides *when* going parallel pays off and
-//! keeps the decision in one place instead of a per-file constant.
+//! keeps the decision in one place instead of a per-file constant. The
+//! threshold and the thread budget are the calling thread's
+//! [`KernelCtx`], and every pool item runs under that same context, so a
+//! helper thread computes with the submitter's settings.
 //!
 //! Determinism: every helper here preserves the kernel contract that makes
 //! results bitwise identical at any thread count — items are a fixed
 //! partition of disjoint data and all accumulation inside an item is
 //! sequential in a fixed order.
 
+use crate::KernelCtx;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Default minimum amount of work (roughly multiply-adds, or elements for
 /// bandwidth-bound ops) before a kernel fans out to the pool. Matches the
 /// former per-file `m * k * n > 1 << 16` gate in the matmul kernels.
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 16;
 
-fn threshold_cell() -> &'static AtomicUsize {
-    static THRESHOLD: OnceLock<AtomicUsize> = OnceLock::new();
-    THRESHOLD.get_or_init(|| {
-        // Strict parse with a one-time warning on garbage — the shared
-        // discipline from `crate::env`, the crate's one env read point.
-        let n = crate::env::usize_knob("FPDT_PAR_THRESHOLD").unwrap_or(DEFAULT_PAR_THRESHOLD);
-        AtomicUsize::new(n)
-    })
-}
-
-/// Current parallel-split threshold (initialized from `FPDT_PAR_THRESHOLD`,
-/// default [`DEFAULT_PAR_THRESHOLD`]).
+/// The calling thread's parallel-split threshold ([`KernelCtx`]; the
+/// process default is `FPDT_PAR_THRESHOLD`, else
+/// [`DEFAULT_PAR_THRESHOLD`]).
 pub fn par_threshold() -> usize {
-    threshold_cell().load(Ordering::Relaxed)
-}
-
-/// Overrides the split threshold at runtime (tests and benchmarks force
-/// both paths with this); returns the previous value.
-pub fn set_par_threshold(n: usize) -> usize {
-    threshold_cell().swap(n, Ordering::Relaxed)
+    crate::ctx::local().0
 }
 
 /// Whether a kernel with `items` independent pieces totalling `work`
@@ -63,9 +50,10 @@ where
 {
     let row_len = row_len.max(1);
     if parallel_worthwhile(data.len() / row_len, work) {
+        let ctx = KernelCtx::current();
         data.par_chunks_mut(row_len)
             .enumerate()
-            .for_each(|(i, row)| body(i, row));
+            .for_each(|(i, row)| ctx.enter(|| body(i, row)));
     } else {
         data.chunks_mut(row_len)
             .enumerate()
@@ -82,10 +70,11 @@ where
 {
     let (ra, rb) = (ra.max(1), rb.max(1));
     if parallel_worthwhile(a.len() / ra, work) {
+        let ctx = KernelCtx::current();
         a.par_chunks_mut(ra)
             .zip(b.par_chunks_mut(rb))
             .enumerate()
-            .for_each(|(i, (x, y))| body(i, x, y));
+            .for_each(|(i, (x, y))| ctx.enter(|| body(i, x, y)));
     } else {
         a.chunks_mut(ra)
             .zip(b.chunks_mut(rb))
@@ -111,11 +100,12 @@ pub fn run_rows3<F>(
 {
     let (ra, rb, rc) = (ra.max(1), rb.max(1), rc.max(1));
     if parallel_worthwhile(a.len() / ra, work) {
+        let ctx = KernelCtx::current();
         a.par_chunks_mut(ra)
             .zip(b.par_chunks_mut(rb))
             .zip(c.par_chunks_mut(rc))
             .enumerate()
-            .for_each(|(i, ((x, y), z))| body(i, x, y, z));
+            .for_each(|(i, ((x, y), z))| ctx.enter(|| body(i, x, y, z)));
     } else {
         a.chunks_mut(ra)
             .zip(b.chunks_mut(rb))
@@ -172,13 +162,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn threshold_round_trip() {
-        let prev = set_par_threshold(123);
-        assert_eq!(par_threshold(), 123);
-        assert!(parallel_worthwhile(2, 123));
-        assert!(!parallel_worthwhile(2, 122));
-        assert!(!parallel_worthwhile(1, usize::MAX));
-        set_par_threshold(prev);
+    fn threshold_comes_from_the_context() {
+        let ctx = KernelCtx {
+            par_threshold: 123,
+            ..KernelCtx::current()
+        };
+        ctx.enter(|| {
+            assert!(parallel_worthwhile(2, 123));
+            assert!(!parallel_worthwhile(2, 122));
+            assert!(!parallel_worthwhile(1, usize::MAX));
+        });
+    }
+
+    #[test]
+    fn pool_items_run_under_the_submitters_context() {
+        let ctx = KernelCtx {
+            threads: 4,
+            par_threshold: 5,
+            backend: crate::mk::Backend::Scalar,
+        };
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let mut rows = vec![0.0f32; 16];
+        ctx.enter(|| {
+            run_rows(&mut rows, 1, usize::MAX, |_, _| {
+                // long enough for the helpers to claim items too
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                let here = (std::thread::current().id(), KernelCtx::current());
+                seen.lock().unwrap().push(here);
+            });
+        });
+        let seen = seen.into_inner().unwrap();
+        assert!(
+            seen.iter().any(|(tid, _)| *tid != caller),
+            "no item left the caller"
+        );
+        assert!(
+            seen.iter().all(|(_, here)| *here == ctx),
+            "an item ran under another context"
+        );
     }
 
     #[test]

@@ -7,55 +7,23 @@
 //! 8-lane reduction tree, so every result must match the scalar backend
 //! *bitwise* — the backend is a pure performance knob. These tests pin
 //! that contract on the raw `mk` primitives (explicit-backend `_on`
-//! entry points) and on the full `ops` gemm family with the process-wide
-//! backend forced.
+//! entry points) and on the full `ops` gemm family with the backend forced
+//! through a scoped kernel context.
 //!
 //! On hardware without AVX2 the SIMD legs are skipped; the scalar legs
 //! still exercise the dispatch plumbing.
 
 use fpdt_tensor::mk::{self, AdamwStep, Backend, Panel};
-use fpdt_tensor::{init, ops, par};
+use fpdt_tensor::{init, ops, KernelCtx};
 use proptest::prelude::*;
-use rayon::pool;
-use std::sync::{Mutex, MutexGuard};
 
-/// Serializes tests that touch process-wide kernel state (backend
-/// override, thread budget, parallel threshold).
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`CONFIG_LOCK`], tolerating poison: a failed test must fail
-/// alone, not take every later test in this file down with it.
-fn config_lock() -> MutexGuard<'static, ()> {
-    CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Forces a kernel backend (and optionally a thread budget with the
-/// parallel threshold dropped to 1) for the guard's lifetime, restoring
-/// the previous configuration on drop.
-struct ForcedKernels {
-    _guard: MutexGuard<'static, ()>,
-    prev_backend: Option<Backend>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedKernels {
-    fn new(backend: Backend, threads: usize) -> Self {
-        let guard = config_lock();
-        ForcedKernels {
-            _guard: guard,
-            prev_backend: mk::set_backend(Some(backend)),
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedKernels {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
-        mk::set_backend(self.prev_backend);
+/// A kernel context with `backend` forced and `threads` threads at a
+/// parallel-split threshold of 1 (every op really splits).
+fn forced(backend: Backend, threads: usize) -> KernelCtx {
+    KernelCtx {
+        threads,
+        par_threshold: 1,
+        backend,
     }
 }
 
@@ -618,8 +586,8 @@ proptest! {
         }
     }
 
-    /// The full gemm family through `ops`, with the process-wide backend
-    /// forced: blocked panels, transposed blocks, and remainder tiles all
+    /// The full gemm family through `ops`, with the backend forced:
+    /// blocked panels, transposed blocks, and remainder tiles all
     /// compose to the same bits, at 1, 2, and 8 kernel threads alike.
     #[test]
     fn gemm_family_matches_scalar_bitwise_at_any_thread_count(
@@ -632,8 +600,7 @@ proptest! {
         let b = randv(seed.wrapping_add(1), k * n);
         let at: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
         let bt: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
-        let run = |be: Backend, threads: usize| {
-            let _cfg = ForcedKernels::new(be, threads);
+        let run = |be: Backend, threads: usize| forced(be, threads).enter(|| {
             let mut c = vec![0.0f32; m * n];
             ops::gemm(m, k, n, &a, &b, &mut c);
             let mut c_nt = vec![0.0f32; m * n];
@@ -641,7 +608,7 @@ proptest! {
             let mut c_tn = vec![0.0f32; m * n];
             ops::gemm_tn(m, k, n, &at, &b, &mut c_tn);
             (bits(&c), bits(&c_nt), bits(&c_tn))
-        };
+        });
         let reference = run(Backend::Scalar, 1);
         for be in backends() {
             for threads in [1usize, 2, 8] {
@@ -673,10 +640,11 @@ fn gemm_nt_accumulates_and_matches_scalar_bitwise_over_awkward_extents() {
                 let b = randv(seed + 1, n * k);
                 let c0 = randv(seed + 2, m * n);
                 let run = |be: Backend, threads: usize| {
-                    let _cfg = ForcedKernels::new(be, threads);
-                    let mut c = c0.clone();
-                    ops::gemm_nt(m, k, n, &a, &b, &mut c);
-                    c
+                    forced(be, threads).enter(|| {
+                        let mut c = c0.clone();
+                        ops::gemm_nt(m, k, n, &a, &b, &mut c);
+                        c
+                    })
                 };
                 let reference = run(Backend::Scalar, 1);
                 for (idx, &got) in reference.iter().enumerate() {
@@ -720,13 +688,14 @@ fn matmul_and_backward_match_scalar_bitwise() {
         let b = init::randn(&mut rng, &[k, n], 1.0);
         let dc = init::randn(&mut rng, &[m, n], 1.0);
         let run = |be: Backend, threads: usize| {
-            let _cfg = ForcedKernels::new(be, threads);
-            let c = ops::matmul(&a, &b).unwrap();
-            let (da, db) = ops::matmul_bwd(&a, &b, &dc).unwrap();
-            let mut flat = c.data().to_vec();
-            flat.extend_from_slice(da.data());
-            flat.extend_from_slice(db.data());
-            bits(&flat)
+            forced(be, threads).enter(|| {
+                let c = ops::matmul(&a, &b).unwrap();
+                let (da, db) = ops::matmul_bwd(&a, &b, &dc).unwrap();
+                let mut flat = c.data().to_vec();
+                flat.extend_from_slice(da.data());
+                flat.extend_from_slice(db.data());
+                bits(&flat)
+            })
         };
         let reference = run(Backend::Scalar, 1);
         assert!(
@@ -745,25 +714,18 @@ fn matmul_and_backward_match_scalar_bitwise() {
     }
 }
 
-/// The backend override itself round-trips and reports availability
-/// consistently with what dispatch actually uses.
+/// A forced backend reaches dispatch, and a thread's default context
+/// reports availability consistently with what dispatch actually uses.
 #[test]
 fn backend_override_round_trips() {
-    /// Puts the previous override back even when an assertion fails.
-    struct Restore(Option<Backend>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            mk::set_backend(self.0);
-        }
-    }
-    let _guard = config_lock();
-    let _restore = Restore(mk::set_backend(Some(Backend::Scalar)));
-    assert_eq!(mk::backend(), Backend::Scalar);
+    let with = |backend| KernelCtx {
+        backend,
+        ..KernelCtx::current()
+    };
+    with(Backend::Scalar).enter(|| assert_eq!(mk::backend(), Backend::Scalar));
     if mk::avx2_available() {
-        mk::set_backend(Some(Backend::Avx2));
-        assert_eq!(mk::backend(), Backend::Avx2);
+        with(Backend::Avx2).enter(|| assert_eq!(mk::backend(), Backend::Avx2));
     }
-    mk::set_backend(None);
     // Auto mode picks AVX2 exactly when the CPU supports it and
     // `FPDT_SIMD` does not force the scalar fallback.
     let simd_allowed =

@@ -5,38 +5,18 @@
 //! fixed partition of disjoint output data and all accumulation inside an
 //! item (and in every cross-item reduction) happens sequentially in a
 //! fixed order, so the thread count may change *who* computes an item but
-//! never *what* it computes. These tests force the parallel path with
-//! `FPDT_PAR_THRESHOLD = 1` and compare raw output bits.
+//! never *what* it computes. These tests force the parallel path with a
+//! parallel-split threshold of 1 and compare raw output bits.
 
-use fpdt_tensor::{init, ops, par};
-use rayon::pool;
-use std::sync::{Mutex, MutexGuard};
+use fpdt_tensor::{init, ops, KernelCtx};
 
-/// Serializes tests that reconfigure the global pool/threshold, and
-/// restores both on drop.
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-struct ForcedParallel<'a> {
-    _guard: MutexGuard<'a, ()>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedParallel<'_> {
-    fn new(threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap();
-        ForcedParallel {
-            _guard: guard,
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedParallel<'_> {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
+/// The calling thread's kernel context at `threads` threads with the
+/// parallel-split threshold at 1 (every kernel takes the pool path).
+fn forced(threads: usize) -> KernelCtx {
+    KernelCtx {
+        threads,
+        par_threshold: 1,
+        ..KernelCtx::current()
     }
 }
 
@@ -48,19 +28,13 @@ fn bits(t: &[f32]) -> Vec<u32> {
 /// every kernel takes the pool path) and asserts the flattened outputs
 /// are bitwise identical.
 fn assert_thread_invariant(name: &str, f: impl Fn() -> Vec<f32>) {
-    let reference = {
-        let _cfg = ForcedParallel::new(1);
-        f()
-    };
+    let reference = forced(1).enter(&f);
     assert!(
         reference.iter().any(|&v| v != 0.0),
         "{name}: all-zero output would make the comparison vacuous"
     );
     for threads in [2usize, 8] {
-        let got = {
-            let _cfg = ForcedParallel::new(threads);
-            f()
-        };
+        let got = forced(threads).enter(&f);
         assert_eq!(
             bits(&reference),
             bits(&got),
@@ -76,9 +50,7 @@ fn matmul_family_is_thread_invariant() {
     let a = init::randn(&mut rng, &[67, 43], 1.0);
     let b = init::randn(&mut rng, &[43, 35], 1.0);
     let dc = init::randn(&mut rng, &[67, 35], 1.0);
-    assert_thread_invariant("matmul", || {
-        ops::matmul(&a, &b).unwrap().data().to_vec()
-    });
+    assert_thread_invariant("matmul", || ops::matmul(&a, &b).unwrap().data().to_vec());
     assert_thread_invariant("matmul_bwd", || {
         let (da, db) = ops::matmul_bwd(&a, &b, &dc).unwrap();
         let mut out = da.data().to_vec();
@@ -92,9 +64,7 @@ fn softmax_and_cross_entropy_are_thread_invariant() {
     let mut rng = init::seeded_rng(8);
     let x = init::randn(&mut rng, &[33, 19], 2.0);
     let dy = init::randn(&mut rng, &[33, 19], 1.0);
-    assert_thread_invariant("softmax_rows", || {
-        ops::softmax_rows(&x).data().to_vec()
-    });
+    assert_thread_invariant("softmax_rows", || ops::softmax_rows(&x).data().to_vec());
     assert_thread_invariant("softmax_rows_bwd", || {
         let y = ops::softmax_rows(&x);
         ops::softmax_rows_bwd(&y, &dy).unwrap().data().to_vec()
@@ -198,9 +168,6 @@ fn parallel_path_actually_differs_from_gated_path_in_schedule_only() {
     let a = init::randn(&mut rng, &[5, 4], 1.0);
     let b = init::randn(&mut rng, &[4, 3], 1.0);
     let gated = ops::matmul(&a, &b).unwrap();
-    let forced = {
-        let _cfg = ForcedParallel::new(8);
-        ops::matmul(&a, &b).unwrap()
-    };
-    assert_eq!(bits(gated.data()), bits(forced.data()));
+    let pooled = forced(8).enter(|| ops::matmul(&a, &b).unwrap());
+    assert_eq!(bits(gated.data()), bits(pooled.data()));
 }

@@ -11,41 +11,10 @@
 //! future microkernel change reassociates a reduction differently
 //! between backends, this is the test that catches it.
 
-use fpdt_core::runtime::{train, Mode, TrainConfig};
+use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
 use fpdt_model::config::ModelConfig;
 use fpdt_tensor::mk::{self, Backend};
-use fpdt_tensor::par;
-use rayon::pool;
-use std::sync::{Mutex, MutexGuard};
-
-static CONFIG_LOCK: Mutex<()> = Mutex::new(());
-
-struct ForcedKernels<'a> {
-    _guard: MutexGuard<'a, ()>,
-    prev_backend: Option<Backend>,
-    prev_threshold: usize,
-    prev_threads: usize,
-}
-
-impl ForcedKernels<'_> {
-    fn new(backend: Backend, threads: usize) -> Self {
-        let guard = CONFIG_LOCK.lock().unwrap();
-        ForcedKernels {
-            _guard: guard,
-            prev_backend: mk::set_backend(Some(backend)),
-            prev_threshold: par::set_par_threshold(1),
-            prev_threads: pool::set_threads(threads),
-        }
-    }
-}
-
-impl Drop for ForcedKernels<'_> {
-    fn drop(&mut self) {
-        pool::set_threads(self.prev_threads);
-        par::set_par_threshold(self.prev_threshold);
-        mk::set_backend(self.prev_backend);
-    }
-}
+use fpdt_tensor::KernelCtx;
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -64,15 +33,29 @@ fn config(mode: Mode) -> TrainConfig {
     }
 }
 
+/// The loss trajectory of `mode` with `backend` forced on the calling
+/// thread (the rank sessions start from its kernel context) and the run's
+/// thread budget at `threads` with the parallel-split threshold at 1.
+fn losses(mode: Mode, backend: Backend, threads: usize) -> Vec<f32> {
+    let cfg = TrainConfig {
+        runtime: RuntimeOptions::from_env()
+            .with_threads(threads)
+            .with_par_threshold(1),
+        ..config(mode)
+    };
+    let ctx = KernelCtx {
+        backend,
+        ..KernelCtx::current()
+    };
+    ctx.enter(|| train(&cfg).losses)
+}
+
 /// Trains the given mode under every backend and thread budget and
 /// asserts the loss trajectory never moves a bit. Both legs run under
 /// the ambient `FPDT_BF16` setting: the payload codec is backend-free
 /// scalar integer code, so the equivalence must hold in bf16 mode too.
 fn assert_backend_invariant_training(name: &str, mode: Mode) {
-    let reference = {
-        let _cfg = ForcedKernels::new(Backend::Scalar, 1);
-        train(&config(mode)).losses
-    };
+    let reference = losses(mode, Backend::Scalar, 1);
     assert!(
         reference.iter().all(|l| l.is_finite()) && !reference.is_empty(),
         "{name}: reference run produced no finite losses"
@@ -83,13 +66,9 @@ fn assert_backend_invariant_training(name: &str, mode: Mode) {
     }
     for be in legs {
         for threads in [1usize, 2, 8] {
-            let got = {
-                let _cfg = ForcedKernels::new(be, threads);
-                train(&config(mode)).losses
-            };
             assert_eq!(
                 bits(&reference),
-                bits(&got),
+                bits(&losses(mode, be, threads)),
                 "{name}: {be:?} backend at {threads} threads changed the loss trajectory"
             );
         }
