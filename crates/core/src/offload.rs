@@ -3,10 +3,15 @@
 //!
 //! In the paper this is pinned CPU DRAM reached over PCIe; in the real
 //! runtime it is a keyed store owned by each simulated GPU's thread. The
-//! pool tracks bytes and transfer counts so tests can assert the paper's
-//! claims — e.g. that at any instant only `O(1/u)` of the sequence lives
-//! on "HBM", and that the backward's nested loop fetches each KV chunk
-//! exactly once per outer iteration.
+//! pool tracks bytes and transfer counts so tests can assert what crosses
+//! the link: the executor's backward takes every cached chunk exactly
+//! once (each KV chunk when its column opens, each query row's
+//! `[O, Q, Lse]` when the row opens) and puts nothing back. What stays on
+//! "HBM" instead is the open rows' working set: an open query row keeps
+//! its Q, dO, lse, row-dot and running dQ on the rank thread until its
+//! diagonal tile, and the column-major tile walk keeps up to `u - 1`
+//! rows open at once — `3C + 2L` bytes each for a gathered chunk of `C`
+//! bytes and its `L`-byte lse.
 //!
 //! ## Zero-copy residency, costed transfers
 //!
@@ -49,11 +54,16 @@ pub enum BufKind {
     O,
     /// Log-sum-exp statistics for a query chunk.
     Lse,
-    /// Accumulating query-gradient chunk (finalized at outer step `j=i`).
+    /// Accumulating query-gradient chunk. The executor keeps it on the
+    /// rank thread with its open row and never pools it; the kind (and
+    /// its [`BufKind::code`]) stays because checkpoints may name it.
     DQ,
-    /// Gathered output-gradient chunk (`dO`) in the backward pass.
+    /// Gathered output-gradient chunk (`dO`). Not pooled by the executor
+    /// (row-resident, like [`BufKind::DQ`]); kept for its code.
     DOut,
-    /// Row dot-products `D = rowsum(dO ⊙ O)` per query chunk.
+    /// Row dot-products `D = rowsum(dO ⊙ O)` per query chunk. Not pooled
+    /// by the executor (row-resident, like [`BufKind::DQ`]); kept for
+    /// its code.
     Dsum,
     /// Block-input hidden chunk (activation checkpoint).
     Hidden,

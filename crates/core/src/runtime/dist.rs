@@ -1386,7 +1386,7 @@ pub fn train_traced(cfg: &TrainConfig, recorder: Option<&Recorder>) -> TrainRepo
 
 /// Test fixture: [`TrainConfig::small`] with f32 payloads pinned. The
 /// cross-mode loss comparisons below assume f32 wires at their tight
-/// tolerances, so an ambient `FPDT_BF16=1` (the CI bf16 leg) must not
+/// tolerances, so an ambient `FPDT_BF16=1` (an autotuned env) must not
 /// leak into them; bf16 numerics get their own dedicated tolerance test.
 #[cfg(test)]
 fn small_f32(mode: Mode) -> TrainConfig {

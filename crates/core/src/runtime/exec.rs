@@ -165,14 +165,6 @@ impl Staged {
     }
 }
 
-/// What opening a query row of the backward consumes, staged ahead of the
-/// tile that opens it: the posted `dO` gather (all rows, up-front) and the
-/// cached `O` chunk (one row ahead on the copy stream).
-struct RowInputs {
-    dout: Vec<Option<PendingTensor>>,
-    o: Vec<Option<Staged>>,
-}
-
 /// Distributed chunked attention: Ulysses all-to-all per chunk posted on
 /// an asynchronous communication stream, streaming online attention, host
 /// offload behind an asynchronous double-buffered copy stream, tiled
@@ -313,14 +305,15 @@ impl DistAttention {
         ])
     }
 
-    /// Drops a dead cached chunk without a transfer (freeing memory is not
-    /// PCIe traffic, so it must not touch the fetch counters).
-    fn discard_one(&mut self, key: ChunkKey) {
-        if self.offload {
-            self.host.discard(&key);
-        } else {
-            self.device.remove(&key);
-        }
+    /// Issues the take of query chunk `i`'s saved forward state
+    /// `[O, Q, Lse]` — what opening row `i` of the backward consumes — as
+    /// one copy-stream job.
+    fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<Staged> {
+        self.stage(&[
+            (ChunkKey::new(layer, BufKind::O, i), true),
+            (ChunkKey::new(layer, BufKind::Q, i), true),
+            (ChunkKey::new(layer, BufKind::Lse, i), true),
+        ])
     }
 
     /// The cached forward (scatter-heads) layout for `shape`, built on
@@ -410,55 +403,6 @@ impl DistAttention {
         }))
     }
 
-    /// Issues the fetch of backward tile `(i, j)`'s row operands —
-    /// `[Q, dO, lse, dsum, dQ]` of query chunk `i`, one copy-stream job —
-    /// after opening the row if `(i, 0)` is its first tile: that resolves
-    /// chunk `i`'s `dO` gather and caches `dO`, the row-dot and a zero
-    /// `dQ`. The diagonal is the row's last tile and consumes the cache;
-    /// `dQ` is always taken (the tile re-puts its update).
-    fn stage_tile(
-        &mut self,
-        layer: usize,
-        (i, j): (usize, usize),
-        rows: &mut RowInputs,
-    ) -> ExecResult<Staged> {
-        if j == 0 {
-            let o_key = |i| [(ChunkKey::new(layer, BufKind::O, i), false)];
-            let o_staged = match rows.o[i].take() {
-                Some(staged) => staged,
-                None => self.stage(&o_key(i))?,
-            };
-            // Rows open in ascending order (column 0 runs in ascending
-            // `i`), so the next row's O chunk goes on the stream now.
-            if i + 1 < rows.o.len() {
-                rows.o[i + 1] = Some(self.stage(&o_key(i + 1))?);
-            }
-            let pending = rows.dout[i].take().ok_or("chunk i's dO was not posted")?;
-            let doh = Arc::new(pending.wait()?);
-            let [oi] = o_staged.wait()?;
-            let dsum = {
-                let _s = self.span("kernel.attn.rowwise_dot", oi.data().len());
-                rowwise_dot(&oi, &doh)?
-            };
-            let n = dsum.len();
-            let zeros = Tensor::zeros(doh.shape());
-            self.put(ChunkKey::new(layer, BufKind::DOut, i), doh);
-            self.put(
-                ChunkKey::new(layer, BufKind::Dsum, i),
-                Arc::new(Tensor::from_vec(dsum, &[n])?),
-            );
-            self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(zeros));
-        }
-        let consume = i == j;
-        self.stage(&[
-            (ChunkKey::new(layer, BufKind::Q, i), consume),
-            (ChunkKey::new(layer, BufKind::DOut, i), consume),
-            (ChunkKey::new(layer, BufKind::Lse, i), consume),
-            (ChunkKey::new(layer, BufKind::Dsum, i), consume),
-            (ChunkKey::new(layer, BufKind::DQ, i), true),
-        ])
-    }
-
     /// The backward tile interpreter: runs the causal tile triangle
     /// `{(i, j) : j <= i < u}` in the order `slots` gives, one `slot.bwd`
     /// span per slot. [`AttentionExec::backward`] passes
@@ -470,15 +414,19 @@ impl DistAttention {
     /// `j` and `dk_j`/`dv_j` in ascending `i` whatever the interleaving,
     /// so gradients are bitwise identical across orders; every pool/comm
     /// operation runs exactly once with the same key, so [`PoolStats`]
-    /// transfer counters and the comm counters are identical too.
+    /// and the comm counters are identical too (the backward only takes
+    /// from the pool, so even its high-water mark is the forward's).
     ///
-    /// Row and column state is staged lazily, keyed on the tile itself:
+    /// Row and column state opens lazily, keyed on the tile itself, and
+    /// stays on the rank thread until the tile that closes it:
     ///
-    /// * `(i, 0)` opens query chunk `i` — it resolves the `dO` gather
-    ///   (all posted up-front) and stages the row-dot, hidden behind
-    ///   other chunks' tiles ([`DistAttention::stage_tile`], which also
-    ///   puts every tile's row operands on the copy stream, one tile
-    ///   ahead of its kernel);
+    /// * `(i, 0)` opens query row `i` — it lands chunk `i`'s `[O, Q, Lse]`
+    ///   (one take, put on the copy stream when row `i - 1` opened),
+    ///   resolves the `dO` gather (all posted up-front), forms the
+    ///   row-dot and a zero `dq_i` — and the diagonal `(i, i)` ships
+    ///   `dq_i` and drops the row. Column 0 runs in ascending `i`, so
+    ///   rows open in ascending order; up to `u - 1` are open at once
+    ///   (row 0 closes on its only tile).
     /// * `(j, j)` opens KV column `j` — it lands the chunk pair, whose
     ///   take-fetch slot `j - 1` put on the copy stream one slot ahead
     ///   (an order that opens the column earlier fetches it on demand)
@@ -503,19 +451,28 @@ impl DistAttention {
         // comm stream drains behind the whole triangle. KV take-fetches
         // stay staggered — column `s+1`'s pair goes on the copy stream at
         // the start of slot `s`, one slot before `tile_slots` opens the
-        // column — so the per-tile host-pool grabs never queue behind the
-        // entire triangle's KV bytes on the FIFO stream.
-        let mut rows = RowInputs {
-            dout: Vec::with_capacity(u),
-            o: (0..u).map(|_| None).collect(),
-        };
+        // column — so a row's take never queues behind the entire
+        // triangle's KV bytes on the FIFO stream.
+        let mut dout_pending: Vec<Option<PendingTensor>> = Vec::with_capacity(u);
         for i in 0..u {
             let range = self.plan.local_chunk_range(i);
-            rows.dout.push(Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?));
+            dout_pending.push(Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?));
         }
         let mut kv_pending: Vec<Option<Staged>> = (0..u).map(|_| None).collect();
         kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
+        let mut row_pending: Vec<Option<Staged>> = (0..u).map(|_| None).collect();
+        row_pending[0] = Some(self.fetch_row(layer, 0)?);
 
+        // One open query row: its operands and its gradient accumulator
+        // (updated in ascending KV order), read in place by every tile.
+        struct Row {
+            q: Arc<Tensor>,
+            dout: Tensor,
+            lse: Arc<Tensor>,
+            dsum: Vec<f32>,
+            gpos: Vec<usize>,
+            dq: Tensor,
+        }
         // One KV column's live state: the resident chunk pair and its
         // gradient accumulators (updated in ascending query order).
         struct Col {
@@ -525,17 +482,11 @@ impl DistAttention {
             dk: Tensor,
             dv: Tensor,
         }
+        let mut rows: Vec<Option<Row>> = (0..u).map(|_| None).collect();
         let mut cols: Vec<Option<Col>> = (0..u).map(|_| None).collect();
         let mut dq_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
         let mut dk_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
         let mut dv_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
-
-        // Row operands ride the copy stream one tile ahead: the next
-        // tile's are issued before this tile's kernel runs, so their
-        // transfer hides behind it. Only a next tile in the *same* row
-        // waits its turn — it reads the dQ this tile is about to write.
-        let mut upcoming = slots.iter().flatten().copied().skip(1);
-        let mut ahead_operands: Option<Staged> = None;
 
         for (s, slot) in slots.iter().enumerate() {
             let _slot = self.span("slot.bwd", 0);
@@ -546,10 +497,33 @@ impl DistAttention {
                 kv_pending[ahead] = Some(self.fetch_kv(layer, ahead, true)?);
             }
             for &(i, j) in slot {
-                let operands = match ahead_operands.take() {
-                    Some(staged) => staged,
-                    None => self.stage_tile(layer, (i, j), &mut rows)?,
-                };
+                if j == 0 {
+                    let staged = row_pending[i]
+                        .take()
+                        .ok_or("query rows must open in ascending order")?;
+                    // The next row's take goes on the stream now, one row
+                    // ahead, behind this row's tiles.
+                    if i + 1 < u {
+                        row_pending[i + 1] = Some(self.fetch_row(layer, i + 1)?);
+                    }
+                    let dout = dout_pending[i]
+                        .take()
+                        .ok_or("chunk i's dO was not posted")?
+                        .wait()?;
+                    let [o, q, lse] = staged.wait()?;
+                    let dsum = {
+                        let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
+                        rowwise_dot(&o, &dout)?
+                    };
+                    rows[i] = Some(Row {
+                        dq: Tensor::zeros(q.shape()),
+                        gpos: self.plan.gathered_positions(i),
+                        q,
+                        dout,
+                        lse,
+                        dsum,
+                    });
+                }
                 if i == j {
                     // First tile of KV column j: land the chunk and zero
                     // its gradient accumulators.
@@ -568,45 +542,31 @@ impl DistAttention {
                         dv,
                     });
                 }
-                if let Some(next) = upcoming.next().filter(|next| next.0 != i) {
-                    ahead_operands = Some(self.stage_tile(layer, next, &mut rows)?);
-                }
-                let [qi, doh, lse, dsum, dq_i] = operands.wait()?;
-                // The diagonal is row i's last tile: chunk i's saved state
-                // was consumed there, and the O cache — only needed for
-                // dsum — is freed. That is not a transfer, so it must not
-                // run through the fetch path.
-                let last_in_row = i == j;
-                if last_in_row {
-                    self.discard_one(ChunkKey::new(layer, BufKind::O, i));
-                }
-                let mut dq_i = unshare(dq_i);
-                let gpos_i = self.plan.gathered_positions(i);
-                // Closed before the DQ re-put / gradient posts below —
-                // transfers must not nest inside compute spans or the
-                // overlap metric counts a serial runtime as overlapped.
-                let tile = self.span("attn.bwd.tile", qi.data().len());
+                let row = rows[i].as_mut().ok_or("query row i was not opened")?;
                 let col = cols[j].as_mut().ok_or("KV column j was not staged")?;
+                // Closed before the gradient posts below — transfers must
+                // not nest inside compute spans or the overlap metric
+                // counts a serial runtime as overlapped.
+                let tile = self.span("attn.bwd.tile", row.q.data().len());
                 attention_block_bwd(
-                    &qi,
+                    &row.q,
                     &col.k,
                     &col.v,
-                    &doh,
-                    lse.data(),
-                    dsum.data(),
-                    &gpos_i,
+                    &row.dout,
+                    row.lse.data(),
+                    &row.dsum,
+                    &row.gpos,
                     &col.gpos,
                     scale,
-                    &mut dq_i,
+                    &mut row.dq,
                     &mut col.dk,
                     &mut col.dv,
                 )?;
                 drop(tile);
-                if last_in_row {
-                    // dq_i is final: ship it home.
-                    dq_handles[i] = Some(self.post_inv(Arc::new(dq_i))?);
-                } else {
-                    self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(dq_i));
+                if i == j {
+                    // The diagonal is row i's last tile: dq_i is final.
+                    let done = rows[i].take().ok_or("query row i was not opened")?;
+                    dq_handles[i] = Some(self.post_inv(Arc::new(done.dq))?);
                 }
                 if i + 1 == u {
                     // (u-1, j) is column j's last tile: dK_j/dV_j final.
@@ -645,12 +605,6 @@ fn cached_layout(
     let l = build()?;
     map.insert(key, l);
     Ok(l)
-}
-
-/// Takes a pooled chunk back into exclusive ownership for in-place
-/// accumulation — free when the pool held the only reference.
-fn unshare(t: Arc<Tensor>) -> Tensor {
-    Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone())
 }
 
 impl AttentionExec for DistAttention {
@@ -764,10 +718,16 @@ impl AttentionExec for DistAttention {
 
     fn discard(&mut self, layer: usize) {
         // Drop every cached chunk belonging to this layer (forward saves
-        // Q/K/V/O/Lse per chunk).
+        // Q/K/V/O/Lse per chunk) without a transfer: freeing memory is not
+        // PCIe traffic, so it must not touch the fetch counters.
         for kind in [BufKind::Q, BufKind::K, BufKind::V, BufKind::O, BufKind::Lse] {
             for chunk in 0..self.plan.chunks {
-                self.discard_one(ChunkKey::new(layer, kind, chunk));
+                let key = ChunkKey::new(layer, kind, chunk);
+                if self.offload {
+                    self.host.discard(&key);
+                } else {
+                    self.device.remove(&key);
+                }
             }
         }
     }
@@ -1092,48 +1052,67 @@ mod tests {
     fn schedule_audit_transfer_and_post_counts() {
         // Transfer- and post-count audit of the schedule for u chunks:
         //   forward : each chunk i keep-fetches K and V for j < i
-        //             -> 2 * u(u-1)/2 = u(u-1) fetches; one fused QKV +
-        //             one O post per chunk -> 2u posts
-        //   backward: u O keeps (row staging) + 2u KV takes (each KV chunk
-        //             exactly ONCE per column) + 5 per tile (Q, DOut, Lse,
-        //             Dsum, DQ) over u(u+1)/2 tiles; u dO + u dq + u dk +
-        //             u dv posts -> 6u cumulative.
-        // The dead-O drop on the diagonal is a discard, NOT a fetch — if it
-        // leaked into the fetch path the backward count would gain +u. Any
-        // drift in the posts means the double buffering degenerated (0
-        // extra posts) or an op stopped being fused (3u instead of u).
-        for u in [1usize, 2, 4, 5] {
-            let (s, h, d) = (4 * u, 2, 4);
-            let (q, k, v) = rand_qkv(11, s, h, d);
-            let dout = Tensor::ones(&[s / 2, h, d]);
-            let counts = run_group(2, |comm| {
-                let plan = ChunkPlan::new(s, 2, u).unwrap();
-                let pos = plan.local_positions(comm.rank());
-                let shard = |t: &Tensor| {
-                    let parts: Vec<Tensor> =
-                        pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                    let refs: Vec<&Tensor> = parts.iter().collect();
-                    Tensor::concat(&refs, 0).unwrap()
-                };
-                let mut ex = DistAttention::new(Arc::new(comm), plan, true);
-                ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                    .unwrap();
-                let fwd = (ex.host_stats(), ex.comm_posted());
-                ex.backward(0, &dout).unwrap();
-                (fwd, ex.host_stats(), ex.comm_posted(), ex.host.is_empty())
-            });
-            let tiles = u * (u + 1) / 2;
-            for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
-                assert_eq!(after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches, u={u}");
-                assert_eq!(posted_fwd, (2 * u) as u64, "QKV + O post per chunk, u={u}");
-                assert_eq!(
-                    after_bwd.fetches - after_fwd.fetches,
-                    (3 * u + 5 * tiles) as u64,
-                    "backward fetches (KV exactly once per column), u={u}"
-                );
-                assert_eq!(posted_bwd, (6 * u) as u64, "dO + dq + dk + dv posts, u={u}");
-                assert!(after_bwd.bytes_fetched > 0 && after_bwd.bytes_offloaded > 0);
-                assert!(empty, "every cached chunk consumed, u={u}");
+        //             -> 2 * u(u-1)/2 = u(u-1) fetches; puts K, V, Q, O,
+        //             Lse; one fused QKV + one O post per chunk -> 2u posts
+        //   backward: 2u KV takes (each KV chunk exactly ONCE per column)
+        //             + 3u row takes ([O, Q, Lse] once per query row) and
+        //             no puts — an open row stays on the rank thread;
+        //             u dO + u dq + u dk + u dv posts -> 6u cumulative.
+        // Bytes per layer, with C one gathered chunk and L its lse:
+        //   H2D = u(u-1)·C + u(4C + L),  D2H = u(4C + L),
+        // and bf16 payloads halve exactly the K/V share of both. Any drift
+        // in the posts means the double buffering degenerated (0 extra
+        // posts) or an op stopped being fused (3u instead of u).
+        for bf16 in [false, true] {
+            for u in [1usize, 2, 4, 5] {
+                let (s, h, d) = (4 * u, 2, 4);
+                let (q, k, v) = rand_qkv(11, s, h, d);
+                let dout = Tensor::ones(&[s / 2, h, d]);
+                let counts = run_group(2, |comm| {
+                    let plan = ChunkPlan::new(s, 2, u).unwrap();
+                    let pos = plan.local_positions(comm.rank());
+                    let shard = |t: &Tensor| {
+                        let parts: Vec<Tensor> =
+                            pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
+                        let refs: Vec<&Tensor> = parts.iter().collect();
+                        Tensor::concat(&refs, 0).unwrap()
+                    };
+                    let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
+                    let mut ex = DistAttention::with_opts(Arc::new(comm), plan, true, opts);
+                    ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+                        .unwrap();
+                    let fwd = (ex.host_stats(), ex.comm_posted());
+                    ex.backward(0, &dout).unwrap();
+                    (fwd, ex.host_stats(), ex.comm_posted(), ex.host.is_empty())
+                });
+                // One gathered chunk: s/u rows of h/2 local heads.
+                let (c, l) = ((s / u) * (h / 2) * d * 4, (s / u) * (h / 2) * 4);
+                let kv = if bf16 { c / 2 } else { c };
+                let h2d = u * (u - 1) * kv + u * (2 * kv + 2 * c + l);
+                let d2h = u * (2 * kv + 2 * c + l);
+                for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
+                    let at = format!("u={u}, bf16={bf16}");
+                    assert_eq!(
+                        after_fwd.fetches,
+                        (u * (u - 1)) as u64,
+                        "forward fetches, {at}"
+                    );
+                    assert_eq!(after_fwd.offloads, (5 * u) as u64, "forward puts, {at}");
+                    assert_eq!(posted_fwd, (2 * u) as u64, "QKV + O post per chunk, {at}");
+                    assert_eq!(
+                        after_bwd.fetches - after_fwd.fetches,
+                        (5 * u) as u64,
+                        "backward fetches (KV once per column, row once per row), {at}"
+                    );
+                    assert_eq!(
+                        after_bwd.offloads, after_fwd.offloads,
+                        "backward puts, {at}"
+                    );
+                    assert_eq!(posted_bwd, (6 * u) as u64, "dO + dq + dk + dv posts, {at}");
+                    assert_eq!(after_bwd.bytes_fetched, h2d as u64, "H2D bytes, {at}");
+                    assert_eq!(after_bwd.bytes_offloaded, d2h as u64, "D2H bytes, {at}");
+                    assert!(empty, "every cached chunk consumed, {at}");
+                }
             }
         }
     }

@@ -19,9 +19,16 @@
 //! ```
 //!
 //! and commit the rewritten golden files with a note on what moved.
+//!
+//! `tests/golden/exec_grads.txt` pins *values* across commits: the loss
+//! and gradient bits of the offloaded two-rank fixture run, so a change
+//! that claims to move bytes but not arithmetic shows it did not.
+
+mod common;
 
 use fpdt_core::chunk::tile_slots;
 use fpdt_core::pipeline::{simulate_block, NestOrder, PipelineOpts, PipelineReport};
+use fpdt_core::runtime::RuntimeOptions;
 use fpdt_model::config::ModelConfig;
 use fpdt_sim::hw::ClusterSpec;
 use std::fmt::Write as _;
@@ -83,9 +90,9 @@ fn canonical(rep: &PipelineReport) -> String {
     s
 }
 
-fn fnv1a(s: &str) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
@@ -127,7 +134,7 @@ fn schedules_match_golden_digests() {
         let rep = run_corner(opts);
         lines.push(format!(
             "{key} {:016x} {:.9}",
-            fnv1a(&canonical(&rep)),
+            fnv1a(canonical(&rep).as_bytes()),
             rep.sim.makespan
         ));
     }
@@ -152,6 +159,32 @@ fn runtime_tile_order_matches_golden() {
 }
 
 #[test]
+fn offloaded_gradients_match_golden_bits() {
+    // One line per (chunk count, rank): the loss bits and a digest of
+    // every gradient's bits. f32 payloads; the thread count cannot move
+    // a bit (`offload_determinism`), so the ambient budget is fine.
+    let mut body = String::new();
+    for u in [2usize, 4] {
+        let opts = RuntimeOptions::from_env().with_payload_bf16(false);
+        for (rank, (loss, grads, _)) in common::grad_run(42, u, true, opts).iter().enumerate() {
+            let bytes: Vec<u8> = grads
+                .iter()
+                .flat_map(|g| g.to_bits().to_le_bytes())
+                .collect();
+            writeln!(
+                body,
+                "u{u} rank{rank} loss {:08x} grads {} {:016x}",
+                loss.to_bits(),
+                grads.len(),
+                fnv1a(&bytes)
+            )
+            .unwrap();
+        }
+    }
+    check_golden("exec_grads.txt", &body);
+}
+
+#[test]
 fn payload_bf16_env_never_changes_schedule_digests() {
     // FPDT_BF16 halves wire bytes on the *runtime* path only; the
     // planner's schedule shape (task emission order, dependency
@@ -161,7 +194,7 @@ fn payload_bf16_env_never_changes_schedule_digests() {
     let all_digests = || -> Vec<(String, u64)> {
         corners()
             .into_iter()
-            .map(|(key, opts)| (key, fnv1a(&canonical(&run_corner(opts)))))
+            .map(|(key, opts)| (key, fnv1a(canonical(&run_corner(opts)).as_bytes())))
             .collect()
     };
     std::env::remove_var("FPDT_BF16");

@@ -8,7 +8,9 @@
 //! produces bitwise identical losses, gradients and
 //! [`fpdt_comm::CommStats`] for offload on and off × kernel-pool threads
 //! {1, 2, 8} × chunks {2, 4} (compared within a chunk count — the chunk
-//! count re-associates floats), and the whole `train` loop reports the
+//! count re-associates floats). With bf16 payloads the offloaded run
+//! rounds its KV chunks, which the device map never does, so that leg is
+//! compared across thread counts only. The whole `train` loop reports the
 //! same loss trajectory and traffic either way while offload really
 //! moves chunks through the pool. (Per-chunk transfer and post counts
 //! are audited in `exec.rs::schedule_audit_transfer_and_post_counts`.)
@@ -64,6 +66,19 @@ fn offload_thread_budget_and_chunk_cross_product_is_bitwise_identical() {
                      offload off at 1 thread"
                 );
             }
+        }
+        let bf16_opts = opts().with_payload_bf16(true);
+        let bf16 = bits(grad_run(42, chunks, true, forced(bf16_opts, 1)));
+        assert!(
+            bf16 != reference,
+            "bf16 payloads must really round the KV chunks"
+        );
+        for threads in [2usize, 8] {
+            let got = bits(grad_run(42, chunks, true, forced(bf16_opts, threads)));
+            assert!(
+                bf16 == got,
+                "{chunks} chunks, bf16 offload, {threads} threads differ from 1 thread"
+            );
         }
     }
 }

@@ -10,7 +10,7 @@
 //! suite feeds `DistAttention::backward_tiles` generated orders — always
 //! including the paper's Figure-7 column-per-slot nest and the row-major
 //! sweep — and compares each against the production walk, at 1, 2, and
-//! 8 kernel-pool threads.
+//! 8 kernel-pool threads, with f32 and with bf16 payloads.
 
 mod common;
 
@@ -19,6 +19,7 @@ use fpdt_comm::{run_group, CommStats};
 use fpdt_core::chunk::{tile_slots, ChunkPlan};
 use fpdt_core::offload::PoolStats;
 use fpdt_core::runtime::exec::{AttentionExec, DistAttention};
+use fpdt_core::runtime::RuntimeOptions;
 use fpdt_tensor::{init, Tensor};
 use proptest::TestRng;
 use std::sync::Arc;
@@ -89,10 +90,9 @@ fn assert_valid_order(u: usize, slots: &Slots) {
     );
 }
 
-/// What one rank observed: gradient bits, pool statistics with the peak
-/// residency zeroed (when rows are staged is exactly what an order
-/// changes; every transfer counter and byte total must match),
-/// posted-op count, and wire statistics.
+/// What one rank observed: gradient bits, pool statistics (the backward
+/// only takes from the pool, so even the high-water mark is the
+/// forward's in every order), posted-op count, and wire statistics.
 #[derive(Debug, PartialEq)]
 struct Observed {
     grads: [Vec<u32>; 3],
@@ -107,7 +107,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 /// Forward plus backward on 2 ranks with `u` offloaded chunks; `order`
 /// picks the backward walk (`None` = the production `backward`).
-fn run(u: usize, order: Option<&Slots>) -> Vec<Observed> {
+fn run(u: usize, order: Option<&Slots>, bf16: bool) -> Vec<Observed> {
     let (s, h, d) = (4 * u, 2, 4);
     let mut rng = init::seeded_rng(7 + u as u64);
     let q = init::randn(&mut rng, &[s, h, d], 1.0);
@@ -123,7 +123,8 @@ fn run(u: usize, order: Option<&Slots>) -> Vec<Observed> {
             let refs: Vec<&Tensor> = parts.iter().collect();
             Tensor::concat(&refs, 0).unwrap()
         };
-        let mut ex = DistAttention::new(Arc::clone(&comm), plan, true);
+        let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
+        let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, true, opts);
         ex.forward(0, &rows(&q), &rows(&k), &rows(&v), &pos)
             .unwrap();
         let (dq, dk, dv) = match order {
@@ -131,10 +132,7 @@ fn run(u: usize, order: Option<&Slots>) -> Vec<Observed> {
             None => ex.backward(0, &dout),
         }
         .unwrap();
-        let pool = PoolStats {
-            peak_bytes: 0,
-            ..ex.host_stats()
-        };
+        let pool = ex.host_stats();
         let posted = ex.comm_posted();
         // The executor's comm stream must drain before the wire counters
         // are read.
@@ -164,26 +162,28 @@ fn every_tile_order_matches_the_production_walk_bitwise() {
             assert_valid_order(u, slots);
         }
 
-        let reference = forced_ctx(1).enter(|| run(u, None));
-        assert!(
-            reference
-                .iter()
-                .all(|o| o.grads.iter().all(|g| g.iter().any(|&b| b != 0))),
-            "all-zero gradients would make the comparison vacuous (u={u})"
-        );
-        assert!(
-            reference
-                .iter()
-                .all(|o| o.pool.fetches > 0 && o.posted == 6 * u as u64),
-            "the reference must move chunks and post its 6u ops (u={u})"
-        );
-        for threads in [1usize, 2, 8] {
-            for (name, slots) in &orders {
-                let got = forced_ctx(threads).enter(|| run(u, Some(slots)));
-                assert_eq!(
-                    reference, got,
-                    "u={u}, {threads} threads, order {name}: {slots:?}"
-                );
+        for bf16 in [false, true] {
+            let reference = forced_ctx(1).enter(|| run(u, None, bf16));
+            assert!(
+                reference
+                    .iter()
+                    .all(|o| o.grads.iter().all(|g| g.iter().any(|&b| b != 0))),
+                "all-zero gradients would make the comparison vacuous (u={u})"
+            );
+            assert!(
+                reference
+                    .iter()
+                    .all(|o| o.pool.fetches > 0 && o.posted == 6 * u as u64),
+                "the reference must move chunks and post its 6u ops (u={u})"
+            );
+            for threads in [1usize, 2, 8] {
+                for (name, slots) in &orders {
+                    let got = forced_ctx(threads).enter(|| run(u, Some(slots), bf16));
+                    assert_eq!(
+                        reference, got,
+                        "u={u}, bf16 {bf16}, {threads} threads, order {name}: {slots:?}"
+                    );
+                }
             }
         }
     }

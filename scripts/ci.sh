@@ -159,12 +159,6 @@ stage "cargo test -q -p fpdt-core under the tuned configuration"
     cargo test -q -p fpdt-core
 )
 
-stage "cargo test -q --workspace under FPDT_BF16=1"
-# And with bf16 wire payloads on everywhere: the one numerics-affecting
-# knob. Cross-mode loss comparisons pin it off internally; everything
-# else must hold bit-for-bit schedules and bf16-tolerance numerics.
-FPDT_BF16=1 cargo test -q --workspace
-
 stage "cargo test -q -p fpdt-core under FPDT_FAULT_INJECT=2 FPDT_COMM_RETRIES=4"
 # The tier-1 suite must pass with transient collective faults injected
 # into every group and enough replay budget to absorb them: recovery is

@@ -28,9 +28,9 @@ fn max_divergence(a: &[f32], b: &[f32]) -> f32 {
 #[test]
 fn all_modes_learn_and_agree() {
     // Distributed-vs-single loss comparison: pin the payload format so an
-    // ambient `FPDT_BF16=1` (the CI leg) cannot round the distributed
-    // legs' payloads while the single-rank baseline, which moves no
-    // payloads, stays full-precision.
+    // ambient `FPDT_BF16=1` (an autotuned env may set it) cannot round
+    // the distributed legs' payloads while the single-rank baseline,
+    // which moves no payloads, stays full-precision.
     let mut base = base_config();
     base.runtime = base.runtime.with_payload_bf16(false);
     let single = train(&base);
@@ -75,7 +75,7 @@ fn offload_pool_is_actually_used_and_balanced() {
     };
     let run = train(&cfg);
     // Forward caches q,k,v,o,lse per chunk per layer per step; backward
-    // stages dO/dsum/dq. Every offload must eventually be fetched.
+    // takes each of them back once. Every offload must be fetched.
     assert!(run.host.offloads > 0);
     assert!(
         run.host.fetches >= run.host.offloads,
