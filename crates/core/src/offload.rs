@@ -11,7 +11,8 @@
 //! its Q, dO, lse, row-dot and running dQ on the rank thread until its
 //! diagonal tile, and the column-major tile walk keeps up to `u - 1`
 //! rows open at once — `3C + 2L` bytes each for a gathered chunk of `C`
-//! bytes and its `L`-byte lse.
+//! bytes and its `L`-byte lse. So the pool only ever holds the five
+//! [`BufKind`]s the forward saves: Q, K, V, O and lse.
 //!
 //! ## Zero-copy residency, costed transfers
 //!
@@ -41,7 +42,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// What kind of buffer a pooled chunk holds.
+/// What kind of buffer a pooled chunk holds: exactly the five the
+/// executor puts in the pool. The backward's `dO`, row-dot and running
+/// `dQ` stay with their open row and never reach it, and pool residency
+/// is not checkpointed (the trainer saves at step boundaries, where the
+/// pool is empty), so no other kind exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufKind {
     /// Post-all-to-all query chunk.
@@ -54,21 +59,6 @@ pub enum BufKind {
     O,
     /// Log-sum-exp statistics for a query chunk.
     Lse,
-    /// Accumulating query-gradient chunk. The executor keeps it on the
-    /// rank thread with its open row and never pools it; the kind (and
-    /// its [`BufKind::code`]) stays because checkpoints may name it.
-    DQ,
-    /// Gathered output-gradient chunk (`dO`). Not pooled by the executor
-    /// (row-resident, like [`BufKind::DQ`]); kept for its code.
-    DOut,
-    /// Row dot-products `D = rowsum(dO ⊙ O)` per query chunk. Not pooled
-    /// by the executor (row-resident, like [`BufKind::DQ`]); kept for
-    /// its code.
-    Dsum,
-    /// Block-input hidden chunk (activation checkpoint).
-    Hidden,
-    /// Any other saved context (norm stats, MLP inputs...).
-    Ctx,
 }
 
 /// Key identifying one pooled chunk.
@@ -82,52 +72,10 @@ pub struct ChunkKey {
     pub chunk: usize,
 }
 
-impl BufKind {
-    /// Stable numeric code — the serialization order checkpoints use.
-    /// Appending new kinds at the end keeps existing shard files readable.
-    pub fn code(self) -> u8 {
-        match self {
-            BufKind::Q => 0,
-            BufKind::K => 1,
-            BufKind::V => 2,
-            BufKind::O => 3,
-            BufKind::Lse => 4,
-            BufKind::DQ => 5,
-            BufKind::DOut => 6,
-            BufKind::Dsum => 7,
-            BufKind::Hidden => 8,
-            BufKind::Ctx => 9,
-        }
-    }
-
-    /// Inverse of [`BufKind::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => BufKind::Q,
-            1 => BufKind::K,
-            2 => BufKind::V,
-            3 => BufKind::O,
-            4 => BufKind::Lse,
-            5 => BufKind::DQ,
-            6 => BufKind::DOut,
-            7 => BufKind::Dsum,
-            8 => BufKind::Hidden,
-            9 => BufKind::Ctx,
-            _ => return None,
-        })
-    }
-}
-
 impl ChunkKey {
     /// Convenience constructor.
     pub fn new(layer: usize, kind: BufKind, chunk: usize) -> Self {
         ChunkKey { layer, kind, chunk }
-    }
-
-    /// Deterministic sort key (`layer`, [`BufKind::code`], `chunk`) — the
-    /// order checkpointed residency entries are written in.
-    pub fn sort_key(&self) -> (usize, u8, usize) {
-        (self.layer, self.kind.code(), self.chunk)
     }
 }
 
@@ -385,32 +333,9 @@ impl HostPool {
         self.store.is_empty()
     }
 
-    /// Reads a resident chunk without transferring it: no counters move,
-    /// no eviction. This is the checkpoint path — serializing residency
-    /// must not perturb the transfer statistics the determinism suite
-    /// compares.
-    pub fn peek(&self, key: &ChunkKey) -> Option<&HostChunk> {
-        self.store.get(key)
-    }
-
-    /// Every resident key in deterministic [`ChunkKey::sort_key`] order —
-    /// the iteration order checkpoint shards serialize residency in.
-    pub fn resident_keys(&self) -> Vec<ChunkKey> {
-        let mut keys: Vec<ChunkKey> = self.store.keys().copied().collect();
-        keys.sort_by_key(|k| k.sort_key());
-        keys
-    }
-
     /// Transfer and residency counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Drops everything (end of a training step) but keeps cumulative
-    /// transfer counters.
-    pub fn clear(&mut self) {
-        self.store.clear();
-        self.stats.bytes = 0;
     }
 }
 
@@ -710,18 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_residency_not_counters() {
-        let mut pool = HostPool::new();
-        pool.offload(ChunkKey::new(0, BufKind::Hidden, 0), Tensor::zeros(&[5]));
-        pool.clear();
-        assert!(pool.is_empty());
-        assert_eq!(pool.stats().bytes, 0);
-        assert_eq!(pool.stats().offloads, 1);
-        assert_eq!(pool.stats().peak_bytes, 20);
-        assert_eq!(pool.stats().bytes_offloaded, 20);
-    }
-
-    #[test]
     fn bf16_kv_traffic_halves_exactly() {
         // KV-only fixture: every byte counter must be exactly half of the
         // f32 run's, with identical transfer counts.
@@ -932,7 +845,7 @@ mod tests {
     #[test]
     fn handle_drop_without_wait_clears_the_in_flight_mark() {
         let mut eng = OffloadEngine::new(true);
-        let key = ChunkKey::new(2, BufKind::DQ, 0);
+        let key = ChunkKey::new(2, BufKind::Lse, 0);
         eng.put(key, Arc::new(Tensor::zeros(&[32])));
         drop(eng.prefetch(&key, false));
         // in-flight mark cleared -> a fresh prefetch of the same key is legal

@@ -106,6 +106,69 @@ struct GpuStreams {
     d2h: StreamId,
 }
 
+/// One block's per-GPU geometry and task durations at global sequence
+/// `seq` in `u` chunks: what [`simulate_block`] and
+/// [`simulate_forward_layers`] lay their tasks out from. Byte sizes are of
+/// one chunk tensor (`unit`), one chunk's Q/K/V and one chunk's K/V; times
+/// are one chunk's QKV and output projections and one of the FFN's `2u`
+/// sub-chunks (paper §5.4).
+struct BlockCosts {
+    cost: CostModel,
+    p: u64,
+    unit: u64,
+    qkv_bytes: u64,
+    kv_bytes: u64,
+    t_qkv: f64,
+    t_proj: f64,
+    t_ffn: f64,
+    full_tile_flops: f64,
+}
+
+impl BlockCosts {
+    fn new(model: &ModelConfig, cluster: &ClusterSpec, seq: u64, u: usize) -> Self {
+        let p = cluster.total_gpus() as u64;
+        let cost = CostModel::new(cluster.clone());
+        // Geometry. Per-GPU bytes of one gathered chunk equal the local-chunk
+        // bytes: [chunk_global, hidden/p] == [chunk_local, hidden].
+        let tokens_local = seq / p;
+        let chunk_local = (tokens_local / u as u64).max(1);
+        let chunk_global = (seq / u as u64).max(1);
+        let unit = BF16 * chunk_local * model.hidden as u64;
+        let kv_ratio = model.kv_heads as f64 / model.heads as f64;
+        // Heads may not divide the group evenly (56 heads / 16 GPUs); account
+        // the per-GPU share fractionally so FLOPs stay exact.
+        let heads_local = model.heads as f64 / p as f64;
+        let d = model.head_dim() as f64;
+        let hidden = model.hidden as f64;
+        let ffn_tokens = (tokens_local / (2 * u as u64)).max(1) as f64;
+        BlockCosts {
+            p,
+            unit,
+            qkv_bytes: (unit as f64 * (1.0 + 2.0 * kv_ratio)) as u64,
+            kv_bytes: (unit as f64 * 2.0 * kv_ratio) as u64,
+            t_qkv: cost.gemm_time(2.0 * chunk_local as f64 * model.attention_params() as f64),
+            t_proj: cost.gemm_time(2.0 * chunk_local as f64 * (hidden * hidden)),
+            t_ffn: cost.gemm_time(2.0 * ffn_tokens * model.mlp_params() as f64),
+            full_tile_flops: 4.0 * chunk_global as f64 * chunk_global as f64 * heads_local * d,
+            cost,
+        }
+    }
+
+    /// FLOPs of one attention tile; a causal diagonal tile does half.
+    fn tile_flops(&self, diag: bool) -> f64 {
+        if diag {
+            self.full_tile_flops / 2.0
+        } else {
+            self.full_tile_flops
+        }
+    }
+
+    /// One all-to-all of `bytes` per GPU over the group.
+    fn a2a(&self, bytes: u64) -> f64 {
+        self.cost.all_to_all_time(bytes, self.p as usize)
+    }
+}
+
 /// Simulates one FPDT Transformer block (forward then backward) for
 /// `model` on `cluster` at global sequence length `seq`, returning
 /// timings and the memory timeline.
@@ -126,39 +189,8 @@ pub fn simulate_block(
         });
     }
     let u = opts.chunks;
-    let p = cluster.total_gpus() as u64;
     let g = cluster.node.gpus; // GPUs sharing this node's PCIe
-    let cost = CostModel::new(cluster.clone());
-
-    // Geometry. Per-GPU bytes of one gathered chunk equal the local-chunk
-    // bytes: [chunk_global, hidden/p] == [chunk_local, hidden].
-    let tokens_local = seq / p;
-    let chunk_local = (tokens_local / u as u64).max(1);
-    let chunk_global = (seq / u as u64).max(1);
-    let unit = BF16 * chunk_local * model.hidden as u64; // one chunk tensor
-    let kv_ratio = model.kv_heads as f64 / model.heads as f64;
-    let qkv_bytes = (unit as f64 * (1.0 + 2.0 * kv_ratio)) as u64;
-    let kv_bytes = (unit as f64 * 2.0 * kv_ratio) as u64;
-    // Heads may not divide the group evenly (56 heads / 16 GPUs); account
-    // the per-GPU share fractionally so FLOPs stay exact.
-    let heads_local = model.heads as f64 / p as f64;
-    let d = model.head_dim() as u64;
-
-    // Durations.
-    let t_qkv = cost.gemm_time(2.0 * chunk_local as f64 * model.attention_params() as f64);
-    let t_proj =
-        cost.gemm_time(2.0 * chunk_local as f64 * (model.hidden as f64 * model.hidden as f64));
-    let t_ffn = cost
-        .gemm_time(2.0 * (tokens_local / (2 * u as u64)).max(1) as f64 * model.mlp_params() as f64);
-    let tile_flops = |diag: bool| {
-        let f = 4.0 * chunk_global as f64 * chunk_global as f64 * heads_local * d as f64;
-        if diag {
-            f / 2.0
-        } else {
-            f
-        }
-    };
-    let a2a = |bytes: u64| cost.all_to_all_time(bytes, p as usize);
+    let c = BlockCosts::new(model, cluster, seq, u);
 
     let mut eng = Engine::new();
     let hbm = eng.add_pool("hbm0", Some(cluster.node.gpu.hbm_bytes));
@@ -196,18 +228,18 @@ pub fn simulate_block(
             let qkv = eng.add_task(
                 &format!("fwd.qkv.{i}"),
                 s.compute,
-                Work::Compute { seconds: t_qkv },
+                Work::Compute { seconds: c.t_qkv },
             )?;
             let mut b = eng.task(
                 &format!("fwd.a2a.{i}"),
                 s.compute,
                 Work::Compute {
-                    seconds: a2a(qkv_bytes),
+                    seconds: c.a2a(c.qkv_bytes),
                 },
             );
             b.deps(&[qkv]);
             if track(gi) {
-                b.alloc(hbm, 2 * qkv_bytes, "a2a send+recv");
+                b.alloc(hbm, 2 * c.qkv_bytes, "a2a send+recv");
             }
             let a2a_i = b.submit()?;
             let mut prev_tile: Option<TaskId> = None;
@@ -222,7 +254,7 @@ pub fn simulate_block(
                         &format!("fwd.fetch.{i}.{j}"),
                         s.h2d,
                         Work::Transfer {
-                            bytes: kv_bytes,
+                            bytes: c.kv_bytes,
                             resource: pcie_h2d,
                         },
                     );
@@ -236,7 +268,7 @@ pub fn simulate_block(
                         fb.deps(&[off]); // chunk j must be in host memory
                     }
                     if track(gi) {
-                        fb.alloc(hbm, kv_bytes, "kv fetch buffer");
+                        fb.alloc(hbm, c.kv_bytes, "kv fetch buffer");
                     }
                     let fetch = fb.submit()?;
                     deps.push(fetch);
@@ -245,12 +277,12 @@ pub fn simulate_block(
                     &format!("fwd.attn.{i}.{j}"),
                     s.compute,
                     Work::Compute {
-                        seconds: cost.attention_time(tile_flops(j == i)),
+                        seconds: c.cost.attention_time(c.tile_flops(j == i)),
                     },
                 );
                 tb.deps(&deps);
                 if track(gi) && opts.offload && j < i {
-                    tb.free(hbm, kv_bytes); // fetched buffer released
+                    tb.free(hbm, c.kv_bytes); // fetched buffer released
                 }
                 let tile = tb.submit()?;
                 tile_ids[i].push(tile);
@@ -263,13 +295,13 @@ pub fn simulate_block(
                     &format!("fwd.offload.{i}"),
                     s.d2h,
                     Work::Transfer {
-                        bytes: qkv_bytes,
+                        bytes: c.qkv_bytes,
                         resource: pcie_d2h,
                     },
                 );
                 ob.deps(&[last_tile]);
                 if track(gi) {
-                    ob.free(hbm, 2 * qkv_bytes); // qkv + send staging released
+                    ob.free(hbm, 2 * c.qkv_bytes); // qkv + send staging released
                 }
                 offload_ids[i] = Some(ob.submit()?);
             }
@@ -277,7 +309,7 @@ pub fn simulate_block(
                 &format!("fwd.a2a_back.proj.{i}"),
                 s.compute,
                 Work::Compute {
-                    seconds: a2a(unit) + t_proj,
+                    seconds: c.a2a(c.unit) + c.t_proj,
                 },
             );
             back.deps(&[last_tile]);
@@ -294,11 +326,11 @@ pub fn simulate_block(
             let mut fb = eng.task(
                 &format!("fwd.ffn.{f}"),
                 s.compute,
-                Work::Compute { seconds: t_ffn },
+                Work::Compute { seconds: c.t_ffn },
             );
             if track(gi) {
-                fb.alloc(hbm, (unit as f64 * 0.5).max(1.0) as u64, "ffn chunk");
-                fb.free(hbm, (unit as f64 * 0.5).max(1.0) as u64);
+                fb.alloc(hbm, (c.unit as f64 * 0.5).max(1.0) as u64, "ffn chunk");
+                fb.free(hbm, (c.unit as f64 * 0.5).max(1.0) as u64);
             }
             let t = fb.submit()?;
             if f == 2 * u - 1 {
@@ -322,13 +354,13 @@ pub fn simulate_block(
                 &format!("bwd.ffn.{f}"),
                 s.compute,
                 Work::Compute {
-                    seconds: 2.0 * t_ffn,
+                    seconds: 2.0 * c.t_ffn,
                 },
             );
             fb.deps(&[prev]);
             if track(gi) {
-                fb.alloc(hbm, unit, "ffn grad chunk");
-                fb.free(hbm, unit);
+                fb.alloc(hbm, c.unit, "ffn grad chunk");
+                fb.free(hbm, c.unit);
             }
             prev = fb.submit()?;
         }
@@ -346,12 +378,12 @@ pub fn simulate_block(
                         &format!("bwd.qouter.fetch_q.{i}"),
                         s.h2d,
                         Work::Transfer {
-                            bytes: 2 * unit,
+                            bytes: 2 * c.unit,
                             resource: pcie_h2d,
                         },
                     );
                     if track(gi) {
-                        qb.alloc(hbm, 2 * unit, "bwd q/do chunk");
+                        qb.alloc(hbm, 2 * c.unit, "bwd q/do chunk");
                     }
                     Some(qb.submit()?)
                 } else {
@@ -369,7 +401,7 @@ pub fn simulate_block(
                             &format!("bwd.qouter.fetch_kv_acc.{i}.{j}"),
                             s.h2d,
                             Work::Transfer {
-                                bytes: 2 * kv_bytes,
+                                bytes: 2 * c.kv_bytes,
                                 resource: pcie_h2d,
                             },
                         );
@@ -378,7 +410,7 @@ pub fn simulate_block(
                             fb.deps(&[tiles[tiles.len() - window]]);
                         }
                         if track(gi) {
-                            fb.alloc(hbm, 2 * kv_bytes, "bwd kv + acc chunk");
+                            fb.alloc(hbm, 2 * c.kv_bytes, "bwd kv + acc chunk");
                         }
                         deps.push(fb.submit()?);
                     }
@@ -386,7 +418,7 @@ pub fn simulate_block(
                         &format!("bwd.qouter.attn.{i}.{j}"),
                         s.compute,
                         Work::Compute {
-                            seconds: cost.attention_time(2.5 * tile_flops(j == i)),
+                            seconds: c.cost.attention_time(2.5 * c.tile_flops(j == i)),
                         },
                     );
                     tb.deps(&deps);
@@ -399,13 +431,13 @@ pub fn simulate_block(
                             &format!("bwd.qouter.writeback_acc.{i}.{j}"),
                             s.d2h,
                             Work::Transfer {
-                                bytes: kv_bytes,
+                                bytes: c.kv_bytes,
                                 resource: pcie_d2h,
                             },
                         );
                         wb.deps(&[t]);
                         if track(gi) {
-                            wb.free(hbm, 2 * kv_bytes);
+                            wb.free(hbm, 2 * c.kv_bytes);
                         }
                         wb.submit()?;
                     }
@@ -414,12 +446,12 @@ pub fn simulate_block(
                     &format!("bwd.qouter.a2a.projbwd.{i}"),
                     s.compute,
                     Work::Compute {
-                        seconds: a2a(unit) + 2.0 * t_qkv + 2.0 * t_proj,
+                        seconds: c.a2a(c.unit) + 2.0 * c.t_qkv + 2.0 * c.t_proj,
                     },
                 );
                 cb.deps(&[last.expect("inner loop non-empty")]);
                 if track(gi) && opts.offload {
-                    cb.free(hbm, 2 * unit);
+                    cb.free(hbm, 2 * c.unit);
                 }
                 prev = cb.submit()?;
             }
@@ -431,7 +463,7 @@ pub fn simulate_block(
                     &format!("bwd.qouter.ship_dkv.{j}"),
                     s.compute,
                     Work::Compute {
-                        seconds: a2a(kv_bytes),
+                        seconds: c.a2a(c.kv_bytes),
                     },
                 );
                 sb.deps(&[prev]);
@@ -452,13 +484,13 @@ pub fn simulate_block(
                     &format!("bwd.fetch_kv.{j}"),
                     s.h2d,
                     Work::Transfer {
-                        bytes: kv_bytes,
+                        bytes: c.kv_bytes,
                         resource: pcie_h2d,
                     },
                 );
                 fb.deps(&[prev_last_inner.unwrap_or(prev)]);
                 if track(gi) {
-                    fb.alloc(hbm, kv_bytes, "bwd kv chunk");
+                    fb.alloc(hbm, c.kv_bytes, "bwd kv chunk");
                 }
                 Some(fb.submit()?)
             } else {
@@ -476,7 +508,7 @@ pub fn simulate_block(
                         &format!("bwd.fetch_q.{j}.{i}"),
                         s.h2d,
                         Work::Transfer {
-                            bytes: 2 * unit,
+                            bytes: 2 * c.unit,
                             resource: pcie_h2d,
                         },
                     );
@@ -485,7 +517,7 @@ pub fn simulate_block(
                         qb.deps(&[inner_tiles[inner_tiles.len() - window]]);
                     }
                     if track(gi) {
-                        qb.alloc(hbm, 2 * unit, "bwd q/do chunk");
+                        qb.alloc(hbm, 2 * c.unit, "bwd q/do chunk");
                     }
                     deps.push(qb.submit()?);
                 }
@@ -493,12 +525,12 @@ pub fn simulate_block(
                     &format!("bwd.attn.{j}.{i}"),
                     s.compute,
                     Work::Compute {
-                        seconds: cost.attention_time(2.5 * tile_flops(j == i)),
+                        seconds: c.cost.attention_time(2.5 * c.tile_flops(j == i)),
                     },
                 );
                 tb.deps(&deps);
                 if track(gi) && opts.offload {
-                    tb.free(hbm, 2 * unit);
+                    tb.free(hbm, 2 * c.unit);
                 }
                 let tile = tb.submit()?;
                 inner_tiles.push(tile);
@@ -511,13 +543,13 @@ pub fn simulate_block(
                 &format!("bwd.a2a.projbwd.{j}"),
                 s.compute,
                 Work::Compute {
-                    seconds: a2a(qkv_bytes) + 2.0 * t_qkv + 2.0 * t_proj,
+                    seconds: c.a2a(c.qkv_bytes) + 2.0 * c.t_qkv + 2.0 * c.t_proj,
                 },
             );
             let last_inner = last_inner.expect("inner loop non-empty");
             cb.deps(&[last_inner]);
             if track(gi) && opts.offload {
-                cb.free(hbm, kv_bytes);
+                cb.free(hbm, c.kv_bytes);
             }
             prev_last_inner = Some(last_inner);
             prev = cb.submit()?;
@@ -667,30 +699,10 @@ pub fn simulate_forward_layers(
             what: "chunks and layers must be positive".into(),
         });
     }
+    let u = opts.chunks;
+    let c = BlockCosts::new(model, cluster, seq, u);
+    let tile = |diag: bool| c.cost.attention_time(c.tile_flops(diag));
     let run = |cross_layer: bool| -> Result<f64, SimError> {
-        let u = opts.chunks;
-        let p = cluster.total_gpus() as u64;
-        let cost = CostModel::new(cluster.clone());
-        let tokens_local = seq / p;
-        let chunk_local = (tokens_local / u as u64).max(1);
-        let chunk_global = (seq / u as u64).max(1);
-        let unit = BF16 * chunk_local * model.hidden as u64;
-        let kv_ratio = model.kv_heads as f64 / model.heads as f64;
-        let qkv_bytes = (unit as f64 * (1.0 + 2.0 * kv_ratio)) as u64;
-        let kv_bytes = (unit as f64 * 2.0 * kv_ratio) as u64;
-        let heads_local = model.heads as f64 / p as f64;
-        let d = model.head_dim() as f64;
-
-        let t_qkv = cost.gemm_time(2.0 * chunk_local as f64 * model.attention_params() as f64);
-        let t_proj = cost.gemm_time(2.0 * chunk_local as f64 * (model.hidden as f64).powi(2));
-        let t_ffn =
-            cost.gemm_time(2.0 * (chunk_local / 2).max(1) as f64 * model.mlp_params() as f64);
-        let tile = |diag: bool| {
-            let f = 4.0 * chunk_global as f64 * chunk_global as f64 * heads_local * d;
-            cost.attention_time(if diag { f / 2.0 } else { f })
-        };
-        let a2a = |bytes: u64| cost.all_to_all_time(bytes, p as usize);
-
         let mut eng = Engine::new();
         let compute = eng.add_stream("gpu0.compute");
         let h2d = eng.add_stream("gpu0.h2d");
@@ -709,7 +721,7 @@ pub fn simulate_forward_layers(
                 let mut qb = eng.task(
                     &format!("l{layer}.qkv.{i}"),
                     compute,
-                    Work::Compute { seconds: t_qkv },
+                    Work::Compute { seconds: c.t_qkv },
                 );
                 if cross_layer {
                     if let Some(dep) = prev_done[i] {
@@ -723,7 +735,7 @@ pub fn simulate_forward_layers(
                     &format!("l{layer}.a2a.{i}"),
                     compute,
                     Work::Compute {
-                        seconds: a2a(qkv_bytes),
+                        seconds: c.a2a(c.qkv_bytes),
                     },
                 );
                 ab.deps(&[qkv]);
@@ -737,7 +749,7 @@ pub fn simulate_forward_layers(
                             &format!("l{layer}.fetch.{i}.{j}"),
                             h2d,
                             Work::Transfer {
-                                bytes: kv_bytes,
+                                bytes: c.kv_bytes,
                                 resource: pcie_in,
                             },
                         );
@@ -767,7 +779,7 @@ pub fn simulate_forward_layers(
                         &format!("l{layer}.offload.{i}"),
                         d2h,
                         Work::Transfer {
-                            bytes: qkv_bytes,
+                            bytes: c.qkv_bytes,
                             resource: pcie_out,
                         },
                     );
@@ -780,7 +792,7 @@ pub fn simulate_forward_layers(
                     &format!("l{layer}.out.{i}"),
                     compute,
                     Work::Compute {
-                        seconds: a2a(unit) + t_proj + 2.0 * t_ffn,
+                        seconds: c.a2a(c.unit) + c.t_proj + 2.0 * c.t_ffn,
                     },
                 );
                 cb.deps(&[last]);

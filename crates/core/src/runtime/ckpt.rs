@@ -1,6 +1,12 @@
 //! Sharded, versioned checkpoint state — the persistence layer behind the
 //! resumable [`Trainer`](crate::runtime::dist::Trainer).
 //!
+//! There is one durable format and one reader of its schema:
+//! [`Trainer::checkpoint`](crate::runtime::dist::Trainer::checkpoint)
+//! writes the shard set and
+//! [`Trainer::resume`](crate::runtime::dist::Trainer::resume) validates
+//! and restores it. This module holds what both stand on.
+//!
 //! Everything that must survive a restart flows through one container, the
 //! [`StateDict`]: a set of named tensors (`f32` vectors), counters (`u64`
 //! vectors), and strings with a **sorted, versioned, deterministic** binary
@@ -11,10 +17,6 @@
 //!
 //! The pieces:
 //!
-//! * [`Checkpointable`] — the state trait. Model parameters
-//!   ([`GptModel`]), optimizer moments ([`AdamW`]), the data-stream RNG
-//!   ([`Corpus`]), and host-pool residency ([`HostPool`]) all speak it, so
-//!   "what is this object's durable state?" has one answer per type.
 //! * [`write_shard`] / [`read_shard`] / [`shard_paths`] — per-rank shard
 //!   files (`shard-{rank:04}-of-{world:04}.fpdt`) under a checkpoint
 //!   directory. Replicated metadata appears in every shard; per-rank
@@ -38,19 +40,13 @@
 //! Entries are sorted by key at serialization time regardless of insertion
 //! order, so two logically equal dicts are byte-equal on disk.
 
-use crate::offload::{BufKind, ChunkKey, HostPool};
-use crate::runtime::data::Corpus;
-use crate::runtime::gpt::GptModel;
-use fpdt_tensor::nn::AdamW;
-use fpdt_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-/// Magic prefix of the sharded checkpoint format (version 2; version 1 is
-/// the legacy single-file parameter dump in [`GptModel::save_checkpoint`]).
+/// Magic prefix of the sharded checkpoint format, version 2 — the only
+/// version this runtime reads or writes.
 pub const SHARD_MAGIC: &[u8; 8] = b"FPDTCK02";
 
 /// Typed checkpoint failure. Every IO and decode path returns one of
@@ -99,7 +95,7 @@ impl From<std::io::Error> for CkptError {
 /// One value in a [`StateDict`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum StateValue {
-    /// Tensor-backed payload (parameters, moments, losses, residency).
+    /// Tensor-backed payload (parameters, moments, losses, gradients).
     F32(Vec<f32>),
     /// Counter payload (steps, RNG words, shapes, statistics).
     U64(Vec<u64>),
@@ -137,28 +133,6 @@ impl StateDict {
     /// Inserts (or replaces) one entry.
     pub fn insert(&mut self, key: impl Into<String>, value: StateValue) {
         self.entries.insert(key.into(), value);
-    }
-
-    /// Copies every entry of `other` into this dict (later wins).
-    pub fn extend(&mut self, other: &StateDict) {
-        for (k, v) in &other.entries {
-            self.entries.insert(k.clone(), v.clone());
-        }
-    }
-
-    /// Whether an entry exists.
-    pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the dict has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Keys in sorted order.
@@ -362,181 +336,6 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The state trait
-// ---------------------------------------------------------------------------
-
-/// Durable state, expressed as a [`StateDict`].
-///
-/// `state_dict` takes `&mut self` because the model's parameter visitors
-/// do (see [`GptModel::for_each_param`]); implementations must not change
-/// observable state while exporting. Keys are namespaced per type
-/// (`model.*`, `opt.*`, `rng.*`, `pool.*`) so dicts from different objects
-/// compose into one shard without collisions.
-pub trait Checkpointable {
-    /// Exports durable state. Must be deterministic: two calls on equal
-    /// state produce equal dicts.
-    fn state_dict(&mut self) -> StateDict;
-
-    /// Restores state exported by [`Checkpointable::state_dict`].
-    ///
-    /// # Errors
-    ///
-    /// Typed [`CkptError`]s on missing entries or shape mismatches; the
-    /// receiver is left unchanged on error where practical.
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError>;
-}
-
-/// Model parameters: one flat f32 vector in [`GptModel::for_each_param`]
-/// order under `"model.params"`.
-impl Checkpointable for GptModel {
-    fn state_dict(&mut self) -> StateDict {
-        let mut d = StateDict::new();
-        d.insert("model.params", StateValue::F32(self.collect_params()));
-        d
-    }
-
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        let flat = dict.f32s("model.params")?;
-        if flat.len() != self.param_count() {
-            return Err(CkptError::Corrupt(format!(
-                "model.params has {} values, model expects {}",
-                flat.len(),
-                self.param_count()
-            )));
-        }
-        self.set_params(flat);
-        Ok(())
-    }
-}
-
-/// Optimizer moments in the flat layout: the shared step under
-/// `"opt.step"`, the owned range's first flat-order position under
-/// `"opt.lo"`, and the first/second moments over that range under
-/// `"opt.m"` / `"opt.v"`.
-impl Checkpointable for AdamW {
-    fn state_dict(&mut self) -> StateDict {
-        let (lo, m, v) = self.moments();
-        let mut d = StateDict::new();
-        d.insert("opt.step", StateValue::U64(vec![self.steps()]));
-        d.insert("opt.lo", StateValue::U64(vec![lo as u64]));
-        d.insert("opt.m", StateValue::F32(m.to_vec()));
-        d.insert("opt.v", StateValue::F32(v.to_vec()));
-        d
-    }
-
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        let step = dict.u64_scalar("opt.step")?;
-        let lo = dict.u64_scalar("opt.lo")?;
-        let (m, v) = (dict.f32s("opt.m")?, dict.f32s("opt.v")?);
-        if m.len() != v.len() {
-            return Err(CkptError::Corrupt(format!(
-                "opt.m and opt.v disagree: {} vs {} values",
-                m.len(),
-                v.len()
-            )));
-        }
-        let lo = usize::try_from(lo)
-            .ok()
-            .filter(|lo| lo.checked_add(m.len()).is_some())
-            .ok_or_else(|| {
-                CkptError::Corrupt(format!(
-                    "opt range {lo}+{} does not fit the flat order",
-                    m.len()
-                ))
-            })?;
-        self.import_state(step, lo, m.to_vec(), v.to_vec());
-        Ok(())
-    }
-}
-
-/// Data-stream RNG: the four xoshiro words under `"rng.state"`, so a
-/// resumed run draws the exact token sequence the interrupted run would
-/// have.
-impl Checkpointable for Corpus {
-    fn state_dict(&mut self) -> StateDict {
-        let mut d = StateDict::new();
-        d.insert(
-            "rng.state",
-            StateValue::U64(self.rng_state().to_vec()),
-        );
-        d
-    }
-
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        let words = dict.u64s("rng.state")?;
-        let s: [u64; 4] = words
-            .try_into()
-            .map_err(|_| CkptError::Corrupt(format!("rng.state has {} words", words.len())))?;
-        self.set_rng_state(s);
-        Ok(())
-    }
-}
-
-/// Host-pool residency: every resident chunk in [`ChunkKey::sort_key`]
-/// order, as widened f32 data plus shape, under
-/// `"pool.chunk.{i:04}.data"` / `".shape"` / `".key"`, with the count
-/// under `"pool.count"`. Export moves no transfer counters
-/// ([`HostPool::peek`]); restore replays the offloads, so counters do move
-/// on load — at step boundaries (where the trainer checkpoints) the pool
-/// is drained and both directions are no-ops.
-impl Checkpointable for HostPool {
-    fn state_dict(&mut self) -> StateDict {
-        let mut d = StateDict::new();
-        let keys = self.resident_keys();
-        d.insert("pool.count", StateValue::U64(vec![keys.len() as u64]));
-        for (i, key) in keys.iter().enumerate() {
-            let chunk = self.peek(key).expect("key came from resident_keys");
-            let wide = chunk.widen();
-            d.insert(
-                format!("pool.chunk.{i:04}.key"),
-                StateValue::U64(vec![
-                    key.layer as u64,
-                    key.kind.code() as u64,
-                    key.chunk as u64,
-                ]),
-            );
-            d.insert(
-                format!("pool.chunk.{i:04}.shape"),
-                StateValue::U64(wide.shape().iter().map(|&s| s as u64).collect()),
-            );
-            d.insert(
-                format!("pool.chunk.{i:04}.data"),
-                StateValue::F32(wide.data().to_vec()),
-            );
-        }
-        d
-    }
-
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        self.clear();
-        let count = dict.u64_scalar("pool.count")? as usize;
-        for i in 0..count {
-            let raw_key = dict.u64s(&format!("pool.chunk.{i:04}.key"))?;
-            if raw_key.len() != 3 {
-                return Err(CkptError::Corrupt(format!(
-                    "pool chunk {i} key has {} fields",
-                    raw_key.len()
-                )));
-            }
-            let kind = BufKind::from_code(raw_key[1] as u8).ok_or_else(|| {
-                CkptError::Corrupt(format!("pool chunk {i}: unknown kind {}", raw_key[1]))
-            })?;
-            let key = ChunkKey::new(raw_key[0] as usize, kind, raw_key[2] as usize);
-            let shape: Vec<usize> = dict
-                .u64s(&format!("pool.chunk.{i:04}.shape"))?
-                .iter()
-                .map(|&s| s as usize)
-                .collect();
-            let data = dict.f32s(&format!("pool.chunk.{i:04}.data"))?.to_vec();
-            let t = Tensor::from_vec(data, &shape)
-                .map_err(|e| CkptError::Corrupt(format!("pool chunk {i}: {e}")))?;
-            self.offload_shared(key, Arc::new(t));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shard files
 // ---------------------------------------------------------------------------
 
@@ -641,8 +440,6 @@ fn parse_shard_name(name: &str) -> Option<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpdt_model::config::ModelConfig;
-    use fpdt_tensor::nn::AdamWConfig;
 
     fn sample_dict() -> StateDict {
         let mut d = StateDict::new();
@@ -705,113 +502,6 @@ mod tests {
         assert!(matches!(d.f32s("mm.mid"), Err(CkptError::Corrupt(_))));
         assert!(matches!(d.u64_scalar("mm.mid"), Err(CkptError::Corrupt(_))));
         assert_eq!(d.str("zz.last").unwrap(), "tail");
-    }
-
-    #[test]
-    fn model_state_round_trips_bitwise() {
-        let cfg = ModelConfig::tiny(2, 32, 4, 50);
-        let mut a = GptModel::new(&cfg, 3);
-        let dict = a.state_dict();
-        let mut b = GptModel::new(&cfg, 999); // different init
-        b.load_state_dict(&dict).unwrap();
-        assert_eq!(a.collect_params(), b.collect_params());
-        // wrong architecture is a typed error, not a panic
-        let mut small = GptModel::new(&ModelConfig::tiny(1, 16, 2, 20), 0);
-        assert!(matches!(
-            small.load_state_dict(&dict),
-            Err(CkptError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn optimizer_state_round_trips_bitwise() {
-        let mut opt = AdamW::new(AdamWConfig::default());
-        // two tensors of one flat order, the range starting past zero
-        let mut p0 = vec![1.0f32; 8];
-        let mut p1 = vec![-0.5f32; 3];
-        for _ in 0..4 {
-            opt.begin_step();
-            opt.update(5, &mut p0, &[0.1; 8]);
-            opt.update(13, &mut p1, &[-0.2; 3]);
-        }
-        let dict = opt.state_dict();
-        assert_eq!(dict.u64_scalar("opt.lo").unwrap(), 5);
-        assert_eq!(dict.f32s("opt.m").unwrap().len(), 11);
-        let mut fresh = AdamW::new(AdamWConfig::default());
-        fresh.load_state_dict(&dict).unwrap();
-        // both optimizers now produce identical updates
-        let (mut qa, mut qb) = (p1.clone(), p1.clone());
-        opt.begin_step();
-        opt.update(13, &mut qa, &[0.05; 3]);
-        fresh.begin_step();
-        fresh.update(13, &mut qb, &[0.05; 3]);
-        assert_eq!(
-            qa.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            qb.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn optimizer_state_rejects_unequal_moments_and_a_range_that_does_not_fit() {
-        let mut opt = AdamW::new(AdamWConfig::default());
-        opt.begin_step();
-        opt.update(0, &mut [0.5; 4], &[0.1; 4]);
-        let good = opt.state_dict();
-        let doctored = |key: &str, value: StateValue| {
-            let mut d = good.clone();
-            d.insert(key, value);
-            d
-        };
-        for bad in [
-            doctored("opt.v", StateValue::F32(vec![0.0; 3])),
-            doctored("opt.lo", StateValue::U64(vec![u64::MAX - 1])),
-            doctored("opt.lo", StateValue::U64(vec![1, 2])),
-        ] {
-            let mut fresh = AdamW::new(AdamWConfig::default());
-            assert!(matches!(
-                fresh.load_state_dict(&bad),
-                Err(CkptError::Corrupt(_))
-            ));
-            assert_eq!(fresh.state_bytes(), 0, "receiver left unchanged");
-        }
-    }
-
-    #[test]
-    fn corpus_rng_round_trips_the_stream() {
-        let mut a = Corpus::new(50, 0.05, 77);
-        let _ = a.sample(32);
-        let dict = a.state_dict();
-        let mut b = Corpus::new(50, 0.05, 1); // different seed
-        b.load_state_dict(&dict).unwrap();
-        assert_eq!(a.sample(16), b.sample(16));
-    }
-
-    #[test]
-    fn host_pool_residency_round_trips_without_count_drift_on_save() {
-        let mut pool = HostPool::new();
-        pool.offload(
-            ChunkKey::new(1, BufKind::K, 0),
-            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap(),
-        );
-        pool.offload(
-            ChunkKey::new(0, BufKind::Q, 2),
-            Tensor::from_vec(vec![-1.0; 6], &[3, 2]).unwrap(),
-        );
-        let before = pool.stats();
-        let dict = pool.state_dict();
-        assert_eq!(pool.stats(), before, "export must not move counters");
-
-        let mut restored = HostPool::new();
-        restored.load_state_dict(&dict).unwrap();
-        assert_eq!(restored.len(), 2);
-        let keys = restored.resident_keys();
-        assert_eq!(keys, pool.resident_keys(), "sorted key order is stable");
-        for key in &keys {
-            assert_eq!(
-                restored.peek(key).unwrap().widen().data(),
-                pool.peek(key).unwrap().widen().data()
-            );
-        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ use fpdt_trace::Recorder;
 use std::any::Any;
 use std::fmt;
 use std::panic::resume_unwind;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -1128,23 +1128,6 @@ impl Trainer {
             ckpt::write_shard(dir, rank, world, &d)?;
         }
         Ok(())
-    }
-
-    /// [`Trainer::checkpoint`] into the `FPDT_CKPT_DIR` directory, when
-    /// set. Returns the directory written to, or `None` when the knob is
-    /// unset.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Trainer::checkpoint`].
-    pub fn checkpoint_default(&self) -> Result<Option<PathBuf>, CkptError> {
-        match crate::runtime::options::env_ckpt_dir() {
-            Some(dir) => {
-                self.checkpoint(&dir)?;
-                Ok(Some(dir))
-            }
-            None => Ok(None),
-        }
     }
 
     /// Rebuilds a session from a sharded checkpoint directory. The

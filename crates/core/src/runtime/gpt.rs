@@ -1220,68 +1220,7 @@ mod clip_tests {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Checkpointing
-// ---------------------------------------------------------------------------
-
-/// Magic prefix of the checkpoint format (version 1).
-const CKPT_MAGIC: &[u8; 8] = b"FPDTCK01";
-
 impl GptModel {
-    /// Serializes all parameters to a writer (flat f32 little-endian with a
-    /// magic/version header). A `&mut` reference can be passed as the
-    /// writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn save_checkpoint<W: std::io::Write>(&mut self, mut w: W) -> std::io::Result<()> {
-        let flat = self.collect_params();
-        w.write_all(CKPT_MAGIC)?;
-        w.write_all(&(flat.len() as u64).to_le_bytes())?;
-        for v in flat {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Restores parameters from a reader produced by
-    /// [`GptModel::save_checkpoint`]. A `&mut` reference can be passed as
-    /// the reader.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for a bad magic header or a parameter-count
-    /// mismatch with this model's architecture, and propagates I/O errors.
-    pub fn load_checkpoint<R: std::io::Read>(&mut self, mut r: R) -> std::io::Result<()> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != CKPT_MAGIC {
-            return Err(Error::new(ErrorKind::InvalidData, "not an FPDT checkpoint"));
-        }
-        let mut len8 = [0u8; 8];
-        r.read_exact(&mut len8)?;
-        let n = u64::from_le_bytes(len8) as usize;
-        if n != self.param_count() {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "checkpoint has {n} params, model has {}",
-                    self.param_count()
-                ),
-            ));
-        }
-        let mut flat = Vec::with_capacity(n);
-        let mut buf = [0u8; 4];
-        for _ in 0..n {
-            r.read_exact(&mut buf)?;
-            flat.push(f32::from_le_bytes(buf));
-        }
-        self.set_params(&flat);
-        Ok(())
-    }
-
     /// Mean loss over `batches` freshly sampled sequences, without
     /// touching gradients — the evaluation loop.
     ///
@@ -1312,62 +1251,11 @@ impl GptModel {
 }
 
 #[cfg(test)]
-mod ckpt_tests {
+mod eval_tests {
     use super::*;
     use crate::runtime::data::Corpus;
     use crate::runtime::exec::LocalAttention;
     use fpdt_tensor::nn::AdamWConfig;
-
-    #[test]
-    fn checkpoint_round_trip_preserves_outputs() {
-        let cfg = ModelConfig::tiny(2, 32, 4, 50);
-        let mut model = GptModel::new(&cfg, 9);
-        // train a few steps so weights are non-trivial
-        let mut exec = LocalAttention::new(2);
-        let mut opt = AdamW::new(AdamWConfig {
-            lr: 3e-3,
-            ..Default::default()
-        });
-        let mut corpus = Corpus::new(cfg.vocab, 0.1, 9);
-        let pos: Vec<usize> = (0..32).collect();
-        for _ in 0..5 {
-            let (x, y) = corpus.sample(32);
-            model.zero_grad();
-            let s = model
-                .forward_backward(&mut exec, &x, &y, &pos, 1, 1)
-                .unwrap();
-            model.optimizer_step(&mut opt, 1.0 / s.tokens as f32);
-        }
-        let mut buf = Vec::new();
-        model.save_checkpoint(&mut buf).unwrap();
-
-        let mut fresh = GptModel::new(&cfg, 1234); // different init
-        fresh.load_checkpoint(buf.as_slice()).unwrap();
-        assert_eq!(fresh.collect_params(), model.collect_params());
-
-        // identical loss on identical data
-        let (x, y) = corpus.sample(32);
-        let a = model
-            .forward_backward(&mut exec, &x, &y, &pos, 1, 1)
-            .unwrap();
-        let mut exec2 = LocalAttention::new(2);
-        let b = fresh
-            .forward_backward(&mut exec2, &x, &y, &pos, 1, 1)
-            .unwrap();
-        assert_eq!(a.loss_sum, b.loss_sum);
-    }
-
-    #[test]
-    fn checkpoint_rejects_garbage_and_mismatches() {
-        let cfg = ModelConfig::tiny(1, 16, 2, 20);
-        let mut model = GptModel::new(&cfg, 0);
-        assert!(model.load_checkpoint(&b"not a checkpoint"[..]).is_err());
-
-        let mut buf = Vec::new();
-        model.save_checkpoint(&mut buf).unwrap();
-        let mut bigger = GptModel::new(&ModelConfig::tiny(2, 16, 2, 20), 0);
-        assert!(bigger.load_checkpoint(buf.as_slice()).is_err());
-    }
 
     #[test]
     fn evaluate_leaves_gradients_clean_and_tracks_learning() {

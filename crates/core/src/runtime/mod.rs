@@ -17,8 +17,10 @@
 //!   injection). The comm and copy streams are not knobs: they are
 //!   always on.
 //! * [`ckpt`] — sharded, versioned checkpoint state: the
-//!   [`Checkpointable`](ckpt::Checkpointable) trait plus per-rank shard
-//!   files behind the resumable [`dist::Trainer`].
+//!   [`StateDict`] container and the per-rank shard files that
+//!   [`Trainer::checkpoint`](dist::Trainer::checkpoint) writes and
+//!   [`Trainer::resume`](dist::Trainer::resume), the one reader of their
+//!   schema, restores.
 //! * [`autotune`] — measured autotuning: probe a short run of every
 //!   `(chunks, bf16)` cell exactly as it will run, scale by a thread
 //!   microprobe, and pick the fastest configuration.
@@ -32,6 +34,6 @@ pub mod gpt;
 pub mod options;
 
 pub use autotune::{autotune, AutotuneOutcome, Calibration, CandidateConfig, Workload};
-pub use ckpt::{Checkpointable, CkptError, StateDict, StateValue};
+pub use ckpt::{CkptError, StateDict, StateValue};
 pub use dist::{train, train_traced, Mode, TrainConfig, TrainError, TrainReport, Trainer};
 pub use options::RuntimeOptions;

@@ -36,7 +36,6 @@
 //! | `FPDT_PAR_THRESHOLD` | min work before a kernel splits              | 65536   |
 //! | `FPDT_COMM_RETRIES`  | replay budget for transient collective faults| 0       |
 //! | `FPDT_FAULT_INJECT`  | transient faults armed per `run_steps` call  | 0       |
-//! | `FPDT_CKPT_DIR`      | default checkpoint directory (string)        | unset   |
 
 use fpdt_tensor::KernelCtx;
 
@@ -62,14 +61,6 @@ fn env_usize(name: &str) -> Option<usize> {
 /// warning once and falling back to `None` on anything malformed.
 fn env_budget(name: &str) -> Option<usize> {
     fpdt_tensor::env::budget_knob(name)
-}
-
-/// The default checkpoint directory, from `FPDT_CKPT_DIR` (trimmed;
-/// empty/whitespace warns once and reads as unset). Lives here — not in
-/// [`RuntimeOptions`] — so the options struct stays `Copy` across the
-/// autotune grid; `Trainer::checkpoint_default` is the consumer.
-pub fn env_ckpt_dir() -> Option<std::path::PathBuf> {
-    fpdt_tensor::env::string_knob("FPDT_CKPT_DIR").map(std::path::PathBuf::from)
 }
 
 /// Every runtime knob, in one place, with a builder for overrides.
@@ -220,19 +211,6 @@ mod tests {
         assert_eq!(env_budget("FPDT_TEST_RETRIES"), None, "malformed falls back");
         std::env::remove_var("FPDT_TEST_RETRIES");
         assert_eq!(env_budget("FPDT_TEST_RETRIES"), None);
-    }
-
-    #[test]
-    fn ckpt_dir_env_is_trimmed_and_strict() {
-        // env_ckpt_dir reads the real variable; exercise the underlying
-        // strict parse on a dedicated name to avoid races, then the real
-        // accessor with the variable unset.
-        use fpdt_tensor::env::string_knob;
-        std::env::set_var("FPDT_TEST_CKPT_DIR", " ckpts/run1 ");
-        assert_eq!(string_knob("FPDT_TEST_CKPT_DIR").as_deref(), Some("ckpts/run1"));
-        std::env::set_var("FPDT_TEST_CKPT_DIR", "   ");
-        assert_eq!(string_knob("FPDT_TEST_CKPT_DIR"), None, "empty is unset");
-        std::env::remove_var("FPDT_TEST_CKPT_DIR");
     }
 
     #[test]

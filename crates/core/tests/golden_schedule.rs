@@ -23,12 +23,15 @@
 //! `tests/golden/exec_grads.txt` pins *values* across commits: the loss
 //! and gradient bits of the offloaded two-rank fixture run, so a change
 //! that claims to move bytes but not arithmetic shows it did not.
+//! `tests/golden/ckpt_shards.txt` pins the on-disk checkpoint format the
+//! same way: the size and digest of every shard of a two-step run.
 
 mod common;
 
 use fpdt_core::chunk::tile_slots;
 use fpdt_core::pipeline::{simulate_block, NestOrder, PipelineOpts, PipelineReport};
-use fpdt_core::runtime::RuntimeOptions;
+use fpdt_core::runtime::ckpt::shard_paths;
+use fpdt_core::runtime::{Mode, RuntimeOptions, TrainConfig, Trainer};
 use fpdt_model::config::ModelConfig;
 use fpdt_sim::hw::ClusterSpec;
 use std::fmt::Write as _;
@@ -182,6 +185,43 @@ fn offloaded_gradients_match_golden_bits() {
         }
     }
     check_golden("exec_grads.txt", &body);
+}
+
+#[test]
+fn checkpoint_shards_match_golden_bytes() {
+    // One line per shard file: its name, size and the fnv1a of its bytes.
+    // Every knob that could move a bit is pinned here, so the tuned-env
+    // and fault-injection CI passes run the same bytes.
+    let runtime = RuntimeOptions::from_env()
+        .with_payload_bf16(false)
+        .with_fault_inject(0)
+        .with_comm_retries(0)
+        .with_threads(2);
+    let cfg = TrainConfig {
+        world: 2,
+        steps: 2,
+        runtime,
+        ..TrainConfig::small(Mode::Fpdt {
+            chunks: 4,
+            offload: true,
+        })
+    };
+    let dir = std::env::temp_dir().join(format!("fpdt-golden-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut trainer = Trainer::new(cfg);
+    trainer.run_steps(2).expect("two clean steps");
+    trainer.checkpoint(&dir).expect("checkpoint");
+    let mut body = String::new();
+    for path in shard_paths(&dir).expect("a complete shard set") {
+        let bytes = std::fs::read(&path).expect("shard readable");
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("utf-8 name");
+        writeln!(body, "{name} {} {:016x}", bytes.len(), fnv1a(&bytes)).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    check_golden("ckpt_shards.txt", &body);
 }
 
 #[test]

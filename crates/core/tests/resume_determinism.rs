@@ -14,7 +14,8 @@
 //!   boundary when the budget is exhausted;
 //! * corrupted, truncated, or missing shards surface as typed
 //!   [`CkptError`]s, never as panics or silently wrong state — a shard cut
-//!   at any byte or with any length field near `u64::MAX` included.
+//!   at any byte or with any length field near `u64::MAX` included; a
+//!   flipped bit anywhere is such an error or a clean resume.
 
 mod common;
 
@@ -334,4 +335,62 @@ fn every_truncation_and_overflowing_length_is_a_typed_error() {
     std::fs::write(&shard, &pristine).unwrap();
     assert!(Trainer::resume(&dir).is_ok(), "the pristine shard still resumes");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_byte_flip_is_a_typed_error_or_a_clean_resume() {
+    // One layer of hidden 4 over a vocabulary of 4: shards of a few KiB,
+    // so two flips of every byte stay a short sweep.
+    let cfg = TrainConfig {
+        model: ModelConfig::tiny(1, 4, 2, 4),
+        seq: 8,
+        steps: 2,
+        mode: Mode::Fpdt {
+            chunks: 2,
+            offload: false,
+        },
+        ..base_cfg(RuntimeOptions::from_env())
+    };
+    let dir = fresh_dir("flips");
+    let mut t = Trainer::new(cfg);
+    t.run_steps(2).expect("segment");
+    t.checkpoint(&dir).expect("checkpoint");
+    let shard = fpdt_core::runtime::ckpt::shard_paths(&dir).expect("valid set")[0].clone();
+    let pristine = std::fs::read(&shard).unwrap();
+    assert!(
+        (1024..16 * 1024).contains(&pristine.len()),
+        "a few KiB: {} bytes",
+        pristine.len()
+    );
+    let started = std::time::Instant::now();
+    let (mut resumed, mut refused) = (0usize, 0usize);
+    for at in 0..pristine.len() {
+        for mask in [0x01u8, 0x80] {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= mask;
+            std::fs::write(&shard, &bytes).unwrap();
+            match std::panic::catch_unwind(|| Trainer::resume(&dir)) {
+                Ok(Ok(_)) => resumed += 1,
+                Ok(Err(_)) => refused += 1,
+                Err(_) => panic!("resume panicked on byte {at} ^ {mask:#04x}"),
+            }
+        }
+    }
+    std::fs::write(&shard, &pristine).unwrap();
+    assert!(
+        Trainer::resume(&dir).is_ok(),
+        "the pristine shard still resumes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    // a flip in a payload value is a different but well-formed state
+    assert!(
+        resumed > 0 && refused > 0,
+        "{resumed} resumed, {refused} refused"
+    );
+    eprintln!(
+        "{} flips of a {}-byte shard: {resumed} resumed, {refused} refused, {:.2?}",
+        2 * pristine.len(),
+        pristine.len(),
+        started.elapsed()
+    );
 }

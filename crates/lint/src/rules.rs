@@ -55,7 +55,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "unchecked-ckpt-io",
-        what: "checkpoint I/O results (write_shard, read_shard, checkpoint, load_state_dict, ...) must not be discarded via `let _ =` or `.ok()` — a silently dropped CkptError means a resume from half-written state",
+        what: "checkpoint I/O results (write_shard, read_shard, shard_paths, Trainer::checkpoint and the fs calls beneath them) must not be discarded via `let _ =` or `.ok()` — a silently dropped CkptError means a resume from half-written state",
     },
     RuleInfo {
         name: "malformed-suppression",
@@ -134,8 +134,6 @@ const CKPT_IO_IDENTS: &[&str] = &[
     "read_shard",
     "shard_paths",
     "checkpoint",
-    "checkpoint_default",
-    "load_state_dict",
     "create_dir_all",
     "sync_all",
     "rename",

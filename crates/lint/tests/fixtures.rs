@@ -243,6 +243,18 @@ fn ok_erased_ckpt_read_fires() {
 }
 
 #[test]
+fn discarded_trainer_checkpoint_fires() {
+    let src = r#"
+        pub fn save_and_go(t: &Trainer, dir: &Path) {
+            let _ = t.checkpoint(dir);
+        }
+    "#;
+    for path in ["crates/core/src/runtime/dist.rs", "src/bin/fpdt-ckpt.rs"] {
+        assert_eq!(rules_fired(path, src), ["unchecked-ckpt-io"], "{path}");
+    }
+}
+
+#[test]
 fn propagated_ckpt_io_is_allowed() {
     let src = r#"
         pub fn save(dir: &Path, d: &StateDict) -> Result<(), CkptError> {

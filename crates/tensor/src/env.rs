@@ -94,19 +94,6 @@ pub fn budget_knob(name: &str) -> Option<usize> {
     }
 }
 
-/// Reads a string-valued knob (e.g. a checkpoint directory): trimmed,
-/// `None` when unset; an all-whitespace value warns once and reads as
-/// unset rather than pointing the run at an empty path.
-pub fn string_knob(name: &str) -> Option<String> {
-    let raw = std::env::var(name).ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        warn_once(name, "value is empty");
-        return None;
-    }
-    Some(trimmed.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,15 +165,5 @@ mod tests {
         assert_eq!(budget_knob("FPDT_TENSOR_TEST_BUDGET"), None);
         std::env::remove_var("FPDT_TENSOR_TEST_BUDGET");
         assert_eq!(budget_knob("FPDT_TENSOR_TEST_BUDGET"), None);
-    }
-
-    #[test]
-    fn string_knob_trims_and_rejects_empty() {
-        std::env::set_var("FPDT_TENSOR_TEST_DIR", "  /tmp/ck  ");
-        assert_eq!(string_knob("FPDT_TENSOR_TEST_DIR").as_deref(), Some("/tmp/ck"));
-        std::env::set_var("FPDT_TENSOR_TEST_DIR", "   ");
-        assert_eq!(string_knob("FPDT_TENSOR_TEST_DIR"), None, "empty reads as unset");
-        std::env::remove_var("FPDT_TENSOR_TEST_DIR");
-        assert_eq!(string_knob("FPDT_TENSOR_TEST_DIR"), None);
     }
 }

@@ -1,22 +1,24 @@
-//! `fpdt-ckpt` — inspect a sharded FPDT checkpoint directory.
+//! `fpdt-ckpt` — validate and inspect a sharded FPDT checkpoint directory.
 //!
 //! ```sh
 //! fpdt-ckpt target/experiments/resume_ckpt
 //! fpdt-ckpt --keys target/experiments/resume_ckpt
 //! ```
 //!
-//! Reads every `shard-NNNN-of-MMMM.fpdt` file written by
-//! `Trainer::checkpoint`, validates that the set is complete and
-//! mutually consistent, and prints the training geometry, progress, loss
-//! tail and per-shard tensor sizes. With `--keys` it also lists every
-//! state entry per shard with its type and element count — useful when a
-//! resume fails and you need to see what is actually on disk.
+//! Validates the directory by resuming it: [`Trainer::resume`] is the one
+//! reader of the shard schema, so the tool accepts exactly the shard sets
+//! a training run can continue from. It then prints the restored training
+//! geometry, progress, loss tail and recovery counters, and each shard's
+//! file name and size. With `--keys` it also lists every raw state entry
+//! per shard with its type and element count — useful when a resume fails
+//! and you need to see what is actually on disk.
 //!
 //! Exit codes distinguish the typed failure classes of
 //! [`fpdt_core::runtime::ckpt::CkptError`]: 2 = usage, 3 = missing
 //! shards, 4 = corrupt/version mismatch, 5 = I/O.
 
 use fpdt_core::runtime::ckpt::{read_shard, shard_paths, CkptError, StateDict};
+use fpdt_core::runtime::Trainer;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -52,82 +54,51 @@ fn loss_tail(losses: &[f32]) -> String {
 }
 
 fn inspect(dir: &Path, show_keys: bool) -> Result<(), CkptError> {
-    let paths = shard_paths(dir)?;
-    let mut shards = Vec::with_capacity(paths.len());
-    for p in &paths {
-        shards.push((p.clone(), read_shard(p)?));
-    }
-
-    let (path0, meta) = &shards[0];
-    let dims = meta.u64s("cfg.model.dims")?;
-    let train = meta.u64s("cfg.train")?;
+    let trainer = Trainer::resume(dir)?;
+    let (cfg, report) = (trainer.config(), trainer.report());
+    let m = &cfg.model;
     println!("checkpoint {}", dir.display());
     println!(
-        "  model    {} ({}): layers={} hidden={} heads={}/{} ffn={} vocab={}",
-        meta.str("cfg.model.name")?,
-        meta.str("cfg.model.family")?,
-        dims.first().copied().unwrap_or(0),
-        dims.get(1).copied().unwrap_or(0),
-        dims.get(2).copied().unwrap_or(0),
-        dims.get(3).copied().unwrap_or(0),
-        dims.get(4).copied().unwrap_or(0),
-        dims.get(5).copied().unwrap_or(0),
+        "  model    {} ({:?}): layers={} hidden={} heads={}/{} ffn={} vocab={}",
+        m.name, m.family, m.layers, m.hidden, m.heads, m.kv_heads, m.ffn_hidden, m.vocab,
     );
     println!(
-        "  geometry world={} seq={} mode={} zero1={} ac={} accum={} warmup={} seed={}",
-        train.first().copied().unwrap_or(0),
-        train.get(1).copied().unwrap_or(0),
-        meta.str("cfg.mode")?,
-        train.get(5).copied().unwrap_or(0) != 0,
-        train.get(6).copied().unwrap_or(0) != 0,
-        train.get(3).copied().unwrap_or(0),
-        train.get(4).copied().unwrap_or(0),
-        train.get(7).copied().unwrap_or(0),
+        "  geometry world={} seq={} mode={:?} zero1={} ac={} accum={} warmup={} seed={}",
+        cfg.world,
+        cfg.seq,
+        cfg.mode,
+        cfg.zero_shard,
+        cfg.activation_checkpoint,
+        cfg.grad_accum,
+        cfg.warmup_steps,
+        cfg.seed,
     );
-    let losses = meta.f32s("trainer.losses")?;
     println!(
-        "  progress step={} (opt step {}), {} recorded losses: {}",
-        meta.u64_scalar("trainer.step")?,
-        meta.u64_scalar("opt.step")?,
-        losses.len(),
-        loss_tail(losses),
+        "  progress step={}, {} recorded losses: {}",
+        trainer.step(),
+        report.losses.len(),
+        loss_tail(&report.losses),
     );
-    let recovery = meta.u64s("stats.comm.recovery")?;
     println!(
         "  recovery faults={} retries={}",
-        recovery.first().copied().unwrap_or(0),
-        recovery.get(1).copied().unwrap_or(0),
+        report.comm.faults, report.comm.retries,
     );
 
-    for (i, (path, dict)) in shards.iter().enumerate() {
-        let rank = dict.u64_scalar("meta.rank")?;
-        if rank != i as u64 {
-            return Err(CkptError::Corrupt(format!(
-                "shard {} claims rank {rank}, expected {i}",
-                path.display()
-            )));
-        }
-        if dict.u64_scalar("trainer.step")? != meta.u64_scalar("trainer.step")? {
-            return Err(CkptError::Corrupt(format!(
-                "shard {} disagrees with {} on trainer.step",
-                path.display(),
-                path0.display()
-            )));
-        }
-        let params = dict.f32s("model.params.shard")?.len();
-        let moments = dict.f32s("opt.m.shard")?.len();
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    let paths = shard_paths(dir)?;
+    for (i, path) in paths.iter().enumerate() {
+        let bytes = std::fs::metadata(path)?.len();
         println!(
-            "  shard {i:>4}  {params:>9} params  {moments:>9} moments  {bytes:>10} bytes  {}",
+            "  shard {i:>4}  {bytes:>10} bytes  {}",
             path.file_name().and_then(|n| n.to_str()).unwrap_or("?"),
         );
         if show_keys {
+            let dict = read_shard(path)?;
             for key in dict.keys() {
-                println!("      {key:<28} {}", entry_desc(dict, key));
+                println!("      {key:<28} {}", entry_desc(&dict, key));
             }
         }
     }
-    println!("ok: {} shards, consistent", shards.len());
+    println!("ok: {} shards, consistent", paths.len());
     Ok(())
 }
 
