@@ -24,7 +24,8 @@
 //! matmul GFLOP/s lands in `roofline`; with AVX2 present a
 //! `KERNELS_ATTN_ROOFLINE_OK` line is printed when the fully-visible tile
 //! reaches [`ROOFLINE_GATE`] of matmul forward and backward *and* its
-//! backward costs at most [`BWD_FWD_GATE`] forwards of wall time — the
+//! backward costs at most [`BWD_FWD_GATE`] forwards of wall time (the
+//! median over [`TILE_PAIRS`] back-to-back pairs, see `paired`) — the
 //! gate `scripts/ci.sh` greps for.
 //!
 //! The dense half's per-token kernels are timed at the same runtime shapes
@@ -42,7 +43,7 @@
 //! long moving the 1 MB weight as multiplying by it unless the weight is
 //! read in place. `KERNELS_DENSE_OK` is printed when single-thread
 //! `matmul_bwd` reaches [`DENSE_GATE`] of the same run's `matmul` GFLOP/s
-//! (a probe of alternating calls at 512 cubed, see `dense_pair`):
+//! (the median over twelve back-to-back pairs at 512 cubed, see `paired`):
 //! the backward's two products go through the same microkernel as the
 //! forward's one, so neither may run at half its rate.
 //!
@@ -101,7 +102,8 @@ const ROOFLINE_GATE: f64 = 0.6;
 
 /// Most single-thread forwards of wall time the fully-visible tile's
 /// backward may cost. It is counted at 2.5 (five gemm-shaped products to
-/// two); same run, same thread, so host speed cancels.
+/// two); each pair is timed back to back on one thread, so host speed
+/// cancels.
 const BWD_FWD_GATE: f64 = 2.8;
 
 /// Most single-thread `gelu` elements one AdamW parameter step may cost.
@@ -208,43 +210,61 @@ fn time_best(reps: usize, kernel_only: bool, f: &mut dyn Kernel) -> (f64, u64) {
     (best, last)
 }
 
-/// Single-thread `matmul` GFLOP/s and the share of it that `matmul_bwd`
-/// reaches, the kernels alone, over twelve back-to-back pairs of calls:
-/// the rate is the best call, the share the median of the per-pair
-/// ratios. A neighbour's burst on a shared host slows both halves of a
-/// pair or one pair of twelve, which two rows timed one after the other
-/// do not give. Always `[512, 512]` operands (15 ms a pair): at the
-/// `--quick` rows' 128 the transposed blocks are a fifth of the backward
-/// and the share sits on the gate.
-fn dense_pair() -> (f64, f64) {
-    let n = 512usize;
-    let mut rng = init::seeded_rng(48);
-    let [a, b, dc] = [(); 3].map(|()| init::randn(&mut rng, &[n, n], 1.0));
+/// Times `first` and then `second`, single-threaded and the calls alone,
+/// `pairs` times back to back; returns the best `first` seconds and the
+/// median of the per-pair `second / first` wall ratios. A neighbour's
+/// burst on a shared host slows both halves of a pair or a few pairs of
+/// many, which two rows timed one after the other do not give: their
+/// ratio swings with whatever load each row happened to see.
+fn paired(pairs: usize, first: &mut dyn Kernel, second: &mut dyn Kernel) -> (f64, f64) {
     let one_thread = KernelCtx {
         threads: 1,
         ..KernelCtx::current()
     };
-    let mut fwd = f64::INFINITY;
-    let mut shares: Vec<f64> = one_thread.enter(|| {
-        (0..12)
+    let time = |k: &mut dyn Kernel| {
+        k.reset();
+        let t0 = Instant::now();
+        black_box(k.run());
+        t0.elapsed().as_secs_f64()
+    };
+    let mut best = f64::INFINITY;
+    let mut ratios: Vec<f64> = one_thread.enter(|| {
+        (0..pairs)
             .map(|_| {
-                let t0 = Instant::now();
-                black_box(ops::matmul(&a, &b).expect("shapes fixed"));
-                let f = t0.elapsed().as_secs_f64();
-                let t0 = Instant::now();
-                black_box(ops::matmul_bwd(&a, &b, &dc).expect("shapes fixed"));
-                fwd = fwd.min(f);
-                // two products in the backward to the forward's one
-                2.0 * f / t0.elapsed().as_secs_f64()
+                let a = time(first);
+                best = best.min(a);
+                time(second) / a
             })
             .collect()
     });
-    shares.sort_by(f64::total_cmp);
-    (
-        2.0 * (n as f64).powi(3) / fwd / 1e9,
-        (shares[5] + shares[6]) / 2.0,
-    )
+    ratios.sort_by(f64::total_cmp);
+    let n = ratios.len();
+    (best, (ratios[(n - 1) / 2] + ratios[n / 2]) / 2.0)
 }
+
+/// Single-thread `matmul` GFLOP/s and the share of it that `matmul_bwd`
+/// reaches, from twelve [`paired`] calls. Always `[512, 512]` operands
+/// (15 ms a pair): at the `--quick` rows' 128 the transposed blocks are a
+/// fifth of the backward and the share sits on the gate.
+fn dense_pair() -> (f64, f64) {
+    let n = 512usize;
+    let mut rng = init::seeded_rng(48);
+    let [a, b, dc] = [(); 3].map(|()| init::randn(&mut rng, &[n, n], 1.0));
+    let (fwd, bwd_over_fwd) = paired(
+        12,
+        &mut || outputs([ops::matmul(&a, &b).expect("shapes fixed")]),
+        &mut || {
+            let (da, db) = ops::matmul_bwd(&a, &b, &dc).expect("shapes fixed");
+            outputs([da, db])
+        },
+    );
+    // two products in the backward to the forward's one
+    (2.0 * (n as f64).powi(3) / fwd / 1e9, 2.0 / bwd_over_fwd)
+}
+
+/// Pairs of fully-visible tile calls the roofline gate's backward/forward
+/// wall ratio is the median of (~1 ms a pair on the development host).
+const TILE_PAIRS: usize = 31;
 
 /// What one kernel call produced, flattened for [`digest`].
 type Outputs = Vec<Vec<f32>>;
@@ -765,7 +785,9 @@ fn main() {
         };
         let wall_ms = |kernel: &str| row(kernel).wall_ms;
         let (fwd, bwd) = (share("attn_tile_fwd"), share("attn_tile_bwd"));
-        let ratio = wall_ms("attn_tile_bwd") / wall_ms("attn_tile_fwd");
+        let [mut tile_fwd, mut tile_bwd] =
+            tile_benches(43, "attn_tile_fwd", "attn_tile_bwd", 256, 1).map(|b| b.run);
+        let (_, ratio) = paired(TILE_PAIRS, &mut *tile_fwd, &mut *tile_bwd);
         let verdict = if fwd.min(bwd) >= ROOFLINE_GATE && ratio <= BWD_FWD_GATE {
             "OK"
         } else {

@@ -18,8 +18,9 @@
 //!
 //! Run them with `cargo run --release -p fpdt-bench --bin <name>`. Each
 //! prints the paper-style table and writes machine-readable rows to
-//! `target/experiments/<name>.json`. The `kernels`, `runtime`, `resume`
-//! and `autotune` binaries are the CI gates on the real runtime.
+//! `target/experiments/<name>.json`. The `kernels` binary gates the
+//! compute kernels in CI; `autotune` probes the real runtime's chunk
+//! count and payload format and prints the fastest.
 
 use serde::Serialize;
 use std::fs;

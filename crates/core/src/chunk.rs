@@ -142,8 +142,7 @@ impl ChunkPlan {
 /// The runtime's backward tile order: the causal tile triangle
 /// `{(i, j) : j <= i < u}` (query chunk `i`, KV chunk `j`) cut into `u`
 /// near-equal pipeline slots (sizes differ by at most one tile). The
-/// executor walks it and the planner prices it — this is the one
-/// description of the order.
+/// executor walks it — this is the one description of the order.
 ///
 /// Tiles are queued column-major — KV chunk `j`'s column `(j..u, j)`
 /// opens at slot `j`, diagonal first — and each slot `s` takes

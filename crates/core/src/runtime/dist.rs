@@ -122,7 +122,11 @@ impl Mode {
                     chunks: chunks
                         .parse()
                         .map_err(|_| CkptError::Corrupt(format!("bad chunk count in {s:?}")))?,
-                    offload: offload == "1",
+                    offload: match offload {
+                        "0" => false,
+                        "1" => true,
+                        _ => return Err(CkptError::Corrupt(format!("bad offload flag in {s:?}"))),
+                    },
                 })
             }
         }
@@ -1369,8 +1373,8 @@ pub fn train_traced(cfg: &TrainConfig, recorder: Option<&Recorder>) -> TrainRepo
 
 /// Test fixture: [`TrainConfig::small`] with f32 payloads pinned. The
 /// cross-mode loss comparisons below assume f32 wires at their tight
-/// tolerances, so an ambient `FPDT_BF16=1` (an autotuned env) must not
-/// leak into them; bf16 numerics get their own dedicated tolerance test.
+/// tolerances, so an ambient `FPDT_BF16=1` must not leak into them; bf16
+/// numerics get their own dedicated tolerance test.
 #[cfg(test)]
 fn small_f32(mode: Mode) -> TrainConfig {
     let mut cfg = TrainConfig::small(mode);
@@ -1470,6 +1474,60 @@ mod tests {
         let a = train(&cfg);
         let b = train(&cfg);
         assert_eq!(a.losses, b.losses);
+    }
+
+    #[test]
+    fn stream_work_runs_off_the_rank_threads_and_only_ranks_wait() {
+        // Overlap as placement, not timing: every transfer and every
+        // all-to-all's wire time is recorded on a stream worker, never on
+        // a thread that runs blocks, and only rank threads block on them.
+        // A budget of one kernel thread is where a pool-borrowed stream
+        // used to run every transfer inline.
+        for threads in [1usize, 2] {
+            for payload_bf16 in [false, true] {
+                let what = format!("budget {threads}, bf16 {payload_bf16}");
+                let cfg = TrainConfig {
+                    steps: 2,
+                    mode: Mode::Fpdt {
+                        chunks: 4,
+                        offload: true,
+                    },
+                    runtime: RuntimeOptions::from_env()
+                        .with_threads(threads)
+                        .with_payload_bf16(payload_bf16),
+                    ..TrainConfig::small(Mode::Single)
+                };
+                let rec = Recorder::new();
+                train_traced(&cfg, Some(&rec));
+                let spans = rec.records();
+                let ranks: std::collections::HashSet<u64> = spans
+                    .iter()
+                    .filter(|s| s.label == "block.fwd")
+                    .map(|s| s.tid)
+                    .collect();
+                assert_eq!(ranks.len(), cfg.world, "one thread per rank ({what})");
+                for label in ["offload.put", "offload.prefetch", "comm.inflight"] {
+                    let tids: Vec<u64> = spans
+                        .iter()
+                        .filter(|s| s.label == label)
+                        .map(|s| s.tid)
+                        .collect();
+                    assert!(!tids.is_empty(), "no {label} spans ({what})");
+                    assert!(
+                        tids.iter().all(|t| !ranks.contains(t)),
+                        "{label} on a rank thread ({what})"
+                    );
+                }
+                // a wait that never blocked records nothing, so there is
+                // no count to require, only where each recorded one is
+                for s in spans
+                    .iter()
+                    .filter(|s| s.label == "offload.wait" || s.label == "comm.wait")
+                {
+                    assert!(ranks.contains(&s.tid), "{} off the ranks ({what})", s.label);
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   [`Trainer::checkpoint`](dist::Trainer::checkpoint) writes and
 //!   [`Trainer::resume`](dist::Trainer::resume), the one reader of their
 //!   schema, restores.
-//! * [`autotune`] — measured autotuning: probe a short run of every
-//!   `(chunks, bf16)` cell exactly as it will run, scale by a thread
-//!   microprobe, and pick the fastest configuration.
+//! * [`autotune`] — measured autotuning: train a short run of every
+//!   `(chunks, bf16)` cell exactly as it will run and pick the fastest.
 
 pub mod autotune;
 pub mod ckpt;
@@ -33,7 +32,7 @@ pub mod exec;
 pub mod gpt;
 pub mod options;
 
-pub use autotune::{autotune, AutotuneOutcome, Calibration, CandidateConfig, Workload};
+pub use autotune::{autotune, AutotuneOutcome, CellProfile, Workload};
 pub use ckpt::{CkptError, StateDict, StateValue};
 pub use dist::{train, train_traced, Mode, TrainConfig, TrainError, TrainReport, Trainer};
 pub use options::RuntimeOptions;

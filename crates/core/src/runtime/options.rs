@@ -155,15 +155,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Probes and searches the runtime knob space for `workload` (see
-    /// [`crate::runtime::autotune`]), returning the fastest options. The chunk count the search picked
-    /// travels separately (it lives in `Mode::Fpdt`, not here) — use
-    /// [`crate::runtime::autotune::autotune`] directly when you need the
-    /// full [`crate::runtime::AutotuneOutcome`].
-    pub fn autotune(workload: &super::autotune::Workload) -> Self {
-        super::autotune::autotune(workload).best.config.options()
-    }
-
     /// `base` with this run's `threads` and `par_threshold` overrides —
     /// the context a run started from a thread at `base` computes under,
     /// before the budget is split across its ranks.

@@ -9,8 +9,8 @@
 //! Any change to task emission order, dependency structure, stream
 //! routing, the cost model, or the processor-sharing engine shows up as a
 //! digest mismatch. The *runtime's* backward tile order —
-//! `fpdt_core::chunk::tile_slots(u)`, which the executor walks and the
-//! autotune planner prices — is pinned verbatim next to it in
+//! `fpdt_core::chunk::tile_slots(u)`, which the executor walks — is
+//! pinned verbatim next to it in
 //! `tests/golden/tile_slots.txt`, one line per `u`. To bless an
 //! intentional change:
 //!
@@ -190,8 +190,8 @@ fn offloaded_gradients_match_golden_bits() {
 #[test]
 fn checkpoint_shards_match_golden_bytes() {
     // One line per shard file: its name, size and the fnv1a of its bytes.
-    // Every knob that could move a bit is pinned here, so the tuned-env
-    // and fault-injection CI passes run the same bytes.
+    // Every knob that could move a bit is pinned here, so the
+    // fault-injection CI pass runs the same bytes.
     let runtime = RuntimeOptions::from_env()
         .with_payload_bf16(false)
         .with_fault_inject(0)

@@ -20,7 +20,7 @@
 mod common;
 
 use common::forced;
-use fpdt_core::runtime::ckpt::CkptError;
+use fpdt_core::runtime::ckpt::{self, CkptError, StateDict, StateValue};
 use fpdt_core::runtime::dist::{Mode, TrainConfig, TrainError, TrainReport, Trainer};
 use fpdt_core::runtime::options::RuntimeOptions;
 use fpdt_model::config::ModelConfig;
@@ -270,6 +270,45 @@ fn corrupted_and_missing_shards_surface_typed_errors() {
         Trainer::resume(&dir).unwrap_err(),
         CkptError::Missing(_)
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_mode_with_a_malformed_offload_flag_is_corrupt() {
+    let cfg = base_cfg(forced(
+        RuntimeOptions::from_env().with_payload_bf16(false),
+        2,
+    ));
+    let dir = fresh_dir("mode");
+    let mut t = Trainer::new(cfg);
+    t.run_steps(1).expect("segment");
+    t.checkpoint(&dir).expect("checkpoint");
+    let pristine: Vec<StateDict> = ckpt::shard_paths(&dir)
+        .expect("valid set")
+        .iter()
+        .map(|p| ckpt::read_shard(p).expect("valid shard"))
+        .collect();
+    assert_eq!(pristine[0].str("cfg.mode").unwrap(), "fpdt:4:1");
+    // rewrites `cfg.mode` in every shard, then resumes
+    let resume_as = |mode: &str| {
+        for (rank, shard) in pristine.iter().enumerate() {
+            let mut d = shard.clone();
+            d.insert("cfg.mode", StateValue::Str(mode.into()));
+            ckpt::write_shard(&dir, rank, pristine.len(), &d).unwrap();
+        }
+        Trainer::resume(&dir)
+    };
+    // a byte flip cannot reach these: `'1' ^ 0x01` is the valid `'0'`
+    for bad in ["fpdt:4:2", "fpdt:4:1:x", "fpdt:4:", "fpdt:4:true"] {
+        assert!(
+            matches!(resume_as(bad), Err(CkptError::Corrupt(_))),
+            "{bad:?} must not resume"
+        );
+    }
+    for (flag, offload) in [("0", false), ("1", true)] {
+        let resumed = resume_as(&format!("fpdt:4:{flag}")).expect("a valid flag resumes");
+        assert_eq!(resumed.config().mode, Mode::Fpdt { chunks: 4, offload });
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,8 +10,9 @@
 //! consuming host CPU. A transfer executed inline on a rank thread
 //! therefore serializes with compute, while the same transfer posted to
 //! a copy or comm stream genuinely hides behind compute — even on a
-//! single-core host — which is what makes stream on/off tokens/s
-//! comparisons in the runtime bench meaningful.
+//! single-core host — which is what lets a run's trace (and the repo
+//! benchmark's `fpdt_link` workload) measure how much of the wire time
+//! the streams hide.
 //!
 //! Unset (the default) or `0`, the link is infinitely fast and
 //! [`simulate`] returns immediately: unit tests and library users pay

@@ -57,7 +57,8 @@ if ! grep -q '^BENCH_JSON_OK .*BENCH_kernels\.json$' <<<"$out"; then
 fi
 # On AVX2 hosts the fully-visible runtime-shape attention tile must reach
 # 0.6 of the same run's single-thread matmul GFLOP/s, forward and backward,
-# and its backward must cost at most 2.8 forwards of wall time (2.5 counted).
+# and its backward must cost at most 2.8 forwards of wall time (2.5 counted;
+# the median ratio of back-to-back call pairs).
 if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     && ! grep -q '^KERNELS_ATTN_ROOFLINE_OK ' <<<"$out"; then
     echo "FAIL: attention tile under 0.6 of same-run matmul throughput, or its backward over 2.8 forwards, on an AVX2 host" >&2
@@ -99,65 +100,6 @@ fi
 # The runtime switch to the fallback: the SIMD equivalence suite must
 # also hold when `FPDT_SIMD=0` makes auto-dispatch pick scalar.
 FPDT_SIMD=0 cargo test -q -p fpdt-tensor --test simd_equivalence
-
-stage "runtime --json --quick smoke (copy and comm overlap must be measurable)"
-# One kernel thread per rank: the regime the repo benchmark runs
-# (FPDT_THREADS=2 split over 2 ranks), where a copy stream borrowed from
-# the kernel pool ran every transfer inline. Kernel settings are per-thread
-# values, so the one-thread legs of the determinism suites run inside the
-# workspace pass above instead of a whole pass of their own.
-out=$(FPDT_THREADS=1 cargo run -q --release -p fpdt-bench --bin runtime -- --json --quick)
-echo "$out"
-# The runtime bench asserts that repeated runs give bitwise-identical
-# losses and that bf16 halves the all-to-all bytes exactly, validates
-# BENCH_runtime.json, and exits nonzero when a run hides none of a
-# stream's busy time from the rank thread (1 - exposed/busy, the
-# benchmark's offload/comm overlap_fraction) — f32 and bf16 alike.
-if ! grep -q '^BENCH_JSON_OK .*BENCH_runtime\.json$' <<<"$out"; then
-    echo "FAIL: runtime --json did not validate BENCH_runtime.json" >&2
-    exit 1
-fi
-for gate in RUNTIME_OVERLAP RUNTIME_COMM_OVERLAP RUNTIME_BF16_OVERLAP RUNTIME_BF16_COMM_OVERLAP; do
-    if ! grep -q "^${gate}_OK " <<<"$out"; then
-        echo "FAIL: ${gate}: a stream hid none of its busy time behind compute" >&2
-        exit 1
-    fi
-done
-
-stage "resume --json --quick (checkpoint/restore and fault recovery must be bitwise)"
-out=$(cargo run -q --release -p fpdt-bench --bin resume -- --json --quick)
-echo "$out"
-# The resume bench trains uninterrupted, replays the same run through a
-# checkpoint -> Trainer::resume round trip, then again under injected
-# transient collective faults with a replay budget. It asserts bitwise
-# loss/grad/traffic equality on both legs before printing its gate line.
-if ! grep -q '^RUNTIME_RESUME_OK ' <<<"$out"; then
-    echo "FAIL: checkpoint/resume or fault recovery diverged from the uninterrupted run" >&2
-    exit 1
-fi
-
-stage "autotune --json --quick (the tuned pick must not lose to the default)"
-# The autotune bench probes every (chunks, bf16) cell by training it as it
-# will run, picks the fastest, then measures every candidate again in
-# interleaved rounds: the tuned config must reach 0.97x the default's
-# tokens/s (the measurement noise floor).
-out=$(cargo run -q --release -p fpdt-bench --bin autotune -- --json --quick) || true
-echo "$out"
-if ! grep -q '^BENCH_JSON_OK .*BENCH_autotune\.json$' <<<"$out" \
-    || ! grep -q '^RUNTIME_AUTOTUNE_OK ' <<<"$out"; then
-    echo "FAIL: autotune did not validate BENCH_autotune.json or its tuned pick lost to the default" >&2
-    exit 1
-fi
-
-stage "cargo test -q -p fpdt-core under the tuned configuration"
-# The tuner writes its pick as sourceable FPDT_* exports; the core test
-# suite must pass unchanged under exactly that configuration — tuning
-# may move schedules, never results.
-(
-    # shellcheck disable=SC1091
-    source target/experiments/autotune_env.sh
-    cargo test -q -p fpdt-core
-)
 
 stage "cargo test -q -p fpdt-core under FPDT_FAULT_INJECT=2 FPDT_COMM_RETRIES=4"
 # The tier-1 suite must pass with transient collective faults injected

@@ -28,9 +28,9 @@ fn max_divergence(a: &[f32], b: &[f32]) -> f32 {
 #[test]
 fn all_modes_learn_and_agree() {
     // Distributed-vs-single loss comparison: pin the payload format so an
-    // ambient `FPDT_BF16=1` (an autotuned env may set it) cannot round
-    // the distributed legs' payloads while the single-rank baseline,
-    // which moves no payloads, stays full-precision.
+    // ambient `FPDT_BF16=1` cannot round the distributed legs' payloads
+    // while the single-rank baseline, which moves no payloads, stays
+    // full-precision.
     let mut base = base_config();
     base.runtime = base.runtime.with_payload_bf16(false);
     let single = train(&base);
