@@ -3,13 +3,14 @@
 //! prints the probe table and the pick.
 //!
 //! Transfers cost wall-clock time per wire byte at `FPDT_SIM_GBPS`
-//! (1 GB/s unless set), or there would be no transfer cost to tune
-//! against. `--quick` probes chunk count 4 only; `--json` prints nothing
-//! but writes the probed cells and the pick to
-//! `target/experiments/BENCH_autotune.json`.
+//! (1 GB/s unless set; the link travels in the probes' runtime options),
+//! or there would be no transfer cost to tune against. `--quick` probes
+//! chunk count 4 only; `--json` prints nothing but writes the probed
+//! cells and the pick to `target/experiments/BENCH_autotune.json`.
 
 use fpdt_bench::{json_mode, write_json};
 use fpdt_core::runtime::autotune::{autotune, CellProfile, Workload};
+use fpdt_core::runtime::RuntimeOptions;
 use fpdt_model::config::ModelConfig;
 use serde::Serialize;
 
@@ -25,15 +26,16 @@ struct Report {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // The knob is parsed once, so this must precede every engine run.
-    if std::env::var_os("FPDT_SIM_GBPS").is_none() {
-        std::env::set_var("FPDT_SIM_GBPS", "1");
-    }
-    let sim_gbps = fpdt_trace::wire::link_gbps();
+    let sim_gbps = if std::env::var_os("FPDT_SIM_GBPS").is_some() {
+        RuntimeOptions::from_env().sim_gbps
+    } else {
+        1.0
+    };
     let workload = Workload {
         probe_steps: if quick { 2 } else { 3 },
         chunk_candidates: if quick { vec![4] } else { vec![2, 4] },
         allow_bf16: true,
+        sim_gbps,
         ..Workload::new(ModelConfig::tiny(2, 64, 4, 50), 256)
     };
     let outcome = autotune(&workload);

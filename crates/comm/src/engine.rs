@@ -3,15 +3,23 @@
 //! A [`CommEngine`] posts collectives on a [`Stream`] whose dedicated
 //! worker (`fpdt-comm-r{rank}`) executes them strictly in FIFO order —
 //! the model of a single NIC queue, symmetric to the offload runtime's
-//! copy streams. The executor posts chunk `i+1`'s QKV all-to-all before
-//! chunk `i`'s online-softmax update runs and resolves the returned
+//! copy streams. Each op holds the simulated link for its bytes at the
+//! bandwidth the engine was built with (`fpdt_trace::wire`). The executor
+//! posts chunk `i+1`'s QKV all-to-all before chunk `i`'s online-softmax
+//! update runs and resolves the returned
 //! [`Pending`] handle at the point the gathered tensor is first needed,
 //! so the wire time hides behind compute (the second half of paper
 //! Figure 13's overlap story; Ulysses comm is the dominant non-compute
 //! cost the paper's §2.2 analysis identifies).
 //!
-//! Design invariants, on top of the stream's own (FIFO, dedicated
-//! worker, panic safety — see [`Stream`]):
+//! The worker pays only when the link costs time. Over a free link a
+//! collective is a channel send and a memcpy, nothing a worker could
+//! hide, while waking it costs a context switch per op; so the runtime
+//! builds the engine without a worker there, and every op runs inline on
+//! the rank thread at its post.
+//!
+//! Design invariants, on top of the stream's own (FIFO, panic safety —
+//! see [`Stream`]):
 //!
 //! * **FIFO = program order.** Post order equals the rank thread's
 //!   program order, which is SPMD-identical on every rank. Collectives
@@ -30,30 +38,45 @@ use fpdt_trace::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The per-rank asynchronous communication stream: ops run FIFO on the
-/// `fpdt-comm-r{rank}` worker while the rank thread computes. There is no
-/// synchronous mode; only a failed thread spawn degrades the stream to
-/// running each op inline on the caller (same order, same results).
+/// The per-rank communication stream: ops run FIFO on the
+/// `fpdt-comm-r{rank}` worker while the rank thread computes, or inline
+/// on the rank thread at their post when the engine has no worker (same
+/// order, same results, same statistics; a failed thread spawn degrades
+/// to the same form).
 #[derive(Debug)]
 pub struct CommEngine {
     comm: Arc<Communicator>,
     stream: Stream,
+    /// Simulated link bandwidth every op is charged at, GB/s (0 = free).
+    gbps: f64,
     recorder: Option<Recorder>,
     posted: AtomicU64,
     retries: usize,
 }
 
 impl CommEngine {
-    /// Creates the stream for one rank, with its worker.
-    pub fn new(comm: Arc<Communicator>) -> Self {
-        let stream = Stream::spawn(format!("fpdt-comm-r{}", comm.rank()));
+    /// Creates the stream for one rank over a link of `gbps` GB/s (0 =
+    /// free; see `fpdt_trace::wire`); `worker` spawns its
+    /// `fpdt-comm-r{rank}` thread, else ops run inline.
+    pub fn new(comm: Arc<Communicator>, worker: bool, gbps: f64) -> Self {
+        let stream = if worker {
+            Stream::spawn(format!("fpdt-comm-r{}", comm.rank()))
+        } else {
+            Stream::inline()
+        };
         CommEngine {
             comm,
             stream,
+            gbps,
             recorder: None,
             posted: AtomicU64::new(0),
             retries: 0,
         }
+    }
+
+    /// Whether ops run on a worker thread (false = inline on the poster).
+    pub fn is_async(&self) -> bool {
+        self.stream.is_async()
     }
 
     /// Sets the replay budget for [`CommEngine::post_replayed`] — how many
@@ -99,15 +122,16 @@ impl CommEngine {
             .map(|r| r.span("comm.post").bytes(bytes));
         let comm = Arc::clone(&self.comm);
         let rec = self.recorder.clone();
+        let gbps = self.gbps;
         self.stream
             .post(move || {
                 let _inflight = rec.map(|r| r.span("comm.inflight").bytes(bytes));
                 let out = op(&comm);
-                // Simulated NIC occupancy (`FPDT_SIM_GBPS`, default off):
-                // holds the wire for time proportional to the payload
-                // bytes, inside the inflight span, on the worker — hidden
-                // behind whatever the rank computes meanwhile.
-                fpdt_trace::wire::simulate(bytes);
+                // Simulated NIC occupancy (default off): holds the wire for
+                // time proportional to the payload bytes, inside the
+                // inflight span, on the worker — hidden behind whatever the
+                // rank computes meanwhile.
+                fpdt_trace::wire::simulate_at(bytes, gbps);
                 out
             })
             .traced(self.recorder.as_ref(), "comm.wait", bytes)
@@ -160,18 +184,21 @@ mod tests {
 
     #[test]
     fn posted_ops_really_use_the_wire() {
-        let engine = CommEngine::new(solo_comm());
-        let h = engine.post(4, |comm| {
-            comm.all_to_all(vec![vec![42.0]]).map(|mut r| r.remove(0))
-        });
-        assert_eq!(h.wait().unwrap(), vec![42.0]);
-        assert_eq!(engine.comm().stats().op("all_to_all").unwrap().sends, 1);
-        assert_eq!(engine.posted(), 1);
+        for worker in [true, false] {
+            let engine = CommEngine::new(solo_comm(), worker, 0.0);
+            assert_eq!(engine.is_async(), worker);
+            let h = engine.post(4, |comm| {
+                comm.all_to_all(vec![vec![42.0]]).map(|mut r| r.remove(0))
+            });
+            assert_eq!(h.wait().unwrap(), vec![42.0]);
+            assert_eq!(engine.comm().stats().op("all_to_all").unwrap().sends, 1);
+            assert_eq!(engine.posted(), 1);
+        }
     }
 
     #[test]
     fn posts_record_post_and_inflight_spans() {
-        let mut engine = CommEngine::new(solo_comm());
+        let mut engine = CommEngine::new(solo_comm(), true, 0.0);
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
         engine.post(16, |_| ()).wait();
@@ -181,10 +208,27 @@ mod tests {
     }
 
     #[test]
+    fn each_op_holds_the_link_at_the_engine_bandwidth() {
+        // 1 MiB at 0.05 GB/s is ~21 ms of wire inside the inflight span;
+        // the same op over a free link charges nothing.
+        let bytes = 1u64 << 20;
+        for (gbps, slow) in [(0.05, true), (0.0, false)] {
+            let mut engine = CommEngine::new(solo_comm(), false, gbps);
+            let rec = Recorder::new();
+            engine.set_recorder(rec.clone());
+            engine.post(bytes, |_| ()).wait();
+            let want_us = fpdt_trace::wire::sleep_us_for(bytes, 0.05);
+            let inflight_us = rec.total_us("comm.inflight");
+            let held = inflight_us >= want_us * 0.8;
+            assert_eq!(held, slow, "{gbps} GB/s: {inflight_us} us");
+        }
+    }
+
+    #[test]
     fn replayed_post_retries_transient_faults() {
         let comm = solo_comm();
         comm.inject_fault("all_to_all", 2);
-        let mut engine = CommEngine::new(Arc::clone(&comm));
+        let mut engine = CommEngine::new(Arc::clone(&comm), true, 0.0);
         engine.set_retries(2);
         let h = engine.post_replayed(4, |comm| {
             comm.all_to_all(vec![vec![9.0]]).map(|mut r| r.remove(0))
@@ -201,7 +245,7 @@ mod tests {
     fn replayed_post_surfaces_exhausted_budget() {
         let comm = solo_comm();
         comm.inject_fault("all_to_all", 3);
-        let mut engine = CommEngine::new(Arc::clone(&comm));
+        let mut engine = CommEngine::new(Arc::clone(&comm), true, 0.0);
         engine.set_retries(1);
         let h = engine.post_replayed(4, |comm| {
             comm.all_to_all(vec![vec![1.0]]).map(|mut r| r.remove(0))

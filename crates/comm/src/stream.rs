@@ -104,9 +104,11 @@ impl<T> Pending<T> {
 /// A FIFO job queue: drained by a dedicated worker thread
 /// ([`Stream::spawn`]) or executed on the posting thread
 /// ([`Stream::inline`]; same program order, every handle resolved before
-/// `post` returns). The inline form is not a runtime mode: it is the
-/// spawn-failure fallback and the worker-less stream of an engine that
-/// never moves a byte (the offload-off executor's copy streams).
+/// `post` returns). The inline form is what a stream is when a worker
+/// could hide nothing: the runtime's streams over a free simulated link
+/// (a transfer is then an `Arc` move and a read pass, cheaper than the
+/// wake-up a hand-off costs), the copy streams of an executor that never
+/// offloads, and the fallback when a worker fails to spawn.
 #[derive(Debug)]
 pub struct Stream {
     /// The sending half of the worker's queue, and the worker.

@@ -19,11 +19,14 @@
 //! Chunks are stored as [`Arc<Tensor>`], so [`HostPool::fetch_keep`] hands
 //! back the *same* buffer the pool holds — no data copy, ever. What a real
 //! system pays for is the PCIe transfer, which [`OffloadEngine`] models as
-//! a bandwidth-bound read pass over the chunk ("the copy"). That pass runs
-//! on the engine's own copy-stream workers ([`fpdt_comm::Stream`], one
-//! FIFO per PCIe direction, like a pair of CUDA copy streams), so the
-//! transfer overlaps whatever the rank computes next — at any kernel
-//! thread budget: the workers are not borrowed from the kernel pool.
+//! a bandwidth-bound read pass over the chunk ("the copy") plus, over a
+//! priced simulated link, the link held for the chunk's wire bytes. Over
+//! a priced link that transfer runs on the engine's own copy-stream
+//! workers ([`fpdt_comm::Stream`], one FIFO per PCIe direction, like a
+//! pair of CUDA copy streams), so it overlaps whatever the rank computes
+//! next — at any kernel thread budget: the workers are not borrowed from
+//! the kernel pool. Over a free link the read pass is all there is, and
+//! the executor runs it inline, where it costs less than waking a worker.
 //!
 //! ## Determinism
 //!
@@ -173,16 +176,17 @@ impl HostChunk {
 }
 
 /// The simulated PCIe transfer of a run of chunks — one DMA: a read pass
-/// over each, then (when `FPDT_SIM_GBPS` is set) the link held *once* for
-/// the run's wire bytes, so a bf16 chunk streams half the bytes — and
-/// takes half the wall-clock — of its f32 twin, and a batch pays the OS
-/// timer's wake-up slack once instead of per chunk. Every transfer still
-/// records its own `label` span: its byte share of the run's wall time.
-fn transfer(rec: Option<&Recorder>, label: &'static str, run: &[HostChunk]) {
+/// over each, then (over a priced link of `gbps` GB/s) the link held
+/// *once* for the run's wire bytes, so a bf16 chunk streams half the
+/// bytes — and takes half the wall-clock — of its f32 twin, and a batch
+/// pays the OS timer's wake-up slack once instead of per chunk. Every
+/// transfer still records its own `label` span: its byte share of the
+/// run's wall time.
+fn transfer(rec: Option<&Recorder>, label: &'static str, run: &[HostChunk], gbps: f64) {
     let started = rec.map(|r| (r, r.now_us(), Instant::now()));
     run.iter().for_each(HostChunk::read_pass);
     let total: u64 = run.iter().map(HostChunk::wire_bytes).sum();
-    fpdt_trace::wire::simulate(total);
+    fpdt_trace::wire::simulate_at(total, gbps);
     if let Some((rec, mut at_us, t0)) = started {
         let us_per_byte = t0.elapsed().as_secs_f64() * 1e6 / total.max(1) as f64;
         for chunk in run {
@@ -393,12 +397,16 @@ impl<D> FetchHandle<D> {
 /// `fpdt-d2h-r{rank}`, host-to-device fetches on `fpdt-h2d-r{rank}`. A
 /// fetch of a chunk whose put is still queued waits for that put on the
 /// worker, never on the rank. An engine built without workers runs every
-/// transfer inline at its issue point; the executor builds one only when
-/// it does not offload, i.e. never transfers at all.
+/// transfer inline at its issue point; the executor builds one when the
+/// link is free (nothing for a worker to hide) or it does not offload at
+/// all.
 pub struct OffloadEngine {
     pool: HostPool,
     d2h: Stream,
     h2d: Stream,
+    /// Simulated link bandwidth every transfer is charged at, GB/s (0 =
+    /// free).
+    gbps: f64,
     /// Completion of every put a later fetch may have to wait for.
     queued_puts: HashMap<ChunkKey, Pending<()>>,
     inflight: Arc<Mutex<HashSet<ChunkKey>>>,
@@ -406,20 +414,22 @@ pub struct OffloadEngine {
 }
 
 impl OffloadEngine {
-    /// An engine over an empty pool; `streams` spawns the copy workers
+    /// An engine over an empty pool, charging the `FPDT_SIM_GBPS` link
+    /// (`fpdt_trace::wire::link_gbps`); `streams` spawns the copy workers
     /// (named `fpdt-d2h` / `fpdt-h2d`). Without them transfers run inline.
     pub fn new(streams: bool) -> Self {
-        Self::build(streams, "")
+        Self::build(streams, "", fpdt_trace::wire::link_gbps())
     }
 
-    /// [`OffloadEngine::new`] for one rank of a group: the workers are
-    /// named `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`, next to the comm
-    /// stream's `fpdt-comm-r{rank}` in a trace.
-    pub fn for_rank(streams: bool, rank: usize) -> Self {
-        Self::build(streams, &format!("-r{rank}"))
+    /// [`OffloadEngine::new`] for one rank of a group, over a link of
+    /// `gbps` GB/s: the workers are named `fpdt-d2h-r{rank}` /
+    /// `fpdt-h2d-r{rank}`, next to the comm stream's `fpdt-comm-r{rank}`
+    /// in a trace.
+    pub fn for_rank(streams: bool, rank: usize, gbps: f64) -> Self {
+        Self::build(streams, &format!("-r{rank}"), gbps)
     }
 
-    fn build(streams: bool, suffix: &str) -> Self {
+    fn build(streams: bool, suffix: &str, gbps: f64) -> Self {
         let stream = |dir: &str| {
             if streams {
                 Stream::spawn(format!("fpdt-{dir}{suffix}"))
@@ -431,6 +441,7 @@ impl OffloadEngine {
             pool: HostPool::new(),
             d2h: stream("d2h"),
             h2d: stream("h2d"),
+            gbps,
             queued_puts: HashMap::new(),
             inflight: Arc::default(),
             recorder: None,
@@ -481,8 +492,8 @@ impl OffloadEngine {
     /// Same double-offload condition as [`HostPool::offload`].
     pub fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) {
         let chunk = self.pool.offload_shared(key, t);
-        let rec = self.recorder.clone();
-        let done = self.d2h.post(move || transfer(rec.as_ref(), "offload.put", &[chunk]));
+        let (rec, gbps) = (self.recorder.clone(), self.gbps);
+        let done = self.d2h.post(move || transfer(rec.as_ref(), "offload.put", &[chunk], gbps));
         if self.d2h.is_async() {
             self.queued_puts.insert(key, done);
         }
@@ -539,19 +550,19 @@ impl OffloadEngine {
         // order); the stream only runs the costed pass over the wire repr.
         let data = transfers.iter().map(|(chunk, _)| chunk.widen()).collect();
         let bytes = transfers.iter().map(|(chunk, _)| chunk.wire_bytes()).sum();
-        let rec = self.recorder.clone();
+        let (rec, gbps) = (self.recorder.clone(), self.gbps);
         let label = if self.h2d.is_async() { "offload.prefetch" } else { "offload.fetch" };
         let done = self.h2d.post(move || {
             let mut run = Vec::with_capacity(transfers.len());
             for (chunk, put) in transfers {
                 if let Some(put) = put.filter(|put| !put.is_ready()) {
-                    transfer(rec.as_ref(), label, &run);
+                    transfer(rec.as_ref(), label, &run, gbps);
                     run.clear();
                     put.wait();
                 }
                 run.push(chunk);
             }
-            transfer(rec.as_ref(), label, &run);
+            transfer(rec.as_ref(), label, &run, gbps);
         });
         Some(FetchHandle {
             data,

@@ -4,8 +4,8 @@
 //! the right choice moves with transfer costs and host speed. This module
 //! runs that sweep on the real runtime: every `(chunks, payload_bf16)`
 //! cell trains a few steps exactly as a tuned run will train it (offload
-//! on, comm and copy streams on), its step is the fastest of three runs,
-//! and the fastest cell is the pick.
+//! on, over the workload's simulated link), its step is the fastest of
+//! three runs, and the fastest cell is the pick.
 //!
 //! There is no cost model to fit and nothing to extrapolate: every cell
 //! ranked ran the way it will run.
@@ -45,11 +45,15 @@ pub struct Workload {
     pub allow_bf16: bool,
     /// Seed for probe weights/data.
     pub seed: u64,
+    /// Simulated link bandwidth every probe trains over, GB/s
+    /// ([`RuntimeOptions::sim_gbps`]; 0 = free link, nothing to hide).
+    pub sim_gbps: f64,
 }
 
 impl Workload {
     /// A small probe workload over `model`/`seq` with the default
-    /// candidate grid: chunk counts 2 and 4, f32 payloads.
+    /// candidate grid: chunk counts 2 and 4, f32 payloads, over the
+    /// environment's link (`FPDT_SIM_GBPS`).
     pub fn new(model: ModelConfig, seq: usize) -> Self {
         Workload {
             model,
@@ -59,6 +63,7 @@ impl Workload {
             chunk_candidates: vec![2, 4],
             allow_bf16: false,
             seed: 42,
+            sim_gbps: RuntimeOptions::from_env().sim_gbps,
         }
     }
 
@@ -95,7 +100,7 @@ impl CellProfile {
 
     /// The runtime options this cell runs under: the environment's, with
     /// the payload pinned, so an ambient `FPDT_BF16` never leaks into a
-    /// probe.
+    /// probe (which sets its workload's link on top).
     pub fn options(&self) -> RuntimeOptions {
         RuntimeOptions::from_env().with_payload_bf16(self.payload_bf16)
     }
@@ -125,7 +130,7 @@ fn probe_step_us(workload: &Workload, cell: &CellProfile) -> f64 {
         lr: 3e-3,
         seed: workload.seed,
         mode: cell.mode(),
-        runtime: cell.options(),
+        runtime: cell.options().with_sim_gbps(workload.sim_gbps),
         ..TrainConfig::default()
     };
     (0..3)
@@ -143,7 +148,8 @@ fn probe_step_us(workload: &Workload, cell: &CellProfile) -> f64 {
 /// # Panics
 ///
 /// Panics on an empty candidate list or an inconsistent workload
-/// (sequence not divisible by `world * chunks`) — same contract as
+/// (sequence not divisible by `world * chunks`, a link
+/// [`RuntimeOptions::with_sim_gbps`] refuses) — same contract as
 /// [`train`].
 pub fn autotune(workload: &Workload) -> AutotuneOutcome {
     let mut cells = Vec::new();

@@ -168,10 +168,11 @@ pub struct TrainConfig {
     /// equivalence claims are schedule-independent.
     pub warmup_steps: usize,
     /// Runtime knobs (bf16 payloads, kernel threads, comm retry budget,
-    /// fault injection), defaulting from the `FPDT_*` environment via
-    /// [`RuntimeOptions::from_env`]. Host offload is [`Mode::Fpdt`]'s own
-    /// flag, and the comm and copy streams are always on. Every setting
-    /// but `payload_bf16` is bitwise-invisible.
+    /// fault injection, simulated link bandwidth), defaulting from the
+    /// `FPDT_*` environment via [`RuntimeOptions::from_env`]. Host
+    /// offload is [`Mode::Fpdt`]'s own flag, and the comm and copy
+    /// streams run on workers exactly when the link is priced. Every
+    /// setting but `payload_bf16` is bitwise-invisible.
     pub runtime: RuntimeOptions,
 }
 
@@ -1478,53 +1479,68 @@ mod tests {
 
     #[test]
     fn stream_work_runs_off_the_rank_threads_and_only_ranks_wait() {
-        // Overlap as placement, not timing: every transfer and every
-        // all-to-all's wire time is recorded on a stream worker, never on
-        // a thread that runs blocks, and only rank threads block on them.
-        // A budget of one kernel thread is where a pool-borrowed stream
-        // used to run every transfer inline.
-        for threads in [1usize, 2] {
-            for payload_bf16 in [false, true] {
-                let what = format!("budget {threads}, bf16 {payload_bf16}");
-                let cfg = TrainConfig {
-                    steps: 2,
-                    mode: Mode::Fpdt {
-                        chunks: 4,
-                        offload: true,
-                    },
-                    runtime: RuntimeOptions::from_env()
-                        .with_threads(threads)
-                        .with_payload_bf16(payload_bf16),
-                    ..TrainConfig::small(Mode::Single)
-                };
-                let rec = Recorder::new();
-                train_traced(&cfg, Some(&rec));
-                let spans = rec.records();
-                let ranks: std::collections::HashSet<u64> = spans
-                    .iter()
-                    .filter(|s| s.label == "block.fwd")
-                    .map(|s| s.tid)
-                    .collect();
-                assert_eq!(ranks.len(), cfg.world, "one thread per rank ({what})");
-                for label in ["offload.put", "offload.prefetch", "comm.inflight"] {
-                    let tids: Vec<u64> = spans
+        // Overlap as placement, not timing. Over a priced link every
+        // transfer and every all-to-all's wire time is recorded on a
+        // stream worker, never on a thread that runs blocks, and only
+        // rank threads block on them; a budget of one kernel thread is
+        // where a pool-borrowed stream used to run every transfer inline.
+        // Over a free link there is no wire time to hide: every job runs
+        // on its rank thread and nothing is ever waited for. (100 GB/s
+        // prices the link while the fixture's transfers stay below the
+        // sleep resolution.)
+        for sim_gbps in [100.0, 0.0] {
+            for threads in [1usize, 2] {
+                for payload_bf16 in [false, true] {
+                    let what = format!("{sim_gbps} GB/s, budget {threads}, bf16 {payload_bf16}");
+                    let cfg = TrainConfig {
+                        steps: 2,
+                        mode: Mode::Fpdt {
+                            chunks: 4,
+                            offload: true,
+                        },
+                        runtime: RuntimeOptions::from_env()
+                            .with_threads(threads)
+                            .with_payload_bf16(payload_bf16)
+                            .with_sim_gbps(sim_gbps),
+                        ..TrainConfig::small(Mode::Single)
+                    };
+                    let rec = Recorder::new();
+                    train_traced(&cfg, Some(&rec));
+                    let spans = rec.records();
+                    let ranks: std::collections::HashSet<u64> = spans
                         .iter()
-                        .filter(|s| s.label == label)
+                        .filter(|s| s.label == "block.fwd")
                         .map(|s| s.tid)
                         .collect();
-                    assert!(!tids.is_empty(), "no {label} spans ({what})");
-                    assert!(
-                        tids.iter().all(|t| !ranks.contains(t)),
-                        "{label} on a rank thread ({what})"
-                    );
-                }
-                // a wait that never blocked records nothing, so there is
-                // no count to require, only where each recorded one is
-                for s in spans
-                    .iter()
-                    .filter(|s| s.label == "offload.wait" || s.label == "comm.wait")
-                {
-                    assert!(ranks.contains(&s.tid), "{} off the ranks ({what})", s.label);
+                    assert_eq!(ranks.len(), cfg.world, "one thread per rank ({what})");
+                    let fetch = if sim_gbps > 0.0 { "offload.prefetch" } else { "offload.fetch" };
+                    for label in ["offload.put", fetch, "comm.inflight"] {
+                        assert!(
+                            spans.iter().any(|s| s.label == label),
+                            "no {label} spans ({what})"
+                        );
+                    }
+                    let waits = |s: &&fpdt_trace::SpanRecord| s.label.ends_with(".wait");
+                    let stream_work = |s: &&fpdt_trace::SpanRecord| {
+                        (s.label.starts_with("offload.") || s.label == "comm.inflight") && !waits(s)
+                    };
+                    if sim_gbps > 0.0 {
+                        for s in spans.iter().filter(stream_work) {
+                            let label = &s.label;
+                            assert!(!ranks.contains(&s.tid), "{label} on a rank thread ({what})");
+                        }
+                        // a wait that never blocked records nothing, so
+                        // there is no count to require, only where each
+                        // recorded one is
+                        for s in spans.iter().filter(waits) {
+                            assert!(ranks.contains(&s.tid), "{} off the ranks ({what})", s.label);
+                        }
+                    } else {
+                        for s in spans.iter().filter(stream_work) {
+                            assert!(ranks.contains(&s.tid), "{} off the ranks ({what})", s.label);
+                        }
+                        assert_eq!(spans.iter().filter(waits).count(), 0, "a wait ({what})");
+                    }
                 }
             }
         }

@@ -209,18 +209,22 @@ impl DistAttention {
     }
 
     /// Creates the executor for one rank with explicit options — the one
-    /// options surface is [`RuntimeOptions`]. The comm stream's worker
-    /// always exists; the two copy-stream workers exist when `offload`
-    /// does (with it off nothing ever crosses the host link).
+    /// options surface is [`RuntimeOptions`]. Both engines charge the
+    /// link at `opts.sim_gbps`. Their streams get worker threads only
+    /// when that link is priced (a free transfer has no time for a
+    /// worker to hide), and the copy streams only when `offload` is on
+    /// too (with it off nothing ever crosses the host link); otherwise
+    /// every job runs inline at its post, in the same order.
     pub fn with_opts(
         comm: Arc<Communicator>,
         plan: ChunkPlan,
         offload: bool,
         opts: RuntimeOptions,
     ) -> Self {
-        let mut host = OffloadEngine::for_rank(offload, comm.rank());
+        let workers = opts.sim_gbps > 0.0;
+        let mut host = OffloadEngine::for_rank(offload && workers, comm.rank(), opts.sim_gbps);
         host.set_payload_bf16(opts.payload_bf16);
-        let mut engine = CommEngine::new(Arc::clone(&comm));
+        let mut engine = CommEngine::new(Arc::clone(&comm), workers, opts.sim_gbps);
         engine.set_retries(opts.comm_retries);
         DistAttention {
             engine,
@@ -1035,17 +1039,24 @@ mod tests {
     #[test]
     fn copy_workers_exist_only_when_offloading() {
         // `offload = false` (the Ulysses baseline) never moves a byte over
-        // the host link, so it must not cost a rank any thread.
+        // the host link, and over a free link a transfer has no time for
+        // a worker to hide, so neither costs a rank any thread. The comm
+        // stream's worker follows the link alone.
         let workers = run_group(1, |comm| {
             let comm = Arc::new(comm);
-            [true, false].map(|offload| {
-                let plan = ChunkPlan::new(8, 1, 2).unwrap();
-                DistAttention::new(Arc::clone(&comm), plan, offload)
-                    .host
-                    .prefetch_enabled()
+            [0.05, 0.0].map(|gbps| {
+                [true, false].map(|offload| {
+                    let plan = ChunkPlan::new(8, 1, 2).unwrap();
+                    let opts = RuntimeOptions::from_env().with_sim_gbps(gbps);
+                    let ex = DistAttention::with_opts(Arc::clone(&comm), plan, offload, opts);
+                    (ex.host.prefetch_enabled(), ex.engine.is_async())
+                })
             })
         });
-        assert_eq!(workers, [[true, false]]);
+        assert_eq!(
+            workers,
+            [[[(true, true), (false, true)], [(false, false), (false, false)]]]
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   coincide.
 //! * [`options`] — [`RuntimeOptions`], the single builder behind every
 //!   runtime knob (bf16 payloads, kernel threads, comm retries, fault
-//!   injection). The comm and copy streams are not knobs: they are
-//!   always on.
+//!   injection, the simulated link). The comm and copy streams are not
+//!   knobs: they get worker threads exactly when the link is priced.
 //! * [`ckpt`] — sharded, versioned checkpoint state: the
 //!   [`StateDict`] container and the per-rank shard files that
 //!   [`Trainer::checkpoint`](dist::Trainer::checkpoint) writes and

@@ -7,10 +7,17 @@
 //! one builder with one documented [`RuntimeOptions::from_env`], so "what
 //! is this run actually configured to do?" has a single answer.
 //!
-//! There is no stream knob: the executor always runs its all-to-alls on
-//! the comm stream and, when offloading, its host-pool transfers on the
-//! two copy streams (paper §4, Figure 7). Whether to offload at all is
-//! part of the strategy ([`Mode::Fpdt`](super::Mode::Fpdt)), not an option.
+//! There is no stream knob: where the executor runs its transfers
+//! follows the simulated link, `sim_gbps`. Over a priced link (positive
+//! bandwidth) the all-to-alls run on the comm stream's worker and, when
+//! offloading, the host-pool transfers on the two copy streams' workers,
+//! where their wire time hides behind attention (paper §4, Figure 7).
+//! Over a free link (`0`, the default) a transfer is an `Arc` move and a
+//! read pass with no time to hide, so the same streams run each job
+//! inline on the rank thread at its post, sparing a worker wake-up per
+//! job: same order, same values, same statistics. Whether to offload at
+//! all is part of the strategy ([`Mode::Fpdt`](super::Mode::Fpdt)), not
+//! an option.
 //!
 //! `threads` and `par_threshold` are the two kernel settings of the rank
 //! sessions' [`KernelCtx`]: a session starts from the context of the
@@ -36,6 +43,7 @@
 //! | `FPDT_PAR_THRESHOLD` | min work before a kernel splits              | 65536   |
 //! | `FPDT_COMM_RETRIES`  | replay budget for transient collective faults| 0       |
 //! | `FPDT_FAULT_INJECT`  | transient faults armed per `run_steps` call  | 0       |
+//! | `FPDT_SIM_GBPS`      | simulated link bandwidth, GB/s (`0` = free)  | 0       |
 
 use fpdt_tensor::KernelCtx;
 
@@ -76,7 +84,7 @@ fn env_budget(name: &str) -> Option<usize> {
 ///     .with_threads(1);
 /// assert!(opts.payload_bf16 && opts.threads == Some(1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeOptions {
     /// Move HostPool-offloaded KV chunks and all-to-all payloads as bf16
     /// (half the wire bytes; compute stays f32). `FPDT_BF16`. The one
@@ -101,6 +109,16 @@ pub struct RuntimeOptions {
     /// attempt before any bytes move; with `comm_retries` at least this
     /// large, training completes with identical results.
     pub fault_inject: usize,
+    /// Bandwidth of the simulated off-device links, GB/s (`FPDT_SIM_GBPS`,
+    /// default 0 = free): every all-to-all and host-pool transfer holds
+    /// its link for `bytes / bandwidth` of wall-clock time
+    /// (`fpdt_trace::wire`). Positive, the streams get worker threads to
+    /// hide that time behind compute; zero, they run inline (module
+    /// docs). Only time changes, never a value or a statistic. Must be a
+    /// value `fpdt_trace::wire::check_gbps` accepts; the builder refuses
+    /// any other (set directly, a negative or NaN value charges nothing
+    /// and runs inline, like `0`).
+    pub sim_gbps: f64,
 }
 
 impl RuntimeOptions {
@@ -116,6 +134,7 @@ impl RuntimeOptions {
             par_threshold: env_usize("FPDT_PAR_THRESHOLD"),
             comm_retries: env_budget("FPDT_COMM_RETRIES").unwrap_or(0),
             fault_inject: env_budget("FPDT_FAULT_INJECT").unwrap_or(0),
+            sim_gbps: fpdt_trace::wire::link_gbps(),
         }
     }
 
@@ -155,6 +174,19 @@ impl RuntimeOptions {
         self
     }
 
+    /// Sets the simulated link bandwidth in GB/s (0 = free link).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value `FPDT_SIM_GBPS` could not hold: negative, NaN or
+    /// infinite (`fpdt_trace::wire::check_gbps`).
+    #[must_use]
+    pub fn with_sim_gbps(mut self, sim_gbps: f64) -> Self {
+        self.sim_gbps = fpdt_trace::wire::check_gbps(sim_gbps)
+            .unwrap_or_else(|why| panic!("simulated link bandwidth refused: {why}"));
+        self
+    }
+
     /// `base` with this run's `threads` and `par_threshold` overrides —
     /// the context a run started from a thread at `base` computes under,
     /// before the budget is split across its ranks.
@@ -184,12 +216,23 @@ mod tests {
             .with_threads(3)
             .with_par_threshold(1)
             .with_comm_retries(2)
-            .with_fault_inject(1);
+            .with_fault_inject(1)
+            .with_sim_gbps(0.05);
         assert!(opts.payload_bf16);
         assert_eq!(opts.threads, Some(3));
         assert_eq!(opts.par_threshold, Some(1));
         assert_eq!(opts.comm_retries, 2);
         assert_eq!(opts.fault_inject, 1);
+        assert_eq!(opts.sim_gbps, 0.05);
+    }
+
+    #[test]
+    fn a_link_the_env_parser_would_refuse_is_refused() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let opts = RuntimeOptions::from_env();
+            let refused = std::panic::catch_unwind(|| opts.with_sim_gbps(bad));
+            assert!(refused.is_err(), "{bad} GB/s accepted");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   same loss bits, same gradient bits, same communication and host-pool
 //!   counters as the uninterrupted run, across kernel-thread budgets and
 //!   the bf16 payload knob;
-//! * resizing the thread-device world re-shards flat state exactly;
+//! * resizing the thread-device world re-shards flat state exactly, along
+//!   a chain of resizes too, and a resize commutes with checkpoint/resume;
 //! * injected transient collective faults are replayed invisibly inside
 //!   the retry budget, and roll the session back to the last step
 //!   boundary when the budget is exhausted;
@@ -177,6 +178,61 @@ fn elastic_resize_matches_final_geometry_and_commutes_with_checkpoint() {
     let through_disk = through_disk.report();
     let _ = std::fs::remove_dir_all(&dir);
     assert_reports_bitwise_equal(&elastic, &through_disk, "resize through disk");
+}
+
+#[test]
+fn a_resize_chain_matches_final_geometry_and_commutes_with_checkpoint_at_every_resize() {
+    // 12 heads and a 96-token sequence in 4 chunks divide across 2, 3
+    // and 4 ranks, so one run can visit every world size.
+    let rt = forced(RuntimeOptions::from_env().with_payload_bf16(false), 4);
+    let cfg = TrainConfig {
+        model: ModelConfig::tiny(2, 48, 12, 50),
+        world: 4,
+        seq: 96,
+        steps: 8,
+        ..base_cfg(rt)
+    };
+    let chain = [2usize, 3, 4];
+    let per_segment = cfg.steps / (chain.len() + 1);
+
+    // The in-memory chain, checkpointing just before every resize.
+    let dirs: Vec<PathBuf> = chain.iter().map(|w| fresh_dir(&format!("chain-to-{w}"))).collect();
+    let mut elastic = Trainer::new(cfg.clone());
+    elastic.run_steps(per_segment).expect("first segment");
+    for (&world, dir) in chain.iter().zip(&dirs) {
+        elastic.checkpoint(dir).expect("checkpoint at resize point");
+        elastic.resize(world);
+        elastic.run_steps(per_segment).expect("segment after resize");
+    }
+    let elastic = elastic.report();
+    assert_eq!(elastic.losses.len(), cfg.steps);
+
+    // World is a pure system knob: the chain ends on the trajectory of a
+    // fresh run at the final geometry, within reduction-order tolerance.
+    let fresh = uninterrupted(&cfg);
+    for (i, (a, b)) in elastic.losses.iter().zip(&fresh.losses).enumerate() {
+        assert!(
+            (a - b).abs() <= 2e-3 * (1.0 + a.abs().max(b.abs())),
+            "step {i}: {a} vs {b}"
+        );
+    }
+
+    // At every resize point, resuming the shards saved there and finishing
+    // the chain is bitwise the in-memory chain.
+    for (at, dir) in dirs.iter().enumerate() {
+        let mut through_disk = Trainer::resume(dir).expect("resume shards at a resize point");
+        through_disk.set_runtime(rt);
+        for &world in &chain[at..] {
+            through_disk.resize(world);
+            through_disk.run_steps(per_segment).expect("segment after resize");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        assert_reports_bitwise_equal(
+            &elastic,
+            &through_disk.report(),
+            &format!("resumed before the resize to {} ranks", chain[at]),
+        );
+    }
 }
 
 #[test]

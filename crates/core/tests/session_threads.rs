@@ -1,12 +1,14 @@
 //! A `Trainer` owns its threads.
 //!
-//! Each rank session is one thread (`fpdt-rank-r{rank}`) owning the comm
-//! stream's worker (`fpdt-comm-r{rank}`) and, when offloading, the two copy
-//! streams' workers (`fpdt-d2h-r{rank}`, `fpdt-h2d-r{rank}`). They live as
-//! long as the sessions: calls reuse them, a resize or a failed call shuts
-//! them down, and dropping the Trainer joins every one of them. Checked by
-//! thread name from `/proc/self/task/*/comm`, so on Linux only, and in a
-//! test binary of its own so no other test's trainer shares the names.
+//! Each rank session is one thread (`fpdt-rank-r{rank}`). Over a priced
+//! simulated link it owns the comm stream's worker (`fpdt-comm-r{rank}`)
+//! and, when offloading, the two copy streams' workers (`fpdt-d2h-r{rank}`,
+//! `fpdt-h2d-r{rank}`); over a free link its streams run inline and the
+//! rank threads are all there is. They live as long as the sessions: calls
+//! reuse them, a resize or a failed call shuts them down, and dropping the
+//! Trainer joins every one of them. Checked by thread name from
+//! `/proc/self/task/*/comm`, so on Linux only, and in a test binary of its
+//! own so no other test's trainer shares the names.
 
 use fpdt_core::runtime::{Mode, RuntimeOptions, TrainConfig, Trainer};
 
@@ -27,15 +29,38 @@ fn session_threads() -> Option<Vec<String>> {
     Some(names)
 }
 
+/// The session threads of a 2-rank offloaded Trainer whose threads are
+/// `kinds`, sorted.
+fn names(kinds: &[&str]) -> Vec<String> {
+    kinds
+        .iter()
+        .flat_map(|kind| (0..2).map(move |rank| format!("fpdt-{kind}-r{rank}")))
+        .collect()
+}
+
 #[test]
 fn sessions_live_as_long_as_the_trainer_and_leave_no_thread_behind() {
     let Some(before) = session_threads() else {
         return;
     };
     assert!(before.is_empty(), "{before:?}");
+    // One test, not two: the thread list is process-wide, so two
+    // trainers alive at once would see each other's threads. 100 GB/s
+    // prices the link while the fixture's transfers stay below the sleep
+    // resolution.
+    for (sim_gbps, kinds) in [
+        (100.0, &["comm", "d2h", "h2d", "rank"][..]),
+        (0.0, &["rank"][..]),
+    ] {
+        sessions_follow_the_trainer(sim_gbps, &names(kinds));
+    }
+}
+
+fn sessions_follow_the_trainer(sim_gbps: f64, live: &[String]) {
     let clean = RuntimeOptions::from_env()
         .with_fault_inject(0)
-        .with_comm_retries(0);
+        .with_comm_retries(0)
+        .with_sim_gbps(sim_gbps);
     let cfg = TrainConfig {
         steps: 8,
         mode: Mode::Fpdt {
@@ -45,10 +70,6 @@ fn sessions_live_as_long_as_the_trainer_and_leave_no_thread_behind() {
         runtime: clean,
         ..TrainConfig::small(Mode::Single)
     };
-    let live: Vec<String> = ["comm", "d2h", "h2d", "rank"]
-        .iter()
-        .flat_map(|kind| (0..2).map(move |rank| format!("fpdt-{kind}-r{rank}")))
-        .collect();
     let mut trainer = Trainer::new(cfg);
     assert_eq!(
         session_threads(),

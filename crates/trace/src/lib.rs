@@ -15,9 +15,10 @@
 //! * [`span`] — a lightweight RAII [`span::Recorder`] for wall-clock
 //!   instrumentation of the real (thread-based) runtime; exports to the
 //!   same Chrome format.
-//! * [`wire`] — opt-in simulated-interconnect occupancy
-//!   (`FPDT_SIM_GBPS`) so the real runtime's transfers take wall-clock
-//!   time proportional to their wire bytes.
+//! * [`wire`] — opt-in simulated-interconnect occupancy at a bandwidth
+//!   the caller passes (`FPDT_SIM_GBPS` by default) so the real
+//!   runtime's transfers take wall-clock time proportional to their wire
+//!   bytes.
 //!
 //! [`fpdt_sim::engine`]: fpdt_sim::engine
 

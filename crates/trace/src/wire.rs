@@ -3,24 +3,28 @@
 //! The thread-based runtime moves tensors with `memcpy`s and channel
 //! sends, which cost nanoseconds — nothing like the PCIe and NIC
 //! transfers the FPDT paper overlaps, whose duration is proportional to
-//! the bytes on the wire. [`simulate`] closes that gap: when
-//! `FPDT_SIM_GBPS` is set to a positive bandwidth (GB/s), every call
-//! occupies the simulated link for `bytes / bandwidth` of wall-clock
-//! time by *sleeping*, exactly like a DMA engine that transfers without
-//! consuming host CPU. A transfer executed inline on a rank thread
-//! therefore serializes with compute, while the same transfer posted to
-//! a copy or comm stream genuinely hides behind compute — even on a
-//! single-core host — which is what lets a run's trace (and the repo
-//! benchmark's `fpdt_link` workload) measure how much of the wire time
-//! the streams hide.
+//! the bytes on the wire. [`simulate_at`] closes that gap: at a positive
+//! bandwidth (GB/s) every call occupies the simulated link for
+//! `bytes / bandwidth` of wall-clock time by *sleeping*, exactly like a
+//! DMA engine that transfers without consuming host CPU. A transfer
+//! executed inline on a rank thread therefore serializes with compute,
+//! while the same transfer posted to a copy or comm stream genuinely
+//! hides behind compute — even on a single-core host — which is what
+//! lets a run's trace (and the repo benchmark's `fpdt_link` workload)
+//! measure how much of the wire time the streams hide.
 //!
-//! Unset (the default) or `0`, the link is infinitely fast and
-//! [`simulate`] returns immediately: unit tests and library users pay
-//! nothing. A malformed value (empty, garbage, negative, non-finite)
-//! warns once to stderr and falls back to disabled rather than silently
-//! shaping time in an unintended way. The knob only shapes *time*;
-//! payload contents, schedules, and statistics are untouched, so every
-//! bitwise-equivalence guarantee holds at any bandwidth.
+//! The bandwidth is a value, not a process setting: the engines charge
+//! the rate they were built with, which the runtime takes from
+//! `RuntimeOptions::sim_gbps`. [`link_gbps`] is the one parse point of
+//! the `FPDT_SIM_GBPS` variable that option defaults from. Unset (the
+//! default) or `0`, the link is infinitely fast and a charge returns
+//! immediately: unit tests and library users pay nothing, and the
+//! runtime runs its streams inline, because there is no transfer time
+//! for a worker to hide. A malformed value (empty, garbage, negative,
+//! non-finite) warns once to stderr and falls back to disabled rather
+//! than silently shaping time in an unintended way. The link only shapes
+//! *time*; payload contents, schedules, and statistics are untouched, so
+//! every bitwise-equivalence guarantee holds at any bandwidth.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -44,11 +48,23 @@ pub fn parse_gbps(raw: Option<&str>) -> Result<f64, String> {
     if trimmed.is_empty() {
         return Err("value is empty".to_string());
     }
-    match trimmed.parse::<f64>() {
-        Err(_) => Err(format!("`{trimmed}` is not a number")),
-        Ok(v) if !v.is_finite() => Err(format!("`{trimmed}` is not finite")),
-        Ok(v) if v < 0.0 => Err(format!("`{trimmed}` is negative")),
-        Ok(v) => Ok(v),
+    let v = trimmed.parse::<f64>().map_err(|_| format!("`{trimmed}` is not a number"))?;
+    check_gbps(v)
+}
+
+/// Accepts a bandwidth [`parse_gbps`] would accept: `0.0` (disabled) or
+/// a positive finite number of GB/s.
+///
+/// # Errors
+///
+/// Returns a description for negative and non-finite values.
+pub fn check_gbps(v: f64) -> Result<f64, String> {
+    if !v.is_finite() {
+        Err(format!("`{v}` is not finite"))
+    } else if v < 0.0 {
+        Err(format!("`{v}` is negative"))
+    } else {
+        Ok(v)
     }
 }
 
@@ -69,7 +85,7 @@ pub fn link_gbps() -> f64 {
     })
 }
 
-/// Wall-clock microseconds [`simulate`] would sleep for `bytes` at
+/// Wall-clock microseconds [`simulate_at`] would sleep for `bytes` at
 /// `gbps`: `0.0` when the link is disabled, the transfer is empty, or
 /// the duration falls below the sleep resolution.
 pub fn sleep_us_for(bytes: u64, gbps: f64) -> f64 {
@@ -84,21 +100,13 @@ pub fn sleep_us_for(bytes: u64, gbps: f64) -> f64 {
     }
 }
 
-/// Occupies a simulated link of explicit bandwidth for `bytes` — the
-/// testable core of [`simulate`], which charges the caller-supplied rate
-/// instead of the process-wide `FPDT_SIM_GBPS`.
+/// Occupies a simulated link of `gbps` GB/s for `bytes` (no-op when the
+/// link is disabled or the transfer is below the sleep resolution).
 pub fn simulate_at(bytes: u64, gbps: f64) {
     let us = sleep_us_for(bytes, gbps);
     if us > 0.0 {
         std::thread::sleep(Duration::from_micros(us as u64));
     }
-}
-
-/// Occupies the simulated link for `bytes` at the `FPDT_SIM_GBPS`
-/// bandwidth (no-op when the simulation is disabled or the transfer is
-/// below the sleep resolution).
-pub fn simulate(bytes: u64) {
-    simulate_at(bytes, link_gbps());
 }
 
 #[cfg(test)]
@@ -108,13 +116,13 @@ mod tests {
 
     #[test]
     fn disabled_link_makes_every_transfer_free() {
-        if link_gbps() != 0.0 {
-            // Someone exported FPDT_SIM_GBPS into the test run; the
-            // default-off claim is not testable in this process.
-            return;
-        }
+        // A zero bandwidth is the disabled link; the values the parser
+        // refuses charge nothing either, should one arrive unchecked.
         let t0 = std::time::Instant::now();
-        simulate(u64::MAX);
+        for gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(sleep_us_for(u64::MAX, gbps), 0.0, "{gbps}");
+            simulate_at(u64::MAX, gbps);
+        }
         assert!(t0.elapsed() < Duration::from_millis(50));
     }
 
@@ -131,6 +139,15 @@ mod tests {
         for bad in ["", "   ", "fast", "1.2.3", "-1", "nan", "inf", "NaN"] {
             assert!(parse_gbps(Some(bad)).is_err(), "{bad:?} accepted");
         }
+    }
+
+    #[test]
+    fn check_refuses_what_parse_refuses() {
+        for bad in [-1.0, -0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(check_gbps(bad).is_err(), "{bad} accepted");
+        }
+        assert_eq!(check_gbps(0.0), Ok(0.0));
+        assert_eq!(check_gbps(0.05), Ok(0.05));
     }
 
     #[test]
@@ -162,7 +179,7 @@ mod tests {
     fn sleep_time_lands_inside_the_posting_span() {
         // Wire occupancy must be attributed to whichever span is open on
         // the charging thread — the runtime opens `comm.inflight` /
-        // `offload.*` spans around its `simulate` calls, so the sleep
+        // `offload.*` spans around its `simulate_at` calls, so the sleep
         // time shows up inside them.
         let rec = Recorder::new();
         let bytes = 1u64 << 20;

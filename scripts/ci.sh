@@ -108,6 +108,13 @@ stage "cargo test -q -p fpdt-core under FPDT_FAULT_INJECT=2 FPDT_COMM_RETRIES=4"
 # measure fault counters pin the knobs off internally.)
 FPDT_FAULT_INJECT=2 FPDT_COMM_RETRIES=4 cargo test -q -p fpdt-core
 
+stage "cargo test --offline --locked --manifest-path benchmark/Cargo.toml (the fixed benchmark)"
+# The repo benchmark is a package of its own that compiles against the
+# workspace crates' public APIs: an API change it cannot build against,
+# or a dependency edge that would rewrite its lock file (`--locked`),
+# fails here rather than when the benchmark is next run.
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+
 stage_starts+=("$SECONDS")
 echo "==> CI wall time by stage"
 for i in "${!stage_names[@]}"; do
