@@ -11,9 +11,10 @@
 //! the rank, so replaying the whole collective (see
 //! [`Communicator::retrying`]) is idempotent.
 
-use crate::group::Communicator;
+use crate::group::{Communicator, Payload};
 use crate::{CommError, Result};
 use fpdt_tensor::Tensor;
+use std::time::Instant;
 
 impl Communicator {
     /// All-to-all: rank `r` sends `parts[p]` to rank `p` and returns the
@@ -24,19 +25,8 @@ impl Communicator {
     /// Returns [`CommError::WrongPartCount`] unless `parts.len() == world`.
     pub fn all_to_all(&self, parts: Vec<Vec<f32>>) -> Result<Vec<Vec<f32>>> {
         self.fault_check("all_to_all")?;
-        if parts.len() != self.world() {
-            return Err(CommError::WrongPartCount {
-                op: "all_to_all",
-                expected: self.world(),
-                actual: parts.len(),
-            });
-        }
-        for (peer, part) in parts.into_iter().enumerate() {
-            self.send("all_to_all", peer, part)?;
-        }
-        (0..self.world())
-            .map(|peer| self.recv("all_to_all", peer))
-            .collect()
+        self.send_parts(parts, false, None)?;
+        Ok(self.recv_parts()?.0)
     }
 
     /// All-to-all with bf16 wire payloads: identical data movement and
@@ -50,6 +40,13 @@ impl Communicator {
     /// Returns [`CommError::WrongPartCount`] unless `parts.len() == world`.
     pub fn all_to_all_bf16(&self, parts: Vec<Vec<f32>>) -> Result<Vec<Vec<f32>>> {
         self.fault_check("all_to_all")?;
+        self.send_parts(parts, true, None)?;
+        Ok(self.recv_parts()?.0)
+    }
+
+    /// The send half of an all-to-all, after its fault check: `parts[p]`
+    /// to rank `p`, each message stamped `ready_at`. Sends never block.
+    pub(crate) fn send_parts(&self, parts: Vec<Vec<f32>>, bf16: bool, ready_at: Option<Instant>) -> Result<()> {
         if parts.len() != self.world() {
             return Err(CommError::WrongPartCount {
                 op: "all_to_all",
@@ -57,12 +54,28 @@ impl Communicator {
                 actual: parts.len(),
             });
         }
-        for (peer, part) in parts.iter().enumerate() {
-            self.send_bf16("all_to_all", peer, part)?;
+        for (peer, part) in parts.into_iter().enumerate() {
+            let data = if bf16 {
+                Payload::Bf16(fpdt_tensor::bf16::encode_slice(&part))
+            } else {
+                Payload::F32(part)
+            };
+            self.send_payload("all_to_all", peer, data, ready_at)?;
         }
-        (0..self.world())
-            .map(|peer| self.recv("all_to_all", peer))
-            .collect()
+        Ok(())
+    }
+
+    /// The receive half of an all-to-all: one part from every rank, in
+    /// rank order, and the latest link stamp among them.
+    pub(crate) fn recv_parts(&self) -> Result<(Vec<Vec<f32>>, Option<Instant>)> {
+        let mut latest = None;
+        let mut parts = Vec::with_capacity(self.world());
+        for peer in 0..self.world() {
+            let (part, stamp) = self.recv_stamped("all_to_all", peer)?;
+            latest = latest.max(stamp);
+            parts.push(part);
+        }
+        Ok((parts, latest))
     }
 
     /// All-gather: every rank contributes one buffer and receives all
@@ -385,7 +398,19 @@ impl AllToAllLayout {
     }
 
     fn apply_with(&self, comm: &Communicator, x: &Tensor, bf16: bool) -> Result<Tensor> {
-        if x.shape() != self.in_shape || comm.world() != self.world {
+        let bufs = self.pack(comm.world(), x)?;
+        let recv = if bf16 {
+            comm.all_to_all_bf16(bufs)?
+        } else {
+            comm.all_to_all(bufs)?
+        };
+        self.unpack(recv)
+    }
+
+    /// The send side of [`AllToAllLayout::apply`] in a group of `world`
+    /// ranks: one flat payload per peer.
+    pub(crate) fn pack(&self, world: usize, x: &Tensor) -> Result<Vec<Vec<f32>>> {
+        if x.shape() != self.in_shape || world != self.world {
             return Err(CommError::Shape {
                 op: "ulysses_all_to_all",
                 what: format!(
@@ -393,14 +418,13 @@ impl AllToAllLayout {
                     self.in_shape,
                     self.world,
                     x.shape(),
-                    comm.world()
+                    world
                 ),
             });
         }
         let p = self.world;
         let src = x.data();
-        // Pack one flat payload per peer.
-        let bufs: Vec<Vec<f32>> = match self.dir {
+        Ok(match self.dir {
             A2aDirection::HeadsToSeq => {
                 // Peer j takes head rows [j*h/p, (j+1)*h/p) of every token.
                 let [s, h, d] = self.in_shape;
@@ -421,13 +445,13 @@ impl AllToAllLayout {
                 .chunks(self.part_elems)
                 .map(<[f32]>::to_vec)
                 .collect(),
-        };
-        let recv = if bf16 {
-            comm.all_to_all_bf16(bufs)?
-        } else {
-            comm.all_to_all(bufs)?
-        };
-        // Unpack the rank-ordered pieces into the output layout.
+        })
+    }
+
+    /// The receive side of [`AllToAllLayout::apply`]: the rank-ordered
+    /// pieces, unpacked into the output layout.
+    pub(crate) fn unpack(&self, recv: Vec<Vec<f32>>) -> Result<Tensor> {
+        let p = self.world;
         let mut out = Vec::with_capacity(self.part_elems * p);
         match self.dir {
             // Pieces are [s, h/p, d] token blocks; stack along sequence.

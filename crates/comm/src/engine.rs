@@ -1,96 +1,97 @@
-//! Asynchronous communication stream: one simulated NIC link per rank.
+//! The per-rank communication stream: split-phase all-to-alls over one
+//! simulated NIC link.
 //!
-//! A [`CommEngine`] posts collectives on a [`Stream`] whose dedicated
-//! worker (`fpdt-comm-r{rank}`) executes them strictly in FIFO order —
-//! the model of a single NIC queue, symmetric to the offload runtime's
-//! copy streams. Each op holds the simulated link for its bytes at the
-//! bandwidth the engine was built with (`fpdt_trace::wire`). The executor
-//! posts chunk `i+1`'s QKV all-to-all before chunk `i`'s online-softmax
-//! update runs and resolves the returned
-//! [`Pending`] handle at the point the gathered tensor is first needed,
-//! so the wire time hides behind compute (the second half of paper
-//! Figure 13's overlap story; Ulysses comm is the dominant non-compute
-//! cost the paper's §2.2 analysis identifies).
+//! A [`CommEngine`] runs every op in two halves on the rank thread.
+//! [`CommEngine::post`] is the send half — the pack, the fault check and
+//! one send per peer — and never blocks: the peer channels are unbounded.
+//! [`Pending::wait`] is the receive half: the receives and the unpack. The
+//! executor posts chunk `i+1`'s QKV all-to-all before chunk `i`'s
+//! online-softmax update runs and waits where the gathered tensor is first
+//! needed, so the wire time hides behind compute (paper §4, Figure 7).
 //!
-//! The worker pays only when the link costs time. Over a free link a
-//! collective is a channel send and a memcpy, nothing a worker could
-//! hide, while waking it costs a context switch per op; so the runtime
-//! builds the engine without a worker there, and every op runs inline on
-//! the rank thread at its post.
+//! The link is a clock, not a thread ([`Link`]). A post stamps its op
+//! `ready_at = max(now, link_free_at) + bytes / gbps`, and every message it
+//! sends carries the stamp. A wait sleeps until the later of its own and
+//! its peers' stamps, so a peer whose link is busy delays this rank as it
+//! would have delayed a worker blocked on the wire: the clock is never
+//! cheaper than a worker holding the link. A free link stamps nothing.
 //!
-//! Design invariants, on top of the stream's own (FIFO, panic safety —
-//! see [`Stream`]):
-//!
-//! * **FIFO = program order.** Post order equals the rank thread's
-//!   program order, which is SPMD-identical on every rank. Collectives
-//!   therefore hit the wire in exactly the order the rank issued them:
-//!   tag matching, byte accounting, and
-//!   [`CommStats`](crate::CommStats) snapshots are independent of when
-//!   the worker gets to each op.
-//! * **One thread on the wire.** While handles are outstanding, only the
-//!   worker touches the communicator's channels; the executor resolves
-//!   every handle before issuing its own rank-thread collectives. Two
-//!   threads draining one tagged channel would interleave payloads.
+//! * **FIFO = program order.** Posts are SPMD-identical on every rank, so
+//!   collectives hit the wire in the order the ranks issued them: tag
+//!   matching, byte accounting and [`CommStats`](crate::CommStats) do not
+//!   depend on when a handle is waited.
+//! * **Receives drain in post order.** Each receive half queues at its
+//!   post; a wait runs the queue front to back until its own has run,
+//!   keeping earlier results for their handles. Handles may be waited in
+//!   any order (the backward resolves `dq` before `dk`/`dv`), and the next
+//!   wait drains a handle dropped unwaited. The executor waits every
+//!   handle before it returns, so the rank thread's own collectives
+//!   (`all_reduce`) find no all-to-all part to misread.
+//! * **Retries stay idempotent.** A transient fault fires in the post
+//!   half, before the first send, and is replayed there; a wait never
+//!   replays.
 
+use crate::collectives::AllToAllLayout;
 use crate::group::Communicator;
-use crate::stream::{Pending, Stream};
+use crate::CommError;
+use fpdt_tensor::Tensor;
+use fpdt_trace::wire::{sleep_until, Link};
 use fpdt_trace::Recorder;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
+use std::time::Instant;
 
-/// The per-rank communication stream: ops run FIFO on the
-/// `fpdt-comm-r{rank}` worker while the rank thread computes, or inline
-/// on the rank thread at their post when the engine has no worker (same
-/// order, same results, same statistics; a failed thread spawn degrades
-/// to the same form).
-#[derive(Debug)]
+/// Where a receive half leaves the unpacked tensors for its handle, with
+/// the latest link stamp among its own and its peers' messages.
+type Slot = Rc<RefCell<Option<(crate::Result<Vec<Tensor>>, Option<Instant>)>>>;
+
+/// Receive halves posted and not yet run, in post order; each fills its
+/// handle's slot.
+type Inbox = Rc<RefCell<VecDeque<Box<dyn FnOnce()>>>>;
+
+/// The per-rank communication stream: ops post on the rank thread and
+/// resolve through [`Pending`] handles, over a link of the bandwidth the
+/// engine was built with.
 pub struct CommEngine {
     comm: Arc<Communicator>,
-    stream: Stream,
-    /// Simulated link bandwidth every op is charged at, GB/s (0 = free).
-    gbps: f64,
+    link: Link,
+    /// The trace track the link's busy intervals go on.
+    track: String,
+    inbox: Inbox,
     recorder: Option<Recorder>,
-    posted: AtomicU64,
+    posted: u64,
     retries: usize,
 }
 
 impl CommEngine {
     /// Creates the stream for one rank over a link of `gbps` GB/s (0 =
-    /// free; see `fpdt_trace::wire`); `worker` spawns its
-    /// `fpdt-comm-r{rank}` thread, else ops run inline.
-    pub fn new(comm: Arc<Communicator>, worker: bool, gbps: f64) -> Self {
-        let stream = if worker {
-            Stream::spawn(format!("fpdt-comm-r{}", comm.rank()))
-        } else {
-            Stream::inline()
-        };
+    /// free; see `fpdt_trace::wire`).
+    pub fn new(comm: Arc<Communicator>, gbps: f64) -> Self {
         CommEngine {
+            track: format!("fpdt-comm-r{}", comm.rank()),
             comm,
-            stream,
-            gbps,
+            link: Link::new(gbps),
+            inbox: Rc::default(),
             recorder: None,
-            posted: AtomicU64::new(0),
+            posted: 0,
             retries: 0,
         }
     }
 
-    /// Whether ops run on a worker thread (false = inline on the poster).
-    pub fn is_async(&self) -> bool {
-        self.stream.is_async()
-    }
-
-    /// Sets the replay budget for [`CommEngine::post_replayed`] — how many
-    /// extra attempts a [retryable](crate::CommError::is_retryable) failure
-    /// buys before it surfaces. The knob behind
-    /// `RuntimeOptions::comm_retries`.
+    /// Sets the replay budget of a post's fault check — how many extra
+    /// attempts a [retryable](crate::CommError::is_retryable) failure buys
+    /// before it surfaces. The knob behind `RuntimeOptions::comm_retries`.
     pub fn set_retries(&mut self, retries: usize) {
         self.retries = retries;
     }
 
-    /// Attaches a span recorder: posts record `comm.post` on the posting
-    /// thread (program order), execution records `comm.inflight` (wire
-    /// occupancy — the interval the overlap metric intersects with
-    /// compute), and blocked resolutions record `comm.wait`.
+    /// Attaches a span recorder: posts record `comm.post` on the rank
+    /// thread, the link records each op's `comm.inflight` interval on the
+    /// `fpdt-comm-r{rank}` track (wire occupancy, the interval the overlap
+    /// metric measures), waits that receive or sleep record `comm.wait`,
+    /// and each replay records a `comm.retry` event.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = Some(recorder);
     }
@@ -103,137 +104,244 @@ impl CommEngine {
     /// Number of ops posted over the engine's lifetime — the schedule
     /// audit counter ("exactly one QKV post per chunk").
     pub fn posted(&self) -> u64 {
-        self.posted.load(Ordering::Relaxed)
+        self.posted
     }
 
-    /// Posts one collective to the stream: the single generic payload
-    /// entrypoint. `op` receives the communicator on the worker and its
-    /// result travels back through the returned handle. `bytes` sizes the
-    /// `comm.{post,inflight,wait}` spans.
-    pub fn post<T, F>(&self, bytes: u64, op: F) -> Pending<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&Communicator) -> T + Send + 'static,
-    {
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        let _post = self
-            .recorder
-            .as_ref()
-            .map(|r| r.span("comm.post").bytes(bytes));
-        let comm = Arc::clone(&self.comm);
-        let rec = self.recorder.clone();
-        let gbps = self.gbps;
-        self.stream
-            .post(move || {
-                let _inflight = rec.map(|r| r.span("comm.inflight").bytes(bytes));
-                let out = op(&comm);
-                // Simulated NIC occupancy (default off): holds the wire for
-                // time proportional to the payload bytes, inside the
-                // inflight span, on the worker — hidden behind whatever the
-                // rank computes meanwhile.
-                fpdt_trace::wire::simulate_at(bytes, gbps);
-                out
-            })
-            .traced(self.recorder.as_ref(), "comm.wait", bytes)
+    /// Whether every posted receive half has run: no part of an engine op
+    /// is left on the channels for a rank-thread collective to misread.
+    pub fn is_idle(&self) -> bool {
+        self.inbox.borrow().is_empty()
     }
 
-    /// Posts a *replayable* collective: on a
-    /// [retryable](crate::CommError::is_retryable) failure the op is
-    /// re-invoked on the stream, up to the [`CommEngine::set_retries`]
-    /// budget. The closure is `Fn` (not `FnOnce`) precisely so a replay is
-    /// possible — it must read its captures by reference and perform the
-    /// whole collective each attempt, which is idempotent because
-    /// collectives fail only before their first send. Each replay records
-    /// a `comm.retry` span and tallies `CommStats::retries`.
-    pub fn post_replayed<T, F>(&self, bytes: u64, op: F) -> Pending<crate::Result<T>>
-    where
-        T: Send + 'static,
-        F: Fn(&Communicator) -> crate::Result<T> + Send + 'static,
-    {
-        let budget = self.retries;
-        let rec = self.recorder.clone();
-        self.post(bytes, move |comm| {
-            comm.retrying(budget, |c| {
-                let out = op(c);
-                if let Err(e) = &out {
-                    if e.is_retryable() {
-                        if let Some(r) = &rec {
-                            let at = r.now_us();
-                            r.record("comm.retry", at, 0.0, Some(bytes));
-                        }
-                    }
-                }
-                out
-            })
+    /// Posts the all-to-all of every `(layout, tensor)` pair as one op —
+    /// one fault check, one link charge for all of it — and returns the
+    /// handle its tensors resolve through, in `items` order.
+    ///
+    /// # Errors
+    ///
+    /// A tensor that does not match its layout, a transient fault the
+    /// [`CommEngine::set_retries`] budget does not absorb, or a dead peer.
+    pub fn post(
+        &mut self,
+        items: &[(AllToAllLayout, &Tensor)],
+        bf16: bool,
+    ) -> crate::Result<Pending> {
+        let world = self.comm.world();
+        let packed = items
+            .iter()
+            .map(|(layout, t)| layout.pack(world, t))
+            .collect::<crate::Result<Vec<_>>>()?;
+        let elems: usize = packed.iter().flatten().map(Vec::len).sum();
+        let bytes = (elems * if bf16 { 2 } else { 4 }) as u64;
+        self.posted += 1;
+        let rec = self.recorder.as_ref();
+        let _post = rec.map(|r| r.span("comm.post").bytes(bytes));
+        self.comm.retrying(self.retries, |c| {
+            let out = c.fault_check("all_to_all");
+            if let (Err(_), Some(r)) = (&out, rec) {
+                r.record("comm.retry", r.now_us(), 0.0, Some(bytes));
+            }
+            out
+        })?;
+        let stamp = self.link.charge(bytes, None);
+        if let (Some(r), Some((start, ready))) = (rec, stamp) {
+            let dur_us = (ready - start).as_secs_f64() * 1e6;
+            r.record_on(
+                &self.track,
+                "comm.inflight",
+                r.at_us(start),
+                dur_us,
+                Some(bytes),
+            );
+        }
+        let ready_at = stamp.map(|(_, ready)| ready);
+        for parts in packed {
+            self.comm.send_parts(parts, bf16, ready_at)?;
+        }
+        let (comm, slot) = (Arc::clone(&self.comm), Slot::default());
+        let fill = Rc::clone(&slot);
+        let layouts: Vec<AllToAllLayout> = items.iter().map(|(layout, _)| *layout).collect();
+        self.inbox.borrow_mut().push_back(Box::new(move || {
+            let mut latest = ready_at;
+            let out = layouts
+                .iter()
+                .map(|layout| {
+                    let (parts, stamp) = comm.recv_parts()?;
+                    latest = latest.max(stamp);
+                    layout.unpack(parts)
+                })
+                .collect();
+            *fill.borrow_mut() = Some((out, latest));
+        }));
+        Ok(Pending {
+            slot,
+            inbox: Rc::clone(&self.inbox),
+            wait_span: self.recorder.clone().map(|r| (r, bytes)),
         })
+    }
+}
+
+/// A posted op's receive half. Dropping it unwaited leaves the receives
+/// queued; the engine's next wait drains them.
+#[must_use = "an unwaited handle's receives run at the next wait"]
+pub struct Pending {
+    slot: Slot,
+    inbox: Inbox,
+    /// Where a wait that receives or sleeps is recorded: recorder, bytes.
+    wait_span: Option<(Recorder, u64)>,
+}
+
+impl Pending {
+    /// Runs every earlier op's receive half still queued, then this one's,
+    /// and sleeps until the op's link stamp and its peers' have passed.
+    /// Returns the op's tensors in post order. A handle whose receives an
+    /// earlier wait already ran, and whose stamps have passed, records no
+    /// `comm.wait`.
+    ///
+    /// # Errors
+    ///
+    /// A dead peer, or a desynchronized one (a tag or shape mismatch).
+    pub fn wait(self) -> crate::Result<Vec<Tensor>> {
+        let t0 = self.wait_span.as_ref().map(|(r, _)| r.now_us());
+        let mut blocked = false;
+        while self.slot.borrow().is_none() {
+            let Some(recv) = self.inbox.borrow_mut().pop_front() else {
+                break;
+            };
+            recv();
+            blocked = true;
+        }
+        let landed = self.slot.borrow_mut().take();
+        // Unreachable: a handle's own receive half stays queued until a
+        // wait runs it, and only this handle takes its result.
+        let (out, stamp) = landed.unwrap_or_else(|| {
+            let lost = CommError::Desync {
+                local_op: "all_to_all",
+                remote_op: "a receive half that never ran".to_string(),
+            };
+            (Err(lost), None)
+        });
+        blocked |= stamp.is_some_and(sleep_until);
+        if let (Some((r, bytes)), Some(start_us), true) = (&self.wait_span, t0, blocked) {
+            r.record("comm.wait", start_us, r.now_us() - start_us, Some(*bytes));
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CommGroup;
-
-    // FIFO order, panic carry, handle drop and queue-survives-drop are the
-    // stream's own tests (`crate::stream`); these cover what the engine
-    // adds: the communicator, the post counter and replay.
+    use crate::run_group;
+    use std::time::Duration;
 
     fn solo_comm() -> Arc<Communicator> {
-        Arc::new(CommGroup::new(1).communicators().pop().expect("rank 0"))
+        Arc::new(
+            crate::CommGroup::new(1)
+                .communicators()
+                .pop()
+                .expect("rank 0"),
+        )
+    }
+
+    /// A `[rows, world, 1]` tensor whose row `r`, head `h` holds
+    /// `tag * 1000 + rank * 100 + r * 10 + h`: every element names the op,
+    /// the sender, its row and its destination.
+    fn tagged(tag: usize, rows: usize, rank: usize, world: usize) -> Tensor {
+        let data = (0..rows * world)
+            .map(|i| (tag * 1000 + rank * 100 + (i / world) * 10 + i % world) as f32)
+            .collect();
+        Tensor::from_vec(data, &[rows, world, 1]).expect("shape")
+    }
+
+    /// What rank `rank` must receive for `tagged(tag, rows, ..)`: head
+    /// group `rank` of every sender's rows, senders in rank order.
+    fn expected(tag: usize, rows: usize, rank: usize, world: usize) -> Vec<f32> {
+        (0..world)
+            .flat_map(|src| (0..rows).map(move |r| (tag * 1000 + src * 100 + r * 10 + rank) as f32))
+            .collect()
+    }
+
+    fn post_tagged(engine: &mut CommEngine, tag: usize, rows: usize) -> Pending {
+        let (rank, world) = (engine.comm().rank(), engine.comm().world());
+        let t = tagged(tag, rows, rank, world);
+        let layout = AllToAllLayout::scatter_heads(t.shape(), world).expect("layout");
+        engine.post(&[(layout, &t)], false).expect("post")
+    }
+
+    fn data(out: crate::Result<Vec<Tensor>>) -> Vec<f32> {
+        out.expect("no desync").remove(0).data().to_vec()
     }
 
     #[test]
     fn posted_ops_really_use_the_wire() {
-        for worker in [true, false] {
-            let engine = CommEngine::new(solo_comm(), worker, 0.0);
-            assert_eq!(engine.is_async(), worker);
-            let h = engine.post(4, |comm| {
-                comm.all_to_all(vec![vec![42.0]]).map(|mut r| r.remove(0))
+        let mut engine = CommEngine::new(solo_comm(), 0.0);
+        let h = post_tagged(&mut engine, 4, 2);
+        assert!(!engine.is_idle(), "the receive half is queued");
+        assert_eq!(data(h.wait()), expected(4, 2, 0, 1));
+        assert!(engine.is_idle());
+        assert_eq!(engine.comm().stats().op("all_to_all").unwrap().sends, 1);
+        assert_eq!(engine.posted(), 1);
+    }
+
+    #[test]
+    fn waits_in_any_order_match_every_payload_at_two_and_three_ranks() {
+        // Four posts of different sizes, waited newest-first, in an
+        // interleaved order, and in post order: every payload lands where
+        // it belongs and no tag or shape desync surfaces.
+        let orders: [&[usize]; 3] = [&[3, 2, 1, 0], &[2, 0, 3, 1], &[0, 1, 2, 3]];
+        for world in [2usize, 3] {
+            let ok = run_group(world, |comm| {
+                let rank = comm.rank();
+                let mut engine = CommEngine::new(Arc::new(comm), 0.0);
+                for order in orders {
+                    let rows = [1usize, 4, 2, 3];
+                    let mut handles: Vec<Option<Pending>> = (0..4)
+                        .map(|tag| Some(post_tagged(&mut engine, tag, rows[tag])))
+                        .collect();
+                    for &tag in order {
+                        let h = handles[tag].take().expect("posted once");
+                        assert_eq!(
+                            data(h.wait()),
+                            expected(tag, rows[tag], rank, world),
+                            "{order:?}"
+                        );
+                    }
+                    assert!(engine.is_idle());
+                }
+                true
             });
-            assert_eq!(h.wait().unwrap(), vec![42.0]);
-            assert_eq!(engine.comm().stats().op("all_to_all").unwrap().sends, 1);
-            assert_eq!(engine.posted(), 1);
+            assert!(ok.into_iter().all(|ok| ok), "world {world}");
         }
     }
 
     #[test]
-    fn posts_record_post_and_inflight_spans() {
-        let mut engine = CommEngine::new(solo_comm(), true, 0.0);
-        let rec = Recorder::new();
-        engine.set_recorder(rec.clone());
-        engine.post(16, |_| ()).wait();
-        assert_eq!(rec.count("comm.post"), 1);
-        assert_eq!(rec.total_bytes("comm.inflight"), 16);
-        assert!(rec.count("comm.wait") <= 1, "at most the one blocked wait");
-    }
-
-    #[test]
-    fn each_op_holds_the_link_at_the_engine_bandwidth() {
-        // 1 MiB at 0.05 GB/s is ~21 ms of wire inside the inflight span;
-        // the same op over a free link charges nothing.
-        let bytes = 1u64 << 20;
-        for (gbps, slow) in [(0.05, true), (0.0, false)] {
-            let mut engine = CommEngine::new(solo_comm(), false, gbps);
-            let rec = Recorder::new();
-            engine.set_recorder(rec.clone());
-            engine.post(bytes, |_| ()).wait();
-            let want_us = fpdt_trace::wire::sleep_us_for(bytes, 0.05);
-            let inflight_us = rec.total_us("comm.inflight");
-            let held = inflight_us >= want_us * 0.8;
-            assert_eq!(held, slow, "{gbps} GB/s: {inflight_us} us");
+    fn a_dropped_handle_is_drained_before_any_later_receive() {
+        for world in [2usize, 3] {
+            run_group(world, |comm| {
+                let rank = comm.rank();
+                let comm = Arc::new(comm);
+                let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
+                drop(post_tagged(&mut engine, 1, 3));
+                let h = post_tagged(&mut engine, 2, 1);
+                assert_eq!(data(h.wait()), expected(2, 1, rank, world));
+                // The rank thread's own collective reads its own payload,
+                // not a stale all-to-all part.
+                assert!(engine.is_idle(), "the dropped op's receives ran");
+                let sum = comm.all_reduce(&[rank as f32 + 1.0]).expect("all-reduce");
+                assert_eq!(sum, vec![(world * (world + 1) / 2) as f32]);
+            });
         }
     }
 
     #[test]
-    fn replayed_post_retries_transient_faults() {
+    fn replayed_post_retries_transient_faults_before_any_send() {
         let comm = solo_comm();
         comm.inject_fault("all_to_all", 2);
-        let mut engine = CommEngine::new(Arc::clone(&comm), true, 0.0);
+        let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
         engine.set_retries(2);
-        let h = engine.post_replayed(4, |comm| {
-            comm.all_to_all(vec![vec![9.0]]).map(|mut r| r.remove(0))
-        });
-        assert_eq!(h.wait().unwrap(), vec![9.0]);
+        let h = post_tagged(&mut engine, 9, 2);
+        assert_eq!(data(h.wait()), expected(9, 2, 0, 1));
         let stats = comm.stats();
         assert_eq!(stats.faults, 2);
         assert_eq!(stats.retries, 2);
@@ -242,17 +350,150 @@ mod tests {
     }
 
     #[test]
-    fn replayed_post_surfaces_exhausted_budget() {
+    fn faults_on_a_fused_qkv_post_and_a_dq_post_replay_to_the_same_payloads() {
+        // The executor's two post shapes: a fused QKV op (three tensors,
+        // a narrower KV layout as under grouped-query attention) and a
+        // single inverse-layout gradient chunk. Faults armed on each are
+        // absorbed in the post half; the payloads match a clean run.
+        let run = |faults: usize| {
+            run_group(2, move |comm| {
+                let (rank, comm) = (comm.rank(), Arc::new(comm));
+                let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
+                engine.set_retries(2);
+                let (q, kv) = (tagged(1, 3, rank, 4), tagged(2, 3, rank, 2));
+                let lq = AllToAllLayout::scatter_heads(q.shape(), 2).expect("layout");
+                let lkv = AllToAllLayout::scatter_heads(kv.shape(), 2).expect("layout");
+                comm.inject_fault("all_to_all", faults);
+                let qkv = engine
+                    .post(&[(lq, &q), (lkv, &kv), (lkv, &kv)], false)
+                    .expect("qkv");
+                let dq = tagged(3, 4, rank, 2);
+                let linv = AllToAllLayout::scatter_seq(dq.shape(), 2).expect("layout");
+                comm.inject_fault("all_to_all", faults);
+                let dq = engine.post(&[(linv, &dq)], false).expect("dq");
+                // Resolved newest-first, as the backward may.
+                let dq = dq.wait().expect("dq lands");
+                let qkv = qkv.wait().expect("qkv lands");
+                let stats = comm.stats();
+                let bits: Vec<u32> = qkv
+                    .iter()
+                    .chain(&dq)
+                    .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+                    .collect();
+                (bits, stats.retries, stats.op("all_to_all").map(|o| o.sends))
+            })
+        };
+        let (clean, faulty) = (run(0), run(2));
+        for (rank, ((want, no_retries, sends), (got, retries, faulty_sends))) in
+            clean.into_iter().zip(faulty).enumerate()
+        {
+            assert_eq!(got, want, "rank {rank}: payloads");
+            assert_eq!(
+                (no_retries, retries),
+                (0, 4),
+                "rank {rank}: two replays per post"
+            );
+            assert_eq!(
+                faulty_sends, sends,
+                "rank {rank}: a failed attempt sends nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn replayed_post_surfaces_exhausted_budget_and_queues_nothing() {
         let comm = solo_comm();
         comm.inject_fault("all_to_all", 3);
-        let mut engine = CommEngine::new(Arc::clone(&comm), true, 0.0);
+        let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
         engine.set_retries(1);
-        let h = engine.post_replayed(4, |comm| {
-            comm.all_to_all(vec![vec![1.0]]).map(|mut r| r.remove(0))
-        });
+        let t = tagged(1, 1, 0, 1);
+        let layout = AllToAllLayout::scatter_heads(t.shape(), 1).expect("layout");
         assert!(matches!(
-            h.wait(),
-            Err(crate::CommError::Transient { op: "all_to_all" })
+            engine.post(&[(layout, &t)], false),
+            Err(CommError::Transient { op: "all_to_all" })
         ));
+        assert!(engine.is_idle());
+        assert!(
+            comm.stats().op("all_to_all").is_none(),
+            "no send left the rank"
+        );
+    }
+
+    #[test]
+    fn posts_record_post_and_inflight_spans_on_the_link_track() {
+        let mut engine = CommEngine::new(solo_comm(), 0.05);
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
+        post_tagged(&mut engine, 0, 2).wait().expect("lands");
+        assert_eq!(rec.count("comm.post"), 1);
+        assert_eq!(rec.total_bytes("comm.inflight"), 8);
+        let spans = rec.records();
+        let tid = |label: &str| spans.iter().find(|s| s.label == label).expect(label).tid;
+        assert_ne!(
+            tid("comm.inflight"),
+            tid("comm.post"),
+            "the link is a track of its own"
+        );
+        assert!(rec.chrome_trace_json().contains("fpdt-comm-r0"));
+    }
+
+    /// Posts `n` ops of `bytes` each (f32 tensors) on a two-rank group
+    /// at `gbps`; rank 1 first posts `busy` bytes of its own. Returns,
+    /// per rank, the instant of the first post and the end of each wait.
+    fn timed_posts(gbps: f64, n: usize, bytes: usize, busy: usize) -> Vec<(Instant, Vec<Instant>)> {
+        run_group(2, |comm| {
+            let rank = comm.rank();
+            let mut engine = CommEngine::new(Arc::new(comm), gbps);
+            // Two long rows: the pack is two slice copies per peer, so the
+            // posts cost next to nothing even in a debug build.
+            let t = Tensor::zeros(&[2, 2, bytes / 16]);
+            let layout = AllToAllLayout::scatter_heads(t.shape(), 2).expect("layout");
+            let t0 = Instant::now();
+            if rank == 1 && busy > 0 {
+                // A transfer of rank 1's own, outside any all-to-all: it
+                // occupies rank 1's link only.
+                engine.link.charge(busy as u64, None);
+            }
+            let handles: Vec<Pending> = (0..n)
+                .map(|_| engine.post(&[(layout, &t)], false).expect("post"))
+                .collect();
+            let ends = handles
+                .into_iter()
+                .map(|h| {
+                    h.wait().expect("lands");
+                    Instant::now()
+                })
+                .collect();
+            (t0, ends)
+        })
+    }
+
+    #[test]
+    fn three_posts_hold_the_link_back_to_back() {
+        // FIFO advance: the third op lands no earlier than three ops' wire
+        // time after the first post, on both ranks.
+        let (gbps, bytes) = (0.05, 256 * 1024);
+        let wire = Duration::from_secs_f64(bytes as f64 / (gbps * 1e9));
+        for (t0, ends) in timed_posts(gbps, 3, bytes, 0) {
+            assert!(
+                ends[2] - t0 >= 3 * wire,
+                "{:?} < {:?}",
+                ends[2] - t0,
+                3 * wire
+            );
+        }
+    }
+
+    #[test]
+    fn a_wait_ends_no_earlier_than_the_peers_stamp() {
+        // Rank 1's link is busy for 20 ms before its post: its message
+        // carries a stamp 20 ms + wire later, and rank 0 — whose own link
+        // is idle — must not resolve the op before it.
+        let (gbps, bytes) = (0.05, 8 * 1024);
+        let busy = (gbps * 1e9 * 0.020) as usize;
+        let late = Duration::from_secs_f64((busy + bytes) as f64 / (gbps * 1e9));
+        let runs = timed_posts(gbps, 1, bytes, busy);
+        let (peer_t0, end) = (runs[1].0, runs[0].1[0]);
+        assert!(end >= peer_t0 + late, "{:?} < {late:?}", end - peer_t0);
     }
 }

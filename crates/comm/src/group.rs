@@ -42,6 +42,9 @@ impl Payload {
 pub(crate) struct Message {
     pub op: &'static str,
     pub data: Payload,
+    /// When the sender's simulated link lands it (`None` over a free link
+    /// and outside a [`CommEngine`](crate::CommEngine)).
+    pub ready_at: Option<Instant>,
 }
 
 /// Factory for a fixed-size communicator group.
@@ -145,27 +148,22 @@ impl Communicator {
     /// Returns [`CommError::RankOutOfRange`] or
     /// [`CommError::PeerDisconnected`].
     pub fn send(&self, op: &'static str, peer: usize, data: Vec<f32>) -> Result<()> {
-        self.send_payload(op, peer, Payload::F32(data))
+        self.send_payload(op, peer, Payload::F32(data), None)
     }
 
-    /// Sends `data` to `peer` rounded to bf16 on the wire (half the bytes;
-    /// the receiver widens transparently). One RNE rounding per element —
-    /// the `FPDT_BF16` payload path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Communicator::send`].
-    pub fn send_bf16(&self, op: &'static str, peer: usize, data: &[f32]) -> Result<()> {
-        self.send_payload(op, peer, Payload::Bf16(fpdt_tensor::bf16::encode_slice(data)))
-    }
-
-    fn send_payload(&self, op: &'static str, peer: usize, data: Payload) -> Result<()> {
+    pub(crate) fn send_payload(
+        &self,
+        op: &'static str,
+        peer: usize,
+        data: Payload,
+        ready_at: Option<Instant>,
+    ) -> Result<()> {
         let tx = self.senders.get(peer).ok_or(CommError::RankOutOfRange {
             rank: peer,
             world: self.world,
         })?;
         self.stats.tally(op, Direction::Sent, data.wire_bytes());
-        tx.send(Message { op, data })
+        tx.send(Message { op, data, ready_at })
             .map_err(|_| CommError::PeerDisconnected { peer })
     }
 
@@ -177,6 +175,11 @@ impl Communicator {
     /// [`CommError::PeerDisconnected`], or [`CommError::Desync`] when the
     /// peer sent a different collective's payload.
     pub fn recv(&self, op: &'static str, peer: usize) -> Result<Vec<f32>> {
+        self.recv_stamped(op, peer).map(|(data, _)| data)
+    }
+
+    /// [`Communicator::recv`] that also returns the message's link stamp.
+    pub(crate) fn recv_stamped(&self, op: &'static str, peer: usize) -> Result<(Vec<f32>, Option<Instant>)> {
         let rx = self.receivers.get(peer).ok_or(CommError::RankOutOfRange {
             rank: peer,
             world: self.world,
@@ -193,7 +196,7 @@ impl Communicator {
                 remote_op: msg.op.to_string(),
             });
         }
-        Ok(msg.data.into_f32())
+        Ok((msg.data.into_f32(), msg.ready_at))
     }
 
     /// Blocks until every rank in the group has reached the barrier.

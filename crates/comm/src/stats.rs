@@ -11,8 +11,8 @@
 //! [`StatsCell::tally`] entry point inside `send`/`recv`, so two runs that
 //! move the same traffic in the same program order produce equal
 //! [`CommStats`] — regardless of thread scheduling, and regardless of
-//! whether collectives executed inline or on the asynchronous
-//! [`CommEngine`](crate::CommEngine) stream. Wall-clock receive blocking
+//! when the handles of the split-phase
+//! [`CommEngine`](crate::CommEngine) stream are waited. Wall-clock receive blocking
 //! time is kept out of the comparable counters (see
 //! [`CommStats::recv_wait`]).
 
@@ -124,8 +124,7 @@ pub(crate) enum Direction {
 
 /// Interior-mutable accumulator owned by each `Communicator`. Collectives
 /// take `&self`, so the counters sit behind a mutex; contention is nil
-/// (at most the rank thread plus its comm-stream worker, which never
-/// overlap on the same op by FIFO construction).
+/// (only the rank thread touches its communicator).
 #[derive(Debug, Default)]
 pub(crate) struct StatsCell {
     // first-use order kept separately so snapshots are deterministic

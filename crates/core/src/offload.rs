@@ -1,45 +1,29 @@
 //! The host-memory pool: where FPDT parks idle sequence chunks — plus the
-//! asynchronous copy streams that hide its traffic behind compute.
+//! copy streams that hide its traffic behind compute.
 //!
 //! In the paper this is pinned CPU DRAM reached over PCIe; in the real
 //! runtime it is a keyed store owned by each simulated GPU's thread. The
 //! pool tracks bytes and transfer counts so tests can assert what crosses
 //! the link: the executor's backward takes every cached chunk exactly
-//! once (each KV chunk when its column opens, each query row's
-//! `[O, Q, Lse]` when the row opens) and puts nothing back. What stays on
-//! "HBM" instead is the open rows' working set: an open query row keeps
-//! its Q, dO, lse, row-dot and running dQ on the rank thread until its
-//! diagonal tile, and the column-major tile walk keeps up to `u - 1`
-//! rows open at once — `3C + 2L` bytes each for a gathered chunk of `C`
-//! bytes and its `L`-byte lse. So the pool only ever holds the five
-//! [`BufKind`]s the forward saves: Q, K, V, O and lse.
-//!
-//! ## Zero-copy residency, costed transfers
+//! once and puts nothing back (an open query row keeps its working set
+//! on the rank thread, DESIGN.md "Tile schedule"), so the pool only ever
+//! holds the five [`BufKind`]s the forward saves: Q, K, V, O and lse.
 //!
 //! Chunks are stored as [`Arc<Tensor>`], so [`HostPool::fetch_keep`] hands
 //! back the *same* buffer the pool holds — no data copy, ever. What a real
 //! system pays for is the PCIe transfer, which [`OffloadEngine`] models as
-//! a bandwidth-bound read pass over the chunk ("the copy") plus, over a
-//! priced simulated link, the link held for the chunk's wire bytes. Over
-//! a priced link that transfer runs on the engine's own copy-stream
-//! workers ([`fpdt_comm::Stream`], one FIFO per PCIe direction, like a
-//! pair of CUDA copy streams), so it overlaps whatever the rank computes
-//! next — at any kernel thread budget: the workers are not borrowed from
-//! the kernel pool. Over a free link the read pass is all there is, and
-//! the executor runs it inline, where it costs less than waking a worker.
-//!
-//! ## Determinism
-//!
-//! All pool *bookkeeping* (map inserts/removals, counters) happens
-//! synchronously on the owning rank's thread at issue time, in program
-//! order — only the costed read pass moves off-thread. Since the data is
-//! `Arc`-shared, a prefetched chunk is bit-identical to the pooled one
-//! regardless of when the copy runs, so copy timing (and any
-//! `FPDT_THREADS`) cannot change results *by construction*.
+//! a bandwidth-bound read pass over the chunk on the rank thread plus,
+//! over a priced simulated link, the link held for the chunk's wire bytes.
+//! Each PCIe direction is a FIFO clock ([`Link`], one CUDA copy stream
+//! each), not a thread: a transfer is stamped when it lands, and only a
+//! consumer that needs it sooner waits. All bookkeeping happens on the
+//! rank thread at issue time, in program order, and the data is
+//! `Arc`-shared, so link timing (and any `FPDT_THREADS`) cannot change a
+//! result or a counter *by construction*.
 
-use fpdt_comm::{Pending, Stream};
 use fpdt_tensor::bf16::Bf16Tensor;
 use fpdt_tensor::Tensor;
+use fpdt_trace::wire::{sleep_until, Link};
 use fpdt_trace::Recorder;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -175,28 +159,6 @@ impl HostChunk {
     }
 }
 
-/// The simulated PCIe transfer of a run of chunks — one DMA: a read pass
-/// over each, then (over a priced link of `gbps` GB/s) the link held
-/// *once* for the run's wire bytes, so a bf16 chunk streams half the
-/// bytes — and takes half the wall-clock — of its f32 twin, and a batch
-/// pays the OS timer's wake-up slack once instead of per chunk. Every
-/// transfer still records its own `label` span: its byte share of the
-/// run's wall time.
-fn transfer(rec: Option<&Recorder>, label: &'static str, run: &[HostChunk], gbps: f64) {
-    let started = rec.map(|r| (r, r.now_us(), Instant::now()));
-    run.iter().for_each(HostChunk::read_pass);
-    let total: u64 = run.iter().map(HostChunk::wire_bytes).sum();
-    fpdt_trace::wire::simulate_at(total, gbps);
-    if let Some((rec, mut at_us, t0)) = started {
-        let us_per_byte = t0.elapsed().as_secs_f64() * 1e6 / total.max(1) as f64;
-        for chunk in run {
-            let dur_us = us_per_byte * chunk.wire_bytes() as f64;
-            rec.record(label, at_us, dur_us, Some(chunk.wire_bytes()));
-            at_us += dur_us;
-        }
-    }
-}
-
 /// A per-rank host-memory pool. Chunks are `Arc`-shared: fetching hands
 /// back the pooled buffer itself, never a copy.
 ///
@@ -238,11 +200,6 @@ impl HostPool {
         self.payload_bf16 = on;
     }
 
-    /// Whether KV offloads are currently stored as bf16.
-    pub fn payload_bf16(&self) -> bool {
-        self.payload_bf16
-    }
-
     /// Moves a tensor to host memory (device-to-host copy).
     ///
     /// # Panics
@@ -280,18 +237,7 @@ impl HostPool {
     /// Moves a tensor back to the device (host-to-device copy), removing
     /// it from the pool. Returns `None` when the key is not resident.
     pub fn fetch(&mut self, key: &ChunkKey) -> Option<Arc<Tensor>> {
-        self.fetch_chunk(key).map(|c| c.widen())
-    }
-
-    /// [`HostPool::fetch`] returning the stored wire representation
-    /// (counters update identically; widen with [`HostChunk::widen`]).
-    pub fn fetch_chunk(&mut self, key: &ChunkKey) -> Option<HostChunk> {
-        let c = self.store.remove(key)?;
-        let b = c.wire_bytes();
-        self.stats.fetches += 1;
-        self.stats.bytes -= b;
-        self.stats.bytes_fetched += b;
-        Some(c)
+        self.fetch_chunk(key, true).map(|c| c.widen())
     }
 
     /// Reads a chunk without evicting it (a fetch that keeps the host
@@ -299,14 +245,18 @@ impl HostPool {
     /// chunks). For f32 chunks this hands back the pooled `Arc` itself:
     /// no data is copied. bf16 chunks widen to a fresh f32 buffer.
     pub fn fetch_keep(&mut self, key: &ChunkKey) -> Option<Arc<Tensor>> {
-        self.fetch_keep_chunk(key).map(|c| c.widen())
+        self.fetch_chunk(key, false).map(|c| c.widen())
     }
 
-    /// [`HostPool::fetch_keep`] returning the stored wire representation.
-    pub fn fetch_keep_chunk(&mut self, key: &ChunkKey) -> Option<HostChunk> {
-        let c = self.store.get(key)?.clone();
+    /// [`HostPool::fetch`] (`consume`) or [`HostPool::fetch_keep`]
+    /// returning the stored wire representation (counters update
+    /// identically; widen with [`HostChunk::widen`]).
+    pub fn fetch_chunk(&mut self, key: &ChunkKey, consume: bool) -> Option<HostChunk> {
+        let c = if consume { self.store.remove(key)? } else { self.store.get(key)?.clone() };
+        let b = c.wire_bytes();
         self.stats.fetches += 1;
-        self.stats.bytes_fetched += c.wire_bytes();
+        self.stats.bytes -= if consume { b } else { 0 };
+        self.stats.bytes_fetched += b;
         Some(c)
     }
 
@@ -361,88 +311,76 @@ impl Drop for InFlight {
 
 /// An in-flight host-to-device copy issued by [`OffloadEngine::prefetch`]
 /// (one chunk) or [`OffloadEngine::prefetch_batch`] (`D` = a `Vec` of
-/// chunks that travelled as one stream job).
+/// chunks that travelled as one transfer).
 ///
 /// The *data* is already available (it is the pool's shared buffer);
-/// [`FetchHandle::wait`] blocks until the modeled transfer has finished
-/// streaming, recording blocked time — and only blocked time — as an
-/// `offload.wait` span. Dropping the handle does not wait: the stream is
-/// FIFO, so later transfers stay ordered behind this one regardless.
+/// [`FetchHandle::wait`] sleeps until the transfer's link stamp, recording
+/// that time — and only that — as an `offload.wait` span. Dropping the
+/// handle does not wait: the link is FIFO, so later transfers stay ordered
+/// behind this one regardless.
 #[derive(Debug)]
 pub struct FetchHandle<D = Arc<Tensor>> {
     data: D,
-    done: Pending<()>,
+    /// When the transfer lands (`None` over a free link).
+    ready_at: Option<Instant>,
+    wait_span: Option<(Recorder, u64)>,
     _inflight: InFlight,
 }
 
 impl<D> FetchHandle<D> {
-    /// Blocks until the transfer has finished streaming in, then returns
-    /// the shared buffer(s).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic of the transfer job.
+    /// Sleeps until the transfer has landed, then returns the shared
+    /// buffer(s).
     pub fn wait(self) -> D {
-        self.done.wait();
+        if let Some(ready_at) = self.ready_at {
+            let start_us = self.wait_span.as_ref().map(|(r, _)| r.now_us());
+            if let (true, Some((r, bytes)), Some(start_us)) = (sleep_until(ready_at), &self.wait_span, start_us) {
+                r.record("offload.wait", start_us, r.now_us() - start_us, Some(*bytes));
+            }
+        }
         self.data
     }
 }
 
-/// A [`HostPool`] fronted by asynchronous copy streams.
+/// A [`HostPool`] fronted by two simulated copy streams.
 ///
-/// Bookkeeping (residency, counters) stays synchronous on the owning
-/// rank's thread, at issue time. The costed transfer pass runs on two
-/// dedicated [`Stream`] workers, one FIFO per PCIe direction (the link is
-/// full duplex, and so is the paper's layout): device-to-host puts on
-/// `fpdt-d2h-r{rank}`, host-to-device fetches on `fpdt-h2d-r{rank}`. A
-/// fetch of a chunk whose put is still queued waits for that put on the
-/// worker, never on the rank. An engine built without workers runs every
-/// transfer inline at its issue point; the executor builds one when the
-/// link is free (nothing for a worker to hide) or it does not offload at
-/// all.
+/// Bookkeeping (residency, counters) and the read pass over each chunk run
+/// on the owning rank's thread at issue time. The wire time is a clock per
+/// PCIe direction (the link is full duplex, and so is the paper's layout):
+/// device-to-host puts on one, host-to-device fetches on the other, their
+/// busy intervals recorded on the `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`
+/// trace tracks. A fetch of a chunk whose put has not landed yet starts
+/// no earlier than the put's stamp.
 pub struct OffloadEngine {
     pool: HostPool,
-    d2h: Stream,
-    h2d: Stream,
-    /// Simulated link bandwidth every transfer is charged at, GB/s (0 =
-    /// free).
-    gbps: f64,
-    /// Completion of every put a later fetch may have to wait for.
-    queued_puts: HashMap<ChunkKey, Pending<()>>,
+    d2h: Link,
+    h2d: Link,
+    /// The trace tracks of the two directions.
+    tracks: [String; 2],
+    /// When each pooled chunk's put lands, until its first fetch (later
+    /// fetches queue behind that one on the FIFO).
+    landing: HashMap<ChunkKey, Instant>,
     inflight: Arc<Mutex<HashSet<ChunkKey>>>,
     recorder: Option<Recorder>,
 }
 
 impl OffloadEngine {
     /// An engine over an empty pool, charging the `FPDT_SIM_GBPS` link
-    /// (`fpdt_trace::wire::link_gbps`); `streams` spawns the copy workers
-    /// (named `fpdt-d2h` / `fpdt-h2d`). Without them transfers run inline.
-    pub fn new(streams: bool) -> Self {
-        Self::build(streams, "", fpdt_trace::wire::link_gbps())
+    /// (`fpdt_trace::wire::link_gbps`) when `link` is set, else a free one.
+    pub fn new(link: bool) -> Self {
+        let gbps = if link { fpdt_trace::wire::link_gbps() } else { 0.0 };
+        Self::for_rank(0, gbps)
     }
 
-    /// [`OffloadEngine::new`] for one rank of a group, over a link of
-    /// `gbps` GB/s: the workers are named `fpdt-d2h-r{rank}` /
-    /// `fpdt-h2d-r{rank}`, next to the comm stream's `fpdt-comm-r{rank}`
-    /// in a trace.
-    pub fn for_rank(streams: bool, rank: usize, gbps: f64) -> Self {
-        Self::build(streams, &format!("-r{rank}"), gbps)
-    }
-
-    fn build(streams: bool, suffix: &str, gbps: f64) -> Self {
-        let stream = |dir: &str| {
-            if streams {
-                Stream::spawn(format!("fpdt-{dir}{suffix}"))
-            } else {
-                Stream::inline()
-            }
-        };
+    /// An engine for one rank of a group, over a link of `gbps` GB/s: its
+    /// tracks are `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`, next to the comm
+    /// stream's `fpdt-comm-r{rank}` in a trace.
+    pub fn for_rank(rank: usize, gbps: f64) -> Self {
         OffloadEngine {
             pool: HostPool::new(),
-            d2h: stream("d2h"),
-            h2d: stream("h2d"),
-            gbps,
-            queued_puts: HashMap::new(),
+            d2h: Link::new(gbps),
+            h2d: Link::new(gbps),
+            tracks: [format!("fpdt-d2h-r{rank}"), format!("fpdt-h2d-r{rank}")],
+            landing: HashMap::new(),
             inflight: Arc::default(),
             recorder: None,
         }
@@ -455,21 +393,16 @@ impl OffloadEngine {
         self.pool.set_payload_bf16(on);
     }
 
-    /// Attaches a span recorder: every transfer records an `offload.put`
-    /// or `offload.prefetch` span (`offload.fetch` when it runs inline)
-    /// with actual byte counts on the thread that executes it, and
-    /// blocked waits record `offload.wait`.
+    /// Attaches a span recorder: each chunk's read pass records an
+    /// `offload.put` or `offload.fetch` span on the rank thread, each
+    /// priced transfer an `offload.put` or `offload.prefetch` interval on
+    /// its direction's track, and waits that sleep `offload.wait`.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = Some(recorder);
     }
 
-    /// Whether the copy streams have their workers.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.h2d.is_async()
-    }
-
     /// Transfer and residency counters (deterministic: bookkeeping happens
-    /// at issue time regardless of copy timing).
+    /// at issue time regardless of link timing).
     pub fn stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -484,26 +417,52 @@ impl OffloadEngine {
         self.pool.contains(key)
     }
 
-    /// Offloads a shared chunk (device-to-host). The residency update is
-    /// immediate; the costed copy pass goes on the D2H stream.
+    /// The simulated PCIe transfer of a run of chunks in direction `dir`
+    /// (0 = D2H, 1 = H2D), the chunk at `i` no earlier than `after[i]`:
+    /// a read pass over each chunk's stored representation, one `label`
+    /// span per chunk on this thread, then the link charged for each
+    /// chunk's wire bytes — a bf16 chunk streams half the bytes of its f32
+    /// twin. Returns when the last chunk lands.
+    fn transfer(&mut self, dir: usize, labels: [&str; 2], run: &[(HostChunk, Option<Instant>)]) -> Option<Instant> {
+        let rec = self.recorder.as_ref();
+        for (chunk, _) in run {
+            let start_us = rec.map(Recorder::now_us);
+            chunk.read_pass();
+            if let (Some(r), Some(start_us)) = (rec, start_us) {
+                r.record(labels[0], start_us, r.now_us() - start_us, Some(chunk.wire_bytes()));
+            }
+        }
+        let link = if dir == 0 { &mut self.d2h } else { &mut self.h2d };
+        let mut landed = None;
+        for (chunk, after) in run {
+            let Some((start, ready)) = link.charge(chunk.wire_bytes(), *after) else { break };
+            if let Some(r) = rec {
+                let dur_us = (ready - start).as_secs_f64() * 1e6;
+                r.record_on(&self.tracks[dir], labels[1], r.at_us(start), dur_us, Some(chunk.wire_bytes()));
+            }
+            landed = Some(ready);
+        }
+        landed
+    }
+
+    /// Offloads a shared chunk (device-to-host). The residency update and
+    /// the read pass are immediate; the wire time goes on the D2H clock.
     ///
     /// # Panics
     ///
     /// Same double-offload condition as [`HostPool::offload`].
     pub fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) {
         let chunk = self.pool.offload_shared(key, t);
-        let (rec, gbps) = (self.recorder.clone(), self.gbps);
-        let done = self.d2h.post(move || transfer(rec.as_ref(), "offload.put", &[chunk], gbps));
-        if self.d2h.is_async() {
-            self.queued_puts.insert(key, done);
+        if let Some(landed) = self.transfer(0, ["offload.put"; 2], &[(chunk, None)]) {
+            self.landing.insert(key, landed);
         }
     }
 
-    /// Issues an asynchronous host-to-device transfer and returns a
-    /// [`FetchHandle`] to wait on — the double-buffer primitive. Counters
-    /// update now (so statistics do not depend on copy timing);
-    /// the copy pass runs on the H2D stream, after the chunk's own put if
-    /// that is still queued. `None` when `key` is not resident.
+    /// Issues a host-to-device transfer and returns a [`FetchHandle`] to
+    /// wait on — the double-buffer primitive. Counters update now (so
+    /// statistics do not depend on link timing); the transfer goes on the
+    /// H2D clock, after the chunk's own put has landed. `None` when `key`
+    /// is not resident.
     ///
     /// # Panics
     ///
@@ -511,16 +470,15 @@ impl OffloadEngine {
     /// waited for — double-buffering the same chunk twice is a scheduler
     /// bug, mirroring the pool's double-offload panic.
     pub fn prefetch(&mut self, key: &ChunkKey, consume: bool) -> Option<FetchHandle> {
-        let FetchHandle { mut data, done, _inflight } = self.prefetch_batch(&[(*key, consume)])?;
+        let FetchHandle { mut data, ready_at, wait_span, _inflight } = self.prefetch_batch(&[(*key, consume)])?;
         let data = data.pop().expect("one chunk per request");
-        Some(FetchHandle { data, done, _inflight })
+        Some(FetchHandle { data, ready_at, wait_span, _inflight })
     }
 
     /// [`OffloadEngine::prefetch`] for several `(key, consume)` requests
-    /// that travel as **one** stream job: the rank pays one hand-off and
-    /// one wait for the lot, while counters and transfer spans stay per
-    /// chunk, in request order. `None` — and no side effect — when any
-    /// key is not resident.
+    /// that travel as **one** transfer: the rank pays one wait for the
+    /// lot, while counters and transfer spans stay per chunk, in request
+    /// order. `None` — and no side effect — when any key is not resident.
     ///
     /// # Panics
     ///
@@ -529,44 +487,21 @@ impl OffloadEngine {
         if !reqs.iter().all(|(key, _)| self.pool.contains(key)) {
             return None;
         }
-        // Each transfer with the completion of its chunk's put, if that is
-        // still queued: the worker waits for it right before the chunk's
-        // own pass, so the chunks ahead of it in the batch stream meanwhile.
-        let mut transfers = Vec::with_capacity(reqs.len());
+        let mut run = Vec::with_capacity(reqs.len());
         for (key, consume) in reqs {
             let fresh = self.inflight.lock().unwrap_or_else(|e| e.into_inner()).insert(*key);
             assert!(fresh, "chunk {key:?} prefetched twice without a wait");
-            let chunk = if *consume {
-                self.pool.fetch_chunk(key)
-            } else {
-                self.pool.fetch_keep_chunk(key)
-            };
-            // Later fetches of `key` queue behind this one on the FIFO, so
-            // its put only has to be awaited once.
-            let put = self.queued_puts.remove(key).filter(|put| !put.is_ready());
-            transfers.push((chunk.expect("residency checked above"), put));
+            let chunk = self.pool.fetch_chunk(key, *consume).expect("residency checked above");
+            run.push((chunk, self.landing.remove(key)));
         }
-        // Widen on the issuing rank's thread (deterministic program
-        // order); the stream only runs the costed pass over the wire repr.
-        let data = transfers.iter().map(|(chunk, _)| chunk.widen()).collect();
-        let bytes = transfers.iter().map(|(chunk, _)| chunk.wire_bytes()).sum();
-        let (rec, gbps) = (self.recorder.clone(), self.gbps);
-        let label = if self.h2d.is_async() { "offload.prefetch" } else { "offload.fetch" };
-        let done = self.h2d.post(move || {
-            let mut run = Vec::with_capacity(transfers.len());
-            for (chunk, put) in transfers {
-                if let Some(put) = put.filter(|put| !put.is_ready()) {
-                    transfer(rec.as_ref(), label, &run, gbps);
-                    run.clear();
-                    put.wait();
-                }
-                run.push(chunk);
-            }
-            transfer(rec.as_ref(), label, &run, gbps);
-        });
+        // Widen on the issuing rank's thread (deterministic program order).
+        let data = run.iter().map(|(chunk, _)| chunk.widen()).collect();
+        let bytes = run.iter().map(|(chunk, _)| chunk.wire_bytes()).sum();
+        let ready_at = self.transfer(1, ["offload.fetch", "offload.prefetch"], &run);
         Some(FetchHandle {
             data,
-            done: done.traced(self.recorder.as_ref(), "offload.wait", bytes),
+            ready_at,
+            wait_span: self.recorder.clone().map(|r| (r, bytes)),
             _inflight: InFlight {
                 keys: reqs.iter().map(|(key, _)| *key).collect(),
                 set: Arc::clone(&self.inflight),
@@ -577,15 +512,8 @@ impl OffloadEngine {
     /// Drops a resident chunk without a transfer. Returns whether it was
     /// present.
     pub fn discard(&mut self, key: &ChunkKey) -> bool {
-        self.queued_puts.remove(key);
+        self.landing.remove(key);
         self.pool.discard(key)
-    }
-
-    /// Blocks until every queued copy has completed (both streams idle).
-    pub fn drain(&mut self) {
-        self.queued_puts.clear();
-        self.d2h.post(|| ()).wait();
-        self.h2d.post(|| ()).wait();
     }
 }
 
@@ -600,7 +528,6 @@ mod tests {
         let key = ChunkKey::new(3, BufKind::V, 1);
         pool.offload(key, t.clone());
         assert!(pool.contains(&key));
-        assert_eq!(pool.len(), 1);
         let back = pool.fetch(&key).unwrap();
         assert_eq!(*back, t);
         assert!(pool.is_empty());
@@ -671,7 +598,6 @@ mod tests {
     fn bf16_mode_leaves_non_kv_chunks_zero_copy() {
         let mut pool = HostPool::new();
         pool.set_payload_bf16(true);
-        assert!(pool.payload_bf16());
         let key = ChunkKey::new(0, BufKind::O, 0);
         let t = Arc::new(Tensor::ones(&[8]));
         pool.offload_shared(key, Arc::clone(&t));
@@ -721,68 +647,67 @@ mod tests {
         assert!(Arc::ptr_eq(&h2.wait(), &t));
         assert!(eng.is_empty());
         assert_eq!(eng.stats().fetches, 2);
-        eng.drain();
     }
 
     #[test]
-    fn transfers_run_on_the_copy_workers_at_any_thread_budget() {
-        // The streams own their workers and never consult the kernel
-        // pool: a transfer leaves the caller's thread even at a budget of
-        // one (where a pool-borrowed stream ran everything inline), and
-        // put -> prefetch of one key stays ordered although the two
-        // directions ride different FIFOs.
+    fn priced_transfers_sit_on_their_direction_tracks_and_only_the_caller_waits() {
+        // The read pass runs on the caller's thread; the wire time is an
+        // interval on the direction's own track, one per chunk, and the
+        // caller records only the sleep of a wait.
         let rec = Recorder::new();
-        let one_thread = fpdt_tensor::KernelCtx {
-            threads: 1,
-            ..fpdt_tensor::KernelCtx::current()
-        };
-        one_thread.enter(|| {
-            let mut eng = OffloadEngine::new(true);
-            assert!(eng.prefetch_enabled());
-            eng.set_recorder(rec.clone());
-            rec.event("caller");
-            let key = ChunkKey::new(0, BufKind::V, 0);
-            for _ in 0..16 {
-                eng.put(key, Arc::new(Tensor::ones(&[4096])));
-                eng.prefetch(&key, true).expect("just put").wait();
-            }
-        });
-        let spans = rec.records();
-        let caller = spans.iter().find(|s| s.label == "caller").expect("marker").tid;
-        let on = |label: &str| -> Vec<&fpdt_trace::SpanRecord> {
-            spans.iter().filter(|s| s.label == label).collect()
-        };
-        let (puts, fetches) = (on("offload.put"), on("offload.prefetch"));
-        assert_eq!((puts.len(), fetches.len()), (16, 16));
-        assert!(puts.iter().chain(&fetches).all(|s| s.tid != caller), "off the caller's thread");
-        assert_ne!(puts[0].tid, fetches[0].tid, "one worker per direction");
-        for (put, fetch) in puts.iter().zip(&fetches) {
-            assert!(
-                fetch.start_us >= put.start_us + put.dur_us,
-                "a fetch waits for its chunk's queued put"
-            );
+        let mut eng = OffloadEngine::for_rank(3, 0.05);
+        eng.set_recorder(rec.clone());
+        rec.event("caller");
+        let key = ChunkKey::new(0, BufKind::V, 0);
+        for _ in 0..4 {
+            eng.put(key, Arc::new(Tensor::ones(&[4096])));
+            eng.prefetch(&key, true).expect("just put").wait();
         }
+        let spans = rec.records();
+        let tid = |label: &str| spans.iter().find(|s| s.label == label).expect(label).tid;
+        let caller = tid("caller");
+        let on = |label: &str, tid: u64| spans.iter().filter(|s| s.label == label && s.tid == tid).count();
+        let (d2h, h2d) = (tid("offload.prefetch") - 1, tid("offload.prefetch"));
+        assert_eq!((on("offload.put", caller), on("offload.fetch", caller)), (4, 4), "read passes");
+        assert_eq!((on("offload.put", d2h), on("offload.prefetch", h2d)), (4, 4), "wire intervals");
+        assert_eq!(on("offload.wait", caller), 4, "each fetch waited for its put and its own bytes");
+        let trace = rec.chrome_trace_json();
+        assert!(trace.contains("fpdt-d2h-r3") && trace.contains("fpdt-h2d-r3"));
     }
 
     #[test]
-    fn sync_engine_spawns_no_worker_and_runs_transfers_inline() {
+    fn a_fetch_right_after_its_put_lands_after_both_transfers() {
+        // The fetch is ordered by the put's stamp, then holds the H2D
+        // link for its own bytes: 64 KiB each way at 0.05 GB/s is ~1.3 ms
+        // per direction.
+        let bytes = 16 * 1024 * 4;
+        let wire = std::time::Duration::from_secs_f64(bytes as f64 / 0.05e9);
+        let mut eng = OffloadEngine::for_rank(0, 0.05);
+        let key = ChunkKey::new(0, BufKind::K, 0);
+        let t0 = Instant::now();
+        eng.put(key, Arc::new(Tensor::ones(&[16 * 1024])));
+        eng.prefetch(&key, true).expect("just put").wait();
+        assert!(t0.elapsed() >= 2 * wire, "{:?} < {:?}", t0.elapsed(), 2 * wire);
+    }
+
+    #[test]
+    fn free_link_transfers_are_read_passes_on_the_caller_and_never_waited() {
         let rec = Recorder::new();
         let mut eng = OffloadEngine::new(false);
-        assert!(!eng.prefetch_enabled());
         eng.set_recorder(rec.clone());
         let key = ChunkKey::new(0, BufKind::Q, 0);
         eng.put(key, Arc::new(Tensor::ones(&[8])));
         eng.prefetch(&key, true).expect("resident").wait();
         let tids: HashSet<u64> = rec.records().iter().map(|s| s.tid).collect();
         assert_eq!(tids.len(), 1, "every span on the calling thread");
-        assert_eq!(rec.count("offload.fetch"), 1);
-        assert_eq!(rec.count("offload.wait"), 0, "an inline transfer is never waited for");
+        assert_eq!((rec.count("offload.put"), rec.count("offload.fetch")), (1, 1));
+        assert_eq!(rec.count("offload.prefetch") + rec.count("offload.wait"), 0);
     }
 
     #[test]
     fn batch_is_one_wait_with_per_chunk_counters_and_spans() {
         let rec = Recorder::new();
-        let mut eng = OffloadEngine::new(true);
+        let mut eng = OffloadEngine::for_rank(0, 100.0);
         eng.set_recorder(rec.clone());
         let keys: Vec<ChunkKey> = (0..3).map(|i| ChunkKey::new(0, BufKind::K, i)).collect();
         for (i, key) in keys.iter().enumerate() {
@@ -824,8 +749,8 @@ mod tests {
     }
 
     /// Four KV puts then four consuming fetches; bf16 halves the bytes.
-    fn kv_round_trip(streams: bool, bf16: bool) -> PoolStats {
-        let mut eng = OffloadEngine::new(streams);
+    fn kv_round_trip(gbps: f64, bf16: bool) -> PoolStats {
+        let mut eng = OffloadEngine::for_rank(0, gbps);
         eng.set_payload_bf16(bf16);
         for i in 0..4usize {
             eng.put(ChunkKey::new(0, BufKind::K, i), Arc::new(Tensor::ones(&[16])));
@@ -834,21 +759,16 @@ mod tests {
             let key = ChunkKey::new(0, BufKind::K, i);
             eng.prefetch(&key, true).expect("resident").wait();
         }
-        eng.drain();
         eng.stats()
     }
 
     #[test]
-    fn sync_and_async_paths_keep_identical_stats() {
-        assert_eq!(kv_round_trip(false, false), kv_round_trip(true, false));
-    }
-
-    #[test]
-    fn bf16_engine_sync_async_stats_match() {
-        // bf16 transfers keep the sync/async stats-parity guarantee, and
-        // the engine's modeled pass streams the stored (half-size) repr.
-        let stats = kv_round_trip(false, true);
-        assert_eq!(stats, kv_round_trip(true, true));
+    fn free_and_priced_links_keep_identical_stats() {
+        for bf16 in [false, true] {
+            assert_eq!(kv_round_trip(0.0, bf16), kv_round_trip(100.0, bf16));
+        }
+        // bf16 transfers stream the stored (half-size) representation.
+        let stats = kv_round_trip(0.0, true);
         assert_eq!(stats.bytes_offloaded, 4 * 16 * 2, "bf16 wire bytes");
         assert_eq!(stats.bytes_fetched, 4 * 16 * 2);
     }
@@ -862,6 +782,5 @@ mod tests {
         // in-flight mark cleared -> a fresh prefetch of the same key is legal
         let h = eng.prefetch(&key, true).expect("resident");
         assert_eq!(h.wait().numel(), 32);
-        eng.drain();
     }
 }

@@ -14,7 +14,8 @@
 //! [`Trainer`] keeps one long-lived **rank session** per rank, the
 //! paper's one worker per GPU with its own compute, H2D and D2H streams
 //! (§4, Figure 7). A session is a thread that owns its communicator, its
-//! executor with the comm and copy streams, its replica, its optimizer
+//! executor with the comm and copy streams (clocks on the rank thread,
+//! not threads of their own), its replica, its optimizer
 //! shard, its data stream and its kernel context ([`KernelCtx`]); the
 //! Trainer drives it over a command channel (run `n` steps, export the
 //! state) and closing the channel ends it. Sessions spawn on the first
@@ -170,9 +171,8 @@ pub struct TrainConfig {
     /// Runtime knobs (bf16 payloads, kernel threads, comm retry budget,
     /// fault injection, simulated link bandwidth), defaulting from the
     /// `FPDT_*` environment via [`RuntimeOptions::from_env`]. Host
-    /// offload is [`Mode::Fpdt`]'s own flag, and the comm and copy
-    /// streams run on workers exactly when the link is priced. Every
-    /// setting but `payload_bf16` is bitwise-invisible.
+    /// offload is [`Mode::Fpdt`]'s own flag. Every setting but
+    /// `payload_bf16` is bitwise-invisible.
     pub runtime: RuntimeOptions,
 }
 
@@ -1328,8 +1328,8 @@ impl Trainer {
 }
 
 impl Drop for Trainer {
-    /// Shuts the rank sessions down and joins their threads — and, as each
-    /// session drops its engines, every stream worker with them.
+    /// Shuts the rank sessions down and joins their threads, the only
+    /// threads a Trainer owns.
     fn drop(&mut self) {
         if let State::Live(live) = std::mem::replace(&mut self.state, State::Lost) {
             shut_down(live.sessions);
@@ -1478,17 +1478,16 @@ mod tests {
     }
 
     #[test]
-    fn stream_work_runs_off_the_rank_threads_and_only_ranks_wait() {
-        // Overlap as placement, not timing. Over a priced link every
-        // transfer and every all-to-all's wire time is recorded on a
-        // stream worker, never on a thread that runs blocks, and only
-        // rank threads block on them; a budget of one kernel thread is
-        // where a pool-borrowed stream used to run every transfer inline.
-        // Over a free link there is no wire time to hide: every job runs
-        // on its rank thread and nothing is ever waited for. (100 GB/s
-        // prices the link while the fixture's transfers stay below the
-        // sleep resolution.)
-        for sim_gbps in [100.0, 0.0] {
+    fn link_time_sits_on_virtual_tracks_and_only_ranks_wait() {
+        // Overlap as placement, not timing. A Trainer is its rank threads
+        // at every link: over a priced link every all-to-all's and every
+        // transfer's wire time is an interval on its link's named track
+        // (`fpdt-comm-r0`, `fpdt-h2d-r0`, ...), never on a thread that
+        // runs blocks, and only rank threads wait; the read pass of a
+        // transfer runs on its rank. Over a free link there is no wire
+        // time: no link interval and no sleeping wait. (0.05 GB/s charges
+        // the fixture's transfers tens of microseconds each.)
+        for sim_gbps in [0.05, 0.0] {
             for threads in [1usize, 2] {
                 for payload_bf16 in [false, true] {
                     let what = format!("{sim_gbps} GB/s, budget {threads}, bf16 {payload_bf16}");
@@ -1513,33 +1512,29 @@ mod tests {
                         .map(|s| s.tid)
                         .collect();
                     assert_eq!(ranks.len(), cfg.world, "one thread per rank ({what})");
-                    let fetch = if sim_gbps > 0.0 { "offload.prefetch" } else { "offload.fetch" };
-                    for label in ["offload.put", fetch, "comm.inflight"] {
-                        assert!(
-                            spans.iter().any(|s| s.label == label),
-                            "no {label} spans ({what})"
-                        );
+                    let on_ranks = |label: &str| spans.iter().filter(|s| s.label == label).all(|s| ranks.contains(&s.tid));
+                    for label in ["offload.put", "offload.fetch", "comm.post"] {
+                        assert!(spans.iter().any(|s| s.label == label), "no {label} spans ({what})");
                     }
-                    let waits = |s: &&fpdt_trace::SpanRecord| s.label.ends_with(".wait");
-                    let stream_work = |s: &&fpdt_trace::SpanRecord| {
-                        (s.label.starts_with("offload.") || s.label == "comm.inflight") && !waits(s)
-                    };
+                    for label in ["offload.fetch", "comm.post", "comm.wait", "offload.wait"] {
+                        assert!(on_ranks(label), "{label} off the ranks ({what})");
+                    }
+                    let links: std::collections::HashSet<u64> = spans
+                        .iter()
+                        .filter(|s| ["comm.inflight", "offload.prefetch"].contains(&s.label.as_str()))
+                        .map(|s| s.tid)
+                        .collect();
                     if sim_gbps > 0.0 {
-                        for s in spans.iter().filter(stream_work) {
-                            let label = &s.label;
-                            assert!(!ranks.contains(&s.tid), "{label} on a rank thread ({what})");
-                        }
-                        // a wait that never blocked records nothing, so
-                        // there is no count to require, only where each
-                        // recorded one is
-                        for s in spans.iter().filter(waits) {
-                            assert!(ranks.contains(&s.tid), "{} off the ranks ({what})", s.label);
+                        assert!(links.is_disjoint(&ranks), "link time on a rank thread ({what})");
+                        // comm and h2d tracks of both ranks
+                        assert_eq!(links.len(), 2 * cfg.world, "{what}");
+                        let trace = rec.chrome_trace_json();
+                        for track in ["fpdt-comm-r1", "fpdt-d2h-r0", "fpdt-h2d-r1"] {
+                            assert!(trace.contains(track), "no {track} track ({what})");
                         }
                     } else {
-                        for s in spans.iter().filter(stream_work) {
-                            assert!(ranks.contains(&s.tid), "{} off the ranks ({what})", s.label);
-                        }
-                        assert_eq!(spans.iter().filter(waits).count(), 0, "a wait ({what})");
+                        assert!(links.is_empty(), "a free link recorded wire time ({what})");
+                        assert_eq!(rec.count("offload.wait"), 0, "a free transfer waited ({what})");
                     }
                 }
             }

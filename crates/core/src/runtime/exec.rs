@@ -141,14 +141,14 @@ impl AttentionExec for LocalAttention {
     }
 }
 
-/// A posted all-to-all whose payload has not been needed yet. Posted ops
-/// carry the comm layer's typed error so transient faults stay
-/// distinguishable (and replayable) until the handle resolves.
-type PendingTensor = Pending<fpdt_comm::Result<Tensor>>;
-type PendingQkv = Pending<fpdt_comm::Result<(Tensor, Tensor, Tensor)>>;
+/// The `N` tensors of a posted all-to-all, once its receive half has run.
+fn landed<const N: usize>(posted: Pending) -> ExecResult<[Tensor; N]> {
+    let tensors = posted.wait()?;
+    <[Tensor; N]>::try_from(tensors).map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
+}
 
 /// Cached chunks on their way to compute: in flight on the copy stream
-/// (one job for the lot) or, with offload off, already device-resident.
+/// (one transfer for the lot) or, with offload off, already device-resident.
 enum Staged {
     Host(FetchHandle<Vec<Arc<Tensor>>>),
     Device(Vec<Arc<Tensor>>),
@@ -166,16 +166,16 @@ impl Staged {
 }
 
 /// Distributed chunked attention: Ulysses all-to-all per chunk posted on
-/// an asynchronous communication stream, streaming online attention, host
-/// offload behind an asynchronous double-buffered copy stream, tiled
-/// backward.
+/// a split-phase communication stream, streaming online attention, host
+/// offload behind a double-buffered copy stream, tiled backward.
 ///
 /// The comm schedule runs ahead of compute like the offload schedule:
 /// every chunk's all-to-all is posted (one fused QKV op per chunk) before
 /// the first online-softmax update runs, and output/gradient chunks
 /// travel home as [`Pending`] handles resolved only when the caller
-/// concatenates. The streams decide only *when* an op runs, never its
-/// order, so every statistic is what the rank's program order says.
+/// concatenates. The streams' clocks decide only how long a wait sleeps,
+/// never an op's order, so every statistic is what the rank's program
+/// order says.
 ///
 /// The causal tile triangle is cut so every pipeline slot carries
 /// near-equal work: the forward posts all fused QKV ops up-front and
@@ -210,21 +210,16 @@ impl DistAttention {
 
     /// Creates the executor for one rank with explicit options — the one
     /// options surface is [`RuntimeOptions`]. Both engines charge the
-    /// link at `opts.sim_gbps`. Their streams get worker threads only
-    /// when that link is priced (a free transfer has no time for a
-    /// worker to hide), and the copy streams only when `offload` is on
-    /// too (with it off nothing ever crosses the host link); otherwise
-    /// every job runs inline at its post, in the same order.
+    /// link at `opts.sim_gbps`.
     pub fn with_opts(
         comm: Arc<Communicator>,
         plan: ChunkPlan,
         offload: bool,
         opts: RuntimeOptions,
     ) -> Self {
-        let workers = opts.sim_gbps > 0.0;
-        let mut host = OffloadEngine::for_rank(offload && workers, comm.rank(), opts.sim_gbps);
+        let mut host = OffloadEngine::for_rank(comm.rank(), opts.sim_gbps);
         host.set_payload_bf16(opts.payload_bf16);
-        let mut engine = CommEngine::new(Arc::clone(&comm), workers, opts.sim_gbps);
+        let mut engine = CommEngine::new(Arc::clone(&comm), opts.sim_gbps);
         engine.set_retries(opts.comm_retries);
         DistAttention {
             engine,
@@ -241,8 +236,8 @@ impl DistAttention {
     }
 
     /// Attaches a span recorder: every all-to-all post, attention-chunk
-    /// computation, host offload copy, and comm-stream occupancy interval
-    /// records a wall-clock span.
+    /// computation, host offload copy, and link occupancy interval records
+    /// a wall-clock span.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.host.set_recorder(recorder.clone());
@@ -280,7 +275,7 @@ impl DistAttention {
         }
     }
 
-    /// Issues the fetch of several cached chunks as one copy-stream job
+    /// Issues the fetch of several cached chunks as one copy-stream transfer
     /// (`consume` evicts a chunk, otherwise it stays cached; every path is
     /// zero-copy — the `Arc` is shared). With offload off the chunks are
     /// device-resident and the result is ready at once.
@@ -311,7 +306,7 @@ impl DistAttention {
 
     /// Issues the take of query chunk `i`'s saved forward state
     /// `[O, Q, Lse]` — what opening row `i` of the backward consumes — as
-    /// one copy-stream job.
+    /// one copy-stream transfer.
     fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<Staged> {
         self.stage(&[
             (ChunkKey::new(layer, BufKind::O, i), true),
@@ -337,74 +332,28 @@ impl DistAttention {
         })
     }
 
+    /// Posts one op on the comm stream: the all-to-all of every tensor in
+    /// `tensors`, each through its forward (scatter-heads) or, with
+    /// `inverse`, its inverse layout, recorded as a `label` span.
+    fn post(&mut self, label: &str, tensors: &[&Tensor], inverse: bool) -> ExecResult<Pending> {
+        let mut items = Vec::with_capacity(tensors.len());
+        for t in tensors {
+            let layout = if inverse { self.inv_layout(t.shape())? } else { self.fwd_layout(t.shape())? };
+            items.push((layout, *t));
+        }
+        let _s = self.span(label, tensors.iter().map(|t| t.data().len()).sum());
+        Ok(self.engine.post(&items, self.payload_bf16)?)
+    }
+
     /// Posts one chunk's fused QKV forward all-to-all on the comm stream:
     /// exactly one posted op per chunk, three tensors through one wire
     /// slot, so the FIFO stays aligned with the chunk loop. Q and KV may
     /// use different layouts (grouped-query attention narrows KV).
-    fn post_qkv(
-        &mut self,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        start: usize,
-        len: usize,
-    ) -> ExecResult<PendingQkv> {
+    fn post_qkv(&mut self, q: &Tensor, k: &Tensor, v: &Tensor, start: usize, len: usize) -> ExecResult<Pending> {
         let qc = q.narrow(0, start, len)?;
         let kc = k.narrow(0, start, len)?;
         let vc = v.narrow(0, start, len)?;
-        let lq = self.fwd_layout(qc.shape())?;
-        let lkv = self.fwd_layout(kc.shape())?;
-        let elems = qc.data().len() + kc.data().len() + vc.data().len();
-        let bytes = (elems * self.wire_elem_bytes()) as u64;
-        let bf16 = self.payload_bf16;
-        let _s = self.span("a2a.scatter_heads", elems);
-        Ok(self.engine.post_replayed(bytes, move |comm| {
-            let apply = |l: &AllToAllLayout, t: &Tensor| {
-                if bf16 {
-                    l.apply_bf16(comm, t)
-                } else {
-                    l.apply(comm, t)
-                }
-            };
-            let qh = apply(&lq, &qc)?;
-            let kh = apply(&lkv, &kc)?;
-            let vh = apply(&lkv, &vc)?;
-            Ok((qh, kh, vh))
-        }))
-    }
-
-    /// Posts one gathered-layout chunk's forward all-to-all (the backward
-    /// pass projecting a `dO` chunk).
-    fn post_fwd(&mut self, t: Tensor) -> ExecResult<PendingTensor> {
-        let layout = self.fwd_layout(t.shape())?;
-        let elems = t.data().len();
-        let bytes = (elems * self.wire_elem_bytes()) as u64;
-        let bf16 = self.payload_bf16;
-        let _s = self.span("a2a.scatter_heads", elems);
-        Ok(self.engine.post_replayed(bytes, move |comm| {
-            if bf16 {
-                layout.apply_bf16(comm, &t)
-            } else {
-                layout.apply(comm, &t)
-            }
-        }))
-    }
-
-    /// Posts the inverse all-to-all shipping an output or gradient chunk
-    /// back to the local layout.
-    fn post_inv(&mut self, t: Arc<Tensor>) -> ExecResult<PendingTensor> {
-        let layout = self.inv_layout(t.shape())?;
-        let elems = t.data().len();
-        let bytes = (elems * self.wire_elem_bytes()) as u64;
-        let bf16 = self.payload_bf16;
-        let _s = self.span("a2a.gather_heads", elems);
-        Ok(self.engine.post_replayed(bytes, move |comm| {
-            if bf16 {
-                layout.apply_bf16(comm, &t)
-            } else {
-                layout.apply(comm, &t)
-            }
-        }))
+        self.post("a2a.scatter_heads", &[&qc, &kc, &vc], false)
     }
 
     /// The backward tile interpreter: runs the causal tile triangle
@@ -457,10 +406,11 @@ impl DistAttention {
         // the start of slot `s`, one slot before `tile_slots` opens the
         // column — so a row's take never queues behind the entire
         // triangle's KV bytes on the FIFO stream.
-        let mut dout_pending: Vec<Option<PendingTensor>> = Vec::with_capacity(u);
+        let mut dout_pending: Vec<Option<Pending>> = Vec::with_capacity(u);
         for i in 0..u {
             let range = self.plan.local_chunk_range(i);
-            dout_pending.push(Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?));
+            let chunk = dout.narrow(0, range.start, c_loc)?;
+            dout_pending.push(Some(self.post("a2a.scatter_heads", &[&chunk], false)?));
         }
         let mut kv_pending: Vec<Option<Staged>> = (0..u).map(|_| None).collect();
         kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
@@ -488,9 +438,9 @@ impl DistAttention {
         }
         let mut rows: Vec<Option<Row>> = (0..u).map(|_| None).collect();
         let mut cols: Vec<Option<Col>> = (0..u).map(|_| None).collect();
-        let mut dq_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
-        let mut dk_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
-        let mut dv_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
+        let mut dq_handles: Vec<Option<Pending>> = (0..u).map(|_| None).collect();
+        let mut dk_handles: Vec<Option<Pending>> = (0..u).map(|_| None).collect();
+        let mut dv_handles: Vec<Option<Pending>> = (0..u).map(|_| None).collect();
 
         for (s, slot) in slots.iter().enumerate() {
             let _slot = self.span("slot.bwd", 0);
@@ -510,10 +460,7 @@ impl DistAttention {
                     if i + 1 < u {
                         row_pending[i + 1] = Some(self.fetch_row(layer, i + 1)?);
                     }
-                    let dout = dout_pending[i]
-                        .take()
-                        .ok_or("chunk i's dO was not posted")?
-                        .wait()?;
+                    let [dout] = landed(dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
                     let [o, q, lse] = staged.wait()?;
                     let dsum = {
                         let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
@@ -570,26 +517,29 @@ impl DistAttention {
                 if i == j {
                     // The diagonal is row i's last tile: dq_i is final.
                     let done = rows[i].take().ok_or("query row i was not opened")?;
-                    dq_handles[i] = Some(self.post_inv(Arc::new(done.dq))?);
+                    dq_handles[i] = Some(self.post("a2a.gather_heads", &[&done.dq], true)?);
                 }
                 if i + 1 == u {
                     // (u-1, j) is column j's last tile: dK_j/dV_j final.
                     let done = cols[j].take().ok_or("KV column j was not staged")?;
-                    dk_handles[j] = Some(self.post_inv(Arc::new(done.dk))?);
-                    dv_handles[j] = Some(self.post_inv(Arc::new(done.dv))?);
+                    dk_handles[j] = Some(self.post("a2a.gather_heads", &[&done.dk], true)?);
+                    dv_handles[j] = Some(self.post("a2a.gather_heads", &[&done.dv], true)?);
                 }
             }
         }
 
-        let cat = |handles: Vec<Option<PendingTensor>>| -> ExecResult<Tensor> {
+        let cat = |handles: Vec<Option<Pending>>| -> ExecResult<Tensor> {
             let mut parts = Vec::with_capacity(handles.len());
             for h in handles {
-                parts.push(h.ok_or("gradient chunk was never finalized")?.wait()?);
+                let [part] = landed(h.ok_or("gradient chunk was never finalized")?)?;
+                parts.push(part);
             }
             let refs: Vec<&Tensor> = parts.iter().collect();
             Ok(Tensor::concat(&refs, 0)?)
         };
-        Ok((cat(dq_handles)?, cat(dk_handles)?, cat(dv_handles)?))
+        let grads = (cat(dq_handles)?, cat(dk_handles)?, cat(dv_handles)?);
+        debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
+        Ok(grads)
     }
 }
 
@@ -634,12 +584,12 @@ impl AttentionExec for DistAttention {
         // fused QKV ops is ascending in i. Output chunks travel home the
         // same way: the inverse all-to-all is posted as soon as a chunk
         // finalizes and only resolved at the final concat.
-        let mut qkv_posted: Vec<PendingQkv> = Vec::with_capacity(u);
+        let mut qkv_posted: Vec<Pending> = Vec::with_capacity(u);
         for i in 0..u {
             let range = self.plan.local_chunk_range(i);
             qkv_posted.push(self.post_qkv(q, k, v, range.start, c_loc)?);
         }
-        let mut o_handles: Vec<PendingTensor> = Vec::with_capacity(u);
+        let mut o_handles: Vec<Pending> = Vec::with_capacity(u);
         // Cross-chunk KV carry: chunk i+1's first KV fetch is issued while
         // chunk i is still computing, so no slot opens on an exposed
         // transfer.
@@ -648,7 +598,7 @@ impl AttentionExec for DistAttention {
             let _slot = self.span("slot.fwd", 0);
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
-            let (qh, kh, vh) = cur.wait()?;
+            let [qh, kh, vh] = landed(cur)?;
             let gpos = self.plan.gathered_positions(i);
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
@@ -706,12 +656,14 @@ impl AttentionExec for DistAttention {
                 carry = Some(self.fetch_kv(layer, 0, false)?);
             }
             // Gather heads back: the output chunk returns to local layout.
-            o_handles.push(self.post_inv(oi)?);
+            o_handles.push(self.post("a2a.gather_heads", &[&oi], true)?);
         }
         let mut o_parts: Vec<Tensor> = Vec::with_capacity(u);
         for h in o_handles {
-            o_parts.push(h.wait()?);
+            let [part] = landed(h)?;
+            o_parts.push(part);
         }
+        debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
         let refs: Vec<&Tensor> = o_parts.iter().collect();
         Ok(Tensor::concat(&refs, 0)?)
     }
@@ -1036,27 +988,49 @@ mod tests {
         assert!(empty.iter().all(|&e| e));
     }
 
-    #[test]
-    fn copy_workers_exist_only_when_offloading() {
-        // `offload = false` (the Ulysses baseline) never moves a byte over
-        // the host link, and over a free link a transfer has no time for
-        // a worker to hide, so neither costs a rank any thread. The comm
-        // stream's worker follows the link alone.
-        let workers = run_group(1, |comm| {
+    /// Forward + backward of a 2-rank, 4-chunk offloaded executor with
+    /// `faults` transient all-to-all faults armed before the forward (the
+    /// first fused QKV post absorbs them) and before the backward (the
+    /// first dO post), then a rank-thread all-reduce. Returns, per rank,
+    /// the output and gradient bits, the retry count, and the all-reduce.
+    fn faulted_run(faults: usize) -> Vec<(Vec<u32>, u64, Vec<f32>)> {
+        let (s, h, d) = (16, 2, 4);
+        let (q, k, v) = rand_qkv(31, s, h, d);
+        let dout = Tensor::ones(&[s / 2, h, d]);
+        run_group(2, |comm| {
             let comm = Arc::new(comm);
-            [0.05, 0.0].map(|gbps| {
-                [true, false].map(|offload| {
-                    let plan = ChunkPlan::new(8, 1, 2).unwrap();
-                    let opts = RuntimeOptions::from_env().with_sim_gbps(gbps);
-                    let ex = DistAttention::with_opts(Arc::clone(&comm), plan, offload, opts);
-                    (ex.host.prefetch_enabled(), ex.engine.is_async())
-                })
-            })
-        });
-        assert_eq!(
-            workers,
-            [[[(true, true), (false, true)], [(false, false), (false, false)]]]
-        );
+            let plan = ChunkPlan::new(s, 2, 4).unwrap();
+            let pos = plan.local_positions(comm.rank());
+            let shard = |t: &Tensor| {
+                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
+                let refs: Vec<&Tensor> = parts.iter().collect();
+                Tensor::concat(&refs, 0).unwrap()
+            };
+            let opts = RuntimeOptions::from_env()
+                .with_payload_bf16(false)
+                .with_fault_inject(0)
+                .with_comm_retries(faults);
+            let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, true, opts);
+            comm.inject_fault("all_to_all", faults);
+            let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
+            comm.inject_fault("all_to_all", faults);
+            let (dq, dk, dv) = ex.backward(0, &dout).unwrap();
+            let bits = [o, dq, dk, dv].iter().flat_map(|t| t.data().iter().map(|x| x.to_bits())).collect();
+            // Every handle was waited (the executor debug-asserts it), so
+            // the rank thread's own collective reads its own payload.
+            let sum = comm.all_reduce(&[comm.rank() as f32 + 1.0]).unwrap();
+            (bits, comm.stats().retries, sum)
+        })
+    }
+
+    #[test]
+    fn post_faults_replay_to_identical_results_and_leave_no_stale_part() {
+        let (clean, faulty) = (faulted_run(0), faulted_run(2));
+        for (rank, ((want, _, _), (got, retries, sum))) in clean.into_iter().zip(faulty).enumerate() {
+            assert_eq!(got, want, "rank {rank}: bits");
+            assert_eq!(retries, 4, "rank {rank}: two replays each on the QKV and dO posts");
+            assert_eq!(sum, vec![3.0], "rank {rank}: a stale all-to-all part was read");
+        }
     }
 
     #[test]

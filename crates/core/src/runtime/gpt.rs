@@ -563,7 +563,7 @@ impl GptModel {
 
     /// Attaches a span recorder: each block's forward and backward record
     /// `block.fwd` / `block.bwd` compute spans, which mark the rank threads
-    /// of a trace (the stream workers record none), and the
+    /// of a trace (the links' virtual tracks record none), and the
     /// dense operations inside and around them record `dense.*`,
     /// `head.loss` and `embed`, one span per block-level operation.
     #[must_use]

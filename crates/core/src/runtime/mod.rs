@@ -15,7 +15,7 @@
 //! * [`options`] — [`RuntimeOptions`], the single builder behind every
 //!   runtime knob (bf16 payloads, kernel threads, comm retries, fault
 //!   injection, the simulated link). The comm and copy streams are not
-//!   knobs: they get worker threads exactly when the link is priced.
+//!   knobs: they are clocks on the rank thread at every link.
 //! * [`ckpt`] — sharded, versioned checkpoint state: the
 //!   [`StateDict`] container and the per-rank shard files that
 //!   [`Trainer::checkpoint`](dist::Trainer::checkpoint) writes and

@@ -7,15 +7,12 @@
 //! one builder with one documented [`RuntimeOptions::from_env`], so "what
 //! is this run actually configured to do?" has a single answer.
 //!
-//! There is no stream knob: where the executor runs its transfers
-//! follows the simulated link, `sim_gbps`. Over a priced link (positive
-//! bandwidth) the all-to-alls run on the comm stream's worker and, when
-//! offloading, the host-pool transfers on the two copy streams' workers,
-//! where their wire time hides behind attention (paper §4, Figure 7).
-//! Over a free link (`0`, the default) a transfer is an `Arc` move and a
-//! read pass with no time to hide, so the same streams run each job
-//! inline on the rank thread at its post, sparing a worker wake-up per
-//! job: same order, same values, same statistics. Whether to offload at
+//! There is no stream knob. The comm and copy streams are clocks on the
+//! rank thread, one code path at every link: over a priced link
+//! (positive `sim_gbps`) each all-to-all and host-pool transfer holds its
+//! link for its bytes and a wait sleeps only until it lands, so the wire
+//! time hides behind attention (paper §4, Figure 7); over a free link
+//! (`0`, the default) nothing is ever waited for. Whether to offload at
 //! all is part of the strategy ([`Mode::Fpdt`](super::Mode::Fpdt)), not
 //! an option.
 //!
@@ -112,12 +109,11 @@ pub struct RuntimeOptions {
     /// Bandwidth of the simulated off-device links, GB/s (`FPDT_SIM_GBPS`,
     /// default 0 = free): every all-to-all and host-pool transfer holds
     /// its link for `bytes / bandwidth` of wall-clock time
-    /// (`fpdt_trace::wire`). Positive, the streams get worker threads to
-    /// hide that time behind compute; zero, they run inline (module
-    /// docs). Only time changes, never a value or a statistic. Must be a
-    /// value `fpdt_trace::wire::check_gbps` accepts; the builder refuses
-    /// any other (set directly, a negative or NaN value charges nothing
-    /// and runs inline, like `0`).
+    /// (`fpdt_trace::wire`), and a wait sleeps only for what compute has
+    /// not hidden (module docs). Only time changes, never a value or a
+    /// statistic. Must be a value `fpdt_trace::wire::check_gbps` accepts;
+    /// `with_sim_gbps` refuses any other (set directly, a negative or NaN
+    /// value charges nothing, like `0`).
     pub sim_gbps: f64,
 }
 

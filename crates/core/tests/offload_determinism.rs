@@ -3,12 +3,12 @@
 //!
 //! The comm stream runs the per-chunk all-to-alls, and with offload on the
 //! two copy streams carry every host-pool transfer; with offload off
-//! chunks stay in the device map. Over a priced simulated link the
-//! streams run on worker threads, over a free one inline on the rank
-//! threads. Every path must compute the same thing: a 2-layer model on 2
-//! ranks produces bitwise identical losses, gradients and
-//! [`fpdt_comm::CommStats`] for offload on and off × stream placement
-//! (inline, workers) × kernel-pool threads {1, 2, 8} × chunks {2, 4}
+//! chunks stay in the device map. The streams are clocks on the rank
+//! threads: over a priced simulated link a wait sleeps until its transfer
+//! lands, over a free one nothing waits. Every path must compute the same
+//! thing: a 2-layer model on 2 ranks produces bitwise identical losses,
+//! gradients and [`fpdt_comm::CommStats`] for offload on and off × link
+//! (free, priced) × kernel-pool threads {1, 2, 8} × chunks {2, 4}
 //! (compared within a chunk count — the chunk count re-associates
 //! floats). With bf16 payloads the offloaded run rounds its KV chunks,
 //! which the device map never does, so that leg is compared across
@@ -47,10 +47,9 @@ fn opts() -> RuntimeOptions {
         .with_sim_gbps(0.0)
 }
 
-/// The two stream placements: a free link (every stream job inline on
-/// its rank thread) and a priced one (comm and copy workers). 100 GB/s
-/// prices the link while the fixture's transfers stay below the sleep
-/// resolution.
+/// The two links: a free one (nothing is ever waited for) and a priced
+/// one (waits sleep until their transfers land). 100 GB/s prices the
+/// link while the fixture's transfers stay below the sleep resolution.
 const LINKS: [f64; 2] = [0.0, 100.0];
 
 #[test]
@@ -103,8 +102,8 @@ fn offload_thread_budget_and_chunk_cross_product_is_bitwise_identical() {
 #[test]
 fn training_reports_identical_losses_and_comm_traffic_with_and_without_offload() {
     // The whole training loop (optimizer and gradient all-reduce
-    // included) through the public `train` entry point, under either
-    // stream placement.
+    // included) through the public `train` entry point, over either
+    // link.
     let run = |offload: bool, gbps: f64| {
         train(&TrainConfig {
             model: fixture_model(),
@@ -121,14 +120,14 @@ fn training_reports_identical_losses_and_comm_traffic_with_and_without_offload()
     assert_eq!(loss_bits(&on.losses), loss_bits(&off.losses), "loss trajectories differ");
     assert_eq!(on.comm, off.comm, "comm statistics differ");
     for offload in [true, false] {
-        let (inline, workers) = (run(offload, LINKS[0]), run(offload, LINKS[1]));
+        let (free, priced) = (run(offload, LINKS[0]), run(offload, LINKS[1]));
         assert_eq!(
-            loss_bits(&inline.losses),
-            loss_bits(&workers.losses),
-            "offload {offload}: placement changed the trajectory"
+            loss_bits(&free.losses),
+            loss_bits(&priced.losses),
+            "offload {offload}: the link changed the trajectory"
         );
-        assert_eq!(inline.comm, workers.comm, "offload {offload}: comm statistics");
-        assert_eq!(inline.host, workers.host, "offload {offload}: pool statistics");
+        assert_eq!(free.comm, priced.comm, "offload {offload}: comm statistics");
+        assert_eq!(free.host, priced.host, "offload {offload}: pool statistics");
     }
     assert!(
         on.comm.op("all_to_all").is_some_and(|o| o.bytes_sent > 0),

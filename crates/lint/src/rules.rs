@@ -7,7 +7,7 @@
 //! | `unwrap-in-comm-path`   | comm/executor hot paths propagate `CommError`, never panic |
 //! | `unordered-map-emission`| trace/digest emission never iterates a `HashMap` unsorted |
 //! | `wallclock-in-kernel`   | kernels are clock-free (determinism) |
-//! | `raw-thread-spawn`      | threads come from the pool / engines, not ad hoc |
+//! | `raw-thread-spawn`      | threads come from the pool / rank sessions, not ad hoc |
 //! | `dropped-span-guard`    | span guards get named bindings (`let _ =` drops instantly) |
 //! | `unchecked-ckpt-io`     | checkpoint I/O results are handled, never discarded |
 //!
@@ -47,7 +47,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "raw-thread-spawn",
-        what: "threads only via fpdt_comm::Stream / run_group, not std::thread directly",
+        what: "threads only via run_group / spawn_rank, not std::thread directly",
     },
     RuleInfo {
         name: "dropped-span-guard",
@@ -113,10 +113,10 @@ const MAP_EMISSION_SCOPE: &[&str] = &[
 /// The clock-free zone: compute kernels.
 const WALLCLOCK_SCOPE: &[&str] = &["crates/tensor/src/"];
 
-/// Files allowed to call `std::thread` directly: the stream type that
-/// owns every stream worker and the group that owns the rank threads (the
-/// kernel pool lives in the vendored `rayon`, outside the scan).
-const THREAD_ALLOWLIST: &[&str] = &["crates/comm/src/stream.rs", "crates/comm/src/group.rs"];
+/// Files allowed to call `std::thread` directly: the group that owns the
+/// rank threads (the kernel pool lives in the vendored `rayon`, outside
+/// the scan). The comm and copy streams are clocks, with no thread.
+const THREAD_ALLOWLIST: &[&str] = &["crates/comm/src/group.rs"];
 
 /// The checkpoint persistence surface: everywhere a `CkptError` (or the
 /// fs call underneath one) is born. A discarded Result here turns a
@@ -382,7 +382,7 @@ fn wallclock_in_kernel(path: &str, lines: &[String], toks: &[Token], out: &mut V
 }
 
 /// `thread :: spawn` / `thread :: scope` / `thread :: Builder` outside
-/// the two files that own threads.
+/// the file that owns threads.
 fn raw_thread_spawn(path: &str, lines: &[String], toks: &[Token], out: &mut Vec<Finding>) {
     if in_scope(path, THREAD_ALLOWLIST) {
         return;
@@ -400,9 +400,9 @@ fn raw_thread_spawn(path: &str, lines: &[String], toks: &[Token], out: &mut Vec<
                 path,
                 lines,
                 &toks[i],
-                "raw std::thread use outside fpdt_comm::stream / run_group; post the work on a \
-                 Stream (or run it as kernel-pool items) so worker lifetime and panic policy \
-                 stay centralized"
+                "raw std::thread use outside fpdt_comm's run_group / spawn_rank; model a stream \
+                 as a clock (fpdt_trace::wire::Link) or run the work as kernel-pool items, so \
+                 thread lifetime and panic policy stay centralized"
                     .to_string(),
             ));
         }

@@ -169,17 +169,37 @@ fn raw_thread_spawn_fires() {
 }
 
 #[test]
-fn thread_use_in_the_stream_and_the_group_is_allowed() {
+fn thread_use_in_the_group_is_allowed() {
     let src = r#"
         pub fn go() {
             std::thread::spawn(|| {});
         }
     "#;
-    assert!(rules_fired("crates/comm/src/stream.rs", src).is_empty());
     assert!(rules_fired("crates/comm/src/group.rs", src).is_empty());
-    // The engines are thin users of the stream: they own no thread.
-    assert_eq!(rules_fired("crates/comm/src/engine.rs", src), ["raw-thread-spawn"]);
-    assert_eq!(rules_fired("crates/core/src/offload.rs", src), ["raw-thread-spawn"]);
+    // `stream.rs` is not on the allowlist: streams are clocks, so a
+    // thread spawned there is flagged.
+    assert_eq!(rules_fired("crates/comm/src/stream.rs", src), ["raw-thread-spawn"]);
+}
+
+#[test]
+fn a_stream_worker_in_either_engine_fires() {
+    // The comm and copy streams are clocks on the rank thread: a worker
+    // thread spawned in either engine, plainly or scoped, is flagged.
+    for src in [
+        r#"
+        pub fn new() -> Self {
+            std::thread::spawn(|| {});
+        }
+    "#,
+        r#"
+        pub fn wait(&self) {
+            std::thread::scope(|s| { s.spawn(|| {}); });
+        }
+    "#,
+    ] {
+        assert_eq!(rules_fired("crates/comm/src/engine.rs", src), ["raw-thread-spawn"]);
+        assert_eq!(rules_fired("crates/core/src/offload.rs", src), ["raw-thread-spawn"]);
+    }
 }
 
 // --- dropped-span-guard ---

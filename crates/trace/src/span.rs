@@ -40,8 +40,9 @@ struct Inner {
     // tid = position in first-record order. A map keyed by `ThreadId`
     // would iterate in hash order somewhere eventually; a Vec has exactly
     // one order, and `ThreadId` has no `Ord` to offer a BTreeMap anyway.
-    // The thread's name, if it has one, labels its Chrome-trace track.
-    threads: Mutex<Vec<(ThreadId, Option<String>)>>,
+    // The thread's name, if it has one, labels its Chrome-trace track. A
+    // virtual track (see [`Recorder::record_on`]) has a name and no thread.
+    threads: Mutex<Vec<(Option<ThreadId>, Option<String>)>>,
 }
 
 /// A shared, thread-safe span sink. Cloning is cheap and clones record
@@ -81,7 +82,22 @@ impl Recorder {
 
     /// Records a span directly (for callers that already measured).
     pub fn record(&self, label: &str, start_us: f64, dur_us: f64, bytes: Option<u64>) {
-        let tid = self.tid();
+        let me = std::thread::current();
+        let tid = self.track(Some(me.id()), me.name());
+        self.push(tid, label, start_us, dur_us, bytes);
+    }
+
+    /// Records a span on the virtual track `track` rather than on the
+    /// calling thread: the track is a tid of its own, titled `track` in
+    /// the Chrome trace. The simulated links record their transfer
+    /// intervals this way (`fpdt-comm-r0`, `fpdt-h2d-r0`, ...), so stream
+    /// busy time sits off the rank threads without a thread to run it.
+    pub fn record_on(&self, track: &str, label: &str, start_us: f64, dur_us: f64, bytes: Option<u64>) {
+        let tid = self.track(None, Some(track));
+        self.push(tid, label, start_us, dur_us, bytes);
+    }
+
+    fn push(&self, tid: u64, label: &str, start_us: f64, dur_us: f64, bytes: Option<u64>) {
         self.inner.spans.lock().expect("span buffer").push(SpanRecord {
             label: label.to_string(),
             tid,
@@ -102,7 +118,13 @@ impl Recorder {
 
     /// Microseconds elapsed since the recorder's epoch.
     pub fn now_us(&self) -> f64 {
-        self.inner.epoch.elapsed().as_secs_f64() * 1e6
+        self.at_us(Instant::now())
+    }
+
+    /// Microseconds from the recorder's epoch to `at` (which may lie in
+    /// the future: a queued transfer's end).
+    pub fn at_us(&self, at: Instant) -> f64 {
+        at.saturating_duration_since(self.inner.epoch).as_secs_f64() * 1e6
     }
 
     /// Snapshot of everything recorded so far.
@@ -111,8 +133,9 @@ impl Recorder {
     }
 
     /// Renders the recorded spans as a Chrome-trace JSON document
-    /// (pid 1 = "fpdt-runtime", one tid per recording thread; a named
-    /// thread — the stream workers `fpdt-comm-r0`, `fpdt-h2d-r0`, ... —
+    /// (pid 1 = "fpdt-runtime", one tid per recording thread or virtual
+    /// track; a named thread — the rank sessions `fpdt-rank-r0`, ... — or
+    /// a virtual track — the links `fpdt-comm-r0`, `fpdt-h2d-r0`, ... —
     /// keeps its name as the track title, unnamed ones show `rank{tid}`).
     pub fn chrome_trace_json(&self) -> String {
         let spans = self.records();
@@ -188,16 +211,17 @@ impl Recorder {
             .sum()
     }
 
-    fn tid(&self) -> u64 {
-        let me = std::thread::current();
+    /// The tid of a thread (`id`), or of the virtual track `name`.
+    fn track(&self, id: Option<ThreadId>, name: Option<&str>) -> u64 {
         let mut threads = self.inner.threads.lock().expect("thread table");
-        match threads.iter().position(|(t, _)| *t == me.id()) {
-            Some(i) => i as u64,
-            None => {
-                threads.push((me.id(), me.name().map(str::to_string)));
-                (threads.len() - 1) as u64
-            }
-        }
+        let found = match id {
+            Some(id) => threads.iter().position(|(t, _)| *t == Some(id)),
+            None => threads.iter().position(|(t, n)| t.is_none() && n.as_deref() == name),
+        };
+        found.unwrap_or_else(|| {
+            threads.push((id, name.map(str::to_string)));
+            threads.len() - 1
+        }) as u64
     }
 }
 
@@ -424,15 +448,32 @@ mod tests {
         rec.record("block.fwd", 0.0, 1.0, None);
         let worker = rec.clone();
         std::thread::Builder::new()
-            .name("fpdt-h2d-r0".to_string())
-            .spawn(move || worker.record("offload.prefetch", 1.0, 1.0, None))
+            .name("fpdt-rank-r0".to_string())
+            .spawn(move || worker.record("block.bwd", 1.0, 1.0, None))
             .expect("spawn")
             .join()
             .expect("worker records");
         let trace = rec.chrome_trace_json();
         // The test harness names this thread after the test.
-        assert!(trace.contains("\"tid\":1,\"args\":{\"name\":\"fpdt-h2d-r0\"}"));
+        assert!(trace.contains("\"tid\":1,\"args\":{\"name\":\"fpdt-rank-r0\"}"));
         assert!(!trace.contains("\"name\":\"rank1\""));
+    }
+
+    #[test]
+    fn virtual_tracks_are_tids_of_their_own_titled_by_name() {
+        let rec = Recorder::new();
+        rec.record("block.fwd", 0.0, 1.0, None);
+        rec.record_on("fpdt-h2d-r0", "offload.prefetch", 0.5, 2.0, Some(64));
+        rec.record_on("fpdt-comm-r0", "comm.inflight", 0.5, 1.0, None);
+        rec.record_on("fpdt-h2d-r0", "offload.prefetch", 2.5, 2.0, Some(64));
+        let tids: Vec<u64> = rec.records().iter().map(|r| r.tid).collect();
+        assert_eq!(tids, vec![0, 1, 2, 1], "one tid per track, none shared with a thread");
+        let trace = rec.chrome_trace_json();
+        assert!(trace.contains("\"tid\":1,\"args\":{\"name\":\"fpdt-h2d-r0\"}"));
+        assert!(trace.contains("\"tid\":2,\"args\":{\"name\":\"fpdt-comm-r0\"}"));
+        // A future end (a queued transfer) converts like any other instant.
+        let later = std::time::Instant::now() + std::time::Duration::from_millis(5);
+        assert!(rec.at_us(later) >= rec.now_us() + 4_000.0);
     }
 
     #[test]

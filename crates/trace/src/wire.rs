@@ -1,36 +1,31 @@
-//! Optional simulated-interconnect occupancy for the real runtime.
+//! The simulated interconnect: a link that costs wall-clock time per byte.
 //!
-//! The thread-based runtime moves tensors with `memcpy`s and channel
-//! sends, which cost nanoseconds — nothing like the PCIe and NIC
-//! transfers the FPDT paper overlaps, whose duration is proportional to
-//! the bytes on the wire. [`simulate_at`] closes that gap: at a positive
-//! bandwidth (GB/s) every call occupies the simulated link for
-//! `bytes / bandwidth` of wall-clock time by *sleeping*, exactly like a
-//! DMA engine that transfers without consuming host CPU. A transfer
-//! executed inline on a rank thread therefore serializes with compute,
-//! while the same transfer posted to a copy or comm stream genuinely
-//! hides behind compute — even on a single-core host — which is what
-//! lets a run's trace (and the repo benchmark's `fpdt_link` workload)
-//! measure how much of the wire time the streams hide.
+//! The thread runtime moves tensors with `memcpy`s and channel sends,
+//! nothing like the PCIe and NIC transfers the FPDT paper overlaps, whose
+//! duration is proportional to the bytes on the wire. A [`Link`] closes
+//! that gap without a thread: it is one FIFO queue of transfers kept as a
+//! clock. A transfer is stamped `ready_at = max(now, free_at) + bytes /
+//! bandwidth`, `free_at` moves there, and whoever needs the data sleeps
+//! until the stamp ([`sleep_until`]) — a DMA engine that burns no host
+//! CPU. Charged early and needed late, a transfer costs its consumer
+//! nothing; needed at once, its whole wire time. That is what lets a
+//! trace (and the repo benchmark's `fpdt_link` workload) measure how much
+//! wire time the schedule hides, even on one core.
 //!
-//! The bandwidth is a value, not a process setting: the engines charge
-//! the rate they were built with, which the runtime takes from
-//! `RuntimeOptions::sim_gbps`. [`link_gbps`] is the one parse point of
-//! the `FPDT_SIM_GBPS` variable that option defaults from. Unset (the
-//! default) or `0`, the link is infinitely fast and a charge returns
-//! immediately: unit tests and library users pay nothing, and the
-//! runtime runs its streams inline, because there is no transfer time
-//! for a worker to hide. A malformed value (empty, garbage, negative,
-//! non-finite) warns once to stderr and falls back to disabled rather
-//! than silently shaping time in an unintended way. The link only shapes
-//! *time*; payload contents, schedules, and statistics are untouched, so
-//! every bitwise-equivalence guarantee holds at any bandwidth.
+//! The bandwidth is a value the engines are built with, from
+//! `RuntimeOptions::sim_gbps`; [`link_gbps`] is the one parse point of the
+//! `FPDT_SIM_GBPS` variable that option defaults from. Unset or `0`, the
+//! link is free and charges nothing. A malformed value (empty, garbage,
+//! negative, non-finite) warns once and disables the link rather than
+//! silently shaping time. The link shapes only *time*, never a payload, a
+//! schedule or a statistic, so every bitwise guarantee holds at any
+//! bandwidth.
 
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sub-resolution sleeps are skipped: below this the OS timer overhead
-/// would dominate the simulated transfer itself.
+/// would dominate the wait itself.
 const MIN_SLEEP_US: f64 = 10.0;
 
 /// Parses an `FPDT_SIM_GBPS` value: `None` (unset) and `"0"` mean
@@ -85,45 +80,64 @@ pub fn link_gbps() -> f64 {
     })
 }
 
-/// Wall-clock microseconds [`simulate_at`] would sleep for `bytes` at
-/// `gbps`: `0.0` when the link is disabled, the transfer is empty, or
-/// the duration falls below the sleep resolution.
-pub fn sleep_us_for(bytes: u64, gbps: f64) -> f64 {
-    if gbps <= 0.0 || bytes == 0 {
-        return 0.0;
+/// One direction of a simulated link as a FIFO clock (see the module
+/// docs). A free link — zero, or any bandwidth [`check_gbps`] refuses —
+/// charges nothing and stamps nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Link {
+    /// Seconds per byte; 0 = free.
+    secs_per_byte: f64,
+    /// When the last charged transfer lands.
+    free_at: Option<Instant>,
+}
+
+impl Link {
+    /// A link of `gbps` GB/s.
+    pub fn new(gbps: f64) -> Self {
+        let priced = gbps > 0.0 && gbps.is_finite();
+        Link {
+            secs_per_byte: if priced { 1.0 / (gbps * 1e9) } else { 0.0 },
+            free_at: None,
+        }
     }
-    let us = bytes as f64 / (gbps * 1e9) * 1e6;
-    if us >= MIN_SLEEP_US {
-        us
-    } else {
-        0.0
+
+    /// Queues a transfer of `bytes` behind every earlier one and no
+    /// earlier than `after`: returns its `(start, ready_at)` interval, or
+    /// `None` over a free link, where there is nothing to wait for.
+    pub fn charge(&mut self, bytes: u64, after: Option<Instant>) -> Option<(Instant, Instant)> {
+        if self.secs_per_byte == 0.0 {
+            return None;
+        }
+        let start = [self.free_at, after].into_iter().flatten().fold(Instant::now(), Instant::max);
+        let ready = start + Duration::from_secs_f64(bytes as f64 * self.secs_per_byte);
+        self.free_at = Some(ready);
+        Some((start, ready))
     }
 }
 
-/// Occupies a simulated link of `gbps` GB/s for `bytes` (no-op when the
-/// link is disabled or the transfer is below the sleep resolution).
-pub fn simulate_at(bytes: u64, gbps: f64) {
-    let us = sleep_us_for(bytes, gbps);
-    if us > 0.0 {
-        std::thread::sleep(Duration::from_micros(us as u64));
+/// Sleeps until `at`, the stamp of a transfer the caller needs; returns
+/// whether it slept (a stamp already past, or within the sleep
+/// resolution, returns at once).
+pub fn sleep_until(at: Instant) -> bool {
+    let left = at.saturating_duration_since(Instant::now());
+    if left.as_secs_f64() * 1e6 < MIN_SLEEP_US {
+        return false;
     }
+    std::thread::sleep(left);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recorder;
 
     #[test]
     fn disabled_link_makes_every_transfer_free() {
         // A zero bandwidth is the disabled link; the values the parser
         // refuses charge nothing either, should one arrive unchecked.
-        let t0 = std::time::Instant::now();
         for gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(sleep_us_for(u64::MAX, gbps), 0.0, "{gbps}");
-            simulate_at(u64::MAX, gbps);
+            assert_eq!(Link::new(gbps).charge(u64::MAX, None), None, "{gbps}");
         }
-        assert!(t0.elapsed() < Duration::from_millis(50));
     }
 
     #[test]
@@ -151,53 +165,42 @@ mod tests {
     }
 
     #[test]
-    fn zero_gbps_and_zero_bytes_never_sleep() {
-        // Disabled link: any size is free. Enabled link: empty and
-        // sub-resolution transfers are free.
-        assert_eq!(sleep_us_for(u64::MAX, 0.0), 0.0);
-        assert_eq!(sleep_us_for(0, 1.0), 0.0);
-        assert_eq!(sleep_us_for(1, 1.0), 0.0, "1 byte is sub-resolution");
-        let t0 = std::time::Instant::now();
-        simulate_at(0, 1.0);
-        simulate_at(u64::MAX, 0.0);
-        assert!(t0.elapsed() < Duration::from_millis(50));
-    }
-
-    #[test]
-    fn sleep_scales_linearly_so_bf16_halves_the_charge() {
-        // The bf16 payload knob charges half the wire bytes; at a fixed
-        // bandwidth that must halve the occupancy exactly.
-        let full = sleep_us_for(1 << 20, 1.0);
-        let half = sleep_us_for(1 << 19, 1.0);
-        assert!(full > 0.0);
+    fn charges_queue_in_fifo_order_and_scale_with_bytes() {
+        // 1 MiB at 1 GB/s holds the link ~1.05 ms; the second transfer
+        // starts where the first lands, and half the bytes (the bf16
+        // payload knob) take exactly half the time.
+        let mut link = Link::new(1.0);
+        let (s0, r0) = link.charge(1 << 20, None).expect("priced");
+        let (s1, r1) = link.charge(1 << 19, None).expect("priced");
+        assert_eq!(s1, r0, "FIFO: the next transfer starts where the last one lands");
+        let (full, half) = ((r0 - s0).as_secs_f64(), (r1 - s1).as_secs_f64());
+        assert!((full - (1u64 << 20) as f64 / 1e9).abs() < 1e-9, "{full}");
         assert!((half * 2.0 - full).abs() < 1e-9, "{half} * 2 != {full}");
         // And scaling the bandwidth is equivalent to scaling the bytes.
-        assert!((sleep_us_for(1 << 20, 2.0) - half).abs() < 1e-9);
+        let (s2, r2) = Link::new(2.0).charge(1 << 20, None).expect("priced");
+        assert!(((r2 - s2).as_secs_f64() - half).abs() < 1e-9);
     }
 
     #[test]
-    fn sleep_time_lands_inside_the_posting_span() {
-        // Wire occupancy must be attributed to whichever span is open on
-        // the charging thread — the runtime opens `comm.inflight` /
-        // `offload.*` spans around its `simulate_at` calls, so the sleep
-        // time shows up inside them.
-        let rec = Recorder::new();
-        let bytes = 1u64 << 20;
-        let gbps = 0.05; // 1 MiB at 50 MB/s ≈ 21 ms, robustly measurable
-        {
-            let _span = rec.span("comm.inflight").bytes(bytes);
-            simulate_at(bytes, gbps);
-        }
-        let records = rec.records();
-        assert_eq!(records.len(), 1);
-        let want_us = sleep_us_for(bytes, gbps);
-        assert!(want_us > 10_000.0, "test transfer too small: {want_us}");
-        assert!(
-            records[0].dur_us >= want_us * 0.8,
-            "span {}us does not contain the {}us sleep",
-            records[0].dur_us,
-            want_us
-        );
-        assert_eq!(records[0].bytes, Some(bytes));
+    fn a_transfer_starts_no_earlier_than_what_it_depends_on() {
+        let mut link = Link::new(1.0);
+        let after = Instant::now() + Duration::from_millis(50);
+        let (start, ready) = link.charge(1_000, Some(after)).expect("priced");
+        assert_eq!(start, after);
+        assert!(((ready - start).as_secs_f64() - 1e-6).abs() < 1e-9);
+        // An idle link starts a transfer now.
+        let before = Instant::now();
+        let (start, _) = Link::new(1.0).charge(1, None).expect("priced");
+        assert!(start >= before && start - before < Duration::from_millis(50));
+    }
+
+    #[test]
+    fn sleep_until_waits_out_the_stamp_and_skips_the_past() {
+        let t0 = Instant::now();
+        assert!(!sleep_until(t0), "a past stamp returns at once");
+        assert!(!sleep_until(t0 + Duration::from_micros(1)), "sub-resolution");
+        let at = Instant::now() + Duration::from_millis(20);
+        assert!(sleep_until(at));
+        assert!(Instant::now() >= at);
     }
 }
