@@ -4,7 +4,7 @@
 //! A [`CommEngine`] runs every op in two halves on the rank thread.
 //! [`CommEngine::post`] is the send half — the pack, the fault check and
 //! one send per peer — and never blocks: the peer channels are unbounded.
-//! [`Pending::wait`] is the receive half: the receives and the unpack. The
+//! [`CommEngine::wait`] is the receive half: the receives and the unpack. The
 //! executor posts chunk `i+1`'s QKV all-to-all before chunk `i`'s
 //! online-softmax update runs and waits where the gathered tensor is first
 //! needed, so the wire time hides behind compute (paper §4, Figure 7).
@@ -37,19 +37,9 @@ use crate::CommError;
 use fpdt_tensor::Tensor;
 use fpdt_trace::wire::{sleep_until, Link};
 use fpdt_trace::Recorder;
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Where a receive half leaves the unpacked tensors for its handle, with
-/// the latest link stamp among its own and its peers' messages.
-type Slot = Rc<RefCell<Option<(crate::Result<Vec<Tensor>>, Option<Instant>)>>>;
-
-/// Receive halves posted and not yet run, in post order; each fills its
-/// handle's slot.
-type Inbox = Rc<RefCell<VecDeque<Box<dyn FnOnce()>>>>;
 
 /// The per-rank communication stream: ops post on the rank thread and
 /// resolve through [`Pending`] handles, over a link of the bandwidth the
@@ -59,7 +49,12 @@ pub struct CommEngine {
     link: Link,
     /// The trace track the link's busy intervals go on.
     track: String,
-    inbox: Inbox,
+    /// Receive halves posted and not yet run, in post order: the op's
+    /// sequence number, its layouts and its own link stamp.
+    queue: VecDeque<(u64, Vec<AllToAllLayout>, Option<Instant>)>,
+    /// Receive halves a wait ran ahead of their own handle's wait: the
+    /// unpacked tensors and the latest stamp among the op's and its peers'.
+    landed: HashMap<u64, (crate::Result<Vec<Tensor>>, Option<Instant>)>,
     recorder: Option<Recorder>,
     posted: u64,
     retries: usize,
@@ -73,7 +68,8 @@ impl CommEngine {
             track: format!("fpdt-comm-r{}", comm.rank()),
             comm,
             link: Link::new(gbps),
-            inbox: Rc::default(),
+            queue: VecDeque::new(),
+            landed: HashMap::new(),
             recorder: None,
             posted: 0,
             retries: 0,
@@ -110,7 +106,7 @@ impl CommEngine {
     /// Whether every posted receive half has run: no part of an engine op
     /// is left on the channels for a rank-thread collective to misread.
     pub fn is_idle(&self) -> bool {
-        self.inbox.borrow().is_empty()
+        self.queue.is_empty()
     }
 
     /// Posts the all-to-all of every `(layout, tensor)` pair as one op —
@@ -158,75 +154,65 @@ impl CommEngine {
         for parts in packed {
             self.comm.send_parts(parts, bf16, ready_at)?;
         }
-        let (comm, slot) = (Arc::clone(&self.comm), Slot::default());
-        let fill = Rc::clone(&slot);
-        let layouts: Vec<AllToAllLayout> = items.iter().map(|(layout, _)| *layout).collect();
-        self.inbox.borrow_mut().push_back(Box::new(move || {
-            let mut latest = ready_at;
+        let layouts = items.iter().map(|(layout, _)| *layout).collect();
+        self.queue.push_back((self.posted, layouts, ready_at));
+        Ok(Pending {
+            seq: self.posted,
+            bytes,
+        })
+    }
+
+    /// The receive half of `pending`: runs every earlier op's receive half
+    /// still queued, then this one's, and sleeps until the op's link stamp
+    /// and its peers' have passed. Returns the op's tensors in post order.
+    /// A handle whose receives an earlier wait already ran, and whose
+    /// stamps have passed, records no `comm.wait`.
+    ///
+    /// # Errors
+    ///
+    /// A dead peer, a desynchronized one (a tag or shape mismatch), or a
+    /// handle this engine has no receive half queued for.
+    pub fn wait(&mut self, pending: Pending) -> crate::Result<Vec<Tensor>> {
+        let t0 = self.recorder.as_ref().map(Recorder::now_us);
+        let mut blocked = false;
+        let (out, stamp) = loop {
+            if let Some(done) = self.landed.remove(&pending.seq) {
+                break done;
+            }
+            let Some((seq, layouts, mut latest)) = self.queue.pop_front() else {
+                return Err(CommError::Desync {
+                    local_op: "all_to_all",
+                    remote_op: "a handle this engine did not post".to_string(),
+                });
+            };
             let out = layouts
                 .iter()
                 .map(|layout| {
-                    let (parts, stamp) = comm.recv_parts()?;
+                    let (parts, stamp) = self.comm.recv_parts()?;
                     latest = latest.max(stamp);
                     layout.unpack(parts)
                 })
                 .collect();
-            *fill.borrow_mut() = Some((out, latest));
-        }));
-        Ok(Pending {
-            slot,
-            inbox: Rc::clone(&self.inbox),
-            wait_span: self.recorder.clone().map(|r| (r, bytes)),
-        })
-    }
-}
-
-/// A posted op's receive half. Dropping it unwaited leaves the receives
-/// queued; the engine's next wait drains them.
-#[must_use = "an unwaited handle's receives run at the next wait"]
-pub struct Pending {
-    slot: Slot,
-    inbox: Inbox,
-    /// Where a wait that receives or sleeps is recorded: recorder, bytes.
-    wait_span: Option<(Recorder, u64)>,
-}
-
-impl Pending {
-    /// Runs every earlier op's receive half still queued, then this one's,
-    /// and sleeps until the op's link stamp and its peers' have passed.
-    /// Returns the op's tensors in post order. A handle whose receives an
-    /// earlier wait already ran, and whose stamps have passed, records no
-    /// `comm.wait`.
-    ///
-    /// # Errors
-    ///
-    /// A dead peer, or a desynchronized one (a tag or shape mismatch).
-    pub fn wait(self) -> crate::Result<Vec<Tensor>> {
-        let t0 = self.wait_span.as_ref().map(|(r, _)| r.now_us());
-        let mut blocked = false;
-        while self.slot.borrow().is_none() {
-            let Some(recv) = self.inbox.borrow_mut().pop_front() else {
-                break;
-            };
-            recv();
+            self.landed.insert(seq, (out, latest));
             blocked = true;
-        }
-        let landed = self.slot.borrow_mut().take();
-        // Unreachable: a handle's own receive half stays queued until a
-        // wait runs it, and only this handle takes its result.
-        let (out, stamp) = landed.unwrap_or_else(|| {
-            let lost = CommError::Desync {
-                local_op: "all_to_all",
-                remote_op: "a receive half that never ran".to_string(),
-            };
-            (Err(lost), None)
-        });
+        };
         blocked |= stamp.is_some_and(sleep_until);
-        if let (Some((r, bytes)), Some(start_us), true) = (&self.wait_span, t0, blocked) {
-            r.record("comm.wait", start_us, r.now_us() - start_us, Some(*bytes));
+        if let (Some(r), Some(start_us), true) = (&self.recorder, t0, blocked) {
+            r.record("comm.wait", start_us, r.now_us() - start_us, Some(pending.bytes));
         }
         out
     }
+}
+
+/// A posted op, resolved by [`CommEngine::wait`]. Dropping it unwaited
+/// leaves its receives queued: the engine's next wait drains them, and
+/// the engine keeps their tensors until it drops.
+#[must_use = "an unwaited handle's receives run at the next wait"]
+pub struct Pending {
+    /// The op's place in the engine's post order.
+    seq: u64,
+    /// The op's wire bytes, for its `comm.wait` span.
+    bytes: u64,
 }
 
 #[cfg(test)]
@@ -278,7 +264,7 @@ mod tests {
         let mut engine = CommEngine::new(solo_comm(), 0.0);
         let h = post_tagged(&mut engine, 4, 2);
         assert!(!engine.is_idle(), "the receive half is queued");
-        assert_eq!(data(h.wait()), expected(4, 2, 0, 1));
+        assert_eq!(data(engine.wait(h)), expected(4, 2, 0, 1));
         assert!(engine.is_idle());
         assert_eq!(engine.comm().stats().op("all_to_all").unwrap().sends, 1);
         assert_eq!(engine.posted(), 1);
@@ -302,7 +288,7 @@ mod tests {
                     for &tag in order {
                         let h = handles[tag].take().expect("posted once");
                         assert_eq!(
-                            data(h.wait()),
+                            data(engine.wait(h)),
                             expected(tag, rows[tag], rank, world),
                             "{order:?}"
                         );
@@ -324,7 +310,7 @@ mod tests {
                 let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
                 drop(post_tagged(&mut engine, 1, 3));
                 let h = post_tagged(&mut engine, 2, 1);
-                assert_eq!(data(h.wait()), expected(2, 1, rank, world));
+                assert_eq!(data(engine.wait(h)), expected(2, 1, rank, world));
                 // The rank thread's own collective reads its own payload,
                 // not a stale all-to-all part.
                 assert!(engine.is_idle(), "the dropped op's receives ran");
@@ -341,7 +327,7 @@ mod tests {
         let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
         engine.set_retries(2);
         let h = post_tagged(&mut engine, 9, 2);
-        assert_eq!(data(h.wait()), expected(9, 2, 0, 1));
+        assert_eq!(data(engine.wait(h)), expected(9, 2, 0, 1));
         let stats = comm.stats();
         assert_eq!(stats.faults, 2);
         assert_eq!(stats.retries, 2);
@@ -372,8 +358,8 @@ mod tests {
                 comm.inject_fault("all_to_all", faults);
                 let dq = engine.post(&[(linv, &dq)], false).expect("dq");
                 // Resolved newest-first, as the backward may.
-                let dq = dq.wait().expect("dq lands");
-                let qkv = qkv.wait().expect("qkv lands");
+                let dq = engine.wait(dq).expect("dq lands");
+                let qkv = engine.wait(qkv).expect("qkv lands");
                 let stats = comm.stats();
                 let bits: Vec<u32> = qkv
                     .iter()
@@ -424,7 +410,8 @@ mod tests {
         let mut engine = CommEngine::new(solo_comm(), 0.05);
         let rec = Recorder::new();
         engine.set_recorder(rec.clone());
-        post_tagged(&mut engine, 0, 2).wait().expect("lands");
+        let h = post_tagged(&mut engine, 0, 2);
+        engine.wait(h).expect("lands");
         assert_eq!(rec.count("comm.post"), 1);
         assert_eq!(rec.total_bytes("comm.inflight"), 8);
         let spans = rec.records();
@@ -460,7 +447,7 @@ mod tests {
             let ends = handles
                 .into_iter()
                 .map(|h| {
-                    h.wait().expect("lands");
+                    engine.wait(h).expect("lands");
                     Instant::now()
                 })
                 .collect();

@@ -200,6 +200,11 @@ impl HostPool {
         self.payload_bf16 = on;
     }
 
+    /// Whether KV offloads are currently stored as bf16.
+    pub fn payload_bf16(&self) -> bool {
+        self.payload_bf16
+    }
+
     /// Moves a tensor to host memory (device-to-host copy).
     ///
     /// # Panics
@@ -528,6 +533,7 @@ mod tests {
         let key = ChunkKey::new(3, BufKind::V, 1);
         pool.offload(key, t.clone());
         assert!(pool.contains(&key));
+        assert_eq!(pool.len(), 1);
         let back = pool.fetch(&key).unwrap();
         assert_eq!(*back, t);
         assert!(pool.is_empty());
@@ -598,6 +604,7 @@ mod tests {
     fn bf16_mode_leaves_non_kv_chunks_zero_copy() {
         let mut pool = HostPool::new();
         pool.set_payload_bf16(true);
+        assert!(pool.payload_bf16());
         let key = ChunkKey::new(0, BufKind::O, 0);
         let t = Arc::new(Tensor::ones(&[8]));
         pool.offload_shared(key, Arc::clone(&t));

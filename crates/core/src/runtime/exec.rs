@@ -142,8 +142,8 @@ impl AttentionExec for LocalAttention {
 }
 
 /// The `N` tensors of a posted all-to-all, once its receive half has run.
-fn landed<const N: usize>(posted: Pending) -> ExecResult<[Tensor; N]> {
-    let tensors = posted.wait()?;
+fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResult<[Tensor; N]> {
+    let tensors = engine.wait(posted)?;
     <[Tensor; N]>::try_from(tensors).map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
 }
 
@@ -460,7 +460,7 @@ impl DistAttention {
                     if i + 1 < u {
                         row_pending[i + 1] = Some(self.fetch_row(layer, i + 1)?);
                     }
-                    let [dout] = landed(dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
+                    let [dout] = landed(&mut self.engine, dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
                     let [o, q, lse] = staged.wait()?;
                     let dsum = {
                         let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
@@ -528,10 +528,10 @@ impl DistAttention {
             }
         }
 
-        let cat = |handles: Vec<Option<Pending>>| -> ExecResult<Tensor> {
+        let mut cat = |handles: Vec<Option<Pending>>| -> ExecResult<Tensor> {
             let mut parts = Vec::with_capacity(handles.len());
             for h in handles {
-                let [part] = landed(h.ok_or("gradient chunk was never finalized")?)?;
+                let [part] = landed(&mut self.engine, h.ok_or("gradient chunk was never finalized")?)?;
                 parts.push(part);
             }
             let refs: Vec<&Tensor> = parts.iter().collect();
@@ -598,7 +598,7 @@ impl AttentionExec for DistAttention {
             let _slot = self.span("slot.fwd", 0);
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
-            let [qh, kh, vh] = landed(cur)?;
+            let [qh, kh, vh] = landed(&mut self.engine, cur)?;
             let gpos = self.plan.gathered_positions(i);
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
@@ -660,7 +660,7 @@ impl AttentionExec for DistAttention {
         }
         let mut o_parts: Vec<Tensor> = Vec::with_capacity(u);
         for h in o_handles {
-            let [part] = landed(h)?;
+            let [part] = landed(&mut self.engine, h)?;
             o_parts.push(part);
         }
         debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
