@@ -198,7 +198,12 @@ impl CommEngine {
         };
         blocked |= stamp.is_some_and(sleep_until);
         if let (Some(r), Some(start_us), true) = (&self.recorder, t0, blocked) {
-            r.record("comm.wait", start_us, r.now_us() - start_us, Some(pending.bytes));
+            r.record(
+                "comm.wait",
+                start_us,
+                r.now_us() - start_us,
+                Some(pending.bytes),
+            );
         }
         out
     }
