@@ -33,8 +33,8 @@
 //!
 //! Every collective returns `Result<_, CommError>`; for overlapping
 //! communication with compute, post collectives on the per-rank
-//! [`CommEngine`] stream and resolve the returned [`Pending`] handle when
-//! the payload is needed.
+//! [`CommEngine`] stream and resolve the returned [`Pending`] handle with
+//! [`CommEngine::wait`] when the payload is needed.
 
 #![deny(missing_docs)]
 
