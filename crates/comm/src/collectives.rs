@@ -29,21 +29,6 @@ impl Communicator {
         Ok(self.recv_parts()?.0)
     }
 
-    /// All-to-all with bf16 wire payloads: identical data movement and
-    /// collective tag to [`Communicator::all_to_all`], but each part is
-    /// rounded to bf16 before posting (half the wire bytes) and widened
-    /// back to f32 on receive. The `FPDT_BF16` path for FPDT's per-chunk
-    /// fused-QKV exchange.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::WrongPartCount`] unless `parts.len() == world`.
-    pub fn all_to_all_bf16(&self, parts: Vec<Vec<f32>>) -> Result<Vec<Vec<f32>>> {
-        self.fault_check("all_to_all")?;
-        self.send_parts(parts, true, None)?;
-        Ok(self.recv_parts()?.0)
-    }
-
     /// The send half of an all-to-all, after its fault check: `parts[p]`
     /// to rank `p`, each message stamped `ready_at`. Sends never block.
     pub(crate) fn send_parts(&self, parts: Vec<Vec<f32>>, bf16: bool, ready_at: Option<Instant>) -> Result<()> {
@@ -293,10 +278,10 @@ enum A2aDirection {
 ///
 /// Building a layout derives every per-rank slice bound once from the
 /// `(shape, world)` pair; [`AllToAllLayout::apply`] then moves payloads
-/// with flat strided copies. Because every chunk of every layer shares one
-/// shape, the executor builds the layout once and reuses it for the whole
-/// run instead of re-deriving split/concat geometry on each call (the
-/// per-chunk hot path this type exists for). The one-shot constructors
+/// with flat strided copies. Building one is a few integer products, so
+/// the runtime's executor builds a fresh layout for every tensor it posts
+/// on the split-phase stream ([`crate::CommEngine::post`]), which packs
+/// and unpacks through the same geometry. The one-shot constructors
 /// [`AllToAllLayout::scatter_heads_gather_seq`] and
 /// [`AllToAllLayout::scatter_seq_gather_heads`] remain for call sites
 /// without a chunk loop.
@@ -382,29 +367,8 @@ impl AllToAllLayout {
     /// Returns [`CommError::Shape`] when `x` or the group does not match
     /// the layout, or a communication error if the group is unhealthy.
     pub fn apply(&self, comm: &Communicator, x: &Tensor) -> Result<Tensor> {
-        self.apply_with(comm, x, false)
-    }
-
-    /// Runs the all-to-all with bf16 wire payloads (identical geometry and
-    /// byte ordering to [`AllToAllLayout::apply`], half the wire traffic;
-    /// values round through bf16 once). Gated at the runtime layer by
-    /// `RuntimeOptions::payload_bf16` / `FPDT_BF16`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AllToAllLayout::apply`].
-    pub fn apply_bf16(&self, comm: &Communicator, x: &Tensor) -> Result<Tensor> {
-        self.apply_with(comm, x, true)
-    }
-
-    fn apply_with(&self, comm: &Communicator, x: &Tensor, bf16: bool) -> Result<Tensor> {
         let bufs = self.pack(comm.world(), x)?;
-        let recv = if bf16 {
-            comm.all_to_all_bf16(bufs)?
-        } else {
-            comm.all_to_all(bufs)?
-        };
-        self.unpack(recv)
+        self.unpack(comm.all_to_all(bufs)?)
     }
 
     /// The send side of [`AllToAllLayout::apply`] in a group of `world`
@@ -669,60 +633,6 @@ mod tests {
             for (orig, back) in rank {
                 assert!(back.allclose(&orig, 1e-6, 1e-7));
             }
-        }
-    }
-
-    #[test]
-    fn bf16_all_to_all_matches_f32_and_halves_wire_bytes() {
-        let out = run_group(2, |comm| {
-            // bf16-representable values -> the round trip must be exact.
-            let parts: Vec<Vec<f32>> = (0..2)
-                .map(|dst| {
-                    (0..8)
-                        .map(|i| (comm.rank() * 16 + dst * 8 + i) as f32 * 0.5)
-                        .collect()
-                })
-                .collect();
-            let full = comm.all_to_all(parts.clone()).unwrap();
-            let f32_bytes = comm.stats().op("all_to_all").unwrap().bytes_sent;
-            let half = comm.all_to_all_bf16(parts).unwrap();
-            let total = comm.stats().op("all_to_all").unwrap().bytes_sent;
-            (full, half, f32_bytes, total - f32_bytes)
-        });
-        for (full, half, f32_bytes, bf16_bytes) in out {
-            assert_eq!(full, half, "representable values survive bf16 exactly");
-            assert_eq!(bf16_bytes * 2, f32_bytes, "bf16 wire bytes halve exactly");
-        }
-    }
-
-    #[test]
-    fn bf16_all_to_all_rejects_wrong_part_count() {
-        run_group(2, |comm| {
-            assert!(matches!(
-                comm.all_to_all_bf16(vec![vec![1.0]]),
-                Err(CommError::WrongPartCount { .. })
-            ));
-        });
-    }
-
-    #[test]
-    fn layout_apply_bf16_matches_f32_geometry() {
-        // Same data movement as apply(); values round through bf16 once
-        // (rel err <= 2^-8), and the counted traffic is exactly half.
-        let out = run_group(2, |comm| {
-            let fwd = AllToAllLayout::scatter_heads(&[2, 4, 3], comm.world()).unwrap();
-            let mut rng = init::seeded_rng(41 + comm.rank() as u64);
-            let x = init::randn(&mut rng, &[2, 4, 3], 1.0);
-            let full = fwd.apply(&comm, &x).unwrap();
-            let f32_bytes = comm.stats().op("all_to_all").unwrap().bytes_sent;
-            let half = fwd.apply_bf16(&comm, &x).unwrap();
-            let total = comm.stats().op("all_to_all").unwrap().bytes_sent;
-            (full, half, f32_bytes, total - f32_bytes)
-        });
-        for (full, half, f32_bytes, bf16_bytes) in out {
-            assert_eq!(half.shape(), full.shape());
-            assert!(half.allclose(&full, 1e-2, 1e-2), "one bf16 rounding");
-            assert_eq!(bf16_bytes * 2, f32_bytes, "halved traffic");
         }
     }
 

@@ -29,7 +29,7 @@
 //! * **Bitwise resume.** Call boundaries are exact: running
 //!   `run_steps(k)` + `checkpoint` + [`Trainer::resume`] + the remaining
 //!   steps produces the identical losses, gradients, and traffic counters
-//!   as one uninterrupted run (the resume determinism suite asserts it).
+//!   as one uninterrupted run (`tests/determinism_oracle.rs` asserts it).
 //! * **Elastic worlds.** [`Trainer::resize`] takes the state back to the
 //!   flat layout and shuts the sessions down; the next `run_steps` spawns
 //!   the new geometry, and parameters and moments re-shard automatically
@@ -168,11 +168,13 @@ pub struct TrainConfig {
     /// (0 = constant LR). Applied identically in every mode, so the
     /// equivalence claims are schedule-independent.
     pub warmup_steps: usize,
-    /// Runtime knobs (bf16 payloads, kernel threads, comm retry budget,
-    /// fault injection, simulated link bandwidth), defaulting from the
-    /// `FPDT_*` environment via [`RuntimeOptions::from_env`]. Host
-    /// offload is [`Mode::Fpdt`]'s own flag. Every setting but
-    /// `payload_bf16` is bitwise-invisible.
+    /// Runtime knobs (bf16 payloads, comm retry budget, fault injection,
+    /// simulated link bandwidth), defaulting from the `FPDT_*`
+    /// environment via [`RuntimeOptions::from_env`]. Host offload is
+    /// [`Mode::Fpdt`]'s own flag, and kernel settings are the
+    /// [`KernelCtx`] of the thread that first calls
+    /// [`Trainer::run_steps`]. Every setting but `payload_bf16` is
+    /// bitwise-invisible.
     pub runtime: RuntimeOptions,
 }
 
@@ -257,8 +259,8 @@ pub struct TrainReport {
     /// [`Mode::Single`]).
     pub comm: fpdt_comm::CommStats,
     /// The last optimizer window's reduced (unscaled) gradients — what the
-    /// resume determinism suite compares bit for bit across interrupted
-    /// and uninterrupted runs. Empty after a failed `run_steps` until a
+    /// determinism oracle compares bit for bit across interrupted and
+    /// uninterrupted runs. Empty after a failed `run_steps` until a
     /// window completes.
     pub grads: Vec<f32>,
 }
@@ -432,14 +434,14 @@ fn shut_down(sessions: Vec<Session>) -> Option<Box<dyn Any + Send>> {
 }
 
 /// Spawns one session per rank of `cfg`'s geometry, each building its
-/// rank from `flat`. Kernels run under `cfg.runtime`'s context over the
-/// calling thread's, split across the ranks.
+/// rank from `flat`. Kernels run under the calling thread's context,
+/// split across the ranks.
 fn spawn(cfg: &TrainConfig, recorder: Option<&Recorder>, flat: Flat, step: usize) -> Vec<Session> {
     let world = match cfg.mode {
         Mode::Single => 1,
         _ => cfg.world,
     };
-    let ctx = cfg.runtime.kernel_ctx(KernelCtx::current());
+    let ctx = KernelCtx::current();
     let flat = Arc::new(flat);
     CommGroup::new(world)
         .communicators()
@@ -862,9 +864,11 @@ impl Trainer {
     }
 
     /// Replaces the runtime knobs (retry budgets, fault injection, payload
-    /// precision, kernel settings — all bitwise-invisible except where
-    /// documented). Live sessions run under the knobs they spawned with:
-    /// they are shut down, and the next `run_steps` spawns new ones.
+    /// precision, link bandwidth — all bitwise-invisible except where
+    /// documented). Live sessions run under the knobs they spawned with,
+    /// and under the kernel context of the thread that spawned them: they
+    /// are shut down, and the next `run_steps` spawns new ones from the
+    /// calling thread's context.
     pub fn set_runtime(&mut self, runtime: RuntimeOptions) {
         self.retire();
         self.cfg.runtime = runtime;
@@ -1498,13 +1502,16 @@ mod tests {
                             offload: true,
                         },
                         runtime: RuntimeOptions::from_env()
-                            .with_threads(threads)
                             .with_payload_bf16(payload_bf16)
                             .with_sim_gbps(sim_gbps),
                         ..TrainConfig::small(Mode::Single)
                     };
                     let rec = Recorder::new();
-                    train_traced(&cfg, Some(&rec));
+                    let ctx = KernelCtx {
+                        threads,
+                        ..KernelCtx::current()
+                    };
+                    ctx.enter(|| train_traced(&cfg, Some(&rec)));
                     let spans = rec.records();
                     let ranks: std::collections::HashSet<u64> = spans
                         .iter()
@@ -1656,82 +1663,19 @@ mod tests {
     }
 
     #[test]
-    fn calls_on_live_and_respawned_sessions_reproduce_train() {
-        // Three `run_steps` calls must retrace one uninterrupted `train`
-        // bit for bit, dense and with the moments sharded: on the same
-        // live sessions, which build their ranks once and keep running
-        // through a checkpoint's export, and with the sessions shut down
-        // after every call so that each call spawns new ones.
-        let dir = std::env::temp_dir().join(format!("fpdt-live-export-{}", std::process::id()));
-        for zero_shard in [false, true] {
-            let cfg = TrainConfig {
-                steps: 6,
-                zero_shard,
-                mode: Mode::Fpdt {
-                    chunks: 2,
-                    offload: true,
-                },
-                ..TrainConfig::small(Mode::Single)
-            };
-            let whole = train(&cfg);
-            for respawn in [false, true] {
-                let rec = Recorder::new();
-                let mut trainer = Trainer::new(cfg.clone()).with_recorder(rec.clone());
-                for call in 0..3 {
-                    trainer.run_steps(2).expect("healthy call");
-                    if respawn {
-                        trainer.set_runtime(cfg.runtime);
-                    }
-                    if call == 1 {
-                        trainer.checkpoint(&dir).expect("checkpoint");
-                    }
-                }
-                let split = trainer.report();
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                let what = format!("zero {zero_shard}, respawn {respawn}");
-                // one build and one export per rank and spawn, plus the
-                // checkpoint's export of the live sessions
-                let (builds, exports) = if respawn { (6, 6) } else { (2, 2) };
-                assert_eq!(rec.count("segment.build"), builds, "{what}");
-                assert_eq!(rec.count("segment.export"), exports, "{what}");
-                assert_eq!(bits(&split.losses), bits(&whole.losses), "{what}");
-                assert_eq!(bits(&split.grads), bits(&whole.grads), "{what}");
-                assert_eq!(split.comm, whole.comm, "{what}");
-                assert_eq!(split.host, whole.host, "{what}");
-                assert_eq!(split.opt_state_bytes, whole.opt_state_bytes);
-                assert_eq!(
-                    Some(split.grads.len()),
-                    GptModel::param_count_of(&cfg.model)
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn runtime_kernel_knobs_reach_the_rank_threads() {
-        // `RuntimeOptions::threads` and `par_threshold` are the sessions'
-        // kernel context: the run's budget split across its ranks and the
-        // threshold as given, whatever the calling thread's own settings;
-        // unset, the calling thread's context is split instead.
+    fn sessions_run_under_the_split_context_of_the_first_calling_thread() {
+        // A session's kernel context is the one the thread that spawned it
+        // ran under, its budget split across the ranks: what keeps two
+        // ranks sharing `FPDT_THREADS` at the budget of one run. A later
+        // call from another context reuses the live sessions as they are.
         let caller = KernelCtx {
             threads: 8,
-            par_threshold: 1 << 20,
+            par_threshold: 12345,
             ..KernelCtx::current()
         };
-        let unset = RuntimeOptions {
-            threads: None,
-            par_threshold: None,
-            ..RuntimeOptions::from_env()
-        };
-        for (runtime, threads, par_threshold) in [
-            (unset, 4, 1 << 20),
-            (unset.with_threads(1).with_par_threshold(7), 1, 7),
-            (unset.with_threads(6).with_par_threshold(3), 3, 3),
-        ] {
+        for world in [2usize, 4] {
             let mut trainer = Trainer::new(TrainConfig {
-                steps: 1,
-                runtime,
+                world,
                 mode: Mode::Fpdt {
                     chunks: 2,
                     offload: false,
@@ -1739,18 +1683,14 @@ mod tests {
                 ..TrainConfig::small(Mode::Single)
             });
             caller.enter(|| trainer.run_steps(1)).expect("healthy call");
+            trainer.run_steps(1).expect("healthy call");
             let seen = ask(sessions(&trainer), |answer| {
                 Command::Call(Box::new(move || {
                     let _ = answer.send(KernelCtx::current());
                 }))
             })
             .expect("sessions alive");
-            let want = KernelCtx {
-                threads,
-                par_threshold,
-                ..caller
-            };
-            assert_eq!(seen, [want, want], "{runtime:?}");
+            assert_eq!(seen, vec![caller.split(world); world], "world {world}");
         }
     }
 
@@ -1997,54 +1937,6 @@ mod llama_tests {
 }
 
 #[cfg(test)]
-mod zero_tests {
-    use super::*;
-
-    #[test]
-    fn zero1_sharding_preserves_trajectory_and_shrinks_state() {
-        // Paper §3.2: FPDT composes with the ZeRO family. A ZeRO-1
-        // sharded optimizer must produce the identical trajectory (Adam
-        // is elementwise) while holding 1/world of the moment state.
-        let base = TrainConfig {
-            steps: 8,
-            world: 4,
-            mode: Mode::Fpdt {
-                chunks: 2,
-                offload: true,
-            },
-            ..TrainConfig::small(Mode::Single)
-        };
-        let dense = train(&base);
-        let sharded = train(&TrainConfig {
-            zero_shard: true,
-            ..base.clone()
-        });
-        for (a, b) in sharded.losses.iter().zip(&dense.losses) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-        // rank 0 holds ~1/4 of the moment bytes (flat sharding)
-        let ratio = sharded.opt_state_bytes as f64 / dense.opt_state_bytes as f64;
-        assert!((0.2..0.3).contains(&ratio), "state ratio {ratio}");
-    }
-
-    #[test]
-    fn zero1_works_for_ulysses_too() {
-        let base = TrainConfig {
-            steps: 5,
-            ..TrainConfig::small(Mode::Ulysses)
-        };
-        let dense = train(&base);
-        let sharded = train(&TrainConfig {
-            zero_shard: true,
-            ..base.clone()
-        });
-        for (a, b) in sharded.losses.iter().zip(&dense.losses) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-}
-
-#[cfg(test)]
 mod ring_tests {
     use super::*;
 
@@ -2083,65 +1975,6 @@ mod ring_tests {
         };
         let r = train(&cfg);
         assert!(r.losses.iter().all(|l| l.is_finite()));
-    }
-}
-
-#[cfg(test)]
-mod ac_tests {
-    use super::*;
-
-    #[test]
-    fn activation_checkpointing_is_numerically_free() {
-        // Recompute-in-backward must not change the trajectory, in any
-        // mode — including FPDT with offload, where the recompute streams
-        // chunks back through the host pool a second time.
-        let base = TrainConfig {
-            steps: 6,
-            ..small_f32(Mode::Single)
-        };
-        let plain = train(&base);
-        for mode in [
-            Mode::Single,
-            Mode::Ulysses,
-            Mode::Fpdt {
-                chunks: 4,
-                offload: true,
-            },
-        ] {
-            let ac = train(&TrainConfig {
-                mode,
-                activation_checkpoint: true,
-                ..base.clone()
-            });
-            for (a, b) in ac.losses.iter().zip(&plain.losses) {
-                assert!((a - b).abs() < 5e-3, "{mode:?} AC diverged: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn checkpointing_doubles_offload_traffic() {
-        // The recompute pass re-offloads every chunk: host transfer counts
-        // roughly double relative to the plain run.
-        let base = TrainConfig {
-            steps: 3,
-            mode: Mode::Fpdt {
-                chunks: 4,
-                offload: true,
-            },
-            ..TrainConfig::small(Mode::Single)
-        };
-        let plain = train(&base);
-        let ac = train(&TrainConfig {
-            activation_checkpoint: true,
-            ..base.clone()
-        });
-        assert!(
-            ac.host.offloads > plain.host.offloads * 3 / 2,
-            "AC offloads {} vs plain {}",
-            ac.host.offloads,
-            plain.host.offloads
-        );
     }
 }
 

@@ -195,11 +195,6 @@ pub struct DistAttention {
     engine: CommEngine,
     device: HashMap<ChunkKey, Arc<Tensor>>,
     recorder: Option<Recorder>,
-    /// Ulysses layouts cached per (shape, world): every chunk of every
-    /// layer shares a handful of geometries (Q and, under grouped-query
-    /// attention, a narrower KV), each derived once and reused.
-    fwd_layouts: HashMap<[usize; 3], AllToAllLayout>,
-    inv_layouts: HashMap<[usize; 3], AllToAllLayout>,
 }
 
 impl DistAttention {
@@ -230,8 +225,6 @@ impl DistAttention {
             host,
             device: HashMap::new(),
             recorder: None,
-            fwd_layouts: HashMap::new(),
-            inv_layouts: HashMap::new(),
         }
     }
 
@@ -315,30 +308,18 @@ impl DistAttention {
         ])
     }
 
-    /// The cached forward (scatter-heads) layout for `shape`, built on
-    /// first use and reused across every chunk and layer.
-    fn fwd_layout(&mut self, shape: &[usize]) -> ExecResult<AllToAllLayout> {
-        let world = self.comm.world();
-        cached_layout(&mut self.fwd_layouts, shape, || {
-            Ok(AllToAllLayout::scatter_heads(shape, world)?)
-        })
-    }
-
-    /// The cached inverse (scatter-seq) layout for `shape`.
-    fn inv_layout(&mut self, shape: &[usize]) -> ExecResult<AllToAllLayout> {
-        let world = self.comm.world();
-        cached_layout(&mut self.inv_layouts, shape, || {
-            Ok(AllToAllLayout::scatter_seq(shape, world)?)
-        })
-    }
-
     /// Posts one op on the comm stream: the all-to-all of every tensor in
     /// `tensors`, each through its forward (scatter-heads) or, with
     /// `inverse`, its inverse layout, recorded as a `label` span.
     fn post(&mut self, label: &str, tensors: &[&Tensor], inverse: bool) -> ExecResult<Pending> {
+        let world = self.comm.world();
         let mut items = Vec::with_capacity(tensors.len());
         for t in tensors {
-            let layout = if inverse { self.inv_layout(t.shape())? } else { self.fwd_layout(t.shape())? };
+            let layout = if inverse {
+                AllToAllLayout::scatter_seq(t.shape(), world)?
+            } else {
+                AllToAllLayout::scatter_heads(t.shape(), world)?
+            };
             items.push((layout, *t));
         }
         let _s = self.span(label, tensors.iter().map(|t| t.data().len()).sum());
@@ -541,24 +522,6 @@ impl DistAttention {
         debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
         Ok(grads)
     }
-}
-
-/// Looks up (or builds exactly once) the all-to-all layout for `shape`.
-/// Non-3-D shapes fall through to `build`, which reports the shape error.
-fn cached_layout(
-    map: &mut HashMap<[usize; 3], AllToAllLayout>,
-    shape: &[usize],
-    build: impl FnOnce() -> ExecResult<AllToAllLayout>,
-) -> ExecResult<AllToAllLayout> {
-    let Ok(key) = <[usize; 3]>::try_from(shape) else {
-        return build();
-    };
-    if let Some(l) = map.get(&key) {
-        return Ok(*l);
-    }
-    let l = build()?;
-    map.insert(key, l);
-    Ok(l)
 }
 
 impl AttentionExec for DistAttention {

@@ -1,11 +1,8 @@
 //! The single front door for every runtime knob.
 //!
-//! Before this module, tuning was scattered: the executor carried its own
-//! options pair, `TrainConfig` had its own optional override, the kernel
-//! pool read `FPDT_THREADS` and the tensor ops read `FPDT_PAR_THRESHOLD`
-//! — each with its own parsing. [`RuntimeOptions`] collapses them into
-//! one builder with one documented [`RuntimeOptions::from_env`], so "what
-//! is this run actually configured to do?" has a single answer.
+//! [`RuntimeOptions`] is one builder with one documented
+//! [`RuntimeOptions::from_env`], so "what is this run actually configured
+//! to do?" has a single answer.
 //!
 //! There is no stream knob. The comm and copy streams are clocks on the
 //! rank thread, one code path at every link: over a priced link
@@ -16,11 +13,13 @@
 //! all is part of the strategy ([`Mode::Fpdt`](super::Mode::Fpdt)), not
 //! an option.
 //!
-//! `threads` and `par_threshold` are the two kernel settings of the rank
-//! sessions' [`KernelCtx`]: a session starts from the context of the
-//! thread that first calls `Trainer::run_steps`, these two override it,
-//! and the thread budget is then split across the ranks
-//! ([`RuntimeOptions::kernel_ctx`], [`KernelCtx::split`]). Nothing here
+//! Kernel settings are not here either. A session's kernels run under the
+//! [`KernelCtx`](fpdt_tensor::KernelCtx) of the thread that first calls
+//! `Trainer::run_steps`, its thread budget split across the ranks
+//! ([`KernelCtx::split`](fpdt_tensor::KernelCtx::split)); run under another
+//! context with [`KernelCtx::enter`](fpdt_tensor::KernelCtx::enter). A
+//! thread's default context comes from `FPDT_THREADS`,
+//! `FPDT_PAR_THRESHOLD` and `FPDT_SIMD` (`fpdt_tensor::ctx`). Nothing here
 //! writes a process-wide setting.
 //!
 //! Every knob except `payload_bf16` is a *pure system* toggle: losses,
@@ -36,13 +35,9 @@
 //! | Variable             | Effect                                       | Default |
 //! |----------------------|----------------------------------------------|---------|
 //! | `FPDT_BF16`          | bf16 payloads (`0`/`false`/`off` = no)       | off     |
-//! | `FPDT_THREADS`       | kernel thread budget of the training run     | num CPUs|
-//! | `FPDT_PAR_THRESHOLD` | min work before a kernel splits              | 65536   |
 //! | `FPDT_COMM_RETRIES`  | replay budget for transient collective faults| 0       |
 //! | `FPDT_FAULT_INJECT`  | transient faults armed per `run_steps` call  | 0       |
 //! | `FPDT_SIM_GBPS`      | simulated link bandwidth, GB/s (`0` = free)  | 0       |
-
-use fpdt_tensor::KernelCtx;
 
 /// Parses the shared flag syntax: unset means `default`; `0`, `false`,
 /// or `off` disable; any other value enables.
@@ -54,12 +49,6 @@ use fpdt_tensor::KernelCtx;
 /// raw reads to the documented entry points.
 fn env_flag(name: &str, default: bool) -> bool {
     fpdt_tensor::env::flag(name, default)
-}
-
-/// Reads a count-valued knob strictly (trimmed decimal `>= 1`), warning
-/// once and falling back to `None` on anything malformed.
-fn env_usize(name: &str) -> Option<usize> {
-    fpdt_tensor::env::usize_knob(name)
 }
 
 /// Reads a budget-valued knob strictly (trimmed decimal, `0` allowed),
@@ -78,8 +67,8 @@ fn env_budget(name: &str) -> Option<usize> {
 ///
 /// let opts = RuntimeOptions::from_env()
 ///     .with_payload_bf16(true)
-///     .with_threads(1);
-/// assert!(opts.payload_bf16 && opts.threads == Some(1));
+///     .with_comm_retries(2);
+/// assert!(opts.payload_bf16 && opts.comm_retries == 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeOptions {
@@ -87,14 +76,6 @@ pub struct RuntimeOptions {
     /// (half the wire bytes; compute stays f32). `FPDT_BF16`. The one
     /// knob that affects numerics — see the module docs.
     pub payload_bf16: bool,
-    /// Kernel thread budget of the whole run, split across its ranks
-    /// (`None` = the budget of the thread that starts the run, by default
-    /// `FPDT_THREADS`).
-    pub threads: Option<usize>,
-    /// Parallel-split threshold of the rank threads' kernels (`None` = the
-    /// threshold of the thread that starts the run, by default
-    /// `FPDT_PAR_THRESHOLD`).
-    pub par_threshold: Option<usize>,
     /// Replay budget for transient collective faults (`FPDT_COMM_RETRIES`,
     /// default 0 = fail fast): how many extra attempts each collective
     /// gets before the step aborts and rolls back. Recovery re-runs the
@@ -118,16 +99,11 @@ pub struct RuntimeOptions {
 }
 
 impl RuntimeOptions {
-    /// Reads every `FPDT_*` knob — the one documented parse point (see
-    /// the module table). `threads`/`par_threshold` are `Some` only when
-    /// their variable is set: a thread's default kernel context already
-    /// comes from the same variables, so `None` means "keep the caller's
-    /// context" rather than "reset to default".
+    /// Reads every runtime `FPDT_*` knob — the one documented parse point
+    /// (see the module table).
     pub fn from_env() -> Self {
         RuntimeOptions {
             payload_bf16: env_flag("FPDT_BF16", false),
-            threads: env_usize("FPDT_THREADS"),
-            par_threshold: env_usize("FPDT_PAR_THRESHOLD"),
             comm_retries: env_budget("FPDT_COMM_RETRIES").unwrap_or(0),
             fault_inject: env_budget("FPDT_FAULT_INJECT").unwrap_or(0),
             sim_gbps: fpdt_trace::wire::link_gbps(),
@@ -138,20 +114,6 @@ impl RuntimeOptions {
     #[must_use]
     pub fn with_payload_bf16(mut self, payload_bf16: bool) -> Self {
         self.payload_bf16 = payload_bf16;
-        self
-    }
-
-    /// Overrides the run's kernel thread budget.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Overrides the parallel-split threshold.
-    #[must_use]
-    pub fn with_par_threshold(mut self, par_threshold: usize) -> Self {
-        self.par_threshold = Some(par_threshold);
         self
     }
 
@@ -182,17 +144,6 @@ impl RuntimeOptions {
             .unwrap_or_else(|why| panic!("simulated link bandwidth refused: {why}"));
         self
     }
-
-    /// `base` with this run's `threads` and `par_threshold` overrides —
-    /// the context a run started from a thread at `base` computes under,
-    /// before the budget is split across its ranks.
-    pub fn kernel_ctx(&self, base: KernelCtx) -> KernelCtx {
-        KernelCtx {
-            threads: self.threads.unwrap_or(base.threads),
-            par_threshold: self.par_threshold.unwrap_or(base.par_threshold),
-            ..base
-        }
-    }
 }
 
 impl Default for RuntimeOptions {
@@ -209,14 +160,10 @@ mod tests {
     fn builder_chains_every_knob() {
         let opts = RuntimeOptions::from_env()
             .with_payload_bf16(true)
-            .with_threads(3)
-            .with_par_threshold(1)
             .with_comm_retries(2)
             .with_fault_inject(1)
             .with_sim_gbps(0.05);
         assert!(opts.payload_bf16);
-        assert_eq!(opts.threads, Some(3));
-        assert_eq!(opts.par_threshold, Some(1));
         assert_eq!(opts.comm_retries, 2);
         assert_eq!(opts.fault_inject, 1);
         assert_eq!(opts.sim_gbps, 0.05);
@@ -263,56 +210,5 @@ mod tests {
         }
         std::env::remove_var("FPDT_TEST_FLAG");
         assert!(!env_flag("FPDT_TEST_FLAG", false), "default respected");
-    }
-
-    #[test]
-    fn strict_parse_rejects_empty_garbage_zero() {
-        // The runtime layer delegates to the shared kernel-layer parser;
-        // assert the delegated surface keeps the strict contract.
-        use fpdt_tensor::env::parse_usize_strict;
-        assert!(parse_usize_strict("").is_err(), "empty");
-        assert!(parse_usize_strict("   ").is_err(), "whitespace");
-        assert!(parse_usize_strict("eight").is_err(), "garbage");
-        assert!(parse_usize_strict("3.5").is_err(), "float");
-        assert!(parse_usize_strict("-2").is_err(), "negative");
-        assert!(parse_usize_strict("0").is_err(), "zero");
-        assert_eq!(parse_usize_strict("8"), Ok(8));
-        assert_eq!(parse_usize_strict(" 16 "), Ok(16), "trimmed");
-    }
-
-    #[test]
-    fn malformed_env_counts_fall_back_to_default() {
-        // Dedicated variable names so concurrent tests reading the real
-        // knobs are untouched; each malformed shape must read as unset.
-        for (i, bad) in ["", "garbage", "0", "-1"].iter().enumerate() {
-            let name = format!("FPDT_TEST_COUNT_{i}");
-            std::env::set_var(&name, bad);
-            assert_eq!(env_usize(&name), None, "{bad:?} must fall back");
-            std::env::remove_var(&name);
-        }
-        std::env::set_var("FPDT_TEST_COUNT_OK", "4");
-        assert_eq!(env_usize("FPDT_TEST_COUNT_OK"), Some(4));
-        std::env::remove_var("FPDT_TEST_COUNT_OK");
-        assert_eq!(env_usize("FPDT_TEST_COUNT_OK"), None, "unset stays None");
-    }
-
-    #[test]
-    fn kernel_overrides_replace_only_their_fields() {
-        let base = KernelCtx::current();
-        let none = RuntimeOptions {
-            threads: None,
-            par_threshold: None,
-            ..RuntimeOptions::from_env()
-        };
-        assert_eq!(
-            none.kernel_ctx(base),
-            base,
-            "no override keeps the caller's context"
-        );
-        let both = none.with_threads(3).with_par_threshold(9).kernel_ctx(base);
-        assert_eq!(
-            (both.threads, both.par_threshold, both.backend),
-            (3, 9, base.backend)
-        );
     }
 }

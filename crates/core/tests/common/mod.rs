@@ -1,5 +1,5 @@
-//! Fixture shared by the fpdt-core determinism suites: forced kernel
-//! settings and the two-rank forward/backward they compare.
+//! Fixture shared by the fpdt-core test suites: forced kernel settings,
+//! the fixture model and a two-rank forward/backward.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -24,21 +24,15 @@ pub fn forced_ctx(threads: usize) -> KernelCtx {
     }
 }
 
-/// `opts` carrying the same two settings, for runs that take their kernel
-/// context from [`RuntimeOptions`].
-pub fn forced(opts: RuntimeOptions, threads: usize) -> RuntimeOptions {
-    opts.with_threads(threads).with_par_threshold(1)
-}
-
 /// The fixture model every suite trains.
 pub fn fixture_model() -> ModelConfig {
     ModelConfig::tiny(2, 32, 4, 50)
 }
 
 /// One full forward/backward of the fixture model on 2 ranks over a
-/// 64-token sequence in `chunks` chunks, under `opts`' kernel settings
-/// (like a training run); returns every rank's (loss_sum, flat gradients,
-/// comm stats).
+/// 64-token sequence in `chunks` chunks, under the calling thread's kernel
+/// context split across the ranks (like a training run); returns every
+/// rank's (loss_sum, flat gradients, comm stats).
 pub fn grad_run(
     seed: u64,
     chunks: usize,
@@ -47,29 +41,26 @@ pub fn grad_run(
 ) -> Vec<(f32, Vec<f32>, CommStats)> {
     let model_cfg = fixture_model();
     let seq = 64usize;
-    let ctx = opts.kernel_ctx(KernelCtx::current());
-    ctx.enter(|| {
-        run_group(2, |comm| {
-            let comm = Arc::new(comm);
-            let plan = ChunkPlan::new(seq, 2, chunks).expect("valid plan");
-            let rank = comm.rank();
-            let mut corpus = Corpus::new(model_cfg.vocab, 0.05, seed ^ 0x5eed);
-            let (gx, gy) = corpus.sample(seq);
-            let (tokens, targets, pos) = (
-                plan.shard(rank, &gx),
-                plan.shard(rank, &gy),
-                plan.local_positions(rank),
-            );
-            let mut model = GptModel::new(&model_cfg, seed);
-            let mut exec = DistAttention::with_opts(Arc::clone(&comm), plan, offload, opts);
-            model.zero_grad();
-            let stats = model
-                .forward_backward(&mut exec, &tokens, &targets, &pos, 2 * chunks, 2)
-                .expect("forward/backward succeeds");
-            // Dropping the executor drains its streams, so the wire counters
-            // are complete.
-            drop(exec);
-            (stats.loss_sum, model.collect_grads(), comm.stats())
-        })
+    run_group(2, |comm| {
+        let comm = Arc::new(comm);
+        let plan = ChunkPlan::new(seq, 2, chunks).expect("valid plan");
+        let rank = comm.rank();
+        let mut corpus = Corpus::new(model_cfg.vocab, 0.05, seed ^ 0x5eed);
+        let (gx, gy) = corpus.sample(seq);
+        let (tokens, targets, pos) = (
+            plan.shard(rank, &gx),
+            plan.shard(rank, &gy),
+            plan.local_positions(rank),
+        );
+        let mut model = GptModel::new(&model_cfg, seed);
+        let mut exec = DistAttention::with_opts(Arc::clone(&comm), plan, offload, opts);
+        model.zero_grad();
+        let stats = model
+            .forward_backward(&mut exec, &tokens, &targets, &pos, 2 * chunks, 2)
+            .expect("forward/backward succeeds");
+        // Dropping the executor drains its streams, so the wire counters
+        // are complete.
+        drop(exec);
+        (stats.loss_sum, model.collect_grads(), comm.stats())
     })
 }

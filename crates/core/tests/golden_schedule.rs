@@ -165,7 +165,7 @@ fn runtime_tile_order_matches_golden() {
 fn offloaded_gradients_match_golden_bits() {
     // One line per (chunk count, rank): the loss bits and a digest of
     // every gradient's bits. f32 payloads; the thread count cannot move
-    // a bit (`offload_determinism`), so the ambient budget is fine.
+    // a bit (`determinism_oracle`), so the ambient budget is fine.
     let mut body = String::new();
     for u in [2usize, 4] {
         let opts = RuntimeOptions::from_env().with_payload_bf16(false);
@@ -195,8 +195,7 @@ fn checkpoint_shards_match_golden_bytes() {
     let runtime = RuntimeOptions::from_env()
         .with_payload_bf16(false)
         .with_fault_inject(0)
-        .with_comm_retries(0)
-        .with_threads(2);
+        .with_comm_retries(0);
     let cfg = TrainConfig {
         world: 2,
         steps: 2,
@@ -209,7 +208,9 @@ fn checkpoint_shards_match_golden_bytes() {
     let dir = std::env::temp_dir().join(format!("fpdt-golden-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut trainer = Trainer::new(cfg);
-    trainer.run_steps(2).expect("two clean steps");
+    common::forced_ctx(2)
+        .enter(|| trainer.run_steps(2))
+        .expect("two clean steps");
     trainer.checkpoint(&dir).expect("checkpoint");
     let mut body = String::new();
     for path in shard_paths(&dir).expect("a complete shard set") {

@@ -50,10 +50,14 @@ thread_local! {
     static LOCAL: Cell<Option<(usize, Backend)>> = const { Cell::new(None) };
 }
 
-/// The process default threshold and backend, read once.
+/// The process default threshold and backend, read once. `FPDT_THREADS`
+/// is checked here under the same strict rule, so a malformed budget
+/// warns once too; the pool (`rayon::pool`) reads the value itself, and
+/// its parse accepts exactly what [`crate::env::usize_knob`] accepts.
 fn defaults() -> (usize, Backend) {
     static DEFAULT: OnceLock<(usize, Backend)> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
+        let _ = crate::env::usize_knob("FPDT_THREADS");
         let threshold = crate::env::usize_knob("FPDT_PAR_THRESHOLD")
             .unwrap_or(crate::par::DEFAULT_PAR_THRESHOLD);
         // `FPDT_SIMD` accepts `scalar` on top of the shared off spellings.
@@ -133,5 +137,30 @@ mod tests {
         let unwound = std::panic::catch_unwind(|| inner.enter(|| panic!("inside")));
         assert!(unwound.is_err());
         assert_eq!(KernelCtx::current(), outer, "restored on unwind");
+    }
+
+    #[test]
+    fn a_malformed_thread_budget_warns_once() {
+        // The process defaults are read once, so the check runs in a child
+        // process of this test binary with the variable set.
+        const NAME: &str = "ctx::tests::a_malformed_thread_budget_warns_once";
+        if std::env::var_os("FPDT_CTX_TEST_CHILD").is_some() {
+            let first = KernelCtx::current();
+            assert_eq!(KernelCtx::current(), first);
+            return;
+        }
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", NAME, "--nocapture", "--test-threads=1"])
+            .env("FPDT_CTX_TEST_CHILD", "1")
+            .env("FPDT_THREADS", "eight")
+            .output()
+            .expect("child test run");
+        assert!(child.status.success(), "child failed: {child:?}");
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(
+            stderr.matches("malformed FPDT_THREADS").count(),
+            1,
+            "{stderr}"
+        );
     }
 }

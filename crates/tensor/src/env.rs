@@ -1,9 +1,10 @@
 //! The kernel layer's single environment-variable initialization point.
 //!
 //! `fpdt-tensor` sits at the bottom of the workspace dependency graph, so
-//! it cannot call into `fpdt_core::runtime::RuntimeOptions` — but its two
-//! knobs (`FPDT_SIMD`, `FPDT_PAR_THRESHOLD`) still deserve the same strict
-//! parse-or-warn discipline as the runtime flags. This module is the one
+//! it cannot call into `fpdt_core::runtime::RuntimeOptions` — but its
+//! kernel-context knobs (`FPDT_THREADS`, `FPDT_PAR_THRESHOLD`,
+//! `FPDT_SIMD`, read in `ctx`) still deserve the same strict parse-or-warn
+//! discipline as the runtime flags. This module is the one
 //! place in the crate allowed to touch `std::env` (`fpdt-lint` rule
 //! `env-outside-options` enforces that mechanically), and
 //! `RuntimeOptions::from_env` reuses these primitives so the flag syntax

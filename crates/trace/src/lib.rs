@@ -32,4 +32,4 @@ pub mod wire;
 
 pub use chrome::sim_chrome_trace;
 pub use metrics::ScheduleMetrics;
-pub use span::{hidden_fraction, overlap_fraction, Recorder, Span, SpanRecord};
+pub use span::{Recorder, Span, SpanRecord};

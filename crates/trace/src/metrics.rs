@@ -321,7 +321,8 @@ pub fn slot_balance(durations: &[f64]) -> SlotBalance {
 /// thread spends inside the union of the spans whose label starts with one
 /// of `prefixes` — how much of a step the named categories account for.
 /// Rank threads are the ones that record a `block.*` span in the window
-/// (the convention of [`crate::hidden_fraction`]); spans are clipped to
+/// (the convention of the repo benchmark's `on_rank_threads_us`, in
+/// `benchmark/src/reduce.rs`); spans are clipped to
 /// the window and the least-covered rank is reported. `0.0` when the
 /// window is empty or no rank thread recorded in it.
 pub fn coverage(records: &[SpanRecord], window: (f64, f64), prefixes: &[&str]) -> f64 {

@@ -255,115 +255,6 @@ impl Drop for Span {
     }
 }
 
-/// Merges a set of `[start, end)` intervals into disjoint sorted spans.
-fn merge_intervals(mut iv: Vec<(f64, f64)>) -> Vec<(f64, f64)> {
-    iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(iv.len());
-    for (s, e) in iv {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-fn intervals_for(records: &[SpanRecord], prefixes: &[&str]) -> Vec<(f64, f64)> {
-    merge_intervals(
-        records
-            .iter()
-            .filter(|s| prefixes.iter().any(|p| s.label.starts_with(p)))
-            .map(|s| (s.start_us, s.start_us + s.dur_us))
-            .collect(),
-    )
-}
-
-/// Sum of `|a ∩ b|` over two sorted disjoint interval lists.
-fn intersection(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
-    let mut overlap = 0.0f64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            overlap += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    overlap
-}
-
-/// Fraction of the copy busy time that ran concurrently with compute —
-/// the paper's Figure-13 overlap claim, measured on wall-clock spans.
-///
-/// `copy_prefixes` selects the transfer spans (e.g. `"offload."`),
-/// `compute_prefixes` the compute spans (e.g. `"kernel."`). Both sets are
-/// merged into disjoint wall-clock intervals; the result is
-/// `|copy ∩ compute| / |copy|`, or `0.0` when no copy time was recorded.
-/// A perfectly hidden copy stream scores 1.0; a fully synchronous runtime
-/// (transfers on the compute thread, between kernels) scores 0.0.
-pub fn overlap_fraction(
-    records: &[SpanRecord],
-    copy_prefixes: &[&str],
-    compute_prefixes: &[&str],
-) -> f64 {
-    let copy = intervals_for(records, copy_prefixes);
-    let compute = intervals_for(records, compute_prefixes);
-    let copy_busy: f64 = copy.iter().map(|(s, e)| e - s).sum();
-    if copy_busy <= 0.0 {
-        return 0.0;
-    }
-    intersection(&copy, &compute) / copy_busy
-}
-
-/// Share of a stream's busy time that no rank waited for:
-/// `1 - exposed / busy` (`0.0` when the stream recorded no busy time).
-///
-/// *Busy* is the union of the `busy_prefixes` spans per thread, summed
-/// over threads. *Exposed* is what the rank threads themselves — the
-/// threads that record `block.*` spans — spend inside `exposed_prefixes`
-/// spans: a transfer run inline, or a wait for one the stream did not
-/// finish in time. Concurrency with compute on *another* thread would
-/// not do as a measure: with two ranks in one trace the other rank is
-/// always computing, and every stream would score 1.0. (The same
-/// definition as the repo benchmark's `offload.overlap_fraction` /
-/// `comm.overlap_fraction`.)
-pub fn hidden_fraction(
-    records: &[SpanRecord],
-    busy_prefixes: &[&str],
-    exposed_prefixes: &[&str],
-) -> f64 {
-    let matching = |prefixes: &[&str], on_ranks: Option<&[u64]>| -> f64 {
-        let spans = records
-            .iter()
-            .filter(|s| prefixes.iter().any(|p| s.label.starts_with(p)))
-            .filter(|s| on_ranks.is_none_or(|tids| tids.contains(&s.tid)));
-        let mut per_thread: std::collections::BTreeMap<u64, Vec<(f64, f64)>> = Default::default();
-        for s in spans {
-            per_thread.entry(s.tid).or_default().push((s.start_us, s.start_us + s.dur_us));
-        }
-        per_thread
-            .into_values()
-            .flat_map(merge_intervals)
-            .map(|(start, end)| end - start)
-            .sum()
-    };
-    let rank_tids: Vec<u64> = records
-        .iter()
-        .filter(|s| s.label.starts_with("block."))
-        .map(|s| s.tid)
-        .collect();
-    let busy = matching(busy_prefixes, None);
-    if busy <= 0.0 {
-        return 0.0;
-    }
-    (1.0 - matching(exposed_prefixes, Some(&rank_tids)) / busy).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,78 +378,5 @@ mod tests {
         assert_eq!(rec.total_bytes("attn."), 128);
         assert_eq!(rec.count("offload."), 2);
         assert_eq!(rec.count("comm."), 0);
-    }
-
-    fn rec(label: &str, start: f64, dur: f64) -> SpanRecord {
-        SpanRecord {
-            label: label.to_string(),
-            tid: 0,
-            start_us: start,
-            dur_us: dur,
-            bytes: None,
-        }
-    }
-
-    #[test]
-    fn overlap_full_partial_and_none() {
-        // copy [0,10) entirely inside compute [0,20) -> 1.0
-        let full = vec![rec("offload.prefetch", 0.0, 10.0), rec("kernel.x", 0.0, 20.0)];
-        assert!((overlap_fraction(&full, &["offload."], &["kernel."]) - 1.0).abs() < 1e-9);
-
-        // copy [0,10) vs compute [5,15) -> half the copy overlaps
-        let part = vec![rec("offload.put", 0.0, 10.0), rec("kernel.x", 5.0, 10.0)];
-        assert!((overlap_fraction(&part, &["offload."], &["kernel."]) - 0.5).abs() < 1e-9);
-
-        // strictly sequential -> 0.0; and no copy spans at all -> 0.0
-        let none = vec![rec("offload.fetch", 0.0, 10.0), rec("kernel.x", 10.0, 10.0)];
-        assert_eq!(overlap_fraction(&none, &["offload."], &["kernel."]), 0.0);
-        assert_eq!(overlap_fraction(&[], &["offload."], &["kernel."]), 0.0);
-    }
-
-    #[test]
-    fn overlap_merges_overlapping_spans_per_set() {
-        // Two copy spans that themselves overlap must not double-count:
-        // merged copy busy = [0,15), compute = [0,30) -> fraction 1.0.
-        let r = vec![
-            rec("offload.put", 0.0, 10.0),
-            rec("offload.prefetch", 5.0, 10.0),
-            rec("kernel.a", 0.0, 30.0),
-        ];
-        assert!((overlap_fraction(&r, &["offload."], &["kernel."]) - 1.0).abs() < 1e-9);
-    }
-
-    fn rec_on(tid: u64, label: &str, start: f64, dur: f64) -> SpanRecord {
-        SpanRecord {
-            tid,
-            ..rec(label, start, dur)
-        }
-    }
-
-    #[test]
-    fn hidden_fraction_counts_what_the_rank_thread_itself_spends() {
-        let busy = &["offload.put", "offload.prefetch", "offload.fetch"];
-        // Inline: the transfers run on the rank thread, nested in its
-        // phase span. Thread-blind overlap scores 1.0; nothing is hidden.
-        let inline = vec![
-            rec_on(0, "block.fwd", 0.0, 100.0),
-            rec_on(0, "offload.fetch", 10.0, 20.0),
-        ];
-        assert!((overlap_fraction(&inline, &["offload."], &["block."]) - 1.0).abs() < 1e-9);
-        assert_eq!(hidden_fraction(&inline, busy, &["offload."]), 0.0);
-        // On a worker, with the rank blocked for the last quarter of it.
-        let streamed = vec![
-            rec_on(0, "block.fwd", 0.0, 100.0),
-            rec_on(2, "offload.prefetch", 10.0, 20.0),
-            rec_on(0, "offload.wait", 25.0, 5.0),
-        ];
-        assert!((hidden_fraction(&streamed, busy, &["offload."]) - 0.75).abs() < 1e-9);
-        // A second rank computing all along changes nothing: exposure is
-        // per rank thread, and a wait on a non-rank thread (a fetch job
-        // waiting for its chunk's put) is not exposure.
-        let mut two_ranks = streamed.clone();
-        two_ranks.push(rec_on(1, "block.fwd", 0.0, 100.0));
-        two_ranks.push(rec_on(3, "offload.wait", 0.0, 50.0));
-        assert!((hidden_fraction(&two_ranks, busy, &["offload."]) - 0.75).abs() < 1e-9);
-        assert_eq!(hidden_fraction(&[], busy, &["offload."]), 0.0);
     }
 }

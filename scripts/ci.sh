@@ -104,8 +104,9 @@ FPDT_SIMD=0 cargo test -q -p fpdt-tensor --test simd_equivalence
 stage "cargo test -q -p fpdt-core under FPDT_FAULT_INJECT=2 FPDT_COMM_RETRIES=4"
 # The tier-1 suite must pass with transient collective faults injected
 # into every group and enough replay budget to absorb them: recovery is
-# a scheduling event, never a numerics event. (Determinism suites that
-# measure fault counters pin the knobs off internally.)
+# a scheduling event, never a numerics event. (The determinism oracle
+# sets its fault knobs per case, so it measures exact fault counters
+# under this leg too.)
 FPDT_FAULT_INJECT=2 FPDT_COMM_RETRIES=4 cargo test -q -p fpdt-core
 
 stage "cargo test --offline --locked --manifest-path benchmark/Cargo.toml (the fixed benchmark)"

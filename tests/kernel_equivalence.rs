@@ -11,7 +11,7 @@
 //! future microkernel change reassociates a reduction differently
 //! between backends, this is the test that catches it.
 
-use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
+use fpdt_core::runtime::{train, Mode, TrainConfig};
 use fpdt_model::config::ModelConfig;
 use fpdt_tensor::mk::{self, Backend};
 use fpdt_tensor::KernelCtx;
@@ -33,21 +33,16 @@ fn config(mode: Mode) -> TrainConfig {
     }
 }
 
-/// The loss trajectory of `mode` with `backend` forced on the calling
-/// thread (the rank sessions start from its kernel context) and the run's
-/// thread budget at `threads` with the parallel-split threshold at 1.
+/// The loss trajectory of `mode` with `backend`, a thread budget of
+/// `threads` and the parallel-split threshold at 1 forced on the calling
+/// thread (the rank sessions start from its kernel context).
 fn losses(mode: Mode, backend: Backend, threads: usize) -> Vec<f32> {
-    let cfg = TrainConfig {
-        runtime: RuntimeOptions::from_env()
-            .with_threads(threads)
-            .with_par_threshold(1),
-        ..config(mode)
-    };
     let ctx = KernelCtx {
+        threads,
+        par_threshold: 1,
         backend,
-        ..KernelCtx::current()
     };
-    ctx.enter(|| train(&cfg).losses)
+    ctx.enter(|| train(&config(mode)).losses)
 }
 
 /// Trains the given mode under every backend and thread budget and
