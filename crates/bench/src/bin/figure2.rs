@@ -23,7 +23,8 @@ fn main() {
                 x.data_mut()[t * heads + h] = (100 * r + 10 * t + h) as f32;
             }
         }
-        let gathered = AllToAllLayout::scatter_heads_gather_seq(&comm, &x).unwrap();
+        let layout = AllToAllLayout::scatter_heads(x.shape(), comm.world()).unwrap();
+        let gathered = layout.apply(&comm, &x).unwrap();
         (x, gathered)
     });
 

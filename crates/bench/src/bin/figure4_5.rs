@@ -6,8 +6,9 @@
 //! current chunk (plus the one being fetched) lives on "HBM".
 
 use fpdt_attention::online::OnlineAttention;
-use fpdt_core::offload::{BufKind, ChunkKey, HostPool};
+use fpdt_core::offload::{BufKind, ChunkKey, OffloadEngine};
 use fpdt_tensor::{init, Tensor};
+use std::sync::Arc;
 
 fn main() {
     let (s, h, d, u) = (64usize, 4usize, 16usize, 4usize);
@@ -17,7 +18,8 @@ fn main() {
     let k = init::randn(&mut rng, &[s, h, d], 1.0);
     let v = init::randn(&mut rng, &[s, h, d], 1.0);
     let pos: Vec<usize> = (0..s).collect();
-    let mut pool = HostPool::new();
+    // a host pool over a free link
+    let mut pool = OffloadEngine::new(false);
     let kib = |b: u64| b as f64 / 1024.0;
 
     println!("Figures 4/5: chunked attention with offloading ({u} chunks of {chunk} tokens)\n");
@@ -28,8 +30,8 @@ fn main() {
         print!("chunk T_{i}: attend to [");
         for j in 0..i {
             // fetch previously offloaded KV from host (Figure 5)
-            let kj = pool.fetch_keep(&ChunkKey::new(0, BufKind::K, j)).unwrap();
-            let vj = pool.fetch_keep(&ChunkKey::new(0, BufKind::V, j)).unwrap();
+            let kj = pool.prefetch(&ChunkKey::new(0, BufKind::K, j), false).unwrap().wait();
+            let vj = pool.prefetch(&ChunkKey::new(0, BufKind::V, j), false).unwrap().wait();
             st.update(&kj, &vj, &pos[j * chunk..(j + 1) * chunk]).unwrap();
             print!("T_{j}(host) ");
         }
@@ -40,12 +42,13 @@ fn main() {
         let (oi, _) = st.finalize();
         outputs.push(oi);
         // offload this chunk's KV for future chunks / backward (Figure 4)
-        pool.offload(ChunkKey::new(0, BufKind::K, i), ki);
-        pool.offload(ChunkKey::new(0, BufKind::V, i), vi);
+        pool.put(ChunkKey::new(0, BufKind::K, i), Arc::new(ki));
+        pool.put(ChunkKey::new(0, BufKind::V, i), Arc::new(vi));
         let st = pool.stats();
+        // every fetch keeps its chunk, so every put is still resident
         println!(
             "   host: {} chunks / {:.0} KiB (fetches so far: {})",
-            pool.len(),
+            st.offloads,
             kib(st.bytes),
             st.fetches
         );

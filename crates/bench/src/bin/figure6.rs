@@ -7,6 +7,7 @@ use fpdt_bench::write_json;
 use fpdt_comm::run_group;
 use fpdt_core::chunk::ChunkPlan;
 use fpdt_core::runtime::exec::{AttentionExec, DistAttention};
+use fpdt_core::runtime::RuntimeOptions;
 use fpdt_tensor::{init, Tensor};
 use serde::Serialize;
 
@@ -63,7 +64,7 @@ fn main() {
             let refs: Vec<&Tensor> = parts.iter().collect();
             Tensor::concat(&refs, 0).unwrap()
         };
-        let mut ex = DistAttention::new(std::sync::Arc::new(comm), plan, true);
+        let mut ex = DistAttention::with_opts(std::sync::Arc::new(comm), plan, true, RuntimeOptions::from_env());
         let pos = plan.local_positions(rank);
         let o = ex
             .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)

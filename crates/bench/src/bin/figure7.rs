@@ -32,7 +32,8 @@ fn main() {
     let metrics = ScheduleMetrics::from_report(&rep.sim);
     let busy = |stream: &str| -> Vec<(f64, f64)> {
         union(
-            rep.records
+            rep.sim
+                .task_records()
                 .iter()
                 .filter(|r| r.stream == stream && r.finish > r.start)
                 .map(|r| (r.start, r.finish))

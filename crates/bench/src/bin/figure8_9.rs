@@ -28,7 +28,8 @@ fn main() {
         let time = rep.fwd_seconds + rep.bwd_seconds;
         // compute utilization = busy compute time / makespan, from records
         let busy: f64 = rep
-            .records
+            .sim
+            .task_records()
             .iter()
             .filter(|r| r.stream == "gpu0.compute")
             .map(|r| r.finish - r.start)

@@ -81,47 +81,6 @@ impl Communicator {
             .collect()
     }
 
-    /// Reduce-scatter: rank `r` returns the rank-ordered sum of every
-    /// rank's `parts[r]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::WrongPartCount`] for a bad part count and
-    /// [`CommError::LengthMismatch`] when contributions disagree in length.
-    pub fn reduce_scatter(&self, parts: Vec<Vec<f32>>) -> Result<Vec<f32>> {
-        self.fault_check("reduce_scatter")?;
-        if parts.len() != self.world() {
-            return Err(CommError::WrongPartCount {
-                op: "reduce_scatter",
-                expected: self.world(),
-                actual: parts.len(),
-            });
-        }
-        for (peer, part) in parts.into_iter().enumerate() {
-            self.send("reduce_scatter", peer, part)?;
-        }
-        let mut acc: Option<Vec<f32>> = None;
-        for peer in 0..self.world() {
-            let piece = self.recv("reduce_scatter", peer)?;
-            match &mut acc {
-                None => acc = Some(piece),
-                Some(buf) => {
-                    if buf.len() != piece.len() {
-                        return Err(CommError::LengthMismatch {
-                            op: "reduce_scatter",
-                            expected: buf.len(),
-                            actual: piece.len(),
-                        });
-                    }
-                    for (a, b) in buf.iter_mut().zip(piece) {
-                        *a += b;
-                    }
-                }
-            }
-        }
-        Ok(acc.unwrap_or_default())
-    }
-
     /// All-reduce (sum): every rank returns the identical rank-ordered sum
     /// of all contributions.
     ///
@@ -162,88 +121,23 @@ impl Communicator {
         Ok(())
     }
 
-    /// Broadcast from `root`: `data` is read on the root only; every rank
-    /// returns the root's buffer.
+    /// Chunked (bucketed) all-reduce: reduces `data` in buckets of at most
+    /// `bucket` elements, so the transient staging never exceeds two
+    /// buckets — the fix for the gradient-reduction memory spike the FPDT
+    /// paper's Future Work section identifies. Numerically identical to
+    /// [`Communicator::all_reduce`] (same rank-ordered summation per
+    /// element).
     ///
     /// # Errors
     ///
-    /// Returns [`CommError::RankOutOfRange`] for a bad root.
-    pub fn broadcast(&self, root: usize, data: Option<Vec<f32>>) -> Result<Vec<f32>> {
-        self.fault_check("broadcast")?;
-        if root >= self.world() {
-            return Err(CommError::RankOutOfRange {
-                rank: root,
-                world: self.world(),
-            });
+    /// Returns [`CommError::LengthMismatch`] when contributions disagree
+    /// in length, and propagates disconnections.
+    pub fn all_reduce_chunked(&self, data: &[f32], bucket: usize) -> Result<Vec<f32>> {
+        let mut out = data.to_vec();
+        for piece in out.chunks_mut(bucket.max(1)) {
+            self.all_reduce_in_place(piece)?;
         }
-        if self.rank() == root {
-            let data = data.unwrap_or_default();
-            for peer in 0..self.world() {
-                self.send("broadcast", peer, data.clone())?;
-            }
-        }
-        self.recv("broadcast", root)
-    }
-
-    /// Scatter from `root`: the root supplies one buffer per rank; every
-    /// rank returns its piece. This is the "one GPU fetches, then scatters"
-    /// strategy of paper Figure 10.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::RankOutOfRange`] for a bad root or
-    /// [`CommError::WrongPartCount`] for a bad part count at the root.
-    pub fn scatter(&self, root: usize, parts: Option<Vec<Vec<f32>>>) -> Result<Vec<f32>> {
-        self.fault_check("scatter")?;
-        if root >= self.world() {
-            return Err(CommError::RankOutOfRange {
-                rank: root,
-                world: self.world(),
-            });
-        }
-        if self.rank() == root {
-            let parts = parts.ok_or(CommError::WrongPartCount {
-                op: "scatter",
-                expected: self.world(),
-                actual: 0,
-            })?;
-            if parts.len() != self.world() {
-                return Err(CommError::WrongPartCount {
-                    op: "scatter",
-                    expected: self.world(),
-                    actual: parts.len(),
-                });
-            }
-            for (peer, part) in parts.into_iter().enumerate() {
-                self.send("scatter", peer, part)?;
-            }
-        }
-        self.recv("scatter", root)
-    }
-
-    /// Gather to `root`: every rank contributes; the root returns all
-    /// buffers in rank order, other ranks return `None`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::RankOutOfRange`] for a bad root.
-    pub fn gather(&self, root: usize, data: Vec<f32>) -> Result<Option<Vec<Vec<f32>>>> {
-        self.fault_check("gather")?;
-        if root >= self.world() {
-            return Err(CommError::RankOutOfRange {
-                rank: root,
-                world: self.world(),
-            });
-        }
-        self.send("gather", root, data)?;
-        if self.rank() == root {
-            let out: Result<Vec<Vec<f32>>> = (0..self.world())
-                .map(|peer| self.recv("gather", peer))
-                .collect();
-            Ok(Some(out?))
-        } else {
-            Ok(None)
-        }
+        Ok(out)
     }
 
     /// One step of a ring exchange: sends `data` to `(rank + 1) % world`
@@ -261,7 +155,6 @@ impl Communicator {
         self.recv("ring_exchange", prev)
     }
 }
-
 
 /// Which way a Ulysses all-to-all reshapes the tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,10 +174,7 @@ enum A2aDirection {
 /// with flat strided copies. Building one is a few integer products, so
 /// the runtime's executor builds a fresh layout for every tensor it posts
 /// on the split-phase stream ([`crate::CommEngine::post`]), which packs
-/// and unpacks through the same geometry. The one-shot constructors
-/// [`AllToAllLayout::scatter_heads_gather_seq`] and
-/// [`AllToAllLayout::scatter_seq_gather_heads`] remain for call sites
-/// without a chunk loop.
+/// and unpacks through the same geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllToAllLayout {
     dir: A2aDirection,
@@ -441,28 +331,6 @@ impl AllToAllLayout {
             what: e.to_string(),
         })
     }
-
-    /// One-shot forward all-to-all: builds the layout for `x` and applies
-    /// it. See [`AllToAllLayout::scatter_heads`] for the data movement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::Shape`] when `h` is not divisible by the world
-    /// size, or a communication error if the group is unhealthy.
-    pub fn scatter_heads_gather_seq(comm: &Communicator, x: &Tensor) -> Result<Tensor> {
-        Self::scatter_heads(x.shape(), comm.world())?.apply(comm, x)
-    }
-
-    /// One-shot inverse all-to-all: builds the layout for `x` and applies
-    /// it. See [`AllToAllLayout::scatter_seq`] for the data movement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::Shape`] when the sequence is not divisible by
-    /// the world size, or a communication error.
-    pub fn scatter_seq_gather_heads(comm: &Communicator, x: &Tensor) -> Result<Tensor> {
-        Self::scatter_seq(x.shape(), comm.world())?.apply(comm, x)
-    }
 }
 
 fn check_3d(op: &'static str, shape: &[usize]) -> Result<[usize; 3]> {
@@ -504,18 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_sums_per_destination() {
-        let out = run_group(2, |comm| {
-            let r = comm.rank() as f32;
-            // each rank contributes [r+1, r+2] to dst 0 and [r*10, r*10] to dst 1
-            let parts = vec![vec![r + 1.0, r + 2.0], vec![r * 10.0, r * 10.0]];
-            comm.reduce_scatter(parts).unwrap()
-        });
-        assert_eq!(out[0], vec![3.0, 5.0]); // (1+2, 2+3)
-        assert_eq!(out[1], vec![10.0, 10.0]); // (0+10, 0+10)
-    }
-
-    #[test]
     fn all_reduce_is_identical_everywhere() {
         let out = run_group(4, |comm| {
             comm.all_reduce(&[comm.rank() as f32, 1.0]).unwrap()
@@ -539,51 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_nonzero_root() {
-        let out = run_group(3, |comm| {
-            let payload = (comm.rank() == 2).then(|| vec![42.0]);
-            comm.broadcast(2, payload).unwrap()
-        });
-        for ranks in out {
-            assert_eq!(ranks, vec![42.0]);
-        }
-    }
-
-    #[test]
-    fn scatter_and_gather_round_trip() {
-        let out = run_group(3, |comm| {
-            let parts = (comm.rank() == 0).then(|| vec![vec![0.0], vec![1.0], vec![2.0]]);
-            let piece = comm.scatter(0, parts).unwrap();
-            comm.gather(0, piece).unwrap()
-        });
-        assert_eq!(out[0], Some(vec![vec![0.0], vec![1.0], vec![2.0]]));
-        assert_eq!(out[1], None);
-    }
-
-    #[test]
     fn ring_exchange_rotates() {
         let out = run_group(4, |comm| {
             comm.ring_exchange(vec![comm.rank() as f32]).unwrap()
         });
         // rank r receives from rank r-1
         assert_eq!(out, vec![vec![3.0], vec![0.0], vec![1.0], vec![2.0]]);
-    }
-
-    #[test]
-    fn ulysses_all_to_all_round_trip() {
-        // 2 ranks, each with [s_local=2, h=4, d=3]; forward then inverse
-        // must reproduce the original local tensor.
-        let out = run_group(2, |comm| {
-            let mut rng = init::seeded_rng(100 + comm.rank() as u64);
-            let x = init::randn(&mut rng, &[2, 4, 3], 1.0);
-            let gathered = AllToAllLayout::scatter_heads_gather_seq(&comm, &x).unwrap();
-            assert_eq!(gathered.shape(), &[4, 2, 3]);
-            let back = AllToAllLayout::scatter_seq_gather_heads(&comm, &gathered).unwrap();
-            (x, back)
-        });
-        for (orig, back) in out {
-            assert!(back.allclose(&orig, 1e-6, 1e-7));
-        }
     }
 
     #[test]
@@ -597,7 +414,8 @@ mod tests {
             for head in 0..4 {
                 x.data_mut()[head] = 100.0 * r + head as f32;
             }
-            AllToAllLayout::scatter_heads_gather_seq(&comm, &x).unwrap()
+            let layout = AllToAllLayout::scatter_heads(x.shape(), comm.world()).unwrap();
+            layout.apply(&comm, &x).unwrap()
         });
         // rank 0: heads {0,1} of rank0 then rank1 tokens
         assert_eq!(out[0].data(), &[0.0, 1.0, 100.0, 101.0]);
@@ -607,9 +425,9 @@ mod tests {
 
     #[test]
     fn layout_built_once_is_reused_across_chunks() {
-        // The executor's hot path: one layout per (shape, world), applied
-        // to every chunk. Must match the one-shot path bitwise, and reject
-        // tensors it was not built for.
+        // One layout per (shape, world), applied to every chunk: forward
+        // then inverse reproduces each chunk, and a tensor the layout was
+        // not built for is rejected.
         let out = run_group(2, |comm| {
             let fwd = AllToAllLayout::scatter_heads(&[2, 4, 3], comm.world()).unwrap();
             assert_eq!(fwd.in_shape(), [2, 4, 3]);
@@ -620,8 +438,6 @@ mod tests {
             for _ in 0..3 {
                 let x = init::randn(&mut rng, &[2, 4, 3], 1.0);
                 let gathered = fwd.apply(&comm, &x).unwrap();
-                let oneshot = AllToAllLayout::scatter_heads_gather_seq(&comm, &x).unwrap();
-                assert_eq!(gathered.data(), oneshot.data(), "cached == one-shot");
                 let back = inv.apply(&comm, &gathered).unwrap();
                 chunks.push((x, back));
             }
@@ -643,41 +459,8 @@ mod tests {
                 comm.all_to_all(vec![vec![]]),
                 Err(CommError::WrongPartCount { .. })
             ));
-            assert!(matches!(
-                comm.broadcast(7, None),
-                Err(CommError::RankOutOfRange { .. })
-            ));
-            // keep lockstep: run a real broadcast afterwards
-            let payload = (comm.rank() == 0).then(|| vec![1.0]);
-            comm.broadcast(0, payload).unwrap();
         });
     }
-}
-
-impl Communicator {
-    /// Chunked (bucketed) all-reduce: reduces `data` in buckets of at most
-    /// `bucket` elements, so the transient staging never exceeds two
-    /// buckets — the fix for the gradient-reduction memory spike the FPDT
-    /// paper's Future Work section identifies. Numerically identical to
-    /// [`Communicator::all_reduce`] (same rank-ordered summation per
-    /// element).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::LengthMismatch`] when contributions disagree
-    /// in length, and propagates disconnections.
-    pub fn all_reduce_chunked(&self, data: &[f32], bucket: usize) -> Result<Vec<f32>> {
-        let mut out = data.to_vec();
-        for piece in out.chunks_mut(bucket.max(1)) {
-            self.all_reduce_in_place(piece)?;
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod chunked_reduce_tests {
-    use crate::run_group;
 
     #[test]
     fn chunked_all_reduce_equals_monolithic() {

@@ -5,7 +5,7 @@ use crate::{CommError, Result};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fpdt_tensor::KernelCtx;
 use std::collections::HashMap;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -82,7 +82,6 @@ impl CommGroup {
             }
             receivers.push(row);
         }
-        let barrier = Arc::new(Barrier::new(world));
         let comms = senders
             .into_iter()
             .zip(receivers)
@@ -93,7 +92,6 @@ impl CommGroup {
                     world,
                     senders: tx_row,
                     receivers: rx_row,
-                    barrier: Arc::clone(&barrier),
                     stats: StatsCell::default(),
                     faults: Mutex::new(HashMap::new()),
                 })
@@ -124,7 +122,6 @@ pub struct Communicator {
     pub(crate) world: usize,
     senders: Vec<Sender<Message>>,
     receivers: Vec<Receiver<Message>>,
-    barrier: Arc<Barrier>,
     stats: StatsCell,
     /// Armed transient faults per collective tag (fault-tolerance harness).
     faults: Mutex<HashMap<&'static str, usize>>,
@@ -197,20 +194,6 @@ impl Communicator {
             });
         }
         Ok((msg.data.into_f32(), msg.ready_at))
-    }
-
-    /// Blocks until every rank in the group has reached the barrier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::Transient`] when an armed fault fires (before
-    /// this rank enters the barrier, so a retry rejoins cleanly). The
-    /// `Result` return also keeps the collectives surface uniform: every
-    /// group-wide operation is fallible.
-    pub fn barrier(&self) -> Result<()> {
-        self.fault_check("barrier")?;
-        self.barrier.wait();
-        Ok(())
     }
 
     /// Snapshot of this rank's per-collective traffic counters.
@@ -376,30 +359,18 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        run_group(4, |comm| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            comm.barrier().unwrap();
-            // After the barrier every rank must observe all increments.
-            assert_eq!(counter.load(Ordering::SeqCst), 4);
-        });
-    }
-
-    #[test]
     fn injected_fault_fires_then_clears() {
         run_group(1, |comm| {
-            comm.inject_fault("barrier", 2);
+            comm.inject_fault("all_gather", 2);
             assert!(matches!(
-                comm.barrier(),
-                Err(CommError::Transient { op: "barrier" })
+                comm.all_gather(&[1.0]),
+                Err(CommError::Transient { op: "all_gather" })
             ));
             assert!(matches!(
-                comm.barrier(),
-                Err(CommError::Transient { op: "barrier" })
+                comm.all_gather(&[1.0]),
+                Err(CommError::Transient { op: "all_gather" })
             ));
-            comm.barrier().unwrap();
+            assert_eq!(comm.all_gather(&[1.0]).unwrap(), vec![vec![1.0]]);
             assert_eq!(comm.stats().faults, 2);
         });
     }
@@ -407,14 +378,14 @@ mod tests {
     #[test]
     fn retrying_replays_transient_faults_within_budget() {
         run_group(1, |comm| {
-            comm.inject_fault("barrier", 2);
-            comm.retrying(2, |c| c.barrier()).unwrap();
+            comm.inject_fault("all_gather", 2);
+            assert_eq!(comm.retrying(2, |c| c.all_gather(&[1.0])).unwrap(), vec![vec![1.0]]);
             assert_eq!(comm.stats().retries, 2);
             // Budget exhausted: the last error surfaces.
-            comm.inject_fault("barrier", 3);
+            comm.inject_fault("all_gather", 3);
             assert!(matches!(
-                comm.retrying(2, |c| c.barrier()),
-                Err(CommError::Transient { op: "barrier" })
+                comm.retrying(2, |c| c.all_gather(&[1.0])),
+                Err(CommError::Transient { op: "all_gather" })
             ));
         });
     }

@@ -61,11 +61,11 @@ fn mixed_collectives_detected_as_desync() {
     let mut it = comms.into_iter();
     let c0 = it.next().unwrap();
     let c1 = it.next().unwrap();
-    // Rank 0 runs all_gather while rank 1 runs reduce_scatter (genuinely
+    // Rank 0 runs all_gather while rank 1 runs all_to_all (genuinely
     // different wire tags): the tag check must catch the SPMD violation
     // on at least one side.
     let h0 = thread::spawn(move || c0.all_gather(&[1.0]).is_err());
-    let h1 = thread::spawn(move || c1.reduce_scatter(vec![vec![1.0], vec![2.0]]).is_err());
+    let h1 = thread::spawn(move || c1.all_to_all(vec![vec![1.0], vec![2.0]]).is_err());
     let r0 = h0.join().unwrap();
     let r1 = h1.join().unwrap();
     assert!(r0 || r1, "at least one side must detect the desync");

@@ -28,27 +28,27 @@ proptest! {
     }
 
     #[test]
-    fn reduce_scatter_then_all_gather_equals_all_reduce(
+    fn all_reduce_is_the_rank_ordered_sum(
         world in 1usize..5,
         n in 1usize..8,
         seed in 0u64..1000,
     ) {
-        let out = run_group(world, move |comm| {
-            let r = comm.rank();
-            let data: Vec<f32> = (0..n * world)
-                .map(|i| ((seed as usize + r * 31 + i) % 17) as f32)
-                .collect();
-            let ar = comm.all_reduce(&data).unwrap();
-            // reduce_scatter over equal slices, then all_gather
-            let parts: Vec<Vec<f32>> =
-                (0..world).map(|p| data[p * n..(p + 1) * n].to_vec()).collect();
-            let mine = comm.reduce_scatter(parts).unwrap();
-            let stitched: Vec<f32> =
-                comm.all_gather(&mine).unwrap().into_iter().flatten().collect();
-            (ar, stitched)
-        });
-        for (ar, rs_ag) in out {
-            prop_assert_eq!(ar, rs_ag);
+        // Any rank's contribution is computable locally, so every rank
+        // checks the collective against zero plus each rank's data added
+        // in ascending rank order, bitwise.
+        let contribution = move |r: usize| -> Vec<f32> {
+            (0..n).map(|i| ((seed as usize + r * 31 + i) % 17) as f32 * 0.1).collect()
+        };
+        let out = run_group(world, move |comm| comm.all_reduce(&contribution(comm.rank())).unwrap());
+        let mut want = vec![0.0f32; n];
+        for r in 0..world {
+            for (w, x) in want.iter_mut().zip(contribution(r)) {
+                *w += x;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for got in out {
+            prop_assert_eq!(bits(&got), bits(&want));
         }
     }
 
@@ -67,23 +67,6 @@ proptest! {
         });
         for (orig, back) in out {
             prop_assert_eq!(orig, back);
-        }
-    }
-
-    #[test]
-    fn broadcast_is_idempotent_per_root(
-        world in 1usize..5,
-        root_sel in 0usize..5,
-        payload in proptest::collection::vec(-100.0f32..100.0, 0..8),
-    ) {
-        let root = root_sel % world;
-        let p2 = payload.clone();
-        let out = run_group(world, move |comm| {
-            let data = (comm.rank() == root).then(|| p2.clone());
-            comm.broadcast(root, data).unwrap()
-        });
-        for got in out {
-            prop_assert_eq!(&got, &payload);
         }
     }
 }

@@ -1,19 +1,23 @@
-//! The host-memory pool: where FPDT parks idle sequence chunks — plus the
-//! copy streams that hide its traffic behind compute.
+//! A rank's chunk store: where FPDT parks idle sequence chunks — plus the
+//! copy streams that hide their traffic behind compute.
 //!
-//! In the paper this is pinned CPU DRAM reached over PCIe; in the real
-//! runtime it is a keyed store owned by each simulated GPU's thread. The
-//! pool tracks bytes and transfer counts so tests can assert what crosses
-//! the link: the executor's backward takes every cached chunk exactly
-//! once and puts nothing back (an open query row keeps its working set
-//! on the rank thread, DESIGN.md "Tile schedule"), so the pool only ever
-//! holds the five [`BufKind`]s the forward saves: Q, K, V, O and lse.
+//! [`OffloadEngine`] is the one place a rank keeps the chunks its
+//! executor saves between forward and backward, whichever way the mode
+//! says they live. With offload on it is the paper's host pool: pinned
+//! CPU DRAM reached over PCIe, here a keyed store that tracks bytes and
+//! transfer counts ([`PoolStats`]) so tests can assert what crosses the
+//! link. With offload off the same store holds the chunks device-resident:
+//! a put and a fetch move an `Arc`, and nothing is counted or priced. The
+//! executor's backward takes every cached chunk exactly once and puts
+//! nothing back (an open query row keeps its working set on the rank
+//! thread, DESIGN.md "Tile schedule"), so the store only ever holds the
+//! five [`BufKind`]s the forward saves: Q, K, V, O and lse.
 //!
-//! Chunks are stored as [`Arc<Tensor>`], so [`HostPool::fetch_keep`] hands
-//! back the *same* buffer the pool holds — no data copy, ever. What a real
-//! system pays for is the PCIe transfer, which [`OffloadEngine`] models as
-//! a bandwidth-bound read pass over the chunk on the rank thread plus,
-//! over a priced simulated link, the link held for the chunk's wire bytes.
+//! Chunks are stored as [`Arc<Tensor>`], so a keep-fetch hands back the
+//! *same* buffer the store holds — no data copy, ever. What a real system
+//! pays for is the PCIe transfer, which the engine models as a
+//! bandwidth-bound read pass over the chunk on the rank thread plus, over
+//! a priced simulated link, the link held for the chunk's wire bytes.
 //! Each PCIe direction is a FIFO clock ([`Link`], one CUDA copy stream
 //! each), not a thread: a transfer is stamped when it lands, and only a
 //! consumer that needs it sooner waits. All bookkeeping happens on the
@@ -100,16 +104,16 @@ impl PoolStats {
     }
 }
 
-/// How one chunk is laid out in host memory: full-precision `f32` (the
-/// zero-copy default) or bf16 (half the bytes, one RNE rounding on
-/// offload, widened back to `f32` on fetch).
+/// How one chunk is laid out in the store: full-precision `f32` (the
+/// zero-copy default, and always with offload off) or bf16 (half the
+/// bytes, one RNE rounding on put, widened back to `f32` on fetch).
 ///
 /// The variant is the pool's *wire format* — compute always sees `f32`
-/// via [`HostChunk::widen`]. Only KV chunks use bf16 (see
-/// [`HostPool::set_payload_bf16`]); everything else stays `f32` so
+/// via [`HostChunk::widen`]. Only offloaded KV chunks use bf16 (see
+/// [`OffloadEngine::set_payload_bf16`]); everything else stays `f32` so
 /// gradients and saved activations keep full precision.
 #[derive(Debug, Clone)]
-pub enum HostChunk {
+enum HostChunk {
     /// Full-precision chunk, `Arc`-shared with the device side.
     F32(Arc<Tensor>),
     /// bf16-rounded chunk (2 bytes/element on the simulated PCIe link).
@@ -119,16 +123,16 @@ pub enum HostChunk {
 impl HostChunk {
     /// Bytes this chunk occupies in host memory (4 per f32 element, 2 per
     /// bf16 element) — what every [`PoolStats`] byte counter tallies.
-    pub fn wire_bytes(&self) -> u64 {
+    fn wire_bytes(&self) -> u64 {
         match self {
             HostChunk::F32(t) => (t.numel() * 4) as u64,
             HostChunk::Bf16(t) => t.wire_bytes(),
         }
     }
 
-    /// Hands back the chunk as `f32` compute data: the pooled buffer
+    /// Hands back the chunk as `f32` compute data: the stored buffer
     /// itself for `F32` (zero-copy), a widened copy for `Bf16`.
-    pub fn widen(&self) -> Arc<Tensor> {
+    fn widen(&self) -> Arc<Tensor> {
         match self {
             HostChunk::F32(t) => Arc::clone(t),
             HostChunk::Bf16(t) => {
@@ -159,145 +163,6 @@ impl HostChunk {
     }
 }
 
-/// A per-rank host-memory pool. Chunks are `Arc`-shared: fetching hands
-/// back the pooled buffer itself, never a copy.
-///
-/// # Example
-///
-/// ```
-/// use fpdt_core::offload::{BufKind, ChunkKey, HostPool};
-/// use fpdt_tensor::Tensor;
-///
-/// let mut pool = HostPool::new();
-/// let key = ChunkKey::new(0, BufKind::K, 2);
-/// pool.offload(key, Tensor::zeros(&[4, 2, 8]));
-/// assert_eq!(pool.stats().bytes, 4 * 2 * 8 * 4);
-/// let k = pool.fetch(&key).expect("chunk was cached");
-/// assert_eq!(k.shape(), &[4, 2, 8]);
-/// assert_eq!(pool.stats().bytes, 0);
-/// assert_eq!(pool.stats().bytes_fetched, 4 * 2 * 8 * 4);
-/// ```
-#[derive(Debug, Default)]
-pub struct HostPool {
-    store: HashMap<ChunkKey, HostChunk>,
-    stats: PoolStats,
-    payload_bf16: bool,
-}
-
-impl HostPool {
-    /// Creates an empty pool (f32 payloads).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Switches the pool's wire format for *KV* chunks: when enabled,
-    /// `K`/`V` offloads are rounded to bf16 (halving their bytes in every
-    /// [`PoolStats`] counter) and widened back to f32 on fetch. All other
-    /// buffer kinds stay full-precision `Arc`-shared f32. Affects chunks
-    /// offloaded after the call; gated at the runtime layer by
-    /// `RuntimeOptions::payload_bf16` / `FPDT_BF16`.
-    pub fn set_payload_bf16(&mut self, on: bool) {
-        self.payload_bf16 = on;
-    }
-
-    /// Whether KV offloads are currently stored as bf16.
-    pub fn payload_bf16(&self) -> bool {
-        self.payload_bf16
-    }
-
-    /// Moves a tensor to host memory (device-to-host copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already resident — offloading the same chunk
-    /// twice without fetching it is a scheduler bug.
-    pub fn offload(&mut self, key: ChunkKey, t: Tensor) {
-        self.offload_shared(key, Arc::new(t));
-    }
-
-    /// [`HostPool::offload`] for a chunk that is already `Arc`-shared with
-    /// the device side — the zero-copy path the executor uses. Returns the
-    /// chunk as stored (an `Arc` clone), so callers modeling the transfer
-    /// can stream the actual wire representation.
-    ///
-    /// # Panics
-    ///
-    /// Same double-offload condition as [`HostPool::offload`].
-    pub fn offload_shared(&mut self, key: ChunkKey, t: Arc<Tensor>) -> HostChunk {
-        let chunk = if self.payload_bf16 && matches!(key.kind, BufKind::K | BufKind::V) {
-            HostChunk::Bf16(Arc::new(Bf16Tensor::from_f32(&t)))
-        } else {
-            HostChunk::F32(t)
-        };
-        let b = chunk.wire_bytes();
-        self.stats.offloads += 1;
-        self.stats.bytes += b;
-        self.stats.bytes_offloaded += b;
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.bytes);
-        let prev = self.store.insert(key, chunk.clone());
-        assert!(prev.is_none(), "chunk {key:?} offloaded twice");
-        chunk
-    }
-
-    /// Moves a tensor back to the device (host-to-device copy), removing
-    /// it from the pool. Returns `None` when the key is not resident.
-    pub fn fetch(&mut self, key: &ChunkKey) -> Option<Arc<Tensor>> {
-        self.fetch_chunk(key, true).map(|c| c.widen())
-    }
-
-    /// Reads a chunk without evicting it (a fetch that keeps the host
-    /// copy — what the forward does with KV chunks reused by later query
-    /// chunks). For f32 chunks this hands back the pooled `Arc` itself:
-    /// no data is copied. bf16 chunks widen to a fresh f32 buffer.
-    pub fn fetch_keep(&mut self, key: &ChunkKey) -> Option<Arc<Tensor>> {
-        self.fetch_chunk(key, false).map(|c| c.widen())
-    }
-
-    /// [`HostPool::fetch`] (`consume`) or [`HostPool::fetch_keep`]
-    /// returning the stored wire representation (counters update
-    /// identically; widen with [`HostChunk::widen`]).
-    pub fn fetch_chunk(&mut self, key: &ChunkKey, consume: bool) -> Option<HostChunk> {
-        let c = if consume { self.store.remove(key)? } else { self.store.get(key)?.clone() };
-        let b = c.wire_bytes();
-        self.stats.fetches += 1;
-        self.stats.bytes -= if consume { b } else { 0 };
-        self.stats.bytes_fetched += b;
-        Some(c)
-    }
-
-    /// Drops a resident chunk without a host-to-device transfer (freeing
-    /// host memory costs no PCIe traffic). Returns whether it was present.
-    pub fn discard(&mut self, key: &ChunkKey) -> bool {
-        match self.store.remove(key) {
-            Some(c) => {
-                self.stats.bytes -= c.wire_bytes();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether a chunk is resident.
-    pub fn contains(&self, key: &ChunkKey) -> bool {
-        self.store.contains_key(key)
-    }
-
-    /// Number of resident chunks.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Transfer and residency counters.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
-    }
-}
-
 /// Marks chunks as being prefetched, from issue until the handle drops.
 #[derive(Debug)]
 struct InFlight {
@@ -315,10 +180,10 @@ impl Drop for InFlight {
 }
 
 /// An in-flight host-to-device copy issued by [`OffloadEngine::prefetch`]
-/// (one chunk) or [`OffloadEngine::prefetch_batch`] (`D` = a `Vec` of
+/// (one chunk) or [`OffloadEngine::prefetch_batch`] (`D` = an array of
 /// chunks that travelled as one transfer).
 ///
-/// The *data* is already available (it is the pool's shared buffer);
+/// The *data* is already available (it is the store's shared buffer);
 /// [`FetchHandle::wait`] sleeps until the transfer's link stamp, recording
 /// that time — and only that — as an `offload.wait` span. Dropping the
 /// handle does not wait: the link is FIFO, so later transfers stay ordered
@@ -326,7 +191,7 @@ impl Drop for InFlight {
 #[derive(Debug)]
 pub struct FetchHandle<D = Arc<Tensor>> {
     data: D,
-    /// When the transfer lands (`None` over a free link).
+    /// When the transfer lands (`None` over a free link or device-resident).
     ready_at: Option<Instant>,
     wait_span: Option<(Recorder, u64)>,
     _inflight: InFlight,
@@ -346,80 +211,121 @@ impl<D> FetchHandle<D> {
     }
 }
 
-/// A [`HostPool`] fronted by two simulated copy streams.
+/// A rank's chunk store, fronted — when it offloads — by two simulated
+/// copy streams.
 ///
-/// Bookkeeping (residency, counters) and the read pass over each chunk run
-/// on the owning rank's thread at issue time. The wire time is a clock per
-/// PCIe direction (the link is full duplex, and so is the paper's layout):
-/// device-to-host puts on one, host-to-device fetches on the other, their
-/// busy intervals recorded on the `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`
-/// trace tracks. A fetch of a chunk whose put has not landed yet starts
-/// no earlier than the put's stamp.
+/// With offload on, bookkeeping (residency, counters) and the read pass
+/// over each chunk run on the owning rank's thread at issue time. The
+/// wire time is a clock per PCIe direction (the link is full duplex, and
+/// so is the paper's layout): device-to-host puts on one, host-to-device
+/// fetches on the other, their busy intervals recorded on the
+/// `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}` trace tracks. A fetch of a
+/// chunk whose put has not landed yet starts no earlier than the put's
+/// stamp. With offload off, chunks stay device-resident: no rounding, no
+/// read pass, no link, no counter and no span — only the residency and
+/// in-flight rules, which are the same in both modes.
+///
+/// # Example
+///
+/// ```
+/// use fpdt_core::offload::{BufKind, ChunkKey, OffloadEngine};
+/// use fpdt_tensor::Tensor;
+/// use std::sync::Arc;
+///
+/// // A host pool over a free link (`true` would charge `FPDT_SIM_GBPS`).
+/// let mut pool = OffloadEngine::new(false);
+/// let key = ChunkKey::new(0, BufKind::K, 2);
+/// let k = Arc::new(Tensor::zeros(&[4, 2, 8]));
+/// pool.put(key, Arc::clone(&k));
+/// assert_eq!(pool.stats().bytes, 4 * 2 * 8 * 4);
+/// let back = pool.prefetch(&key, true).expect("chunk was cached").wait();
+/// assert!(Arc::ptr_eq(&back, &k), "a fetch hands back the stored buffer");
+/// assert_eq!(pool.stats().bytes, 0);
+/// assert_eq!(pool.stats().bytes_fetched, 4 * 2 * 8 * 4);
+///
+/// // The same store with offload off: device-resident, nothing counted.
+/// let mut device = OffloadEngine::for_rank(0, 0.0, false);
+/// device.put(key, k);
+/// assert!(device.contains(&key));
+/// assert_eq!(device.stats().offloads, 0);
+/// ```
 pub struct OffloadEngine {
-    pool: HostPool,
+    /// Park chunks in host memory (priced, counted); else keep them
+    /// device-resident.
+    offload: bool,
+    /// Round offloaded KV chunks through bf16.
+    payload_bf16: bool,
+    /// Every resident chunk, with its put's landing stamp until its first
+    /// fetch (later fetches queue behind that one on the FIFO).
+    store: HashMap<ChunkKey, (HostChunk, Option<Instant>)>,
+    stats: PoolStats,
     d2h: Link,
     h2d: Link,
     /// The trace tracks of the two directions.
     tracks: [String; 2],
-    /// When each pooled chunk's put lands, until its first fetch (later
-    /// fetches queue behind that one on the FIFO).
-    landing: HashMap<ChunkKey, Instant>,
     inflight: Arc<Mutex<HashSet<ChunkKey>>>,
     recorder: Option<Recorder>,
 }
 
 impl OffloadEngine {
-    /// An engine over an empty pool, charging the `FPDT_SIM_GBPS` link
+    /// A host pool, charging the `FPDT_SIM_GBPS` link
     /// (`fpdt_trace::wire::link_gbps`) when `link` is set, else a free one.
     pub fn new(link: bool) -> Self {
         let gbps = if link { fpdt_trace::wire::link_gbps() } else { 0.0 };
-        Self::for_rank(0, gbps)
+        Self::for_rank(0, gbps, true)
     }
 
-    /// An engine for one rank of a group, over a link of `gbps` GB/s: its
-    /// tracks are `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`, next to the comm
+    /// The chunk store of one rank of a group: a host pool over a link of
+    /// `gbps` GB/s when `offload` is set, else device-resident. Its tracks
+    /// are `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}`, next to the comm
     /// stream's `fpdt-comm-r{rank}` in a trace.
-    pub fn for_rank(rank: usize, gbps: f64) -> Self {
+    pub fn for_rank(rank: usize, gbps: f64, offload: bool) -> Self {
         OffloadEngine {
-            pool: HostPool::new(),
+            offload,
+            payload_bf16: false,
+            store: HashMap::new(),
+            stats: PoolStats::default(),
             d2h: Link::new(gbps),
             h2d: Link::new(gbps),
             tracks: [format!("fpdt-d2h-r{rank}"), format!("fpdt-h2d-r{rank}")],
-            landing: HashMap::new(),
             inflight: Arc::default(),
             recorder: None,
         }
     }
 
-    /// Switches the pool to bf16 KV payloads (see
-    /// [`HostPool::set_payload_bf16`]). The modeled transfer passes then
-    /// stream the stored bf16 representation — half the bytes.
+    /// Switches the pool's wire format for *KV* chunks: when enabled,
+    /// offloaded `K`/`V` chunks are rounded to bf16 (halving their bytes in
+    /// every [`PoolStats`] counter and on the link) and widened back to
+    /// f32 on fetch. All other buffer kinds, and every chunk with offload
+    /// off, stay full-precision `Arc`-shared f32. Affects chunks put after
+    /// the call; gated at the runtime layer by `RuntimeOptions::payload_bf16`.
     pub fn set_payload_bf16(&mut self, on: bool) {
-        self.pool.set_payload_bf16(on);
+        self.payload_bf16 = on;
     }
 
-    /// Attaches a span recorder: each chunk's read pass records an
-    /// `offload.put` or `offload.fetch` span on the rank thread, each
-    /// priced transfer an `offload.put` or `offload.prefetch` interval on
-    /// its direction's track, and waits that sleep `offload.wait`.
+    /// Attaches a span recorder: with offload on, each chunk's read pass
+    /// records an `offload.put` or `offload.fetch` span on the rank
+    /// thread, each priced transfer an `offload.put` or `offload.prefetch`
+    /// interval on its direction's track, and waits that sleep
+    /// `offload.wait`. A device-resident store records nothing.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = Some(recorder);
     }
 
     /// Transfer and residency counters (deterministic: bookkeeping happens
-    /// at issue time regardless of link timing).
+    /// at issue time regardless of link timing). Zero with offload off.
     pub fn stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.stats
     }
 
-    /// Whether the pool holds no chunks.
+    /// Whether the store holds no chunks.
     pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
+        self.store.is_empty()
     }
 
     /// Whether a chunk is resident.
     pub fn contains(&self, key: &ChunkKey) -> bool {
-        self.pool.contains(key)
+        self.store.contains_key(key)
     }
 
     /// The simulated PCIe transfer of a run of chunks in direction `dir`
@@ -450,33 +356,51 @@ impl OffloadEngine {
         landed
     }
 
-    /// Offloads a shared chunk (device-to-host). The residency update and
-    /// the read pass are immediate; the wire time goes on the D2H clock.
+    /// Stores a shared chunk. With offload on this is the device-to-host
+    /// copy: the residency update and the read pass are immediate, the
+    /// wire time goes on the D2H clock. With offload off it is an `Arc`
+    /// move into the store.
     ///
     /// # Panics
     ///
-    /// Same double-offload condition as [`HostPool::offload`].
+    /// Panics if the key is already resident — putting the same chunk
+    /// twice without fetching it is a scheduler bug.
     pub fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) {
-        let chunk = self.pool.offload_shared(key, t);
-        if let Some(landed) = self.transfer(0, ["offload.put"; 2], &[(chunk, None)]) {
-            self.landing.insert(key, landed);
-        }
+        let entry = if self.offload {
+            let chunk = if self.payload_bf16 && matches!(key.kind, BufKind::K | BufKind::V) {
+                HostChunk::Bf16(Arc::new(Bf16Tensor::from_f32(&t)))
+            } else {
+                HostChunk::F32(t)
+            };
+            let b = chunk.wire_bytes();
+            self.stats.offloads += 1;
+            self.stats.bytes += b;
+            self.stats.bytes_offloaded += b;
+            self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.bytes);
+            let landing = self.transfer(0, ["offload.put"; 2], &[(chunk.clone(), None)]);
+            (chunk, landing)
+        } else {
+            (HostChunk::F32(t), None)
+        };
+        let prev = self.store.insert(key, entry);
+        assert!(prev.is_none(), "chunk {key:?} put twice");
     }
 
     /// Issues a host-to-device transfer and returns a [`FetchHandle`] to
-    /// wait on — the double-buffer primitive. Counters update now (so
+    /// wait on — the double-buffer primitive. `consume` evicts the chunk,
+    /// otherwise it stays resident; either way the handle holds the
+    /// stored buffer (zero-copy for f32). Counters update now (so
     /// statistics do not depend on link timing); the transfer goes on the
-    /// H2D clock, after the chunk's own put has landed. `None` when `key`
-    /// is not resident.
+    /// H2D clock, after the chunk's own put has landed. With offload off
+    /// the handle is ready at once. `None` when `key` is not resident.
     ///
     /// # Panics
     ///
     /// Panics when `key` already has an in-flight prefetch that no one
     /// waited for — double-buffering the same chunk twice is a scheduler
-    /// bug, mirroring the pool's double-offload panic.
+    /// bug, mirroring the double-put panic.
     pub fn prefetch(&mut self, key: &ChunkKey, consume: bool) -> Option<FetchHandle> {
-        let FetchHandle { mut data, ready_at, wait_span, _inflight } = self.prefetch_batch(&[(*key, consume)])?;
-        let data = data.pop().expect("one chunk per request");
+        let FetchHandle { data: [data], ready_at, wait_span, _inflight } = self.prefetch_batch([(*key, consume)])?;
         Some(FetchHandle { data, ready_at, wait_span, _inflight })
     }
 
@@ -488,25 +412,41 @@ impl OffloadEngine {
     /// # Panics
     ///
     /// Same in-flight condition as [`OffloadEngine::prefetch`].
-    pub fn prefetch_batch(&mut self, reqs: &[(ChunkKey, bool)]) -> Option<FetchHandle<Vec<Arc<Tensor>>>> {
-        if !reqs.iter().all(|(key, _)| self.pool.contains(key)) {
+    pub fn prefetch_batch<const N: usize>(&mut self, reqs: [(ChunkKey, bool); N]) -> Option<FetchHandle<[Arc<Tensor>; N]>> {
+        if !reqs.iter().all(|(key, _)| self.store.contains_key(key)) {
             return None;
         }
-        let mut run = Vec::with_capacity(reqs.len());
-        for (key, consume) in reqs {
+        let mut run = Vec::with_capacity(N);
+        for (key, consume) in &reqs {
             let fresh = self.inflight.lock().unwrap_or_else(|e| e.into_inner()).insert(*key);
             assert!(fresh, "chunk {key:?} prefetched twice without a wait");
-            let chunk = self.pool.fetch_chunk(key, *consume).expect("residency checked above");
-            run.push((chunk, self.landing.remove(key)));
+            let (chunk, landing) = if *consume {
+                self.store.remove(key).expect("residency checked above")
+            } else {
+                let (chunk, landing) = self.store.get_mut(key).expect("residency checked above");
+                (chunk.clone(), landing.take())
+            };
+            if self.offload {
+                let b = chunk.wire_bytes();
+                self.stats.fetches += 1;
+                self.stats.bytes -= if *consume { b } else { 0 };
+                self.stats.bytes_fetched += b;
+            }
+            run.push((chunk, landing));
         }
         // Widen on the issuing rank's thread (deterministic program order).
-        let data = run.iter().map(|(chunk, _)| chunk.widen()).collect();
-        let bytes = run.iter().map(|(chunk, _)| chunk.wire_bytes()).sum();
-        let ready_at = self.transfer(1, ["offload.fetch", "offload.prefetch"], &run);
+        let data = std::array::from_fn(|i| run[i].0.widen());
+        let (ready_at, wait_span) = if self.offload {
+            let bytes = run.iter().map(|(chunk, _)| chunk.wire_bytes()).sum();
+            let ready_at = self.transfer(1, ["offload.fetch", "offload.prefetch"], &run);
+            (ready_at, self.recorder.clone().map(|r| (r, bytes)))
+        } else {
+            (None, None)
+        };
         Some(FetchHandle {
             data,
             ready_at,
-            wait_span: self.recorder.clone().map(|r| (r, bytes)),
+            wait_span,
             _inflight: InFlight {
                 keys: reqs.iter().map(|(key, _)| *key).collect(),
                 set: Arc::clone(&self.inflight),
@@ -514,11 +454,14 @@ impl OffloadEngine {
         })
     }
 
-    /// Drops a resident chunk without a transfer. Returns whether it was
-    /// present.
+    /// Drops a resident chunk without a transfer (freeing host memory
+    /// costs no PCIe traffic). Returns whether it was present.
     pub fn discard(&mut self, key: &ChunkKey) -> bool {
-        self.landing.remove(key);
-        self.pool.discard(key)
+        let Some((chunk, _)) = self.store.remove(key) else { return false };
+        if self.offload {
+            self.stats.bytes -= chunk.wire_bytes();
+        }
+        true
     }
 }
 
@@ -526,54 +469,79 @@ impl OffloadEngine {
 mod tests {
     use super::*;
 
+    /// A host pool over a free link (same counters as any priced one).
+    fn pool() -> OffloadEngine {
+        OffloadEngine::new(false)
+    }
+
+    /// Fetches `key` (`consume` evicts it) and waits for it.
+    fn fetch(eng: &mut OffloadEngine, key: &ChunkKey, consume: bool) -> Option<Arc<Tensor>> {
+        eng.prefetch(key, consume).map(FetchHandle::wait)
+    }
+
     #[test]
-    fn offload_fetch_round_trip() {
-        let mut pool = HostPool::new();
+    fn put_fetch_round_trip() {
+        let mut pool = pool();
         let t = Tensor::arange(8).reshape(&[2, 4]).unwrap();
         let key = ChunkKey::new(3, BufKind::V, 1);
-        pool.offload(key, t.clone());
+        pool.put(key, Arc::new(t.clone()));
         assert!(pool.contains(&key));
-        assert_eq!(pool.len(), 1);
-        let back = pool.fetch(&key).unwrap();
+        assert_eq!(pool.store.len(), 1);
+        let back = fetch(&mut pool, &key, true).unwrap();
         assert_eq!(*back, t);
         assert!(pool.is_empty());
-        assert!(pool.fetch(&key).is_none());
+        assert!(fetch(&mut pool, &key, true).is_none());
     }
 
     #[test]
     fn stats_track_transfers_peak_and_directions() {
-        let mut pool = HostPool::new();
-        pool.offload(ChunkKey::new(0, BufKind::K, 0), Tensor::zeros(&[10]));
-        pool.offload(ChunkKey::new(0, BufKind::V, 0), Tensor::zeros(&[10]));
+        let mut pool = pool();
+        pool.put(ChunkKey::new(0, BufKind::K, 0), Arc::new(Tensor::zeros(&[10])));
+        pool.put(ChunkKey::new(0, BufKind::V, 0), Arc::new(Tensor::zeros(&[10])));
         assert_eq!(pool.stats().offloads, 2);
         assert_eq!(pool.stats().bytes, 80);
         assert_eq!(pool.stats().bytes_offloaded, 80);
-        pool.fetch(&ChunkKey::new(0, BufKind::K, 0)).unwrap();
+        fetch(&mut pool, &ChunkKey::new(0, BufKind::K, 0), true).unwrap();
         assert_eq!(pool.stats().fetches, 1);
         assert_eq!(pool.stats().bytes, 40);
         assert_eq!(pool.stats().peak_bytes, 80);
         assert_eq!(pool.stats().bytes_fetched, 40);
         // keep-fetches count as host-to-device traffic too
-        pool.fetch_keep(&ChunkKey::new(0, BufKind::V, 0)).unwrap();
+        fetch(&mut pool, &ChunkKey::new(0, BufKind::V, 0), false).unwrap();
         assert_eq!(pool.stats().bytes_fetched, 80);
+        assert_eq!(pool.stats().bytes, 40, "a keep leaves the chunk resident");
         assert_eq!(pool.stats().bytes_offloaded, 80, "no new offloads");
     }
 
     #[test]
-    fn fetch_keep_is_zero_copy() {
-        let mut pool = HostPool::new();
+    fn discard_frees_the_chunk_and_moves_no_bytes() {
+        let mut pool = pool();
+        let key = ChunkKey::new(0, BufKind::O, 0);
+        pool.put(key, Arc::new(Tensor::zeros(&[10])));
+        let before = pool.stats();
+        assert!(pool.discard(&key));
+        assert!(!pool.discard(&key), "already gone");
+        let after = pool.stats();
+        assert_eq!(after.bytes, 0);
+        assert_eq!((after.fetches, after.bytes_fetched), (0, 0), "no host-to-device traffic");
+        assert_eq!((after.offloads, after.bytes_offloaded, after.peak_bytes), (1, 40, before.peak_bytes));
+    }
+
+    #[test]
+    fn keep_fetch_is_zero_copy() {
+        let mut pool = pool();
         let key = ChunkKey::new(1, BufKind::Q, 0);
         let t = Arc::new(Tensor::ones(&[4]));
-        pool.offload_shared(key, Arc::clone(&t));
-        let a = pool.fetch_keep(&key).unwrap();
-        let b = pool.fetch_keep(&key).unwrap();
-        // Every fetch returns the same allocation the caller offloaded —
-        // no clone anywhere in the pool.
+        pool.put(key, Arc::clone(&t));
+        let a = fetch(&mut pool, &key, false).unwrap();
+        let b = fetch(&mut pool, &key, false).unwrap();
+        // Every fetch returns the same allocation the caller put — no
+        // clone anywhere in the store.
         assert!(Arc::ptr_eq(&a, &t));
         assert!(std::ptr::eq(a.data().as_ptr(), b.data().as_ptr()));
-        // caller + pool + two keeps = 4 refs, one buffer
+        // caller + store + two keeps = 4 refs, one buffer
         assert_eq!(Arc::strong_count(&t), 4);
-        let c = pool.fetch(&key).unwrap();
+        let c = fetch(&mut pool, &key, true).unwrap();
         assert!(Arc::ptr_eq(&c, &t));
         assert_eq!(pool.stats().fetches, 3);
     }
@@ -583,12 +551,12 @@ mod tests {
         // KV-only fixture: every byte counter must be exactly half of the
         // f32 run's, with identical transfer counts.
         let run = |bf16: bool| {
-            let mut pool = HostPool::new();
+            let mut pool = pool();
             pool.set_payload_bf16(bf16);
-            pool.offload(ChunkKey::new(0, BufKind::K, 0), Tensor::ones(&[16]));
-            pool.offload(ChunkKey::new(0, BufKind::V, 0), Tensor::ones(&[16]));
-            pool.fetch(&ChunkKey::new(0, BufKind::K, 0)).unwrap();
-            pool.fetch_keep(&ChunkKey::new(0, BufKind::V, 0)).unwrap();
+            pool.put(ChunkKey::new(0, BufKind::K, 0), Arc::new(Tensor::ones(&[16])));
+            pool.put(ChunkKey::new(0, BufKind::V, 0), Arc::new(Tensor::ones(&[16])));
+            fetch(&mut pool, &ChunkKey::new(0, BufKind::K, 0), true).unwrap();
+            fetch(&mut pool, &ChunkKey::new(0, BufKind::V, 0), false).unwrap();
             pool.stats()
         };
         let (full, half) = (run(false), run(true));
@@ -602,13 +570,13 @@ mod tests {
 
     #[test]
     fn bf16_mode_leaves_non_kv_chunks_zero_copy() {
-        let mut pool = HostPool::new();
+        let mut pool = pool();
         pool.set_payload_bf16(true);
-        assert!(pool.payload_bf16());
+        assert!(pool.payload_bf16);
         let key = ChunkKey::new(0, BufKind::O, 0);
         let t = Arc::new(Tensor::ones(&[8]));
-        pool.offload_shared(key, Arc::clone(&t));
-        let got = pool.fetch_keep(&key).unwrap();
+        pool.put(key, Arc::clone(&t));
+        let got = fetch(&mut pool, &key, false).unwrap();
         assert!(Arc::ptr_eq(&got, &t), "non-KV kinds stay f32 zero-copy");
         assert_eq!(pool.stats().bytes, 32, "full f32 bytes for non-KV");
     }
@@ -616,13 +584,13 @@ mod tests {
     #[test]
     fn bf16_kv_values_round_once_through_bf16() {
         use fpdt_tensor::bf16::{bf16_to_f32, f32_to_bf16};
-        let mut pool = HostPool::new();
+        let mut pool = pool();
         pool.set_payload_bf16(true);
         let key = ChunkKey::new(0, BufKind::K, 0);
         let vals: Vec<f32> = (0..7).map(|i| 0.1 + i as f32 * 0.013).collect();
-        pool.offload(key, Tensor::from_vec(vals.clone(), &[7]).unwrap());
+        pool.put(key, Arc::new(Tensor::from_vec(vals.clone(), &[7]).unwrap()));
         assert_eq!(pool.stats().bytes, 14, "2 bytes per element");
-        let back = pool.fetch(&key).unwrap();
+        let back = fetch(&mut pool, &key, true).unwrap();
         assert_eq!(back.shape(), &[7]);
         for (got, &x) in back.data().iter().zip(&vals) {
             assert_eq!(*got, bf16_to_f32(f32_to_bf16(x)), "exactly one RNE rounding");
@@ -630,12 +598,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "offloaded twice")]
-    fn double_offload_is_a_bug() {
-        let mut pool = HostPool::new();
+    #[should_panic(expected = "put twice")]
+    fn double_put_is_a_bug() {
+        let mut pool = pool();
         let key = ChunkKey::new(0, BufKind::K, 0);
-        pool.offload(key, Tensor::zeros(&[1]));
-        pool.offload(key, Tensor::zeros(&[1]));
+        pool.put(key, Arc::new(Tensor::zeros(&[1])));
+        pool.put(key, Arc::new(Tensor::zeros(&[1])));
+    }
+
+    #[test]
+    fn device_resident_store_moves_arcs_and_records_nothing() {
+        // Offload off, over a priced link with bf16 payloads on: a put is
+        // an Arc move and a fetch hands the same Arc back — no rounding,
+        // no counter, no span and no copy-track interval.
+        let rec = Recorder::new();
+        let mut eng = OffloadEngine::for_rank(0, 0.05, false);
+        eng.set_payload_bf16(true);
+        eng.set_recorder(rec.clone());
+        let key = ChunkKey::new(0, BufKind::K, 0);
+        let t = Arc::new(Tensor::ones(&[4096]));
+        eng.put(key, Arc::clone(&t));
+        assert!(Arc::ptr_eq(&fetch(&mut eng, &key, false).unwrap(), &t), "keep clones the Arc");
+        let batch = eng.prefetch_batch([(key, true)]).expect("resident").wait();
+        assert!(Arc::ptr_eq(&batch[0], &t), "take moves the Arc out");
+        assert!(eng.is_empty() && fetch(&mut eng, &key, true).is_none());
+        eng.put(key, Arc::clone(&t));
+        assert!(eng.discard(&key));
+        assert_eq!(eng.stats(), PoolStats::default());
+        assert!(rec.records().is_empty(), "no offload.* span or link interval");
+    }
+
+    #[test]
+    #[should_panic(expected = "prefetched twice")]
+    fn double_prefetch_of_a_device_key_is_a_bug() {
+        let mut eng = OffloadEngine::for_rank(0, 0.0, false);
+        let key = ChunkKey::new(0, BufKind::V, 3);
+        eng.put(key, Arc::new(Tensor::zeros(&[8])));
+        let _first = eng.prefetch(&key, false).expect("resident");
+        // still un-waited -> scheduler bug, whether or not the chunk moves
+        let _second = eng.prefetch(&key, false);
     }
 
     // ---- engine tests ----
@@ -662,7 +663,7 @@ mod tests {
         // interval on the direction's own track, one per chunk, and the
         // caller records only the sleep of a wait.
         let rec = Recorder::new();
-        let mut eng = OffloadEngine::for_rank(3, 0.05);
+        let mut eng = OffloadEngine::for_rank(3, 0.05, true);
         eng.set_recorder(rec.clone());
         rec.event("caller");
         let key = ChunkKey::new(0, BufKind::V, 0);
@@ -689,7 +690,7 @@ mod tests {
         // per direction.
         let bytes = 16 * 1024 * 4;
         let wire = std::time::Duration::from_secs_f64(bytes as f64 / 0.05e9);
-        let mut eng = OffloadEngine::for_rank(0, 0.05);
+        let mut eng = OffloadEngine::for_rank(0, 0.05, true);
         let key = ChunkKey::new(0, BufKind::K, 0);
         let t0 = Instant::now();
         eng.put(key, Arc::new(Tensor::ones(&[16 * 1024])));
@@ -714,17 +715,16 @@ mod tests {
     #[test]
     fn batch_is_one_wait_with_per_chunk_counters_and_spans() {
         let rec = Recorder::new();
-        let mut eng = OffloadEngine::for_rank(0, 100.0);
+        let mut eng = OffloadEngine::for_rank(0, 100.0, true);
         eng.set_recorder(rec.clone());
-        let keys: Vec<ChunkKey> = (0..3).map(|i| ChunkKey::new(0, BufKind::K, i)).collect();
+        let keys: [ChunkKey; 3] = std::array::from_fn(|i| ChunkKey::new(0, BufKind::K, i));
         for (i, key) in keys.iter().enumerate() {
             eng.put(*key, Arc::new(Tensor::ones(&[8 * (i + 1)])));
         }
         let missing = ChunkKey::new(9, BufKind::K, 0);
-        assert!(eng.prefetch_batch(&[(keys[0], true), (missing, true)]).is_none());
+        assert!(eng.prefetch_batch([(keys[0], true), (missing, true)]).is_none());
         assert_eq!(eng.stats().fetches, 0, "a failed batch has no side effect");
-        let reqs: Vec<(ChunkKey, bool)> = keys.iter().map(|k| (*k, true)).collect();
-        let got = eng.prefetch_batch(&reqs).expect("all resident").wait();
+        let got = eng.prefetch_batch(keys.map(|k| (k, true))).expect("all resident").wait();
         assert_eq!(got.iter().map(|t| t.numel()).collect::<Vec<_>>(), vec![8, 16, 24]);
         assert_eq!(eng.stats().fetches, 3);
         assert_eq!(eng.stats().bytes_fetched, 4 * 48);
@@ -757,7 +757,7 @@ mod tests {
 
     /// Four KV puts then four consuming fetches; bf16 halves the bytes.
     fn kv_round_trip(gbps: f64, bf16: bool) -> PoolStats {
-        let mut eng = OffloadEngine::for_rank(0, gbps);
+        let mut eng = OffloadEngine::for_rank(0, gbps, true);
         eng.set_payload_bf16(bf16);
         for i in 0..4usize {
             eng.put(ChunkKey::new(0, BufKind::K, i), Arc::new(Tensor::ones(&[16])));

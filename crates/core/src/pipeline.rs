@@ -91,11 +91,7 @@ pub struct PipelineReport {
     pub hbm_peak: u64,
     /// `(time, bytes)` samples of HBM usage across the run (Figure 13).
     pub timeline: Vec<(f64, u64)>,
-    /// Number of tasks simulated (diagnostics).
-    pub tasks: usize,
-    /// Per-task execution records (stream, start, finish) for trace export.
-    pub records: Vec<fpdt_sim::engine::TaskRecord>,
-    /// The full simulator report (streams, pools, records) — what
+    /// The full simulator report (streams, pools, per-task records) — what
     /// `fpdt-trace`'s Chrome exporter and schedule metrics consume.
     pub sim: fpdt_sim::engine::SimReport,
 }
@@ -566,110 +562,8 @@ pub fn simulate_block(
         bwd_seconds,
         hbm_peak,
         timeline,
-        tasks: eng.task_count(),
-        records: report.task_records().to_vec(),
         sim: report,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fpdt_model::config::ModelConfig;
-
-    const K: u64 = 1024;
-
-    fn block(seq: u64, opts: PipelineOpts) -> PipelineReport {
-        simulate_block(
-            &ModelConfig::llama3_8b(),
-            &ClusterSpec::a100_80g(1, 4),
-            seq,
-            opts,
-        )
-        .expect("simulation runs")
-    }
-
-    #[test]
-    fn double_buffering_hides_fetch_latency() {
-        // With small chunks the pipeline is PCIe-bound; double buffering
-        // must not be slower, and at the paper's sweet spot it should be
-        // at least as fast as the serialized variant.
-        let seq = 256 * K;
-        let db = block(
-            seq,
-            PipelineOpts {
-                chunks: 16,
-                ..PipelineOpts::paper(16)
-            },
-        );
-        let no_db = block(
-            seq,
-            PipelineOpts {
-                chunks: 16,
-                double_buffer: false,
-                ..PipelineOpts::paper(16)
-            },
-        );
-        assert!(db.fwd_seconds <= no_db.fwd_seconds * 1.001);
-        assert!(db.bwd_seconds <= no_db.bwd_seconds * 1.001);
-    }
-
-    #[test]
-    fn dedicated_copy_streams_beat_compute_stream_copies() {
-        // streams=0 serializes every transfer behind compute — the
-        // ablation showing why the paper deploys three CUDA streams.
-        let seq = 256 * K;
-        let three = block(seq, PipelineOpts::paper(8));
-        let zero = PipelineOpts {
-            copy_streams: 0,
-            ..PipelineOpts::paper(8)
-        };
-        let zero = block(seq, zero);
-        assert!(three.fwd_seconds < zero.fwd_seconds);
-    }
-
-    #[test]
-    fn offload_shrinks_hbm_at_cost_of_traffic() {
-        let seq = 512 * K;
-        let off = block(seq, PipelineOpts::paper(16));
-        let on_dev = block(seq, PipelineOpts::chunking_only(16));
-        assert!(
-            off.hbm_peak < on_dev.hbm_peak,
-            "{} vs {}",
-            off.hbm_peak,
-            on_dev.hbm_peak
-        );
-    }
-
-    #[test]
-    fn more_chunks_reduce_peak_memory() {
-        let seq = 256 * K;
-        let few = block(seq, PipelineOpts::paper(2));
-        let many = block(seq, PipelineOpts::paper(16));
-        assert!(many.hbm_peak < few.hbm_peak);
-    }
-
-    #[test]
-    fn backward_costs_more_than_forward() {
-        let r = block(256 * K, PipelineOpts::paper(8));
-        assert!(r.bwd_seconds > r.fwd_seconds);
-        assert!(r.tasks > 100);
-        assert!(!r.timeline.is_empty());
-    }
-
-    #[test]
-    fn zero_chunks_rejected() {
-        let e = simulate_block(
-            &ModelConfig::llama3_8b(),
-            &ClusterSpec::a100_80g(1, 4),
-            256 * K,
-            PipelineOpts {
-                chunks: 0,
-                ..PipelineOpts::paper(1)
-            },
-        );
-        assert!(matches!(e, Err(SimError::InvalidConfig { .. })));
-    }
 }
 
 /// Forward-only multi-layer simulation with optional **cross-layer chunk
@@ -803,6 +697,106 @@ pub fn simulate_forward_layers(
         Ok(eng.run()?.makespan)
     };
     Ok((run(false)?, run(true)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fpdt_model::config::ModelConfig;
+
+    const K: u64 = 1024;
+
+    fn block(seq: u64, opts: PipelineOpts) -> PipelineReport {
+        simulate_block(
+            &ModelConfig::llama3_8b(),
+            &ClusterSpec::a100_80g(1, 4),
+            seq,
+            opts,
+        )
+        .expect("simulation runs")
+    }
+
+    #[test]
+    fn double_buffering_hides_fetch_latency() {
+        // With small chunks the pipeline is PCIe-bound; double buffering
+        // must not be slower, and at the paper's sweet spot it should be
+        // at least as fast as the serialized variant.
+        let seq = 256 * K;
+        let db = block(
+            seq,
+            PipelineOpts {
+                chunks: 16,
+                ..PipelineOpts::paper(16)
+            },
+        );
+        let no_db = block(
+            seq,
+            PipelineOpts {
+                chunks: 16,
+                double_buffer: false,
+                ..PipelineOpts::paper(16)
+            },
+        );
+        assert!(db.fwd_seconds <= no_db.fwd_seconds * 1.001);
+        assert!(db.bwd_seconds <= no_db.bwd_seconds * 1.001);
+    }
+
+    #[test]
+    fn dedicated_copy_streams_beat_compute_stream_copies() {
+        // streams=0 serializes every transfer behind compute — the
+        // ablation showing why the paper deploys three CUDA streams.
+        let seq = 256 * K;
+        let three = block(seq, PipelineOpts::paper(8));
+        let zero = PipelineOpts {
+            copy_streams: 0,
+            ..PipelineOpts::paper(8)
+        };
+        let zero = block(seq, zero);
+        assert!(three.fwd_seconds < zero.fwd_seconds);
+    }
+
+    #[test]
+    fn offload_shrinks_hbm_at_cost_of_traffic() {
+        let seq = 512 * K;
+        let off = block(seq, PipelineOpts::paper(16));
+        let on_dev = block(seq, PipelineOpts::chunking_only(16));
+        assert!(
+            off.hbm_peak < on_dev.hbm_peak,
+            "{} vs {}",
+            off.hbm_peak,
+            on_dev.hbm_peak
+        );
+    }
+
+    #[test]
+    fn more_chunks_reduce_peak_memory() {
+        let seq = 256 * K;
+        let few = block(seq, PipelineOpts::paper(2));
+        let many = block(seq, PipelineOpts::paper(16));
+        assert!(many.hbm_peak < few.hbm_peak);
+    }
+
+    #[test]
+    fn backward_costs_more_than_forward() {
+        let r = block(256 * K, PipelineOpts::paper(8));
+        assert!(r.bwd_seconds > r.fwd_seconds);
+        assert!(r.sim.task_records().len() > 100);
+        assert!(!r.timeline.is_empty());
+    }
+
+    #[test]
+    fn zero_chunks_rejected() {
+        let e = simulate_block(
+            &ModelConfig::llama3_8b(),
+            &ClusterSpec::a100_80g(1, 4),
+            256 * K,
+            PipelineOpts {
+                chunks: 0,
+                ..PipelineOpts::paper(1)
+            },
+        );
+        assert!(matches!(e, Err(SimError::InvalidConfig { .. })));
+    }
 }
 
 #[cfg(test)]

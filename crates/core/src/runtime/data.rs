@@ -82,6 +82,53 @@ impl Corpus {
     }
 }
 
+/// A long-range **copy task**: the first half of the sequence is random;
+/// the second half repeats it verbatim. Predicting the second half
+/// requires attending `half` positions back — with FPDT chunking, that is
+/// guaranteed to cross chunk boundaries, so a model that learns this task
+/// proves the streamed attention carries information across chunks (and
+/// across the all-to-all, the shuffle and the host pool).
+///
+/// Targets for the first half are [`IGNORE`](Self::IGNORE) so the loss
+/// measures only the long-range predictions.
+#[derive(Debug, Clone)]
+pub struct CopyCorpus {
+    vocab: usize,
+    rng: SmallRng,
+}
+
+impl CopyCorpus {
+    /// Loss-masked target id.
+    pub const IGNORE: usize = usize::MAX;
+
+    /// Creates a generator over `vocab` tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vocab < 2`.
+    pub fn new(vocab: usize, seed: u64) -> Self {
+        assert!(vocab >= 2, "need at least two tokens");
+        CopyCorpus {
+            vocab,
+            rng: SmallRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Samples `(inputs, targets)` of length `2 * half`. The prediction at
+    /// position `i >= half - 1` is the token at `i + 1 - half` (the copy);
+    /// earlier positions are ignored.
+    pub fn sample(&mut self, half: usize) -> (Vec<usize>, Vec<usize>) {
+        let first: Vec<usize> = (0..half)
+            .map(|_| self.rng.gen_range(0..self.vocab))
+            .collect();
+        let mut inputs = first.clone();
+        inputs.extend_from_slice(&first);
+        let mut targets = vec![Self::IGNORE; 2 * half];
+        targets[half - 1..2 * half - 1].copy_from_slice(&inputs[half..2 * half]);
+        (inputs, targets)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,53 +182,6 @@ mod tests {
         let h = c.entropy_floor();
         assert!(h > 0.0);
         assert!(h < (50.0f64).ln(), "below uniform entropy");
-    }
-}
-
-/// A long-range **copy task**: the first half of the sequence is random;
-/// the second half repeats it verbatim. Predicting the second half
-/// requires attending `half` positions back — with FPDT chunking, that is
-/// guaranteed to cross chunk boundaries, so a model that learns this task
-/// proves the streamed attention carries information across chunks (and
-/// across the all-to-all, the shuffle and the host pool).
-///
-/// Targets for the first half are [`IGNORE`](Self::IGNORE) so the loss
-/// measures only the long-range predictions.
-#[derive(Debug, Clone)]
-pub struct CopyCorpus {
-    vocab: usize,
-    rng: SmallRng,
-}
-
-impl CopyCorpus {
-    /// Loss-masked target id.
-    pub const IGNORE: usize = usize::MAX;
-
-    /// Creates a generator over `vocab` tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vocab < 2`.
-    pub fn new(vocab: usize, seed: u64) -> Self {
-        assert!(vocab >= 2, "need at least two tokens");
-        CopyCorpus {
-            vocab,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Samples `(inputs, targets)` of length `2 * half`. The prediction at
-    /// position `i >= half - 1` is the token at `i + 1 - half` (the copy);
-    /// earlier positions are ignored.
-    pub fn sample(&mut self, half: usize) -> (Vec<usize>, Vec<usize>) {
-        let first: Vec<usize> = (0..half)
-            .map(|_| self.rng.gen_range(0..self.vocab))
-            .collect();
-        let mut inputs = first.clone();
-        inputs.extend_from_slice(&first);
-        let mut targets = vec![Self::IGNORE; 2 * half];
-        targets[half - 1..2 * half - 1].copy_from_slice(&inputs[half..2 * half]);
-        (inputs, targets)
     }
 }
 

@@ -147,24 +147,6 @@ fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResul
     <[Tensor; N]>::try_from(tensors).map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
 }
 
-/// Cached chunks on their way to compute: in flight on the copy stream
-/// (one transfer for the lot) or, with offload off, already device-resident.
-enum Staged {
-    Host(FetchHandle<Vec<Arc<Tensor>>>),
-    Device(Vec<Arc<Tensor>>),
-}
-
-impl Staged {
-    /// The chunks, in request order, once their transfer has landed.
-    fn wait<const N: usize>(self) -> ExecResult<[Arc<Tensor>; N]> {
-        let chunks = match self {
-            Staged::Host(handle) => handle.wait(),
-            Staged::Device(chunks) => chunks,
-        };
-        <[Arc<Tensor>; N]>::try_from(chunks).map_err(|c| format!("staged {} chunks, not {N}", c.len()).into())
-    }
-}
-
 /// Distributed chunked attention: Ulysses all-to-all per chunk posted on
 /// a split-phase communication stream, streaming online attention, host
 /// offload behind a double-buffered copy stream, tiled backward.
@@ -187,43 +169,35 @@ impl Staged {
 pub struct DistAttention {
     comm: Arc<Communicator>,
     plan: ChunkPlan,
-    /// Cache chunks in the host pool (behind the copy streams) instead of
-    /// the device map.
-    offload: bool,
     payload_bf16: bool,
-    host: OffloadEngine,
+    /// The rank's chunk store: the host pool with offload on, else
+    /// device-resident.
+    store: OffloadEngine,
     engine: CommEngine,
-    device: HashMap<ChunkKey, Arc<Tensor>>,
     recorder: Option<Recorder>,
 }
 
 impl DistAttention {
-    /// Creates the executor for one rank with environment-default options.
-    pub fn new(comm: Arc<Communicator>, plan: ChunkPlan, offload: bool) -> Self {
-        Self::with_opts(comm, plan, offload, RuntimeOptions::from_env())
-    }
-
-    /// Creates the executor for one rank with explicit options — the one
-    /// options surface is [`RuntimeOptions`]. Both engines charge the
-    /// link at `opts.sim_gbps`.
+    /// Creates the executor for one rank — the one options surface is
+    /// [`RuntimeOptions`]. With `offload` the cached chunks live in the
+    /// host pool, else on the device; both engines charge the link at
+    /// `opts.sim_gbps`.
     pub fn with_opts(
         comm: Arc<Communicator>,
         plan: ChunkPlan,
         offload: bool,
         opts: RuntimeOptions,
     ) -> Self {
-        let mut host = OffloadEngine::for_rank(comm.rank(), opts.sim_gbps);
-        host.set_payload_bf16(opts.payload_bf16);
+        let mut store = OffloadEngine::for_rank(comm.rank(), opts.sim_gbps, offload);
+        store.set_payload_bf16(opts.payload_bf16);
         let mut engine = CommEngine::new(Arc::clone(&comm), opts.sim_gbps);
         engine.set_retries(opts.comm_retries);
         DistAttention {
             engine,
             comm,
             plan,
-            offload,
             payload_bf16: opts.payload_bf16,
-            host,
-            device: HashMap::new(),
+            store,
             recorder: None,
         }
     }
@@ -233,7 +207,7 @@ impl DistAttention {
     /// a wall-clock span.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.host.set_recorder(recorder.clone());
+        self.store.set_recorder(recorder.clone());
         self.engine.set_recorder(recorder.clone());
         self.recorder = Some(recorder);
         self
@@ -260,38 +234,16 @@ impl DistAttention {
         self.recorder.as_ref().map(|r| r.span(label).bytes(bytes))
     }
 
-    fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) {
-        if self.offload {
-            self.host.put(key, t);
-        } else {
-            self.device.insert(key, t);
-        }
-    }
-
     /// Issues the fetch of several cached chunks as one copy-stream transfer
     /// (`consume` evicts a chunk, otherwise it stays cached; every path is
-    /// zero-copy — the `Arc` is shared). With offload off the chunks are
-    /// device-resident and the result is ready at once.
-    fn stage(&mut self, reqs: &[(ChunkKey, bool)]) -> ExecResult<Staged> {
-        if self.offload {
-            let handle = self.host.prefetch_batch(reqs);
-            return Ok(Staged::Host(handle.ok_or_else(|| format!("missing cached chunk in {reqs:?}"))?));
-        }
-        let mut chunks = Vec::with_capacity(reqs.len());
-        for (key, consume) in reqs {
-            let t = if *consume {
-                self.device.remove(key)
-            } else {
-                self.device.get(key).map(Arc::clone)
-            };
-            chunks.push(t.ok_or_else(|| format!("missing cached chunk {key:?}"))?);
-        }
-        Ok(Staged::Device(chunks))
+    /// zero-copy — the `Arc` is shared).
+    fn stage<const N: usize>(&mut self, reqs: [(ChunkKey, bool); N]) -> ExecResult<FetchHandle<[Arc<Tensor>; N]>> {
+        Ok(self.store.prefetch_batch(reqs).ok_or_else(|| format!("missing cached chunk in {reqs:?}"))?)
     }
 
     /// Issues the double-buffer prefetch for KV chunk `j` of `layer`.
-    fn fetch_kv(&mut self, layer: usize, j: usize, consume: bool) -> ExecResult<Staged> {
-        self.stage(&[
+    fn fetch_kv(&mut self, layer: usize, j: usize, consume: bool) -> ExecResult<FetchHandle<[Arc<Tensor>; 2]>> {
+        self.stage([
             (ChunkKey::new(layer, BufKind::K, j), consume),
             (ChunkKey::new(layer, BufKind::V, j), consume),
         ])
@@ -300,8 +252,8 @@ impl DistAttention {
     /// Issues the take of query chunk `i`'s saved forward state
     /// `[O, Q, Lse]` — what opening row `i` of the backward consumes — as
     /// one copy-stream transfer.
-    fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<Staged> {
-        self.stage(&[
+    fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<FetchHandle<[Arc<Tensor>; 3]>> {
+        self.stage([
             (ChunkKey::new(layer, BufKind::O, i), true),
             (ChunkKey::new(layer, BufKind::Q, i), true),
             (ChunkKey::new(layer, BufKind::Lse, i), true),
@@ -393,9 +345,9 @@ impl DistAttention {
             let chunk = dout.narrow(0, range.start, c_loc)?;
             dout_pending.push(Some(self.post("a2a.scatter_heads", &[&chunk], false)?));
         }
-        let mut kv_pending: Vec<Option<Staged>> = (0..u).map(|_| None).collect();
+        let mut kv_pending: Vec<Option<_>> = (0..u).map(|_| None).collect();
         kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
-        let mut row_pending: Vec<Option<Staged>> = (0..u).map(|_| None).collect();
+        let mut row_pending: Vec<Option<_>> = (0..u).map(|_| None).collect();
         row_pending[0] = Some(self.fetch_row(layer, 0)?);
 
         // One open query row: its operands and its gradient accumulator
@@ -442,7 +394,7 @@ impl DistAttention {
                         row_pending[i + 1] = Some(self.fetch_row(layer, i + 1)?);
                     }
                     let [dout] = landed(&mut self.engine, dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
-                    let [o, q, lse] = staged.wait()?;
+                    let [o, q, lse] = staged.wait();
                     let dsum = {
                         let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
                         rowwise_dot(&o, &dout)?
@@ -463,7 +415,7 @@ impl DistAttention {
                         Some(pair) => pair,
                         None => self.fetch_kv(layer, j, true)?,
                     };
-                    let [kj, vj] = staged.wait()?;
+                    let [kj, vj] = staged.wait();
                     let dk = Tensor::zeros(kj.shape());
                     let dv = Tensor::zeros(vj.shape());
                     cols[j] = Some(Col {
@@ -527,7 +479,7 @@ impl DistAttention {
 impl AttentionExec for DistAttention {
     /// Zero when `offload` is off.
     fn host_stats(&self) -> PoolStats {
-        self.host.stats()
+        self.store.stats()
     }
 
     fn forward(
@@ -556,7 +508,7 @@ impl AttentionExec for DistAttention {
         // Cross-chunk KV carry: chunk i+1's first KV fetch is issued while
         // chunk i is still computing, so no slot opens on an exposed
         // transfer.
-        let mut carry: Option<Staged> = None;
+        let mut carry = None;
         for (i, cur) in qkv_posted.into_iter().enumerate() {
             let _slot = self.span("slot.fwd", 0);
             // Project chunk through the all-to-all: full heads/local seq ->
@@ -578,7 +530,7 @@ impl AttentionExec for DistAttention {
                 } else {
                     None
                 };
-                let [kj, vj] = cur.wait()?;
+                let [kj, vj] = cur.wait();
                 // The carry for chunk i+1, issued on the last inner tile
                 // only after `cur` resolved: when i == 1 this tile's
                 // handles ARE chunk 0's K/V keys, and the pool treats a
@@ -603,12 +555,12 @@ impl AttentionExec for DistAttention {
             // here is the same buffer the all-to-all below reads).
             // K and V go down first: the next chunk fetches them straight
             // back, and a fetch waits for its chunk's put.
-            self.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
-            self.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
-            self.put(ChunkKey::new(layer, BufKind::Q, i), qh);
-            self.put(ChunkKey::new(layer, BufKind::O, i), Arc::clone(&oi));
+            self.store.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
+            self.store.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
+            self.store.put(ChunkKey::new(layer, BufKind::Q, i), qh);
+            self.store.put(ChunkKey::new(layer, BufKind::O, i), Arc::clone(&oi));
             let lse_len = oi.shape()[0] * oi.shape()[1];
-            self.put(
+            self.store.put(
                 ChunkKey::new(layer, BufKind::Lse, i),
                 Arc::new(Tensor::from_vec(lse, &[lse_len])?),
             );
@@ -641,12 +593,7 @@ impl AttentionExec for DistAttention {
         // PCIe traffic, so it must not touch the fetch counters.
         for kind in [BufKind::Q, BufKind::K, BufKind::V, BufKind::O, BufKind::Lse] {
             for chunk in 0..self.plan.chunks {
-                let key = ChunkKey::new(layer, kind, chunk);
-                if self.offload {
-                    self.host.discard(&key);
-                } else {
-                    self.device.remove(&key);
-                }
+                self.store.discard(&ChunkKey::new(layer, kind, chunk));
             }
         }
     }
@@ -929,8 +876,15 @@ mod tests {
 
     #[test]
     fn backward_frees_all_cached_chunks() {
-        // After backward, the host pool must be empty — the tile walk
-        // consumes every cached chunk exactly once.
+        for offload in [true, false] {
+            backward_frees_all_cached_chunks_with(offload);
+        }
+    }
+
+    /// After backward, the chunk store must be empty — host pool or
+    /// device-resident, the tile walk consumes every cached chunk exactly
+    /// once.
+    fn backward_frees_all_cached_chunks_with(offload: bool) {
         let (s, h, d) = (16, 2, 4);
         let (q, k, v) = rand_qkv(9, s, h, d);
         let dout = Tensor::ones(&[s / 2, h, d]);
@@ -942,13 +896,15 @@ mod tests {
                 let refs: Vec<&Tensor> = parts.iter().collect();
                 Tensor::concat(&refs, 0).unwrap()
             };
-            let mut ex = DistAttention::new(Arc::new(comm), plan, true);
+            let opts = RuntimeOptions::from_env().with_payload_bf16(false);
+            let mut ex = DistAttention::with_opts(Arc::new(comm), plan, offload, opts);
             ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                 .unwrap();
+            assert!(!ex.store.is_empty(), "the forward caches its chunks");
             ex.backward(0, &dout).unwrap();
-            ex.host.is_empty()
+            ex.store.is_empty()
         });
-        assert!(empty.iter().all(|&e| e));
+        assert!(empty.iter().all(|&e| e), "offload = {offload}");
     }
 
     /// Forward + backward of a 2-rank, 4-chunk offloaded executor with
@@ -1031,7 +987,7 @@ mod tests {
                         .unwrap();
                     let fwd = (ex.host_stats(), ex.comm_posted());
                     ex.backward(0, &dout).unwrap();
-                    (fwd, ex.host_stats(), ex.comm_posted(), ex.host.is_empty())
+                    (fwd, ex.host_stats(), ex.comm_posted(), ex.store.is_empty())
                 });
                 // One gathered chunk: s/u rows of h/2 local heads.
                 let (c, l) = ((s / u) * (h / 2) * d * 4, (s / u) * (h / 2) * 4);

@@ -884,6 +884,34 @@ impl GptModel {
         }
         Ok(best)
     }
+
+    /// Mean loss over `batches` freshly sampled sequences, without
+    /// touching gradients — the evaluation loop.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape or communication errors.
+    pub fn evaluate(
+        &mut self,
+        exec: &mut dyn AttentionExec,
+        corpus: &mut crate::runtime::data::Corpus,
+        seq: usize,
+        batches: usize,
+    ) -> ExecResult<f32> {
+        let pos: Vec<usize> = (0..seq).collect();
+        let mut loss = 0.0f32;
+        let mut toks = 0usize;
+        for _ in 0..batches {
+            let (x, y) = corpus.sample(seq);
+            // forward_backward computes grads too; zero them afterwards so
+            // evaluation leaves the training state untouched.
+            let stats = self.forward_backward(exec, &x, &y, &pos, 1, 1)?;
+            loss += stats.loss_sum;
+            toks += stats.tokens;
+        }
+        self.zero_grad();
+        Ok(loss / toks.max(1) as f32)
+    }
 }
 
 #[cfg(test)]
@@ -1217,36 +1245,6 @@ mod clip_tests {
         let before2 = model.grad_norm();
         model.clip_grad_norm(10.0);
         assert!((model.grad_norm() - before2).abs() < 1e-6);
-    }
-}
-
-impl GptModel {
-    /// Mean loss over `batches` freshly sampled sequences, without
-    /// touching gradients — the evaluation loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape or communication errors.
-    pub fn evaluate(
-        &mut self,
-        exec: &mut dyn AttentionExec,
-        corpus: &mut crate::runtime::data::Corpus,
-        seq: usize,
-        batches: usize,
-    ) -> ExecResult<f32> {
-        let pos: Vec<usize> = (0..seq).collect();
-        let mut loss = 0.0f32;
-        let mut toks = 0usize;
-        for _ in 0..batches {
-            let (x, y) = corpus.sample(seq);
-            // forward_backward computes grads too; zero them afterwards so
-            // evaluation leaves the training state untouched.
-            let stats = self.forward_backward(exec, &x, &y, &pos, 1, 1)?;
-            loss += stats.loss_sum;
-            toks += stats.tokens;
-        }
-        self.zero_grad();
-        Ok(loss / toks.max(1) as f32)
     }
 }
 

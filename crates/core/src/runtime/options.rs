@@ -72,9 +72,10 @@ fn env_budget(name: &str) -> Option<usize> {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeOptions {
-    /// Move HostPool-offloaded KV chunks and all-to-all payloads as bf16
-    /// (half the wire bytes; compute stays f32). `FPDT_BF16`. The one
-    /// knob that affects numerics — see the module docs.
+    /// Move host-offloaded KV chunks (`OffloadEngine` with offload on;
+    /// device-resident chunks never round) and all-to-all payloads as
+    /// bf16 (half the wire bytes; compute stays f32). `FPDT_BF16`. The
+    /// one knob that affects numerics — see the module docs.
     pub payload_bf16: bool,
     /// Replay budget for transient collective faults (`FPDT_COMM_RETRIES`,
     /// default 0 = fail fast): how many extra attempts each collective

@@ -17,8 +17,6 @@ pub struct Fpdt {
     pub chunk_tokens: u64,
     /// Cache idle chunks in host memory ("FPDT w. offload").
     pub offload: bool,
-    /// Double-buffer prefetching across the three streams.
-    pub double_buffer: bool,
     /// ZeRO stage for model state (the paper pairs FPDT with ZeRO-3).
     pub zero: ZeroStage,
 }
@@ -31,7 +29,6 @@ impl Fpdt {
         Fpdt {
             chunk_tokens: 64 * 1024,
             offload: true,
-            double_buffer: true,
             zero: ZeroStage::Three,
         }
     }
@@ -54,7 +51,6 @@ impl Fpdt {
         PipelineOpts {
             chunks: self.chunk_count(seq),
             offload: self.offload,
-            double_buffer: self.double_buffer,
             ..PipelineOpts::paper(1)
         }
     }

@@ -95,7 +95,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
     let lexed = lexer::lex(src);
     let toks = lexer::strip_test_items(&lexed.tokens);
 
-    let mut findings = rules::check_file(path, &lines, &toks);
+    let mut findings = rules::check_file(path, &lines, &lexed.tokens, &toks);
 
     // Parse directives out of the comment stream. Only a comment that
     // *starts* with `fpdt-lint` is a directive — prose that merely

@@ -10,10 +10,12 @@
 //! | `raw-thread-spawn`      | threads come from the pool / rank sessions, not ad hoc |
 //! | `dropped-span-guard`    | span guards get named bindings (`let _ =` drops instantly) |
 //! | `unchecked-ckpt-io`     | checkpoint I/O results are handled, never discarded |
+//! | `item-after-test-module`| a crate source file ends with its test module |
 //!
 //! Rules pattern-match the **token stream** (string literals and comments
 //! never fire) after `#[cfg(test)]` items are stripped — tests are free
-//! to unwrap, spawn, and read clocks.
+//! to unwrap, spawn, and read clocks. `item-after-test-module` alone also
+//! reads where the stripped test module stood.
 
 use crate::lexer::{TokKind, Token};
 use crate::Finding;
@@ -56,6 +58,10 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "unchecked-ckpt-io",
         what: "checkpoint I/O results (write_shard, read_shard, shard_paths, Trainer::checkpoint and the fs calls beneath them) must not be discarded via `let _ =` or `.ok()` — a silently dropped CkptError means a resume from half-written state",
+    },
+    RuleInfo {
+        name: "item-after-test-module",
+        what: "in crates/*/src, no non-test item after a top-level `#[cfg(test)] mod` — a file's program text ends where its tests begin, so a plain count up to the first test module counts all of it",
     },
     RuleInfo {
         name: "malformed-suppression",
@@ -158,10 +164,12 @@ fn finding(rule: &'static str, path: &str, lines: &[String], tok: &Token, messag
     }
 }
 
-/// Runs every path-applicable rule over one file's stripped token stream.
+/// Runs every path-applicable rule over one file's stripped token stream
+/// (`raw` is the unstripped stream, for `item-after-test-module`).
 /// Suppressions are applied by the caller ([`crate::lint_source`]).
-pub fn check_file(path: &str, lines: &[String], toks: &[Token]) -> Vec<Finding> {
+pub fn check_file(path: &str, lines: &[String], raw: &[Token], toks: &[Token]) -> Vec<Finding> {
     let mut out = Vec::new();
+    item_after_test_module(path, lines, raw, toks, &mut out);
     env_outside_options(path, lines, toks, &mut out);
     unwrap_in_comm_path(path, lines, toks, &mut out);
     unordered_map_emission(path, lines, toks, &mut out);
@@ -528,4 +536,61 @@ fn unchecked_ckpt_io(path: &str, lines: &[String], toks: &[Token], out: &mut Vec
             }
         }
     }
+}
+
+/// In `crates/*/src`: the first non-test token after the first top-level
+/// `#[cfg(test)] mod`. One finding per file.
+fn item_after_test_module(path: &str, lines: &[String], raw: &[Token], toks: &[Token], out: &mut Vec<Finding>) {
+    if !(path.starts_with("crates/") && path.contains("/src/")) {
+        return;
+    }
+    let Some(end) = test_module_end(raw) else { return };
+    if let Some(t) = toks.iter().find(|t| (t.line, t.col) > end) {
+        out.push(finding(
+            "item-after-test-module",
+            path,
+            lines,
+            t,
+            "non-test code after the file's `#[cfg(test)]` module; move it above the test module so \
+             the file's program text ends where its tests begin"
+                .to_string(),
+        ));
+    }
+}
+
+/// Position of the token that closes the first `#[cfg(test)] mod` at
+/// brace depth 0 (its `}`, or the `;` of a file module).
+fn test_module_end(raw: &[Token]) -> Option<(u32, u32)> {
+    const GATE: [char; 7] = ['#', '[', 'c', '(', 't', ')', ']'];
+    let is_gate = |i: usize| {
+        GATE.iter().enumerate().all(|(k, &c)| {
+            raw.get(i + k).is_some_and(|t| match c {
+                'c' => t.is_ident("cfg"),
+                't' => t.is_ident("test"),
+                _ => t.is_punct(c),
+            })
+        })
+    };
+    let mut depth = 0i64;
+    for i in 0..raw.len() {
+        if depth == 0 && is_gate(i) && raw.get(i + GATE.len()).is_some_and(|t| t.is_ident("mod")) {
+            let mut inner = 0i64;
+            for t in &raw[i + GATE.len()..] {
+                match t.kind {
+                    TokKind::Punct('{') => inner += 1,
+                    TokKind::Punct('}') if inner == 1 => return Some((t.line, t.col)),
+                    TokKind::Punct('}') => inner -= 1,
+                    TokKind::Punct(';') if inner == 0 => return Some((t.line, t.col)),
+                    _ => {}
+                }
+            }
+            return None;
+        }
+        match raw[i].kind {
+            TokKind::Punct('{') => depth += 1,
+            TokKind::Punct('}') => depth -= 1,
+            _ => {}
+        }
+    }
+    None
 }

@@ -296,6 +296,60 @@ fn propagated_ckpt_io_is_allowed() {
     assert!(rules_fired("crates/core/src/offload.rs", elsewhere).is_empty());
 }
 
+// --- item-after-test-module ---
+
+#[test]
+fn item_after_the_test_module_fires() {
+    let src = r#"
+        pub fn above() {}
+        #[cfg(test)]
+        mod tests {
+            #[test]
+            fn t() {}
+        }
+        /// Counted by nobody who stops at the test module.
+        pub fn below() -> u32 { 1 }
+        #[cfg(test)]
+        mod more_tests {}
+    "#;
+    let found = lint_source("crates/sim/src/engine.rs", src);
+    assert_eq!(found.iter().map(|f| f.rule.as_str()).collect::<Vec<_>>(), ["item-after-test-module"]);
+    assert_eq!(found[0].excerpt, "pub fn below() -> u32 { 1 }");
+}
+
+#[test]
+fn tests_at_the_end_or_outside_crate_sources_are_allowed() {
+    // Test items only after the first test module (a second module, a
+    // lone `#[test]` fn), and a nested test module closed by its parent.
+    let src = r#"
+        pub fn above() {}
+        pub mod inner {
+            pub fn f() {}
+            #[cfg(test)]
+            mod tests {}
+        }
+        #[cfg(test)]
+        mod tests {
+            fn helper() {}
+        }
+        #[cfg(test)]
+        mod more_tests {}
+        #[test]
+        fn lone() {}
+    "#;
+    assert!(rules_fired("crates/sim/src/engine.rs", src).is_empty());
+    // The rule covers crate sources only: integration tests, bins at the
+    // root and examples may order items as they like.
+    let trailing = r#"
+        #[cfg(test)]
+        mod tests {}
+        pub fn below() {}
+    "#;
+    assert!(rules_fired("src/bin/fpdt-plan.rs", trailing).is_empty());
+    assert!(rules_fired("crates/core/tests/common/mod.rs", trailing).is_empty());
+    assert_eq!(rules_fired("crates/bench/src/bin/figure7.rs", trailing), ["item-after-test-module"]);
+}
+
 // --- suppressions ---
 
 #[test]

@@ -66,6 +66,22 @@ impl ZeroStage {
     }
 }
 
+/// The gradient-reduction memory spike the paper's Future Work section
+/// identifies: "PyTorch can also incur a high memory spike when it reduces
+/// the gradients across all GPUs ... in certain cases more significant
+/// than the activation's memory spikes."
+///
+/// The reducer flattens gradients into fp32 buckets before the collective;
+/// an unbucketed reduce materializes the full fp32 gradient (4 bytes per
+/// parameter) at once, while a bucketed/chunked reducer caps the transient
+/// at two in-flight buckets (double buffering, FPDT-style).
+pub fn grad_reduce_spike_bytes(model: &ModelConfig, bucket_bytes: Option<u64>) -> u64 {
+    match bucket_bytes {
+        None => 4 * model.param_count(), // flat fp32 copy of every gradient
+        Some(b) => 2 * b,                // two in-flight buckets
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,22 +113,6 @@ mod tests {
         let m = ModelConfig::tiny(2, 64, 4, 100);
         let cost = CostModel::new(ClusterSpec::a100_80g(1, 1));
         assert_eq!(ZeroStage::Three.comm_seconds(&m, &cost, 1), 0.0);
-    }
-}
-
-/// The gradient-reduction memory spike the paper's Future Work section
-/// identifies: "PyTorch can also incur a high memory spike when it reduces
-/// the gradients across all GPUs ... in certain cases more significant
-/// than the activation's memory spikes."
-///
-/// The reducer flattens gradients into fp32 buckets before the collective;
-/// an unbucketed reduce materializes the full fp32 gradient (4 bytes per
-/// parameter) at once, while a bucketed/chunked reducer caps the transient
-/// at two in-flight buckets (double buffering, FPDT-style).
-pub fn grad_reduce_spike_bytes(model: &ModelConfig, bucket_bytes: Option<u64>) -> u64 {
-    match bucket_bytes {
-        None => 4 * model.param_count(), // flat fp32 copy of every gradient
-        Some(b) => 2 * b,                // two in-flight buckets
     }
 }
 

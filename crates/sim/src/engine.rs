@@ -288,6 +288,22 @@ impl SimReport {
     pub fn streams(&self) -> &[String] {
         &self.streams
     }
+
+    /// Busy fraction of a stream over the makespan (0.0 when the stream
+    /// never ran or the makespan is zero) — e.g. how saturated the H2D
+    /// copy stream was during an FPDT block.
+    pub fn stream_utilization(&self, stream: &str) -> f64 {
+        if self.makespan <= 0.0 {
+            return 0.0;
+        }
+        let busy: f64 = self
+            .records
+            .iter()
+            .filter(|r| r.stream == stream)
+            .map(|r| (r.finish - r.start).max(0.0))
+            .sum();
+        busy / self.makespan
+    }
 }
 
 /// The discrete-event engine. See the [module docs](self) for the model.
@@ -875,24 +891,6 @@ mod tests {
         let r = e.run().unwrap();
         assert_eq!(r.makespan, 0.0);
         assert_eq!(e.task_count(), 0);
-    }
-}
-
-impl SimReport {
-    /// Busy fraction of a stream over the makespan (0.0 when the stream
-    /// never ran or the makespan is zero) — e.g. how saturated the H2D
-    /// copy stream was during an FPDT block.
-    pub fn stream_utilization(&self, stream: &str) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .records
-            .iter()
-            .filter(|r| r.stream == stream)
-            .map(|r| (r.finish - r.start).max(0.0))
-            .sum();
-        busy / self.makespan
     }
 }
 

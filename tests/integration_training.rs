@@ -2,7 +2,7 @@
 //! and core crates together) trains actual models and FPDT's trajectory
 //! matches the baseline exactly: the §5.6 / Figure 14 claim, end to end.
 
-use fpdt_core::runtime::{train, Mode, TrainConfig};
+use fpdt_core::runtime::{train, Mode, RuntimeOptions, TrainConfig};
 use fpdt_model::config::ModelConfig;
 
 fn base_config() -> TrainConfig {
@@ -212,7 +212,8 @@ fn long_range_copy_task_crosses_chunk_boundaries() {
         let results = run_group(world, |comm| {
             let comm = std::sync::Arc::new(comm);
             let plan = ChunkPlan::new(2 * half, world, chunks).unwrap();
-            let mut exec = DistAttention::new(std::sync::Arc::clone(&comm), plan, true);
+            let opts = RuntimeOptions::from_env();
+            let mut exec = DistAttention::with_opts(std::sync::Arc::clone(&comm), plan, true, opts);
             let mut model = GptModel::new(&cfg, 0);
             let mut opt = AdamW::new(AdamWConfig {
                 lr: 3e-3,
