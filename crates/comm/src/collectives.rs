@@ -18,20 +18,23 @@ use std::time::Instant;
 
 impl Communicator {
     /// All-to-all: rank `r` sends `parts[p]` to rank `p` and returns the
-    /// pieces received from every rank, in rank order.
+    /// pieces received from every rank, in rank order. `parts[r]` never
+    /// leaves the rank: it comes back as piece `r` unsent.
     ///
     /// # Errors
     ///
     /// Returns [`CommError::WrongPartCount`] unless `parts.len() == world`.
     pub fn all_to_all(&self, parts: Vec<Vec<f32>>) -> Result<Vec<Vec<f32>>> {
         self.fault_check("all_to_all")?;
-        self.send_parts(parts, false, None)?;
-        Ok(self.recv_parts()?.0)
+        let own = self.send_parts(parts, false, None)?;
+        Ok(self.recv_parts(own)?.0)
     }
 
     /// The send half of an all-to-all, after its fault check: `parts[p]`
-    /// to rank `p`, each message stamped `ready_at`. Sends never block.
-    pub(crate) fn send_parts(&self, parts: Vec<Vec<f32>>, bf16: bool, ready_at: Option<Instant>) -> Result<()> {
+    /// to every peer `p`, each message stamped `ready_at`, and `parts[rank]`
+    /// handed back unsent — the own part is not a message. Sends never
+    /// block.
+    pub(crate) fn send_parts(&self, mut parts: Vec<Vec<f32>>, bf16: bool, ready_at: Option<Instant>) -> Result<Vec<f32>> {
         if parts.len() != self.world() {
             return Err(CommError::WrongPartCount {
                 op: "all_to_all",
@@ -39,7 +42,11 @@ impl Communicator {
                 actual: parts.len(),
             });
         }
+        let own = std::mem::take(&mut parts[self.rank()]);
         for (peer, part) in parts.into_iter().enumerate() {
+            if peer == self.rank() {
+                continue;
+            }
             let data = if bf16 {
                 Payload::Bf16(fpdt_tensor::bf16::encode_slice(&part))
             } else {
@@ -47,15 +54,20 @@ impl Communicator {
             };
             self.send_payload("all_to_all", peer, data, ready_at)?;
         }
-        Ok(())
+        Ok(own)
     }
 
-    /// The receive half of an all-to-all: one part from every rank, in
-    /// rank order, and the latest link stamp among them.
-    pub(crate) fn recv_parts(&self) -> Result<(Vec<Vec<f32>>, Option<Instant>)> {
+    /// The receive half of an all-to-all: one part from every peer, with
+    /// `own` put back at this rank's index, and the latest link stamp
+    /// among the peers'.
+    pub(crate) fn recv_parts(&self, mut own: Vec<f32>) -> Result<(Vec<Vec<f32>>, Option<Instant>)> {
         let mut latest = None;
         let mut parts = Vec::with_capacity(self.world());
         for peer in 0..self.world() {
+            if peer == self.rank() {
+                parts.push(std::mem::take(&mut own));
+                continue;
+            }
             let (part, stamp) = self.recv_stamped("all_to_all", peer)?;
             latest = latest.max(stamp);
             parts.push(part);
@@ -64,7 +76,7 @@ impl Communicator {
     }
 
     /// All-gather: every rank contributes one buffer and receives all
-    /// buffers in rank order.
+    /// buffers in rank order. The own buffer is copied in place, not sent.
     ///
     /// # Errors
     ///
@@ -72,12 +84,20 @@ impl Communicator {
     /// [`CommError::Desync`] when it diverged mid-collective — the same
     /// uniform `Result` surface as every other collective.
     pub fn all_gather(&self, data: &[f32]) -> Result<Vec<Vec<f32>>> {
+        let mut pieces = self.gather_peers(data)?;
+        pieces[self.rank()] = data.to_vec();
+        Ok(pieces)
+    }
+
+    /// The all-gather's traffic: `data` to every peer and every peer's
+    /// buffer back, in rank order, with an empty slot at this rank's index.
+    fn gather_peers(&self, data: &[f32]) -> Result<Vec<Vec<f32>>> {
         self.fault_check("all_gather")?;
-        for peer in 0..self.world() {
+        for peer in (0..self.world()).filter(|&p| p != self.rank()) {
             self.send("all_gather", peer, data.to_vec())?;
         }
         (0..self.world())
-            .map(|peer| self.recv("all_gather", peer))
+            .map(|peer| if peer == self.rank() { Ok(Vec::new()) } else { self.recv("all_gather", peer) })
             .collect()
     }
 
@@ -104,19 +124,33 @@ impl Communicator {
     /// Returns [`CommError::LengthMismatch`] when contributions disagree in
     /// length.
     pub fn all_reduce_in_place(&self, data: &mut [f32]) -> Result<()> {
-        let gathered = self.all_gather(data)?;
-        if let Some(piece) = gathered.iter().find(|p| p.len() != data.len()) {
+        let mut pieces = self.gather_peers(data)?;
+        let rank = self.rank();
+        let mut peers = pieces.iter().enumerate().filter(|&(peer, _)| peer != rank);
+        if let Some((_, piece)) = peers.find(|(_, p)| p.len() != data.len()) {
             return Err(CommError::LengthMismatch {
                 op: "all_reduce",
                 expected: data.len(),
                 actual: piece.len(),
             });
         }
-        data.fill(0.0);
-        for piece in gathered {
-            for (a, b) in data.iter_mut().zip(piece) {
-                *a += b;
+        // `0 + x_0 + x_1 + ...` in rank order, with the own contribution
+        // read from `data` at its place: the ranks below this one fold into
+        // the first of their pieces, which then joins `data` (`x + y` and
+        // `y + x` are the same f32).
+        let (below, above) = pieces.split_at_mut(rank);
+        match below.split_first_mut() {
+            None => data.iter_mut().for_each(|a| *a += 0.0),
+            Some((acc, rest)) => {
+                acc.iter_mut().for_each(|a| *a += 0.0);
+                for piece in rest.iter() {
+                    add_into(acc, piece);
+                }
+                add_into(data, acc);
             }
+        }
+        for piece in &above[1..] {
+            add_into(data, piece);
         }
         Ok(())
     }
@@ -333,6 +367,13 @@ impl AllToAllLayout {
     }
 }
 
+/// `acc[i] += piece[i]` for every element.
+fn add_into(acc: &mut [f32], piece: &[f32]) {
+    for (a, b) in acc.iter_mut().zip(piece) {
+        *a += b;
+    }
+}
+
 fn check_3d(op: &'static str, shape: &[usize]) -> Result<[usize; 3]> {
     match shape {
         &[a, b, c] => Ok([a, b, c]),
@@ -392,6 +433,32 @@ mod tests {
             })
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn all_reduce_sums_from_zero_in_rank_order_with_the_own_part_in_place() {
+        // Contributions whose sum depends on the order it is taken in: each
+        // rank's result must be `0 + x_0 + x_1 + ...` in rank order, bit for
+        // bit, wherever its own contribution sits.
+        let x = |rank: usize| -> Vec<f32> {
+            [1e8, 1.0, -1e8, 0.3, -0.0]
+                .iter()
+                .map(|v| v * (1.0 + rank as f32 * 0.37) + rank as f32 * 0.1)
+                .collect()
+        };
+        for world in [1usize, 2, 3, 4] {
+            let want: Vec<u32> = (0..5)
+                .map(|i| (0..world).fold(0.0f32, |acc, r| acc + x(r)[i]).to_bits())
+                .collect();
+            let got = run_group(world, |comm| {
+                let mut buf = x(comm.rank());
+                comm.all_reduce_in_place(&mut buf).unwrap();
+                buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            });
+            for (rank, bits) in got.into_iter().enumerate() {
+                assert_eq!(bits, want, "world {world}, rank {rank}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //!   wait drains a handle dropped unwaited. The executor waits every
 //!   handle before it returns, so the rank thread's own collectives
 //!   (`all_reduce`) find no all-to-all part to misread.
+//! * **Only what leaves the rank crosses the wire.** The slice a rank
+//!   packs for itself stays in its op's receive-queue entry and goes back
+//!   at index `rank` when the wait unpacks: it is not sent, not
+//!   bf16-encoded, not tallied in [`CommStats`](crate::CommStats) and not
+//!   charged to the link. A post at world `p` charges `(p - 1) / p` of its
+//!   packed bytes (DeepSpeed Ulysses puts only the peers' slices on the
+//!   NIC); a world-1 post charges nothing and sends nothing.
 //! * **Retries stay idempotent.** A transient fault fires in the post
 //!   half, before the first send, and is replayed there; a wait never
 //!   replays.
@@ -41,6 +48,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// One posted tensor's layout and the part of it this rank kept for
+/// itself: the wait puts it back at index `rank` when it unpacks.
+type Kept = (AllToAllLayout, Vec<f32>);
+
 /// The per-rank communication stream: ops post on the rank thread and
 /// resolve through [`Pending`] handles, over a link of the bandwidth the
 /// engine was built with.
@@ -50,8 +61,8 @@ pub struct CommEngine {
     /// The trace track the link's busy intervals go on.
     track: String,
     /// Receive halves posted and not yet run, in post order: the op's
-    /// sequence number, its layouts and its own link stamp.
-    queue: VecDeque<(u64, Vec<AllToAllLayout>, Option<Instant>)>,
+    /// sequence number, its tensors' [`Kept`] parts and its own link stamp.
+    queue: VecDeque<(u64, Vec<Kept>, Option<Instant>)>,
     /// Receive halves a wait ran ahead of their own handle's wait: the
     /// unpacked tensors and the latest stamp among the op's and its peers'.
     landed: HashMap<u64, (crate::Result<Vec<Tensor>>, Option<Instant>)>,
@@ -110,8 +121,10 @@ impl CommEngine {
     }
 
     /// Posts the all-to-all of every `(layout, tensor)` pair as one op —
-    /// one fault check, one link charge for all of it — and returns the
-    /// handle its tensors resolve through, in `items` order.
+    /// one fault check, one link charge for the parts bound for peers —
+    /// and returns the handle its tensors resolve through, in `items`
+    /// order. Each tensor's own part is kept for the wait, exact under
+    /// `bf16`.
     ///
     /// # Errors
     ///
@@ -122,12 +135,18 @@ impl CommEngine {
         items: &[(AllToAllLayout, &Tensor)],
         bf16: bool,
     ) -> crate::Result<Pending> {
-        let world = self.comm.world();
+        let (rank, world) = (self.comm.rank(), self.comm.world());
         let packed = items
             .iter()
             .map(|(layout, t)| layout.pack(world, t))
             .collect::<crate::Result<Vec<_>>>()?;
-        let elems: usize = packed.iter().flatten().map(Vec::len).sum();
+        // Only the parts bound for peers cross the wire.
+        let elems: usize = packed
+            .iter()
+            .flat_map(|parts| parts.iter().enumerate())
+            .filter(|&(peer, _)| peer != rank)
+            .map(|(_, part)| part.len())
+            .sum();
         let bytes = (elems * if bf16 { 2 } else { 4 }) as u64;
         self.posted += 1;
         let rec = self.recorder.as_ref();
@@ -139,7 +158,7 @@ impl CommEngine {
             }
             out
         })?;
-        let stamp = self.link.charge(bytes, None);
+        let stamp = if bytes == 0 { None } else { self.link.charge(bytes, None) };
         if let (Some(r), Some((start, ready))) = (rec, stamp) {
             let dur_us = (ready - start).as_secs_f64() * 1e6;
             r.record_on(
@@ -151,11 +170,11 @@ impl CommEngine {
             );
         }
         let ready_at = stamp.map(|(_, ready)| ready);
-        for parts in packed {
-            self.comm.send_parts(parts, bf16, ready_at)?;
+        let mut kept = Vec::with_capacity(items.len());
+        for ((layout, _), parts) in items.iter().zip(packed) {
+            kept.push((*layout, self.comm.send_parts(parts, bf16, ready_at)?));
         }
-        let layouts = items.iter().map(|(layout, _)| *layout).collect();
-        self.queue.push_back((self.posted, layouts, ready_at));
+        self.queue.push_back((self.posted, kept, ready_at));
         Ok(Pending {
             seq: self.posted,
             bytes,
@@ -179,22 +198,23 @@ impl CommEngine {
             if let Some(done) = self.landed.remove(&pending.seq) {
                 break done;
             }
-            let Some((seq, layouts, mut latest)) = self.queue.pop_front() else {
+            let Some((seq, kept, mut latest)) = self.queue.pop_front() else {
                 return Err(CommError::Desync {
                     local_op: "all_to_all",
                     remote_op: "a handle this engine did not post".to_string(),
                 });
             };
-            let out = layouts
-                .iter()
-                .map(|layout| {
-                    let (parts, stamp) = self.comm.recv_parts()?;
+            let out = kept
+                .into_iter()
+                .map(|(layout, own)| {
+                    let (parts, stamp) = self.comm.recv_parts(own)?;
                     latest = latest.max(stamp);
                     layout.unpack(parts)
                 })
                 .collect();
             self.landed.insert(seq, (out, latest));
-            blocked = true;
+            // A world-1 op has nothing to receive.
+            blocked |= self.comm.world() > 1;
         };
         blocked |= stamp.is_some_and(sleep_until);
         if let (Some(r), Some(start_us), true) = (&self.recorder, t0, blocked) {
@@ -216,7 +236,7 @@ impl CommEngine {
 pub struct Pending {
     /// The op's place in the engine's post order.
     seq: u64,
-    /// The op's wire bytes, for its `comm.wait` span.
+    /// The op's wire bytes (the peers' parts), for its `comm.wait` span.
     bytes: u64,
 }
 
@@ -265,14 +285,81 @@ mod tests {
     }
 
     #[test]
-    fn posted_ops_really_use_the_wire() {
-        let mut engine = CommEngine::new(solo_comm(), 0.0);
+    fn a_solo_post_charges_nothing_and_queues_no_message() {
+        // At world 1 the whole tensor is the own part: the wait still
+        // unpacks it, but nothing is sent, tallied or put on the link.
+        let mut engine = CommEngine::new(solo_comm(), 0.05);
+        let rec = Recorder::new();
+        engine.set_recorder(rec.clone());
         let h = post_tagged(&mut engine, 4, 2);
         assert!(!engine.is_idle(), "the receive half is queued");
         assert_eq!(data(engine.wait(h)), expected(4, 2, 0, 1));
         assert!(engine.is_idle());
-        assert_eq!(engine.comm().stats().op("all_to_all").unwrap().sends, 1);
         assert_eq!(engine.posted(), 1);
+        assert!(engine.comm().stats().ops.is_empty(), "no message");
+        assert_eq!(rec.count("comm.post"), 1);
+        assert_eq!(rec.count("comm.inflight"), 0, "no link charge");
+        assert_eq!(rec.count("comm.wait"), 0, "nothing to wait for");
+    }
+
+    #[test]
+    fn a_post_charges_and_counts_only_the_parts_bound_for_peers() {
+        // A fused post of two tensors: per tensor, `world - 1` messages each
+        // way, and the link and the counters see `(world - 1) / world` of
+        // the packed bytes.
+        for world in [2usize, 4] {
+            let runs = run_group(world, |comm| {
+                let comm = Arc::new(comm);
+                let mut engine = CommEngine::new(Arc::clone(&comm), 1000.0);
+                let rec = Recorder::new();
+                engine.set_recorder(rec.clone());
+                let (a, b) = (tagged(1, 3, comm.rank(), world), tagged(2, 2 * world, comm.rank(), world));
+                let la = AllToAllLayout::scatter_heads(a.shape(), world).expect("layout");
+                let lb = AllToAllLayout::scatter_seq(b.shape(), world).expect("layout");
+                let h = engine.post(&[(la, &a), (lb, &b)], false).expect("post");
+                engine.wait(h).expect("lands");
+                let packed = 4 * (a.data().len() + b.data().len()) as u64;
+                (packed, rec.total_bytes("comm.inflight"), rec.total_bytes("comm.post"), comm.stats())
+            });
+            for (packed, inflight, posted, stats) in runs {
+                let wire = packed * (world as u64 - 1) / world as u64;
+                assert_eq!((inflight, posted), (wire, wire), "world {world}");
+                let op = stats.op("all_to_all").expect("peers exchanged");
+                let msgs = 2 * (world as u64 - 1);
+                assert_eq!((op.sends, op.recvs), (msgs, msgs), "world {world}");
+                assert_eq!((op.bytes_sent, op.bytes_recv), (wire, wire), "world {world}");
+            }
+        }
+    }
+
+    #[test]
+    fn under_bf16_the_own_part_comes_back_exact() {
+        // Values bf16 cannot hold: the peer's part arrives rounded, the
+        // part a rank keeps is the f32 it packed, bit for bit.
+        let runs = run_group(2, |comm| {
+            let rank = comm.rank();
+            let mut engine = CommEngine::new(Arc::new(comm), 0.0);
+            let t = Tensor::from_vec(
+                (0..8).map(|i| 1.0 + (rank * 8 + i + 1) as f32 * 2f32.powi(-20)).collect(),
+                &[4, 2, 1],
+            )
+            .expect("shape");
+            let layout = AllToAllLayout::scatter_heads(t.shape(), 2).expect("layout");
+            let h = engine.post(&[(layout, &t)], true).expect("post");
+            let got = data(engine.wait(h));
+            (t.data().to_vec(), got)
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rank, (_, got)) in runs.iter().enumerate() {
+            for (src, (sent, _)) in runs.iter().enumerate() {
+                // Head `rank` of each of the sender's four rows.
+                let sent: Vec<f32> = sent.iter().skip(rank).step_by(2).copied().collect();
+                let rounded = fpdt_tensor::bf16::decode_slice(&fpdt_tensor::bf16::encode_slice(&sent));
+                assert_ne!(bits(&rounded), bits(&sent), "bf16 cannot hold these values");
+                let want = if src == rank { &sent } else { &rounded };
+                assert_eq!(bits(&got[src * 4..src * 4 + 4]), bits(want), "rank {rank}, from {src}");
+            }
+        }
     }
 
     #[test]
@@ -336,8 +423,6 @@ mod tests {
         let stats = comm.stats();
         assert_eq!(stats.faults, 2);
         assert_eq!(stats.retries, 2);
-        // The two failed attempts moved no bytes: traffic counts one op.
-        assert_eq!(stats.op("all_to_all").unwrap().sends, 1);
     }
 
     #[test]
@@ -393,44 +478,51 @@ mod tests {
 
     #[test]
     fn replayed_post_surfaces_exhausted_budget_and_queues_nothing() {
-        let comm = solo_comm();
-        comm.inject_fault("all_to_all", 3);
-        let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
-        engine.set_retries(1);
-        let t = tagged(1, 1, 0, 1);
-        let layout = AllToAllLayout::scatter_heads(t.shape(), 1).expect("layout");
-        assert!(matches!(
-            engine.post(&[(layout, &t)], false),
-            Err(CommError::Transient { op: "all_to_all" })
-        ));
-        assert!(engine.is_idle());
-        assert!(
-            comm.stats().op("all_to_all").is_none(),
-            "no send left the rank"
-        );
+        run_group(2, |comm| {
+            let (rank, comm) = (comm.rank(), Arc::new(comm));
+            comm.inject_fault("all_to_all", 3);
+            let mut engine = CommEngine::new(Arc::clone(&comm), 0.0);
+            engine.set_retries(1);
+            let t = tagged(1, 1, rank, 2);
+            let layout = AllToAllLayout::scatter_heads(t.shape(), 2).expect("layout");
+            assert!(matches!(
+                engine.post(&[(layout, &t)], false),
+                Err(CommError::Transient { op: "all_to_all" })
+            ));
+            assert!(engine.is_idle());
+            assert!(
+                comm.stats().op("all_to_all").is_none(),
+                "no send left the rank"
+            );
+        });
     }
 
     #[test]
     fn posts_record_post_and_inflight_spans_on_the_link_track() {
-        let mut engine = CommEngine::new(solo_comm(), 0.05);
-        let rec = Recorder::new();
-        engine.set_recorder(rec.clone());
-        let h = post_tagged(&mut engine, 0, 2);
-        engine.wait(h).expect("lands");
-        assert_eq!(rec.count("comm.post"), 1);
-        assert_eq!(rec.total_bytes("comm.inflight"), 8);
-        let spans = rec.records();
-        let tid = |label: &str| spans.iter().find(|s| s.label == label).expect(label).tid;
-        assert_ne!(
-            tid("comm.inflight"),
-            tid("comm.post"),
-            "the link is a track of its own"
-        );
-        assert!(rec.chrome_trace_json().contains("fpdt-comm-r0"));
+        run_group(2, |comm| {
+            let rank = comm.rank();
+            let mut engine = CommEngine::new(Arc::new(comm), 0.05);
+            let rec = Recorder::new();
+            engine.set_recorder(rec.clone());
+            let h = post_tagged(&mut engine, 0, 2);
+            engine.wait(h).expect("lands");
+            assert_eq!(rec.count("comm.post"), 1);
+            // Four f32s packed, two of them bound for the peer.
+            assert_eq!(rec.total_bytes("comm.inflight"), 8);
+            let spans = rec.records();
+            let tid = |label: &str| spans.iter().find(|s| s.label == label).expect(label).tid;
+            assert_ne!(
+                tid("comm.inflight"),
+                tid("comm.post"),
+                "the link is a track of its own"
+            );
+            assert!(rec.chrome_trace_json().contains(&format!("fpdt-comm-r{rank}")));
+        });
     }
 
-    /// Posts `n` ops of `bytes` each (f32 tensors) on a two-rank group
-    /// at `gbps`; rank 1 first posts `busy` bytes of its own. Returns,
+    /// Posts `n` ops of `bytes` packed bytes each (f32 tensors, half of
+    /// them bound for the peer) on a two-rank group at `gbps`; rank 1 first
+    /// posts `busy` bytes of its own. Returns,
     /// per rank, the instant of the first post and the end of each wait.
     fn timed_posts(gbps: f64, n: usize, bytes: usize, busy: usize) -> Vec<(Instant, Vec<Instant>)> {
         run_group(2, |comm| {
@@ -463,9 +555,9 @@ mod tests {
     #[test]
     fn three_posts_hold_the_link_back_to_back() {
         // FIFO advance: the third op lands no earlier than three ops' wire
-        // time after the first post, on both ranks.
+        // time (the peer's half of each) after the first post, on both ranks.
         let (gbps, bytes) = (0.05, 256 * 1024);
-        let wire = Duration::from_secs_f64(bytes as f64 / (gbps * 1e9));
+        let wire = Duration::from_secs_f64((bytes / 2) as f64 / (gbps * 1e9));
         for (t0, ends) in timed_posts(gbps, 3, bytes, 0) {
             assert!(
                 ends[2] - t0 >= 3 * wire,
@@ -483,7 +575,7 @@ mod tests {
         // is idle — must not resolve the op before it.
         let (gbps, bytes) = (0.05, 8 * 1024);
         let busy = (gbps * 1e9 * 0.020) as usize;
-        let late = Duration::from_secs_f64((busy + bytes) as f64 / (gbps * 1e9));
+        let late = Duration::from_secs_f64((busy + bytes / 2) as f64 / (gbps * 1e9));
         let runs = timed_posts(gbps, 1, bytes, busy);
         let (peer_t0, end) = (runs[1].0, runs[0].1[0]);
         assert!(end >= peer_t0 + late, "{:?} < {late:?}", end - peer_t0);

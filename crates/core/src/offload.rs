@@ -11,7 +11,7 @@
 //! executor's backward takes every cached chunk exactly once and puts
 //! nothing back (an open query row keeps its working set on the rank
 //! thread, DESIGN.md "Tile schedule"), so the store only ever holds the
-//! five [`BufKind`]s the forward saves: Q, K, V, O and lse.
+//! four [`BufKind`]s the forward saves: Q, K, V and lse.
 //!
 //! Chunks are stored as [`Arc<Tensor>`], so a keep-fetch hands back the
 //! *same* buffer the store holds — no data copy, ever. What a real system
@@ -33,9 +33,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// What kind of buffer a pooled chunk holds: exactly the five the
-/// executor puts in the pool. The backward's `dO`, row-dot and running
-/// `dQ` stay with their open row and never reach it, and pool residency
+/// What kind of buffer a pooled chunk holds: exactly the four the
+/// executor puts in the pool. The attention output never reaches it (the
+/// backward's row-dot is formed from the block's own copy and travels
+/// with `dO`), the backward's `dO`, row-dot and running `dQ` stay with
+/// their open row, and pool residency
 /// is not checkpointed (the trainer saves at step boundaries, where the
 /// pool is empty), so no other kind exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,8 +48,6 @@ pub enum BufKind {
     K,
     /// Post-all-to-all value chunk.
     V,
-    /// Attention output chunk (needed for the backward `D` term).
-    O,
     /// Log-sum-exp statistics for a query chunk.
     Lse,
 }
@@ -516,7 +516,7 @@ mod tests {
     #[test]
     fn discard_frees_the_chunk_and_moves_no_bytes() {
         let mut pool = pool();
-        let key = ChunkKey::new(0, BufKind::O, 0);
+        let key = ChunkKey::new(0, BufKind::Lse, 0);
         pool.put(key, Arc::new(Tensor::zeros(&[10])));
         let before = pool.stats();
         assert!(pool.discard(&key));
@@ -573,7 +573,7 @@ mod tests {
         let mut pool = pool();
         pool.set_payload_bf16(true);
         assert!(pool.payload_bf16);
-        let key = ChunkKey::new(0, BufKind::O, 0);
+        let key = ChunkKey::new(0, BufKind::Q, 0);
         let t = Arc::new(Tensor::ones(&[8]));
         pool.put(key, Arc::clone(&t));
         let got = fetch(&mut pool, &key, false).unwrap();

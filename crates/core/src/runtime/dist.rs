@@ -1818,6 +1818,28 @@ mod tests {
     }
 
     #[test]
+    fn gradient_reduction_sends_only_to_peers() {
+        // Per optimizer step, rank 0 all-gathers the loss scalars once and
+        // the gradients once per bucket, each call one message to each of
+        // its `world - 1` peers: its own contribution is summed in place.
+        for world in [2usize, 4] {
+            let cfg = TrainConfig {
+                world,
+                steps: 2,
+                ..small_f32(Mode::Ulysses)
+            };
+            let r = train(&cfg);
+            let n = r.grads.len();
+            let peers = (world - 1) as u64;
+            let calls = (1 + n.div_ceil(1 << 16)) as u64;
+            let op = r.comm.op("all_gather").expect("gradients reduced");
+            assert_eq!((op.sends, op.recvs), (2 * calls * peers, 2 * calls * peers), "world {world}");
+            assert_eq!(op.bytes_sent, 2 * 4 * (2 + n as u64) * peers, "world {world}");
+            assert_eq!(op.bytes_recv, op.bytes_sent, "world {world}");
+        }
+    }
+
+    #[test]
     fn bf16_payload_training_stays_close_with_identical_schedule() {
         // The FPDT_BF16 contract at the training level: same schedule
         // (transfer and message counts; all-to-all bytes exactly halved),

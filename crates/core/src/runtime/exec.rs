@@ -46,12 +46,15 @@ pub trait AttentionExec {
     ) -> ExecResult<Tensor>;
 
     /// Consumes the saved state for `layer` and returns `(dq, dk, dv)` in
-    /// the local layout.
+    /// the local layout. `o` is the output [`AttentionExec::forward`]
+    /// returned for `layer` — the caller keeps it for its own projection,
+    /// so no executor saves a copy — and `dout` its gradient, both
+    /// `[s_local, heads, d]`.
     ///
     /// # Errors
     ///
     /// Shape or communication failures, or a missing forward for `layer`.
-    fn backward(&mut self, layer: usize, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)>;
+    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)>;
 
     /// Drops the saved state for `layer` without running a backward pass —
     /// what activation checkpointing does after the first forward (the
@@ -69,7 +72,6 @@ struct LocalSaved {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    o: Tensor,
     lse: Vec<f32>,
     pos: Vec<usize>,
 }
@@ -109,7 +111,6 @@ impl AttentionExec for LocalAttention {
                 q: q.clone(),
                 k: k.clone(),
                 v: v.clone(),
-                o: o.clone(),
                 lse,
                 pos: pos.to_vec(),
             },
@@ -117,7 +118,7 @@ impl AttentionExec for LocalAttention {
         Ok(o)
     }
 
-    fn backward(&mut self, layer: usize, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
+    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
         let s = self
             .saved
             .remove(&layer)
@@ -126,7 +127,7 @@ impl AttentionExec for LocalAttention {
             &s.q,
             &s.k,
             &s.v,
-            &s.o,
+            o,
             dout,
             &s.lse,
             &s.pos,
@@ -158,6 +159,12 @@ fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResul
 /// concatenates. The streams' clocks decide only how long a wait sleeps,
 /// never an op's order, so every statistic is what the rank's program
 /// order says.
+///
+/// Only bytes that have to move do: a rank's own slice of every
+/// all-to-all stays on the rank ([`CommEngine::post`]), and the output
+/// `O` never enters the chunk store. The backward forms the softmax
+/// row-dot `D = rowsum(O ∘ dO)` once from the block's own `O` in the local
+/// layout and ships each chunk's slice with its `dO` gather.
 ///
 /// The causal tile triangle is cut so every pipeline slot carries
 /// near-equal work: the forward posts all fused QKV ops up-front and
@@ -250,11 +257,10 @@ impl DistAttention {
     }
 
     /// Issues the take of query chunk `i`'s saved forward state
-    /// `[O, Q, Lse]` — what opening row `i` of the backward consumes — as
+    /// `[Q, Lse]` — what opening row `i` of the backward consumes — as
     /// one copy-stream transfer.
-    fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<FetchHandle<[Arc<Tensor>; 3]>> {
+    fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<FetchHandle<[Arc<Tensor>; 2]>> {
         self.stage([
-            (ChunkKey::new(layer, BufKind::O, i), true),
             (ChunkKey::new(layer, BufKind::Q, i), true),
             (ChunkKey::new(layer, BufKind::Lse, i), true),
         ])
@@ -289,11 +295,34 @@ impl DistAttention {
         self.post("a2a.scatter_heads", &[&qc, &kc, &vc], false)
     }
 
+    /// The softmax row-dot `D = rowsum(O ∘ dO)` of the whole local
+    /// sequence as a `[s_local, heads, 1]` tensor, formed once where `O`
+    /// already lives. A `(token, head)` row of `O` and of `dO` holds the
+    /// same bits in the local and the gathered layout, and
+    /// [`rowwise_dot`] sums each row in one fixed order, so each chunk's
+    /// slice, gathered, is bit for bit the row-dot of the gathered chunk.
+    fn row_dot(&self, o: &Tensor, dout: &Tensor) -> ExecResult<Tensor> {
+        let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
+        let rows = &dout.shape()[..2];
+        Ok(Tensor::from_vec(rowwise_dot(o, dout)?, &[rows[0], rows[1], 1])?)
+    }
+
+    /// Posts chunk `i`'s `dO` gather with its slice of `dsum` (see
+    /// [`DistAttention::row_dot`]) fused into the same op: the two land
+    /// together as `[dO_i, D_i]` in the gathered layout.
+    fn post_dout(&mut self, dout: &Tensor, dsum: &Tensor, i: usize) -> ExecResult<Pending> {
+        let (start, c_loc) = (self.plan.local_chunk_range(i).start, self.plan.chunk_local_len());
+        let chunk = dout.narrow(0, start, c_loc)?;
+        let dsum_chunk = dsum.narrow(0, start, c_loc)?;
+        self.post("a2a.scatter_heads", &[&chunk, &dsum_chunk], false)
+    }
+
     /// The backward tile interpreter: runs the causal tile triangle
     /// `{(i, j) : j <= i < u}` in the order `slots` gives, one `slot.bwd`
     /// span per slot. [`AttentionExec::backward`] passes
     /// [`tile_slots`]; the `tile_order_determinism` suite passes other
-    /// orders.
+    /// orders. `o` and `dout` are the layer's output and its gradient in
+    /// the local layout.
     ///
     /// `slots` must hold every tile once, row `i` in ascending `j` and
     /// column `j` in ascending `i`. Then `dq_i` accumulates in ascending
@@ -306,10 +335,10 @@ impl DistAttention {
     /// Row and column state opens lazily, keyed on the tile itself, and
     /// stays on the rank thread until the tile that closes it:
     ///
-    /// * `(i, 0)` opens query row `i` — it lands chunk `i`'s `[O, Q, Lse]`
+    /// * `(i, 0)` opens query row `i` — it lands chunk `i`'s `[Q, Lse]`
     ///   (one take, put on the copy stream when row `i - 1` opened),
-    ///   resolves the `dO` gather (all posted up-front), forms the
-    ///   row-dot and a zero `dq_i` — and the diagonal `(i, i)` ships
+    ///   resolves the gather of `dO` and its row-dot (all posted
+    ///   up-front), and zeroes `dq_i` — and the diagonal `(i, i)` ships
     ///   `dq_i` and drops the row. Column 0 runs in ascending `i`, so
     ///   rows open in ascending order; up to `u - 1` are open at once
     ///   (row 0 closes on its only tile).
@@ -325,25 +354,25 @@ impl DistAttention {
     pub fn backward_tiles(
         &mut self,
         layer: usize,
+        o: &Tensor,
         dout: &Tensor,
         slots: &[Vec<(usize, usize)>],
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
         let u = self.plan.chunks;
-        let c_loc = self.plan.chunk_local_len();
         let scale = default_scale(dout.shape()[2]);
 
-        // Post every dO gather before any tile computes: most rows open
-        // in slot 0 (`tile_slots` front-loads first-column tiles) and the
-        // comm stream drains behind the whole triangle. KV take-fetches
+        // Post every dO gather, its row-dot fused in, before any tile
+        // computes: most rows open in slot 0 (`tile_slots` front-loads
+        // first-column tiles) and the comm stream drains behind the whole
+        // triangle. KV take-fetches
         // stay staggered — column `s+1`'s pair goes on the copy stream at
         // the start of slot `s`, one slot before `tile_slots` opens the
         // column — so a row's take never queues behind the entire
         // triangle's KV bytes on the FIFO stream.
+        let dsum = self.row_dot(o, dout)?;
         let mut dout_pending: Vec<Option<Pending>> = Vec::with_capacity(u);
         for i in 0..u {
-            let range = self.plan.local_chunk_range(i);
-            let chunk = dout.narrow(0, range.start, c_loc)?;
-            dout_pending.push(Some(self.post("a2a.scatter_heads", &[&chunk], false)?));
+            dout_pending.push(Some(self.post_dout(dout, &dsum, i)?));
         }
         let mut kv_pending: Vec<Option<_>> = (0..u).map(|_| None).collect();
         kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
@@ -393,19 +422,16 @@ impl DistAttention {
                     if i + 1 < u {
                         row_pending[i + 1] = Some(self.fetch_row(layer, i + 1)?);
                     }
-                    let [dout] = landed(&mut self.engine, dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
-                    let [o, q, lse] = staged.wait();
-                    let dsum = {
-                        let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
-                        rowwise_dot(&o, &dout)?
-                    };
+                    let [dout, dsum] =
+                        landed(&mut self.engine, dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
+                    let [q, lse] = staged.wait();
                     rows[i] = Some(Row {
                         dq: Tensor::zeros(q.shape()),
                         gpos: self.plan.gathered_positions(i),
                         q,
                         dout,
                         lse,
-                        dsum,
+                        dsum: dsum.into_vec(),
                     });
                 }
                 if i == j {
@@ -550,15 +576,13 @@ impl AttentionExec for DistAttention {
                 st.finalize()
             };
             drop(attn_span);
-            let oi = Arc::new(oi);
-            // Cache everything backward needs (Arc-shared: the O chunk put
-            // here is the same buffer the all-to-all below reads).
-            // K and V go down first: the next chunk fetches them straight
-            // back, and a fetch waits for its chunk's put.
+            // Cache what the backward needs except O, which the block keeps
+            // for its own projection and hands back to the backward. K and
+            // V go down first: the next chunk fetches them straight back,
+            // and a fetch waits for its chunk's put.
             self.store.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
             self.store.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
             self.store.put(ChunkKey::new(layer, BufKind::Q, i), qh);
-            self.store.put(ChunkKey::new(layer, BufKind::O, i), Arc::clone(&oi));
             let lse_len = oi.shape()[0] * oi.shape()[1];
             self.store.put(
                 ChunkKey::new(layer, BufKind::Lse, i),
@@ -583,15 +607,15 @@ impl AttentionExec for DistAttention {
         Ok(Tensor::concat(&refs, 0)?)
     }
 
-    fn backward(&mut self, layer: usize, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        self.backward_tiles(layer, dout, &tile_slots(self.plan.chunks))
+    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
+        self.backward_tiles(layer, o, dout, &tile_slots(self.plan.chunks))
     }
 
     fn discard(&mut self, layer: usize) {
         // Drop every cached chunk belonging to this layer (forward saves
-        // Q/K/V/O/Lse per chunk) without a transfer: freeing memory is not
+        // Q/K/V/Lse per chunk) without a transfer: freeing memory is not
         // PCIe traffic, so it must not touch the fetch counters.
-        for kind in [BufKind::Q, BufKind::K, BufKind::V, BufKind::O, BufKind::Lse] {
+        for kind in [BufKind::Q, BufKind::K, BufKind::V, BufKind::Lse] {
             for chunk in 0..self.plan.chunks {
                 self.store.discard(&ChunkKey::new(layer, kind, chunk));
             }
@@ -615,7 +639,6 @@ struct RingSaved {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    o: Tensor,
     lse: Vec<f32>,
 }
 
@@ -685,14 +708,13 @@ impl AttentionExec for RingAttentionExec<'_> {
                 q: q.clone(),
                 k: k.clone(),
                 v: v.clone(),
-                o: o.clone(),
                 lse,
             },
         );
         Ok(o)
     }
 
-    fn backward(&mut self, layer: usize, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
+    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
         let p = self.comm.world();
         let rank = self.comm.rank();
         let s = self
@@ -700,7 +722,7 @@ impl AttentionExec for RingAttentionExec<'_> {
             .remove(&layer)
             .ok_or_else(|| format!("no saved ring forward for layer {layer}"))?;
         let scale = default_scale(s.q.shape()[2]);
-        let dsum = rowwise_dot(&s.o, dout)?;
+        let dsum = rowwise_dot(o, dout)?;
         let my_pos = self.owner_positions(rank);
 
         let mut dq = Tensor::zeros(s.q.shape());
@@ -765,7 +787,7 @@ mod tests {
 
         let mut ex = LocalAttention::new(4);
         let o = ex.forward(0, &q, &k, &v, &pos).unwrap();
-        let (dq, dk, dv) = ex.backward(0, &dout).unwrap();
+        let (dq, dk, dv) = ex.backward(0, &o, &dout).unwrap();
 
         let want_o = reference::causal_attention(&q, &k, &v).unwrap();
         let (rdq, rdk, rdv) = reference::causal_attention_bwd(&q, &k, &v, &dout).unwrap();
@@ -774,7 +796,7 @@ mod tests {
         assert!(dk.allclose(&rdk, 1e-3, 1e-4));
         assert!(dv.allclose(&rdv, 1e-3, 1e-4));
         // state consumed
-        assert!(ex.backward(0, &dout).is_err());
+        assert!(ex.backward(0, &o, &dout).is_err());
     }
 
     /// Full distributed equivalence: p ranks, u chunks, offload on/off —
@@ -820,7 +842,7 @@ mod tests {
                     &pos,
                 )
                 .unwrap();
-            let grads = ex.backward(0, &shard_rows(&dout, rank)).unwrap();
+            let grads = ex.backward(0, &o, &shard_rows(&dout, rank)).unwrap();
             let stats = ex.host_stats();
             (o, grads, stats)
         });
@@ -898,13 +920,58 @@ mod tests {
             };
             let opts = RuntimeOptions::from_env().with_payload_bf16(false);
             let mut ex = DistAttention::with_opts(Arc::new(comm), plan, offload, opts);
-            ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+            let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                 .unwrap();
             assert!(!ex.store.is_empty(), "the forward caches its chunks");
-            ex.backward(0, &dout).unwrap();
+            ex.backward(0, &o, &dout).unwrap();
             ex.store.is_empty()
         });
         assert!(empty.iter().all(|&e| e), "offload = {offload}");
+    }
+
+    #[test]
+    fn row_dot_arrives_with_do_equal_to_the_gathered_row_dot() {
+        // Grouped-query shapes at world 2 and 4: the row-dot slice each
+        // chunk's fused dO post delivers is, bit for bit, `rowwise_dot` of
+        // the gathered O chunk and the gathered dO chunk.
+        for (world, heads, kv_heads) in [(2usize, 4usize, 2usize), (4, 8, 4)] {
+            let (u, d) = (3, 4);
+            let s = 4 * world * u;
+            let mut rng = init::seeded_rng(41);
+            let q = init::randn(&mut rng, &[s, heads, d], 1.0);
+            let k = init::randn(&mut rng, &[s, kv_heads, d], 1.0);
+            let v = init::randn(&mut rng, &[s, kv_heads, d], 1.0);
+            let dout = init::randn(&mut rng, &[s, heads, d], 1.0);
+            let ok = run_group(world, |comm| {
+                let plan = ChunkPlan::new(s, world, u).unwrap();
+                let pos = plan.local_positions(comm.rank());
+                let shard = |t: &Tensor| {
+                    let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
+                    let refs: Vec<&Tensor> = parts.iter().collect();
+                    Tensor::concat(&refs, 0).unwrap()
+                };
+                let opts = RuntimeOptions::from_env().with_payload_bf16(false);
+                let mut ex = DistAttention::with_opts(Arc::new(comm), plan, true, opts);
+                let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
+                let dout = shard(&dout);
+                let dsum = ex.row_dot(&o, &dout).unwrap();
+                let c_loc = ex.plan.chunk_local_len();
+                for i in 0..u {
+                    let fused = ex.post_dout(&dout, &dsum, i).unwrap();
+                    let o_i = o.narrow(0, ex.plan.local_chunk_range(i).start, c_loc).unwrap();
+                    let o_posted = ex.post("a2a.scatter_heads", &[&o_i], false).unwrap();
+                    let [dout_g, dsum_g] = landed(&mut ex.engine, fused).unwrap();
+                    let [o_g] = landed(&mut ex.engine, o_posted).unwrap();
+                    let want = rowwise_dot(&o_g, &dout_g).unwrap();
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(dsum_g.shape(), &[c_loc * world, heads / world, 1]);
+                    assert_eq!(bits(dsum_g.data()), bits(&want), "chunk {i}");
+                }
+                ex.discard(0);
+                true
+            });
+            assert!(ok.into_iter().all(|ok| ok), "world {world}");
+        }
     }
 
     /// Forward + backward of a 2-rank, 4-chunk offloaded executor with
@@ -933,7 +1000,7 @@ mod tests {
             comm.inject_fault("all_to_all", faults);
             let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
             comm.inject_fault("all_to_all", faults);
-            let (dq, dk, dv) = ex.backward(0, &dout).unwrap();
+            let (dq, dk, dv) = ex.backward(0, &o, &dout).unwrap();
             let bits = [o, dq, dk, dv].iter().flat_map(|t| t.data().iter().map(|x| x.to_bits())).collect();
             // Every handle was waited (the executor debug-asserts it), so
             // the rank thread's own collective reads its own payload.
@@ -956,17 +1023,20 @@ mod tests {
     fn schedule_audit_transfer_and_post_counts() {
         // Transfer- and post-count audit of the schedule for u chunks:
         //   forward : each chunk i keep-fetches K and V for j < i
-        //             -> 2 * u(u-1)/2 = u(u-1) fetches; puts K, V, Q, O,
-        //             Lse; one fused QKV + one O post per chunk -> 2u posts
+        //             -> 2 * u(u-1)/2 = u(u-1) fetches; puts K, V, Q, Lse
+        //             (O stays with the block) -> 4u puts; one fused QKV
+        //             + one O post per chunk -> 2u posts
         //   backward: 2u KV takes (each KV chunk exactly ONCE per column)
-        //             + 3u row takes ([O, Q, Lse] once per query row) and
+        //             + 2u row takes ([Q, Lse] once per query row) and
         //             no puts — an open row stays on the rank thread;
-        //             u dO + u dq + u dk + u dv posts -> 6u cumulative.
-        // Bytes per layer, with C one gathered chunk and L its lse:
-        //   H2D = u(u-1)·C + u(4C + L),  D2H = u(4C + L),
-        // and bf16 payloads halve exactly the K/V share of both. Any drift
-        // in the posts means the double buffering degenerated (0 extra
-        // posts) or an op stopped being fused (3u instead of u).
+        //             u fused dO + row-dot, u dq, u dk, u dv posts -> 6u
+        //             cumulative.
+        // Bytes per layer, with C one gathered query chunk, C_kv one
+        // gathered K or V chunk on the pool and L the chunk's lse:
+        //   D2H = u(2C_kv + C + L),  H2D = u(u-1)·C_kv + u(2C_kv + C + L),
+        // where C_kv = C here, or C / 2 under bf16 payloads. Any drift in the posts
+        // means the double buffering degenerated (0 extra posts) or an op
+        // stopped being fused (3u instead of u).
         for bf16 in [false, true] {
             for u in [1usize, 2, 4, 5] {
                 let (s, h, d) = (4 * u, 2, 4);
@@ -983,17 +1053,17 @@ mod tests {
                     };
                     let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
                     let mut ex = DistAttention::with_opts(Arc::new(comm), plan, true, opts);
-                    ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+                    let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                         .unwrap();
                     let fwd = (ex.host_stats(), ex.comm_posted());
-                    ex.backward(0, &dout).unwrap();
+                    ex.backward(0, &o, &dout).unwrap();
                     (fwd, ex.host_stats(), ex.comm_posted(), ex.store.is_empty())
                 });
                 // One gathered chunk: s/u rows of h/2 local heads.
                 let (c, l) = ((s / u) * (h / 2) * d * 4, (s / u) * (h / 2) * 4);
                 let kv = if bf16 { c / 2 } else { c };
-                let h2d = u * (u - 1) * kv + u * (2 * kv + 2 * c + l);
-                let d2h = u * (2 * kv + 2 * c + l);
+                let h2d = u * (u - 1) * kv + u * (2 * kv + c + l);
+                let d2h = u * (2 * kv + c + l);
                 for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
                     let at = format!("u={u}, bf16={bf16}");
                     assert_eq!(
@@ -1001,11 +1071,11 @@ mod tests {
                         (u * (u - 1)) as u64,
                         "forward fetches, {at}"
                     );
-                    assert_eq!(after_fwd.offloads, (5 * u) as u64, "forward puts, {at}");
+                    assert_eq!(after_fwd.offloads, (4 * u) as u64, "forward puts, {at}");
                     assert_eq!(posted_fwd, (2 * u) as u64, "QKV + O post per chunk, {at}");
                     assert_eq!(
                         after_bwd.fetches - after_fwd.fetches,
-                        (5 * u) as u64,
+                        (4 * u) as u64,
                         "backward fetches (KV once per column, row once per row), {at}"
                     );
                     assert_eq!(
@@ -1046,7 +1116,7 @@ mod tests {
                 let o = ex
                     .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                     .unwrap();
-                let (dq, _dk, _dv) = ex.backward(0, &dout).unwrap();
+                let (dq, _dk, _dv) = ex.backward(0, &o, &dout).unwrap();
                 let host = ex.host_stats();
                 drop(ex);
                 (o, dq, host, comm.stats())

@@ -253,6 +253,9 @@ pub struct BlockCtx {
     x: Tensor,
     n1_ctx: NormCtx,
     n1: Tensor,
+    /// The attention output as `out_proj` read it, `[s, hidden]`; the
+    /// backward hands it to the executor (as `[s, heads, d]`) for the
+    /// softmax row-dot.
     o_merged: Tensor,
     x1: Tensor,
     n2_ctx: NormCtx,
@@ -305,7 +308,8 @@ impl Block {
         })?;
         let o = exec.forward(layer, &q, &k, &v, rope.positions())?;
         let (o_merged, x1) = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
-            let o_merged = o.reshape(&[s, h])?;
+            let mut o_merged = o;
+            o_merged.reshape_in_place(&[s, h])?;
             let x1 = x.add(&self.out_proj.forward(&o_merged)?)?;
             Ok((o_merged, x1))
         })?;
@@ -342,7 +346,7 @@ impl Block {
     fn backward(
         &self,
         layer: usize,
-        ctx: &BlockCtx,
+        mut ctx: BlockCtx,
         dx2: &Tensor,
         exec: &mut dyn AttentionExec,
         pass: &Pass<'_>,
@@ -375,10 +379,12 @@ impl Block {
 
         // Attention backward.
         let do_heads = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
-            let do_merged = self.out_proj.backward(&ctx.o_merged, &dx1, g_out)?;
-            Ok(do_merged.reshape(&[s, self.heads, dh])?)
+            let mut do_heads = self.out_proj.backward(&ctx.o_merged, &dx1, g_out)?;
+            do_heads.reshape_in_place(&[s, self.heads, dh])?;
+            ctx.o_merged.reshape_in_place(&[s, self.heads, dh])?;
+            Ok(do_heads)
         })?;
-        let (dq, dk, dv) = exec.backward(layer, &do_heads)?;
+        let (dq, dk, dv) = exec.backward(layer, &ctx.o_merged, &do_heads)?;
         let dn1 = spanned(rec, "dense.qkv", || -> ExecResult<_> {
             let dq = rope.apply_bwd(&dq)?;
             let dk = rope.apply_bwd(&dk)?;
@@ -690,7 +696,7 @@ impl GptModel {
                 }
             };
             let _s = rec.map(|r| r.span("block.bwd"));
-            dx = block.backward(layer, &ctx, &dx, exec, &pass, grad)?;
+            dx = block.backward(layer, ctx, &dx, exec, &pass, grad)?;
         }
         spanned(rec, "embed", || self.emb.backward(tokens, &dx, g_emb))?;
         self.rope = Some(rope);

@@ -453,7 +453,9 @@ fn check(k: &Knobs, cache: &mut Cache) {
     }
 
     // ZeRO-1: the same numbers, plus the parameter all-gather; rank 0
-    // keeps its shard of the moments.
+    // keeps its shard of the moments. Rank 0 sends its shard to each peer
+    // and receives theirs, the rest of the parameters: its own shard is
+    // not a message.
     if k.zero_shard {
         let plain = cache.get(Knobs {
             zero_shard: false,
@@ -466,10 +468,10 @@ fn check(k: &Knobs, cache: &mut Cache) {
             ranks = k.ranks(world);
             if k.mode != Mode::Single {
                 let gather = OpStats {
-                    sends: ranks as u64,
-                    recvs: ranks as u64,
-                    bytes_sent: (4 * ranks * (params / ranks)) as u64,
-                    bytes_recv: (4 * params) as u64,
+                    sends: (ranks - 1) as u64,
+                    recvs: (ranks - 1) as u64,
+                    bytes_sent: (4 * (ranks - 1) * (params / ranks)) as u64,
+                    bytes_recv: (4 * (params - params / ranks)) as u64,
                 };
                 let one = CommStats {
                     ops: vec![("all_gather".into(), gather)],

@@ -125,11 +125,11 @@ fn run(u: usize, order: Option<&Slots>, bf16: bool) -> Vec<Observed> {
         };
         let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
         let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, true, opts);
-        ex.forward(0, &rows(&q), &rows(&k), &rows(&v), &pos)
+        let o = ex.forward(0, &rows(&q), &rows(&k), &rows(&v), &pos)
             .unwrap();
         let (dq, dk, dv) = match order {
-            Some(slots) => ex.backward_tiles(0, &dout, slots),
-            None => ex.backward(0, &dout),
+            Some(slots) => ex.backward_tiles(0, &o, &dout, slots),
+            None => ex.backward(0, &o, &dout),
         }
         .unwrap();
         let pool = ex.host_stats();

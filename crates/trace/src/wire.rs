@@ -12,6 +12,11 @@
 //! trace (and the repo benchmark's `fpdt_link` workload) measure how much
 //! wire time the schedule hides, even on one core.
 //!
+//! A link is charged only for bytes a real one would carry: the comm
+//! engine charges the all-to-all parts bound for other ranks — a rank's
+//! own part never leaves it, so a world-1 op charges nothing — and the
+//! copy engine each chunk it puts to or fetches from the host pool.
+//!
 //! The bandwidth is a value the engines are built with, from
 //! `RuntimeOptions::sim_gbps`; [`link_gbps`] is the one parse point of the
 //! `FPDT_SIM_GBPS` variable that option defaults from. Unset or `0`, the

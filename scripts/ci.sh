@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The golden tests rewrite their files instead of checking them when
+# GOLDEN_REGEN is set (even to nothing): a CI run under it would bless
+# whatever bits the tree computes.
+if [ -n "${GOLDEN_REGEN+set}" ]; then
+    echo "FAIL: GOLDEN_REGEN is set; regenerate golden files by hand, not under CI" >&2
+    exit 1
+fi
+
 # Stage timing: `stage NAME` marks where a stage starts; the per-stage and
 # total wall seconds print at the end, so the CI wall time is a tracked
 # number.
@@ -20,6 +28,13 @@ cargo build --release --workspace
 
 stage "cargo test -q --workspace"
 cargo test -q --workspace
+# The goldens pin values (exec_grads.txt), on-disk bytes (ckpt_shards.txt)
+# and schedules: the test stage must leave them as the index has them.
+if ! git diff --quiet -- crates/core/tests/golden; then
+    git diff --stat -- crates/core/tests/golden >&2
+    echo "FAIL: crates/core/tests/golden differs from the index (stage an intended regeneration with git add)" >&2
+    exit 1
+fi
 
 stage "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
