@@ -24,13 +24,16 @@
 //! and gradient bits of the offloaded two-rank fixture run, so a change
 //! that claims to move bytes but not arithmetic shows it did not.
 //! `tests/golden/ckpt_shards.txt` pins the on-disk checkpoint format the
-//! same way: the size and digest of every shard of a two-step run.
+//! same way, with values apart from counters: per shard of a two-step
+//! run, one line digests every value entry and one lists the `stats.*`
+//! traffic counters, so a change that only moves traffic diffs only the
+//! counter lines.
 
 mod common;
 
 use fpdt_core::chunk::tile_slots;
 use fpdt_core::pipeline::{simulate_block, NestOrder, PipelineOpts, PipelineReport};
-use fpdt_core::runtime::ckpt::shard_paths;
+use fpdt_core::runtime::ckpt::{read_shard, shard_paths, StateValue};
 use fpdt_core::runtime::{Mode, RuntimeOptions, TrainConfig, Trainer};
 use fpdt_model::config::ModelConfig;
 use fpdt_sim::hw::ClusterSpec;
@@ -189,9 +192,12 @@ fn offloaded_gradients_match_golden_bits() {
 
 #[test]
 fn checkpoint_shards_match_golden_bytes() {
-    // One line per shard file: its name, size and the fnv1a of its bytes.
-    // Every knob that could move a bit is pinned here, so the
-    // fault-injection CI pass runs the same bytes.
+    // Two lines per shard file. `values`: the fnv1a of the shard
+    // re-encoded with its `stats.*` entries blanked, so every parameter,
+    // moment, loss, gradient and config entry is pinned but no counter.
+    // `stats`: those counters in plain text. Every knob that could move a
+    // bit is pinned here, so the fault-injection CI pass runs the same
+    // bytes.
     let runtime = RuntimeOptions::from_env()
         .with_payload_bf16(false)
         .with_fault_inject(0)
@@ -214,12 +220,35 @@ fn checkpoint_shards_match_golden_bytes() {
     trainer.checkpoint(&dir).expect("checkpoint");
     let mut body = String::new();
     for path in shard_paths(&dir).expect("a complete shard set") {
-        let bytes = std::fs::read(&path).expect("shard readable");
+        let mut shard = read_shard(&path).expect("shard decodes");
         let name = path
             .file_name()
             .and_then(|n| n.to_str())
             .expect("utf-8 name");
-        writeln!(body, "{name} {} {:016x}", bytes.len(), fnv1a(&bytes)).unwrap();
+        let stats: Vec<String> = shard
+            .keys()
+            .filter(|k| k.starts_with("stats."))
+            .map(String::from)
+            .collect();
+        let mut counters = Vec::new();
+        for key in &stats {
+            let blank = match shard.str(key) {
+                Ok(ops) => {
+                    counters.push(format!("{key}={}", ops.replace('\n', ",")));
+                    StateValue::Str(String::new())
+                }
+                Err(_) => {
+                    let words = shard.u64s(key).expect("stats entries are u64 or str");
+                    let words: Vec<String> = words.iter().map(u64::to_string).collect();
+                    counters.push(format!("{key}={}", words.join(",")));
+                    StateValue::U64(Vec::new())
+                }
+            };
+            shard.insert(key.as_str(), blank);
+        }
+        let values = shard.to_bytes();
+        writeln!(body, "{name} values {} {:016x}", values.len(), fnv1a(&values)).unwrap();
+        writeln!(body, "{name} stats {}", counters.join(" ")).unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
     check_golden("ckpt_shards.txt", &body);
