@@ -399,7 +399,7 @@ impl OnlineAttention {
             let l = lv[item];
             let m = mv[item];
             if l > 0.0 {
-                par::dscale(o, l);
+                mk::dscale(o, l);
                 lse_i[0] = m + l.ln();
             } else {
                 o.fill(0.0);
@@ -431,7 +431,7 @@ pub fn rowwise_dot(o: &Tensor, dout: &Tensor) -> Result<Vec<f32>> {
     let (od, dod) = (o.data(), dout.data());
     par::run_rows(&mut out, 1, sq * h * d, |r, o_row| {
         let base = r * d;
-        o_row[0] = par::dot(&od[base..base + d], &dod[base..base + d]);
+        o_row[0] = mk::dot(&od[base..base + d], &dod[base..base + d]);
     });
     Ok(out)
 }

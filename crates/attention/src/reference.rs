@@ -5,7 +5,7 @@
 //! "attention materializes `QKᵀ`" baseline.
 
 use crate::{check_qkv, default_scale, Result, Tensor};
-use fpdt_tensor::par;
+use fpdt_tensor::{mk, par};
 
 /// Causal attention over `[s, h, d]` tensors with positions `0..s` and
 /// softmax scale `1/sqrt(d)`.
@@ -55,7 +55,7 @@ pub fn attention_with_positions(
                 for b in 0..sk {
                     if kv_pos[b] <= q_pos[a] {
                         let k_row = &kd[(b * hkv + kvh) * d..(b * hkv + kvh) * d + d];
-                        scores[b] = par::dot(q_row, k_row) * scale;
+                        scores[b] = mk::dot(q_row, k_row) * scale;
                         m = m.max(scores[b]);
                         any = true;
                     } else {
@@ -81,7 +81,7 @@ pub fn attention_with_positions(
                         continue;
                     }
                     let v_row = &vd[(b * hkv + kvh) * d..(b * hkv + kvh) * d + d];
-                    par::axpy(o_row, p, v_row);
+                    mk::axpy(o_row, p, v_row);
                 }
             }
         });
@@ -153,7 +153,7 @@ pub fn attention_bwd_with_positions(
             for b in 0..sk {
                 if kv_pos[b] <= q_pos[a] {
                     let k_row = &kd[(b * hkv + kvh) * d..(b * hkv + kvh) * d + d];
-                    p[b] = par::dot(q_row, k_row) * scale;
+                    p[b] = mk::dot(q_row, k_row) * scale;
                     m = m.max(p[b]);
                     any = true;
                 } else {
@@ -183,7 +183,7 @@ pub fn attention_bwd_with_positions(
                     continue;
                 }
                 let v_row = &vd[(b * hkv + kvh) * d..(b * hkv + kvh) * d + d];
-                dp[b] = par::dot(do_row, v_row);
+                dp[b] = mk::dot(do_row, v_row);
                 dsum += p[b] * dp[b];
             }
             let dq_row = {

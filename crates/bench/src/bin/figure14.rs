@@ -2,7 +2,8 @@
 //! without offloading, and FPDT with offloading must coincide, because
 //! FPDT is a pure system-level optimization (paper §5.6).
 //!
-//! Runs *real* training on the thread-based runtime (4 ranks).
+//! Runs *real* training on the thread-based runtime: the baseline on one
+//! rank, FPDT on 4.
 
 use fpdt_bench::write_json;
 use fpdt_core::runtime::{train, Mode, TrainConfig};
@@ -18,23 +19,23 @@ struct Curve {
 fn main() {
     let base = TrainConfig {
         model: ModelConfig::tiny(2, 64, 8, 64),
-        world: 4,
         seq: 256,
         steps: 40,
         lr: 3e-3,
         seed: 2024,
-        mode: Mode::Single,
         ..TrainConfig::default()
     };
 
+    // (label, mode, ranks, activation checkpointing)
     let runs = [
-        ("baseline", Mode::Single, false),
+        ("baseline", Mode::Ulysses, 1, false),
         (
             "FPDT",
             Mode::Fpdt {
                 chunks: 4,
                 offload: false,
             },
+            4,
             false,
         ),
         (
@@ -43,6 +44,7 @@ fn main() {
                 chunks: 4,
                 offload: true,
             },
+            4,
             false,
         ),
         (
@@ -51,15 +53,17 @@ fn main() {
                 chunks: 4,
                 offload: true,
             },
+            4,
             true,
         ),
     ];
 
     let mut curves = Vec::new();
-    for (label, mode, ac) in runs {
+    for (label, mode, world, ac) in runs {
         let t0 = std::time::Instant::now();
         let report = train(&TrainConfig {
             mode,
+            world,
             activation_checkpoint: ac,
             ..base.clone()
         });

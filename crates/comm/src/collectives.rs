@@ -176,13 +176,17 @@ impl Communicator {
 
     /// One step of a ring exchange: sends `data` to `(rank + 1) % world`
     /// and returns the buffer received from `(rank - 1) % world` — the
-    /// primitive Ring Attention rotates KV blocks with.
+    /// primitive Ring Attention rotates KV blocks with. A one-rank ring is
+    /// its own neighbour: `data` comes back without a message.
     ///
     /// # Errors
     ///
     /// Returns [`CommError::PeerDisconnected`] if a neighbor died.
     pub fn ring_exchange(&self, data: Vec<f32>) -> Result<Vec<f32>> {
         self.fault_check("ring_exchange")?;
+        if self.world() == 1 {
+            return Ok(data);
+        }
         let next = (self.rank() + 1) % self.world();
         let prev = (self.rank() + self.world() - 1) % self.world();
         self.send("ring_exchange", next, data)?;
@@ -468,6 +472,24 @@ mod tests {
         });
         // rank r receives from rank r-1
         assert_eq!(out, vec![vec![3.0], vec![0.0], vec![1.0], vec![2.0]]);
+    }
+
+    #[test]
+    fn a_solo_ring_exchange_returns_the_buffer_and_sends_nothing() {
+        let (out, stats) = run_group(1, |comm| {
+            let out = comm.ring_exchange(vec![1.0, 2.0]).unwrap();
+            (out, comm.stats())
+        })
+        .remove(0);
+        assert_eq!(out, [1.0, 2.0]);
+        assert!(stats.ops.is_empty(), "{stats:?}");
+        // the fault check still runs first
+        let failed = run_group(1, |comm| {
+            comm.inject_fault("ring_exchange", 1);
+            let failed = comm.ring_exchange(vec![1.0]).is_err();
+            (failed, comm.stats().faults)
+        });
+        assert_eq!(failed, [(true, 1)]);
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl CommStats {
         self.ops.iter().map(|(_, s)| s.bytes_sent).sum()
     }
 
-    /// Total payload bytes received across all collectives.
-    pub fn total_bytes_recv(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.bytes_recv).sum()
-    }
-
     /// Total wall-clock time receives spent blocked.
     pub fn total_recv_wait(&self) -> Duration {
         self.recv_wait

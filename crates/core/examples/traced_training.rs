@@ -13,7 +13,7 @@ fn main() {
             chunks: 2,
             offload: true,
         },
-        ..TrainConfig::small(Mode::Single)
+        ..TrainConfig::default()
     };
     let recorder = Recorder::new();
     let report = train_traced(&cfg, Some(&recorder));

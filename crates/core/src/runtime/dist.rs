@@ -49,7 +49,7 @@ use crate::chunk::ChunkPlan;
 use crate::offload::PoolStats;
 use crate::runtime::ckpt::{self, CkptError, StateDict, StateValue};
 use crate::runtime::data::Corpus;
-use crate::runtime::exec::{AttentionExec, DistAttention, LocalAttention, RingAttentionExec};
+use crate::runtime::exec::{AttentionExec, DistAttention, RingAttentionExec};
 use crate::runtime::gpt::{spanned, GptModel};
 use crate::runtime::options::RuntimeOptions;
 use fpdt_comm::{spawn_rank, CommGroup, CommStats, Communicator};
@@ -68,8 +68,6 @@ use std::thread::JoinHandle;
 /// Which training mode to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// One device, full sequence (the ground-truth trajectory).
-    Single,
     /// DeepSpeed Ulysses: sequence parallel, one all-to-all per layer.
     Ulysses,
     /// Ring Attention: contiguous sequence shards, KV blocks rotate around
@@ -87,7 +85,7 @@ pub enum Mode {
 impl Mode {
     fn chunks(&self) -> usize {
         match self {
-            Mode::Single | Mode::Ulysses | Mode::Ring => 1,
+            Mode::Ulysses | Mode::Ring => 1,
             Mode::Fpdt { chunks, .. } => *chunks,
         }
     }
@@ -98,7 +96,6 @@ impl Mode {
 
     fn as_str(&self) -> String {
         match self {
-            Mode::Single => "single".into(),
             Mode::Ulysses => "ulysses".into(),
             Mode::Ring => "ring".into(),
             Mode::Fpdt { chunks, offload } => {
@@ -109,7 +106,6 @@ impl Mode {
 
     fn parse(s: &str) -> Result<Mode, CkptError> {
         match s {
-            "single" => Ok(Mode::Single),
             "ulysses" => Ok(Mode::Ulysses),
             "ring" => Ok(Mode::Ring),
             _ => {
@@ -139,7 +135,8 @@ impl Mode {
 pub struct TrainConfig {
     /// Model architecture (use [`ModelConfig::tiny`]).
     pub model: ModelConfig,
-    /// Ranks (ignored for [`Mode::Single`]).
+    /// Ranks, one simulated device each. One rank in any mode is the
+    /// single-device run: its collectives move nothing.
     pub world: usize,
     /// Global sequence length per step.
     pub seq: usize,
@@ -180,7 +177,7 @@ pub struct TrainConfig {
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        Self::small(Mode::Single)
+        Self::small(Mode::Ulysses)
     }
 }
 
@@ -209,12 +206,9 @@ impl TrainConfig {
     /// a corrupt checkpoint.
     fn validate(&self) -> Result<(), GeometryError> {
         let (heads, kv_heads, seq) = (self.model.heads, self.model.kv_heads, self.seq);
-        let (world, chunks) = match self.mode {
-            Mode::Single => (1, 1),
-            _ => (self.world, self.mode.chunks()),
-        };
+        let (world, chunks) = (self.world, self.mode.chunks());
         // Ring keeps full heads; Ulysses/FPDT scatter them.
-        let scatter = !matches!(self.mode, Mode::Single | Mode::Ring);
+        let scatter = self.mode != Mode::Ring;
         let problem = if [heads, kv_heads, seq, world, chunks].contains(&0) {
             "heads, kv heads, sequence, world and chunks must be positive"
         } else if scatter && !heads.is_multiple_of(world) {
@@ -255,8 +249,8 @@ pub struct TrainReport {
     /// Bytes of Adam moment state held by rank 0 — shrinks by `1/world`
     /// under ZeRO-1 sharding.
     pub opt_state_bytes: usize,
-    /// Rank 0's per-collective traffic counters (empty for
-    /// [`Mode::Single`]).
+    /// Rank 0's per-collective traffic counters (no op at world 1,
+    /// where nothing leaves the rank).
     pub comm: fpdt_comm::CommStats,
     /// The last optimizer window's reduced (unscaled) gradients — what the
     /// determinism oracle compares bit for bit across interrupted and
@@ -437,13 +431,9 @@ fn shut_down(sessions: Vec<Session>) -> Option<Box<dyn Any + Send>> {
 /// rank from `flat`. Kernels run under the calling thread's context,
 /// split across the ranks.
 fn spawn(cfg: &TrainConfig, recorder: Option<&Recorder>, flat: Flat, step: usize) -> Vec<Session> {
-    let world = match cfg.mode {
-        Mode::Single => 1,
-        _ => cfg.world,
-    };
     let ctx = KernelCtx::current();
     let flat = Arc::new(flat);
-    CommGroup::new(world)
+    CommGroup::new(cfg.world)
         .communicators()
         .into_iter()
         .map(|comm| {
@@ -472,7 +462,6 @@ fn serve(
     let plan =
         ChunkPlan::new(cfg.seq, comm.world(), cfg.mode.chunks()).expect("validated by Trainer");
     let mut exec: Box<dyn AttentionExec + '_> = match cfg.mode {
-        Mode::Single => Box::new(LocalAttention::new(1)),
         Mode::Ring => Box::new(RingAttentionExec::new(&comm, cfg.seq)),
         Mode::Ulysses | Mode::Fpdt { .. } => {
             let ex =
@@ -512,9 +501,8 @@ struct Rank<'a> {
     cfg: &'a TrainConfig,
     recorder: Option<&'a Recorder>,
     comm: &'a Communicator,
-    /// The sequence shard plan; `None` for [`Mode::Single`], whose one
-    /// rank holds the whole sequence and runs no collectives.
-    plan: Option<ChunkPlan>,
+    /// The sequence shard plan.
+    plan: ChunkPlan,
     model: GptModel,
     opt: AdamW,
     corpus: Corpus,
@@ -562,7 +550,7 @@ impl<'a> Rank<'a> {
             cfg,
             recorder,
             comm,
-            plan: (cfg.mode != Mode::Single).then_some(plan),
+            plan,
             model,
             opt,
             corpus,
@@ -578,7 +566,7 @@ impl<'a> Rank<'a> {
         let cfg = self.cfg;
         // SPMD-symmetric fault injection, armed per call: every rank arms
         // the same faults, so failures (and recoveries) stay collective.
-        if cfg.runtime.fault_inject > 0 && self.plan.is_some() {
+        if cfg.runtime.fault_inject > 0 {
             self.comm
                 .inject_fault("all_gather", cfg.runtime.fault_inject);
         }
@@ -639,14 +627,11 @@ impl<'a> Rank<'a> {
         let (mut loss_sum, mut tokens) = (0.0f32, 0usize);
         for _micro in 0..cfg.grad_accum.max(1) {
             let (gx, gy) = self.corpus.sample(cfg.seq);
-            let (x, y, pos) = match &self.plan {
-                Some(p) => (
-                    p.shard(rank, &gx),
-                    p.shard(rank, &gy),
-                    p.local_positions(rank),
-                ),
-                None => (gx, gy, (0..cfg.seq).collect()),
-            };
+            let (x, y, pos) = (
+                self.plan.shard(rank, &gx),
+                self.plan.shard(rank, &gy),
+                self.plan.local_positions(rank),
+            );
             let fb = if cfg.activation_checkpoint {
                 self.model.forward_backward_checkpointed(
                     exec,
@@ -663,13 +648,6 @@ impl<'a> Rank<'a> {
             let stats = fb.map_err(exec_error)?;
             loss_sum += stats.loss_sum;
             tokens += stats.tokens;
-        }
-        if self.plan.is_none() {
-            spanned(self.recorder, "opt.adamw", || {
-                self.model
-                    .optimizer_step(&mut self.opt, 1.0 / tokens as f32)
-            });
-            return Ok((loss_sum, tokens));
         }
         self.sync_and_step(loss_sum, tokens)
     }
@@ -1122,7 +1100,7 @@ impl Trainer {
             }
             State::Lost => return Err(CkptError::Missing(LOST.into())),
         };
-        let world = self.cfg.world.max(1);
+        let world = self.cfg.world;
         let n = flat.params.len();
         for rank in 0..world {
             let (lo, hi) = shard_range(rank, world, n);
@@ -1402,8 +1380,9 @@ mod tests {
     #[test]
     fn single_mode_learns() {
         let cfg = TrainConfig {
+            world: 1,
             steps: 25,
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         let r = train(&cfg);
         assert_eq!(r.losses.len(), 25);
@@ -1422,13 +1401,13 @@ mod tests {
         // loss curves up to float reassociation.
         let base = TrainConfig {
             steps: 8,
-            ..small_f32(Mode::Single)
+            ..small_f32(Mode::Ulysses)
         };
-        let single = train(&base);
-        let ulysses = train(&TrainConfig {
-            mode: Mode::Ulysses,
+        let single = train(&TrainConfig {
+            world: 1,
             ..base.clone()
         });
+        let ulysses = train(&base);
         let fpdt = train(&TrainConfig {
             mode: Mode::Fpdt {
                 chunks: 4,
@@ -1474,7 +1453,7 @@ mod tests {
                 chunks: 2,
                 offload: true,
             },
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         let a = train(&cfg);
         let b = train(&cfg);
@@ -1504,7 +1483,7 @@ mod tests {
                         runtime: RuntimeOptions::from_env()
                             .with_payload_bf16(payload_bf16)
                             .with_sim_gbps(sim_gbps),
-                        ..TrainConfig::small(Mode::Single)
+                        ..TrainConfig::default()
                     };
                     let rec = Recorder::new();
                     let ctx = KernelCtx {
@@ -1556,7 +1535,7 @@ mod tests {
                 chunks: 2,
                 offload: true,
             },
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         let rec = Recorder::new();
         let r = train_traced(&cfg, Some(&rec));
@@ -1680,7 +1659,7 @@ mod tests {
                     chunks: 2,
                     offload: false,
                 },
-                ..TrainConfig::small(Mode::Single)
+                ..TrainConfig::default()
             });
             caller.enter(|| trainer.run_steps(1)).expect("healthy call");
             trainer.run_steps(1).expect("healthy call");
@@ -1702,7 +1681,7 @@ mod tests {
                 chunks: 2,
                 offload: true,
             },
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         let mut trainer = Trainer::new(cfg);
         trainer.run_steps(1).expect("healthy call");
@@ -1737,7 +1716,7 @@ mod tests {
             seq: 36,
             steps: 2,
             mode: Mode::Ring,
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         for zero_shard in [false, true] {
             let cfg = TrainConfig {
@@ -1781,7 +1760,7 @@ mod tests {
                 chunks: 2,
                 offload: false,
             },
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         let dir = std::env::temp_dir().join(format!("fpdt-doctored-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1846,11 +1825,10 @@ mod tests {
         // losses within bf16 rounding tolerance of the f32 run.
         let base = TrainConfig {
             steps: 6,
-            mode: Mode::Fpdt {
+            ..small_f32(Mode::Fpdt {
                 chunks: 4,
                 offload: true,
-            },
-            ..small_f32(Mode::Single)
+            })
         };
         let full = train(&base);
         let mut bf_cfg = base.clone();
@@ -1894,7 +1872,7 @@ mod tests {
                 chunks: 4,
                 offload: false,
             },
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         train(&cfg);
     }
@@ -1915,10 +1893,12 @@ mod llama_tests {
             steps: 8,
             lr: 3e-3,
             seed: 7,
-            mode: Mode::Single,
-            ..small_f32(Mode::Single)
+            ..small_f32(Mode::Ulysses)
         };
-        let single = train(&base);
+        let single = train(&TrainConfig {
+            world: 1,
+            ..base.clone()
+        });
         assert!(
             single.losses.last().unwrap() < &single.losses[0],
             "llama learns: {:?}",
@@ -1967,8 +1947,9 @@ mod ring_tests {
         // Ring Attention is also exact (blockwise online attention +
         // rotating gradients): same trajectory as the single-device run.
         let base = TrainConfig {
+            world: 1,
             steps: 8,
-            ..TrainConfig::small(Mode::Single)
+            ..TrainConfig::default()
         };
         let single = train(&base);
         let ring = train(&TrainConfig {
@@ -2012,9 +1993,12 @@ mod accum_tests {
         let base = TrainConfig {
             steps: 8,
             grad_accum: 2,
-            ..small_f32(Mode::Single)
+            ..small_f32(Mode::Ulysses)
         };
-        let single = train(&base);
+        let single = train(&TrainConfig {
+            world: 1,
+            ..base.clone()
+        });
         assert_eq!(single.losses.len(), 4, "one record per optimizer step");
         let fpdt = train(&TrainConfig {
             mode: Mode::Fpdt {
@@ -2049,9 +2033,10 @@ mod warmup_tests {
     #[test]
     fn warmup_changes_early_steps_but_still_matches_across_modes() {
         let base = TrainConfig {
+            world: 1,
             steps: 10,
             warmup_steps: 5,
-            ..small_f32(Mode::Single)
+            ..small_f32(Mode::Ulysses)
         };
         let plain = train(&TrainConfig {
             warmup_steps: 0,
@@ -2062,6 +2047,7 @@ mod warmup_tests {
         assert!(warm.losses[2] >= plain.losses[2] - 1e-4);
         // and the equivalence claim holds under warmup too
         let warm_fpdt = train(&TrainConfig {
+            world: 2,
             mode: Mode::Fpdt {
                 chunks: 4,
                 offload: true,

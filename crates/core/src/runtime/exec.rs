@@ -76,7 +76,8 @@ struct LocalSaved {
     pos: Vec<usize>,
 }
 
-/// Single-device chunked attention (the non-distributed reference mode).
+/// Single-device chunked attention without a communicator, for model
+/// tests and probes (a one-rank `Trainer` runs its mode's executor).
 #[derive(Default)]
 pub struct LocalAttention {
     /// Number of sequence chunks for the streaming kernels (1 = plain

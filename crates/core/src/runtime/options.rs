@@ -18,8 +18,8 @@
 //! `Trainer::run_steps`, its thread budget split across the ranks
 //! ([`KernelCtx::split`](fpdt_tensor::KernelCtx::split)); run under another
 //! context with [`KernelCtx::enter`](fpdt_tensor::KernelCtx::enter). A
-//! thread's default context comes from `FPDT_THREADS`,
-//! `FPDT_PAR_THRESHOLD` and `FPDT_SIMD` (`fpdt_tensor::ctx`). Nothing here
+//! thread's default context is the `FPDT_THREADS` budget, the default
+//! threshold and the detected backend (`fpdt_tensor::ctx`). Nothing here
 //! writes a process-wide setting.
 //!
 //! Every knob except `payload_bf16` is a *pure system* toggle: losses,

@@ -28,7 +28,7 @@ fn base_cfg(runtime: RuntimeOptions) -> TrainConfig {
         // FPDT_COMM_RETRIES CI leg cannot skew baselines; tests that
         // exercise recovery re-enable them explicitly
         runtime: runtime.with_fault_inject(0).with_comm_retries(0),
-        ..TrainConfig::small(Mode::Single)
+        ..TrainConfig::default()
     }
 }
 

@@ -2,7 +2,7 @@
 //! §5.6, Figure 14), checked over generated points of the whole knob
 //! space instead of one knob at a time.
 //!
-//! A case is a [`Knobs`] value: the strategy (`Single`, `Ulysses`,
+//! A case is a [`Knobs`] value: the strategy (one device, `Ulysses`,
 //! `Ring`, FPDT at 2 or 4 chunks with offload on or off), the world, bf16
 //! payloads, the simulated link, the kernel thread budget (`par_threshold`
 //! 1, so every kernel takes the pool path), activation checkpointing,
@@ -25,8 +25,12 @@
 //!   bitwise unchanged against the same mode's plain run; AC adds exactly
 //!   one attention forward's traffic per layer and step, ZeRO-1 adds the
 //!   parameter all-gather and shrinks rank 0's moments to its shard;
-//! * bf16 payloads leave `Single` and `Ring` unchanged (neither moves a
-//!   payload through the bf16 paths);
+//! * bf16 payloads leave one-device runs and `Ring` unchanged (neither
+//!   moves a payload through the bf16 paths);
+//! * one device is one run: at world 1, `Ulysses`, `Ring` and FPDT at one
+//!   chunk without offload have the same fingerprint, no collective moves
+//!   a byte (`CommStats` has no op), the pool stays untouched, and the
+//!   same faults fire and replay;
 //! * a chain of resizes lands within 2e-3 of a fresh run at the final
 //!   geometry, and commutes bitwise with checkpoint/resume (the first
 //!   relation, for a case that has both).
@@ -66,17 +70,26 @@ fn model() -> ModelConfig {
     ModelConfig::tiny(2, 16, 4, 32)
 }
 
-/// Strategy `i` of 7: `Single`, `Ulysses`, `Ring`, then FPDT at 2 and 4
-/// chunks, offload off and on.
-fn mode(i: usize) -> Mode {
-    match i {
-        0 => Mode::Single,
-        1 => Mode::Ulysses,
+/// Strategy `i` of 7 on `world` ranks: one device (`Ulysses` at world
+/// 1), `Ulysses`, `Ring`, then FPDT at 2 and 4 chunks, offload off and on.
+fn strategy(i: usize, world: usize) -> (Mode, usize) {
+    let mode = match i {
+        0 | 1 => Mode::Ulysses,
         2 => Mode::Ring,
         _ => Mode::Fpdt {
             chunks: 2 << ((i - 3) / 2),
             offload: i.is_multiple_of(2),
         },
+    };
+    (mode, if i == 0 { 1 } else { world })
+}
+
+/// The world after a resize: 2 and 4 trade places, and one device stays
+/// one device.
+fn resized(world: usize) -> usize {
+    match world {
+        1 => 1,
+        _ => 6 - world,
     }
 }
 
@@ -99,7 +112,7 @@ struct Knobs {
     /// Checkpoint to disk after this step, drop the Trainer and resume.
     resume_at: Option<usize>,
     /// Resize points: bit `b - 1` flips the world between 2 and 4 after
-    /// step `b`.
+    /// step `b` ([`resized`]).
     resizes: u8,
     /// Transient faults armed per `run_steps` call.
     fault_inject: usize,
@@ -166,22 +179,13 @@ impl Knobs {
         step < STEPS && self.resizes & (1 << (step - 1)) != 0
     }
 
-    /// Rank threads at `world` (`Single` runs one whatever the world).
-    fn ranks(&self, world: usize) -> usize {
-        if self.mode == Mode::Single {
-            1
-        } else {
-            world
-        }
-    }
-
     /// `(steps, world)` per geometry the run trains at, in order.
     fn segments(&self) -> Vec<(usize, usize)> {
         let (mut world, mut start, mut segments) = (self.world, 0, Vec::new());
         for step in 1..=STEPS {
             if step == STEPS || self.resizes_after(step) {
                 segments.push((step - start, world));
-                (world, start) = (6 - world, step);
+                (world, start) = (resized(world), step);
             }
         }
         segments
@@ -190,9 +194,10 @@ impl Knobs {
     fn sample(rng: &mut TestRng) -> Knobs {
         let world = [2, 4][rng.below(2)];
         let fault_inject = rng.below(3);
+        let (mode, world) = strategy(rng.below(7), world);
         Knobs {
             seed: 42,
-            mode: mode(rng.below(7)),
+            mode,
             world,
             payload_bf16: rng.below(2) == 0,
             sim_gbps: [0.0, PRICED_GBPS][rng.below(2)],
@@ -215,7 +220,8 @@ impl Knobs {
 
 /// What a run must reproduce: loss bits, the final window's gradient
 /// bits, rank 0's traffic and host-pool counters, and its moment bytes.
-/// `CommStats` equality leaves out faults, retries and wait time.
+/// `CommStats` equality leaves out faults, retries and wait time; `run`
+/// checks those against the armed faults.
 #[derive(Clone)]
 struct Fingerprint {
     losses: Vec<u32>,
@@ -242,7 +248,7 @@ fn run(k: &Knobs) -> Fingerprint {
         let (mut world, mut spawns) = (k.world, true);
         for end in k.boundaries() {
             if spawns {
-                spawned_ranks += k.ranks(world);
+                spawned_ranks += world;
             }
             trainer.run_steps(end - at).expect("faults within budget");
             (at, calls, spawns) = (end, calls + 1, k.respawn);
@@ -265,7 +271,7 @@ fn run(k: &Knobs) -> Fingerprint {
                 let _ = std::fs::remove_dir_all(&dir);
             }
             if k.resizes_after(at) {
-                world = 6 - world;
+                world = resized(world);
                 trainer.resize(world);
                 spawns = true;
             }
@@ -276,7 +282,9 @@ fn run(k: &Knobs) -> Fingerprint {
             "one build per rank and spawn"
         );
         let report = trainer.report();
-        let armed = (k.mode != Mode::Single) as u64 * (k.fault_inject * calls) as u64;
+        // one-rank runs arm faults too: their collectives check for one
+        // before they find no peer to talk to
+        let armed = (k.fault_inject * calls) as u64;
         assert_eq!(
             (report.comm.faults, report.comm.retries),
             (armed, armed),
@@ -314,7 +322,6 @@ impl Cache {
 /// checkpointing repeats per layer and step.
 fn one_forward(k: &Knobs, ranks: usize) -> (CommStats, PoolStats) {
     let (chunks, offload) = match k.mode {
-        Mode::Single => return Default::default(),
         Mode::Ulysses | Mode::Ring => (1, false),
         Mode::Fpdt { chunks, offload } => (chunks, offload),
     };
@@ -387,7 +394,7 @@ fn check(k: &Knobs, cache: &mut Cache) {
     // Anti-vacuity.
     assert_eq!(fp.losses.len(), STEPS);
     assert!(fp.grads.iter().any(|&g| g != 0), "all-zero gradients");
-    if let Mode::Ulysses | Mode::Fpdt { .. } = k.mode {
+    if k.world > 1 && matches!(k.mode, Mode::Ulysses | Mode::Fpdt { .. }) {
         assert!(
             fp.comm.op("all_to_all").is_some_and(|o| o.bytes_sent > 0),
             "no all-to-all traffic"
@@ -419,12 +426,30 @@ fn check(k: &Knobs, cache: &mut Cache) {
     }
 
     // bf16 payloads are a no-op where no payload goes through them.
-    if k.payload_bf16 && matches!(k.mode, Mode::Single | Mode::Ring) {
+    if k.payload_bf16 && (k.world == 1 || k.mode == Mode::Ring) {
         let f32_run = cache.get(Knobs {
             payload_bf16: false,
             ..*k
         });
         assert_same(fp, &f32_run, "bf16 in a bf16-free mode");
+    }
+
+    // One device is one run, whatever the strategy: nothing leaves the
+    // rank, and the other strategies reproduce the fingerprint under the
+    // same knobs, pool counters included (`run` checks that the same
+    // faults fired and replayed).
+    if k.world == 1 {
+        assert!(fp.comm.ops.is_empty(), "a one-rank run sent: {:?}", fp.comm);
+        let one_chunk = Mode::Fpdt {
+            chunks: 1,
+            offload: false,
+        };
+        for mode in [Mode::Ulysses, Mode::Ring, one_chunk] {
+            if mode != k.mode {
+                let other = run(&Knobs { mode, ..*k });
+                assert_same(fp, &other, &format!("one device: {mode:?} vs {:?}", k.mode));
+            }
+        }
     }
 
     // Activation checkpointing: the same numbers, plus one forward's
@@ -438,7 +463,7 @@ fn check(k: &Knobs, cache: &mut Cache) {
         assert_eq!(fp.opt_state_bytes, plain.opt_state_bytes);
         let (mut comm, mut host) = (plain.comm.clone(), moved(&plain.host));
         for (steps, world) in k.segments() {
-            let (fwd_comm, fwd_host) = one_forward(k, k.ranks(world));
+            let (fwd_comm, fwd_host) = one_forward(k, world);
             comm = plus(&comm, &fwd_comm, steps * layers);
             for (total, one) in host.iter_mut().zip(moved(&fwd_host)) {
                 *total += (steps * layers) as u64 * one;
@@ -465,8 +490,9 @@ fn check(k: &Knobs, cache: &mut Cache) {
         let mut comm = plain.comm.clone();
         let mut ranks = 1;
         for (steps, world) in k.segments() {
-            ranks = k.ranks(world);
-            if k.mode != Mode::Single {
+            ranks = world;
+            // a one-rank gather keeps its own shard: no op at all
+            if ranks > 1 {
                 let gather = OpStats {
                     sends: (ranks - 1) as u64,
                     recvs: (ranks - 1) as u64,
@@ -529,6 +555,7 @@ fn generated_cases_hold_every_relation() {
     let cases: Vec<Knobs> = (0..CASES)
         .map(|case| Knobs::sample(&mut TestRng::for_case("determinism_oracle", case)))
         .collect();
+    assert!(cases.iter().any(|k| k.world == 1), "no one-device case");
     check_all(&cases);
 }
 
@@ -605,7 +632,8 @@ fn fixed_corners_hold_every_relation() {
             ..everything
         },
         Knobs {
-            mode: Mode::Single,
+            mode: Mode::Ulysses,
+            world: 1,
             ..everything
         },
     ];

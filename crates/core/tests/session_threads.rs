@@ -75,7 +75,7 @@ fn sessions_follow_the_trainer(sim_gbps: f64) {
             offload: true,
         },
         runtime: clean,
-        ..TrainConfig::small(Mode::Single)
+        ..TrainConfig::default()
     };
     let mut trainer = Trainer::new(cfg);
     assert_eq!(

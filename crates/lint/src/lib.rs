@@ -21,17 +21,11 @@
 //! on the finding's line or the line above. The reason text is
 //! **mandatory** (a bare `allow` is itself a `malformed-suppression`
 //! finding) and a suppression matching no finding is an
-//! `unused-suppression` finding, so suppressions cannot rot.
-//!
-//! ## Baseline
-//!
-//! Grandfathered findings live in `lint-baseline.json` (see
-//! [`baseline::Baseline`]); the CI gate fails on new findings *and* on
-//! stale baseline entries.
+//! `unused-suppression` finding, so suppressions cannot rot. There is no
+//! baseline: the CI gate fails on any finding not suppressed inline.
 
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 
@@ -51,7 +45,7 @@ pub struct Finding {
     pub col: u32,
     /// What is wrong and what to do instead.
     pub message: String,
-    /// The trimmed source line (the baseline's line-number-free anchor).
+    /// The trimmed source line.
     pub excerpt: String,
 }
 
@@ -262,12 +256,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Renders the `--json` report document.
-pub fn report_json(
-    report: &WorkspaceReport,
-    fresh: &[Finding],
-    stale: &[baseline::BaselineEntry],
-    baselined: usize,
-) -> String {
+pub fn report_json(report: &WorkspaceReport) -> String {
     let doc = Value::Object(vec![
         (
             "files_scanned".to_string(),
@@ -284,17 +273,9 @@ pub fn report_json(
         ),
         (
             "findings".to_string(),
-            Value::Array(fresh.iter().map(|f| f.to_value()).collect()),
+            Value::Array(report.findings.iter().map(|f| f.to_value()).collect()),
         ),
-        (
-            "stale_baseline".to_string(),
-            Value::Array(stale.iter().map(|e| e.to_value()).collect()),
-        ),
-        ("baselined".to_string(), Value::UInt(baselined as u64)),
-        (
-            "ok".to_string(),
-            Value::Bool(fresh.is_empty() && stale.is_empty()),
-        ),
+        ("ok".to_string(), Value::Bool(report.findings.is_empty())),
     ]);
     serde_json::to_string_pretty(&doc).unwrap_or_else(|_| "{}".to_string())
 }

@@ -23,7 +23,7 @@ use crate::Finding;
 /// Name and one-line rationale for one rule, for `--list-rules` and docs.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// The rule's kebab-case name (used in suppressions and baselines).
+    /// The rule's kebab-case name (used in suppressions).
     pub name: &'static str,
     /// One-line description of the enforced invariant.
     pub what: &'static str,

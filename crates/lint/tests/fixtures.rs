@@ -1,9 +1,8 @@
 //! One firing and one non-firing fixture per rule, driven through the
-//! full per-file pipeline (`lint_source`), plus suppression-grammar and
-//! baseline-mechanics coverage. Fixtures are inline strings with
-//! synthetic paths so the rule scoping (path prefixes) is exercised too.
+//! full per-file pipeline (`lint_source`), plus suppression-grammar
+//! coverage. Fixtures are inline strings with synthetic paths so the rule
+//! scoping (path prefixes) is exercised too.
 
-use fpdt_lint::baseline::Baseline;
 use fpdt_lint::lint_source;
 
 fn rules_fired(path: &str, src: &str) -> Vec<String> {
@@ -415,50 +414,4 @@ fn prose_mentioning_the_tool_is_not_a_directive() {
         pub fn f() {}
     "#;
     assert!(rules_fired("crates/model/src/x.rs", src).is_empty());
-}
-
-// --- baseline mechanics ---
-
-#[test]
-fn baseline_roundtrip_and_apply() {
-    let src = r#"
-        pub fn drain(v: Option<u32>) -> u32 { v.unwrap() }
-    "#;
-    let findings = lint_source("crates/comm/src/wire.rs", src);
-    assert_eq!(findings.len(), 1);
-
-    let bl = Baseline::from_findings(&findings);
-    let reparsed = Baseline::parse(&bl.to_json()).expect("own output parses");
-    assert_eq!(reparsed.entries, bl.entries);
-
-    // A baselined finding is absorbed; nothing fresh, nothing stale.
-    let (fresh, stale) = reparsed.apply(findings.clone());
-    assert!(fresh.is_empty() && stale.is_empty());
-
-    // The baseline is line-number free: the same code shifted down
-    // three lines still matches its entry.
-    let shifted = format!("\n\n\n{src}");
-    let moved = lint_source("crates/comm/src/wire.rs", &shifted);
-    let (fresh, stale) = reparsed.apply(moved);
-    assert!(fresh.is_empty() && stale.is_empty(), "excerpt-keyed match survives line shifts");
-
-    // With the offense fixed, the entry goes stale (gate must fail).
-    let (fresh, stale) = reparsed.apply(Vec::new());
-    assert!(fresh.is_empty());
-    assert_eq!(stale.len(), 1);
-
-    // A second, new finding is not absorbed by the unrelated entry.
-    let other = lint_source(
-        "crates/comm/src/other.rs",
-        "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }\n",
-    );
-    let (fresh, _) = reparsed.apply(other);
-    assert_eq!(fresh.len(), 1);
-}
-
-#[test]
-fn malformed_baseline_is_an_error_not_an_empty_baseline() {
-    assert!(Baseline::parse("not json").is_err());
-    assert!(Baseline::parse("{\"version\": 1}").is_err());
-    assert!(Baseline::parse("{\"findings\": [{\"rule\": 3}]}").is_err());
 }

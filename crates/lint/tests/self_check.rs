@@ -1,29 +1,22 @@
 //! The repo lints itself: running the full workspace scan from the test
-//! suite must produce zero findings beyond the committed baseline and
-//! leave no baseline entry stale. This is the same predicate the
+//! suite must produce zero findings. This is the same predicate the
 //! `LINT_OK` gate in `scripts/ci.sh` enforces, so `cargo test` catches a
 //! violation before CI does.
 
 use std::path::Path;
 
 #[test]
-fn workspace_is_clean_modulo_baseline() {
+fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = fpdt_lint::lint_workspace(&root).expect("workspace scan");
-    assert!(report.files_scanned > 50, "scan found the workspace sources");
-
-    let baseline =
-        fpdt_lint::baseline::Baseline::load(&root.join("lint-baseline.json")).expect("baseline");
-    let (fresh, stale) = baseline.apply(report.findings);
-
-    let rendered: Vec<String> = fresh.iter().map(|f| f.render()).collect();
     assert!(
-        fresh.is_empty(),
-        "new lint findings (fix or suppress with a reason):\n{}",
-        rendered.join("\n")
+        report.files_scanned > 50,
+        "scan found the workspace sources"
     );
+    let rendered: Vec<String> = report.findings.iter().map(|f| f.render()).collect();
     assert!(
-        stale.is_empty(),
-        "stale baseline entries (regenerate with `fpdt-lint --write-baseline`): {stale:?}"
+        report.findings.is_empty(),
+        "lint findings (fix or suppress with a reason):\n{}",
+        rendered.join("\n")
     );
 }

@@ -3,10 +3,10 @@
 //!
 //! A [`KernelCtx`] is the thread budget, the parallel-split threshold and
 //! the SIMD backend. A thread starts at the process default (`FPDT_THREADS`,
-//! `FPDT_PAR_THRESHOLD`, `FPDT_SIMD`); [`KernelCtx::enter`] runs a closure
-//! under another context and restores the previous one afterwards. Nothing
-//! here is process-wide and mutable, so two threads — two trainers, two
-//! tests — run under different settings at the same time without a lock.
+//! the default threshold, the detected backend); [`KernelCtx::enter`], the
+//! only way to choose another, runs a closure under it and restores the
+//! previous one afterwards. Nothing here is process-wide and mutable, so
+//! two threads run under different settings at the same time without a lock.
 //!
 //! The context travels with the work: `fpdt_tensor::par` runs every pool
 //! item under the submitting thread's context, and the runtime's rank
@@ -50,25 +50,20 @@ thread_local! {
     static LOCAL: Cell<Option<(usize, Backend)>> = const { Cell::new(None) };
 }
 
-/// The process default threshold and backend, read once. `FPDT_THREADS`
-/// is checked here under the same strict rule, so a malformed budget
-/// warns once too; the pool (`rayon::pool`) reads the value itself, and
-/// its parse accepts exactly what [`crate::env::usize_knob`] accepts.
+/// The process default threshold and backend, fixed once. `FPDT_THREADS`
+/// is checked here under the strict count rule, so a malformed budget
+/// warns once; the pool (`rayon::pool`) reads the value itself, and its
+/// parse accepts exactly what [`crate::env::usize_knob`] accepts.
 fn defaults() -> (usize, Backend) {
     static DEFAULT: OnceLock<(usize, Backend)> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         let _ = crate::env::usize_knob("FPDT_THREADS");
-        let threshold = crate::env::usize_knob("FPDT_PAR_THRESHOLD")
-            .unwrap_or(crate::par::DEFAULT_PAR_THRESHOLD);
-        // `FPDT_SIMD` accepts `scalar` on top of the shared off spellings.
-        let simd =
-            crate::env::flag_with_off_values("FPDT_SIMD", true, &["0", "off", "false", "scalar"]);
-        let backend = if simd && mk::avx2_available() {
+        let backend = if mk::avx2_available() {
             Backend::Avx2
         } else {
             Backend::Scalar
         };
-        (threshold, backend)
+        (crate::par::DEFAULT_PAR_THRESHOLD, backend)
     })
 }
 

@@ -1,18 +1,16 @@
 //! The kernel layer's single environment-variable initialization point.
 //!
 //! `fpdt-tensor` sits at the bottom of the workspace dependency graph, so
-//! it cannot call into `fpdt_core::runtime::RuntimeOptions` — but its
-//! kernel-context knobs (`FPDT_THREADS`, `FPDT_PAR_THRESHOLD`,
-//! `FPDT_SIMD`, read in `ctx`) still deserve the same strict parse-or-warn
-//! discipline as the runtime flags. This module is the one
-//! place in the crate allowed to touch `std::env` (`fpdt-lint` rule
-//! `env-outside-options` enforces that mechanically), and
+//! it cannot call into `fpdt_core::runtime::RuntimeOptions` — but its one
+//! kernel knob (`FPDT_THREADS`, checked in `ctx`) still deserves the same
+//! strict parse-or-warn discipline as the runtime flags. This module is
+//! the one place in the crate allowed to touch `std::env` (`fpdt-lint`
+//! rule `env-outside-options` enforces that mechanically), and
 //! `RuntimeOptions::from_env` reuses these primitives so the flag syntax
 //! stays identical across layers:
 //!
 //! * flags: unset means the default; `0`, `false`, or `off` (trimmed)
-//!   disable; anything else enables. [`flag_with_off_values`] lets a knob
-//!   accept extra disabling spellings (`FPDT_SIMD=scalar`).
+//!   disable; anything else enables.
 //! * counts: strict trimmed decimal `>= 1`; anything else warns **once**
 //!   per variable and falls back to the default instead of silently
 //!   training under a configuration the operator did not ask for.
@@ -21,18 +19,11 @@ use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
 /// Parses the shared flag syntax: unset means `default`; `0`, `false`,
-/// or `off` disable; any other value enables.
+/// or `off` (trimmed) disable; any other value enables.
 pub fn flag(name: &str, default: bool) -> bool {
-    flag_with_off_values(name, default, &["0", "false", "off"])
-}
-
-/// [`flag`] with a custom set of disabling spellings, for knobs whose
-/// "off" direction has a domain name (`FPDT_SIMD=scalar`). The value is
-/// trimmed before comparison; unset still means `default`.
-pub fn flag_with_off_values(name: &str, default: bool, off_values: &[&str]) -> bool {
     match std::env::var(name) {
         Err(_) => default,
-        Ok(v) => !off_values.contains(&v.trim()),
+        Ok(v) => !["0", "false", "off"].contains(&v.trim()),
     }
 }
 
@@ -117,17 +108,6 @@ mod tests {
         }
         std::env::remove_var("FPDT_TENSOR_TEST_FLAG");
         assert!(!flag("FPDT_TENSOR_TEST_FLAG", false), "default respected");
-    }
-
-    #[test]
-    fn extra_off_values_extend_not_replace_the_match() {
-        let off = &["0", "off", "false", "scalar"];
-        std::env::set_var("FPDT_TENSOR_TEST_SIMD", "scalar");
-        assert!(!flag_with_off_values("FPDT_TENSOR_TEST_SIMD", true, off));
-        std::env::set_var("FPDT_TENSOR_TEST_SIMD", "avx2");
-        assert!(flag_with_off_values("FPDT_TENSOR_TEST_SIMD", true, off));
-        std::env::remove_var("FPDT_TENSOR_TEST_SIMD");
-        assert!(flag_with_off_values("FPDT_TENSOR_TEST_SIMD", true, off));
     }
 
     #[test]

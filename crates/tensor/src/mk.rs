@@ -12,11 +12,11 @@
 //! like `vfmadd`, so the two backends are **bitwise identical** by
 //! construction — the property the kernel-equivalence suite locks down.
 //!
-//! Dispatch reads the calling thread's [`KernelCtx`](crate::KernelCtx)
-//! backend (tests and benches force one path by entering a context). Its
-//! process default comes from the `FPDT_SIMD` environment variable
-//! (`0`/`off`/`scalar` forces the fallback; anything else means auto) and
-//! CPU detection (`avx2` + `fma`), cached after the first query.
+//! Each kernel has one public entry, which dispatches on the calling
+//! thread's [`KernelCtx`](crate::KernelCtx) backend ([`backend`]); tests
+//! and benches force one path by entering a context. The process default
+//! is AVX2 where CPU detection (`avx2` + `fma`, cached after the first
+//! query) finds it, scalar elsewhere.
 //!
 //! Compiling with the `scalar-only` cargo feature removes the AVX2 path
 //! entirely (fallback-parity builds); [`avx2_available`] then reports
@@ -447,8 +447,8 @@ unsafe fn map_g<V: V8, F: F1>(x: &mut [f32]) {
 }
 
 /// `out[i] = F(a[i], b[i])` through the lanes, tail padded as in
-/// [`map_g`]. The slices have equal length (checked by the `_on` entry
-/// points).
+/// [`map_g`]. The slices have equal length (checked by the public
+/// entry points).
 #[inline(always)]
 unsafe fn map2_g<V: V8, F: F2>(a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = out.len();
@@ -890,7 +890,8 @@ unsafe fn gemm_panel_g<V: V8>(p: &Panel<'_>, c: &mut [f32]) {
 // ---------------------------------------------------------------------------
 // Backend instantiations. The AVX2 wrappers carry
 // `#[target_feature(enable = "avx2,fma")]` so the whole inlined generic
-// body compiles to vector code; callers guard with `avx2_available()`.
+// body compiles to vector code; `dispatch!` reaches them only where
+// `backend()` reports AVX2.
 // ---------------------------------------------------------------------------
 
 macro_rules! instantiate {
@@ -929,278 +930,161 @@ instantiate!(adamw_scalar, adamw_avx2, adamw_g,
 instantiate!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_g,
     (p: &Panel<'_>, c: &mut [f32]) -> ());
 
+/// Calls the instantiation [`backend`] names for the calling thread.
 macro_rules! dispatch {
-    ($be:expr, $scalar:ident, $avx2:ident, ($($arg:expr),*)) => {{
-        match $be {
-            Backend::Scalar => $scalar($($arg),*),
-            Backend::Avx2 => {
-                #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-                {
-                    if avx2_available() {
-                        unsafe { $avx2($($arg),*) }
-                    } else {
-                        $scalar($($arg),*)
-                    }
-                }
-                #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-                {
-                    $scalar($($arg),*)
-                }
-            }
+    ($scalar:ident, $avx2:ident, ($($arg:expr),*)) => {{
+        match backend() {
+            // SAFETY: `backend` reports AVX2 only where `avx2_available`.
+            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+            Backend::Avx2 => unsafe { $avx2($($arg),*) },
+            _ => $scalar($($arg),*),
         }
     }};
 }
 
-/// Dot product on an explicit backend (extent mismatch truncates to the
-/// shorter slice). Used by the equivalence suites to compare both paths in
-/// one process.
-pub fn dot_on(be: Backend, a: &[f32], b: &[f32]) -> f32 {
-    dispatch!(be, dot_scalar, dot_avx2, (a, b))
-}
-
-/// Dot product on the dispatched backend ([`backend`]).
-#[inline]
+/// Dot product (extent mismatch truncates to the shorter slice).
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    dot_on(backend(), a, b)
-}
-
-/// `dst[i] += s * src[i]` (fused) on an explicit backend.
-pub fn axpy_on(be: Backend, dst: &mut [f32], s: f32, src: &[f32]) {
-    dispatch!(be, axpy_scalar, axpy_avx2, (dst, s, src))
+    dispatch!(dot_scalar, dot_avx2, (a, b))
 }
 
 /// `dst[i] += s * src[i]` (fused) over the overlap of the two slices.
-#[inline]
 pub fn axpy(dst: &mut [f32], s: f32, src: &[f32]) {
-    axpy_on(backend(), dst, s, src)
+    dispatch!(axpy_scalar, axpy_avx2, (dst, s, src))
 }
 
 /// `c[r * stride + col0 ..][..width] *= factors[r]` for each row `r` of
-/// `factors` (the online-softmax accumulator rescale) on an explicit
-/// backend.
-pub fn scale_rows_on(
-    be: Backend,
-    c: &mut [f32],
-    stride: usize,
-    col0: usize,
-    width: usize,
-    factors: &[f32],
-) {
+/// `factors` (the online-softmax accumulator rescale).
+pub fn scale_rows(c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) {
     if !factors.is_empty() {
         assert!((factors.len() - 1) * stride + col0 + width <= c.len());
     }
     dispatch!(
-        be,
         scale_rows_scalar,
         scale_rows_avx2,
         (c, stride, col0, width, factors)
     )
 }
 
-/// Row-block rescale on the dispatched backend.
-#[inline]
-pub fn scale_rows(c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) {
-    scale_rows_on(backend(), c, stride, col0, width, factors)
-}
-
-/// In-place lane-wise polynomial `exp` on an explicit backend: within
-/// 2 ulp of the exact value on `[EXP_LO, 0]`, `exp(0) == 1.0`, exactly
-/// `0.0` below [`EXP_LO`] (and for NaN), saturating at `exp(EXP_HI)`.
-pub fn exp_on(be: Backend, x: &mut [f32]) {
-    dispatch!(be, exp_scalar, exp_avx2, (x))
-}
-
-/// In-place lane-wise `exp` on the dispatched backend.
-#[inline]
+/// In-place lane-wise polynomial `exp`: within 2 ulp of the exact value
+/// on `[EXP_LO, 0]`, `exp(0) == 1.0`, exactly `0.0` below [`EXP_LO`]
+/// (and for NaN), saturating at `exp(EXP_HI)`.
 pub fn exp(x: &mut [f32]) {
-    exp_on(backend(), x)
+    dispatch!(exp_scalar, exp_avx2, (x))
 }
 
-/// In-place tanh-approximation GELU on an explicit backend, evaluated as
-/// `x·σ(z)` with `z = 2·sqrt(2/π)·(x + 0.044715·x³)` — the same function
-/// as `0.5·x·(1 + tanh(z/2))` without the `1 + tanh` cancellation on the
+/// In-place tanh-approximation GELU, evaluated as `x·σ(z)` with
+/// `z = 2·sqrt(2/π)·(x + 0.044715·x³)` — the same function as
+/// `0.5·x·(1 + tanh(z/2))` without the `1 + tanh` cancellation on the
 /// negative side: relative error at most `5e-7·(1 + |z|)` (the rounding of
 /// `z` itself) down to where the result underflows. `gelu(0) == 0`, NaN
 /// propagates, no finite input gives NaN or infinity.
-pub fn gelu_on(be: Backend, x: &mut [f32]) {
-    dispatch!(be, gelu_scalar, gelu_avx2, (x))
-}
-
-/// In-place GELU on the dispatched backend.
-#[inline]
 pub fn gelu(x: &mut [f32]) {
-    gelu_on(backend(), x)
+    dispatch!(gelu_scalar, gelu_avx2, (x))
 }
 
-/// `dx[i] = gelu'(x[i])·dy[i]` on an explicit backend, with
-/// `gelu' = σ + x·z'·σ(1−σ)`; absolute error of the factor below `2e-6`.
-/// Finite for every `|x| < 1e19` (beyond that `x²` overflows).
+/// `dx[i] = gelu'(x[i])·dy[i]`, with `gelu' = σ + x·z'·σ(1−σ)`; absolute
+/// error of the factor below `2e-6`. Finite for every `|x| < 1e19`
+/// (beyond that `x²` overflows).
 ///
 /// # Panics
 ///
 /// Panics unless the three slices have the same length.
-pub fn gelu_bwd_on(be: Backend, x: &[f32], dy: &[f32], dx: &mut [f32]) {
-    assert!(x.len() == dx.len() && dy.len() == dx.len());
-    dispatch!(be, gelu_bwd_scalar, gelu_bwd_avx2, (x, dy, dx))
-}
-
-/// GELU backward on the dispatched backend.
-#[inline]
 pub fn gelu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
-    gelu_bwd_on(backend(), x, dy, dx)
+    assert!(x.len() == dx.len() && dy.len() == dx.len());
+    dispatch!(gelu_bwd_scalar, gelu_bwd_avx2, (x, dy, dx))
 }
 
-/// In-place SiLU `x·σ(x)` on an explicit backend (same kernel family and
-/// edge behaviour as [`gelu_on`]).
-pub fn silu_on(be: Backend, x: &mut [f32]) {
-    dispatch!(be, silu_scalar, silu_avx2, (x))
-}
-
-/// In-place SiLU on the dispatched backend.
-#[inline]
+/// In-place SiLU `x·σ(x)` (same kernel family and edge behaviour as
+/// [`gelu`]).
 pub fn silu(x: &mut [f32]) {
-    silu_on(backend(), x)
+    dispatch!(silu_scalar, silu_avx2, (x))
 }
 
-/// `dx[i] = (σ + x·σ(1−σ))·dy[i]` at `x[i]` on an explicit backend.
+/// `dx[i] = (σ + x·σ(1−σ))·dy[i]` at `x[i]`.
 ///
 /// # Panics
 ///
 /// Panics unless the three slices have the same length.
-pub fn silu_bwd_on(be: Backend, x: &[f32], dy: &[f32], dx: &mut [f32]) {
-    assert!(x.len() == dx.len() && dy.len() == dx.len());
-    dispatch!(be, silu_bwd_scalar, silu_bwd_avx2, (x, dy, dx))
-}
-
-/// SiLU backward on the dispatched backend.
-#[inline]
 pub fn silu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
-    silu_bwd_on(backend(), x, dy, dx)
+    assert!(x.len() == dx.len() && dy.len() == dx.len());
+    dispatch!(silu_bwd_scalar, silu_bwd_avx2, (x, dy, dx))
 }
 
 /// Online-softmax fold of one score block `s: [rows, w]` (one *column*
-/// per query, `w` a multiple of 8) into the running per-column `(m, l)`
-/// on an explicit backend. On return `s` holds `exp(s - m_new)`, `corr`
-/// holds `exp(m_old - m_new)` (the factor to rescale the accumulator
-/// by), `l = l * corr + colsum(s)` with rows summed ascending, and
-/// `m = m_new`. Scores masked with `-inf` come back exactly `0.0`; a
-/// column still at `m = -inf` stays `(m, l, corr) = (-inf, 0, 0)`.
-pub fn softmax_fold_on(
-    be: Backend,
-    s: &mut [f32],
-    w: usize,
-    m: &mut [f32],
-    l: &mut [f32],
-    corr: &mut [f32],
-) {
+/// per query, `w` a multiple of 8) into the running per-column `(m, l)`.
+/// On return `s` holds `exp(s - m_new)`, `corr` holds `exp(m_old - m_new)`
+/// (the factor to rescale the accumulator by), `l = l * corr + colsum(s)`
+/// with rows summed ascending, and `m = m_new`. Scores masked with `-inf`
+/// come back exactly `0.0`; a column still at `m = -inf` stays
+/// `(m, l, corr) = (-inf, 0, 0)`.
+pub fn softmax_fold(s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) {
     assert!(w > 0 && w.is_multiple_of(8) && s.len().is_multiple_of(w));
     assert!(m.len() >= w && l.len() >= w && corr.len() >= w);
-    dispatch!(
-        be,
-        softmax_fold_scalar,
-        softmax_fold_avx2,
-        (s, w, m, l, corr)
-    )
+    dispatch!(softmax_fold_scalar, softmax_fold_avx2, (s, w, m, l, corr))
 }
 
-/// Online-softmax block fold on the dispatched backend.
-#[inline]
-pub fn softmax_fold(s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) {
-    softmax_fold_on(backend(), s, w, m, l, corr)
-}
-
-/// Backward softmax of one block on an explicit backend: `s` (raw
-/// scores) becomes `p = exp(s - lse)` and `dp` (`dO·Vᵀ`) becomes
+/// Backward softmax of one block: `s` (raw scores) becomes
+/// `p = exp(s - lse)` and `dp` (`dO·Vᵀ`) becomes
 /// `ds = p * (dp - dsum) * scale`, both `[rows, w]` with `w` a multiple of
 /// 8. `lse`/`dsum` hold one entry per row (query); a query with
 /// `lse = -inf` gets `p = ds = 0`.
-pub fn softmax_bwd_on(
-    be: Backend,
-    s: &mut [f32],
-    dp: &mut [f32],
-    w: usize,
-    lse: &[f32],
-    dsum: &[f32],
-    scale: f32,
-) {
+pub fn softmax_bwd(s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32) {
     assert!(w > 0 && w.is_multiple_of(8) && s.len().is_multiple_of(w));
     assert_eq!(s.len(), dp.len());
     let rows = s.len() / w;
     assert!(lse.len() >= rows && dsum.len() >= rows);
     dispatch!(
-        be,
         softmax_bwd_scalar,
         softmax_bwd_avx2,
         (s, dp, w, lse, dsum, scale)
     )
 }
 
-/// Backward softmax block on the dispatched backend.
-#[inline]
-pub fn softmax_bwd(s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32) {
-    softmax_bwd_on(backend(), s, dp, w, lse, dsum, scale)
-}
-
-/// `dst[i] /= d` on an explicit backend.
-pub fn dscale_on(be: Backend, dst: &mut [f32], d: f32) {
-    dispatch!(be, dscale_scalar, dscale_avx2, (dst, d))
-}
-
 /// `dst[i] /= d` (the online-softmax finalize divide; kept a true IEEE
 /// division, never a reciprocal multiply, in both backends).
-#[inline]
 pub fn dscale(dst: &mut [f32], d: f32) {
-    dscale_on(backend(), dst, d)
+    dispatch!(dscale_scalar, dscale_avx2, (dst, d))
 }
 
-/// One AdamW step on an explicit backend, every slice updated in place:
-/// with `g' = g·grad_scale`, `m = β1·m + (1−β1)·g'`,
-/// `v = β2·v + (1−β2)·g'·g'`, and
+/// One AdamW step, every slice updated in place: with `g' = g·grad_scale`,
+/// `m = β1·m + (1−β1)·g'`, `v = β2·v + (1−β2)·g'·g'`, and
 /// `p -= lr·((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay·p)`.
 ///
 /// # Panics
 ///
 /// Panics unless the four slices have the same length.
-pub fn adamw_on(
-    be: Backend,
-    p: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    g: &[f32],
-    c: &AdamwStep,
-) {
-    assert!(m.len() == p.len() && v.len() == p.len() && g.len() == p.len());
-    dispatch!(be, adamw_scalar, adamw_avx2, (p, m, v, g, c))
-}
-
-/// One AdamW step on the dispatched backend.
-#[inline]
 pub fn adamw(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) {
-    adamw_on(backend(), p, m, v, g, c)
+    assert!(m.len() == p.len() && v.len() == p.len() && g.len() == p.len());
+    dispatch!(adamw_scalar, adamw_avx2, (p, m, v, g, c))
 }
 
 /// Register-blocked panel accumulation (`C_block += A_rows · B_panel`,
-/// see [`Panel`]) on an explicit backend.
-pub fn gemm_panel_on(be: Backend, p: &Panel<'_>, c: &mut [f32]) {
-    p.check(c.len());
-    dispatch!(be, gemm_panel_scalar, gemm_panel_avx2, (p, c))
-}
-
-/// Register-blocked panel accumulation on the dispatched backend.
-#[inline]
+/// see [`Panel`]).
 pub fn gemm_panel(p: &Panel<'_>, c: &mut [f32]) {
-    gemm_panel_on(backend(), p, c)
+    p.check(c.len());
+    dispatch!(gemm_panel_scalar, gemm_panel_avx2, (p, c))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `f` under each backend this CPU has, forced through the
+    /// thread's [`KernelCtx`](crate::KernelCtx).
     fn both(f: impl Fn(Backend)) {
-        f(Backend::Scalar);
-        if avx2_available() {
-            f(Backend::Avx2);
+        for be in [Backend::Scalar, Backend::Avx2] {
+            if be == Backend::Scalar || avx2_available() {
+                on(be, || f(be));
+            }
         }
+    }
+
+    fn on<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
+        crate::KernelCtx {
+            backend,
+            ..crate::KernelCtx::current()
+        }
+        .enter(f)
     }
 
     #[test]
@@ -1209,7 +1093,7 @@ mod tests {
         let b: Vec<f32> = (0..67).map(|i| (i as f32 * 0.11).cos()).collect();
         let naive: f32 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
         both(|be| {
-            assert!((dot_on(be, &a, &b) - naive).abs() < 1e-4, "{be:?}");
+            assert!((dot(&a, &b) - naive).abs() < 1e-4, "{be:?}");
         });
     }
 
@@ -1219,25 +1103,16 @@ mod tests {
             let a: Vec<f32> = (0..n).map(|i| (i as f32 * 1.7).sin() * 3.0).collect();
             let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.9).cos() * 2.0).collect();
             if avx2_available() {
-                assert_eq!(
-                    dot_on(Backend::Scalar, &a, &b).to_bits(),
-                    dot_on(Backend::Avx2, &a, &b).to_bits(),
-                    "dot length {n}"
-                );
-                let mut d1 = a.clone();
-                let mut d2 = a.clone();
-                axpy_on(Backend::Scalar, &mut d1, 1.25, &b);
-                axpy_on(Backend::Avx2, &mut d2, 1.25, &b);
-                assert_eq!(
-                    d1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    d2.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "axpy length {n}"
-                );
-                let mut s1 = a.clone();
-                let mut s2 = a.clone();
-                dscale_on(Backend::Scalar, &mut s1, 0.7);
-                dscale_on(Backend::Avx2, &mut s2, 0.7);
-                assert_eq!(s1, s2, "dscale length {n}");
+                let run = |be| {
+                    on(be, || {
+                        let (mut ax, mut ds) = (a.clone(), a.clone());
+                        axpy(&mut ax, 1.25, &b);
+                        dscale(&mut ds, 0.7);
+                        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        (dot(&a, &b).to_bits(), bits(ax), bits(ds))
+                    })
+                };
+                assert_eq!(run(Backend::Scalar), run(Backend::Avx2), "length {n}");
             }
         }
     }
@@ -1275,7 +1150,7 @@ mod tests {
                 c_stride: nc,
                 c_col0: 0,
             };
-            gemm_panel_on(be, &p, &mut c);
+            gemm_panel(&p, &mut c);
             for (g, w) in c.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-4, "{be:?}: {g} vs {w}");
             }

@@ -121,7 +121,7 @@ pub fn add_bias_bwd_into(dy: &Tensor, db_acc: &mut [f32]) {
         for row in dys.chunks(d) {
             // `axpy` truncates to the overlap, which also covers a ragged
             // final row exactly like the old zip-based loop did.
-            par::axpy(dbs, 1.0, &row[c0.min(row.len())..]);
+            mk::axpy(dbs, 1.0, &row[c0.min(row.len())..]);
         }
     });
 }

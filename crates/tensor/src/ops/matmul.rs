@@ -8,8 +8,8 @@
 //! * [`gemm_tn`] — `C += Aᵀ · B`     (`A: [k,m]`, `B: [k,n]`)
 //!
 //! Each kernel fans `MC`-row blocks of `C` out to the kernel pool through
-//! [`crate::par::run_rows`] (the split threshold is the shared
-//! `FPDT_PAR_THRESHOLD` tunable) and walks the depth in `KC` panels; every
+//! [`crate::par::run_rows`] (the split threshold is the calling thread's
+//! `KernelCtx::par_threshold`) and walks the depth in `KC` panels; every
 //! product runs through the one register-blocked microkernel,
 //! [`crate::mk::gemm_panel`] (4x16 FMA tiles, runtime dispatched between
 //! AVX2 and the bitwise-identical scalar fallback). The big operand — the

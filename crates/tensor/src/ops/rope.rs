@@ -133,43 +133,6 @@ fn check_rank(x: &Tensor) -> Result<()> {
     Ok(())
 }
 
-fn table_for(x: &Tensor, positions: &[usize], base: f32) -> Result<RopeTable> {
-    check_rank(x)?;
-    if positions.len() != x.shape()[0] {
-        return Err(TensorError::ShapeMismatch {
-            op: "rope",
-            lhs: x.shape().to_vec(),
-            rhs: vec![positions.len()],
-        });
-    }
-    RopeTable::new(positions, x.shape()[2], base)
-}
-
-/// Applies rotary position embedding to a `[seq, heads, head_dim]` tensor,
-/// rotating each consecutive pair of features by `pos * base^(-2i/d)`: a
-/// one-shot [`RopeTable`].
-///
-/// `positions[t]` is the *global* position of row `t`; FPDT chunks pass
-/// their shuffled global positions here.
-///
-/// # Errors
-///
-/// Returns a rank/shape error unless `x` is rank 3 with an even head dim
-/// and `positions.len() == seq`.
-pub fn rope(x: &Tensor, positions: &[usize], base: f32) -> Result<Tensor> {
-    table_for(x, positions, base)?.apply(x)
-}
-
-/// Backward pass of [`rope`]: rotates the upstream gradient by the negative
-/// angles.
-///
-/// # Errors
-///
-/// Same conditions as [`rope`].
-pub fn rope_bwd(dy: &Tensor, positions: &[usize], base: f32) -> Result<Tensor> {
-    table_for(dy, positions, base)?.apply_bwd(dy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,11 +140,19 @@ mod tests {
 
     const BASE: f32 = 10_000.0;
 
+    fn table(positions: &[usize], head_dim: usize) -> RopeTable {
+        RopeTable::new(positions, head_dim, BASE).unwrap()
+    }
+
+    fn rope(x: &Tensor, positions: &[usize]) -> Tensor {
+        table(positions, x.shape()[2]).apply(x).unwrap()
+    }
+
     #[test]
     fn position_zero_is_identity() {
         let mut rng = init::seeded_rng(40);
         let x = init::randn(&mut rng, &[1, 2, 8], 1.0);
-        let y = rope(&x, &[0], BASE).unwrap();
+        let y = rope(&x, &[0]);
         assert!(y.allclose(&x, 1e-6, 1e-7));
     }
 
@@ -189,7 +160,7 @@ mod tests {
     fn rope_preserves_norm() {
         let mut rng = init::seeded_rng(41);
         let x = init::randn(&mut rng, &[4, 2, 8], 1.0);
-        let y = rope(&x, &[0, 5, 10, 1000], BASE).unwrap();
+        let y = rope(&x, &[0, 5, 10, 1000]);
         assert!((x.norm() - y.norm()).abs() < 1e-3);
     }
 
@@ -198,8 +169,8 @@ mod tests {
         let mut rng = init::seeded_rng(42);
         let x = init::randn(&mut rng, &[3, 2, 8], 1.0);
         let pos = [7, 20, 33];
-        let y = rope(&x, &pos, BASE).unwrap();
-        let back = rope_bwd(&y, &pos, BASE).unwrap();
+        let y = rope(&x, &pos);
+        let back = table(&pos, 8).apply_bwd(&y).unwrap();
         assert!(back.allclose(&x, 1e-4, 1e-5));
     }
 
@@ -211,8 +182,8 @@ mod tests {
         let q = init::randn(&mut rng, &[1, 1, 16], 1.0);
         let k = init::randn(&mut rng, &[1, 1, 16], 1.0);
         let dot = |m: usize, n: usize| {
-            let qr = rope(&q, &[m], BASE).unwrap();
-            let kr = rope(&k, &[n], BASE).unwrap();
+            let qr = rope(&q, &[m]);
+            let kr = rope(&k, &[n]);
             qr.data()
                 .iter()
                 .zip(kr.data())
@@ -231,11 +202,11 @@ mod tests {
         let mut rng = init::seeded_rng(44);
         let x = init::randn(&mut rng, &[8, 2, 8], 1.0);
         let pos: Vec<usize> = (0..8).collect();
-        let full = rope(&x, &pos, BASE).unwrap();
+        let full = rope(&x, &pos);
         let mut parts = Vec::new();
         for c in 0..4 {
             let chunk = x.narrow(0, c * 2, 2).unwrap();
-            parts.push(rope(&chunk, &pos[c * 2..c * 2 + 2], BASE).unwrap());
+            parts.push(rope(&chunk, &pos[c * 2..c * 2 + 2]));
         }
         let refs: Vec<&Tensor> = parts.iter().collect();
         let stitched = Tensor::concat(&refs, 0).unwrap();
@@ -244,10 +215,9 @@ mod tests {
 
     #[test]
     fn rope_errors() {
-        let x = Tensor::zeros(&[2, 2, 7]); // odd head dim
-        assert!(rope(&x, &[0, 1], BASE).is_err());
+        assert!(RopeTable::new(&[0, 1], 7, BASE).is_err()); // odd head dim
         let x = Tensor::zeros(&[2, 2, 8]);
-        assert!(rope(&x, &[0], BASE).is_err()); // wrong positions len
-        assert!(rope(&Tensor::zeros(&[4, 4]), &[0], BASE).is_err()); // rank
+        assert!(table(&[0], 8).apply(&x).is_err()); // wrong positions len
+        assert!(table(&[0], 4).apply(&Tensor::zeros(&[4, 4])).is_err()); // rank
     }
 }

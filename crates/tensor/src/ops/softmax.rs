@@ -48,7 +48,7 @@ pub fn softmax_rows_bwd(y: &Tensor, dy: &Tensor) -> Result<Tensor> {
     par::run_rows(dx.data_mut(), d, yd.len(), |r, dxs| {
         let ys = &yd[r * d..r * d + dxs.len()];
         let dys = &dyd[r * d..r * d + dxs.len()];
-        let dot = par::dot(ys, dys);
+        let dot = mk::dot(ys, dys);
         for i in 0..dxs.len() {
             dxs[i] = ys[i] * (dys[i] - dot);
         }

@@ -1,7 +1,7 @@
 //! Kernel parallelism policy shared by every compute kernel in the
-//! workspace: the split threshold, the row-dispatch helper, reusable
-//! per-thread scratch buffers, and the deterministic `dot`/`axpy`
-//! micro-kernels.
+//! workspace: the split threshold, the row-dispatch helpers and reusable
+//! per-thread scratch buffers. The vector kernels themselves live in
+//! [`crate::mk`].
 //!
 //! The actual thread pool lives in the vendored `rayon` crate
 //! (`rayon::pool`); this module decides *when* going parallel pays off and
@@ -25,8 +25,7 @@ use std::cell::RefCell;
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 16;
 
 /// The calling thread's parallel-split threshold ([`KernelCtx`]; the
-/// process default is `FPDT_PAR_THRESHOLD`, else
-/// [`DEFAULT_PAR_THRESHOLD`]).
+/// process default is [`DEFAULT_PAR_THRESHOLD`]).
 pub fn par_threshold() -> usize {
     crate::ctx::local().0
 }
@@ -134,29 +133,6 @@ pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     r
 }
 
-/// Dot product with four independent 8-lane accumulators combined in a
-/// fixed order — deterministic, and dispatched to the SIMD microkernel
-/// layer ([`crate::mk`]), whose scalar and AVX2 instantiations are bitwise
-/// identical. Extent mismatch truncates to the shorter slice.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    crate::mk::dot(a, b)
-}
-
-/// `dst[i] += s * src[i]` (fused multiply-add) over the overlap of the two
-/// slices, dispatched to [`crate::mk`].
-#[inline]
-pub fn axpy(dst: &mut [f32], s: f32, src: &[f32]) {
-    crate::mk::axpy(dst, s, src)
-}
-
-/// `dst[i] /= d` (the online-softmax finalize divide — a true IEEE
-/// division in both backends), dispatched to [`crate::mk`].
-#[inline]
-pub fn dscale(dst: &mut [f32], d: f32) {
-    crate::mk::dscale(dst, d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,16 +204,5 @@ mod tests {
         });
         // reused buffer must be re-zeroed
         with_scratch(8, |a| assert!(a.iter().all(|&v| v == 0.0)));
-    }
-
-    #[test]
-    fn dot_matches_naive_and_axpy_accumulates() {
-        let a: Vec<f32> = (0..13).map(|i| i as f32 * 0.5).collect();
-        let b: Vec<f32> = (0..13).map(|i| 1.0 - i as f32 * 0.25).collect();
-        let naive: f32 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-        assert!((dot(&a, &b) - naive).abs() < 1e-4);
-        let mut dst = vec![1.0f32; 4];
-        axpy(&mut dst, 2.0, &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(dst, vec![3.0, 5.0, 7.0, 9.0]);
     }
 }

@@ -427,18 +427,6 @@ impl Tensor {
         self.map(|x| x * alpha)
     }
 
-    /// In-place scaling by `alpha`.
-    pub fn scale_in_place(&mut self, alpha: f32) {
-        for x in &mut self.data {
-            *x *= alpha;
-        }
-    }
-
-    /// Fills the buffer with zeros, keeping the shape.
-    pub fn zero_(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {

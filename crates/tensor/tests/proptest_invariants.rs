@@ -183,9 +183,10 @@ proptest! {
         let mut rng = init::seeded_rng(seed);
         let x = init::randn(&mut rng, &[2, 2, 8], 1.0);
         let pos = [p0, p1];
-        let y = ops::rope(&x, &pos, 10_000.0).unwrap();
+        let table = ops::RopeTable::new(&pos, 8, 10_000.0).unwrap();
+        let y = table.apply(&x).unwrap();
         prop_assert!((x.norm() - y.norm()).abs() < 1e-3);
-        let back = ops::rope_bwd(&y, &pos, 10_000.0).unwrap();
+        let back = table.apply_bwd(&y).unwrap();
         prop_assert!(back.allclose(&x, 1e-3, 1e-4));
     }
 

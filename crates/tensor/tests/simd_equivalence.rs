@@ -6,9 +6,8 @@
 //! identical register blocking, identical remainder handling, and a fixed
 //! 8-lane reduction tree, so every result must match the scalar backend
 //! *bitwise* — the backend is a pure performance knob. These tests pin
-//! that contract on the raw `mk` primitives (explicit-backend `_on`
-//! entry points) and on the full `ops` gemm family with the backend forced
-//! through a scoped kernel context.
+//! that contract on the raw `mk` primitives and on the full `ops` gemm
+//! family, with the backend forced through a scoped kernel context.
 //!
 //! On hardware without AVX2 the SIMD legs are skipped; the scalar legs
 //! still exercise the dispatch plumbing.
@@ -25,6 +24,11 @@ fn forced(backend: Backend, threads: usize) -> KernelCtx {
         par_threshold: 1,
         backend,
     }
+}
+
+/// Runs `f` with `backend` forced on this thread.
+fn on<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
+    forced(backend, 1).enter(f)
 }
 
 fn bits(t: &[f32]) -> Vec<u32> {
@@ -56,7 +60,7 @@ fn ulp_err(x: f32, got: f32) -> f64 {
 
 fn exp_of(be: Backend, x: &[f32]) -> Vec<f32> {
     let mut y = x.to_vec();
-    mk::exp_on(be, &mut y);
+    on(be, || mk::exp(&mut y));
     y
 }
 
@@ -139,10 +143,10 @@ fn activations_of(be: Backend, x: &[f32]) -> [Vec<f32>; 4] {
     let ones = vec![1.0f32; x.len()];
     let (mut g, mut s) = (x.to_vec(), x.to_vec());
     let (mut dg, mut ds) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
-    mk::gelu_on(be, &mut g);
-    mk::gelu_bwd_on(be, x, &ones, &mut dg);
-    mk::silu_on(be, &mut s);
-    mk::silu_bwd_on(be, x, &ones, &mut ds);
+    on(be, || mk::gelu(&mut g));
+    on(be, || mk::gelu_bwd(x, &ones, &mut dg));
+    on(be, || mk::silu(&mut s));
+    on(be, || mk::silu_bwd(x, &ones, &mut ds));
     [g, dg, s, ds]
 }
 
@@ -170,9 +174,9 @@ fn activations_match_scalar_bitwise_on_awkward_lengths() {
         let run = |be: Backend| {
             let mut out = activations_of(be, &x).concat();
             let mut dx = vec![0.0f32; len];
-            mk::gelu_bwd_on(be, &x, &dy, &mut dx);
+            on(be, || mk::gelu_bwd(&x, &dy, &mut dx));
             out.extend_from_slice(&dx);
-            mk::silu_bwd_on(be, &x, &dy, &mut dx);
+            on(be, || mk::silu_bwd(&x, &dy, &mut dx));
             out.extend_from_slice(&dx);
             bits(&out)
         };
@@ -316,7 +320,7 @@ fn adamw_matches_scalar_and_the_loop_it_replaced_bitwise() {
             for t in 1..=5 {
                 let c = adamw_step(t);
                 match be {
-                    Some(be) => mk::adamw_on(be, &mut p, &mut m, &mut v, &g, &c),
+                    Some(be) => on(be, || mk::adamw(&mut p, &mut m, &mut v, &g, &c)),
                     None => adamw_reference(&mut p, &mut m, &mut v, &g, &c),
                 }
                 trail.extend([bits(&p), bits(&m), bits(&v)]);
@@ -346,18 +350,19 @@ fn adamw_is_independent_of_how_the_vector_is_cut() {
     let c = adamw_step(3);
     for be in backends() {
         let (mut p, mut m, mut v) = (p0.clone(), vec![0.5f32; n], vec![0.25f32; n]);
-        mk::adamw_on(be, &mut p, &mut m, &mut v, &g, &c);
+        on(be, || mk::adamw(&mut p, &mut m, &mut v, &g, &c));
         let (mut pc, mut mc, mut vc) = (p0.clone(), vec![0.5f32; n], vec![0.25f32; n]);
-        for r in [0..3, 3..20, 20..21, 21..100] {
-            mk::adamw_on(
-                be,
-                &mut pc[r.clone()],
-                &mut mc[r.clone()],
-                &mut vc[r.clone()],
-                &g[r],
-                &c,
-            );
-        }
+        on(be, || {
+            for r in [0..3, 3..20, 20..21, 21..100] {
+                mk::adamw(
+                    &mut pc[r.clone()],
+                    &mut mc[r.clone()],
+                    &mut vc[r.clone()],
+                    &g[r],
+                    &c,
+                );
+            }
+        });
         assert_eq!(
             (bits(&p), bits(&m), bits(&v)),
             (bits(&pc), bits(&mc), bits(&vc))
@@ -384,7 +389,9 @@ fn softmax_fold_keeps_unseen_and_masked_columns_exact() {
     for be in backends() {
         let (mut s, mut m, mut l) = (s.clone(), m.clone(), l.clone());
         let mut corr = vec![f32::NAN; w];
-        mk::softmax_fold_on(be, &mut s, w, &mut m, &mut l, &mut corr);
+        on(be, || {
+            mk::softmax_fold(&mut s, w, &mut m, &mut l, &mut corr)
+        });
         assert_eq!(
             (m[0], l[0].to_bits(), corr[0].to_bits()),
             (f32::NEG_INFINITY, 0, 0)
@@ -416,10 +423,10 @@ proptest! {
         let s = 0.37f32 + (seed % 7) as f32;
         let run = |be: Backend| {
             let mut ax = a.clone();
-            mk::axpy_on(be, &mut ax, s, &b);
+            on(be, || mk::axpy(&mut ax, s, &b));
             let mut ds = a.clone();
-            mk::dscale_on(be, &mut ds, s);
-            (mk::dot_on(be, &a, &b).to_bits(), bits(&ax), bits(&ds))
+            on(be, || mk::dscale(&mut ds, s));
+            (on(be, || mk::dot(&a, &b)).to_bits(), bits(&ax), bits(&ds))
         };
         let reference = run(Backend::Scalar);
         for be in backends() {
@@ -442,7 +449,7 @@ proptest! {
         let factors = randv(seed.wrapping_add(1), rows);
         let run = |be: Backend| {
             let mut c = c0.clone();
-            mk::scale_rows_on(be, &mut c, stride, col0, width, &factors);
+            on(be, || mk::scale_rows(&mut c, stride, col0, width, &factors));
             c
         };
         let reference = run(Backend::Scalar);
@@ -464,7 +471,7 @@ proptest! {
         let x: Vec<f32> = randv(seed, len).iter().map(|v| v * spread).collect();
         let run = |be: Backend| {
             let mut y = x.clone();
-            mk::exp_on(be, &mut y);
+            on(be, || mk::exp(&mut y));
             y
         };
         let reference = run(Backend::Scalar);
@@ -501,7 +508,7 @@ proptest! {
         let run = |be: Backend| {
             let (mut s, mut m, mut l) = (s0.clone(), m0.clone(), l0.clone());
             let mut corr = vec![7.0f32; w];
-            mk::softmax_fold_on(be, &mut s, w, &mut m, &mut l, &mut corr);
+            on(be, || mk::softmax_fold(&mut s, w, &mut m, &mut l, &mut corr));
             [s, m, l, corr].concat()
         };
         let reference = run(Backend::Scalar);
@@ -528,7 +535,7 @@ proptest! {
         let dsum = randv(seed.wrapping_add(3), rows);
         let run = |be: Backend| {
             let (mut s, mut dp) = (s0.clone(), dp0.clone());
-            mk::softmax_bwd_on(be, &mut s, &mut dp, w, &lse, &dsum, 0.25);
+            on(be, || mk::softmax_bwd(&mut s, &mut dp, w, &lse, &dsum, 0.25));
             [s, dp].concat()
         };
         let reference = run(Backend::Scalar);
@@ -577,7 +584,7 @@ proptest! {
                 c_stride: nc,
                 c_col0: 0,
             };
-            mk::gemm_panel_on(be, &p, &mut c);
+            on(be, || mk::gemm_panel(&p, &mut c));
             bits(&c)
         };
         let reference = run(Backend::Scalar);
@@ -726,12 +733,6 @@ fn backend_override_round_trips() {
     if mk::avx2_available() {
         with(Backend::Avx2).enter(|| assert_eq!(mk::backend(), Backend::Avx2));
     }
-    // Auto mode picks AVX2 exactly when the CPU supports it and
-    // `FPDT_SIMD` does not force the scalar fallback.
-    let simd_allowed =
-        fpdt_tensor::env::flag_with_off_values("FPDT_SIMD", true, &["0", "off", "false", "scalar"]);
-    assert_eq!(
-        mk::backend() == Backend::Avx2,
-        simd_allowed && mk::avx2_available()
-    );
+    // The process default is AVX2 exactly when the CPU supports it.
+    assert_eq!(mk::backend() == Backend::Avx2, mk::avx2_available());
 }

@@ -13,25 +13,24 @@ use fpdt_model::config::ModelConfig;
 fn main() {
     let base = TrainConfig {
         model: ModelConfig::tiny(2, 64, 8, 64),
-        world: 4,
         seq: 256,
         steps: 20,
         lr: 3e-3,
         seed: 123,
-        mode: Mode::Single,
         ..TrainConfig::default()
     };
 
     let runs = [
-        ("baseline (1 device)", Mode::Single),
-        ("Ulysses (4 ranks)", Mode::Ulysses),
-        ("Ring Attention (4 ranks)", Mode::Ring),
+        ("baseline (1 device)", Mode::Ulysses, 1),
+        ("Ulysses (4 ranks)", Mode::Ulysses, 4),
+        ("Ring Attention (4 ranks)", Mode::Ring, 4),
         (
             "FPDT 4 chunks",
             Mode::Fpdt {
                 chunks: 4,
                 offload: false,
             },
+            4,
         ),
         (
             "FPDT 4 chunks + offload",
@@ -39,13 +38,15 @@ fn main() {
                 chunks: 4,
                 offload: true,
             },
+            4,
         ),
     ];
 
     let mut curves = Vec::new();
-    for (name, mode) in runs {
+    for (name, mode, world) in runs {
         let report = train(&TrainConfig {
             mode,
+            world,
             ..base.clone()
         });
         println!(

@@ -1,12 +1,11 @@
 //! `fpdt-lint` — run the project-invariant static analysis over the
-//! workspace and gate on the committed baseline.
+//! workspace.
 //!
 //! ```text
-//! fpdt-lint [--root <dir>] [--json] [--list-rules] [--write-baseline]
+//! fpdt-lint [--root <dir>] [--json] [--list-rules]
 //! ```
 //!
-//! Exit codes: 0 clean (modulo baseline), 1 new findings or stale
-//! baseline entries, 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -15,7 +14,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json = false;
     let mut list_rules = false;
-    let mut write_baseline = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -26,11 +24,8 @@ fn main() -> ExitCode {
             },
             "--json" => json = true,
             "--list-rules" => list_rules = true,
-            "--write-baseline" => write_baseline = true,
             "--help" | "-h" => {
-                println!(
-                    "fpdt-lint [--root <dir>] [--json] [--list-rules] [--write-baseline]"
-                );
+                println!("fpdt-lint [--root <dir>] [--json] [--list-rules]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -52,65 +47,26 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = root.join("lint-baseline.json");
-    if write_baseline {
-        let bl = fpdt_lint::baseline::Baseline::from_findings(&report.findings);
-        if let Err(e) = std::fs::write(&baseline_path, bl.to_json()) {
-            eprintln!("fpdt-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "wrote {} ({} grandfathered findings)",
-            baseline_path.display(),
-            report.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match fpdt_lint::baseline::Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("fpdt-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let baselined = baseline.entries.len();
-    let (fresh, stale) = baseline.apply(report.findings.clone());
-
     if json {
-        println!(
-            "{}",
-            fpdt_lint::report_json(&report, &fresh, &stale, baselined)
-        );
+        println!("{}", fpdt_lint::report_json(&report));
     } else {
-        for f in &fresh {
+        for f in &report.findings {
             println!("{}", f.render());
         }
-        for e in &stale {
-            println!(
-                "stale baseline entry [{}] {} — finding no longer fires; regenerate with --write-baseline",
-                e.rule, e.file
-            );
-        }
     }
 
-    if fresh.is_empty() && stale.is_empty() {
+    if report.findings.is_empty() {
         if !json {
             println!(
-                "LINT_OK files={} rules={} baselined={}",
+                "LINT_OK files={} rules={}",
                 report.files_scanned,
-                fpdt_lint::rules::RULES.len(),
-                baselined
+                fpdt_lint::rules::RULES.len()
             );
         }
         ExitCode::SUCCESS
     } else {
         if !json {
-            eprintln!(
-                "fpdt-lint: {} new finding(s), {} stale baseline entr(ies)",
-                fresh.len(),
-                stale.len()
-            );
+            eprintln!("fpdt-lint: {} finding(s)", report.findings.len());
         }
         ExitCode::from(1)
     }
@@ -118,6 +74,6 @@ fn main() -> ExitCode {
 
 fn usage(why: &str) -> ExitCode {
     eprintln!("fpdt-lint: {why}");
-    eprintln!("usage: fpdt-lint [--root <dir>] [--json] [--list-rules] [--write-baseline]");
+    eprintln!("usage: fpdt-lint [--root <dir>] [--json] [--list-rules]");
     ExitCode::from(2)
 }

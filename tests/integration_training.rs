@@ -13,7 +13,6 @@ fn base_config() -> TrainConfig {
         steps: 12,
         lr: 3e-3,
         seed: 99,
-        mode: Mode::Single,
         ..TrainConfig::default()
     }
 }
@@ -33,7 +32,10 @@ fn all_modes_learn_and_agree() {
     // full-precision.
     let mut base = base_config();
     base.runtime = base.runtime.with_payload_bf16(false);
-    let single = train(&base);
+    let single = train(&TrainConfig {
+        world: 1,
+        ..base.clone()
+    });
     assert!(
         single.losses.last().unwrap() < &(single.losses[0] * 0.9),
         "baseline learns: {:?}",

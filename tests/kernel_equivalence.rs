@@ -20,10 +20,10 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn config(mode: Mode) -> TrainConfig {
+fn config(mode: Mode, world: usize) -> TrainConfig {
     TrainConfig {
         model: ModelConfig::tiny(2, 32, 4, 48),
-        world: 2,
+        world,
         seq: 64,
         steps: 4,
         lr: 3e-3,
@@ -33,24 +33,25 @@ fn config(mode: Mode) -> TrainConfig {
     }
 }
 
-/// The loss trajectory of `mode` with `backend`, a thread budget of
-/// `threads` and the parallel-split threshold at 1 forced on the calling
-/// thread (the rank sessions start from its kernel context).
-fn losses(mode: Mode, backend: Backend, threads: usize) -> Vec<f32> {
+/// The loss trajectory of `mode` on `world` ranks with `backend`, a
+/// thread budget of `threads` and the parallel-split threshold at 1
+/// forced on the calling thread (the rank sessions start from its kernel
+/// context).
+fn losses(mode: Mode, world: usize, backend: Backend, threads: usize) -> Vec<f32> {
     let ctx = KernelCtx {
         threads,
         par_threshold: 1,
         backend,
     };
-    ctx.enter(|| train(&config(mode)).losses)
+    ctx.enter(|| train(&config(mode, world)).losses)
 }
 
 /// Trains the given mode under every backend and thread budget and
 /// asserts the loss trajectory never moves a bit. Both legs run under
 /// the ambient `FPDT_BF16` setting: the payload codec is backend-free
 /// scalar integer code, so the equivalence must hold in bf16 mode too.
-fn assert_backend_invariant_training(name: &str, mode: Mode) {
-    let reference = losses(mode, Backend::Scalar, 1);
+fn assert_backend_invariant_training(name: &str, mode: Mode, world: usize) {
+    let reference = losses(mode, world, Backend::Scalar, 1);
     assert!(
         reference.iter().all(|l| l.is_finite()) && !reference.is_empty(),
         "{name}: reference run produced no finite losses"
@@ -63,7 +64,7 @@ fn assert_backend_invariant_training(name: &str, mode: Mode) {
         for threads in [1usize, 2, 8] {
             assert_eq!(
                 bits(&reference),
-                bits(&losses(mode, be, threads)),
+                bits(&losses(mode, world, be, threads)),
                 "{name}: {be:?} backend at {threads} threads changed the loss trajectory"
             );
         }
@@ -72,7 +73,7 @@ fn assert_backend_invariant_training(name: &str, mode: Mode) {
 
 #[test]
 fn single_rank_training_is_backend_invariant() {
-    assert_backend_invariant_training("single", Mode::Single);
+    assert_backend_invariant_training("single", Mode::Ulysses, 1);
 }
 
 #[test]
@@ -83,5 +84,6 @@ fn fpdt_offload_training_is_backend_invariant() {
             chunks: 2,
             offload: true,
         },
+        2,
     );
 }
