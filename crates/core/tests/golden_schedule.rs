@@ -21,8 +21,9 @@
 //! and commit the rewritten golden files with a note on what moved.
 //!
 //! `tests/golden/exec_grads.txt` pins *values* across commits: the loss
-//! and gradient bits of the offloaded two-rank fixture run, so a change
-//! that claims to move bytes but not arithmetic shows it did not.
+//! and gradient bits of the offloaded two-rank fixture run, with f32 and
+//! with bf16 payloads, so a change that claims to move bytes but not
+//! arithmetic shows it did not.
 //! `tests/golden/ckpt_shards.txt` pins the on-disk checkpoint format the
 //! same way, with values apart from counters: per shard of a two-step
 //! run, one line digests every value entry and one lists the `stats.*`
@@ -124,10 +125,20 @@ fn check_golden(file: &str, body: &str) {
         )
     });
     if body != want {
-        for (got, exp) in body.lines().zip(want.lines()) {
-            if got != exp {
-                eprintln!("golden mismatch:\n  expected {exp}\n  actual   {got}");
+        let (got, exp): (Vec<&str>, Vec<&str>) = (body.lines().collect(), want.lines().collect());
+        if got.len() != exp.len() {
+            eprintln!("golden length: expected {} lines, actual {}", exp.len(), got.len());
+        }
+        for (g, e) in got.iter().zip(&exp) {
+            if g != e {
+                eprintln!("golden mismatch:\n  expected {e}\n  actual   {g}");
             }
+        }
+        for e in exp.iter().skip(got.len()) {
+            eprintln!("golden missing:\n  expected {e}");
+        }
+        for g in got.iter().skip(exp.len()) {
+            eprintln!("golden extra:\n  actual   {g}");
         }
         panic!("diverged from tests/golden/{file}; if intentional, regenerate with GOLDEN_REGEN=1");
     }
@@ -166,25 +177,29 @@ fn runtime_tile_order_matches_golden() {
 
 #[test]
 fn offloaded_gradients_match_golden_bits() {
-    // One line per (chunk count, rank): the loss bits and a digest of
-    // every gradient's bits. f32 payloads; the thread count cannot move
-    // a bit (`determinism_oracle`), so the ambient budget is fine.
+    // One line per (payload format, chunk count, rank): the loss bits and
+    // a digest of every gradient's bits. The f32 lines come first, the
+    // bf16 ones (KV chunks rounded through bf16 in the host pool) after
+    // them with a `bf16` prefix. The thread count cannot move a bit
+    // (`determinism_oracle`), so the ambient budget is fine.
     let mut body = String::new();
-    for u in [2usize, 4] {
-        let opts = RuntimeOptions::from_env().with_payload_bf16(false);
-        for (rank, (loss, grads, _)) in common::grad_run(42, u, true, opts).iter().enumerate() {
-            let bytes: Vec<u8> = grads
-                .iter()
-                .flat_map(|g| g.to_bits().to_le_bytes())
-                .collect();
-            writeln!(
-                body,
-                "u{u} rank{rank} loss {:08x} grads {} {:016x}",
-                loss.to_bits(),
-                grads.len(),
-                fnv1a(&bytes)
-            )
-            .unwrap();
+    for (bf16, prefix) in [(false, ""), (true, "bf16 ")] {
+        for u in [2usize, 4] {
+            let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
+            for (rank, (loss, grads, _)) in common::grad_run(42, u, true, opts).iter().enumerate() {
+                let bytes: Vec<u8> = grads
+                    .iter()
+                    .flat_map(|g| g.to_bits().to_le_bytes())
+                    .collect();
+                writeln!(
+                    body,
+                    "{prefix}u{u} rank{rank} loss {:08x} grads {} {:016x}",
+                    loss.to_bits(),
+                    grads.len(),
+                    fnv1a(&bytes)
+                )
+                .unwrap();
+            }
         }
     }
     check_golden("exec_grads.txt", &body);
