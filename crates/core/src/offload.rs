@@ -356,16 +356,23 @@ impl OffloadEngine {
         landed
     }
 
-    /// Stores a shared chunk. With offload on this is the device-to-host
-    /// copy: the residency update and the read pass are immediate, the
-    /// wire time goes on the D2H clock. With offload off it is an `Arc`
-    /// move into the store.
+    /// Stores a shared chunk and hands back its stored form: exactly what
+    /// a later fetch of `key` returns. With offload on this is the
+    /// device-to-host copy: the residency update and the read pass are
+    /// immediate, the wire time goes on the D2H clock. With offload off it
+    /// is an `Arc` move into the store.
+    ///
+    /// The stored form is `t` itself (the same `Arc`, no copy) for every
+    /// f32 chunk; a KV chunk rounded through bf16 comes back as its
+    /// rounded copy widened to f32. A caller that keeps the returned chunk
+    /// on the device therefore reads the bits the pool holds, whatever the
+    /// payload format.
     ///
     /// # Panics
     ///
     /// Panics if the key is already resident — putting the same chunk
     /// twice without fetching it is a scheduler bug.
-    pub fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) {
+    pub fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) -> Arc<Tensor> {
         let entry = if self.offload {
             let chunk = if self.payload_bf16 && matches!(key.kind, BufKind::K | BufKind::V) {
                 HostChunk::Bf16(Arc::new(Bf16Tensor::from_f32(&t)))
@@ -382,8 +389,10 @@ impl OffloadEngine {
         } else {
             (HostChunk::F32(t), None)
         };
+        let stored = entry.0.widen();
         let prev = self.store.insert(key, entry);
         assert!(prev.is_none(), "chunk {key:?} put twice");
+        stored
     }
 
     /// Issues a host-to-device transfer and returns a [`FetchHandle`] to
@@ -595,6 +604,37 @@ mod tests {
         for (got, &x) in back.data().iter().zip(&vals) {
             assert_eq!(*got, bf16_to_f32(f32_to_bf16(x)), "exactly one RNE rounding");
         }
+    }
+
+    #[test]
+    fn put_returns_what_a_fetch_returns() {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // f32: the very Arc the caller put, and the one a fetch returns.
+        let mut f32_pool = pool();
+        let key = ChunkKey::new(0, BufKind::K, 0);
+        let t = Arc::new(Tensor::arange(8));
+        let stored = f32_pool.put(key, Arc::clone(&t));
+        assert!(Arc::ptr_eq(&stored, &t), "f32 put hands back its input");
+        assert!(Arc::ptr_eq(&stored, &fetch(&mut f32_pool, &key, true).unwrap()));
+        // bf16 K/V: the rounded chunk, bit for bit what a fetch widens.
+        // 1 + 2^-10 has no bf16 form (7 mantissa bits), so it must move.
+        let mut bf16_pool = pool();
+        bf16_pool.set_payload_bf16(true);
+        let t = Arc::new(Tensor::from_vec(vec![1.0 + 1.0 / 1024.0, 0.5], &[2]).unwrap());
+        for kind in [BufKind::K, BufKind::V] {
+            let key = ChunkKey::new(0, kind, 0);
+            let stored = bf16_pool.put(key, Arc::clone(&t));
+            assert_eq!(bits(&stored), bits(&fetch(&mut bf16_pool, &key, true).unwrap()), "{kind:?}");
+            assert_ne!(bits(&stored), bits(&t), "{kind:?} was not rounded");
+        }
+        // bf16 Q/Lse stay f32, and so does every chunk with offload off.
+        for key in [ChunkKey::new(0, BufKind::Q, 0), ChunkKey::new(0, BufKind::Lse, 0)] {
+            assert!(Arc::ptr_eq(&bf16_pool.put(key, Arc::clone(&t)), &t), "{key:?}");
+        }
+        let mut device = OffloadEngine::for_rank(0, 0.0, false);
+        device.set_payload_bf16(true);
+        let key = ChunkKey::new(0, BufKind::K, 0);
+        assert!(Arc::ptr_eq(&device.put(key, Arc::clone(&t)), &t), "offload off");
     }
 
     #[test]

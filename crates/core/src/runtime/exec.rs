@@ -167,10 +167,18 @@ fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResul
 /// row-dot `D = rowsum(O ∘ dO)` once from the block's own `O` in the local
 /// layout and ships each chunk's slice with its `dO` gather.
 ///
+/// The forward folds chunk `i`'s KV tiles in ascending `j`: `j < i-1`
+/// double-buffered from the chunk store, then `j = i-1` from a one-chunk
+/// KV window — chunk `i-1`'s pair in the form [`OffloadEngine::put`]
+/// handed back, kept on the device instead of fetched straight back —
+/// then the diagonal. A layer's forward keep-fetches are therefore
+/// `(u-1)(u-2)`, not `u(u-1)`, at a device price of one extra K/V pair
+/// while chunk `i`'s host tiles run.
+///
 /// The causal tile triangle is cut so every pipeline slot carries
 /// near-equal work: the forward posts all fused QKV ops up-front and
-/// carries each chunk's first KV fetch into the previous chunk's slot,
-/// and the backward walks [`tile_slots`] rather than the paper's
+/// carries each chunk's first host KV fetch into the previous chunk's
+/// slot, and the backward walks [`tile_slots`] rather than the paper's
 /// column-per-slot Figure-7 nest (same tiles, same per-index
 /// accumulation order, same pool/comm operation counts — see DESIGN.md
 /// "Tile schedule" for why only this cut is kept).
@@ -532,12 +540,25 @@ impl AttentionExec for DistAttention {
             qkv_posted.push(self.post_qkv(q, k, v, range.start, c_loc)?);
         }
         let mut o_handles: Vec<Pending> = Vec::with_capacity(u);
-        // Cross-chunk KV carry: chunk i+1's first KV fetch is issued while
-        // chunk i is still computing, so no slot opens on an exposed
-        // transfer.
+        // The KV window: chunk i-1's K/V pair as the pool stores it (what
+        // `put` hands back), kept on the device for chunk i's j = i-1
+        // update instead of being fetched straight back.
+        let mut window: Option<[Arc<Tensor>; 2]> = None;
+        // Cross-chunk KV carry: chunk i+1's first host fetch (KV 0) is
+        // issued while chunk i is still computing, so no slot opens on an
+        // exposed transfer.
         let mut carry = None;
         for (i, cur) in qkv_posted.into_iter().enumerate() {
             let _slot = self.span("slot.fwd", 0);
+            // Tiles j < i-1 come from the host; (i, i-1) from the window.
+            let host_tiles = i.saturating_sub(1);
+            let mut next = carry.take();
+            // Chunk 1 has no host tile to hang the carry on, and chunk 0's
+            // K/V are already put, so the carry for chunk 2 goes on the
+            // copy stream here.
+            if i == 1 && u > 2 {
+                carry = Some(self.fetch_kv(layer, 0, false)?);
+            }
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
             let [qh, kh, vh] = landed(&mut self.engine, cur)?;
@@ -545,28 +566,33 @@ impl AttentionExec for DistAttention {
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
             let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
-            // Stream previously cached KV chunks from host memory,
+            // Stream the older cached KV chunks from host memory,
             // double-buffered: chunk j+1's transfer is issued before chunk
             // j's update runs, so the copy stream hides it behind compute
             // (paper Figure 13).
-            let mut next = carry.take();
-            for j in 0..i {
+            for j in 0..host_tiles {
                 let cur = next.take().ok_or("KV chunk j was not prefetched")?;
-                next = if j + 1 < i {
+                next = if j + 1 < host_tiles {
                     Some(self.fetch_kv(layer, j + 1, false)?)
                 } else {
                     None
                 };
                 let [kj, vj] = cur.wait();
-                // The carry for chunk i+1, issued on the last inner tile
-                // only after `cur` resolved: when i == 1 this tile's
+                // The carry for chunk i+1, issued on the last host tile
+                // only after `cur` resolved: when i == 2 this tile's
                 // handles ARE chunk 0's K/V keys, and the pool treats a
                 // second in-flight fetch of a key as a schedule bug.
-                if j + 1 == i && i + 1 < u {
+                if j + 1 == host_tiles && i + 1 < u {
                     carry = Some(self.fetch_kv(layer, 0, false)?);
                 }
                 let _u = self.span("kernel.attn.update", kj.data().len());
                 st.update(&kj, &vj, &self.plan.gathered_positions(j))?;
+            }
+            // Ascending j: the window's chunk i-1 after the host tiles,
+            // then the diagonal. The pair is dropped after its update.
+            if let Some([kw, vw]) = window.take() {
+                let _u = self.span("kernel.attn.update", kw.data().len());
+                st.update(&kw, &vw, &self.plan.gathered_positions(i - 1))?;
             }
             {
                 let _u = self.span("kernel.attn.update", kh.data().len());
@@ -579,22 +605,19 @@ impl AttentionExec for DistAttention {
             drop(attn_span);
             // Cache what the backward needs except O, which the block keeps
             // for its own projection and hands back to the backward. K and
-            // V go down first: the next chunk fetches them straight back,
-            // and a fetch waits for its chunk's put.
-            self.store.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
-            self.store.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
+            // V go down first, and their stored form becomes the next
+            // chunk's window (bf16-rounded when the pool rounds them).
+            let kw = self.store.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
+            let vw = self.store.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
+            if i + 1 < u {
+                window = Some([kw, vw]);
+            }
             self.store.put(ChunkKey::new(layer, BufKind::Q, i), qh);
             let lse_len = oi.shape()[0] * oi.shape()[1];
             self.store.put(
                 ChunkKey::new(layer, BufKind::Lse, i),
                 Arc::new(Tensor::from_vec(lse, &[lse_len])?),
             );
-            // Chunk 0 has no inner tiles to hang the carry on; its K/V
-            // puts just above make chunk 0's cache fetchable, so the carry
-            // for chunk 1 is issued here.
-            if i == 0 && u > 1 {
-                carry = Some(self.fetch_kv(layer, 0, false)?);
-            }
             // Gather heads back: the output chunk returns to local layout.
             o_handles.push(self.post("a2a.gather_heads", &[&oi], true)?);
         }
@@ -1023,10 +1046,13 @@ mod tests {
     #[test]
     fn schedule_audit_transfer_and_post_counts() {
         // Transfer- and post-count audit of the schedule for u chunks:
-        //   forward : each chunk i keep-fetches K and V for j < i
-        //             -> 2 * u(u-1)/2 = u(u-1) fetches; puts K, V, Q, Lse
-        //             (O stays with the block) -> 4u puts; one fused QKV
-        //             + one O post per chunk -> 2u posts
+        //   forward : chunk i keep-fetches K and V for j < i-1 only — its
+        //             j = i-1 tile reads the KV window, the pair chunk
+        //             i-1 put — so 2 * (u-1)(u-2)/2 = (u-1)(u-2) fetches
+        //             (u = 3: just the carry of KV 0 that chunk 1 issues
+        //             for chunk 2); puts K, V, Q, Lse (O stays with the
+        //             block) -> 4u puts; one fused QKV + one O post per
+        //             chunk -> 2u posts
         //   backward: 2u KV takes (each KV chunk exactly ONCE per column)
         //             + 2u row takes ([Q, Lse] once per query row) and
         //             no puts — an open row stays on the rank thread;
@@ -1034,12 +1060,13 @@ mod tests {
         //             cumulative.
         // Bytes per layer, with C one gathered query chunk, C_kv one
         // gathered K or V chunk on the pool and L the chunk's lse:
-        //   D2H = u(2C_kv + C + L),  H2D = u(u-1)·C_kv + u(2C_kv + C + L),
-        // where C_kv = C here, or C / 2 under bf16 payloads. Any drift in the posts
-        // means the double buffering degenerated (0 extra posts) or an op
-        // stopped being fused (3u instead of u).
+        //   forward H2D = (u-1)(u-2)·C_kv,  D2H = u(2C_kv + C + L),
+        //   H2D = (u-1)(u-2)·C_kv + u(2C_kv + C + L),
+        // where C_kv = C here, or C / 2 under bf16 payloads. Any drift in
+        // the posts means the double buffering degenerated (0 extra posts)
+        // or an op stopped being fused (3u instead of u).
         for bf16 in [false, true] {
-            for u in [1usize, 2, 4, 5] {
+            for u in [1usize, 2, 3, 4, 5] {
                 let (s, h, d) = (4 * u, 2, 4);
                 let (q, k, v) = rand_qkv(11, s, h, d);
                 let dout = Tensor::ones(&[s / 2, h, d]);
@@ -1063,15 +1090,14 @@ mod tests {
                 // One gathered chunk: s/u rows of h/2 local heads.
                 let (c, l) = ((s / u) * (h / 2) * d * 4, (s / u) * (h / 2) * 4);
                 let kv = if bf16 { c / 2 } else { c };
-                let h2d = u * (u - 1) * kv + u * (2 * kv + c + l);
+                let keeps = (u - 1) * u.saturating_sub(2);
+                let h2d_fwd = keeps * kv;
+                let h2d = h2d_fwd + u * (2 * kv + c + l);
                 let d2h = u * (2 * kv + c + l);
                 for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
                     let at = format!("u={u}, bf16={bf16}");
-                    assert_eq!(
-                        after_fwd.fetches,
-                        (u * (u - 1)) as u64,
-                        "forward fetches, {at}"
-                    );
+                    assert_eq!(after_fwd.fetches, keeps as u64, "forward fetches, {at}");
+                    assert_eq!(after_fwd.bytes_fetched, h2d_fwd as u64, "forward H2D bytes, {at}");
                     assert_eq!(after_fwd.offloads, (4 * u) as u64, "forward puts, {at}");
                     assert_eq!(posted_fwd, (2 * u) as u64, "QKV + O post per chunk, {at}");
                     assert_eq!(
