@@ -170,10 +170,9 @@ fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResul
 /// The forward folds chunk `i`'s KV tiles in ascending `j`: `j < i-1`
 /// double-buffered from the chunk store, then `j = i-1` from a one-chunk
 /// KV window — chunk `i-1`'s pair in the form [`OffloadEngine::put`]
-/// handed back, kept on the device instead of fetched straight back —
-/// then the diagonal. A layer's forward keep-fetches are therefore
-/// `(u-1)(u-2)`, not `u(u-1)`, at a device price of one extra K/V pair
-/// while chunk `i`'s host tiles run.
+/// handed back, still on the device — then the diagonal. A layer's
+/// forward keep-fetches are therefore `(u-1)(u-2)`, at a device price of
+/// one extra K/V pair while chunk `i`'s host tiles run.
 ///
 /// The causal tile triangle is cut so every pipeline slot carries
 /// near-equal work: the forward posts all fused QKV ops up-front and
@@ -541,8 +540,9 @@ impl AttentionExec for DistAttention {
         }
         let mut o_handles: Vec<Pending> = Vec::with_capacity(u);
         // The KV window: chunk i-1's K/V pair as the pool stores it (what
-        // `put` hands back), kept on the device for chunk i's j = i-1
-        // update instead of being fetched straight back.
+        // `put` hands back), read from the device by chunk i's j = i-1
+        // update. Its put has only just left, so a fetch would wait for
+        // the put to land and then for its own transfer.
         let mut window: Option<[Arc<Tensor>; 2]> = None;
         // Cross-chunk KV carry: chunk i+1's first host fetch (KV 0) is
         // issued while chunk i is still computing, so no slot opens on an
