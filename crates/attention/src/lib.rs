@@ -4,19 +4,19 @@
 //! `[seq, heads, head_dim]` tensors (the layout produced by the Ulysses
 //! all-to-all: full sequence, local heads).
 //!
-//! Three levels of the same computation, each bit-compatible with the last
-//! up to floating-point reassociation:
+//! Two levels of the same computation, equal up to floating-point
+//! reassociation:
 //!
 //! 1. [`mod@reference`] — materializes the full `QKᵀ` score matrix. `O(N²)`
 //!    memory; the ground truth everything else is property-tested against.
 //! 2. [`online`] — FlashAttention-style blockwise online softmax with a
 //!    carried `(acc, m, l)` state and a log-sum-exp side output, plus the
 //!    matching blockwise backward. `O(N)` memory.
-//! 3. [`chunked`] — FPDT's streaming schedule built from the online
-//!    kernels: the forward consumes KV chunks one at a time per query chunk
-//!    (the state that survives host-memory round-trips), and the backward
-//!    runs the paper's KV-outer/Q-inner nested loop (Figure 7), finalizing
-//!    `dK/dV` per outer step and `dQ` per inner sweep.
+//!
+//! FPDT's chunk schedule — the forward streaming KV chunks through an
+//! [`online::OnlineAttention`] per query chunk, the backward the paper's
+//! Figure-7 tile nest over [`online::attention_block_bwd`] — lives in one
+//! place, `fpdt-core`'s `DistAttention`, which also runs on one device.
 //!
 //! Causality is expressed through *global token positions*, not chunk
 //! indices — a query at global position `p` attends to keys at positions
@@ -28,8 +28,8 @@
 //! ## Example
 //!
 //! ```
-//! use fpdt_attention::{chunked, reference};
-//! use fpdt_tensor::{init, Tensor};
+//! use fpdt_attention::{online::OnlineAttention, reference};
+//! use fpdt_tensor::init;
 //!
 //! # fn main() -> Result<(), fpdt_tensor::TensorError> {
 //! let mut rng = init::seeded_rng(1);
@@ -37,9 +37,16 @@
 //! let q = init::randn(&mut rng, &[s, h, d], 1.0);
 //! let k = init::randn(&mut rng, &[s, h, d], 1.0);
 //! let v = init::randn(&mut rng, &[s, h, d], 1.0);
+//! let pos: Vec<usize> = (0..s).collect();
 //!
 //! let full = reference::causal_attention(&q, &k, &v)?;
-//! let (streamed, _lse) = chunked::causal_attention_chunked(&q, &k, &v, 4)?;
+//! // Stream the keys in four blocks, as KV chunks arrive from the host.
+//! let mut st = OnlineAttention::new(&q, &pos, None)?;
+//! for j in 0..4 {
+//!     let (kj, vj) = (k.narrow(0, 4 * j, 4)?, v.narrow(0, 4 * j, 4)?);
+//!     st.update(&kj, &vj, &pos[4 * j..4 * (j + 1)])?;
+//! }
+//! let (streamed, _lse) = st.finalize();
 //! assert!(streamed.allclose(&full, 1e-4, 1e-5));
 //! # Ok(())
 //! # }
@@ -47,7 +54,6 @@
 
 #![deny(missing_docs)]
 
-pub mod chunked;
 pub mod flops;
 pub mod online;
 pub mod reference;

@@ -364,3 +364,84 @@ mod tests {
         assert!(attention_with_positions(&q, &q, &q, &pos, &pos, 1.0).is_err());
     }
 }
+
+#[cfg(test)]
+mod gqa_tests {
+    use super::*;
+    use crate::reference;
+    use fpdt_tensor::init;
+
+    /// Expands `[s, hkv, d]` KV to `[s, hq, d]` by repeating each KV head
+    /// `hq/hkv` times — GQA must match MHA over the expanded tensors.
+    fn expand_kv(t: &Tensor, hq: usize) -> Tensor {
+        let (s, hkv, d) = (t.shape()[0], t.shape()[1], t.shape()[2]);
+        let ratio = hq / hkv;
+        let mut out = Tensor::zeros(&[s, hq, d]);
+        for row in 0..s {
+            for h in 0..hq {
+                let src = (row * hkv + h / ratio) * d;
+                let dst = (row * hq + h) * d;
+                let vals: Vec<f32> = t.data()[src..src + d].to_vec();
+                out.data_mut()[dst..dst + d].copy_from_slice(&vals);
+            }
+        }
+        out
+    }
+
+    fn rand_gqa(seed: u64, s: usize, hq: usize, hkv: usize, d: usize) -> (Tensor, Tensor, Tensor) {
+        let mut rng = init::seeded_rng(seed);
+        (
+            init::randn(&mut rng, &[s, hq, d], 1.0),
+            init::randn(&mut rng, &[s, hkv, d], 1.0),
+            init::randn(&mut rng, &[s, hkv, d], 1.0),
+        )
+    }
+
+    #[test]
+    fn gqa_forward_equals_expanded_mha() {
+        let (q, k, v) = rand_gqa(0, 16, 8, 2, 4);
+        let gqa = reference::causal_attention(&q, &k, &v).unwrap();
+        let mha = reference::causal_attention(&q, &expand_kv(&k, 8), &expand_kv(&v, 8)).unwrap();
+        assert!(gqa.allclose(&mha, 1e-5, 1e-6));
+    }
+
+    #[test]
+    fn gqa_backward_sums_grouped_heads() {
+        // dk/dv under GQA must equal the head-group sums of the expanded
+        // MHA gradients.
+        let (q, k, v) = rand_gqa(2, 12, 4, 2, 4);
+        let mut rng = init::seeded_rng(3);
+        let dout = init::randn(&mut rng, &[12, 4, 4], 1.0);
+        let (gdq, gdk, gdv) = reference::causal_attention_bwd(&q, &k, &v, &dout).unwrap();
+        let (mdq, mdk, mdv) =
+            reference::causal_attention_bwd(&q, &expand_kv(&k, 4), &expand_kv(&v, 4), &dout)
+                .unwrap();
+        assert!(gdq.allclose(&mdq, 1e-4, 1e-5));
+        // sum expanded dk over each group of ratio=2 heads
+        let fold = |t: &Tensor| {
+            let (s, hq, d) = (t.shape()[0], t.shape()[1], t.shape()[2]);
+            let hkv = 2;
+            let ratio = hq / hkv;
+            let mut out = Tensor::zeros(&[s, hkv, d]);
+            for row in 0..s {
+                for h in 0..hq {
+                    for i in 0..d {
+                        let val = t.at(&[row, h, i]);
+                        let cur = out.at(&[row, h / ratio, i]);
+                        out.set(&[row, h / ratio, i], cur + val);
+                    }
+                }
+            }
+            out
+        };
+        assert!(gdk.allclose(&fold(&mdk), 1e-4, 1e-5));
+        assert!(gdv.allclose(&fold(&mdv), 1e-4, 1e-5));
+    }
+
+    #[test]
+    fn invalid_head_ratios_rejected() {
+        let q = Tensor::zeros(&[4, 6, 4]);
+        let kv = Tensor::zeros(&[4, 4, 4]); // 6 % 4 != 0
+        assert!(reference::causal_attention(&q, &kv, &kv).is_err());
+    }
+}

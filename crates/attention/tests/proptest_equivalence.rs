@@ -1,12 +1,13 @@
-//! Property-based equivalence tests: the online-softmax and FPDT chunked
-//! kernels must agree with the materializing reference implementation for
-//! arbitrary shapes, chunk counts and block arrival orders — including
-//! tiles that land on and past the blocked kernel's block edges
-//! (`block_edges`).
+//! Property-based equivalence tests: the online-softmax kernels must agree
+//! with the materializing reference implementation for arbitrary shapes
+//! and block arrival orders — including tiles that land on and past the
+//! blocked kernel's block edges (`block_edges`). The chunk schedule built
+//! from them is tested against the reference in `fpdt-core`
+//! (`tests/one_rank_attention.rs`).
 
 mod common;
 
-use fpdt_attention::{chunked, online::OnlineAttention, reference};
+use fpdt_attention::{online::OnlineAttention, reference};
 use fpdt_tensor::{init, Tensor};
 use proptest::prelude::*;
 
@@ -19,55 +20,8 @@ fn rand_qkv(seed: u64, s: usize, h: usize, d: usize) -> (Tensor, Tensor, Tensor)
     )
 }
 
-/// Chunk counts that divide the sequence length.
-fn divisors(s: usize) -> Vec<usize> {
-    (1..=s).filter(|c| s.is_multiple_of(*c)).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn chunked_forward_equals_reference(
-        seed in 0u64..1000,
-        s_pow in 2usize..6, // s = 4..32
-        h in 1usize..4,
-        d_pow in 1usize..4, // d = 2..8
-        chunk_sel in 0usize..8,
-    ) {
-        let s = 1 << s_pow;
-        let d = 1 << d_pow;
-        let (q, k, v) = rand_qkv(seed, s, h, d);
-        let divs = divisors(s);
-        let chunks = divs[chunk_sel % divs.len()];
-        let want = reference::causal_attention(&q, &k, &v).unwrap();
-        let (got, lse) = chunked::causal_attention_chunked(&q, &k, &v, chunks).unwrap();
-        prop_assert!(got.allclose(&want, 1e-3, 1e-4), "chunks={chunks} s={s}");
-        prop_assert_eq!(lse.len(), s * h);
-        prop_assert!(lse.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn chunked_backward_equals_reference(
-        seed in 0u64..1000,
-        s_pow in 2usize..5, // s = 4..16
-        h in 1usize..3,
-        chunk_sel in 0usize..8,
-    ) {
-        let s = 1 << s_pow;
-        let d = 4;
-        let (q, k, v) = rand_qkv(seed, s, h, d);
-        let mut rng = init::seeded_rng(seed ^ 0xdead);
-        let dout = init::randn(&mut rng, &[s, h, d], 1.0);
-        let divs = divisors(s);
-        let chunks = divs[chunk_sel % divs.len()];
-        let (o, lse) = chunked::causal_attention_chunked(&q, &k, &v, chunks).unwrap();
-        let g = chunked::causal_attention_chunked_bwd(&q, &k, &v, &o, &dout, &lse, chunks).unwrap();
-        let (rdq, rdk, rdv) = reference::causal_attention_bwd(&q, &k, &v, &dout).unwrap();
-        prop_assert!(g.dq.allclose(&rdq, 5e-3, 5e-4), "dq chunks={chunks}");
-        prop_assert!(g.dk.allclose(&rdk, 5e-3, 5e-4), "dk chunks={chunks}");
-        prop_assert!(g.dv.allclose(&rdv, 5e-3, 5e-4), "dv chunks={chunks}");
-    }
 
     #[test]
     fn online_state_is_order_invariant(
@@ -100,27 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn attention_is_causal_for_random_prefix_edits(
-        seed in 0u64..1000,
-        cut in 1usize..15,
-    ) {
-        // Changing tokens at positions >= cut must not change outputs < cut.
-        let s = 16usize;
-        let (q, k, v) = rand_qkv(seed, s, 1, 4);
-        let (o1, _) = chunked::causal_attention_chunked(&q, &k, &v, 4).unwrap();
-        let mut k2 = k.clone();
-        let mut v2 = v.clone();
-        for i in cut * 4..s * 4 {
-            k2.data_mut()[i] = -k2.data()[i] + 1.0;
-            v2.data_mut()[i] *= 2.0;
-        }
-        let (o2, _) = chunked::causal_attention_chunked(&q, &k2, &v2, 4).unwrap();
-        let a = o1.narrow(0, 0, cut).unwrap();
-        let b = o2.narrow(0, 0, cut).unwrap();
-        prop_assert!(a.allclose(&b, 1e-5, 1e-6));
-    }
-
-    #[test]
     fn lse_matches_direct_logsumexp(
         seed in 0u64..1000,
     ) {
@@ -128,7 +61,14 @@ proptest! {
         // directly for a small case.
         let s = 8usize;
         let (q, k, v) = rand_qkv(seed, s, 1, 4);
-        let (_, lse) = chunked::causal_attention_chunked(&q, &k, &v, 2).unwrap();
+        let pos: Vec<usize> = (0..s).collect();
+        let mut st = OnlineAttention::new(&q, &pos, None).unwrap();
+        for j in 0..2 {
+            let kj = k.narrow(0, j * 4, 4).unwrap();
+            let vj = v.narrow(0, j * 4, 4).unwrap();
+            st.update(&kj, &vj, &pos[j * 4..(j + 1) * 4]).unwrap();
+        }
+        let (_, lse) = st.finalize();
         let scale = 0.5; // 1/sqrt(4)
         #[allow(clippy::needless_range_loop)] // a indexes q rows and lse together
         for a in 0..s {
@@ -144,64 +84,6 @@ proptest! {
             let m = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             let direct = m + scores.iter().map(|&x| (x - m).exp()).sum::<f32>().ln();
             prop_assert!((direct - lse[a]).abs() < 1e-3, "row {a}: {direct} vs {}", lse[a]);
-        }
-    }
-}
-
-mod gqa_props {
-    use super::*;
-
-    fn rand_gqa(
-        seed: u64,
-        s: usize,
-        hq: usize,
-        hkv: usize,
-        d: usize,
-    ) -> (Tensor, Tensor, Tensor) {
-        let mut rng = init::seeded_rng(seed);
-        (
-            init::randn(&mut rng, &[s, hq, d], 1.0),
-            init::randn(&mut rng, &[s, hkv, d], 1.0),
-            init::randn(&mut rng, &[s, hkv, d], 1.0),
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn gqa_chunked_equals_reference_for_any_grouping(
-            seed in 0u64..1000,
-            hkv in 1usize..4,
-            ratio in 1usize..4,
-            chunk_sel in 0usize..4,
-        ) {
-            let s = 16usize;
-            let hq = hkv * ratio;
-            let (q, k, v) = rand_gqa(seed, s, hq, hkv, 4);
-            let chunks = [1usize, 2, 4, 8][chunk_sel];
-            let want = reference::causal_attention(&q, &k, &v).unwrap();
-            let (got, _) = chunked::causal_attention_chunked(&q, &k, &v, chunks).unwrap();
-            prop_assert!(got.allclose(&want, 1e-3, 1e-4), "hq={hq} hkv={hkv} chunks={chunks}");
-        }
-
-        #[test]
-        fn gqa_gradients_agree_with_reference(
-            seed in 0u64..1000,
-            hkv in 1usize..3,
-            ratio in 1usize..4,
-        ) {
-            let s = 8usize;
-            let hq = hkv * ratio;
-            let (q, k, v) = rand_gqa(seed, s, hq, hkv, 4);
-            let mut rng = init::seeded_rng(seed ^ 0xbeef);
-            let dout = init::randn(&mut rng, &[s, hq, 4], 1.0);
-            let (o, lse) = chunked::causal_attention_chunked(&q, &k, &v, 2).unwrap();
-            let g = chunked::causal_attention_chunked_bwd(&q, &k, &v, &o, &dout, &lse, 2).unwrap();
-            let (rdq, rdk, rdv) = reference::causal_attention_bwd(&q, &k, &v, &dout).unwrap();
-            prop_assert!(g.dq.allclose(&rdq, 5e-3, 5e-4));
-            prop_assert!(g.dk.allclose(&rdk, 5e-3, 5e-4));
-            prop_assert!(g.dv.allclose(&rdv, 5e-3, 5e-4));
         }
     }
 }

@@ -465,7 +465,7 @@ fn serve(
         Mode::Ring => Box::new(RingAttentionExec::new(&comm, cfg.seq)),
         Mode::Ulysses | Mode::Fpdt { .. } => {
             let ex =
-                DistAttention::with_opts(Arc::clone(&comm), plan, cfg.mode.offload(), cfg.runtime);
+                DistAttention::with_opts(Arc::clone(&comm), cfg.mode.chunks(), cfg.mode.offload(), cfg.runtime);
             Box::new(match recorder {
                 Some(rec) => ex.with_recorder(rec.clone()),
                 None => ex,

@@ -5,21 +5,23 @@
 //! attention output back in the same layout. What happens in between is
 //! the difference between the training modes:
 //!
-//! * [`LocalAttention`] — single device, chunked online attention.
-//! * [`DistAttention`] — the distributed path: per-chunk Ulysses
-//!   all-to-all (heads scatter / sequence gather), streaming online
-//!   attention over cached KV chunks, host offload, and a backward that
-//!   walks the causal tile triangle in [`tile_slots`] order. With
-//!   `chunks == 1` this *is* DeepSpeed Ulysses; with `chunks > 1` it is
-//!   FPDT.
+//! * [`DistAttention`] — the chunked path, the one description of the
+//!   paper's chunk schedule: per-chunk Ulysses all-to-all (heads scatter /
+//!   sequence gather), streaming online attention over cached KV chunks,
+//!   host offload, and a backward that walks the causal tile triangle in
+//!   [`tile_slots`] order. With `chunks == 1` this *is* DeepSpeed Ulysses;
+//!   with `chunks > 1` it is FPDT. Over a one-rank group it is one-device
+//!   chunked attention ([`LocalAttention`], [`DistAttention::new`]): every
+//!   all-to-all keeps its only part on the rank and moves nothing.
+//! * [`RingAttentionExec`] — Ring Attention, full heads, rotating KV.
 
 use super::options::RuntimeOptions;
 use crate::chunk::{tile_slots, ChunkPlan};
 use crate::offload::{BufKind, ChunkKey, FetchHandle, OffloadEngine, PoolStats};
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
-use fpdt_attention::{chunked, default_scale};
-use fpdt_comm::{AllToAllLayout, CommEngine, Communicator, Pending};
-use fpdt_tensor::Tensor;
+use fpdt_attention::default_scale;
+use fpdt_comm::{AllToAllLayout, CommEngine, CommGroup, Communicator, Pending};
+use fpdt_tensor::{Tensor, TensorError};
 use fpdt_trace::{Recorder, Span};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -68,86 +70,15 @@ pub trait AttentionExec {
     }
 }
 
-struct LocalSaved {
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    lse: Vec<f32>,
-    pos: Vec<usize>,
-}
-
-/// Single-device chunked attention without a communicator, for model
-/// tests and probes (a one-rank `Trainer` runs its mode's executor).
-#[derive(Default)]
-pub struct LocalAttention {
-    /// Number of sequence chunks for the streaming kernels (1 = plain
-    /// FlashAttention-style pass).
-    pub chunks: usize,
-    saved: HashMap<usize, LocalSaved>,
-}
-
-impl LocalAttention {
-    /// Creates an executor with the given chunk count.
-    pub fn new(chunks: usize) -> Self {
-        LocalAttention {
-            chunks: chunks.max(1),
-            saved: HashMap::new(),
-        }
-    }
-}
-
-impl AttentionExec for LocalAttention {
-    fn forward(
-        &mut self,
-        layer: usize,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        pos: &[usize],
-    ) -> ExecResult<Tensor> {
-        let (o, lse) = chunked::attention_chunked_with_positions(q, k, v, pos, self.chunks, None)?;
-        self.saved.insert(
-            layer,
-            LocalSaved {
-                q: q.clone(),
-                k: k.clone(),
-                v: v.clone(),
-                lse,
-                pos: pos.to_vec(),
-            },
-        );
-        Ok(o)
-    }
-
-    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        let s = self
-            .saved
-            .remove(&layer)
-            .ok_or_else(|| format!("no saved forward for layer {layer}"))?;
-        let g = chunked::attention_chunked_bwd_with_positions(
-            &s.q,
-            &s.k,
-            &s.v,
-            o,
-            dout,
-            &s.lse,
-            &s.pos,
-            self.chunks,
-            None,
-        )?;
-        Ok((g.dq, g.dk, g.dv))
-    }
-
-    fn discard(&mut self, layer: usize) {
-        self.saved.remove(&layer);
-    }
-}
-
 /// The `N` tensors of a posted all-to-all, once its receive half has run.
 fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResult<[Tensor; N]> {
     let tensors = engine.wait(posted)?;
     <[Tensor; N]>::try_from(tensors).map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
 }
+
+/// One-device chunked attention: a one-rank [`DistAttention`], built by
+/// [`DistAttention::new`].
+pub type LocalAttention = DistAttention;
 
 /// Distributed chunked attention: Ulysses all-to-all per chunk posted on
 /// a split-phase communication stream, streaming online attention, host
@@ -181,9 +112,13 @@ fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResul
 /// column-per-slot Figure-7 nest (same tiles, same per-index
 /// accumulation order, same pool/comm operation counts — see DESIGN.md
 /// "Tile schedule" for why only this cut is kept).
+///
+/// The executor holds a chunk count, not a [`ChunkPlan`]: each call plans
+/// from the communicator's world and its input's row count, so one
+/// executor serves any sequence length that `world * chunks` divides.
 pub struct DistAttention {
     comm: Arc<Communicator>,
-    plan: ChunkPlan,
+    chunks: usize,
     payload_bf16: bool,
     /// The rank's chunk store: the host pool with offload on, else
     /// device-resident.
@@ -196,10 +131,11 @@ impl DistAttention {
     /// Creates the executor for one rank — the one options surface is
     /// [`RuntimeOptions`]. With `offload` the cached chunks live in the
     /// host pool, else on the device; both engines charge the link at
-    /// `opts.sim_gbps`.
+    /// `opts.sim_gbps`. A sequence that `world * chunks` does not divide
+    /// (or `chunks == 0`) fails the call, not the constructor.
     pub fn with_opts(
         comm: Arc<Communicator>,
-        plan: ChunkPlan,
+        chunks: usize,
         offload: bool,
         opts: RuntimeOptions,
     ) -> Self {
@@ -210,11 +146,32 @@ impl DistAttention {
         DistAttention {
             engine,
             comm,
-            plan,
+            chunks,
             payload_bf16: opts.payload_bf16,
             store,
             recorder: None,
         }
+    }
+
+    /// One-device chunked attention in `chunks` chunks: the executor over
+    /// a one-rank group, chunks on the device, f32, no retries, a free
+    /// link. Its options are this fixed value, not the environment's.
+    pub fn new(chunks: usize) -> Self {
+        // A one-rank group holds exactly one communicator.
+        let comm = CommGroup::new(1).communicators().remove(0);
+        let opts = RuntimeOptions {
+            payload_bf16: false,
+            comm_retries: 0,
+            fault_inject: 0,
+            sim_gbps: 0.0,
+        };
+        Self::with_opts(Arc::new(comm), chunks, false, opts)
+    }
+
+    /// The plan of a call whose local sequence holds `rows` tokens.
+    fn plan(&self, rows: usize) -> ExecResult<ChunkPlan> {
+        let world = self.comm.world();
+        Ok(ChunkPlan::new(rows * world, world, self.chunks)?)
     }
 
     /// Attaches a span recorder: every all-to-all post, attention-chunk
@@ -318,8 +275,8 @@ impl DistAttention {
     /// Posts chunk `i`'s `dO` gather with its slice of `dsum` (see
     /// [`DistAttention::row_dot`]) fused into the same op: the two land
     /// together as `[dO_i, D_i]` in the gathered layout.
-    fn post_dout(&mut self, dout: &Tensor, dsum: &Tensor, i: usize) -> ExecResult<Pending> {
-        let (start, c_loc) = (self.plan.local_chunk_range(i).start, self.plan.chunk_local_len());
+    fn post_dout(&mut self, plan: &ChunkPlan, dout: &Tensor, dsum: &Tensor, i: usize) -> ExecResult<Pending> {
+        let (start, c_loc) = (plan.local_chunk_range(i).start, plan.chunk_local_len());
         let chunk = dout.narrow(0, start, c_loc)?;
         let dsum_chunk = dsum.narrow(0, start, c_loc)?;
         self.post("a2a.scatter_heads", &[&chunk, &dsum_chunk], false)
@@ -366,7 +323,8 @@ impl DistAttention {
         dout: &Tensor,
         slots: &[Vec<(usize, usize)>],
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        let u = self.plan.chunks;
+        let plan = self.plan(dout.shape()[0])?;
+        let u = plan.chunks;
         let scale = default_scale(dout.shape()[2]);
 
         // Post every dO gather, its row-dot fused in, before any tile
@@ -380,7 +338,7 @@ impl DistAttention {
         let dsum = self.row_dot(o, dout)?;
         let mut dout_pending: Vec<Option<Pending>> = Vec::with_capacity(u);
         for i in 0..u {
-            dout_pending.push(Some(self.post_dout(dout, &dsum, i)?));
+            dout_pending.push(Some(self.post_dout(&plan, dout, &dsum, i)?));
         }
         let mut kv_pending: Vec<Option<_>> = (0..u).map(|_| None).collect();
         kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
@@ -435,7 +393,7 @@ impl DistAttention {
                     let [q, lse] = staged.wait();
                     rows[i] = Some(Row {
                         dq: Tensor::zeros(q.shape()),
-                        gpos: self.plan.gathered_positions(i),
+                        gpos: plan.gathered_positions(i),
                         q,
                         dout,
                         lse,
@@ -453,7 +411,7 @@ impl DistAttention {
                     let dk = Tensor::zeros(kj.shape());
                     let dv = Tensor::zeros(vj.shape());
                     cols[j] = Some(Col {
-                        gpos: self.plan.gathered_positions(j),
+                        gpos: plan.gathered_positions(j),
                         k: kj,
                         v: vj,
                         dk,
@@ -524,9 +482,16 @@ impl AttentionExec for DistAttention {
         v: &Tensor,
         pos: &[usize],
     ) -> ExecResult<Tensor> {
-        let u = self.plan.chunks;
-        let c_loc = self.plan.chunk_local_len();
-        debug_assert_eq!(pos, self.plan.local_positions(self.comm.rank()).as_slice());
+        let plan = self.plan(q.shape()[0])?;
+        let (u, c_loc, rank) = (plan.chunks, plan.chunk_local_len(), self.comm.rank());
+        // The schedule attends by the plan's positions, so any others
+        // would give silently wrong attention.
+        if pos != plan.local_positions(rank) {
+            return Err(TensorError::InvalidSlice {
+                what: format!("positions are not rank {rank}'s shard of {plan:?}"),
+            }
+            .into());
+        }
         // Every fused QKV all-to-all is posted up-front: the early slots
         // are short (few KV tiles), so a one-chunk lookahead cannot hide
         // the wire time there, but queue depth u can. The FIFO order of
@@ -535,7 +500,7 @@ impl AttentionExec for DistAttention {
         // finalizes and only resolved at the final concat.
         let mut qkv_posted: Vec<Pending> = Vec::with_capacity(u);
         for i in 0..u {
-            let range = self.plan.local_chunk_range(i);
+            let range = plan.local_chunk_range(i);
             qkv_posted.push(self.post_qkv(q, k, v, range.start, c_loc)?);
         }
         let mut o_handles: Vec<Pending> = Vec::with_capacity(u);
@@ -562,7 +527,7 @@ impl AttentionExec for DistAttention {
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
             let [qh, kh, vh] = landed(&mut self.engine, cur)?;
-            let gpos = self.plan.gathered_positions(i);
+            let gpos = plan.gathered_positions(i);
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
             let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
@@ -586,13 +551,13 @@ impl AttentionExec for DistAttention {
                     carry = Some(self.fetch_kv(layer, 0, false)?);
                 }
                 let _u = self.span("kernel.attn.update", kj.data().len());
-                st.update(&kj, &vj, &self.plan.gathered_positions(j))?;
+                st.update(&kj, &vj, &plan.gathered_positions(j))?;
             }
             // Ascending j: the window's chunk i-1 after the host tiles,
             // then the diagonal. The pair is dropped after its update.
             if let Some([kw, vw]) = window.take() {
                 let _u = self.span("kernel.attn.update", kw.data().len());
-                st.update(&kw, &vw, &self.plan.gathered_positions(i - 1))?;
+                st.update(&kw, &vw, &plan.gathered_positions(i - 1))?;
             }
             {
                 let _u = self.span("kernel.attn.update", kh.data().len());
@@ -632,7 +597,7 @@ impl AttentionExec for DistAttention {
     }
 
     fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        self.backward_tiles(layer, o, dout, &tile_slots(self.plan.chunks))
+        self.backward_tiles(layer, o, dout, &tile_slots(self.chunks))
     }
 
     fn discard(&mut self, layer: usize) {
@@ -640,7 +605,7 @@ impl AttentionExec for DistAttention {
         // Q/K/V/Lse per chunk) without a transfer: freeing memory is not
         // PCIe traffic, so it must not touch the fetch counters.
         for kind in [BufKind::Q, BufKind::K, BufKind::V, BufKind::Lse] {
-            for chunk in 0..self.plan.chunks {
+            for chunk in 0..self.chunks {
                 self.store.discard(&ChunkKey::new(layer, kind, chunk));
             }
         }
@@ -856,7 +821,7 @@ mod tests {
             // reference at tight tolerances, so an ambient FPDT_BF16=1
             // must not leak in.
             let opts = RuntimeOptions::from_env().with_payload_bf16(false);
-            let mut ex = DistAttention::with_opts(comm, plan, offload, opts);
+            let mut ex = DistAttention::with_opts(comm, chunks, offload, opts);
             let o = ex
                 .forward(
                     0,
@@ -943,7 +908,7 @@ mod tests {
                 Tensor::concat(&refs, 0).unwrap()
             };
             let opts = RuntimeOptions::from_env().with_payload_bf16(false);
-            let mut ex = DistAttention::with_opts(Arc::new(comm), plan, offload, opts);
+            let mut ex = DistAttention::with_opts(Arc::new(comm), 4, offload, opts);
             let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                 .unwrap();
             assert!(!ex.store.is_empty(), "the forward caches its chunks");
@@ -975,14 +940,14 @@ mod tests {
                     Tensor::concat(&refs, 0).unwrap()
                 };
                 let opts = RuntimeOptions::from_env().with_payload_bf16(false);
-                let mut ex = DistAttention::with_opts(Arc::new(comm), plan, true, opts);
+                let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts);
                 let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
                 let dout = shard(&dout);
                 let dsum = ex.row_dot(&o, &dout).unwrap();
-                let c_loc = ex.plan.chunk_local_len();
+                let c_loc = plan.chunk_local_len();
                 for i in 0..u {
-                    let fused = ex.post_dout(&dout, &dsum, i).unwrap();
-                    let o_i = o.narrow(0, ex.plan.local_chunk_range(i).start, c_loc).unwrap();
+                    let fused = ex.post_dout(&plan, &dout, &dsum, i).unwrap();
+                    let o_i = o.narrow(0, plan.local_chunk_range(i).start, c_loc).unwrap();
                     let o_posted = ex.post("a2a.scatter_heads", &[&o_i], false).unwrap();
                     let [dout_g, dsum_g] = landed(&mut ex.engine, fused).unwrap();
                     let [o_g] = landed(&mut ex.engine, o_posted).unwrap();
@@ -1020,7 +985,7 @@ mod tests {
                 .with_payload_bf16(false)
                 .with_fault_inject(0)
                 .with_comm_retries(faults);
-            let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, true, opts);
+            let mut ex = DistAttention::with_opts(Arc::clone(&comm), 4, true, opts);
             comm.inject_fault("all_to_all", faults);
             let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
             comm.inject_fault("all_to_all", faults);
@@ -1080,7 +1045,7 @@ mod tests {
                         Tensor::concat(&refs, 0).unwrap()
                     };
                     let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
-                    let mut ex = DistAttention::with_opts(Arc::new(comm), plan, true, opts);
+                    let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts);
                     let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                         .unwrap();
                     let fwd = (ex.host_stats(), ex.comm_posted());
@@ -1139,7 +1104,7 @@ mod tests {
                     Tensor::concat(&refs, 0).unwrap()
                 };
                 let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
-                let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, true, opts);
+                let mut ex = DistAttention::with_opts(Arc::clone(&comm), 4, true, opts);
                 let o = ex
                     .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                     .unwrap();

@@ -53,7 +53,7 @@ pub fn grad_run(
             plan.local_positions(rank),
         );
         let mut model = GptModel::new(&model_cfg, seed);
-        let mut exec = DistAttention::with_opts(Arc::clone(&comm), plan, offload, opts);
+        let mut exec = DistAttention::with_opts(Arc::clone(&comm), chunks, offload, opts);
         model.zero_grad();
         let stats = model
             .forward_backward(&mut exec, &tokens, &targets, &pos, 2 * chunks, 2)

@@ -339,7 +339,7 @@ fn one_forward(k: &Knobs, ranks: usize) -> (CommStats, PoolStats) {
             ring.forward(0, &q, &kv, &kv, &pos).expect("ring forward");
             PoolStats::default()
         } else {
-            let mut exec = DistAttention::with_opts(Arc::clone(&comm), plan, offload, opts);
+            let mut exec = DistAttention::with_opts(Arc::clone(&comm), chunks, offload, opts);
             exec.forward(0, &q, &kv, &kv, &pos).expect("forward");
             exec.host_stats()
         };

@@ -124,7 +124,7 @@ fn run(u: usize, order: Option<&Slots>, bf16: bool) -> Vec<Observed> {
             Tensor::concat(&refs, 0).unwrap()
         };
         let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
-        let mut ex = DistAttention::with_opts(Arc::clone(&comm), plan, true, opts);
+        let mut ex = DistAttention::with_opts(Arc::clone(&comm), u, true, opts);
         let o = ex.forward(0, &rows(&q), &rows(&k), &rows(&v), &pos)
             .unwrap();
         let (dq, dk, dv) = match order {

@@ -48,7 +48,7 @@ fn main() {
     let mut prompt = vec![11usize, (11 * 5 + 3) % cfg.vocab];
     let mut hits = 0;
     let total = 24;
-    // Generation sees arbitrary prompt lengths; use the unchunked kernel.
+    // Each call plans for its prompt's length, and one chunk divides any.
     let mut gen_exec = LocalAttention::new(1);
     println!(
         "\ngreedy generation (chain rule: next = (5*t + 3) mod {}):",

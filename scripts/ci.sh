@@ -50,6 +50,15 @@ if ! grep -q '^LINT_OK ' <<<"$out"; then
     exit 1
 fi
 
+stage "examples that assert on the one-device path"
+# Each trains or runs one-device chunked attention (`LocalAttention`) and
+# asserts on the result: chunk sweep and backward against the reference
+# (max error < 1e-3), copy-task loss < 0.05, greedy generation's chain
+# accuracy. A failed assert exits non-zero and stops the script.
+for example in chunked_attention long_range_copy text_generation; do
+    cargo run -q --release --example "$example"
+done
+
 stage "figure11 --json smoke (BENCH_ artifacts must parse)"
 out=$(cargo run -q --release -p fpdt-bench --bin figure11 -- --json)
 echo "$out"
