@@ -1528,6 +1528,46 @@ mod tests {
     }
 
     #[test]
+    fn a_blocks_attention_opening_is_read_before_its_mlp_backward() {
+        // Program order, so it holds at any link speed: in every block's
+        // backward the read pass of each chunk the attention backward's
+        // first slot takes — KV 0, the [Q, Lse] rows slot 0 opens, KV 1 —
+        // runs on the rank thread before `dense.mlp.bwd` starts, and no
+        // other fetch does.
+        let u = 4;
+        let cfg = TrainConfig {
+            steps: 1,
+            mode: Mode::Fpdt {
+                chunks: u,
+                offload: true,
+            },
+            ..TrainConfig::default()
+        };
+        let rec = Recorder::new();
+        train_traced(&cfg, Some(&rec));
+        let spans = rec.records();
+        let rows = crate::chunk::tile_slots(u)[0].iter().filter(|&&(_, j)| j == 0).count();
+        let staged = 2 + 2 * rows + 2;
+        let blocks: Vec<_> = spans.iter().filter(|s| s.label == "block.bwd").collect();
+        assert_eq!(blocks.len(), cfg.world * cfg.model.layers, "two layers on two ranks");
+        for b in blocks {
+            let starts = |label: &str| -> Vec<f64> {
+                spans
+                    .iter()
+                    .filter(|s| s.tid == b.tid && s.label == label)
+                    .filter(|s| s.start_us >= b.start_us && s.start_us < b.start_us + b.dur_us)
+                    .map(|s| s.start_us)
+                    .collect()
+            };
+            let mlp = starts("dense.mlp.bwd");
+            assert_eq!(mlp.len(), 1, "one MLP backward per block");
+            let fetches = starts("offload.fetch");
+            let early = fetches.iter().filter(|&&t| t < mlp[0]).count();
+            assert_eq!(early, staged, "fetches before the MLP backward, of {}", fetches.len());
+        }
+    }
+
+    #[test]
     fn traced_training_records_spans_and_comm_traffic() {
         let cfg = TrainConfig {
             steps: 2,

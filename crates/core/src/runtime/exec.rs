@@ -58,9 +58,24 @@ pub trait AttentionExec {
     /// Shape or communication failures, or a missing forward for `layer`.
     fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)>;
 
+    /// Puts the transfers that open `layer`'s backward on the copy stream
+    /// now, so they run while the caller's own backward work does (a GPT
+    /// block calls it before its MLP backward). Only the moment those
+    /// transfers are issued changes: values, transfer counts and bytes
+    /// are what an unstaged [`AttentionExec::backward`] gives. The default
+    /// stages nothing.
+    ///
+    /// # Errors
+    ///
+    /// A missing forward for `layer`.
+    fn stage_backward(&mut self, _layer: usize) -> ExecResult<()> {
+        Ok(())
+    }
+
     /// Drops the saved state for `layer` without running a backward pass —
     /// what activation checkpointing does after the first forward (the
-    /// recompute pass will rebuild it). A no-op when nothing is saved.
+    /// recompute pass will rebuild it), staged transfers of `layer`
+    /// included. A no-op when nothing is saved.
     fn discard(&mut self, layer: usize);
 
     /// Host-pool transfer statistics since the executor was built (zero
@@ -113,6 +128,13 @@ pub type LocalAttention = DistAttention;
 /// accumulation order, same pool/comm operation counts — see DESIGN.md
 /// "Tile schedule" for why only this cut is kept).
 ///
+/// The backward's opening — the transfers its first slot consumes, see
+/// [`DistAttention::open`] — can be staged ahead of the call with
+/// [`AttentionExec::stage_backward`], so it crosses the link while the
+/// block's dense backward runs. The executor holds at most one staged
+/// opening; the backward of its layer takes it, and a backward that finds
+/// none issues the same opening itself.
+///
 /// The executor holds a chunk count, not a [`ChunkPlan`]: each call plans
 /// from the communicator's world and its input's row count, so one
 /// executor serves any sequence length that `world * chunks` divides.
@@ -124,7 +146,22 @@ pub struct DistAttention {
     /// device-resident.
     store: OffloadEngine,
     engine: CommEngine,
+    /// The opening [`AttentionExec::stage_backward`] issued, until its
+    /// layer's backward (or discard) takes it.
+    staged: Option<Opening>,
     recorder: Option<Recorder>,
+}
+
+/// A K/V chunk pair, or a query row's `[Q, Lse]`, on the copy stream.
+type PairFetch = FetchHandle<[Arc<Tensor>; 2]>;
+
+/// The copy-stream transfers a layer's backward opens with, by chunk
+/// index: the KV columns and query rows in flight when its first slot
+/// starts.
+struct Opening {
+    layer: usize,
+    kv: Vec<Option<PairFetch>>,
+    rows: Vec<Option<PairFetch>>,
 }
 
 impl DistAttention {
@@ -149,6 +186,7 @@ impl DistAttention {
             chunks,
             payload_bf16: opts.payload_bf16,
             store,
+            staged: None,
             recorder: None,
         }
     }
@@ -214,7 +252,7 @@ impl DistAttention {
     }
 
     /// Issues the double-buffer prefetch for KV chunk `j` of `layer`.
-    fn fetch_kv(&mut self, layer: usize, j: usize, consume: bool) -> ExecResult<FetchHandle<[Arc<Tensor>; 2]>> {
+    fn fetch_kv(&mut self, layer: usize, j: usize, consume: bool) -> ExecResult<PairFetch> {
         self.stage([
             (ChunkKey::new(layer, BufKind::K, j), consume),
             (ChunkKey::new(layer, BufKind::V, j), consume),
@@ -224,11 +262,47 @@ impl DistAttention {
     /// Issues the take of query chunk `i`'s saved forward state
     /// `[Q, Lse]` — what opening row `i` of the backward consumes — as
     /// one copy-stream transfer.
-    fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<FetchHandle<[Arc<Tensor>; 2]>> {
+    fn fetch_row(&mut self, layer: usize, i: usize) -> ExecResult<PairFetch> {
         self.stage([
             (ChunkKey::new(layer, BufKind::Q, i), true),
             (ChunkKey::new(layer, BufKind::Lse, i), true),
         ])
+    }
+
+    /// Issues the backward's opening for `layer`: the takes its first slot
+    /// consumes, in the order it consumes them — KV column 0, the
+    /// `[Q, Lse]` of every row `tile_slots(u)[0]` opens, then KV column 1,
+    /// which slot 0 puts on the stream one slot ahead. The one place the
+    /// opening is written, whether [`AttentionExec::stage_backward`]
+    /// issues it early or [`DistAttention::backward_tiles`] when it
+    /// starts.
+    fn open(&mut self, layer: usize) -> ExecResult<Opening> {
+        let u = self.chunks;
+        let slots = tile_slots(u);
+        let first = slots.first().ok_or("zero chunks have no backward")?;
+        let mut opening = Opening {
+            layer,
+            kv: (0..u).map(|_| None).collect(),
+            rows: (0..u).map(|_| None).collect(),
+        };
+        opening.kv[0] = Some(self.fetch_kv(layer, 0, true)?);
+        for &(i, j) in first {
+            if j == 0 {
+                opening.rows[i] = Some(self.fetch_row(layer, i)?);
+            }
+        }
+        if u > 1 {
+            opening.kv[1] = Some(self.fetch_kv(layer, 1, true)?);
+        }
+        Ok(opening)
+    }
+
+    /// Drops the staged opening if it is `layer`'s, with the chunks it
+    /// took.
+    fn unstage(&mut self, layer: usize) {
+        if self.staged.as_ref().is_some_and(|o| o.layer == layer) {
+            self.staged = None;
+        }
     }
 
     /// Posts one op on the comm stream: the all-to-all of every tensor in
@@ -297,11 +371,14 @@ impl DistAttention {
     /// and the comm counters are identical too (the backward only takes
     /// from the pool, so even its high-water mark is the forward's).
     ///
+    /// The walk starts from the layer's opening ([`DistAttention::open`]):
+    /// the one [`AttentionExec::stage_backward`] staged, else issued here.
     /// Row and column state opens lazily, keyed on the tile itself, and
     /// stays on the rank thread until the tile that closes it:
     ///
     /// * `(i, 0)` opens query row `i` — it lands chunk `i`'s `[Q, Lse]`
-    ///   (one take, put on the copy stream when row `i - 1` opened),
+    ///   (one take, in the opening or put on the copy stream when row
+    ///   `i - 1` opened),
     ///   resolves the gather of `dO` and its row-dot (all posted
     ///   up-front), and zeroes `dq_i` — and the diagonal `(i, i)` ships
     ///   `dq_i` and drops the row. Column 0 runs in ascending `i`, so
@@ -340,10 +417,17 @@ impl DistAttention {
         for i in 0..u {
             dout_pending.push(Some(self.post_dout(&plan, dout, &dsum, i)?));
         }
-        let mut kv_pending: Vec<Option<_>> = (0..u).map(|_| None).collect();
-        kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
-        let mut row_pending: Vec<Option<_>> = (0..u).map(|_| None).collect();
-        row_pending[0] = Some(self.fetch_row(layer, 0)?);
+        let Opening {
+            kv: mut kv_pending,
+            rows: mut row_pending,
+            ..
+        } = match self.staged.take() {
+            Some(staged) if staged.layer == layer => staged,
+            other => {
+                self.staged = other;
+                self.open(layer)?
+            }
+        };
 
         // One open query row: its operands and its gradient accumulator
         // (updated in ascending KV order), read in place by every tile.
@@ -384,8 +468,9 @@ impl DistAttention {
                         .take()
                         .ok_or("query rows must open in ascending order")?;
                     // The next row's take goes on the stream now, one row
-                    // ahead, behind this row's tiles.
-                    if i + 1 < u {
+                    // ahead, behind this row's tiles — unless the
+                    // opening already issued it.
+                    if i + 1 < u && row_pending[i + 1].is_none() {
                         row_pending[i + 1] = Some(self.fetch_row(layer, i + 1)?);
                     }
                     let [dout, dsum] =
@@ -484,6 +569,9 @@ impl AttentionExec for DistAttention {
     ) -> ExecResult<Tensor> {
         let plan = self.plan(q.shape()[0])?;
         let (u, c_loc, rank) = (plan.chunks, plan.chunk_local_len(), self.comm.rank());
+        // A new forward of `layer` replaces what an opening staged from
+        // the last one.
+        self.unstage(layer);
         // The schedule attends by the plan's positions, so any others
         // would give silently wrong attention.
         if pos != plan.local_positions(rank) {
@@ -600,7 +688,20 @@ impl AttentionExec for DistAttention {
         self.backward_tiles(layer, o, dout, &tile_slots(self.chunks))
     }
 
+    /// Issues [`DistAttention::open`] for `layer` and holds it for that
+    /// layer's backward. A no-op while an opening is staged — of `layer`,
+    /// or of another layer, whose backward still needs the chunks it took.
+    fn stage_backward(&mut self, layer: usize) -> ExecResult<()> {
+        if self.staged.is_none() {
+            self.staged = Some(self.open(layer)?);
+        }
+        Ok(())
+    }
+
     fn discard(&mut self, layer: usize) {
+        // A staged opening of this layer holds its first chunks, already
+        // taken from the store.
+        self.unstage(layer);
         // Drop every cached chunk belonging to this layer (forward saves
         // Q/K/V/Lse per chunk) without a transfer: freeing memory is not
         // PCIe traffic, so it must not touch the fetch counters.
@@ -676,8 +777,14 @@ impl AttentionExec for RingAttentionExec<'_> {
     ) -> ExecResult<Tensor> {
         let p = self.comm.world();
         let rank = self.comm.rank();
-        // Ring attention requires the plain contiguous shard.
-        debug_assert_eq!(pos, self.owner_positions(rank).as_slice());
+        // Ring attention attends by the plain contiguous shard's
+        // positions, so any others would give silently wrong attention.
+        if pos != self.owner_positions(rank) {
+            return Err(TensorError::InvalidSlice {
+                what: format!("positions are not rank {rank}'s contiguous shard of {} tokens", self.seq_global),
+            }
+            .into());
+        }
         let mut st = OnlineAttention::new(q, pos, None)?;
         let mut cur_k = k.clone();
         let mut cur_v = v.clone();
@@ -755,7 +862,7 @@ impl AttentionExec for RingAttentionExec<'_> {
 mod tests {
     use super::*;
     use fpdt_attention::reference;
-    use fpdt_comm::run_group;
+    use fpdt_comm::{run_group, CommStats};
     use fpdt_tensor::init;
 
     fn rand_qkv(seed: u64, s: usize, h: usize, d: usize) -> (Tensor, Tensor, Tensor) {
@@ -885,37 +992,171 @@ mod tests {
         dist_matches_reference(4, 2, true);
     }
 
+    /// The rows of `t` at global positions `pos`: a rank's shard.
+    fn shard_rows(t: &Tensor, pos: &[usize]) -> Tensor {
+        let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
+        let refs: Vec<&Tensor> = parts.iter().collect();
+        Tensor::concat(&refs, 0).unwrap()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn backward_frees_all_cached_chunks() {
         for offload in [true, false] {
-            backward_frees_all_cached_chunks_with(offload);
+            for stage in [false, true] {
+                backward_frees_all_cached_chunks_with(offload, stage);
+            }
         }
     }
 
     /// After backward, the chunk store must be empty — host pool or
-    /// device-resident, the tile walk consumes every cached chunk exactly
-    /// once.
-    fn backward_frees_all_cached_chunks_with(offload: bool) {
+    /// device-resident, staged opening or not, the tile walk consumes
+    /// every cached chunk exactly once.
+    fn backward_frees_all_cached_chunks_with(offload: bool, stage: bool) {
         let (s, h, d) = (16, 2, 4);
         let (q, k, v) = rand_qkv(9, s, h, d);
         let dout = Tensor::ones(&[s / 2, h, d]);
         let empty = run_group(2, |comm| {
             let plan = ChunkPlan::new(s, 2, 4).unwrap();
             let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| {
-                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0).unwrap()
-            };
+            let shard = |t: &Tensor| shard_rows(t, &pos);
             let opts = RuntimeOptions::from_env().with_payload_bf16(false);
             let mut ex = DistAttention::with_opts(Arc::new(comm), 4, offload, opts);
             let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                 .unwrap();
             assert!(!ex.store.is_empty(), "the forward caches its chunks");
+            if stage {
+                ex.stage_backward(0).unwrap();
+            }
             ex.backward(0, &o, &dout).unwrap();
-            ex.store.is_empty()
+            ex.store.is_empty() && ex.staged.is_none()
         });
-        assert!(empty.iter().all(|&e| e), "offload = {offload}");
+        assert!(empty.iter().all(|&e| e), "offload = {offload}, stage = {stage}");
+    }
+
+    /// Forward and backward of layer 0 on two ranks at `u` chunks, the
+    /// backward's opening staged first when `stage`: per rank, the
+    /// gradient bits, the pool counters, the posts and the comm counters.
+    fn staged_run(u: usize, offload: bool, bf16: bool, stage: bool) -> Vec<([Vec<u32>; 3], PoolStats, u64, CommStats)> {
+        let (s, h, d) = (4 * u, 2, 4);
+        let (q, k, v) = rand_qkv(51, s, h, d);
+        let dout = init::randn(&mut init::seeded_rng(52), &[s, h, d], 1.0);
+        run_group(2, |comm| {
+            let comm = Arc::new(comm);
+            let plan = ChunkPlan::new(s, 2, u).unwrap();
+            let pos = plan.local_positions(comm.rank());
+            let shard = |t: &Tensor| shard_rows(t, &pos);
+            let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
+            let mut ex = DistAttention::with_opts(Arc::clone(&comm), u, offload, opts);
+            let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
+            if stage {
+                ex.stage_backward(0).unwrap();
+                assert_eq!(ex.comm_posted(), 2 * u as u64, "staging posts nothing");
+            }
+            let grads = grad_bits(ex.backward(0, &o, &shard(&dout)).unwrap());
+            let (pool, posted) = (ex.host_stats(), ex.comm_posted());
+            // The comm stream drains before the wire counters are read.
+            drop(ex);
+            (grads, pool, posted, comm.stats())
+        })
+    }
+
+    #[test]
+    fn a_staged_opening_changes_no_value_and_no_counter() {
+        for u in [1usize, 2, 3, 4, 8] {
+            for offload in [true, false] {
+                for bf16 in [false, true] {
+                    let at = format!("u={u}, offload {offload}, bf16 {bf16}");
+                    let unstaged = staged_run(u, offload, bf16, false);
+                    assert!(unstaged.iter().all(|(g, ..)| g.iter().all(|g| g.iter().any(|&b| b != 0))), "{at}");
+                    assert!(unstaged.iter().all(|(_, pool, ..)| offload == (pool.fetches > 0)), "{at}");
+                    assert_eq!(staged_run(u, offload, bf16, true), unstaged, "{at}");
+                }
+            }
+        }
+    }
+
+    /// A one-rank offloaded executor of `u` chunks.
+    fn one_rank(u: usize) -> DistAttention {
+        let comm = CommGroup::new(1).communicators().remove(0);
+        let opts = RuntimeOptions::from_env().with_payload_bf16(false);
+        DistAttention::with_opts(Arc::new(comm), u, true, opts)
+    }
+
+    /// Runs the forward of `layer` over `4u` rows of inputs drawn from
+    /// `seed`; returns its output.
+    fn forward_layer(ex: &mut DistAttention, layer: usize, seed: u64) -> Tensor {
+        let s = 4 * ex.chunks;
+        let (q, k, v) = rand_qkv(seed, s, 2, 4);
+        ex.forward(layer, &q, &k, &v, &(0..s).collect::<Vec<_>>()).unwrap()
+    }
+
+    fn grad_bits((dq, dk, dv): (Tensor, Tensor, Tensor)) -> [Vec<u32>; 3] {
+        [bits(&dq), bits(&dk), bits(&dv)]
+    }
+
+    #[test]
+    fn a_discarded_staging_leaves_nothing_behind() {
+        let (mut ex, mut plain) = (one_rank(4), one_rank(4));
+        let dout = init::randn(&mut init::seeded_rng(61), &[16, 2, 4], 1.0);
+        forward_layer(&mut ex, 0, 60);
+        ex.stage_backward(0).unwrap();
+        ex.discard(0);
+        assert!(ex.store.is_empty() && ex.staged.is_none());
+        // The same keys are put and fetched again: one left in flight
+        // would panic with "prefetched twice".
+        let o = forward_layer(&mut ex, 0, 60);
+        ex.stage_backward(0).unwrap();
+        let got = ex.backward(0, &o, &dout).unwrap();
+        let o = forward_layer(&mut plain, 0, 60);
+        assert_eq!(grad_bits(got), grad_bits(plain.backward(0, &o, &dout).unwrap()));
+        assert!(ex.store.is_empty() && ex.staged.is_none());
+    }
+
+    #[test]
+    fn a_new_forward_replaces_a_staging() {
+        // At u = 2 the opening takes every chunk of the layer, so a second
+        // forward puts them all again without a clash; its backward must
+        // read the new chunks, not the staged ones.
+        let (mut ex, mut plain) = (one_rank(2), one_rank(2));
+        let dout = init::randn(&mut init::seeded_rng(61), &[8, 2, 4], 1.0);
+        forward_layer(&mut ex, 0, 60);
+        ex.stage_backward(0).unwrap();
+        let o = forward_layer(&mut ex, 0, 70);
+        let got = ex.backward(0, &o, &dout).unwrap();
+        let o = forward_layer(&mut plain, 0, 70);
+        assert_eq!(grad_bits(got), grad_bits(plain.backward(0, &o, &dout).unwrap()));
+        assert!(ex.store.is_empty() && ex.staged.is_none());
+    }
+
+    #[test]
+    fn a_staging_outlives_other_layers_and_stages_once() {
+        let (mut ex, mut plain) = (one_rank(4), one_rank(4));
+        let dout = init::randn(&mut init::seeded_rng(61), &[16, 2, 4], 1.0);
+        let outs: Vec<Tensor> = (0..2).map(|layer| forward_layer(&mut ex, layer, 60 + layer as u64)).collect();
+        for layer in 0..2 {
+            forward_layer(&mut plain, layer, 60 + layer as u64);
+        }
+        ex.stage_backward(0).unwrap();
+        let fetched = ex.host_stats();
+        // While an opening is staged, a second staging — of this layer or
+        // another — issues nothing.
+        ex.stage_backward(0).unwrap();
+        ex.stage_backward(1).unwrap();
+        assert_eq!(ex.host_stats(), fetched);
+        // Layer 1's backward and discard leave layer 0's staging in place.
+        let got = ex.backward(1, &outs[1], &dout).unwrap();
+        assert_eq!(grad_bits(got), grad_bits(plain.backward(1, &outs[1], &dout).unwrap()));
+        ex.discard(1);
+        assert_eq!(ex.staged.as_ref().map(|o| o.layer), Some(0));
+        // Layer 0's backward takes it.
+        let got = ex.backward(0, &outs[0], &dout).unwrap();
+        assert_eq!(grad_bits(got), grad_bits(plain.backward(0, &outs[0], &dout).unwrap()));
+        assert!(ex.staged.is_none() && ex.store.is_empty());
+        assert_eq!(ex.host_stats(), plain.host_stats());
     }
 
     #[test]
@@ -1029,8 +1270,9 @@ mod tests {
         //   H2D = (u-1)(u-2)·C_kv + u(2C_kv + C + L),
         // where C_kv = C here, or C / 2 under bf16 payloads. Any drift in
         // the posts means the double buffering degenerated (0 extra posts)
-        // or an op stopped being fused (3u instead of u).
-        for bf16 in [false, true] {
+        // or an op stopped being fused (3u instead of u). A backward whose
+        // opening was staged first has the same closed forms.
+        for (bf16, stage) in [(false, false), (true, false), (false, true), (true, true)] {
             for u in [1usize, 2, 3, 4, 5] {
                 let (s, h, d) = (4 * u, 2, 4);
                 let (q, k, v) = rand_qkv(11, s, h, d);
@@ -1038,17 +1280,15 @@ mod tests {
                 let counts = run_group(2, |comm| {
                     let plan = ChunkPlan::new(s, 2, u).unwrap();
                     let pos = plan.local_positions(comm.rank());
-                    let shard = |t: &Tensor| {
-                        let parts: Vec<Tensor> =
-                            pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                        let refs: Vec<&Tensor> = parts.iter().collect();
-                        Tensor::concat(&refs, 0).unwrap()
-                    };
+                    let shard = |t: &Tensor| shard_rows(t, &pos);
                     let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
                     let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts);
                     let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                         .unwrap();
                     let fwd = (ex.host_stats(), ex.comm_posted());
+                    if stage {
+                        ex.stage_backward(0).unwrap();
+                    }
                     ex.backward(0, &o, &dout).unwrap();
                     (fwd, ex.host_stats(), ex.comm_posted(), ex.store.is_empty())
                 });
@@ -1060,7 +1300,7 @@ mod tests {
                 let h2d = h2d_fwd + u * (2 * kv + c + l);
                 let d2h = u * (2 * kv + c + l);
                 for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
-                    let at = format!("u={u}, bf16={bf16}");
+                    let at = format!("u={u}, bf16={bf16}, stage={stage}");
                     assert_eq!(after_fwd.fetches, keeps as u64, "forward fetches, {at}");
                     assert_eq!(after_fwd.bytes_fetched, h2d_fwd as u64, "forward H2D bytes, {at}");
                     assert_eq!(after_fwd.offloads, (4 * u) as u64, "forward puts, {at}");

@@ -361,6 +361,9 @@ impl Block {
         let s = dx2.shape()[0];
         let h = dx2.shape()[1];
         let dh = h / self.heads;
+        // The attention backward's first transfers cross the link while
+        // the MLP, norm2 and out_proj backward run.
+        exec.stage_backward(layer)?;
         // MLP backward, chunked.
         let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
             let mut dn2_parts = Vec::new();

@@ -2,12 +2,13 @@
 //! (`LocalAttention::new(chunks)`) against the materializing reference of
 //! `fpdt-attention`, forward and backward, multi-head and grouped-query,
 //! for every chunk count that divides the sequence — and the typed errors
-//! for a chunking or a position layout the plan does not allow.
+//! for a chunking or a position layout the plan does not allow, which
+//! Ring attention's executor gives for positions off its shard too.
 
 use fpdt_attention::reference;
 use fpdt_comm::run_group;
 use fpdt_core::chunk::ChunkPlan;
-use fpdt_core::runtime::exec::{AttentionExec, DistAttention, LocalAttention};
+use fpdt_core::runtime::exec::{AttentionExec, DistAttention, LocalAttention, RingAttentionExec};
 use fpdt_core::runtime::RuntimeOptions;
 use fpdt_tensor::{init, Tensor, TensorError};
 use proptest::prelude::*;
@@ -173,6 +174,24 @@ fn positions_off_the_plan_are_an_error() {
         let opts = RuntimeOptions::from_env().with_payload_bf16(false);
         let mut ex = DistAttention::with_opts(Arc::new(comm), 2, false, opts);
         tensor_error(ex.forward(0, &q, &k, &v, &pos))
+    });
+    for err in errs {
+        assert!(matches!(err, TensorError::InvalidSlice { .. }), "{err}");
+    }
+}
+
+#[test]
+fn ring_positions_off_the_shard_are_an_error() {
+    // Ring attention attends by its contiguous shard's positions, rank r
+    // holding tokens r·s/p..(r+1)·s/p. Handed the other rank's positions,
+    // both ranks fail the forward with a typed error before any ring hop,
+    // in release builds as in debug ones.
+    let s = 8;
+    let (q, k, v) = rand_qkv(9, s / 2, 2, 4);
+    let errs = run_group(2, |comm| {
+        let other = 1 - comm.rank();
+        let pos: Vec<usize> = (other * s / 2..(other + 1) * s / 2).collect();
+        tensor_error(RingAttentionExec::new(&comm, s).forward(0, &q, &k, &v, &pos))
     });
     for err in errs {
         assert!(matches!(err, TensorError::InvalidSlice { .. }), "{err}");

@@ -353,6 +353,74 @@ pub fn coverage(records: &[SpanRecord], window: (f64, f64), prefixes: &[&str]) -
         .fold(f64::INFINITY, f64::min)
 }
 
+/// The exposed waits of one rank thread in one pipeline slot of one kind
+/// of block, summed over every such block in the records.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotWaits {
+    /// The rank thread.
+    pub tid: u64,
+    /// The enclosing block span: `"block.fwd"` or `"block.bwd"`.
+    pub block: String,
+    /// The slot's index among its block's `slot.*` spans, in start order;
+    /// `None` for the block's tail, the time outside every slot.
+    pub slot: Option<usize>,
+    /// Summed `offload.wait`, microseconds.
+    pub offload_wait_us: f64,
+    /// Summed `comm.wait`, microseconds.
+    pub comm_wait_us: f64,
+}
+
+/// Where a rank's exposed stream time sits in the pipeline: every
+/// `offload.wait` and `comm.wait` on a rank thread (one that records a
+/// `block.*` span), summed by the `block.fwd`/`block.bwd` span it starts
+/// in and by the slot (`slot.fwd`/`slot.bwd`, counted per block) it
+/// starts in. Rows are ordered by thread, block label and slot, the tail
+/// last; only `(tid, block, slot)` cells that hold a wait appear, and a
+/// wait outside every block is left out.
+pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
+    use std::collections::BTreeMap;
+    let within = |outer: &SpanRecord, s: &SpanRecord| {
+        outer.tid == s.tid && s.start_us >= outer.start_us && s.start_us < outer.start_us + outer.dur_us
+    };
+    let blocks: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|s| matches!(s.label.as_str(), "block.fwd" | "block.bwd"))
+        .collect();
+    let mut slots: Vec<&SpanRecord> = records.iter().filter(|s| s.label.starts_with("slot.")).collect();
+    slots.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+    // (tid, block label, slot or usize::MAX for the tail) -> (offload, comm)
+    let mut cells: BTreeMap<(u64, String, usize), (f64, f64)> = BTreeMap::new();
+    for w in records {
+        let offload = match w.label.as_str() {
+            "offload.wait" => true,
+            "comm.wait" => false,
+            _ => continue,
+        };
+        let Some(block) = blocks.iter().find(|b| within(b, w)) else { continue };
+        let slot = slots
+            .iter()
+            .filter(|s| within(block, s))
+            .position(|s| within(s, w))
+            .unwrap_or(usize::MAX);
+        let cell = cells.entry((w.tid, block.label.clone(), slot)).or_default();
+        if offload {
+            cell.0 += w.dur_us;
+        } else {
+            cell.1 += w.dur_us;
+        }
+    }
+    cells
+        .into_iter()
+        .map(|((tid, block, slot), (offload_wait_us, comm_wait_us))| SlotWaits {
+            tid,
+            block,
+            slot: (slot != usize::MAX).then_some(slot),
+            offload_wait_us,
+            comm_wait_us,
+        })
+        .collect()
+}
+
 /// Intersection of two disjoint, sorted interval sets.
 pub fn intersect(a: &[(f64, f64)], b: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let mut out = Vec::new();
@@ -414,6 +482,59 @@ mod tests {
         assert!((coverage(&recs, (100.0, 200.0), &["block."]) - 0.5).abs() < 1e-12);
         assert_eq!(coverage(&recs, (300.0, 400.0), &named), 0.0);
         assert_eq!(coverage(&recs, (200.0, 200.0), &named), 0.0);
+    }
+
+    #[test]
+    fn waits_sum_by_block_slot_and_tail() {
+        let span = |label: &str, tid: u64, start_us: f64, dur_us: f64| SpanRecord {
+            label: label.to_string(),
+            tid,
+            start_us,
+            dur_us,
+            bytes: None,
+        };
+        let recs = vec![
+            // rank 0, layer 1 backward: two slots, then a tail
+            span("block.bwd", 0, 100.0, 100.0),
+            span("slot.bwd", 0, 110.0, 30.0),
+            span("offload.wait", 0, 112.0, 5.0),
+            span("comm.wait", 0, 120.0, 2.0),
+            span("slot.bwd", 0, 140.0, 40.0),
+            span("offload.wait", 0, 150.0, 1.0),
+            span("comm.wait", 0, 185.0, 4.0), // tail
+            // rank 0, layer 0 backward: its slot 0 adds to the same cell
+            span("block.bwd", 0, 300.0, 50.0),
+            span("slot.bwd", 0, 300.0, 20.0),
+            span("offload.wait", 0, 305.0, 3.0),
+            // a forward, recorded out of start order
+            span("offload.wait", 0, 20.0, 7.0),
+            span("slot.fwd", 0, 10.0, 30.0),
+            span("block.fwd", 0, 0.0, 50.0),
+            // rank 1: a wait inside its block; rank 0's spans are not its
+            span("block.fwd", 1, 0.0, 50.0),
+            span("comm.wait", 1, 20.0, 6.0),
+            // outside every block, and a span that is not a wait
+            span("offload.wait", 0, 60.0, 9.0),
+            span("offload.fetch", 0, 115.0, 1.0),
+        ];
+        let cell = |tid: u64, block: &str, slot: Option<usize>, offload: f64, comm: f64| SlotWaits {
+            tid,
+            block: block.to_string(),
+            slot,
+            offload_wait_us: offload,
+            comm_wait_us: comm,
+        };
+        assert_eq!(
+            waits_by_slot(&recs),
+            vec![
+                cell(0, "block.bwd", Some(0), 8.0, 2.0),
+                cell(0, "block.bwd", Some(1), 1.0, 0.0),
+                cell(0, "block.bwd", None, 0.0, 4.0),
+                cell(0, "block.fwd", Some(0), 7.0, 0.0),
+                cell(1, "block.fwd", None, 0.0, 6.0),
+            ]
+        );
+        assert!(waits_by_slot(&[]).is_empty());
     }
 
     #[test]
