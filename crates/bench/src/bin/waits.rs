@@ -1,8 +1,9 @@
 //! Exposed stream waits by pipeline slot, read from a runtime Chrome
 //! trace through `fpdt_trace::metrics::waits_by_slot`: per rank thread,
 //! `offload.wait` and `comm.wait` in milliseconds per optimizer step, by
-//! block (`block.fwd` / `block.bwd`) and slot, the time outside every
-//! slot as `tail`.
+//! block (`block.fwd` / `block.bwd`) and place: the slot index, else the
+//! label of the `dense.*` span the wait sits in (the block's dense half
+//! streams over the attention's chunks), else `tail`.
 //!
 //! ```sh
 //! cargo run -q --release -p fpdt-bench --bin waits -- benchmark/out/fpdt_link.trace.json
@@ -12,7 +13,7 @@
 //! timed segments), only spans that start inside one count. A rank's
 //! steps are its `opt.adamw` spans.
 
-use fpdt_trace::metrics::waits_by_slot;
+use fpdt_trace::metrics::{waits_by_slot, WaitPlace};
 use fpdt_trace::SpanRecord;
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -83,20 +84,24 @@ fn main() {
     }
     let steps = |tid: u64| spans.iter().filter(|s| s.tid == tid && s.label == "opt.adamw").count();
     println!(
-        "{:<14} {:<9} {:>4} {:>6} {:>21} {:>18}",
-        "thread", "block", "slot", "steps", "offload.wait ms/step", "comm.wait ms/step"
+        "{:<14} {:<9} {:>14} {:>6} {:>21} {:>18}",
+        "thread", "block", "place", "steps", "offload.wait ms/step", "comm.wait ms/step"
     );
     let thread = |tid: u64| names.get(&tid).cloned().unwrap_or_else(|| format!("tid {tid}"));
     let mut rows = waits_by_slot(&spans);
-    // By thread name (`fpdt-rank-r0` first), keeping block and slot order.
+    // By thread name (`fpdt-rank-r0` first), keeping block and place order.
     rows.sort_by_key(|row| thread(row.tid));
     for row in rows {
         let n = steps(row.tid);
         let per = n.max(1) as f64 * 1e3;
         let thread = thread(row.tid);
-        let slot = row.slot.map_or("tail".to_string(), |s| s.to_string());
+        let place = match &row.place {
+            WaitPlace::Slot(s) => s.to_string(),
+            WaitPlace::Dense(label) => label.clone(),
+            WaitPlace::Tail => "tail".to_string(),
+        };
         println!(
-            "{thread:<14} {:<9} {slot:>4} {n:>6} {:>21.2} {:>18.2}",
+            "{thread:<14} {:<9} {place:>14} {n:>6} {:>21.2} {:>18.2}",
             row.block,
             row.offload_wait_us / per,
             row.comm_wait_us / per

@@ -1568,6 +1568,52 @@ mod tests {
     }
 
     #[test]
+    fn a_blocks_dense_half_runs_on_each_attention_chunk_as_it_lands() {
+        // Program order, so it holds at any link speed: every block's
+        // forward runs `out_proj` once per attention output chunk and its
+        // backward the qkv backward once per gradient chunk, and the first
+        // chunk's MLP runs before the wait on the layer's last `O` gather
+        // (at two ranks each gather's wait runs its receive and records a
+        // `comm.wait`; the last one in a forward is that gather's).
+        let u = 4;
+        let cfg = TrainConfig {
+            steps: 1,
+            mode: Mode::Fpdt {
+                chunks: u,
+                offload: true,
+            },
+            ..TrainConfig::default()
+        };
+        let rec = Recorder::new();
+        train_traced(&cfg, Some(&rec));
+        let spans = rec.records();
+        let inside = |b: &fpdt_trace::SpanRecord, label: &str| -> Vec<f64> {
+            let mut starts: Vec<f64> = spans
+                .iter()
+                .filter(|s| s.tid == b.tid && s.label == label)
+                .filter(|s| s.start_us >= b.start_us && s.start_us < b.start_us + b.dur_us)
+                .map(|s| s.start_us)
+                .collect();
+            starts.sort_by(f64::total_cmp);
+            starts
+        };
+        let blocks = |label: &str| -> Vec<&fpdt_trace::SpanRecord> { spans.iter().filter(|s| s.label == label).collect() };
+        let layers = cfg.world * cfg.model.layers;
+        assert_eq!(blocks("block.fwd").len(), layers, "two layers on two ranks");
+        assert_eq!(blocks("block.bwd").len(), layers, "two layers on two ranks");
+        for b in blocks("block.fwd") {
+            assert_eq!(inside(b, "dense.out_proj").len(), u, "out_proj per output chunk");
+            let mlp = inside(b, "dense.mlp.fwd");
+            let waits = inside(b, "comm.wait");
+            let last_o = waits.last().expect("the O gathers are waited");
+            assert!(mlp[0] < *last_o, "first MLP at {}, last O wait at {last_o}", mlp[0]);
+        }
+        for b in blocks("block.bwd") {
+            assert_eq!(inside(b, "dense.qkv").len(), u, "qkv backward per gradient chunk");
+        }
+    }
+
+    #[test]
     fn traced_training_records_spans_and_comm_traffic() {
         let cfg = TrainConfig {
             steps: 2,

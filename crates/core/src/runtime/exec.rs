@@ -2,8 +2,9 @@
 //!
 //! A GPT block hands its (RoPE'd) `q/k/v` — shaped `[s_local, heads, d]`
 //! with explicit global positions — to an [`AttentionExec`] and gets the
-//! attention output back in the same layout. What happens in between is
-//! the difference between the training modes:
+//! attention output back in the same layout, chunk by chunk as each one
+//! lands (and the backward's gradients the same way). What happens in
+//! between is the difference between the training modes:
 //!
 //! * [`DistAttention`] — the chunked path, the one description of the
 //!   paper's chunk schedule: per-chunk Ulysses all-to-all (heads scatter /
@@ -29,15 +30,63 @@ use std::sync::Arc;
 /// Executor result type (tensor and communication errors both occur).
 pub type ExecResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
 
+/// Receives an executor's output chunk by chunk: `sink(r0, part)` gets the
+/// local rows `r0..r0 + n` of the output, `n` the part's leading extent.
+/// Parts arrive in ascending row order and cover every local row once; an
+/// error the sink returns ends the call with that error.
+pub type ChunkSink<'a, T> = dyn FnMut(usize, T) -> ExecResult<()> + 'a;
+
 /// An attention implementation a GPT block can call into.
+///
+/// The streamed forms, [`AttentionExec::forward_chunks`] and
+/// [`AttentionExec::backward_chunks`], are the ones an executor writes:
+/// they hand each output chunk to the caller as soon as it is home, so the
+/// caller's row-local work on it runs while later chunks still travel.
+/// [`AttentionExec::forward`] and [`AttentionExec::backward`] collect the
+/// same chunks into whole tensors.
 pub trait AttentionExec {
     /// Computes attention for `layer`, saving whatever the backward pass
-    /// needs. Inputs are `[s_local, heads, d]`; `pos[t]` is the global
-    /// position of local row `t`.
+    /// needs, and hands the output to `sink` chunk by chunk. Inputs are
+    /// `[s_local, heads, d]`; `pos[t]` is the global position of local row
+    /// `t`; each output part is `[n, heads, d]`.
     ///
     /// # Errors
     ///
-    /// Shape or communication failures.
+    /// Shape or communication failures, or the sink's own error.
+    fn forward_chunks(
+        &mut self,
+        layer: usize,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        pos: &[usize],
+        sink: &mut ChunkSink<'_, Tensor>,
+    ) -> ExecResult<()>;
+
+    /// Consumes the saved state for `layer` and hands `[dq, dk, dv]` to
+    /// `sink` chunk by chunk, in the local layout. `o` is the output the
+    /// forward produced for `layer` — the caller keeps it for its own
+    /// projection, so no executor saves a copy — and `dout` its gradient,
+    /// both `[s_local, heads, d]`.
+    ///
+    /// # Errors
+    ///
+    /// Shape or communication failures, a missing forward for `layer`, or
+    /// the sink's own error.
+    fn backward_chunks(
+        &mut self,
+        layer: usize,
+        o: &Tensor,
+        dout: &Tensor,
+        sink: &mut ChunkSink<'_, [Tensor; 3]>,
+    ) -> ExecResult<()>;
+
+    /// [`AttentionExec::forward_chunks`] with the output collected into
+    /// one `[s_local, heads, d]` tensor.
+    ///
+    /// # Errors
+    ///
+    /// As [`AttentionExec::forward_chunks`].
     fn forward(
         &mut self,
         layer: usize,
@@ -45,18 +94,21 @@ pub trait AttentionExec {
         k: &Tensor,
         v: &Tensor,
         pos: &[usize],
-    ) -> ExecResult<Tensor>;
+    ) -> ExecResult<Tensor> {
+        let mut o = RowChunks::new(q.shape()[0]);
+        self.forward_chunks(layer, q, k, v, pos, &mut |r0, part| o.push(r0, part))?;
+        o.finish()
+    }
 
-    /// Consumes the saved state for `layer` and returns `(dq, dk, dv)` in
-    /// the local layout. `o` is the output [`AttentionExec::forward`]
-    /// returned for `layer` — the caller keeps it for its own projection,
-    /// so no executor saves a copy — and `dout` its gradient, both
-    /// `[s_local, heads, d]`.
+    /// [`AttentionExec::backward_chunks`] with `(dq, dk, dv)` collected
+    /// into whole tensors in the local layout.
     ///
     /// # Errors
     ///
-    /// Shape or communication failures, or a missing forward for `layer`.
-    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)>;
+    /// As [`AttentionExec::backward_chunks`].
+    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
+        collect_grads(dout.shape()[0], |sink| self.backward_chunks(layer, o, dout, sink))
+    }
 
     /// Puts the transfers that open `layer`'s backward on the copy stream
     /// now, so they run while the caller's own backward work does (a GPT
@@ -91,6 +143,80 @@ fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResul
     <[Tensor; N]>::try_from(tensors).map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
 }
 
+/// A full-length `[rows, ..]` tensor filled by row range from chunks that
+/// arrive in ascending order, each right after the last: a lone chunk that
+/// covers every row is moved in, others are copied into place once.
+pub(crate) struct RowChunks {
+    rows: usize,
+    /// Rows filled so far.
+    at: usize,
+    shape: Vec<usize>,
+    data: Vec<f32>,
+    lone: Option<Tensor>,
+}
+
+impl RowChunks {
+    pub(crate) fn new(rows: usize) -> Self {
+        RowChunks {
+            rows,
+            at: 0,
+            shape: Vec::new(),
+            data: Vec::new(),
+            lone: None,
+        }
+    }
+
+    /// Places `part` at local rows `r0..`.
+    pub(crate) fn push(&mut self, r0: usize, part: Tensor) -> ExecResult<()> {
+        let n = part.shape().first().copied().unwrap_or(0);
+        if r0 != self.at || r0 + n > self.rows {
+            return Err(format!("rows {r0}..{} arrived with {} of {} filled", r0 + n, self.at, self.rows).into());
+        }
+        self.at += n;
+        if r0 == 0 && n == self.rows {
+            self.lone = Some(part);
+            return Ok(());
+        }
+        if r0 == 0 {
+            self.shape = part.shape().to_vec();
+            self.shape[0] = self.rows;
+            self.data = Vec::with_capacity(self.shape.iter().product());
+        } else if part.shape()[1..] != self.shape[1..] {
+            return Err(format!("row chunk {:?} does not continue {:?}", part.shape(), self.shape).into());
+        }
+        self.data.extend_from_slice(part.data());
+        Ok(())
+    }
+
+    /// The filled tensor.
+    pub(crate) fn finish(self) -> ExecResult<Tensor> {
+        if self.at != self.rows {
+            return Err(format!("{} of {} rows arrived", self.at, self.rows).into());
+        }
+        match self.lone {
+            Some(t) => Ok(t),
+            None => Ok(Tensor::from_vec(self.data, &self.shape)?),
+        }
+    }
+}
+
+/// Runs a streamed backward over `rows` local rows and collects its
+/// `(dq, dk, dv)` chunks into whole tensors.
+fn collect_grads(
+    rows: usize,
+    run: impl FnOnce(&mut ChunkSink<'_, [Tensor; 3]>) -> ExecResult<()>,
+) -> ExecResult<(Tensor, Tensor, Tensor)> {
+    let mut grads = [RowChunks::new(rows), RowChunks::new(rows), RowChunks::new(rows)];
+    run(&mut |r0, parts| {
+        for (g, part) in grads.iter_mut().zip(parts) {
+            g.push(r0, part)?;
+        }
+        Ok(())
+    })?;
+    let [dq, dk, dv] = grads;
+    Ok((dq.finish()?, dk.finish()?, dv.finish()?))
+}
+
 /// One-device chunked attention: a one-rank [`DistAttention`], built by
 /// [`DistAttention::new`].
 pub type LocalAttention = DistAttention;
@@ -102,10 +228,12 @@ pub type LocalAttention = DistAttention;
 /// The comm schedule runs ahead of compute like the offload schedule:
 /// every chunk's all-to-all is posted (one fused QKV op per chunk) before
 /// the first online-softmax update runs, and output/gradient chunks
-/// travel home as [`Pending`] handles resolved only when the caller
-/// concatenates. The streams' clocks decide only how long a wait sleeps,
-/// never an op's order, so every statistic is what the rank's program
-/// order says.
+/// travel home as [`Pending`] handles resolved after the last slot, in
+/// ascending chunk order, each handed to the caller's sink as soon as it
+/// lands — the caller's row-local work on chunk `i` runs while the later
+/// chunks' gathers are still on the wire. The streams' clocks decide
+/// only how long a wait sleeps, never an op's order, so every statistic
+/// is what the rank's program order says.
 ///
 /// Only bytes that have to move do: a rank's own slice of every
 /// all-to-all stays on the rank ([`CommEngine::post`]), and the output
@@ -113,17 +241,22 @@ pub type LocalAttention = DistAttention;
 /// row-dot `D = rowsum(O ∘ dO)` once from the block's own `O` in the local
 /// layout and ships each chunk's slice with its `dO` gather.
 ///
-/// The forward folds chunk `i`'s KV tiles in ascending `j`: `j < i-1`
-/// double-buffered from the chunk store, then `j = i-1` from a one-chunk
-/// KV window — chunk `i-1`'s pair in the form [`OffloadEngine::put`]
-/// handed back, still on the device — then the diagonal. A layer's
-/// forward keep-fetches are therefore `(u-1)(u-2)`, at a device price of
-/// one extra K/V pair while chunk `i`'s host tiles run.
+/// The forward folds chunk `i`'s KV tiles in ascending `j`: `j = 0` from
+/// chunk 0's pair, kept on the device for the whole forward, then
+/// `0 < j < i-1` double-buffered from the chunk store, then `j = i-1` from
+/// a one-chunk KV window, then the diagonal. Both device pairs are in the
+/// form [`OffloadEngine::put`] handed back, bit for bit what a fetch
+/// returns. A layer's forward keep-fetches are therefore `(u-2)(u-3)`.
+/// Each chunk's `[Q, Lse]` goes down behind the next chunk's K/V (the
+/// last chunk's at the end of the forward), so the only puts a forward
+/// fetch can queue behind on the D2H clock are K/V puts. The device
+/// price: one K/V pair more than the 4-pair peak at `u >= 5`, nothing
+/// more at `u <= 4`, and one chunk's `[Q, Lse]` held one chunk longer.
 ///
 /// The causal tile triangle is cut so every pipeline slot carries
 /// near-equal work: the forward posts all fused QKV ops up-front and
-/// carries each chunk's first host KV fetch into the previous chunk's
-/// slot, and the backward walks [`tile_slots`] rather than the paper's
+/// carries each chunk's first host KV fetch (KV 1) into the previous
+/// chunk's slot, and the backward walks [`tile_slots`] rather than the paper's
 /// column-per-slot Figure-7 nest (same tiles, same per-index
 /// accumulation order, same pool/comm operation counts — see DESIGN.md
 /// "Tile schedule" for why only this cut is kept).
@@ -269,6 +402,13 @@ impl DistAttention {
         ])
     }
 
+    /// Puts query chunk `i`'s saved forward state, `Q` then its lse: the
+    /// pair [`DistAttention::fetch_row`] takes back.
+    fn put_row(&mut self, layer: usize, i: usize, q: Arc<Tensor>, lse: Tensor) {
+        self.store.put(ChunkKey::new(layer, BufKind::Q, i), q);
+        self.store.put(ChunkKey::new(layer, BufKind::Lse, i), Arc::new(lse));
+    }
+
     /// Issues the backward's opening for `layer`: the takes its first slot
     /// consumes, in the order it consumes them — KV column 0, the
     /// `[Q, Lse]` of every row `tile_slots(u)[0]` opens, then KV column 1,
@@ -389,6 +529,10 @@ impl DistAttention {
     ///   (an order that opens the column earlier fetches it on demand)
     ///   — and `(u - 1, j)` closes it.
     ///
+    /// The gradients come home as [`AttentionExec::backward_chunks`]
+    /// hands them out: chunk by chunk in ascending order, `[dq_i, dk_i,
+    /// dv_i]` as soon as the three gathers have landed.
+    ///
     /// # Errors
     ///
     /// Shape or communication failures, a missing forward for `layer`,
@@ -400,6 +544,18 @@ impl DistAttention {
         dout: &Tensor,
         slots: &[Vec<(usize, usize)>],
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
+        collect_grads(dout.shape()[0], |sink| self.walk_tiles(layer, o, dout, slots, sink))
+    }
+
+    /// [`DistAttention::backward_tiles`], streamed.
+    fn walk_tiles(
+        &mut self,
+        layer: usize,
+        o: &Tensor,
+        dout: &Tensor,
+        slots: &[Vec<(usize, usize)>],
+        sink: &mut ChunkSink<'_, [Tensor; 3]>,
+    ) -> ExecResult<()> {
         let plan = self.plan(dout.shape()[0])?;
         let u = plan.chunks;
         let scale = default_scale(dout.shape()[2]);
@@ -538,18 +694,19 @@ impl DistAttention {
             }
         }
 
-        let mut cat = |handles: Vec<Option<Pending>>| -> ExecResult<Tensor> {
-            let mut parts = Vec::with_capacity(handles.len());
-            for h in handles {
+        // Chunk i's gradients go to the sink once its three gathers land,
+        // so the caller's work on it runs while later gathers travel.
+        let handles = dq_handles.into_iter().zip(dk_handles).zip(dv_handles);
+        for (i, ((dq, dk), dv)) in handles.enumerate() {
+            let mut land = |h: Option<Pending>| -> ExecResult<Tensor> {
                 let [part] = landed(&mut self.engine, h.ok_or("gradient chunk was never finalized")?)?;
-                parts.push(part);
-            }
-            let refs: Vec<&Tensor> = parts.iter().collect();
-            Ok(Tensor::concat(&refs, 0)?)
-        };
-        let grads = (cat(dq_handles)?, cat(dk_handles)?, cat(dv_handles)?);
+                Ok(part)
+            };
+            let grads = [land(dq)?, land(dk)?, land(dv)?];
+            sink(plan.local_chunk_range(i).start, grads)?;
+        }
         debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
-        Ok(grads)
+        Ok(())
     }
 }
 
@@ -559,14 +716,15 @@ impl AttentionExec for DistAttention {
         self.store.stats()
     }
 
-    fn forward(
+    fn forward_chunks(
         &mut self,
         layer: usize,
         q: &Tensor,
         k: &Tensor,
         v: &Tensor,
         pos: &[usize],
-    ) -> ExecResult<Tensor> {
+        sink: &mut ChunkSink<'_, Tensor>,
+    ) -> ExecResult<()> {
         let plan = self.plan(q.shape()[0])?;
         let (u, c_loc, rank) = (plan.chunks, plan.chunk_local_len(), self.comm.rank());
         // A new forward of `layer` replaces what an opening staged from
@@ -585,32 +743,40 @@ impl AttentionExec for DistAttention {
         // the wire time there, but queue depth u can. The FIFO order of
         // fused QKV ops is ascending in i. Output chunks travel home the
         // same way: the inverse all-to-all is posted as soon as a chunk
-        // finalizes and only resolved at the final concat.
+        // finalizes and resolved, chunk by chunk, when the slots are done.
         let mut qkv_posted: Vec<Pending> = Vec::with_capacity(u);
         for i in 0..u {
             let range = plan.local_chunk_range(i);
             qkv_posted.push(self.post_qkv(q, k, v, range.start, c_loc)?);
         }
         let mut o_handles: Vec<Pending> = Vec::with_capacity(u);
-        // The KV window: chunk i-1's K/V pair as the pool stores it (what
-        // `put` hands back), read from the device by chunk i's j = i-1
-        // update. Its put has only just left, so a fetch would wait for
-        // the put to land and then for its own transfer.
+        // Chunk 0's K/V pair as the pool stores it (what `put` hands
+        // back), kept on the device for the whole forward: every later
+        // chunk's j = 0 tile reads it here instead of fetching it.
+        let mut first: Option<[Arc<Tensor>; 2]> = None;
+        // The KV window: chunk i-1's pair in the same form, read by chunk
+        // i's j = i-1 update (i >= 2; at i = 1 that tile is `first`). Its
+        // put has only just left, so a fetch would wait for the put to
+        // land and then for its own transfer.
         let mut window: Option<[Arc<Tensor>; 2]> = None;
-        // Cross-chunk KV carry: chunk i+1's first host fetch (KV 0) is
+        // Chunk i-1's `[Q, Lse]`, put behind chunk i's K/V: the forward's
+        // fetches wait on K/V puts only, never on a put that only the
+        // backward reads.
+        let mut deferred: Option<(usize, Arc<Tensor>, Tensor)> = None;
+        // Cross-chunk KV carry: chunk i+1's first host fetch (KV 1) is
         // issued while chunk i is still computing, so no slot opens on an
         // exposed transfer.
         let mut carry = None;
         for (i, cur) in qkv_posted.into_iter().enumerate() {
             let _slot = self.span("slot.fwd", 0);
-            // Tiles j < i-1 come from the host; (i, i-1) from the window.
-            let host_tiles = i.saturating_sub(1);
+            // Tiles 0 < j < i-1 come from the host.
+            let host_tiles = 1..i.saturating_sub(1);
             let mut next = carry.take();
-            // Chunk 1 has no host tile to hang the carry on, and chunk 0's
-            // K/V are already put, so the carry for chunk 2 goes on the
+            // Chunk 2 has no host tile to hang the carry on, and chunk 1's
+            // K/V are already put, so the carry for chunk 3 goes on the
             // copy stream here.
-            if i == 1 && u > 2 {
-                carry = Some(self.fetch_kv(layer, 0, false)?);
+            if i == 2 && u > 3 {
+                carry = Some(self.fetch_kv(layer, 1, false)?);
             }
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
@@ -619,30 +785,35 @@ impl AttentionExec for DistAttention {
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
             let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
-            // Stream the older cached KV chunks from host memory,
+            // Ascending j: chunk 0's pair from the device first.
+            if let (true, Some([k0, v0])) = (i > 0, &first) {
+                let _u = self.span("kernel.attn.update", k0.data().len());
+                st.update(k0, v0, &plan.gathered_positions(0))?;
+            }
+            // Stream the cached KV chunks between from host memory,
             // double-buffered: chunk j+1's transfer is issued before chunk
             // j's update runs, so the copy stream hides it behind compute
             // (paper Figure 13).
-            for j in 0..host_tiles {
+            for j in host_tiles.clone() {
                 let cur = next.take().ok_or("KV chunk j was not prefetched")?;
-                next = if j + 1 < host_tiles {
+                next = if j + 1 < host_tiles.end {
                     Some(self.fetch_kv(layer, j + 1, false)?)
                 } else {
                     None
                 };
                 let [kj, vj] = cur.wait();
                 // The carry for chunk i+1, issued on the last host tile
-                // only after `cur` resolved: when i == 2 this tile's
-                // handles ARE chunk 0's K/V keys, and the pool treats a
+                // only after `cur` resolved: when i == 3 this tile's
+                // handles ARE chunk 1's K/V keys, and the pool treats a
                 // second in-flight fetch of a key as a schedule bug.
-                if j + 1 == host_tiles && i + 1 < u {
-                    carry = Some(self.fetch_kv(layer, 0, false)?);
+                if j + 1 == host_tiles.end && i + 1 < u {
+                    carry = Some(self.fetch_kv(layer, 1, false)?);
                 }
                 let _u = self.span("kernel.attn.update", kj.data().len());
                 st.update(&kj, &vj, &plan.gathered_positions(j))?;
             }
-            // Ascending j: the window's chunk i-1 after the host tiles,
-            // then the diagonal. The pair is dropped after its update.
+            // Then the window's chunk i-1 and the diagonal. The window
+            // pair is dropped after its update.
             if let Some([kw, vw]) = window.take() {
                 let _u = self.span("kernel.attn.update", kw.data().len());
                 st.update(&kw, &vw, &plan.gathered_positions(i - 1))?;
@@ -658,34 +829,46 @@ impl AttentionExec for DistAttention {
             drop(attn_span);
             // Cache what the backward needs except O, which the block keeps
             // for its own projection and hands back to the backward. K and
-            // V go down first, and their stored form becomes the next
-            // chunk's window (bf16-rounded when the pool rounds them).
+            // V go down first — their stored form is `first` or the next
+            // chunk's window (bf16-rounded when the pool rounds them) —
+            // then the previous chunk's `[Q, Lse]`.
             let kw = self.store.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
             let vw = self.store.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
-            if i + 1 < u {
+            if i == 0 {
+                first = Some([kw, vw]);
+            } else if i + 1 < u {
                 window = Some([kw, vw]);
             }
-            self.store.put(ChunkKey::new(layer, BufKind::Q, i), qh);
+            if let Some((prev, qp, lp)) = deferred.take() {
+                self.put_row(layer, prev, qp, lp);
+            }
             let lse_len = oi.shape()[0] * oi.shape()[1];
-            self.store.put(
-                ChunkKey::new(layer, BufKind::Lse, i),
-                Arc::new(Tensor::from_vec(lse, &[lse_len])?),
-            );
+            deferred = Some((i, qh, Tensor::from_vec(lse, &[lse_len])?));
             // Gather heads back: the output chunk returns to local layout.
             o_handles.push(self.post("a2a.gather_heads", &[&oi], true)?);
         }
-        let mut o_parts: Vec<Tensor> = Vec::with_capacity(u);
-        for h in o_handles {
+        drop(first);
+        if let Some((last, qp, lp)) = deferred.take() {
+            self.put_row(layer, last, qp, lp);
+        }
+        // Each output chunk goes to the sink once its gather lands, so the
+        // caller's work on it runs while later gathers travel.
+        for (i, h) in o_handles.into_iter().enumerate() {
             let [part] = landed(&mut self.engine, h)?;
-            o_parts.push(part);
+            sink(plan.local_chunk_range(i).start, part)?;
         }
         debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
-        let refs: Vec<&Tensor> = o_parts.iter().collect();
-        Ok(Tensor::concat(&refs, 0)?)
+        Ok(())
     }
 
-    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        self.backward_tiles(layer, o, dout, &tile_slots(self.chunks))
+    fn backward_chunks(
+        &mut self,
+        layer: usize,
+        o: &Tensor,
+        dout: &Tensor,
+        sink: &mut ChunkSink<'_, [Tensor; 3]>,
+    ) -> ExecResult<()> {
+        self.walk_tiles(layer, o, dout, &tile_slots(self.chunks), sink)
     }
 
     /// Issues [`DistAttention::open`] for `layer` and holds it for that
@@ -767,14 +950,16 @@ impl<'c> RingAttentionExec<'c> {
 }
 
 impl AttentionExec for RingAttentionExec<'_> {
-    fn forward(
+    /// Hands back one chunk: the whole shard.
+    fn forward_chunks(
         &mut self,
         layer: usize,
         q: &Tensor,
         k: &Tensor,
         v: &Tensor,
         pos: &[usize],
-    ) -> ExecResult<Tensor> {
+        sink: &mut ChunkSink<'_, Tensor>,
+    ) -> ExecResult<()> {
         let p = self.comm.world();
         let rank = self.comm.rank();
         // Ring attention attends by the plain contiguous shard's
@@ -807,10 +992,17 @@ impl AttentionExec for RingAttentionExec<'_> {
                 lse,
             },
         );
-        Ok(o)
+        sink(0, o)
     }
 
-    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
+    /// Hands back one chunk: the whole shard.
+    fn backward_chunks(
+        &mut self,
+        layer: usize,
+        o: &Tensor,
+        dout: &Tensor,
+        sink: &mut ChunkSink<'_, [Tensor; 3]>,
+    ) -> ExecResult<()> {
         let p = self.comm.world();
         let rank = self.comm.rank();
         let s = self
@@ -850,7 +1042,7 @@ impl AttentionExec for RingAttentionExec<'_> {
             cur_v = rot.pop().ok_or("ring rotate dropped v")?;
             cur_k = rot.pop().ok_or("ring rotate dropped k")?;
         }
-        Ok((dq, cur_dk, cur_dv))
+        sink(0, [dq, cur_dk, cur_dv])
     }
 
     fn discard(&mut self, layer: usize) {
@@ -1252,13 +1444,14 @@ mod tests {
     #[test]
     fn schedule_audit_transfer_and_post_counts() {
         // Transfer- and post-count audit of the schedule for u chunks:
-        //   forward : chunk i keep-fetches K and V for j < i-1 only — its
-        //             j = i-1 tile reads the KV window, the pair chunk
-        //             i-1 put — so 2 * (u-1)(u-2)/2 = (u-1)(u-2) fetches
-        //             (u = 3: just the carry of KV 0 that chunk 1 issues
-        //             for chunk 2); puts K, V, Q, Lse (O stays with the
-        //             block) -> 4u puts; one fused QKV + one O post per
-        //             chunk -> 2u posts
+        //   forward : chunk i keep-fetches K and V for 0 < j < i-1 only —
+        //             its j = 0 tile reads chunk 0's pair, kept on the
+        //             device, and its j = i-1 tile the KV window, the pair
+        //             chunk i-1 put — so 2 * (u-2)(u-3)/2 = (u-2)(u-3)
+        //             fetches (none at u = 3; u = 4: just the carry of KV 1
+        //             that chunk 2 issues for chunk 3); puts K, V, Q, Lse
+        //             (O stays with the block) -> 4u puts; one fused QKV +
+        //             one O post per chunk -> 2u posts
         //   backward: 2u KV takes (each KV chunk exactly ONCE per column)
         //             + 2u row takes ([Q, Lse] once per query row) and
         //             no puts — an open row stays on the rank thread;
@@ -1266,8 +1459,8 @@ mod tests {
         //             cumulative.
         // Bytes per layer, with C one gathered query chunk, C_kv one
         // gathered K or V chunk on the pool and L the chunk's lse:
-        //   forward H2D = (u-1)(u-2)·C_kv,  D2H = u(2C_kv + C + L),
-        //   H2D = (u-1)(u-2)·C_kv + u(2C_kv + C + L),
+        //   forward H2D = (u-2)(u-3)·C_kv,  D2H = u(2C_kv + C + L),
+        //   H2D = (u-2)(u-3)·C_kv + u(2C_kv + C + L),
         // where C_kv = C here, or C / 2 under bf16 payloads. Any drift in
         // the posts means the double buffering degenerated (0 extra posts)
         // or an op stopped being fused (3u instead of u). A backward whose
@@ -1295,12 +1488,15 @@ mod tests {
                 // One gathered chunk: s/u rows of h/2 local heads.
                 let (c, l) = ((s / u) * (h / 2) * d * 4, (s / u) * (h / 2) * 4);
                 let kv = if bf16 { c / 2 } else { c };
-                let keeps = (u - 1) * u.saturating_sub(2);
+                let keeps = u.saturating_sub(2) * u.saturating_sub(3);
                 let h2d_fwd = keeps * kv;
                 let h2d = h2d_fwd + u * (2 * kv + c + l);
                 let d2h = u * (2 * kv + c + l);
                 for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
                     let at = format!("u={u}, bf16={bf16}, stage={stage}");
+                    if u == 3 {
+                        assert_eq!(after_fwd.fetches, 0, "chunk 0 and the window serve u = 3, {at}");
+                    }
                     assert_eq!(after_fwd.fetches, keeps as u64, "forward fetches, {at}");
                     assert_eq!(after_fwd.bytes_fetched, h2d_fwd as u64, "forward H2D bytes, {at}");
                     assert_eq!(after_fwd.offloads, (4 * u) as u64, "forward puts, {at}");
@@ -1321,6 +1517,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn each_chunks_kv_puts_go_down_before_the_previous_chunks_row() {
+        // The D2H clock runs puts in issue order, and a forward fetch waits
+        // on K/V puts only: chunk i's K and V go down before chunk i-1's
+        // `[Q, Lse]`, and the last chunk's row at the end. Under bf16
+        // payloads a K/V chunk (kv), a Q chunk (q) and an lse (l) differ in
+        // bytes, so the read-pass spans name what was put.
+        for u in [1usize, 2, 3, 4, 5] {
+            let comm = CommGroup::new(1).communicators().remove(0);
+            let opts = RuntimeOptions::from_env().with_payload_bf16(true);
+            let rec = Recorder::new();
+            let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts).with_recorder(rec.clone());
+            forward_layer(&mut ex, 0, 80);
+            // One chunk: 4 rows of 2 heads of width 4.
+            let (kv, q, l) = (4 * 2 * 4 * 2, 4 * 2 * 4 * 4, 4 * 2 * 4);
+            let put: Vec<&str> = rec
+                .records()
+                .iter()
+                .filter(|r| r.label == "offload.put")
+                .map(|r| match r.bytes {
+                    Some(b) if b == kv => "kv",
+                    Some(b) if b == q => "q",
+                    Some(b) if b == l => "l",
+                    _ => "?",
+                })
+                .collect();
+            let mut want = vec!["kv", "kv"];
+            for _ in 1..u {
+                want.extend(["kv", "kv", "q", "l"]);
+            }
+            want.extend(["q", "l"]);
+            assert_eq!(put, want, "u = {u}");
+        }
+    }
+
+    #[test]
+    fn chunks_reach_the_sink_in_ascending_rows() {
+        // Four chunks of 4 rows: the forward and the backward hand each
+        // chunk over at its first local row; their concatenation is what
+        // the whole-tensor forms return.
+        let (mut ex, mut plain) = (one_rank(4), one_rank(4));
+        let (q, k, v) = rand_qkv(90, 16, 2, 4);
+        let pos: Vec<usize> = (0..16).collect();
+        let mut starts = Vec::new();
+        let mut parts = Vec::new();
+        ex.forward_chunks(0, &q, &k, &v, &pos, &mut |r0, part| {
+            starts.push(r0);
+            parts.push(part);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(starts, [0, 4, 8, 12]);
+        let o = Tensor::concat(&parts.iter().collect::<Vec<_>>(), 0).unwrap();
+        assert_eq!(bits(&o), bits(&plain.forward(0, &q, &k, &v, &pos).unwrap()));
+        let dout = init::randn(&mut init::seeded_rng(91), &[16, 2, 4], 1.0);
+        starts.clear();
+        let mut dq = Vec::new();
+        ex.backward_chunks(0, &o, &dout, &mut |r0, [dq_i, ..]| {
+            starts.push(r0);
+            dq.push(dq_i);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(starts, [0, 4, 8, 12]);
+        let dq = Tensor::concat(&dq.iter().collect::<Vec<_>>(), 0).unwrap();
+        assert_eq!(bits(&dq), bits(&plain.backward(0, &o, &dout).unwrap().0));
+        // A sink's error ends the call with that error.
+        let err = ex.forward_chunks(1, &q, &k, &v, &pos, &mut |_, _| Err("full".into()));
+        assert_eq!(err.unwrap_err().to_string(), "full");
     }
 
     #[test]

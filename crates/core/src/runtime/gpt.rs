@@ -8,13 +8,15 @@
 //! The MLP and the loss head both run chunked (paper §5.4) — token-wise
 //! operations chunk without changing results, which the tests verify.
 
-use crate::runtime::exec::{AttentionExec, ExecResult};
+use crate::runtime::exec::{AttentionExec, ExecResult, RowChunks};
 use fpdt_model::config::{Family, ModelConfig};
 use fpdt_tensor::nn::{split_grad, AdamW, Embedding, LayerNorm, Linear, RmsNorm};
 use fpdt_tensor::ops::{self, LayerNormCtx, RmsNormCtx, RopeTable};
 use fpdt_tensor::{init, Tensor};
 use fpdt_trace::Recorder;
 use rand::rngs::SmallRng;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// Target id that contributes neither loss nor gradient.
 pub const IGNORE_INDEX: usize = usize::MAX;
@@ -61,6 +63,22 @@ enum Norm {
 enum NormCtx {
     Layer(LayerNormCtx),
     Rms(RmsNormCtx),
+}
+
+impl NormCtx {
+    /// Appends the per-row statistics of the rows that follow this
+    /// context's.
+    fn append(&mut self, later: NormCtx) -> ExecResult<()> {
+        match (self, later) {
+            (NormCtx::Layer(a), NormCtx::Layer(b)) => {
+                a.mean.extend(b.mean);
+                a.rstd.extend(b.rstd);
+            }
+            (NormCtx::Rms(a), NormCtx::Rms(b)) => a.rrms.extend(b.rrms),
+            _ => return Err("norm context family mismatch".into()),
+        }
+        Ok(())
+    }
 }
 
 impl Norm {
@@ -260,7 +278,8 @@ pub struct BlockCtx {
     x1: Tensor,
     n2_ctx: NormCtx,
     n2: Tensor,
-    mlp: Vec<MlpCtx>,
+    /// Each MLP piece's rows and saved activations, in row order.
+    mlp: Vec<(Range<usize>, MlpCtx)>,
 }
 
 impl Block {
@@ -281,11 +300,18 @@ impl Block {
     }
 
     /// Forward for `x: [s, hidden]` at the global positions the pass's
-    /// RoPE table was built for.
+    /// RoPE table was built for; `x` moves into the returned context.
+    ///
+    /// The dense half after the attention streams: `out_proj`, the
+    /// residual, `norm2` and the MLP run on each attention output chunk
+    /// as the executor hands it over, while later chunks' gathers still
+    /// travel. Every one of them is row-local, and the MLP pieces are the
+    /// pass's MLP chunks cut at the attention chunks' bounds, so the bits
+    /// are those of one whole-sequence pass.
     fn forward(
         &self,
         layer: usize,
-        x: &Tensor,
+        x: Tensor,
         exec: &mut dyn AttentionExec,
         pass: &Pass<'_>,
     ) -> ExecResult<(Tensor, BlockCtx)> {
@@ -297,7 +323,7 @@ impl Block {
         let s = x.shape()[0];
         let h = x.shape()[1];
         let dh = h / self.heads;
-        let (n1, n1_ctx) = spanned(rec, "dense.norm", || self.norm1.forward(x))?;
+        let (n1, n1_ctx) = spanned(rec, "dense.norm", || self.norm1.forward(&x))?;
         let (q, k, v) = spanned(rec, "dense.qkv", || -> ExecResult<_> {
             let q = rope.apply(&self.q_proj.forward(&n1)?.reshape(&[s, self.heads, dh])?)?;
             let kv = self.kv_proj.forward(&n1)?;
@@ -306,43 +332,62 @@ impl Block {
             let v = kv.narrow(1, kvd, kvd)?.reshape(&[s, self.kv_heads, dh])?;
             Ok((q, k, v))
         })?;
-        let o = exec.forward(layer, &q, &k, &v, rope.positions())?;
-        let (o_merged, x1) = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
-            let mut o_merged = o;
-            o_merged.reshape_in_place(&[s, h])?;
-            let x1 = x.add(&self.out_proj.forward(&o_merged)?)?;
-            Ok((o_merged, x1))
-        })?;
-        let (n2, n2_ctx) = spanned(rec, "dense.norm", || self.norm2.forward(&x1))?;
-        // Chunked MLP: token-wise, so chunking is exact.
-        let (x2, mlp_ctxs) = spanned(rec, "dense.mlp.fwd", || -> ExecResult<_> {
-            let mut mlp_ctxs = Vec::new();
-            let mut m_parts = Vec::new();
-            for r in chunk_ranges(s, mlp_chunks) {
-                let n2c = n2.narrow(0, r.start, r.len())?;
-                let (mo, ctx) = self.mlp.forward(&n2c)?;
-                m_parts.push(mo);
-                mlp_ctxs.push(ctx);
+        let mlp_ranges = chunk_ranges(s, mlp_chunks);
+        let [mut o_merged, mut x1, mut n2, mut x2] = [(); 4].map(|()| RowChunks::new(s));
+        let mut n2_ctx: Option<NormCtx> = None;
+        let mut mlp = Vec::new();
+        exec.forward_chunks(layer, &q, &k, &v, rope.positions(), &mut |r0, o| {
+            let c = o.shape()[0];
+            let (o_c, x1_c) = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
+                let mut o_c = o;
+                o_c.reshape_in_place(&[c, h])?;
+                let mut x1_c = self.out_proj.forward(&o_c)?;
+                add_rows(&mut x1_c, &x, r0)?; // residual
+                Ok((o_c, x1_c))
+            })?;
+            let (n2_c, ctx_c) = spanned(rec, "dense.norm", || self.norm2.forward(&x1_c))?;
+            // Chunked MLP: token-wise, so chunking is exact.
+            spanned(rec, "dense.mlp.fwd", || -> ExecResult<_> {
+                for r in pieces(&mlp_ranges, r0..r0 + c) {
+                    let n2p = rows(&n2_c, r.start - r0, r.len())?;
+                    let (mut m, ctx) = self.mlp.forward(&n2p)?;
+                    add_rows(&mut m, &x1_c, r.start - r0)?; // residual
+                    x2.push(r.start, m)?;
+                    mlp.push((r, ctx));
+                }
+                Ok(())
+            })?;
+            match &mut n2_ctx {
+                Some(all) => all.append(ctx_c)?,
+                None => n2_ctx = Some(ctx_c),
             }
-            Ok((x1.add(&concat0(&m_parts)?)?, mlp_ctxs))
+            o_merged.push(r0, o_c)?;
+            x1.push(r0, x1_c)?;
+            n2.push(r0, n2_c)
         })?;
         Ok((
-            x2,
+            x2.finish()?,
             BlockCtx {
-                x: x.clone(),
+                x,
                 n1_ctx,
                 n1,
-                o_merged,
-                x1,
-                n2_ctx,
-                n2,
-                mlp: mlp_ctxs,
+                o_merged: o_merged.finish()?,
+                x1: x1.finish()?,
+                n2_ctx: n2_ctx.ok_or("the attention returned no rows")?,
+                n2: n2.finish()?,
+                mlp,
             },
         ))
     }
 
     /// Backward for the block; adds its parameter gradients into `grad`
     /// (the block's stretch of the flat buffer) and returns `dx`.
+    ///
+    /// The RoPE and `kv_proj`/`q_proj` backward stream: they run on each
+    /// `(dq, dk, dv)` chunk as the executor hands it over. Both
+    /// projections' weight and bias gradients still add their rows in
+    /// ascending order, one chain per element, so the bits are those of
+    /// one whole-sequence call.
     fn backward(
         &self,
         layer: usize,
@@ -352,11 +397,7 @@ impl Block {
         pass: &Pass<'_>,
         grad: &mut [f32],
     ) -> ExecResult<Tensor> {
-        let Pass {
-            rope,
-            mlp_chunks,
-            rec,
-        } = *pass;
+        let Pass { rope, rec, .. } = *pass;
         let [g_norm1, g_q, g_kv, g_out, g_norm2, g_mlp] = split_grad(grad, self.param_lens())?;
         let s = dx2.shape()[0];
         let h = dx2.shape()[1];
@@ -364,15 +405,15 @@ impl Block {
         // The attention backward's first transfers cross the link while
         // the MLP, norm2 and out_proj backward run.
         exec.stage_backward(layer)?;
-        // MLP backward, chunked.
+        // MLP backward, over the forward's pieces.
         let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
-            let mut dn2_parts = Vec::new();
-            for (ci, r) in chunk_ranges(s, mlp_chunks).into_iter().enumerate() {
-                let dmo = dx2.narrow(0, r.start, r.len())?;
-                let n2c = ctx.n2.narrow(0, r.start, r.len())?;
-                dn2_parts.push(self.mlp.backward(&n2c, &ctx.mlp[ci], &dmo, g_mlp)?);
+            let mut dn2 = RowChunks::new(s);
+            for (r, mctx) in &ctx.mlp {
+                let dmo = rows(dx2, r.start, r.len())?;
+                let n2c = rows(&ctx.n2, r.start, r.len())?;
+                dn2.push(r.start, self.mlp.backward(&n2c, mctx, &dmo, g_mlp)?)?;
             }
-            concat0(&dn2_parts)
+            dn2.finish()
         })?;
         let dx1 = spanned(rec, "dense.norm", || -> ExecResult<_> {
             let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2, g_norm2)?;
@@ -387,20 +428,24 @@ impl Block {
             ctx.o_merged.reshape_in_place(&[s, self.heads, dh])?;
             Ok(do_heads)
         })?;
-        let (dq, dk, dv) = exec.backward(layer, &ctx.o_merged, &do_heads)?;
-        let dn1 = spanned(rec, "dense.qkv", || -> ExecResult<_> {
-            let dq = rope.apply_bwd(&dq)?;
-            let dk = rope.apply_bwd(&dk)?;
-            let kvd = self.kv_heads * dh;
-            let dkv = Tensor::concat(&[&dk.reshape(&[s, kvd])?, &dv.reshape(&[s, kvd])?], 1)?;
-            let mut dn1 = self.kv_proj.backward(&ctx.n1, &dkv, g_kv)?;
-            dn1.add_assign(&self.q_proj.backward(
-                &ctx.n1,
-                &dq.reshape(&[s, self.heads * dh])?,
-                g_q,
-            )?)?;
-            Ok(dn1)
+        let kvd = self.kv_heads * dh;
+        let mut dn1 = RowChunks::new(s);
+        exec.backward_chunks(layer, &ctx.o_merged, &do_heads, &mut |r0, [dq, dk, mut dv]| {
+            spanned(rec, "dense.qkv", || -> ExecResult<_> {
+                let c = dq.shape()[0];
+                let mut dq = rope.apply_bwd_rows(r0, &dq)?;
+                let mut dk = rope.apply_bwd_rows(r0, &dk)?;
+                dq.reshape_in_place(&[c, self.heads * dh])?;
+                dk.reshape_in_place(&[c, kvd])?;
+                dv.reshape_in_place(&[c, kvd])?;
+                let dkv = Tensor::concat(&[&dk, &dv], 1)?;
+                let n1c = rows(&ctx.n1, r0, c)?;
+                let mut dn1c = self.kv_proj.backward(&n1c, &dkv, g_kv)?;
+                dn1c.add_assign(&self.q_proj.backward(&n1c, &dq, g_q)?)?;
+                dn1.push(r0, dn1c)
+            })
         })?;
+        let dn1 = dn1.finish()?;
         spanned(rec, "dense.norm", || {
             let mut dx = self.norm1.backward(&ctx.x, &ctx.n1_ctx, &dn1, g_norm1)?;
             dx.add_assign(&dx1)?; // residual
@@ -446,6 +491,41 @@ fn chunk_ranges(s: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
         start += len;
     }
     out
+}
+
+/// The pieces of `ranges` (a cut of the whole sequence) that fall inside
+/// `within`, cut at its bounds, in ascending order.
+fn pieces(ranges: &[Range<usize>], within: Range<usize>) -> Vec<Range<usize>> {
+    ranges
+        .iter()
+        .map(|r| r.start.max(within.start)..r.end.min(within.end))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
+/// Rows `r0..r0 + n` of `t`: borrowed when they are all of it, else a copy.
+fn rows(t: &Tensor, r0: usize, n: usize) -> ExecResult<Cow<'_, Tensor>> {
+    Ok(if r0 == 0 && n == t.shape()[0] {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(t.narrow(0, r0, n)?)
+    })
+}
+
+/// Adds rows `r0..` of `src` into `dst`, element by element — the same
+/// sums as `src.add(dst)` on those rows (float addition commutes).
+fn add_rows(dst: &mut Tensor, src: &Tensor, r0: usize) -> ExecResult<()> {
+    let width = src.shape()[1..].iter().product::<usize>();
+    let at = r0 * width;
+    let part = src
+        .data()
+        .get(at..at + dst.numel())
+        .filter(|_| dst.shape()[1..] == src.shape()[1..])
+        .ok_or_else(|| format!("rows {r0}.. of {:?} do not fit {:?}", src.shape(), dst.shape()))?;
+    for (d, &x) in dst.data_mut().iter_mut().zip(part) {
+        *d += x;
+    }
+    Ok(())
 }
 
 fn concat0(parts: &[Tensor]) -> ExecResult<Tensor> {
@@ -669,14 +749,15 @@ impl GptModel {
         // ---- forward ----
         let mut x = spanned(rec, "embed", || self.emb.forward(tokens))?;
         // per block: `Ok(context)`, or `Err(input)` to recompute it from
+        // (moved out of the context the forward built)
         let mut saved = Vec::with_capacity(self.blocks.len());
         for (layer, block) in self.blocks.iter().enumerate() {
             let _s = rec.map(|r| r.span("block.fwd"));
-            let (nx, ctx) = block.forward(layer, &x, exec, &pass)?;
-            let x_in = std::mem::replace(&mut x, nx);
+            let (nx, ctx) = block.forward(layer, x, exec, &pass)?;
+            x = nx;
             saved.push(if checkpointed {
                 exec.discard(layer);
-                Err(x_in)
+                Err(ctx.x)
             } else {
                 Ok(ctx)
             });
@@ -695,7 +776,7 @@ impl GptModel {
                 Ok(ctx) => ctx,
                 Err(x_in) => {
                     let _s = rec.map(|r| r.span("block.fwd"));
-                    block.forward(layer, &x_in, exec, &pass)?.1
+                    block.forward(layer, x_in, exec, &pass)?.1
                 }
             };
             let _s = rec.map(|r| r.span("block.bwd"));
@@ -876,7 +957,7 @@ impl GptModel {
         };
         let mut x = self.emb.forward(prompt)?;
         for (layer, block) in self.blocks.iter().enumerate() {
-            let (nx, _) = block.forward(layer, &x, exec, &pass)?;
+            let (nx, _) = block.forward(layer, x, exec, &pass)?;
             exec.discard(layer); // forward-only inference keeps no state
             x = nx;
         }

@@ -73,7 +73,7 @@ impl RopeTable {
     /// Returns a rank/shape error unless `x` is rank 3 with the table's
     /// row count and head dim.
     pub fn apply(&self, x: &Tensor) -> Result<Tensor> {
-        self.rotate(x, 1.0)
+        self.rotate(x, 1.0, 0, self.positions.len())
     }
 
     /// Backward pass of [`RopeTable::apply`]: rotates the upstream
@@ -84,13 +84,27 @@ impl RopeTable {
     ///
     /// Same conditions as [`RopeTable::apply`].
     pub fn apply_bwd(&self, dy: &Tensor) -> Result<Tensor> {
-        self.rotate(dy, -1.0)
+        self.rotate(dy, -1.0, 0, self.positions.len())
     }
 
-    fn rotate(&self, x: &Tensor, sign: f32) -> Result<Tensor> {
+    /// [`RopeTable::apply_bwd`] over table rows `r0..r0 + n`, `n` the row
+    /// count of `dy`: the gradient of those rows alone, bit for bit the
+    /// same rows of a whole-table backward.
+    ///
+    /// # Errors
+    ///
+    /// Returns a rank/shape error unless `dy` is rank 3 with the table's
+    /// head dim and its rows lie inside the table.
+    pub fn apply_bwd_rows(&self, r0: usize, dy: &Tensor) -> Result<Tensor> {
+        let n = dy.shape().first().copied().unwrap_or(0);
+        self.rotate(dy, -1.0, r0, n)
+    }
+
+    /// Rotates `x`, whose rows are table rows `r0..r0 + rows`.
+    fn rotate(&self, x: &Tensor, sign: f32, r0: usize, rows: usize) -> Result<Tensor> {
         check_rank(x)?;
         let (s, h, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        if s != self.positions.len() || d != 2 * self.half {
+        if s != rows || r0.saturating_add(rows) > self.positions.len() || d != 2 * self.half {
             return Err(TensorError::ShapeMismatch {
                 op: "rope",
                 lhs: x.shape().to_vec(),
@@ -105,7 +119,7 @@ impl RopeTable {
             x.numel(),
             |blk, rows| {
                 for (t, token) in rows.chunks_mut(h * d).enumerate() {
-                    let at = (blk * TOKEN_BLOCK + t) * half;
+                    let at = (r0 + blk * TOKEN_BLOCK + t) * half;
                     let (sin, cos) = (&self.sin[at..at + half], &self.cos[at..at + half]);
                     for head in token.chunks_mut(d) {
                         for (i, pair) in head.chunks_exact_mut(2).enumerate() {
@@ -211,6 +225,21 @@ mod tests {
         let refs: Vec<&Tensor> = parts.iter().collect();
         let stitched = Tensor::concat(&refs, 0).unwrap();
         assert!(stitched.allclose(&full, 1e-6, 1e-7));
+    }
+
+    #[test]
+    fn a_row_range_backward_is_those_rows_of_the_whole_one() {
+        // 70 rows straddle a token block; ranges start inside one.
+        let pos: Vec<usize> = (0..70).map(|p| 3 * p + 1).collect();
+        let t = table(&pos, 8);
+        let dy = init::randn(&mut init::seeded_rng(9), &[70, 3, 8], 1.0);
+        let whole = t.apply_bwd(&dy).unwrap();
+        let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (r0, n) in [(0, 70), (0, 5), (5, 64), (66, 4)] {
+            let rows = t.apply_bwd_rows(r0, &dy.narrow(0, r0, n).unwrap()).unwrap();
+            assert_eq!(bits(&rows), bits(&whole.narrow(0, r0, n).unwrap()), "rows {r0}..{}", r0 + n);
+        }
+        assert!(t.apply_bwd_rows(67, &dy.narrow(0, 0, 4).unwrap()).is_err(), "past the table");
     }
 
     #[test]

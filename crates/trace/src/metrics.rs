@@ -353,17 +353,29 @@ pub fn coverage(records: &[SpanRecord], window: (f64, f64), prefixes: &[&str]) -
         .fold(f64::INFINITY, f64::min)
 }
 
-/// The exposed waits of one rank thread in one pipeline slot of one kind
-/// of block, summed over every such block in the records.
+/// Where in a block a wait sits.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum WaitPlace {
+    /// Inside the block's slot of this index among its `slot.*` spans, in
+    /// start order.
+    Slot(usize),
+    /// Outside every slot, inside a `dense.*` span of this label: the
+    /// block's dense half, which streams over the attention's chunks.
+    Dense(String),
+    /// Outside every slot and every `dense.*` span.
+    Tail,
+}
+
+/// The exposed waits of one rank thread in one place of one kind of
+/// block, summed over every such block in the records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotWaits {
     /// The rank thread.
     pub tid: u64,
     /// The enclosing block span: `"block.fwd"` or `"block.bwd"`.
     pub block: String,
-    /// The slot's index among its block's `slot.*` spans, in start order;
-    /// `None` for the block's tail, the time outside every slot.
-    pub slot: Option<usize>,
+    /// Where in the block the waits sit.
+    pub place: WaitPlace,
     /// Summed `offload.wait`, microseconds.
     pub offload_wait_us: f64,
     /// Summed `comm.wait`, microseconds.
@@ -373,10 +385,11 @@ pub struct SlotWaits {
 /// Where a rank's exposed stream time sits in the pipeline: every
 /// `offload.wait` and `comm.wait` on a rank thread (one that records a
 /// `block.*` span), summed by the `block.fwd`/`block.bwd` span it starts
-/// in and by the slot (`slot.fwd`/`slot.bwd`, counted per block) it
-/// starts in. Rows are ordered by thread, block label and slot, the tail
-/// last; only `(tid, block, slot)` cells that hold a wait appear, and a
-/// wait outside every block is left out.
+/// in and by the [`WaitPlace`] it starts in: a slot (`slot.fwd`/`slot.bwd`,
+/// counted per block), else a `dense.*` span by label, else the tail.
+/// Rows are ordered by thread, block label and place (slots, dense labels,
+/// the tail last); only `(tid, block, place)` cells that hold a wait
+/// appear, and a wait outside every block is left out.
 pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
     use std::collections::BTreeMap;
     let within = |outer: &SpanRecord, s: &SpanRecord| {
@@ -388,8 +401,8 @@ pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
         .collect();
     let mut slots: Vec<&SpanRecord> = records.iter().filter(|s| s.label.starts_with("slot.")).collect();
     slots.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-    // (tid, block label, slot or usize::MAX for the tail) -> (offload, comm)
-    let mut cells: BTreeMap<(u64, String, usize), (f64, f64)> = BTreeMap::new();
+    let dense: Vec<&SpanRecord> = records.iter().filter(|s| s.label.starts_with("dense.")).collect();
+    let mut cells: BTreeMap<(u64, String, WaitPlace), (f64, f64)> = BTreeMap::new();
     for w in records {
         let offload = match w.label.as_str() {
             "offload.wait" => true,
@@ -397,12 +410,13 @@ pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
             _ => continue,
         };
         let Some(block) = blocks.iter().find(|b| within(b, w)) else { continue };
-        let slot = slots
-            .iter()
-            .filter(|s| within(block, s))
-            .position(|s| within(s, w))
-            .unwrap_or(usize::MAX);
-        let cell = cells.entry((w.tid, block.label.clone(), slot)).or_default();
+        let slot = slots.iter().filter(|s| within(block, s)).position(|s| within(s, w));
+        let place = match (slot, dense.iter().find(|d| within(d, w))) {
+            (Some(slot), _) => WaitPlace::Slot(slot),
+            (None, Some(d)) => WaitPlace::Dense(d.label.clone()),
+            (None, None) => WaitPlace::Tail,
+        };
+        let cell = cells.entry((w.tid, block.label.clone(), place)).or_default();
         if offload {
             cell.0 += w.dur_us;
         } else {
@@ -411,10 +425,10 @@ pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
     }
     cells
         .into_iter()
-        .map(|((tid, block, slot), (offload_wait_us, comm_wait_us))| SlotWaits {
+        .map(|((tid, block, place), (offload_wait_us, comm_wait_us))| SlotWaits {
             tid,
             block,
-            slot: (slot != usize::MAX).then_some(slot),
+            place,
             offload_wait_us,
             comm_wait_us,
         })
@@ -484,15 +498,28 @@ mod tests {
         assert_eq!(coverage(&recs, (200.0, 200.0), &named), 0.0);
     }
 
-    #[test]
-    fn waits_sum_by_block_slot_and_tail() {
-        let span = |label: &str, tid: u64, start_us: f64, dur_us: f64| SpanRecord {
+    fn span(label: &str, tid: u64, start_us: f64, dur_us: f64) -> SpanRecord {
+        SpanRecord {
             label: label.to_string(),
             tid,
             start_us,
             dur_us,
             bytes: None,
-        };
+        }
+    }
+
+    fn cell(tid: u64, block: &str, place: WaitPlace, offload: f64, comm: f64) -> SlotWaits {
+        SlotWaits {
+            tid,
+            block: block.to_string(),
+            place,
+            offload_wait_us: offload,
+            comm_wait_us: comm,
+        }
+    }
+
+    #[test]
+    fn waits_sum_by_block_slot_and_tail() {
         let recs = vec![
             // rank 0, layer 1 backward: two slots, then a tail
             span("block.bwd", 0, 100.0, 100.0),
@@ -517,24 +544,50 @@ mod tests {
             span("offload.wait", 0, 60.0, 9.0),
             span("offload.fetch", 0, 115.0, 1.0),
         ];
-        let cell = |tid: u64, block: &str, slot: Option<usize>, offload: f64, comm: f64| SlotWaits {
-            tid,
-            block: block.to_string(),
-            slot,
-            offload_wait_us: offload,
-            comm_wait_us: comm,
-        };
         assert_eq!(
             waits_by_slot(&recs),
             vec![
-                cell(0, "block.bwd", Some(0), 8.0, 2.0),
-                cell(0, "block.bwd", Some(1), 1.0, 0.0),
-                cell(0, "block.bwd", None, 0.0, 4.0),
-                cell(0, "block.fwd", Some(0), 7.0, 0.0),
-                cell(1, "block.fwd", None, 0.0, 6.0),
+                cell(0, "block.bwd", WaitPlace::Slot(0), 8.0, 2.0),
+                cell(0, "block.bwd", WaitPlace::Slot(1), 1.0, 0.0),
+                cell(0, "block.bwd", WaitPlace::Tail, 0.0, 4.0),
+                cell(0, "block.fwd", WaitPlace::Slot(0), 7.0, 0.0),
+                cell(1, "block.fwd", WaitPlace::Tail, 0.0, 6.0),
             ]
         );
         assert!(waits_by_slot(&[]).is_empty());
+    }
+
+    #[test]
+    fn waits_in_the_streamed_dense_half_report_under_its_label() {
+        let recs = vec![
+            // a forward: one slot, then the dense half on two chunks with
+            // a gather wait inside each chunk's out_proj span, one between
+            // them and one after
+            span("block.fwd", 0, 0.0, 100.0),
+            span("slot.fwd", 0, 0.0, 40.0),
+            span("comm.wait", 0, 10.0, 1.0),
+            span("dense.out_proj", 0, 40.0, 10.0),
+            span("comm.wait", 0, 41.0, 2.0),
+            span("dense.mlp.fwd", 0, 50.0, 10.0),
+            span("comm.wait", 0, 62.0, 3.0),
+            span("dense.out_proj", 0, 65.0, 10.0),
+            span("comm.wait", 0, 66.0, 4.0),
+            span("offload.wait", 0, 70.0, 1.0),
+            span("comm.wait", 0, 90.0, 5.0),
+            // another thread's dense span does not hold rank 0's wait
+            span("dense.qkv", 1, 0.0, 1000.0),
+            span("block.bwd", 0, 200.0, 100.0),
+            span("comm.wait", 0, 210.0, 6.0),
+        ];
+        assert_eq!(
+            waits_by_slot(&recs),
+            vec![
+                cell(0, "block.bwd", WaitPlace::Tail, 0.0, 6.0),
+                cell(0, "block.fwd", WaitPlace::Slot(0), 0.0, 1.0),
+                cell(0, "block.fwd", WaitPlace::Dense("dense.out_proj".into()), 1.0, 6.0),
+                cell(0, "block.fwd", WaitPlace::Tail, 0.0, 8.0),
+            ]
+        );
     }
 
     #[test]
