@@ -785,8 +785,9 @@ impl AttentionExec for DistAttention {
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
             let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
-            // Ascending j: chunk 0's pair from the device first.
-            if let (true, Some([k0, v0])) = (i > 0, &first) {
+            // Ascending j: chunk 0's pair from the device first (set once
+            // chunk 0 is put, so chunk 0 itself skips this).
+            if let Some([k0, v0]) = &first {
                 let _u = self.span("kernel.attn.update", k0.data().len());
                 st.update(k0, v0, &plan.gathered_positions(0))?;
             }
@@ -1517,6 +1518,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_chunks_move_a_lone_chunk_and_fill_the_rest_in_order() {
+        let t = Tensor::arange(12).reshape(&[6, 2]).unwrap();
+        let mut lone = RowChunks::new(6);
+        let part = t.clone();
+        let at = part.data().as_ptr();
+        lone.push(0, part).unwrap();
+        assert_eq!(lone.finish().unwrap().data().as_ptr(), at, "a lone chunk is moved, not copied");
+        let mut parts = RowChunks::new(6);
+        for r0 in [0, 2, 4] {
+            parts.push(r0, t.narrow(0, r0, 2).unwrap()).unwrap();
+        }
+        assert_eq!(bits(&parts.finish().unwrap()), bits(&t));
+        let mut gap = RowChunks::new(6);
+        gap.push(0, t.narrow(0, 0, 2).unwrap()).unwrap();
+        assert!(gap.push(4, t.narrow(0, 4, 2).unwrap()).is_err(), "rows must arrive in order");
+        assert!(gap.finish().is_err(), "rows 2.. never arrived");
+        let mut wide = RowChunks::new(6);
+        wide.push(0, t.narrow(0, 0, 2).unwrap()).unwrap();
+        assert!(wide.push(2, Tensor::zeros(&[2, 3])).is_err(), "a chunk of another width");
     }
 
     #[test]

@@ -528,11 +528,6 @@ fn add_rows(dst: &mut Tensor, src: &Tensor, r0: usize) -> ExecResult<()> {
     Ok(())
 }
 
-fn concat0(parts: &[Tensor]) -> ExecResult<Tensor> {
-    let refs: Vec<&Tensor> = parts.iter().collect();
-    Ok(Tensor::concat(&refs, 0)?)
-}
-
 /// Loss statistics of one forward/backward pass over a local shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossStats {
@@ -638,16 +633,16 @@ impl GptModel {
             loss_sum: 0.0,
             tokens: 0,
         };
-        let mut dxf_parts = Vec::new();
+        let mut dxf = RowChunks::new(targets.len());
         for r in chunk_ranges(targets.len(), loss_chunks) {
-            let xc = xf.narrow(0, r.start, r.len())?;
+            let xc = rows(xf, r.start, r.len())?;
             let logits = head.forward(&xc)?;
             let out = ops::cross_entropy(&logits, &targets[r.clone()], IGNORE_INDEX)?;
             stats.loss_sum += out.loss_sum;
             stats.tokens += out.tokens;
-            dxf_parts.push(head.backward(&xc, &out.dlogits, g_head)?);
+            dxf.push(r.start, head.backward(&xc, &out.dlogits, g_head)?)?;
         }
-        Ok((stats, concat0(&dxf_parts)?))
+        Ok((stats, dxf.finish()?))
     }
 
     /// Attaches a span recorder: each block's forward and backward record
