@@ -15,10 +15,10 @@
 //! particular iteration order over these tiles.
 //!
 //! Both kernels are blocked matrix–matrix code over fixed-size score
-//! blocks. A parallel item owns [`BW`] consecutive rows of one operand
+//! blocks. A parallel item owns `BW` consecutive rows of one operand
 //! (query rows in the forward, key rows in the backward's `dk`/`dv`
 //! phase), packs that *resident* operand transposed once per head, and
-//! streams the other operand past it [`BD`] rows at a time. Each step forms
+//! streams the other operand past it `BD` rows at a time. Each step forms
 //! a `[BD, BW]` score block — streamed row × resident column — with
 //! [`mk::gemm_panel`] reading the `[s, h, d]` layout in place, runs the
 //! block softmax ([`mk::softmax_fold`] / [`mk::softmax_bwd`]) and feeds the
@@ -28,9 +28,9 @@
 //! straddling blocks test per element.
 //!
 //! The backward is one sweep: it walks the tile in macro-tiles of at most
-//! [`MQ`] x [`MK`] rows, and in each forms every visible score block once
+//! `MQ` x `MK` rows, and in each forms every visible score block once
 //! (phase A, which owns `dk`/`dv` and keeps `dS`), then reads the kept `dS`
-//! back as a plain gemm operand for `dq` (phase B, one item per [`BW`]
+//! back as a plain gemm operand for `dq` (phase B, one item per `BW`
 //! query rows). Five gemm-shaped products and one `exp` per score.
 //!
 //! Determinism: the `BW`-row partitions are fixed by the shape, every

@@ -230,7 +230,7 @@ impl Communicator {
 
     /// Runs `f` and replays it on [retryable](CommError::is_retryable)
     /// failures, up to `budget` extra attempts. Because collectives fail
-    /// only *before* their first send (see [`Communicator::fault_check`]),
+    /// only *before* their first send (see `Communicator::fault_check`),
     /// the replay re-runs the whole collective against clean channels;
     /// peers blocked in `recv` simply wait out the retry. Each replay is
     /// tallied on [`CommStats::retries`].

@@ -168,21 +168,26 @@ impl StateDict {
         }
     }
 
-    /// A required scalar u64 entry.
+    /// A required u64 entry of exactly `N` elements.
     ///
     /// # Errors
     ///
-    /// As [`StateDict::u64s`], plus [`CkptError::Corrupt`] when the entry
-    /// is not exactly one element.
-    pub fn u64_scalar(&self, key: &str) -> Result<u64, CkptError> {
+    /// As [`StateDict::u64s`], plus [`CkptError::Corrupt`] naming the key
+    /// and both counts when the entry holds another number of elements.
+    pub fn u64s_n<const N: usize>(&self, key: &str) -> Result<[u64; N], CkptError> {
         let v = self.u64s(key)?;
-        if v.len() != 1 {
-            return Err(CkptError::Corrupt(format!(
-                "entry {key:?} has {} elements, expected 1",
-                v.len()
-            )));
-        }
-        Ok(v[0])
+        v.try_into()
+            .map_err(|_| CkptError::Corrupt(format!("entry {key:?} has {} elements, expected {N}", v.len())))
+    }
+
+    /// A required scalar u64 entry: [`StateDict::u64s_n`] of one element.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateDict::u64s_n`].
+    pub fn u64_scalar(&self, key: &str) -> Result<u64, CkptError> {
+        let [x] = self.u64s_n(key)?;
+        Ok(x)
     }
 
     /// A required string entry (same error contract as
@@ -502,6 +507,18 @@ mod tests {
         assert!(matches!(d.f32s("mm.mid"), Err(CkptError::Corrupt(_))));
         assert!(matches!(d.u64_scalar("mm.mid"), Err(CkptError::Corrupt(_))));
         assert_eq!(d.str("zz.last").unwrap(), "tail");
+    }
+
+    #[test]
+    fn a_fixed_length_entry_of_another_length_is_corrupt_and_says_so() {
+        let d = sample_dict();
+        assert_eq!(d.u64s_n::<3>("mm.mid").unwrap(), [7, 0, u64::MAX]);
+        for (err, n) in [(d.u64s_n::<2>("mm.mid").unwrap_err(), 2), (d.u64s_n::<4>("mm.mid").unwrap_err(), 4)] {
+            let want = format!("entry \"mm.mid\" has 3 elements, expected {n}");
+            assert!(matches!(&err, CkptError::Corrupt(msg) if *msg == want), "{err:?}");
+        }
+        assert!(matches!(d.u64s_n::<3>("nope"), Err(CkptError::Missing(_))));
+        assert!(matches!(d.u64s_n::<1>("zz.last"), Err(CkptError::Corrupt(_))));
     }
 
     #[test]

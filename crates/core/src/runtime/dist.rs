@@ -1134,13 +1134,7 @@ impl Trainer {
             .map(|p| ckpt::read_shard(p))
             .collect::<Result<_, _>>()?;
         let meta = &shards[0];
-        let dims = meta.u64s("cfg.model.dims")?;
-        if dims.len() != 6 {
-            return Err(CkptError::Corrupt(format!(
-                "cfg.model.dims has {} fields",
-                dims.len()
-            )));
-        }
+        let dims = meta.u64s_n::<6>("cfg.model.dims")?;
         let family = match meta.str("cfg.model.family")? {
             "gpt" => Family::Gpt,
             "llama" => Family::Llama,
@@ -1158,10 +1152,7 @@ impl Trainer {
             ffn_hidden: dims[4] as usize,
             vocab: dims[5] as usize,
         };
-        let t = meta.u64s("cfg.train")?;
-        if t.len() != 8 {
-            return Err(CkptError::Corrupt(format!("cfg.train has {} fields", t.len())));
-        }
+        let t = meta.u64s_n::<8>("cfg.train")?;
         if t[0] as usize != shards.len() {
             return Err(CkptError::Corrupt(format!(
                 "config world {} disagrees with {} shards",
@@ -1226,24 +1217,15 @@ impl Trainer {
             )));
         }
 
-        let rng_words = meta.u64s("rng.state")?;
-        let rng: [u64; 4] = rng_words.try_into().map_err(|_| {
-            CkptError::Corrupt(format!("rng.state has {} words", rng_words.len()))
-        })?;
-        let pool = meta.u64s("stats.pool")?;
-        if pool.len() != 6 {
-            return Err(CkptError::Corrupt(format!(
-                "stats.pool has {} fields",
-                pool.len()
-            )));
-        }
+        let rng = meta.u64s_n::<4>("rng.state")?;
+        let [offloads, fetches, bytes, peak_bytes, bytes_offloaded, bytes_fetched] = meta.u64s_n("stats.pool")?;
         let host = PoolStats {
-            offloads: pool[0],
-            fetches: pool[1],
-            bytes: pool[2],
-            peak_bytes: pool[3],
-            bytes_offloaded: pool[4],
-            bytes_fetched: pool[5],
+            offloads,
+            fetches,
+            bytes,
+            peak_bytes,
+            bytes_offloaded,
+            bytes_fetched,
         };
         let op_names: Vec<&str> = {
             let raw = meta.str("stats.comm.ops")?;
@@ -1261,13 +1243,7 @@ impl Trainer {
                 op_names.len()
             )));
         }
-        let recovery = meta.u64s("stats.comm.recovery")?;
-        if recovery.len() != 2 {
-            return Err(CkptError::Corrupt(format!(
-                "stats.comm.recovery has {} fields",
-                recovery.len()
-            )));
-        }
+        let [faults, retries] = meta.u64s_n("stats.comm.recovery")?;
         let comm = CommStats {
             ops: op_names
                 .iter()
@@ -1285,8 +1261,8 @@ impl Trainer {
                 })
                 .collect(),
             recv_wait: std::time::Duration::ZERO,
-            faults: recovery[0],
-            retries: recovery[1],
+            faults,
+            retries,
         };
 
         Ok(Trainer {

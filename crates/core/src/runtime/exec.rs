@@ -24,6 +24,7 @@ use fpdt_attention::default_scale;
 use fpdt_comm::{AllToAllLayout, CommEngine, CommGroup, Communicator, Pending};
 use fpdt_tensor::{Tensor, TensorError};
 use fpdt_trace::{Recorder, Span};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -35,6 +36,13 @@ pub type ExecResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
 /// Parts arrive in ascending row order and cover every local row once; an
 /// error the sink returns ends the call with that error.
 pub type ChunkSink<'a, T> = dyn FnMut(usize, T) -> ExecResult<()> + 'a;
+
+/// The caller's dense backward, run by [`AttentionExec::backward_chunks`]
+/// once: it returns the attention output `o` the forward produced and its
+/// gradient `dO`, both `[s_local, heads, d]`. The caller keeps `o` for its
+/// own projection, so no executor saves a copy; a caller that already
+/// holds both lends them.
+pub type DenseBackward<'a> = dyn FnMut() -> ExecResult<(Cow<'a, Tensor>, Cow<'a, Tensor>)> + 'a;
 
 /// An attention implementation a GPT block can call into.
 ///
@@ -63,21 +71,20 @@ pub trait AttentionExec {
         sink: &mut ChunkSink<'_, Tensor>,
     ) -> ExecResult<()>;
 
-    /// Consumes the saved state for `layer` and hands `[dq, dk, dv]` to
-    /// `sink` chunk by chunk, in the local layout. `o` is the output the
-    /// forward produced for `layer` — the caller keeps it for its own
-    /// projection, so no executor saves a copy — and `dout` its gradient,
-    /// both `[s_local, heads, d]`.
+    /// Consumes the saved state for `layer`: runs `dense` once for the
+    /// layer's `(o, dO)`, then hands `[dq, dk, dv]` to `sink` chunk by
+    /// chunk, in the local layout. Transfers that need neither run before
+    /// `dense`, so they cross the link while the caller's dense backward
+    /// does.
     ///
     /// # Errors
     ///
     /// Shape or communication failures, a missing forward for `layer`, or
-    /// the sink's own error.
+    /// the error `dense` or the sink returns.
     fn backward_chunks(
         &mut self,
         layer: usize,
-        o: &Tensor,
-        dout: &Tensor,
+        dense: &mut DenseBackward<'_>,
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()>;
 
@@ -100,34 +107,20 @@ pub trait AttentionExec {
         o.finish()
     }
 
-    /// [`AttentionExec::backward_chunks`] with `(dq, dk, dv)` collected
-    /// into whole tensors in the local layout.
+    /// [`AttentionExec::backward_chunks`] for an `(o, dout)` already at
+    /// hand, with `(dq, dk, dv)` collected into whole tensors in the local
+    /// layout.
     ///
     /// # Errors
     ///
     /// As [`AttentionExec::backward_chunks`].
     fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        collect_grads(dout.shape()[0], |sink| self.backward_chunks(layer, o, dout, sink))
-    }
-
-    /// Puts the transfers that open `layer`'s backward on the copy stream
-    /// now, so they run while the caller's own backward work does (a GPT
-    /// block calls it before its MLP backward). Only the moment those
-    /// transfers are issued changes: values, transfer counts and bytes
-    /// are what an unstaged [`AttentionExec::backward`] gives. The default
-    /// stages nothing.
-    ///
-    /// # Errors
-    ///
-    /// A missing forward for `layer`.
-    fn stage_backward(&mut self, _layer: usize) -> ExecResult<()> {
-        Ok(())
+        collect_grads(dout.shape()[0], |sink| self.backward_chunks(layer, &mut lent(o, dout), sink))
     }
 
     /// Drops the saved state for `layer` without running a backward pass —
     /// what activation checkpointing does after the first forward (the
-    /// recompute pass will rebuild it), staged transfers of `layer`
-    /// included. A no-op when nothing is saved.
+    /// recompute pass will rebuild it). A no-op when nothing is saved.
     fn discard(&mut self, layer: usize);
 
     /// Host-pool transfer statistics since the executor was built (zero
@@ -200,6 +193,11 @@ impl RowChunks {
     }
 }
 
+/// The dense backward of a caller that already holds `(o, dout)`.
+fn lent<'a>(o: &'a Tensor, dout: &'a Tensor) -> impl FnMut() -> ExecResult<(Cow<'a, Tensor>, Cow<'a, Tensor>)> + 'a {
+    || Ok((Cow::Borrowed(o), Cow::Borrowed(dout)))
+}
+
 /// Runs a streamed backward over `rows` local rows and collects its
 /// `(dq, dk, dv)` chunks into whole tensors.
 fn collect_grads(
@@ -261,12 +259,9 @@ pub type LocalAttention = DistAttention;
 /// accumulation order, same pool/comm operation counts — see DESIGN.md
 /// "Tile schedule" for why only this cut is kept).
 ///
-/// The backward's opening — the transfers its first slot consumes, see
-/// [`DistAttention::open`] — can be staged ahead of the call with
-/// [`AttentionExec::stage_backward`], so it crosses the link while the
-/// block's dense backward runs. The executor holds at most one staged
-/// opening; the backward of its layer takes it, and a backward that finds
-/// none issues the same opening itself.
+/// The backward's opening — the transfers its first slot consumes, which
+/// need neither `o` nor `dO` — goes on the copy stream before the caller's
+/// dense backward runs, so it crosses the link meanwhile.
 ///
 /// The executor holds a chunk count, not a [`ChunkPlan`]: each call plans
 /// from the communicator's world and its input's row count, so one
@@ -279,9 +274,6 @@ pub struct DistAttention {
     /// device-resident.
     store: OffloadEngine,
     engine: CommEngine,
-    /// The opening [`AttentionExec::stage_backward`] issued, until its
-    /// layer's backward (or discard) takes it.
-    staged: Option<Opening>,
     recorder: Option<Recorder>,
 }
 
@@ -292,9 +284,8 @@ type PairFetch = FetchHandle<[Arc<Tensor>; 2]>;
 /// index: the KV columns and query rows in flight when its first slot
 /// starts.
 struct Opening {
-    layer: usize,
-    kv: Vec<Option<PairFetch>>,
-    rows: Vec<Option<PairFetch>>,
+    kv_pending: Vec<Option<PairFetch>>,
+    row_pending: Vec<Option<PairFetch>>,
 }
 
 impl DistAttention {
@@ -319,7 +310,6 @@ impl DistAttention {
             chunks,
             payload_bf16: opts.payload_bf16,
             store,
-            staged: None,
             recorder: None,
         }
     }
@@ -412,37 +402,25 @@ impl DistAttention {
     /// Issues the backward's opening for `layer`: the takes its first slot
     /// consumes, in the order it consumes them — KV column 0, the
     /// `[Q, Lse]` of every row `tile_slots(u)[0]` opens, then KV column 1,
-    /// which slot 0 puts on the stream one slot ahead. The one place the
-    /// opening is written, whether [`AttentionExec::stage_backward`]
-    /// issues it early or [`DistAttention::backward_tiles`] when it
-    /// starts.
+    /// which slot 0 puts on the stream one slot ahead.
     fn open(&mut self, layer: usize) -> ExecResult<Opening> {
         let u = self.chunks;
         let slots = tile_slots(u);
         let first = slots.first().ok_or("zero chunks have no backward")?;
         let mut opening = Opening {
-            layer,
-            kv: (0..u).map(|_| None).collect(),
-            rows: (0..u).map(|_| None).collect(),
+            kv_pending: (0..u).map(|_| None).collect(),
+            row_pending: (0..u).map(|_| None).collect(),
         };
-        opening.kv[0] = Some(self.fetch_kv(layer, 0, true)?);
+        opening.kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
         for &(i, j) in first {
             if j == 0 {
-                opening.rows[i] = Some(self.fetch_row(layer, i)?);
+                opening.row_pending[i] = Some(self.fetch_row(layer, i)?);
             }
         }
         if u > 1 {
-            opening.kv[1] = Some(self.fetch_kv(layer, 1, true)?);
+            opening.kv_pending[1] = Some(self.fetch_kv(layer, 1, true)?);
         }
         Ok(opening)
-    }
-
-    /// Drops the staged opening if it is `layer`'s, with the chunks it
-    /// took.
-    fn unstage(&mut self, layer: usize) {
-        if self.staged.as_ref().is_some_and(|o| o.layer == layer) {
-            self.staged = None;
-        }
     }
 
     /// Posts one op on the comm stream: the all-to-all of every tensor in
@@ -511,10 +489,10 @@ impl DistAttention {
     /// and the comm counters are identical too (the backward only takes
     /// from the pool, so even its high-water mark is the forward's).
     ///
-    /// The walk starts from the layer's opening ([`DistAttention::open`]):
-    /// the one [`AttentionExec::stage_backward`] staged, else issued here.
-    /// Row and column state opens lazily, keyed on the tile itself, and
-    /// stays on the rank thread until the tile that closes it:
+    /// The walk issues the layer's opening (`DistAttention::open`) first,
+    /// then runs `dense` for `(o, dO)`. Row and column state opens
+    /// lazily, keyed on the tile itself, and stays on the rank thread
+    /// until the tile that closes it:
     ///
     /// * `(i, 0)` opens query row `i` — it lands chunk `i`'s `[Q, Lse]`
     ///   (one take, in the opening or put on the copy stream when row
@@ -544,18 +522,20 @@ impl DistAttention {
         dout: &Tensor,
         slots: &[Vec<(usize, usize)>],
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        collect_grads(dout.shape()[0], |sink| self.walk_tiles(layer, o, dout, slots, sink))
+        collect_grads(dout.shape()[0], |sink| self.walk_tiles(layer, &mut lent(o, dout), slots, sink))
     }
 
-    /// [`DistAttention::backward_tiles`], streamed.
+    /// [`DistAttention::backward_tiles`], streamed, with `(o, dO)` from
+    /// `dense`.
     fn walk_tiles(
         &mut self,
         layer: usize,
-        o: &Tensor,
-        dout: &Tensor,
+        dense: &mut DenseBackward<'_>,
         slots: &[Vec<(usize, usize)>],
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()> {
+        let Opening { mut kv_pending, mut row_pending } = self.open(layer)?;
+        let (o, dout) = dense()?;
         let plan = self.plan(dout.shape()[0])?;
         let u = plan.chunks;
         let scale = default_scale(dout.shape()[2]);
@@ -568,22 +548,11 @@ impl DistAttention {
         // the start of slot `s`, one slot before `tile_slots` opens the
         // column — so a row's take never queues behind the entire
         // triangle's KV bytes on the FIFO stream.
-        let dsum = self.row_dot(o, dout)?;
+        let dsum = self.row_dot(&o, &dout)?;
         let mut dout_pending: Vec<Option<Pending>> = Vec::with_capacity(u);
         for i in 0..u {
-            dout_pending.push(Some(self.post_dout(&plan, dout, &dsum, i)?));
+            dout_pending.push(Some(self.post_dout(&plan, &dout, &dsum, i)?));
         }
-        let Opening {
-            kv: mut kv_pending,
-            rows: mut row_pending,
-            ..
-        } = match self.staged.take() {
-            Some(staged) if staged.layer == layer => staged,
-            other => {
-                self.staged = other;
-                self.open(layer)?
-            }
-        };
 
         // One open query row: its operands and its gradient accumulator
         // (updated in ascending KV order), read in place by every tile.
@@ -620,7 +589,7 @@ impl DistAttention {
             }
             for &(i, j) in slot {
                 if j == 0 {
-                    let staged = row_pending[i]
+                    let row_fetch = row_pending[i]
                         .take()
                         .ok_or("query rows must open in ascending order")?;
                     // The next row's take goes on the stream now, one row
@@ -631,7 +600,7 @@ impl DistAttention {
                     }
                     let [dout, dsum] =
                         landed(&mut self.engine, dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
-                    let [q, lse] = staged.wait();
+                    let [q, lse] = row_fetch.wait();
                     rows[i] = Some(Row {
                         dq: Tensor::zeros(q.shape()),
                         gpos: plan.gathered_positions(i),
@@ -644,11 +613,11 @@ impl DistAttention {
                 if i == j {
                     // First tile of KV column j: land the chunk and zero
                     // its gradient accumulators.
-                    let staged = match kv_pending[j].take() {
+                    let pair = match kv_pending[j].take() {
                         Some(pair) => pair,
                         None => self.fetch_kv(layer, j, true)?,
                     };
-                    let [kj, vj] = staged.wait();
+                    let [kj, vj] = pair.wait();
                     let dk = Tensor::zeros(kj.shape());
                     let dv = Tensor::zeros(vj.shape());
                     cols[j] = Some(Col {
@@ -727,9 +696,6 @@ impl AttentionExec for DistAttention {
     ) -> ExecResult<()> {
         let plan = self.plan(q.shape()[0])?;
         let (u, c_loc, rank) = (plan.chunks, plan.chunk_local_len(), self.comm.rank());
-        // A new forward of `layer` replaces what an opening staged from
-        // the last one.
-        self.unstage(layer);
         // The schedule attends by the plan's positions, so any others
         // would give silently wrong attention.
         if pos != plan.local_positions(rank) {
@@ -865,27 +831,13 @@ impl AttentionExec for DistAttention {
     fn backward_chunks(
         &mut self,
         layer: usize,
-        o: &Tensor,
-        dout: &Tensor,
+        dense: &mut DenseBackward<'_>,
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()> {
-        self.walk_tiles(layer, o, dout, &tile_slots(self.chunks), sink)
-    }
-
-    /// Issues [`DistAttention::open`] for `layer` and holds it for that
-    /// layer's backward. A no-op while an opening is staged — of `layer`,
-    /// or of another layer, whose backward still needs the chunks it took.
-    fn stage_backward(&mut self, layer: usize) -> ExecResult<()> {
-        if self.staged.is_none() {
-            self.staged = Some(self.open(layer)?);
-        }
-        Ok(())
+        self.walk_tiles(layer, dense, &tile_slots(self.chunks), sink)
     }
 
     fn discard(&mut self, layer: usize) {
-        // A staged opening of this layer holds its first chunks, already
-        // taken from the store.
-        self.unstage(layer);
         // Drop every cached chunk belonging to this layer (forward saves
         // Q/K/V/Lse per chunk) without a transfer: freeing memory is not
         // PCIe traffic, so it must not touch the fetch counters.
@@ -1000,10 +952,10 @@ impl AttentionExec for RingAttentionExec<'_> {
     fn backward_chunks(
         &mut self,
         layer: usize,
-        o: &Tensor,
-        dout: &Tensor,
+        dense: &mut DenseBackward<'_>,
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()> {
+        let (o, dout) = dense()?;
         let p = self.comm.world();
         let rank = self.comm.rank();
         let s = self
@@ -1011,7 +963,7 @@ impl AttentionExec for RingAttentionExec<'_> {
             .remove(&layer)
             .ok_or_else(|| format!("no saved ring forward for layer {layer}"))?;
         let scale = default_scale(s.q.shape()[2]);
-        let dsum = rowwise_dot(o, dout)?;
+        let dsum = rowwise_dot(&o, &dout)?;
         let my_pos = self.owner_positions(rank);
 
         let mut dq = Tensor::zeros(s.q.shape());
@@ -1025,7 +977,7 @@ impl AttentionExec for RingAttentionExec<'_> {
                 &s.q,
                 &cur_k,
                 &cur_v,
-                dout,
+                &dout,
                 &s.lse,
                 &dsum,
                 &my_pos,
@@ -1055,7 +1007,7 @@ impl AttentionExec for RingAttentionExec<'_> {
 mod tests {
     use super::*;
     use fpdt_attention::reference;
-    use fpdt_comm::{run_group, CommStats};
+    use fpdt_comm::run_group;
     use fpdt_tensor::init;
 
     fn rand_qkv(seed: u64, s: usize, h: usize, d: usize) -> (Tensor, Tensor, Tensor) {
@@ -1102,20 +1054,11 @@ mod tests {
         let (rdq, rdk, rdv) = reference::causal_attention_bwd(&q, &k, &v, &dout).unwrap();
 
         let plan = ChunkPlan::new(s, world, chunks).unwrap();
-        let shard_rows = |t: &Tensor, rank: usize| {
-            let parts: Vec<Tensor> = plan
-                .local_positions(rank)
-                .into_iter()
-                .map(|p| t.narrow(0, p, 1).unwrap())
-                .collect();
-            let refs: Vec<&Tensor> = parts.iter().collect();
-            Tensor::concat(&refs, 0).unwrap()
-        };
+        let shard = |t: &Tensor, rank: usize| shard_rows(t, &plan.local_positions(rank));
 
         let results = run_group(world, |comm| {
             let comm = Arc::new(comm);
             let rank = comm.rank();
-            let plan = ChunkPlan::new(s, world, chunks).unwrap();
             let pos = plan.local_positions(rank);
             // Pin f32 payloads: this fixture compares against an f32
             // reference at tight tolerances, so an ambient FPDT_BF16=1
@@ -1123,34 +1066,28 @@ mod tests {
             let opts = RuntimeOptions::from_env().with_payload_bf16(false);
             let mut ex = DistAttention::with_opts(comm, chunks, offload, opts);
             let o = ex
-                .forward(
-                    0,
-                    &shard_rows(&q, rank),
-                    &shard_rows(&k, rank),
-                    &shard_rows(&v, rank),
-                    &pos,
-                )
+                .forward(0, &shard(&q, rank), &shard(&k, rank), &shard(&v, rank), &pos)
                 .unwrap();
-            let grads = ex.backward(0, &o, &shard_rows(&dout, rank)).unwrap();
+            let grads = ex.backward(0, &o, &shard(&dout, rank)).unwrap();
             let stats = ex.host_stats();
             (o, grads, stats)
         });
 
         for (rank, (o, (dq, dk, dv), stats)) in results.into_iter().enumerate() {
             assert!(
-                o.allclose(&shard_rows(&want_o, rank), 1e-3, 1e-4),
+                o.allclose(&shard(&want_o, rank), 1e-3, 1e-4),
                 "o rank {rank}"
             );
             assert!(
-                dq.allclose(&shard_rows(&rdq, rank), 1e-3, 1e-4),
+                dq.allclose(&shard(&rdq, rank), 1e-3, 1e-4),
                 "dq rank {rank}"
             );
             assert!(
-                dk.allclose(&shard_rows(&rdk, rank), 1e-3, 1e-4),
+                dk.allclose(&shard(&rdk, rank), 1e-3, 1e-4),
                 "dk rank {rank}"
             );
             assert!(
-                dv.allclose(&shard_rows(&rdv, rank), 1e-3, 1e-4),
+                dv.allclose(&shard(&rdv, rank), 1e-3, 1e-4),
                 "dv rank {rank}"
             );
             if offload {
@@ -1196,79 +1133,27 @@ mod tests {
         t.data().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// After backward, the chunk store must be empty — host pool or
+    /// device-resident, the tile walk consumes every cached chunk exactly
+    /// once.
     #[test]
     fn backward_frees_all_cached_chunks() {
-        for offload in [true, false] {
-            for stage in [false, true] {
-                backward_frees_all_cached_chunks_with(offload, stage);
-            }
-        }
-    }
-
-    /// After backward, the chunk store must be empty — host pool or
-    /// device-resident, staged opening or not, the tile walk consumes
-    /// every cached chunk exactly once.
-    fn backward_frees_all_cached_chunks_with(offload: bool, stage: bool) {
         let (s, h, d) = (16, 2, 4);
         let (q, k, v) = rand_qkv(9, s, h, d);
         let dout = Tensor::ones(&[s / 2, h, d]);
-        let empty = run_group(2, |comm| {
-            let plan = ChunkPlan::new(s, 2, 4).unwrap();
-            let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| shard_rows(t, &pos);
-            let opts = RuntimeOptions::from_env().with_payload_bf16(false);
-            let mut ex = DistAttention::with_opts(Arc::new(comm), 4, offload, opts);
-            let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                .unwrap();
-            assert!(!ex.store.is_empty(), "the forward caches its chunks");
-            if stage {
-                ex.stage_backward(0).unwrap();
-            }
-            ex.backward(0, &o, &dout).unwrap();
-            ex.store.is_empty() && ex.staged.is_none()
-        });
-        assert!(empty.iter().all(|&e| e), "offload = {offload}, stage = {stage}");
-    }
-
-    /// Forward and backward of layer 0 on two ranks at `u` chunks, the
-    /// backward's opening staged first when `stage`: per rank, the
-    /// gradient bits, the pool counters, the posts and the comm counters.
-    fn staged_run(u: usize, offload: bool, bf16: bool, stage: bool) -> Vec<([Vec<u32>; 3], PoolStats, u64, CommStats)> {
-        let (s, h, d) = (4 * u, 2, 4);
-        let (q, k, v) = rand_qkv(51, s, h, d);
-        let dout = init::randn(&mut init::seeded_rng(52), &[s, h, d], 1.0);
-        run_group(2, |comm| {
-            let comm = Arc::new(comm);
-            let plan = ChunkPlan::new(s, 2, u).unwrap();
-            let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| shard_rows(t, &pos);
-            let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
-            let mut ex = DistAttention::with_opts(Arc::clone(&comm), u, offload, opts);
-            let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
-            if stage {
-                ex.stage_backward(0).unwrap();
-                assert_eq!(ex.comm_posted(), 2 * u as u64, "staging posts nothing");
-            }
-            let grads = grad_bits(ex.backward(0, &o, &shard(&dout)).unwrap());
-            let (pool, posted) = (ex.host_stats(), ex.comm_posted());
-            // The comm stream drains before the wire counters are read.
-            drop(ex);
-            (grads, pool, posted, comm.stats())
-        })
-    }
-
-    #[test]
-    fn a_staged_opening_changes_no_value_and_no_counter() {
-        for u in [1usize, 2, 3, 4, 8] {
-            for offload in [true, false] {
-                for bf16 in [false, true] {
-                    let at = format!("u={u}, offload {offload}, bf16 {bf16}");
-                    let unstaged = staged_run(u, offload, bf16, false);
-                    assert!(unstaged.iter().all(|(g, ..)| g.iter().all(|g| g.iter().any(|&b| b != 0))), "{at}");
-                    assert!(unstaged.iter().all(|(_, pool, ..)| offload == (pool.fetches > 0)), "{at}");
-                    assert_eq!(staged_run(u, offload, bf16, true), unstaged, "{at}");
-                }
-            }
+        for offload in [true, false] {
+            let empty = run_group(2, |comm| {
+                let plan = ChunkPlan::new(s, 2, 4).unwrap();
+                let pos = plan.local_positions(comm.rank());
+                let shard = |t: &Tensor| shard_rows(t, &pos);
+                let opts = RuntimeOptions::from_env().with_payload_bf16(false);
+                let mut ex = DistAttention::with_opts(Arc::new(comm), 4, offload, opts);
+                let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
+                assert!(!ex.store.is_empty(), "the forward caches its chunks");
+                ex.backward(0, &o, &dout).unwrap();
+                ex.store.is_empty()
+            });
+            assert!(empty.iter().all(|&e| e), "offload = {offload}");
         }
     }
 
@@ -1287,69 +1172,36 @@ mod tests {
         ex.forward(layer, &q, &k, &v, &(0..s).collect::<Vec<_>>()).unwrap()
     }
 
-    fn grad_bits((dq, dk, dv): (Tensor, Tensor, Tensor)) -> [Vec<u32>; 3] {
-        [bits(&dq), bits(&dk), bits(&dv)]
-    }
-
     #[test]
-    fn a_discarded_staging_leaves_nothing_behind() {
-        let (mut ex, mut plain) = (one_rank(4), one_rank(4));
-        let dout = init::randn(&mut init::seeded_rng(61), &[16, 2, 4], 1.0);
-        forward_layer(&mut ex, 0, 60);
-        ex.stage_backward(0).unwrap();
-        ex.discard(0);
-        assert!(ex.store.is_empty() && ex.staged.is_none());
-        // The same keys are put and fetched again: one left in flight
-        // would panic with "prefetched twice".
-        let o = forward_layer(&mut ex, 0, 60);
-        ex.stage_backward(0).unwrap();
-        let got = ex.backward(0, &o, &dout).unwrap();
-        let o = forward_layer(&mut plain, 0, 60);
-        assert_eq!(grad_bits(got), grad_bits(plain.backward(0, &o, &dout).unwrap()));
-        assert!(ex.store.is_empty() && ex.staged.is_none());
-    }
+    fn the_opening_goes_out_before_the_dense_backward_runs() {
+        // Inside the dense callback the pool has issued the forward's
+        // fetches and the opening — KV 0, the [Q, Lse] of each row slot 0
+        // opens, KV 1 — and the comm stream only the forward's 2u posts:
+        // no dO gather goes out before dO exists. The callback runs once,
+        // and its error ends the call unchanged.
+        for u in [1usize, 2, 3, 4, 5] {
+            let rec = Recorder::new();
+            let mut ex = one_rank(u).with_recorder(rec.clone());
+            let o = forward_layer(&mut ex, 0, 95);
+            let fwd_fetches = ex.host_stats().fetches as usize;
+            let rows = tile_slots(u)[0].iter().filter(|&&(_, j)| j == 0).count();
+            let opening = 2 + 2 * rows + if u > 1 { 2 } else { 0 };
+            let dout = init::randn(&mut init::seeded_rng(96), &[4 * u, 2, 4], 1.0);
+            let mut seen = Vec::new();
+            let mut dense = || {
+                seen.push((rec.count("offload.fetch"), rec.count("comm.post")));
+                Ok((Cow::Borrowed(&o), Cow::Borrowed(&dout)))
+            };
+            ex.backward_chunks(0, &mut dense, &mut |_, _| Ok(())).unwrap();
+            assert_eq!(seen, [(fwd_fetches + opening, 2 * u)], "u = {u}");
+            // The span counts are the counters' own.
+            assert_eq!(rec.count("offload.fetch") as u64, ex.host_stats().fetches, "u = {u}");
+            assert_eq!(rec.count("comm.post") as u64, ex.comm_posted(), "u = {u}");
 
-    #[test]
-    fn a_new_forward_replaces_a_staging() {
-        // At u = 2 the opening takes every chunk of the layer, so a second
-        // forward puts them all again without a clash; its backward must
-        // read the new chunks, not the staged ones.
-        let (mut ex, mut plain) = (one_rank(2), one_rank(2));
-        let dout = init::randn(&mut init::seeded_rng(61), &[8, 2, 4], 1.0);
-        forward_layer(&mut ex, 0, 60);
-        ex.stage_backward(0).unwrap();
-        let o = forward_layer(&mut ex, 0, 70);
-        let got = ex.backward(0, &o, &dout).unwrap();
-        let o = forward_layer(&mut plain, 0, 70);
-        assert_eq!(grad_bits(got), grad_bits(plain.backward(0, &o, &dout).unwrap()));
-        assert!(ex.store.is_empty() && ex.staged.is_none());
-    }
-
-    #[test]
-    fn a_staging_outlives_other_layers_and_stages_once() {
-        let (mut ex, mut plain) = (one_rank(4), one_rank(4));
-        let dout = init::randn(&mut init::seeded_rng(61), &[16, 2, 4], 1.0);
-        let outs: Vec<Tensor> = (0..2).map(|layer| forward_layer(&mut ex, layer, 60 + layer as u64)).collect();
-        for layer in 0..2 {
-            forward_layer(&mut plain, layer, 60 + layer as u64);
+            forward_layer(&mut ex, 1, 97);
+            let err = ex.backward_chunks(1, &mut || Err("dense failed".into()), &mut |_, _| Ok(()));
+            assert_eq!(err.unwrap_err().to_string(), "dense failed", "u = {u}");
         }
-        ex.stage_backward(0).unwrap();
-        let fetched = ex.host_stats();
-        // While an opening is staged, a second staging — of this layer or
-        // another — issues nothing.
-        ex.stage_backward(0).unwrap();
-        ex.stage_backward(1).unwrap();
-        assert_eq!(ex.host_stats(), fetched);
-        // Layer 1's backward and discard leave layer 0's staging in place.
-        let got = ex.backward(1, &outs[1], &dout).unwrap();
-        assert_eq!(grad_bits(got), grad_bits(plain.backward(1, &outs[1], &dout).unwrap()));
-        ex.discard(1);
-        assert_eq!(ex.staged.as_ref().map(|o| o.layer), Some(0));
-        // Layer 0's backward takes it.
-        let got = ex.backward(0, &outs[0], &dout).unwrap();
-        assert_eq!(grad_bits(got), grad_bits(plain.backward(0, &outs[0], &dout).unwrap()));
-        assert!(ex.staged.is_none() && ex.store.is_empty());
-        assert_eq!(ex.host_stats(), plain.host_stats());
     }
 
     #[test]
@@ -1368,11 +1220,7 @@ mod tests {
             let ok = run_group(world, |comm| {
                 let plan = ChunkPlan::new(s, world, u).unwrap();
                 let pos = plan.local_positions(comm.rank());
-                let shard = |t: &Tensor| {
-                    let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                    let refs: Vec<&Tensor> = parts.iter().collect();
-                    Tensor::concat(&refs, 0).unwrap()
-                };
+                let shard = |t: &Tensor| shard_rows(t, &pos);
                 let opts = RuntimeOptions::from_env().with_payload_bf16(false);
                 let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts);
                 let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
@@ -1410,11 +1258,7 @@ mod tests {
             let comm = Arc::new(comm);
             let plan = ChunkPlan::new(s, 2, 4).unwrap();
             let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| {
-                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0).unwrap()
-            };
+            let shard = |t: &Tensor| shard_rows(t, &pos);
             let opts = RuntimeOptions::from_env()
                 .with_payload_bf16(false)
                 .with_fault_inject(0)
@@ -1464,9 +1308,8 @@ mod tests {
         //   H2D = (u-2)(u-3)·C_kv + u(2C_kv + C + L),
         // where C_kv = C here, or C / 2 under bf16 payloads. Any drift in
         // the posts means the double buffering degenerated (0 extra posts)
-        // or an op stopped being fused (3u instead of u). A backward whose
-        // opening was staged first has the same closed forms.
-        for (bf16, stage) in [(false, false), (true, false), (false, true), (true, true)] {
+        // or an op stopped being fused (3u instead of u).
+        for bf16 in [false, true] {
             for u in [1usize, 2, 3, 4, 5] {
                 let (s, h, d) = (4 * u, 2, 4);
                 let (q, k, v) = rand_qkv(11, s, h, d);
@@ -1480,9 +1323,6 @@ mod tests {
                     let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                         .unwrap();
                     let fwd = (ex.host_stats(), ex.comm_posted());
-                    if stage {
-                        ex.stage_backward(0).unwrap();
-                    }
                     ex.backward(0, &o, &dout).unwrap();
                     (fwd, ex.host_stats(), ex.comm_posted(), ex.store.is_empty())
                 });
@@ -1494,7 +1334,7 @@ mod tests {
                 let h2d = h2d_fwd + u * (2 * kv + c + l);
                 let d2h = u * (2 * kv + c + l);
                 for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
-                    let at = format!("u={u}, bf16={bf16}, stage={stage}");
+                    let at = format!("u={u}, bf16={bf16}");
                     if u == 3 {
                         assert_eq!(after_fwd.fetches, 0, "chunk 0 and the window serve u = 3, {at}");
                     }
@@ -1599,7 +1439,8 @@ mod tests {
         let dout = init::randn(&mut init::seeded_rng(91), &[16, 2, 4], 1.0);
         starts.clear();
         let mut dq = Vec::new();
-        ex.backward_chunks(0, &o, &dout, &mut |r0, [dq_i, ..]| {
+        let mut dense = lent(&o, &dout);
+        ex.backward_chunks(0, &mut dense, &mut |r0, [dq_i, ..]| {
             starts.push(r0);
             dq.push(dq_i);
             Ok(())
@@ -1627,12 +1468,7 @@ mod tests {
                 let comm = Arc::new(comm);
                 let plan = ChunkPlan::new(s, 2, 4).unwrap();
                 let pos = plan.local_positions(comm.rank());
-                let shard = |t: &Tensor| {
-                    let parts: Vec<Tensor> =
-                        pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                    let refs: Vec<&Tensor> = parts.iter().collect();
-                    Tensor::concat(&refs, 0).unwrap()
-                };
+                let shard = |t: &Tensor| shard_rows(t, &pos);
                 let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
                 let mut ex = DistAttention::with_opts(Arc::clone(&comm), 4, true, opts);
                 let o = ex

@@ -383,11 +383,13 @@ impl Block {
     /// Backward for the block; adds its parameter gradients into `grad`
     /// (the block's stretch of the flat buffer) and returns `dx`.
     ///
-    /// The RoPE and `kv_proj`/`q_proj` backward stream: they run on each
-    /// `(dq, dk, dv)` chunk as the executor hands it over. Both
-    /// projections' weight and bias gradients still add their rows in
-    /// ascending order, one chain per element, so the bits are those of
-    /// one whole-sequence call.
+    /// The MLP, `norm2` and `out_proj` backward run inside the executor's
+    /// backward, which puts the attention backward's first transfers on
+    /// the copy stream before it calls them. The RoPE and `kv_proj`/`q_proj`
+    /// backward stream: they run on each `(dq, dk, dv)` chunk as the
+    /// executor hands it over. Both projections' weight and bias gradients
+    /// still add their rows in ascending order, one chain per element, so
+    /// the bits are those of one whole-sequence call.
     fn backward(
         &self,
         layer: usize,
@@ -402,35 +404,34 @@ impl Block {
         let s = dx2.shape()[0];
         let h = dx2.shape()[1];
         let dh = h / self.heads;
-        // The attention backward's first transfers cross the link while
-        // the MLP, norm2 and out_proj backward run.
-        exec.stage_backward(layer)?;
-        // MLP backward, over the forward's pieces.
-        let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
-            let mut dn2 = RowChunks::new(s);
-            for (r, mctx) in &ctx.mlp {
-                let dmo = rows(dx2, r.start, r.len())?;
-                let n2c = rows(&ctx.n2, r.start, r.len())?;
-                dn2.push(r.start, self.mlp.backward(&n2c, mctx, &dmo, g_mlp)?)?;
-            }
-            dn2.finish()
-        })?;
-        let dx1 = spanned(rec, "dense.norm", || -> ExecResult<_> {
-            let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2, g_norm2)?;
-            dx1.add_assign(dx2)?; // residual
-            Ok(dx1)
-        })?;
-
-        // Attention backward.
-        let do_heads = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
-            let mut do_heads = self.out_proj.backward(&ctx.o_merged, &dx1, g_out)?;
-            do_heads.reshape_in_place(&[s, self.heads, dh])?;
-            ctx.o_merged.reshape_in_place(&[s, self.heads, dh])?;
-            Ok(do_heads)
-        })?;
         let kvd = self.kv_heads * dh;
+        let mut dx1 = None;
         let mut dn1 = RowChunks::new(s);
-        exec.backward_chunks(layer, &ctx.o_merged, &do_heads, &mut |r0, [dq, dk, mut dv]| {
+        let mut dense = || -> ExecResult<_> {
+            // MLP backward, over the forward's pieces.
+            let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
+                let mut dn2 = RowChunks::new(s);
+                for (r, mctx) in &ctx.mlp {
+                    let dmo = rows(dx2, r.start, r.len())?;
+                    let n2c = rows(&ctx.n2, r.start, r.len())?;
+                    dn2.push(r.start, self.mlp.backward(&n2c, mctx, &dmo, g_mlp)?)?;
+                }
+                dn2.finish()
+            })?;
+            let dx1 = dx1.insert(spanned(rec, "dense.norm", || -> ExecResult<_> {
+                let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2, g_norm2)?;
+                dx1.add_assign(dx2)?; // residual
+                Ok(dx1)
+            })?);
+            spanned(rec, "dense.out_proj", || {
+                let mut do_heads = self.out_proj.backward(&ctx.o_merged, dx1, g_out)?;
+                do_heads.reshape_in_place(&[s, self.heads, dh])?;
+                let mut o = std::mem::take(&mut ctx.o_merged);
+                o.reshape_in_place(&[s, self.heads, dh])?;
+                Ok((Cow::Owned(o), Cow::Owned(do_heads)))
+            })
+        };
+        exec.backward_chunks(layer, &mut dense, &mut |r0, [dq, dk, mut dv]| {
             spanned(rec, "dense.qkv", || -> ExecResult<_> {
                 let c = dq.shape()[0];
                 let mut dq = rope.apply_bwd_rows(r0, &dq)?;
@@ -445,6 +446,7 @@ impl Block {
                 dn1.push(r0, dn1c)
             })
         })?;
+        let dx1 = dx1.ok_or("the attention backward never ran the dense backward")?;
         let dn1 = dn1.finish()?;
         spanned(rec, "dense.norm", || {
             let mut dx = self.norm1.backward(&ctx.x, &ctx.n1_ctx, &dn1, g_norm1)?;
@@ -971,7 +973,8 @@ impl GptModel {
     }
 
     /// Mean loss over `batches` freshly sampled sequences, without
-    /// touching gradients — the evaluation loop.
+    /// touching gradients — the evaluation loop. The gradient buffer is
+    /// the caller's bit for bit afterwards, even on an error.
     ///
     /// # Errors
     ///
@@ -986,16 +989,19 @@ impl GptModel {
         let pos: Vec<usize> = (0..seq).collect();
         let mut loss = 0.0f32;
         let mut toks = 0usize;
-        for _ in 0..batches {
+        // forward_backward adds into the gradient buffer: it runs on a
+        // scratch one while the caller's is set aside.
+        let kept = std::mem::take(&mut self.grads);
+        self.grads = vec![0.0; kept.len()];
+        let run = (0..batches).try_for_each(|_| {
             let (x, y) = corpus.sample(seq);
-            // forward_backward computes grads too; zero them afterwards so
-            // evaluation leaves the training state untouched.
             let stats = self.forward_backward(exec, &x, &y, &pos, 1, 1)?;
             loss += stats.loss_sum;
             toks += stats.tokens;
-        }
-        self.zero_grad();
-        Ok(loss / toks.max(1) as f32)
+            Ok(())
+        });
+        self.grads = kept;
+        run.map(|()| loss / toks.max(1) as f32)
     }
 }
 
@@ -1339,6 +1345,26 @@ mod eval_tests {
     use crate::runtime::data::Corpus;
     use crate::runtime::exec::LocalAttention;
     use fpdt_tensor::nn::AdamWConfig;
+
+    #[test]
+    fn evaluate_gives_back_the_callers_gradients_bit_for_bit() {
+        // Mid-window: gradients accumulated and not yet stepped.
+        let cfg = ModelConfig::tiny_llama(2, 32, 4, 2, 50);
+        let (x, y) = Corpus::new(cfg.vocab, 0.1, 8).sample(16);
+        let pos: Vec<usize> = (0..16).collect();
+        let mut model = GptModel::new(&cfg, 3);
+        let mut exec = LocalAttention::new(2);
+        model
+            .forward_backward(&mut exec, &x, &y, &pos, 2, 2)
+            .unwrap();
+        let bits = |g: &[f32]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let held = bits(model.grads());
+        assert!(held.iter().any(|&b| b != 0));
+        model
+            .evaluate(&mut exec, &mut Corpus::new(cfg.vocab, 0.1, 9), 16, 2)
+            .unwrap();
+        assert_eq!(bits(model.grads()), held);
+    }
 
     #[test]
     fn evaluate_leaves_gradients_clean_and_tracks_learning() {

@@ -21,7 +21,7 @@
 //!   [`Trainer::checkpoint`](dist::Trainer::checkpoint) writes and
 //!   [`Trainer::resume`](dist::Trainer::resume), the one reader of their
 //!   schema, restores.
-//! * [`autotune`] — measured autotuning: train a short run of every
+//! * [`autotune`](mod@autotune) — measured autotuning: train a short run of every
 //!   `(chunks, bf16)` cell exactly as it will run and pick the fastest.
 
 pub mod autotune;

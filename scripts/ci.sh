@@ -39,6 +39,11 @@ fi
 stage "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+stage "cargo doc --no-deps --workspace --lib with rustdoc warnings denied"
+# A doc link to an item that was deleted, made private or named ambiguously
+# fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
+
 stage "fpdt-lint (project invariants: determinism, env hygiene, fault tolerance)"
 # The static pass fails on any finding not suppressed inline; it prints
 # one LINT_OK line when clean. `|| true` so the findings echo before the
