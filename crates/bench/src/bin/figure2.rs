@@ -13,7 +13,10 @@ use fpdt_tensor::Tensor;
 fn main() {
     let (p, s_local, heads, d) = (4usize, 2usize, 8usize, 1usize);
     println!("Figure 2: Ulysses all-to-all (p = {p} GPUs, {heads} heads, {s_local} tokens/GPU)\n");
-    println!("entries are coded as 100*rank + 10*token + head/{}:\n", heads / p);
+    println!(
+        "entries are coded as 100*rank + 10*token + head/{}:\n",
+        heads / p
+    );
 
     let results = run_group(p, |comm| {
         let r = comm.rank();
@@ -56,6 +59,9 @@ fn main() {
     let m = ModelConfig::llama3_8b();
     let full = static_bytes(&m, ShardSpec::ddp()) as f64 / (1u64 << 30) as f64;
     let sharded = static_bytes(&m, ShardSpec::zero3(p)) as f64 / (1u64 << 30) as f64;
-    println!("Figure 3: ZeRO-3 over the sequence-parallel group — {} model state:", m.name);
+    println!(
+        "Figure 3: ZeRO-3 over the sequence-parallel group — {} model state:",
+        m.name
+    );
     println!("  replicated: {full:.1} GiB/GPU   sharded over {p}: {sharded:.1} GiB/GPU");
 }

@@ -30,14 +30,22 @@ fn main() {
         print!("chunk T_{i}: attend to [");
         for j in 0..i {
             // fetch previously offloaded KV from host (Figure 5)
-            let kj = pool.prefetch(&ChunkKey::new(0, BufKind::K, j), false).unwrap().wait();
-            let vj = pool.prefetch(&ChunkKey::new(0, BufKind::V, j), false).unwrap().wait();
-            st.update(&kj, &vj, &pos[j * chunk..(j + 1) * chunk]).unwrap();
+            let kj = pool
+                .prefetch(&ChunkKey::new(0, BufKind::K, j), false)
+                .unwrap()
+                .wait();
+            let vj = pool
+                .prefetch(&ChunkKey::new(0, BufKind::V, j), false)
+                .unwrap()
+                .wait();
+            st.update(&kj, &vj, &pos[j * chunk..(j + 1) * chunk])
+                .unwrap();
             print!("T_{j}(host) ");
         }
         let ki = k.narrow(0, i * chunk, chunk).unwrap();
         let vi = v.narrow(0, i * chunk, chunk).unwrap();
-        st.update(&ki, &vi, &pos[i * chunk..(i + 1) * chunk]).unwrap();
+        st.update(&ki, &vi, &pos[i * chunk..(i + 1) * chunk])
+            .unwrap();
         print!("T_{i}(hbm)]");
         let (oi, _) = st.finalize();
         outputs.push(oi);
@@ -65,7 +73,12 @@ fn main() {
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
     let st = pool.stats();
-    println!("\ntotal: {} offloads, {} fetches, host peak {:.0} KiB", st.offloads, st.fetches, kib(st.peak_bytes));
+    println!(
+        "\ntotal: {} offloads, {} fetches, host peak {:.0} KiB",
+        st.offloads,
+        st.fetches,
+        kib(st.peak_bytes)
+    );
     println!("streamed output vs monolithic reference: max |err| = {err:.2e}");
     println!("\npaper: \"at any given time, only one set of chunks k,v is placed on the");
     println!("GPU's HBM, reducing the memory footprint to 1/u\" — here the resident KV is");

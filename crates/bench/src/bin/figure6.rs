@@ -64,7 +64,12 @@ fn main() {
             let refs: Vec<&Tensor> = parts.iter().collect();
             Tensor::concat(&refs, 0).unwrap()
         };
-        let mut ex = DistAttention::with_opts(std::sync::Arc::new(comm), plan.chunks, true, RuntimeOptions::from_env());
+        let mut ex = DistAttention::with_opts(
+            std::sync::Arc::new(comm),
+            plan.chunks,
+            true,
+            RuntimeOptions::from_env(),
+        );
         let pos = plan.local_positions(rank);
         let o = ex
             .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)

@@ -43,8 +43,9 @@ fn main() {
     let compute = busy("gpu0.compute");
     let h2d = busy("gpu0.h2d");
     let d2h = busy("gpu0.d2h");
-    let hidden =
-        |copy: &[(f64, f64)]| 100.0 * measure(&intersect(copy, &compute)) / measure(copy).max(1e-12);
+    let hidden = |copy: &[(f64, f64)]| {
+        100.0 * measure(&intersect(copy, &compute)) / measure(copy).max(1e-12)
+    };
 
     println!(
         "Figure 7: FPDT three-stream pipeline — {} @ 512K, 8 chunks\n",

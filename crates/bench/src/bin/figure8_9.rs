@@ -15,7 +15,10 @@ fn main() {
     let cluster = ClusterSpec::a100_80g(1, 4);
     let seq = 512 * 1024u64;
 
-    println!("Figures 8/9: chunk size vs starving/wasting — {} @ 512K, 4 GPUs\n", model.name);
+    println!(
+        "Figures 8/9: chunk size vs starving/wasting — {} @ 512K, 4 GPUs\n",
+        model.name
+    );
     println!(
         "{:>8} {:>8} {:>12} {:>12} {:>14}",
         "chunk", "chunks", "block time", "peak HBM", "compute util"

@@ -570,8 +570,7 @@ fn benches(quick: bool) -> Vec<Bench> {
             kernel_only: false,
             run: Box::new(move || {
                 let (_, ctx) = ops::layernorm(&x, &gamma, &beta, 1e-5).expect("shapes fixed");
-                let (dx, dg, db) =
-                    ops::layernorm_bwd(&x, &gamma, &ctx, &dy).expect("shapes fixed");
+                let (dx, dg, db) = ops::layernorm_bwd(&x, &gamma, &ctx, &dy).expect("shapes fixed");
                 outputs([dx, dg, db])
             }),
         },
@@ -580,8 +579,7 @@ fn benches(quick: bool) -> Vec<Bench> {
             flops: 5 * (rows as u64) * (vocab as u64),
             kernel_only: false,
             run: Box::new(move || {
-                let out =
-                    ops::cross_entropy(&logits, &targets, usize::MAX).expect("shapes fixed");
+                let out = ops::cross_entropy(&logits, &targets, usize::MAX).expect("shapes fixed");
                 vec![out.dlogits.into_vec(), vec![out.loss_sum]]
             }),
         },

@@ -62,7 +62,10 @@ fn main() {
         let tid = number(field(e, "tid")) as u64;
         match text(field(e, "ph")) {
             "M" if text(field(e, "name")) == "thread_name" => {
-                names.insert(tid, text(field(e, "args").and_then(|a| field(a, "name"))).to_string());
+                names.insert(
+                    tid,
+                    text(field(e, "args").and_then(|a| field(a, "name"))).to_string(),
+                );
             }
             "X" => spans.push(SpanRecord {
                 label: text(field(e, "name")).to_string(),
@@ -80,14 +83,28 @@ fn main() {
         .map(|s| (s.start_us, s.start_us + s.dur_us))
         .collect();
     if !windows.is_empty() {
-        spans.retain(|s| windows.iter().any(|&(a, b)| s.start_us >= a && s.start_us < b));
+        spans.retain(|s| {
+            windows
+                .iter()
+                .any(|&(a, b)| s.start_us >= a && s.start_us < b)
+        });
     }
-    let steps = |tid: u64| spans.iter().filter(|s| s.tid == tid && s.label == "opt.adamw").count();
+    let steps = |tid: u64| {
+        spans
+            .iter()
+            .filter(|s| s.tid == tid && s.label == "opt.adamw")
+            .count()
+    };
     println!(
         "{:<14} {:<9} {:>14} {:>6} {:>21} {:>18}",
         "thread", "block", "place", "steps", "offload.wait ms/step", "comm.wait ms/step"
     );
-    let thread = |tid: u64| names.get(&tid).cloned().unwrap_or_else(|| format!("tid {tid}"));
+    let thread = |tid: u64| {
+        names
+            .get(&tid)
+            .cloned()
+            .unwrap_or_else(|| format!("tid {tid}"))
+    };
     let mut rows = waits_by_slot(&spans);
     // By thread name (`fpdt-rank-r0` first), keeping block and place order.
     rows.sort_by_key(|row| thread(row.tid));

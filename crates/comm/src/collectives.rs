@@ -34,7 +34,12 @@ impl Communicator {
     /// to every peer `p`, each message stamped `ready_at`, and `parts[rank]`
     /// handed back unsent — the own part is not a message. Sends never
     /// block.
-    pub(crate) fn send_parts(&self, mut parts: Vec<Vec<f32>>, bf16: bool, ready_at: Option<Instant>) -> Result<Vec<f32>> {
+    pub(crate) fn send_parts(
+        &self,
+        mut parts: Vec<Vec<f32>>,
+        bf16: bool,
+        ready_at: Option<Instant>,
+    ) -> Result<Vec<f32>> {
         if parts.len() != self.world() {
             return Err(CommError::WrongPartCount {
                 op: "all_to_all",
@@ -97,7 +102,13 @@ impl Communicator {
             self.send("all_gather", peer, data.to_vec())?;
         }
         (0..self.world())
-            .map(|peer| if peer == self.rank() { Ok(Vec::new()) } else { self.recv("all_gather", peer) })
+            .map(|peer| {
+                if peer == self.rank() {
+                    Ok(Vec::new())
+                } else {
+                    self.recv("all_gather", peer)
+                }
+            })
             .collect()
     }
 
@@ -333,10 +344,7 @@ impl AllToAllLayout {
                     .collect()
             }
             // Peer j takes the contiguous token block [j*s/p, (j+1)*s/p).
-            A2aDirection::SeqToHeads => src
-                .chunks(self.part_elems)
-                .map(<[f32]>::to_vec)
-                .collect(),
+            A2aDirection::SeqToHeads => src.chunks(self.part_elems).map(<[f32]>::to_vec).collect(),
         })
     }
 

@@ -158,7 +158,11 @@ impl CommEngine {
             }
             out
         })?;
-        let stamp = if bytes == 0 { None } else { self.link.charge(bytes, None) };
+        let stamp = if bytes == 0 {
+            None
+        } else {
+            self.link.charge(bytes, None)
+        };
         if let (Some(r), Some((start, ready))) = (rec, stamp) {
             let dur_us = (ready - start).as_secs_f64() * 1e6;
             r.record_on(
@@ -313,13 +317,21 @@ mod tests {
                 let mut engine = CommEngine::new(Arc::clone(&comm), 1000.0);
                 let rec = Recorder::new();
                 engine.set_recorder(rec.clone());
-                let (a, b) = (tagged(1, 3, comm.rank(), world), tagged(2, 2 * world, comm.rank(), world));
+                let (a, b) = (
+                    tagged(1, 3, comm.rank(), world),
+                    tagged(2, 2 * world, comm.rank(), world),
+                );
                 let la = AllToAllLayout::scatter_heads(a.shape(), world).expect("layout");
                 let lb = AllToAllLayout::scatter_seq(b.shape(), world).expect("layout");
                 let h = engine.post(&[(la, &a), (lb, &b)], false).expect("post");
                 engine.wait(h).expect("lands");
                 let packed = 4 * (a.data().len() + b.data().len()) as u64;
-                (packed, rec.total_bytes("comm.inflight"), rec.total_bytes("comm.post"), comm.stats())
+                (
+                    packed,
+                    rec.total_bytes("comm.inflight"),
+                    rec.total_bytes("comm.post"),
+                    comm.stats(),
+                )
             });
             for (packed, inflight, posted, stats) in runs {
                 let wire = packed * (world as u64 - 1) / world as u64;
@@ -327,7 +339,11 @@ mod tests {
                 let op = stats.op("all_to_all").expect("peers exchanged");
                 let msgs = 2 * (world as u64 - 1);
                 assert_eq!((op.sends, op.recvs), (msgs, msgs), "world {world}");
-                assert_eq!((op.bytes_sent, op.bytes_recv), (wire, wire), "world {world}");
+                assert_eq!(
+                    (op.bytes_sent, op.bytes_recv),
+                    (wire, wire),
+                    "world {world}"
+                );
             }
         }
     }
@@ -340,7 +356,9 @@ mod tests {
             let rank = comm.rank();
             let mut engine = CommEngine::new(Arc::new(comm), 0.0);
             let t = Tensor::from_vec(
-                (0..8).map(|i| 1.0 + (rank * 8 + i + 1) as f32 * 2f32.powi(-20)).collect(),
+                (0..8)
+                    .map(|i| 1.0 + (rank * 8 + i + 1) as f32 * 2f32.powi(-20))
+                    .collect(),
                 &[4, 2, 1],
             )
             .expect("shape");
@@ -354,10 +372,15 @@ mod tests {
             for (src, (sent, _)) in runs.iter().enumerate() {
                 // Head `rank` of each of the sender's four rows.
                 let sent: Vec<f32> = sent.iter().skip(rank).step_by(2).copied().collect();
-                let rounded = fpdt_tensor::bf16::decode_slice(&fpdt_tensor::bf16::encode_slice(&sent));
+                let rounded =
+                    fpdt_tensor::bf16::decode_slice(&fpdt_tensor::bf16::encode_slice(&sent));
                 assert_ne!(bits(&rounded), bits(&sent), "bf16 cannot hold these values");
                 let want = if src == rank { &sent } else { &rounded };
-                assert_eq!(bits(&got[src * 4..src * 4 + 4]), bits(want), "rank {rank}, from {src}");
+                assert_eq!(
+                    bits(&got[src * 4..src * 4 + 4]),
+                    bits(want),
+                    "rank {rank}, from {src}"
+                );
             }
         }
     }
@@ -516,7 +539,9 @@ mod tests {
                 tid("comm.post"),
                 "the link is a track of its own"
             );
-            assert!(rec.chrome_trace_json().contains(&format!("fpdt-comm-r{rank}")));
+            assert!(rec
+                .chrome_trace_json()
+                .contains(&format!("fpdt-comm-r{rank}")));
         });
     }
 

@@ -176,7 +176,11 @@ impl Communicator {
     }
 
     /// [`Communicator::recv`] that also returns the message's link stamp.
-    pub(crate) fn recv_stamped(&self, op: &'static str, peer: usize) -> Result<(Vec<f32>, Option<Instant>)> {
+    pub(crate) fn recv_stamped(
+        &self,
+        op: &'static str,
+        peer: usize,
+    ) -> Result<(Vec<f32>, Option<Instant>)> {
         let rx = self.receivers.get(peer).ok_or(CommError::RankOutOfRange {
             rank: peer,
             world: self.world,
@@ -186,7 +190,8 @@ impl Communicator {
             .recv()
             .map_err(|_| CommError::PeerDisconnected { peer })?;
         self.stats.waited(waited.elapsed());
-        self.stats.tally(op, Direction::Received, msg.data.wire_bytes());
+        self.stats
+            .tally(op, Direction::Received, msg.data.wire_bytes());
         if msg.op != op {
             return Err(CommError::Desync {
                 local_op: op,
@@ -379,7 +384,10 @@ mod tests {
     fn retrying_replays_transient_faults_within_budget() {
         run_group(1, |comm| {
             comm.inject_fault("all_gather", 2);
-            assert_eq!(comm.retrying(2, |c| c.all_gather(&[1.0])).unwrap(), vec![vec![1.0]]);
+            assert_eq!(
+                comm.retrying(2, |c| c.all_gather(&[1.0])).unwrap(),
+                vec![vec![1.0]]
+            );
             assert_eq!(comm.stats().retries, 2);
             // Budget exhausted: the last error surfaces.
             comm.inject_fault("all_gather", 3);

@@ -266,7 +266,11 @@ mod tests {
         let names: Vec<&str> = merged.ops.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
-            whole[0].ops.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
+            whole[0]
+                .ops
+                .iter()
+                .map(|(n, _)| n.as_str())
+                .collect::<Vec<_>>(),
             "first-use order survives the merge"
         );
     }
@@ -284,6 +288,9 @@ mod tests {
         });
         assert_eq!(faulted[0].faults, 1);
         assert_eq!(faulted[0].retries, 1);
-        assert_eq!(clean[0], faulted[0], "traffic counters unchanged by recovery");
+        assert_eq!(
+            clean[0], faulted[0],
+            "traffic counters unchanged by recovery"
+        );
     }
 }

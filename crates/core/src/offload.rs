@@ -203,8 +203,15 @@ impl<D> FetchHandle<D> {
     pub fn wait(self) -> D {
         if let Some(ready_at) = self.ready_at {
             let start_us = self.wait_span.as_ref().map(|(r, _)| r.now_us());
-            if let (true, Some((r, bytes)), Some(start_us)) = (sleep_until(ready_at), &self.wait_span, start_us) {
-                r.record("offload.wait", start_us, r.now_us() - start_us, Some(*bytes));
+            if let (true, Some((r, bytes)), Some(start_us)) =
+                (sleep_until(ready_at), &self.wait_span, start_us)
+            {
+                r.record(
+                    "offload.wait",
+                    start_us,
+                    r.now_us() - start_us,
+                    Some(*bytes),
+                );
             }
         }
         self.data
@@ -271,7 +278,11 @@ impl OffloadEngine {
     /// A host pool, charging the `FPDT_SIM_GBPS` link
     /// (`fpdt_trace::wire::link_gbps`) when `link` is set, else a free one.
     pub fn new(link: bool) -> Self {
-        let gbps = if link { fpdt_trace::wire::link_gbps() } else { 0.0 };
+        let gbps = if link {
+            fpdt_trace::wire::link_gbps()
+        } else {
+            0.0
+        };
         Self::for_rank(0, gbps, true)
     }
 
@@ -334,22 +345,44 @@ impl OffloadEngine {
     /// span per chunk on this thread, then the link charged for each
     /// chunk's wire bytes — a bf16 chunk streams half the bytes of its f32
     /// twin. Returns when the last chunk lands.
-    fn transfer(&mut self, dir: usize, labels: [&str; 2], run: &[(HostChunk, Option<Instant>)]) -> Option<Instant> {
+    fn transfer(
+        &mut self,
+        dir: usize,
+        labels: [&str; 2],
+        run: &[(HostChunk, Option<Instant>)],
+    ) -> Option<Instant> {
         let rec = self.recorder.as_ref();
         for (chunk, _) in run {
             let start_us = rec.map(Recorder::now_us);
             chunk.read_pass();
             if let (Some(r), Some(start_us)) = (rec, start_us) {
-                r.record(labels[0], start_us, r.now_us() - start_us, Some(chunk.wire_bytes()));
+                r.record(
+                    labels[0],
+                    start_us,
+                    r.now_us() - start_us,
+                    Some(chunk.wire_bytes()),
+                );
             }
         }
-        let link = if dir == 0 { &mut self.d2h } else { &mut self.h2d };
+        let link = if dir == 0 {
+            &mut self.d2h
+        } else {
+            &mut self.h2d
+        };
         let mut landed = None;
         for (chunk, after) in run {
-            let Some((start, ready)) = link.charge(chunk.wire_bytes(), *after) else { break };
+            let Some((start, ready)) = link.charge(chunk.wire_bytes(), *after) else {
+                break;
+            };
             if let Some(r) = rec {
                 let dur_us = (ready - start).as_secs_f64() * 1e6;
-                r.record_on(&self.tracks[dir], labels[1], r.at_us(start), dur_us, Some(chunk.wire_bytes()));
+                r.record_on(
+                    &self.tracks[dir],
+                    labels[1],
+                    r.at_us(start),
+                    dur_us,
+                    Some(chunk.wire_bytes()),
+                );
             }
             landed = Some(ready);
         }
@@ -409,8 +442,18 @@ impl OffloadEngine {
     /// waited for — double-buffering the same chunk twice is a scheduler
     /// bug, mirroring the double-put panic.
     pub fn prefetch(&mut self, key: &ChunkKey, consume: bool) -> Option<FetchHandle> {
-        let FetchHandle { data: [data], ready_at, wait_span, _inflight } = self.prefetch_batch([(*key, consume)])?;
-        Some(FetchHandle { data, ready_at, wait_span, _inflight })
+        let FetchHandle {
+            data: [data],
+            ready_at,
+            wait_span,
+            _inflight,
+        } = self.prefetch_batch([(*key, consume)])?;
+        Some(FetchHandle {
+            data,
+            ready_at,
+            wait_span,
+            _inflight,
+        })
     }
 
     /// [`OffloadEngine::prefetch`] for several `(key, consume)` requests
@@ -421,13 +464,20 @@ impl OffloadEngine {
     /// # Panics
     ///
     /// Same in-flight condition as [`OffloadEngine::prefetch`].
-    pub fn prefetch_batch<const N: usize>(&mut self, reqs: [(ChunkKey, bool); N]) -> Option<FetchHandle<[Arc<Tensor>; N]>> {
+    pub fn prefetch_batch<const N: usize>(
+        &mut self,
+        reqs: [(ChunkKey, bool); N],
+    ) -> Option<FetchHandle<[Arc<Tensor>; N]>> {
         if !reqs.iter().all(|(key, _)| self.store.contains_key(key)) {
             return None;
         }
         let mut run = Vec::with_capacity(N);
         for (key, consume) in &reqs {
-            let fresh = self.inflight.lock().unwrap_or_else(|e| e.into_inner()).insert(*key);
+            let fresh = self
+                .inflight
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .insert(*key);
             assert!(fresh, "chunk {key:?} prefetched twice without a wait");
             let (chunk, landing) = if *consume {
                 self.store.remove(key).expect("residency checked above")
@@ -466,7 +516,9 @@ impl OffloadEngine {
     /// Drops a resident chunk without a transfer (freeing host memory
     /// costs no PCIe traffic). Returns whether it was present.
     pub fn discard(&mut self, key: &ChunkKey) -> bool {
-        let Some((chunk, _)) = self.store.remove(key) else { return false };
+        let Some((chunk, _)) = self.store.remove(key) else {
+            return false;
+        };
         if self.offload {
             self.stats.bytes -= chunk.wire_bytes();
         }
@@ -505,8 +557,14 @@ mod tests {
     #[test]
     fn stats_track_transfers_peak_and_directions() {
         let mut pool = pool();
-        pool.put(ChunkKey::new(0, BufKind::K, 0), Arc::new(Tensor::zeros(&[10])));
-        pool.put(ChunkKey::new(0, BufKind::V, 0), Arc::new(Tensor::zeros(&[10])));
+        pool.put(
+            ChunkKey::new(0, BufKind::K, 0),
+            Arc::new(Tensor::zeros(&[10])),
+        );
+        pool.put(
+            ChunkKey::new(0, BufKind::V, 0),
+            Arc::new(Tensor::zeros(&[10])),
+        );
         assert_eq!(pool.stats().offloads, 2);
         assert_eq!(pool.stats().bytes, 80);
         assert_eq!(pool.stats().bytes_offloaded, 80);
@@ -532,8 +590,15 @@ mod tests {
         assert!(!pool.discard(&key), "already gone");
         let after = pool.stats();
         assert_eq!(after.bytes, 0);
-        assert_eq!((after.fetches, after.bytes_fetched), (0, 0), "no host-to-device traffic");
-        assert_eq!((after.offloads, after.bytes_offloaded, after.peak_bytes), (1, 40, before.peak_bytes));
+        assert_eq!(
+            (after.fetches, after.bytes_fetched),
+            (0, 0),
+            "no host-to-device traffic"
+        );
+        assert_eq!(
+            (after.offloads, after.bytes_offloaded, after.peak_bytes),
+            (1, 40, before.peak_bytes)
+        );
     }
 
     #[test]
@@ -562,8 +627,14 @@ mod tests {
         let run = |bf16: bool| {
             let mut pool = pool();
             pool.set_payload_bf16(bf16);
-            pool.put(ChunkKey::new(0, BufKind::K, 0), Arc::new(Tensor::ones(&[16])));
-            pool.put(ChunkKey::new(0, BufKind::V, 0), Arc::new(Tensor::ones(&[16])));
+            pool.put(
+                ChunkKey::new(0, BufKind::K, 0),
+                Arc::new(Tensor::ones(&[16])),
+            );
+            pool.put(
+                ChunkKey::new(0, BufKind::V, 0),
+                Arc::new(Tensor::ones(&[16])),
+            );
             fetch(&mut pool, &ChunkKey::new(0, BufKind::K, 0), true).unwrap();
             fetch(&mut pool, &ChunkKey::new(0, BufKind::V, 0), false).unwrap();
             pool.stats()
@@ -602,7 +673,11 @@ mod tests {
         let back = fetch(&mut pool, &key, true).unwrap();
         assert_eq!(back.shape(), &[7]);
         for (got, &x) in back.data().iter().zip(&vals) {
-            assert_eq!(*got, bf16_to_f32(f32_to_bf16(x)), "exactly one RNE rounding");
+            assert_eq!(
+                *got,
+                bf16_to_f32(f32_to_bf16(x)),
+                "exactly one RNE rounding"
+            );
         }
     }
 
@@ -615,7 +690,10 @@ mod tests {
         let t = Arc::new(Tensor::arange(8));
         let stored = f32_pool.put(key, Arc::clone(&t));
         assert!(Arc::ptr_eq(&stored, &t), "f32 put hands back its input");
-        assert!(Arc::ptr_eq(&stored, &fetch(&mut f32_pool, &key, true).unwrap()));
+        assert!(Arc::ptr_eq(
+            &stored,
+            &fetch(&mut f32_pool, &key, true).unwrap()
+        ));
         // bf16 K/V: the rounded chunk, bit for bit what a fetch widens.
         // 1 + 2^-10 has no bf16 form (7 mantissa bits), so it must move.
         let mut bf16_pool = pool();
@@ -624,17 +702,30 @@ mod tests {
         for kind in [BufKind::K, BufKind::V] {
             let key = ChunkKey::new(0, kind, 0);
             let stored = bf16_pool.put(key, Arc::clone(&t));
-            assert_eq!(bits(&stored), bits(&fetch(&mut bf16_pool, &key, true).unwrap()), "{kind:?}");
+            assert_eq!(
+                bits(&stored),
+                bits(&fetch(&mut bf16_pool, &key, true).unwrap()),
+                "{kind:?}"
+            );
             assert_ne!(bits(&stored), bits(&t), "{kind:?} was not rounded");
         }
         // bf16 Q/Lse stay f32, and so does every chunk with offload off.
-        for key in [ChunkKey::new(0, BufKind::Q, 0), ChunkKey::new(0, BufKind::Lse, 0)] {
-            assert!(Arc::ptr_eq(&bf16_pool.put(key, Arc::clone(&t)), &t), "{key:?}");
+        for key in [
+            ChunkKey::new(0, BufKind::Q, 0),
+            ChunkKey::new(0, BufKind::Lse, 0),
+        ] {
+            assert!(
+                Arc::ptr_eq(&bf16_pool.put(key, Arc::clone(&t)), &t),
+                "{key:?}"
+            );
         }
         let mut device = OffloadEngine::for_rank(0, 0.0, false);
         device.set_payload_bf16(true);
         let key = ChunkKey::new(0, BufKind::K, 0);
-        assert!(Arc::ptr_eq(&device.put(key, Arc::clone(&t)), &t), "offload off");
+        assert!(
+            Arc::ptr_eq(&device.put(key, Arc::clone(&t)), &t),
+            "offload off"
+        );
     }
 
     #[test]
@@ -658,14 +749,20 @@ mod tests {
         let key = ChunkKey::new(0, BufKind::K, 0);
         let t = Arc::new(Tensor::ones(&[4096]));
         eng.put(key, Arc::clone(&t));
-        assert!(Arc::ptr_eq(&fetch(&mut eng, &key, false).unwrap(), &t), "keep clones the Arc");
+        assert!(
+            Arc::ptr_eq(&fetch(&mut eng, &key, false).unwrap(), &t),
+            "keep clones the Arc"
+        );
         let batch = eng.prefetch_batch([(key, true)]).expect("resident").wait();
         assert!(Arc::ptr_eq(&batch[0], &t), "take moves the Arc out");
         assert!(eng.is_empty() && fetch(&mut eng, &key, true).is_none());
         eng.put(key, Arc::clone(&t));
         assert!(eng.discard(&key));
         assert_eq!(eng.stats(), PoolStats::default());
-        assert!(rec.records().is_empty(), "no offload.* span or link interval");
+        assert!(
+            rec.records().is_empty(),
+            "no offload.* span or link interval"
+        );
     }
 
     #[test]
@@ -714,11 +811,28 @@ mod tests {
         let spans = rec.records();
         let tid = |label: &str| spans.iter().find(|s| s.label == label).expect(label).tid;
         let caller = tid("caller");
-        let on = |label: &str, tid: u64| spans.iter().filter(|s| s.label == label && s.tid == tid).count();
+        let on = |label: &str, tid: u64| {
+            spans
+                .iter()
+                .filter(|s| s.label == label && s.tid == tid)
+                .count()
+        };
         let (d2h, h2d) = (tid("offload.prefetch") - 1, tid("offload.prefetch"));
-        assert_eq!((on("offload.put", caller), on("offload.fetch", caller)), (4, 4), "read passes");
-        assert_eq!((on("offload.put", d2h), on("offload.prefetch", h2d)), (4, 4), "wire intervals");
-        assert_eq!(on("offload.wait", caller), 4, "each fetch waited for its put and its own bytes");
+        assert_eq!(
+            (on("offload.put", caller), on("offload.fetch", caller)),
+            (4, 4),
+            "read passes"
+        );
+        assert_eq!(
+            (on("offload.put", d2h), on("offload.prefetch", h2d)),
+            (4, 4),
+            "wire intervals"
+        );
+        assert_eq!(
+            on("offload.wait", caller),
+            4,
+            "each fetch waited for its put and its own bytes"
+        );
         let trace = rec.chrome_trace_json();
         assert!(trace.contains("fpdt-d2h-r3") && trace.contains("fpdt-h2d-r3"));
     }
@@ -735,7 +849,12 @@ mod tests {
         let t0 = Instant::now();
         eng.put(key, Arc::new(Tensor::ones(&[16 * 1024])));
         eng.prefetch(&key, true).expect("just put").wait();
-        assert!(t0.elapsed() >= 2 * wire, "{:?} < {:?}", t0.elapsed(), 2 * wire);
+        assert!(
+            t0.elapsed() >= 2 * wire,
+            "{:?} < {:?}",
+            t0.elapsed(),
+            2 * wire
+        );
     }
 
     #[test]
@@ -748,7 +867,10 @@ mod tests {
         eng.prefetch(&key, true).expect("resident").wait();
         let tids: HashSet<u64> = rec.records().iter().map(|s| s.tid).collect();
         assert_eq!(tids.len(), 1, "every span on the calling thread");
-        assert_eq!((rec.count("offload.put"), rec.count("offload.fetch")), (1, 1));
+        assert_eq!(
+            (rec.count("offload.put"), rec.count("offload.fetch")),
+            (1, 1)
+        );
         assert_eq!(rec.count("offload.prefetch") + rec.count("offload.wait"), 0);
     }
 
@@ -762,15 +884,26 @@ mod tests {
             eng.put(*key, Arc::new(Tensor::ones(&[8 * (i + 1)])));
         }
         let missing = ChunkKey::new(9, BufKind::K, 0);
-        assert!(eng.prefetch_batch([(keys[0], true), (missing, true)]).is_none());
+        assert!(eng
+            .prefetch_batch([(keys[0], true), (missing, true)])
+            .is_none());
         assert_eq!(eng.stats().fetches, 0, "a failed batch has no side effect");
-        let got = eng.prefetch_batch(keys.map(|k| (k, true))).expect("all resident").wait();
-        assert_eq!(got.iter().map(|t| t.numel()).collect::<Vec<_>>(), vec![8, 16, 24]);
+        let got = eng
+            .prefetch_batch(keys.map(|k| (k, true)))
+            .expect("all resident")
+            .wait();
+        assert_eq!(
+            got.iter().map(|t| t.numel()).collect::<Vec<_>>(),
+            vec![8, 16, 24]
+        );
         assert_eq!(eng.stats().fetches, 3);
         assert_eq!(eng.stats().bytes_fetched, 4 * 48);
         assert_eq!(rec.count("offload.prefetch"), 3, "one span per transfer");
         assert_eq!(rec.total_bytes("offload.prefetch"), 4 * 48);
-        assert!(rec.count("offload.wait") <= 1, "at most one wait for the lot");
+        assert!(
+            rec.count("offload.wait") <= 1,
+            "at most one wait for the lot"
+        );
     }
 
     #[test]
@@ -800,7 +933,10 @@ mod tests {
         let mut eng = OffloadEngine::for_rank(0, gbps, true);
         eng.set_payload_bf16(bf16);
         for i in 0..4usize {
-            eng.put(ChunkKey::new(0, BufKind::K, i), Arc::new(Tensor::ones(&[16])));
+            eng.put(
+                ChunkKey::new(0, BufKind::K, i),
+                Arc::new(Tensor::ones(&[16])),
+            );
         }
         for i in 0..4usize {
             let key = ChunkKey::new(0, BufKind::K, i);

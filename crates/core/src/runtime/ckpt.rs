@@ -176,8 +176,12 @@ impl StateDict {
     /// and both counts when the entry holds another number of elements.
     pub fn u64s_n<const N: usize>(&self, key: &str) -> Result<[u64; N], CkptError> {
         let v = self.u64s(key)?;
-        v.try_into()
-            .map_err(|_| CkptError::Corrupt(format!("entry {key:?} has {} elements, expected {N}", v.len())))
+        v.try_into().map_err(|_| {
+            CkptError::Corrupt(format!(
+                "entry {key:?} has {} elements, expected {N}",
+                v.len()
+            ))
+        })
     }
 
     /// A required scalar u64 entry: [`StateDict::u64s_n`] of one element.
@@ -276,9 +280,7 @@ impl StateDict {
                     StateValue::U64(
                         raw.chunks_exact(8)
                             .map(|c| {
-                                u64::from_le_bytes([
-                                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                                ])
+                                u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
                             })
                             .collect(),
                     )
@@ -415,7 +417,9 @@ pub fn shard_paths(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
             Some(_) => {}
         }
         if found.insert(rank, path).is_some() {
-            return Err(CkptError::Corrupt(format!("duplicate shard for rank {rank}")));
+            return Err(CkptError::Corrupt(format!(
+                "duplicate shard for rank {rank}"
+            )));
         }
     }
     let world = world.ok_or_else(|| {
@@ -423,9 +427,9 @@ pub fn shard_paths(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
     })?;
     let mut out = Vec::with_capacity(world);
     for rank in 0..world {
-        let path = found.remove(&rank).ok_or_else(|| {
-            CkptError::Missing(format!("shard for rank {rank} of {world}"))
-        })?;
+        let path = found
+            .remove(&rank)
+            .ok_or_else(|| CkptError::Missing(format!("shard for rank {rank} of {world}")))?;
         out.push(path);
     }
     if let Some((&rank, _)) = found.iter().next() {
@@ -513,12 +517,21 @@ mod tests {
     fn a_fixed_length_entry_of_another_length_is_corrupt_and_says_so() {
         let d = sample_dict();
         assert_eq!(d.u64s_n::<3>("mm.mid").unwrap(), [7, 0, u64::MAX]);
-        for (err, n) in [(d.u64s_n::<2>("mm.mid").unwrap_err(), 2), (d.u64s_n::<4>("mm.mid").unwrap_err(), 4)] {
+        for (err, n) in [
+            (d.u64s_n::<2>("mm.mid").unwrap_err(), 2),
+            (d.u64s_n::<4>("mm.mid").unwrap_err(), 4),
+        ] {
             let want = format!("entry \"mm.mid\" has 3 elements, expected {n}");
-            assert!(matches!(&err, CkptError::Corrupt(msg) if *msg == want), "{err:?}");
+            assert!(
+                matches!(&err, CkptError::Corrupt(msg) if *msg == want),
+                "{err:?}"
+            );
         }
         assert!(matches!(d.u64s_n::<3>("nope"), Err(CkptError::Missing(_))));
-        assert!(matches!(d.u64s_n::<1>("zz.last"), Err(CkptError::Corrupt(_))));
+        assert!(matches!(
+            d.u64s_n::<1>("zz.last"),
+            Err(CkptError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -539,7 +552,10 @@ mod tests {
         }
         // a missing rank is typed
         std::fs::remove_file(&paths[1]).unwrap();
-        assert!(matches!(shard_paths(&dir).unwrap_err(), CkptError::Missing(_)));
+        assert!(matches!(
+            shard_paths(&dir).unwrap_err(),
+            CkptError::Missing(_)
+        ));
         // a truncated shard is corrupt, not a panic
         let bytes = std::fs::read(&paths[0]).unwrap();
         std::fs::write(&paths[0], &bytes[..bytes.len() / 2]).unwrap();

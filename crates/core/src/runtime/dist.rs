@@ -215,7 +215,10 @@ impl TrainConfig {
             "heads must divide across ranks"
         } else if scatter && !kv_heads.is_multiple_of(world) {
             "kv heads must divide across ranks (Ulysses head scattering)"
-        } else if !world.checked_mul(chunks).is_some_and(|n| seq.is_multiple_of(n)) {
+        } else if !world
+            .checked_mul(chunks)
+            .is_some_and(|n| seq.is_multiple_of(n))
+        {
             "sequence must divide into world x chunks segments"
         } else {
             return Ok(());
@@ -464,8 +467,12 @@ fn serve(
     let mut exec: Box<dyn AttentionExec + '_> = match cfg.mode {
         Mode::Ring => Box::new(RingAttentionExec::new(&comm, cfg.seq)),
         Mode::Ulysses | Mode::Fpdt { .. } => {
-            let ex =
-                DistAttention::with_opts(Arc::clone(&comm), cfg.mode.chunks(), cfg.mode.offload(), cfg.runtime);
+            let ex = DistAttention::with_opts(
+                Arc::clone(&comm),
+                cfg.mode.chunks(),
+                cfg.mode.offload(),
+                cfg.runtime,
+            );
             Box::new(match recorder {
                 Some(rec) => ex.with_recorder(rec.clone()),
                 None => ex,
@@ -1139,7 +1146,9 @@ impl Trainer {
             "gpt" => Family::Gpt,
             "llama" => Family::Llama,
             other => {
-                return Err(CkptError::Corrupt(format!("unknown model family {other:?}")))
+                return Err(CkptError::Corrupt(format!(
+                    "unknown model family {other:?}"
+                )))
             }
         };
         let model = ModelConfig {
@@ -1171,15 +1180,14 @@ impl Trainer {
             zero_shard: t[5] != 0,
             activation_checkpoint: t[6] != 0,
             seed: t[7],
-            lr: *lr_entry.first().ok_or_else(|| {
-                CkptError::Corrupt("cfg.lr is empty".into())
-            })?,
+            lr: *lr_entry
+                .first()
+                .ok_or_else(|| CkptError::Corrupt("cfg.lr is empty".into()))?,
             mode: Mode::parse(meta.str("cfg.mode")?)?,
             runtime: RuntimeOptions::from_env(),
         };
-        cfg.validate().map_err(|e| {
-            CkptError::Corrupt(format!("checkpointed geometry cannot run: {e}"))
-        })?;
+        cfg.validate()
+            .map_err(|e| CkptError::Corrupt(format!("checkpointed geometry cannot run: {e}")))?;
 
         let mut params = Vec::new();
         let mut m = Vec::new();
@@ -1218,7 +1226,8 @@ impl Trainer {
         }
 
         let rng = meta.u64s_n::<4>("rng.state")?;
-        let [offloads, fetches, bytes, peak_bytes, bytes_offloaded, bytes_fetched] = meta.u64s_n("stats.pool")?;
+        let [offloads, fetches, bytes, peak_bytes, bytes_offloaded, bytes_fetched] =
+            meta.u64s_n("stats.pool")?;
         let host = PoolStats {
             offloads,
             fetches,
@@ -1474,20 +1483,33 @@ mod tests {
                         .map(|s| s.tid)
                         .collect();
                     assert_eq!(ranks.len(), cfg.world, "one thread per rank ({what})");
-                    let on_ranks = |label: &str| spans.iter().filter(|s| s.label == label).all(|s| ranks.contains(&s.tid));
+                    let on_ranks = |label: &str| {
+                        spans
+                            .iter()
+                            .filter(|s| s.label == label)
+                            .all(|s| ranks.contains(&s.tid))
+                    };
                     for label in ["offload.put", "offload.fetch", "comm.post"] {
-                        assert!(spans.iter().any(|s| s.label == label), "no {label} spans ({what})");
+                        assert!(
+                            spans.iter().any(|s| s.label == label),
+                            "no {label} spans ({what})"
+                        );
                     }
                     for label in ["offload.fetch", "comm.post", "comm.wait", "offload.wait"] {
                         assert!(on_ranks(label), "{label} off the ranks ({what})");
                     }
                     let links: std::collections::HashSet<u64> = spans
                         .iter()
-                        .filter(|s| ["comm.inflight", "offload.prefetch"].contains(&s.label.as_str()))
+                        .filter(|s| {
+                            ["comm.inflight", "offload.prefetch"].contains(&s.label.as_str())
+                        })
                         .map(|s| s.tid)
                         .collect();
                     if sim_gbps > 0.0 {
-                        assert!(links.is_disjoint(&ranks), "link time on a rank thread ({what})");
+                        assert!(
+                            links.is_disjoint(&ranks),
+                            "link time on a rank thread ({what})"
+                        );
                         // comm and h2d tracks of both ranks
                         assert_eq!(links.len(), 2 * cfg.world, "{what}");
                         let trace = rec.chrome_trace_json();
@@ -1496,7 +1518,11 @@ mod tests {
                         }
                     } else {
                         assert!(links.is_empty(), "a free link recorded wire time ({what})");
-                        assert_eq!(rec.count("offload.wait"), 0, "a free transfer waited ({what})");
+                        assert_eq!(
+                            rec.count("offload.wait"),
+                            0,
+                            "a free transfer waited ({what})"
+                        );
                     }
                 }
             }
@@ -1522,10 +1548,17 @@ mod tests {
         let rec = Recorder::new();
         train_traced(&cfg, Some(&rec));
         let spans = rec.records();
-        let rows = crate::chunk::tile_slots(u)[0].iter().filter(|&&(_, j)| j == 0).count();
+        let rows = crate::chunk::tile_slots(u)[0]
+            .iter()
+            .filter(|&&(_, j)| j == 0)
+            .count();
         let staged = 2 + 2 * rows + 2;
         let blocks: Vec<_> = spans.iter().filter(|s| s.label == "block.bwd").collect();
-        assert_eq!(blocks.len(), cfg.world * cfg.model.layers, "two layers on two ranks");
+        assert_eq!(
+            blocks.len(),
+            cfg.world * cfg.model.layers,
+            "two layers on two ranks"
+        );
         for b in blocks {
             let starts = |label: &str| -> Vec<f64> {
                 spans
@@ -1539,7 +1572,12 @@ mod tests {
             assert_eq!(mlp.len(), 1, "one MLP backward per block");
             let fetches = starts("offload.fetch");
             let early = fetches.iter().filter(|&&t| t < mlp[0]).count();
-            assert_eq!(early, staged, "fetches before the MLP backward, of {}", fetches.len());
+            assert_eq!(
+                early,
+                staged,
+                "fetches before the MLP backward, of {}",
+                fetches.len()
+            );
         }
     }
 
@@ -1573,19 +1611,33 @@ mod tests {
             starts.sort_by(f64::total_cmp);
             starts
         };
-        let blocks = |label: &str| -> Vec<&fpdt_trace::SpanRecord> { spans.iter().filter(|s| s.label == label).collect() };
+        let blocks = |label: &str| -> Vec<&fpdt_trace::SpanRecord> {
+            spans.iter().filter(|s| s.label == label).collect()
+        };
         let layers = cfg.world * cfg.model.layers;
         assert_eq!(blocks("block.fwd").len(), layers, "two layers on two ranks");
         assert_eq!(blocks("block.bwd").len(), layers, "two layers on two ranks");
         for b in blocks("block.fwd") {
-            assert_eq!(inside(b, "dense.out_proj").len(), u, "out_proj per output chunk");
+            assert_eq!(
+                inside(b, "dense.out_proj").len(),
+                u,
+                "out_proj per output chunk"
+            );
             let mlp = inside(b, "dense.mlp.fwd");
             let waits = inside(b, "comm.wait");
             let last_o = waits.last().expect("the O gathers are waited");
-            assert!(mlp[0] < *last_o, "first MLP at {}, last O wait at {last_o}", mlp[0]);
+            assert!(
+                mlp[0] < *last_o,
+                "first MLP at {}, last O wait at {last_o}",
+                mlp[0]
+            );
         }
         for b in blocks("block.bwd") {
-            assert_eq!(inside(b, "dense.qkv").len(), u, "qkv backward per gradient chunk");
+            assert_eq!(
+                inside(b, "dense.qkv").len(),
+                u,
+                "qkv backward per gradient chunk"
+            );
         }
     }
 
@@ -1874,8 +1926,16 @@ mod tests {
             let peers = (world - 1) as u64;
             let calls = (1 + n.div_ceil(1 << 16)) as u64;
             let op = r.comm.op("all_gather").expect("gradients reduced");
-            assert_eq!((op.sends, op.recvs), (2 * calls * peers, 2 * calls * peers), "world {world}");
-            assert_eq!(op.bytes_sent, 2 * 4 * (2 + n as u64) * peers, "world {world}");
+            assert_eq!(
+                (op.sends, op.recvs),
+                (2 * calls * peers, 2 * calls * peers),
+                "world {world}"
+            );
+            assert_eq!(
+                op.bytes_sent,
+                2 * 4 * (2 + n as u64) * peers,
+                "world {world}"
+            );
             assert_eq!(op.bytes_recv, op.bytes_sent, "world {world}");
         }
     }
@@ -2086,7 +2146,6 @@ mod accum_tests {
         assert!(r.losses.last().unwrap() < &r.losses[0]);
     }
 }
-
 
 #[cfg(test)]
 mod warmup_tests {

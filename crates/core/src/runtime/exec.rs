@@ -19,8 +19,8 @@
 use super::options::RuntimeOptions;
 use crate::chunk::{tile_slots, ChunkPlan};
 use crate::offload::{BufKind, ChunkKey, FetchHandle, OffloadEngine, PoolStats};
-use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_attention::default_scale;
+use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_comm::{AllToAllLayout, CommEngine, CommGroup, Communicator, Pending};
 use fpdt_tensor::{Tensor, TensorError};
 use fpdt_trace::{Recorder, Span};
@@ -114,8 +114,15 @@ pub trait AttentionExec {
     /// # Errors
     ///
     /// As [`AttentionExec::backward_chunks`].
-    fn backward(&mut self, layer: usize, o: &Tensor, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        collect_grads(dout.shape()[0], |sink| self.backward_chunks(layer, &mut lent(o, dout), sink))
+    fn backward(
+        &mut self,
+        layer: usize,
+        o: &Tensor,
+        dout: &Tensor,
+    ) -> ExecResult<(Tensor, Tensor, Tensor)> {
+        collect_grads(dout.shape()[0], |sink| {
+            self.backward_chunks(layer, &mut lent(o, dout), sink)
+        })
     }
 
     /// Drops the saved state for `layer` without running a backward pass —
@@ -133,7 +140,8 @@ pub trait AttentionExec {
 /// The `N` tensors of a posted all-to-all, once its receive half has run.
 fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResult<[Tensor; N]> {
     let tensors = engine.wait(posted)?;
-    <[Tensor; N]>::try_from(tensors).map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
+    <[Tensor; N]>::try_from(tensors)
+        .map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
 }
 
 /// A full-length `[rows, ..]` tensor filled by row range from chunks that
@@ -163,7 +171,13 @@ impl RowChunks {
     pub(crate) fn push(&mut self, r0: usize, part: Tensor) -> ExecResult<()> {
         let n = part.shape().first().copied().unwrap_or(0);
         if r0 != self.at || r0 + n > self.rows {
-            return Err(format!("rows {r0}..{} arrived with {} of {} filled", r0 + n, self.at, self.rows).into());
+            return Err(format!(
+                "rows {r0}..{} arrived with {} of {} filled",
+                r0 + n,
+                self.at,
+                self.rows
+            )
+            .into());
         }
         self.at += n;
         if r0 == 0 && n == self.rows {
@@ -175,7 +189,12 @@ impl RowChunks {
             self.shape[0] = self.rows;
             self.data = Vec::with_capacity(self.shape.iter().product());
         } else if part.shape()[1..] != self.shape[1..] {
-            return Err(format!("row chunk {:?} does not continue {:?}", part.shape(), self.shape).into());
+            return Err(format!(
+                "row chunk {:?} does not continue {:?}",
+                part.shape(),
+                self.shape
+            )
+            .into());
         }
         self.data.extend_from_slice(part.data());
         Ok(())
@@ -194,7 +213,10 @@ impl RowChunks {
 }
 
 /// The dense backward of a caller that already holds `(o, dout)`.
-fn lent<'a>(o: &'a Tensor, dout: &'a Tensor) -> impl FnMut() -> ExecResult<(Cow<'a, Tensor>, Cow<'a, Tensor>)> + 'a {
+fn lent<'a>(
+    o: &'a Tensor,
+    dout: &'a Tensor,
+) -> impl FnMut() -> ExecResult<(Cow<'a, Tensor>, Cow<'a, Tensor>)> + 'a {
     || Ok((Cow::Borrowed(o), Cow::Borrowed(dout)))
 }
 
@@ -204,7 +226,11 @@ fn collect_grads(
     rows: usize,
     run: impl FnOnce(&mut ChunkSink<'_, [Tensor; 3]>) -> ExecResult<()>,
 ) -> ExecResult<(Tensor, Tensor, Tensor)> {
-    let mut grads = [RowChunks::new(rows), RowChunks::new(rows), RowChunks::new(rows)];
+    let mut grads = [
+        RowChunks::new(rows),
+        RowChunks::new(rows),
+        RowChunks::new(rows),
+    ];
     run(&mut |r0, parts| {
         for (g, part) in grads.iter_mut().zip(parts) {
             g.push(r0, part)?;
@@ -370,8 +396,14 @@ impl DistAttention {
     /// Issues the fetch of several cached chunks as one copy-stream transfer
     /// (`consume` evicts a chunk, otherwise it stays cached; every path is
     /// zero-copy — the `Arc` is shared).
-    fn stage<const N: usize>(&mut self, reqs: [(ChunkKey, bool); N]) -> ExecResult<FetchHandle<[Arc<Tensor>; N]>> {
-        Ok(self.store.prefetch_batch(reqs).ok_or_else(|| format!("missing cached chunk in {reqs:?}"))?)
+    fn stage<const N: usize>(
+        &mut self,
+        reqs: [(ChunkKey, bool); N],
+    ) -> ExecResult<FetchHandle<[Arc<Tensor>; N]>> {
+        Ok(self
+            .store
+            .prefetch_batch(reqs)
+            .ok_or_else(|| format!("missing cached chunk in {reqs:?}"))?)
     }
 
     /// Issues the double-buffer prefetch for KV chunk `j` of `layer`.
@@ -396,7 +428,8 @@ impl DistAttention {
     /// pair [`DistAttention::fetch_row`] takes back.
     fn put_row(&mut self, layer: usize, i: usize, q: Arc<Tensor>, lse: Tensor) {
         self.store.put(ChunkKey::new(layer, BufKind::Q, i), q);
-        self.store.put(ChunkKey::new(layer, BufKind::Lse, i), Arc::new(lse));
+        self.store
+            .put(ChunkKey::new(layer, BufKind::Lse, i), Arc::new(lse));
     }
 
     /// Issues the backward's opening for `layer`: the takes its first slot
@@ -445,7 +478,14 @@ impl DistAttention {
     /// exactly one posted op per chunk, three tensors through one wire
     /// slot, so the FIFO stays aligned with the chunk loop. Q and KV may
     /// use different layouts (grouped-query attention narrows KV).
-    fn post_qkv(&mut self, q: &Tensor, k: &Tensor, v: &Tensor, start: usize, len: usize) -> ExecResult<Pending> {
+    fn post_qkv(
+        &mut self,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        start: usize,
+        len: usize,
+    ) -> ExecResult<Pending> {
         let qc = q.narrow(0, start, len)?;
         let kc = k.narrow(0, start, len)?;
         let vc = v.narrow(0, start, len)?;
@@ -461,13 +501,22 @@ impl DistAttention {
     fn row_dot(&self, o: &Tensor, dout: &Tensor) -> ExecResult<Tensor> {
         let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
         let rows = &dout.shape()[..2];
-        Ok(Tensor::from_vec(rowwise_dot(o, dout)?, &[rows[0], rows[1], 1])?)
+        Ok(Tensor::from_vec(
+            rowwise_dot(o, dout)?,
+            &[rows[0], rows[1], 1],
+        )?)
     }
 
     /// Posts chunk `i`'s `dO` gather with its slice of `dsum` (see
     /// [`DistAttention::row_dot`]) fused into the same op: the two land
     /// together as `[dO_i, D_i]` in the gathered layout.
-    fn post_dout(&mut self, plan: &ChunkPlan, dout: &Tensor, dsum: &Tensor, i: usize) -> ExecResult<Pending> {
+    fn post_dout(
+        &mut self,
+        plan: &ChunkPlan,
+        dout: &Tensor,
+        dsum: &Tensor,
+        i: usize,
+    ) -> ExecResult<Pending> {
         let (start, c_loc) = (plan.local_chunk_range(i).start, plan.chunk_local_len());
         let chunk = dout.narrow(0, start, c_loc)?;
         let dsum_chunk = dsum.narrow(0, start, c_loc)?;
@@ -522,7 +571,9 @@ impl DistAttention {
         dout: &Tensor,
         slots: &[Vec<(usize, usize)>],
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        collect_grads(dout.shape()[0], |sink| self.walk_tiles(layer, &mut lent(o, dout), slots, sink))
+        collect_grads(dout.shape()[0], |sink| {
+            self.walk_tiles(layer, &mut lent(o, dout), slots, sink)
+        })
     }
 
     /// [`DistAttention::backward_tiles`], streamed, with `(o, dO)` from
@@ -534,7 +585,10 @@ impl DistAttention {
         slots: &[Vec<(usize, usize)>],
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()> {
-        let Opening { mut kv_pending, mut row_pending } = self.open(layer)?;
+        let Opening {
+            mut kv_pending,
+            mut row_pending,
+        } = self.open(layer)?;
         let (o, dout) = dense()?;
         let plan = self.plan(dout.shape()[0])?;
         let u = plan.chunks;
@@ -598,8 +652,12 @@ impl DistAttention {
                     if i + 1 < u && row_pending[i + 1].is_none() {
                         row_pending[i + 1] = Some(self.fetch_row(layer, i + 1)?);
                     }
-                    let [dout, dsum] =
-                        landed(&mut self.engine, dout_pending[i].take().ok_or("chunk i's dO was not posted")?)?;
+                    let [dout, dsum] = landed(
+                        &mut self.engine,
+                        dout_pending[i]
+                            .take()
+                            .ok_or("chunk i's dO was not posted")?,
+                    )?;
                     let [q, lse] = row_fetch.wait();
                     rows[i] = Some(Row {
                         dq: Tensor::zeros(q.shape()),
@@ -668,13 +726,19 @@ impl DistAttention {
         let handles = dq_handles.into_iter().zip(dk_handles).zip(dv_handles);
         for (i, ((dq, dk), dv)) in handles.enumerate() {
             let mut land = |h: Option<Pending>| -> ExecResult<Tensor> {
-                let [part] = landed(&mut self.engine, h.ok_or("gradient chunk was never finalized")?)?;
+                let [part] = landed(
+                    &mut self.engine,
+                    h.ok_or("gradient chunk was never finalized")?,
+                )?;
                 Ok(part)
             };
             let grads = [land(dq)?, land(dk)?, land(dv)?];
             sink(plan.local_chunk_range(i).start, grads)?;
         }
-        debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
+        debug_assert!(
+            self.engine.is_idle(),
+            "an all-to-all part is left for a rank-thread collective"
+        );
         Ok(())
     }
 }
@@ -799,8 +863,12 @@ impl AttentionExec for DistAttention {
             // V go down first — their stored form is `first` or the next
             // chunk's window (bf16-rounded when the pool rounds them) —
             // then the previous chunk's `[Q, Lse]`.
-            let kw = self.store.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
-            let vw = self.store.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
+            let kw = self
+                .store
+                .put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
+            let vw = self
+                .store
+                .put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
             if i == 0 {
                 first = Some([kw, vw]);
             } else if i + 1 < u {
@@ -824,7 +892,10 @@ impl AttentionExec for DistAttention {
             let [part] = landed(&mut self.engine, h)?;
             sink(plan.local_chunk_range(i).start, part)?;
         }
-        debug_assert!(self.engine.is_idle(), "an all-to-all part is left for a rank-thread collective");
+        debug_assert!(
+            self.engine.is_idle(),
+            "an all-to-all part is left for a rank-thread collective"
+        );
         Ok(())
     }
 
@@ -919,7 +990,10 @@ impl AttentionExec for RingAttentionExec<'_> {
         // positions, so any others would give silently wrong attention.
         if pos != self.owner_positions(rank) {
             return Err(TensorError::InvalidSlice {
-                what: format!("positions are not rank {rank}'s contiguous shard of {} tokens", self.seq_global),
+                what: format!(
+                    "positions are not rank {rank}'s contiguous shard of {} tokens",
+                    self.seq_global
+                ),
             }
             .into());
         }
@@ -1066,7 +1140,13 @@ mod tests {
             let opts = RuntimeOptions::from_env().with_payload_bf16(false);
             let mut ex = DistAttention::with_opts(comm, chunks, offload, opts);
             let o = ex
-                .forward(0, &shard(&q, rank), &shard(&k, rank), &shard(&v, rank), &pos)
+                .forward(
+                    0,
+                    &shard(&q, rank),
+                    &shard(&k, rank),
+                    &shard(&v, rank),
+                    &pos,
+                )
                 .unwrap();
             let grads = ex.backward(0, &o, &shard(&dout, rank)).unwrap();
             let stats = ex.host_stats();
@@ -1148,7 +1228,9 @@ mod tests {
                 let shard = |t: &Tensor| shard_rows(t, &pos);
                 let opts = RuntimeOptions::from_env().with_payload_bf16(false);
                 let mut ex = DistAttention::with_opts(Arc::new(comm), 4, offload, opts);
-                let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
+                let o = ex
+                    .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+                    .unwrap();
                 assert!(!ex.store.is_empty(), "the forward caches its chunks");
                 ex.backward(0, &o, &dout).unwrap();
                 ex.store.is_empty()
@@ -1169,7 +1251,8 @@ mod tests {
     fn forward_layer(ex: &mut DistAttention, layer: usize, seed: u64) -> Tensor {
         let s = 4 * ex.chunks;
         let (q, k, v) = rand_qkv(seed, s, 2, 4);
-        ex.forward(layer, &q, &k, &v, &(0..s).collect::<Vec<_>>()).unwrap()
+        ex.forward(layer, &q, &k, &v, &(0..s).collect::<Vec<_>>())
+            .unwrap()
     }
 
     #[test]
@@ -1192,10 +1275,15 @@ mod tests {
                 seen.push((rec.count("offload.fetch"), rec.count("comm.post")));
                 Ok((Cow::Borrowed(&o), Cow::Borrowed(&dout)))
             };
-            ex.backward_chunks(0, &mut dense, &mut |_, _| Ok(())).unwrap();
+            ex.backward_chunks(0, &mut dense, &mut |_, _| Ok(()))
+                .unwrap();
             assert_eq!(seen, [(fwd_fetches + opening, 2 * u)], "u = {u}");
             // The span counts are the counters' own.
-            assert_eq!(rec.count("offload.fetch") as u64, ex.host_stats().fetches, "u = {u}");
+            assert_eq!(
+                rec.count("offload.fetch") as u64,
+                ex.host_stats().fetches,
+                "u = {u}"
+            );
             assert_eq!(rec.count("comm.post") as u64, ex.comm_posted(), "u = {u}");
 
             forward_layer(&mut ex, 1, 97);
@@ -1223,7 +1311,9 @@ mod tests {
                 let shard = |t: &Tensor| shard_rows(t, &pos);
                 let opts = RuntimeOptions::from_env().with_payload_bf16(false);
                 let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts);
-                let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
+                let o = ex
+                    .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+                    .unwrap();
                 let dout = shard(&dout);
                 let dsum = ex.row_dot(&o, &dout).unwrap();
                 let c_loc = plan.chunk_local_len();
@@ -1265,10 +1355,15 @@ mod tests {
                 .with_comm_retries(faults);
             let mut ex = DistAttention::with_opts(Arc::clone(&comm), 4, true, opts);
             comm.inject_fault("all_to_all", faults);
-            let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos).unwrap();
+            let o = ex
+                .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+                .unwrap();
             comm.inject_fault("all_to_all", faults);
             let (dq, dk, dv) = ex.backward(0, &o, &dout).unwrap();
-            let bits = [o, dq, dk, dv].iter().flat_map(|t| t.data().iter().map(|x| x.to_bits())).collect();
+            let bits = [o, dq, dk, dv]
+                .iter()
+                .flat_map(|t| t.data().iter().map(|x| x.to_bits()))
+                .collect();
             // Every handle was waited (the executor debug-asserts it), so
             // the rank thread's own collective reads its own payload.
             let sum = comm.all_reduce(&[comm.rank() as f32 + 1.0]).unwrap();
@@ -1279,10 +1374,18 @@ mod tests {
     #[test]
     fn post_faults_replay_to_identical_results_and_leave_no_stale_part() {
         let (clean, faulty) = (faulted_run(0), faulted_run(2));
-        for (rank, ((want, _, _), (got, retries, sum))) in clean.into_iter().zip(faulty).enumerate() {
+        for (rank, ((want, _, _), (got, retries, sum))) in clean.into_iter().zip(faulty).enumerate()
+        {
             assert_eq!(got, want, "rank {rank}: bits");
-            assert_eq!(retries, 4, "rank {rank}: two replays each on the QKV and dO posts");
-            assert_eq!(sum, vec![3.0], "rank {rank}: a stale all-to-all part was read");
+            assert_eq!(
+                retries, 4,
+                "rank {rank}: two replays each on the QKV and dO posts"
+            );
+            assert_eq!(
+                sum,
+                vec![3.0],
+                "rank {rank}: a stale all-to-all part was read"
+            );
         }
     }
 
@@ -1320,7 +1423,8 @@ mod tests {
                     let shard = |t: &Tensor| shard_rows(t, &pos);
                     let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
                     let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts);
-                    let o = ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
+                    let o = ex
+                        .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                         .unwrap();
                     let fwd = (ex.host_stats(), ex.comm_posted());
                     ex.backward(0, &o, &dout).unwrap();
@@ -1336,10 +1440,16 @@ mod tests {
                 for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
                     let at = format!("u={u}, bf16={bf16}");
                     if u == 3 {
-                        assert_eq!(after_fwd.fetches, 0, "chunk 0 and the window serve u = 3, {at}");
+                        assert_eq!(
+                            after_fwd.fetches, 0,
+                            "chunk 0 and the window serve u = 3, {at}"
+                        );
                     }
                     assert_eq!(after_fwd.fetches, keeps as u64, "forward fetches, {at}");
-                    assert_eq!(after_fwd.bytes_fetched, h2d_fwd as u64, "forward H2D bytes, {at}");
+                    assert_eq!(
+                        after_fwd.bytes_fetched, h2d_fwd as u64,
+                        "forward H2D bytes, {at}"
+                    );
                     assert_eq!(after_fwd.offloads, (4 * u) as u64, "forward puts, {at}");
                     assert_eq!(posted_fwd, (2 * u) as u64, "QKV + O post per chunk, {at}");
                     assert_eq!(
@@ -1367,7 +1477,11 @@ mod tests {
         let part = t.clone();
         let at = part.data().as_ptr();
         lone.push(0, part).unwrap();
-        assert_eq!(lone.finish().unwrap().data().as_ptr(), at, "a lone chunk is moved, not copied");
+        assert_eq!(
+            lone.finish().unwrap().data().as_ptr(),
+            at,
+            "a lone chunk is moved, not copied"
+        );
         let mut parts = RowChunks::new(6);
         for r0 in [0, 2, 4] {
             parts.push(r0, t.narrow(0, r0, 2).unwrap()).unwrap();
@@ -1375,11 +1489,17 @@ mod tests {
         assert_eq!(bits(&parts.finish().unwrap()), bits(&t));
         let mut gap = RowChunks::new(6);
         gap.push(0, t.narrow(0, 0, 2).unwrap()).unwrap();
-        assert!(gap.push(4, t.narrow(0, 4, 2).unwrap()).is_err(), "rows must arrive in order");
+        assert!(
+            gap.push(4, t.narrow(0, 4, 2).unwrap()).is_err(),
+            "rows must arrive in order"
+        );
         assert!(gap.finish().is_err(), "rows 2.. never arrived");
         let mut wide = RowChunks::new(6);
         wide.push(0, t.narrow(0, 0, 2).unwrap()).unwrap();
-        assert!(wide.push(2, Tensor::zeros(&[2, 3])).is_err(), "a chunk of another width");
+        assert!(
+            wide.push(2, Tensor::zeros(&[2, 3])).is_err(),
+            "a chunk of another width"
+        );
     }
 
     #[test]
@@ -1393,7 +1513,8 @@ mod tests {
             let comm = CommGroup::new(1).communicators().remove(0);
             let opts = RuntimeOptions::from_env().with_payload_bf16(true);
             let rec = Recorder::new();
-            let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts).with_recorder(rec.clone());
+            let mut ex =
+                DistAttention::with_opts(Arc::new(comm), u, true, opts).with_recorder(rec.clone());
             forward_layer(&mut ex, 0, 80);
             // One chunk: 4 rows of 2 heads of width 4.
             let (kv, q, l) = (4 * 2 * 4 * 2, 4 * 2 * 4 * 4, 4 * 2 * 4);
@@ -1482,8 +1603,7 @@ mod tests {
         };
         let full = run(false);
         let half = run(true);
-        for ((o_f, dq_f, host_f, comm_f), (o_b, dq_b, host_b, comm_b)) in
-            full.into_iter().zip(half)
+        for ((o_f, dq_f, host_f, comm_f), (o_b, dq_b, host_b, comm_b)) in full.into_iter().zip(half)
         {
             // Numerics: bf16 rounding only, not a different schedule.
             assert!(o_b.allclose(&o_f, 5e-2, 5e-2), "output within bf16 tol");

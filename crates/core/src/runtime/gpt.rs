@@ -523,7 +523,13 @@ fn add_rows(dst: &mut Tensor, src: &Tensor, r0: usize) -> ExecResult<()> {
         .data()
         .get(at..at + dst.numel())
         .filter(|_| dst.shape()[1..] == src.shape()[1..])
-        .ok_or_else(|| format!("rows {r0}.. of {:?} do not fit {:?}", src.shape(), dst.shape()))?;
+        .ok_or_else(|| {
+            format!(
+                "rows {r0}.. of {:?} do not fit {:?}",
+                src.shape(),
+                dst.shape()
+            )
+        })?;
     for (d, &x) in dst.data_mut().iter_mut().zip(part) {
         *d += x;
     }

@@ -186,7 +186,11 @@ mod tests {
         std::env::set_var("FPDT_TEST_RETRIES", "3");
         assert_eq!(env_budget("FPDT_TEST_RETRIES"), Some(3));
         std::env::set_var("FPDT_TEST_RETRIES", "many");
-        assert_eq!(env_budget("FPDT_TEST_RETRIES"), None, "malformed falls back");
+        assert_eq!(
+            env_budget("FPDT_TEST_RETRIES"),
+            None,
+            "malformed falls back"
+        );
         std::env::remove_var("FPDT_TEST_RETRIES");
         assert_eq!(env_budget("FPDT_TEST_RETRIES"), None);
     }

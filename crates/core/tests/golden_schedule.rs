@@ -127,7 +127,11 @@ fn check_golden(file: &str, body: &str) {
     if body != want {
         let (got, exp): (Vec<&str>, Vec<&str>) = (body.lines().collect(), want.lines().collect());
         if got.len() != exp.len() {
-            eprintln!("golden length: expected {} lines, actual {}", exp.len(), got.len());
+            eprintln!(
+                "golden length: expected {} lines, actual {}",
+                exp.len(),
+                got.len()
+            );
         }
         for (g, e) in got.iter().zip(&exp) {
             if g != e {
@@ -262,7 +266,13 @@ fn checkpoint_shards_match_golden_bytes() {
             shard.insert(key.as_str(), blank);
         }
         let values = shard.to_bytes();
-        writeln!(body, "{name} values {} {:016x}", values.len(), fnv1a(&values)).unwrap();
+        writeln!(
+            body,
+            "{name} values {} {:016x}",
+            values.len(),
+            fnv1a(&values)
+        )
+        .unwrap();
         writeln!(body, "{name} stats {}", counters.join(" ")).unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -318,7 +328,10 @@ fn kv_outer_issues_u_kv_fetches_q_outer_quadratically_many() {
     assert_eq!(count(&kv, "bwd.qouter."), 0);
     // ...while the flipped nesting refetches the KV chunk in every inner
     // iteration: u(u+1)/2 of them (the §4.2 traffic blow-up).
-    assert_eq!(count(&q, "bwd.qouter.fetch_kv_acc."), gpus * u * (u + 1) / 2);
+    assert_eq!(
+        count(&q, "bwd.qouter.fetch_kv_acc."),
+        gpus * u * (u + 1) / 2
+    );
     assert_eq!(count(&q, "bwd.fetch_kv."), 0);
 }
 

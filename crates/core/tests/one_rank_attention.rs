@@ -42,7 +42,13 @@ fn forward(ex: &mut LocalAttention, q: &Tensor, k: &Tensor, v: &Tensor) -> Tenso
 }
 
 /// Forward then backward of layer 0: `(dq, dk, dv)`.
-fn grads(chunks: usize, q: &Tensor, k: &Tensor, v: &Tensor, dout: &Tensor) -> (Tensor, Tensor, Tensor) {
+fn grads(
+    chunks: usize,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    dout: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
     let mut ex = LocalAttention::new(chunks);
     let o = forward(&mut ex, q, k, v);
     ex.backward(0, &o, dout).unwrap()
@@ -107,7 +113,14 @@ fn one_executor_serves_every_length() {
         let o = forward(&mut ex, &q, &k, &v);
         let (dq, dk, dv) = ex.backward(0, &o, &dout).unwrap();
         let (rdq, rdk, rdv) = reference::causal_attention_bwd(&q, &k, &v, &dout).unwrap();
-        assert!(o.allclose(&reference::causal_attention(&q, &k, &v).unwrap(), 1e-4, 1e-5), "o s={s}");
+        assert!(
+            o.allclose(
+                &reference::causal_attention(&q, &k, &v).unwrap(),
+                1e-4,
+                1e-5
+            ),
+            "o s={s}"
+        );
         assert!(dq.allclose(&rdq, 1e-3, 1e-4), "dq s={s}");
         assert!(dk.allclose(&rdk, 1e-3, 1e-4), "dk s={s}");
         assert!(dv.allclose(&rdv, 1e-3, 1e-4), "dv s={s}");
@@ -115,9 +128,13 @@ fn one_executor_serves_every_length() {
 }
 
 /// The error a call returns, as the `TensorError` it must be.
-fn tensor_error<T: std::fmt::Debug>(r: Result<T, Box<dyn std::error::Error + Send + Sync>>) -> TensorError {
+fn tensor_error<T: std::fmt::Debug>(
+    r: Result<T, Box<dyn std::error::Error + Send + Sync>>,
+) -> TensorError {
     let e = r.expect_err("the call must fail");
-    e.downcast_ref::<TensorError>().cloned().unwrap_or_else(|| panic!("not a TensorError: {e}"))
+    e.downcast_ref::<TensorError>()
+        .cloned()
+        .unwrap_or_else(|| panic!("not a TensorError: {e}"))
 }
 
 #[test]
@@ -128,7 +145,10 @@ fn rejects_bad_chunk_counts() {
     for chunks in [4, 0] {
         let mut ex = LocalAttention::new(chunks);
         let err = tensor_error(ex.forward(0, &q, &k, &v, &positions(6)));
-        assert!(matches!(err, TensorError::InvalidSlice { .. }), "chunks={chunks}: {err}");
+        assert!(
+            matches!(err, TensorError::InvalidSlice { .. }),
+            "chunks={chunks}: {err}"
+        );
         assert!(ex.backward(0, &q, &q).is_err(), "chunks={chunks}");
     }
 }
@@ -147,7 +167,10 @@ fn backward_needs_its_own_forward() {
     assert!(ex.backward(0, &o, &dout).is_err(), "state consumed");
     let o = forward(&mut ex, &q, &k, &v);
     let short = Tensor::ones(&[4, 1, 4]);
-    assert!(ex.backward(0, &o.narrow(0, 0, 4).unwrap(), &short).is_err(), "short dO");
+    assert!(
+        ex.backward(0, &o.narrow(0, 0, 4).unwrap(), &short).is_err(),
+        "short dO"
+    );
 }
 
 #[test]

@@ -125,7 +125,8 @@ fn run(u: usize, order: Option<&Slots>, bf16: bool) -> Vec<Observed> {
         };
         let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
         let mut ex = DistAttention::with_opts(Arc::clone(&comm), u, true, opts);
-        let o = ex.forward(0, &rows(&q), &rows(&k), &rows(&v), &pos)
+        let o = ex
+            .forward(0, &rows(&q), &rows(&k), &rows(&v), &pos)
             .unwrap();
         let (dq, dk, dv) = match order {
             Some(slots) => ex.backward_tiles(0, &o, &dout, slots),

@@ -335,7 +335,8 @@ pub fn lex(src: &str) -> Lexed {
                         let exp = ch == 'e' || ch == 'E';
                         cur.bump();
                         // exponent sign: 1e-3, 2.5E+10
-                        if exp && matches!(cur.peek(), Some('+') | Some('-'))
+                        if exp
+                            && matches!(cur.peek(), Some('+') | Some('-'))
                             && cur.peek_at(1).is_some_and(|d| d.is_ascii_digit())
                         {
                             cur.bump();
@@ -606,7 +607,10 @@ mod tests {
         let l = lex("for i in 0..10 { x = 1.5e-3 + 0xff + 1_000; }");
         let nums = l.tokens.iter().filter(|t| t.kind == TokKind::Num).count();
         assert_eq!(nums, 5, "0, 10, 1.5e-3, 0xff, 1_000");
-        assert!(l.tokens.iter().filter(|t| t.is_punct('.')).count() == 2, "range dots survive");
+        assert!(
+            l.tokens.iter().filter(|t| t.is_punct('.')).count() == 2,
+            "range dots survive"
+        );
     }
 
     #[test]

@@ -152,9 +152,8 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    findings.sort_by(|a, b| {
-        (a.line, a.col, a.rule.as_str()).cmp(&(b.line, b.col, b.rule.as_str()))
-    });
+    findings
+        .sort_by(|a, b| (a.line, a.col, a.rule.as_str()).cmp(&(b.line, b.col, b.rule.as_str())));
     findings
 }
 

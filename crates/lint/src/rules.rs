@@ -149,7 +149,13 @@ fn in_scope(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
 
-fn finding(rule: &'static str, path: &str, lines: &[String], tok: &Token, message: String) -> Finding {
+fn finding(
+    rule: &'static str,
+    path: &str,
+    lines: &[String],
+    tok: &Token,
+    message: String,
+) -> Finding {
     let excerpt = lines
         .get(tok.line as usize - 1)
         .map(|l| l.trim().to_string())
@@ -282,9 +288,9 @@ fn unordered_map_emission(path: &str, lines: &[String], toks: &[Token], out: &mu
         // map.iter() / map.keys() / ...
         if is_map(&toks[i])
             && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
-            && toks
-                .get(i + 2)
-                .is_some_and(|t| t.kind == TokKind::Ident && ITER_METHODS.contains(&t.text.as_str()))
+            && toks.get(i + 2).is_some_and(|t| {
+                t.kind == TokKind::Ident && ITER_METHODS.contains(&t.text.as_str())
+            })
             && toks.get(i + 3).is_some_and(|t| t.is_punct('('))
         {
             flag(i, out);
@@ -303,8 +309,7 @@ fn unordered_map_emission(path: &str, lines: &[String], toks: &[Token], out: &mu
             {
                 j += 2;
             }
-            if toks.get(j).is_some_and(is_map) && toks.get(j + 1).is_some_and(|t| t.is_punct('{'))
-            {
+            if toks.get(j).is_some_and(is_map) && toks.get(j + 1).is_some_and(|t| t.is_punct('{')) {
                 flag(j, out);
             }
         }
@@ -335,8 +340,12 @@ fn collect_map_idents(toks: &[Token]) -> Vec<String> {
                 match t.kind {
                     TokKind::Punct('<') => angle += 1,
                     TokKind::Punct('>') => angle -= 1,
-                    TokKind::Punct(',') | TokKind::Punct(';') | TokKind::Punct('=')
-                    | TokKind::Punct('{') | TokKind::Punct(')') | TokKind::Punct('}')
+                    TokKind::Punct(',')
+                    | TokKind::Punct(';')
+                    | TokKind::Punct('=')
+                    | TokKind::Punct('{')
+                    | TokKind::Punct(')')
+                    | TokKind::Punct('}')
                         if angle <= 0 =>
                     {
                         break;
@@ -462,9 +471,8 @@ fn unchecked_ckpt_io(path: &str, lines: &[String], toks: &[Token], out: &mut Vec
     if !in_scope(path, CKPT_SCOPE) {
         return;
     }
-    let is_ckpt_call = |t: &Token| {
-        t.kind == TokKind::Ident && CKPT_IO_IDENTS.contains(&t.text.as_str())
-    };
+    let is_ckpt_call =
+        |t: &Token| t.kind == TokKind::Ident && CKPT_IO_IDENTS.contains(&t.text.as_str());
     for i in 0..toks.len() {
         // `let _ = ...write_shard(...)...;` — discarded at the binding.
         if toks[i].is_ident("let")
@@ -540,11 +548,19 @@ fn unchecked_ckpt_io(path: &str, lines: &[String], toks: &[Token], out: &mut Vec
 
 /// In `crates/*/src`: the first non-test token after the first top-level
 /// `#[cfg(test)] mod`. One finding per file.
-fn item_after_test_module(path: &str, lines: &[String], raw: &[Token], toks: &[Token], out: &mut Vec<Finding>) {
+fn item_after_test_module(
+    path: &str,
+    lines: &[String],
+    raw: &[Token],
+    toks: &[Token],
+    out: &mut Vec<Finding>,
+) {
     if !(path.starts_with("crates/") && path.contains("/src/")) {
         return;
     }
-    let Some(end) = test_module_end(raw) else { return };
+    let Some(end) = test_module_end(raw) else {
+        return;
+    };
     if let Some(t) = toks.iter().find(|t| (t.line, t.col) > end) {
         out.push(finding(
             "item-after-test-module",

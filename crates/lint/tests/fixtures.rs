@@ -6,10 +6,7 @@
 use fpdt_lint::lint_source;
 
 fn rules_fired(path: &str, src: &str) -> Vec<String> {
-    lint_source(path, src)
-        .into_iter()
-        .map(|f| f.rule)
-        .collect()
+    lint_source(path, src).into_iter().map(|f| f.rule).collect()
 }
 
 // --- env-outside-options ---
@@ -60,10 +57,7 @@ fn unwrap_in_comm_scope_fires() {
         rules_fired("crates/comm/src/wire.rs", src),
         ["unwrap-in-comm-path", "unwrap-in-comm-path"]
     );
-    assert_eq!(
-        rules_fired("crates/core/src/runtime/exec.rs", src).len(),
-        2
-    );
+    assert_eq!(rules_fired("crates/core/src/runtime/exec.rs", src).len(), 2);
 }
 
 #[test]
@@ -177,7 +171,10 @@ fn thread_use_in_the_group_is_allowed() {
     assert!(rules_fired("crates/comm/src/group.rs", src).is_empty());
     // `stream.rs` is not on the allowlist: streams are clocks, so a
     // thread spawned there is flagged.
-    assert_eq!(rules_fired("crates/comm/src/stream.rs", src), ["raw-thread-spawn"]);
+    assert_eq!(
+        rules_fired("crates/comm/src/stream.rs", src),
+        ["raw-thread-spawn"]
+    );
 }
 
 #[test]
@@ -196,8 +193,14 @@ fn a_stream_worker_in_either_engine_fires() {
         }
     "#,
     ] {
-        assert_eq!(rules_fired("crates/comm/src/engine.rs", src), ["raw-thread-spawn"]);
-        assert_eq!(rules_fired("crates/core/src/offload.rs", src), ["raw-thread-spawn"]);
+        assert_eq!(
+            rules_fired("crates/comm/src/engine.rs", src),
+            ["raw-thread-spawn"]
+        );
+        assert_eq!(
+            rules_fired("crates/core/src/offload.rs", src),
+            ["raw-thread-spawn"]
+        );
     }
 }
 
@@ -312,7 +315,10 @@ fn item_after_the_test_module_fires() {
         mod more_tests {}
     "#;
     let found = lint_source("crates/sim/src/engine.rs", src);
-    assert_eq!(found.iter().map(|f| f.rule.as_str()).collect::<Vec<_>>(), ["item-after-test-module"]);
+    assert_eq!(
+        found.iter().map(|f| f.rule.as_str()).collect::<Vec<_>>(),
+        ["item-after-test-module"]
+    );
     assert_eq!(found[0].excerpt, "pub fn below() -> u32 { 1 }");
 }
 
@@ -346,7 +352,10 @@ fn tests_at_the_end_or_outside_crate_sources_are_allowed() {
     "#;
     assert!(rules_fired("src/bin/fpdt-plan.rs", trailing).is_empty());
     assert!(rules_fired("crates/core/tests/common/mod.rs", trailing).is_empty());
-    assert_eq!(rules_fired("crates/bench/src/bin/figure7.rs", trailing), ["item-after-test-module"]);
+    assert_eq!(
+        rules_fired("crates/bench/src/bin/figure7.rs", trailing),
+        ["item-after-test-module"]
+    );
 }
 
 // --- suppressions ---
@@ -391,7 +400,10 @@ fn suppression_naming_unknown_rule_is_malformed() {
         // fpdt-lint: allow(no-such-rule): whatever
         pub fn f() {}
     "#;
-    assert_eq!(rules_fired("crates/model/src/x.rs", src), ["malformed-suppression"]);
+    assert_eq!(
+        rules_fired("crates/model/src/x.rs", src),
+        ["malformed-suppression"]
+    );
 }
 
 #[test]

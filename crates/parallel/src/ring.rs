@@ -84,10 +84,10 @@ impl Strategy for RingAttention {
         let compute = sharded_compute_seconds(setup, &cost, self.activation_checkpoint);
         let attn_total_fwd = flops::attention_core_fwd_flops(m, setup.seq_len) / p as f64;
         let passes: f64 = if self.activation_checkpoint { 2.0 } else { 1.0 }; // fwd (+recompute)
-        // With zigzag pairing every rank computes the same (p+1)/(2p)
-        // causal share of each ring step's block; the naive contiguous
-        // assignment is priced as the full block because the slowest rank
-        // (the one holding the last query chunk) gates every hop.
+                                                                              // With zigzag pairing every rank computes the same (p+1)/(2p)
+                                                                              // causal share of each ring step's block; the naive contiguous
+                                                                              // assignment is priced as the full block because the slowest rank
+                                                                              // (the one holding the last query chunk) gates every hop.
         let causal_share = if self.load_balanced {
             (p as f64 + 1.0) / (2.0 * p as f64)
         } else {

@@ -966,15 +966,19 @@ mod record_tests {
         let r = e.run().unwrap();
         let a = &r.task_records()[0];
         let b = &r.task_records()[2];
-        let slices =
-            |rec: &TaskRecord| -> Vec<(f64, f64, f64)> {
-                rec.shares.iter().map(|s| (s.from, s.until, s.rate)).collect()
-            };
+        let slices = |rec: &TaskRecord| -> Vec<(f64, f64, f64)> {
+            rec.shares
+                .iter()
+                .map(|s| (s.from, s.until, s.rate))
+                .collect()
+        };
         let close = |got: &[(f64, f64, f64)], want: &[(f64, f64, f64)]| {
             assert_eq!(got.len(), want.len(), "{got:?} vs {want:?}");
             for (g, w) in got.iter().zip(want) {
                 assert!(
-                    (g.0 - w.0).abs() < 1e-9 && (g.1 - w.1).abs() < 1e-9 && (g.2 - w.2).abs() < 1e-9,
+                    (g.0 - w.0).abs() < 1e-9
+                        && (g.1 - w.1).abs() < 1e-9
+                        && (g.2 - w.2).abs() < 1e-9,
                     "{got:?} vs {want:?}"
                 );
             }
@@ -983,11 +987,7 @@ mod record_tests {
         close(&slices(b), &[(0.5, 1.5, 5.0), (1.5, 2.0, 10.0)]);
         // Bytes moved per the share timeline equal the payload.
         for rec in [a, b] {
-            let moved: f64 = rec
-                .shares
-                .iter()
-                .map(|s| (s.until - s.from) * s.rate)
-                .sum();
+            let moved: f64 = rec.shares.iter().map(|s| (s.until - s.from) * s.rate).sum();
             assert!((moved - 10.0).abs() < 1e-6, "moved {moved}");
         }
     }

@@ -51,7 +51,10 @@ impl Bf16Tensor {
 
     /// Widens back to an `f32` [`Tensor`] with the original shape.
     pub fn to_f32(&self) -> Result<Tensor> {
-        Tensor::from_vec(self.data.iter().map(|&b| bf16_to_f32(b)).collect(), &self.shape)
+        Tensor::from_vec(
+            self.data.iter().map(|&b| bf16_to_f32(b)).collect(),
+            &self.shape,
+        )
     }
 
     /// Raw bf16 payload bits.
@@ -113,10 +116,16 @@ mod tests {
         // 1.0 + 3 * 2^-9 is halfway between 1.0 + 2^-8 and 1.0 + 2^-7;
         // RNE picks 1.0 + 2^-7 (even mantissa).
         let halfway_up = f32::from_bits(0x3f81_8000);
-        assert_eq!(round_trip(halfway_up).to_bits(), f32::from_bits(0x3f82_0000).to_bits());
+        assert_eq!(
+            round_trip(halfway_up).to_bits(),
+            f32::from_bits(0x3f82_0000).to_bits()
+        );
         // Anything above the midpoint rounds up.
         let above = f32::from_bits(0x3f80_8001);
-        assert_eq!(round_trip(above).to_bits(), f32::from_bits(0x3f81_0000).to_bits());
+        assert_eq!(
+            round_trip(above).to_bits(),
+            f32::from_bits(0x3f81_0000).to_bits()
+        );
     }
 
     #[test]
@@ -132,10 +141,16 @@ mod tests {
     #[test]
     fn subnormals_narrow_to_nearest_bf16_subnormal() {
         // The smallest f32 subnormal underflows to zero in bf16...
-        assert_eq!(round_trip(f32::MIN_POSITIVE / 2.0_f32.powi(23)).to_bits(), 0);
+        assert_eq!(
+            round_trip(f32::MIN_POSITIVE / 2.0_f32.powi(23)).to_bits(),
+            0
+        );
         // ...while a value at the bf16 subnormal grid survives exactly.
         let bf16_subnormal = f32::from_bits(0x0040_0000);
-        assert_eq!(round_trip(bf16_subnormal).to_bits(), bf16_subnormal.to_bits());
+        assert_eq!(
+            round_trip(bf16_subnormal).to_bits(),
+            bf16_subnormal.to_bits()
+        );
         // Sign of an underflowed negative subnormal is preserved (-0.0).
         let neg = -f32::from_bits(1);
         assert_eq!(round_trip(neg).to_bits(), (-0.0f32).to_bits());

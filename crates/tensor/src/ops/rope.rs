@@ -237,9 +237,17 @@ mod tests {
         let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (r0, n) in [(0, 70), (0, 5), (5, 64), (66, 4)] {
             let rows = t.apply_bwd_rows(r0, &dy.narrow(0, r0, n).unwrap()).unwrap();
-            assert_eq!(bits(&rows), bits(&whole.narrow(0, r0, n).unwrap()), "rows {r0}..{}", r0 + n);
+            assert_eq!(
+                bits(&rows),
+                bits(&whole.narrow(0, r0, n).unwrap()),
+                "rows {r0}..{}",
+                r0 + n
+            );
         }
-        assert!(t.apply_bwd_rows(67, &dy.narrow(0, 0, 4).unwrap()).is_err(), "past the table");
+        assert!(
+            t.apply_bwd_rows(67, &dy.narrow(0, 0, 4).unwrap()).is_err(),
+            "past the table"
+        );
     }
 
     #[test]

@@ -123,9 +123,7 @@ thread_local! {
 /// allocations in the attention backward nest). Reentrant: nested calls
 /// get distinct buffers.
 pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let mut buf = SCRATCH
-        .with(|s| s.borrow_mut().pop())
-        .unwrap_or_default();
+    let mut buf = SCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();
     buf.clear();
     buf.resize(len, 0.0);
     let r = f(&mut buf);

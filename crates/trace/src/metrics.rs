@@ -308,7 +308,11 @@ pub fn slot_balance(durations: &[f64]) -> SlotBalance {
         };
     }
     let mean = total / slots as f64;
-    let var = durations.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / slots as f64;
+    let var = durations
+        .iter()
+        .map(|d| (d - mean) * (d - mean))
+        .sum::<f64>()
+        / slots as f64;
     SlotBalance {
         slots,
         mean,
@@ -393,15 +397,23 @@ pub struct SlotWaits {
 pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
     use std::collections::BTreeMap;
     let within = |outer: &SpanRecord, s: &SpanRecord| {
-        outer.tid == s.tid && s.start_us >= outer.start_us && s.start_us < outer.start_us + outer.dur_us
+        outer.tid == s.tid
+            && s.start_us >= outer.start_us
+            && s.start_us < outer.start_us + outer.dur_us
     };
     let blocks: Vec<&SpanRecord> = records
         .iter()
         .filter(|s| matches!(s.label.as_str(), "block.fwd" | "block.bwd"))
         .collect();
-    let mut slots: Vec<&SpanRecord> = records.iter().filter(|s| s.label.starts_with("slot.")).collect();
+    let mut slots: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|s| s.label.starts_with("slot."))
+        .collect();
     slots.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-    let dense: Vec<&SpanRecord> = records.iter().filter(|s| s.label.starts_with("dense.")).collect();
+    let dense: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|s| s.label.starts_with("dense."))
+        .collect();
     let mut cells: BTreeMap<(u64, String, WaitPlace), (f64, f64)> = BTreeMap::new();
     for w in records {
         let offload = match w.label.as_str() {
@@ -409,14 +421,21 @@ pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
             "comm.wait" => false,
             _ => continue,
         };
-        let Some(block) = blocks.iter().find(|b| within(b, w)) else { continue };
-        let slot = slots.iter().filter(|s| within(block, s)).position(|s| within(s, w));
+        let Some(block) = blocks.iter().find(|b| within(b, w)) else {
+            continue;
+        };
+        let slot = slots
+            .iter()
+            .filter(|s| within(block, s))
+            .position(|s| within(s, w));
         let place = match (slot, dense.iter().find(|d| within(d, w))) {
             (Some(slot), _) => WaitPlace::Slot(slot),
             (None, Some(d)) => WaitPlace::Dense(d.label.clone()),
             (None, None) => WaitPlace::Tail,
         };
-        let cell = cells.entry((w.tid, block.label.clone(), place)).or_default();
+        let cell = cells
+            .entry((w.tid, block.label.clone(), place))
+            .or_default();
         if offload {
             cell.0 += w.dur_us;
         } else {
@@ -425,13 +444,15 @@ pub fn waits_by_slot(records: &[SpanRecord]) -> Vec<SlotWaits> {
     }
     cells
         .into_iter()
-        .map(|((tid, block, place), (offload_wait_us, comm_wait_us))| SlotWaits {
-            tid,
-            block,
-            place,
-            offload_wait_us,
-            comm_wait_us,
-        })
+        .map(
+            |((tid, block, place), (offload_wait_us, comm_wait_us))| SlotWaits {
+                tid,
+                block,
+                place,
+                offload_wait_us,
+                comm_wait_us,
+            },
+        )
         .collect()
 }
 
@@ -584,7 +605,13 @@ mod tests {
             vec![
                 cell(0, "block.bwd", WaitPlace::Tail, 0.0, 6.0),
                 cell(0, "block.fwd", WaitPlace::Slot(0), 0.0, 1.0),
-                cell(0, "block.fwd", WaitPlace::Dense("dense.out_proj".into()), 1.0, 6.0),
+                cell(
+                    0,
+                    "block.fwd",
+                    WaitPlace::Dense("dense.out_proj".into()),
+                    1.0,
+                    6.0
+                ),
                 cell(0, "block.fwd", WaitPlace::Tail, 0.0, 8.0),
             ]
         );
@@ -675,9 +702,15 @@ mod tests {
         assert!((single.tail_fraction - 1.0).abs() < 1e-12);
         // Empty and zero-duration sets never divide by zero.
         let empty = slot_balance(&[]);
-        assert_eq!((empty.slots, empty.mean, empty.skew, empty.tail_fraction), (0, 0.0, 0.0, 0.0));
+        assert_eq!(
+            (empty.slots, empty.mean, empty.skew, empty.tail_fraction),
+            (0, 0.0, 0.0, 0.0)
+        );
         let zeros = slot_balance(&[0.0, 0.0]);
-        assert_eq!((zeros.mean, zeros.skew, zeros.tail_fraction), (0.0, 0.0, 0.0));
+        assert_eq!(
+            (zeros.mean, zeros.skew, zeros.tail_fraction),
+            (0.0, 0.0, 0.0)
+        );
     }
 
     #[test]

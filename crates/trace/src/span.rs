@@ -92,19 +92,30 @@ impl Recorder {
     /// the Chrome trace. The simulated links record their transfer
     /// intervals this way (`fpdt-comm-r0`, `fpdt-h2d-r0`, ...), so stream
     /// busy time sits off the rank threads without a thread to run it.
-    pub fn record_on(&self, track: &str, label: &str, start_us: f64, dur_us: f64, bytes: Option<u64>) {
+    pub fn record_on(
+        &self,
+        track: &str,
+        label: &str,
+        start_us: f64,
+        dur_us: f64,
+        bytes: Option<u64>,
+    ) {
         let tid = self.track(None, Some(track));
         self.push(tid, label, start_us, dur_us, bytes);
     }
 
     fn push(&self, tid: u64, label: &str, start_us: f64, dur_us: f64, bytes: Option<u64>) {
-        self.inner.spans.lock().expect("span buffer").push(SpanRecord {
-            label: label.to_string(),
-            tid,
-            start_us,
-            dur_us,
-            bytes,
-        });
+        self.inner
+            .spans
+            .lock()
+            .expect("span buffer")
+            .push(SpanRecord {
+                label: label.to_string(),
+                tid,
+                start_us,
+                dur_us,
+                bytes,
+            });
     }
 
     /// Records an instantaneous event: a zero-duration span stamped at the
@@ -216,7 +227,9 @@ impl Recorder {
         let mut threads = self.inner.threads.lock().expect("thread table");
         let found = match id {
             Some(id) => threads.iter().position(|(t, _)| *t == Some(id)),
-            None => threads.iter().position(|(t, n)| t.is_none() && n.as_deref() == name),
+            None => threads
+                .iter()
+                .position(|(t, n)| t.is_none() && n.as_deref() == name),
         };
         found.unwrap_or_else(|| {
             threads.push((id, name.map(str::to_string)));
@@ -358,7 +371,11 @@ mod tests {
         rec.record_on("fpdt-comm-r0", "comm.inflight", 0.5, 1.0, None);
         rec.record_on("fpdt-h2d-r0", "offload.prefetch", 2.5, 2.0, Some(64));
         let tids: Vec<u64> = rec.records().iter().map(|r| r.tid).collect();
-        assert_eq!(tids, vec![0, 1, 2, 1], "one tid per track, none shared with a thread");
+        assert_eq!(
+            tids,
+            vec![0, 1, 2, 1],
+            "one tid per track, none shared with a thread"
+        );
         let trace = rec.chrome_trace_json();
         assert!(trace.contains("\"tid\":1,\"args\":{\"name\":\"fpdt-h2d-r0\"}"));
         assert!(trace.contains("\"tid\":2,\"args\":{\"name\":\"fpdt-comm-r0\"}"));

@@ -48,7 +48,9 @@ pub fn parse_gbps(raw: Option<&str>) -> Result<f64, String> {
     if trimmed.is_empty() {
         return Err("value is empty".to_string());
     }
-    let v = trimmed.parse::<f64>().map_err(|_| format!("`{trimmed}` is not a number"))?;
+    let v = trimmed
+        .parse::<f64>()
+        .map_err(|_| format!("`{trimmed}` is not a number"))?;
     check_gbps(v)
 }
 
@@ -113,7 +115,10 @@ impl Link {
         if self.secs_per_byte == 0.0 {
             return None;
         }
-        let start = [self.free_at, after].into_iter().flatten().fold(Instant::now(), Instant::max);
+        let start = [self.free_at, after]
+            .into_iter()
+            .flatten()
+            .fold(Instant::now(), Instant::max);
         let ready = start + Duration::from_secs_f64(bytes as f64 * self.secs_per_byte);
         self.free_at = Some(ready);
         Some((start, ready))
@@ -177,7 +182,10 @@ mod tests {
         let mut link = Link::new(1.0);
         let (s0, r0) = link.charge(1 << 20, None).expect("priced");
         let (s1, r1) = link.charge(1 << 19, None).expect("priced");
-        assert_eq!(s1, r0, "FIFO: the next transfer starts where the last one lands");
+        assert_eq!(
+            s1, r0,
+            "FIFO: the next transfer starts where the last one lands"
+        );
         let (full, half) = ((r0 - s0).as_secs_f64(), (r1 - s1).as_secs_f64());
         assert!((full - (1u64 << 20) as f64 / 1e9).abs() < 1e-9, "{full}");
         assert!((half * 2.0 - full).abs() < 1e-9, "{half} * 2 != {full}");
@@ -203,7 +211,10 @@ mod tests {
     fn sleep_until_waits_out_the_stamp_and_skips_the_past() {
         let t0 = Instant::now();
         assert!(!sleep_until(t0), "a past stamp returns at once");
-        assert!(!sleep_until(t0 + Duration::from_micros(1)), "sub-resolution");
+        assert!(
+            !sleep_until(t0 + Duration::from_micros(1)),
+            "sub-resolution"
+        );
         let at = Instant::now() + Duration::from_millis(20);
         assert!(sleep_until(at));
         assert!(Instant::now() >= at);

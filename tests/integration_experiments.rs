@@ -33,8 +33,16 @@ fn table1_grid_is_monotone_in_both_axes() {
         ModelConfig::gpt_30b(),
         ModelConfig::llama_70b(),
     ];
-    let configs: [(u64, usize); 8] =
-        [(40, 1), (40, 2), (40, 4), (40, 8), (80, 4), (80, 8), (80, 16), (80, 32)];
+    let configs: [(u64, usize); 8] = [
+        (40, 1),
+        (40, 2),
+        (40, 4),
+        (40, 8),
+        (80, 4),
+        (80, 8),
+        (80, 16),
+        (80, 32),
+    ];
     let mut grid = vec![vec![0u64; configs.len()]; models.len()];
     for (mi, m) in models.iter().enumerate() {
         for (ci, &(hbm, g)) in configs.iter().enumerate() {
@@ -43,8 +51,14 @@ fn table1_grid_is_monotone_in_both_axes() {
     }
     // monotone across the GPU axis within each HBM class
     for row in &grid {
-        assert!(row[0] <= row[1] && row[1] <= row[2] && row[2] <= row[3], "40G row {row:?}");
-        assert!(row[4] <= row[5] && row[5] <= row[6] && row[6] <= row[7], "80G row {row:?}");
+        assert!(
+            row[0] <= row[1] && row[1] <= row[2] && row[2] <= row[3],
+            "40G row {row:?}"
+        );
+        assert!(
+            row[4] <= row[5] && row[5] <= row[6] && row[6] <= row[7],
+            "80G row {row:?}"
+        );
     }
     // monotone (non-increasing) down each column as models grow
     #[allow(clippy::needless_range_loop)] // c walks a column across two grid rows at once
@@ -152,8 +166,13 @@ fn figure12_memory_halves_with_chunk_count() {
     let seq = 256 * K;
     let mut prev = u64::MAX;
     for chunk_tokens in [256 * K, 128 * K, 64 * K, 32 * K, 16 * K, 8 * K] {
-        let f = Fpdt { chunk_tokens, ..Fpdt::paper_default() };
-        let hbm = f.estimate(&TrainSetup::new(m.clone(), c.clone(), seq)).peak_hbm;
+        let f = Fpdt {
+            chunk_tokens,
+            ..Fpdt::paper_default()
+        };
+        let hbm = f
+            .estimate(&TrainSetup::new(m.clone(), c.clone(), seq))
+            .peak_hbm;
         assert!(hbm < prev, "chunk {}K: {hbm} !< {prev}", chunk_tokens / K);
         prev = hbm;
     }

@@ -215,7 +215,8 @@ fn long_range_copy_task_crosses_chunk_boundaries() {
             let comm = std::sync::Arc::new(comm);
             let plan = ChunkPlan::new(2 * half, world, chunks).unwrap();
             let opts = RuntimeOptions::from_env();
-            let mut exec = DistAttention::with_opts(std::sync::Arc::clone(&comm), chunks, true, opts);
+            let mut exec =
+                DistAttention::with_opts(std::sync::Arc::clone(&comm), chunks, true, opts);
             let mut model = GptModel::new(&cfg, 0);
             let mut opt = AdamW::new(AdamWConfig {
                 lr: 3e-3,
