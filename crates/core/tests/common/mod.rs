@@ -29,17 +29,23 @@ pub fn fixture_model() -> ModelConfig {
     ModelConfig::tiny(2, 32, 4, 50)
 }
 
-/// One full forward/backward of the fixture model on 2 ranks over a
-/// 64-token sequence in `chunks` chunks, under the calling thread's kernel
-/// context split across the ranks (like a training run); returns every
-/// rank's (loss_sum, flat gradients, comm stats).
+/// The Llama twin of [`fixture_model`]: SwiGLU, RMSNorm and grouped-query
+/// attention (4 query heads over 2 KV heads).
+pub fn fixture_llama() -> ModelConfig {
+    ModelConfig::tiny_llama(2, 32, 4, 2, 50)
+}
+
+/// One full forward/backward of `model_cfg` on 2 ranks over a 64-token
+/// sequence in `chunks` chunks, under the calling thread's kernel context
+/// split across the ranks (like a training run); returns every rank's
+/// (loss_sum, flat gradients, comm stats).
 pub fn grad_run(
+    model_cfg: &ModelConfig,
     seed: u64,
     chunks: usize,
     offload: bool,
     opts: RuntimeOptions,
 ) -> Vec<(f32, Vec<f32>, CommStats)> {
-    let model_cfg = fixture_model();
     let seq = 64usize;
     run_group(2, |comm| {
         let comm = Arc::new(comm);
@@ -52,7 +58,7 @@ pub fn grad_run(
             plan.shard(rank, &gy),
             plan.local_positions(rank),
         );
-        let mut model = GptModel::new(&model_cfg, seed);
+        let mut model = GptModel::new(model_cfg, seed);
         let mut exec = DistAttention::with_opts(Arc::clone(&comm), chunks, offload, opts);
         model.zero_grad();
         let stats = model

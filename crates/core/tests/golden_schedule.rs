@@ -22,8 +22,8 @@
 //!
 //! `tests/golden/exec_grads.txt` pins *values* across commits: the loss
 //! and gradient bits of the offloaded two-rank fixture run, with f32 and
-//! with bf16 payloads, so a change that claims to move bytes but not
-//! arithmetic shows it did not.
+//! with bf16 payloads, and of its Llama twin (SwiGLU, GQA) with f32, so a
+//! change that claims to move bytes but not arithmetic shows it did not.
 //! `tests/golden/ckpt_shards.txt` pins the on-disk checkpoint format the
 //! same way, with values apart from counters: per shard of a two-step
 //! run, one line digests every value entry and one lists the `stats.*`
@@ -181,16 +181,25 @@ fn runtime_tile_order_matches_golden() {
 
 #[test]
 fn offloaded_gradients_match_golden_bits() {
-    // One line per (payload format, chunk count, rank): the loss bits and
-    // a digest of every gradient's bits. The f32 lines come first, the
-    // bf16 ones (KV chunks rounded through bf16 in the host pool) after
-    // them with a `bf16` prefix. The thread count cannot move a bit
+    // One line per (model, payload format, chunk count, rank): the loss
+    // bits and a digest of every gradient's bits. The GPT fixture's f32
+    // lines come first, its bf16 ones (KV chunks rounded through bf16 in
+    // the host pool) after them with a `bf16` prefix, then the Llama
+    // fixture's (SwiGLU, RMSNorm, grouped-query attention) f32 lines with
+    // a `llama` prefix. The thread count cannot move a bit
     // (`determinism_oracle`), so the ambient budget is fine.
     let mut body = String::new();
-    for (bf16, prefix) in [(false, ""), (true, "bf16 ")] {
+    let (gpt, llama) = (common::fixture_model(), common::fixture_llama());
+    for (cfg, bf16, prefix) in [
+        (&gpt, false, ""),
+        (&gpt, true, "bf16 "),
+        (&llama, false, "llama "),
+    ] {
         for u in [2usize, 4] {
             let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
-            for (rank, (loss, grads, _)) in common::grad_run(42, u, true, opts).iter().enumerate() {
+            for (rank, (loss, grads, _)) in
+                common::grad_run(cfg, 42, u, true, opts).iter().enumerate()
+            {
                 let bytes: Vec<u8> = grads
                     .iter()
                     .flat_map(|g| g.to_bits().to_le_bytes())
