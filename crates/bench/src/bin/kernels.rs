@@ -29,12 +29,15 @@
 //! gate `scripts/ci.sh` greps for.
 //!
 //! The dense half's per-token kernels are timed at the same runtime shapes
-//! (`gelu`, `gelu_bwd`, `silu` on `[1024, 256]`, the table `rope` on
-//! `[1024, 2, 32]`; their rows carry ns per element) next to the MLP gemms
-//! they sit between (`mlp_gemm`: fc1 + fc2, forward + backward, at
-//! `[1024,64]x[64,256]`). `KERNELS_ACT_OK` is printed when single-thread
-//! `gelu` + `gelu_bwd` cost at most that same run's `mlp_gemm` — an
-//! activation must not outweigh the matmuls around it.
+//! (`gelu`, `gelu_bwd`, `silu` on `[1024, 256]`, the fused
+//! `gelu_fwd_bwd` the GELU backward calls to rebuild the activation and
+//! form its gradient in one pass, the table `rope` on `[1024, 2, 32]`;
+//! their rows carry ns per element) next to the MLP gemms they sit between
+//! (`mlp_gemm`: fc1 + fc2, forward + backward, at `[1024,64]x[64,256]`).
+//! `KERNELS_ACT_OK` is printed when single-thread `gelu` + `gelu_fwd_bwd`,
+//! the activation work of one MLP layer's forward and backward, cost at
+//! most that same run's `mlp_gemm` — an activation must not outweigh the
+//! matmuls around it.
 //!
 //! The projections are timed at the chunk sizes the wide benchmark model
 //! calls them with (`linear_chunk`: `Linear::forward` + `backward` into a
@@ -354,6 +357,26 @@ impl Kernel for AdamwKernel {
     }
 }
 
+/// `ops::gelu_fwd_bwd` at `[1024, 256]`: it writes over the buffers it
+/// takes, so every call gets fresh copies of the same pre-activation and
+/// upstream gradient, made off the clock.
+struct GeluFwdBwd {
+    init: [Tensor; 2],
+    work: [Tensor; 2],
+}
+
+impl Kernel for GeluFwdBwd {
+    fn reset(&mut self) {
+        self.work.clone_from(&self.init);
+    }
+
+    fn run(&mut self) -> Outputs {
+        let [a, dg] = self.work.each_mut().map(std::mem::take);
+        let (g, da) = ops::gelu_fwd_bwd(a, dg).expect("shapes fixed");
+        outputs([g, da])
+    }
+}
+
 /// The wide benchmark model's two chunk-sized projections: an MLP chunk
 /// through fc1 (32 rows) and a loss-head chunk (16 rows), both
 /// `[., 256] x [256, 1024]` with bias, forward and backward, the backward
@@ -420,7 +443,7 @@ struct Bench {
 
 /// Elementwise rows report ns per element; their `flops` field holds the
 /// element count.
-const ELEMENTWISE: [&str; 5] = ["gelu", "gelu_bwd", "silu", "rope", "adamw"];
+const ELEMENTWISE: [&str; 6] = ["gelu", "gelu_bwd", "gelu_fwd_bwd", "silu", "rope", "adamw"];
 
 /// The dense half's per-token kernels and the MLP gemms around them, at
 /// the repo benchmark's `fpdt_long` shapes (1024 local tokens, hidden 64,
@@ -431,6 +454,7 @@ fn dense_benches(seed: u64) -> Vec<Bench> {
     let a = init::randn(&mut rng, &[tokens, ffn], 1.0);
     let da = init::randn(&mut rng, &[tokens, ffn], 1.0);
     let (a2, a3) = (a.clone(), a.clone());
+    let fused = [a.clone(), da.clone()];
     let q = init::randn(&mut rng, &[tokens, 2, 32], 1.0);
     // a rank's shuffled global positions: stride-2 blocks of 128
     let pos: Vec<usize> = (0..tokens).map(|t| t + (t / 128 + 1) * 128).collect();
@@ -453,6 +477,15 @@ fn dense_benches(seed: u64) -> Vec<Bench> {
             flops: elems,
             kernel_only: true,
             run: Box::new(move || outputs([ops::gelu_bwd(&a2, &da).expect("shapes fixed")])),
+        },
+        Bench {
+            name: "gelu_fwd_bwd",
+            flops: elems,
+            kernel_only: true,
+            run: Box::new(GeluFwdBwd {
+                work: fused.clone(),
+                init: fused,
+            }),
         },
         Bench {
             name: "silu",
@@ -794,11 +827,18 @@ fn main() {
         println!(
             "KERNELS_ATTN_ROOFLINE_{verdict} fwd {fwd:.2} bwd {bwd:.2} of matmul (gate {ROOFLINE_GATE:.2}), bwd/fwd wall {ratio:.2} (gate {BWD_FWD_GATE:.1})"
         );
-        // Same run, same thread, so host speed cancels: the GELU pair of
-        // one MLP layer against the four gemm calls of that layer.
-        let (act, gemm) = (wall_ms("gelu") + wall_ms("gelu_bwd"), wall_ms("mlp_gemm"));
+        // Same run, same thread, so host speed cancels: one MLP layer's
+        // GELU work, the forward's and the backward's fused rebuild and
+        // gradient, against the four gemm calls of that layer.
+        let (act, gemm) = (
+            wall_ms("gelu") + wall_ms("gelu_fwd_bwd"),
+            wall_ms("mlp_gemm"),
+        );
         let verdict = if act <= gemm { "OK" } else { "FAIL" };
-        println!("KERNELS_ACT_{verdict} gelu+gelu_bwd {act:.3} ms vs mlp gemm {gemm:.3} ms");
+        println!(
+            "KERNELS_ACT_{verdict} gelu+gelu_fwd_bwd {act:.3} ms vs mlp gemm {gemm:.3} ms (gelu+gelu_bwd {:.3} ms)",
+            wall_ms("gelu") + wall_ms("gelu_bwd")
+        );
         // One parameter's AdamW step against one GELU element, both
         // lane-wise and single-threaded in this run.
         let ns_per_element = |kernel: &str| {

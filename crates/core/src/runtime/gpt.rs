@@ -147,11 +147,11 @@ enum Mlp {
     },
 }
 
+/// What one MLP piece keeps for its backward: the matmul outputs only.
+/// The activation output `g` is rebuilt from them there, bit for bit.
 struct MlpCtx {
     /// Pre-activation (`fc1` out, or `gate` out).
     a: Tensor,
-    /// Post-activation (`gelu` out, or `silu(gate)` out).
-    g: Tensor,
     /// SwiGLU only: the `up` projection output.
     u: Option<Tensor>,
 }
@@ -176,40 +176,45 @@ impl Mlp {
         Ok(match self {
             Mlp::Gelu { fc1, fc2 } => {
                 let a = fc1.forward(x)?;
-                let g = ops::gelu(&a);
-                let y = fc2.forward(&g)?;
-                (y, MlpCtx { a, g, u: None })
+                let y = fc2.forward(&ops::gelu(&a))?;
+                (y, MlpCtx { a, u: None })
             }
             Mlp::SwiGlu { gate, up, down } => {
                 let a = gate.forward(x)?;
                 let u = up.forward(x)?;
-                let g = ops::silu(&a).mul(&u)?;
-                let y = down.forward(&g)?;
-                (y, MlpCtx { a, g, u: Some(u) })
+                let y = down.forward(&ops::silu(&a).mul(&u)?)?;
+                (y, MlpCtx { a, u: Some(u) })
             }
         })
     }
 
+    /// Backward for one piece whose input was `x`; the activation output
+    /// the forward did not keep is rebuilt here with the forward's own
+    /// kernels, so every gradient has the bits of a saved-`g` backward.
     fn backward(
         &self,
         x: &Tensor,
-        ctx: &MlpCtx,
+        ctx: MlpCtx,
         dy: &Tensor,
         grad: &mut [f32],
     ) -> ExecResult<Tensor> {
         Ok(match self {
             Mlp::Gelu { fc1, fc2 } => {
                 let [g1, g2] = split_grad(grad, [fc1.param_count(), fc2.param_count()])?;
-                let dg = fc2.backward(&ctx.g, dy, g2)?;
-                let da = ops::gelu_bwd(&ctx.a, &dg)?;
+                // `dg` needs no `g`; one fused pass then gives both `g`
+                // (for `fc2`'s weight gradient) and `da`.
+                let dg = fc2.backward_dx(dy)?;
+                let (g, da) = ops::gelu_fwd_bwd(ctx.a, dg)?;
+                fc2.backward_params(&g, dy, g2)?;
+                drop(g);
                 fc1.backward(x, &da, g1)?
             }
             Mlp::SwiGlu { gate, up, down } => {
                 let lens = [gate.param_count(), up.param_count(), down.param_count()];
                 let [g_gate, g_up, g_down] = split_grad(grad, lens)?;
-                let dm = down.backward(&ctx.g, dy, g_down)?;
                 let u = ctx.u.as_ref().expect("SwiGLU saved `up` output");
                 let s = ops::silu(&ctx.a);
+                let dm = down.backward(&s.mul(u)?, dy, g_down)?;
                 let du = dm.mul(&s)?;
                 let ds = dm.mul(u)?;
                 let da = ops::silu_bwd(&ctx.a, &ds)?;
@@ -266,18 +271,22 @@ struct Pass<'a> {
     rec: Option<&'a Recorder>,
 }
 
-/// Saved activations for one block's backward pass.
+/// Saved activations for one block's backward pass: what a matmul or the
+/// attention made, plus the norms' per-row statistics. The norm outputs
+/// and the MLP activation output are rebuilt in the backward, row-local
+/// and bit for bit (DESIGN.md "What a block saves").
 pub struct BlockCtx {
+    /// The block input: `norm1`'s input, rebuilt into `n1` per chunk.
     x: Tensor,
     n1_ctx: NormCtx,
-    n1: Tensor,
     /// The attention output as `out_proj` read it, `[s, hidden]`; the
     /// backward hands it to the executor (as `[s, heads, d]`) for the
     /// softmax row-dot.
     o_merged: Tensor,
+    /// The residual after attention: `norm2`'s input, rebuilt into `n2`
+    /// per MLP piece.
     x1: Tensor,
     n2_ctx: NormCtx,
-    n2: Tensor,
     /// Each MLP piece's rows and saved activations, in row order.
     mlp: Vec<(Range<usize>, MlpCtx)>,
 }
@@ -324,6 +333,7 @@ impl Block {
         let h = x.shape()[1];
         let dh = h / self.heads;
         let (n1, n1_ctx) = spanned(rec, "dense.norm", || self.norm1.forward(&x))?;
+        // `n1` is dropped once q/k/v are formed; the backward rebuilds it.
         let (q, k, v) = spanned(rec, "dense.qkv", || -> ExecResult<_> {
             let q = rope.apply(&self.q_proj.forward(&n1)?.reshape(&[s, self.heads, dh])?)?;
             let kv = self.kv_proj.forward(&n1)?;
@@ -332,8 +342,9 @@ impl Block {
             let v = kv.narrow(1, kvd, kvd)?.reshape(&[s, self.kv_heads, dh])?;
             Ok((q, k, v))
         })?;
+        drop(n1);
         let mlp_ranges = chunk_ranges(s, mlp_chunks);
-        let [mut o_merged, mut x1, mut n2, mut x2] = [(); 4].map(|()| RowChunks::new(s));
+        let [mut o_merged, mut x1, mut x2] = [(); 3].map(|()| RowChunks::new(s));
         let mut n2_ctx: Option<NormCtx> = None;
         let mut mlp = Vec::new();
         exec.forward_chunks(layer, &q, &k, &v, rope.positions(), &mut |r0, o| {
@@ -362,19 +373,16 @@ impl Block {
                 None => n2_ctx = Some(ctx_c),
             }
             o_merged.push(r0, o_c)?;
-            x1.push(r0, x1_c)?;
-            n2.push(r0, n2_c)
+            x1.push(r0, x1_c)
         })?;
         Ok((
             x2.finish()?,
             BlockCtx {
                 x,
                 n1_ctx,
-                n1,
                 o_merged: o_merged.finish()?,
                 x1: x1.finish()?,
                 n2_ctx: n2_ctx.ok_or("the attention returned no rows")?,
-                n2: n2.finish()?,
                 mlp,
             },
         ))
@@ -382,6 +390,11 @@ impl Block {
 
     /// Backward for the block; adds its parameter gradients into `grad`
     /// (the block's stretch of the flat buffer) and returns `dx`.
+    ///
+    /// The norm outputs come back row-local: `n2` per MLP piece from the
+    /// saved `x1` rows, `n1` per gradient chunk from the saved `x` rows.
+    /// Each is the forward's own call on the same rows, so the bits are the
+    /// forward's.
     ///
     /// The MLP, `norm2` and `out_proj` backward run inside the executor's
     /// backward, which puts the attention backward's first transfers on
@@ -408,18 +421,21 @@ impl Block {
         let mut dx1 = None;
         let mut dn1 = RowChunks::new(s);
         let mut dense = || -> ExecResult<_> {
-            // MLP backward, over the forward's pieces.
+            // MLP backward, over the forward's pieces, each context
+            // dropped as soon as its piece is done.
             let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
                 let mut dn2 = RowChunks::new(s);
-                for (r, mctx) in &ctx.mlp {
+                for (r, mctx) in std::mem::take(&mut ctx.mlp) {
                     let dmo = rows(dx2, r.start, r.len())?;
-                    let n2c = rows(&ctx.n2, r.start, r.len())?;
-                    dn2.push(r.start, self.mlp.backward(&n2c, mctx, &dmo, g_mlp)?)?;
+                    let x1p = rows(&ctx.x1, r.start, r.len())?;
+                    let (n2p, _) = self.norm2.forward(&x1p)?;
+                    dn2.push(r.start, self.mlp.backward(&n2p, mctx, &dmo, g_mlp)?)?;
                 }
                 dn2.finish()
             })?;
             let dx1 = dx1.insert(spanned(rec, "dense.norm", || -> ExecResult<_> {
-                let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2, g_norm2)?;
+                let x1 = std::mem::take(&mut ctx.x1);
+                let mut dx1 = self.norm2.backward(&x1, &ctx.n2_ctx, &dn2, g_norm2)?;
                 dx1.add_assign(dx2)?; // residual
                 Ok(dx1)
             })?);
@@ -440,7 +456,8 @@ impl Block {
                 dk.reshape_in_place(&[c, kvd])?;
                 dv.reshape_in_place(&[c, kvd])?;
                 let dkv = Tensor::concat(&[&dk, &dv], 1)?;
-                let n1c = rows(&ctx.n1, r0, c)?;
+                let xc = rows(&ctx.x, r0, c)?;
+                let (n1c, _) = self.norm1.forward(&xc)?;
                 let mut dn1c = self.kv_proj.backward(&n1c, &dkv, g_kv)?;
                 dn1c.add_assign(&self.q_proj.backward(&n1c, &dq, g_q)?)?;
                 dn1.push(r0, dn1c)
@@ -953,18 +970,7 @@ impl GptModel {
         let s = prompt.len();
         let pos: Vec<usize> = (0..s).collect();
         let rope = RopeTable::new(&pos, self.cfg.head_dim(), ROPE_BASE)?;
-        let pass = Pass {
-            rope: &rope,
-            mlp_chunks: 1,
-            rec: None,
-        };
-        let mut x = self.emb.forward(prompt)?;
-        for (layer, block) in self.blocks.iter().enumerate() {
-            let (nx, _) = block.forward(layer, x, exec, &pass)?;
-            exec.discard(layer); // forward-only inference keeps no state
-            x = nx;
-        }
-        let (xf, _) = self.norm_f.forward(&x)?;
+        let xf = self.forward_only(exec, prompt, &rope)?;
         let last = xf.narrow(0, s - 1, 1)?;
         let logits = self.head.forward(&last)?;
         let mut best = 0;
@@ -978,9 +984,33 @@ impl GptModel {
         Ok(best)
     }
 
-    /// Mean loss over `batches` freshly sampled sequences, without
-    /// touching gradients — the evaluation loop. The gradient buffer is
-    /// the caller's bit for bit afterwards, even on an error.
+    /// The final-norm output for `tokens` at the positions `rope` was built
+    /// for, with no backward state kept: each block's executor state is
+    /// discarded after its forward, and its context dropped.
+    fn forward_only(
+        &self,
+        exec: &mut dyn AttentionExec,
+        tokens: &[usize],
+        rope: &RopeTable,
+    ) -> ExecResult<Tensor> {
+        let pass = Pass {
+            rope,
+            mlp_chunks: 1,
+            rec: None,
+        };
+        let mut x = self.emb.forward(tokens)?;
+        for (layer, block) in self.blocks.iter().enumerate() {
+            let (nx, _) = block.forward(layer, x, exec, &pass)?;
+            exec.discard(layer);
+            x = nx;
+        }
+        Ok(self.norm_f.forward(&x)?.0)
+    }
+
+    /// Mean loss over `batches` freshly sampled sequences — the evaluation
+    /// loop. A forward-only pass: the gradient buffer is never touched, and
+    /// each batch's loss has the bits [`GptModel::forward_backward`] with
+    /// one MLP and one loss chunk would report.
     ///
     /// # Errors
     ///
@@ -993,20 +1023,18 @@ impl GptModel {
         batches: usize,
     ) -> ExecResult<f32> {
         let pos: Vec<usize> = (0..seq).collect();
+        let rope = self.rope_for(&pos)?;
         let mut loss = 0.0f32;
         let mut toks = 0usize;
-        // forward_backward adds into the gradient buffer: it runs on a
-        // scratch one while the caller's is set aside.
-        let kept = std::mem::take(&mut self.grads);
-        self.grads = vec![0.0; kept.len()];
-        let run = (0..batches).try_for_each(|_| {
+        let run = (0..batches).try_for_each(|_| -> ExecResult<()> {
             let (x, y) = corpus.sample(seq);
-            let stats = self.forward_backward(exec, &x, &y, &pos, 1, 1)?;
-            loss += stats.loss_sum;
-            toks += stats.tokens;
+            let logits = self.head.forward(&self.forward_only(exec, &x, &rope)?)?;
+            let out = ops::cross_entropy(&logits, &y, IGNORE_INDEX)?;
+            loss += out.loss_sum;
+            toks += out.tokens;
             Ok(())
         });
-        self.grads = kept;
+        self.rope = Some(rope);
         run.map(|()| loss / toks.max(1) as f32)
     }
 }
@@ -1370,6 +1398,38 @@ mod eval_tests {
             .evaluate(&mut exec, &mut Corpus::new(cfg.vocab, 0.1, 9), 16, 2)
             .unwrap();
         assert_eq!(bits(model.grads()), held);
+    }
+
+    #[test]
+    fn evaluate_reports_the_training_passs_loss_bits() {
+        for cfg in [
+            ModelConfig::tiny(2, 32, 4, 50),
+            ModelConfig::tiny_llama(2, 32, 4, 2, 50),
+        ] {
+            let mut model = GptModel::new(&cfg, 4);
+            let mut exec = LocalAttention::new(2);
+            let got = model
+                .evaluate(&mut exec, &mut Corpus::new(cfg.vocab, 0.1, 10), 16, 3)
+                .unwrap();
+            let mut corpus = Corpus::new(cfg.vocab, 0.1, 10);
+            let pos: Vec<usize> = (0..16).collect();
+            let (mut loss, mut toks) = (0.0f32, 0usize);
+            for _ in 0..3 {
+                let (x, y) = corpus.sample(16);
+                let stats = model
+                    .forward_backward(&mut exec, &x, &y, &pos, 1, 1)
+                    .unwrap();
+                loss += stats.loss_sum;
+                toks += stats.tokens;
+            }
+            let want = loss / toks as f32;
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{}: {got} vs {want}",
+                cfg.name
+            );
+        }
     }
 
     #[test]

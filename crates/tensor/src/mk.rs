@@ -425,6 +425,11 @@ trait F1 {
 trait F2 {
     unsafe fn f<V: V8>(a: V, b: V) -> V;
 }
+/// A lane-wise function of two vectors with two results, written back over
+/// its arguments.
+trait F2x2 {
+    unsafe fn f<V: V8>(a: V, b: V) -> (V, V);
+}
 
 /// `x[i] = F(x[i])` through the lanes. The tail runs through the same
 /// lanes on a padded copy, so an element's bits never depend on where in
@@ -467,6 +472,35 @@ unsafe fn map2_g<V: V8, F: F2>(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
+/// `(a[i], b[i]) = F(a[i], b[i])` through the lanes, tail padded as in
+/// [`map_g`]. The slices have equal length (checked by the public entry
+/// points).
+#[inline(always)]
+unsafe fn map2x2_g<V: V8, F: F2x2>(a: &mut [f32], b: &mut [f32]) {
+    let n = a.len();
+    let (ap, bp) = (a.as_mut_ptr(), b.as_mut_ptr());
+    let mut i = 0;
+    while i + 8 <= n {
+        let (x, y) = F::f(
+            V::loadu(ap.add(i) as *const f32),
+            V::loadu(bp.add(i) as *const f32),
+        );
+        x.storeu(ap.add(i));
+        y.storeu(bp.add(i));
+        i += 8;
+    }
+    if i < n {
+        let (mut ta, mut tb) = ([0.0f32; 8], [0.0f32; 8]);
+        ta[..n - i].copy_from_slice(&a[i..]);
+        tb[..n - i].copy_from_slice(&b[i..]);
+        let (x, y) = F::f(V::loadu(ta.as_ptr()), V::loadu(tb.as_ptr()));
+        x.storeu(ta.as_mut_ptr());
+        y.storeu(tb.as_mut_ptr());
+        a[i..].copy_from_slice(&ta[..n - i]);
+        b[i..].copy_from_slice(&tb[..n - i]);
+    }
+}
+
 struct Exp;
 impl F1 for Exp {
     #[inline(always)]
@@ -503,6 +537,12 @@ unsafe fn x_sigmoid_v<V: V8>(x: V, z: V) -> V {
 #[inline(always)]
 unsafe fn x_sigmoid_grad_v<V: V8>(x_dz: V, z: V) -> V {
     let (e, den) = logistic_den_v(z);
+    x_sigmoid_grad_of(x_dz, e, den)
+}
+
+/// [`x_sigmoid_grad_v`] from `(e, den)` already in hand.
+#[inline(always)]
+unsafe fn x_sigmoid_grad_of<V: V8>(x_dz: V, e: V, den: V) -> V {
     let s = V::splat(1.0).div(den);
     s.fma(x_dz, e.mul(s).mul(s))
 }
@@ -525,14 +565,32 @@ impl F1 for Gelu {
     }
 }
 
+/// `z' = K·(1 + 3C·x²)` from `t = x²`.
+#[inline(always)]
+unsafe fn gelu_dz_v<V: V8>(t: V) -> V {
+    V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t)
+}
+
 struct GeluBwd;
 impl F2 for GeluBwd {
     #[inline(always)]
     unsafe fn f<V: V8>(x: V, dy: V) -> V {
         let (z, t) = gelu_arg_v(x);
-        // z' = K·(1 + 3C·x²)
-        let dz = V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t);
-        x_sigmoid_grad_v(x.mul(dz), z).mul(dy)
+        x_sigmoid_grad_v(x.mul(gelu_dz_v(t)), z).mul(dy)
+    }
+}
+
+/// [`Gelu`] and [`GeluBwd`] from one exponential: the same lane
+/// operations on the same operands, so each result has the bits of its
+/// separate kernel.
+struct GeluFwdBwd;
+impl F2x2 for GeluFwdBwd {
+    #[inline(always)]
+    unsafe fn f<V: V8>(x: V, dy: V) -> (V, V) {
+        let (z, t) = gelu_arg_v(x);
+        let (e, den) = logistic_den_v(z);
+        let grad = x_sigmoid_grad_of(x.mul(gelu_dz_v(t)), e, den);
+        (x.div(den), grad.mul(dy))
     }
 }
 
@@ -917,6 +975,8 @@ instantiate!(exp_scalar, exp_avx2, map_g<Exp>, (x: &mut [f32]) -> ());
 instantiate!(gelu_scalar, gelu_avx2, map_g<Gelu>, (x: &mut [f32]) -> ());
 instantiate!(gelu_bwd_scalar, gelu_bwd_avx2, map2_g<GeluBwd>,
     (x: &[f32], dy: &[f32], dx: &mut [f32]) -> ());
+instantiate!(gelu_fwd_bwd_scalar, gelu_fwd_bwd_avx2, map2x2_g<GeluFwdBwd>,
+    (x: &mut [f32], dy: &mut [f32]) -> ());
 instantiate!(silu_scalar, silu_avx2, map_g<Silu>, (x: &mut [f32]) -> ());
 instantiate!(silu_bwd_scalar, silu_bwd_avx2, map2_g<SiluBwd>,
     (x: &[f32], dy: &[f32], dx: &mut [f32]) -> ());
@@ -992,6 +1052,19 @@ pub fn gelu(x: &mut [f32]) {
 pub fn gelu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
     assert!(x.len() == dx.len() && dy.len() == dx.len());
     dispatch!(gelu_bwd_scalar, gelu_bwd_avx2, (x, dy, dx))
+}
+
+/// [`gelu`] and [`gelu_bwd`] in one pass, both in place: on return `x`
+/// holds `gelu(x)` and `dy` holds `gelu'(x)·dy`. One exponential per
+/// element instead of two, and each result bit for bit what the separate
+/// kernel gives: what a backward that rebuilds the activation calls.
+///
+/// # Panics
+///
+/// Panics unless the two slices have the same length.
+pub fn gelu_fwd_bwd(x: &mut [f32], dy: &mut [f32]) {
+    assert_eq!(x.len(), dy.len());
+    dispatch!(gelu_fwd_bwd_scalar, gelu_fwd_bwd_avx2, (x, dy))
 }
 
 /// In-place SiLU `x·σ(x)` (same kernel family and edge behaviour as
@@ -1114,6 +1187,65 @@ mod tests {
                 };
                 assert_eq!(run(Backend::Scalar), run(Backend::Avx2), "length {n}");
             }
+        }
+    }
+
+    #[test]
+    fn fused_gelu_is_gelu_and_gelu_bwd_bit_for_bit() {
+        // Ragged lengths cross the 8-lane tail; the inputs cover both
+        // saturations, the underflow edge, signed zeros, subnormals,
+        // infinities and NaN.
+        let edges = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            3.0,
+            -3.0,
+            30.0,
+            -30.0,
+            -87.0,
+            1e19,
+            -1e19,
+            1e30,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [0usize, 1, 7, 8, 9, 17, 19, 33, 64, 67] {
+            let x: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        edges[i % edges.len()]
+                    } else {
+                        (i as f32 * 0.77).sin() * 6.0
+                    }
+                })
+                .collect();
+            let dy: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 5 == 4 {
+                        edges[(i * 7) % edges.len()]
+                    } else {
+                        (i as f32 * 0.31).cos()
+                    }
+                })
+                .collect();
+            both(|be| {
+                let mut g = x.clone();
+                gelu(&mut g);
+                let mut dx = vec![0.0f32; n];
+                gelu_bwd(&x, &dy, &mut dx);
+                let (mut fx, mut fdy) = (x.clone(), dy.clone());
+                gelu_fwd_bwd(&mut fx, &mut fdy);
+                assert_eq!(bits(&fx), bits(&g), "{be:?} forward, length {n}");
+                assert_eq!(bits(&fdy), bits(&dx), "{be:?} gradient, length {n}");
+            });
         }
     }
 

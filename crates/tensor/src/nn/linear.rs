@@ -76,22 +76,77 @@ impl Linear {
     }
 
     /// Adds the parameter gradients into `grad` (`[weight | bias]`,
-    /// [`Linear::param_count`] floats) and returns `dx`.
+    /// [`Linear::param_count`] floats) and returns `dx`: the composition of
+    /// [`Linear::backward_dx`] and [`Linear::backward_params`].
     ///
     /// `x` must be the same activation passed to the matching
     /// [`Linear::forward`] call (FPDT re-materializes it per chunk).
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from the underlying matmul; a `grad` of the
-    /// wrong length is a [`crate::TensorError::LengthMismatch`].
+    /// As [`Linear::backward_dx`] and [`Linear::backward_params`]; `grad`
+    /// is left as it was on error.
     pub fn backward(&self, x: &Tensor, dy: &Tensor, grad: &mut [f32]) -> Result<Tensor> {
+        let dx = self.backward_dx(dy)?;
+        self.backward_params(x, dy, grad)?;
+        Ok(dx)
+    }
+
+    /// The input gradient `dx = dy @ Wᵀ` for `dy: [..., out_features]`:
+    /// the half of the backward that needs no saved activation, so a
+    /// caller can form it before it rebuilds the layer's input.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::TensorError::ShapeMismatch`] unless `dy` has rank 2 or more
+    /// and ends in `out_features`.
+    pub fn backward_dx(&self, dy: &Tensor) -> Result<Tensor> {
+        let (k, n) = (self.in_features(), self.out_features());
+        if dy.shape().len() < 2 || dy.shape().last() != Some(&n) {
+            return Err(self.shape_error(dy));
+        }
+        let rows = dy.numel() / n.max(1);
+        let mut shape = dy.shape().to_vec();
+        *shape.last_mut().expect("rank 2 or more") = k;
+        let mut dx = vec![0.0; rows * k];
+        ops::gemm_nt(rows, n, k, dy.data(), self.weight.data(), &mut dx);
+        Tensor::from_vec(dx, &shape)
+    }
+
+    /// Adds the parameter gradients `xᵀ @ dy` (and the column sums of `dy`
+    /// for the bias) into `grad` (`[weight | bias]`,
+    /// [`Linear::param_count`] floats). Each element sums its rows in
+    /// ascending order, so the bits match [`Linear::backward`]'s.
+    ///
+    /// # Errors
+    ///
+    /// A `grad` of the wrong length is a
+    /// [`crate::TensorError::LengthMismatch`]; an `x` and `dy` that do not
+    /// hold the same rows of `in_features` and `out_features` values a
+    /// [`crate::TensorError::ShapeMismatch`]. Nothing is written on error.
+    pub fn backward_params(&self, x: &Tensor, dy: &Tensor, grad: &mut [f32]) -> Result<()> {
+        let (k, n) = (self.in_features(), self.out_features());
         let bias_len = self.bias.as_ref().map_or(0, Tensor::numel);
         let [gw, gb] = split_grad(grad, [self.weight.numel(), bias_len])?;
-        let mut dx = Tensor::zeros(x.shape());
-        ops::matmul_bwd_into(x, &self.weight, dy, dx.data_mut(), gw)?;
+        let rows = dy.numel() / n.max(1);
+        if dy.shape().len() < 2
+            || dy.shape().last() != Some(&n)
+            || x.shape().last() != Some(&k)
+            || x.numel() != rows * k
+        {
+            return Err(self.shape_error(x));
+        }
+        ops::gemm_tn(k, rows, n, x.data(), dy.data(), gw);
         ops::add_bias_bwd_into(dy, gb);
-        Ok(dx)
+        Ok(())
+    }
+
+    fn shape_error(&self, got: &Tensor) -> crate::TensorError {
+        crate::TensorError::ShapeMismatch {
+            op: "linear_bwd",
+            lhs: got.shape().to_vec(),
+            rhs: self.weight.shape().to_vec(),
+        }
     }
 }
 
@@ -152,6 +207,27 @@ mod tests {
             for ((g, p), f) in grad.iter().zip(&prefill).zip(&fresh) {
                 assert!((g - (p + f)).abs() <= 1e-5, "{g} vs {p} + {f}");
             }
+        }
+    }
+
+    #[test]
+    fn backward_is_its_two_halves_bit_for_bit() {
+        let mut rng = init::seeded_rng(55);
+        let x = init::randn(&mut rng, &[2, 7, 5], 1.0);
+        let dy = init::randn(&mut rng, &[2, 7, 3], 1.0);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for bias in [true, false] {
+            let layer = Linear::new(5, 3, bias, &mut rng);
+            let mut whole = vec![0.5f32; layer.param_count()];
+            let dx = layer.backward(&x, &dy, &mut whole).unwrap();
+            let mut halves = vec![0.5f32; layer.param_count()];
+            let dx2 = layer.backward_dx(&dy).unwrap();
+            layer.backward_params(&x, &dy, &mut halves).unwrap();
+            assert_eq!(dx.shape(), x.shape());
+            assert_eq!(bits(dx.data()), bits(dx2.data()));
+            assert_eq!(bits(&whole), bits(&halves));
+            assert!(layer.backward_dx(&x).is_err());
+            assert!(layer.backward_params(&dy, &dy, &mut halves).is_err());
         }
     }
 

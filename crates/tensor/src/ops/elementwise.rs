@@ -58,6 +58,35 @@ pub fn gelu_bwd(x: &Tensor, dy: &Tensor) -> Result<Tensor> {
     activation_bwd("gelu_bwd", x, dy, mk::gelu_bwd)
 }
 
+/// [`gelu`] and [`gelu_bwd`] in one pass over buffers it takes over:
+/// returns `(gelu(x), gelu'(x)·dy)`, written where `x` and `dy` were, each
+/// bit for bit what the separate call gives. A backward that did not keep
+/// the activation's output rebuilds it here from the one exponential the
+/// gradient needs anyway.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `x` and `dy` differ in shape.
+pub fn gelu_fwd_bwd(mut x: Tensor, mut dy: Tensor) -> Result<(Tensor, Tensor)> {
+    if x.shape() != dy.shape() {
+        return Err(TensorError::ShapeMismatch {
+            op: "gelu_fwd_bwd",
+            lhs: x.shape().to_vec(),
+            rhs: dy.shape().to_vec(),
+        });
+    }
+    let n = x.numel();
+    par::run_rows2(
+        x.data_mut(),
+        ELEM_BLOCK,
+        dy.data_mut(),
+        ELEM_BLOCK,
+        n,
+        |_, xs, dys| mk::gelu_fwd_bwd(xs, dys),
+    );
+    Ok((x, dy))
+}
+
 /// SiLU/swish activation `x * sigmoid(x)` (Llama MLP gate).
 pub fn silu(x: &Tensor) -> Tensor {
     activation(x, mk::silu)
@@ -160,6 +189,19 @@ mod tests {
                 dx.data()[i]
             );
         }
+    }
+
+    #[test]
+    fn fused_gelu_matches_the_separate_calls_across_blocks() {
+        // More than one ELEM_BLOCK, ragged, so the split runs.
+        let mut rng = init::seeded_rng(12);
+        let x = init::randn(&mut rng, &[3, 4099], 4.0);
+        let dy = init::randn(&mut rng, &[3, 4099], 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (g, dx) = gelu_fwd_bwd(x.clone(), dy.clone()).unwrap();
+        assert_eq!(bits(&g), bits(&gelu(&x)));
+        assert_eq!(bits(&dx), bits(&gelu_bwd(&x, &dy).unwrap()));
+        assert!(gelu_fwd_bwd(Tensor::zeros(&[2]), Tensor::zeros(&[3])).is_err());
     }
 
     #[test]

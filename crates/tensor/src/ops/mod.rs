@@ -12,7 +12,9 @@ mod norm;
 mod rope;
 mod softmax;
 
-pub use elementwise::{add_bias, add_bias_bwd, add_bias_bwd_into, gelu, gelu_bwd, silu, silu_bwd};
+pub use elementwise::{
+    add_bias, add_bias_bwd, add_bias_bwd_into, gelu, gelu_bwd, gelu_fwd_bwd, silu, silu_bwd,
+};
 pub use matmul::{gemm, gemm_nt, gemm_tn, matmul, matmul_bwd, matmul_bwd_into};
 pub use norm::{layernorm, layernorm_bwd, rmsnorm, rmsnorm_bwd, LayerNormCtx, RmsNormCtx};
 pub use rope::RopeTable;
