@@ -102,6 +102,26 @@ impl Norm {
         })
     }
 
+    /// The forward's output on rows `r0..` of the pass, `x` being those
+    /// rows of its input, rebuilt from the statistics in `ctx` (the whole
+    /// pass's): the forward's bits without its per-row reductions.
+    fn rebuild(&self, x: &Tensor, ctx: &NormCtx, r0: usize) -> ExecResult<Tensor> {
+        fn stat(v: &[f32], rows: Range<usize>) -> ExecResult<&[f32]> {
+            Ok(v.get(rows).ok_or("norm statistics do not cover the rows")?)
+        }
+        let rows = r0..r0 + x.shape()[0];
+        Ok(match (self, ctx) {
+            (Norm::Layer(n), NormCtx::Layer(c)) => {
+                let (mean, rstd) = (stat(&c.mean, rows.clone())?, stat(&c.rstd, rows)?);
+                ops::layernorm_rebuild(x, &n.gamma, &n.beta, mean, rstd)?
+            }
+            (Norm::Rms(n), NormCtx::Rms(c)) => {
+                ops::rmsnorm_rebuild(x, &n.gamma, stat(&c.rrms, rows)?)?
+            }
+            _ => return Err("norm context family mismatch".into()),
+        })
+    }
+
     fn backward(
         &self,
         x: &Tensor,
@@ -276,7 +296,8 @@ struct Pass<'a> {
 /// and the MLP activation output are rebuilt in the backward, row-local
 /// and bit for bit (DESIGN.md "What a block saves").
 pub struct BlockCtx {
-    /// The block input: `norm1`'s input, rebuilt into `n1` per chunk.
+    /// The block input: `norm1`'s input, rebuilt into `n1` per chunk
+    /// with `n1_ctx`'s statistics.
     x: Tensor,
     n1_ctx: NormCtx,
     /// The attention output as `out_proj` read it, `[s, hidden]`; the
@@ -284,7 +305,7 @@ pub struct BlockCtx {
     /// softmax row-dot.
     o_merged: Tensor,
     /// The residual after attention: `norm2`'s input, rebuilt into `n2`
-    /// per MLP piece.
+    /// per MLP piece with `n2_ctx`'s statistics.
     x1: Tensor,
     n2_ctx: NormCtx,
     /// Each MLP piece's rows and saved activations, in row order.
@@ -392,8 +413,8 @@ impl Block {
     /// (the block's stretch of the flat buffer) and returns `dx`.
     ///
     /// The norm outputs come back row-local: `n2` per MLP piece from the
-    /// saved `x1` rows, `n1` per gradient chunk from the saved `x` rows.
-    /// Each is the forward's own call on the same rows, so the bits are the
+    /// saved `x1` rows, `n1` per gradient chunk from the saved `x` rows,
+    /// each from the statistics the forward saved, so the bits are the
     /// forward's.
     ///
     /// The MLP, `norm2` and `out_proj` backward run inside the executor's
@@ -428,7 +449,7 @@ impl Block {
                 for (r, mctx) in std::mem::take(&mut ctx.mlp) {
                     let dmo = rows(dx2, r.start, r.len())?;
                     let x1p = rows(&ctx.x1, r.start, r.len())?;
-                    let (n2p, _) = self.norm2.forward(&x1p)?;
+                    let n2p = self.norm2.rebuild(&x1p, &ctx.n2_ctx, r.start)?;
                     dn2.push(r.start, self.mlp.backward(&n2p, mctx, &dmo, g_mlp)?)?;
                 }
                 dn2.finish()
@@ -457,7 +478,7 @@ impl Block {
                 dv.reshape_in_place(&[c, kvd])?;
                 let dkv = Tensor::concat(&[&dk, &dv], 1)?;
                 let xc = rows(&ctx.x, r0, c)?;
-                let (n1c, _) = self.norm1.forward(&xc)?;
+                let n1c = self.norm1.rebuild(&xc, &ctx.n1_ctx, r0)?;
                 let mut dn1c = self.kv_proj.backward(&n1c, &dkv, g_kv)?;
                 dn1c.add_assign(&self.q_proj.backward(&n1c, &dq, g_q)?)?;
                 dn1.push(r0, dn1c)

@@ -255,7 +255,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 /// Gradient of [`matmul`]: given `dc = dL/dc` for `c = a @ b`, returns
-/// `(da, db)`.
+/// `(da, db)` = `(dc @ bᵀ, aᵀ @ dc)`.
 ///
 /// For the batched-left / 2-D-right case, `db` is summed over the batch,
 /// matching the weight-gradient reduction in a linear layer.
@@ -263,33 +263,9 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns the same shape errors as [`matmul`] when the saved operands and
-/// the upstream gradient disagree.
+/// the upstream gradient disagree, [`TensorError::ShapeMismatch`] also
+/// when `dc` does not hold one value per element of `a @ b`.
 pub fn matmul_bwd(a: &Tensor, b: &Tensor, dc: &Tensor) -> Result<(Tensor, Tensor)> {
-    let mut da = Tensor::zeros(a.shape());
-    let mut db = Tensor::zeros(b.shape());
-    matmul_bwd_into(a, b, dc, da.data_mut(), db.data_mut())?;
-    Ok((da, db))
-}
-
-/// [`matmul_bwd`] into caller-owned buffers: adds `dc @ bᵀ` into `da`
-/// (`a.numel()` floats) and `aᵀ @ dc` into `db_acc` (`b.numel()` floats).
-/// Both are `+=`, so a layer hands `db_acc` its stretch of the running
-/// gradient buffer and the weight gradient is summed where it lives; pass
-/// zeros for a fresh `da`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] / [`TensorError::ShapeMismatch`]
-/// as [`matmul`] does, the latter also when `dc` does not hold one value
-/// per element of `a @ b`, and [`TensorError::LengthMismatch`] for a `da`
-/// or `db_acc` of the wrong length. Nothing is written on error.
-pub fn matmul_bwd_into(
-    a: &Tensor,
-    b: &Tensor,
-    dc: &Tensor,
-    da: &mut [f32],
-    db_acc: &mut [f32],
-) -> Result<()> {
     let (batches, rows, k, n) = dims("matmul_bwd", a.shape(), b.shape())?;
     if dc.numel() != batches * rows * n {
         return Err(TensorError::ShapeMismatch {
@@ -298,24 +274,32 @@ pub fn matmul_bwd_into(
             rhs: dc.shape().to_vec(),
         });
     }
-    for (buf, of) in [(&*da, a), (&*db_acc, b)] {
-        if buf.len() != of.numel() {
-            return Err(TensorError::LengthMismatch {
-                expected: of.numel(),
-                actual: buf.len(),
-            });
-        }
-    }
+    let mut da = Tensor::zeros(a.shape());
+    let mut db = Tensor::zeros(b.shape());
     for bi in 0..batches {
         let a_s = &a.data()[bi * rows * k..][..rows * k];
         let b_s = &b.data()[bi * k * n..][..k * n];
         let dc_s = &dc.data()[bi * rows * n..][..rows * n];
-        // da += dc @ b^T : [rows, n] x [k, n]^T -> [rows, k]
-        gemm_nt(rows, n, k, dc_s, b_s, &mut da[bi * rows * k..][..rows * k]);
-        // db += a^T @ dc : [rows, k]^T x [rows, n] -> [k, n]
-        gemm_tn(k, rows, n, a_s, dc_s, &mut db_acc[bi * k * n..][..k * n]);
+        // da = dc @ b^T : [rows, n] x [k, n]^T -> [rows, k]
+        gemm_nt(
+            rows,
+            n,
+            k,
+            dc_s,
+            b_s,
+            &mut da.data_mut()[bi * rows * k..][..rows * k],
+        );
+        // db = a^T @ dc : [rows, k]^T x [rows, n] -> [k, n]
+        gemm_tn(
+            k,
+            rows,
+            n,
+            a_s,
+            dc_s,
+            &mut db.data_mut()[bi * k * n..][..k * n],
+        );
     }
-    Ok(())
+    Ok((da, db))
 }
 
 #[cfg(test)]
@@ -433,33 +417,6 @@ mod tests {
             &z(&[2, 2, 4])
         )));
         assert!(shape_mismatch(bwd(&a, &b, &z(&[2, 5]))));
-        // the into-form also checks the buffers it is handed
-        for (da_len, db_len, expected) in [(5, 12, 6), (7, 12, 6), (6, 11, 12), (6, 13, 12)] {
-            let (mut da, mut db) = (vec![1.0; da_len], vec![1.0; db_len]);
-            let err = matmul_bwd_into(&a, &b, &dc, &mut da, &mut db).unwrap_err();
-            assert!(
-                matches!(err, TensorError::LengthMismatch { expected: e, .. } if e == expected),
-                "{err}"
-            );
-            assert!(da.iter().chain(&db).all(|&v| v == 1.0), "nothing written");
-        }
-    }
-
-    #[test]
-    fn backward_into_adds_to_both_buffers() {
-        let mut rng = init::seeded_rng(7);
-        let a = init::randn(&mut rng, &[2, 5, 4], 1.0);
-        let b = init::randn(&mut rng, &[4, 3], 1.0);
-        let dc = init::randn(&mut rng, &[2, 5, 3], 1.0);
-        let (da, db) = matmul_bwd(&a, &b, &dc).unwrap();
-        let (mut da_acc, mut db_acc) = (vec![0.5f32; a.numel()], vec![-2.0f32; b.numel()]);
-        matmul_bwd_into(&a, &b, &dc, &mut da_acc, &mut db_acc).unwrap();
-        for (got, fresh) in da_acc.iter().zip(da.data()) {
-            assert!((got - (0.5 + fresh)).abs() < 1e-5, "{got} vs 0.5 + {fresh}");
-        }
-        for (got, fresh) in db_acc.iter().zip(db.data()) {
-            assert!((got - (fresh - 2.0)).abs() < 1e-5, "{got} vs {fresh} - 2");
-        }
     }
 
     /// `gemm` reads B where it lies; the loop it replaced copied every

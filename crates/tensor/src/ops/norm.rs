@@ -78,14 +78,68 @@ pub fn layernorm(
             let m = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / d as f32;
             let r = 1.0 / (var + eps).sqrt();
-            for (v, (&g, &b)) in row.iter_mut().zip(gs.iter().zip(bs)) {
-                *v = (*v - m) * r * g + b;
-            }
+            layernorm_row(row, m, r, gs, bs);
             mean[0] = m;
             rstd[0] = r;
         },
     );
     Ok((out, LayerNormCtx { mean, rstd }))
+}
+
+/// `row = (row - m)·r·gamma + beta`: the normalizing step of
+/// [`layernorm`], shared with [`layernorm_rebuild`] so both give the same
+/// bits.
+#[inline]
+fn layernorm_row(row: &mut [f32], m: f32, r: f32, gs: &[f32], bs: &[f32]) {
+    for (v, (&g, &b)) in row.iter_mut().zip(gs.iter().zip(bs)) {
+        *v = (*v - m) * r * g + b;
+    }
+}
+
+/// [`layernorm`]'s output rebuilt from statistics it already returned:
+/// row `i` of `x` is normalized with `mean[i]` and `rstd[i]`, so rows whose
+/// statistics came from a [`layernorm`] call get that call's bits without
+/// the two reductions per row. A backward that saved the statistics but
+/// not the output calls this on the rows it needs.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] unless `gamma` and `beta` have the
+/// extent of the last axis of `x`, and [`TensorError::LengthMismatch`]
+/// unless `mean` and `rstd` hold one value per row.
+pub fn layernorm_rebuild(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    mean: &[f32],
+    rstd: &[f32],
+) -> Result<Tensor> {
+    let d = check_last_dim("layernorm_rebuild", x, gamma)?;
+    if beta.numel() != d {
+        return Err(TensorError::ShapeMismatch {
+            op: "layernorm_rebuild",
+            lhs: x.shape().to_vec(),
+            rhs: beta.shape().to_vec(),
+        });
+    }
+    check_stats(x.numel() / d, &[mean, rstd])?;
+    let mut out = x.clone();
+    let (gs, bs) = (gamma.data(), beta.data());
+    par::run_rows(out.data_mut(), d, x.numel(), |i, row| {
+        layernorm_row(row, mean[i], rstd[i], gs, bs)
+    });
+    Ok(out)
+}
+
+/// One saved statistic per row, for each statistic.
+fn check_stats(rows: usize, stats: &[&[f32]]) -> Result<()> {
+    match stats.iter().find(|s| s.len() != rows) {
+        Some(s) => Err(TensorError::LengthMismatch {
+            expected: rows,
+            actual: s.len(),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Backward pass of [`layernorm`]. Returns `(dx, dgamma, dbeta)`.
@@ -178,12 +232,38 @@ pub fn rmsnorm(x: &Tensor, gamma: &Tensor, eps: f32) -> Result<(Tensor, RmsNormC
     par::run_rows2(out.data_mut(), d, &mut rrms, 1, x.numel(), |_, row, rr| {
         let ms = row.iter().map(|&v| v * v).sum::<f32>() / d as f32;
         let r = 1.0 / (ms + eps).sqrt();
-        for (v, &g) in row.iter_mut().zip(gs) {
-            *v = *v * r * g;
-        }
+        rmsnorm_row(row, r, gs);
         rr[0] = r;
     });
     Ok((out, RmsNormCtx { rrms }))
+}
+
+/// `row = row·r·gamma`: the scaling step of [`rmsnorm`], shared with
+/// [`rmsnorm_rebuild`].
+#[inline]
+fn rmsnorm_row(row: &mut [f32], r: f32, gs: &[f32]) {
+    for (v, &g) in row.iter_mut().zip(gs) {
+        *v = *v * r * g;
+    }
+}
+
+/// [`rmsnorm`]'s output rebuilt from the `rrms` it returned, one value per
+/// row of `x`, bit for bit (see [`layernorm_rebuild`]).
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] unless `gamma` has the extent of
+/// the last axis of `x`, and [`TensorError::LengthMismatch`] unless `rrms`
+/// holds one value per row.
+pub fn rmsnorm_rebuild(x: &Tensor, gamma: &Tensor, rrms: &[f32]) -> Result<Tensor> {
+    let d = check_last_dim("rmsnorm_rebuild", x, gamma)?;
+    check_stats(x.numel() / d, &[rrms])?;
+    let mut out = x.clone();
+    let gs = gamma.data();
+    par::run_rows(out.data_mut(), d, x.numel(), |i, row| {
+        rmsnorm_row(row, rrms[i], gs)
+    });
+    Ok(out)
 }
 
 /// Backward pass of [`rmsnorm`]. Returns `(dx, dgamma)`.
@@ -242,6 +322,35 @@ pub fn rmsnorm_bwd(
 mod tests {
     use super::*;
     use crate::init;
+
+    #[test]
+    fn rebuilds_from_saved_statistics_are_the_forwards_bits() {
+        let mut rng = init::seeded_rng(23);
+        let x = init::randn(&mut rng, &[9, 40], 3.0);
+        let g = init::randn(&mut rng, &[40], 1.0);
+        let b = init::randn(&mut rng, &[40], 1.0);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (ln, lc) = layernorm(&x, &g, &b, 1e-5).unwrap();
+        let (rms, rc) = rmsnorm(&x, &g, 1e-5).unwrap();
+        // rows 2..7 of the forward, from those rows' statistics alone
+        let (r0, n) = (2, 5);
+        let xs = x.narrow(0, r0, n).unwrap();
+        let rows = |t: &Tensor| bits(&t.narrow(0, r0, n).unwrap());
+        let span = r0..r0 + n;
+        let ln_rows =
+            layernorm_rebuild(&xs, &g, &b, &lc.mean[span.clone()], &lc.rstd[span.clone()]);
+        assert_eq!(bits(&ln_rows.unwrap()), rows(&ln));
+        assert_eq!(
+            bits(&rmsnorm_rebuild(&xs, &g, &rc.rrms[span]).unwrap()),
+            rows(&rms)
+        );
+        let short = &lc.mean[..n - 1];
+        assert!(layernorm_rebuild(&xs, &g, &b, short, &lc.rstd[..n]).is_err());
+        assert!(rmsnorm_rebuild(&xs, &g, short).is_err());
+        assert!(
+            layernorm_rebuild(&xs, &g, &Tensor::zeros(&[3]), &lc.mean[..n], &lc.rstd[..n]).is_err()
+        );
+    }
 
     #[test]
     fn layernorm_output_is_normalized() {

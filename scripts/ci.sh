@@ -23,6 +23,10 @@ stage() {
     echo "==> $1"
 }
 
+stage "cargo fmt --check (rustfmt's default settings)"
+# The workspace members only: vendor/ and benchmark/ are not members.
+cargo fmt --check
+
 stage "cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -93,12 +97,13 @@ if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     echo "FAIL: attention tile under 0.6 of same-run matmul throughput, or its backward over 2.8 forwards, on an AVX2 host" >&2
     exit 1
 fi
-# Likewise the MLP's activation pair must not outweigh its own gemms:
-# single-thread gelu + gelu_bwd at [1024,256] against fc1 + fc2 forward and
-# backward at [1024,64]x[64,256] of the same run.
+# Likewise the MLP's activation work must not outweigh its own gemms:
+# single-thread gelu (forward) + gelu_fwd_bwd (the backward's fused rebuild
+# and gradient) at [1024,256] against fc1 + fc2 forward and backward at
+# [1024,64]x[64,256] of the same run.
 if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     && ! grep -q '^KERNELS_ACT_OK ' <<<"$out"; then
-    echo "FAIL: gelu + gelu_bwd cost more than the MLP gemms they sit between" >&2
+    echo "FAIL: gelu + gelu_fwd_bwd cost more than the MLP gemms they sit between" >&2
     exit 1
 fi
 # And one parameter's AdamW step must stay a lane-wise kernel: at most two
