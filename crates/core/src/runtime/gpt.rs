@@ -102,22 +102,15 @@ impl Norm {
         })
     }
 
-    /// The forward's output on rows `r0..` of the pass, `x` being those
-    /// rows of its input, rebuilt from the statistics in `ctx` (the whole
-    /// pass's): the forward's bits without its per-row reductions.
-    fn rebuild(&self, x: &Tensor, ctx: &NormCtx, r0: usize) -> ExecResult<Tensor> {
-        fn stat(v: &[f32], rows: Range<usize>) -> ExecResult<&[f32]> {
-            Ok(v.get(rows).ok_or("norm statistics do not cover the rows")?)
-        }
-        let rows = r0..r0 + x.shape()[0];
+    /// Rows `rows` of the forward's output for `x` (the whole pass's
+    /// input), rebuilt from the statistics in `ctx`: the forward's bits
+    /// without its per-row reductions.
+    fn rebuild(&self, x: &Tensor, ctx: &NormCtx, rows: Range<usize>) -> ExecResult<Tensor> {
         Ok(match (self, ctx) {
             (Norm::Layer(n), NormCtx::Layer(c)) => {
-                let (mean, rstd) = (stat(&c.mean, rows.clone())?, stat(&c.rstd, rows)?);
-                ops::layernorm_rebuild(x, &n.gamma, &n.beta, mean, rstd)?
+                ops::layernorm_rebuild(x, &n.gamma, &n.beta, c, rows)?
             }
-            (Norm::Rms(n), NormCtx::Rms(c)) => {
-                ops::rmsnorm_rebuild(x, &n.gamma, stat(&c.rrms, rows)?)?
-            }
+            (Norm::Rms(n), NormCtx::Rms(c)) => ops::rmsnorm_rebuild(x, &n.gamma, c, rows)?,
             _ => return Err("norm context family mismatch".into()),
         })
     }
@@ -448,8 +441,7 @@ impl Block {
                 let mut dn2 = RowChunks::new(s);
                 for (r, mctx) in std::mem::take(&mut ctx.mlp) {
                     let dmo = rows(dx2, r.start, r.len())?;
-                    let x1p = rows(&ctx.x1, r.start, r.len())?;
-                    let n2p = self.norm2.rebuild(&x1p, &ctx.n2_ctx, r.start)?;
+                    let n2p = self.norm2.rebuild(&ctx.x1, &ctx.n2_ctx, r.clone())?;
                     dn2.push(r.start, self.mlp.backward(&n2p, mctx, &dmo, g_mlp)?)?;
                 }
                 dn2.finish()
@@ -477,8 +469,7 @@ impl Block {
                 dk.reshape_in_place(&[c, kvd])?;
                 dv.reshape_in_place(&[c, kvd])?;
                 let dkv = Tensor::concat(&[&dk, &dv], 1)?;
-                let xc = rows(&ctx.x, r0, c)?;
-                let n1c = self.norm1.rebuild(&xc, &ctx.n1_ctx, r0)?;
+                let n1c = self.norm1.rebuild(&ctx.x, &ctx.n1_ctx, r0..r0 + c)?;
                 let mut dn1c = self.kv_proj.backward(&n1c, &dkv, g_kv)?;
                 dn1c.add_assign(&self.q_proj.backward(&n1c, &dq, g_q)?)?;
                 dn1.push(r0, dn1c)

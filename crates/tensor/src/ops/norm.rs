@@ -6,6 +6,7 @@
 //! ascending order), so results are bitwise identical at any thread count.
 
 use crate::{par, Result, Tensor, TensorError};
+use std::ops::Range;
 
 /// Column-block size for the parameter-gradient reductions.
 const COL_BLOCK: usize = 64;
@@ -96,23 +97,24 @@ fn layernorm_row(row: &mut [f32], m: f32, r: f32, gs: &[f32], bs: &[f32]) {
     }
 }
 
-/// [`layernorm`]'s output rebuilt from statistics it already returned:
-/// row `i` of `x` is normalized with `mean[i]` and `rstd[i]`, so rows whose
-/// statistics came from a [`layernorm`] call get that call's bits without
-/// the two reductions per row. A backward that saved the statistics but
-/// not the output calls this on the rows it needs.
+/// Rows `rows` of what [`layernorm`] returned for `x`, rebuilt from the
+/// context it returned beside it: each row normalized with its saved
+/// `mean` and `rstd`, so the bits are the forward's without its two
+/// reductions per row. A backward that saved the statistics but not the
+/// output calls this on the rows it needs.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] unless `gamma` and `beta` have the
-/// extent of the last axis of `x`, and [`TensorError::LengthMismatch`]
-/// unless `mean` and `rstd` hold one value per row.
+/// extent of the last axis of `x`, [`TensorError::LengthMismatch`] unless
+/// `ctx` holds one statistic per row of `x`, and
+/// [`TensorError::InvalidSlice`] when `rows` runs past them.
 pub fn layernorm_rebuild(
     x: &Tensor,
     gamma: &Tensor,
     beta: &Tensor,
-    mean: &[f32],
-    rstd: &[f32],
+    ctx: &LayerNormCtx,
+    rows: Range<usize>,
 ) -> Result<Tensor> {
     let d = check_last_dim("layernorm_rebuild", x, gamma)?;
     if beta.numel() != d {
@@ -122,10 +124,12 @@ pub fn layernorm_rebuild(
             rhs: beta.shape().to_vec(),
         });
     }
-    check_stats(x.numel() / d, &[mean, rstd])?;
-    let mut out = x.clone();
+    check_stats(x.numel() / d, &[&ctx.mean, &ctx.rstd])?;
+    let mut out = x.narrow(0, rows.start, rows.len())?;
     let (gs, bs) = (gamma.data(), beta.data());
-    par::run_rows(out.data_mut(), d, x.numel(), |i, row| {
+    let (mean, rstd) = (&ctx.mean[rows.clone()], &ctx.rstd[rows]);
+    let work = out.numel();
+    par::run_rows(out.data_mut(), d, work, |i, row| {
         layernorm_row(row, mean[i], rstd[i], gs, bs)
     });
     Ok(out)
@@ -247,20 +251,28 @@ fn rmsnorm_row(row: &mut [f32], r: f32, gs: &[f32]) {
     }
 }
 
-/// [`rmsnorm`]'s output rebuilt from the `rrms` it returned, one value per
-/// row of `x`, bit for bit (see [`layernorm_rebuild`]).
+/// Rows `rows` of what [`rmsnorm`] returned for `x`, rebuilt from the
+/// `rrms` in the context it returned, bit for bit (see
+/// [`layernorm_rebuild`]).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] unless `gamma` has the extent of
-/// the last axis of `x`, and [`TensorError::LengthMismatch`] unless `rrms`
-/// holds one value per row.
-pub fn rmsnorm_rebuild(x: &Tensor, gamma: &Tensor, rrms: &[f32]) -> Result<Tensor> {
+/// the last axis of `x`, [`TensorError::LengthMismatch`] unless `ctx`
+/// holds one statistic per row of `x`, and [`TensorError::InvalidSlice`]
+/// when `rows` runs past them.
+pub fn rmsnorm_rebuild(
+    x: &Tensor,
+    gamma: &Tensor,
+    ctx: &RmsNormCtx,
+    rows: Range<usize>,
+) -> Result<Tensor> {
     let d = check_last_dim("rmsnorm_rebuild", x, gamma)?;
-    check_stats(x.numel() / d, &[rrms])?;
-    let mut out = x.clone();
-    let gs = gamma.data();
-    par::run_rows(out.data_mut(), d, x.numel(), |i, row| {
+    check_stats(x.numel() / d, &[&ctx.rrms])?;
+    let mut out = x.narrow(0, rows.start, rows.len())?;
+    let (gs, rrms) = (gamma.data(), &ctx.rrms[rows]);
+    let work = out.numel();
+    par::run_rows(out.data_mut(), d, work, |i, row| {
         rmsnorm_row(row, rrms[i], gs)
     });
     Ok(out)
@@ -332,24 +344,18 @@ mod tests {
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (ln, lc) = layernorm(&x, &g, &b, 1e-5).unwrap();
         let (rms, rc) = rmsnorm(&x, &g, 1e-5).unwrap();
-        // rows 2..7 of the forward, from those rows' statistics alone
-        let (r0, n) = (2, 5);
-        let xs = x.narrow(0, r0, n).unwrap();
-        let rows = |t: &Tensor| bits(&t.narrow(0, r0, n).unwrap());
-        let span = r0..r0 + n;
-        let ln_rows =
-            layernorm_rebuild(&xs, &g, &b, &lc.mean[span.clone()], &lc.rstd[span.clone()]);
-        assert_eq!(bits(&ln_rows.unwrap()), rows(&ln));
-        assert_eq!(
-            bits(&rmsnorm_rebuild(&xs, &g, &rc.rrms[span]).unwrap()),
-            rows(&rms)
-        );
-        let short = &lc.mean[..n - 1];
-        assert!(layernorm_rebuild(&xs, &g, &b, short, &lc.rstd[..n]).is_err());
-        assert!(rmsnorm_rebuild(&xs, &g, short).is_err());
-        assert!(
-            layernorm_rebuild(&xs, &g, &Tensor::zeros(&[3]), &lc.mean[..n], &lc.rstd[..n]).is_err()
-        );
+        for rows in [0..9, 2..7, 8..9] {
+            let want = |t: &Tensor| bits(&t.narrow(0, rows.start, rows.len()).unwrap());
+            let got = layernorm_rebuild(&x, &g, &b, &lc, rows.clone()).unwrap();
+            assert_eq!(bits(&got), want(&ln), "layernorm rows {rows:?}");
+            let got = rmsnorm_rebuild(&x, &g, &rc, rows.clone()).unwrap();
+            assert_eq!(bits(&got), want(&rms), "rmsnorm rows {rows:?}");
+        }
+        assert!(layernorm_rebuild(&x, &g, &b, &lc, 5..10).is_err());
+        assert!(rmsnorm_rebuild(&x, &g, &rc, 5..10).is_err());
+        let (_, short) = layernorm(&x.narrow(0, 0, 8).unwrap(), &g, &b, 1e-5).unwrap();
+        assert!(layernorm_rebuild(&x, &g, &b, &short, 0..2).is_err());
+        assert!(layernorm_rebuild(&x, &g, &Tensor::zeros(&[3]), &lc, 0..2).is_err());
     }
 
     #[test]
