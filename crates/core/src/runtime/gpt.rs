@@ -1038,16 +1038,15 @@ impl GptModel {
         let rope = self.rope_for(&pos)?;
         let mut loss = 0.0f32;
         let mut toks = 0usize;
-        let run = (0..batches).try_for_each(|_| -> ExecResult<()> {
+        for _ in 0..batches {
             let (x, y) = corpus.sample(seq);
             let logits = self.head.forward(&self.forward_only(exec, &x, &rope)?)?;
             let out = ops::cross_entropy(&logits, &y, IGNORE_INDEX)?;
             loss += out.loss_sum;
             toks += out.tokens;
-            Ok(())
-        });
+        }
         self.rope = Some(rope);
-        run.map(|()| loss / toks.max(1) as f32)
+        Ok(loss / toks.max(1) as f32)
     }
 }
 

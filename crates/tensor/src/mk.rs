@@ -565,32 +565,27 @@ impl F1 for Gelu {
     }
 }
 
-/// `z' = K·(1 + 3C·x²)` from `t = x²`.
-#[inline(always)]
-unsafe fn gelu_dz_v<V: V8>(t: V) -> V {
-    V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t)
-}
-
-struct GeluBwd;
-impl F2 for GeluBwd {
-    #[inline(always)]
-    unsafe fn f<V: V8>(x: V, dy: V) -> V {
-        let (z, t) = gelu_arg_v(x);
-        x_sigmoid_grad_v(x.mul(gelu_dz_v(t)), z).mul(dy)
-    }
-}
-
-/// [`Gelu`] and [`GeluBwd`] from one exponential: the same lane
-/// operations on the same operands, so each result has the bits of its
-/// separate kernel.
+/// `(gelu(x), gelu'(x)·dy)` from one exponential. The forward half is
+/// [`Gelu`]'s `x / (1 + e)` on the same `e`, so it has [`Gelu`]'s bits;
+/// [`GeluBwd`] is the gradient half alone.
 struct GeluFwdBwd;
 impl F2x2 for GeluFwdBwd {
     #[inline(always)]
     unsafe fn f<V: V8>(x: V, dy: V) -> (V, V) {
         let (z, t) = gelu_arg_v(x);
         let (e, den) = logistic_den_v(z);
-        let grad = x_sigmoid_grad_of(x.mul(gelu_dz_v(t)), e, den);
+        // z' = K·(1 + 3C·x²)
+        let dz = V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t);
+        let grad = x_sigmoid_grad_of(x.mul(dz), e, den);
         (x.div(den), grad.mul(dy))
+    }
+}
+
+struct GeluBwd;
+impl F2 for GeluBwd {
+    #[inline(always)]
+    unsafe fn f<V: V8>(x: V, dy: V) -> V {
+        GeluFwdBwd::f(x, dy).1
     }
 }
 
