@@ -29,9 +29,9 @@
 //! gate `scripts/ci.sh` greps for.
 //!
 //! The dense half's per-token kernels are timed at the same runtime shapes
-//! (`gelu`, `gelu_bwd`, `silu` on `[1024, 256]`, the fused
-//! `gelu_fwd_bwd` the GELU backward calls to rebuild the activation and
-//! form its gradient in one pass, the table `rope` on `[1024, 2, 32]`;
+//! (`gelu`, `silu` on `[1024, 256]`, the fused `gelu_fwd_bwd` the GELU
+//! backward calls to rebuild the activation and form its gradient in one
+//! pass, the table `rope` on `[1024, 2, 32]`;
 //! their rows carry ns per element) next to the MLP gemms they sit between
 //! (`mlp_gemm`: fc1 + fc2, forward + backward, at `[1024,64]x[64,256]`).
 //! `KERNELS_ACT_OK` is printed when single-thread `gelu` + `gelu_fwd_bwd`,
@@ -443,7 +443,7 @@ struct Bench {
 
 /// Elementwise rows report ns per element; their `flops` field holds the
 /// element count.
-const ELEMENTWISE: [&str; 6] = ["gelu", "gelu_bwd", "gelu_fwd_bwd", "silu", "rope", "adamw"];
+const ELEMENTWISE: [&str; 5] = ["gelu", "gelu_fwd_bwd", "silu", "rope", "adamw"];
 
 /// The dense half's per-token kernels and the MLP gemms around them, at
 /// the repo benchmark's `fpdt_long` shapes (1024 local tokens, hidden 64,
@@ -453,8 +453,8 @@ fn dense_benches(seed: u64) -> Vec<Bench> {
     let mut rng = init::seeded_rng(seed);
     let a = init::randn(&mut rng, &[tokens, ffn], 1.0);
     let da = init::randn(&mut rng, &[tokens, ffn], 1.0);
-    let (a2, a3) = (a.clone(), a.clone());
-    let fused = [a.clone(), da.clone()];
+    let a2 = a.clone();
+    let fused = [a.clone(), da];
     let q = init::randn(&mut rng, &[tokens, 2, 32], 1.0);
     // a rank's shuffled global positions: stride-2 blocks of 128
     let pos: Vec<usize> = (0..tokens).map(|t| t + (t / 128 + 1) * 128).collect();
@@ -473,12 +473,6 @@ fn dense_benches(seed: u64) -> Vec<Bench> {
             run: Box::new(move || outputs([ops::gelu(&a)])),
         },
         Bench {
-            name: "gelu_bwd",
-            flops: elems,
-            kernel_only: true,
-            run: Box::new(move || outputs([ops::gelu_bwd(&a2, &da).expect("shapes fixed")])),
-        },
-        Bench {
             name: "gelu_fwd_bwd",
             flops: elems,
             kernel_only: true,
@@ -491,7 +485,7 @@ fn dense_benches(seed: u64) -> Vec<Bench> {
             name: "silu",
             flops: elems,
             kernel_only: true,
-            run: Box::new(move || outputs([ops::silu(&a3)])),
+            run: Box::new(move || outputs([ops::silu(&a2)])),
         },
         Bench {
             name: "rope",
@@ -835,10 +829,7 @@ fn main() {
             wall_ms("mlp_gemm"),
         );
         let verdict = if act <= gemm { "OK" } else { "FAIL" };
-        println!(
-            "KERNELS_ACT_{verdict} gelu+gelu_fwd_bwd {act:.3} ms vs mlp gemm {gemm:.3} ms (gelu+gelu_bwd {:.3} ms)",
-            wall_ms("gelu") + wall_ms("gelu_bwd")
-        );
+        println!("KERNELS_ACT_{verdict} gelu+gelu_fwd_bwd {act:.3} ms vs mlp gemm {gemm:.3} ms");
         // One parameter's AdamW step against one GELU element, both
         // lane-wise and single-threaded in this run.
         let ns_per_element = |kernel: &str| {

@@ -566,8 +566,7 @@ impl F1 for Gelu {
 }
 
 /// `(gelu(x), gelu'(x)·dy)` from one exponential. The forward half is
-/// [`Gelu`]'s `x / (1 + e)` on the same `e`, so it has [`Gelu`]'s bits;
-/// [`GeluBwd`] is the gradient half alone.
+/// [`Gelu`]'s `x / (1 + e)` on the same `e`, so it has [`Gelu`]'s bits.
 struct GeluFwdBwd;
 impl F2x2 for GeluFwdBwd {
     #[inline(always)]
@@ -578,14 +577,6 @@ impl F2x2 for GeluFwdBwd {
         let dz = V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t);
         let grad = x_sigmoid_grad_of(x.mul(dz), e, den);
         (x.div(den), grad.mul(dy))
-    }
-}
-
-struct GeluBwd;
-impl F2 for GeluBwd {
-    #[inline(always)]
-    unsafe fn f<V: V8>(x: V, dy: V) -> V {
-        GeluFwdBwd::f(x, dy).1
     }
 }
 
@@ -968,8 +959,6 @@ instantiate!(scale_rows_scalar, scale_rows_avx2, scale_rows_g,
     (c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) -> ());
 instantiate!(exp_scalar, exp_avx2, map_g<Exp>, (x: &mut [f32]) -> ());
 instantiate!(gelu_scalar, gelu_avx2, map_g<Gelu>, (x: &mut [f32]) -> ());
-instantiate!(gelu_bwd_scalar, gelu_bwd_avx2, map2_g<GeluBwd>,
-    (x: &[f32], dy: &[f32], dx: &mut [f32]) -> ());
 instantiate!(gelu_fwd_bwd_scalar, gelu_fwd_bwd_avx2, map2x2_g<GeluFwdBwd>,
     (x: &mut [f32], dy: &mut [f32]) -> ());
 instantiate!(silu_scalar, silu_avx2, map_g<Silu>, (x: &mut [f32]) -> ());
@@ -1037,22 +1026,13 @@ pub fn gelu(x: &mut [f32]) {
     dispatch!(gelu_scalar, gelu_avx2, (x))
 }
 
-/// `dx[i] = gelu'(x[i])·dy[i]`, with `gelu' = σ + x·z'·σ(1−σ)`; absolute
-/// error of the factor below `2e-6`. Finite for every `|x| < 1e19`
-/// (beyond that `x²` overflows).
-///
-/// # Panics
-///
-/// Panics unless the three slices have the same length.
-pub fn gelu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
-    assert!(x.len() == dx.len() && dy.len() == dx.len());
-    dispatch!(gelu_bwd_scalar, gelu_bwd_avx2, (x, dy, dx))
-}
-
-/// [`gelu`] and [`gelu_bwd`] in one pass, both in place: on return `x`
-/// holds `gelu(x)` and `dy` holds `gelu'(x)·dy`. One exponential per
-/// element instead of two, and each result bit for bit what the separate
-/// kernel gives: what a backward that rebuilds the activation calls.
+/// [`gelu`] and its gradient in one pass, both in place: on return `x`
+/// holds `gelu(x)` and `dy` holds `gelu'(x)·dy`, with
+/// `gelu' = σ + x·z'·σ(1−σ)` (absolute error of the factor below `2e-6`;
+/// finite for every `|x| < 1e19`, beyond which `x²` overflows). One
+/// exponential per element serves both halves, and the forward half is bit
+/// for bit what [`gelu`] gives: what a backward that rebuilds the
+/// activation calls.
 ///
 /// # Panics
 ///
@@ -1185,8 +1165,28 @@ mod tests {
         }
     }
 
+    /// The GELU gradient as its own lane function, `x_sigmoid_grad_v` on
+    /// `z` times `dy`, with no exponential shared with the forward: the
+    /// reference the fused kernel's gradient half is held to.
+    struct GeluGradRef;
+    impl F2 for GeluGradRef {
+        #[inline(always)]
+        unsafe fn f<V: V8>(x: V, dy: V) -> V {
+            let (z, t) = gelu_arg_v(x);
+            let dz = V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t);
+            x_sigmoid_grad_v(x.mul(dz), z).mul(dy)
+        }
+    }
+
+    instantiate!(gelu_grad_ref_scalar, gelu_grad_ref_avx2, map2_g<GeluGradRef>,
+        (x: &[f32], dy: &[f32], dx: &mut [f32]) -> ());
+
+    fn gelu_grad_ref(x: &[f32], dy: &[f32], dx: &mut [f32]) {
+        dispatch!(gelu_grad_ref_scalar, gelu_grad_ref_avx2, (x, dy, dx))
+    }
+
     #[test]
-    fn fused_gelu_is_gelu_and_gelu_bwd_bit_for_bit() {
+    fn fused_gelu_is_gelu_and_the_reference_gradient_bit_for_bit() {
         // Ragged lengths cross the 8-lane tail; the inputs cover both
         // saturations, the underflow edge, signed zeros, subnormals,
         // infinities and NaN.
@@ -1235,7 +1235,7 @@ mod tests {
                 let mut g = x.clone();
                 gelu(&mut g);
                 let mut dx = vec![0.0f32; n];
-                gelu_bwd(&x, &dy, &mut dx);
+                gelu_grad_ref(&x, &dy, &mut dx);
                 let (mut fx, mut fdy) = (x.clone(), dy.clone());
                 gelu_fwd_bwd(&mut fx, &mut fdy);
                 assert_eq!(bits(&fx), bits(&g), "{be:?} forward, length {n}");

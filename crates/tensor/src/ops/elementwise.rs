@@ -49,19 +49,10 @@ pub fn gelu(x: &Tensor) -> Tensor {
     activation(x, mk::gelu)
 }
 
-/// Gradient of [`gelu`]: returns `dx` given the forward input and `dy`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `x` and `dy` differ in shape.
-pub fn gelu_bwd(x: &Tensor, dy: &Tensor) -> Result<Tensor> {
-    activation_bwd("gelu_bwd", x, dy, mk::gelu_bwd)
-}
-
-/// [`gelu`] and [`gelu_bwd`] in one pass over buffers it takes over:
-/// returns `(gelu(x), gelu'(x)·dy)`, written where `x` and `dy` were, each
-/// bit for bit what the separate call gives. A backward that did not keep
-/// the activation's output rebuilds it here from the one exponential the
+/// [`gelu`] and its gradient in one pass over buffers it takes over:
+/// returns `(gelu(x), gelu'(x)·dy)`, written where `x` and `dy` were, the
+/// first bit for bit what [`gelu`] gives. A backward that did not keep the
+/// activation's output rebuilds it here from the one exponential the
 /// gradient needs anyway.
 ///
 /// # Errors
@@ -171,11 +162,11 @@ mod tests {
     }
 
     #[test]
-    fn gelu_bwd_finite_difference() {
+    fn fused_gelu_gradient_finite_difference() {
         let mut rng = init::seeded_rng(10);
         let x = init::randn(&mut rng, &[32], 1.5);
         let dy = Tensor::ones(&[32]);
-        let dx = gelu_bwd(&x, &dy).unwrap();
+        let (_, dx) = gelu_fwd_bwd(x.clone(), dy).unwrap();
         let eps = 1e-3;
         for i in 0..x.numel() {
             let mut xp = x.clone();
@@ -192,15 +183,18 @@ mod tests {
     }
 
     #[test]
-    fn fused_gelu_matches_the_separate_calls_across_blocks() {
+    fn fused_gelu_is_blockwise_the_kernel_across_blocks() {
         // More than one ELEM_BLOCK, ragged, so the split runs.
         let mut rng = init::seeded_rng(12);
         let x = init::randn(&mut rng, &[3, 4099], 4.0);
         let dy = init::randn(&mut rng, &[3, 4099], 1.0);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (g, dx) = gelu_fwd_bwd(x.clone(), dy.clone()).unwrap();
-        assert_eq!(bits(&g), bits(&gelu(&x)));
-        assert_eq!(bits(&dx), bits(&gelu_bwd(&x, &dy).unwrap()));
+        assert_eq!(bits(g.data()), bits(gelu(&x).data()));
+        let (mut wg, mut wdx) = (x.data().to_vec(), dy.data().to_vec());
+        mk::gelu_fwd_bwd(&mut wg, &mut wdx);
+        assert_eq!(bits(g.data()), bits(&wg));
+        assert_eq!(bits(dx.data()), bits(&wdx));
         assert!(gelu_fwd_bwd(Tensor::zeros(&[2]), Tensor::zeros(&[3])).is_err());
     }
 
@@ -236,7 +230,6 @@ mod tests {
     fn shape_mismatch_errors() {
         let x = Tensor::zeros(&[2]);
         let dy = Tensor::zeros(&[3]);
-        assert!(gelu_bwd(&x, &dy).is_err());
         assert!(silu_bwd(&x, &dy).is_err());
     }
 }

@@ -13,7 +13,7 @@ mod rope;
 mod softmax;
 
 pub use elementwise::{
-    add_bias, add_bias_bwd, add_bias_bwd_into, gelu, gelu_bwd, gelu_fwd_bwd, silu, silu_bwd,
+    add_bias, add_bias_bwd, add_bias_bwd_into, gelu, gelu_fwd_bwd, silu, silu_bwd,
 };
 pub use matmul::{gemm, gemm_nt, gemm_tn, matmul, matmul_bwd};
 pub use norm::{

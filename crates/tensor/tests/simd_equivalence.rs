@@ -142,9 +142,9 @@ fn exp_edge_values_are_exact() {
 fn activations_of(be: Backend, x: &[f32]) -> [Vec<f32>; 4] {
     let ones = vec![1.0f32; x.len()];
     let (mut g, mut s) = (x.to_vec(), x.to_vec());
-    let (mut dg, mut ds) = (vec![0.0f32; x.len()], vec![0.0f32; x.len()]);
+    let (mut dg, mut ds) = (ones.clone(), vec![0.0f32; x.len()]);
     on(be, || mk::gelu(&mut g));
-    on(be, || mk::gelu_bwd(x, &ones, &mut dg));
+    on(be, || mk::gelu_fwd_bwd(&mut x.to_vec(), &mut dg));
     on(be, || mk::silu(&mut s));
     on(be, || mk::silu_bwd(x, &ones, &mut ds));
     [g, dg, s, ds]
@@ -173,8 +173,9 @@ fn activations_match_scalar_bitwise_on_awkward_lengths() {
         let dy = randv(len as u64 + 1, len);
         let run = |be: Backend| {
             let mut out = activations_of(be, &x).concat();
-            let mut dx = vec![0.0f32; len];
-            on(be, || mk::gelu_bwd(&x, &dy, &mut dx));
+            let (mut fx, mut dx) = (x.clone(), dy.clone());
+            on(be, || mk::gelu_fwd_bwd(&mut fx, &mut dx));
+            out.extend_from_slice(&fx);
             out.extend_from_slice(&dx);
             on(be, || mk::silu_bwd(&x, &dy, &mut dx));
             out.extend_from_slice(&dx);

@@ -127,8 +127,9 @@ fn elementwise_kernels_are_thread_invariant() {
     let x = init::randn(&mut rng, &[9001], 1.5);
     let dy = init::randn(&mut rng, &[9001], 1.0);
     assert_thread_invariant("gelu", || ops::gelu(&x).data().to_vec());
-    assert_thread_invariant("gelu_bwd", || {
-        ops::gelu_bwd(&x, &dy).unwrap().data().to_vec()
+    assert_thread_invariant("gelu_fwd_bwd", || {
+        let (g, dx) = ops::gelu_fwd_bwd(x.clone(), dy.clone()).unwrap();
+        [g.data(), dx.data()].concat()
     });
     assert_thread_invariant("silu", || ops::silu(&x).data().to_vec());
     assert_thread_invariant("silu_bwd", || {
