@@ -102,19 +102,6 @@ impl Norm {
         })
     }
 
-    /// Rows `rows` of the forward's output for `x` (the whole pass's
-    /// input), rebuilt from the statistics in `ctx`: the forward's bits
-    /// without its per-row reductions.
-    fn rebuild(&self, x: &Tensor, ctx: &NormCtx, rows: Range<usize>) -> ExecResult<Tensor> {
-        Ok(match (self, ctx) {
-            (Norm::Layer(n), NormCtx::Layer(c)) => {
-                ops::layernorm_rebuild(x, &n.gamma, &n.beta, c, rows)?
-            }
-            (Norm::Rms(n), NormCtx::Rms(c)) => ops::rmsnorm_rebuild(x, &n.gamma, c, rows)?,
-            _ => return Err("norm context family mismatch".into()),
-        })
-    }
-
     fn backward(
         &self,
         x: &Tensor,
@@ -445,7 +432,8 @@ impl Block {
                 let mut dn2 = RowChunks::new(s);
                 for (r, mctx) in &mut ctx.mlp {
                     let dmo = rows(dx2, r.start, r.len())?;
-                    let n2p = self.norm2.rebuild(&ctx.x1, &ctx.n2_ctx, r.clone())?;
+                    let x1p = rows(&ctx.x1, r.start, r.len())?;
+                    let (n2p, _) = self.norm2.forward(&x1p)?;
                     dn2.push(r.start, self.mlp.backward(&n2p, mctx, &dmo, g_mlp)?)?;
                 }
                 dn2.finish()
@@ -472,7 +460,8 @@ impl Block {
                 dk.reshape_in_place(&[c, kvd])?;
                 dv.reshape_in_place(&[c, kvd])?;
                 let dkv = Tensor::concat(&[&dk, &dv], 1)?;
-                let n1c = self.norm1.rebuild(&ctx.x, &ctx.n1_ctx, r0..r0 + c)?;
+                let xc = rows(&ctx.x, r0, c)?;
+                let (n1c, _) = self.norm1.forward(&xc)?;
                 let mut dn1c = self.kv_proj.backward(&n1c, &dkv, g_kv)?;
                 dn1c.add_assign(&self.q_proj.backward(&n1c, &dq, g_q)?)?;
                 dn1.push(r0, dn1c)

@@ -16,9 +16,6 @@ pub use elementwise::{
     add_bias, add_bias_bwd, add_bias_bwd_into, gelu, gelu_fwd_bwd, silu, silu_bwd,
 };
 pub use matmul::{gemm, gemm_nt, gemm_tn, matmul, matmul_bwd};
-pub use norm::{
-    layernorm, layernorm_bwd, layernorm_rebuild, rmsnorm, rmsnorm_bwd, rmsnorm_rebuild,
-    LayerNormCtx, RmsNormCtx,
-};
+pub use norm::{layernorm, layernorm_bwd, rmsnorm, rmsnorm_bwd, LayerNormCtx, RmsNormCtx};
 pub use rope::RopeTable;
 pub use softmax::{cross_entropy, softmax_rows, softmax_rows_bwd, CrossEntropyOutput};

@@ -6,7 +6,6 @@
 //! ascending order), so results are bitwise identical at any thread count.
 
 use crate::{par, Result, Tensor, TensorError};
-use std::ops::Range;
 
 /// Column-block size for the parameter-gradient reductions.
 const COL_BLOCK: usize = 64;
@@ -79,71 +78,14 @@ pub fn layernorm(
             let m = row.iter().sum::<f32>() / d as f32;
             let var = row.iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / d as f32;
             let r = 1.0 / (var + eps).sqrt();
-            layernorm_row(row, m, r, gs, bs);
+            for (v, (&g, &b)) in row.iter_mut().zip(gs.iter().zip(bs)) {
+                *v = (*v - m) * r * g + b;
+            }
             mean[0] = m;
             rstd[0] = r;
         },
     );
     Ok((out, LayerNormCtx { mean, rstd }))
-}
-
-/// `row = (row - m)·r·gamma + beta`: the normalizing step of
-/// [`layernorm`], shared with [`layernorm_rebuild`] so both give the same
-/// bits.
-#[inline]
-fn layernorm_row(row: &mut [f32], m: f32, r: f32, gs: &[f32], bs: &[f32]) {
-    for (v, (&g, &b)) in row.iter_mut().zip(gs.iter().zip(bs)) {
-        *v = (*v - m) * r * g + b;
-    }
-}
-
-/// Rows `rows` of what [`layernorm`] returned for `x`, rebuilt from the
-/// context it returned beside it: each row normalized with its saved
-/// `mean` and `rstd`, so the bits are the forward's without its two
-/// reductions per row. A backward that saved the statistics but not the
-/// output calls this on the rows it needs.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless `gamma` and `beta` have the
-/// extent of the last axis of `x`, [`TensorError::LengthMismatch`] unless
-/// `ctx` holds one statistic per row of `x`, and
-/// [`TensorError::InvalidSlice`] when `rows` runs past them.
-pub fn layernorm_rebuild(
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    ctx: &LayerNormCtx,
-    rows: Range<usize>,
-) -> Result<Tensor> {
-    let d = check_last_dim("layernorm_rebuild", x, gamma)?;
-    if beta.numel() != d {
-        return Err(TensorError::ShapeMismatch {
-            op: "layernorm_rebuild",
-            lhs: x.shape().to_vec(),
-            rhs: beta.shape().to_vec(),
-        });
-    }
-    check_stats(x.numel() / d, &[&ctx.mean, &ctx.rstd])?;
-    let mut out = x.narrow(0, rows.start, rows.len())?;
-    let (gs, bs) = (gamma.data(), beta.data());
-    let (mean, rstd) = (&ctx.mean[rows.clone()], &ctx.rstd[rows]);
-    let work = out.numel();
-    par::run_rows(out.data_mut(), d, work, |i, row| {
-        layernorm_row(row, mean[i], rstd[i], gs, bs)
-    });
-    Ok(out)
-}
-
-/// One saved statistic per row, for each statistic.
-fn check_stats(rows: usize, stats: &[&[f32]]) -> Result<()> {
-    match stats.iter().find(|s| s.len() != rows) {
-        Some(s) => Err(TensorError::LengthMismatch {
-            expected: rows,
-            actual: s.len(),
-        }),
-        None => Ok(()),
-    }
 }
 
 /// Backward pass of [`layernorm`]. Returns `(dx, dgamma, dbeta)`.
@@ -236,46 +178,12 @@ pub fn rmsnorm(x: &Tensor, gamma: &Tensor, eps: f32) -> Result<(Tensor, RmsNormC
     par::run_rows2(out.data_mut(), d, &mut rrms, 1, x.numel(), |_, row, rr| {
         let ms = row.iter().map(|&v| v * v).sum::<f32>() / d as f32;
         let r = 1.0 / (ms + eps).sqrt();
-        rmsnorm_row(row, r, gs);
+        for (v, &g) in row.iter_mut().zip(gs) {
+            *v = *v * r * g;
+        }
         rr[0] = r;
     });
     Ok((out, RmsNormCtx { rrms }))
-}
-
-/// `row = row·r·gamma`: the scaling step of [`rmsnorm`], shared with
-/// [`rmsnorm_rebuild`].
-#[inline]
-fn rmsnorm_row(row: &mut [f32], r: f32, gs: &[f32]) {
-    for (v, &g) in row.iter_mut().zip(gs) {
-        *v = *v * r * g;
-    }
-}
-
-/// Rows `rows` of what [`rmsnorm`] returned for `x`, rebuilt from the
-/// `rrms` in the context it returned, bit for bit (see
-/// [`layernorm_rebuild`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless `gamma` has the extent of
-/// the last axis of `x`, [`TensorError::LengthMismatch`] unless `ctx`
-/// holds one statistic per row of `x`, and [`TensorError::InvalidSlice`]
-/// when `rows` runs past them.
-pub fn rmsnorm_rebuild(
-    x: &Tensor,
-    gamma: &Tensor,
-    ctx: &RmsNormCtx,
-    rows: Range<usize>,
-) -> Result<Tensor> {
-    let d = check_last_dim("rmsnorm_rebuild", x, gamma)?;
-    check_stats(x.numel() / d, &[&ctx.rrms])?;
-    let mut out = x.narrow(0, rows.start, rows.len())?;
-    let (gs, rrms) = (gamma.data(), &ctx.rrms[rows]);
-    let work = out.numel();
-    par::run_rows(out.data_mut(), d, work, |i, row| {
-        rmsnorm_row(row, rrms[i], gs)
-    });
-    Ok(out)
 }
 
 /// Backward pass of [`rmsnorm`]. Returns `(dx, dgamma)`.
@@ -334,29 +242,6 @@ pub fn rmsnorm_bwd(
 mod tests {
     use super::*;
     use crate::init;
-
-    #[test]
-    fn rebuilds_from_saved_statistics_are_the_forwards_bits() {
-        let mut rng = init::seeded_rng(23);
-        let x = init::randn(&mut rng, &[9, 40], 3.0);
-        let g = init::randn(&mut rng, &[40], 1.0);
-        let b = init::randn(&mut rng, &[40], 1.0);
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let (ln, lc) = layernorm(&x, &g, &b, 1e-5).unwrap();
-        let (rms, rc) = rmsnorm(&x, &g, 1e-5).unwrap();
-        for rows in [0..9, 2..7, 8..9] {
-            let want = |t: &Tensor| bits(&t.narrow(0, rows.start, rows.len()).unwrap());
-            let got = layernorm_rebuild(&x, &g, &b, &lc, rows.clone()).unwrap();
-            assert_eq!(bits(&got), want(&ln), "layernorm rows {rows:?}");
-            let got = rmsnorm_rebuild(&x, &g, &rc, rows.clone()).unwrap();
-            assert_eq!(bits(&got), want(&rms), "rmsnorm rows {rows:?}");
-        }
-        assert!(layernorm_rebuild(&x, &g, &b, &lc, 5..10).is_err());
-        assert!(rmsnorm_rebuild(&x, &g, &rc, 5..10).is_err());
-        let (_, short) = layernorm(&x.narrow(0, 0, 8).unwrap(), &g, &b, 1e-5).unwrap();
-        assert!(layernorm_rebuild(&x, &g, &b, &short, 0..2).is_err());
-        assert!(layernorm_rebuild(&x, &g, &Tensor::zeros(&[3]), &lc, 0..2).is_err());
-    }
 
     #[test]
     fn layernorm_output_is_normalized() {
