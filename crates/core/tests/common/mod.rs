@@ -10,7 +10,7 @@ use fpdt_core::runtime::exec::DistAttention;
 use fpdt_core::runtime::gpt::GptModel;
 use fpdt_core::runtime::RuntimeOptions;
 use fpdt_model::config::ModelConfig;
-use fpdt_tensor::KernelCtx;
+use fpdt_tensor::{init, KernelCtx};
 use std::sync::Arc;
 
 /// The calling thread's kernel context at a budget of `threads` with the
@@ -39,11 +39,17 @@ pub fn fixture_llama() -> ModelConfig {
 /// sequence in `chunks` chunks, under the calling thread's kernel context
 /// split across the ranks (like a training run); returns every rank's
 /// (loss_sum, flat gradients, comm stats).
+///
+/// With `shifted`, every one-dimensional parameter (the norms' gains and
+/// shifts, and the biases) moves off its initial value by seeded noise
+/// before the pass, so a norm's affine step no longer multiplies by one
+/// and adds zero.
 pub fn grad_run(
     model_cfg: &ModelConfig,
     seed: u64,
     chunks: usize,
     offload: bool,
+    shifted: bool,
     opts: RuntimeOptions,
 ) -> Vec<(f32, Vec<f32>, CommStats)> {
     let seq = 64usize;
@@ -59,6 +65,15 @@ pub fn grad_run(
             plan.local_positions(rank),
         );
         let mut model = GptModel::new(model_cfg, seed);
+        if shifted {
+            let mut rng = init::seeded_rng(seed ^ 0x0dd5);
+            model.for_each_param(|p| {
+                if p.ndim() == 1 {
+                    let noise = init::randn(&mut rng, p.shape(), 0.25);
+                    p.add_assign(&noise).expect("same shape");
+                }
+            });
+        }
         let mut exec = DistAttention::with_opts(Arc::clone(&comm), chunks, offload, opts);
         model.zero_grad();
         let stats = model

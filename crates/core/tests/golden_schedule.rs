@@ -186,33 +186,46 @@ fn offloaded_gradients_match_golden_bits() {
     // lines come first, its bf16 ones (KV chunks rounded through bf16 in
     // the host pool) after them with a `bf16` prefix, then the Llama
     // fixture's (SwiGLU, RMSNorm, grouped-query attention) f32 lines with
-    // a `llama` prefix. The thread count cannot move a bit
+    // a `llama` prefix: at 2 and 4 chunks, then the same three at 8
+    // chunks, the one count whose forward folds KV tiles fetched from the
+    // host. Last come both fixtures with every norm gain, shift and bias
+    // moved off its initial value (`shifted` prefix): at initialization a
+    // norm multiplies by one and adds zero, which hides the order of its
+    // affine step. The thread count cannot move a bit
     // (`determinism_oracle`), so the ambient budget is fine.
     let mut body = String::new();
     let (gpt, llama) = (common::fixture_model(), common::fixture_llama());
-    for (cfg, bf16, prefix) in [
-        (&gpt, false, ""),
-        (&gpt, true, "bf16 "),
-        (&llama, false, "llama "),
-    ] {
-        for u in [2usize, 4] {
-            let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
-            for (rank, (loss, grads, _)) in
-                common::grad_run(cfg, 42, u, true, opts).iter().enumerate()
-            {
-                let bytes: Vec<u8> = grads
-                    .iter()
-                    .flat_map(|g| g.to_bits().to_le_bytes())
-                    .collect();
-                writeln!(
-                    body,
-                    "{prefix}u{u} rank{rank} loss {:08x} grads {} {:016x}",
-                    loss.to_bits(),
-                    grads.len(),
-                    fnv1a(&bytes)
-                )
-                .unwrap();
-            }
+    let mut runs = Vec::new();
+    for us in [&[2usize, 4][..], &[8]] {
+        for (cfg, bf16, prefix) in [
+            (&gpt, false, ""),
+            (&gpt, true, "bf16 "),
+            (&llama, false, "llama "),
+        ] {
+            runs.extend(us.iter().map(|&u| (cfg, bf16, false, prefix, u)));
+        }
+    }
+    for (cfg, prefix) in [(&gpt, "shifted "), (&llama, "shifted llama ")] {
+        runs.extend([2usize, 8].map(|u| (cfg, false, true, prefix, u)));
+    }
+    for (cfg, bf16, shifted, prefix, u) in runs {
+        let opts = RuntimeOptions::from_env().with_payload_bf16(bf16);
+        for (rank, (loss, grads, _)) in common::grad_run(cfg, 42, u, true, shifted, opts)
+            .iter()
+            .enumerate()
+        {
+            let bytes: Vec<u8> = grads
+                .iter()
+                .flat_map(|g| g.to_bits().to_le_bytes())
+                .collect();
+            writeln!(
+                body,
+                "{prefix}u{u} rank{rank} loss {:08x} grads {} {:016x}",
+                loss.to_bits(),
+                grads.len(),
+                fnv1a(&bytes)
+            )
+            .unwrap();
         }
     }
     check_golden("exec_grads.txt", &body);
