@@ -491,7 +491,7 @@ fn dense_benches(seed: u64) -> Vec<Bench> {
             name: "rope",
             flops: q.numel() as u64,
             kernel_only: true,
-            run: Box::new(move || outputs([table.apply(&q).expect("shapes fixed")])),
+            run: Box::new(move || outputs([table.apply_rows(0, &q).expect("shapes fixed")])),
         },
         Bench {
             name: "mlp_gemm",

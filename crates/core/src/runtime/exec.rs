@@ -1,10 +1,11 @@
 //! Pluggable attention executors.
 //!
-//! A GPT block hands its (RoPE'd) `q/k/v` — shaped `[s_local, heads, d]`
-//! with explicit global positions — to an [`AttentionExec`] and gets the
-//! attention output back in the same layout, chunk by chunk as each one
-//! lands (and the backward's gradients the same way). What happens in
-//! between is the difference between the training modes:
+//! A GPT block hands an [`AttentionExec`] its explicit global positions
+//! and a producer of its (RoPE'd) `q/k/v` rows, shaped `[rows, heads, d]`,
+//! which the executor asks for chunk by chunk. It gets the attention
+//! output back in the same layout, chunk by chunk as each one lands (and
+//! the backward's gradients the same way). What happens in between is the
+//! difference between the training modes:
 //!
 //! * [`DistAttention`] — the chunked path, the one description of the
 //!   paper's chunk schedule: per-chunk Ulysses all-to-all (heads scatter /
@@ -26,6 +27,7 @@ use fpdt_tensor::{Tensor, TensorError};
 use fpdt_trace::{Recorder, Span};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Executor result type (tensor and communication errors both occur).
@@ -36,6 +38,13 @@ pub type ExecResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;
 /// Parts arrive in ascending row order and cover every local row once; an
 /// error the sink returns ends the call with that error.
 pub type ChunkSink<'a, T> = dyn FnMut(usize, T) -> ExecResult<()> + 'a;
+
+/// The caller's QKV producer, asked by [`AttentionExec::forward_chunks`]
+/// for local rows `r`: it returns `[q_r, k_r, v_r]`, each `[r.len(), heads,
+/// d]` (RoPE'd, in the local layout). Ranges come in ascending order and
+/// cover every local row once; an error the producer returns ends the call
+/// with that error.
+pub type QkvProducer<'a> = dyn FnMut(Range<usize>) -> ExecResult<[Tensor; 3]> + 'a;
 
 /// The caller's dense backward, run by [`AttentionExec::backward_chunks`]
 /// once: it returns the attention output `o` the forward produced and its
@@ -48,26 +57,27 @@ pub type DenseBackward<'a> = dyn FnMut() -> ExecResult<(Cow<'a, Tensor>, Cow<'a,
 ///
 /// The streamed forms, [`AttentionExec::forward_chunks`] and
 /// [`AttentionExec::backward_chunks`], are the ones an executor writes:
-/// they hand each output chunk to the caller as soon as it is home, so the
-/// caller's row-local work on it runs while later chunks still travel.
-/// [`AttentionExec::forward`] and [`AttentionExec::backward`] collect the
-/// same chunks into whole tensors.
+/// they take the caller's inputs as callbacks and hand each output chunk to
+/// the caller as soon as it is home, so the caller's row-local work on it
+/// runs while other chunks still travel. [`AttentionExec::forward`] and
+/// [`AttentionExec::backward`] take whole tensors already at hand and
+/// collect the same chunks into whole tensors.
 pub trait AttentionExec {
-    /// Computes attention for `layer`, saving whatever the backward pass
-    /// needs, and hands the output to `sink` chunk by chunk. Inputs are
-    /// `[s_local, heads, d]`; `pos[t]` is the global position of local row
-    /// `t`; each output part is `[n, heads, d]`.
+    /// Computes attention for `layer` over the `pos.len()` local rows,
+    /// saving whatever the backward pass needs: asks `qkv` for the rows'
+    /// inputs, range by range, and hands the output to `sink` chunk by
+    /// chunk. `pos[t]` is the global position of local row `t`; each output
+    /// part is `[n, heads, d]`.
     ///
     /// # Errors
     ///
-    /// Shape or communication failures, or the sink's own error.
+    /// Shape or communication failures, or the producer's or the sink's
+    /// own error.
     fn forward_chunks(
         &mut self,
         layer: usize,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
         pos: &[usize],
+        qkv: &mut QkvProducer<'_>,
         sink: &mut ChunkSink<'_, Tensor>,
     ) -> ExecResult<()>;
 
@@ -88,8 +98,9 @@ pub trait AttentionExec {
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()>;
 
-    /// [`AttentionExec::forward_chunks`] with the output collected into
-    /// one `[s_local, heads, d]` tensor.
+    /// [`AttentionExec::forward_chunks`] for whole `[s_local, heads, d]`
+    /// inputs already at hand, with the output collected into one tensor
+    /// of the same layout.
     ///
     /// # Errors
     ///
@@ -102,8 +113,12 @@ pub trait AttentionExec {
         v: &Tensor,
         pos: &[usize],
     ) -> ExecResult<Tensor> {
-        let mut o = RowChunks::new(q.shape()[0]);
-        self.forward_chunks(layer, q, k, v, pos, &mut |r0, part| o.push(r0, part))?;
+        let mut o = RowChunks::new(pos.len());
+        let mut narrowed = |r: Range<usize>| -> ExecResult<[Tensor; 3]> {
+            let [q, k, v] = [q, k, v].map(|t| t.narrow(0, r.start, r.len()));
+            Ok([q?, k?, v?])
+        };
+        self.forward_chunks(layer, pos, &mut narrowed, &mut |r0, part| o.push(r0, part))?;
         o.finish()
     }
 
@@ -250,8 +265,9 @@ pub type LocalAttention = DistAttention;
 /// offload behind a double-buffered copy stream, tiled backward.
 ///
 /// The comm schedule runs ahead of compute like the offload schedule:
-/// every chunk's all-to-all is posted (one fused QKV op per chunk) before
-/// the first online-softmax update runs, and output/gradient chunks
+/// every chunk's all-to-all is posted (one fused QKV op per chunk, each
+/// posted before the next chunk's rows are asked for) before the first
+/// online-softmax update runs, and output/gradient chunks
 /// travel home as [`Pending`] handles resolved after the last slot, in
 /// ascending chunk order, each handed to the caller's sink as soon as it
 /// lands — the caller's row-local work on chunk `i` runs while the later
@@ -265,22 +281,24 @@ pub type LocalAttention = DistAttention;
 /// row-dot `D = rowsum(O ∘ dO)` once from the block's own `O` in the local
 /// layout and ships each chunk's slice with its `dO` gather.
 ///
-/// The forward folds chunk `i`'s KV tiles in ascending `j`: `j = 0` from
-/// chunk 0's pair, kept on the device for the whole forward, then
-/// `0 < j < i-1` double-buffered from the chunk store, then `j = i-1` from
-/// a one-chunk KV window, then the diagonal. Both device pairs are in the
-/// form [`OffloadEngine::put`] handed back, bit for bit what a fetch
-/// returns. A layer's forward keep-fetches are therefore `(u-2)(u-3)`.
-/// Each chunk's `[Q, Lse]` goes down behind the next chunk's K/V (the
-/// last chunk's at the end of the forward), so the only puts a forward
-/// fetch can queue behind on the D2H clock are K/V puts. The device
-/// price: one K/V pair more than the 4-pair peak at `u >= 5`, nothing
-/// more at `u <= 4`, and one chunk's `[Q, Lse]` held one chunk longer.
+/// The forward folds chunk `i`'s KV tiles in one ascending loop over
+/// `j < i`, then the diagonal. One residency rule decides where a tile's
+/// pair comes from: pairs 0 and 1 stay on the device for the whole layer
+/// forward, and pair `i-1` while chunk `i` runs; every other tile is
+/// fetched from the chunk store, double-buffered, its first fetch issued
+/// before the chunk's QKV lands. The device pairs are in the form
+/// [`OffloadEngine::put`] handed back, bit for bit what a fetch returns. A
+/// layer's forward keep-fetches are therefore `(u-3)(u-4)`: none at
+/// `u <= 4`. Each chunk's `[Q, Lse]` goes down behind the next chunk's K/V
+/// (the last chunk's at the end of the forward), so the only puts a
+/// forward fetch can queue behind on the D2H clock are K/V puts. The
+/// device price is at most two K/V pairs more than the 4-pair peak of
+/// a double-buffered fold (DESIGN.md "Tile schedule"), and one chunk's
+/// `[Q, Lse]` held one chunk longer.
 ///
 /// The causal tile triangle is cut so every pipeline slot carries
-/// near-equal work: the forward posts all fused QKV ops up-front and
-/// carries each chunk's first host KV fetch (KV 1) into the previous
-/// chunk's slot, and the backward walks [`tile_slots`] rather than the paper's
+/// near-equal work: the forward posts all fused QKV ops up-front, and the
+/// backward walks [`tile_slots`] rather than the paper's
 /// column-per-slot Figure-7 nest (same tiles, same per-index
 /// accumulation order, same pool/comm operation counts — see DESIGN.md
 /// "Tile schedule" for why only this cut is kept).
@@ -302,6 +320,11 @@ pub struct DistAttention {
     engine: CommEngine,
     recorder: Option<Recorder>,
 }
+
+/// The K/V pairs a layer's forward keeps on the device from their put to
+/// its end: pairs 0 and 1. With pair i-1, which chunk i reads from the
+/// device too, a forward of at most 4 chunks reads no tile from the host.
+const PINNED_PAIRS: usize = 2;
 
 /// A K/V chunk pair, or a query row's `[Q, Lse]`, on the copy stream.
 type PairFetch = FetchHandle<[Arc<Tensor>; 2]>;
@@ -472,24 +495,6 @@ impl DistAttention {
         }
         let _s = self.span(label, tensors.iter().map(|t| t.data().len()).sum());
         Ok(self.engine.post(&items, self.payload_bf16)?)
-    }
-
-    /// Posts one chunk's fused QKV forward all-to-all on the comm stream:
-    /// exactly one posted op per chunk, three tensors through one wire
-    /// slot, so the FIFO stays aligned with the chunk loop. Q and KV may
-    /// use different layouts (grouped-query attention narrows KV).
-    fn post_qkv(
-        &mut self,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        start: usize,
-        len: usize,
-    ) -> ExecResult<Pending> {
-        let qc = q.narrow(0, start, len)?;
-        let kc = k.narrow(0, start, len)?;
-        let vc = v.narrow(0, start, len)?;
-        self.post("a2a.scatter_heads", &[&qc, &kc, &vc], false)
     }
 
     /// The softmax row-dot `D = rowsum(O ∘ dO)` of the whole local
@@ -752,14 +757,12 @@ impl AttentionExec for DistAttention {
     fn forward_chunks(
         &mut self,
         layer: usize,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
         pos: &[usize],
+        qkv: &mut QkvProducer<'_>,
         sink: &mut ChunkSink<'_, Tensor>,
     ) -> ExecResult<()> {
-        let plan = self.plan(q.shape()[0])?;
-        let (u, c_loc, rank) = (plan.chunks, plan.chunk_local_len(), self.comm.rank());
+        let plan = self.plan(pos.len())?;
+        let (u, rank) = (plan.chunks, self.comm.rank());
         // The schedule attends by the plan's positions, so any others
         // would give silently wrong attention.
         if pos != plan.local_positions(rank) {
@@ -768,46 +771,45 @@ impl AttentionExec for DistAttention {
             }
             .into());
         }
-        // Every fused QKV all-to-all is posted up-front: the early slots
-        // are short (few KV tiles), so a one-chunk lookahead cannot hide
-        // the wire time there, but queue depth u can. The FIFO order of
-        // fused QKV ops is ascending in i. Output chunks travel home the
-        // same way: the inverse all-to-all is posted as soon as a chunk
-        // finalizes and resolved, chunk by chunk, when the slots are done.
+        // Every fused QKV all-to-all is posted before the first tile: the
+        // early slots are short (few KV tiles), so a one-chunk lookahead
+        // cannot hide the wire time there, but queue depth u can. Chunk i's
+        // rows are asked for only once chunk i-1's op is on the wire, so
+        // each post crosses the link while the producer builds the next
+        // chunk. The FIFO order of fused QKV ops is ascending in i. Output
+        // chunks travel home the same way: the inverse all-to-all is posted
+        // as soon as a chunk finalizes and resolved, chunk by chunk, when
+        // the slots are done.
         let mut qkv_posted: Vec<Pending> = Vec::with_capacity(u);
         for i in 0..u {
-            let range = plan.local_chunk_range(i);
-            qkv_posted.push(self.post_qkv(q, k, v, range.start, c_loc)?);
+            let [q, k, v] = qkv(plan.local_chunk_range(i))?;
+            qkv_posted.push(self.post("a2a.scatter_heads", &[&q, &k, &v], false)?);
         }
         let mut o_handles: Vec<Pending> = Vec::with_capacity(u);
-        // Chunk 0's K/V pair as the pool stores it (what `put` hands
-        // back), kept on the device for the whole forward: every later
-        // chunk's j = 0 tile reads it here instead of fetching it.
-        let mut first: Option<[Arc<Tensor>; 2]> = None;
-        // The KV window: chunk i-1's pair in the same form, read by chunk
-        // i's j = i-1 update (i >= 2; at i = 1 that tile is `first`). Its
-        // put has only just left, so a fetch would wait for the put to
-        // land and then for its own transfer.
-        let mut window: Option<[Arc<Tensor>; 2]> = None;
+        // The device-resident K/V pairs, in the form the pool stores them
+        // (what `put` hands back): pairs 0 and 1 for the whole forward,
+        // and pair i-1 while chunk i runs, whose put has only just left (a
+        // fetch would wait for the put to land and then for its own
+        // transfer). Every other tile is fetched from the chunk store.
+        let mut kept: Vec<Option<[Arc<Tensor>; 2]>> = (0..u).map(|_| None).collect();
         // Chunk i-1's `[Q, Lse]`, put behind chunk i's K/V: the forward's
         // fetches wait on K/V puts only, never on a put that only the
         // backward reads.
         let mut deferred: Option<(usize, Arc<Tensor>, Tensor)> = None;
-        // Cross-chunk KV carry: chunk i+1's first host fetch (KV 1) is
-        // issued while chunk i is still computing, so no slot opens on an
-        // exposed transfer.
-        let mut carry = None;
         for (i, cur) in qkv_posted.into_iter().enumerate() {
             let _slot = self.span("slot.fwd", 0);
-            // Tiles 0 < j < i-1 come from the host.
-            let host_tiles = 1..i.saturating_sub(1);
-            let mut next = carry.take();
-            // Chunk 2 has no host tile to hang the carry on, and chunk 1's
-            // K/V are already put, so the carry for chunk 3 goes on the
-            // copy stream here.
-            if i == 2 && u > 3 {
-                carry = Some(self.fetch_kv(layer, 1, false)?);
-            }
+            // Chunk i's tiles `j < i` that no device pair serves, in
+            // ascending order, double-buffered on the copy stream: the
+            // first goes out before the chunk's QKV lands, and each next
+            // one before the current one's update runs, so the copy stream
+            // hides it behind compute (paper Figure 13).
+            let host = |kept: &[Option<[Arc<Tensor>; 2]>], from: usize| {
+                (from..i).find(|&j| kept[j].is_none())
+            };
+            let mut next = match host(&kept, 0) {
+                Some(j) => Some(self.fetch_kv(layer, j, false)?),
+                None => None,
+            };
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
             let [qh, kh, vh] = landed(&mut self.engine, cur)?;
@@ -815,39 +817,26 @@ impl AttentionExec for DistAttention {
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
             let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
-            // Ascending j: chunk 0's pair from the device first (set once
-            // chunk 0 is put, so chunk 0 itself skips this).
-            if let Some([k0, v0]) = &first {
-                let _u = self.span("kernel.attn.update", k0.data().len());
-                st.update(k0, v0, &plan.gathered_positions(0))?;
-            }
-            // Stream the cached KV chunks between from host memory,
-            // double-buffered: chunk j+1's transfer is issued before chunk
-            // j's update runs, so the copy stream hides it behind compute
-            // (paper Figure 13).
-            for j in host_tiles.clone() {
-                let cur = next.take().ok_or("KV chunk j was not prefetched")?;
-                next = if j + 1 < host_tiles.end {
-                    Some(self.fetch_kv(layer, j + 1, false)?)
-                } else {
-                    None
+            for j in 0..i {
+                let fetched;
+                let [kj, vj] = match &kept[j] {
+                    Some(pair) => pair,
+                    None => {
+                        let cur = next.take().ok_or("KV chunk j was not prefetched")?;
+                        next = match host(&kept, j + 1) {
+                            Some(t) => Some(self.fetch_kv(layer, t, false)?),
+                            None => None,
+                        };
+                        fetched = cur.wait();
+                        &fetched
+                    }
                 };
-                let [kj, vj] = cur.wait();
-                // The carry for chunk i+1, issued on the last host tile
-                // only after `cur` resolved: when i == 3 this tile's
-                // handles ARE chunk 1's K/V keys, and the pool treats a
-                // second in-flight fetch of a key as a schedule bug.
-                if j + 1 == host_tiles.end && i + 1 < u {
-                    carry = Some(self.fetch_kv(layer, 1, false)?);
-                }
                 let _u = self.span("kernel.attn.update", kj.data().len());
-                st.update(&kj, &vj, &plan.gathered_positions(j))?;
+                st.update(kj, vj, &plan.gathered_positions(j))?;
             }
-            // Then the window's chunk i-1 and the diagonal. The window
-            // pair is dropped after its update.
-            if let Some([kw, vw]) = window.take() {
-                let _u = self.span("kernel.attn.update", kw.data().len());
-                st.update(&kw, &vw, &plan.gathered_positions(i - 1))?;
+            // Pair i-1 has served its last tile unless it is pinned.
+            if i > PINNED_PAIRS {
+                kept[i - 1] = None;
             }
             {
                 let _u = self.span("kernel.attn.update", kh.data().len());
@@ -860,19 +849,17 @@ impl AttentionExec for DistAttention {
             drop(attn_span);
             // Cache what the backward needs except O, which the block keeps
             // for its own projection and hands back to the backward. K and
-            // V go down first — their stored form is `first` or the next
-            // chunk's window (bf16-rounded when the pool rounds them) —
-            // then the previous chunk's `[Q, Lse]`.
+            // V go down first — their stored form is what later chunks'
+            // tiles read from the device (bf16-rounded when the pool rounds
+            // them) — then the previous chunk's `[Q, Lse]`.
             let kw = self
                 .store
                 .put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
             let vw = self
                 .store
                 .put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
-            if i == 0 {
-                first = Some([kw, vw]);
-            } else if i + 1 < u {
-                window = Some([kw, vw]);
+            if i + 1 < u {
+                kept[i] = Some([kw, vw]);
             }
             if let Some((prev, qp, lp)) = deferred.take() {
                 self.put_row(layer, prev, qp, lp);
@@ -882,7 +869,7 @@ impl AttentionExec for DistAttention {
             // Gather heads back: the output chunk returns to local layout.
             o_handles.push(self.post("a2a.gather_heads", &[&oi], true)?);
         }
-        drop(first);
+        drop(kept);
         if let Some((last, qp, lp)) = deferred.take() {
             self.put_row(layer, last, qp, lp);
         }
@@ -955,18 +942,17 @@ impl<'c> RingAttentionExec<'c> {
     }
 
     /// Sends a `(k, v)` or `(k, v, dk, dv)` bundle one hop around the ring.
-    fn rotate(&self, tensors: Vec<Tensor>) -> ExecResult<Vec<Tensor>> {
-        let shapes: Vec<Vec<usize>> = tensors.iter().map(|t| t.shape().to_vec()).collect();
+    fn rotate(&self, tensors: &[&Tensor]) -> ExecResult<Vec<Tensor>> {
         let mut flat = Vec::new();
         for t in tensors {
             flat.extend_from_slice(t.data());
         }
         let recv = self.comm.ring_exchange(flat)?;
-        let mut out = Vec::with_capacity(shapes.len());
+        let mut out = Vec::with_capacity(tensors.len());
         let mut off = 0;
-        for sh in shapes {
-            let n: usize = sh.iter().product();
-            out.push(Tensor::from_vec(recv[off..off + n].to_vec(), &sh)?);
+        for t in tensors {
+            let n = t.numel();
+            out.push(Tensor::from_vec(recv[off..off + n].to_vec(), t.shape())?);
             off += n;
         }
         Ok(out)
@@ -974,14 +960,12 @@ impl<'c> RingAttentionExec<'c> {
 }
 
 impl AttentionExec for RingAttentionExec<'_> {
-    /// Hands back one chunk: the whole shard.
+    /// Asks for and hands back one chunk: the whole shard.
     fn forward_chunks(
         &mut self,
         layer: usize,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
         pos: &[usize],
+        qkv: &mut QkvProducer<'_>,
         sink: &mut ChunkSink<'_, Tensor>,
     ) -> ExecResult<()> {
         let p = self.comm.world();
@@ -997,28 +981,24 @@ impl AttentionExec for RingAttentionExec<'_> {
             }
             .into());
         }
-        let mut st = OnlineAttention::new(q, pos, None)?;
-        let mut cur_k = k.clone();
-        let mut cur_v = v.clone();
+        let [q, k, v] = qkv(0..pos.len())?;
+        let mut st = OnlineAttention::new(&q, pos, None)?;
+        // The pair visiting from another rank; the rank's own at step 0.
+        let mut visiting: Option<Vec<Tensor>> = None;
         for step in 0..p {
+            let (ck, cv) = match visiting.as_deref() {
+                Some([ck, cv]) => (ck, cv),
+                Some(_) => return Err("ring rotate dropped k or v".into()),
+                None => (&k, &v),
+            };
             let owner = (rank + p - step) % p;
-            st.update(&cur_k, &cur_v, &self.owner_positions(owner))?;
+            st.update(ck, cv, &self.owner_positions(owner))?;
             if step + 1 < p {
-                let mut rot = self.rotate(vec![cur_k, cur_v])?;
-                cur_v = rot.pop().ok_or("ring rotate dropped v")?;
-                cur_k = rot.pop().ok_or("ring rotate dropped k")?;
+                visiting = Some(self.rotate(&[ck, cv])?);
             }
         }
         let (o, lse) = st.finalize();
-        self.saved.insert(
-            layer,
-            RingSaved {
-                q: q.clone(),
-                k: k.clone(),
-                v: v.clone(),
-                lse,
-            },
-        );
+        self.saved.insert(layer, RingSaved { q, k, v, lse });
         sink(0, o)
     }
 
@@ -1041,10 +1021,9 @@ impl AttentionExec for RingAttentionExec<'_> {
         let my_pos = self.owner_positions(rank);
 
         let mut dq = Tensor::zeros(s.q.shape());
-        let mut cur_k = s.k.clone();
-        let mut cur_v = s.v.clone();
         let mut cur_dk = Tensor::zeros(s.k.shape());
         let mut cur_dv = Tensor::zeros(s.v.shape());
+        let (mut cur_k, mut cur_v) = (s.k, s.v);
         for step in 0..p {
             let owner = (rank + p - step) % p;
             attention_block_bwd(
@@ -1063,7 +1042,7 @@ impl AttentionExec for RingAttentionExec<'_> {
             )?;
             // Rotate the block AND its accumulating gradients; after p hops
             // every (dk, dv) is home with contributions from all ranks.
-            let mut rot = self.rotate(vec![cur_k, cur_v, cur_dk, cur_dv])?;
+            let mut rot = self.rotate(&[&cur_k, &cur_v, &cur_dk, &cur_dv])?;
             cur_dv = rot.pop().ok_or("ring rotate dropped dv")?;
             cur_dk = rot.pop().ok_or("ring rotate dropped dk")?;
             cur_v = rot.pop().ok_or("ring rotate dropped v")?;
@@ -1255,6 +1234,53 @@ mod tests {
             .unwrap()
     }
 
+    /// A producer that narrows whole inputs already at hand.
+    fn narrowed<'a>(
+        q: &'a Tensor,
+        k: &'a Tensor,
+        v: &'a Tensor,
+    ) -> impl FnMut(Range<usize>) -> ExecResult<[Tensor; 3]> + 'a {
+        move |r| {
+            let [q, k, v] = [q, k, v].map(|t| t.narrow(0, r.start, r.len()));
+            Ok([q?, k?, v?])
+        }
+    }
+
+    #[test]
+    fn each_chunk_is_asked_for_once_after_the_previous_chunks_post() {
+        // The executor asks for chunk i's rows once, in ascending order,
+        // and only after chunks 0..i went out on the comm stream: when
+        // chunk i+1 is asked for, the posts have grown by i+1. The outputs
+        // are the whole-tensor form's, and a producer's error is the
+        // call's.
+        for u in [1usize, 2, 4, 6] {
+            let rec = Recorder::new();
+            let mut ex = one_rank(u).with_recorder(rec.clone());
+            let s = 4 * u;
+            let (q, k, v) = rand_qkv(60, s, 2, 4);
+            let pos: Vec<usize> = (0..s).collect();
+            let posted0 = ex.comm_posted() as usize;
+            let mut asked = Vec::new();
+            let mut inner = narrowed(&q, &k, &v);
+            let mut producer = |r: Range<usize>| {
+                asked.push((r.clone(), rec.count("comm.post") - posted0));
+                inner(r)
+            };
+            let mut o = RowChunks::new(s);
+            ex.forward_chunks(0, &pos, &mut producer, &mut |r0, part| o.push(r0, part))
+                .unwrap();
+            let want: Vec<_> = (0..u).map(|i| (4 * i..4 * i + 4, i)).collect();
+            assert_eq!(asked, want, "u = {u}");
+            assert_eq!(rec.count("comm.post") as u64, ex.comm_posted(), "u = {u}");
+            let whole = one_rank(u).forward(0, &q, &k, &v, &pos).unwrap();
+            assert_eq!(bits(&o.finish().unwrap()), bits(&whole), "u = {u}");
+
+            let err =
+                ex.forward_chunks(1, &pos, &mut |_| Err("no rows".into()), &mut |_, _| Ok(()));
+            assert_eq!(err.unwrap_err().to_string(), "no rows", "u = {u}");
+        }
+    }
+
     #[test]
     fn the_opening_goes_out_before_the_dense_backward_runs() {
         // Inside the dense callback the pool has issued the forward's
@@ -1392,14 +1418,14 @@ mod tests {
     #[test]
     fn schedule_audit_transfer_and_post_counts() {
         // Transfer- and post-count audit of the schedule for u chunks:
-        //   forward : chunk i keep-fetches K and V for 0 < j < i-1 only —
-        //             its j = 0 tile reads chunk 0's pair, kept on the
-        //             device, and its j = i-1 tile the KV window, the pair
-        //             chunk i-1 put — so 2 * (u-2)(u-3)/2 = (u-2)(u-3)
-        //             fetches (none at u = 3; u = 4: just the carry of KV 1
-        //             that chunk 2 issues for chunk 3); puts K, V, Q, Lse
-        //             (O stays with the block) -> 4u puts; one fused QKV +
-        //             one O post per chunk -> 2u posts
+        //   forward : chunk i keep-fetches K and V for 2 <= j < i-1 only —
+        //             pairs 0 and 1 stay on the device for the whole
+        //             forward, and pair i-1 while chunk i runs — so
+        //             2 * (u-3)(u-4)/2 = (u-3)(u-4) fetches (none at
+        //             u <= 4; from u = 6 a chunk reads two host tiles, so
+        //             the double buffer's second fetch runs); puts K, V,
+        //             Q, Lse (O stays with the block) -> 4u puts; one
+        //             fused QKV + one O post per chunk -> 2u posts
         //   backward: 2u KV takes (each KV chunk exactly ONCE per column)
         //             + 2u row takes ([Q, Lse] once per query row) and
         //             no puts — an open row stays on the rank thread;
@@ -1407,13 +1433,13 @@ mod tests {
         //             cumulative.
         // Bytes per layer, with C one gathered query chunk, C_kv one
         // gathered K or V chunk on the pool and L the chunk's lse:
-        //   forward H2D = (u-2)(u-3)·C_kv,  D2H = u(2C_kv + C + L),
-        //   H2D = (u-2)(u-3)·C_kv + u(2C_kv + C + L),
+        //   forward H2D = (u-3)(u-4)·C_kv,  D2H = u(2C_kv + C + L),
+        //   H2D = (u-3)(u-4)·C_kv + u(2C_kv + C + L),
         // where C_kv = C here, or C / 2 under bf16 payloads. Any drift in
         // the posts means the double buffering degenerated (0 extra posts)
         // or an op stopped being fused (3u instead of u).
         for bf16 in [false, true] {
-            for u in [1usize, 2, 3, 4, 5] {
+            for u in 1usize..=7 {
                 let (s, h, d) = (4 * u, 2, 4);
                 let (q, k, v) = rand_qkv(11, s, h, d);
                 let dout = Tensor::ones(&[s / 2, h, d]);
@@ -1433,16 +1459,16 @@ mod tests {
                 // One gathered chunk: s/u rows of h/2 local heads.
                 let (c, l) = ((s / u) * (h / 2) * d * 4, (s / u) * (h / 2) * 4);
                 let kv = if bf16 { c / 2 } else { c };
-                let keeps = u.saturating_sub(2) * u.saturating_sub(3);
+                let keeps = u.saturating_sub(3) * u.saturating_sub(4);
                 let h2d_fwd = keeps * kv;
                 let h2d = h2d_fwd + u * (2 * kv + c + l);
                 let d2h = u * (2 * kv + c + l);
                 for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
                     let at = format!("u={u}, bf16={bf16}");
-                    if u == 3 {
+                    if u <= 4 {
                         assert_eq!(
                             after_fwd.fetches, 0,
-                            "chunk 0 and the window serve u = 3, {at}"
+                            "the pinned pairs and pair i-1 serve u <= 4, {at}"
                         );
                     }
                     assert_eq!(after_fwd.fetches, keeps as u64, "forward fetches, {at}");
@@ -1548,7 +1574,7 @@ mod tests {
         let pos: Vec<usize> = (0..16).collect();
         let mut starts = Vec::new();
         let mut parts = Vec::new();
-        ex.forward_chunks(0, &q, &k, &v, &pos, &mut |r0, part| {
+        ex.forward_chunks(0, &pos, &mut narrowed(&q, &k, &v), &mut |r0, part| {
             starts.push(r0);
             parts.push(part);
             Ok(())
@@ -1571,7 +1597,9 @@ mod tests {
         let dq = Tensor::concat(&dq.iter().collect::<Vec<_>>(), 0).unwrap();
         assert_eq!(bits(&dq), bits(&plain.backward(0, &o, &dout).unwrap().0));
         // A sink's error ends the call with that error.
-        let err = ex.forward_chunks(1, &q, &k, &v, &pos, &mut |_, _| Err("full".into()));
+        let err = ex.forward_chunks(1, &pos, &mut narrowed(&q, &k, &v), &mut |_, _| {
+            Err("full".into())
+        });
         assert_eq!(err.unwrap_err().to_string(), "full");
     }
 

@@ -89,6 +89,15 @@ impl Norm {
         }
     }
 
+    /// The statistics of no rows, which [`NormCtx::append`] extends chunk
+    /// by chunk.
+    fn no_rows(&self) -> NormCtx {
+        match self {
+            Norm::Layer(_) => NormCtx::Layer(LayerNormCtx::default()),
+            Norm::Rms(_) => NormCtx::Rms(RmsNormCtx::default()),
+        }
+    }
+
     fn forward(&self, x: &Tensor) -> ExecResult<(Tensor, NormCtx)> {
         Ok(match self {
             Norm::Layer(n) => {
@@ -317,12 +326,13 @@ impl Block {
     /// Forward for `x: [s, hidden]` at the global positions the pass's
     /// RoPE table was built for; `x` moves into the returned context.
     ///
-    /// The dense half after the attention streams: `out_proj`, the
-    /// residual, `norm2` and the MLP run on each attention output chunk
-    /// as the executor hands it over, while later chunks' gathers still
-    /// travel. Every one of them is row-local, and the MLP pieces are the
-    /// pass's MLP chunks cut at the attention chunks' bounds, so the bits
-    /// are those of one whole-sequence pass.
+    /// The block streams over the attention's chunks: `norm1`, the QKV
+    /// projections and RoPE run on each chunk's rows when the executor
+    /// asks for them, and `out_proj`, the residual, `norm2` and the MLP on
+    /// each output chunk as the executor hands it over. Every one of them
+    /// is row-local, and the MLP pieces are the pass's MLP chunks cut at
+    /// the attention chunks' bounds, so the bits are those of one
+    /// whole-sequence pass.
     fn forward(
         &self,
         layer: usize,
@@ -338,22 +348,28 @@ impl Block {
         let s = x.shape()[0];
         let h = x.shape()[1];
         let dh = h / self.heads;
-        let (n1, n1_ctx) = spanned(rec, "dense.norm", || self.norm1.forward(&x))?;
-        // `n1` is dropped once q/k/v are formed; the backward rebuilds it.
-        let (q, k, v) = spanned(rec, "dense.qkv", || -> ExecResult<_> {
-            let q = rope.apply(&self.q_proj.forward(&n1)?.reshape(&[s, self.heads, dh])?)?;
-            let kv = self.kv_proj.forward(&n1)?;
-            let kvd = self.kv_heads * dh;
-            let k = rope.apply(&kv.narrow(1, 0, kvd)?.reshape(&[s, self.kv_heads, dh])?)?;
-            let v = kv.narrow(1, kvd, kvd)?.reshape(&[s, self.kv_heads, dh])?;
-            Ok((q, k, v))
-        })?;
-        drop(n1);
+        let kvd = self.kv_heads * dh;
+        let mut n1_ctx = self.norm1.no_rows();
+        // Each chunk's `n1` is dropped once its q/k/v are formed; the
+        // backward rebuilds it.
+        let mut qkv = |r: Range<usize>| -> ExecResult<[Tensor; 3]> {
+            let (r0, c) = (r.start, r.len());
+            let xc = rows(&x, r0, c)?;
+            let (n1, ctx) = spanned(rec, "dense.norm", || self.norm1.forward(&xc))?;
+            n1_ctx.append(ctx)?;
+            spanned(rec, "dense.qkv", || {
+                let q = self.q_proj.forward(&n1)?.reshape(&[c, self.heads, dh])?;
+                let kv = self.kv_proj.forward(&n1)?;
+                let k = kv.narrow(1, 0, kvd)?.reshape(&[c, self.kv_heads, dh])?;
+                let v = kv.narrow(1, kvd, kvd)?.reshape(&[c, self.kv_heads, dh])?;
+                Ok([rope.apply_rows(r0, &q)?, rope.apply_rows(r0, &k)?, v])
+            })
+        };
         let mlp_ranges = chunk_ranges(s, mlp_chunks);
         let [mut o_merged, mut x1, mut x2] = [(); 3].map(|()| RowChunks::new(s));
-        let mut n2_ctx: Option<NormCtx> = None;
+        let mut n2_ctx = self.norm2.no_rows();
         let mut mlp = Vec::new();
-        exec.forward_chunks(layer, &q, &k, &v, rope.positions(), &mut |r0, o| {
+        exec.forward_chunks(layer, rope.positions(), &mut qkv, &mut |r0, o| {
             let c = o.shape()[0];
             let (o_c, x1_c) = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
                 let mut o_c = o;
@@ -374,10 +390,7 @@ impl Block {
                 }
                 Ok(())
             })?;
-            match &mut n2_ctx {
-                Some(all) => all.append(ctx_c)?,
-                None => n2_ctx = Some(ctx_c),
-            }
+            n2_ctx.append(ctx_c)?;
             o_merged.push(r0, o_c)?;
             x1.push(r0, x1_c)
         })?;
@@ -388,7 +401,7 @@ impl Block {
                 n1_ctx,
                 o_merged: o_merged.finish()?,
                 x1: x1.finish()?,
-                n2_ctx: n2_ctx.ok_or("the attention returned no rows")?,
+                n2_ctx,
                 mlp,
             },
         ))
@@ -1256,12 +1269,12 @@ mod tests {
             let x = init::randn(&mut rng, &[pos.len(), heads, 8], 1.0);
             let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                bits(table.apply(&x).unwrap()),
+                bits(table.apply_rows(0, &x).unwrap()),
                 bits(rope_per_call(&x, &pos, 1.0)),
                 "forward, {heads} heads"
             );
             assert_eq!(
-                bits(table.apply_bwd(&x).unwrap()),
+                bits(table.apply_bwd_rows(0, &x).unwrap()),
                 bits(rope_per_call(&x, &pos, -1.0)),
                 "backward, {heads} heads"
             );

@@ -10,7 +10,7 @@
 
 use crate::{par, Result, Tensor, TensorError};
 
-/// Tokens per pool item of [`RopeTable::apply`]; the rotation is purely
+/// Tokens per pool item of [`RopeTable::apply_rows`]; the rotation is purely
 /// per-element, so any partition gives identical bits.
 const TOKEN_BLOCK: usize = 64;
 
@@ -65,46 +65,35 @@ impl RopeTable {
         &self.positions
     }
 
-    /// Rotates a `[seq, heads, head_dim]` tensor: each consecutive pair of
-    /// features of row `t` turns by `positions[t] * base^(-2i/d)`.
+    /// Rotates a `[n, heads, head_dim]` tensor whose rows are table rows
+    /// `r0..r0 + n`: each consecutive pair of features of row `t` turns by
+    /// `positions[r0 + t] * base^(-2i/d)`. Any row range gives those rows'
+    /// bits of a whole-table rotation.
     ///
     /// # Errors
     ///
     /// Returns a rank/shape error unless `x` is rank 3 with the table's
-    /// row count and head dim.
-    pub fn apply(&self, x: &Tensor) -> Result<Tensor> {
-        self.rotate(x, 1.0, 0, self.positions.len())
-    }
-
-    /// Backward pass of [`RopeTable::apply`]: rotates the upstream
-    /// gradient by the negative angles (the Jacobian of a rotation is its
-    /// transpose).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RopeTable::apply`].
-    pub fn apply_bwd(&self, dy: &Tensor) -> Result<Tensor> {
-        self.rotate(dy, -1.0, 0, self.positions.len())
-    }
-
-    /// [`RopeTable::apply_bwd`] over table rows `r0..r0 + n`, `n` the row
-    /// count of `dy`: the gradient of those rows alone, bit for bit the
-    /// same rows of a whole-table backward.
-    ///
-    /// # Errors
-    ///
-    /// Returns a rank/shape error unless `dy` is rank 3 with the table's
     /// head dim and its rows lie inside the table.
-    pub fn apply_bwd_rows(&self, r0: usize, dy: &Tensor) -> Result<Tensor> {
-        let n = dy.shape().first().copied().unwrap_or(0);
-        self.rotate(dy, -1.0, r0, n)
+    pub fn apply_rows(&self, r0: usize, x: &Tensor) -> Result<Tensor> {
+        self.rotate(x, 1.0, r0)
     }
 
-    /// Rotates `x`, whose rows are table rows `r0..r0 + rows`.
-    fn rotate(&self, x: &Tensor, sign: f32, r0: usize, rows: usize) -> Result<Tensor> {
+    /// Backward pass of [`RopeTable::apply_rows`]: rotates the upstream
+    /// gradient of the same rows by the negative angles (the Jacobian of a
+    /// rotation is its transpose).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RopeTable::apply_rows`].
+    pub fn apply_bwd_rows(&self, r0: usize, dy: &Tensor) -> Result<Tensor> {
+        self.rotate(dy, -1.0, r0)
+    }
+
+    /// Rotates `x`, whose rows are table rows `r0..`.
+    fn rotate(&self, x: &Tensor, sign: f32, r0: usize) -> Result<Tensor> {
         check_rank(x)?;
         let (s, h, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-        if s != rows || r0.saturating_add(rows) > self.positions.len() || d != 2 * self.half {
+        if r0.saturating_add(s) > self.positions.len() || d != 2 * self.half {
             return Err(TensorError::ShapeMismatch {
                 op: "rope",
                 lhs: x.shape().to_vec(),
@@ -159,7 +148,7 @@ mod tests {
     }
 
     fn rope(x: &Tensor, positions: &[usize]) -> Tensor {
-        table(positions, x.shape()[2]).apply(x).unwrap()
+        table(positions, x.shape()[2]).apply_rows(0, x).unwrap()
     }
 
     #[test]
@@ -184,7 +173,7 @@ mod tests {
         let x = init::randn(&mut rng, &[3, 2, 8], 1.0);
         let pos = [7, 20, 33];
         let y = rope(&x, &pos);
-        let back = table(&pos, 8).apply_bwd(&y).unwrap();
+        let back = table(&pos, 8).apply_bwd_rows(0, &y).unwrap();
         assert!(back.allclose(&x, 1e-4, 1e-5));
     }
 
@@ -228,33 +217,42 @@ mod tests {
     }
 
     #[test]
-    fn a_row_range_backward_is_those_rows_of_the_whole_one() {
-        // 70 rows straddle a token block; ranges start inside one.
+    fn a_row_range_rotation_is_those_rows_of_the_whole_one() {
+        // 70 rows straddle a token block; ranges start inside one. Both
+        // directions: the forward's per-chunk rotation and the backward's.
         let pos: Vec<usize> = (0..70).map(|p| 3 * p + 1).collect();
         let t = table(&pos, 8);
-        let dy = init::randn(&mut init::seeded_rng(9), &[70, 3, 8], 1.0);
-        let whole = t.apply_bwd(&dy).unwrap();
+        let x = init::randn(&mut init::seeded_rng(9), &[70, 3, 8], 1.0);
         let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (r0, n) in [(0, 70), (0, 5), (5, 64), (66, 4)] {
-            let rows = t.apply_bwd_rows(r0, &dy.narrow(0, r0, n).unwrap()).unwrap();
-            assert_eq!(
-                bits(&rows),
-                bits(&whole.narrow(0, r0, n).unwrap()),
-                "rows {r0}..{}",
-                r0 + n
+        type Rows = fn(&RopeTable, usize, &Tensor) -> Result<Tensor>;
+        let ways: [(Tensor, Rows); 2] = [
+            (t.apply_rows(0, &x).unwrap(), RopeTable::apply_rows),
+            (t.apply_bwd_rows(0, &x).unwrap(), RopeTable::apply_bwd_rows),
+        ];
+        for (whole, rows_of) in ways {
+            for (r0, n) in [(0, 70), (0, 5), (5, 64), (66, 4)] {
+                let rows = rows_of(&t, r0, &x.narrow(0, r0, n).unwrap()).unwrap();
+                assert_eq!(
+                    bits(&rows),
+                    bits(&whole.narrow(0, r0, n).unwrap()),
+                    "rows {r0}..{}",
+                    r0 + n
+                );
+            }
+            assert!(
+                rows_of(&t, 67, &x.narrow(0, 0, 4).unwrap()).is_err(),
+                "past the table"
             );
         }
-        assert!(
-            t.apply_bwd_rows(67, &dy.narrow(0, 0, 4).unwrap()).is_err(),
-            "past the table"
-        );
     }
 
     #[test]
     fn rope_errors() {
         assert!(RopeTable::new(&[0, 1], 7, BASE).is_err()); // odd head dim
         let x = Tensor::zeros(&[2, 2, 8]);
-        assert!(table(&[0], 8).apply(&x).is_err()); // wrong positions len
-        assert!(table(&[0], 4).apply(&Tensor::zeros(&[4, 4])).is_err()); // rank
+        assert!(table(&[0], 8).apply_rows(0, &x).is_err()); // wrong positions len
+        assert!(table(&[0], 4)
+            .apply_rows(0, &Tensor::zeros(&[4, 4]))
+            .is_err()); // rank
     }
 }
