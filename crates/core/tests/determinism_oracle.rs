@@ -636,6 +636,18 @@ fn fixed_corners_hold_every_relation() {
             world: 1,
             ..everything
         },
+        // Eight chunks of 2 rows: the one case whose forward folds KV
+        // tiles fetched from the host (chunks 4 to 7), double-buffered
+        // from chunk 5 on, with bf16 payloads over the priced link.
+        Knobs {
+            mode: Mode::Fpdt {
+                chunks: 8,
+                offload: true,
+            },
+            payload_bf16: true,
+            sim_gbps: PRICED_GBPS,
+            ..fpdt4()
+        },
     ];
     // The chain 2 -> 4 -> 2 -> 4, resumed at each of its resizes.
     corners.extend((1..STEPS).map(|at| Knobs {
