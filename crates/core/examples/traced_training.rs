@@ -1,7 +1,9 @@
 //! Traced training: run the real multi-thread trainer with a
 //! `fpdt_trace::Recorder` attached, then print the collective traffic
 //! counters and write the wall-clock span timeline as a Chrome trace
-//! (open `target/experiments/traced_training.trace.json` in Perfetto).
+//! (open `target/experiments/traced_training.trace.json` in Perfetto, or
+//! feed it to `fpdt-bench`'s `waits` bin). Eight offloaded chunks of 4
+//! rows: the forward's later chunks fold KV tiles fetched from the host.
 
 use fpdt_core::runtime::{train_traced, Mode, TrainConfig};
 use fpdt_trace::Recorder;
@@ -10,7 +12,7 @@ fn main() {
     let cfg = TrainConfig {
         steps: 4,
         mode: Mode::Fpdt {
-            chunks: 2,
+            chunks: 8,
             offload: true,
         },
         ..TrainConfig::default()

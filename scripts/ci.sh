@@ -68,6 +68,24 @@ for example in chunked_attention long_range_copy text_generation; do
     cargo run -q --release --example "$example"
 done
 
+stage "traced_training example, then waits on its trace"
+# The example trains FPDT at 8 offloaded chunks on 2 ranks with a recorder
+# attached, so its forward folds KV tiles fetched from the host, and writes
+# the Chrome trace. `waits` attributes each stream wait to its block and
+# slot from the block, slot and dense spans; a forward without a row means
+# those spans no longer nest the way the tool reads them.
+cargo run -q --release -p fpdt-core --example traced_training
+if ! out=$(cargo run -q --release -p fpdt-bench --bin waits -- \
+    target/experiments/traced_training.trace.json); then
+    echo "FAIL: waits could not read the traced example's trace" >&2
+    exit 1
+fi
+echo "$out"
+if ! grep -q ' block\.fwd ' <<<"$out"; then
+    echo "FAIL: waits printed no block.fwd row for the traced example" >&2
+    exit 1
+fi
+
 stage "figure11 --json smoke (BENCH_ artifacts must parse)"
 out=$(cargo run -q --release -p fpdt-bench --bin figure11 -- --json)
 echo "$out"
