@@ -806,10 +806,9 @@ impl AttentionExec for DistAttention {
             let host = |kept: &[Option<[Arc<Tensor>; 2]>], from: usize| {
                 (from..i).find(|&j| kept[j].is_none())
             };
-            let mut next = match host(&kept, 0) {
-                Some(j) => Some(self.fetch_kv(layer, j, false)?),
-                None => None,
-            };
+            let mut next = host(&kept, 0)
+                .map(|j| self.fetch_kv(layer, j, false))
+                .transpose()?;
             // Project chunk through the all-to-all: full heads/local seq ->
             // local heads/gathered seq.
             let [qh, kh, vh] = landed(&mut self.engine, cur)?;
@@ -823,10 +822,9 @@ impl AttentionExec for DistAttention {
                     Some(pair) => pair,
                     None => {
                         let cur = next.take().ok_or("KV chunk j was not prefetched")?;
-                        next = match host(&kept, j + 1) {
-                            Some(t) => Some(self.fetch_kv(layer, t, false)?),
-                            None => None,
-                        };
+                        next = host(&kept, j + 1)
+                            .map(|t| self.fetch_kv(layer, t, false))
+                            .transpose()?;
                         fetched = cur.wait();
                         &fetched
                     }
