@@ -1,4 +1,3 @@
-use super::accumulate;
 use crate::{init, Result, Tensor, TensorError};
 use rand::rngs::SmallRng;
 
@@ -88,7 +87,9 @@ impl Embedding {
         }
         for (row, &id) in ids.iter().enumerate() {
             let src = &dy.data()[row * d..(row + 1) * d];
-            accumulate(&mut grad[id * d..(id + 1) * d], src);
+            for (g, s) in grad[id * d..(id + 1) * d].iter_mut().zip(src) {
+                *g += s;
+            }
         }
         Ok(())
     }

@@ -1,4 +1,4 @@
-use super::{accumulate, split_grad};
+use super::split_grad;
 use crate::ops::{self, LayerNormCtx};
 use crate::{Result, Tensor};
 
@@ -48,8 +48,8 @@ impl LayerNorm {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from [`ops::layernorm_bwd`]; a `grad` of the
-    /// wrong length is a [`crate::TensorError::LengthMismatch`].
+    /// Propagates shape errors from [`ops::layernorm_bwd_into`]; a `grad`
+    /// of the wrong length is a [`crate::TensorError::LengthMismatch`].
     pub fn backward(
         &self,
         x: &Tensor,
@@ -58,10 +58,7 @@ impl LayerNorm {
         grad: &mut [f32],
     ) -> Result<Tensor> {
         let [gg, gb] = split_grad(grad, [self.dim(), self.dim()])?;
-        let (dx, dg, db) = ops::layernorm_bwd(x, &self.gamma, ctx, dy)?;
-        accumulate(gg, dg.data());
-        accumulate(gb, db.data());
-        Ok(dx)
+        ops::layernorm_bwd_into(x, &self.gamma, ctx, dy, gg, gb)
     }
 }
 

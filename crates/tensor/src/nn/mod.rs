@@ -44,11 +44,3 @@ pub fn split_grad<const N: usize>(grad: &mut [f32], lens: [usize; N]) -> Result<
         part
     }))
 }
-
-/// `dst[i] += src[i]`: the accumulation every `backward` ends in.
-fn accumulate(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (a, b) in dst.iter_mut().zip(src) {
-        *a += b;
-    }
-}

@@ -1,4 +1,4 @@
-use super::{accumulate, split_grad};
+use super::split_grad;
 use crate::ops::{self, RmsNormCtx};
 use crate::{Result, Tensor};
 
@@ -44,8 +44,8 @@ impl RmsNorm {
     ///
     /// # Errors
     ///
-    /// Propagates shape errors from [`ops::rmsnorm_bwd`]; a `grad` of the
-    /// wrong length is a [`crate::TensorError::LengthMismatch`].
+    /// Propagates shape errors from [`ops::rmsnorm_bwd_into`]; a `grad` of
+    /// the wrong length is a [`crate::TensorError::LengthMismatch`].
     pub fn backward(
         &self,
         x: &Tensor,
@@ -54,9 +54,7 @@ impl RmsNorm {
         grad: &mut [f32],
     ) -> Result<Tensor> {
         let [gg] = split_grad(grad, [self.dim()])?;
-        let (dx, dg) = ops::rmsnorm_bwd(x, &self.gamma, ctx, dy)?;
-        accumulate(gg, dg.data());
-        Ok(dx)
+        ops::rmsnorm_bwd_into(x, &self.gamma, ctx, dy, gg)
     }
 }
 

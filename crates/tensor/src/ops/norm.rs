@@ -88,30 +88,44 @@ pub fn layernorm(
     Ok((out, LayerNormCtx { mean, rstd }))
 }
 
-/// Backward pass of [`layernorm`]. Returns `(dx, dgamma, dbeta)`.
+/// Backward pass of [`layernorm`]. Returns `(dx, dgamma, dbeta)`: the
+/// zero-start case of [`layernorm_bwd_into`].
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] when the saved input, `gamma` or
-/// `dy` disagree in shape.
+/// As [`layernorm_bwd_into`].
 pub fn layernorm_bwd(
     x: &Tensor,
     gamma: &Tensor,
     ctx: &LayerNormCtx,
     dy: &Tensor,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    let d = check_last_dim("layernorm_bwd", x, gamma)?;
-    if x.shape() != dy.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "layernorm_bwd",
-            lhs: x.shape().to_vec(),
-            rhs: dy.shape().to_vec(),
-        });
-    }
-    let rows = x.numel() / d;
+    let [mut dgamma, mut dbeta] = [(); 2].map(|()| Tensor::zeros(&[gamma.numel()]));
+    let dx = layernorm_bwd_into(x, gamma, ctx, dy, dgamma.data_mut(), dbeta.data_mut())?;
+    Ok((dx, dgamma, dbeta))
+}
+
+/// [`layernorm_bwd`] with `dgamma` and `dbeta` added into the caller's
+/// slices, each column's rows in ascending order: the rows of one call
+/// continue the chain of the rows before them, so ascending row cuts
+/// chained into one slice give the bits of one whole call. Returns `dx`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when the saved input, `gamma` or
+/// `dy` disagree in shape, and [`TensorError::LengthMismatch`] when a
+/// gradient slice is not one float per column. Nothing is written on
+/// error.
+pub fn layernorm_bwd_into(
+    x: &Tensor,
+    gamma: &Tensor,
+    ctx: &LayerNormCtx,
+    dy: &Tensor,
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) -> Result<Tensor> {
+    let (d, rows) = check_bwd("layernorm_bwd", x, gamma, dy, &[dgamma.len(), dbeta.len()])?;
     let mut dx = Tensor::zeros(x.shape());
-    let mut dgamma = Tensor::zeros(&[d]);
-    let mut dbeta = Tensor::zeros(&[d]);
     let (xd, dyd, gd) = (x.data(), dy.data(), gamma.data());
     let work = x.numel();
     // xhat_i = (x_i - m) * rs ; y = g*xhat + b
@@ -135,29 +149,21 @@ pub fn layernorm_bwd(
         }
     });
     // Parameter gradients: parallel over column blocks, rows ascending
-    // inside each column — the same per-column addition order as the old
-    // row-major accumulation loop.
-    par::run_rows2(
-        dgamma.data_mut(),
-        COL_BLOCK,
-        dbeta.data_mut(),
-        COL_BLOCK,
-        work,
-        |cb, dgs, dbs| {
-            let c0 = cb * COL_BLOCK;
-            for r in 0..rows {
-                let (m, rs) = (ctx.mean[r], ctx.rstd[r]);
-                for (j, (dg, db)) in dgs.iter_mut().zip(dbs.iter_mut()).enumerate() {
-                    let i = c0 + j;
-                    let (xv, dyv) = (xd[r * d + i], dyd[r * d + i]);
-                    let xhat = (xv - m) * rs;
-                    *dg += dyv * xhat;
-                    *db += dyv;
-                }
+    // inside each column, so each column's chain runs on across calls.
+    par::run_rows2(dgamma, COL_BLOCK, dbeta, COL_BLOCK, work, |cb, dgs, dbs| {
+        let c0 = cb * COL_BLOCK;
+        for r in 0..rows {
+            let (m, rs) = (ctx.mean[r], ctx.rstd[r]);
+            for (j, (dg, db)) in dgs.iter_mut().zip(dbs.iter_mut()).enumerate() {
+                let i = c0 + j;
+                let (xv, dyv) = (xd[r * d + i], dyd[r * d + i]);
+                let xhat = (xv - m) * rs;
+                *dg += dyv * xhat;
+                *db += dyv;
             }
-        },
-    );
-    Ok((dx, dgamma, dbeta))
+        }
+    });
+    Ok(dx)
 }
 
 /// RMS normalization over the last axis (`y = gamma * x / rms(x)`), the
@@ -186,29 +192,39 @@ pub fn rmsnorm(x: &Tensor, gamma: &Tensor, eps: f32) -> Result<(Tensor, RmsNormC
     Ok((out, RmsNormCtx { rrms }))
 }
 
-/// Backward pass of [`rmsnorm`]. Returns `(dx, dgamma)`.
+/// Backward pass of [`rmsnorm`]. Returns `(dx, dgamma)`: the zero-start
+/// case of [`rmsnorm_bwd_into`].
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] when the saved input, `gamma` or
-/// `dy` disagree in shape.
+/// As [`rmsnorm_bwd_into`].
 pub fn rmsnorm_bwd(
     x: &Tensor,
     gamma: &Tensor,
     ctx: &RmsNormCtx,
     dy: &Tensor,
 ) -> Result<(Tensor, Tensor)> {
-    let d = check_last_dim("rmsnorm_bwd", x, gamma)?;
-    if x.shape() != dy.shape() {
-        return Err(TensorError::ShapeMismatch {
-            op: "rmsnorm_bwd",
-            lhs: x.shape().to_vec(),
-            rhs: dy.shape().to_vec(),
-        });
-    }
-    let rows = x.numel() / d;
+    let mut dgamma = Tensor::zeros(&[gamma.numel()]);
+    let dx = rmsnorm_bwd_into(x, gamma, ctx, dy, dgamma.data_mut())?;
+    Ok((dx, dgamma))
+}
+
+/// [`rmsnorm_bwd`] with `dgamma` added into the caller's slice, each
+/// column's rows in ascending order, as [`layernorm_bwd_into`] does.
+/// Returns `dx`.
+///
+/// # Errors
+///
+/// As [`layernorm_bwd_into`].
+pub fn rmsnorm_bwd_into(
+    x: &Tensor,
+    gamma: &Tensor,
+    ctx: &RmsNormCtx,
+    dy: &Tensor,
+    dgamma: &mut [f32],
+) -> Result<Tensor> {
+    let (d, rows) = check_bwd("rmsnorm_bwd", x, gamma, dy, &[dgamma.len()])?;
     let mut dx = Tensor::zeros(x.shape());
-    let mut dgamma = Tensor::zeros(&[d]);
     let (xd, dyd, gd) = (x.data(), dy.data(), gamma.data());
     let work = x.numel();
     // y_i = g_i * x_i * rr, rr = (mean(x^2)+eps)^{-1/2}
@@ -225,7 +241,7 @@ pub fn rmsnorm_bwd(
             dxs[i] = rr * gd[i] * dys[i] - xs[i] * rr * rr * rr * dot / d as f32;
         }
     });
-    par::run_rows(dgamma.data_mut(), COL_BLOCK, work, |cb, dgs| {
+    par::run_rows(dgamma, COL_BLOCK, work, |cb, dgs| {
         let c0 = cb * COL_BLOCK;
         for r in 0..rows {
             let rr = ctx.rrms[r];
@@ -235,7 +251,32 @@ pub fn rmsnorm_bwd(
             }
         }
     });
-    Ok((dx, dgamma))
+    Ok(dx)
+}
+
+/// The checks every norm backward shares: `x` and `dy` of one shape whose
+/// last extent `d` is `gamma`'s, and gradient slices of `d` floats.
+/// Returns `(d, rows)`.
+fn check_bwd(
+    op: &'static str,
+    x: &Tensor,
+    gamma: &Tensor,
+    dy: &Tensor,
+    grads: &[usize],
+) -> Result<(usize, usize)> {
+    let d = check_last_dim(op, x, gamma)?;
+    if x.shape() != dy.shape() {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: x.shape().to_vec(),
+            rhs: dy.shape().to_vec(),
+        });
+    }
+    let expected = d;
+    match grads.iter().find(|&&n| n != expected) {
+        Some(&actual) => Err(TensorError::LengthMismatch { expected, actual }),
+        None => Ok((d, x.numel() / d)),
+    }
 }
 
 #[cfg(test)]
@@ -341,6 +382,75 @@ mod tests {
             let fd = (loss(&x, &gp) - loss(&x, &gm)) / (2.0 * eps);
             assert!((fd - dgamma.data()[i]).abs() < 2e-2, "dgamma[{i}]");
         }
+    }
+
+    #[test]
+    fn ragged_row_cuts_chain_into_one_slice_bit_for_bit() {
+        // 70 columns straddle COL_BLOCK; the cuts are ragged and ascending.
+        // Each cut's `_into` call, on its own rows and statistics, adds into
+        // one prefilled slice; the result is one whole `_into` call's.
+        use crate::mk::{self, Backend};
+        use crate::KernelCtx;
+        let mut rng = init::seeded_rng(24);
+        let x = init::randn(&mut rng, &[23, 70], 1.0);
+        let dy = init::randn(&mut rng, &[23, 70], 1.0);
+        let g = init::randn(&mut rng, &[70], 0.5);
+        let b = init::randn(&mut rng, &[70], 0.5);
+        let prefill = init::randn(&mut rng, &[3 * 70], 1.0).into_vec();
+        let cuts = [0usize, 1, 8, 9, 20, 23];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // `[dgamma | dbeta | rms dgamma]` and both norms' `dx`, one call
+        // per cut of `rows`.
+        let run = |rows: &[usize]| {
+            let mut grads = prefill.clone();
+            let (gl, grms) = grads.split_at_mut(2 * 70);
+            let (gg, gb) = gl.split_at_mut(70);
+            let (mut dxl, mut dxr) = (Vec::new(), Vec::new());
+            for w in rows.windows(2) {
+                let (r0, n) = (w[0], w[1] - w[0]);
+                let (xc, dyc) = (x.narrow(0, r0, n).unwrap(), dy.narrow(0, r0, n).unwrap());
+                let (_, ln) = layernorm(&xc, &g, &b, 1e-5).unwrap();
+                let (_, rms) = rmsnorm(&xc, &g, 1e-6).unwrap();
+                dxl.extend(bits(
+                    layernorm_bwd_into(&xc, &g, &ln, &dyc, gg, gb)
+                        .unwrap()
+                        .data(),
+                ));
+                dxr.extend(bits(
+                    rmsnorm_bwd_into(&xc, &g, &rms, &dyc, grms).unwrap().data(),
+                ));
+            }
+            (bits(&grads), dxl, dxr)
+        };
+        let mut backends = vec![Backend::Scalar];
+        if mk::avx2_available() {
+            backends.push(Backend::Avx2);
+        }
+        for backend in backends {
+            for threads in [1, 3] {
+                let ctx = KernelCtx {
+                    threads,
+                    par_threshold: 1,
+                    backend,
+                };
+                let (whole, cut) = ctx.enter(|| (run(&[0, 23]), run(&cuts)));
+                assert!(whole.0 != bits(&prefill), "the gradients moved");
+                assert_eq!(whole, cut, "{backend:?} at {threads} threads");
+            }
+        }
+        // The zero-start case is the allocating form, bit for bit.
+        let (_, ln) = layernorm(&x, &g, &b, 1e-5).unwrap();
+        let (dx, dg, db) = layernorm_bwd(&x, &g, &ln, &dy).unwrap();
+        let (mut gg, mut gb) = (vec![0.0; 70], vec![0.0; 70]);
+        let dx_into = layernorm_bwd_into(&x, &g, &ln, &dy, &mut gg, &mut gb).unwrap();
+        assert_eq!(bits(dx.data()), bits(dx_into.data()));
+        assert_eq!((bits(dg.data()), bits(db.data())), (bits(&gg), bits(&gb)));
+        // Inputs of other shapes, or a slice of another width, are errors.
+        assert!(
+            layernorm_bwd_into(&x.narrow(0, 0, 5).unwrap(), &g, &ln, &dy, &mut gg, &mut gb)
+                .is_err()
+        );
+        assert!(layernorm_bwd_into(&x, &g, &ln, &dy, &mut gg[1..], &mut gb).is_err());
     }
 
     #[test]

@@ -105,6 +105,17 @@ fn norms_are_thread_invariant() {
         flat.extend_from_slice(db.data());
         flat
     });
+    // The `_into` forms add into a prefilled gradient slice.
+    let prefill = init::randn(&mut rng, &[2 * 70], 1.0).into_vec();
+    assert_thread_invariant("layernorm_bwd_into", || {
+        let (_, ctx) = ops::layernorm(&x, &gamma, &beta, 1e-5).unwrap();
+        let mut grads = prefill.clone();
+        let (dg, db) = grads.split_at_mut(70);
+        let dx = ops::layernorm_bwd_into(&x, &gamma, &ctx, &dy, dg, db).unwrap();
+        let mut flat = dx.into_vec();
+        flat.extend_from_slice(&grads);
+        flat
+    });
     assert_thread_invariant("rmsnorm", || {
         let (y, ctx) = ops::rmsnorm(&x, &gamma, 1e-6).unwrap();
         let mut flat = y.data().to_vec();
@@ -116,6 +127,15 @@ fn norms_are_thread_invariant() {
         let (dx, dg) = ops::rmsnorm_bwd(&x, &gamma, &ctx, &dy).unwrap();
         let mut flat = dx.data().to_vec();
         flat.extend_from_slice(dg.data());
+        flat
+    });
+    assert_thread_invariant("rmsnorm_bwd_into", || {
+        let (_, ctx) = ops::rmsnorm(&x, &gamma, 1e-6).unwrap();
+        let mut dg = prefill[..70].to_vec();
+        let mut flat = ops::rmsnorm_bwd_into(&x, &gamma, &ctx, &dy, &mut dg)
+            .unwrap()
+            .into_vec();
+        flat.extend_from_slice(&dg);
         flat
     });
 }
