@@ -1534,8 +1534,8 @@ mod tests {
         // Program order, so it holds at any link speed: in every block's
         // backward the read pass of each chunk the attention backward's
         // first slot takes — KV 0, the [Q, Lse] rows slot 0 opens, KV 1 —
-        // runs on the rank thread before `dense.mlp.bwd` starts, and no
-        // other fetch does.
+        // runs on the rank thread before the first chunk's
+        // `dense.mlp.bwd` starts, and no other fetch does.
         let u = 4;
         let cfg = TrainConfig {
             steps: 1,
@@ -1569,9 +1569,10 @@ mod tests {
                     .collect()
             };
             let mlp = starts("dense.mlp.bwd");
-            assert_eq!(mlp.len(), 1, "one MLP backward per block");
+            assert_eq!(mlp.len(), u, "one MLP backward per attention chunk");
+            let first = mlp.iter().copied().fold(f64::INFINITY, f64::min);
             let fetches = starts("offload.fetch");
-            let early = fetches.iter().filter(|&&t| t < mlp[0]).count();
+            let early = fetches.iter().filter(|&&t| t < first).count();
             assert_eq!(
                 early,
                 staged,
@@ -1588,7 +1589,9 @@ mod tests {
         // backward the qkv backward once per gradient chunk, and the first
         // chunk's MLP runs before the wait on the layer's last `O` gather
         // (at two ranks each gather's wait runs its receive and records a
-        // `comm.wait`; the last one in a forward is that gather's).
+        // `comm.wait`; the last one in a forward is that gather's). The
+        // backward's MLP runs per attention chunk too, each chunk's fused
+        // dO post right after it: u of each, alternating.
         let u = 4;
         let cfg = TrainConfig {
             steps: 1,
@@ -1638,6 +1641,13 @@ mod tests {
                 u,
                 "qkv backward per gradient chunk"
             );
+            let mut order: Vec<(f64, &str)> = ["dense.mlp.bwd", "a2a.scatter_heads"]
+                .into_iter()
+                .flat_map(|label| inside(b, label).into_iter().map(move |t| (t, label)))
+                .collect();
+            order.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let labels: Vec<&str> = order.into_iter().map(|(_, label)| label).collect();
+            assert_eq!(labels, ["dense.mlp.bwd", "a2a.scatter_heads"].repeat(u));
         }
     }
 

@@ -3,9 +3,9 @@
 //! A GPT block hands an [`AttentionExec`] its explicit global positions
 //! and a producer of its (RoPE'd) `q/k/v` rows, shaped `[rows, heads, d]`,
 //! which the executor asks for chunk by chunk. It gets the attention
-//! output back in the same layout, chunk by chunk as each one lands (and
-//! the backward's gradients the same way). What happens in between is the
-//! difference between the training modes:
+//! output back in the same layout, chunk by chunk as each one lands (the
+//! backward asks for `o`/`dO` and hands back gradients the same way).
+//! What happens in between is the difference between the training modes:
 //!
 //! * [`DistAttention`] — the chunked path, the one description of the
 //!   paper's chunk schedule: per-chunk Ulysses all-to-all (heads scatter /
@@ -25,7 +25,6 @@ use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_comm::{AllToAllLayout, CommEngine, CommGroup, Communicator, Pending};
 use fpdt_tensor::{Tensor, TensorError};
 use fpdt_trace::{Recorder, Span};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -46,12 +45,13 @@ pub type ChunkSink<'a, T> = dyn FnMut(usize, T) -> ExecResult<()> + 'a;
 /// with that error.
 pub type QkvProducer<'a> = dyn FnMut(Range<usize>) -> ExecResult<[Tensor; 3]> + 'a;
 
-/// The caller's dense backward, run by [`AttentionExec::backward_chunks`]
-/// once: it returns the attention output `o` the forward produced and its
-/// gradient `dO`, both `[s_local, heads, d]`. The caller keeps `o` for its
-/// own projection, so no executor saves a copy; a caller that already
-/// holds both lends them.
-pub type DenseBackward<'a> = dyn FnMut() -> ExecResult<(Cow<'a, Tensor>, Cow<'a, Tensor>)> + 'a;
+/// The caller's dense backward, asked by [`AttentionExec::backward_chunks`]
+/// for local rows `r`: it returns `[o_r, dO_r]`, the attention output the
+/// forward produced on those rows and its gradient, each `[r.len(), heads,
+/// d]`. The caller keeps `o` for its own projection, so no executor saves
+/// a copy. Ranges come in ascending order and cover every local row once;
+/// an error the producer returns ends the call with that error.
+pub type DenseBackward<'a> = dyn FnMut(Range<usize>) -> ExecResult<[Tensor; 2]> + 'a;
 
 /// An attention implementation a GPT block can call into.
 ///
@@ -81,11 +81,12 @@ pub trait AttentionExec {
         sink: &mut ChunkSink<'_, Tensor>,
     ) -> ExecResult<()>;
 
-    /// Consumes the saved state for `layer`: runs `dense` once for the
-    /// layer's `(o, dO)`, then hands `[dq, dk, dv]` to `sink` chunk by
-    /// chunk, in the local layout. Transfers that need neither run before
-    /// `dense`, so they cross the link while the caller's dense backward
-    /// does.
+    /// Consumes the saved state for `layer`, whose forward ran over `rows`
+    /// local rows: asks `dense` for the rows' `[o, dO]`, range by range,
+    /// and hands `[dq, dk, dv]` to `sink` chunk by chunk, in the local
+    /// layout. Transfers that need neither go out before `dense` is first
+    /// asked, so they cross the link while the caller's dense backward
+    /// runs.
     ///
     /// # Errors
     ///
@@ -94,6 +95,7 @@ pub trait AttentionExec {
     fn backward_chunks(
         &mut self,
         layer: usize,
+        rows: usize,
         dense: &mut DenseBackward<'_>,
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()>;
@@ -114,11 +116,8 @@ pub trait AttentionExec {
         pos: &[usize],
     ) -> ExecResult<Tensor> {
         let mut o = RowChunks::new(pos.len());
-        let mut narrowed = |r: Range<usize>| -> ExecResult<[Tensor; 3]> {
-            let [q, k, v] = [q, k, v].map(|t| t.narrow(0, r.start, r.len()));
-            Ok([q?, k?, v?])
-        };
-        self.forward_chunks(layer, pos, &mut narrowed, &mut |r0, part| o.push(r0, part))?;
+        let mut qkv = narrowed([q, k, v]);
+        self.forward_chunks(layer, pos, &mut qkv, &mut |r0, part| o.push(r0, part))?;
         o.finish()
     }
 
@@ -135,8 +134,9 @@ pub trait AttentionExec {
         o: &Tensor,
         dout: &Tensor,
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        collect_grads(dout.shape()[0], |sink| {
-            self.backward_chunks(layer, &mut lent(o, dout), sink)
+        let rows = dout.shape()[0];
+        collect_grads(rows, |sink| {
+            self.backward_chunks(layer, rows, &mut narrowed([o, dout]), sink)
         })
     }
 
@@ -152,11 +152,24 @@ pub trait AttentionExec {
     }
 }
 
+/// `N` tensors as an array.
+fn array<const N: usize>(tensors: Vec<Tensor>) -> ExecResult<[Tensor; N]> {
+    <[Tensor; N]>::try_from(tensors).map_err(|t| format!("{} tensors, not {N}", t.len()).into())
+}
+
 /// The `N` tensors of a posted all-to-all, once its receive half has run.
 fn landed<const N: usize>(engine: &mut CommEngine, posted: Pending) -> ExecResult<[Tensor; N]> {
-    let tensors = engine.wait(posted)?;
-    <[Tensor; N]>::try_from(tensors)
-        .map_err(|t| format!("posted {} tensors, not {N}", t.len()).into())
+    array(engine.wait(posted)?)
+}
+
+/// A producer that hands out rows of whole tensors already at hand.
+fn narrowed<'a, const N: usize>(
+    whole: [&'a Tensor; N],
+) -> impl FnMut(Range<usize>) -> ExecResult<[Tensor; N]> + 'a {
+    move |r| {
+        let parts = whole.iter().map(|t| t.narrow(0, r.start, r.len()));
+        array(parts.collect::<Result<_, _>>()?)
+    }
 }
 
 /// A full-length `[rows, ..]` tensor filled by row range from chunks that
@@ -227,14 +240,6 @@ impl RowChunks {
     }
 }
 
-/// The dense backward of a caller that already holds `(o, dout)`.
-fn lent<'a>(
-    o: &'a Tensor,
-    dout: &'a Tensor,
-) -> impl FnMut() -> ExecResult<(Cow<'a, Tensor>, Cow<'a, Tensor>)> + 'a {
-    || Ok((Cow::Borrowed(o), Cow::Borrowed(dout)))
-}
-
 /// Runs a streamed backward over `rows` local rows and collects its
 /// `(dq, dk, dv)` chunks into whole tensors.
 fn collect_grads(
@@ -265,21 +270,21 @@ pub type LocalAttention = DistAttention;
 /// offload behind a double-buffered copy stream, tiled backward.
 ///
 /// The comm schedule runs ahead of compute like the offload schedule:
-/// every chunk's all-to-all is posted (one fused QKV op per chunk, each
-/// posted before the next chunk's rows are asked for) before the first
-/// online-softmax update runs, and output/gradient chunks
-/// travel home as [`Pending`] handles resolved after the last slot, in
-/// ascending chunk order, each handed to the caller's sink as soon as it
-/// lands — the caller's row-local work on chunk `i` runs while the later
-/// chunks' gathers are still on the wire. The streams' clocks decide
-/// only how long a wait sleeps, never an op's order, so every statistic
-/// is what the rank's program order says.
+/// every chunk's fused op (QKV forward, `[dO, D]` backward) is posted,
+/// each before the next chunk's rows are asked for, before the first
+/// tile runs, and output/gradient chunks travel home as [`Pending`]
+/// handles resolved after the last slot, in ascending chunk order, each
+/// handed to the caller's sink as soon as it lands — the caller's
+/// row-local work on chunk `i` runs while the later chunks' gathers are
+/// still on the wire. The streams' clocks decide only how long a wait
+/// sleeps, never an op's order, so every statistic is what the rank's
+/// program order says.
 ///
 /// Only bytes that have to move do: a rank's own slice of every
 /// all-to-all stays on the rank ([`CommEngine::post`]), and the output
-/// `O` never enters the chunk store. The backward forms the softmax
-/// row-dot `D = rowsum(O ∘ dO)` once from the block's own `O` in the local
-/// layout and ships each chunk's slice with its `dO` gather.
+/// `O` never enters the chunk store. The backward forms each chunk's
+/// softmax row-dot `D_i = rowsum(O_i ∘ dO_i)` from the block's own `O_i`
+/// in the local layout and ships it with the chunk's `dO` gather.
 ///
 /// The forward folds chunk `i`'s KV tiles in one ascending loop over
 /// `j < i`, then the diagonal. One residency rule decides where a tile's
@@ -305,7 +310,8 @@ pub type LocalAttention = DistAttention;
 ///
 /// The backward's opening — the transfers its first slot consumes, which
 /// need neither `o` nor `dO` — goes on the copy stream before the caller's
-/// dense backward runs, so it crosses the link meanwhile.
+/// dense backward is asked for its first chunk, so it crosses the link
+/// meanwhile.
 ///
 /// The executor holds a chunk count, not a [`ChunkPlan`]: each call plans
 /// from the communicator's world and its input's row count, so one
@@ -328,14 +334,6 @@ const PINNED_PAIRS: usize = 2;
 
 /// A K/V chunk pair, or a query row's `[Q, Lse]`, on the copy stream.
 type PairFetch = FetchHandle<[Arc<Tensor>; 2]>;
-
-/// The copy-stream transfers a layer's backward opens with, by chunk
-/// index: the KV columns and query rows in flight when its first slot
-/// starts.
-struct Opening {
-    kv_pending: Vec<Option<PairFetch>>,
-    row_pending: Vec<Option<PairFetch>>,
-}
 
 impl DistAttention {
     /// Creates the executor for one rank — the one options surface is
@@ -458,25 +456,23 @@ impl DistAttention {
     /// Issues the backward's opening for `layer`: the takes its first slot
     /// consumes, in the order it consumes them — KV column 0, the
     /// `[Q, Lse]` of every row `tile_slots(u)[0]` opens, then KV column 1,
-    /// which slot 0 puts on the stream one slot ahead.
-    fn open(&mut self, layer: usize) -> ExecResult<Opening> {
+    /// which slot 0 puts on the stream one slot ahead. Returns the KV
+    /// columns and the query rows in flight, by chunk index.
+    fn open(&mut self, layer: usize) -> ExecResult<[Vec<Option<PairFetch>>; 2]> {
         let u = self.chunks;
         let slots = tile_slots(u);
         let first = slots.first().ok_or("zero chunks have no backward")?;
-        let mut opening = Opening {
-            kv_pending: (0..u).map(|_| None).collect(),
-            row_pending: (0..u).map(|_| None).collect(),
-        };
-        opening.kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
+        let [mut kv, mut rows] = [(); 2].map(|()| (0..u).map(|_| None).collect::<Vec<_>>());
+        kv[0] = Some(self.fetch_kv(layer, 0, true)?);
         for &(i, j) in first {
             if j == 0 {
-                opening.row_pending[i] = Some(self.fetch_row(layer, i)?);
+                rows[i] = Some(self.fetch_row(layer, i)?);
             }
         }
         if u > 1 {
-            opening.kv_pending[1] = Some(self.fetch_kv(layer, 1, true)?);
+            kv[1] = Some(self.fetch_kv(layer, 1, true)?);
         }
-        Ok(opening)
+        Ok([kv, rows])
     }
 
     /// Posts one op on the comm stream: the all-to-all of every tensor in
@@ -497,12 +493,12 @@ impl DistAttention {
         Ok(self.engine.post(&items, self.payload_bf16)?)
     }
 
-    /// The softmax row-dot `D = rowsum(O ∘ dO)` of the whole local
-    /// sequence as a `[s_local, heads, 1]` tensor, formed once where `O`
-    /// already lives. A `(token, head)` row of `O` and of `dO` holds the
-    /// same bits in the local and the gathered layout, and
-    /// [`rowwise_dot`] sums each row in one fixed order, so each chunk's
-    /// slice, gathered, is bit for bit the row-dot of the gathered chunk.
+    /// The softmax row-dot `D = rowsum(O ∘ dO)` of local rows as a
+    /// `[rows, heads, 1]` tensor, formed where `O` already lives. A
+    /// `(token, head)` row of `O` and of `dO` holds the same bits in the
+    /// local and the gathered layout, and [`rowwise_dot`] sums each row in
+    /// one fixed order, so a chunk's row-dot, gathered, is bit for bit the
+    /// row-dot of the gathered chunk.
     fn row_dot(&self, o: &Tensor, dout: &Tensor) -> ExecResult<Tensor> {
         let _s = self.span("kernel.attn.rowwise_dot", o.data().len());
         let rows = &dout.shape()[..2];
@@ -510,22 +506,6 @@ impl DistAttention {
             rowwise_dot(o, dout)?,
             &[rows[0], rows[1], 1],
         )?)
-    }
-
-    /// Posts chunk `i`'s `dO` gather with its slice of `dsum` (see
-    /// [`DistAttention::row_dot`]) fused into the same op: the two land
-    /// together as `[dO_i, D_i]` in the gathered layout.
-    fn post_dout(
-        &mut self,
-        plan: &ChunkPlan,
-        dout: &Tensor,
-        dsum: &Tensor,
-        i: usize,
-    ) -> ExecResult<Pending> {
-        let (start, c_loc) = (plan.local_chunk_range(i).start, plan.chunk_local_len());
-        let chunk = dout.narrow(0, start, c_loc)?;
-        let dsum_chunk = dsum.narrow(0, start, c_loc)?;
-        self.post("a2a.scatter_heads", &[&chunk, &dsum_chunk], false)
     }
 
     /// The backward tile interpreter: runs the causal tile triangle
@@ -544,9 +524,12 @@ impl DistAttention {
     /// from the pool, so even its high-water mark is the forward's).
     ///
     /// The walk issues the layer's opening (`DistAttention::open`) first,
-    /// then runs `dense` for `(o, dO)`. Row and column state opens
-    /// lazily, keyed on the tile itself, and stays on the rank thread
-    /// until the tile that closes it:
+    /// then asks `dense` for each chunk's `[o_i, dO_i]` in ascending order
+    /// and posts its `dO` gather with its row-dot
+    /// ([`DistAttention::row_dot`]) fused in, to land as `[dO_i, D_i]`,
+    /// before it asks for chunk `i+1`. Row and column state opens lazily,
+    /// keyed on the tile itself, and stays on the rank thread until the
+    /// tile that closes it:
     ///
     /// * `(i, 0)` opens query row `i` — it lands chunk `i`'s `[Q, Lse]`
     ///   (one take, in the opening or put on the copy stream when row
@@ -576,41 +559,41 @@ impl DistAttention {
         dout: &Tensor,
         slots: &[Vec<(usize, usize)>],
     ) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        collect_grads(dout.shape()[0], |sink| {
-            self.walk_tiles(layer, &mut lent(o, dout), slots, sink)
+        let rows = dout.shape()[0];
+        collect_grads(rows, |sink| {
+            self.walk_tiles(layer, rows, &mut narrowed([o, dout]), slots, sink)
         })
     }
 
-    /// [`DistAttention::backward_tiles`], streamed, with `(o, dO)` from
-    /// `dense`.
+    /// [`DistAttention::backward_tiles`], streamed, with each chunk's
+    /// `[o, dO]` from `dense`.
     fn walk_tiles(
         &mut self,
         layer: usize,
+        rows: usize,
         dense: &mut DenseBackward<'_>,
         slots: &[Vec<(usize, usize)>],
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()> {
-        let Opening {
-            mut kv_pending,
-            mut row_pending,
-        } = self.open(layer)?;
-        let (o, dout) = dense()?;
-        let plan = self.plan(dout.shape()[0])?;
+        let [mut kv_pending, mut row_pending] = self.open(layer)?;
+        let plan = self.plan(rows)?;
         let u = plan.chunks;
-        let scale = default_scale(dout.shape()[2]);
 
         // Post every dO gather, its row-dot fused in, before any tile
         // computes: most rows open in slot 0 (`tile_slots` front-loads
         // first-column tiles) and the comm stream drains behind the whole
-        // triangle. KV take-fetches
-        // stay staggered — column `s+1`'s pair goes on the copy stream at
-        // the start of slot `s`, one slot before `tile_slots` opens the
-        // column — so a row's take never queues behind the entire
-        // triangle's KV bytes on the FIFO stream.
-        let dsum = self.row_dot(&o, &dout)?;
+        // triangle. Chunk i's gather leaves as soon as the caller's dense
+        // backward has made dO_i, so it crosses the link while chunk i+1's
+        // dense work runs. KV take-fetches stay staggered — column `s+1`'s
+        // pair goes on the copy stream at the start of slot `s`, one slot
+        // before `tile_slots` opens the column — so a row's take never
+        // queues behind the entire triangle's KV bytes on the FIFO stream.
         let mut dout_pending: Vec<Option<Pending>> = Vec::with_capacity(u);
         for i in 0..u {
-            dout_pending.push(Some(self.post_dout(&plan, &dout, &dsum, i)?));
+            let [o, dout] = dense(plan.local_chunk_range(i))?;
+            let dsum = self.row_dot(&o, &dout)?;
+            let posted = self.post("a2a.scatter_heads", &[&dout, &dsum], false)?;
+            dout_pending.push(Some(posted));
         }
 
         // One open query row: its operands and its gradient accumulator
@@ -634,16 +617,15 @@ impl DistAttention {
         }
         let mut rows: Vec<Option<Row>> = (0..u).map(|_| None).collect();
         let mut cols: Vec<Option<Col>> = (0..u).map(|_| None).collect();
-        let mut dq_handles: Vec<Option<Pending>> = (0..u).map(|_| None).collect();
-        let mut dk_handles: Vec<Option<Pending>> = (0..u).map(|_| None).collect();
-        let mut dv_handles: Vec<Option<Pending>> = (0..u).map(|_| None).collect();
+        // Chunk i's dq, dk and dv gathers, as they are posted.
+        let mut grads: Vec<[Option<Pending>; 3]> = (0..u).map(|_| Default::default()).collect();
 
         for (s, slot) in slots.iter().enumerate() {
             let _slot = self.span("slot.bwd", 0);
             // Only a cold column is fetched: not in flight, and its
             // diagonal — the tile that opens it, and ships `dq` — not run.
             let ahead = s + 1;
-            if ahead < u && kv_pending[ahead].is_none() && dq_handles[ahead].is_none() {
+            if ahead < u && kv_pending[ahead].is_none() && grads[ahead][0].is_none() {
                 kv_pending[ahead] = Some(self.fetch_kv(layer, ahead, true)?);
             }
             for &(i, j) in slot {
@@ -697,6 +679,7 @@ impl DistAttention {
                 // not nest inside compute spans or the overlap metric
                 // counts a serial runtime as overlapped.
                 let tile = self.span("attn.bwd.tile", row.q.data().len());
+                let scale = default_scale(row.q.shape()[2]);
                 attention_block_bwd(
                     &row.q,
                     &col.k,
@@ -715,30 +698,35 @@ impl DistAttention {
                 if i == j {
                     // The diagonal is row i's last tile: dq_i is final.
                     let done = rows[i].take().ok_or("query row i was not opened")?;
-                    dq_handles[i] = Some(self.post("a2a.gather_heads", &[&done.dq], true)?);
+                    grads[i][0] = Some(self.post("a2a.gather_heads", &[&done.dq], true)?);
                 }
                 if i + 1 == u {
                     // (u-1, j) is column j's last tile: dK_j/dV_j final.
                     let done = cols[j].take().ok_or("KV column j was not staged")?;
-                    dk_handles[j] = Some(self.post("a2a.gather_heads", &[&done.dk], true)?);
-                    dv_handles[j] = Some(self.post("a2a.gather_heads", &[&done.dv], true)?);
+                    grads[j][1] = Some(self.post("a2a.gather_heads", &[&done.dk], true)?);
+                    grads[j][2] = Some(self.post("a2a.gather_heads", &[&done.dv], true)?);
                 }
             }
         }
+        self.deliver(&plan, grads, sink)
+    }
 
-        // Chunk i's gradients go to the sink once its three gathers land,
-        // so the caller's work on it runs while later gathers travel.
-        let handles = dq_handles.into_iter().zip(dk_handles).zip(dv_handles);
-        for (i, ((dq, dk), dv)) in handles.enumerate() {
-            let mut land = |h: Option<Pending>| -> ExecResult<Tensor> {
-                let [part] = landed(
-                    &mut self.engine,
-                    h.ok_or("gradient chunk was never finalized")?,
-                )?;
-                Ok(part)
-            };
-            let grads = [land(dq)?, land(dk)?, land(dv)?];
-            sink(plan.local_chunk_range(i).start, grads)?;
+    /// Hands chunk `i`'s parts to `sink` once its `N` gathers land, in
+    /// ascending `i`, so the caller's work on a chunk runs while later
+    /// gathers travel. Every posted op is then waited.
+    fn deliver<const N: usize>(
+        &mut self,
+        plan: &ChunkPlan,
+        posted: Vec<[Option<Pending>; N]>,
+        sink: &mut ChunkSink<'_, [Tensor; N]>,
+    ) -> ExecResult<()> {
+        for (i, gathers) in posted.into_iter().enumerate() {
+            let mut parts = Vec::with_capacity(N);
+            for h in gathers {
+                let [part] = landed(&mut self.engine, h.ok_or("a gather was never posted")?)?;
+                parts.push(part);
+            }
+            sink(plan.local_chunk_range(i).start, array(parts)?)?;
         }
         debug_assert!(
             self.engine.is_idle(),
@@ -785,7 +773,7 @@ impl AttentionExec for DistAttention {
             let [q, k, v] = qkv(plan.local_chunk_range(i))?;
             qkv_posted.push(self.post("a2a.scatter_heads", &[&q, &k, &v], false)?);
         }
-        let mut o_handles: Vec<Pending> = Vec::with_capacity(u);
+        let mut o_handles = Vec::with_capacity(u);
         // The device-resident K/V pairs, in the form the pool stores them
         // (what `put` hands back): pairs 0 and 1 for the whole forward,
         // and pair i-1 while chunk i runs, whose put has only just left (a
@@ -865,32 +853,23 @@ impl AttentionExec for DistAttention {
             let lse_len = oi.shape()[0] * oi.shape()[1];
             deferred = Some((i, qh, Tensor::from_vec(lse, &[lse_len])?));
             // Gather heads back: the output chunk returns to local layout.
-            o_handles.push(self.post("a2a.gather_heads", &[&oi], true)?);
+            o_handles.push([Some(self.post("a2a.gather_heads", &[&oi], true)?)]);
         }
         drop(kept);
         if let Some((last, qp, lp)) = deferred.take() {
             self.put_row(layer, last, qp, lp);
         }
-        // Each output chunk goes to the sink once its gather lands, so the
-        // caller's work on it runs while later gathers travel.
-        for (i, h) in o_handles.into_iter().enumerate() {
-            let [part] = landed(&mut self.engine, h)?;
-            sink(plan.local_chunk_range(i).start, part)?;
-        }
-        debug_assert!(
-            self.engine.is_idle(),
-            "an all-to-all part is left for a rank-thread collective"
-        );
-        Ok(())
+        self.deliver(&plan, o_handles, &mut |r0, [o]| sink(r0, o))
     }
 
     fn backward_chunks(
         &mut self,
         layer: usize,
+        rows: usize,
         dense: &mut DenseBackward<'_>,
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()> {
-        self.walk_tiles(layer, dense, &tile_slots(self.chunks), sink)
+        self.walk_tiles(layer, rows, dense, &tile_slots(self.chunks), sink)
     }
 
     fn discard(&mut self, layer: usize) {
@@ -1000,14 +979,15 @@ impl AttentionExec for RingAttentionExec<'_> {
         sink(0, o)
     }
 
-    /// Hands back one chunk: the whole shard.
+    /// Asks for and hands back one chunk: the whole shard.
     fn backward_chunks(
         &mut self,
         layer: usize,
+        rows: usize,
         dense: &mut DenseBackward<'_>,
         sink: &mut ChunkSink<'_, [Tensor; 3]>,
     ) -> ExecResult<()> {
-        let (o, dout) = dense()?;
+        let [o, dout] = dense(0..rows)?;
         let p = self.comm.world();
         let rank = self.comm.rank();
         let s = self
@@ -1232,18 +1212,6 @@ mod tests {
             .unwrap()
     }
 
-    /// A producer that narrows whole inputs already at hand.
-    fn narrowed<'a>(
-        q: &'a Tensor,
-        k: &'a Tensor,
-        v: &'a Tensor,
-    ) -> impl FnMut(Range<usize>) -> ExecResult<[Tensor; 3]> + 'a {
-        move |r| {
-            let [q, k, v] = [q, k, v].map(|t| t.narrow(0, r.start, r.len()));
-            Ok([q?, k?, v?])
-        }
-    }
-
     #[test]
     fn each_chunk_is_asked_for_once_after_the_previous_chunks_post() {
         // The executor asks for chunk i's rows once, in ascending order,
@@ -1259,7 +1227,7 @@ mod tests {
             let pos: Vec<usize> = (0..s).collect();
             let posted0 = ex.comm_posted() as usize;
             let mut asked = Vec::new();
-            let mut inner = narrowed(&q, &k, &v);
+            let mut inner = narrowed([&q, &k, &v]);
             let mut producer = |r: Range<usize>| {
                 asked.push((r.clone(), rec.count("comm.post") - posted0));
                 inner(r)
@@ -1280,12 +1248,14 @@ mod tests {
     }
 
     #[test]
-    fn the_opening_goes_out_before_the_dense_backward_runs() {
-        // Inside the dense callback the pool has issued the forward's
-        // fetches and the opening — KV 0, the [Q, Lse] of each row slot 0
-        // opens, KV 1 — and the comm stream only the forward's 2u posts:
-        // no dO gather goes out before dO exists. The callback runs once,
-        // and its error ends the call unchanged.
+    fn the_dense_backward_is_asked_for_each_chunk_after_the_previous_chunks_post() {
+        // The opening — KV 0, the [Q, Lse] of each row slot 0 opens, KV 1
+        // — is on the copy stream before the dense backward is first
+        // asked. It is then asked for each chunk's rows once, in ascending
+        // order, and chunk i+1 only once chunk i's fused dO post went out:
+        // the comm stream holds the forward's 2u posts and i+1 more. The
+        // gradients are the whole-tensor form's, and a dense error is the
+        // call's.
         for u in [1usize, 2, 3, 4, 5] {
             let rec = Recorder::new();
             let mut ex = one_rank(u).with_recorder(rec.clone());
@@ -1294,14 +1264,22 @@ mod tests {
             let rows = tile_slots(u)[0].iter().filter(|&&(_, j)| j == 0).count();
             let opening = 2 + 2 * rows + if u > 1 { 2 } else { 0 };
             let dout = init::randn(&mut init::seeded_rng(96), &[4 * u, 2, 4], 1.0);
-            let mut seen = Vec::new();
-            let mut dense = || {
-                seen.push((rec.count("offload.fetch"), rec.count("comm.post")));
-                Ok((Cow::Borrowed(&o), Cow::Borrowed(&dout)))
+            let mut asked = Vec::new();
+            let mut first_fetches = None;
+            let mut inner = narrowed([&o, &dout]);
+            let mut dense = |r: Range<usize>| {
+                first_fetches.get_or_insert(rec.count("offload.fetch"));
+                asked.push((r.clone(), rec.count("comm.post")));
+                inner(r)
             };
-            ex.backward_chunks(0, &mut dense, &mut |_, _| Ok(()))
-                .unwrap();
-            assert_eq!(seen, [(fwd_fetches + opening, 2 * u)], "u = {u}");
+            let mut dq = RowChunks::new(4 * u);
+            ex.backward_chunks(0, 4 * u, &mut dense, &mut |r0, [dq_i, ..]| {
+                dq.push(r0, dq_i)
+            })
+            .unwrap();
+            assert_eq!(first_fetches, Some(fwd_fetches + opening), "u = {u}");
+            let want: Vec<_> = (0..u).map(|i| (4 * i..4 * i + 4, 2 * u + i)).collect();
+            assert_eq!(asked, want, "u = {u}");
             // The span counts are the counters' own.
             assert_eq!(
                 rec.count("offload.fetch") as u64,
@@ -1309,18 +1287,28 @@ mod tests {
                 "u = {u}"
             );
             assert_eq!(rec.count("comm.post") as u64, ex.comm_posted(), "u = {u}");
+            let mut whole = one_rank(u);
+            let o = forward_layer(&mut whole, 0, 95);
+            let (want_dq, _, _) = whole.backward(0, &o, &dout).unwrap();
+            assert_eq!(bits(&dq.finish().unwrap()), bits(&want_dq), "u = {u}");
 
             forward_layer(&mut ex, 1, 97);
-            let err = ex.backward_chunks(1, &mut || Err("dense failed".into()), &mut |_, _| Ok(()));
+            let err = ex.backward_chunks(
+                1,
+                4 * u,
+                &mut |_| Err("dense failed".into()),
+                &mut |_, _| Ok(()),
+            );
             assert_eq!(err.unwrap_err().to_string(), "dense failed", "u = {u}");
         }
     }
 
     #[test]
     fn row_dot_arrives_with_do_equal_to_the_gathered_row_dot() {
-        // Grouped-query shapes at world 2 and 4: the row-dot slice each
-        // chunk's fused dO post delivers is, bit for bit, `rowwise_dot` of
-        // the gathered O chunk and the gathered dO chunk.
+        // Grouped-query shapes at world 2 and 4: the row-dot each chunk's
+        // fused dO post delivers, formed on the chunk's local rows, is, bit
+        // for bit, `rowwise_dot` of the gathered O chunk and the gathered
+        // dO chunk.
         for (world, heads, kv_heads) in [(2usize, 4usize, 2usize), (4, 8, 4)] {
             let (u, d) = (3, 4);
             let s = 4 * world * u;
@@ -1339,11 +1327,13 @@ mod tests {
                     .forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                     .unwrap();
                 let dout = shard(&dout);
-                let dsum = ex.row_dot(&o, &dout).unwrap();
                 let c_loc = plan.chunk_local_len();
                 for i in 0..u {
-                    let fused = ex.post_dout(&plan, &dout, &dsum, i).unwrap();
-                    let o_i = o.narrow(0, plan.local_chunk_range(i).start, c_loc).unwrap();
+                    let [o_i, dout_i] = narrowed([&o, &dout])(plan.local_chunk_range(i)).unwrap();
+                    let dsum_i = ex.row_dot(&o_i, &dout_i).unwrap();
+                    let fused = ex
+                        .post("a2a.scatter_heads", &[&dout_i, &dsum_i], false)
+                        .unwrap();
                     let o_posted = ex.post("a2a.scatter_heads", &[&o_i], false).unwrap();
                     let [dout_g, dsum_g] = landed(&mut ex.engine, fused).unwrap();
                     let [o_g] = landed(&mut ex.engine, o_posted).unwrap();
@@ -1572,7 +1562,7 @@ mod tests {
         let pos: Vec<usize> = (0..16).collect();
         let mut starts = Vec::new();
         let mut parts = Vec::new();
-        ex.forward_chunks(0, &pos, &mut narrowed(&q, &k, &v), &mut |r0, part| {
+        ex.forward_chunks(0, &pos, &mut narrowed([&q, &k, &v]), &mut |r0, part| {
             starts.push(r0);
             parts.push(part);
             Ok(())
@@ -1584,8 +1574,7 @@ mod tests {
         let dout = init::randn(&mut init::seeded_rng(91), &[16, 2, 4], 1.0);
         starts.clear();
         let mut dq = Vec::new();
-        let mut dense = lent(&o, &dout);
-        ex.backward_chunks(0, &mut dense, &mut |r0, [dq_i, ..]| {
+        ex.backward_chunks(0, 16, &mut narrowed([&o, &dout]), &mut |r0, [dq_i, ..]| {
             starts.push(r0);
             dq.push(dq_i);
             Ok(())
@@ -1595,7 +1584,7 @@ mod tests {
         let dq = Tensor::concat(&dq.iter().collect::<Vec<_>>(), 0).unwrap();
         assert_eq!(bits(&dq), bits(&plain.backward(0, &o, &dout).unwrap().0));
         // A sink's error ends the call with that error.
-        let err = ex.forward_chunks(1, &pos, &mut narrowed(&q, &k, &v), &mut |_, _| {
+        let err = ex.forward_chunks(1, &pos, &mut narrowed([&q, &k, &v]), &mut |_, _| {
             Err("full".into())
         });
         assert_eq!(err.unwrap_err().to_string(), "full");

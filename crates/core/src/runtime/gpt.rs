@@ -16,6 +16,8 @@ use fpdt_tensor::{init, Tensor};
 use fpdt_trace::Recorder;
 use rand::rngs::SmallRng;
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// Target id that contributes neither loss nor gradient.
@@ -65,36 +67,11 @@ enum NormCtx {
     Rms(RmsNormCtx),
 }
 
-impl NormCtx {
-    /// Appends the per-row statistics of the rows that follow this
-    /// context's.
-    fn append(&mut self, later: NormCtx) -> ExecResult<()> {
-        match (self, later) {
-            (NormCtx::Layer(a), NormCtx::Layer(b)) => {
-                a.mean.extend(b.mean);
-                a.rstd.extend(b.rstd);
-            }
-            (NormCtx::Rms(a), NormCtx::Rms(b)) => a.rrms.extend(b.rrms),
-            _ => return Err("norm context family mismatch".into()),
-        }
-        Ok(())
-    }
-}
-
 impl Norm {
     fn new(family: Family, dim: usize) -> Self {
         match family {
             Family::Gpt => Norm::Layer(LayerNorm::new(dim, NORM_EPS)),
             Family::Llama => Norm::Rms(RmsNorm::new(dim, NORM_EPS)),
-        }
-    }
-
-    /// The statistics of no rows, which [`NormCtx::append`] extends chunk
-    /// by chunk.
-    fn no_rows(&self) -> NormCtx {
-        match self {
-            Norm::Layer(_) => NormCtx::Layer(LayerNormCtx::default()),
-            Norm::Rms(_) => NormCtx::Rms(RmsNormCtx::default()),
         }
     }
 
@@ -285,23 +262,29 @@ struct Pass<'a> {
     rec: Option<&'a Recorder>,
 }
 
-/// Saved activations for one block's backward pass: what a matmul or the
-/// attention made, plus the norms' per-row statistics. The norm outputs
-/// and the MLP activation output are rebuilt in the backward, row-local
-/// and bit for bit (DESIGN.md "What a block saves").
+/// Saved activations for one block's backward pass: the block input and
+/// one context per attention chunk, each holding only what a matmul or the
+/// attention made. The norm outputs, their statistics and the MLP
+/// activation output are rebuilt in the backward, row-local and bit for
+/// bit (DESIGN.md "What a block saves").
 pub struct BlockCtx {
-    /// The block input: `norm1`'s input, rebuilt into `n1` per chunk
-    /// with `n1_ctx`'s statistics.
+    /// The block input: `norm1`'s input, rebuilt into `n1` per chunk.
     x: Tensor,
-    n1_ctx: NormCtx,
-    /// The attention output as `out_proj` read it, `[s, hidden]`; the
-    /// backward hands it to the executor (as `[s, heads, d]`) for the
+    /// One per attention chunk, in row order; none when the forward's
+    /// caller keeps no context.
+    chunks: Vec<ChunkCtx>,
+}
+
+/// What one attention chunk's rows keep for the block's backward.
+struct ChunkCtx {
+    /// The chunk's local rows.
+    rows: Range<usize>,
+    /// The attention output as `out_proj` read it, `[rows, hidden]`; the
+    /// backward hands it to the executor (as `[rows, heads, d]`) for the
     /// softmax row-dot.
-    o_merged: Tensor,
-    /// The residual after attention: `norm2`'s input, rebuilt into `n2`
-    /// per MLP piece with `n2_ctx`'s statistics.
+    o: Tensor,
+    /// The residual after attention: `norm2`'s input, rebuilt into `n2`.
     x1: Tensor,
-    n2_ctx: NormCtx,
     /// Each MLP piece's rows and saved activations, in row order.
     mlp: Vec<(Range<usize>, MlpCtx)>,
 }
@@ -332,13 +315,16 @@ impl Block {
     /// each output chunk as the executor hands it over. Every one of them
     /// is row-local, and the MLP pieces are the pass's MLP chunks cut at
     /// the attention chunks' bounds, so the bits are those of one
-    /// whole-sequence pass.
+    /// whole-sequence pass. Each chunk's context is made as its output
+    /// lands; without `keep` it is dropped there, and the returned context
+    /// holds the input alone.
     fn forward(
         &self,
         layer: usize,
         x: Tensor,
         exec: &mut dyn AttentionExec,
         pass: &Pass<'_>,
+        keep: bool,
     ) -> ExecResult<(Tensor, BlockCtx)> {
         let Pass {
             rope,
@@ -349,14 +335,12 @@ impl Block {
         let h = x.shape()[1];
         let dh = h / self.heads;
         let kvd = self.kv_heads * dh;
-        let mut n1_ctx = self.norm1.no_rows();
         // Each chunk's `n1` is dropped once its q/k/v are formed; the
         // backward rebuilds it.
         let mut qkv = |r: Range<usize>| -> ExecResult<[Tensor; 3]> {
             let (r0, c) = (r.start, r.len());
             let xc = rows(&x, r0, c)?;
-            let (n1, ctx) = spanned(rec, "dense.norm", || self.norm1.forward(&xc))?;
-            n1_ctx.append(ctx)?;
+            let (n1, _) = spanned(rec, "dense.norm", || self.norm1.forward(&xc))?;
             spanned(rec, "dense.qkv", || {
                 let q = self.q_proj.forward(&n1)?.reshape(&[c, self.heads, dh])?;
                 let kv = self.kv_proj.forward(&n1)?;
@@ -366,66 +350,59 @@ impl Block {
             })
         };
         let mlp_ranges = chunk_ranges(s, mlp_chunks);
-        let [mut o_merged, mut x1, mut x2] = [(); 3].map(|()| RowChunks::new(s));
-        let mut n2_ctx = self.norm2.no_rows();
-        let mut mlp = Vec::new();
+        let mut x2 = RowChunks::new(s);
+        let mut chunks = Vec::new();
         exec.forward_chunks(layer, rope.positions(), &mut qkv, &mut |r0, o| {
             let c = o.shape()[0];
-            let (o_c, x1_c) = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
-                let mut o_c = o;
-                o_c.reshape_in_place(&[c, h])?;
-                let mut x1_c = self.out_proj.forward(&o_c)?;
-                add_rows(&mut x1_c, &x, r0)?; // residual
-                Ok((o_c, x1_c))
+            let (o, x1) = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
+                let mut o = o;
+                o.reshape_in_place(&[c, h])?;
+                let mut x1 = self.out_proj.forward(&o)?;
+                add_rows(&mut x1, &x, r0)?; // residual
+                Ok((o, x1))
             })?;
-            let (n2_c, ctx_c) = spanned(rec, "dense.norm", || self.norm2.forward(&x1_c))?;
+            let (n2, _) = spanned(rec, "dense.norm", || self.norm2.forward(&x1))?;
             // Chunked MLP: token-wise, so chunking is exact.
+            let mut mlp = Vec::new();
             spanned(rec, "dense.mlp.fwd", || -> ExecResult<_> {
                 for r in pieces(&mlp_ranges, r0..r0 + c) {
-                    let n2p = rows(&n2_c, r.start - r0, r.len())?;
+                    let n2p = rows(&n2, r.start - r0, r.len())?;
                     let (mut m, ctx) = self.mlp.forward(&n2p)?;
-                    add_rows(&mut m, &x1_c, r.start - r0)?; // residual
+                    add_rows(&mut m, &x1, r.start - r0)?; // residual
                     x2.push(r.start, m)?;
                     mlp.push((r, ctx));
                 }
                 Ok(())
             })?;
-            n2_ctx.append(ctx_c)?;
-            o_merged.push(r0, o_c)?;
-            x1.push(r0, x1_c)
+            if keep {
+                let rows = r0..r0 + c;
+                chunks.push(ChunkCtx { rows, o, x1, mlp });
+            }
+            Ok(())
         })?;
-        Ok((
-            x2.finish()?,
-            BlockCtx {
-                x,
-                n1_ctx,
-                o_merged: o_merged.finish()?,
-                x1: x1.finish()?,
-                n2_ctx,
-                mlp,
-            },
-        ))
+        Ok((x2.finish()?, BlockCtx { x, chunks }))
     }
 
     /// Backward for the block; adds its parameter gradients into `grad`
     /// (the block's stretch of the flat buffer) and returns `dx`.
     ///
-    /// The norm outputs come back row-local: `n2` per MLP piece from the
-    /// saved `x1` rows, `n1` per gradient chunk from the saved `x` rows,
-    /// each from the statistics the forward saved, so the bits are the
-    /// forward's.
-    ///
-    /// The MLP, `norm2` and `out_proj` backward run inside the executor's
-    /// backward, which puts the attention backward's first transfers on
-    /// the copy stream before it calls them. The RoPE and `kv_proj`/`q_proj`
-    /// backward stream: they run on each `(dq, dk, dv)` chunk as the
-    /// executor hands it over. Both projections' weight and bias gradients
-    /// still add their rows in ascending order, one chain per element, so
-    /// the bits are those of one whole-sequence call.
+    /// The block streams over the attention's chunks in both halves of
+    /// its backward. When the executor asks for a chunk's `[o, dO]`, the
+    /// chunk's MLP pieces, `norm2`'s backward and the residual (giving
+    /// the chunk's `dx1`) and `out_proj`'s backward run on its rows; the
+    /// executor has put the attention backward's first transfers on the
+    /// copy stream before it first asks. When it hands over a chunk's
+    /// `(dq, dk, dv)`, the RoPE, `kv_proj`/`q_proj` and `norm1` backward
+    /// and the residual run on it, so `dx` leaves the block chunk by
+    /// chunk. Each norm's output and statistics are rebuilt from its
+    /// saved input rows (`n2` per chunk from its `x1`, `n1` per chunk from
+    /// `x`), row-local, so their bits are the forward's. Every weight and
+    /// bias gradient adds its rows in ascending order, one chain per
+    /// element, so the bits are those of one whole-sequence call.
     fn backward(
         &self,
         layer: usize,
-        mut ctx: BlockCtx,
+        ctx: BlockCtx,
         dx2: &Tensor,
         exec: &mut dyn AttentionExec,
         pass: &Pass<'_>,
@@ -434,59 +411,69 @@ impl Block {
         let Pass { rope, rec, .. } = *pass;
         let [g_norm1, g_q, g_kv, g_out, g_norm2, g_mlp] = split_grad(grad, self.param_lens())?;
         let s = dx2.shape()[0];
-        let h = dx2.shape()[1];
-        let dh = h / self.heads;
+        let dh = dx2.shape()[1] / self.heads;
         let kvd = self.kv_heads * dh;
-        let mut dx1 = None;
-        let mut dn1 = RowChunks::new(s);
-        let mut dense = || -> ExecResult<_> {
-            // MLP backward, over the forward's pieces.
-            let dn2 = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
-                let mut dn2 = RowChunks::new(s);
-                for (r, mctx) in &mut ctx.mlp {
-                    let dmo = rows(dx2, r.start, r.len())?;
-                    let x1p = rows(&ctx.x1, r.start, r.len())?;
-                    let (n2p, _) = self.norm2.forward(&x1p)?;
-                    dn2.push(r.start, self.mlp.backward(&n2p, mctx, &dmo, g_mlp)?)?;
+        let BlockCtx { x, mut chunks } = ctx;
+        // Each chunk's `dx1`, by its first row, from its dense backward to
+        // its gradient sink. It and the contexts are freed when the
+        // block's backward returns.
+        let dx1 = RefCell::new(BTreeMap::new());
+        let mut dense = |r: Range<usize>| -> ExecResult<[Tensor; 2]> {
+            let c = chunks.iter_mut().find(|c| c.rows == r);
+            let c = c.ok_or_else(|| format!("no forward chunk holds rows {r:?}"))?;
+            let n = r.len();
+            // MLP backward, over the chunk's pieces.
+            let (dn2, n2_ctx) = spanned(rec, "dense.mlp.bwd", || -> ExecResult<_> {
+                let (n2, n2_ctx) = self.norm2.forward(&c.x1)?;
+                let mut dn2 = RowChunks::new(n);
+                for (p, mctx) in &mut c.mlp {
+                    let at = p.start - r.start;
+                    let (n2p, dmo) = (rows(&n2, at, p.len())?, rows(dx2, p.start, p.len())?);
+                    dn2.push(at, self.mlp.backward(&n2p, mctx, &dmo, g_mlp)?)?;
                 }
-                dn2.finish()
+                Ok((dn2.finish()?, n2_ctx))
             })?;
-            let dx1 = dx1.insert(spanned(rec, "dense.norm", || -> ExecResult<_> {
-                let mut dx1 = self.norm2.backward(&ctx.x1, &ctx.n2_ctx, &dn2, g_norm2)?;
-                dx1.add_assign(dx2)?; // residual
+            let dx1_c = spanned(rec, "dense.norm", || -> ExecResult<_> {
+                let mut dx1 = self.norm2.backward(&c.x1, &n2_ctx, &dn2, g_norm2)?;
+                add_rows(&mut dx1, dx2, r.start)?; // residual
                 Ok(dx1)
-            })?);
-            spanned(rec, "dense.out_proj", || {
-                let mut do_heads = self.out_proj.backward(&ctx.o_merged, dx1, g_out)?;
-                do_heads.reshape_in_place(&[s, self.heads, dh])?;
-                let mut o = std::mem::take(&mut ctx.o_merged);
-                o.reshape_in_place(&[s, self.heads, dh])?;
-                Ok((Cow::Owned(o), Cow::Owned(do_heads)))
-            })
+            })?;
+            let o_do = spanned(rec, "dense.out_proj", || -> ExecResult<_> {
+                let mut do_heads = self.out_proj.backward(&c.o, &dx1_c, g_out)?;
+                do_heads.reshape_in_place(&[n, self.heads, dh])?;
+                let mut o = std::mem::take(&mut c.o);
+                o.reshape_in_place(&[n, self.heads, dh])?;
+                Ok([o, do_heads])
+            })?;
+            dx1.borrow_mut().insert(r.start, dx1_c);
+            Ok(o_do)
         };
-        exec.backward_chunks(layer, &mut dense, &mut |r0, [dq, dk, mut dv]| {
-            spanned(rec, "dense.qkv", || -> ExecResult<_> {
-                let c = dq.shape()[0];
+        let mut dx = RowChunks::new(s);
+        exec.backward_chunks(layer, s, &mut dense, &mut |r0, [dq, dk, mut dv]| {
+            let c = dq.shape()[0];
+            let xc = rows(&x, r0, c)?;
+            let (dn1, n1_ctx) = spanned(rec, "dense.qkv", || -> ExecResult<_> {
                 let mut dq = rope.apply_bwd_rows(r0, &dq)?;
                 let mut dk = rope.apply_bwd_rows(r0, &dk)?;
                 dq.reshape_in_place(&[c, self.heads * dh])?;
                 dk.reshape_in_place(&[c, kvd])?;
                 dv.reshape_in_place(&[c, kvd])?;
                 let dkv = Tensor::concat(&[&dk, &dv], 1)?;
-                let xc = rows(&ctx.x, r0, c)?;
-                let (n1c, _) = self.norm1.forward(&xc)?;
-                let mut dn1c = self.kv_proj.backward(&n1c, &dkv, g_kv)?;
-                dn1c.add_assign(&self.q_proj.backward(&n1c, &dq, g_q)?)?;
-                dn1.push(r0, dn1c)
-            })
+                let (n1, n1_ctx) = self.norm1.forward(&xc)?;
+                let mut dn1 = self.kv_proj.backward(&n1, &dkv, g_kv)?;
+                dn1.add_assign(&self.q_proj.backward(&n1, &dq, g_q)?)?;
+                Ok((dn1, n1_ctx))
+            })?;
+            let dx1 = dx1.borrow();
+            let dx1_c = dx1.get(&r0).ok_or("gradients before the dense backward")?;
+            let dx_c = spanned(rec, "dense.norm", || -> ExecResult<_> {
+                let mut dx_c = self.norm1.backward(&xc, &n1_ctx, &dn1, g_norm1)?;
+                dx_c.add_assign(dx1_c)?; // residual
+                Ok(dx_c)
+            })?;
+            dx.push(r0, dx_c)
         })?;
-        let dx1 = dx1.ok_or("the attention backward never ran the dense backward")?;
-        let dn1 = dn1.finish()?;
-        spanned(rec, "dense.norm", || {
-            let mut dx = self.norm1.backward(&ctx.x, &ctx.n1_ctx, &dn1, g_norm1)?;
-            dx.add_assign(&dx1)?; // residual
-            Ok(dx)
-        })
+        dx.finish()
     }
 
     /// Parameter counts of the sub-layers, in [`Block::for_each_param`]
@@ -790,7 +777,7 @@ impl GptModel {
         let mut saved = Vec::with_capacity(self.blocks.len());
         for (layer, block) in self.blocks.iter().enumerate() {
             let _s = rec.map(|r| r.span("block.fwd"));
-            let (nx, ctx) = block.forward(layer, x, exec, &pass)?;
+            let (nx, ctx) = block.forward(layer, x, exec, &pass, !checkpointed)?;
             x = nx;
             saved.push(if checkpointed {
                 exec.discard(layer);
@@ -813,7 +800,7 @@ impl GptModel {
                 Ok(ctx) => ctx,
                 Err(x_in) => {
                     let _s = rec.map(|r| r.span("block.fwd"));
-                    block.forward(layer, x_in, exec, &pass)?.1
+                    block.forward(layer, x_in, exec, &pass, true)?.1
                 }
             };
             let _s = rec.map(|r| r.span("block.bwd"));
@@ -1017,7 +1004,7 @@ impl GptModel {
         };
         let mut x = self.emb.forward(tokens)?;
         for (layer, block) in self.blocks.iter().enumerate() {
-            let (nx, _) = block.forward(layer, x, exec, &pass)?;
+            let (nx, _) = block.forward(layer, x, exec, &pass, false)?;
             exec.discard(layer);
             x = nx;
         }
