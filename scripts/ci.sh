@@ -165,6 +165,10 @@ stage "cargo test --offline --locked --manifest-path benchmark/Cargo.toml (the f
 # fails here rather than when the benchmark is next run.
 cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
+stage "plain count of crates/*/src (printed, not a gate)"
+# The non-test line count every change reports, from one command.
+scripts/plain_count.sh | tail -n 1
+
 stage_starts+=("$SECONDS")
 echo "==> CI wall time by stage"
 for i in "${!stage_names[@]}"; do
