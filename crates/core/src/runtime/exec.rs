@@ -526,7 +526,7 @@ impl DistAttention {
     /// The walk issues the layer's opening (`DistAttention::open`) first,
     /// then asks `dense` for each chunk's `[o_i, dO_i]` in ascending order
     /// and posts its `dO` gather with its row-dot
-    /// ([`DistAttention::row_dot`]) fused in, to land as `[dO_i, D_i]`,
+    /// (`DistAttention::row_dot`) fused in, to land as `[dO_i, D_i]`,
     /// before it asks for chunk `i+1`. Row and column state opens lazily,
     /// keyed on the tile itself, and stays on the rank thread until the
     /// tile that closes it:
