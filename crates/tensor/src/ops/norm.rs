@@ -11,7 +11,7 @@ use crate::{par, Result, Tensor, TensorError};
 const COL_BLOCK: usize = 64;
 
 /// Saved forward state required by [`layernorm_bwd`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LayerNormCtx {
     /// Per-row mean.
     pub mean: Vec<f32>,
@@ -20,7 +20,7 @@ pub struct LayerNormCtx {
 }
 
 /// Saved forward state required by [`rmsnorm_bwd`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RmsNormCtx {
     /// Per-row reciprocal root-mean-square.
     pub rrms: Vec<f32>,
