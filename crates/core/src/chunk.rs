@@ -51,19 +51,14 @@ impl ChunkPlan {
         })
     }
 
-    /// Tokens per segment (the unit the loader shuffles).
-    pub fn segment_len(&self) -> usize {
-        self.seq_global / (self.world * self.chunks)
-    }
-
     /// Tokens held by each rank.
     pub fn local_len(&self) -> usize {
         self.seq_global / self.world
     }
 
-    /// Tokens per local chunk (= segment length).
+    /// Tokens per local chunk: one segment, the unit the loader shuffles.
     pub fn chunk_local_len(&self) -> usize {
-        self.segment_len()
+        self.seq_global / (self.world * self.chunks)
     }
 
     /// Tokens per *gathered* chunk (after the all-to-all).
@@ -79,7 +74,7 @@ impl ChunkPlan {
     /// Panics if `rank >= world`.
     pub fn local_positions(&self, rank: usize) -> Vec<usize> {
         assert!(rank < self.world, "rank {rank} out of {}", self.world);
-        let seg = self.segment_len();
+        let seg = self.chunk_local_len();
         (0..self.chunks)
             .flat_map(|i| {
                 let s = (i * self.world + rank) * seg;
@@ -219,7 +214,7 @@ mod tests {
         // GPU r's chunk i must be segment T_{i*4+r}; gathering chunk 1
         // yields T_4, T_5, T_6, T_7 — contiguous in causality.
         let plan = ChunkPlan::new(16, 4, 4).unwrap();
-        assert_eq!(plan.segment_len(), 1);
+        assert_eq!(plan.chunk_local_len(), 1);
         // GPU 1 holds T_1, T_5, T_9, T_13
         assert_eq!(plan.local_positions(1), vec![1, 5, 9, 13]);
         // gathered chunk 1 = positions 4..8
