@@ -571,7 +571,7 @@ impl BwdTile<'_> {
 ///
 /// Returns a shape error when any operand disagrees with the tile shape;
 /// a gradient buffer is reported against the operand it must match.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "a tile's operands and gradients")]
 pub fn attention_block_bwd(
     q: &Tensor,
     k: &Tensor,
@@ -883,7 +883,10 @@ mod tests {
     }
 
     /// `attention_block_bwd` into gradients that start at `fill`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "attention_block_bwd's arguments plus the fill"
+    )]
     fn bwd_from(
         fill: f32,
         q: &Tensor,

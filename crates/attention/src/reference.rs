@@ -51,7 +51,6 @@ pub fn attention_with_positions(
                 let q_row = &qd[(a * h + head) * d..(a * h + head) * d + d];
                 let mut m = f32::NEG_INFINITY;
                 let mut any = false;
-                #[allow(clippy::needless_range_loop)] // b indexes scores, kv_pos and kd together
                 for b in 0..sk {
                     if kv_pos[b] <= q_pos[a] {
                         let k_row = &kd[(b * hkv + kvh) * d..(b * hkv + kvh) * d + d];

@@ -4,7 +4,7 @@
 //! unequal `sq != sk`, GQA head grouping, and the three causal relations a
 //! `(q_chunk, kv_chunk)` tile can have.
 
-#![allow(dead_code)] // each suite uses its own subset
+#![allow(dead_code, reason = "each suite uses its own subset")]
 
 use fpdt_attention::default_scale;
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};

@@ -70,7 +70,10 @@ proptest! {
         }
         let (_, lse) = st.finalize();
         let scale = 0.5; // 1/sqrt(4)
-        #[allow(clippy::needless_range_loop)] // a indexes q rows and lse together
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "a indexes q rows and lse together"
+        )]
         for a in 0..s {
             let mut scores = Vec::new();
             for b in 0..=a {

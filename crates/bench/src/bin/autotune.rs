@@ -26,6 +26,10 @@ struct Report {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "unset FPDT_SIM_GBPS means 1 GB/s"
+    )]
     let sim_gbps = if std::env::var_os("FPDT_SIM_GBPS").is_some() {
         RuntimeOptions::from_env().sim_gbps
     } else {

@@ -272,6 +272,7 @@ where
     let comms = group.communicators();
     let f = &f;
     let ctx = KernelCtx::current().split(world);
+    #[expect(clippy::disallowed_methods, reason = "the rank group owns its threads")]
     std::thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
@@ -302,6 +303,7 @@ where
     F: FnOnce(Communicator) -> T + Send + 'static,
 {
     let ctx = ctx.split(comm.world);
+    #[expect(clippy::disallowed_methods, reason = "the rank group owns its threads")]
     std::thread::Builder::new()
         .name(format!("fpdt-rank-r{}", comm.rank))
         .spawn(move || ctx.enter(|| f(comm)))
@@ -446,6 +448,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one rank")]
     fn zero_world_panics() {
-        let _ = CommGroup::new(0);
+        drop(CommGroup::new(0));
     }
 }

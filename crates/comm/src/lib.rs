@@ -37,6 +37,8 @@
 //! [`CommEngine::wait`] when the payload is needed.
 
 #![deny(missing_docs)]
+// Comm errors become `CommError`s for the retry path, never rank panics.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod collectives;
 mod engine;

@@ -16,6 +16,10 @@
 //! time is kept out of the comparable counters (see
 //! [`CommStats::recv_wait`]).
 
+// The counters feed checkpoint shards and metrics: no hash-ordered map or set.
+#![deny(clippy::disallowed_types)]
+
+#[expect(clippy::disallowed_types, reason = "lookups only; `order` emits")]
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -124,6 +128,7 @@ pub(crate) enum Direction {
 pub(crate) struct StatsCell {
     // first-use order kept separately so snapshots are deterministic
     order: Mutex<Vec<String>>,
+    #[expect(clippy::disallowed_types, reason = "lookups only; `order` emits")]
     by_op: Mutex<HashMap<String, OpStats>>,
     recv_wait: Mutex<Duration>,
     faults: AtomicU64,
@@ -218,8 +223,8 @@ mod tests {
     #[test]
     fn ops_are_tracked_separately_in_first_use_order() {
         let stats = run_group(2, |comm| {
-            let _ = comm.all_reduce(&[0.0; 8]).unwrap();
-            let _ = comm.ring_exchange(vec![0.0; 2]).unwrap();
+            drop(comm.all_reduce(&[0.0; 8]).unwrap());
+            drop(comm.ring_exchange(vec![0.0; 2]).unwrap());
             comm.stats()
         });
         let names: Vec<&str> = stats[0].ops.iter().map(|(n, _)| n.as_str()).collect();
@@ -235,7 +240,7 @@ mod tests {
         // blocking times inevitably differ.
         let run = || {
             run_group(2, |comm| {
-                let _ = comm.all_reduce(&[1.0; 16]).unwrap();
+                drop(comm.all_reduce(&[1.0; 16]).unwrap());
                 comm.stats()
             })
         };
@@ -252,8 +257,8 @@ mod tests {
         let run_steps = |steps: usize| {
             run_group(2, |comm| {
                 for _ in 0..steps {
-                    let _ = comm.all_reduce(&[1.0; 16]).unwrap();
-                    let _ = comm.ring_exchange(vec![0.0; 4]).unwrap();
+                    drop(comm.all_reduce(&[1.0; 16]).unwrap());
+                    drop(comm.ring_exchange(vec![0.0; 4]).unwrap());
                 }
                 comm.stats()
             })
@@ -278,7 +283,7 @@ mod tests {
     #[test]
     fn fault_and_retry_counters_do_not_break_equality() {
         let clean = run_group(1, |comm| {
-            let _ = comm.all_reduce(&[1.0; 8]).unwrap();
+            drop(comm.all_reduce(&[1.0; 8]).unwrap());
             comm.stats()
         });
         let faulted = run_group(1, |comm| {

@@ -2,6 +2,11 @@
 //! peer dies or diverges, never hang or silently corrupt — the property
 //! that makes distributed bugs debuggable.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "each test drives its ranks from threads of its own, peers dead or diverged"
+)]
+
 use fpdt_comm::{CommError, CommGroup};
 use std::thread;
 

@@ -635,8 +635,7 @@ pub fn simulate_forward_layers(
                 ab.deps(&[qkv]);
                 let a2a_t = ab.submit()?;
                 let mut last = a2a_t;
-                #[allow(clippy::needless_range_loop)]
-                // j names tasks and gates the diagonal, not just offloads
+                #[expect(clippy::needless_range_loop, reason = "j names tasks and the diagonal")]
                 for j in 0..=i {
                     let mut deps = vec![a2a_t, last];
                     if opts.offload && j < i {

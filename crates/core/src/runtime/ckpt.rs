@@ -40,6 +40,9 @@
 //! Entries are sorted by key at serialization time regardless of insertion
 //! order, so two logically equal dicts are byte-equal on disk.
 
+// A discarded checkpoint I/O result resumes from half-written state.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
@@ -537,7 +540,7 @@ mod tests {
     #[test]
     fn shard_files_round_trip_and_validate_the_set() {
         let dir = std::env::temp_dir().join(format!("fpdt-ckpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(std::fs::remove_dir_all(&dir));
         let world = 3;
         for rank in 0..world {
             let mut d = StateDict::new();
@@ -563,6 +566,6 @@ mod tests {
             read_shard(&paths[0]).unwrap_err(),
             CkptError::Corrupt(_)
         ));
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(std::fs::remove_dir_all(&dir));
     }
 }

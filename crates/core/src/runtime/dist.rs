@@ -45,6 +45,9 @@
 //!   state with it: the panic resumes out of `run_steps` after the other
 //!   sessions are shut down, and the Trainer is spent.
 
+// A discarded checkpoint I/O result resumes from half-written state.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use crate::chunk::ChunkPlan;
 use crate::offload::PoolStats;
 use crate::runtime::ckpt::{self, CkptError, StateDict, StateValue};
@@ -489,13 +492,13 @@ fn serve(
         match command {
             Command::Run(steps, answer) => {
                 let out = rank.run(&mut *exec, steps);
-                let _ = answer.send(out);
+                drop(answer.send(out));
             }
             Command::Export(answer) => {
-                let _ = answer.send(rank.export());
+                drop(answer.send(rank.export()));
             }
             Command::Grads(answer) => {
-                let _ = answer.send(rank.export_grads());
+                drop(answer.send(rank.export_grads()));
             }
             #[cfg(test)]
             Command::Call(f) => f(),
@@ -1789,6 +1792,10 @@ mod tests {
             trainer.run_steps(1).expect("healthy call");
             let seen = ask(sessions(&trainer), |answer| {
                 Command::Call(Box::new(move || {
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "`ask` holds the receiver until every session answers"
+                    )]
                     let _ = answer.send(KernelCtx::current());
                 }))
             })
@@ -1887,7 +1894,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let dir = std::env::temp_dir().join(format!("fpdt-doctored-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(std::fs::remove_dir_all(&dir));
         let mut trainer = Trainer::new(cfg);
         trainer.run_steps(2).expect("healthy call");
         trainer.checkpoint(&dir).expect("checkpoint");
@@ -1917,7 +1924,7 @@ mod tests {
             let err = doctor(key, at, value);
             assert!(matches!(err, CkptError::Corrupt(_)), "{key}[{at}]: {err}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        drop(std::fs::remove_dir_all(&dir));
     }
 
     #[test]

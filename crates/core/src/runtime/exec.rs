@@ -17,6 +17,10 @@
 //!   all-to-all keeps its only part on the rank and moves nothing.
 //! * [`RingAttentionExec`] — Ring Attention, full heads, rotating KV.
 
+// Comm errors propagate as `ExecResult`s, and no hash order reaches the
+// schedule or its traces.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
+
 use super::options::RuntimeOptions;
 use crate::chunk::{tile_slots, ChunkPlan};
 use crate::offload::{BufKind, ChunkKey, FetchHandle, OffloadEngine, PoolStats};
@@ -25,6 +29,7 @@ use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
 use fpdt_comm::{AllToAllLayout, CommEngine, CommGroup, Communicator, Pending};
 use fpdt_tensor::{Tensor, TensorError};
 use fpdt_trace::{Recorder, Span};
+#[expect(clippy::disallowed_types, reason = "keyed by layer, never iterated")]
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -893,6 +898,7 @@ impl AttentionExec for DistAttention {
 pub struct RingAttentionExec<'c> {
     comm: &'c Communicator,
     seq_global: usize,
+    #[expect(clippy::disallowed_types, reason = "keyed by layer, never iterated")]
     saved: HashMap<usize, RingSaved>,
 }
 
@@ -905,6 +911,7 @@ struct RingSaved {
 
 impl<'c> RingAttentionExec<'c> {
     /// Creates the executor for one rank of a contiguous sequence shard.
+    #[expect(clippy::disallowed_types, reason = "keyed by layer, never iterated")]
     pub fn new(comm: &'c Communicator, seq_global: usize) -> Self {
         RingAttentionExec {
             comm,

@@ -45,8 +45,8 @@
 /// The actual `std::env` read lives in [`fpdt_tensor::env`] — the
 /// workspace's shared strict-parse primitives — so both layers accept
 /// exactly the same spellings. This module stays the one place *runtime*
-/// knobs are interpreted; `fpdt-lint`'s `env-outside-options` rule pins
-/// raw reads to the documented entry points.
+/// knobs are interpreted; clippy's `disallowed_methods` (clippy.toml)
+/// pins raw reads to the documented entry points.
 fn env_flag(name: &str, default: bool) -> bool {
     fpdt_tensor::env::flag(name, default)
 }

@@ -1,7 +1,7 @@
 //! Fixture shared by the fpdt-core test suites: forced kernel settings,
 //! the fixture model and a two-rank forward/backward.
 
-#![allow(dead_code)] // each suite uses its own subset
+#![allow(dead_code, reason = "each suite uses its own subset")]
 
 use fpdt_comm::{run_group, CommStats};
 use fpdt_core::chunk::ChunkPlan;

@@ -34,7 +34,7 @@ fn base_cfg(runtime: RuntimeOptions) -> TrainConfig {
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fpdt-resume-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(std::fs::remove_dir_all(&dir));
     dir
 }
 
@@ -115,7 +115,7 @@ fn corrupted_and_missing_shards_surface_typed_errors() {
         Trainer::resume(&dir).unwrap_err(),
         CkptError::Missing(_)
     ));
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(std::fs::remove_dir_all(&dir));
 }
 
 #[test]
@@ -151,7 +151,7 @@ fn a_mode_with_a_malformed_offload_flag_is_corrupt() {
         let resumed = resume_as(&format!("fpdt:4:{flag}")).expect("a valid flag resumes");
         assert_eq!(resumed.config().mode, Mode::Fpdt { chunks: 4, offload });
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(std::fs::remove_dir_all(&dir));
 }
 
 /// Offsets of every length field of a shard: the entry count, then each
@@ -218,7 +218,7 @@ fn every_truncation_and_overflowing_length_is_a_typed_error() {
         Trainer::resume(&dir).is_ok(),
         "the pristine shard still resumes"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(std::fs::remove_dir_all(&dir));
 }
 
 #[test]
@@ -265,7 +265,7 @@ fn every_byte_flip_is_a_typed_error_or_a_clean_resume() {
         Trainer::resume(&dir).is_ok(),
         "the pristine shard still resumes"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(std::fs::remove_dir_all(&dir));
     // a flip in a payload value is a different but well-formed state
     assert!(
         resumed > 0 && refused > 0,

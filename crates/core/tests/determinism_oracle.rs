@@ -240,6 +240,10 @@ fn fresh_dir() -> std::path::PathBuf {
 /// Trains `k` to its fingerprint under its kernel context, checking the
 /// session bookkeeping on the way: one build per rank and spawn, one
 /// fault and one replay per armed fault and call.
+#[expect(
+    let_underscore_drop,
+    reason = "a checkpoint directory's removal is best-effort cleanup"
+)]
 fn run(k: &Knobs) -> Fingerprint {
     forced_ctx(k.threads).enter(|| {
         let rec = Recorder::new();
@@ -534,6 +538,10 @@ fn check(k: &Knobs, cache: &mut Cache) {
 /// Checks every case, printing the one that fails. The two halves run
 /// side by side on two threads, so Trainers at different kernel budgets
 /// share the process while they train.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the two halves of the cases train on two threads at once"
+)]
 fn check_all(cases: &[Knobs]) {
     std::thread::scope(|s| {
         for half in cases.chunks(cases.len().div_ceil(2)) {

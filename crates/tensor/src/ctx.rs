@@ -114,6 +114,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs a fresh thread to see the process default"
+    )]
     fn enter_scopes_every_field_on_this_thread_only() {
         let outer = KernelCtx::current();
         let inner = KernelCtx {
@@ -135,6 +139,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test re-runs itself as a child marked by an env variable"
+    )]
     fn a_malformed_thread_budget_warns_once() {
         // The process defaults are read once, so the check runs in a child
         // process of this test binary with the variable set.

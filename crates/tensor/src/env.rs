@@ -4,8 +4,9 @@
 //! it cannot call into `fpdt_core::runtime::RuntimeOptions` — but its one
 //! kernel knob (`FPDT_THREADS`, checked in `ctx`) still deserves the same
 //! strict parse-or-warn discipline as the runtime flags. This module is
-//! the one place in the crate allowed to touch `std::env` (`fpdt-lint`
-//! rule `env-outside-options` enforces that mechanically), and
+//! the one place in the crate allowed to touch `std::env` (each read
+//! carries an `#[expect(clippy::disallowed_methods)]`; clippy.toml bans
+//! the calls everywhere else), and
 //! `RuntimeOptions::from_env` reuses these primitives so the flag syntax
 //! stays identical across layers:
 //!
@@ -15,11 +16,13 @@
 //!   per variable and falls back to the default instead of silently
 //!   training under a configuration the operator did not ask for.
 
+#[expect(clippy::disallowed_types, reason = "a warn-once set, never iterated")]
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
 /// Parses the shared flag syntax: unset means `default`; `0`, `false`,
 /// or `off` (trimmed) disable; any other value enables.
+#[expect(clippy::disallowed_methods, reason = "the kernel layer's env reads")]
 pub fn flag(name: &str, default: bool) -> bool {
     match std::env::var(name) {
         Err(_) => default,
@@ -45,6 +48,7 @@ pub fn parse_usize_strict(raw: &str) -> Result<usize, String> {
 }
 
 /// Warns about a malformed variable at most once per process.
+#[expect(clippy::disallowed_types, reason = "a warn-once set, never iterated")]
 pub fn warn_once(name: &str, why: &str) {
     static WARNED: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
     let mut warned = WARNED
@@ -58,6 +62,7 @@ pub fn warn_once(name: &str, why: &str) {
 
 /// Reads a count-valued knob under [`parse_usize_strict`]: `None` when the
 /// variable is unset *or* malformed (after a one-time warning).
+#[expect(clippy::disallowed_methods, reason = "the kernel layer's env reads")]
 pub fn usize_knob(name: &str) -> Option<usize> {
     let raw = std::env::var(name).ok()?;
     match parse_usize_strict(&raw) {
@@ -71,6 +76,7 @@ pub fn usize_knob(name: &str) -> Option<usize> {
 
 /// Reads a budget-valued knob: like [`usize_knob`] but `0` is a usable
 /// value (a retry budget of zero means "fail fast", not "unset").
+#[expect(clippy::disallowed_methods, reason = "the kernel layer's env reads")]
 pub fn budget_knob(name: &str) -> Option<usize> {
     let raw = std::env::var(name).ok()?;
     let trimmed = raw.trim();

@@ -39,6 +39,8 @@
 //! ```
 
 #![deny(missing_docs)]
+// Kernels are clock-free and hash-order-free (crates/tensor/clippy.toml).
+#![deny(clippy::disallowed_types)]
 
 pub mod bf16;
 mod ctx;

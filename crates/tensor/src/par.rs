@@ -84,7 +84,7 @@ where
 
 /// Three-slice variant of [`run_rows`] (e.g. the online-attention
 /// accumulator's `(acc, m, l)` triple).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "three slices with row lengths")]
 pub fn run_rows3<F>(
     a: &mut [f32],
     ra: usize,

@@ -23,6 +23,8 @@
 //! [`fpdt_sim::engine`]: fpdt_sim::engine
 
 #![deny(missing_docs)]
+// Trace and metrics output is ordered: no hash-ordered map or set.
+#![deny(clippy::disallowed_types)]
 
 pub mod chrome;
 mod json;

@@ -288,6 +288,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test records from threads of its own"
+    )]
     fn clones_share_one_buffer_across_threads() {
         let rec = Recorder::new();
         std::thread::scope(|s| {
@@ -331,6 +335,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test records from threads of its own"
+    )]
     fn tids_assign_in_first_record_order() {
         let rec = Recorder::new();
         rec.record("main.first", 0.0, 1.0, None);
@@ -347,6 +355,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test records from threads of its own"
+    )]
     fn named_threads_title_their_chrome_trace_track() {
         let rec = Recorder::new();
         rec.record("block.fwd", 0.0, 1.0, None);

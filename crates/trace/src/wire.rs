@@ -73,6 +73,7 @@ pub fn check_gbps(v: f64) -> Result<f64, String> {
 /// The simulated link bandwidth in GB/s from `FPDT_SIM_GBPS`, parsed
 /// once. `0.0` means the simulation is disabled; a malformed value warns
 /// once to stderr and disables it.
+#[expect(clippy::disallowed_methods, reason = "fpdt-trace is below fpdt-core")]
 pub fn link_gbps() -> f64 {
     static GBPS: OnceLock<f64> = OnceLock::new();
     *GBPS.get_or_init(|| {

@@ -41,23 +41,25 @@ if ! git diff --quiet -- crates/core/tests/golden; then
 fi
 
 stage "cargo clippy --workspace --all-targets -- -D warnings"
+# Also the project invariants: clippy.toml, [workspace.lints] and the
+# `#![deny(..)]` lines (DESIGN.md "Static invariants").
 cargo clippy --workspace --all-targets -- -D warnings
+
+stage "lint canary (clippy rejects a planted violation of each invariant)"
+# A misspelt clippy.toml path or a dropped `#![deny]` line would enforce
+# nothing; the canary plants one violation per rule in a throwaway copy
+# of the tree and prints one LINT_CANARY_OK line per rule.
+out=$(scripts/lint_canary.sh)
+echo "$out"
+if [ "$(grep -c '^LINT_CANARY_OK ' <<<"$out")" -ne 10 ]; then
+    echo "FAIL: the lint canary did not pass every rule" >&2
+    exit 1
+fi
 
 stage "cargo doc --no-deps --workspace --lib with rustdoc warnings denied"
 # A doc link to an item that was deleted, made private or named ambiguously
 # fails here instead of rendering as dead text.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
-
-stage "fpdt-lint (project invariants: determinism, env hygiene, fault tolerance)"
-# The static pass fails on any finding not suppressed inline; it prints
-# one LINT_OK line when clean. `|| true` so the findings echo before the
-# grep gate fails the script.
-out=$(cargo run -q --release --bin fpdt-lint || true)
-echo "$out"
-if ! grep -q '^LINT_OK ' <<<"$out"; then
-    echo "FAIL: fpdt-lint found violations" >&2
-    exit 1
-fi
 
 stage "examples that assert on the one-device path"
 # Each trains or runs one-device chunked attention (`LocalAttention`) and

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The "plain count": the non-test lines of every file under crates/*/src,
 # per file, then the total. A file's non-test lines are those before its
-# first `#[cfg(test)]` at column 0; fpdt-lint's `item-after-test-module`
+# first `#[cfg(test)]` at column 0; clippy's `items_after_test_module`
 # keeps every test module at the end of its file, so that is all of its
 # program text. The match is anchored: an unanchored `#[cfg(test)]` also
 # hits doc comments and indented attributes. Run from anywhere.

@@ -17,6 +17,9 @@
 //! [`fpdt_core::runtime::ckpt::CkptError`]: 2 = usage, 3 = missing
 //! shards, 4 = corrupt/version mismatch, 5 = I/O.
 
+// A discarded checkpoint I/O result resumes from half-written state.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use fpdt_core::runtime::ckpt::{read_shard, shard_paths, CkptError, StateDict};
 use fpdt_core::runtime::Trainer;
 use std::path::{Path, PathBuf};

@@ -11,7 +11,7 @@ use std::process::Output;
 
 fn fresh_checkpoint() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fpdt-ckpt-cli-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(std::fs::remove_dir_all(&dir));
     let runtime = RuntimeOptions::from_env()
         .with_fault_inject(0)
         .with_comm_retries(0);
@@ -86,5 +86,5 @@ fn exit_codes_follow_what_resume_accepts() {
         "{}",
         String::from_utf8_lossy(&out.stdout)
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(std::fs::remove_dir_all(&dir));
 }

@@ -61,7 +61,10 @@ fn table1_grid_is_monotone_in_both_axes() {
         );
     }
     // monotone (non-increasing) down each column as models grow
-    #[allow(clippy::needless_range_loop)] // c walks a column across two grid rows at once
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "c walks a column across two grid rows at once"
+    )]
     for c in 0..configs.len() {
         for m in 1..models.len() {
             assert!(
