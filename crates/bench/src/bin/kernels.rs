@@ -31,8 +31,8 @@
 //! The dense half's per-token kernels are timed at the same runtime shapes
 //! (`gelu`, `silu` on `[1024, 256]`, the fused `gelu_fwd_bwd` the GELU
 //! backward calls to rebuild the activation and form its gradient in one
-//! pass, the table `rope` on `[1024, 2, 32]`;
-//! their rows carry ns per element) next to the MLP gemms they sit between
+//! pass, the table `rope` on `[1024, 2, 32]`, which rotates in place and
+//! gets its input back off the clock; their rows carry ns per element) next to the MLP gemms they sit between
 //! (`mlp_gemm`: fc1 + fc2, forward + backward, at `[1024,64]x[64,256]`).
 //! `KERNELS_ACT_OK` is printed when single-thread `gelu` + `gelu_fwd_bwd`,
 //! the activation work of one MLP layer's forward and backward, cost at
@@ -377,6 +377,26 @@ impl Kernel for GeluFwdBwd {
     }
 }
 
+/// The table `rope` at `[1024, 2, 32]`: it rotates the tensor it takes in
+/// place, so every call gets a fresh copy of the same input, made off the
+/// clock.
+struct Rope {
+    table: ops::RopeTable,
+    init: Tensor,
+    work: Tensor,
+}
+
+impl Kernel for Rope {
+    fn reset(&mut self) {
+        self.work.clone_from(&self.init);
+    }
+
+    fn run(&mut self) -> Outputs {
+        let q = std::mem::take(&mut self.work);
+        outputs([self.table.apply_rows(0, q).expect("shapes fixed")])
+    }
+}
+
 /// The wide benchmark model's two chunk-sized projections: an MLP chunk
 /// through fc1 (32 rows) and a loss-head chunk (16 rows), both
 /// `[., 256] x [256, 1024]` with bias, forward and backward, the backward
@@ -491,7 +511,11 @@ fn dense_benches(seed: u64) -> Vec<Bench> {
             name: "rope",
             flops: q.numel() as u64,
             kernel_only: true,
-            run: Box::new(move || outputs([table.apply_rows(0, &q).expect("shapes fixed")])),
+            run: Box::new(Rope {
+                table,
+                work: q.clone(),
+                init: q,
+            }),
         },
         Bench {
             name: "mlp_gemm",

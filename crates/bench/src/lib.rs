@@ -20,7 +20,8 @@
 //! prints the paper-style table and writes machine-readable rows to
 //! `target/experiments/<name>.json`. The `kernels` binary gates the
 //! compute kernels in CI; `autotune` probes the real runtime's chunk
-//! count and payload format and prints the fastest.
+//! count and payload format and prints the fastest; `ledger` prints each
+//! rank's device high-water from real training runs.
 
 use serde::Serialize;
 use std::fs;

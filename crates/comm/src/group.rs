@@ -3,7 +3,7 @@
 use crate::stats::{CommStats, Direction, StatsCell};
 use crate::{CommError, Result};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use fpdt_tensor::KernelCtx;
+use fpdt_tensor::{ledger, KernelCtx};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
@@ -261,6 +261,8 @@ impl Communicator {
 /// don't oversubscribe the host: each rank's kernels fan out to at most
 /// `budget / world` threads.
 ///
+/// Each rank's allocations are billed to its [`ledger::rank_tag`].
+///
 /// Closure panics propagate (the whole call panics), mirroring how a rank
 /// failure aborts a distributed job.
 pub fn run_group<T, F>(world: usize, f: F) -> Vec<T>
@@ -276,7 +278,7 @@ where
     std::thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
-            .map(|comm| s.spawn(move || ctx.enter(|| f(comm))))
+            .map(|comm| s.spawn(move || rank_scope(comm, ctx, f)))
             .collect();
         handles
             .into_iter()
@@ -290,9 +292,9 @@ where
 
 /// Spawns a long-lived rank thread, `fpdt-rank-r{rank}`, that runs
 /// `f(comm)` under `ctx` split across the group's ranks (the budget rule of
-/// [`run_group`]). The caller owns the handle: joining it returns `f`'s
-/// value or the rank's panic. This is how a trainer keeps one worker per
-/// simulated GPU alive between training calls.
+/// [`run_group`]) and its ledger tag. The caller owns the handle: joining
+/// it returns `f`'s value or the rank's panic. This is how a trainer keeps
+/// one worker per simulated GPU alive between training calls.
 ///
 /// # Errors
 ///
@@ -306,7 +308,13 @@ where
     #[expect(clippy::disallowed_methods, reason = "the rank group owns its threads")]
     std::thread::Builder::new()
         .name(format!("fpdt-rank-r{}", comm.rank))
-        .spawn(move || ctx.enter(|| f(comm)))
+        .spawn(move || rank_scope(comm, ctx, f))
+}
+
+/// Runs a rank's body under its kernel context and its ledger tag, so
+/// what the rank allocates is billed to its device.
+fn rank_scope<T>(comm: Communicator, ctx: KernelCtx, f: impl FnOnce(Communicator) -> T) -> T {
+    ledger::with_tag(ledger::rank_tag(comm.rank), || ctx.enter(|| f(comm)))
 }
 
 #[cfg(test)]
@@ -420,20 +428,25 @@ mod tests {
             par_threshold: 3,
             ..KernelCtx::current()
         };
-        let seen = ctx.enter(|| run_group(4, |_| KernelCtx::current()));
-        assert!(seen.iter().all(|&c| c == ctx.split(4)), "{seen:?}");
+        let seen = ctx.enter(|| run_group(4, |c| (KernelCtx::current(), c.rank(), ledger::tag())));
+        assert!(
+            seen.iter()
+                .all(|&(c, rank, tag)| c == ctx.split(4) && tag == ledger::rank_tag(rank)),
+            "{seen:?}"
+        );
         let comm = CommGroup::new(2).communicators().swap_remove(1);
         let rank = spawn_rank(comm, ctx, |comm| {
             (
                 comm.rank(),
                 KernelCtx::current(),
                 std::thread::current().name().map(str::to_string),
+                ledger::tag(),
             )
         });
-        let (rank, seen, name) = rank.expect("spawned").join().expect("no panic");
+        let (rank, seen, name, tag) = rank.expect("spawned").join().expect("no panic");
         assert_eq!(
-            (rank, seen, name.as_deref()),
-            (1, ctx.split(2), Some("fpdt-rank-r1"))
+            (rank, seen, name.as_deref(), tag),
+            (1, ctx.split(2), Some("fpdt-rank-r1"), ledger::rank_tag(1))
         );
     }
 

@@ -13,20 +13,20 @@
 //! thread, DESIGN.md "Tile schedule"), so the store only ever holds the
 //! four [`BufKind`]s the forward saves: Q, K, V and lse.
 //!
-//! Chunks are stored as [`Arc<Tensor>`], so a keep-fetch hands back the
-//! *same* buffer the store holds — no data copy, ever. What a real system
-//! pays for is the PCIe transfer, which the engine models as a
-//! bandwidth-bound read pass over the chunk on the rank thread plus, over
-//! a priced simulated link, the link held for the chunk's wire bytes.
-//! Each PCIe direction is a FIFO clock ([`Link`], one CUDA copy stream
-//! each), not a thread: a transfer is stamped when it lands, and only a
-//! consumer that needs it sooner waits. All bookkeeping happens on the
-//! rank thread at issue time, in program order, and the data is
-//! `Arc`-shared, so link timing (and any `FPDT_THREADS`) cannot change a
-//! result or a counter *by construction*.
+//! What a real system pays for is the PCIe transfer, which the engine
+//! models as a copy of the chunk on the rank thread plus, over a priced
+//! simulated link, the link held for the chunk's wire bytes. A put copies
+//! the chunk into a host buffer billed to the host pool's [`ledger`] tag,
+//! and a fetch copies it back into one billed to the fetching rank, so
+//! the device ledger sees the bytes offload wins back. Each PCIe
+//! direction is a FIFO clock ([`Link`], one CUDA copy stream each), not a
+//! thread: a transfer is stamped when it lands, and only a consumer that
+//! needs it sooner waits. All bookkeeping and every copy happen on the
+//! rank thread at issue time, in program order, so link timing (and any
+//! `FPDT_THREADS`) cannot change a result or a counter *by construction*.
 
 use fpdt_tensor::bf16::Bf16Tensor;
-use fpdt_tensor::Tensor;
+use fpdt_tensor::{ledger, Tensor};
 use fpdt_trace::wire::{sleep_until, Link};
 use fpdt_trace::Recorder;
 use std::collections::{HashMap, HashSet};
@@ -104,60 +104,56 @@ impl PoolStats {
     }
 }
 
-/// How one chunk is laid out in the store: full-precision `f32` (the
-/// zero-copy default, and always with offload off) or bf16 (half the
-/// bytes, one RNE rounding on put, widened back to `f32` on fetch).
+/// How one chunk is held in the store. With offload off it is the
+/// caller's own buffer, device-resident. With offload on it is a host
+/// copy billed to the host pool's ledger tag: full-precision `f32`, or
+/// bf16 (half the bytes, one RNE rounding on put, widened back to `f32`
+/// on fetch).
 ///
-/// The variant is the pool's *wire format* — compute always sees `f32`
-/// via [`HostChunk::widen`]. Only offloaded KV chunks use bf16 (see
-/// [`OffloadEngine::set_payload_bf16`]); everything else stays `f32` so
-/// gradients and saved activations keep full precision.
+/// The host variants are the pool's *wire format*: compute always sees
+/// `f32` via [`HostChunk::to_device`]. Only offloaded KV chunks use bf16
+/// (see [`OffloadEngine::set_payload_bf16`]); everything else stays `f32`
+/// so gradients and saved activations keep full precision.
 #[derive(Debug, Clone)]
 enum HostChunk {
-    /// Full-precision chunk, `Arc`-shared with the device side.
+    /// Offload off: the caller's buffer, `Arc`-shared.
+    Device(Arc<Tensor>),
+    /// Full-precision host copy.
     F32(Arc<Tensor>),
-    /// bf16-rounded chunk (2 bytes/element on the simulated PCIe link).
+    /// bf16-rounded host copy (2 bytes/element on the simulated PCIe link).
     Bf16(Arc<Bf16Tensor>),
 }
 
 impl HostChunk {
+    /// The host copy of `t` (rounded through bf16 when `bf16`), made under
+    /// the host pool's ledger tag: the bandwidth-bound half of a
+    /// device-to-host transfer.
+    fn offload(t: &Tensor, bf16: bool) -> Self {
+        ledger::with_tag(ledger::HOST, || match bf16 {
+            true => HostChunk::Bf16(Arc::new(Bf16Tensor::from_f32(t))),
+            false => HostChunk::F32(Arc::new(t.clone())),
+        })
+    }
+
     /// Bytes this chunk occupies in host memory (4 per f32 element, 2 per
     /// bf16 element) — what every [`PoolStats`] byte counter tallies.
     fn wire_bytes(&self) -> u64 {
         match self {
-            HostChunk::F32(t) => (t.numel() * 4) as u64,
+            HostChunk::Device(t) | HostChunk::F32(t) => (t.numel() * 4) as u64,
             HostChunk::Bf16(t) => t.wire_bytes(),
         }
     }
 
-    /// Hands back the chunk as `f32` compute data: the stored buffer
-    /// itself for `F32` (zero-copy), a widened copy for `Bf16`.
-    fn widen(&self) -> Arc<Tensor> {
+    /// The chunk as `f32` compute data on the calling rank: the buffer
+    /// itself when device-resident, else a copy of the host one (widened
+    /// from bf16), billed to the caller's tag — the bandwidth-bound half
+    /// of a host-to-device transfer.
+    fn to_device(&self) -> Arc<Tensor> {
         match self {
-            HostChunk::F32(t) => Arc::clone(t),
+            HostChunk::Device(t) => Arc::clone(t),
+            HostChunk::F32(t) => Arc::new(Tensor::clone(t)),
             HostChunk::Bf16(t) => {
                 Arc::new(t.to_f32().expect("bf16 chunk shape was valid on offload"))
-            }
-        }
-    }
-
-    /// The bandwidth-bound half of a simulated transfer: a read pass over
-    /// the chunk's *stored* representation.
-    fn read_pass(&self) {
-        match self {
-            HostChunk::F32(t) => {
-                let mut acc = 0.0f32;
-                for &x in t.data() {
-                    acc += x;
-                }
-                std::hint::black_box(acc);
-            }
-            HostChunk::Bf16(t) => {
-                let mut acc = 0u16;
-                for &x in t.data() {
-                    acc = acc.wrapping_add(x);
-                }
-                std::hint::black_box(acc);
             }
         }
     }
@@ -183,7 +179,8 @@ impl Drop for InFlight {
 /// (one chunk) or [`OffloadEngine::prefetch_batch`] (`D` = an array of
 /// chunks that travelled as one transfer).
 ///
-/// The *data* is already available (it is the store's shared buffer);
+/// The *data* is already on the rank (the copy of the host chunk, or the
+/// device-resident buffer itself with offload off);
 /// [`FetchHandle::wait`] sleeps until the transfer's link stamp, recording
 /// that time — and only that — as an `offload.wait` span. Dropping the
 /// handle does not wait: the link is FIFO, so later transfers stay ordered
@@ -198,7 +195,7 @@ pub struct FetchHandle<D = Arc<Tensor>> {
 }
 
 impl<D> FetchHandle<D> {
-    /// Sleeps until the transfer has landed, then returns the shared
+    /// Sleeps until the transfer has landed, then returns the fetched
     /// buffer(s).
     pub fn wait(self) -> D {
         if let Some(ready_at) = self.ready_at {
@@ -221,15 +218,18 @@ impl<D> FetchHandle<D> {
 /// A rank's chunk store, fronted — when it offloads — by two simulated
 /// copy streams.
 ///
-/// With offload on, bookkeeping (residency, counters) and the read pass
-/// over each chunk run on the owning rank's thread at issue time. The
+/// With offload on, bookkeeping (residency, counters) and the copy of
+/// each chunk run on the owning rank's thread at issue time: a put copies
+/// the chunk into host memory (billed to [`ledger::HOST`]) and a fetch
+/// copies it back (billed to the fetching rank), so the pool's bytes and
+/// the rank's are apart on the device ledger. The
 /// wire time is a clock per PCIe direction (the link is full duplex, and
 /// so is the paper's layout): device-to-host puts on one, host-to-device
 /// fetches on the other, their busy intervals recorded on the
 /// `fpdt-d2h-r{rank}` / `fpdt-h2d-r{rank}` trace tracks. A fetch of a
 /// chunk whose put has not landed yet starts no earlier than the put's
-/// stamp. With offload off, chunks stay device-resident: no rounding, no
-/// read pass, no link, no counter and no span — only the residency and
+/// stamp. With offload off, chunks stay device-resident: no copy, no
+/// rounding, no link, no counter and no span — only the residency and
 /// in-flight rules, which are the same in both modes.
 ///
 /// # Example
@@ -246,14 +246,15 @@ impl<D> FetchHandle<D> {
 /// pool.put(key, Arc::clone(&k));
 /// assert_eq!(pool.stats().bytes, 4 * 2 * 8 * 4);
 /// let back = pool.prefetch(&key, true).expect("chunk was cached").wait();
-/// assert!(Arc::ptr_eq(&back, &k), "a fetch hands back the stored buffer");
+/// assert_eq!(back, k, "a fetch hands back a copy of the stored chunk");
 /// assert_eq!(pool.stats().bytes, 0);
 /// assert_eq!(pool.stats().bytes_fetched, 4 * 2 * 8 * 4);
 ///
 /// // The same store with offload off: device-resident, nothing counted.
 /// let mut device = OffloadEngine::for_rank(0, 0.0, false);
-/// device.put(key, k);
-/// assert!(device.contains(&key));
+/// device.put(key, Arc::clone(&k));
+/// let back = device.prefetch(&key, true).expect("chunk was cached").wait();
+/// assert!(Arc::ptr_eq(&back, &k), "the buffer itself, no copy");
 /// assert_eq!(device.stats().offloads, 0);
 /// ```
 pub struct OffloadEngine {
@@ -314,7 +315,7 @@ impl OffloadEngine {
         self.payload_bf16 = on;
     }
 
-    /// Attaches a span recorder: with offload on, each chunk's read pass
+    /// Attaches a span recorder: with offload on, each chunk's copy
     /// records an `offload.put` or `offload.fetch` span on the rank
     /// thread, each priced transfer an `offload.put` or `offload.prefetch`
     /// interval on its direction's track, and waits that sleep
@@ -339,31 +340,31 @@ impl OffloadEngine {
         self.store.contains_key(key)
     }
 
-    /// The simulated PCIe transfer of a run of chunks in direction `dir`
-    /// (0 = D2H, 1 = H2D), the chunk at `i` no earlier than `after[i]`:
-    /// a read pass over each chunk's stored representation, one `label`
-    /// span per chunk on this thread, then the link charged for each
-    /// chunk's wire bytes — a bf16 chunk streams half the bytes of its f32
-    /// twin. Returns when the last chunk lands.
+    /// Runs `copy`, the bandwidth-bound half of a transfer of `bytes`
+    /// wire bytes, on this thread, recorded as a `label` span.
+    fn copied<T>(&self, label: &str, bytes: u64, copy: impl FnOnce() -> T) -> T {
+        let Some(r) = &self.recorder else {
+            return copy();
+        };
+        let start_us = r.now_us();
+        let out = copy();
+        r.record(label, start_us, r.now_us() - start_us, Some(bytes));
+        out
+    }
+
+    /// The wire half of a simulated PCIe transfer of a run of chunks in
+    /// direction `dir` (0 = D2H, 1 = H2D), the chunk at `i` no earlier
+    /// than `after[i]`: the link charged for each chunk's wire bytes — a
+    /// bf16 chunk streams half the bytes of its f32 twin — each a `label`
+    /// interval on the direction's track. Returns when the last chunk
+    /// lands.
     fn transfer(
         &mut self,
         dir: usize,
-        labels: [&str; 2],
+        label: &str,
         run: &[(HostChunk, Option<Instant>)],
     ) -> Option<Instant> {
         let rec = self.recorder.as_ref();
-        for (chunk, _) in run {
-            let start_us = rec.map(Recorder::now_us);
-            chunk.read_pass();
-            if let (Some(r), Some(start_us)) = (rec, start_us) {
-                r.record(
-                    labels[0],
-                    start_us,
-                    r.now_us() - start_us,
-                    Some(chunk.wire_bytes()),
-                );
-            }
-        }
         let link = if dir == 0 {
             &mut self.d2h
         } else {
@@ -378,7 +379,7 @@ impl OffloadEngine {
                 let dur_us = (ready - start).as_secs_f64() * 1e6;
                 r.record_on(
                     &self.tracks[dir],
-                    labels[1],
+                    label,
                     r.at_us(start),
                     dur_us,
                     Some(chunk.wire_bytes()),
@@ -391,14 +392,14 @@ impl OffloadEngine {
 
     /// Stores a shared chunk and hands back its stored form: exactly what
     /// a later fetch of `key` returns. With offload on this is the
-    /// device-to-host copy: the residency update and the read pass are
-    /// immediate, the wire time goes on the D2H clock. With offload off it
-    /// is an `Arc` move into the store.
+    /// device-to-host copy: the copy (billed to [`ledger::HOST`]) and the
+    /// residency update are immediate, the wire time goes on the D2H
+    /// clock. With offload off it is an `Arc` move into the store.
     ///
-    /// The stored form is `t` itself (the same `Arc`, no copy) for every
-    /// f32 chunk; a KV chunk rounded through bf16 comes back as its
-    /// rounded copy widened to f32. A caller that keeps the returned chunk
-    /// on the device therefore reads the bits the pool holds, whatever the
+    /// The stored form is `t` itself (the same `Arc`) for every f32 chunk;
+    /// a KV chunk rounded through bf16 comes back as its rounded copy
+    /// widened to f32. A caller that keeps the returned chunk on the
+    /// device therefore reads the bits the pool holds, whatever the
     /// payload format.
     ///
     /// # Panics
@@ -406,23 +407,23 @@ impl OffloadEngine {
     /// Panics if the key is already resident — putting the same chunk
     /// twice without fetching it is a scheduler bug.
     pub fn put(&mut self, key: ChunkKey, t: Arc<Tensor>) -> Arc<Tensor> {
-        let entry = if self.offload {
-            let chunk = if self.payload_bf16 && matches!(key.kind, BufKind::K | BufKind::V) {
-                HostChunk::Bf16(Arc::new(Bf16Tensor::from_f32(&t)))
-            } else {
-                HostChunk::F32(t)
-            };
-            let b = chunk.wire_bytes();
+        let (entry, stored) = if self.offload {
+            let bf16 = self.payload_bf16 && matches!(key.kind, BufKind::K | BufKind::V);
+            let bytes = (t.numel() * if bf16 { 2 } else { 4 }) as u64;
+            let chunk = self.copied("offload.put", bytes, || HostChunk::offload(&t, bf16));
             self.stats.offloads += 1;
-            self.stats.bytes += b;
-            self.stats.bytes_offloaded += b;
+            self.stats.bytes += bytes;
+            self.stats.bytes_offloaded += bytes;
             self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.bytes);
-            let landing = self.transfer(0, ["offload.put"; 2], &[(chunk.clone(), None)]);
-            (chunk, landing)
+            let landing = self.transfer(0, "offload.put", &[(chunk.clone(), None)]);
+            let stored = match bf16 {
+                true => chunk.to_device(),
+                false => t,
+            };
+            ((chunk, landing), stored)
         } else {
-            (HostChunk::F32(t), None)
+            ((HostChunk::Device(Arc::clone(&t)), None), t)
         };
-        let stored = entry.0.widen();
         let prev = self.store.insert(key, entry);
         assert!(prev.is_none(), "chunk {key:?} put twice");
         stored
@@ -431,7 +432,8 @@ impl OffloadEngine {
     /// Issues a host-to-device transfer and returns a [`FetchHandle`] to
     /// wait on — the double-buffer primitive. `consume` evicts the chunk,
     /// otherwise it stays resident; either way the handle holds the
-    /// stored buffer (zero-copy for f32). Counters update now (so
+    /// chunk's copy on this rank (the stored buffer itself with offload
+    /// off). Counters update now (so
     /// statistics do not depend on link timing); the transfer goes on the
     /// H2D clock, after the chunk's own put has landed. With offload off
     /// the handle is ready at once. `None` when `key` is not resident.
@@ -493,11 +495,17 @@ impl OffloadEngine {
             }
             run.push((chunk, landing));
         }
-        // Widen on the issuing rank's thread (deterministic program order).
-        let data = std::array::from_fn(|i| run[i].0.widen());
+        // Copy on the issuing rank's thread (deterministic program order).
+        let data = std::array::from_fn(|i| {
+            let chunk = &run[i].0;
+            match self.offload {
+                true => self.copied("offload.fetch", chunk.wire_bytes(), || chunk.to_device()),
+                false => chunk.to_device(),
+            }
+        });
         let (ready_at, wait_span) = if self.offload {
             let bytes = run.iter().map(|(chunk, _)| chunk.wire_bytes()).sum();
-            let ready_at = self.transfer(1, ["offload.fetch", "offload.prefetch"], &run);
+            let ready_at = self.transfer(1, "offload.prefetch", &run);
             (ready_at, self.recorder.clone().map(|r| (r, bytes)))
         } else {
             (None, None)
@@ -602,21 +610,21 @@ mod tests {
     }
 
     #[test]
-    fn keep_fetch_is_zero_copy() {
+    fn keep_fetch_is_a_fresh_copy_of_the_host_chunk() {
         let mut pool = pool();
         let key = ChunkKey::new(1, BufKind::Q, 0);
-        let t = Arc::new(Tensor::ones(&[4]));
+        let t = Arc::new(Tensor::arange(4));
         pool.put(key, Arc::clone(&t));
         let a = fetch(&mut pool, &key, false).unwrap();
         let b = fetch(&mut pool, &key, false).unwrap();
-        // Every fetch returns the same allocation the caller put — no
-        // clone anywhere in the store.
-        assert!(Arc::ptr_eq(&a, &t));
-        assert!(std::ptr::eq(a.data().as_ptr(), b.data().as_ptr()));
-        // caller + store + two keeps = 4 refs, one buffer
-        assert_eq!(Arc::strong_count(&t), 4);
+        // Every fetch copies the host chunk onto the rank: the caller's
+        // values, in buffers of their own.
+        assert_eq!((&*a, &*b), (&*t, &*t));
+        assert!(!std::ptr::eq(a.data().as_ptr(), b.data().as_ptr()));
+        assert!(!std::ptr::eq(a.data().as_ptr(), t.data().as_ptr()));
+        assert_eq!(Arc::strong_count(&t), 1, "the store holds its own copy");
         let c = fetch(&mut pool, &key, true).unwrap();
-        assert!(Arc::ptr_eq(&c, &t));
+        assert_eq!(*c, *t);
         assert_eq!(pool.stats().fetches, 3);
     }
 
@@ -649,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn bf16_mode_leaves_non_kv_chunks_zero_copy() {
+    fn bf16_mode_leaves_non_kv_chunks_f32() {
         let mut pool = pool();
         pool.set_payload_bf16(true);
         assert!(pool.payload_bf16);
@@ -657,7 +665,7 @@ mod tests {
         let t = Arc::new(Tensor::ones(&[8]));
         pool.put(key, Arc::clone(&t));
         let got = fetch(&mut pool, &key, false).unwrap();
-        assert!(Arc::ptr_eq(&got, &t), "non-KV kinds stay f32 zero-copy");
+        assert_eq!(*got, *t, "non-KV kinds stay f32");
         assert_eq!(pool.stats().bytes, 32, "full f32 bytes for non-KV");
     }
 
@@ -684,16 +692,16 @@ mod tests {
     #[test]
     fn put_returns_what_a_fetch_returns() {
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        // f32: the very Arc the caller put, and the one a fetch returns.
+        // f32: the very Arc the caller put, with the values a fetch returns.
         let mut f32_pool = pool();
         let key = ChunkKey::new(0, BufKind::K, 0);
         let t = Arc::new(Tensor::arange(8));
         let stored = f32_pool.put(key, Arc::clone(&t));
         assert!(Arc::ptr_eq(&stored, &t), "f32 put hands back its input");
-        assert!(Arc::ptr_eq(
-            &stored,
-            &fetch(&mut f32_pool, &key, true).unwrap()
-        ));
+        assert_eq!(
+            bits(&stored),
+            bits(&fetch(&mut f32_pool, &key, true).unwrap())
+        );
         // bf16 K/V: the rounded chunk, bit for bit what a fetch widens.
         // 1 + 2^-10 has no bf16 form (7 mantissa bits), so it must move.
         let mut bf16_pool = pool();
@@ -786,17 +794,17 @@ mod tests {
         eng.put(key, Arc::clone(&t));
         let h = eng.prefetch(&key, false).expect("resident");
         let got = h.wait();
-        assert!(Arc::ptr_eq(&got, &t), "prefetch is zero-copy");
+        assert_eq!(*got, *t, "prefetch hands back the pooled values");
         assert!(eng.contains(&key), "keep-mode leaves the host copy");
         let h2 = eng.prefetch(&key, true).expect("resident");
-        assert!(Arc::ptr_eq(&h2.wait(), &t));
+        assert_eq!(*h2.wait(), *t);
         assert!(eng.is_empty());
         assert_eq!(eng.stats().fetches, 2);
     }
 
     #[test]
     fn priced_transfers_sit_on_their_direction_tracks_and_only_the_caller_waits() {
-        // The read pass runs on the caller's thread; the wire time is an
+        // The copy runs on the caller's thread; the wire time is an
         // interval on the direction's own track, one per chunk, and the
         // caller records only the sleep of a wait.
         let rec = Recorder::new();
@@ -821,7 +829,7 @@ mod tests {
         assert_eq!(
             (on("offload.put", caller), on("offload.fetch", caller)),
             (4, 4),
-            "read passes"
+            "copies"
         );
         assert_eq!(
             (on("offload.put", d2h), on("offload.prefetch", h2d)),
@@ -858,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn free_link_transfers_are_read_passes_on_the_caller_and_never_waited() {
+    fn free_link_transfers_are_copies_on_the_caller_and_never_waited() {
         let rec = Recorder::new();
         let mut eng = OffloadEngine::new(false);
         eng.set_recorder(rec.clone());

@@ -58,7 +58,7 @@ use crate::runtime::options::RuntimeOptions;
 use fpdt_comm::{spawn_rank, CommGroup, CommStats, Communicator};
 use fpdt_model::config::{Family, ModelConfig};
 use fpdt_tensor::nn::{AdamW, AdamWConfig};
-use fpdt_tensor::KernelCtx;
+use fpdt_tensor::{ledger, KernelCtx};
 use fpdt_trace::Recorder;
 use std::any::Any;
 use std::fmt;
@@ -263,6 +263,40 @@ pub struct TrainReport {
     /// uninterrupted runs. Empty after a failed `run_steps` until a
     /// window completes.
     pub grads: Vec<f32>,
+    /// Every rank's device high-water in bytes, in rank order: the peak
+    /// of the live bytes billed to its [`ledger::rank_tag`] while a
+    /// session ran, the max over sessions. `None` unless the binary
+    /// installs [`ledger::TaggedAlloc`].
+    pub device_peak_bytes: Option<Vec<u64>>,
+    /// The host pool's high-water in bytes ([`ledger::HOST`], all ranks
+    /// together), over the same sessions; `None` without `TaggedAlloc`.
+    pub host_peak_bytes: Option<u64>,
+}
+
+/// Ledger high-water marks of a run of sessions ([`TrainReport`]'s
+/// `device_peak_bytes` and `host_peak_bytes`).
+#[derive(Debug, Clone, Default)]
+struct Peaks {
+    device: Option<Vec<u64>>,
+    host: Option<u64>,
+}
+
+impl Peaks {
+    /// The marks of every session so far and of a later one: per rank
+    /// and for the host, the larger.
+    fn merge(&mut self, later: &Peaks) {
+        self.host = self.host.max(later.host);
+        self.device = match (self.device.take(), &later.device) {
+            (Some(mut mine), Some(theirs)) => {
+                mine.resize(mine.len().max(theirs.len()), 0);
+                for (m, &t) in mine.iter_mut().zip(theirs) {
+                    *m = (*m).max(t);
+                }
+                Some(mine)
+            }
+            (mine, theirs) => mine.or_else(|| theirs.clone()),
+        };
+    }
 }
 
 /// Typed failure of a `run_steps` call.
@@ -379,6 +413,10 @@ struct RunOut {
     /// Host-pool and wire counters since the session spawned.
     host: PoolStats,
     comm: CommStats,
+    /// This rank's and the host pool's ledger high-water since the
+    /// sessions spawned.
+    device_peak: Option<u64>,
+    host_peak: Option<u64>,
     err: Option<TrainError>,
 }
 
@@ -403,12 +441,14 @@ struct Session {
     thread: JoinHandle<()>,
 }
 
-/// Live rank sessions, with rank 0's counters since they spawned.
+/// Live rank sessions, with rank 0's counters and the ledger's marks
+/// since they spawned.
 #[derive(Debug)]
 struct Live {
     sessions: Vec<Session>,
     host: PoolStats,
     comm: CommStats,
+    peaks: Peaks,
 }
 
 /// Sends one command to each session and waits for every answer, in rank
@@ -435,8 +475,12 @@ fn shut_down(sessions: Vec<Session>) -> Option<Box<dyn Any + Send>> {
 
 /// Spawns one session per rank of `cfg`'s geometry, each building its
 /// rank from `flat`. Kernels run under the calling thread's context,
-/// split across the ranks.
+/// split across the ranks. The ledger's marks of the ranks' tags and the
+/// host pool's restart here.
 fn spawn(cfg: &TrainConfig, recorder: Option<&Recorder>, flat: Flat, step: usize) -> Vec<Session> {
+    for tag in (0..cfg.world).map(ledger::rank_tag).chain([ledger::HOST]) {
+        ledger::reset_peak(tag);
+    }
     let ctx = KernelCtx::current();
     let flat = Arc::new(flat);
     CommGroup::new(cfg.world)
@@ -619,6 +663,8 @@ impl<'a> Rank<'a> {
             opt_bytes: self.opt.state_bytes(),
             host: exec.host_stats(),
             comm: self.comm.stats(),
+            device_peak: ledger::usage(ledger::tag()).map(|u| u.peak),
+            host_peak: ledger::usage(ledger::HOST).map(|u| u.peak),
             err,
         }
     }
@@ -797,6 +843,8 @@ pub struct Trainer {
     /// resume, of the run that wrote the checkpoint).
     host: PoolStats,
     comm: CommStats,
+    /// The ledger's marks of every session shut down so far.
+    peaks: Peaks,
 }
 
 impl Trainer {
@@ -828,6 +876,7 @@ impl Trainer {
             losses: Vec::new(),
             host: PoolStats::default(),
             comm: CommStats::default(),
+            peaks: Peaks::default(),
         }
     }
 
@@ -910,6 +959,10 @@ impl Trainer {
         let Some(outs) = ask(&self.live().sessions, |answer| Command::Run(n, answer)) else {
             self.lose()
         };
+        let peaks = Peaks {
+            device: outs.iter().map(|o| o.device_peak).collect(),
+            host: outs[0].host_peak,
+        };
         let mut outs = outs.into_iter();
         let mut r0 = outs.next().expect("every group has a rank 0");
         let err = r0.err.take().or_else(|| outs.find_map(|o| o.err));
@@ -917,7 +970,7 @@ impl Trainer {
         self.losses.extend(r0.losses);
         self.opt_state_bytes = r0.opt_bytes;
         if let State::Live(live) = &mut self.state {
-            (live.host, live.comm) = (r0.host, r0.comm);
+            (live.host, live.comm, live.peaks) = (r0.host, r0.comm, peaks);
         }
         match err {
             Some(e) => {
@@ -935,6 +988,7 @@ impl Trainer {
                 sessions: spawn(&self.cfg, self.recorder.as_ref(), flat, self.step),
                 host: PoolStats::default(),
                 comm: CommStats::default(),
+                peaks: Peaks::default(),
             }),
             kept => kept,
         };
@@ -956,6 +1010,7 @@ impl Trainer {
         if let State::Live(live) = std::mem::replace(&mut self.state, State::Host(flat)) {
             self.host.merge(&live.host);
             self.comm.merge(&live.comm);
+            self.peaks.merge(&live.peaks);
             shut_down(live.sessions);
         }
     }
@@ -969,14 +1024,16 @@ impl Trainer {
         resume_unwind(panic.unwrap_or_else(|| Box::new(LOST)))
     }
 
-    /// Rank 0's counters over every session so far.
-    fn totals(&self) -> (PoolStats, CommStats) {
-        let (mut host, mut comm) = (self.host, self.comm.clone());
+    /// Rank 0's counters and the ledger's marks over every session so
+    /// far.
+    fn totals(&self) -> (PoolStats, CommStats, Peaks) {
+        let (mut host, mut comm, mut peaks) = (self.host, self.comm.clone(), self.peaks.clone());
         if let State::Live(live) = &self.state {
             host.merge(&live.host);
             comm.merge(&live.comm);
+            peaks.merge(&live.peaks);
         }
-        (host, comm)
+        (host, comm, peaks)
     }
 
     /// The accumulated report — identical to what [`train`] returns for an
@@ -989,20 +1046,22 @@ impl Trainer {
                 .unwrap_or_else(|| panic!("{LOST}")),
             State::Lost => Vec::new(),
         };
-        let (host, comm) = self.totals();
+        let (host, comm, peaks) = self.totals();
         TrainReport {
             losses: self.losses.clone(),
             host,
             opt_state_bytes: self.opt_state_bytes,
             comm,
             grads,
+            device_peak_bytes: peaks.device,
+            host_peak_bytes: peaks.host,
         }
     }
 
     /// Replicated (world-independent) metadata every shard carries.
     fn meta_dict(&self, flat: &Flat) -> StateDict {
         let cfg = &self.cfg;
-        let (host, comm) = self.totals();
+        let (host, comm, _) = self.totals();
         let mut d = StateDict::new();
         d.insert("cfg.model.name", StateValue::Str(cfg.model.name.clone()));
         d.insert(
@@ -1293,6 +1352,7 @@ impl Trainer {
             recorder: None,
             host,
             comm,
+            peaks: Peaks::default(),
         })
     }
 }
@@ -1446,6 +1506,8 @@ mod tests {
         let a = train(&cfg);
         let b = train(&cfg);
         assert_eq!(a.losses, b.losses);
+        // this test binary installs no `TaggedAlloc`
+        assert_eq!((a.device_peak_bytes, a.host_peak_bytes), (None, None));
     }
 
     #[test]
@@ -1454,7 +1516,7 @@ mod tests {
         // at every link: over a priced link every all-to-all's and every
         // transfer's wire time is an interval on its link's named track
         // (`fpdt-comm-r0`, `fpdt-h2d-r0`, ...), never on a thread that
-        // runs blocks, and only rank threads wait; the read pass of a
+        // runs blocks, and only rank threads wait; the copy of a
         // transfer runs on its rank. Over a free link there is no wire
         // time: no link interval and no sleeping wait. (0.05 GB/s charges
         // the fixture's transfers tens of microseconds each.)
@@ -1535,7 +1597,7 @@ mod tests {
     #[test]
     fn a_blocks_attention_opening_is_read_before_its_mlp_backward() {
         // Program order, so it holds at any link speed: in every block's
-        // backward the read pass of each chunk the attention backward's
+        // backward the copy of each chunk the attention backward's
         // first slot takes — KV 0, the [Q, Lse] rows slot 0 opens, KV 1 —
         // runs on the rank thread before the first chunk's
         // `dense.mlp.bwd` starts, and no other fetch does.

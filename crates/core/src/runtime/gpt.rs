@@ -342,11 +342,13 @@ impl Block {
             let xc = rows(&x, r0, c)?;
             let (n1, _) = spanned(rec, "dense.norm", || self.norm1.forward(&xc))?;
             spanned(rec, "dense.qkv", || {
-                let q = self.q_proj.forward(&n1)?.reshape(&[c, self.heads, dh])?;
+                let mut q = self.q_proj.forward(&n1)?;
+                q.reshape_in_place(&[c, self.heads, dh])?;
                 let kv = self.kv_proj.forward(&n1)?;
-                let k = kv.narrow(1, 0, kvd)?.reshape(&[c, self.kv_heads, dh])?;
-                let v = kv.narrow(1, kvd, kvd)?.reshape(&[c, self.kv_heads, dh])?;
-                Ok([rope.apply_rows(r0, &q)?, rope.apply_rows(r0, &k)?, v])
+                let (mut k, mut v) = (kv.narrow(1, 0, kvd)?, kv.narrow(1, kvd, kvd)?);
+                k.reshape_in_place(&[c, self.kv_heads, dh])?;
+                v.reshape_in_place(&[c, self.kv_heads, dh])?;
+                Ok([rope.apply_rows(r0, q)?, rope.apply_rows(r0, k)?, v])
             })
         };
         let mlp_ranges = chunk_ranges(s, mlp_chunks);
@@ -453,12 +455,13 @@ impl Block {
             let c = dq.shape()[0];
             let xc = rows(&x, r0, c)?;
             let (dn1, n1_ctx) = spanned(rec, "dense.qkv", || -> ExecResult<_> {
-                let mut dq = rope.apply_bwd_rows(r0, &dq)?;
-                let mut dk = rope.apply_bwd_rows(r0, &dk)?;
+                let mut dq = rope.apply_bwd_rows(r0, dq)?;
+                let mut dk = rope.apply_bwd_rows(r0, dk)?;
                 dq.reshape_in_place(&[c, self.heads * dh])?;
                 dk.reshape_in_place(&[c, kvd])?;
                 dv.reshape_in_place(&[c, kvd])?;
                 let dkv = Tensor::concat(&[&dk, &dv], 1)?;
+                drop((dk, dv));
                 let (n1, n1_ctx) = self.norm1.forward(&xc)?;
                 let mut dn1 = self.kv_proj.backward(&n1, &dkv, g_kv)?;
                 dn1.add_assign(&self.q_proj.backward(&n1, &dq, g_q)?)?;
@@ -795,6 +798,9 @@ impl GptModel {
         let mut dx = spanned(rec, "dense.norm", || {
             self.norm_f.backward(&x, &nf_ctx, &dxf, g_norm_f)
         })?;
+        // dead from here on: three hidden rows the blocks' backward would
+        // otherwise carry
+        drop((x, xf, nf_ctx, dxf));
         for ((layer, block), grad) in self.blocks.iter().enumerate().zip(g_blocks).rev() {
             let ctx = match saved.pop().expect("one entry per block") {
                 Ok(ctx) => ctx,
@@ -1256,12 +1262,12 @@ mod tests {
             let x = init::randn(&mut rng, &[pos.len(), heads, 8], 1.0);
             let bits = |t: Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                bits(table.apply_rows(0, &x).unwrap()),
+                bits(table.apply_rows(0, x.clone()).unwrap()),
                 bits(rope_per_call(&x, &pos, 1.0)),
                 "forward, {heads} heads"
             );
             assert_eq!(
-                bits(table.apply_bwd_rows(0, &x).unwrap()),
+                bits(table.apply_bwd_rows(0, x.clone()).unwrap()),
                 bits(rope_per_call(&x, &pos, -1.0)),
                 "backward, {heads} heads"
             );

@@ -1,95 +1,139 @@
 //! What a block keeps for its backward, measured in bytes.
 //!
-//! A counting global allocator tracks live and peak heap bytes. One rank
-//! on one kernel thread trains a one-layer and a two-layer model of each
-//! family through `LocalAttention`; the difference of the two peaks is
-//! what one more layer keeps alive across the forward. It must equal the
-//! block's saved set (`BlockCtx`, see DESIGN.md "What a block saves") plus
-//! the executor's per-layer `Q/K/V/Lse` store, within half a hidden row
-//! per token. A forward-only `evaluate` keeps no saved set: its whole
-//! peak over its input stays under that one layer's.
+//! The device ledger's allocator (`fpdt_tensor::ledger::TaggedAlloc`)
+//! counts live and peak heap bytes per tag; every measurement runs under
+//! a tag of its own. One rank on one kernel thread trains a one-layer and
+//! a two-layer model of each family through `LocalAttention`; the
+//! difference of the two peaks is what one more layer keeps alive across
+//! the forward. It must equal the block's saved set (`BlockCtx`, see
+//! DESIGN.md "What a block saves") plus the executor's per-layer
+//! `Q/K/V/Lse` store, within half a hidden row per token. A forward-only
+//! `evaluate` keeps no saved set: its whole peak over its input stays
+//! under that one layer's. And at one attention chunk, where the block's
+//! gradient sink handles whole-sequence rows, the sink's peak over what
+//! it was handed stays within half a row of what it measured once the
+//! sink freed its inputs as it went, so a whole-sequence copy put back in
+//! it fails here.
 //!
-//! Everything runs in the one test below, sequentially: the allocator is
-//! process-wide, so a second test running beside it would be counted too.
+//! Everything runs in the one test below, sequentially.
 
 use fpdt_core::runtime::data::Corpus;
-use fpdt_core::runtime::exec::LocalAttention;
+use fpdt_core::runtime::exec::{
+    AttentionExec, ChunkSink, DenseBackward, ExecResult, LocalAttention, QkvProducer,
+};
 use fpdt_core::runtime::gpt::GptModel;
 use fpdt_model::config::{Family, ModelConfig};
-use fpdt_tensor::KernelCtx;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The system allocator, counting live bytes and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let now = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(now, Ordering::Relaxed);
-}
-
-// SAFETY: every call forwards to `System` with the caller's layout; the
-// counters never touch the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-            grew(new_size);
-        }
-        p
-    }
-}
+use fpdt_tensor::ledger::{self, TaggedAlloc};
+use fpdt_tensor::{KernelCtx, Tensor};
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static ALLOC: TaggedAlloc = TaggedAlloc;
+
+/// The tag the measurements run under: no other thread bills it.
+const TAG: u32 = 77;
+
+/// The gradient sink's peak over its inputs at one chunk, in hidden rows
+/// per token, both families: the rebuilt `n1`, `dn1` and `q_proj`'s `dx`
+/// (7.03 and 5.52 while it also held rotated copies of `dq` and `dk` and
+/// kept `dk` and `dv` past their concatenation).
+const SINK_ROWS: f64 = 3.03;
 
 const SEQ: usize = 256;
 const CHUNKS: usize = 4;
 
+/// Runs `f` twice under [`TAG`] and returns the peak live bytes of the
+/// second run above its starting point (the first fills the kernel
+/// scratch and the RoPE cache, which later runs reuse).
+fn second_peak(mut f: impl FnMut()) -> usize {
+    ledger::with_tag(TAG, || {
+        f();
+        let base = ledger::usage(TAG).expect("TaggedAlloc is installed").live;
+        ledger::reset_peak(TAG);
+        f();
+        (ledger::usage(TAG).expect("TaggedAlloc is installed").peak - base) as usize
+    })
+}
+
 /// Peak live bytes above the starting point during one forward/backward
-/// of a `cfg` model, measured on its second step (the first fills the
-/// kernel scratch and the RoPE cache, which later steps reuse).
-fn step_peak(cfg: &ModelConfig) -> usize {
+/// of a `cfg` model over `chunks` attention chunks, measured on its
+/// second step.
+fn step_peak(cfg: &ModelConfig, chunks: usize) -> usize {
     let (x, y) = Corpus::new(cfg.vocab, 0.1, 3).sample(SEQ);
     let pos: Vec<usize> = (0..SEQ).collect();
     let mut model = GptModel::new(cfg, 5);
-    let mut exec = LocalAttention::new(CHUNKS);
-    let mut step = |model: &mut GptModel| {
+    let mut exec = LocalAttention::new(chunks);
+    second_peak(|| {
         model.zero_grad();
         model
-            .forward_backward(&mut exec, &x, &y, &pos, 2 * CHUNKS, 2)
+            .forward_backward(&mut exec, &x, &y, &pos, 2 * chunks, 2)
             .expect("forward/backward succeeds");
+    })
+}
+
+/// `LocalAttention`, measuring each call of its caller's gradient sink:
+/// the peak live bytes above the call's entry, where the sink already
+/// holds the `[dq, dk, dv]` it is handed.
+struct SinkProbe {
+    inner: LocalAttention,
+    /// The largest sink peak since the last reset.
+    peak: u64,
+}
+
+impl AttentionExec for SinkProbe {
+    fn forward_chunks(
+        &mut self,
+        layer: usize,
+        pos: &[usize],
+        qkv: &mut QkvProducer<'_>,
+        sink: &mut ChunkSink<'_, Tensor>,
+    ) -> ExecResult<()> {
+        self.inner.forward_chunks(layer, pos, qkv, sink)
+    }
+
+    fn backward_chunks(
+        &mut self,
+        layer: usize,
+        rows: usize,
+        dense: &mut DenseBackward<'_>,
+        sink: &mut ChunkSink<'_, [Tensor; 3]>,
+    ) -> ExecResult<()> {
+        let peak = &mut self.peak;
+        self.inner
+            .backward_chunks(layer, rows, dense, &mut |r0, grads| {
+                let entry = ledger::usage(TAG).expect("TaggedAlloc is installed").live;
+                ledger::reset_peak(TAG);
+                let out = sink(r0, grads);
+                let top = ledger::usage(TAG).expect("TaggedAlloc is installed").peak;
+                *peak = (*peak).max(top - entry);
+                out
+            })
+    }
+
+    fn discard(&mut self, layer: usize) {
+        self.inner.discard(layer);
+    }
+}
+
+/// The largest gradient-sink peak over its inputs during the second
+/// forward/backward of a `cfg` model at one attention chunk.
+fn sink_peak(cfg: &ModelConfig) -> usize {
+    let (x, y) = Corpus::new(cfg.vocab, 0.1, 3).sample(SEQ);
+    let pos: Vec<usize> = (0..SEQ).collect();
+    let mut model = GptModel::new(cfg, 5);
+    let mut exec = SinkProbe {
+        inner: LocalAttention::new(1),
+        peak: 0,
     };
-    step(&mut model);
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    step(&mut model);
-    PEAK.load(Ordering::Relaxed) - base
+    ledger::with_tag(TAG, || {
+        for _ in 0..2 {
+            exec.peak = 0;
+            model.zero_grad();
+            model
+                .forward_backward(&mut exec, &x, &y, &pos, 2, 2)
+                .expect("forward/backward succeeds");
+        }
+    });
+    exec.peak as usize
 }
 
 /// Peak live bytes above the starting point during one `evaluate` batch of
@@ -98,17 +142,12 @@ fn step_peak(cfg: &ModelConfig) -> usize {
 fn eval_peak(cfg: &ModelConfig) -> usize {
     let mut model = GptModel::new(cfg, 5);
     let mut exec = LocalAttention::new(CHUNKS);
-    let mut eval = |model: &mut GptModel| {
+    second_peak(|| {
         let mut corpus = Corpus::new(cfg.vocab, 0.1, 3);
         model
             .evaluate(&mut exec, &mut corpus, SEQ, 1)
             .expect("evaluation succeeds");
-    };
-    eval(&mut model);
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    eval(&mut model);
-    PEAK.load(Ordering::Relaxed) - base
+    })
 }
 
 /// Floats per token one block keeps from its forward to its backward:
@@ -142,7 +181,7 @@ fn one_more_layer_costs_its_saved_set_and_its_attention_store() {
     };
     for family in families {
         let (one, two) = (family(1), family(2));
-        let (p1, p2) = ctx.enter(|| (step_peak(&one), step_peak(&two)));
+        let (p1, p2) = ctx.enter(|| (step_peak(&one, CHUNKS), step_peak(&two, CHUNKS)));
         let per_layer = p2 as i64 - p1 as i64;
         let want = (4 * SEQ * (saved_floats_per_token(&one) + store_floats_per_token(&one))) as i64;
         let slack = (4 * SEQ * one.hidden / 2) as i64;
@@ -175,6 +214,20 @@ fn one_more_layer_costs_its_saved_set_and_its_attention_store() {
             eval < want,
             "{}: evaluate peaks at {eval} B, one training layer's saved set and store are {want} B",
             two.name
+        );
+        // One attention chunk: the gradient sink gets whole-sequence
+        // `dq`, `dk` and `dv`.
+        let sink = ctx.enter(|| sink_peak(&one)) as f64 / row;
+        println!(
+            "{}: at one chunk the gradient sink peaks {sink:.2} hidden rows per token over \
+             its inputs (measured {SINK_ROWS})",
+            one.name
+        );
+        assert!(
+            sink <= SINK_ROWS + 0.5,
+            "{}: the gradient sink peaks {sink:.2} hidden rows per token over its inputs, \
+             measured {SINK_ROWS}",
+            one.name
         );
     }
 }

@@ -19,6 +19,8 @@
 //! * [`init`] — reproducible random initialization.
 //! * [`KernelCtx`] — the per-thread kernel settings (thread budget,
 //!   parallel-split threshold, SIMD backend) every kernel consults.
+//! * [`ledger`] — the per-thread device tag every allocation is billed
+//!   to, and the opt-in allocator that counts bytes per tag.
 //!
 //! Everything computes in `f32`. The paper's byte accounting assumes bf16
 //! activations; the *analytic* crates (`fpdt-model`, `fpdt-sim`) account in
@@ -47,6 +49,7 @@ mod ctx;
 pub mod env;
 mod error;
 pub mod init;
+pub mod ledger;
 pub mod mk;
 pub mod nn;
 pub mod ops;

@@ -66,32 +66,32 @@ impl RopeTable {
     }
 
     /// Rotates a `[n, heads, head_dim]` tensor whose rows are table rows
-    /// `r0..r0 + n`: each consecutive pair of features of row `t` turns by
-    /// `positions[r0 + t] * base^(-2i/d)`. Any row range gives those rows'
-    /// bits of a whole-table rotation.
+    /// `r0..r0 + n`, in place: each consecutive pair of features of row
+    /// `t` turns by `positions[r0 + t] * base^(-2i/d)`. Any row range gives
+    /// those rows' bits of a whole-table rotation.
     ///
     /// # Errors
     ///
     /// Returns a rank/shape error unless `x` is rank 3 with the table's
     /// head dim and its rows lie inside the table.
-    pub fn apply_rows(&self, r0: usize, x: &Tensor) -> Result<Tensor> {
+    pub fn apply_rows(&self, r0: usize, x: Tensor) -> Result<Tensor> {
         self.rotate(x, 1.0, r0)
     }
 
     /// Backward pass of [`RopeTable::apply_rows`]: rotates the upstream
     /// gradient of the same rows by the negative angles (the Jacobian of a
-    /// rotation is its transpose).
+    /// rotation is its transpose), in place.
     ///
     /// # Errors
     ///
     /// Same conditions as [`RopeTable::apply_rows`].
-    pub fn apply_bwd_rows(&self, r0: usize, dy: &Tensor) -> Result<Tensor> {
+    pub fn apply_bwd_rows(&self, r0: usize, dy: Tensor) -> Result<Tensor> {
         self.rotate(dy, -1.0, r0)
     }
 
-    /// Rotates `x`, whose rows are table rows `r0..`.
-    fn rotate(&self, x: &Tensor, sign: f32, r0: usize) -> Result<Tensor> {
-        check_rank(x)?;
+    /// Rotates `x`, whose rows are table rows `r0..`, in place.
+    fn rotate(&self, mut x: Tensor, sign: f32, r0: usize) -> Result<Tensor> {
+        check_rank(&x)?;
         let (s, h, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         if r0.saturating_add(s) > self.positions.len() || d != 2 * self.half {
             return Err(TensorError::ShapeMismatch {
@@ -100,28 +100,22 @@ impl RopeTable {
                 rhs: vec![self.positions.len(), 2 * self.half],
             });
         }
-        let half = self.half;
-        let mut out = x.clone();
-        par::run_rows(
-            out.data_mut(),
-            TOKEN_BLOCK * h * d,
-            x.numel(),
-            |blk, rows| {
-                for (t, token) in rows.chunks_mut(h * d).enumerate() {
-                    let at = (r0 + blk * TOKEN_BLOCK + t) * half;
-                    let (sin, cos) = (&self.sin[at..at + half], &self.cos[at..at + half]);
-                    for head in token.chunks_mut(d) {
-                        for (i, pair) in head.chunks_exact_mut(2).enumerate() {
-                            let (a, b) = (pair[0], pair[1]);
-                            let sn = sign * sin[i];
-                            pair[0] = a * cos[i] - b * sn;
-                            pair[1] = a * sn + b * cos[i];
-                        }
+        let (half, work) = (self.half, x.numel());
+        par::run_rows(x.data_mut(), TOKEN_BLOCK * h * d, work, |blk, rows| {
+            for (t, token) in rows.chunks_mut(h * d).enumerate() {
+                let at = (r0 + blk * TOKEN_BLOCK + t) * half;
+                let (sin, cos) = (&self.sin[at..at + half], &self.cos[at..at + half]);
+                for head in token.chunks_mut(d) {
+                    for (i, pair) in head.chunks_exact_mut(2).enumerate() {
+                        let (a, b) = (pair[0], pair[1]);
+                        let sn = sign * sin[i];
+                        pair[0] = a * cos[i] - b * sn;
+                        pair[1] = a * sn + b * cos[i];
                     }
                 }
-            },
-        );
-        Ok(out)
+            }
+        });
+        Ok(x)
     }
 }
 
@@ -148,7 +142,9 @@ mod tests {
     }
 
     fn rope(x: &Tensor, positions: &[usize]) -> Tensor {
-        table(positions, x.shape()[2]).apply_rows(0, x).unwrap()
+        table(positions, x.shape()[2])
+            .apply_rows(0, x.clone())
+            .unwrap()
     }
 
     #[test]
@@ -173,7 +169,7 @@ mod tests {
         let x = init::randn(&mut rng, &[3, 2, 8], 1.0);
         let pos = [7, 20, 33];
         let y = rope(&x, &pos);
-        let back = table(&pos, 8).apply_bwd_rows(0, &y).unwrap();
+        let back = table(&pos, 8).apply_bwd_rows(0, y).unwrap();
         assert!(back.allclose(&x, 1e-4, 1e-5));
     }
 
@@ -224,14 +220,17 @@ mod tests {
         let t = table(&pos, 8);
         let x = init::randn(&mut init::seeded_rng(9), &[70, 3, 8], 1.0);
         let bits = |x: &Tensor| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        type Rows = fn(&RopeTable, usize, &Tensor) -> Result<Tensor>;
+        type Rows = fn(&RopeTable, usize, Tensor) -> Result<Tensor>;
         let ways: [(Tensor, Rows); 2] = [
-            (t.apply_rows(0, &x).unwrap(), RopeTable::apply_rows),
-            (t.apply_bwd_rows(0, &x).unwrap(), RopeTable::apply_bwd_rows),
+            (t.apply_rows(0, x.clone()).unwrap(), RopeTable::apply_rows),
+            (
+                t.apply_bwd_rows(0, x.clone()).unwrap(),
+                RopeTable::apply_bwd_rows,
+            ),
         ];
         for (whole, rows_of) in ways {
             for (r0, n) in [(0, 70), (0, 5), (5, 64), (66, 4)] {
-                let rows = rows_of(&t, r0, &x.narrow(0, r0, n).unwrap()).unwrap();
+                let rows = rows_of(&t, r0, x.narrow(0, r0, n).unwrap()).unwrap();
                 assert_eq!(
                     bits(&rows),
                     bits(&whole.narrow(0, r0, n).unwrap()),
@@ -240,7 +239,7 @@ mod tests {
                 );
             }
             assert!(
-                rows_of(&t, 67, &x.narrow(0, 0, 4).unwrap()).is_err(),
+                rows_of(&t, 67, x.narrow(0, 0, 4).unwrap()).is_err(),
                 "past the table"
             );
         }
@@ -250,9 +249,9 @@ mod tests {
     fn rope_errors() {
         assert!(RopeTable::new(&[0, 1], 7, BASE).is_err()); // odd head dim
         let x = Tensor::zeros(&[2, 2, 8]);
-        assert!(table(&[0], 8).apply_rows(0, &x).is_err()); // wrong positions len
+        assert!(table(&[0], 8).apply_rows(0, x).is_err()); // wrong positions len
         assert!(table(&[0], 4)
-            .apply_rows(0, &Tensor::zeros(&[4, 4]))
+            .apply_rows(0, Tensor::zeros(&[4, 4]))
             .is_err()); // rank
     }
 }

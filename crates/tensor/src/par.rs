@@ -8,14 +8,16 @@
 //! keeps the decision in one place instead of a per-file constant. The
 //! threshold and the thread budget are the calling thread's
 //! [`KernelCtx`], and every pool item runs under that same context, so a
-//! helper thread computes with the submitter's settings.
+//! helper thread computes with the submitter's settings. It also runs
+//! under the submitter's [`ledger`] tag, so what a helper allocates for
+//! the item is billed to the rank that asked.
 //!
 //! Determinism: every helper here preserves the kernel contract that makes
 //! results bitwise identical at any thread count — items are a fixed
 //! partition of disjoint data and all accumulation inside an item is
 //! sequential in a fixed order.
 
-use crate::KernelCtx;
+use crate::{ledger, KernelCtx};
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -49,10 +51,10 @@ where
 {
     let row_len = row_len.max(1);
     if parallel_worthwhile(data.len() / row_len, work) {
-        let ctx = KernelCtx::current();
+        let (ctx, tag) = (KernelCtx::current(), ledger::tag());
         data.par_chunks_mut(row_len)
             .enumerate()
-            .for_each(|(i, row)| ctx.enter(|| body(i, row)));
+            .for_each(|(i, row)| ledger::lend(tag, || ctx.enter(|| body(i, row))));
     } else {
         data.chunks_mut(row_len)
             .enumerate()
@@ -69,11 +71,11 @@ where
 {
     let (ra, rb) = (ra.max(1), rb.max(1));
     if parallel_worthwhile(a.len() / ra, work) {
-        let ctx = KernelCtx::current();
+        let (ctx, tag) = (KernelCtx::current(), ledger::tag());
         a.par_chunks_mut(ra)
             .zip(b.par_chunks_mut(rb))
             .enumerate()
-            .for_each(|(i, (x, y))| ctx.enter(|| body(i, x, y)));
+            .for_each(|(i, (x, y))| ledger::lend(tag, || ctx.enter(|| body(i, x, y))));
     } else {
         a.chunks_mut(ra)
             .zip(b.chunks_mut(rb))
@@ -99,12 +101,12 @@ pub fn run_rows3<F>(
 {
     let (ra, rb, rc) = (ra.max(1), rb.max(1), rc.max(1));
     if parallel_worthwhile(a.len() / ra, work) {
-        let ctx = KernelCtx::current();
+        let (ctx, tag) = (KernelCtx::current(), ledger::tag());
         a.par_chunks_mut(ra)
             .zip(b.par_chunks_mut(rb))
             .zip(c.par_chunks_mut(rc))
             .enumerate()
-            .for_each(|(i, ((x, y), z))| ctx.enter(|| body(i, x, y, z)));
+            .for_each(|(i, ((x, y), z))| ledger::lend(tag, || ctx.enter(|| body(i, x, y, z))));
     } else {
         a.chunks_mut(ra)
             .zip(b.chunks_mut(rb))
@@ -121,13 +123,21 @@ thread_local! {
 /// Hands `f` a zeroed scratch buffer of length `len`, reusing a
 /// thread-local allocation across calls (kills the per-chunk `vec!`
 /// allocations in the attention backward nest). Reentrant: nested calls
-/// get distinct buffers.
+/// get distinct buffers. A pool worker's scratch outlives the rank it
+/// ran an item for, so there it is billed to no device.
 pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
-    let mut buf = SCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();
-    buf.clear();
-    buf.resize(len, 0.0);
+    let owner = match ledger::lent() {
+        true => ledger::UNTAGGED,
+        false => ledger::tag(),
+    };
+    let mut buf = ledger::with_tag(owner, || {
+        let mut buf = SCRATCH.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+        buf.clear();
+        buf.resize(len, 0.0);
+        buf
+    });
     let r = f(&mut buf);
-    SCRATCH.with(|s| s.borrow_mut().push(buf));
+    ledger::with_tag(owner, || SCRATCH.with(|s| s.borrow_mut().push(buf)));
     r
 }
 

@@ -184,9 +184,9 @@ proptest! {
         let x = init::randn(&mut rng, &[2, 2, 8], 1.0);
         let pos = [p0, p1];
         let table = ops::RopeTable::new(&pos, 8, 10_000.0).unwrap();
-        let y = table.apply_rows(0, &x).unwrap();
+        let y = table.apply_rows(0, x.clone()).unwrap();
         prop_assert!((x.norm() - y.norm()).abs() < 1e-3);
-        let back = table.apply_bwd_rows(0, &y).unwrap();
+        let back = table.apply_bwd_rows(0, y).unwrap();
         prop_assert!(back.allclose(&x, 1e-3, 1e-4));
     }
 

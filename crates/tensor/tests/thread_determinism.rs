@@ -172,9 +172,11 @@ fn rope_table_is_thread_invariant() {
     let x = init::randn(&mut rng, &[150, 3, 10], 1.0);
     let pos: Vec<usize> = (0..150).map(|t| (t * 37) % 4096).collect();
     let table = ops::RopeTable::new(&pos, 10, 10_000.0).unwrap();
-    assert_thread_invariant("rope", || table.apply_rows(0, &x).unwrap().data().to_vec());
+    assert_thread_invariant("rope", || {
+        table.apply_rows(0, x.clone()).unwrap().data().to_vec()
+    });
     assert_thread_invariant("rope_bwd", || {
-        table.apply_bwd_rows(0, &x).unwrap().data().to_vec()
+        table.apply_bwd_rows(0, x.clone()).unwrap().data().to_vec()
     });
 }
 

@@ -152,6 +152,21 @@ if ! grep -q '^BENCH_JSON_OK .*BENCH_kernels\.json$' <<<"$out"; then
     exit 1
 fi
 
+stage "ledger --quick (device ledger: exact billing, every tag back after each Trainer)"
+# The `ledger` bin installs the tagged allocator. It checks that a one-rank
+# run with a known allocation pattern (pool items included) bills its tag
+# exactly, then trains three small configurations and checks that every
+# rank tag and the host tag hold the bytes they held before each Trainer
+# once it drops. A thread budget above the world size makes pool workers
+# run items: their per-thread scratch outlives the Trainer and must bill
+# no rank.
+out=$(FPDT_THREADS=4 cargo run -q --release -p fpdt-bench --bin ledger -- --quick)
+echo "$out"
+if ! grep -q '^LEDGER_OK$' <<<"$out"; then
+    echo "FAIL: the device ledger's quick check did not pass" >&2
+    exit 1
+fi
+
 stage "cargo test -q -p fpdt-core under FPDT_FAULT_INJECT=2 FPDT_COMM_RETRIES=4"
 # The tier-1 suite must pass with transient collective faults injected
 # into every group and enough replay budget to absorb them: recovery is
