@@ -21,8 +21,9 @@
 use fpdt_model::config::ModelConfig;
 use fpdt_model::memory::BF16;
 use fpdt_sim::cost::CostModel;
-use fpdt_sim::engine::{Engine, StreamId, TaskId, Work};
+use fpdt_sim::engine::{Engine, ResourceId, StreamId, TaskBuilder, TaskId, Work};
 use fpdt_sim::hw::ClusterSpec;
+use fpdt_sim::memory::PoolId;
 use fpdt_sim::SimError;
 
 /// Backward-pass loop nesting order (DESIGN.md ablation 2).
@@ -96,6 +97,7 @@ pub struct PipelineReport {
     pub sim: fpdt_sim::engine::SimReport,
 }
 
+#[derive(Clone, Copy)]
 struct GpuStreams {
     compute: StreamId,
     h2d: StreamId,
@@ -103,11 +105,10 @@ struct GpuStreams {
 }
 
 /// One block's per-GPU geometry and task durations at global sequence
-/// `seq` in `u` chunks: what [`simulate_block`] and
-/// [`simulate_forward_layers`] lay their tasks out from. Byte sizes are of
-/// one chunk tensor (`unit`), one chunk's Q/K/V and one chunk's K/V; times
-/// are one chunk's QKV and output projections and one of the FFN's `2u`
-/// sub-chunks (paper §5.4).
+/// `seq` in `u` chunks: what the emitters lay their tasks out from. Byte
+/// sizes are of one chunk tensor (`unit`), one chunk's Q/K/V and one
+/// chunk's K/V; times are one chunk's QKV and output projections and one
+/// of the FFN's `2u` sub-chunks (paper §5.4).
 struct BlockCosts {
     cost: CostModel,
     p: u64,
@@ -165,6 +166,359 @@ impl BlockCosts {
     }
 }
 
+/// One simulated node under construction: every GPU's streams, the PCIe
+/// link they share, and GPU 0's HBM pool (the memory timeline follows
+/// GPU 0).
+struct Node {
+    eng: Engine,
+    hbm: PoolId,
+    pcie_h2d: ResourceId,
+    pcie_d2h: ResourceId,
+    gpus: Vec<GpuStreams>,
+}
+
+impl Node {
+    fn new(cluster: &ClusterSpec, copy_streams: u8) -> Self {
+        let mut eng = Engine::new();
+        let hbm = eng.add_pool("hbm0", Some(cluster.node.gpu.hbm_bytes));
+        let [pcie_h2d, pcie_d2h] = ["pcie.h2d", "pcie.d2h"]
+            .map(|name| eng.add_resource(name, cluster.node.pcie_bw, cluster.node.link_latency));
+        let gpus = (0..cluster.node.gpus)
+            .map(|i| {
+                let compute = eng.add_stream(&format!("gpu{i}.compute"));
+                let (h2d, d2h) = match copy_streams {
+                    0 => (compute, compute),
+                    1 => {
+                        let c = eng.add_stream(&format!("gpu{i}.copy"));
+                        (c, c)
+                    }
+                    _ => (
+                        eng.add_stream(&format!("gpu{i}.h2d")),
+                        eng.add_stream(&format!("gpu{i}.d2h")),
+                    ),
+                };
+                GpuStreams { compute, h2d, d2h }
+            })
+            .collect();
+        Node {
+            eng,
+            hbm,
+            pcie_h2d,
+            pcie_d2h,
+            gpus,
+        }
+    }
+
+    /// A kernel of `seconds` on GPU `gi`'s compute stream.
+    fn kernel(&mut self, gi: usize, name: &str, seconds: f64) -> TaskBuilder<'_> {
+        let stream = self.gpus[gi].compute;
+        self.eng.task(name, stream, Work::Compute { seconds })
+    }
+
+    /// A host-to-device copy of `bytes` on GPU `gi`'s H2D stream.
+    fn h2d(&mut self, gi: usize, name: &str, bytes: u64) -> TaskBuilder<'_> {
+        let (stream, resource) = (self.gpus[gi].h2d, self.pcie_h2d);
+        self.eng
+            .task(name, stream, Work::Transfer { bytes, resource })
+    }
+
+    /// A device-to-host copy of `bytes` on GPU `gi`'s D2H stream.
+    fn d2h(&mut self, gi: usize, name: &str, bytes: u64) -> TaskBuilder<'_> {
+        let (stream, resource) = (self.gpus[gi].d2h, self.pcie_d2h);
+        self.eng
+            .task(name, stream, Work::Transfer { bytes, resource })
+    }
+
+    /// The end of a forward: a zero-time event on GPU 0's compute stream
+    /// that waits for every GPU's last chunk in `outs`.
+    fn join(&mut self, outs: &[Vec<TaskId>]) -> Result<TaskId, SimError> {
+        let last: Vec<TaskId> = outs.iter().filter_map(|o| o.last().copied()).collect();
+        let stream = self.gpus[0].compute;
+        let mut b = self.eng.task("fwd.done", stream, Work::Event);
+        b.deps(&last);
+        b.submit()
+    }
+}
+
+/// One block's schedule being laid into a [`Node`]: the costs, the knobs
+/// and the per-layer emitters.
+struct Block {
+    c: BlockCosts,
+    opts: PipelineOpts,
+    node: Node,
+}
+
+impl Block {
+    fn new(model: &ModelConfig, cluster: &ClusterSpec, seq: u64, opts: PipelineOpts) -> Self {
+        Block {
+            c: BlockCosts::new(model, cluster, seq, opts.chunks),
+            opts,
+            node: Node::new(cluster, opts.copy_streams),
+        }
+    }
+
+    /// Double-buffer depth: a fetch may start once the tile that consumed
+    /// the fetch `window` before it is done.
+    fn window(&self) -> usize {
+        1 + usize::from(self.opts.double_buffer)
+    }
+
+    /// Lays out one layer's forward on every GPU: per chunk `i` the QKV
+    /// projection and all-to-all, the tiles `(i, 0..=i)` with each earlier
+    /// K/V chunk fetched from the host on the copy stream, double-buffered
+    /// over the row's fetches, the offload of chunk `i`'s QKV, and the
+    /// all-to-all back with the output projection; then the FFN in `2u`
+    /// sub-chunks. GPU `g`'s chunk `i` starts after `after[g][i]` when
+    /// `after` is not empty. Returns per GPU each chunk's last task, its
+    /// second FFN sub-chunk.
+    fn forward(&mut self, after: &[Vec<TaskId>]) -> Result<Vec<Vec<TaskId>>, SimError> {
+        let (u, window, offload) = (self.opts.chunks, self.window(), self.opts.offload);
+        let (hbm, c, n) = (self.node.hbm, &self.c, &mut self.node);
+        let mut outs = Vec::with_capacity(n.gpus.len());
+        for gi in 0..n.gpus.len() {
+            let track = gi == 0;
+            // offload task per chunk: fetches of chunk j require its D2H done
+            let mut offload_ids: Vec<Option<TaskId>> = vec![None; u];
+            for i in 0..u {
+                let mut qb = n.kernel(gi, &format!("fwd.qkv.{i}"), c.t_qkv);
+                if let Some(prev) = after.get(gi) {
+                    qb.deps(&[prev[i]]);
+                }
+                let qkv = qb.submit()?;
+                let mut b = n.kernel(gi, &format!("fwd.a2a.{i}"), c.a2a(c.qkv_bytes));
+                b.deps(&[qkv]);
+                if track {
+                    b.alloc(hbm, 2 * c.qkv_bytes, "a2a send+recv");
+                }
+                let a2a_i = b.submit()?;
+                // The row's tiles that consumed a host fetch, in order: the
+                // double buffer's window.
+                let mut fetched: Vec<TaskId> = Vec::new();
+                let mut prev_tile: Option<TaskId> = None;
+                for (j, &put) in offload_ids[..=i].iter().enumerate() {
+                    let mut deps = vec![a2a_i];
+                    deps.extend(prev_tile);
+                    let host = offload && j < i;
+                    if host {
+                        // fetch KV chunk j from host
+                        let mut fb = n.h2d(gi, &format!("fwd.fetch.{i}.{j}"), c.kv_bytes);
+                        if fetched.len() >= window {
+                            fb.deps(&[fetched[fetched.len() - window]]);
+                        }
+                        if let Some(put) = put {
+                            fb.deps(&[put]); // chunk j must be in host memory
+                        }
+                        if track {
+                            fb.alloc(hbm, c.kv_bytes, "kv fetch buffer");
+                        }
+                        deps.push(fb.submit()?);
+                    }
+                    let t = c.cost.attention_time(c.tile_flops(j == i));
+                    let mut tb = n.kernel(gi, &format!("fwd.attn.{i}.{j}"), t);
+                    tb.deps(&deps);
+                    if track && host {
+                        tb.free(hbm, c.kv_bytes); // fetched buffer released
+                    }
+                    let tile = tb.submit()?;
+                    if host {
+                        fetched.push(tile);
+                    }
+                    prev_tile = Some(tile);
+                }
+                let last_tile = prev_tile.expect("at least the diagonal tile");
+                if offload {
+                    // offload this chunk's QKV for the backward pass
+                    let mut ob = n.d2h(gi, &format!("fwd.offload.{i}"), c.qkv_bytes);
+                    ob.deps(&[last_tile]);
+                    if track {
+                        ob.free(hbm, 2 * c.qkv_bytes); // qkv + send staging released
+                    }
+                    offload_ids[i] = Some(ob.submit()?);
+                }
+                // Without offload the a2a receive buffers stay resident for
+                // the whole block (no D2H frees them) — the persistence the
+                // memory timeline shows for "FPDT w. chunking".
+                let t = c.a2a(c.unit) + c.t_proj;
+                let mut back = n.kernel(gi, &format!("fwd.a2a_back.proj.{i}"), t);
+                back.deps(&[last_tile]);
+                back.submit()?;
+            }
+            // FFN at 2u chunks (paper §5.4), on the compute stream.
+            let mut out = Vec::with_capacity(u);
+            for f in 0..2 * u {
+                let mut fb = n.kernel(gi, &format!("fwd.ffn.{f}"), c.t_ffn);
+                if track {
+                    fb.alloc(hbm, (c.unit as f64 * 0.5).max(1.0) as u64, "ffn chunk");
+                    fb.free(hbm, (c.unit as f64 * 0.5).max(1.0) as u64);
+                }
+                let t = fb.submit()?;
+                if f % 2 == 1 {
+                    out.push(t);
+                }
+            }
+            outs.push(out);
+        }
+        Ok(outs)
+    }
+
+    /// Lays out one block's backward on every GPU after `fwd_done`: the FFN
+    /// gradients first (paper Figure 13 ordering), then the attention nest.
+    fn backward(&mut self, fwd_done: TaskId) -> Result<(), SimError> {
+        for gi in 0..self.node.gpus.len() {
+            let (c, hbm) = (&self.c, self.node.hbm);
+            let mut prev = fwd_done;
+            for f in 0..2 * self.opts.chunks {
+                let mut fb = self.node.kernel(gi, &format!("bwd.ffn.{f}"), 2.0 * c.t_ffn);
+                fb.deps(&[prev]);
+                if gi == 0 {
+                    fb.alloc(hbm, c.unit, "ffn grad chunk");
+                    fb.free(hbm, c.unit);
+                }
+                prev = fb.submit()?;
+            }
+            match self.opts.nest {
+                NestOrder::KvOuter => self.kv_outer(gi, prev)?,
+                NestOrder::QOuter => self.q_outer(gi, prev)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// The paper's backward attention nest on GPU `gi` after `prev`: outer
+    /// over KV chunks, inner over query chunks (Figure 7).
+    fn kv_outer(&mut self, gi: usize, mut prev: TaskId) -> Result<(), SimError> {
+        let (u, window, offload) = (self.opts.chunks, self.window(), self.opts.offload);
+        let (hbm, c, n, track) = (self.node.hbm, &self.c, &mut self.node, gi == 0);
+        let mut inner_tiles: Vec<TaskId> = Vec::new();
+        // The KV prefetch for outer iteration j+1 overlaps iteration j's
+        // all-to-all + projection backward (paper Figure 7): it only needs
+        // the previous inner loop's *tiles* to be done, not the a2a.
+        let mut prev_last_inner: Option<TaskId> = None;
+        for j in 0..u {
+            let kv_fetch = if offload {
+                let mut fb = n.h2d(gi, &format!("bwd.fetch_kv.{j}"), c.kv_bytes);
+                fb.deps(&[prev_last_inner.unwrap_or(prev)]);
+                if track {
+                    fb.alloc(hbm, c.kv_bytes, "bwd kv chunk");
+                }
+                Some(fb.submit()?)
+            } else {
+                None
+            };
+            let mut last_inner: Option<TaskId> = None;
+            for (idx, i) in (j..u).enumerate() {
+                let mut deps: Vec<TaskId> = vec![prev];
+                deps.extend(kv_fetch);
+                if offload {
+                    // fetch q_i, dO_i (double-buffered window on tiles)
+                    let mut qb = n.h2d(gi, &format!("bwd.fetch_q.{j}.{i}"), 2 * c.unit);
+                    if idx >= window {
+                        qb.deps(&[inner_tiles[inner_tiles.len() - window]]);
+                    }
+                    if track {
+                        qb.alloc(hbm, 2 * c.unit, "bwd q/do chunk");
+                    }
+                    deps.push(qb.submit()?);
+                }
+                let t = c.cost.attention_time(2.5 * c.tile_flops(j == i));
+                let mut tb = n.kernel(gi, &format!("bwd.attn.{j}.{i}"), t);
+                tb.deps(&deps);
+                if track && offload {
+                    tb.free(hbm, 2 * c.unit);
+                }
+                let tile = tb.submit()?;
+                inner_tiles.push(tile);
+                last_inner = Some(tile);
+            }
+            // dK_j/dV_j (and dq_j) final: all-to-all back + projection
+            // backward; overlaps the next outer iteration's KV prefetch
+            // because that runs on the copy stream.
+            let t = c.a2a(c.qkv_bytes) + 2.0 * c.t_qkv + 2.0 * c.t_proj;
+            let mut cb = n.kernel(gi, &format!("bwd.a2a.projbwd.{j}"), t);
+            let last_inner = last_inner.expect("inner loop non-empty");
+            cb.deps(&[last_inner]);
+            if track && offload {
+                cb.free(hbm, c.kv_bytes);
+            }
+            prev_last_inner = Some(last_inner);
+            prev = cb.submit()?;
+        }
+        Ok(())
+    }
+
+    /// The nest-order ablation on GPU `gi` after `prev`: query-outer
+    /// nesting at *equal memory*. Every inner iteration fetches a KV chunk
+    /// (u(u+1)/2 fetches total) AND must round-trip the partial dK_j/dV_j
+    /// accumulators through host memory (they cannot all stay resident
+    /// without paying u x the footprint) — the extra traffic §4.2's
+    /// ordering argument avoids.
+    fn q_outer(&mut self, gi: usize, mut prev: TaskId) -> Result<(), SimError> {
+        let (u, window, offload) = (self.opts.chunks, self.window(), self.opts.offload);
+        let (hbm, c, n, track) = (self.node.hbm, &self.c, &mut self.node, gi == 0);
+        let mut tiles: Vec<TaskId> = Vec::new();
+        for i in 0..u {
+            let q_fetch = if offload {
+                let mut qb = n.h2d(gi, &format!("bwd.qouter.fetch_q.{i}"), 2 * c.unit);
+                if track {
+                    qb.alloc(hbm, 2 * c.unit, "bwd q/do chunk");
+                }
+                Some(qb.submit()?)
+            } else {
+                None
+            };
+            let mut last: Option<TaskId> = None;
+            for j in 0..=i {
+                let mut deps = vec![prev];
+                deps.extend(q_fetch);
+                if offload {
+                    // KV chunk j plus its partial accumulators in...
+                    let name = format!("bwd.qouter.fetch_kv_acc.{i}.{j}");
+                    let mut fb = n.h2d(gi, &name, 2 * c.kv_bytes);
+                    if tiles.len() >= window {
+                        fb.deps(&[tiles[tiles.len() - window]]);
+                    }
+                    if track {
+                        fb.alloc(hbm, 2 * c.kv_bytes, "bwd kv + acc chunk");
+                    }
+                    deps.push(fb.submit()?);
+                }
+                let t = c.cost.attention_time(2.5 * c.tile_flops(j == i));
+                let mut tb = n.kernel(gi, &format!("bwd.qouter.attn.{i}.{j}"), t);
+                tb.deps(&deps);
+                let t = tb.submit()?;
+                tiles.push(t);
+                last = Some(t);
+                if offload {
+                    // ...and the updated accumulators back out.
+                    let name = format!("bwd.qouter.writeback_acc.{i}.{j}");
+                    let mut wb = n.d2h(gi, &name, c.kv_bytes);
+                    wb.deps(&[t]);
+                    if track {
+                        wb.free(hbm, 2 * c.kv_bytes);
+                    }
+                    wb.submit()?;
+                }
+            }
+            let t = c.a2a(c.unit) + 2.0 * c.t_qkv + 2.0 * c.t_proj;
+            let mut cb = n.kernel(gi, &format!("bwd.qouter.a2a.projbwd.{i}"), t);
+            cb.deps(&[last.expect("inner loop non-empty")]);
+            if track && offload {
+                cb.free(hbm, 2 * c.unit);
+            }
+            prev = cb.submit()?;
+        }
+        // Ship every dK/dV chunk home at the very end (one final fetch
+        // + all-to-all per chunk; in KV-outer this piggybacked on the
+        // per-outer-iteration all-to-all).
+        for j in 0..u {
+            let mut sb = n.kernel(gi, &format!("bwd.qouter.ship_dkv.{j}"), c.a2a(c.kv_bytes));
+            sb.deps(&[prev]);
+            prev = sb.submit()?;
+        }
+        Ok(())
+    }
+}
+
 /// Simulates one FPDT Transformer block (forward then backward) for
 /// `model` on `cluster` at global sequence length `seq`, returning
 /// timings and the memory timeline.
@@ -184,375 +538,13 @@ pub fn simulate_block(
             what: "chunks must be positive".into(),
         });
     }
-    let u = opts.chunks;
-    let g = cluster.node.gpus; // GPUs sharing this node's PCIe
-    let c = BlockCosts::new(model, cluster, seq, u);
+    let mut block = Block::new(model, cluster, seq, opts);
+    let outs = block.forward(&[])?;
+    let fwd_done = block.node.join(&outs)?;
+    block.backward(fwd_done)?;
 
-    let mut eng = Engine::new();
-    let hbm = eng.add_pool("hbm0", Some(cluster.node.gpu.hbm_bytes));
-    let pcie_h2d = eng.add_resource("pcie.h2d", cluster.node.pcie_bw, cluster.node.link_latency);
-    let pcie_d2h = eng.add_resource("pcie.d2h", cluster.node.pcie_bw, cluster.node.link_latency);
-
-    let gpus: Vec<GpuStreams> = (0..g)
-        .map(|i| {
-            let compute = eng.add_stream(&format!("gpu{i}.compute"));
-            let (h2d, d2h) = match opts.copy_streams {
-                0 => (compute, compute),
-                1 => {
-                    let c = eng.add_stream(&format!("gpu{i}.copy"));
-                    (c, c)
-                }
-                _ => (
-                    eng.add_stream(&format!("gpu{i}.h2d")),
-                    eng.add_stream(&format!("gpu{i}.d2h")),
-                ),
-            };
-            GpuStreams { compute, h2d, d2h }
-        })
-        .collect();
-
-    let mut last_fwd: Vec<TaskId> = Vec::new();
-    let track = |gpu: usize| gpu == 0; // memory timeline follows GPU 0
-
-    // ---------- forward ----------
-    for (gi, s) in gpus.iter().enumerate() {
-        // per-(i,j) tile ids so fetches can depend on earlier tiles
-        let mut tile_ids: Vec<Vec<TaskId>> = vec![Vec::new(); u];
-        // offload task per chunk: fetches of chunk j require its D2H done
-        let mut offload_ids: Vec<Option<TaskId>> = vec![None; u];
-        for i in 0..u {
-            let qkv = eng.add_task(
-                &format!("fwd.qkv.{i}"),
-                s.compute,
-                Work::Compute { seconds: c.t_qkv },
-            )?;
-            let mut b = eng.task(
-                &format!("fwd.a2a.{i}"),
-                s.compute,
-                Work::Compute {
-                    seconds: c.a2a(c.qkv_bytes),
-                },
-            );
-            b.deps(&[qkv]);
-            if track(gi) {
-                b.alloc(hbm, 2 * c.qkv_bytes, "a2a send+recv");
-            }
-            let a2a_i = b.submit()?;
-            let mut prev_tile: Option<TaskId> = None;
-            for j in 0..=i {
-                let mut deps = vec![a2a_i];
-                if let Some(pt) = prev_tile {
-                    deps.push(pt);
-                }
-                if opts.offload && j < i {
-                    // fetch KV chunk j from host
-                    let mut fb = eng.task(
-                        &format!("fwd.fetch.{i}.{j}"),
-                        s.h2d,
-                        Work::Transfer {
-                            bytes: c.kv_bytes,
-                            resource: pcie_h2d,
-                        },
-                    );
-                    // double buffering: fetch j may start once tile j-2 is
-                    // done (two buffers); otherwise it waits for tile j-1.
-                    let window = if opts.double_buffer { 2 } else { 1 };
-                    if j >= window {
-                        fb.deps(&[tile_ids[i][j - window]]);
-                    }
-                    if let Some(off) = offload_ids[j] {
-                        fb.deps(&[off]); // chunk j must be in host memory
-                    }
-                    if track(gi) {
-                        fb.alloc(hbm, c.kv_bytes, "kv fetch buffer");
-                    }
-                    let fetch = fb.submit()?;
-                    deps.push(fetch);
-                }
-                let mut tb = eng.task(
-                    &format!("fwd.attn.{i}.{j}"),
-                    s.compute,
-                    Work::Compute {
-                        seconds: c.cost.attention_time(c.tile_flops(j == i)),
-                    },
-                );
-                tb.deps(&deps);
-                if track(gi) && opts.offload && j < i {
-                    tb.free(hbm, c.kv_bytes); // fetched buffer released
-                }
-                let tile = tb.submit()?;
-                tile_ids[i].push(tile);
-                prev_tile = Some(tile);
-            }
-            let last_tile = *tile_ids[i].last().expect("at least the diagonal tile");
-            if opts.offload {
-                // offload this chunk's QKV for the backward pass
-                let mut ob = eng.task(
-                    &format!("fwd.offload.{i}"),
-                    s.d2h,
-                    Work::Transfer {
-                        bytes: c.qkv_bytes,
-                        resource: pcie_d2h,
-                    },
-                );
-                ob.deps(&[last_tile]);
-                if track(gi) {
-                    ob.free(hbm, 2 * c.qkv_bytes); // qkv + send staging released
-                }
-                offload_ids[i] = Some(ob.submit()?);
-            }
-            let mut back = eng.task(
-                &format!("fwd.a2a_back.proj.{i}"),
-                s.compute,
-                Work::Compute {
-                    seconds: c.a2a(c.unit) + c.t_proj,
-                },
-            );
-            back.deps(&[last_tile]);
-            let back = back.submit()?;
-            // Without offload the a2a receive buffers stay resident for the
-            // whole block (no D2H frees them) — the persistence the memory
-            // timeline shows for "FPDT w. chunking".
-            if i == u - 1 {
-                last_fwd.push(back);
-            }
-        }
-        // FFN at 2u chunks (paper §5.4), on the compute stream.
-        for f in 0..2 * u {
-            let mut fb = eng.task(
-                &format!("fwd.ffn.{f}"),
-                s.compute,
-                Work::Compute { seconds: c.t_ffn },
-            );
-            if track(gi) {
-                fb.alloc(hbm, (c.unit as f64 * 0.5).max(1.0) as u64, "ffn chunk");
-                fb.free(hbm, (c.unit as f64 * 0.5).max(1.0) as u64);
-            }
-            let t = fb.submit()?;
-            if f == 2 * u - 1 {
-                last_fwd.push(t);
-            }
-        }
-    }
-
-    // barrier between forward and backward
-    let barrier_stream = gpus[0].compute;
-    let mut bb = eng.task("fwd.done", barrier_stream, Work::Event);
-    bb.deps(&last_fwd);
-    let fwd_done = bb.submit()?;
-
-    // ---------- backward (Figure 7) ----------
-    for (gi, s) in gpus.iter().enumerate() {
-        // FFN gradients first (paper Figure 13 ordering).
-        let mut prev = fwd_done;
-        for f in 0..2 * u {
-            let mut fb = eng.task(
-                &format!("bwd.ffn.{f}"),
-                s.compute,
-                Work::Compute {
-                    seconds: 2.0 * c.t_ffn,
-                },
-            );
-            fb.deps(&[prev]);
-            if track(gi) {
-                fb.alloc(hbm, c.unit, "ffn grad chunk");
-                fb.free(hbm, c.unit);
-            }
-            prev = fb.submit()?;
-        }
-        if opts.nest == NestOrder::QOuter {
-            // Ablation: query-outer nesting at *equal memory*. Every inner
-            // iteration fetches a KV chunk (u(u+1)/2 fetches total) AND
-            // must round-trip the partial dK_j/dV_j accumulators through
-            // host memory (they cannot all stay resident without paying
-            // u x the footprint) — the extra traffic §4.2's ordering
-            // argument avoids.
-            let mut tiles: Vec<TaskId> = Vec::new();
-            for i in 0..u {
-                let q_fetch = if opts.offload {
-                    let mut qb = eng.task(
-                        &format!("bwd.qouter.fetch_q.{i}"),
-                        s.h2d,
-                        Work::Transfer {
-                            bytes: 2 * c.unit,
-                            resource: pcie_h2d,
-                        },
-                    );
-                    if track(gi) {
-                        qb.alloc(hbm, 2 * c.unit, "bwd q/do chunk");
-                    }
-                    Some(qb.submit()?)
-                } else {
-                    None
-                };
-                let mut last: Option<TaskId> = None;
-                for j in 0..=i {
-                    let mut deps = vec![prev];
-                    if let Some(qf) = q_fetch {
-                        deps.push(qf);
-                    }
-                    if opts.offload {
-                        // KV chunk j plus its partial accumulators in...
-                        let mut fb = eng.task(
-                            &format!("bwd.qouter.fetch_kv_acc.{i}.{j}"),
-                            s.h2d,
-                            Work::Transfer {
-                                bytes: 2 * c.kv_bytes,
-                                resource: pcie_h2d,
-                            },
-                        );
-                        let window = if opts.double_buffer { 2 } else { 1 };
-                        if tiles.len() >= window {
-                            fb.deps(&[tiles[tiles.len() - window]]);
-                        }
-                        if track(gi) {
-                            fb.alloc(hbm, 2 * c.kv_bytes, "bwd kv + acc chunk");
-                        }
-                        deps.push(fb.submit()?);
-                    }
-                    let mut tb = eng.task(
-                        &format!("bwd.qouter.attn.{i}.{j}"),
-                        s.compute,
-                        Work::Compute {
-                            seconds: c.cost.attention_time(2.5 * c.tile_flops(j == i)),
-                        },
-                    );
-                    tb.deps(&deps);
-                    let t = tb.submit()?;
-                    tiles.push(t);
-                    last = Some(t);
-                    if opts.offload {
-                        // ...and the updated accumulators back out.
-                        let mut wb = eng.task(
-                            &format!("bwd.qouter.writeback_acc.{i}.{j}"),
-                            s.d2h,
-                            Work::Transfer {
-                                bytes: c.kv_bytes,
-                                resource: pcie_d2h,
-                            },
-                        );
-                        wb.deps(&[t]);
-                        if track(gi) {
-                            wb.free(hbm, 2 * c.kv_bytes);
-                        }
-                        wb.submit()?;
-                    }
-                }
-                let mut cb = eng.task(
-                    &format!("bwd.qouter.a2a.projbwd.{i}"),
-                    s.compute,
-                    Work::Compute {
-                        seconds: c.a2a(c.unit) + 2.0 * c.t_qkv + 2.0 * c.t_proj,
-                    },
-                );
-                cb.deps(&[last.expect("inner loop non-empty")]);
-                if track(gi) && opts.offload {
-                    cb.free(hbm, 2 * c.unit);
-                }
-                prev = cb.submit()?;
-            }
-            // Ship every dK/dV chunk home at the very end (one final fetch
-            // + all-to-all per chunk; in KV-outer this piggybacked on the
-            // per-outer-iteration all-to-all).
-            for j in 0..u {
-                let mut sb = eng.task(
-                    &format!("bwd.qouter.ship_dkv.{j}"),
-                    s.compute,
-                    Work::Compute {
-                        seconds: c.a2a(c.kv_bytes),
-                    },
-                );
-                sb.deps(&[prev]);
-                prev = sb.submit()?;
-            }
-            continue;
-        }
-
-        // Attention: outer over KV chunks, inner over query chunks.
-        let mut inner_tiles: Vec<TaskId> = Vec::new();
-        // The KV prefetch for outer iteration j+1 overlaps iteration j's
-        // all-to-all + projection backward (paper Figure 7): it only needs
-        // the previous inner loop's *tiles* to be done, not the a2a.
-        let mut prev_last_inner: Option<TaskId> = None;
-        for j in 0..u {
-            let kv_fetch = if opts.offload {
-                let mut fb = eng.task(
-                    &format!("bwd.fetch_kv.{j}"),
-                    s.h2d,
-                    Work::Transfer {
-                        bytes: c.kv_bytes,
-                        resource: pcie_h2d,
-                    },
-                );
-                fb.deps(&[prev_last_inner.unwrap_or(prev)]);
-                if track(gi) {
-                    fb.alloc(hbm, c.kv_bytes, "bwd kv chunk");
-                }
-                Some(fb.submit()?)
-            } else {
-                None
-            };
-            let mut last_inner: Option<TaskId> = None;
-            for (idx, i) in (j..u).enumerate() {
-                let mut deps: Vec<TaskId> = vec![prev];
-                if let Some(kf) = kv_fetch {
-                    deps.push(kf);
-                }
-                if opts.offload {
-                    // fetch q_i, dO_i (double-buffered window on tiles)
-                    let mut qb = eng.task(
-                        &format!("bwd.fetch_q.{j}.{i}"),
-                        s.h2d,
-                        Work::Transfer {
-                            bytes: 2 * c.unit,
-                            resource: pcie_h2d,
-                        },
-                    );
-                    let window = if opts.double_buffer { 2 } else { 1 };
-                    if idx >= window {
-                        qb.deps(&[inner_tiles[inner_tiles.len() - window]]);
-                    }
-                    if track(gi) {
-                        qb.alloc(hbm, 2 * c.unit, "bwd q/do chunk");
-                    }
-                    deps.push(qb.submit()?);
-                }
-                let mut tb = eng.task(
-                    &format!("bwd.attn.{j}.{i}"),
-                    s.compute,
-                    Work::Compute {
-                        seconds: c.cost.attention_time(2.5 * c.tile_flops(j == i)),
-                    },
-                );
-                tb.deps(&deps);
-                if track(gi) && opts.offload {
-                    tb.free(hbm, 2 * c.unit);
-                }
-                let tile = tb.submit()?;
-                inner_tiles.push(tile);
-                last_inner = Some(tile);
-            }
-            // dK_j/dV_j (and dq_j) final: all-to-all back + projection
-            // backward; overlaps the next outer iteration's KV prefetch
-            // because that runs on the copy stream.
-            let mut cb = eng.task(
-                &format!("bwd.a2a.projbwd.{j}"),
-                s.compute,
-                Work::Compute {
-                    seconds: c.a2a(c.qkv_bytes) + 2.0 * c.t_qkv + 2.0 * c.t_proj,
-                },
-            );
-            let last_inner = last_inner.expect("inner loop non-empty");
-            cb.deps(&[last_inner]);
-            if track(gi) && opts.offload {
-                cb.free(hbm, c.kv_bytes);
-            }
-            prev_last_inner = Some(last_inner);
-            prev = cb.submit()?;
-        }
-    }
-
-    let report = eng.run()?;
+    let hbm = block.node.hbm;
+    let report = block.node.eng.run()?;
     let fwd_seconds = report.finish_time(fwd_done)?;
     let bwd_seconds = report.makespan - fwd_seconds;
     let hbm_peak = report.pools.peak(hbm)?;
@@ -575,8 +567,10 @@ pub fn simulate_block(
 /// current layer's late chunks still compute, amortizing the pipeline
 /// ramp-up/down bubbles across `layers x u` instead of `u`.
 ///
-/// Returns `(serial_seconds, pipelined_seconds)` for `layers` forward
-/// layers.
+/// Each layer is [`simulate_block`]'s forward on the same node. Returns
+/// `(serial_seconds, pipelined_seconds)` for `layers` forward layers: in
+/// the first, every chunk of layer `L+1` waits for layer `L`'s last task;
+/// in the second, chunk `i` waits for layer `L`'s chunk `i`.
 ///
 /// # Errors
 ///
@@ -594,107 +588,18 @@ pub fn simulate_forward_layers(
         });
     }
     let u = opts.chunks;
-    let c = BlockCosts::new(model, cluster, seq, u);
-    let tile = |diag: bool| c.cost.attention_time(c.tile_flops(diag));
     let run = |cross_layer: bool| -> Result<f64, SimError> {
-        let mut eng = Engine::new();
-        let compute = eng.add_stream("gpu0.compute");
-        let h2d = eng.add_stream("gpu0.h2d");
-        let d2h = eng.add_stream("gpu0.d2h");
-        let pcie_in = eng.add_resource("pcie.h2d", cluster.node.pcie_bw, cluster.node.link_latency);
-        let pcie_out =
-            eng.add_resource("pcie.d2h", cluster.node.pcie_bw, cluster.node.link_latency);
-
-        // done[i] = completion task of chunk i in the previous layer
-        let mut prev_done: Vec<Option<TaskId>> = vec![None; u];
-        for layer in 0..layers {
-            let mut offloads: Vec<Option<TaskId>> = vec![None; u];
-            let mut tiles: Vec<TaskId> = Vec::new();
-            let mut done: Vec<Option<TaskId>> = vec![None; u];
-            for i in 0..u {
-                let mut qb = eng.task(
-                    &format!("l{layer}.qkv.{i}"),
-                    compute,
-                    Work::Compute { seconds: c.t_qkv },
-                );
-                if cross_layer {
-                    if let Some(dep) = prev_done[i] {
-                        qb.deps(&[dep]);
-                    }
-                } else if let Some(dep) = prev_done[u - 1] {
-                    qb.deps(&[dep]); // layer barrier
-                }
-                let qkv = qb.submit()?;
-                let mut ab = eng.task(
-                    &format!("l{layer}.a2a.{i}"),
-                    compute,
-                    Work::Compute {
-                        seconds: c.a2a(c.qkv_bytes),
-                    },
-                );
-                ab.deps(&[qkv]);
-                let a2a_t = ab.submit()?;
-                let mut last = a2a_t;
-                #[expect(clippy::needless_range_loop, reason = "j names tasks and the diagonal")]
-                for j in 0..=i {
-                    let mut deps = vec![a2a_t, last];
-                    if opts.offload && j < i {
-                        let mut fb = eng.task(
-                            &format!("l{layer}.fetch.{i}.{j}"),
-                            h2d,
-                            Work::Transfer {
-                                bytes: c.kv_bytes,
-                                resource: pcie_in,
-                            },
-                        );
-                        let window = if opts.double_buffer { 2 } else { 1 };
-                        if tiles.len() >= window {
-                            fb.deps(&[tiles[tiles.len() - window]]);
-                        }
-                        if let Some(off) = offloads[j] {
-                            fb.deps(&[off]);
-                        }
-                        deps.push(fb.submit()?);
-                    }
-                    let mut tb = eng.task(
-                        &format!("l{layer}.attn.{i}.{j}"),
-                        compute,
-                        Work::Compute {
-                            seconds: tile(j == i),
-                        },
-                    );
-                    tb.deps(&deps);
-                    let t = tb.submit()?;
-                    tiles.push(t);
-                    last = t;
-                }
-                if opts.offload {
-                    let mut ob = eng.task(
-                        &format!("l{layer}.offload.{i}"),
-                        d2h,
-                        Work::Transfer {
-                            bytes: c.qkv_bytes,
-                            resource: pcie_out,
-                        },
-                    );
-                    ob.deps(&[last]);
-                    offloads[i] = Some(ob.submit()?);
-                }
-                // chunk output: a2a back + out projection + this chunk's two
-                // FFN sub-chunks (paper §5.4: FFN at 2x attention chunks)
-                let mut cb = eng.task(
-                    &format!("l{layer}.out.{i}"),
-                    compute,
-                    Work::Compute {
-                        seconds: c.a2a(c.unit) + c.t_proj + 2.0 * c.t_ffn,
-                    },
-                );
-                cb.deps(&[last]);
-                done[i] = Some(cb.submit()?);
+        let mut block = Block::new(model, cluster, seq, opts);
+        let mut after: Vec<Vec<TaskId>> = Vec::new();
+        for _ in 0..layers {
+            after = block.forward(&after)?;
+            if !cross_layer {
+                // layer barrier: every chunk waits for the layer's last task
+                after = after.iter().map(|o| vec![o[u - 1]; u]).collect();
             }
-            prev_done = done;
         }
-        Ok(eng.run()?.makespan)
+        let done = block.node.join(&after)?;
+        block.node.eng.run()?.finish_time(done)
     };
     Ok((run(false)?, run(true)?))
 }
@@ -831,6 +736,24 @@ mod cross_layer_tests {
             (0.0..0.01).contains(&gain),
             "barrier removal is ~free: serial {serial} cross {cross}"
         );
+    }
+
+    #[test]
+    fn one_layer_is_simulate_blocks_forward() {
+        let m = ModelConfig::llama3_8b();
+        let cluster = ClusterSpec::a100_80g(1, 4);
+        for (seq, u) in [
+            (64 * 1024, 2),
+            (256 * 1024, 4),
+            (256 * 1024, 8),
+            (512 * 1024, 6),
+        ] {
+            for opts in [PipelineOpts::paper(u), PipelineOpts::chunking_only(u)] {
+                let fwd = simulate_block(&m, &cluster, seq, opts).unwrap().fwd_seconds;
+                let (serial, cross) = simulate_forward_layers(&m, &cluster, seq, opts, 1).unwrap();
+                assert_eq!((serial, cross), (fwd, fwd), "seq {seq}, {opts:?}");
+            }
+        }
     }
 
     #[test]

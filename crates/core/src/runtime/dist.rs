@@ -307,8 +307,6 @@ pub enum TrainError {
     /// The executor failed outside the comm layer (shape bugs and the
     /// like) — carried as text because executor errors are type-erased.
     Exec(String),
-    /// Checkpoint save/restore failed.
-    Ckpt(CkptError),
 }
 
 impl fmt::Display for TrainError {
@@ -316,7 +314,6 @@ impl fmt::Display for TrainError {
         match self {
             TrainError::Comm(e) => write!(f, "training step failed in a collective: {e}"),
             TrainError::Exec(e) => write!(f, "training step failed in the executor: {e}"),
-            TrainError::Ckpt(e) => write!(f, "checkpoint failed: {e}"),
         }
     }
 }
@@ -326,7 +323,6 @@ impl std::error::Error for TrainError {
         match self {
             TrainError::Comm(e) => Some(e),
             TrainError::Exec(_) => None,
-            TrainError::Ckpt(e) => Some(e),
         }
     }
 }
@@ -334,12 +330,6 @@ impl std::error::Error for TrainError {
 impl From<fpdt_comm::CommError> for TrainError {
     fn from(e: fpdt_comm::CommError) -> Self {
         TrainError::Comm(e)
-    }
-}
-
-impl From<CkptError> for TrainError {
-    fn from(e: CkptError) -> Self {
-        TrainError::Ckpt(e)
     }
 }
 

@@ -8,56 +8,17 @@
 
 use crate::hw::ClusterSpec;
 
-/// The scalar rate/overhead constants every closed-form estimate reads,
-/// derived from a [`ClusterSpec`] by [`CostConstants::from_cluster`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostConstants {
-    /// Effective GEMM throughput, FLOP/s.
-    pub gemm_flops: f64,
-    /// Effective fused-attention throughput, FLOP/s.
-    pub attention_flops: f64,
-    /// Fixed launch/scheduling overhead per kernel, seconds.
-    pub kernel_overhead: f64,
-    /// Intra-node peer (NVLink) bandwidth, bytes/s.
-    pub nvlink_bw: f64,
-    /// Host↔device (PCIe) bandwidth, bytes/s.
-    pub pcie_bw: f64,
-    /// Inter-node (InfiniBand) bandwidth per GPU, bytes/s.
-    pub ib_bw: f64,
-    /// Per-message link latency, seconds.
-    pub link_latency: f64,
-}
-
-impl CostConstants {
-    /// The paper-calibrated constants of a cluster specification.
-    pub fn from_cluster(cluster: &ClusterSpec) -> Self {
-        let node = &cluster.node;
-        CostConstants {
-            gemm_flops: node.gpu.gemm_flops(),
-            attention_flops: node.gpu.attention_flops(),
-            kernel_overhead: node.gpu.kernel_overhead,
-            nvlink_bw: node.nvlink_bw,
-            pcie_bw: node.pcie_bw,
-            ib_bw: cluster.ib_bw,
-            link_latency: node.link_latency,
-        }
-    }
-}
-
-/// Analytic cost model over a cluster: topology from the [`ClusterSpec`],
-/// rates and overheads from its [`CostConstants`].
+/// Analytic cost model over a cluster: topology, rates and overheads all
+/// read from the wrapped [`ClusterSpec`].
 #[derive(Debug, Clone)]
 pub struct CostModel {
     cluster: ClusterSpec,
-    constants: CostConstants,
 }
 
 impl CostModel {
-    /// Wraps a cluster specification with its own paper-calibrated
-    /// constants ([`CostConstants::from_cluster`]).
+    /// Wraps a cluster specification.
     pub fn new(cluster: ClusterSpec) -> Self {
-        let constants = CostConstants::from_cluster(&cluster);
-        CostModel { cluster, constants }
+        CostModel { cluster }
     }
 
     /// The wrapped cluster.
@@ -67,12 +28,14 @@ impl CostModel {
 
     /// Duration of a GEMM-shaped kernel of `flops` floating-point ops.
     pub fn gemm_time(&self, flops: f64) -> f64 {
-        self.constants.kernel_overhead + flops / self.constants.gemm_flops
+        let gpu = &self.cluster.node.gpu;
+        gpu.kernel_overhead + flops / gpu.gemm_flops()
     }
 
     /// Duration of a fused attention kernel of `flops` ops.
     pub fn attention_time(&self, flops: f64) -> f64 {
-        self.constants.kernel_overhead + flops / self.constants.attention_flops
+        let gpu = &self.cluster.node.gpu;
+        gpu.kernel_overhead + flops / gpu.attention_flops()
     }
 
     /// Effective per-GPU bandwidth for a collective over `group` GPUs
@@ -80,9 +43,9 @@ impl CostModel {
     /// nodes each GPU drives its own IB rail.
     fn group_bw(&self, group: usize) -> f64 {
         if self.cluster.spans_nodes(group) {
-            self.constants.ib_bw
+            self.cluster.ib_bw
         } else {
-            self.constants.nvlink_bw
+            self.cluster.node.nvlink_bw
         }
     }
 
@@ -94,16 +57,16 @@ impl CostModel {
         if group <= 1 {
             return 0.0;
         }
-        let c = &self.constants;
+        let c = &self.cluster.node;
         let p = group as f64;
         let b = bytes_per_gpu as f64;
         let lat = c.link_latency;
         if !self.cluster.spans_nodes(group) {
             return lat + b * (p - 1.0) / p / c.nvlink_bw;
         }
-        let gpn = self.cluster.node.gpus.min(group) as f64;
+        let gpn = c.gpus.min(group) as f64;
         let intra = b * (gpn - 1.0) / p / c.nvlink_bw;
-        let inter = b * (p - gpn) / p / c.ib_bw;
+        let inter = b * (p - gpn) / p / self.cluster.ib_bw;
         lat * (p.log2().ceil()) + intra.max(inter)
     }
 
@@ -114,7 +77,7 @@ impl CostModel {
             return 0.0;
         }
         let p = group as f64;
-        let lat = self.constants.link_latency * (p - 1.0);
+        let lat = self.cluster.node.link_latency * (p - 1.0);
         lat + gathered_bytes as f64 * (p - 1.0) / p / self.group_bw(group)
     }
 
@@ -138,7 +101,7 @@ impl CostModel {
     /// dynamic bandwidth contention exactly, this closed form is for
     /// Figure 10.
     pub fn h2d_time(&self, bytes: u64, sharing: usize) -> f64 {
-        let c = &self.constants;
+        let c = &self.cluster.node;
         let sharing = sharing.max(1) as f64;
         c.link_latency * sharing + bytes as f64 / (c.pcie_bw / sharing)
     }
@@ -147,7 +110,7 @@ impl CostModel {
     /// a single uncontended PCIe copy of `group * bytes` followed by an
     /// NVLink scatter, plus a synchronization barrier.
     pub fn h2d_via_scatter_time(&self, bytes: u64, group: usize) -> f64 {
-        let c = &self.constants;
+        let c = &self.cluster.node;
         let fetch = c.link_latency + (bytes as f64 * group as f64) / c.pcie_bw;
         let scatter =
             c.link_latency + bytes as f64 * (group as f64 - 1.0) / group as f64 / c.nvlink_bw;
@@ -156,7 +119,8 @@ impl CostModel {
 
     /// Direct NVLink peer-to-peer copy.
     pub fn p2p_time(&self, bytes: u64) -> f64 {
-        self.constants.link_latency + bytes as f64 / self.constants.nvlink_bw
+        let c = &self.cluster.node;
+        c.link_latency + bytes as f64 / c.nvlink_bw
     }
 }
 
