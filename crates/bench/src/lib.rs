@@ -9,12 +9,19 @@
 //! | `table2`   | Table 2 — per-step activation footprint of a block |
 //! | `table3`   | Table 3 — training-strategy ablation (8B, 8 GPUs) |
 //! | `figure1`  | Figure 1 — MFU and max context per GPU, 3 sizes |
+//! | `figure2`  | Figures 2/3 — the Ulysses all-to-all and ZeRO-3 over its group |
+//! | `figure4_5` | Figures 4/5 — distributed attention with offload and fetch |
 //! | `figure6`  | Figure 6 — rank-ordinal chunk shuffle validity |
+//! | `figure7`  | Figure 7 — the simulated three-stream pipeline, as a trace |
+//! | `figure8_9` | Figures 8/9 — starving vs wasting across chunk sizes |
 //! | `figure10` | Figure 10 — op latencies vs sequence chunk size |
 //! | `figure11` | Figure 11 — MFU vs context for all six models |
 //! | `figure12` | Figure 12 — MFU + HBM vs chunk size at 256K |
 //! | `figure13` | Figure 13 — backward-pass memory timeline |
 //! | `figure14` | Figure 14 — loss-curve equivalence (real training) |
+//! | `ablation` | nest order, double buffer, copy streams, chunk count |
+//! | `future_work` | §6: the gradient-reduction spike, cross-layer pipelining |
+//! | `waits` | stream waits of a traced run, by block and slot |
 //!
 //! Run them with `cargo run --release -p fpdt-bench --bin <name>`. Each
 //! prints the paper-style table and writes machine-readable rows to

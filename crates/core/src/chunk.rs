@@ -134,6 +134,25 @@ impl ChunkPlan {
     }
 }
 
+/// The K/V pairs a layer's forward keeps on the device from their put to
+/// the layer's end: pairs 0 and 1. With pair `i-1`, which chunk `i` reads
+/// from the device too, a forward of at most 4 chunks reads no tile from
+/// the host.
+const PINNED_PAIRS: usize = 2;
+
+/// The forward's K/V residency rule, the one description the executor
+/// and the simulator read: whether tile `(i, j)`, `j < i` (query chunk
+/// `i`, KV chunk `j`), reads pair `j` from the device rather than fetching
+/// it from the chunk store. The pinned pairs stay on the device for the
+/// whole layer, and pair `i-1` while chunk `i` runs, its put having only
+/// just left (a fetch would wait for the put to land, then for its own
+/// transfer). A layer of `u` chunks therefore fetches `(u-3)(u-4)/2`
+/// pairs, none at `u <= 4`; a pair is dropped from the device after the
+/// last chunk that reads it there.
+pub fn kv_on_device(i: usize, j: usize) -> bool {
+    j < PINNED_PAIRS || j + 1 == i
+}
+
 /// The runtime's backward tile order: the causal tile triangle
 /// `{(i, j) : j <= i < u}` (query chunk `i`, KV chunk `j`) cut into `u`
 /// near-equal pipeline slots (sizes differ by at most one tile). The

@@ -15,7 +15,8 @@
 //!   real numbers — chunked QKV projection, per-chunk all-to-all
 //!   (`fpdt-comm`), rank-ordinal sequence shuffle (Figure 6), streaming
 //!   attention (`fpdt-attention`), a host memory pool standing in for
-//!   pinned CPU DRAM, and the KV-outer/Q-inner backward nest (Figure 7).
+//!   pinned CPU DRAM, and a tiled backward that walks the causal tile
+//!   triangle in [`chunk::tile_slots`]'s balanced order.
 //!   It reproduces the paper's correctness claims: loss curves identical
 //!   to the non-chunked baseline (Figure 14).
 //! * **Performance planning** ([`pipeline`], [`strategy`]): a schedule

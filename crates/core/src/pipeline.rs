@@ -7,17 +7,24 @@
 //! laid out task by task:
 //!
 //! * **Forward**: per chunk `i` — QKV projection, all-to-all, then online
-//!   attention against KV chunks `0..=i`, fetching previous chunks from
-//!   host memory on the copy stream while computing (double buffering),
-//!   then offloading chunk `i`'s QKV for the backward.
-//! * **Backward** (Figure 7): KV-outer / Q-inner nested loop. `dK_j/dV_j`
-//!   finalize after inner sweep `j`; the all-to-all + projection backward
-//!   for chunk `j` overlaps the prefetch of KV chunk `j+1`.
+//!   attention against KV chunks `0..=i`, then offloading chunk `i`'s QKV
+//!   for the backward. It follows the executor's residency rule,
+//!   [`kv_on_device`]: pairs 0, 1 and `i-1` are read from the device, and
+//!   only the other earlier chunks are fetched from host memory on the
+//!   copy stream while computing (double buffering).
+//! * **Backward** (Figure 7): the paper's KV-outer / Q-inner nested loop,
+//!   not the executor's tile order. `dK_j/dV_j` finalize after inner
+//!   sweep `j`; the all-to-all + projection backward for chunk `j`
+//!   overlaps the prefetch of KV chunk `j+1`.
+//!
+//! One emitter lays out a layer's forward: [`simulate_block`] runs it
+//! once before the backward, [`simulate_forward_layers`] once per layer.
 //!
 //! The simulated makespan drives MFU (Figures 11/12); the HBM pool
 //! timeline draws Figure 13; and the `copy_streams`/`double_buffer` knobs
 //! are the ablations DESIGN.md calls out.
 
+use crate::chunk::kv_on_device;
 use fpdt_model::config::ModelConfig;
 use fpdt_model::memory::BF16;
 use fpdt_sim::cost::CostModel;
@@ -264,13 +271,15 @@ impl Block {
     }
 
     /// Lays out one layer's forward on every GPU: per chunk `i` the QKV
-    /// projection and all-to-all, the tiles `(i, 0..=i)` with each earlier
-    /// K/V chunk fetched from the host on the copy stream, double-buffered
-    /// over the row's fetches, the offload of chunk `i`'s QKV, and the
-    /// all-to-all back with the output projection; then the FFN in `2u`
-    /// sub-chunks. GPU `g`'s chunk `i` starts after `after[g][i]` when
-    /// `after` is not empty. Returns per GPU each chunk's last task, its
-    /// second FFN sub-chunk.
+    /// projection and all-to-all, the tiles `(i, 0..=i)`, the offload of
+    /// chunk `i`'s QKV, and the all-to-all back with the output
+    /// projection; then the FFN in `2u` sub-chunks. With offload, a tile
+    /// reads an earlier K/V pair from the device where [`kv_on_device`]
+    /// says so, the pair held in HBM from its offload to that last device
+    /// read; every other tile's pair is fetched from the host on the copy
+    /// stream, double-buffered over the row's fetches. GPU `g`'s chunk `i`
+    /// starts after `after[g][i]` when `after` is not empty. Returns per
+    /// GPU each chunk's last task, its second FFN sub-chunk.
     fn forward(&mut self, after: &[Vec<TaskId>]) -> Result<Vec<Vec<TaskId>>, SimError> {
         let (u, window, offload) = (self.opts.chunks, self.window(), self.opts.offload);
         let (hbm, c, n) = (self.node.hbm, &self.c, &mut self.node);
@@ -298,7 +307,13 @@ impl Block {
                 for (j, &put) in offload_ids[..=i].iter().enumerate() {
                     let mut deps = vec![a2a_i];
                     deps.extend(prev_tile);
-                    let host = offload && j < i;
+                    let host = offload && j < i && !kv_on_device(i, j);
+                    // The device pair's last read frees it, as a host
+                    // tile frees its fetch buffer.
+                    let last_read = offload
+                        && j < i
+                        && kv_on_device(i, j)
+                        && (i + 1 == u || !kv_on_device(i + 1, j));
                     if host {
                         // fetch KV chunk j from host
                         let mut fb = n.h2d(gi, &format!("fwd.fetch.{i}.{j}"), c.kv_bytes);
@@ -316,8 +331,8 @@ impl Block {
                     let t = c.cost.attention_time(c.tile_flops(j == i));
                     let mut tb = n.kernel(gi, &format!("fwd.attn.{i}.{j}"), t);
                     tb.deps(&deps);
-                    if track && host {
-                        tb.free(hbm, c.kv_bytes); // fetched buffer released
+                    if track && (host || last_read) {
+                        tb.free(hbm, c.kv_bytes);
                     }
                     let tile = tb.submit()?;
                     if host {
@@ -331,7 +346,10 @@ impl Block {
                     let mut ob = n.d2h(gi, &format!("fwd.offload.{i}"), c.qkv_bytes);
                     ob.deps(&[last_tile]);
                     if track {
-                        ob.free(hbm, 2 * c.qkv_bytes); // qkv + send staging released
+                        // qkv + send staging released, but for a pair a
+                        // later chunk reads from the device
+                        let kept = i + 1 < u && kv_on_device(i + 1, i);
+                        ob.free(hbm, 2 * c.qkv_bytes - u64::from(kept) * c.kv_bytes);
                     }
                     offload_ids[i] = Some(ob.submit()?);
                 }

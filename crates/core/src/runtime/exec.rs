@@ -22,7 +22,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 use super::options::RuntimeOptions;
-use crate::chunk::{tile_slots, ChunkPlan};
+use crate::chunk::{kv_on_device, tile_slots, ChunkPlan};
 use crate::offload::{BufKind, ChunkKey, FetchHandle, OffloadEngine, PoolStats};
 use fpdt_attention::default_scale;
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
@@ -292,19 +292,19 @@ pub type LocalAttention = DistAttention;
 /// in the local layout and ships it with the chunk's `dO` gather.
 ///
 /// The forward folds chunk `i`'s KV tiles in one ascending loop over
-/// `j < i`, then the diagonal. One residency rule decides where a tile's
-/// pair comes from: pairs 0 and 1 stay on the device for the whole layer
-/// forward, and pair `i-1` while chunk `i` runs; every other tile is
-/// fetched from the chunk store, double-buffered, its first fetch issued
-/// before the chunk's QKV lands. The device pairs are in the form
-/// [`OffloadEngine::put`] handed back, bit for bit what a fetch returns. A
-/// layer's forward keep-fetches are therefore `(u-3)(u-4)`: none at
-/// `u <= 4`. Each chunk's `[Q, Lse]` goes down behind the next chunk's K/V
-/// (the last chunk's at the end of the forward), so the only puts a
-/// forward fetch can queue behind on the D2H clock are K/V puts. The
-/// device price is at most two K/V pairs more than the 4-pair peak of
-/// a double-buffered fold (DESIGN.md "Tile schedule"), and one chunk's
-/// `[Q, Lse]` held one chunk longer.
+/// `j < i`, then the diagonal. One residency rule, [`kv_on_device`],
+/// decides where a tile's pair comes from: pairs 0 and 1 stay on the
+/// device for the whole layer forward, and pair `i-1` while chunk `i`
+/// runs; every other tile is fetched from the chunk store,
+/// double-buffered, its first fetch issued before the chunk's QKV lands.
+/// The device pairs are in the form [`OffloadEngine::put`] handed back,
+/// bit for bit what a fetch returns. A layer's forward keep-fetches are
+/// therefore `(u-3)(u-4)`: none at `u <= 4`. Each chunk's `[Q, Lse]` goes
+/// down behind the next chunk's K/V (the last chunk's at the end of the
+/// forward), so the only puts a forward fetch can queue behind on the D2H
+/// clock are K/V puts. The device price is at most two K/V pairs more
+/// than the 4-pair peak of a double-buffered fold (DESIGN.md "Tile
+/// schedule"), and one chunk's `[Q, Lse]` held one chunk longer.
 ///
 /// The causal tile triangle is cut so every pipeline slot carries
 /// near-equal work: the forward posts all fused QKV ops up-front, and the
@@ -331,11 +331,6 @@ pub struct DistAttention {
     engine: CommEngine,
     recorder: Option<Recorder>,
 }
-
-/// The K/V pairs a layer's forward keeps on the device from their put to
-/// its end: pairs 0 and 1. With pair i-1, which chunk i reads from the
-/// device too, a forward of at most 4 chunks reads no tile from the host.
-const PINNED_PAIRS: usize = 2;
 
 /// A K/V chunk pair, or a query row's `[Q, Lse]`, on the copy stream.
 type PairFetch = FetchHandle<[Arc<Tensor>; 2]>;
@@ -780,10 +775,8 @@ impl AttentionExec for DistAttention {
         }
         let mut o_handles = Vec::with_capacity(u);
         // The device-resident K/V pairs, in the form the pool stores them
-        // (what `put` hands back): pairs 0 and 1 for the whole forward,
-        // and pair i-1 while chunk i runs, whose put has only just left (a
-        // fetch would wait for the put to land and then for its own
-        // transfer). Every other tile is fetched from the chunk store.
+        // (what `put` hands back), kept as `kv_on_device` says: every
+        // other tile is fetched from the chunk store.
         let mut kept: Vec<Option<[Arc<Tensor>; 2]>> = (0..u).map(|_| None).collect();
         // Chunk i-1's `[Q, Lse]`, put behind chunk i's K/V: the forward's
         // fetches wait on K/V puts only, never on a put that only the
@@ -796,10 +789,8 @@ impl AttentionExec for DistAttention {
             // first goes out before the chunk's QKV lands, and each next
             // one before the current one's update runs, so the copy stream
             // hides it behind compute (paper Figure 13).
-            let host = |kept: &[Option<[Arc<Tensor>; 2]>], from: usize| {
-                (from..i).find(|&j| kept[j].is_none())
-            };
-            let mut next = host(&kept, 0)
+            let host = |from: usize| (from..i).find(|&j| !kv_on_device(i, j));
+            let mut next = host(0)
                 .map(|j| self.fetch_kv(layer, j, false))
                 .transpose()?;
             // Project chunk through the all-to-all: full heads/local seq ->
@@ -809,24 +800,24 @@ impl AttentionExec for DistAttention {
             let attn_span = self.span("attn.fwd.chunk", qh.data().len());
             let qh = Arc::new(qh);
             let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
-            for j in 0..i {
+            for (j, pair) in kept[..i].iter().enumerate() {
                 let fetched;
-                let [kj, vj] = match &kept[j] {
-                    Some(pair) => pair,
-                    None => {
-                        let cur = next.take().ok_or("KV chunk j was not prefetched")?;
-                        next = host(&kept, j + 1)
-                            .map(|t| self.fetch_kv(layer, t, false))
-                            .transpose()?;
-                        fetched = cur.wait();
-                        &fetched
-                    }
+                let [kj, vj] = if kv_on_device(i, j) {
+                    pair.as_ref().ok_or("KV pair j was not kept")?
+                } else {
+                    let cur = next.take().ok_or("KV chunk j was not prefetched")?;
+                    next = host(j + 1)
+                        .map(|t| self.fetch_kv(layer, t, false))
+                        .transpose()?;
+                    fetched = cur.wait();
+                    &fetched
                 };
                 let _u = self.span("kernel.attn.update", kj.data().len());
                 st.update(kj, vj, &plan.gathered_positions(j))?;
             }
-            // Pair i-1 has served its last tile unless it is pinned.
-            if i > PINNED_PAIRS {
+            // Pair i-1 has served its last device tile unless chunk i+1
+            // reads it from the device too.
+            if i > 0 && !kv_on_device(i + 1, i - 1) {
                 kept[i - 1] = None;
             }
             {

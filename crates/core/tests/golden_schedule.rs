@@ -32,14 +32,18 @@
 
 mod common;
 
-use fpdt_core::chunk::tile_slots;
+use fpdt_comm::run_group;
+use fpdt_core::chunk::{tile_slots, ChunkPlan};
 use fpdt_core::pipeline::{simulate_block, NestOrder, PipelineOpts, PipelineReport};
 use fpdt_core::runtime::ckpt::{read_shard, shard_paths, StateValue};
+use fpdt_core::runtime::exec::{AttentionExec, DistAttention};
 use fpdt_core::runtime::{Mode, RuntimeOptions, TrainConfig, Trainer};
 use fpdt_model::config::ModelConfig;
 use fpdt_sim::hw::ClusterSpec;
+use fpdt_tensor::Tensor;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const CHUNKS: usize = 3;
 const SEQ: u64 = 12 * 1024;
@@ -359,6 +363,39 @@ fn kv_outer_issues_u_kv_fetches_q_outer_quadratically_many() {
         gpus * u * (u + 1) / 2
     );
     assert_eq!(count(&q, "bwd.fetch_kv."), 0);
+}
+
+#[test]
+fn simulated_forward_fetches_what_the_executor_fetches() {
+    // Both read `chunk::kv_on_device`: the simulator emits a forward fetch
+    // task for each tile the executor fetches from the host pool, and none
+    // for a tile it reads from the device.
+    let fetches = |u: usize| -> u64 {
+        let (s, heads, d) = (4 * u, 2, 4);
+        let stats = run_group(2, |comm| {
+            let plan = ChunkPlan::new(s, 2, u).unwrap();
+            let pos = plan.local_positions(comm.rank());
+            let x = Tensor::zeros(&[s / 2, heads, d]);
+            let opts = RuntimeOptions::from_env().with_fault_inject(0);
+            let mut ex = DistAttention::with_opts(Arc::new(comm), u, true, opts);
+            ex.forward(0, &x, &x, &x, &pos).unwrap();
+            ex.host_stats().fetches
+        });
+        assert_eq!(stats[0], stats[1], "ranks fetch alike at u={u}");
+        stats[0] / 2 // a K and a V fetch per pair
+    };
+    for u in 1..=8usize {
+        let sim = run_corner(PipelineOpts::paper(u));
+        let on_gpu0 = sim
+            .sim
+            .task_records()
+            .iter()
+            .filter(|r| r.stream == "gpu0.h2d" && r.name.starts_with("fwd.fetch."))
+            .count();
+        let want = u.saturating_sub(3) * u.saturating_sub(4) / 2;
+        assert_eq!(on_gpu0, want, "simulated forward fetches at u={u}");
+        assert_eq!(fetches(u), want as u64, "executor forward fetches at u={u}");
+    }
 }
 
 #[test]

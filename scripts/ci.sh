@@ -99,6 +99,24 @@ if [ "$(grep -c '^BENCH_JSON_OK ' <<<"$out")" -lt 2 ]; then
     exit 1
 fi
 
+stage "simulator bins: ablation, future_work, figure7, figure13 --json"
+# No other stage runs simulate_forward_layers or the nest/stream/chunk
+# ablations outside unit tests. The bins write target/experiments relative
+# to the working directory, so they run from a throwaway one; a non-zero
+# exit (a failed assert or simulation) fails the stage.
+root=$PWD
+sim_dir=$(mktemp -d)
+trap 'rm -rf "$sim_dir"' EXIT
+for run in ablation future_work figure7 "figure13 --json"; do
+    # A bin name, then its arguments.
+    read -r -a argv <<<"$run"
+    if ! (cd "$sim_dir" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
+        -p fpdt-bench --bin "${argv[0]}" -- "${argv[@]:1}"); then
+        echo "FAIL: simulator bin '$run' exited non-zero" >&2
+        exit 1
+    fi
+done
+
 stage "kernels --json --quick smoke (BENCH_kernels.json must parse)"
 out=$(cargo run -q --release -p fpdt-bench --bin kernels -- --json --quick)
 echo "$out"
