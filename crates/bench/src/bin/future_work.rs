@@ -1,23 +1,14 @@
-//! The paper's Future Work section, investigated:
-//!
-//! 1. **Gradient-reduction memory spike** — "PyTorch can also incur a
-//!    high memory spike when it reduces the gradients across all GPUs. In
-//!    certain cases, this memory spike can be more significant than the
-//!    activation's memory spikes." We quantify the flat fp32 reducer
-//!    buffer per model and show that FPDT-style chunked (bucketed,
-//!    double-buffered) reduction removes it.
-//! 2. **Cross-layer chunk pipelining** — a natural-seeming extension that
-//!    turns out to be a *negative result*: under the three-stream design,
-//!    removing the inter-layer barrier recovers essentially nothing,
-//!    because the compute stream is serial and a layer's fetches depend
-//!    on its own offloads.
+//! The paper's Future Work section, investigated: the gradient-reduction
+//! memory spike. "PyTorch can also incur a high memory spike when it
+//! reduces the gradients across all GPUs. In certain cases, this memory
+//! spike can be more significant than the activation's memory spikes." We
+//! quantify the flat fp32 reducer buffer per model and show that
+//! FPDT-style chunked (bucketed, double-buffered) reduction removes it.
 
 use fpdt_bench::{gib, write_json};
-use fpdt_core::pipeline::{simulate_forward_layers, PipelineOpts};
 use fpdt_model::config::ModelConfig;
 use fpdt_model::memory::BlockActivations;
 use fpdt_parallel::zero::grad_reduce_spike_bytes;
-use fpdt_sim::hw::ClusterSpec;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -63,29 +54,4 @@ fn main() {
     println!("activation's memory spikes\". A chunked, double-buffered reducer (the FPDT");
     println!("recipe applied to gradients) caps it at two buckets regardless of size.");
     write_json("future_work_grad_spike", &rows);
-
-    println!("\n== Future work 2: cross-layer chunk pipelining (negative result) ==\n");
-    for (m, seq, chunks) in [
-        (ModelConfig::gpt_2_7b(), 256 * 1024u64, 32usize),
-        (ModelConfig::llama3_8b(), 512 * 1024, 8),
-        (ModelConfig::llama3_8b(), 2 * 1024 * 1024, 32),
-    ] {
-        let cluster = ClusterSpec::a100_80g(1, 4);
-        let (serial, cross) =
-            simulate_forward_layers(&m, &cluster, seq, PipelineOpts::paper(chunks), 4)
-                .expect("simulation runs");
-        println!(
-            "{:<12} seq {:>5}K u={:<3} 4-layer fwd: barrier {:>8.1} ms, no barrier {:>8.1} ms ({:+.2}%)",
-            m.name,
-            seq / 1024,
-            chunks,
-            serial * 1e3,
-            cross * 1e3,
-            (cross / serial - 1.0) * 100.0
-        );
-    }
-    println!("\nremoving the inter-layer barrier is ~free but also ~worthless: the compute");
-    println!("stream serializes all kernels and attention fetches depend on same-layer");
-    println!("offloads, so FPDT's pipeline is already saturated. The real future-work");
-    println!("win is the gradient reducer above.");
 }

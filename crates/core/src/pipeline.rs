@@ -17,8 +17,8 @@
 //!   sweep `j`; the all-to-all + projection backward for chunk `j`
 //!   overlaps the prefetch of KV chunk `j+1`.
 //!
-//! One emitter lays out a layer's forward: [`simulate_block`] runs it
-//! once before the backward, [`simulate_forward_layers`] once per layer.
+//! [`simulate_block`] is a short driver over three private emitters on
+//! one `Block`: the forward, and the two backward nests of [`NestOrder`].
 //!
 //! The simulated makespan drives MFU (Figures 11/12); the HBM pool
 //! timeline draws Figure 13; and the `copy_streams`/`double_buffer` knobs
@@ -235,16 +235,6 @@ impl Node {
         self.eng
             .task(name, stream, Work::Transfer { bytes, resource })
     }
-
-    /// The end of a forward: a zero-time event on GPU 0's compute stream
-    /// that waits for every GPU's last chunk in `outs`.
-    fn join(&mut self, outs: &[Vec<TaskId>]) -> Result<TaskId, SimError> {
-        let last: Vec<TaskId> = outs.iter().filter_map(|o| o.last().copied()).collect();
-        let stream = self.gpus[0].compute;
-        let mut b = self.eng.task("fwd.done", stream, Work::Event);
-        b.deps(&last);
-        b.submit()
-    }
 }
 
 /// One block's schedule being laid into a [`Node`]: the costs, the knobs
@@ -277,23 +267,19 @@ impl Block {
     /// reads an earlier K/V pair from the device where [`kv_on_device`]
     /// says so, the pair held in HBM from its offload to that last device
     /// read; every other tile's pair is fetched from the host on the copy
-    /// stream, double-buffered over the row's fetches. GPU `g`'s chunk `i`
-    /// starts after `after[g][i]` when `after` is not empty. Returns per
-    /// GPU each chunk's last task, its second FFN sub-chunk.
-    fn forward(&mut self, after: &[Vec<TaskId>]) -> Result<Vec<Vec<TaskId>>, SimError> {
+    /// stream, double-buffered over the row's fetches. Returns the end of
+    /// the forward: a zero-time event on GPU 0's compute stream that waits
+    /// for every GPU's last FFN sub-chunk.
+    fn forward(&mut self) -> Result<TaskId, SimError> {
         let (u, window, offload) = (self.opts.chunks, self.window(), self.opts.offload);
         let (hbm, c, n) = (self.node.hbm, &self.c, &mut self.node);
-        let mut outs = Vec::with_capacity(n.gpus.len());
+        let mut lasts = Vec::with_capacity(n.gpus.len());
         for gi in 0..n.gpus.len() {
             let track = gi == 0;
             // offload task per chunk: fetches of chunk j require its D2H done
             let mut offload_ids: Vec<Option<TaskId>> = vec![None; u];
             for i in 0..u {
-                let mut qb = n.kernel(gi, &format!("fwd.qkv.{i}"), c.t_qkv);
-                if let Some(prev) = after.get(gi) {
-                    qb.deps(&[prev[i]]);
-                }
-                let qkv = qb.submit()?;
+                let qkv = n.kernel(gi, &format!("fwd.qkv.{i}"), c.t_qkv).submit()?;
                 let mut b = n.kernel(gi, &format!("fwd.a2a.{i}"), c.a2a(c.qkv_bytes));
                 b.deps(&[qkv]);
                 if track {
@@ -362,21 +348,21 @@ impl Block {
                 back.submit()?;
             }
             // FFN at 2u chunks (paper §5.4), on the compute stream.
-            let mut out = Vec::with_capacity(u);
+            let mut last = None;
             for f in 0..2 * u {
                 let mut fb = n.kernel(gi, &format!("fwd.ffn.{f}"), c.t_ffn);
                 if track {
                     fb.alloc(hbm, (c.unit as f64 * 0.5).max(1.0) as u64, "ffn chunk");
                     fb.free(hbm, (c.unit as f64 * 0.5).max(1.0) as u64);
                 }
-                let t = fb.submit()?;
-                if f % 2 == 1 {
-                    out.push(t);
-                }
+                last = Some(fb.submit()?);
             }
-            outs.push(out);
+            lasts.extend(last);
         }
-        Ok(outs)
+        let stream = n.gpus[0].compute;
+        let mut b = n.eng.task("fwd.done", stream, Work::Event);
+        b.deps(&lasts);
+        b.submit()
     }
 
     /// Lays out one block's backward on every GPU after `fwd_done`: the FFN
@@ -557,8 +543,7 @@ pub fn simulate_block(
         });
     }
     let mut block = Block::new(model, cluster, seq, opts);
-    let outs = block.forward(&[])?;
-    let fwd_done = block.node.join(&outs)?;
+    let fwd_done = block.forward()?;
     block.backward(fwd_done)?;
 
     let hbm = block.node.hbm;
@@ -574,52 +559,6 @@ pub fn simulate_block(
         timeline,
         sim: report,
     })
-}
-
-/// Forward-only multi-layer simulation with optional **cross-layer chunk
-/// pipelining** — an extension beyond the paper: because every operator in
-/// the block is chunk-local (QKV projection, per-chunk all-to-all,
-/// attention over the causal prefix, chunked FFN), chunk `i` of layer
-/// `L+1` only needs chunk `i` of layer `L`, not the whole layer. Removing
-/// the layer barrier lets the next layer's early chunks start while the
-/// current layer's late chunks still compute, amortizing the pipeline
-/// ramp-up/down bubbles across `layers x u` instead of `u`.
-///
-/// Each layer is [`simulate_block`]'s forward on the same node. Returns
-/// `(serial_seconds, pipelined_seconds)` for `layers` forward layers: in
-/// the first, every chunk of layer `L+1` waits for layer `L`'s last task;
-/// in the second, chunk `i` waits for layer `L`'s chunk `i`.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for zero chunks/layers.
-pub fn simulate_forward_layers(
-    model: &ModelConfig,
-    cluster: &ClusterSpec,
-    seq: u64,
-    opts: PipelineOpts,
-    layers: usize,
-) -> Result<(f64, f64), SimError> {
-    if opts.chunks == 0 || layers == 0 {
-        return Err(SimError::InvalidConfig {
-            what: "chunks and layers must be positive".into(),
-        });
-    }
-    let u = opts.chunks;
-    let run = |cross_layer: bool| -> Result<f64, SimError> {
-        let mut block = Block::new(model, cluster, seq, opts);
-        let mut after: Vec<Vec<TaskId>> = Vec::new();
-        for _ in 0..layers {
-            after = block.forward(&after)?;
-            if !cross_layer {
-                // layer barrier: every chunk waits for the layer's last task
-                after = after.iter().map(|o| vec![o[u - 1]; u]).collect();
-            }
-        }
-        let done = block.node.join(&after)?;
-        block.node.eng.run()?.finish_time(done)
-    };
-    Ok((run(false)?, run(true)?))
 }
 
 #[cfg(test)]
@@ -719,66 +658,5 @@ mod tests {
             },
         );
         assert!(matches!(e, Err(SimError::InvalidConfig { .. })));
-    }
-}
-
-#[cfg(test)]
-mod cross_layer_tests {
-    use super::*;
-    use fpdt_model::config::ModelConfig;
-    use fpdt_sim::hw::ClusterSpec;
-
-    #[test]
-    fn cross_layer_pipelining_never_slower() {
-        let m = ModelConfig::llama3_8b();
-        let cluster = ClusterSpec::a100_80g(1, 4);
-        let (serial, cross) =
-            simulate_forward_layers(&m, &cluster, 512 * 1024, PipelineOpts::paper(8), 4).unwrap();
-        assert!(cross <= serial * 1.0001, "{cross} vs {serial}");
-    }
-
-    #[test]
-    fn layer_barriers_are_free_in_fpdt_forward() {
-        // A negative result worth knowing: removing the inter-layer
-        // barrier recovers (almost) nothing, because (a) the compute
-        // stream is serial, so no compute can overlap other compute, and
-        // (b) a layer's KV fetches depend on its *own* offloads, so there
-        // is nothing to prefetch across the boundary. FPDT's three-stream
-        // design already keeps the bottleneck resource saturated.
-        let m = ModelConfig::gpt_2_7b();
-        let cluster = ClusterSpec::a100_80g(1, 4);
-        let (serial, cross) =
-            simulate_forward_layers(&m, &cluster, 256 * 1024, PipelineOpts::paper(32), 4).unwrap();
-        let gain = 1.0 - cross / serial;
-        assert!(
-            (0.0..0.01).contains(&gain),
-            "barrier removal is ~free: serial {serial} cross {cross}"
-        );
-    }
-
-    #[test]
-    fn one_layer_is_simulate_blocks_forward() {
-        let m = ModelConfig::llama3_8b();
-        let cluster = ClusterSpec::a100_80g(1, 4);
-        for (seq, u) in [
-            (64 * 1024, 2),
-            (256 * 1024, 4),
-            (256 * 1024, 8),
-            (512 * 1024, 6),
-        ] {
-            for opts in [PipelineOpts::paper(u), PipelineOpts::chunking_only(u)] {
-                let fwd = simulate_block(&m, &cluster, seq, opts).unwrap().fwd_seconds;
-                let (serial, cross) = simulate_forward_layers(&m, &cluster, seq, opts, 1).unwrap();
-                assert_eq!((serial, cross), (fwd, fwd), "seq {seq}, {opts:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn rejects_degenerate_inputs() {
-        let m = ModelConfig::llama3_8b();
-        let cluster = ClusterSpec::a100_80g(1, 4);
-        assert!(simulate_forward_layers(&m, &cluster, 1 << 20, PipelineOpts::paper(8), 0).is_err());
-        assert!(simulate_forward_layers(&m, &cluster, 1 << 20, PipelineOpts::paper(0), 2).is_err());
     }
 }

@@ -62,7 +62,6 @@ struct Task {
     frees: Vec<(PoolId, u64)>,
     start: f64,
     finish: f64,
-    done: bool,
 }
 
 #[derive(Debug)]
@@ -120,7 +119,6 @@ impl<'e> TaskBuilder<'e> {
                 frees: Vec::new(),
                 start: 0.0,
                 finish: 0.0,
-                done: false,
             },
         );
         self.engine.validate_and_push(t)
@@ -233,48 +231,27 @@ impl TaskRecord {
 pub struct SimReport {
     /// Total simulated time from 0 to the last task completion, seconds.
     pub makespan: f64,
-    finishes: HashMap<usize, (f64, f64)>,
     /// Final state of all memory pools (peaks, timelines).
     pub pools: PoolSet,
-    names: HashMap<usize, String>,
+    /// One record per task, indexed by [`TaskId`].
     records: Vec<TaskRecord>,
     streams: Vec<String>,
 }
 
 impl SimReport {
-    /// Start time of a task.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownId`] for an id not in this run.
-    pub fn start_time(&self, id: TaskId) -> Result<f64> {
-        self.finishes
-            .get(&id.0)
-            .map(|&(s, _)| s)
-            .ok_or(SimError::UnknownId {
-                kind: "task",
-                id: id.0,
-            })
-    }
-
     /// Finish time of a task.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnknownId`] for an id not in this run.
     pub fn finish_time(&self, id: TaskId) -> Result<f64> {
-        self.finishes
-            .get(&id.0)
-            .map(|&(_, f)| f)
+        self.records
+            .get(id.0)
+            .map(|r| r.finish)
             .ok_or(SimError::UnknownId {
                 kind: "task",
                 id: id.0,
             })
-    }
-
-    /// Name recorded for a task (diagnostics).
-    pub fn task_name(&self, id: TaskId) -> Option<&str> {
-        self.names.get(&id.0).map(String::as_str)
     }
 
     /// Every executed task with its stream and times, in submission order —
@@ -287,22 +264,6 @@ impl SimReport {
     /// track ordering independent of which streams happened to run tasks.
     pub fn streams(&self) -> &[String] {
         &self.streams
-    }
-
-    /// Busy fraction of a stream over the makespan (0.0 when the stream
-    /// never ran or the makespan is zero) — e.g. how saturated the H2D
-    /// copy stream was during an FPDT block.
-    pub fn stream_utilization(&self, stream: &str) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .records
-            .iter()
-            .filter(|r| r.stream == stream)
-            .map(|r| (r.finish - r.start).max(0.0))
-            .sum();
-        busy / self.makespan
     }
 }
 
@@ -352,7 +313,6 @@ impl Engine {
                 frees: Vec::new(),
                 start: 0.0,
                 finish: 0.0,
-                done: false,
             },
             engine: self,
         }
@@ -408,11 +368,6 @@ impl Engine {
         }
         self.tasks.push(t);
         Ok(TaskId(self.tasks.len() - 1))
-    }
-
-    /// Number of registered tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
     }
 
     /// Executes the task graph to completion.
@@ -573,7 +528,6 @@ impl Engine {
             for ti in finished {
                 let t = &mut self.tasks[ti];
                 t.finish = now;
-                t.done = true;
                 done[ti] = true;
                 completed += 1;
                 // advance that task's stream cursor
@@ -585,18 +539,6 @@ impl Engine {
             }
         }
 
-        let finishes = self
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, (t.start, t.finish)))
-            .collect();
-        let names = self
-            .tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, t.name.clone()))
-            .collect();
         let records = self
             .tasks
             .iter()
@@ -625,9 +567,7 @@ impl Engine {
             .collect();
         Ok(SimReport {
             makespan: now,
-            finishes,
             pools,
-            names,
             records,
             streams: self.streams.clone(),
         })
@@ -638,6 +578,10 @@ impl Engine {
 mod tests {
     use super::*;
 
+    fn start_time(r: &SimReport, id: TaskId) -> f64 {
+        r.task_records()[id.0].start
+    }
+
     #[test]
     fn single_compute_task() {
         let mut e = Engine::new();
@@ -646,8 +590,28 @@ mod tests {
         let r = e.run().unwrap();
         assert_eq!(r.makespan, 2.0);
         assert_eq!(r.finish_time(t).unwrap(), 2.0);
-        assert_eq!(r.start_time(t).unwrap(), 0.0);
-        assert_eq!(r.task_name(t), Some("k"));
+        assert_eq!(start_time(&r, t), 0.0);
+        assert_eq!(r.task_records()[t.0].name, "k");
+        assert_eq!(r.task_records()[t.0].stream, "c");
+    }
+
+    #[test]
+    fn finish_time_of_an_id_from_another_run_is_unknown() {
+        let mut big = Engine::new();
+        let s = big.add_stream("c");
+        big.add_task("a", s, Work::Event).unwrap();
+        let foreign = big.add_task("b", s, Work::Event).unwrap();
+        let mut small = Engine::new();
+        let s = small.add_stream("c");
+        small.add_task("a", s, Work::Event).unwrap();
+        let r = small.run().unwrap();
+        assert!(matches!(
+            r.finish_time(foreign),
+            Err(SimError::UnknownId {
+                kind: "task",
+                id: 1
+            })
+        ));
     }
 
     #[test]
@@ -657,7 +621,7 @@ mod tests {
         let _a = e.add_task("a", s, Work::Compute { seconds: 1.0 }).unwrap();
         let b = e.add_task("b", s, Work::Compute { seconds: 1.0 }).unwrap();
         let r = e.run().unwrap();
-        assert_eq!(r.start_time(b).unwrap(), 1.0);
+        assert_eq!(start_time(&r, b), 1.0);
         assert_eq!(r.makespan, 2.0);
     }
 
@@ -692,7 +656,7 @@ mod tests {
         b.deps(&[f]);
         let k = b.submit().unwrap();
         let r = e.run().unwrap();
-        assert!((r.start_time(k).unwrap() - 2.0).abs() < 1e-9);
+        assert!((start_time(&r, k) - 2.0).abs() < 1e-9);
         assert!((r.makespan - 3.0).abs() < 1e-9);
     }
 
@@ -881,7 +845,7 @@ mod tests {
         dd.deps(&[b, c]);
         let d = dd.submit().unwrap();
         let r = e.run().unwrap();
-        assert_eq!(r.start_time(d).unwrap(), 4.0); // waits for c at t=1+3
+        assert_eq!(start_time(&r, d), 4.0); // waits for c at t=1+3
         assert_eq!(r.makespan, 5.0);
     }
 
@@ -890,7 +854,7 @@ mod tests {
         let mut e = Engine::new();
         let r = e.run().unwrap();
         assert_eq!(r.makespan, 0.0);
-        assert_eq!(e.task_count(), 0);
+        assert!(r.task_records().is_empty());
     }
 }
 
@@ -990,27 +954,5 @@ mod record_tests {
             let moved: f64 = rec.shares.iter().map(|s| (s.until - s.from) * s.rate).sum();
             assert!((moved - 10.0).abs() < 1e-6, "moved {moved}");
         }
-    }
-}
-
-#[cfg(test)]
-mod utilization_tests {
-    use super::*;
-
-    #[test]
-    fn utilization_reflects_busy_time() {
-        let mut e = Engine::new();
-        let a = e.add_stream("a");
-        let b = e.add_stream("b");
-        e.add_task("x", a, Work::Compute { seconds: 4.0 }).unwrap();
-        e.add_task("y", b, Work::Compute { seconds: 1.0 }).unwrap();
-        let r = e.run().unwrap();
-        assert!((r.stream_utilization("a") - 1.0).abs() < 1e-9);
-        assert!((r.stream_utilization("b") - 0.25).abs() < 1e-9);
-        assert_eq!(r.stream_utilization("missing"), 0.0);
-        // records expose names/streams
-        assert_eq!(r.task_records().len(), 2);
-        assert_eq!(r.task_records()[0].name, "x");
-        assert_eq!(r.task_records()[0].stream, "a");
     }
 }
