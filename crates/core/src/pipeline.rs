@@ -460,9 +460,13 @@ impl Block {
         let (u, window, offload) = (self.opts.chunks, self.window(), self.opts.offload);
         let (hbm, c, n, track) = (self.node.hbm, &self.c, &mut self.node, gi == 0);
         let mut tiles: Vec<TaskId> = Vec::new();
+        // As in KV-outer, outer iteration i's fetch waits for iteration
+        // i-1's last tile, and the first for the FFN backward.
+        let mut prev_last: Option<TaskId> = None;
         for i in 0..u {
             let q_fetch = if offload {
                 let mut qb = n.h2d(gi, &format!("bwd.qouter.fetch_q.{i}"), 2 * c.unit);
+                qb.deps(&[prev_last.unwrap_or(prev)]);
                 if track {
                     qb.alloc(hbm, 2 * c.unit, "bwd q/do chunk");
                 }
@@ -505,10 +509,12 @@ impl Block {
             }
             let t = c.a2a(c.unit) + 2.0 * c.t_qkv + 2.0 * c.t_proj;
             let mut cb = n.kernel(gi, &format!("bwd.qouter.a2a.projbwd.{i}"), t);
-            cb.deps(&[last.expect("inner loop non-empty")]);
+            let last = last.expect("inner loop non-empty");
+            cb.deps(&[last]);
             if track && offload {
                 cb.free(hbm, 2 * c.unit);
             }
+            prev_last = Some(last);
             prev = cb.submit()?;
         }
         // Ship every dK/dV chunk home at the very end (one final fetch

@@ -366,6 +366,24 @@ fn kv_outer_issues_u_kv_fetches_q_outer_quadratically_many() {
 }
 
 #[test]
+fn no_backward_task_starts_before_the_forward_ends() {
+    // Both nests wait for the forward: a backward that starts early would
+    // hide its copies behind the forward's and understate its cost.
+    for (key, opts) in corners() {
+        let rep = run_corner(opts);
+        for r in rep.sim.task_records() {
+            assert!(
+                !r.name.starts_with("bwd.") || r.start >= rep.fwd_seconds,
+                "{key}: {} starts at {} before the forward ends at {}",
+                r.name,
+                r.start,
+                rep.fwd_seconds
+            );
+        }
+    }
+}
+
+#[test]
 fn simulated_forward_fetches_what_the_executor_fetches() {
     // Both read `chunk::kv_on_device`: the simulator emits a forward fetch
     // task for each tile the executor fetches from the host pool, and none
