@@ -890,29 +890,6 @@ impl GptModel {
         }
     }
 
-    /// Scales all local gradients (single-device normalization path).
-    pub fn scale_grads(&mut self, scale: f32) {
-        for g in &mut self.grads {
-            *g *= scale;
-        }
-    }
-
-    /// Global L2 norm of all gradients.
-    pub fn grad_norm(&self) -> f32 {
-        let sq: f64 = self.grads.iter().map(|&x| (x as f64) * (x as f64)).sum();
-        sq.sqrt() as f32
-    }
-
-    /// Clips gradients to a maximum global L2 norm (DeepSpeed defaults to
-    /// 1.0). Returns the pre-clip norm.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) -> f32 {
-        let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            self.scale_grads(max_norm / norm);
-        }
-        norm
-    }
-
     /// Applies one AdamW update to every parameter, reading each gradient
     /// as `g * grad_scale` (the `1/tokens` normalization of the summed
     /// loss) straight out of the buffer, which is left as it was.
@@ -1353,36 +1330,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod clip_tests {
-    use super::*;
-    use crate::runtime::data::Corpus;
-    use crate::runtime::exec::LocalAttention;
-
-    #[test]
-    fn grad_clipping_bounds_the_norm() {
-        let cfg = ModelConfig::tiny(1, 16, 2, 20);
-        let mut model = GptModel::new(&cfg, 0);
-        let mut exec = LocalAttention::new(1);
-        let (x, y) = Corpus::new(cfg.vocab, 0.3, 0).sample(16);
-        let pos: Vec<usize> = (0..16).collect();
-        model.zero_grad();
-        model
-            .forward_backward(&mut exec, &x, &y, &pos, 1, 1)
-            .unwrap();
-        let before = model.grad_norm();
-        assert!(before > 0.1, "summed-loss grads are large: {before}");
-        let returned = model.clip_grad_norm(0.1);
-        assert!((returned - before).abs() < 1e-3);
-        let after = model.grad_norm();
-        assert!((after - 0.1).abs() < 1e-3, "clipped to the cap: {after}");
-        // clipping below the cap is a no-op
-        let before2 = model.grad_norm();
-        model.clip_grad_norm(10.0);
-        assert!((model.grad_norm() - before2).abs() < 1e-6);
-    }
-}
-
-#[cfg(test)]
 mod eval_tests {
     use super::*;
     use crate::runtime::data::Corpus;
@@ -1448,7 +1395,10 @@ mod eval_tests {
         let mut exec = LocalAttention::new(1);
         let mut eval_corpus = Corpus::new(cfg.vocab, 0.05, 777);
         let before = model.evaluate(&mut exec, &mut eval_corpus, 32, 3).unwrap();
-        assert_eq!(model.grad_norm(), 0.0, "evaluation must not leak gradients");
+        assert!(
+            model.grads().iter().all(|&g| g == 0.0),
+            "evaluation must not leak gradients"
+        );
 
         let mut opt = AdamW::new(AdamWConfig {
             lr: 3e-3,

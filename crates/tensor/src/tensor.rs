@@ -326,37 +326,6 @@ impl Tensor {
         })
     }
 
-    /// Swaps the last two axes of a tensor of rank >= 2.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for rank < 2.
-    pub fn swap_last_two(&self) -> Result<Self> {
-        let nd = self.ndim();
-        if nd < 2 {
-            return Err(TensorError::RankMismatch {
-                op: "swap_last_two",
-                expected: 2,
-                actual: nd,
-            });
-        }
-        let r = self.shape[nd - 2];
-        let c = self.shape[nd - 1];
-        let batch: usize = self.shape[..nd - 2].iter().product();
-        let mut out = vec![0.0; self.data.len()];
-        for b in 0..batch {
-            let base = b * r * c;
-            for i in 0..r {
-                for j in 0..c {
-                    out[base + j * r + i] = self.data[base + i * c + j];
-                }
-            }
-        }
-        let mut shape = self.shape.clone();
-        shape.swap(nd - 2, nd - 1);
-        Ok(Tensor { data: out, shape })
-    }
-
     /// Elementwise addition of two same-shaped tensors.
     ///
     /// # Errors
@@ -585,14 +554,6 @@ mod tests {
         assert_eq!(tt.at(&[2, 1]), t.at(&[1, 2]));
         assert_eq!(tt.transpose2().unwrap(), t);
         assert!(Tensor::arange(3).transpose2().is_err());
-    }
-
-    #[test]
-    fn swap_last_two_batched() {
-        let t = Tensor::arange(12).reshape(&[2, 2, 3]).unwrap();
-        let s = t.swap_last_two().unwrap();
-        assert_eq!(s.shape(), &[2, 3, 2]);
-        assert_eq!(s.at(&[1, 2, 0]), t.at(&[1, 0, 2]));
     }
 
     #[test]

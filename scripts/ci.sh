@@ -99,15 +99,16 @@ if [ "$(grep -c '^BENCH_JSON_OK ' <<<"$out")" -lt 2 ]; then
     exit 1
 fi
 
-stage "simulator bins: ablation, future_work, figure7, figure13 --json"
-# No other stage runs simulate_forward_layers or the nest/stream/chunk
-# ablations outside unit tests. The bins write target/experiments relative
-# to the working directory, so they run from a throwaway one; a non-zero
-# exit (a failed assert or simulation) fails the stage.
+stage "simulator bins: ablation, future_work, figure1, figure7, figure8_9, figure12, figure13 --json, table3"
+# The nest/stream/chunk ablations and the bins that read a simulated
+# block's report through simulate_block or strategy::Fpdt, table1 (12 s)
+# excepted. The bins write target/experiments relative to the working
+# directory, so they run from a throwaway one; a non-zero exit (a failed
+# assert or simulation) fails the stage.
 root=$PWD
 sim_dir=$(mktemp -d)
 trap 'rm -rf "$sim_dir"' EXIT
-for run in ablation future_work figure7 "figure13 --json"; do
+for run in ablation future_work figure1 figure7 figure8_9 figure12 "figure13 --json" table3; do
     # A bin name, then its arguments.
     read -r -a argv <<<"$run"
     if ! (cd "$sim_dir" && cargo run -q --release --manifest-path "$root/Cargo.toml" \
