@@ -20,7 +20,7 @@
 //! | `figure13` | Figure 13 — backward-pass memory timeline |
 //! | `figure14` | Figure 14 — loss-curve equivalence (real training) |
 //! | `ablation` | nest order, double buffer, copy streams, chunk count |
-//! | `future_work` | §6: the gradient-reduction spike, cross-layer pipelining |
+//! | `future_work` | §6: the gradient-reduction memory spike |
 //! | `waits` | stream waits of a traced run, by block and slot |
 //!
 //! Run them with `cargo run --release -p fpdt-bench --bin <name>`. Each
