@@ -1,12 +1,13 @@
-//! Bitwise equivalence of the attention kernels between the AVX2/FMA
-//! microkernel backend and the portable scalar fallback, including GQA
+//! Bitwise equivalence of the attention kernels between the AVX2/FMA and
+//! AVX-512 microkernel backends and the portable scalar fallback, including GQA
 //! head grouping (fewer KV heads than query heads) and chunked KV
 //! arrival, at 1, 2, and 8 kernel threads.
 //!
 //! The online-softmax update, finalize, and blockwise backward all reduce
 //! through `fpdt_tensor::mk` primitives (panel gemms, the polynomial
-//! `exp`, the block softmax) whose scalar and AVX2 paths share one generic
-//! kernel with a fixed reduction tree — so the backend must never change a
+//! `exp`, the block softmax) whose paths share one generic kernel with a
+//! fixed reduction tree — AVX-512 widens only the panel gemms, whose
+//! elements are single fused chains — so the backend must never change a
 //! single bit of the attention output or gradients.
 
 mod common;
@@ -31,14 +32,6 @@ fn bits(t: &[f32]) -> Vec<u32> {
     t.iter().map(|v| v.to_bits()).collect()
 }
 
-fn backends() -> Vec<Backend> {
-    let mut out = vec![Backend::Scalar];
-    if mk::avx2_available() {
-        out.push(Backend::Avx2);
-    }
-    out
-}
-
 /// Runs `f` under every (backend, threads) combination and asserts the
 /// flattened output is bitwise identical to scalar at 1 thread.
 fn assert_backend_invariant(name: &str, f: impl Fn() -> Vec<f32>) {
@@ -47,7 +40,7 @@ fn assert_backend_invariant(name: &str, f: impl Fn() -> Vec<f32>) {
         reference.iter().any(|&v| v != 0.0),
         "{name}: all-zero output would make the comparison vacuous"
     );
-    for be in backends() {
+    for be in mk::backends() {
         for threads in [1usize, 2, 8] {
             let got = forced(be, threads).enter(&f);
             assert_eq!(

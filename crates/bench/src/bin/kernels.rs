@@ -1,13 +1,14 @@
 //! Kernel-backend benchmark: wall-clock and GFLOP/s of the hot compute
 //! kernels (tiled matmul forward/backward, online attention
 //! forward/backward, layer-norm backward, fused cross-entropy) across two
-//! axes: the microkernel backend (portable scalar vs AVX2/FMA, when the
-//! CPU has it) and the thread pool pinned to one thread versus the full
-//! `FPDT_THREADS` budget.
+//! axes: the microkernel backend (every one of `mk::backends()`: portable
+//! scalar, and AVX2/FMA and AVX-512 where the CPU has them) and the thread
+//! pool pinned to one thread versus the full `FPDT_THREADS` budget.
 //!
 //! Because every kernel partitions its work into fixed disjoint items with
-//! sequential in-item accumulation — and because both microkernel
-//! backends run the same generic kernel with the same reduction tree —
+//! sequential in-item accumulation — and because the microkernel backends
+//! run the same generic kernels with the same reduction trees, AVX-512
+//! widening only the gemm tile whose elements are single fused chains —
 //! every configuration produces bitwise identical results; the benchmark
 //! asserts that on every run before reporting the speedups.
 //!
@@ -57,6 +58,20 @@
 //! [`OPT_GATE`] `gelu` elements of the same run: both are lane-wise
 //! kernels of a few divides each, so the ratio holds on any host, and a
 //! scalar loop in AdamW's place sits five times over it.
+//!
+//! A denominator that is the hardware: the `fma_peak` row times
+//! `mk::fma_peak`, independent fused multiply-add chains held in
+//! registers at the width each backend's gemm tile runs at, touching no
+//! memory. `matmul`, `mlp_gemm`, `linear_chunk` and the attention rows
+//! land in `peak_share` as single-thread fractions of it on the dispatch
+//! backend, next to `roofline`, whose denominator is the same run's gemm
+//! and so moves with every gemm change.
+//!
+//! Where AVX-512 runs, `KERNELS_WIDE_OK` is printed when single-thread
+//! `linear_chunk` on the avx512 backend takes at most [`WIDE_GATE`] of the
+//! avx2 backend's wall time (the median of [`WIDE_PAIRS`] back-to-back
+//! pairs): the 16-lane gemm tiles must beat the 8-lane ones at the wide
+//! model's chunk shapes.
 
 use fpdt_attention::flops::{
     attention_bwd_flops, attention_fwd_flops, attention_tile_bwd_flops, attention_tile_fwd_flops,
@@ -88,15 +103,20 @@ struct Report {
     hardware_threads: usize,
     budget_threads: usize,
     avx2: bool,
+    avx512: bool,
     rows: Vec<Row>,
     /// `wall(1 thread) / wall(budget)` per kernel, on the dispatch backend.
     speedups: Vec<(String, f64)>,
-    /// `wall(scalar) / wall(avx2)` per kernel at one thread (empty
-    /// without AVX2).
+    /// `wall(scalar) / wall(dispatch backend)` per kernel at one thread
+    /// (empty without AVX2).
     simd_speedups: Vec<(String, f64)>,
     /// Single-thread GFLOP/s of each attention row over the same run's
     /// single-thread matmul, on the dispatch backend.
     roofline: Vec<(String, f64)>,
+    /// Single-thread GFLOP/s of the attention rows and of
+    /// [`PEAK_SHARE_ROWS`] over the same run's single-thread `fma_peak`,
+    /// on the dispatch backend.
+    peak_share: Vec<(String, f64)>,
 }
 
 /// Share of same-run matmul throughput the fully-visible attention tile
@@ -121,6 +141,24 @@ const OPT_GATE: f64 = 2.0;
 /// the parent commit); with every product on `gemm_panel`, twenty
 /// `--quick` runs read 0.85-0.97.
 const DENSE_GATE: f64 = 0.75;
+
+/// Most single-thread `linear_chunk` wall time on the AVX-512 backend,
+/// as a share of the AVX2 backend's in the same run: the median of
+/// [`WIDE_PAIRS`] back-to-back pairs (see `paired`). Eighteen `--quick`
+/// runs on the development host read 0.56-0.67 (0.73-0.83 with the
+/// `4 x 32` tiles alone, before the 8-row strips).
+const WIDE_GATE: f64 = 0.85;
+
+/// Pairs of `linear_chunk` calls the wide gate's ratio is the median of.
+const WIDE_PAIRS: usize = 31;
+
+/// The dense rows [`Report::peak_share`] reports besides the attention
+/// rows.
+const PEAK_SHARE_ROWS: [&str; 3] = ["matmul", "mlp_gemm", "linear_chunk"];
+
+/// Lane fused multiply-adds in one `fma_peak` call: whole rounds of
+/// `mk::PEAK_CHAINS` 16-lane vectors.
+const PEAK_FMAS: usize = mk::PEAK_CHAINS * 16 * (1 << 16);
 
 /// One FPDT attention tile at the repo benchmark's runtime shape: forward
 /// `update` and `attention_block_bwd` benches with every query at
@@ -301,6 +339,23 @@ trait Kernel {
 impl<F: FnMut() -> Outputs> Kernel for F {
     fn run(&mut self) -> Outputs {
         self()
+    }
+}
+
+/// A kernel whose calls run on one backend, whatever the caller's.
+struct On<K>(Backend, K);
+
+impl<K: Kernel> Kernel for On<K> {
+    fn reset(&mut self) {
+        self.1.reset();
+    }
+
+    fn run(&mut self) -> Outputs {
+        let ctx = KernelCtx {
+            backend: self.0,
+            ..KernelCtx::current()
+        };
+        ctx.enter(|| self.1.run())
     }
 }
 
@@ -656,6 +711,16 @@ fn benches(quick: bool) -> Vec<Bench> {
         run: Box::new(LinearChunks::new(47)),
     });
     out.push(Bench {
+        name: "fma_peak",
+        flops: 2 * PEAK_FMAS as u64,
+        kernel_only: true,
+        // no output: the chains' sum depends on the lane count
+        run: Box::new(|| {
+            black_box(mk::fma_peak(PEAK_FMAS));
+            Outputs::new()
+        }),
+    });
+    out.push(Bench {
         name: "adamw",
         flops: AdamwKernel::PARAMS as u64,
         kernel_only: true,
@@ -679,11 +744,13 @@ fn main() {
         vec![1, 2]
     };
 
-    // Scalar always; the AVX2 instantiation when this CPU can run it.
-    let mut backends: Vec<(&str, Backend)> = vec![("scalar", Backend::Scalar)];
-    if mk::avx2_available() {
-        backends.push(("avx2", Backend::Avx2));
-    }
+    // Every backend this build and CPU can run, scalar first; the last is
+    // the dispatch default.
+    let backends: Vec<(String, Backend)> = mk::backends()
+        .into_iter()
+        .map(|be| (format!("{be:?}").to_lowercase(), be))
+        .collect();
+    let dispatch = backends[backends.len() - 1].0.as_str();
 
     let mut rows: Vec<Row> = Vec::new();
     let mut speedups: Vec<(String, f64)> = Vec::new();
@@ -695,7 +762,8 @@ fn main() {
         // digest identically.
         let mut walls: Vec<(&str, usize, f64)> = Vec::new();
         let mut digests: Vec<u64> = Vec::new();
-        for &(bname, be) in &backends {
+        for (bname, be) in &backends {
+            let (bname, be) = (bname.as_str(), *be);
             for &t in &configs {
                 let ctx = KernelCtx {
                     threads: t,
@@ -736,13 +804,15 @@ fn main() {
                     .expect("timed above")
                     .2
             };
-            simd_speedups.push((bench.name.to_string(), wall_at("scalar") / wall_at("avx2")));
+            simd_speedups.push((
+                bench.name.to_string(),
+                wall_at("scalar") / wall_at(dispatch),
+            ));
         }
     }
 
     // Fraction of roofline: attention rows against the same run's matmul,
     // both single-threaded on the dispatch backend (the last one timed).
-    let dispatch = backends[backends.len() - 1].0;
     let gflops_at = |kernel: &str| {
         rows.iter()
             .find(|r| r.kernel == kernel && r.backend == dispatch && r.threads == 1)
@@ -754,13 +824,26 @@ fn main() {
         .filter(|r| r.kernel.starts_with("att") && r.backend == dispatch && r.threads == 1)
         .map(|r| (r.kernel.clone(), r.gflops / gflops_at("matmul")))
         .collect();
+    // The same rows and the dense products against the hardware: the
+    // dispatch backend's register-resident FMA rate, which no gemm change
+    // moves.
+    let peak_share: Vec<(String, f64)> = rows
+        .iter()
+        .filter(|r| {
+            (r.kernel.starts_with("att") || PEAK_SHARE_ROWS.contains(&r.kernel.as_str()))
+                && r.backend == dispatch
+                && r.threads == 1
+        })
+        .map(|r| (r.kernel.clone(), r.gflops / gflops_at("fma_peak")))
+        .collect();
 
     if !quiet {
         println!(
-            "kernel backend: {} hardware threads, budget {}, avx2 {}",
+            "kernel backend: {} hardware threads, budget {}, avx2 {}, avx512 {}",
             pool::hardware_threads(),
             budget,
-            mk::avx2_available()
+            mk::avx2_available(),
+            mk::avx512_available()
         );
         println!(
             "{:<16}{:>9}{:>9}{:>12}{:>12}",
@@ -785,6 +868,9 @@ fn main() {
         for (name, f) in &roofline {
             println!("roofline {name}: {f:.2} of single-thread matmul GFLOP/s");
         }
+        for (name, f) in &peak_share {
+            println!("fma_peak {name}: {f:.2} of single-thread {dispatch} fma_peak GFLOP/s");
+        }
     }
 
     let report = Report {
@@ -792,10 +878,12 @@ fn main() {
         hardware_threads: pool::hardware_threads(),
         budget_threads: budget,
         avx2: mk::avx2_available(),
+        avx512: mk::avx512_available(),
         rows,
         speedups,
         simd_speedups,
         roofline: roofline.clone(),
+        peak_share,
     };
     let dir = std::path::PathBuf::from("target/experiments");
     std::fs::create_dir_all(&dir).expect("create target/experiments");
@@ -874,6 +962,20 @@ fn main() {
         println!(
             "KERNELS_OPT_{verdict} adamw {opt:.2} ns/param = {:.2} gelu elements at {gelu:.2} ns (gate {OPT_GATE:.1})",
             opt / gelu
+        );
+    }
+    // CI gate: where AVX-512 runs, its 16-lane gemm tiles must beat the
+    // 8-lane ones on the wide model's chunk projections, same thread,
+    // back to back.
+    if mk::avx512_available() {
+        let (_, ratio) = paired(
+            WIDE_PAIRS,
+            &mut On(Backend::Avx2, LinearChunks::new(47)),
+            &mut On(Backend::Avx512, LinearChunks::new(47)),
+        );
+        let verdict = if ratio <= WIDE_GATE { "OK" } else { "FAIL" };
+        println!(
+            "KERNELS_WIDE_{verdict} linear_chunk avx512/avx2 wall {ratio:.2} (gate {WIDE_GATE:.2})"
         );
     }
 }

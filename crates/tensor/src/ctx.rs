@@ -3,7 +3,7 @@
 //!
 //! A [`KernelCtx`] is the thread budget, the parallel-split threshold and
 //! the SIMD backend. A thread starts at the process default (`FPDT_THREADS`,
-//! the default threshold, the detected backend); [`KernelCtx::enter`], the
+//! the default threshold, the widest detected backend); [`KernelCtx::enter`], the
 //! only way to choose another, runs a closure under it and restores the
 //! previous one afterwards. Nothing here is process-wide and mutable, so
 //! two threads run under different settings at the same time without a lock.
@@ -38,8 +38,12 @@ pub struct KernelCtx {
     /// Least work (multiply-adds or elements) a kernel needs before it
     /// fans out at all.
     pub par_threshold: usize,
-    /// Microkernel instantiation. A forced [`Backend::Avx2`] runs the
-    /// scalar one where the CPU lacks AVX2/FMA.
+    /// Microkernel instantiation. A forced [`Backend::Avx512`] runs the
+    /// AVX2 one where the CPU lacks `avx512f`, and a forced AVX2 or
+    /// AVX-512 the scalar one where it lacks AVX2/FMA. Only
+    /// [`mk::gemm_panel`] runs wider than 8 lanes: its elements are
+    /// single fused chains, so their bits do not depend on the width,
+    /// while every reduction kernel stays on 8 lanes (see [`mk`]).
     pub backend: Backend,
 }
 
@@ -58,11 +62,7 @@ fn defaults() -> (usize, Backend) {
     static DEFAULT: OnceLock<(usize, Backend)> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         let _ = crate::env::usize_knob("FPDT_THREADS");
-        let backend = if mk::avx2_available() {
-            Backend::Avx2
-        } else {
-            Backend::Scalar
-        };
+        let backend = *mk::backends().last().expect("scalar always runs");
         (crate::par::DEFAULT_PAR_THRESHOLD, backend)
     })
 }

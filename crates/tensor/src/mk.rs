@@ -1,6 +1,6 @@
-//! Runtime-dispatched SIMD microkernels (AVX2/FMA with a portable scalar
-//! fallback) shared by the gemm panels in [`crate::ops`] and the
-//! online-softmax kernels in `fpdt-attention`.
+//! Runtime-dispatched SIMD microkernels (AVX2/FMA and AVX-512 with a
+//! portable scalar fallback) shared by the gemm panels in [`crate::ops`]
+//! and the online-softmax kernels in `fpdt-attention`.
 //!
 //! Every kernel is written **once**, generically over the 8-lane vector
 //! trait `V8`, and instantiated twice: for [`Backend::Scalar`] the lanes
@@ -12,15 +12,31 @@
 //! like `vfmadd`, so the two backends are **bitwise identical** by
 //! construction — the property the kernel-equivalence suite locks down.
 //!
+//! [`Backend::Avx512`] widens one kernel, [`gemm_panel`]: its tile body is
+//! generic over the lane count (the `Lanes` trait, which `V8` extends),
+//! and under AVX-512 it runs `8 x 32` and `8 x 16` tiles of `__m512`
+//! (then `4`-row and single-row strips for the remainder) before the
+//! 8-wide tile and the scalar column tail. That is bitwise
+//! free because every element of C is one `mul_add` chain in ascending
+//! depth whatever the tile width. **The rule:** a kernel may run at
+//! another lane count only if no lane ever combines with another. The
+//! reduction kernels (`dot`, `softmax_fold`, `softmax_bwd`, `adamw` and
+//! the rest) sum across lanes or pad their tails to a lane group, so their
+//! results depend on the width; they stay 8 lanes, on the AVX2
+//! instantiation, under [`Backend::Avx512`].
+//!
 //! Each kernel has one public entry, which dispatches on the calling
 //! thread's [`KernelCtx`](crate::KernelCtx) backend ([`backend`]); tests
 //! and benches force one path by entering a context. The process default
-//! is AVX2 where CPU detection (`avx2` + `fma`, cached after the first
-//! query) finds it, scalar elsewhere.
+//! is the last of [`backends`]: AVX-512 where CPU detection finds
+//! `avx512f` as well as `avx2` + `fma` (cached after the first query),
+//! else AVX2 where it finds those two, scalar elsewhere. A forced backend
+//! the CPU lacks runs the next narrower one it has.
 //!
-//! Compiling with the `scalar-only` cargo feature removes the AVX2 path
-//! entirely (fallback-parity builds); [`avx2_available`] then reports
-//! `false` and every dispatch lands on the scalar kernels.
+//! Compiling with the `scalar-only` cargo feature removes both vector
+//! paths entirely (fallback-parity builds); [`avx2_available`] and
+//! [`avx512_available`] then report `false` and every dispatch lands on
+//! the scalar kernels.
 //!
 //! Because the backends are bitwise identical, the choice is a pure
 //! performance knob: it can never change a loss, a gradient, or a golden
@@ -33,6 +49,9 @@ pub enum Backend {
     Scalar,
     /// AVX2 + FMA `__m256` lanes (x86-64 with runtime CPU support).
     Avx2,
+    /// [`Backend::Avx2`] for every kernel but [`gemm_panel`], whose tiles
+    /// run on AVX-512F `__m512` lanes (x86-64 with runtime CPU support).
+    Avx512,
 }
 
 /// Whether the AVX2/FMA instantiation can run on this build and CPU.
@@ -50,27 +69,65 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// The backend the dispatched kernels use on this thread: the calling
-/// thread's [`KernelCtx`](crate::KernelCtx) backend, scalar where the CPU
-/// lacks AVX2/FMA.
-pub fn backend() -> Backend {
-    match crate::ctx::local().1 {
-        Backend::Avx2 if !avx2_available() => Backend::Scalar,
-        be => be,
+/// Whether the AVX-512 instantiation can run on this build and CPU: AVX2
+/// and FMA (its other kernels) and `avx512f`.
+pub fn avx512_available() -> bool {
+    #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+    {
+        static AVAIL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVAIL.get_or_init(|| avx2_available() && std::is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
+    {
+        false
     }
 }
 
-/// 8-lane f32 vector: the single abstraction both backends implement.
-/// Methods are `unsafe` because `loadu`/`storeu` take raw pointers; every
-/// implementation must be a pure lane-wise IEEE-754 operation so that the
-/// two instantiations stay bitwise identical.
-trait V8: Copy {
+/// Every backend this build and CPU can run, scalar first; the last is
+/// the process default.
+pub fn backends() -> Vec<Backend> {
+    let mut out = vec![Backend::Scalar];
+    if avx2_available() {
+        out.push(Backend::Avx2);
+    }
+    if avx512_available() {
+        out.push(Backend::Avx512);
+    }
+    out
+}
+
+/// The backend the dispatched kernels use on this thread: the calling
+/// thread's [`KernelCtx`](crate::KernelCtx) backend, where the CPU lacks
+/// it the next narrower one it has.
+pub fn backend() -> Backend {
+    match crate::ctx::local().1 {
+        Backend::Avx512 if avx512_available() => Backend::Avx512,
+        Backend::Avx512 | Backend::Avx2 if avx2_available() => Backend::Avx2,
+        _ => Backend::Scalar,
+    }
+}
+
+/// The lane operations a register tile needs, at any lane count: what
+/// [`tile_g`] is written against, so one tile body serves the 8-lane `Sc`
+/// and `Vx` and the 16-lane `Vz`. Every implementation must be a pure
+/// lane-wise IEEE-754 operation.
+trait Lanes: Copy {
+    /// f32 lanes per vector.
+    const LANES: usize;
     unsafe fn zero() -> Self;
     unsafe fn splat(x: f32) -> Self;
     unsafe fn loadu(p: *const f32) -> Self;
     unsafe fn storeu(self, p: *mut f32);
     /// `self + a * b`, fused (single rounding) per lane.
     unsafe fn fma(self, a: Self, b: Self) -> Self;
+}
+
+/// 8-lane f32 vector: the single abstraction the scalar and AVX2
+/// backends implement for every kernel. Methods are `unsafe` because
+/// `loadu`/`storeu` take raw pointers; every implementation must be a pure
+/// lane-wise IEEE-754 operation so that the two instantiations stay
+/// bitwise identical.
+trait V8: Lanes {
     unsafe fn mul(self, o: Self) -> Self;
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn sub(self, o: Self) -> Self;
@@ -98,7 +155,8 @@ trait V8: Copy {
 #[derive(Clone, Copy)]
 struct Sc([f32; 8]);
 
-impl V8 for Sc {
+impl Lanes for Sc {
+    const LANES: usize = 8;
     #[inline(always)]
     unsafe fn zero() -> Self {
         Sc([0.0; 8])
@@ -129,6 +187,9 @@ impl V8 for Sc {
         }
         Sc(v)
     }
+}
+
+impl V8 for Sc {
     #[inline(always)]
     unsafe fn mul(self, o: Self) -> Self {
         let mut v = [0.0f32; 8];
@@ -225,13 +286,14 @@ impl V8 for Sc {
 
 #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
 mod avx {
-    use super::V8;
+    use super::{Lanes, V8};
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy)]
     pub(super) struct Vx(__m256);
 
-    impl V8 for Vx {
+    impl Lanes for Vx {
+        const LANES: usize = 8;
         #[inline(always)]
         unsafe fn zero() -> Self {
             Vx(_mm256_setzero_ps())
@@ -252,6 +314,9 @@ mod avx {
         unsafe fn fma(self, a: Self, b: Self) -> Self {
             Vx(_mm256_fmadd_ps(a.0, b.0, self.0))
         }
+    }
+
+    impl V8 for Vx {
         #[inline(always)]
         unsafe fn mul(self, o: Self) -> Self {
             Vx(_mm256_mul_ps(self.0, o.0))
@@ -306,6 +371,35 @@ mod avx {
             _mm_cvtss_f32(s)
         }
     }
+
+    /// 16 lanes: only the gemm tile runs at this width (see the module
+    /// doc), so it implements [`Lanes`] alone.
+    #[derive(Clone, Copy)]
+    pub(super) struct Vz(__m512);
+
+    impl Lanes for Vz {
+        const LANES: usize = 16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            Vz(_mm512_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> Self {
+            Vz(_mm512_set1_ps(x))
+        }
+        #[inline(always)]
+        unsafe fn loadu(p: *const f32) -> Self {
+            Vz(_mm512_loadu_ps(p))
+        }
+        #[inline(always)]
+        unsafe fn storeu(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self.0)
+        }
+        #[inline(always)]
+        unsafe fn fma(self, a: Self, b: Self) -> Self {
+            Vz(_mm512_fmadd_ps(a.0, b.0, self.0))
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +442,9 @@ unsafe fn axpy_g<V: V8>(dst: &mut [f32], s: f32, src: &[f32]) {
     let sv = V::splat(s);
     let mut i = 0;
     while i + 8 <= n {
-        V8::fma(V::loadu(dp.add(i) as *const f32), sv, V::loadu(sp.add(i))).storeu(dp.add(i));
+        V::loadu(dp.add(i) as *const f32)
+            .fma(sv, V::loadu(sp.add(i)))
+            .storeu(dp.add(i));
         i += 8;
     }
     while i < n {
@@ -841,11 +937,12 @@ impl Panel<'_> {
     }
 }
 
-/// `MR x (NV * 8)` register tile: load C, accumulate `kc` fused terms in
-/// ascending-`l` order, store back. The ascending-`l` per-element order is
-/// what keeps results independent of tile position and thread count.
+/// `MR x (NV * V::LANES)` register tile: load C, accumulate `kc` fused
+/// terms in ascending-`l` order, store back. The ascending-`l` per-element
+/// order is what keeps results independent of tile position, tile width
+/// and thread count.
 #[inline(always)]
-unsafe fn tile_g<V: V8, const MR: usize, const NV: usize>(
+unsafe fn tile_g<V: Lanes, const MR: usize, const NV: usize>(
     p: &Panel<'_>,
     c: *mut f32,
     r0: usize,
@@ -855,7 +952,7 @@ unsafe fn tile_g<V: V8, const MR: usize, const NV: usize>(
     for (ri, row) in acc.iter_mut().enumerate() {
         let base = (r0 + ri) * p.c_stride + p.c_col0 + j0;
         for (vi, v) in row.iter_mut().enumerate() {
-            *v = V::loadu(c.add(base + vi * 8) as *const f32);
+            *v = V::loadu(c.add(base + vi * V::LANES) as *const f32);
         }
     }
     let ap = p.a.as_ptr();
@@ -864,7 +961,7 @@ unsafe fn tile_g<V: V8, const MR: usize, const NV: usize>(
         let brow = bp.add(l * p.b_stride + p.b_col0 + j0);
         let mut bv = [V::zero(); NV];
         for (vi, v) in bv.iter_mut().enumerate() {
-            *v = V::loadu(brow.add(vi * 8));
+            *v = V::loadu(brow.add(vi * V::LANES));
         }
         for (ri, row) in acc.iter_mut().enumerate() {
             let av = V::splat(*ap.add(p.a_off + (r0 + ri) * p.a_stride + l * p.a_lstride));
@@ -876,13 +973,13 @@ unsafe fn tile_g<V: V8, const MR: usize, const NV: usize>(
     for (ri, row) in acc.iter().enumerate() {
         let base = (r0 + ri) * p.c_stride + p.c_col0 + j0;
         for (vi, v) in row.iter().enumerate() {
-            v.storeu(c.add(base + vi * 8));
+            v.storeu(c.add(base + vi * V::LANES));
         }
     }
 }
 
 /// Scalar column remainder (`nc % 8` trailing columns), shared verbatim by
-/// both backends: same `mul_add`, same ascending-`l` order.
+/// every backend: same `mul_add`, same ascending-`l` order.
 #[inline(always)]
 unsafe fn tail_cols(p: &Panel<'_>, c: *mut f32, r0: usize, mr: usize, j0: usize) {
     for ri in 0..mr {
@@ -899,43 +996,90 @@ unsafe fn tail_cols(p: &Panel<'_>, c: *mut f32, r0: usize, mr: usize, j0: usize)
     }
 }
 
+/// One `MR`-row strip of a panel, columns left to right: `MR x 2W` and
+/// `MR x W` tiles of the wide vector `W`, then `MR x 8` tiles of the
+/// 8-lane `V` (none remain where `W` is `V`), then [`tail_cols`].
 #[inline(always)]
-unsafe fn gemm_panel_g<V: V8>(p: &Panel<'_>, c: &mut [f32]) {
+unsafe fn strip_g<W: Lanes, V: Lanes, const MR: usize>(p: &Panel<'_>, c: *mut f32, r: usize) {
+    let mut j = 0;
+    while j + 2 * W::LANES <= p.nc {
+        tile_g::<W, MR, 2>(p, c, r, j);
+        j += 2 * W::LANES;
+    }
+    while j + W::LANES <= p.nc {
+        tile_g::<W, MR, 1>(p, c, r, j);
+        j += W::LANES;
+    }
+    while j + V::LANES <= p.nc {
+        tile_g::<V, MR, 1>(p, c, r, j);
+        j += V::LANES;
+    }
+    tail_cols(p, c, r, MR, j);
+}
+
+/// The panel in strips of rows, rows outer: 8-row strips where `W` is
+/// wider than `V` (32 vector registers hold an `8 x 2W` tile, and each
+/// `W`-wide load of B then feeds eight rows, which keeps a tile FMA-bound
+/// even where B's rows are not 64-byte aligned and every load splits a
+/// cache line), then 4-row strips, then the row remainder one row at a
+/// time.
+#[inline(always)]
+unsafe fn gemm_panel_g<W: Lanes, V: Lanes>(p: &Panel<'_>, c: &mut [f32]) {
     let cp = c.as_mut_ptr();
     let mut r = 0;
+    if W::LANES > V::LANES {
+        while r + 8 <= p.rows {
+            strip_g::<W, V, 8>(p, cp, r);
+            r += 8;
+        }
+    }
     while r + 4 <= p.rows {
-        let mut j = 0;
-        while j + 16 <= p.nc {
-            tile_g::<V, 4, 2>(p, cp, r, j);
-            j += 16;
-        }
-        while j + 8 <= p.nc {
-            tile_g::<V, 4, 1>(p, cp, r, j);
-            j += 8;
-        }
-        tail_cols(p, cp, r, 4, j);
+        strip_g::<W, V, 4>(p, cp, r);
         r += 4;
     }
     while r < p.rows {
-        let mut j = 0;
-        while j + 16 <= p.nc {
-            tile_g::<V, 1, 2>(p, cp, r, j);
-            j += 16;
-        }
-        while j + 8 <= p.nc {
-            tile_g::<V, 1, 1>(p, cp, r, j);
-            j += 8;
-        }
-        tail_cols(p, cp, r, 1, j);
+        strip_g::<W, V, 1>(p, cp, r);
         r += 1;
     }
 }
 
+/// About `fmas` lane fused multiply-adds as [`PEAK_CHAINS`] independent
+/// chains held in registers: no load or store inside the loop, so the
+/// only limit is the FMA units. The lanes are summed at the end so the
+/// chains are live.
+#[inline(always)]
+unsafe fn fma_peak_g<V: Lanes>(fmas: usize) -> f32 {
+    let iters = fmas / (PEAK_CHAINS * V::LANES);
+    let (a, b) = (V::splat(0.999_999), V::splat(1e-7));
+    let mut acc = [V::zero(); PEAK_CHAINS];
+    for (i, v) in acc.iter_mut().enumerate() {
+        *v = V::splat(i as f32);
+    }
+    for _ in 0..iters {
+        for v in acc.iter_mut() {
+            *v = b.fma(*v, a);
+        }
+    }
+    let mut lanes = [0.0f32; 16];
+    let mut sum = 0.0;
+    for v in acc {
+        v.storeu(lanes.as_mut_ptr());
+        sum += lanes[..V::LANES].iter().sum::<f32>();
+    }
+    sum
+}
+
+/// Independent accumulator chains in [`fma_peak`]: twelve covers an FMA
+/// latency of four cycles on two ports with room to spare, and twelve
+/// 16-lane vectors still fit the register file.
+pub const PEAK_CHAINS: usize = 12;
+
 // ---------------------------------------------------------------------------
 // Backend instantiations. The AVX2 wrappers carry
-// `#[target_feature(enable = "avx2,fma")]` so the whole inlined generic
-// body compiles to vector code; `dispatch!` reaches them only where
-// `backend()` reports AVX2.
+// `#[target_feature(enable = "avx2,fma")]` and the AVX-512 ones
+// `"avx512f,avx2,fma"`, so the whole inlined generic body compiles to
+// vector code; `dispatch!` reaches them only where `backend()` reports
+// that backend.
 // ---------------------------------------------------------------------------
 
 macro_rules! instantiate {
@@ -971,14 +1115,52 @@ instantiate!(softmax_bwd_scalar, softmax_bwd_avx2, softmax_bwd_g,
 instantiate!(dscale_scalar, dscale_avx2, dscale_g, (dst: &mut [f32], d: f32) -> ());
 instantiate!(adamw_scalar, adamw_avx2, adamw_g,
     (p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) -> ());
-instantiate!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_g,
-    (p: &Panel<'_>, c: &mut [f32]) -> ());
 
-/// Calls the instantiation [`backend`] names for the calling thread.
+/// The three instantiations of a kernel that runs 16 lanes wide under
+/// [`Backend::Avx512`]: `$generic` over the lane types listed per backend.
+macro_rules! instantiate_wide {
+    ($scalar:ident, $avx2:ident, $avx512:ident, $generic:ident,
+     <$($sc:ty),+>, <$($ymm:ty),+>, <$($zmm:ty),+>,
+     ($($arg:ident: $ty:ty),*) -> $ret:ty) => {
+        fn $scalar($($arg: $ty),*) -> $ret {
+            unsafe { $generic::<$($sc),+>($($arg),*) }
+        }
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn $avx2($($arg: $ty),*) -> $ret {
+            $generic::<$($ymm),+>($($arg),*)
+        }
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        unsafe fn $avx512($($arg: $ty),*) -> $ret {
+            $generic::<$($zmm),+>($($arg),*)
+        }
+    };
+}
+
+instantiate_wide!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_avx512, gemm_panel_g,
+    <Sc, Sc>, <avx::Vx, avx::Vx>, <avx::Vz, avx::Vx>, (p: &Panel<'_>, c: &mut [f32]) -> ());
+instantiate_wide!(fma_peak_scalar, fma_peak_avx2, fma_peak_avx512, fma_peak_g,
+    <Sc>, <avx::Vx>, <avx::Vz>, (fmas: usize) -> f32);
+
+/// Calls the instantiation [`backend`] names for the calling thread: the
+/// AVX2 one under [`Backend::Avx512`] too, unless a third is given.
 macro_rules! dispatch {
     ($scalar:ident, $avx2:ident, ($($arg:expr),*)) => {{
         match backend() {
-            // SAFETY: `backend` reports AVX2 only where `avx2_available`.
+            // SAFETY: `backend` reports AVX2 or AVX-512 only where
+            // `avx2_available`.
+            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+            Backend::Avx2 | Backend::Avx512 => unsafe { $avx2($($arg),*) },
+            _ => $scalar($($arg),*),
+        }
+    }};
+    ($scalar:ident, $avx2:ident, $avx512:ident, ($($arg:expr),*)) => {{
+        match backend() {
+            // SAFETY: `backend` reports AVX-512 only where
+            // `avx512_available`, AVX2 only where `avx2_available`.
+            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+            Backend::Avx512 => unsafe { $avx512($($arg),*) },
             #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
             Backend::Avx2 => unsafe { $avx2($($arg),*) },
             _ => $scalar($($arg),*),
@@ -1089,7 +1271,7 @@ pub fn softmax_bwd(s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &
 }
 
 /// `dst[i] /= d` (the online-softmax finalize divide; kept a true IEEE
-/// division, never a reciprocal multiply, in both backends).
+/// division, never a reciprocal multiply, in every backend).
 pub fn dscale(dst: &mut [f32], d: f32) {
     dispatch!(dscale_scalar, dscale_avx2, (dst, d))
 }
@@ -1110,7 +1292,22 @@ pub fn adamw(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwSt
 /// see [`Panel`]).
 pub fn gemm_panel(p: &Panel<'_>, c: &mut [f32]) {
     p.check(c.len());
-    dispatch!(gemm_panel_scalar, gemm_panel_avx2, (p, c))
+    dispatch!(
+        gemm_panel_scalar,
+        gemm_panel_avx2,
+        gemm_panel_avx512,
+        (p, c)
+    )
+}
+
+/// The backend's register-resident FMA rate: about `fmas` lane fused
+/// multiply-adds (rounded down to whole rounds of [`PEAK_CHAINS`]
+/// vectors), as [`PEAK_CHAINS`] independent chains that touch no memory,
+/// at the width [`gemm_panel`] runs at. Returns the chains' sum (its value
+/// depends on the lane count). A denominator for kernel rates that does
+/// not move with the gemm it judges.
+pub fn fma_peak(fmas: usize) -> f32 {
+    dispatch!(fma_peak_scalar, fma_peak_avx2, fma_peak_avx512, (fmas))
 }
 
 #[cfg(test)]
@@ -1119,11 +1316,9 @@ mod tests {
 
     /// Runs `f` under each backend this CPU has, forced through the
     /// thread's [`KernelCtx`](crate::KernelCtx).
-    fn both(f: impl Fn(Backend)) {
-        for be in [Backend::Scalar, Backend::Avx2] {
-            if be == Backend::Scalar || avx2_available() {
-                on(be, || f(be));
-            }
+    fn each_backend(f: impl Fn(Backend)) {
+        for be in backends() {
+            on(be, || f(be));
         }
     }
 
@@ -1140,7 +1335,7 @@ mod tests {
         let a: Vec<f32> = (0..67).map(|i| (i as f32 * 0.37).sin()).collect();
         let b: Vec<f32> = (0..67).map(|i| (i as f32 * 0.11).cos()).collect();
         let naive: f32 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-        both(|be| {
+        each_backend(|be| {
             assert!((dot(&a, &b) - naive).abs() < 1e-4, "{be:?}");
         });
     }
@@ -1150,17 +1345,17 @@ mod tests {
         for n in [0usize, 1, 7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 65] {
             let a: Vec<f32> = (0..n).map(|i| (i as f32 * 1.7).sin() * 3.0).collect();
             let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.9).cos() * 2.0).collect();
-            if avx2_available() {
-                let run = |be| {
-                    on(be, || {
-                        let (mut ax, mut ds) = (a.clone(), a.clone());
-                        axpy(&mut ax, 1.25, &b);
-                        dscale(&mut ds, 0.7);
-                        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        (dot(&a, &b).to_bits(), bits(ax), bits(ds))
-                    })
-                };
-                assert_eq!(run(Backend::Scalar), run(Backend::Avx2), "length {n}");
+            let run = |be| {
+                on(be, || {
+                    let (mut ax, mut ds) = (a.clone(), a.clone());
+                    axpy(&mut ax, 1.25, &b);
+                    dscale(&mut ds, 0.7);
+                    let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    (dot(&a, &b).to_bits(), bits(ax), bits(ds))
+                })
+            };
+            for be in backends() {
+                assert_eq!(run(Backend::Scalar), run(be), "{be:?}, length {n}");
             }
         }
     }
@@ -1231,7 +1426,7 @@ mod tests {
                     }
                 })
                 .collect();
-            both(|be| {
+            each_backend(|be| {
                 let mut g = x.clone();
                 gelu(&mut g);
                 let mut dx = vec![0.0f32; n];
@@ -1246,9 +1441,9 @@ mod tests {
 
     #[test]
     fn gemm_panel_matches_naive_accumulation() {
-        // 9 rows x 21 cols x depth 5 exercises the 4-row, 16/8-col and
-        // scalar-tail paths at once.
-        let (rows, nc, kc) = (9usize, 21usize, 5usize);
+        // 13 rows x 61 cols x depth 5 exercises the 8-, 4- and 1-row
+        // strips, the 32/16/8-col tiles and the scalar tail at once.
+        let (rows, nc, kc) = (13usize, 61usize, 5usize);
         let a: Vec<f32> = (0..rows * kc).map(|i| (i as f32 * 0.3).sin()).collect();
         let bp: Vec<f32> = (0..kc * nc).map(|i| (i as f32 * 0.7).cos()).collect();
         let mut want = vec![0.5f32; rows * nc];
@@ -1261,7 +1456,7 @@ mod tests {
                 want[r * nc + j] = s;
             }
         }
-        both(|be| {
+        each_backend(|be| {
             let mut c = vec![0.5f32; rows * nc];
             let p = Panel {
                 a: &a,

@@ -103,11 +103,8 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
         let w = rows.next_multiple_of(8);
         par::with_scratch((k + n) * w, |scratch| {
             let (at, ct) = scratch.split_at_mut(k * w);
-            for (r, a_row) in a[i0 * k..(i0 + rows) * k].chunks_exact(k).enumerate() {
-                for (l, &v) in a_row.iter().enumerate() {
-                    at[l * w + r] = v;
-                }
-            }
+            let a_blk = &a[i0 * k..(i0 + rows) * k];
+            transpose_with(a_blk, k, rows, k, at, w, |d, v| *d = v);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 mk::gemm_panel(
@@ -128,13 +125,60 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
                     ct,
                 );
             }
-            for (r, c_row) in c_blk.chunks_exact_mut(n).enumerate() {
-                for (j, cv) in c_row.iter_mut().enumerate() {
-                    *cv += ct[j * w + r];
-                }
-            }
+            transpose_with(ct, w, n, rows, c_blk, n, |d, v| *d += v);
         });
     });
+}
+
+/// `f(&mut dst[j * ds + i], src[i * ss + j])` for every `i < ni`,
+/// `j < nj`: a transpose, walked in 8 x 8 blocks so that both sides are
+/// read and written a row at a time (a plain double loop strides one side
+/// by a row per element, which costs as much as a 16-lane panel of the
+/// same block).
+#[inline(always)]
+fn transpose_with(
+    src: &[f32],
+    ss: usize,
+    ni: usize,
+    nj: usize,
+    dst: &mut [f32],
+    ds: usize,
+    f: impl Fn(&mut f32, f32) + Copy,
+) {
+    for i0 in (0..ni).step_by(8) {
+        let bi = 8.min(ni - i0);
+        for j0 in (0..nj).step_by(8) {
+            let bj = 8.min(nj - j0);
+            // Constant extents let the full blocks compile to fixed moves.
+            if bi == 8 && bj == 8 {
+                transpose_block(src, ss, [i0, j0], [8, 8], dst, ds, f);
+            } else {
+                transpose_block(src, ss, [i0, j0], [bi, bj], dst, ds, f);
+            }
+        }
+    }
+}
+
+/// One `bi x bj` block (at most 8 x 8) of [`transpose_with`] at `[i0, j0]`.
+#[inline(always)]
+fn transpose_block(
+    src: &[f32],
+    ss: usize,
+    [i0, j0]: [usize; 2],
+    [bi, bj]: [usize; 2],
+    dst: &mut [f32],
+    ds: usize,
+    f: impl Fn(&mut f32, f32),
+) {
+    let mut t = [[0.0f32; 8]; 8];
+    for (i, row) in t[..bi].iter_mut().enumerate() {
+        row[..bj].copy_from_slice(&src[(i0 + i) * ss + j0..][..bj]);
+    }
+    for j in 0..bj {
+        for (i, d) in dst[(j0 + j) * ds + i0..][..bi].iter_mut().enumerate() {
+            f(d, t[i][j]);
+        }
+    }
 }
 
 /// `c += a^T @ b` where `a` is `[k, m]`, `b` is `[k, n]`, `c` is `[m, n]`.

@@ -389,7 +389,7 @@ mod tests {
         // 70 columns straddle COL_BLOCK; the cuts are ragged and ascending.
         // Each cut's `_into` call, on its own rows and statistics, adds into
         // one prefilled slice; the result is one whole `_into` call's.
-        use crate::mk::{self, Backend};
+        use crate::mk;
         use crate::KernelCtx;
         let mut rng = init::seeded_rng(24);
         let x = init::randn(&mut rng, &[23, 70], 1.0);
@@ -422,11 +422,7 @@ mod tests {
             }
             (bits(&grads), dxl, dxr)
         };
-        let mut backends = vec![Backend::Scalar];
-        if mk::avx2_available() {
-            backends.push(Backend::Avx2);
-        }
-        for backend in backends {
+        for backend in mk::backends() {
             for threads in [1, 3] {
                 let ctx = KernelCtx {
                     threads,

@@ -1,16 +1,19 @@
-//! Bitwise equivalence of the AVX2/FMA microkernels against the portable
-//! scalar fallback, across odd/remainder shapes and kernel-pool thread
-//! budgets (1, 2, and 8 threads).
+//! Bitwise equivalence of the AVX2/FMA and AVX-512 microkernels against
+//! the portable scalar fallback, across odd/remainder shapes and
+//! kernel-pool thread budgets (1, 2, and 8 threads).
 //!
-//! Both backends run the same generic kernel over an 8-lane vector trait:
+//! Every backend runs the same generic kernel over an 8-lane vector trait:
 //! identical register blocking, identical remainder handling, and a fixed
 //! 8-lane reduction tree, so every result must match the scalar backend
-//! *bitwise* — the backend is a pure performance knob. These tests pin
-//! that contract on the raw `mk` primitives and on the full `ops` gemm
+//! *bitwise* — the backend is a pure performance knob. The one kernel
+//! AVX-512 runs wider, `gemm_panel`, computes each element as a single
+//! fused chain, so its 32- and 16-wide tiles must match too. These tests
+//! pin that contract on the raw `mk` primitives and on the full `ops` gemm
 //! family, with the backend forced through a scoped kernel context.
 //!
-//! On hardware without AVX2 the SIMD legs are skipped; the scalar legs
-//! still exercise the dispatch plumbing.
+//! Each test runs every backend of `mk::backends()`: on hardware without
+//! AVX2 or AVX-512 those legs are skipped; the scalar legs still exercise
+//! the dispatch plumbing.
 
 use fpdt_tensor::mk::{self, AdamwStep, Backend, Panel};
 use fpdt_tensor::{init, ops, KernelCtx};
@@ -33,15 +36,6 @@ fn on<R>(backend: Backend, f: impl FnOnce() -> R) -> R {
 
 fn bits(t: &[f32]) -> Vec<u32> {
     t.iter().map(|v| v.to_bits()).collect()
-}
-
-/// Backends to compare: scalar always, AVX2 when the CPU has it.
-fn backends() -> Vec<Backend> {
-    let mut out = vec![Backend::Scalar];
-    if mk::avx2_available() {
-        out.push(Backend::Avx2);
-    }
-    out
 }
 
 fn randv(seed: u64, n: usize) -> Vec<f32> {
@@ -80,7 +74,7 @@ fn exp_is_within_two_ulp_on_the_softmax_range() {
         }
     }
     xs.retain(|x| (mk::EXP_LO..=0.0).contains(x));
-    for be in backends() {
+    for be in mk::backends() {
         let ys = exp_of(be, &xs);
         let worst = xs
             .iter()
@@ -109,7 +103,7 @@ fn exp_edge_values_are_exact() {
         -1.0,
         1.0,
     ];
-    for be in backends() {
+    for be in mk::backends() {
         let y = exp_of(be, &x); // 13 values: one vector plus a padded tail
         assert_eq!(y[0].to_bits(), 1.0f32.to_bits(), "{be:?}: exp(0)");
         assert_eq!(y[1].to_bits(), 1.0f32.to_bits(), "{be:?}: exp(-0)");
@@ -182,7 +176,7 @@ fn activations_match_scalar_bitwise_on_awkward_lengths() {
             bits(&out)
         };
         let reference = run(Backend::Scalar);
-        for be in backends() {
+        for be in mk::backends() {
             assert_eq!(reference, run(be), "{be:?} diverged at length {len}");
         }
     }
@@ -194,7 +188,7 @@ fn activations_track_the_f64_formulas_on_a_dense_sweep() {
     let xs: Vec<f32> = (0..=steps)
         .map(|i| -12.0 + 24.0 * (i as f32 / steps as f32))
         .collect();
-    for be in backends() {
+    for be in mk::backends() {
         let [g, dg, s, ds] = activations_of(be, &xs);
         for (i, &x) in xs.iter().enumerate() {
             let ((z, gelu, dgelu), (silu, dsilu)) = activations_exact(f64::from(x));
@@ -245,7 +239,7 @@ fn activation_edge_values() {
         -1e-20,
         f32::NAN,
     ];
-    for be in backends() {
+    for be in mk::backends() {
         let [g, dg, s, ds] = activations_of(be, &x);
         assert_eq!((g[0], s[0]), (0.0, 0.0), "{be:?}: f(0) == 0");
         assert_eq!((g[1], s[1]), (0.0, 0.0), "{be:?}: f(-0) == 0");
@@ -336,7 +330,7 @@ fn adamw_matches_scalar_and_the_loop_it_replaced_bitwise() {
                 "a step that moves nothing is vacuous"
             );
         }
-        for be in backends() {
+        for be in mk::backends() {
             assert_eq!(reference, run(Some(be)), "{be:?} diverged at length {len}");
         }
     }
@@ -349,7 +343,7 @@ fn adamw_is_independent_of_how_the_vector_is_cut() {
     let n = 100;
     let (p0, g) = (randv(20, n), randv(21, n));
     let c = adamw_step(3);
-    for be in backends() {
+    for be in mk::backends() {
         let (mut p, mut m, mut v) = (p0.clone(), vec![0.5f32; n], vec![0.25f32; n]);
         on(be, || mk::adamw(&mut p, &mut m, &mut v, &g, &c));
         let (mut pc, mut mc, mut vc) = (p0.clone(), vec![0.5f32; n], vec![0.25f32; n]);
@@ -387,7 +381,7 @@ fn softmax_fold_keeps_unseen_and_masked_columns_exact() {
     l[0] = 0.0;
     m[2] = f32::NEG_INFINITY;
     l[2] = 0.0;
-    for be in backends() {
+    for be in mk::backends() {
         let (mut s, mut m, mut l) = (s.clone(), m.clone(), l.clone());
         let mut corr = vec![f32::NAN; w];
         on(be, || {
@@ -430,7 +424,7 @@ proptest! {
             (on(be, || mk::dot(&a, &b)).to_bits(), bits(&ax), bits(&ds))
         };
         let reference = run(Backend::Scalar);
-        for be in backends() {
+        for be in mk::backends() {
             prop_assert_eq!(&reference, &run(be), "backend {:?} diverged at len {}", be, len);
         }
     }
@@ -459,7 +453,7 @@ proptest! {
             let want = if (col0..col0 + width).contains(&col) { was * factors[r] } else { was };
             prop_assert_eq!(got.to_bits(), want.to_bits(), "element {}", i);
         }
-        for be in backends() {
+        for be in mk::backends() {
             prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
         }
     }
@@ -480,7 +474,7 @@ proptest! {
             prop_assert!(ulp_err(xi, yi) <= 2.0 || !(mk::EXP_LO..=0.0).contains(&xi), "exp({xi}) = {yi}");
             prop_assert!(yi == 0.0 || yi >= f32::MIN_POSITIVE, "exp({xi}) = {yi} is subnormal");
         }
-        for be in backends() {
+        for be in mk::backends() {
             prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
         }
     }
@@ -514,7 +508,7 @@ proptest! {
         };
         let reference = run(Backend::Scalar);
         prop_assert!(reference.iter().all(|v| !v.is_nan()), "NaN out of the fold");
-        for be in backends() {
+        for be in mk::backends() {
             prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
         }
     }
@@ -547,7 +541,7 @@ proptest! {
             prop_assert!((p - want_p).abs() <= 1e-6 * want_p.max(1.0), "p[{}] = {} vs {}", i, p, want_p);
             prop_assert_eq!(ds.to_bits(), (p * (dp0[i] - dsum[at]) * 0.25).to_bits(), "ds[{}]", i);
         }
-        for be in backends() {
+        for be in mk::backends() {
             prop_assert_eq!(bits(&reference), bits(&run(be)), "backend {:?} diverged", be);
         }
     }
@@ -558,15 +552,25 @@ proptest! {
     /// operand row-major or read transposed in place.
     #[test]
     fn gemm_panel_matches_scalar_bitwise(
-        rows in 1usize..10,
+        rows in 1usize..14,
         kc in 0usize..20,
-        nc in 1usize..40,
+        nc in 1usize..72,
         a_transposed in 0usize..2,
+        b_col0 in 0usize..5,
+        c_col0 in 1usize..5,
+        c_pad in 0usize..3,
         seed in 0u64..1_000,
     ) {
+        // One panel of a wider product, as `ops::gemm` cuts them: the
+        // panel's columns start at `b_col0` in B and `c_col0` in C, and
+        // both matrices run wider than the panel. Every width of 1..72
+        // puts each of the 32-, 16- and 8-wide tiles and the scalar tail
+        // at every residue, and 1..14 rows run them on 8- and 4-row strips
+        // and on the row remainder.
+        let (b_stride, c_stride) = (b_col0 + nc + 3, c_col0 + nc + c_pad);
         let a = randv(seed, rows * kc.max(1));
-        let bp = randv(seed.wrapping_add(1), kc.max(1) * nc);
-        let c0 = randv(seed.wrapping_add(2), rows * nc);
+        let bp = randv(seed.wrapping_add(1), kc.max(1) * b_stride);
+        let c0 = randv(seed.wrapping_add(2), rows * c_stride);
         // A stored [rows, kc] or, transposed in place, [kc, rows].
         let (a_stride, a_lstride) = if a_transposed == 1 { (1, rows) } else { (kc, 1) };
         let run = |be: Backend| {
@@ -577,19 +581,19 @@ proptest! {
                 a_stride,
                 a_lstride,
                 bp: &bp,
-                b_stride: nc,
-                b_col0: 0,
+                b_stride,
+                b_col0,
                 kc,
                 nc,
                 rows,
-                c_stride: nc,
-                c_col0: 0,
+                c_stride,
+                c_col0,
             };
             on(be, || mk::gemm_panel(&p, &mut c));
             bits(&c)
         };
         let reference = run(Backend::Scalar);
-        for be in backends() {
+        for be in mk::backends() {
             prop_assert_eq!(&reference, &run(be), "backend {:?} diverged", be);
         }
     }
@@ -618,7 +622,7 @@ proptest! {
             (bits(&c), bits(&c_nt), bits(&c_tn))
         });
         let reference = run(Backend::Scalar, 1);
-        for be in backends() {
+        for be in mk::backends() {
             for threads in [1usize, 2, 8] {
                 prop_assert_eq!(
                     &reference,
@@ -669,7 +673,7 @@ fn gemm_nt_accumulates_and_matches_scalar_bitwise_over_awkward_extents() {
                         "{m}x{k}x{n} c[{i},{j}] = {got} vs {want}"
                     );
                 }
-                for be in backends() {
+                for be in mk::backends() {
                     for threads in [1usize, 2, 8] {
                         assert_eq!(
                             bits(&reference),
@@ -710,7 +714,7 @@ fn matmul_and_backward_match_scalar_bitwise() {
             reference.iter().any(|&v| v != 0),
             "all-zero output would make the comparison vacuous"
         );
-        for be in backends() {
+        for be in mk::backends() {
             for threads in [1usize, 2, 8] {
                 assert_eq!(
                     reference,
@@ -722,18 +726,22 @@ fn matmul_and_backward_match_scalar_bitwise() {
     }
 }
 
-/// A forced backend reaches dispatch, and a thread's default context
-/// reports availability consistently with what dispatch actually uses.
+/// A forced backend reaches dispatch, one the CPU lacks runs the next
+/// narrower one it has, and a thread's default context is the widest.
 #[test]
 fn backend_override_round_trips() {
     let with = |backend| KernelCtx {
         backend,
         ..KernelCtx::current()
     };
-    with(Backend::Scalar).enter(|| assert_eq!(mk::backend(), Backend::Scalar));
-    if mk::avx2_available() {
-        with(Backend::Avx2).enter(|| assert_eq!(mk::backend(), Backend::Avx2));
+    // Narrowest first; a CPU with AVX-512 has AVX2.
+    let all = [Backend::Scalar, Backend::Avx2, Backend::Avx512];
+    let runnable = mk::backends();
+    assert_eq!(runnable, all[..runnable.len()]);
+    for (i, be) in all.into_iter().enumerate() {
+        let fit = runnable[i.min(runnable.len() - 1)];
+        with(be).enter(|| assert_eq!(mk::backend(), fit, "forced {be:?}"));
     }
-    // The process default is AVX2 exactly when the CPU supports it.
-    assert_eq!(mk::backend() == Backend::Avx2, mk::avx2_available());
+    // The process default is the last runnable backend.
+    assert_eq!(Some(&mk::backend()), runnable.last());
 }

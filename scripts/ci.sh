@@ -160,12 +160,20 @@ if grep -q '"avx2": true' target/experiments/BENCH_kernels.json \
     echo "FAIL: matmul_bwd under 0.75 of the same run's matmul GFLOP/s" >&2
     exit 1
 fi
+# On AVX-512 hosts the 16-lane gemm tiles must pay: single-thread
+# linear_chunk on the avx512 backend at most 0.85 of the avx2 backend's wall
+# time (the median ratio of back-to-back call pairs; 0.56-0.67 measured).
+if grep -q '"avx512": true' target/experiments/BENCH_kernels.json \
+    && ! grep -q '^KERNELS_WIDE_OK ' <<<"$out"; then
+    echo "FAIL: linear_chunk on avx512 not under 0.85 of its avx2 wall time" >&2
+    exit 1
+fi
 
 stage "kernels --features scalar-only smoke (portable fallback builds)"
 out=$(cargo run -q --release -p fpdt-bench --features scalar-only --bin kernels -- --json --quick)
 echo "$out"
-# The scalar-only build drops the AVX2 instantiation entirely; the bench
-# must still validate its artifact (no roofline gate applies).
+# The scalar-only build drops the AVX2 and AVX-512 instantiations entirely;
+# the bench must still validate its artifact (no roofline gate applies).
 if ! grep -q '^BENCH_JSON_OK .*BENCH_kernels\.json$' <<<"$out"; then
     echo "FAIL: scalar-only kernels build did not validate BENCH_kernels.json" >&2
     exit 1

@@ -1,6 +1,7 @@
 //! End-to-end kernel-equivalence harness: full training runs must be
-//! bitwise identical between the AVX2/FMA microkernel backend and the
-//! portable scalar fallback, at 1, 2, and 8 kernel-pool threads.
+//! bitwise identical between every microkernel backend the host runs
+//! (AVX2/FMA, AVX-512) and the portable scalar fallback, at 1, 2, and 8
+//! kernel-pool threads.
 //!
 //! Per-crate suites (`fpdt-tensor` and `fpdt-attention`
 //! `simd_equivalence`) pin the contract on individual kernels; this test
@@ -56,11 +57,7 @@ fn assert_backend_invariant_training(name: &str, mode: Mode, world: usize) {
         reference.iter().all(|l| l.is_finite()) && !reference.is_empty(),
         "{name}: reference run produced no finite losses"
     );
-    let mut legs = vec![Backend::Scalar];
-    if mk::avx2_available() {
-        legs.push(Backend::Avx2);
-    }
-    for be in legs {
+    for be in mk::backends() {
         for threads in [1usize, 2, 8] {
             assert_eq!(
                 bits(&reference),
