@@ -11,8 +11,10 @@
 //! [`crate::par::run_rows`] (the split threshold is the calling thread's
 //! `KernelCtx::par_threshold`) and walks the depth in `KC` panels; every
 //! product runs through the one register-blocked microkernel,
-//! [`crate::mk::gemm_panel`] (4x16 FMA tiles, runtime dispatched between
-//! AVX2 and the bitwise-identical scalar fallback). The big operand — the
+//! [`crate::mk::gemm_panel`] (FMA register tiles, runtime dispatched
+//! between `8 x 32` AVX-512 tiles, `4 x 16` AVX2 tiles and the
+//! bitwise-identical scalar fallback: each element is one fused chain
+//! whatever the tile width). The big operand — the
 //! weight of a `Linear` layer — is always read where it lies: `gemm` and
 //! `gemm_tn` hand the microkernel strided rows of `B`, and `gemm_nt`
 //! computes `Cᵀ = B · Aᵀ` so that `B` is the microkernel's row-major
