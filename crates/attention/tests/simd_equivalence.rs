@@ -6,9 +6,10 @@
 //! The online-softmax update, finalize, and blockwise backward all reduce
 //! through `fpdt_tensor::mk` primitives (panel gemms, the polynomial
 //! `exp`, the block softmax) whose paths share one generic kernel with a
-//! fixed reduction tree — AVX-512 widens only the panel gemms, whose
-//! elements are single fused chains — so the backend must never change a
-//! single bit of the attention output or gradients.
+//! fixed reduction tree — AVX-512 widens the panel gemms, whose elements
+//! are single fused chains, and the block softmax, in which no lane meets
+//! another — so the backend must never change a single bit of the
+//! attention output or gradients.
 
 mod common;
 

@@ -152,6 +152,15 @@ const WIDE_GATE: f64 = 0.85;
 /// Pairs of `linear_chunk` calls the wide gate's ratio is the median of.
 const WIDE_PAIRS: usize = 31;
 
+/// Most single-thread wall time of the fully-visible tile's forward on the
+/// AVX-512 backend, as a share of the AVX2 backend's in the same run: the
+/// median of [`WIDE_ATTN_PAIRS`] back-to-back pairs (see `paired`).
+const WIDE_ATTN_GATE: f64 = 0.6;
+
+/// Pairs of tile forwards the wide attention gate's ratio is the median of
+/// (~0.2 ms a pair on the development host).
+const WIDE_ATTN_PAIRS: usize = 101;
+
 /// The dense rows [`Report::peak_share`] reports besides the attention
 /// rows.
 const PEAK_SHARE_ROWS: [&str; 3] = ["matmul", "mlp_gemm", "linear_chunk"];
@@ -160,10 +169,46 @@ const PEAK_SHARE_ROWS: [&str; 3] = ["matmul", "mlp_gemm", "linear_chunk"];
 /// `mk::PEAK_CHAINS` 16-lane vectors.
 const PEAK_FMAS: usize = mk::PEAK_CHAINS * 16 * (1 << 16);
 
-/// One FPDT attention tile at the repo benchmark's runtime shape: forward
-/// `update` and `attention_block_bwd` benches with every query at
-/// `q_pos0 + i` against keys at `0..len` (`q_pos0 = len` is fully visible,
-/// `0` the causal diagonal). `flops_div` is 2 on the diagonal.
+/// One FPDT attention tile at the repo benchmark's runtime shape
+/// `[256, 1, 32]`: every query at `q_pos0 + i` against keys at `0..len`
+/// (`q_pos0 = len` is fully visible, `0` the causal diagonal).
+struct Tile {
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    dout: Tensor,
+    q_pos: Vec<usize>,
+    kv_pos: Vec<usize>,
+}
+
+impl Tile {
+    const SHAPE: [usize; 3] = [256, 1, 32];
+
+    fn new(seed: u64, q_pos0: usize) -> Self {
+        let len = Self::SHAPE[0];
+        let mut rng = init::seeded_rng(seed);
+        let [q, k, v, dout] = [(); 4].map(|()| init::randn(&mut rng, &Self::SHAPE, 1.0));
+        Tile {
+            q,
+            k,
+            v,
+            dout,
+            q_pos: (q_pos0..q_pos0 + len).collect(),
+            kv_pos: (0..len).collect(),
+        }
+    }
+
+    /// The forward: `OnlineAttention::update` and `finalize`, `(o, lse)`.
+    fn forward(&self) -> (Tensor, Vec<f32>) {
+        let mut st = OnlineAttention::new(&self.q, &self.q_pos, None).expect("shapes fixed");
+        st.update(&self.k, &self.v, &self.kv_pos)
+            .expect("shapes fixed");
+        st.finalize()
+    }
+}
+
+/// [`Tile`]'s forward `update` + `finalize` and `attention_block_bwd`
+/// benches. `flops_div` is 2 on the diagonal.
 fn tile_benches(
     seed: u64,
     fwd_name: &'static str,
@@ -171,37 +216,20 @@ fn tile_benches(
     q_pos0: usize,
     flops_div: u64,
 ) -> [Bench; 2] {
-    let (len, h, d) = (256usize, 1usize, 32usize);
-    let shape = [len, h, d];
-    let mut rng = init::seeded_rng(seed);
-    let q = init::randn(&mut rng, &shape, 1.0);
-    let k = init::randn(&mut rng, &shape, 1.0);
-    let v = init::randn(&mut rng, &shape, 1.0);
-    let dout = init::randn(&mut rng, &shape, 1.0);
-    let q_pos: Vec<usize> = (q_pos0..q_pos0 + len).collect();
-    let kv_pos: Vec<usize> = (0..len).collect();
+    let tile = Tile::new(seed, q_pos0);
+    let [len, h, d] = Tile::SHAPE;
     let scale = fpdt_attention::default_scale(d);
-    let mut st = OnlineAttention::new(&q, &q_pos, None).expect("shapes fixed");
-    st.update(&k, &v, &kv_pos).expect("shapes fixed");
-    let (o, lse) = st.finalize();
-    let dsum = rowwise_dot(&o, &dout).expect("shapes fixed");
+    let (o, lse) = tile.forward();
+    let dsum = rowwise_dot(&o, &tile.dout).expect("shapes fixed");
     let (lu, hu, du) = (len as u64, h as u64, d as u64);
-    let (q2, k2, v2, q_pos2, kv_pos2) = (
-        q.clone(),
-        k.clone(),
-        v.clone(),
-        q_pos.clone(),
-        kv_pos.clone(),
-    );
+    let fwd = Tile::new(seed, q_pos0);
     [
         Bench {
             name: fwd_name,
             flops: attention_tile_fwd_flops(lu, lu, hu, du) / flops_div,
             kernel_only: false,
             run: Box::new(move || {
-                let mut st = OnlineAttention::new(&q, &q_pos, None).expect("shapes fixed");
-                st.update(&k, &v, &kv_pos).expect("shapes fixed");
-                let (o, lse) = st.finalize();
+                let (o, lse) = fwd.forward();
                 vec![o.into_vec(), lse]
             }),
         },
@@ -210,12 +238,11 @@ fn tile_benches(
             flops: attention_tile_bwd_flops(lu, lu, hu, du) / flops_div,
             kernel_only: false,
             run: Box::new(move || {
-                let mut dq = Tensor::zeros(&shape);
-                let mut dk = Tensor::zeros(&shape);
-                let mut dv = Tensor::zeros(&shape);
+                let t = &tile;
+                let [mut dq, mut dk, mut dv] = [(); 3].map(|()| Tensor::zeros(&Tile::SHAPE));
                 attention_block_bwd(
-                    &q2, &k2, &v2, &dout, &lse, &dsum, &q_pos2, &kv_pos2, scale, &mut dq, &mut dk,
-                    &mut dv,
+                    &t.q, &t.k, &t.v, &t.dout, &lse, &dsum, &t.q_pos, &t.kv_pos, scale, &mut dq,
+                    &mut dk, &mut dv,
                 )
                 .expect("shapes fixed");
                 outputs([dq, dk, dv])
@@ -976,6 +1003,26 @@ fn main() {
         let verdict = if ratio <= WIDE_GATE { "OK" } else { "FAIL" };
         println!(
             "KERNELS_WIDE_{verdict} linear_chunk avx512/avx2 wall {ratio:.2} (gate {WIDE_GATE:.2})"
+        );
+        // and the attention tile, whose block softmax runs 16 lanes wide
+        // beside its gemm products
+        let tile = Tile::new(43, Tile::SHAPE[0]);
+        let fwd = || {
+            let (o, lse) = tile.forward();
+            vec![o.into_vec(), lse]
+        };
+        let (_, ratio) = paired(
+            WIDE_ATTN_PAIRS,
+            &mut On(Backend::Avx2, fwd),
+            &mut On(Backend::Avx512, fwd),
+        );
+        let verdict = if ratio <= WIDE_ATTN_GATE {
+            "OK"
+        } else {
+            "FAIL"
+        };
+        println!(
+            "KERNELS_WIDE_ATTN_{verdict} attn_tile_fwd avx512/avx2 wall {ratio:.3} (gate {WIDE_ATTN_GATE:.2})"
         );
     }
 }

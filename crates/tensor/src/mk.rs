@@ -2,9 +2,9 @@
 //! portable scalar fallback) shared by the gemm panels in [`crate::ops`]
 //! and the online-softmax kernels in `fpdt-attention`.
 //!
-//! Every kernel is written **once**, generically over the 8-lane vector
-//! trait `V8`, and instantiated twice: for [`Backend::Scalar`] the lanes
-//! are a plain `[f32; 8]` whose fused multiply-adds go through
+//! Every kernel is written **once**, generically over the lane-wise vector
+//! trait `Lanes`, and instantiated per backend: for [`Backend::Scalar`]
+//! the lanes are a plain `[f32; 8]` whose fused multiply-adds go through
 //! [`f32::mul_add`], and for [`Backend::Avx2`] they are a `__m256` inside
 //! a `#[target_feature(enable = "avx2,fma")]` wrapper. Both instantiations
 //! therefore execute the *identical* blocking, remainder handling, and
@@ -12,18 +12,22 @@
 //! like `vfmadd`, so the two backends are **bitwise identical** by
 //! construction — the property the kernel-equivalence suite locks down.
 //!
-//! [`Backend::Avx512`] widens one kernel, [`gemm_panel`]: its tile body is
-//! generic over the lane count (the `Lanes` trait, which `V8` extends),
-//! and under AVX-512 it runs `8 x 32` and `8 x 16` tiles of `__m512`
-//! (then `4`-row and single-row strips for the remainder) before the
-//! 8-wide tile and the scalar column tail. That is bitwise
-//! free because every element of C is one `mul_add` chain in ascending
-//! depth whatever the tile width. **The rule:** a kernel may run at
-//! another lane count only if no lane ever combines with another. The
-//! reduction kernels (`dot`, `softmax_fold`, `softmax_bwd`, `adamw` and
-//! the rest) sum across lanes or pad their tails to a lane group, so their
-//! results depend on the width; they stay 8 lanes, on the AVX2
-//! instantiation, under [`Backend::Avx512`].
+//! **The width rule:** a kernel may run at another lane count only if no
+//! lane ever combines with another. [`Backend::Avx512`] runs five kernels
+//! on 16-lane `__m512` vectors, because in each a lane only ever meets
+//! itself: [`gemm_panel`] (`8 x 32` and `8 x 16` tiles, then `4`-row and
+//! single-row strips, before the 8-wide tile and the scalar column tail;
+//! every element of C is one `mul_add` chain in ascending depth), and the
+//! attention tile's block softmax, [`softmax_fold`] (one query per lane, its
+//! max and sum running down the rows inside the lane), [`softmax_bwd`],
+//! [`scale_rows`] and [`dscale`] (lane-wise maps). Each takes a wide and an
+//! 8-lane type: wide strips first, then an 8-lane strip for a remainder of
+//! 8, then the scalar tail where the kernel has one. The activation maps,
+//! [`exp`], [`axpy`] and [`adamw`] are lane-wise too and would give the
+//! same bits wide; they stay 8 lanes because widening them measured no
+//! gain. [`dot`] cannot be widened: it sums its lanes with the 8-lane
+//! `V8::reduce` tree, so its result depends on the width. Every other
+//! kernel runs the AVX2 instantiation under [`Backend::Avx512`].
 //!
 //! Each kernel has one public entry, which dispatches on the calling
 //! thread's [`KernelCtx`](crate::KernelCtx) backend ([`backend`]); tests
@@ -49,8 +53,10 @@ pub enum Backend {
     Scalar,
     /// AVX2 + FMA `__m256` lanes (x86-64 with runtime CPU support).
     Avx2,
-    /// [`Backend::Avx2`] for every kernel but [`gemm_panel`], whose tiles
-    /// run on AVX-512F `__m512` lanes (x86-64 with runtime CPU support).
+    /// AVX-512F `__m512` lanes for [`gemm_panel`] and the attention tile's
+    /// block softmax ([`softmax_fold`], [`softmax_bwd`], [`scale_rows`],
+    /// [`dscale`]), [`Backend::Avx2`] for every other kernel (x86-64 with
+    /// runtime CPU support).
     Avx512,
 }
 
@@ -107,10 +113,12 @@ pub fn backend() -> Backend {
     }
 }
 
-/// The lane operations a register tile needs, at any lane count: what
-/// [`tile_g`] is written against, so one tile body serves the 8-lane `Sc`
-/// and `Vx` and the 16-lane `Vz`. Every implementation must be a pure
-/// lane-wise IEEE-754 operation.
+/// The lane operations the kernels need, at any lane count: what every
+/// kernel body but [`dot_g`] is written against, so one body serves the
+/// 8-lane `Sc` and `Vx` and the 16-lane `Vz`. Methods are `unsafe` because
+/// `loadu`/`storeu` take raw pointers; every implementation must be a pure
+/// lane-wise IEEE-754 operation, so that a lane's bits depend neither on
+/// the backend nor on how many lanes sit beside it.
 trait Lanes: Copy {
     /// f32 lanes per vector.
     const LANES: usize;
@@ -120,14 +128,6 @@ trait Lanes: Copy {
     unsafe fn storeu(self, p: *mut f32);
     /// `self + a * b`, fused (single rounding) per lane.
     unsafe fn fma(self, a: Self, b: Self) -> Self;
-}
-
-/// 8-lane f32 vector: the single abstraction the scalar and AVX2
-/// backends implement for every kernel. Methods are `unsafe` because
-/// `loadu`/`storeu` take raw pointers; every implementation must be a pure
-/// lane-wise IEEE-754 operation so that the two instantiations stay
-/// bitwise identical.
-trait V8: Lanes {
     unsafe fn mul(self, o: Self) -> Self;
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn sub(self, o: Self) -> Self;
@@ -146,6 +146,15 @@ trait V8: Lanes {
     unsafe fn exp2i(self) -> Self;
     /// `self` where `x >= t` (ordered: false on NaN), `+0.0` elsewhere.
     unsafe fn and_ge(self, x: Self, t: Self) -> Self;
+}
+
+/// The widest [`Lanes::LANES`]: room for one vector of any backend.
+const MAX_LANES: usize = 16;
+
+/// 8-lane vectors that can also sum their lanes: the one operation whose
+/// result depends on the width, so only [`dot_g`], which combines lanes,
+/// is written against it.
+trait V8: Lanes {
     /// Horizontal sum with the fixed tree
     /// `((x0+x4)+(x2+x6)) + ((x1+x5)+(x3+x7))` — the lane pairing the
     /// AVX2 `extractf128`/`movehl`/`shuffle` sequence produces.
@@ -154,6 +163,24 @@ trait V8: Lanes {
 
 #[derive(Clone, Copy)]
 struct Sc([f32; 8]);
+
+impl Sc {
+    /// `f` of each lane.
+    #[inline(always)]
+    fn map(self, f: impl Fn(f32) -> f32) -> Self {
+        Sc(self.0.map(f))
+    }
+
+    /// `f` of each pair of lanes.
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        let mut v = [0.0f32; 8];
+        for (i, lane) in v.iter_mut().enumerate() {
+            *lane = f(self.0[i], o.0[i]);
+        }
+        Sc(v)
+    }
+}
 
 impl Lanes for Sc {
     const LANES: usize = 8;
@@ -187,84 +214,41 @@ impl Lanes for Sc {
         }
         Sc(v)
     }
-}
-
-impl V8 for Sc {
     #[inline(always)]
     unsafe fn mul(self, o: Self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = self.0[i] * o.0[i];
-        }
-        Sc(v)
+        self.zip(o, |a, b| a * b)
     }
     #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = self.0[i] + o.0[i];
-        }
-        Sc(v)
-    }
-    #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = self.0[i] / o.0[i];
-        }
-        Sc(v)
-    }
-    #[inline(always)]
-    unsafe fn sqrt(self) -> Self {
-        Sc(self.0.map(f32::sqrt))
+        self.zip(o, |a, b| a + b)
     }
     #[inline(always)]
     unsafe fn sub(self, o: Self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = self.0[i] - o.0[i];
-        }
-        Sc(v)
+        self.zip(o, |a, b| a - b)
+    }
+    #[inline(always)]
+    unsafe fn div(self, o: Self) -> Self {
+        self.zip(o, |a, b| a / b)
+    }
+    #[inline(always)]
+    unsafe fn sqrt(self) -> Self {
+        self.map(f32::sqrt)
     }
     #[inline(always)]
     unsafe fn max(self, o: Self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = if self.0[i] > o.0[i] {
-                self.0[i]
-            } else {
-                o.0[i]
-            };
-        }
-        Sc(v)
+        self.zip(o, |a, b| if a > b { a } else { b })
     }
     #[inline(always)]
     unsafe fn min(self, o: Self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = if self.0[i] < o.0[i] {
-                self.0[i]
-            } else {
-                o.0[i]
-            };
-        }
-        Sc(v)
+        self.zip(o, |a, b| if a < b { a } else { b })
     }
     #[inline(always)]
     unsafe fn round(self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = self.0[i].round_ties_even();
-        }
-        Sc(v)
+        self.map(f32::round_ties_even)
     }
     #[inline(always)]
     unsafe fn exp2i(self) -> Self {
-        let mut v = [0.0f32; 8];
-        for (i, lane) in v.iter_mut().enumerate() {
-            *lane = f32::from_bits(((self.0[i] as i32 + 127) as u32) << 23);
-        }
-        Sc(v)
+        self.map(|n| f32::from_bits(((n as i32 + 127) as u32) << 23))
     }
     #[inline(always)]
     unsafe fn and_ge(self, x: Self, t: Self) -> Self {
@@ -274,6 +258,9 @@ impl V8 for Sc {
         }
         Sc(v)
     }
+}
+
+impl V8 for Sc {
     #[inline(always)]
     unsafe fn reduce(self) -> f32 {
         let x = self.0;
@@ -314,9 +301,6 @@ mod avx {
         unsafe fn fma(self, a: Self, b: Self) -> Self {
             Vx(_mm256_fmadd_ps(a.0, b.0, self.0))
         }
-    }
-
-    impl V8 for Vx {
         #[inline(always)]
         unsafe fn mul(self, o: Self) -> Self {
             Vx(_mm256_mul_ps(self.0, o.0))
@@ -326,16 +310,16 @@ mod avx {
             Vx(_mm256_add_ps(self.0, o.0))
         }
         #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Vx(_mm256_sub_ps(self.0, o.0))
+        }
+        #[inline(always)]
         unsafe fn div(self, o: Self) -> Self {
             Vx(_mm256_div_ps(self.0, o.0))
         }
         #[inline(always)]
         unsafe fn sqrt(self) -> Self {
             Vx(_mm256_sqrt_ps(self.0))
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            Vx(_mm256_sub_ps(self.0, o.0))
         }
         #[inline(always)]
         unsafe fn max(self, o: Self) -> Self {
@@ -361,6 +345,9 @@ mod avx {
         unsafe fn and_ge(self, x: Self, t: Self) -> Self {
             Vx(_mm256_and_ps(self.0, _mm256_cmp_ps::<_CMP_GE_OQ>(x.0, t.0)))
         }
+    }
+
+    impl V8 for Vx {
         #[inline(always)]
         unsafe fn reduce(self) -> f32 {
             let lo = _mm256_castps256_ps128(self.0);
@@ -372,8 +359,9 @@ mod avx {
         }
     }
 
-    /// 16 lanes: only the gemm tile runs at this width (see the module
-    /// doc), so it implements [`Lanes`] alone.
+    /// 16 lanes: the kernels in which no lane meets another run at this
+    /// width (see the module doc). It has no [`V8::reduce`], so nothing
+    /// that sums across lanes can be instantiated on it.
     #[derive(Clone, Copy)]
     pub(super) struct Vz(__m512);
 
@@ -399,6 +387,53 @@ mod avx {
         unsafe fn fma(self, a: Self, b: Self) -> Self {
             Vz(_mm512_fmadd_ps(a.0, b.0, self.0))
         }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            Vz(_mm512_mul_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            Vz(_mm512_add_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            Vz(_mm512_sub_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn div(self, o: Self) -> Self {
+            Vz(_mm512_div_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn sqrt(self) -> Self {
+            Vz(_mm512_sqrt_ps(self.0))
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            Vz(_mm512_max_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn min(self, o: Self) -> Self {
+            Vz(_mm512_min_ps(self.0, o.0))
+        }
+        #[inline(always)]
+        unsafe fn round(self) -> Self {
+            // scale 0 (whole numbers), nearest-even, no exceptions
+            Vz(_mm512_roundscale_ps::<
+                { _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC },
+            >(self.0))
+        }
+        #[inline(always)]
+        unsafe fn exp2i(self) -> Self {
+            let n = _mm512_cvtps_epi32(self.0);
+            let bits = _mm512_slli_epi32::<23>(_mm512_add_epi32(n, _mm512_set1_epi32(127)));
+            Vz(_mm512_castsi512_ps(bits))
+        }
+        #[inline(always)]
+        unsafe fn and_ge(self, x: Self, t: Self) -> Self {
+            // zeroed lanes are +0.0, what the AVX2 AND with a false mask gives
+            let ge = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x.0, t.0);
+            Vz(_mm512_maskz_mov_ps(ge, self.0))
+        }
     }
 }
 
@@ -410,21 +445,22 @@ mod avx {
 unsafe fn dot_g<V: V8>(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
     let (pa, pb) = (a.as_ptr(), b.as_ptr());
+    let k = V::LANES;
     let mut acc0 = V::zero();
     let mut acc1 = V::zero();
     let mut acc2 = V::zero();
     let mut acc3 = V::zero();
     let mut i = 0;
-    while i + 32 <= n {
+    while i + 4 * k <= n {
         acc0 = acc0.fma(V::loadu(pa.add(i)), V::loadu(pb.add(i)));
-        acc1 = acc1.fma(V::loadu(pa.add(i + 8)), V::loadu(pb.add(i + 8)));
-        acc2 = acc2.fma(V::loadu(pa.add(i + 16)), V::loadu(pb.add(i + 16)));
-        acc3 = acc3.fma(V::loadu(pa.add(i + 24)), V::loadu(pb.add(i + 24)));
-        i += 32;
+        acc1 = acc1.fma(V::loadu(pa.add(i + k)), V::loadu(pb.add(i + k)));
+        acc2 = acc2.fma(V::loadu(pa.add(i + 2 * k)), V::loadu(pb.add(i + 2 * k)));
+        acc3 = acc3.fma(V::loadu(pa.add(i + 3 * k)), V::loadu(pb.add(i + 3 * k)));
+        i += 4 * k;
     }
-    while i + 8 <= n {
+    while i + k <= n {
         acc0 = acc0.fma(V::loadu(pa.add(i)), V::loadu(pb.add(i)));
-        i += 8;
+        i += k;
     }
     let mut s = acc0.add(acc1).add(acc2.add(acc3)).reduce();
     while i < n {
@@ -435,17 +471,17 @@ unsafe fn dot_g<V: V8>(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[inline(always)]
-unsafe fn axpy_g<V: V8>(dst: &mut [f32], s: f32, src: &[f32]) {
+unsafe fn axpy_g<V: Lanes>(dst: &mut [f32], s: f32, src: &[f32]) {
     let n = dst.len().min(src.len());
     let dp = dst.as_mut_ptr();
     let sp = src.as_ptr();
     let sv = V::splat(s);
     let mut i = 0;
-    while i + 8 <= n {
+    while i + V::LANES <= n {
         V::loadu(dp.add(i) as *const f32)
             .fma(sv, V::loadu(sp.add(i)))
             .storeu(dp.add(i));
-        i += 8;
+        i += V::LANES;
     }
     while i < n {
         *dp.add(i) = s.mul_add(*sp.add(i), *dp.add(i));
@@ -453,10 +489,23 @@ unsafe fn axpy_g<V: V8>(dst: &mut [f32], s: f32, src: &[f32]) {
     }
 }
 
-/// `c[r * stride + col0 ..][..width] *= factors[r]` for every row `r` of
-/// `factors` — the online-softmax rescale of a row-block's accumulator.
+/// `x[i..][..V::LANES * k] *= f` for the most whole vectors `k` that fit
+/// in `n`; returns the index past them.
 #[inline(always)]
-unsafe fn scale_rows_g<V: V8>(
+unsafe fn mul_lanes<V: Lanes>(x: *mut f32, n: usize, mut i: usize, f: f32) -> usize {
+    let fv = V::splat(f);
+    while i + V::LANES <= n {
+        V::loadu(x.add(i) as *const f32).mul(fv).storeu(x.add(i));
+        i += V::LANES;
+    }
+    i
+}
+
+/// `c[r * stride + col0 ..][..width] *= factors[r]` for every row `r` of
+/// `factors` — the online-softmax rescale of a row-block's accumulator:
+/// `W`-wide vectors, then `V`-wide ones, then single elements.
+#[inline(always)]
+unsafe fn scale_rows_g<W: Lanes, V: Lanes>(
     c: &mut [f32],
     stride: usize,
     col0: usize,
@@ -466,14 +515,7 @@ unsafe fn scale_rows_g<V: V8>(
     let cp = c.as_mut_ptr();
     for (r, &f) in factors.iter().enumerate() {
         let row = cp.add(r * stride + col0);
-        let fv = V::splat(f);
-        let mut i = 0;
-        while i + 8 <= width {
-            V::loadu(row.add(i) as *const f32)
-                .mul(fv)
-                .storeu(row.add(i));
-            i += 8;
-        }
+        let mut i = mul_lanes::<V>(row, width, mul_lanes::<W>(row, width, 0, f), f);
         while i < width {
             *row.add(i) *= f;
             i += 1;
@@ -491,9 +533,10 @@ pub const EXP_HI: f32 = 88.0;
 /// Lane-wise `exp`: Cody–Waite range reduction `x = n·ln2 + r` with a
 /// two-term `ln2`, the degree-6 Cephes `expf` polynomial on
 /// `r ∈ [-ln2/2, ln2/2]` in Horner/FMA form, and an exponent-bit scale by
-/// `2^n`. Only `V8` lane operations, so both backends agree bitwise.
+/// `2^n`. Only [`Lanes`] operations, so every backend and width agrees
+/// bitwise.
 #[inline(always)]
-unsafe fn exp_v<V: V8>(x: V) -> V {
+unsafe fn exp_v<V: Lanes>(x: V) -> V {
     let xc = x.max(V::splat(EXP_LO)).min(V::splat(EXP_HI));
     let n = xc.mul(V::splat(std::f32::consts::LOG2_E)).round();
     // ln2 = 355/512 - 2.1219444e-4: the high part has 9 significant bits,
@@ -516,31 +559,31 @@ unsafe fn exp_v<V: V8>(x: V) -> V {
 /// backend with everything inlined into the `target_feature` wrapper (a
 /// closure would compile as a function of its own, without the feature).
 trait F1 {
-    unsafe fn f<V: V8>(x: V) -> V;
+    unsafe fn f<V: Lanes>(x: V) -> V;
 }
 trait F2 {
-    unsafe fn f<V: V8>(a: V, b: V) -> V;
+    unsafe fn f<V: Lanes>(a: V, b: V) -> V;
 }
 /// A lane-wise function of two vectors with two results, written back over
 /// its arguments.
 trait F2x2 {
-    unsafe fn f<V: V8>(a: V, b: V) -> (V, V);
+    unsafe fn f<V: Lanes>(a: V, b: V) -> (V, V);
 }
 
 /// `x[i] = F(x[i])` through the lanes. The tail runs through the same
 /// lanes on a padded copy, so an element's bits never depend on where in
 /// the slice it sits — any partition of a buffer gives the same result.
 #[inline(always)]
-unsafe fn map_g<V: V8, F: F1>(x: &mut [f32]) {
+unsafe fn map_g<V: Lanes, F: F1>(x: &mut [f32]) {
     let n = x.len();
     let xp = x.as_mut_ptr();
     let mut i = 0;
-    while i + 8 <= n {
+    while i + V::LANES <= n {
         F::f(V::loadu(xp.add(i) as *const f32)).storeu(xp.add(i));
-        i += 8;
+        i += V::LANES;
     }
     if i < n {
-        let mut tail = [0.0f32; 8];
+        let mut tail = [0.0f32; MAX_LANES];
         tail[..n - i].copy_from_slice(&x[i..]);
         F::f(V::loadu(tail.as_ptr())).storeu(tail.as_mut_ptr());
         x[i..].copy_from_slice(&tail[..n - i]);
@@ -551,16 +594,16 @@ unsafe fn map_g<V: V8, F: F1>(x: &mut [f32]) {
 /// [`map_g`]. The slices have equal length (checked by the public
 /// entry points).
 #[inline(always)]
-unsafe fn map2_g<V: V8, F: F2>(a: &[f32], b: &[f32], out: &mut [f32]) {
+unsafe fn map2_g<V: Lanes, F: F2>(a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = out.len();
     let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
     let mut i = 0;
-    while i + 8 <= n {
+    while i + V::LANES <= n {
         F::f(V::loadu(ap.add(i)), V::loadu(bp.add(i))).storeu(op.add(i));
-        i += 8;
+        i += V::LANES;
     }
     if i < n {
-        let (mut ta, mut tb) = ([0.0f32; 8], [0.0f32; 8]);
+        let (mut ta, mut tb) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
         ta[..n - i].copy_from_slice(&a[i..]);
         tb[..n - i].copy_from_slice(&b[i..]);
         F::f(V::loadu(ta.as_ptr()), V::loadu(tb.as_ptr())).storeu(ta.as_mut_ptr());
@@ -572,21 +615,21 @@ unsafe fn map2_g<V: V8, F: F2>(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// [`map_g`]. The slices have equal length (checked by the public entry
 /// points).
 #[inline(always)]
-unsafe fn map2x2_g<V: V8, F: F2x2>(a: &mut [f32], b: &mut [f32]) {
+unsafe fn map2x2_g<V: Lanes, F: F2x2>(a: &mut [f32], b: &mut [f32]) {
     let n = a.len();
     let (ap, bp) = (a.as_mut_ptr(), b.as_mut_ptr());
     let mut i = 0;
-    while i + 8 <= n {
+    while i + V::LANES <= n {
         let (x, y) = F::f(
             V::loadu(ap.add(i) as *const f32),
             V::loadu(bp.add(i) as *const f32),
         );
         x.storeu(ap.add(i));
         y.storeu(bp.add(i));
-        i += 8;
+        i += V::LANES;
     }
     if i < n {
-        let (mut ta, mut tb) = ([0.0f32; 8], [0.0f32; 8]);
+        let (mut ta, mut tb) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
         ta[..n - i].copy_from_slice(&a[i..]);
         tb[..n - i].copy_from_slice(&b[i..]);
         let (x, y) = F::f(V::loadu(ta.as_ptr()), V::loadu(tb.as_ptr()));
@@ -600,7 +643,7 @@ unsafe fn map2x2_g<V: V8, F: F2x2>(a: &mut [f32], b: &mut [f32]) {
 struct Exp;
 impl F1 for Exp {
     #[inline(always)]
-    unsafe fn f<V: V8>(x: V) -> V {
+    unsafe fn f<V: Lanes>(x: V) -> V {
         exp_v(x)
     }
 }
@@ -616,14 +659,14 @@ const GELU_C: f32 = 0.044_715;
 /// `6e-39`, never 0/0). A NaN `z` gives `1.0`; the caller's own `x` factor
 /// carries the NaN.
 #[inline(always)]
-unsafe fn logistic_den_v<V: V8>(z: V) -> (V, V) {
+unsafe fn logistic_den_v<V: Lanes>(z: V) -> (V, V) {
     let e = exp_v(V::zero().sub(z));
     (e, V::splat(1.0).add(e))
 }
 
 /// `x·σ(z)` as one divide: the forward of both activations.
 #[inline(always)]
-unsafe fn x_sigmoid_v<V: V8>(x: V, z: V) -> V {
+unsafe fn x_sigmoid_v<V: Lanes>(x: V, z: V) -> V {
     x.div(logistic_den_v(z).1)
 }
 
@@ -631,21 +674,21 @@ unsafe fn x_sigmoid_v<V: V8>(x: V, z: V) -> V {
 /// `1−σ = e·σ` comes from the exponential already in hand rather than
 /// from a subtraction, which cancels where σ is within an ulp of 1.
 #[inline(always)]
-unsafe fn x_sigmoid_grad_v<V: V8>(x_dz: V, z: V) -> V {
+unsafe fn x_sigmoid_grad_v<V: Lanes>(x_dz: V, z: V) -> V {
     let (e, den) = logistic_den_v(z);
     x_sigmoid_grad_of(x_dz, e, den)
 }
 
 /// [`x_sigmoid_grad_v`] from `(e, den)` already in hand.
 #[inline(always)]
-unsafe fn x_sigmoid_grad_of<V: V8>(x_dz: V, e: V, den: V) -> V {
+unsafe fn x_sigmoid_grad_of<V: Lanes>(x_dz: V, e: V, den: V) -> V {
     let s = V::splat(1.0).div(den);
     s.fma(x_dz, e.mul(s).mul(s))
 }
 
 /// The GELU argument `z = K·x·(1 + C·x²)` and `x²`.
 #[inline(always)]
-unsafe fn gelu_arg_v<V: V8>(x: V) -> (V, V) {
+unsafe fn gelu_arg_v<V: Lanes>(x: V) -> (V, V) {
     let t = x.mul(x);
     let z = V::splat(GELU_K)
         .mul(x)
@@ -656,7 +699,7 @@ unsafe fn gelu_arg_v<V: V8>(x: V) -> (V, V) {
 struct Gelu;
 impl F1 for Gelu {
     #[inline(always)]
-    unsafe fn f<V: V8>(x: V) -> V {
+    unsafe fn f<V: Lanes>(x: V) -> V {
         x_sigmoid_v(x, gelu_arg_v(x).0)
     }
 }
@@ -666,7 +709,7 @@ impl F1 for Gelu {
 struct GeluFwdBwd;
 impl F2x2 for GeluFwdBwd {
     #[inline(always)]
-    unsafe fn f<V: V8>(x: V, dy: V) -> (V, V) {
+    unsafe fn f<V: Lanes>(x: V, dy: V) -> (V, V) {
         let (z, t) = gelu_arg_v(x);
         let (e, den) = logistic_den_v(z);
         // z' = K·(1 + 3C·x²)
@@ -679,7 +722,7 @@ impl F2x2 for GeluFwdBwd {
 struct Silu;
 impl F1 for Silu {
     #[inline(always)]
-    unsafe fn f<V: V8>(x: V) -> V {
+    unsafe fn f<V: Lanes>(x: V) -> V {
         x_sigmoid_v(x, x)
     }
 }
@@ -687,14 +730,16 @@ impl F1 for Silu {
 struct SiluBwd;
 impl F2 for SiluBwd {
     #[inline(always)]
-    unsafe fn f<V: V8>(x: V, dy: V) -> V {
+    unsafe fn f<V: Lanes>(x: V, dy: V) -> V {
         x_sigmoid_grad_v(x, x).mul(dy)
     }
 }
 
-/// One `NV * 8`-column strip of [`softmax_fold_g`].
+/// One `NV * V::LANES`-column strip of [`softmax_fold_g`]. Each lane is
+/// one query column from the first load to the last store: the column max
+/// and sum run down the rows inside a lane, so no lane meets another.
 #[inline(always)]
-unsafe fn fold_strip<V: V8, const NV: usize>(
+unsafe fn fold_strip<V: Lanes, const NV: usize>(
     sp: *mut f32,
     w: usize,
     rows: usize,
@@ -706,12 +751,12 @@ unsafe fn fold_strip<V: V8, const NV: usize>(
     let mut mb = [V::splat(f32::NEG_INFINITY); NV];
     for r in 0..rows {
         for (vi, v) in mb.iter_mut().enumerate() {
-            *v = v.max(V::loadu(sp.add(r * w + c0 + vi * 8) as *const f32));
+            *v = v.max(V::loadu(sp.add(r * w + c0 + vi * V::LANES) as *const f32));
         }
     }
     let mut m_safe = [V::zero(); NV];
     for vi in 0..NV {
-        let at = c0 + vi * 8;
+        let at = c0 + vi * V::LANES;
         let m_old = V::loadu(m.add(at) as *const f32);
         let m_new = m_old.max(mb[vi]);
         // A column that has seen no key yet keeps m = -inf; subtracting 0
@@ -724,14 +769,14 @@ unsafe fn fold_strip<V: V8, const NV: usize>(
     let mut lb = [V::zero(); NV];
     for r in 0..rows {
         for (vi, v) in lb.iter_mut().enumerate() {
-            let at = sp.add(r * w + c0 + vi * 8);
+            let at = sp.add(r * w + c0 + vi * V::LANES);
             let p = exp_v(V::loadu(at as *const f32).sub(m_safe[vi]));
             p.storeu(at);
             *v = v.add(p);
         }
     }
     for (vi, v) in lb.iter().enumerate() {
-        let at = c0 + vi * 8;
+        let at = c0 + vi * V::LANES;
         let cv = V::loadu(corr.add(at) as *const f32);
         v.fma(V::loadu(l.add(at) as *const f32), cv)
             .storeu(l.add(at));
@@ -743,9 +788,11 @@ unsafe fn fold_strip<V: V8, const NV: usize>(
 /// `s` holds `exp(s - m_new)`, `corr` the factor `exp(m_old - m_new)` the
 /// caller rescales its accumulator by, `l = l * corr + colsum(s)` (rows
 /// summed ascending) and `m = m_new`. Masked scores are `-inf` on entry
-/// and exactly `0.0` on exit.
+/// and exactly `0.0` on exit. Strips of the wide vector `W` first, then of
+/// the 8-lane `V` (only these where `W` is `V`), so `w` stays a multiple
+/// of 8.
 #[inline(always)]
-unsafe fn softmax_fold_g<V: V8>(
+unsafe fn softmax_fold_g<W: Lanes, V: Lanes>(
     s: &mut [f32],
     w: usize,
     m: &mut [f32],
@@ -760,13 +807,23 @@ unsafe fn softmax_fold_g<V: V8>(
         corr.as_mut_ptr(),
     );
     let mut c = 0;
-    while c + 32 <= w {
-        fold_strip::<V, 4>(sp, w, rows, c, mp, lp, cp);
-        c += 32;
+    if W::LANES > V::LANES {
+        while c + 2 * W::LANES <= w {
+            fold_strip::<W, 2>(sp, w, rows, c, mp, lp, cp);
+            c += 2 * W::LANES;
+        }
+        while c + W::LANES <= w {
+            fold_strip::<W, 1>(sp, w, rows, c, mp, lp, cp);
+            c += W::LANES;
+        }
     }
-    while c + 8 <= w {
+    while c + 4 * V::LANES <= w {
+        fold_strip::<V, 4>(sp, w, rows, c, mp, lp, cp);
+        c += 4 * V::LANES;
+    }
+    while c + V::LANES <= w {
         fold_strip::<V, 1>(sp, w, rows, c, mp, lp, cp);
-        c += 8;
+        c += V::LANES;
     }
 }
 
@@ -774,9 +831,10 @@ unsafe fn softmax_fold_g<V: V8>(
 /// `dO·Vᵀ` products (both `[rows, w]`), overwrites `s` with
 /// `p = exp(s - lse)` and `dp` with `ds = p * (dp - dsum) * scale`, with
 /// one `lse`/`dsum` entry per row (query). Queries with `lse = -inf`
-/// (attended to nothing) get `p = 0`.
+/// (attended to nothing) get `p = 0`. Each row runs `W`-wide vectors, then
+/// 8-lane `V` ones (none where `W` is `V`).
 #[inline(always)]
-unsafe fn softmax_bwd_g<V: V8>(
+unsafe fn softmax_bwd_g<W: Lanes, V: Lanes>(
     s: &mut [f32],
     dp: &mut [f32],
     w: usize,
@@ -786,32 +844,54 @@ unsafe fn softmax_bwd_g<V: V8>(
 ) {
     let rows = s.len() / w;
     let (sp, dpp) = (s.as_mut_ptr(), dp.as_mut_ptr());
-    let sv = V::splat(scale);
     for r in 0..rows {
-        let (lv, dv) = (V::splat(lse[r]), V::splat(dsum[r]));
-        let mut c = 0;
-        while c + 8 <= w {
-            let at = r * w + c;
-            let p =
-                exp_v(V::loadu(sp.add(at) as *const f32).sub(lv)).and_ge(lv, V::splat(f32::MIN));
-            let ds = p.mul(V::loadu(dpp.add(at) as *const f32).sub(dv)).mul(sv);
-            p.storeu(sp.add(at));
-            ds.storeu(dpp.add(at));
-            c += 8;
-        }
+        let row = (sp.add(r * w), dpp.add(r * w));
+        let c = bwd_lanes::<W>(row, w, 0, lse[r], dsum[r], scale);
+        bwd_lanes::<V>(row, w, c, lse[r], dsum[r], scale);
     }
 }
 
+/// [`softmax_bwd_g`] over whole `V` vectors of one row `(s, dp)` of `w`
+/// columns, from column `c`; returns the column past them.
 #[inline(always)]
-unsafe fn dscale_g<V: V8>(dst: &mut [f32], d: f32) {
+unsafe fn bwd_lanes<V: Lanes>(
+    (sp, dpp): (*mut f32, *mut f32),
+    w: usize,
+    mut c: usize,
+    lse: f32,
+    dsum: f32,
+    scale: f32,
+) -> usize {
+    let (lv, dv, sv) = (V::splat(lse), V::splat(dsum), V::splat(scale));
+    while c + V::LANES <= w {
+        let p = exp_v(V::loadu(sp.add(c) as *const f32).sub(lv)).and_ge(lv, V::splat(f32::MIN));
+        let ds = p.mul(V::loadu(dpp.add(c) as *const f32).sub(dv)).mul(sv);
+        p.storeu(sp.add(c));
+        ds.storeu(dpp.add(c));
+        c += V::LANES;
+    }
+    c
+}
+
+/// `x[i..][..V::LANES * k] /= d` for the most whole vectors `k` that fit
+/// in `n`; returns the index past them.
+#[inline(always)]
+unsafe fn div_lanes<V: Lanes>(x: *mut f32, n: usize, mut i: usize, d: f32) -> usize {
+    let dv = V::splat(d);
+    while i + V::LANES <= n {
+        V::loadu(x.add(i) as *const f32).div(dv).storeu(x.add(i));
+        i += V::LANES;
+    }
+    i
+}
+
+/// `dst[i] /= d`: `W`-wide vectors, then `V`-wide ones, then single
+/// elements.
+#[inline(always)]
+unsafe fn dscale_g<W: Lanes, V: Lanes>(dst: &mut [f32], d: f32) {
     let n = dst.len();
     let dp = dst.as_mut_ptr();
-    let dv = V::splat(d);
-    let mut i = 0;
-    while i + 8 <= n {
-        V::loadu(dp.add(i) as *const f32).div(dv).storeu(dp.add(i));
-        i += 8;
-    }
+    let mut i = div_lanes::<V>(dp, n, div_lanes::<W>(dp, n, 0, d), d);
     while i < n {
         *dp.add(i) /= d;
         i += 1;
@@ -845,12 +925,12 @@ pub struct AdamwStep {
 /// the order the scalar tail spells out, so an element's bits depend
 /// neither on the backend nor on where in the slice it sits.
 #[inline(always)]
-unsafe fn adamw_g<V: V8>(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) {
+unsafe fn adamw_g<V: Lanes>(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) {
     let n = p.len();
     let (pp, mp, vp, gp) = (p.as_mut_ptr(), m.as_mut_ptr(), v.as_mut_ptr(), g.as_ptr());
     let (omb1, omb2) = (1.0 - c.beta1, 1.0 - c.beta2);
     let mut i = 0;
-    while i + 8 <= n {
+    while i + V::LANES <= n {
         let gi = V::loadu(gp.add(i)).mul(V::splat(c.grad_scale));
         let mi = V::splat(c.beta1)
             .mul(V::loadu(mp.add(i) as *const f32))
@@ -867,7 +947,7 @@ unsafe fn adamw_g<V: V8>(p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32],
             .div(den)
             .add(V::splat(c.weight_decay).mul(x));
         x.sub(V::splat(c.lr).mul(step)).storeu(pp.add(i));
-        i += 8;
+        i += V::LANES;
     }
     while i < n {
         let gi = g[i] * c.grad_scale;
@@ -1099,8 +1179,6 @@ macro_rules! instantiate {
 
 instantiate!(dot_scalar, dot_avx2, dot_g, (a: &[f32], b: &[f32]) -> f32);
 instantiate!(axpy_scalar, axpy_avx2, axpy_g, (dst: &mut [f32], s: f32, src: &[f32]) -> ());
-instantiate!(scale_rows_scalar, scale_rows_avx2, scale_rows_g,
-    (c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) -> ());
 instantiate!(exp_scalar, exp_avx2, map_g<Exp>, (x: &mut [f32]) -> ());
 instantiate!(gelu_scalar, gelu_avx2, map_g<Gelu>, (x: &mut [f32]) -> ());
 instantiate!(gelu_fwd_bwd_scalar, gelu_fwd_bwd_avx2, map2x2_g<GeluFwdBwd>,
@@ -1108,11 +1186,6 @@ instantiate!(gelu_fwd_bwd_scalar, gelu_fwd_bwd_avx2, map2x2_g<GeluFwdBwd>,
 instantiate!(silu_scalar, silu_avx2, map_g<Silu>, (x: &mut [f32]) -> ());
 instantiate!(silu_bwd_scalar, silu_bwd_avx2, map2_g<SiluBwd>,
     (x: &[f32], dy: &[f32], dx: &mut [f32]) -> ());
-instantiate!(softmax_fold_scalar, softmax_fold_avx2, softmax_fold_g,
-    (s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) -> ());
-instantiate!(softmax_bwd_scalar, softmax_bwd_avx2, softmax_bwd_g,
-    (s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32) -> ());
-instantiate!(dscale_scalar, dscale_avx2, dscale_g, (dst: &mut [f32], d: f32) -> ());
 instantiate!(adamw_scalar, adamw_avx2, adamw_g,
     (p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], c: &AdamwStep) -> ());
 
@@ -1142,6 +1215,17 @@ instantiate_wide!(gemm_panel_scalar, gemm_panel_avx2, gemm_panel_avx512, gemm_pa
     <Sc, Sc>, <avx::Vx, avx::Vx>, <avx::Vz, avx::Vx>, (p: &Panel<'_>, c: &mut [f32]) -> ());
 instantiate_wide!(fma_peak_scalar, fma_peak_avx2, fma_peak_avx512, fma_peak_g,
     <Sc>, <avx::Vx>, <avx::Vz>, (fmas: usize) -> f32);
+instantiate_wide!(scale_rows_scalar, scale_rows_avx2, scale_rows_avx512, scale_rows_g,
+    <Sc, Sc>, <avx::Vx, avx::Vx>, <avx::Vz, avx::Vx>,
+    (c: &mut [f32], stride: usize, col0: usize, width: usize, factors: &[f32]) -> ());
+instantiate_wide!(softmax_fold_scalar, softmax_fold_avx2, softmax_fold_avx512, softmax_fold_g,
+    <Sc, Sc>, <avx::Vx, avx::Vx>, <avx::Vz, avx::Vx>,
+    (s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) -> ());
+instantiate_wide!(softmax_bwd_scalar, softmax_bwd_avx2, softmax_bwd_avx512, softmax_bwd_g,
+    <Sc, Sc>, <avx::Vx, avx::Vx>, <avx::Vz, avx::Vx>,
+    (s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &[f32], scale: f32) -> ());
+instantiate_wide!(dscale_scalar, dscale_avx2, dscale_avx512, dscale_g,
+    <Sc, Sc>, <avx::Vx, avx::Vx>, <avx::Vz, avx::Vx>, (dst: &mut [f32], d: f32) -> ());
 
 /// Calls the instantiation [`backend`] names for the calling thread: the
 /// AVX2 one under [`Backend::Avx512`] too, unless a third is given.
@@ -1187,6 +1271,7 @@ pub fn scale_rows(c: &mut [f32], stride: usize, col0: usize, width: usize, facto
     dispatch!(
         scale_rows_scalar,
         scale_rows_avx2,
+        scale_rows_avx512,
         (c, stride, col0, width, factors)
     )
 }
@@ -1250,7 +1335,12 @@ pub fn silu_bwd(x: &[f32], dy: &[f32], dx: &mut [f32]) {
 pub fn softmax_fold(s: &mut [f32], w: usize, m: &mut [f32], l: &mut [f32], corr: &mut [f32]) {
     assert!(w > 0 && w.is_multiple_of(8) && s.len().is_multiple_of(w));
     assert!(m.len() >= w && l.len() >= w && corr.len() >= w);
-    dispatch!(softmax_fold_scalar, softmax_fold_avx2, (s, w, m, l, corr))
+    dispatch!(
+        softmax_fold_scalar,
+        softmax_fold_avx2,
+        softmax_fold_avx512,
+        (s, w, m, l, corr)
+    )
 }
 
 /// Backward softmax of one block: `s` (raw scores) becomes
@@ -1266,6 +1356,7 @@ pub fn softmax_bwd(s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &
     dispatch!(
         softmax_bwd_scalar,
         softmax_bwd_avx2,
+        softmax_bwd_avx512,
         (s, dp, w, lse, dsum, scale)
     )
 }
@@ -1273,7 +1364,7 @@ pub fn softmax_bwd(s: &mut [f32], dp: &mut [f32], w: usize, lse: &[f32], dsum: &
 /// `dst[i] /= d` (the online-softmax finalize divide; kept a true IEEE
 /// division, never a reciprocal multiply, in every backend).
 pub fn dscale(dst: &mut [f32], d: f32) {
-    dispatch!(dscale_scalar, dscale_avx2, (dst, d))
+    dispatch!(dscale_scalar, dscale_avx2, dscale_avx512, (dst, d))
 }
 
 /// One AdamW step, every slice updated in place: with `g' = g·grad_scale`,
@@ -1366,7 +1457,7 @@ mod tests {
     struct GeluGradRef;
     impl F2 for GeluGradRef {
         #[inline(always)]
-        unsafe fn f<V: V8>(x: V, dy: V) -> V {
+        unsafe fn f<V: Lanes>(x: V, dy: V) -> V {
             let (z, t) = gelu_arg_v(x);
             let dz = V::splat(GELU_K).fma(V::splat(3.0 * GELU_C * GELU_K), t);
             x_sigmoid_grad_v(x.mul(dz), z).mul(dy)

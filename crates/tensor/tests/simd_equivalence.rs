@@ -2,14 +2,17 @@
 //! the portable scalar fallback, across odd/remainder shapes and
 //! kernel-pool thread budgets (1, 2, and 8 threads).
 //!
-//! Every backend runs the same generic kernel over an 8-lane vector trait:
-//! identical register blocking, identical remainder handling, and a fixed
-//! 8-lane reduction tree, so every result must match the scalar backend
-//! *bitwise* — the backend is a pure performance knob. The one kernel
-//! AVX-512 runs wider, `gemm_panel`, computes each element as a single
-//! fused chain, so its 32- and 16-wide tiles must match too. These tests
-//! pin that contract on the raw `mk` primitives and on the full `ops` gemm
-//! family, with the backend forced through a scoped kernel context.
+//! Every backend runs the same generic kernel over a lane-wise vector
+//! trait: identical register blocking, identical remainder handling, and a
+//! fixed 8-lane reduction tree, so every result must match the scalar
+//! backend *bitwise* — the backend is a pure performance knob. The kernels
+//! AVX-512 runs 16 lanes wide — `gemm_panel`, whose elements are single
+//! fused chains, and the block softmax `softmax_fold`, `softmax_bwd`,
+//! `scale_rows` and `dscale`, in which a lane never meets another — must
+//! match too, at every remainder of their wide and 8-lane strips. These
+//! tests pin that contract on the raw `mk` primitives and on the full
+//! `ops` gemm family, with the backend forced through a scoped kernel
+//! context.
 //!
 //! Each test runs every backend of `mk::backends()`: on hardware without
 //! AVX2 or AVX-512 those legs are skipped; the scalar legs still exercise
@@ -406,11 +409,104 @@ fn softmax_fold_keeps_unseen_and_masked_columns_exact() {
     }
 }
 
+/// Columns `cols` of the row-major `[rows, w]` block `x`, as a block of
+/// their own.
+fn columns(x: &[f32], w: usize, cols: std::ops::Range<usize>) -> Vec<f32> {
+    x.chunks(w)
+        .flat_map(|row| &row[cols.clone()])
+        .copied()
+        .collect()
+}
+
+/// Writes `part`, columns `cols` of a `[rows, w]` block, back into `x`.
+fn put_columns(x: &mut [f32], w: usize, cols: std::ops::Range<usize>, part: &[f32]) {
+    for (row, src) in x.chunks_mut(w).zip(part.chunks(cols.len())) {
+        row[cols.clone()].copy_from_slice(src);
+    }
+}
+
+/// No lane meets another: on every backend, the block softmax kernels give
+/// a `w = 48` block the same bits whether it is handed over whole (two
+/// 16-lane vectors and one more under AVX-512, six 8-lane ones elsewhere)
+/// or as its column slices `[0, 16)`, `[16, 40)` and `[40, 48)` one at a
+/// time (16, 16 + 8 and 8 lanes). A kernel whose lane read or wrote a
+/// neighbour's column would see different neighbours in the two cuts.
+#[test]
+fn block_softmax_is_independent_of_how_the_columns_are_cut() {
+    let (rows, w) = (5usize, 48usize);
+    let cuts = [0..16, 16..40, 40..48];
+    let mut s0 = randv(60, rows * w);
+    for (i, v) in s0.iter_mut().enumerate() {
+        if i % 7 == 0 {
+            *v = f32::NEG_INFINITY;
+        }
+    }
+    let dp0 = randv(61, rows * w);
+    let mut m0 = randv(62, w);
+    m0[17] = f32::NEG_INFINITY;
+    let l0: Vec<f32> = randv(63, w).iter().map(|v| v.abs()).collect();
+    let mut lse = randv(64, rows);
+    lse[2] = f32::NEG_INFINITY;
+    let dsum = randv(65, rows);
+    let factors = randv(66, rows);
+    for be in mk::backends() {
+        on(be, || {
+            let (mut s, mut m, mut l, mut corr) =
+                (s0.clone(), m0.clone(), l0.clone(), vec![0.0; w]);
+            mk::softmax_fold(&mut s, w, &mut m, &mut l, &mut corr);
+            let (mut sc, mut mc, mut lc, mut cc) =
+                (s0.clone(), m0.clone(), l0.clone(), vec![0.0; w]);
+            for cut in cuts.clone() {
+                let mut part = columns(&sc, w, cut.clone());
+                let c = cut.clone();
+                mk::softmax_fold(
+                    &mut part,
+                    c.len(),
+                    &mut mc[c.clone()],
+                    &mut lc[c.clone()],
+                    &mut cc[c],
+                );
+                put_columns(&mut sc, w, cut, &part);
+            }
+            assert_eq!(
+                (bits(&s), bits(&m), bits(&l), bits(&corr)),
+                (bits(&sc), bits(&mc), bits(&lc), bits(&cc)),
+                "{be:?}: softmax_fold"
+            );
+
+            let (mut s, mut dp) = (s0.clone(), dp0.clone());
+            mk::softmax_bwd(&mut s, &mut dp, w, &lse, &dsum, 0.25);
+            let (mut sc, mut dpc) = (s0.clone(), dp0.clone());
+            for cut in cuts.clone() {
+                let (mut ps, mut pd) =
+                    (columns(&sc, w, cut.clone()), columns(&dpc, w, cut.clone()));
+                mk::softmax_bwd(&mut ps, &mut pd, cut.len(), &lse, &dsum, 0.25);
+                put_columns(&mut sc, w, cut.clone(), &ps);
+                put_columns(&mut dpc, w, cut, &pd);
+            }
+            assert_eq!(
+                (bits(&s), bits(&dp)),
+                (bits(&sc), bits(&dpc)),
+                "{be:?}: softmax_bwd"
+            );
+
+            let mut c = dp0.clone();
+            mk::scale_rows(&mut c, w, 0, w, &factors);
+            let mut cc = dp0.clone();
+            for cut in cuts.clone() {
+                mk::scale_rows(&mut cc, w, cut.start, cut.len(), &factors);
+            }
+            assert_eq!(bits(&c), bits(&cc), "{be:?}: scale_rows");
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `dot`/`axpy`/`dscale` hit the 8-lane body plus a scalar tail;
-    /// lengths below 8 are tail-only. All must match bitwise.
+    /// `dot`/`axpy` hit the 8-lane body plus a scalar tail, `dscale` under
+    /// AVX-512 the 16-lane body, one 8-lane vector and the tail; lengths
+    /// below 8 are tail-only. All must match bitwise.
     #[test]
     fn vector_primitives_match_scalar_bitwise(len in 0usize..70, seed in 0u64..1_000) {
         let a = randv(seed, len);
@@ -434,7 +530,7 @@ proptest! {
     #[test]
     fn scale_rows_matches_scalar_bitwise(
         rows in 0usize..6,
-        width in 0usize..20,
+        width in 0usize..40,
         col0 in 0usize..5,
         pad in 0usize..5,
         seed in 0u64..1_000,
@@ -479,8 +575,8 @@ proptest! {
         }
     }
 
-    /// The online-softmax block fold: every block height, both strip widths
-    /// (32-column and 8-column), masked (`-inf`) scores and columns that
+    /// The online-softmax block fold: every block height, every strip width
+    /// (32-, 16- and 8-column), masked (`-inf`) scores and columns that
     /// have seen nothing yet.
     #[test]
     fn softmax_fold_matches_scalar_bitwise(
@@ -518,7 +614,7 @@ proptest! {
     #[test]
     fn softmax_bwd_matches_scalar_bitwise(
         rows in 1usize..9,
-        w8 in 1usize..5,
+        w8 in 1usize..7,
         seed in 0u64..1_000,
     ) {
         let w = w8 * 8;

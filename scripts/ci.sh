@@ -168,6 +168,15 @@ if grep -q '"avx512": true' target/experiments/BENCH_kernels.json \
     echo "FAIL: linear_chunk on avx512 not under 0.85 of its avx2 wall time" >&2
     exit 1
 fi
+# And so must the attention tile's 16-lane block softmax: the fully-visible
+# runtime-shape tile forward on avx512 at most 0.6 of its avx2 wall time
+# (median of back-to-back pairs; 0.55-0.56 measured, 0.64-0.67 with the
+# block softmax on 8 lanes).
+if grep -q '"avx512": true' target/experiments/BENCH_kernels.json \
+    && ! grep -q '^KERNELS_WIDE_ATTN_OK ' <<<"$out"; then
+    echo "FAIL: attention tile forward on avx512 not under 0.6 of its avx2 wall time" >&2
+    exit 1
+fi
 
 stage "kernels --features scalar-only smoke (portable fallback builds)"
 out=$(cargo run -q --release -p fpdt-bench --features scalar-only --bin kernels -- --json --quick)
