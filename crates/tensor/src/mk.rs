@@ -515,7 +515,8 @@ unsafe fn scale_rows_g<W: Lanes, V: Lanes>(
     let cp = c.as_mut_ptr();
     for (r, &f) in factors.iter().enumerate() {
         let row = cp.add(r * stride + col0);
-        let mut i = mul_lanes::<V>(row, width, mul_lanes::<W>(row, width, 0, f), f);
+        let i = mul_lanes::<W>(row, width, 0, f);
+        let mut i = mul_lanes::<V>(row, width, i, f);
         while i < width {
             *row.add(i) *= f;
             i += 1;
@@ -789,8 +790,8 @@ unsafe fn fold_strip<V: Lanes, const NV: usize>(
 /// caller rescales its accumulator by, `l = l * corr + colsum(s)` (rows
 /// summed ascending) and `m = m_new`. Masked scores are `-inf` on entry
 /// and exactly `0.0` on exit. Strips of the wide vector `W` first, then of
-/// the 8-lane `V` (only these where `W` is `V`), so `w` stays a multiple
-/// of 8.
+/// the 8-lane `V` (only these where `W` is `V`), so any multiple of 8 is a
+/// valid `w`.
 #[inline(always)]
 unsafe fn softmax_fold_g<W: Lanes, V: Lanes>(
     s: &mut [f32],
@@ -891,7 +892,8 @@ unsafe fn div_lanes<V: Lanes>(x: *mut f32, n: usize, mut i: usize, d: f32) -> us
 unsafe fn dscale_g<W: Lanes, V: Lanes>(dst: &mut [f32], d: f32) {
     let n = dst.len();
     let dp = dst.as_mut_ptr();
-    let mut i = div_lanes::<V>(dp, n, div_lanes::<W>(dp, n, 0, d), d);
+    let i = div_lanes::<W>(dp, n, 0, d);
+    let mut i = div_lanes::<V>(dp, n, i, d);
     while i < n {
         *dp.add(i) /= d;
         i += 1;
